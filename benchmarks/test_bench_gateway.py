@@ -5,8 +5,7 @@ through the full default pipeline (admission → metrics → coalesce →
 warm-start → cache → solver) must cost **within 5%** of a bare
 solver-only pipeline on the cold, LP-dominated path — the interceptor
 chain is bookkeeping, the LP is the work — while the cache+warm hot
-path (the pre-refactor ``SchedulingService`` hot path, which the
-pipeline now implements) replays the same request set **>= 10x** faster
+path replays the same request set **>= 10x** faster
 than cold bare solves.  Allocations must match the bare pipeline **bit
 for bit** in every mode.
 

@@ -23,8 +23,8 @@ import pytest
 
 from repro.benchio import bench_output_path, bench_stats, write_bench_json
 from repro.experiments.runner import run_suite, suite_ok
+from repro.gateway import Gateway, Request
 from repro.parallel import cpu_count
-from repro.service import SchedulingService
 from repro.workloads.generator import random_instance
 
 CORES = cpu_count()
@@ -43,23 +43,23 @@ def _speedup_floor() -> float:
 
 
 def test_bench_solve_batch_parallel(benchmark):
-    instances = [
-        random_instance(USERS, GPU_TYPES, seed=seed)
+    requests = [
+        Request(random_instance(USERS, GPU_TYPES, seed=seed), "oef-coop")
         for seed in range(NUM_INSTANCES)
     ]
 
     start = time.perf_counter()
-    serial = SchedulingService().solve_batch(instances, "oef-coop")
+    serial = Gateway().solve_batch(requests)
     serial_seconds = time.perf_counter() - start
 
-    service = SchedulingService()
+    gateway = Gateway()
     timing = {}
 
     def run_parallel():
-        service.clear_cache()
+        gateway.clear_cache()
         start = time.perf_counter()
-        results = service.solve_batch(
-            instances, "oef-coop", backend="process", max_workers=WORKERS
+        results = gateway.solve_batch(
+            requests, backend="process", max_workers=WORKERS
         )
         timing["seconds"] = time.perf_counter() - start
         return results
@@ -73,10 +73,7 @@ def test_bench_solve_batch_parallel(benchmark):
             a.allocation.matrix, b.allocation.matrix, atol=1e-9
         )
     # worker results merged back: the repeat batch is pure cache hits
-    assert all(
-        result.from_cache
-        for result in service.solve_batch(instances, "oef-coop")
-    )
+    assert all(result.from_cache for result in gateway.solve_batch(requests))
 
     speedup = serial_seconds / parallel_seconds
     benchmark.extra_info["cores"] = CORES

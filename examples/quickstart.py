@@ -1,4 +1,4 @@
-"""Quickstart: allocate a heterogeneous GPU cluster through the service facade.
+"""Quickstart: allocate a heterogeneous GPU cluster through the gateway.
 
 Builds the paper's running example (three tenants, two GPU types), solves
 it with every registered scheduler in one ``solve_batch`` call, audits
@@ -11,8 +11,9 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import (
+    Gateway,
     ProblemInstance,
-    SchedulingService,
+    Request,
     SpeedupMatrix,
     scheduler_names,
 )
@@ -32,10 +33,11 @@ def main() -> None:
     )
     instance = ProblemInstance(speedups, capacities=[1.0, 1.0])
 
-    service = SchedulingService()
+    gateway = Gateway()
 
     print("=== allocations (one solve_batch over every registered scheduler) ===")
-    for result in service.solve_batch(instance, scheduler_names()):
+    requests = [Request(instance, name) for name in scheduler_names()]
+    for result in gateway.solve_batch(requests):
         allocation = result.allocation
         throughput = np.round(allocation.user_throughput(), 3)
         print(f"{result.scheduler:>14}:  X =")
@@ -48,11 +50,11 @@ def main() -> None:
 
     print("\n=== Table-1 property audit (cooperative OEF) ===")
     # pe_within / efficiency_constraint come from the registry metadata
-    report = service.audit(instance, "oef-coop")
+    report = gateway.audit(instance, "oef-coop")
     for key, value in report.as_row().items():
         print(f"  {key}: {value}")
 
-    stats = service.cache_info()
+    stats = gateway.cache_info()
     print(
         f"\ncache: {stats.hits} hits / {stats.misses} misses "
         f"(the audit reused the batch's oef-coop solve)"

@@ -2,8 +2,7 @@
 
 A full reproduction of the Middleware '24 paper by Mo, Xu, and Lau.
 
-The recommended entry point is the middleware-pipeline gateway (the
-legacy :class:`SchedulingService` facade is a thin shim over one)::
+The one entry point is the middleware-pipeline gateway::
 
     from repro import Gateway, default_pipeline
 
@@ -11,12 +10,8 @@ legacy :class:`SchedulingService` facade is a thin shim over one)::
     response = gateway.solve(instance, "oef-coop")   # memoized by content hash
     response.disposition                             # "cold" / "cache-hit" / ...
     gateway.use(my_stage, before="solver")           # extend the pipeline
-
-    from repro import SchedulingService
-
-    service = SchedulingService()                    # same pipeline behind it
-    report = service.audit(instance, "oef-noncoop")  # registry audit defaults
-    rows = service.compare(instance)                 # every registered scheduler
+    report = gateway.audit(instance, "oef-noncoop")  # registry audit defaults
+    rows = gateway.compare(instance)                 # every registered scheduler
 
 Allocators self-register metadata (canonical name, aliases, family, audit
 policy, capability flags) via :func:`repro.registry.register_scheduler`;
@@ -24,9 +19,9 @@ policy, capability flags) via :func:`repro.registry.register_scheduler`;
 
 The public API re-exports the pieces a downstream user needs:
 
-* facade -- :class:`SchedulingService` (``solve`` / ``solve_batch`` /
-  ``resolve`` for incremental warm-started re-solves), :class:`SolveRequest`,
-  :class:`SolveResult`, :class:`CacheStats`;
+* gateway -- :class:`Gateway` (``solve`` / ``solve_batch`` / ``audit`` /
+  ``compare`` / ``frontier``), :class:`Request`, :class:`Response`,
+  :class:`CacheStats`;
 * registry -- :func:`create_scheduler`, :func:`scheduler_names`,
   :func:`scheduler_info`, :func:`register_scheduler`,
   :class:`SchedulerInfo`;
@@ -77,17 +72,21 @@ from repro.core import (
 from repro.gateway import (
     AdmissionMiddleware,
     CacheMiddleware,
+    CacheStats,
     CoalesceMiddleware,
     Gateway,
     MetricsMiddleware,
     Middleware,
     Overloaded,
     Request,
+    RequestShed,
     Response,
     SolverMiddleware,
     WarmStartMiddleware,
     bare_pipeline,
     default_pipeline,
+    instance_fingerprint,
+    structural_fingerprint,
 )
 from repro.parallel import (
     ExecutionBackend,
@@ -116,17 +115,9 @@ from repro.scenarios import (
     scenario_names,
     scenario_sweep,
 )
-from repro.service import (
-    CacheStats,
-    SchedulingService,
-    SolveRequest,
-    SolveResult,
-    instance_fingerprint,
-    structural_fingerprint,
-)
 from repro.solver.warm import WarmStartState
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AdmissionMiddleware",
@@ -144,6 +135,7 @@ __all__ = [
     "Middleware",
     "Overloaded",
     "Request",
+    "RequestShed",
     "Response",
     "SolverMiddleware",
     "WarmStartMiddleware",
@@ -165,10 +157,7 @@ __all__ = [
     "ScenarioRunner",
     "SchedulerInfo",
     "SchedulerRegistry",
-    "SchedulingService",
     "SerialBackend",
-    "SolveRequest",
-    "SolveResult",
     "SpeedupMatrix",
     "ThreadBackend",
     "TenantSpec",

@@ -62,10 +62,9 @@ independent solves out through :mod:`repro.parallel`.
 
 Every command resolves schedulers through the registry
 (:mod:`repro.registry`) and solves through the middleware-pipeline
-gateway (:mod:`repro.gateway`; the legacy
-:class:`~repro.service.SchedulingService` facade delegates to it), so
-per-scheduler audit policy (``pe_within``, ``efficiency_constraint``)
-comes from each allocator's registered metadata — overridable with
+gateway (:mod:`repro.gateway`), so per-scheduler audit policy
+(``pe_within``, ``efficiency_constraint``) comes from each allocator's
+registered metadata — overridable with
 ``--pe-within`` / ``--efficiency-constraint`` — and new allocators
 appear in every command the moment they self-register.
 
@@ -89,13 +88,10 @@ from repro.core import (
 from repro.gateway import Gateway, bare_pipeline
 from repro.parallel import BACKEND_NAMES
 from repro.registry import registry_rows, scheduler_names
-from repro.service import SchedulingService
 
-#: One service per process: repeated solves within a command share the cache.
-_SERVICE = SchedulingService()
-
-#: The default middleware pipeline behind every CLI solve.
-_GATEWAY = _SERVICE.gateway
+#: The default middleware pipeline behind every CLI solve — one per
+#: process, so repeated solves within a command share the cache.
+_GATEWAY = Gateway()
 
 #: ``--pipeline`` spellings -> gateway factory.
 _PIPELINES = {
@@ -158,7 +154,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         overrides["pe_within"] = None if args.pe_within == "none" else args.pe_within
     if args.efficiency_constraint is not None:
         overrides["efficiency_constraint"] = args.efficiency_constraint
-    report = _SERVICE.audit(
+    report = _GATEWAY.audit(
         instance, args.scheduler, sp_trials=args.sp_trials, **overrides
     )
     _print_table([report.as_row()])
@@ -168,7 +164,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     _print_table(
-        _SERVICE.compare(instance, backend=args.backend, max_workers=args.jobs)
+        _GATEWAY.compare(instance, backend=args.backend, max_workers=args.jobs)
     )
     return 0
 
@@ -176,7 +172,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_frontier(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     alphas = [float(a) for a in args.alphas.split(",")]
-    points = _SERVICE.frontier(
+    points = _GATEWAY.frontier(
         instance, alphas=alphas, backend=args.backend, max_workers=args.jobs
     )
     _print_table(

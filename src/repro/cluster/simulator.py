@@ -81,13 +81,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.exceptions import SimulationError, ValidationError
 from repro.gateway import Gateway, Request, Response
 from repro.gateway.middleware import CacheMiddleware, Middleware
-from repro.parallel import (
-    BackendSpec,
-    ProcessBackend,
-    ThreadBackend,
-    get_backend,
-    probe_picklable,
-)
+from repro.parallel import BackendSpec, get_backend
 
 
 def _run_sweep_entry(payload: tuple) -> Any:
@@ -393,15 +387,9 @@ class ClusterSimulator:
         runners.
         """
         payloads = [(factory, int(seed)) for seed in seeds]
-        resolved = get_backend(backend, max_workers, task_count=len(payloads))
-        if isinstance(resolved, ProcessBackend) and not probe_picklable(payloads):
-            warnings.warn(
-                "sweep factory is not picklable; falling back to the thread "
-                "backend (define the factory at module level to use processes)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            resolved = ThreadBackend(resolved.max_workers)
+        resolved = get_backend(
+            backend, max_workers, task_count=len(payloads), payload=payloads
+        )
         return resolved.map(_run_sweep_entry, payloads)
 
     # -- main loop -------------------------------------------------------------

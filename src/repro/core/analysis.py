@@ -74,7 +74,7 @@ def frontier_point(
 
     ``backend`` here names the *LP solver* (``"auto"``/``"scipy"``/
     ``"simplex"``), not an execution backend: this layer sits below the
-    fan-out machinery.  :meth:`repro.service.SchedulingService.frontier`
+    fan-out machinery.  :meth:`repro.gateway.Gateway.frontier`
     exposes the same knob as ``lp_backend=`` and reserves ``backend=``
     for the :mod:`repro.parallel` execution backend.
     """
@@ -171,7 +171,7 @@ def efficiency_fairness_frontier(
     Monotone non-increasing in ``alpha``: fairness floors cost efficiency.
     ``backend`` names the LP solver (see :func:`frontier_point`); for a
     parallel sweep over the alphas use
-    :meth:`repro.service.SchedulingService.frontier` with ``backend=``
+    :meth:`repro.gateway.Gateway.frontier` with ``backend=``
     (execution) and ``lp_backend=`` (LP solver).
     """
     return [frontier_point(instance, alpha, backend) for alpha in alphas]

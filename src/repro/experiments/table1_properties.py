@@ -15,7 +15,7 @@ where OEF's EF/SI/optimal-efficiency come from the cooperative variant
 and SP from the non-cooperative one (Theorems 3.2/3.3 prove no mechanism
 gets all of them at optimal efficiency simultaneously).
 
-Audits run through :class:`~repro.service.SchedulingService.audit`, so
+Audits run through :meth:`repro.gateway.Gateway.audit`, so
 every honest and perturbed solve is memoized by the gateway pipeline's
 cache stage — repeating a property across instances and schedulers
 never re-pays for an LP it already solved.
@@ -27,7 +27,7 @@ from typing import Dict, List
 
 from repro.core import ProblemInstance, SpeedupMatrix
 from repro.experiments.common import ExperimentResult
-from repro.service import SchedulingService
+from repro.gateway import Gateway
 from repro.workloads.generator import random_instance
 
 
@@ -58,7 +58,7 @@ def run(num_random: int = 2, sp_trials: int = 2) -> ExperimentResult:
     # registered audit defaults (Theorem 5.3: PE within the scheduler's
     # own feasible domain)
     schedulers = ["gavel", "gandiva-fair", "oef-coop", "oef-noncoop"]
-    service = SchedulingService()
+    gateway = Gateway()
     instances = audit_instances(num_random=num_random)
 
     result = ExperimentResult("Table 1 — properties per scheduler")
@@ -72,7 +72,7 @@ def run(num_random: int = 2, sp_trials: int = 2) -> ExperimentResult:
             "optimal efficiency": True,
         }
         for index, instance in enumerate(instances):
-            report = service.audit(
+            report = gateway.audit(
                 instance,
                 name,
                 sp_trials=sp_trials,

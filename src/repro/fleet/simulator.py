@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -40,13 +39,7 @@ from repro.fleet.rebalance import (
     compute_quota_schedule,
 )
 from repro.fleet.scenario import FleetScenario, region_scenario
-from repro.parallel import (
-    BackendSpec,
-    ProcessBackend,
-    ThreadBackend,
-    get_backend,
-    probe_picklable,
-)
+from repro.parallel import BackendSpec, get_backend
 from repro.scenarios.runner import ScenarioRunner
 
 
@@ -276,16 +269,8 @@ class FleetSimulator:
         quota = self._quota()
         tasks = self._tasks(quota)
         resolved = get_backend(
-            self.backend, self.max_workers, task_count=len(tasks)
+            self.backend, self.max_workers, task_count=len(tasks), payload=tasks
         )
-        if isinstance(resolved, ProcessBackend) and not probe_picklable(tasks):
-            warnings.warn(
-                "fleet region tasks are not picklable; falling back to the "
-                "thread backend (use module-level builders for processes)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            resolved = ThreadBackend(resolved.max_workers)
         summaries = resolved.map(_run_region, tasks)
         return FleetResult(
             fleet=self.fleet.name,

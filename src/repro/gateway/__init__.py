@@ -7,9 +7,9 @@ metrics, in-flight coalescing, verified warm starts, the content-hash
 cache, and the terminal registry solver — behind a stable, typed
 :class:`Request`/:class:`Response` envelope.  Stages can be reordered,
 disabled, or extended (``Gateway.use(my_stage, before="solver")``)
-without touching the service internals; the legacy
-:class:`repro.service.SchedulingService` facade is a thin shim over a
-gateway built by :func:`default_pipeline`.
+without touching the service internals, and audits, comparisons and
+frontier sweeps (:meth:`Gateway.audit` / ``compare`` / ``frontier``)
+solve through the same chain.
 
 See ``docs/middleware.md`` for the pipeline diagram, the stage-ordering
 contract, and a guide to writing custom stages.
@@ -29,6 +29,7 @@ from repro.gateway.envelope import (
     DISPOSITIONS,
     Overloaded,
     Request,
+    RequestShed,
     Response,
     deadline_in,
     instance_fingerprint,
@@ -58,6 +59,7 @@ __all__ = [
     "Middleware",
     "Overloaded",
     "Request",
+    "RequestShed",
     "Response",
     "SolverMiddleware",
     "WarmStartMiddleware",

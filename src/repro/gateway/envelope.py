@@ -13,15 +13,10 @@ timed the pipeline.  Both are frozen dataclasses, so middleware stages
 derive modified copies with :func:`dataclasses.replace` instead of
 mutating shared state — the envelope is safe to hand across threads.
 
-These envelopes supersede the ad-hoc ``SolveRequest``/``SolveResult``
-pair of :mod:`repro.service`, which remain as thin legacy aliases over
-the same data (see the migration table in ``docs/api.md``).
-
 Content fingerprints
 --------------------
-:func:`instance_fingerprint` and :func:`structural_fingerprint` (moved
-here from ``repro.service``, which re-exports them) are the cache
-identities the pipeline keys on:
+:func:`instance_fingerprint` and :func:`structural_fingerprint` are the
+cache identities the pipeline keys on:
 
 * the *exact* fingerprint covers user names, GPU types, the speedup
   matrix, and capacities — identical data ⇒ identical fingerprint;
@@ -46,6 +41,7 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.instance import ProblemInstance
+from repro.exceptions import ReproError
 from repro.solver.warm import WarmStartState
 
 
@@ -144,8 +140,7 @@ class Request:
     * ``prev_result`` — the previous round's result (anything exposing
       ``.scheduler`` and ``.warm_state``) for incremental re-solves;
     * ``use_cache`` — when ``False`` the cache stage neither looks up
-      nor stores (it still counts the solve as a miss, matching the
-      legacy service contract);
+      nor stores (it still counts the solve as a miss);
     * ``incremental`` — marks a ``resolve``-style request: the cache
       stage counts exact hits as warm hits and the warm-start stage
       threads verified LP states through the solver;
@@ -241,7 +236,7 @@ class Overloaded(Response):
     ``disposition`` says why (``"shed-deadline"`` or
     ``"shed-capacity"``) and ``reason`` carries the human-readable
     detail.  Callers that cannot handle shedding should not configure
-    deadlines or an in-flight bound — the default service facade never
+    deadlines or an in-flight bound — the default pipeline never
     sheds.
     """
 
@@ -255,10 +250,24 @@ class Overloaded(Response):
     retry_after_s: float = 0.0
 
 
+class RequestShed(ReproError, RuntimeError):
+    """Raised where an :class:`Overloaded` response cannot be returned.
+
+    The :meth:`Gateway.allocator` view must hand back an allocation, so
+    a shed solve (hence a shed ``audit``/``compare``) raises this with
+    the refusal on ``.response``; the server maps it to a 429.
+    """
+
+    def __init__(self, response: Overloaded):
+        super().__init__(f"gateway shed the request: {response.reason}")
+        self.response = response
+
+
 __all__ = [
     "DISPOSITIONS",
     "Overloaded",
     "Request",
+    "RequestShed",
     "Response",
     "deadline_in",
     "instance_fingerprint",

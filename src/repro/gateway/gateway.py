@@ -2,9 +2,9 @@
 
 ``Gateway(pipeline)`` composes a list of
 :class:`~repro.gateway.middleware.Middleware` stages into a single
-request handler and is the public front door for every solve in the
-repo — the legacy :class:`~repro.service.SchedulingService` facade is a
-thin shim over one.  :func:`default_pipeline` builds the full stack
+request handler and is the only front door for every solve, audit,
+comparison and frontier sweep in the repo.  :func:`default_pipeline`
+builds the full stack
 (admission → metrics → coalesce → warm-start → cache → solver);
 :func:`bare_pipeline` is just the terminal solver, useful for
 differential testing (``repro solve --pipeline bare``) and as the
@@ -50,6 +50,7 @@ import time
 import warnings
 from collections import OrderedDict
 from dataclasses import replace
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -65,8 +66,12 @@ from typing import (
 import numpy as np
 
 from repro.core.allocation import Allocation
+from repro.core.analysis import FrontierPoint, compare_allocators, frontier_point
+from repro.core.base import Allocator
+from repro.core.properties import PropertyReport, audit_allocator
 from repro.gateway.envelope import (
     Request,
+    RequestShed,
     Response,
     instance_fingerprint,
     options_key,
@@ -93,6 +98,9 @@ from repro.parallel import (
 )
 from repro.registry import SchedulerRegistry
 
+#: Sentinel: "use the registry default" for audit overrides.
+_USE_REGISTRY_DEFAULT = object()
+
 
 def _solve_payload(payload: tuple) -> Tuple[np.ndarray, Optional[str], float]:
     """Worker-side solve: construct the scheduler and run one allocation.
@@ -108,6 +116,26 @@ def _solve_payload(payload: tuple) -> Tuple[np.ndarray, Optional[str], float]:
     allocation = factory(**options).allocate(instance)
     elapsed = time.perf_counter() - start
     return allocation.matrix, allocation.allocator_name, elapsed
+
+
+class _GatewayAllocator(Allocator):
+    """Allocator adapter that routes ``allocate()`` through a gateway.
+
+    Handed to :func:`audit_allocator` / :func:`compare_allocators` so the
+    honest solve — and every perturbed strategy-proofness solve — is
+    memoized across audits, comparisons, and plain ``solve`` calls.
+    """
+
+    def __init__(self, gateway: "Gateway", scheduler: str, options):
+        self._gateway = gateway
+        self._options = options
+        self.name = gateway.registry.resolve(scheduler)
+
+    def allocate(self, instance) -> Allocation:
+        response = self._gateway.solve(instance, self.name, options=self._options)
+        if not response.ok:  # a bounded/deadline admission stage refused
+            raise RequestShed(response)
+        return response.allocation
 
 
 def default_pipeline(
@@ -338,15 +366,31 @@ class Gateway:
     ) -> Response:
         """Normalise one request and dispatch it.
 
-        Accepts either a prebuilt :class:`Request` (keyword arguments are
-        then ignored) or the classic ``(instance, scheduler, options)``
-        shape.  Normalisation resolves the scheduler alias to its
+        Accepts either a prebuilt :class:`Request` (combining one with
+        any non-default argument raises ``TypeError``) or the classic
+        ``(instance, scheduler, options)`` shape; ``incremental=True``
+        with ``prev_result`` is the warm re-solve of a drifted instance.
+        Normalisation resolves the scheduler alias to its
         canonical name and precomputes the cache key once, so every
         stage below shares the same identity without re-hashing —
         uncacheable option values raise ``TypeError`` here, before any
         solving starts.
         """
         if isinstance(instance, Request):
+            if (
+                scheduler != "oef-coop"
+                or options is not None
+                or not use_cache
+                or incremental
+                or prev_result is not None
+                or priority
+                or deadline is not None
+            ):
+                raise TypeError(
+                    "a prebuilt Request carries its own scheduler, options "
+                    "and directives; set them on the Request, not as "
+                    "arguments to solve()"
+                )
             request = instance
         else:
             request = Request(
@@ -807,31 +851,125 @@ class Gateway:
         solved.update(fallback_results)
         return solved
 
+    # -- audits and summaries ------------------------------------------------
+    def allocator(self, scheduler: str, **options) -> Allocator:
+        """A cache-backed :class:`Allocator` view of one scheduler.
+
+        ``allocate()`` raises :class:`RequestShed` (carrying the
+        :class:`Overloaded` response) when admission refuses the solve.
+        """
+        return _GatewayAllocator(self, scheduler, options)
+
+    def audit(
+        self,
+        instance,
+        scheduler: str = "oef-coop",
+        *,
+        sp_trials: int = 4,
+        seed: int = 0,
+        lp_backend: str = "auto",
+        pe_within=_USE_REGISTRY_DEFAULT,
+        efficiency_constraint=_USE_REGISTRY_DEFAULT,
+        pe_tolerance: float = 1e-5,
+        options: Optional[Mapping[str, object]] = None,
+    ) -> PropertyReport:
+        """Table-1 property audit with registry-sourced policy defaults.
+
+        ``pe_within`` / ``efficiency_constraint`` default to the
+        scheduler's registered audit configuration; explicit arguments
+        (including ``None``) win.  ``lp_backend`` names the audit's LP
+        solver; solves memoize through the cache stage.
+        """
+        info = self.registry.info(scheduler)
+        if pe_within is _USE_REGISTRY_DEFAULT:
+            pe_within = info.pe_within
+        if efficiency_constraint is _USE_REGISTRY_DEFAULT:
+            efficiency_constraint = info.efficiency_constraint
+        return audit_allocator(
+            self.allocator(info.name, **(options or {})),
+            instance,
+            efficiency_constraint=efficiency_constraint,
+            sp_trials=sp_trials,
+            backend=lp_backend,
+            seed=seed,
+            pe_within=pe_within,
+            pe_tolerance=pe_tolerance,
+        )
+
+    def compare(
+        self,
+        instance,
+        schedulers: Optional[Sequence[str]] = None,
+        *,
+        backend: Optional[BackendSpec] = None,
+        max_workers: Optional[int] = None,
+    ) -> List[Dict[str, object]]:
+        """One summary row per scheduler (default: every registered one).
+
+        With ``backend`` set, the solves fan out through
+        :meth:`solve_batch` first; row assembly then reads the warmed
+        cache, so parallel and serial comparisons produce identical rows.
+        """
+        names = list(schedulers) if schedulers is not None else self.registry.names()
+        if backend is not None:
+            self.solve_batch(
+                [Request(instance=instance, scheduler=name) for name in names],
+                backend=backend,
+                max_workers=max_workers,
+            )
+        return compare_allocators([self.allocator(name) for name in names], instance)
+
+    def frontier(
+        self,
+        instance,
+        alphas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0),
+        backend: Optional[BackendSpec] = None,
+        *,
+        max_workers: Optional[int] = None,
+        lp_backend: str = "auto",
+    ) -> List[FrontierPoint]:
+        """The efficiency–fairness frontier sweep (memoized per alpha grid).
+
+        Each alpha is an independent epsilon-constraint LP; ``backend``
+        fans them out.  The memo lives in the cache stage's auxiliary
+        store (same LRU bound and counters), keyed on the
+        instance/alphas/LP solver, never on how it was executed.
+        """
+        alpha_key = tuple(float(alpha) for alpha in alphas)
+        key = ("frontier", instance_fingerprint(instance), alpha_key, lp_backend)
+        cache = self.find(CacheMiddleware)
+        if cache is not None:
+            cached = cache.aux_lookup(key)
+            if cached is not None:
+                return list(cached)
+        solve_alpha = partial(frontier_point, instance, backend=lp_backend)
+        resolved = get_backend(
+            backend if backend is not None else "serial",
+            max_workers,
+            task_count=len(alpha_key),
+            payload=solve_alpha,
+        )
+        points = resolved.map(solve_alpha, alpha_key)
+        if cache is not None:
+            cache.aux_store(key, list(points))
+        return points
+
     # -- telemetry -----------------------------------------------------------
     def cache_info(self) -> CacheStats:
         """Aggregated :class:`CacheStats` across the cache + warm stages."""
         cache = self.find(CacheMiddleware)
         warm = self.find(WarmStartMiddleware)
-        cache_stats = (
-            cache.stats()
-            if cache is not None
-            else {"hits": 0, "misses": 0, "warm_hits": 0, "evictions": 0,
-                  "entries": 0, "max_entries": 0}
-        )
-        warm_stats = (
-            warm.stats()
-            if warm is not None
-            else {"structural_hits": 0, "evictions": 0, "warm_entries": 0}
-        )
+        cache_stats = cache.stats() if cache is not None else {}
+        warm_stats = warm.stats() if warm is not None else {}
         return CacheStats(
-            hits=cache_stats["hits"],
-            misses=cache_stats["misses"],
-            entries=cache_stats["entries"],
-            max_entries=cache_stats["max_entries"],
-            warm_hits=cache_stats["warm_hits"],
-            structural_hits=warm_stats["structural_hits"],
-            evictions=cache_stats["evictions"] + warm_stats["evictions"],
-            warm_entries=warm_stats["warm_entries"],
+            hits=cache_stats.get("hits", 0),
+            misses=cache_stats.get("misses", 0),
+            entries=cache_stats.get("entries", 0),
+            max_entries=cache_stats.get("max_entries", 0),
+            warm_hits=cache_stats.get("warm_hits", 0),
+            structural_hits=warm_stats.get("structural_hits", 0),
+            evictions=cache_stats.get("evictions", 0) + warm_stats.get("evictions", 0),
+            warm_entries=warm_stats.get("warm_entries", 0),
         )
 
     def metrics_snapshot(self) -> List[Dict[str, object]]:

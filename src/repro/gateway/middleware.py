@@ -204,14 +204,14 @@ class CacheMiddleware(Middleware):
     canonical scheduler, frozen options)``.  Cached matrices are copied
     on both insert and lookup, so callers can never poison the cache by
     mutating a returned allocation.  One LRU bound (``max_entries``)
-    covers the primary store and the auxiliary store (the service
-    facade's frontier memo) combined.
+    covers the primary store and the auxiliary store
+    (:meth:`Gateway.frontier`'s memo) combined.
 
     Threading: one re-entrant lock guards the stores and counters;
     lookups, inserts, LRU reordering, and trims happen under it while
     the downstream solve runs *outside* it, so concurrent solves
-    overlap.  ``use_cache=False`` requests still count as misses (the
-    legacy service contract), they just never touch the stores.
+    overlap.  ``use_cache=False`` requests still count as misses,
+    they just never touch the stores.
 
     Subclass hooks for non-allocation payloads: ``_key(request)``
     derives the identity, ``_entry(request, response)`` the stored
@@ -287,8 +287,8 @@ class CacheMiddleware(Middleware):
                 response = self._revive(entry, request)
                 return replace(response, cache_hits=hits, cache_misses=misses)
 
-        # count the miss before the solver runs (legacy service parity:
-        # concurrent callers each account exactly one hit or miss)
+        # count the miss before the solver runs (concurrent callers
+        # each account exactly one hit or miss)
         with self.lock:
             self._misses += 1
         response = next(request)
@@ -301,7 +301,7 @@ class CacheMiddleware(Middleware):
             hits, misses = self._hits, self._misses
         return replace(response, cache_hits=hits, cache_misses=misses)
 
-    # -- auxiliary store (service frontier memo) ---------------------------
+    # -- auxiliary store (Gateway.frontier memo) ---------------------------
     def aux_lookup(self, key: object) -> Optional[Any]:
         """Counted lookup in the auxiliary store (shares the LRU bound)."""
         with self.lock:
@@ -642,7 +642,7 @@ class AdmissionMiddleware(Middleware):
     ``max_in_flight`` is set, requests beyond that many concurrent
     solves are shed too, except requests with ``priority > 0``, which
     are always admitted.  With the defaults (no bound, no deadline) this
-    stage is a transparent counter and the legacy facade never sheds.
+    stage is a transparent counter and the default pipeline never sheds.
 
     Every :class:`~repro.gateway.envelope.Overloaded` response carries a
     machine-readable ``retry_after_s`` backoff hint derived from the

@@ -1,7 +1,7 @@
 """Execution backends: one abstraction for serial/thread/process fan-out.
 
 Everything in this repo that loops over *independent* units of work —
-batch solves in :class:`~repro.service.SchedulingService`, the paper
+batch solves in :class:`~repro.gateway.Gateway`, the paper
 experiments, Monte-Carlo seed sweeps of the cluster simulator — funnels
 through an :class:`ExecutionBackend`.  A backend is just an ordered
 ``map``: it takes a callable and a list of items and returns the results
@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import (
     Callable,
@@ -223,6 +224,7 @@ def get_backend(
     max_workers: Optional[int] = None,
     *,
     task_count: Optional[int] = None,
+    payload: object = None,
 ) -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through).
 
@@ -230,23 +232,40 @@ def get_backend(
     machine has more than one usable core *and* the caller reports more
     than one task (``task_count``, default: assume many); otherwise the
     fan-out cannot pay for itself and :class:`SerialBackend` is returned.
+
+    ``payload`` is the work about to be mapped: when the resolved backend
+    is a process pool and the payload fails :func:`probe_picklable`, a
+    same-sized :class:`ThreadBackend` is returned instead, with a
+    :class:`RuntimeWarning` attributed to the caller's caller.
     """
     if isinstance(spec, ExecutionBackend):
-        return spec
-    name = "auto" if spec is None else str(spec).lower()
-    if name == "auto":
-        workers = default_workers(max_workers)
-        many_tasks = task_count is None or task_count > 1
-        if workers > 1 and cpu_count() > 1 and many_tasks:
-            return ProcessBackend(max_workers)
-        return SerialBackend()
-    try:
-        cls = _BACKEND_CLASSES[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown execution backend {spec!r}; choose from {BACKEND_NAMES}"
-        ) from None
-    return cls(max_workers)
+        resolved = spec
+    else:
+        name = "auto" if spec is None else str(spec).lower()
+        if name == "auto":
+            workers = default_workers(max_workers)
+            many_tasks = task_count is None or task_count > 1
+            parallel = workers > 1 and cpu_count() > 1 and many_tasks
+            resolved = ProcessBackend(max_workers) if parallel else SerialBackend()
+        elif name in _BACKEND_CLASSES:
+            resolved = _BACKEND_CLASSES[name](max_workers)
+        else:
+            raise ValidationError(
+                f"unknown execution backend {spec!r}; choose from {BACKEND_NAMES}"
+            )
+    if (
+        payload is not None
+        and isinstance(resolved, ProcessBackend)
+        and not probe_picklable(payload)
+    ):
+        warnings.warn(
+            "the work is not picklable; falling back to the thread backend "
+            "(define factories/builders at module level to use processes)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return ThreadBackend(resolved.max_workers)
+    return resolved
 
 
 def parallel_map(

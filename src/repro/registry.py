@@ -3,7 +3,7 @@
 Every allocator class registers itself with a :class:`SchedulerInfo`
 record — canonical name, aliases, family, per-scheduler audit defaults
 (``pe_within``, ``efficiency_constraint``) and capability flags — so
-entry points (CLI, :class:`~repro.service.SchedulingService`, cluster
+entry points (CLI, :class:`~repro.gateway.Gateway`, cluster
 simulator, experiments) look schedulers up instead of hand-constructing
 them.  Adding a new scheduler is one decorator::
 
@@ -16,7 +16,7 @@ them.  Adding a new scheduler is one decorator::
         ...
 
 and every consumer — ``repro list-schedulers``, ``repro compare``, the
-service facade, the simulator — picks it up without modification.
+gateway, the simulator — picks it up without modification.
 Lookup is by canonical name or any alias::
 
     from repro.registry import create_scheduler, scheduler_info
@@ -32,8 +32,7 @@ import cycles.
 Capability flags and concurrency
 --------------------------------
 ``SchedulerInfo`` carries two flags the parallel engine reads when it
-plans a batch (:meth:`repro.gateway.Gateway.solve_batch`; the legacy
-``SchedulingService.solve_batch`` delegates to it):
+plans a batch (:meth:`repro.gateway.Gateway.solve_batch`):
 
 * ``parallel_safe`` — instances may solve concurrently from several
   *threads* of one process.  Set it to ``False`` for allocators with
@@ -102,15 +101,14 @@ class SchedulerInfo:
     parallel_safe: bool = True
     #: Instances/options survive a process boundary (pickle), so batch
     #: solves may ship this scheduler's work to a process pool.  Set to
-    #: False for schedulers with unpicklable state; the service then
+    #: False for schedulers with unpicklable state; the gateway then
     #: degrades to threads (or serial when also not ``parallel_safe``).
     picklable: bool = True
     #: Supports verified warm-started re-solves: ``allocate_with_state``
     #: threads a prior :class:`~repro.solver.warm.WarmStartState` into
     #: its LP and returns a fresh one.  The gateway's structural warm
-    #: tier (:class:`repro.gateway.middleware.WarmStartMiddleware`,
-    #: driving the legacy ``SchedulingService.resolve``) only engages
-    #: for schedulers with this flag set.
+    #: tier (:class:`repro.gateway.middleware.WarmStartMiddleware`)
+    #: only engages for schedulers with this flag set.
     warm_startable: bool = False
 
     @property

@@ -42,7 +42,13 @@ import sys
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from repro import __version__
-from repro.gateway import Request, Response
+from repro.gateway import (
+    Gateway,
+    Request,
+    RequestShed,
+    Response,
+    instance_fingerprint,
+)
 from repro.registry import SchedulerRegistry, registry_rows
 from repro.server import http11
 from repro.server.protocol import (
@@ -62,17 +68,12 @@ from repro.server.protocol import (
 from repro.server.shards import ShardPool
 
 
-def _audit_on_service(service, instance, scheduler, sp_trials, seed):
+def _audit_on_shard(gateway, instance, scheduler, sp_trials, seed):
     """Executor-side audit body (runs on the owning shard's thread)."""
-    report = service.audit(
+    report = gateway.audit(
         instance, scheduler, sp_trials=sp_trials, seed=seed
     )
     return report.as_row()
-
-
-def _compare_on_service(service, instance, names):
-    """Executor-side compare body (runs on the owning shard's thread)."""
-    return service.compare(instance, names)
 
 
 class ReproServer:
@@ -266,6 +267,9 @@ class ReproServer:
         except ProtocolError as exc:
             self._respond(writer, request.path, exc.status, exc.payload())
             return True
+        except RequestShed as exc:  # /audit, /compare: a solve inside was shed
+            self._respond_shed(writer, request.path, exc.response)
+            return True
         except Exception as exc:  # noqa: BLE001 - the service must answer
             self._respond(
                 writer,
@@ -290,6 +294,16 @@ class ReproServer:
             http11.response_bytes(
                 status, json_bytes(payload), headers=headers
             )
+        )
+
+    def _respond_shed(self, writer, path: str, response: Response) -> None:
+        """429 + ``Retry-After`` for an :class:`~repro.gateway.Overloaded`."""
+        self._respond(
+            writer,
+            path,
+            429,
+            overloaded_payload(response),
+            headers={"Retry-After": retry_after_header(response)},
         )
 
     def _count(self, path: str, status: int) -> None:
@@ -394,15 +408,9 @@ class ReproServer:
         gateway_request = parse_solve(parse_json(request.body), self.registry)
         response = await self._dispatch(gateway_request)
         if not response.ok:
-            self._respond(
-                writer,
-                request.path,
-                429,
-                overloaded_payload(response),
-                headers={"Retry-After": retry_after_header(response)},
-            )
-            return True
-        self._respond(writer, request.path, 200, response_payload(response))
+            self._respond_shed(writer, request.path, response)
+        else:
+            self._respond(writer, request.path, 200, response_payload(response))
         return True
 
     async def _handle_solve_batch(self, request, writer) -> bool:
@@ -447,11 +455,9 @@ class ReproServer:
         instance, scheduler, sp_trials, seed = parse_audit(
             parse_json(request.body), self.registry
         )
-        from repro.gateway import instance_fingerprint
-
         shard, row = await self.pool.run_on_shard(
             instance_fingerprint(instance),
-            _audit_on_service,
+            _audit_on_shard,
             instance,
             scheduler,
             sp_trials,
@@ -467,11 +473,9 @@ class ReproServer:
 
     async def _handle_compare(self, request, writer) -> bool:
         instance, names = parse_compare(parse_json(request.body), self.registry)
-        from repro.gateway import instance_fingerprint
-
         shard, rows = await self.pool.run_on_shard(
             instance_fingerprint(instance),
-            _compare_on_service,
+            Gateway.compare,
             instance,
             names,
         )

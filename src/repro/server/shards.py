@@ -43,7 +43,6 @@ from repro.gateway import (
 )
 from repro.gateway.middleware import AdmissionMiddleware
 from repro.registry import SchedulerRegistry
-from repro.service import SchedulingService
 
 #: Virtual nodes per shard on the hash ring.
 HASH_REPLICAS = 64
@@ -94,11 +93,6 @@ class ShardPool:
 
         self.gateways: List[Gateway] = [
             Gateway(build_pipeline()) for _ in range(shards)
-        ]
-        #: Per-shard legacy facade, for audit/compare endpoints (shares
-        #: the shard's gateway, hence its cache).
-        self.services: List[SchedulingService] = [
-            SchedulingService(gateway=gateway) for gateway in self.gateways
         ]
         self._executors: List[ThreadPoolExecutor] = [
             ThreadPoolExecutor(
@@ -157,16 +151,17 @@ class ShardPool:
     async def run_on_shard(self, fingerprint: str, fn: Callable, *args):
         """Run an arbitrary callable on the shard owning ``fingerprint``.
 
-        Used for audit/compare endpoints: they solve repeatedly through
-        the shard's service facade, so routing them like solves keeps
-        their memoized work on the hot shard.
+        ``fn`` receives the shard's gateway as its first argument.  Used
+        for audit/compare endpoints: they solve repeatedly through that
+        gateway, so routing them like solves keeps their memoized work
+        on the hot shard.
         """
         if self._drained:
             raise RuntimeError("shard pool is drained")
         shard = self.shard_for(fingerprint)
         loop = asyncio.get_running_loop()
         return shard, await loop.run_in_executor(
-            self._executors[shard], fn, self.services[shard], *args
+            self._executors[shard], fn, self.gateways[shard], *args
         )
 
     # -- telemetry / lifecycle --------------------------------------------

@@ -384,6 +384,33 @@ class TestOverload:
 
         _with_server(run, shards=1, max_in_flight=1)
 
+    def test_audit_and_compare_shed_with_429_not_500(self, paper_instance):
+        """A shard that sheds inside /audit or /compare answers like /solve.
+
+        Their solves run through the shard's bounded admission stage, so
+        a refusal is a typed shed, not an internal error.
+        """
+        instance = instance_to_dict(paper_instance)
+
+        async def run(server):
+            for path, body in (
+                ("/audit", {"instance": instance, "sp_trials": 1}),
+                ("/compare", {"instance": instance, "schedulers": ["max-min"]}),
+            ):
+                status, headers, payload = await _roundtrip(
+                    server.port, "POST", path, json_bytes(body)
+                )
+                assert status == 429, (path, payload)
+                assert int(headers["retry-after"]) >= 1
+                error = json.loads(payload)["error"]
+                assert error["code"] == "overloaded"
+                assert error["disposition"] == "shed-capacity"
+            status, _, body = await _roundtrip(server.port, "GET", "/metrics")
+            assert json.loads(body)["server"]["requests_by_status"] == {"429": 2}
+
+        # zero slots: every solve the endpoints attempt is capacity-shed
+        _with_server(run, shards=1, max_in_flight=0)
+
 
 # -- continuous auditing over the wire --------------------------------------
 class TestAuditReportEndpoint:

@@ -16,6 +16,7 @@ from repro.gateway import (
     Middleware,
     Overloaded,
     Request,
+    RequestShed,
     Response,
     SolverMiddleware,
     WarmStartMiddleware,
@@ -529,52 +530,59 @@ class TestBatchThroughGateway:
         assert isinstance(hit.fingerprint, str) and len(hit.fingerprint) == 64
 
 
-class TestServiceShim:
-    def test_service_exposes_its_gateway(self, paper_instance):
-        from repro.service import SchedulingService
+class TestOneFrontDoor:
+    """The legacy service facade is gone; its behaviour lives here."""
 
-        service = SchedulingService()
-        assert isinstance(service.gateway, Gateway)
-        via_service = service.solve(paper_instance, "oef-coop")
-        via_gateway = service.gateway.solve(paper_instance, "oef-coop")
-        assert via_gateway.from_cache  # shared pipeline, shared cache
-        np.testing.assert_array_equal(
-            via_service.allocation.matrix, via_gateway.allocation.matrix
-        )
+    def test_facade_module_and_names_are_removed(self):
+        import repro
 
-    def test_gateway_and_registry_kwargs_conflict(self):
-        from repro.registry import SchedulerRegistry
-        from repro.service import SchedulingService
+        with pytest.raises(ModuleNotFoundError):
+            import repro.service  # noqa: F401
+        for name in ("SchedulingService", "SolveRequest", "SolveResult"):
+            assert name not in repro.__all__
+            assert not hasattr(repro, name)
 
-        with pytest.raises(ValueError, match="not both"):
-            SchedulingService(
-                registry=SchedulerRegistry(), gateway=Gateway(bare_pipeline())
-            )
+    def test_pipeline_is_authoritative_for_the_cache_bound(self):
+        gateway = Gateway(default_pipeline(max_cache_entries=7))
+        assert gateway.cache_info().max_entries == 7
 
-    def test_explicit_gateway_is_authoritative_for_the_cache_bound(self):
-        from repro.service import SchedulingService
+    def test_prebuilt_request_rejects_extra_arguments(self, gateway, paper_instance):
+        request = Request(paper_instance, "max-min")
+        for kwargs in (
+            {"use_cache": False},
+            {"deadline": deadline_in(30)},
+            {"options": {}},
+            {"incremental": True},
+            {"priority": 1},
+            {"scheduler": "oef-coop", "prev_result": object()},
+        ):
+            with pytest.raises(TypeError, match="prebuilt Request"):
+                gateway.solve(request, **kwargs)
+        with pytest.raises(TypeError, match="prebuilt Request"):
+            gateway.solve(request, "drf")
+        assert gateway.cache_info().misses == 0  # nothing was solved
+        assert gateway.solve(request).scheduler == "max-min"
 
-        service = SchedulingService(
-            gateway=Gateway(default_pipeline(max_cache_entries=7))
-        )
-        assert service.max_cache_entries == 7
-        assert service.cache_info().max_entries == 7
+    def test_allocator_view_raises_typed_shed(self, paper_instance):
+        gateway = Gateway(default_pipeline(max_in_flight=0))
+        with pytest.raises(RequestShed, match="gateway shed the request") as shed:
+            gateway.allocator("max-min").allocate(paper_instance)
+        assert isinstance(shed.value.response, Overloaded)
+        assert shed.value.response.disposition == "shed-capacity"
+        assert shed.value.response.retry_after_s > 0
+        # audit and compare solve through the same view
+        with pytest.raises(RequestShed):
+            gateway.audit(paper_instance, "max-min", sp_trials=1)
+        with pytest.raises(RequestShed):
+            gateway.compare(paper_instance, ["max-min"])
 
-    def test_legacy_batch_kwargs_warn(self, paper_instance):
-        from repro.service import SchedulingService
-
-        with pytest.warns(DeprecationWarning, match="solve_batch"):
-            SchedulingService().solve_batch(
-                paper_instance, "max-min", backend="thread"
-            )
-
-    def test_serial_batch_does_not_warn(self, paper_instance, recwarn):
-        from repro.service import SchedulingService
-
-        SchedulingService().solve_batch(paper_instance, "max-min")
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
+    def test_allocator_view_shares_the_cache(self, gateway, paper_instance):
+        view = gateway.allocator("gavel", slack=0.5)
+        assert view.name == "gavel"
+        matrix = view.allocate(paper_instance).matrix
+        hit = gateway.solve(paper_instance, "gavel", options={"slack": 0.5})
+        assert hit.from_cache
+        np.testing.assert_array_equal(hit.allocation.matrix, matrix)
 
     def test_warm_startable_stage_keeps_warm_startable_registry_flag(self):
         from repro import scheduler_info
@@ -755,33 +763,18 @@ class TestRetryAfterHint:
             AdmissionMiddleware(retry_after_floor=-0.1)
 
 
-class TestServiceAdmissionInfo:
-    def test_admission_info_surfaces_counters(self, paper_instance):
-        from repro.service import SchedulingService
-
-        service = SchedulingService(
-            gateway=Gateway(default_pipeline(max_in_flight=4))
-        )
-        result = service.solve(paper_instance, "max-min")
-        assert result is not None
-        info = service.admission_info()
+class TestAdmissionStats:
+    def test_stage_stats_surface_counters(self, paper_instance):
+        gateway = Gateway(default_pipeline(max_in_flight=4))
+        assert gateway.solve(paper_instance, "max-min").ok
+        info = gateway.find(AdmissionMiddleware).stats()
         assert info["admitted"] == 1
         assert info["shed_capacity"] == 0
         assert info["in_flight"] == 0
         assert info["retry_after_hint_s"] > 0
 
-    def test_admission_info_zeros_without_admission_stage(self):
-        from repro.service import SchedulingService
-
-        service = SchedulingService(gateway=Gateway(bare_pipeline()))
-        info = service.admission_info()
-        assert info == {
-            "admitted": 0,
-            "shed_deadline": 0,
-            "shed_capacity": 0,
-            "in_flight": 0,
-            "retry_after_hint_s": 0.0,
-        }
+    def test_no_admission_stage_means_no_stats(self):
+        assert Gateway(bare_pipeline()).find(AdmissionMiddleware) is None
 
 
 class TestLpBatch:

@@ -1,4 +1,8 @@
-"""SchedulingService: caching, batch solves, warm resolves, registry audits."""
+"""Gateway solves: caching, batch solves, warm re-solves, registry audits.
+
+Ported from the removed service facade's suite: the same contracts,
+asserted on the one front door.
+"""
 
 import threading
 
@@ -13,19 +17,28 @@ from repro.core import (
     compare_allocators,
     efficiency_fairness_frontier,
 )
-from repro.registry import create_scheduler, scheduler_names
-from repro.service import (
-    SchedulingService,
-    SolveRequest,
-    SolveResult,
+from repro.gateway import (
+    Gateway,
+    Request,
+    Response,
+    default_pipeline,
     instance_fingerprint,
+    options_key,
     structural_fingerprint,
 )
+from repro.registry import create_scheduler, scheduler_names
 
 
 @pytest.fixture
-def service() -> SchedulingService:
-    return SchedulingService()
+def gateway() -> Gateway:
+    return Gateway()
+
+
+def _resolve(gateway, prev, instance, scheduler, **kwargs):
+    """An incremental re-solve: the warm path for a drifted instance."""
+    return gateway.solve(
+        instance, scheduler, incremental=True, prev_result=prev, **kwargs
+    )
 
 
 class TestFingerprint:
@@ -51,114 +64,116 @@ class TestFingerprint:
 
 
 class TestSolveCaching:
-    def test_miss_then_hit(self, service, paper_instance):
-        first = service.solve(paper_instance, "oef-coop")
-        second = service.solve(paper_instance, "oef-coop")
+    def test_miss_then_hit(self, gateway, paper_instance):
+        first = gateway.solve(paper_instance, "oef-coop")
+        second = gateway.solve(paper_instance, "oef-coop")
         assert not first.from_cache and second.from_cache
         assert second.cache_hits == 1 and second.cache_misses == 1
         assert second.fingerprint == first.fingerprint
 
-    def test_cached_allocation_matches_fresh_solve(self, service, paper_instance):
-        cached = service.solve(paper_instance, "oef-coop")
-        cached = service.solve(paper_instance, "oef-coop")
+    def test_cached_allocation_matches_fresh_solve(self, gateway, paper_instance):
+        cached = gateway.solve(paper_instance, "oef-coop")
+        cached = gateway.solve(paper_instance, "oef-coop")
         fresh = CooperativeOEF().allocate(paper_instance)
         np.testing.assert_allclose(cached.allocation.matrix, fresh.matrix)
         assert cached.allocation.allocator_name == fresh.allocator_name
 
-    def test_alias_and_canonical_share_entries(self, service, paper_instance):
-        service.solve(paper_instance, "cooperative")
-        assert service.solve(paper_instance, "oef-coop").from_cache
+    def test_alias_and_canonical_share_entries(self, gateway, paper_instance):
+        gateway.solve(paper_instance, "cooperative")
+        assert gateway.solve(paper_instance, "oef-coop").from_cache
 
-    def test_different_schedulers_do_not_collide(self, service, paper_instance):
-        coop = service.solve(paper_instance, "oef-coop")
-        noncoop = service.solve(paper_instance, "oef-noncoop")
+    def test_different_schedulers_do_not_collide(self, gateway, paper_instance):
+        coop = gateway.solve(paper_instance, "oef-coop")
+        noncoop = gateway.solve(paper_instance, "oef-noncoop")
         assert not noncoop.from_cache
         assert not np.allclose(coop.allocation.matrix, noncoop.allocation.matrix)
 
-    def test_options_partition_the_cache(self, service, paper_instance):
-        service.solve(paper_instance, "gavel", options={"slack": 0.02})
-        other = service.solve(paper_instance, "gavel", options={"slack": 0.5})
+    def test_options_partition_the_cache(self, gateway, paper_instance):
+        gateway.solve(paper_instance, "gavel", options={"slack": 0.02})
+        other = gateway.solve(paper_instance, "gavel", options={"slack": 0.5})
         assert not other.from_cache
-        assert service.solve(
+        assert gateway.solve(
             paper_instance, "gavel", options={"slack": 0.5}
         ).from_cache
 
     def test_mutating_a_result_does_not_poison_the_cache(
-        self, service, paper_instance
+        self, gateway, paper_instance
     ):
-        service.solve(paper_instance, "max-min")
-        hit = service.solve(paper_instance, "max-min")
+        gateway.solve(paper_instance, "max-min")
+        hit = gateway.solve(paper_instance, "max-min")
         hit.allocation.matrix[:] = 0.0
-        clean = service.solve(paper_instance, "max-min")
+        clean = gateway.solve(paper_instance, "max-min")
         assert clean.allocation.total_efficiency() > 0
 
     def test_array_options_key_by_content(self):
-        from repro.service import _options_key
-
-        assert _options_key({"weights": np.array([1.0, 2.0])}) == _options_key(
+        assert options_key({"weights": np.array([1.0, 2.0])}) == options_key(
             {"weights": np.array([1.0, 2.0])}
         )
         # large arrays must not collide via a truncated repr
-        assert _options_key({"weights": np.arange(4000.0)}) != _options_key(
+        assert options_key({"weights": np.arange(4000.0)}) != options_key(
             {"weights": np.arange(4000.0) + 1.0}
         )
-        assert _options_key({"nested": {"a": [1, 2]}}) == _options_key(
+        assert options_key({"nested": {"a": [1, 2]}}) == options_key(
             {"nested": {"a": (1, 2)}}
         )
 
-    def test_uncacheable_option_values_are_rejected(self, service, paper_instance):
+    def test_uncacheable_option_values_are_rejected(self, gateway, paper_instance):
         with pytest.raises(TypeError, match="cannot be cached"):
-            service.solve(paper_instance, "max-min", options={"rng": object()})
+            gateway.solve(paper_instance, "max-min", options={"rng": object()})
         # the documented escape hatch still solves
-        result = service.solve(
+        result = gateway.solve(
             paper_instance, "max-min", options={}, use_cache=False
         )
         assert not result.from_cache
 
-    def test_use_cache_false_bypasses(self, service, paper_instance):
-        service.solve(paper_instance, "max-min", use_cache=False)
-        result = service.solve(paper_instance, "max-min", use_cache=False)
+    def test_use_cache_false_bypasses(self, gateway, paper_instance):
+        gateway.solve(paper_instance, "max-min", use_cache=False)
+        result = gateway.solve(paper_instance, "max-min", use_cache=False)
         assert not result.from_cache and result.cache_hits == 0
 
     def test_solve_seconds_positive_on_miss_zero_on_hit(
-        self, service, paper_instance
+        self, gateway, paper_instance
     ):
-        miss = service.solve(paper_instance, "oef-coop")
-        hit = service.solve(paper_instance, "oef-coop")
+        miss = gateway.solve(paper_instance, "oef-coop")
+        hit = gateway.solve(paper_instance, "oef-coop")
         assert miss.solve_seconds > 0.0
         assert hit.solve_seconds == 0.0
 
     def test_lru_eviction(self, paper_instance, fig2_instance, eq6_instance):
-        service = SchedulingService(max_cache_entries=2)
+        gateway = Gateway(default_pipeline(max_cache_entries=2))
         for instance in (paper_instance, fig2_instance, eq6_instance):
-            service.solve(instance, "max-min")
+            gateway.solve(instance, "max-min")
         # the oldest entry (paper_instance) was evicted
-        assert not service.solve(paper_instance, "max-min").from_cache
-        assert service.solve(eq6_instance, "max-min").from_cache
+        assert not gateway.solve(paper_instance, "max-min").from_cache
+        assert gateway.solve(eq6_instance, "max-min").from_cache
 
     def test_allocation_and_frontier_caches_share_the_bound(
         self, paper_instance, fig2_instance, eq6_instance
     ):
-        service = SchedulingService(max_cache_entries=2)
-        service.solve(paper_instance, "max-min")
-        service.solve(fig2_instance, "max-min")
-        service.frontier(eq6_instance, [0.0])
-        stats = service.cache_info()
+        gateway = Gateway(default_pipeline(max_cache_entries=2))
+        gateway.solve(paper_instance, "max-min")
+        gateway.solve(fig2_instance, "max-min")
+        gateway.frontier(eq6_instance, [0.0])
+        stats = gateway.cache_info()
         assert stats.entries <= stats.max_entries == 2
 
-    def test_clear_cache(self, service, paper_instance):
-        service.solve(paper_instance)
-        service.clear_cache()
-        stats = service.cache_info()
+    def test_clear_cache(self, gateway, paper_instance):
+        gateway.solve(paper_instance)
+        gateway.clear_cache()
+        stats = gateway.cache_info()
         assert stats.entries == 0 and stats.hits == 0 and stats.misses == 0
 
 
 class TestSolveBatch:
-    def test_cross_product_instance_major(
-        self, service, paper_instance, fig2_instance
+    def test_batch_preserves_request_order(
+        self, gateway, paper_instance, fig2_instance
     ):
-        results = service.solve_batch(
-            [paper_instance, fig2_instance], ["max-min", "oef-coop"]
+        results = gateway.solve_batch(
+            [
+                Request(instance, name)
+                for instance in (paper_instance, fig2_instance)
+                for name in ("max-min", "oef-coop")
+            ]
         )
         assert [result.scheduler for result in results] == [
             "max-min",
@@ -169,29 +184,33 @@ class TestSolveBatch:
         assert results[0].fingerprint == results[1].fingerprint
         assert results[0].fingerprint != results[2].fingerprint
 
-    def test_single_instance_many_schedulers(self, service, paper_instance):
-        results = service.solve_batch(paper_instance, scheduler_names())
+    def test_single_instance_many_schedulers(self, gateway, paper_instance):
+        results = gateway.solve_batch(
+            [Request(paper_instance, name) for name in scheduler_names()]
+        )
         assert len(results) == len(scheduler_names())
-        assert all(isinstance(result, SolveResult) for result in results)
+        assert all(isinstance(result, Response) for result in results)
 
-    def test_requests_carry_their_own_scheduler(self, service, paper_instance):
+    def test_requests_carry_their_own_scheduler(self, gateway, paper_instance):
         requests = [
-            SolveRequest(paper_instance, "max-min"),
-            SolveRequest(paper_instance, "gavel", options={"slack": 0.01}),
+            Request(paper_instance, "max-min"),
+            (paper_instance, "gavel", {"slack": 0.01}),  # bare triples work too
         ]
-        results = service.solve_batch(requests)
+        results = gateway.solve_batch(requests)
         assert [result.scheduler for result in results] == ["max-min", "gavel"]
 
-    def test_repeated_batch_is_all_hits(self, service, paper_instance):
-        names = ["max-min", "oef-coop", "drf"]
-        service.solve_batch(paper_instance, names)
-        again = service.solve_batch(paper_instance, names)
+    def test_repeated_batch_is_all_hits(self, gateway, paper_instance):
+        requests = [
+            Request(paper_instance, name) for name in ("max-min", "oef-coop", "drf")
+        ]
+        gateway.solve_batch(requests)
+        again = gateway.solve_batch(requests)
         assert all(result.from_cache for result in again)
 
 
 class TestAudit:
-    def test_defaults_match_direct_audit(self, service, paper_instance):
-        via_service = service.audit(paper_instance, "oef-coop", sp_trials=1)
+    def test_defaults_match_direct_audit(self, gateway, paper_instance):
+        via_service = gateway.audit(paper_instance, "oef-coop", sp_trials=1)
         direct = audit_allocator(
             CooperativeOEF(),
             paper_instance,
@@ -201,16 +220,16 @@ class TestAudit:
         )
         assert via_service.as_row() == direct.as_row()
 
-    def test_noncoop_defaults_from_registry(self, service, paper_instance):
-        report = service.audit(paper_instance, "oef-noncoop", sp_trials=1)
+    def test_noncoop_defaults_from_registry(self, gateway, paper_instance):
+        report = gateway.audit(paper_instance, "oef-noncoop", sp_trials=1)
         # equal-throughput domain: the audited optimum equals the
         # equal-throughput optimum, so optimal efficiency holds
         assert report.as_row()["optimal efficiency"] == "yes"
         assert report.as_row()["SP"] == "yes"
 
-    def test_overrides_win(self, service, paper_instance):
-        defaulted = service.audit(paper_instance, "oef-noncoop", sp_trials=1)
-        overridden = service.audit(
+    def test_overrides_win(self, gateway, paper_instance):
+        defaulted = gateway.audit(paper_instance, "oef-noncoop", sp_trials=1)
+        overridden = gateway.audit(
             paper_instance,
             "oef-noncoop",
             sp_trials=1,
@@ -221,9 +240,9 @@ class TestAudit:
         assert not overridden.optimal_efficiency.satisfied
 
     def test_explicit_none_pe_domain_wins(
-        self, service, paper_instance, monkeypatch
+        self, gateway, paper_instance, monkeypatch
     ):
-        import repro.service as service_module
+        import repro.gateway.gateway as gateway_module
 
         seen = {}
 
@@ -231,22 +250,22 @@ class TestAudit:
             seen.update(kwargs)
             return "sentinel"
 
-        monkeypatch.setattr(service_module, "audit_allocator", spy)
+        monkeypatch.setattr(gateway_module, "audit_allocator", spy)
         # registry default for oef-noncoop is pe_within="equal_throughput";
         # an explicit None must override it rather than be treated as unset
-        assert service.audit(paper_instance, "oef-noncoop", pe_within=None) == "sentinel"
+        assert gateway.audit(paper_instance, "oef-noncoop", pe_within=None) == "sentinel"
         assert seen["pe_within"] is None
         assert seen["efficiency_constraint"] == "equal_throughput"
 
-    def test_audit_reuses_cached_solves(self, service, paper_instance):
-        service.solve(paper_instance, "oef-coop")
-        service.audit(paper_instance, "oef-coop", sp_trials=1)
-        assert service.cache_info().hits > 0
+    def test_audit_reuses_cached_solves(self, gateway, paper_instance):
+        gateway.solve(paper_instance, "oef-coop")
+        gateway.audit(paper_instance, "oef-coop", sp_trials=1)
+        assert gateway.cache_info().hits > 0
 
 
 class TestCompareAndFrontier:
-    def test_compare_matches_direct(self, service, paper_instance):
-        via_service = service.compare(paper_instance, ["max-min", "oef-coop"])
+    def test_compare_matches_direct(self, gateway, paper_instance):
+        via_service = gateway.compare(paper_instance, ["max-min", "oef-coop"])
         from repro.baselines import MaxMinFairness
 
         direct = compare_allocators(
@@ -254,38 +273,33 @@ class TestCompareAndFrontier:
         )
         assert via_service == direct
 
-    def test_compare_defaults_to_all_registered(self, service, paper_instance):
-        rows = service.compare(paper_instance)
+    def test_compare_defaults_to_all_registered(self, gateway, paper_instance):
+        rows = gateway.compare(paper_instance)
         assert [row["scheduler"] for row in rows] == scheduler_names()
 
-    def test_repeated_compare_hits_cache(self, service, paper_instance):
-        service.compare(paper_instance)
-        before = service.cache_info()
-        service.compare(paper_instance)
-        after = service.cache_info()
+    def test_repeated_compare_hits_cache(self, gateway, paper_instance):
+        gateway.compare(paper_instance)
+        before = gateway.cache_info()
+        gateway.compare(paper_instance)
+        after = gateway.cache_info()
         assert after.hits >= before.hits + len(scheduler_names())
 
-    def test_frontier_cached_and_correct(self, service, paper_instance):
-        points = service.frontier(paper_instance, [0.0, 1.0])
+    def test_frontier_cached_and_correct(self, gateway, paper_instance):
+        points = gateway.frontier(paper_instance, [0.0, 1.0])
         direct = efficiency_fairness_frontier(paper_instance, alphas=[0.0, 1.0])
         assert points == direct
-        before = service.cache_info().hits
-        again = service.frontier(paper_instance, [0.0, 1.0])
+        before = gateway.cache_info().hits
+        again = gateway.frontier(paper_instance, [0.0, 1.0])
         assert again == points
-        assert service.cache_info().hits == before + 1
+        assert gateway.cache_info().hits == before + 1
 
 
 class TestCacheStats:
-    def test_hit_rate(self, service, paper_instance):
-        assert service.cache_info().hit_rate == 0.0
-        service.solve(paper_instance)
-        service.solve(paper_instance)
-        assert service.cache_info().hit_rate == pytest.approx(0.5)
-
-    def test_repr_mentions_counters(self, service, paper_instance):
-        service.solve(paper_instance)
-        text = repr(service)
-        assert "hits=0" in text and "misses=1" in text
+    def test_hit_rate(self, gateway, paper_instance):
+        assert gateway.cache_info().hit_rate == 0.0
+        gateway.solve(paper_instance)
+        gateway.solve(paper_instance)
+        assert gateway.cache_info().hit_rate == pytest.approx(0.5)
 
 
 def _drifted(instance: ProblemInstance, scale: float) -> ProblemInstance:
@@ -317,106 +331,106 @@ class TestStructuralFingerprint:
 class TestResolveWarm:
     """resolve(): exact tier, structural tier, and cold fallback."""
 
-    def test_exact_tier_counts_warm_hit(self, service, paper_instance):
-        prev = service.resolve(None, paper_instance, "oef-coop")
-        again = service.resolve(prev, paper_instance)
+    def test_exact_tier_counts_warm_hit(self, gateway, paper_instance):
+        prev = _resolve(gateway, None, paper_instance, "oef-coop")
+        again = _resolve(gateway, prev, paper_instance, "oef-coop")
         assert again.from_cache and not again.warm
-        stats = service.cache_info()
+        stats = gateway.cache_info()
         assert stats.warm_hits == 1 and stats.hits == 1
 
-    def test_plain_solve_hits_are_not_warm_hits(self, service, paper_instance):
-        service.solve(paper_instance, "oef-coop")
-        service.solve(paper_instance, "oef-coop")
-        stats = service.cache_info()
+    def test_plain_solve_hits_are_not_warm_hits(self, gateway, paper_instance):
+        gateway.solve(paper_instance, "oef-coop")
+        gateway.solve(paper_instance, "oef-coop")
+        stats = gateway.cache_info()
         assert stats.hits == 1 and stats.warm_hits == 0
 
-    def test_structural_tier_reuses_state(self, service, paper_instance):
+    def test_structural_tier_reuses_state(self, gateway, paper_instance):
         options = {"backend": "simplex"}
-        prev = service.resolve(None, paper_instance, "oef-noncoop", options=options)
+        prev = _resolve(gateway, None, paper_instance, "oef-noncoop", options=options)
         assert prev.warm_state is not None and not prev.warm
         drifted = _drifted(paper_instance, 1.1)
-        warm = service.resolve(prev, drifted, options=options)
+        warm = _resolve(gateway, prev, drifted, "oef-noncoop", options=options)
         assert warm.warm and not warm.from_cache
         cold = create_scheduler("oef-noncoop", backend="simplex").allocate(drifted)
         np.testing.assert_allclose(warm.allocation.matrix, cold.matrix, atol=1e-9)
-        stats = service.cache_info()
+        stats = gateway.cache_info()
         assert stats.structural_hits == 1
         assert stats.misses == 2  # both allocator runs count as exact misses
 
-    def test_structural_tier_without_prev_result(self, service, paper_instance):
-        # the service's own structural cache supplies the state
+    def test_structural_tier_without_prev_result(self, gateway, paper_instance):
+        # the gateway's own structural cache supplies the state
         options = {"backend": "simplex"}
-        service.resolve(None, paper_instance, "oef-noncoop", options=options)
-        warm = service.resolve(
-            None, _drifted(paper_instance, 1.1), "oef-noncoop", options=options
+        _resolve(gateway, None, paper_instance, "oef-noncoop", options=options)
+        warm = _resolve(
+            gateway, None, _drifted(paper_instance, 1.1), "oef-noncoop", options=options
         )
         assert warm.warm
-        assert service.cache_info().structural_hits == 1
+        assert gateway.cache_info().structural_hits == 1
 
-    def test_scheduler_defaults_to_prev_results(self, service, paper_instance):
-        prev = service.resolve(None, paper_instance, "max-min")
-        follow = service.resolve(prev, _drifted(paper_instance, 1.2))
-        assert follow.scheduler == "max-min"
-
-    def test_non_warm_startable_scheduler_solves_cold(self, service, paper_instance):
-        prev = service.resolve(None, paper_instance, "max-min")
+    def test_non_warm_startable_scheduler_solves_cold(self, gateway, paper_instance):
+        prev = _resolve(gateway, None, paper_instance, "max-min")
         assert prev.warm_state is None
-        follow = service.resolve(prev, _drifted(paper_instance, 1.2))
+        follow = _resolve(gateway, prev, _drifted(paper_instance, 1.2), "max-min")
         assert not follow.warm
         cold = create_scheduler("max-min").allocate(_drifted(paper_instance, 1.2))
         np.testing.assert_allclose(follow.allocation.matrix, cold.matrix)
-        assert service.cache_info().structural_hits == 0
+        assert gateway.cache_info().structural_hits == 0
 
-    def test_resolve_matches_cold_solve_even_when_warm(self, service, paper_instance):
+    def test_resolve_matches_cold_solve_even_when_warm(self, gateway, paper_instance):
         # chain of drifts: every resolve answer equals a fresh cold solve
         options = {"backend": "simplex"}
-        prev = service.resolve(None, paper_instance, "oef-coop", options=options)
+        prev = _resolve(gateway, None, paper_instance, "oef-coop", options=options)
         instance = paper_instance
         for scale in (1.05, 0.97, 1.12, 1.0):
             instance = _drifted(paper_instance, scale)
-            prev = service.resolve(prev, instance, options=options)
+            prev = _resolve(gateway, prev, instance, "oef-coop", options=options)
             cold = create_scheduler("oef-coop", backend="simplex").allocate(instance)
             np.testing.assert_allclose(
                 prev.allocation.matrix, cold.matrix, atol=1e-9
             )
 
-    def test_shape_change_falls_back_cold(self, service, paper_instance):
+    def test_shape_change_falls_back_cold(self, gateway, paper_instance):
         options = {"backend": "simplex"}
-        prev = service.resolve(None, paper_instance, "oef-noncoop", options=options)
+        prev = _resolve(gateway, None, paper_instance, "oef-noncoop", options=options)
         smaller = ProblemInstance(
             SpeedupMatrix(paper_instance.speedups.values[:2]),
             paper_instance.capacities,
         )
-        follow = service.resolve(prev, smaller, options=options)
+        follow = _resolve(gateway, prev, smaller, "oef-noncoop", options=options)
         assert not follow.warm  # different structure: verified cold solve
         assert follow.allocation.matrix.shape[0] == 2
 
-    def test_use_cache_false_still_warm_starts(self, service, paper_instance):
+    def test_use_cache_false_still_warm_starts(self, gateway, paper_instance):
         options = {"backend": "simplex"}
-        prev = service.resolve(
-            None, paper_instance, "oef-noncoop", options=options, use_cache=False
+        prev = _resolve(
+            gateway, None, paper_instance, "oef-noncoop", options=options, use_cache=False
         )
-        warm = service.resolve(
-            prev, _drifted(paper_instance, 1.1), options=options, use_cache=False
+        warm = _resolve(
+            gateway,
+            prev,
+            _drifted(paper_instance, 1.1),
+            "oef-noncoop",
+            options=options,
+            use_cache=False,
         )
         assert warm.warm and not warm.from_cache
 
-    def test_options_partition_warm_states(self, service, paper_instance):
-        service.resolve(
-            None, paper_instance, "oef-noncoop", options={"backend": "simplex"}
+    def test_options_partition_warm_states(self, gateway, paper_instance):
+        _resolve(
+            gateway, None, paper_instance, "oef-noncoop", options={"backend": "simplex"}
         )
-        other = service.resolve(
-            None, _drifted(paper_instance, 1.1), "oef-noncoop",
+        other = _resolve(
+            gateway, None, _drifted(paper_instance, 1.1), "oef-noncoop",
             options={"backend": "auto"},
         )
         # the simplex-produced state must not leak into the auto-backend key
-        assert service.cache_info().warm_entries == 2
+        assert gateway.cache_info().warm_entries == 2
 
-    def test_clear_cache_resets_warm_counters(self, service, paper_instance):
-        prev = service.resolve(None, paper_instance, "oef-coop")
-        service.resolve(prev, paper_instance)
-        service.clear_cache()
-        stats = service.cache_info()
+    def test_clear_cache_resets_warm_counters(self, gateway, paper_instance):
+        prev = _resolve(gateway, None, paper_instance, "oef-coop")
+        _resolve(gateway, prev, paper_instance, "oef-coop")
+        gateway.clear_cache()
+        stats = gateway.cache_info()
         assert stats.warm_hits == 0
         assert stats.structural_hits == 0
         assert stats.evictions == 0
@@ -427,28 +441,30 @@ class TestWarmAccounting:
     """CacheStats warm/cold bookkeeping, evictions, and thread-safety."""
 
     def test_eviction_counter(self, paper_instance, fig2_instance, eq6_instance):
-        service = SchedulingService(max_cache_entries=2)
+        gateway = Gateway(default_pipeline(max_cache_entries=2))
         for instance in (paper_instance, fig2_instance, eq6_instance):
-            service.solve(instance, "max-min")
-        stats = service.cache_info()
+            gateway.solve(instance, "max-min")
+        stats = gateway.cache_info()
         assert stats.evictions == 1
         assert stats.entries == 2
 
-    def test_every_resolve_lands_in_exactly_one_tier(self, service, paper_instance):
+    def test_every_resolve_lands_in_exactly_one_tier(self, gateway, paper_instance):
         options = {"backend": "simplex"}
-        prev = service.resolve(None, paper_instance, "oef-noncoop", options=options)
-        prev = service.resolve(prev, paper_instance, options=options)  # exact
-        prev = service.resolve(
-            prev, _drifted(paper_instance, 1.1), options=options
+        prev = _resolve(gateway, None, paper_instance, "oef-noncoop", options=options)
+        prev = _resolve(
+            gateway, prev, paper_instance, "oef-noncoop", options=options
+        )  # exact
+        prev = _resolve(
+            gateway, prev, _drifted(paper_instance, 1.1), "oef-noncoop", options=options
         )  # structural
-        stats = service.cache_info()
+        stats = gateway.cache_info()
         assert stats.hits + stats.misses == 3
         assert stats.warm_hits == 1
         assert stats.structural_hits == 1
 
     def test_hammer_resolve_from_8_threads(self, paper_instance):
         """Warm counters must stay exact under the 8-thread hammer."""
-        service = SchedulingService()
+        gateway = Gateway()
         instances = [_drifted(paper_instance, 1.0 + 0.05 * i) for i in range(3)]
         options = {"backend": "simplex"}
         per_thread = 12
@@ -462,8 +478,8 @@ class TestWarmAccounting:
                 prev = None
                 for index in range(per_thread):
                     instance = instances[index % len(instances)]
-                    prev = service.resolve(
-                        prev, instance, "oef-noncoop", options=options
+                    prev = _resolve(
+                        gateway, prev, instance, "oef-noncoop", options=options
                     )
                     assert prev.allocation.matrix.shape == (3, 2)
             except Exception as exc:  # pragma: no cover - failure path
@@ -476,7 +492,7 @@ class TestWarmAccounting:
             thread.join()
 
         assert not errors
-        stats = service.cache_info()
+        stats = gateway.cache_info()
         # every call accounted for exactly once across the two exact-cache
         # outcomes; with unguarded counters the racy `+= 1` loses updates
         assert stats.hits + stats.misses == per_thread * num_threads
@@ -487,7 +503,7 @@ class TestWarmAccounting:
         assert stats.warm_entries == 1  # one structural key for all drifts
         # cached results stay correct under contention
         for instance in instances:
-            cached = service.resolve(None, instance, "oef-noncoop", options=options)
+            cached = _resolve(gateway, None, instance, "oef-noncoop", options=options)
             fresh = create_scheduler("oef-noncoop", backend="simplex").allocate(
                 instance
             )

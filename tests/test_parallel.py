@@ -19,13 +19,24 @@ from repro.parallel import (
     parallel_map,
     probe_picklable,
 )
+from repro.gateway import Gateway, Request
 from repro.registry import SchedulerRegistry, register_scheduler
-from repro.service import SchedulingService
 from repro.workloads.generator import random_instance
 
 
 def _square(value: int) -> int:
     return value * value
+
+
+def _requests(instances, schedulers, **directives):
+    """The instance-major cross product as explicit gateway requests."""
+    if isinstance(schedulers, str):
+        schedulers = [schedulers]
+    return [
+        Request(instance, name, **directives)
+        for instance in instances
+        for name in schedulers
+    ]
 
 
 class _EqualSplit(Allocator):
@@ -134,6 +145,22 @@ class TestBackends:
         assert probe_picklable({"a": np.arange(3)})
         assert not probe_picklable(lambda: None)
 
+    def test_unpicklable_payload_degrades_process_to_threads(self):
+        with pytest.warns(RuntimeWarning, match="not picklable") as caught:
+            resolved = get_backend("process", 3, payload=[lambda: None])
+        assert isinstance(resolved, ThreadBackend) and resolved.max_workers == 3
+        # an already-built process backend degrades the same way
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            assert isinstance(
+                get_backend(ProcessBackend(2), payload=[lambda: None]), ThreadBackend
+            )
+
+    def test_payload_probe_leaves_other_resolutions_alone(self, recwarn):
+        assert isinstance(get_backend("process", payload=[1, 2]), ProcessBackend)
+        assert isinstance(get_backend("thread", payload=[lambda: None]), ThreadBackend)
+        assert isinstance(get_backend("serial", payload=[lambda: None]), SerialBackend)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestParallelSolveBatch:
     """Parallel batches must match serial allocations bit-for-bit."""
@@ -144,12 +171,9 @@ class TestParallelSolveBatch:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_matches_serial(self, instances, backend):
-        serial = SchedulingService().solve_batch(
-            instances, ["oef-coop", "max-min"]
-        )
-        parallel = SchedulingService().solve_batch(
-            instances, ["oef-coop", "max-min"], backend=backend, max_workers=2
-        )
+        requests = _requests(instances, ["oef-coop", "max-min"])
+        serial = Gateway().solve_batch(requests)
+        parallel = Gateway().solve_batch(requests, backend=backend, max_workers=2)
         assert [r.scheduler for r in serial] == [r.scheduler for r in parallel]
         for a, b in zip(serial, parallel):
             assert a.fingerprint == b.fingerprint
@@ -158,24 +182,25 @@ class TestParallelSolveBatch:
             )
 
     def test_worker_results_merge_into_parent_cache(self, instances):
-        service = SchedulingService()
-        first = service.solve_batch(instances, "oef-coop", backend="thread")
+        gateway = Gateway()
+        requests = _requests(instances, "oef-coop")
+        first = gateway.solve_batch(requests, backend="thread")
         assert not any(result.from_cache for result in first)
-        again = service.solve_batch(instances, "oef-coop", backend="thread")
+        again = gateway.solve_batch(requests, backend="thread")
         assert all(result.from_cache for result in again)
-        stats = service.cache_info()
+        stats = gateway.cache_info()
         assert stats.hits == len(instances)
         assert stats.misses == len(instances)
 
     def test_parallel_batch_seeds_plain_solve(self, instances):
-        service = SchedulingService()
-        service.solve_batch(instances, "max-min", backend="thread")
-        assert service.solve(instances[0], "max-min").from_cache
+        gateway = Gateway()
+        gateway.solve_batch(_requests(instances, "max-min"), backend="thread")
+        assert gateway.solve(instances[0], "max-min").from_cache
 
     def test_duplicate_requests_solve_once(self, paper_instance):
-        service = SchedulingService()
-        results = service.solve_batch(
-            [paper_instance] * 4, "oef-coop", backend="thread"
+        gateway = Gateway()
+        results = gateway.solve_batch(
+            _requests([paper_instance] * 4, "oef-coop"), backend="thread"
         )
         assert [result.from_cache for result in results] == [
             False,
@@ -183,47 +208,46 @@ class TestParallelSolveBatch:
             True,
             True,
         ]
-        assert service.cache_info().misses == 1
+        assert gateway.cache_info().misses == 1
 
     def test_use_cache_false_skips_cache(self, instances):
-        service = SchedulingService()
-        results = service.solve_batch(
-            instances, "max-min", backend="thread", use_cache=False
+        gateway = Gateway()
+        results = gateway.solve_batch(
+            _requests(instances, "max-min", use_cache=False), backend="thread"
         )
         assert not any(result.from_cache for result in results)
-        assert service.cache_info().entries == 0
+        assert gateway.cache_info().entries == 0
 
     def test_serial_backend_name_equals_default_path(self, instances):
-        via_name = SchedulingService().solve_batch(
-            instances, "oef-coop", backend="serial"
-        )
-        via_none = SchedulingService().solve_batch(instances, "oef-coop")
+        requests = _requests(instances, "oef-coop")
+        via_name = Gateway().solve_batch(requests, backend="serial")
+        via_none = Gateway().solve_batch(requests)
         for a, b in zip(via_name, via_none):
             np.testing.assert_allclose(a.allocation.matrix, b.allocation.matrix)
 
     def test_unknown_scheduler_raises_before_fanout(self, instances):
         with pytest.raises(Exception, match="unknown scheduler"):
-            SchedulingService().solve_batch(
-                instances, "nope", backend="thread"
-            )
+            Gateway().solve_batch(_requests(instances, "nope"), backend="thread")
 
 
 class TestCapabilityFallback:
     """picklable/parallel_safe flags and pickle probes gate the lanes."""
 
     @pytest.fixture
-    def service(self, test_registry):
-        return SchedulingService(registry=test_registry)
+    def gateway(self, test_registry):
+        return Gateway(registry=test_registry)
 
-    def test_unpicklable_option_degrades_to_threads(self, service, paper_instance):
+    def test_unpicklable_option_degrades_to_threads(self, gateway, paper_instance):
         # a lambda option cannot cross a process boundary (nor be content-
         # hashed), so the batch must warn and still complete via threads
         with pytest.warns(RuntimeWarning, match="cannot cross a process"):
-            results = service.solve_batch(
-                [paper_instance] * 2,
-                "equal-split-test",
-                options={"hook": lambda: None},
-                use_cache=False,
+            results = gateway.solve_batch(
+                _requests(
+                    [paper_instance] * 2,
+                    "equal-split-test",
+                    options={"hook": lambda: None},
+                    use_cache=False,
+                ),
                 backend="process",
                 max_workers=2,
             )
@@ -231,40 +255,39 @@ class TestCapabilityFallback:
         expected = _EqualSplit().allocate(paper_instance).matrix
         np.testing.assert_allclose(results[0].allocation.matrix, expected)
 
-    def test_picklable_false_scheduler_uses_threads(self, service, paper_instance):
+    def test_picklable_false_scheduler_uses_threads(self, gateway, paper_instance):
         with pytest.warns(RuntimeWarning, match="cannot cross a process"):
-            results = service.solve_batch(
-                [paper_instance], "thread-only-test", backend="process"
+            results = gateway.solve_batch(
+                [Request(paper_instance, "thread-only-test")], backend="process"
             )
         assert results[0].allocation.total_efficiency() > 0
 
     def test_parallel_safe_false_scheduler_runs_serially(
-        self, service, paper_instance
+        self, gateway, paper_instance
     ):
         with pytest.warns(RuntimeWarning, match="parallel_safe=False"):
-            results = service.solve_batch(
-                [paper_instance], "serial-only-test", backend="process"
+            results = gateway.solve_batch(
+                [Request(paper_instance, "serial-only-test")], backend="process"
             )
         assert results[0].allocation.total_efficiency() > 0
 
     def test_thread_backend_needs_no_warning(
-        self, service, paper_instance, recwarn
+        self, gateway, paper_instance, recwarn
     ):
-        service.solve_batch(
-            [paper_instance], "thread-only-test", backend="thread"
+        gateway.solve_batch(
+            [Request(paper_instance, "thread-only-test")], backend="thread"
         )
         assert not [
             w for w in recwarn if issubclass(w.category, RuntimeWarning)
         ]
 
     def test_thread_unsafe_picklable_still_uses_process_pool(
-        self, service, paper_instance, recwarn
+        self, gateway, paper_instance, recwarn
     ):
         # process workers are isolated single-threaded processes, so a
         # parallel_safe=False scheduler that pickles needs no degradation
-        results = service.solve_batch(
-            [paper_instance] * 2,
-            "thread-unsafe-test",
+        results = gateway.solve_batch(
+            _requests([paper_instance] * 2, "thread-unsafe-test"),
             backend="process",
             max_workers=2,
         )
@@ -274,25 +297,23 @@ class TestCapabilityFallback:
         ]
 
     def test_thread_unsafe_scheduler_serial_under_thread_backend(
-        self, service, paper_instance
+        self, gateway, paper_instance
     ):
         with pytest.warns(RuntimeWarning, match="parallel_safe=False"):
-            results = service.solve_batch(
-                [paper_instance], "thread-unsafe-test", backend="thread"
+            results = gateway.solve_batch(
+                [Request(paper_instance, "thread-unsafe-test")], backend="thread"
             )
         assert results[0].allocation.total_efficiency() > 0
 
-    def test_mixed_batch_all_lanes_complete(self, service, paper_instance):
+    def test_mixed_batch_all_lanes_complete(self, gateway, paper_instance):
         # one batch spanning pool, thread-fallback, and serial lanes
-        from repro.service import SolveRequest
-
         requests = [
-            SolveRequest(paper_instance, "equal-split-test"),
-            SolveRequest(paper_instance, "thread-only-test"),
-            SolveRequest(paper_instance, "serial-only-test"),
+            Request(paper_instance, "equal-split-test"),
+            Request(paper_instance, "thread-only-test"),
+            Request(paper_instance, "serial-only-test"),
         ]
         with pytest.warns(RuntimeWarning):
-            results = service.solve_batch(requests, backend="process")
+            results = gateway.solve_batch(requests, backend="process")
         assert [result.scheduler for result in results] == [
             "equal-split-test",
             "thread-only-test",
@@ -314,7 +335,7 @@ class TestThreadSafety:
 
     def test_hammer_solve_from_8_threads(self):
         instances = [random_instance(4, 3, seed=seed) for seed in range(3)]
-        service = SchedulingService()
+        gateway = Gateway()
         per_thread = 12
         num_threads = 8
         errors: list = []
@@ -325,7 +346,7 @@ class TestThreadSafety:
                 barrier.wait()
                 for index in range(per_thread):
                     instance = instances[index % len(instances)]
-                    result = service.solve(instance, "max-min")
+                    result = gateway.solve(instance, "max-min")
                     assert result.allocation.matrix.shape == (4, 3)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -337,7 +358,7 @@ class TestThreadSafety:
             thread.join()
 
         assert not errors
-        stats = service.cache_info()
+        stats = gateway.cache_info()
         # every call is accounted for exactly once; with unguarded
         # counters the racy `+= 1` loses increments
         assert stats.hits + stats.misses == per_thread * num_threads
@@ -347,21 +368,22 @@ class TestThreadSafety:
         assert stats.misses >= len(instances)
         # cached results stay correct under contention
         for instance in instances:
-            cached = service.solve(instance, "max-min")
-            fresh = SchedulingService().solve(instance, "max-min")
+            cached = gateway.solve(instance, "max-min")
+            fresh = Gateway().solve(instance, "max-min")
             np.testing.assert_allclose(
                 cached.allocation.matrix, fresh.allocation.matrix
             )
 
     def test_hammer_frontier_and_batch_together(self, paper_instance):
-        service = SchedulingService()
+        gateway = Gateway()
         errors: list = []
 
         def solves():
             try:
                 for _ in range(5):
-                    service.solve_batch(
-                        paper_instance, ["max-min", "oef-coop"], backend="thread"
+                    gateway.solve_batch(
+                        _requests([paper_instance], ["max-min", "oef-coop"]),
+                        backend="thread",
                     )
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
@@ -369,7 +391,7 @@ class TestThreadSafety:
         def frontiers():
             try:
                 for _ in range(5):
-                    service.frontier(paper_instance, [0.0, 1.0])
+                    gateway.frontier(paper_instance, [0.0, 1.0])
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -379,28 +401,28 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         assert not errors
-        assert service.cache_info().entries == 3  # 2 solves + 1 frontier grid
+        assert gateway.cache_info().entries == 3  # 2 solves + 1 frontier grid
 
 
 class TestParallelCompareAndFrontier:
     def test_compare_parallel_matches_serial(self, paper_instance):
-        serial = SchedulingService().compare(paper_instance)
-        parallel = SchedulingService().compare(
+        serial = Gateway().compare(paper_instance)
+        parallel = Gateway().compare(
             paper_instance, backend="thread", max_workers=2
         )
         assert serial == parallel
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_frontier_parallel_matches_serial(self, paper_instance, backend):
-        serial = SchedulingService().frontier(paper_instance, [0.0, 0.5, 1.0])
-        parallel = SchedulingService().frontier(
+        serial = Gateway().frontier(paper_instance, [0.0, 0.5, 1.0])
+        parallel = Gateway().frontier(
             paper_instance, [0.0, 0.5, 1.0], backend=backend, max_workers=2
         )
         assert serial == parallel
 
     def test_frontier_execution_backend_shares_cache_key(self, paper_instance):
-        service = SchedulingService()
-        service.frontier(paper_instance, [0.0, 1.0], backend="thread")
-        assert service.cache_info().misses == 1
-        service.frontier(paper_instance, [0.0, 1.0])  # serial call: same key
-        assert service.cache_info().hits == 1
+        gateway = Gateway()
+        gateway.frontier(paper_instance, [0.0, 1.0], backend="thread")
+        assert gateway.cache_info().misses == 1
+        gateway.frontier(paper_instance, [0.0, 1.0])  # serial call: same key
+        assert gateway.cache_info().hits == 1

@@ -1,7 +1,7 @@
 """Property-based differential test: warm-started solves == cold solves.
 
 For random instances and random perturbation sequences, resolving
-through the warm engine (:meth:`SchedulingService.resolve`, which may
+through the warm engine (``Gateway.solve(..., incremental=True)``, which may
 serve from the exact cache, accept a verified LP warm start, or fall
 back cold) must match an always-cold solve in **objective and
 allocation to 1e-9**, for every registered scheduler and for both LP
@@ -9,7 +9,7 @@ backends.  Hypothesis shrinks any counterexample to a minimal
 (instance, perturbation chain).
 
 This is the external guarantee of the whole engine: the warm tiers are
-transparent — a caller can never observe *what* the service reused, only
+transparent — a caller can never observe *what* the gateway reused, only
 that it answered faster.
 """
 
@@ -19,8 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ProblemInstance, SpeedupMatrix
+from repro.gateway import Gateway
 from repro.registry import create_scheduler, scheduler_names
-from repro.service import SchedulingService
 
 #: hypothesis-heavy: deselect with `pytest -m 'not slow'`
 pytestmark = pytest.mark.slow
@@ -101,13 +101,19 @@ def test_warm_resolve_chain_matches_cold(lp_backend, instance, chain):
             if scheduler in ("oef-coop", "oef-noncoop", "efficiency-max")
             else {}
         )
-        service = SchedulingService()
+        gateway = Gateway()
         prev = None
         current = instance
         for step in (None, *chain):
             if step is not None:
                 current = _apply(current, step)
-            prev = service.resolve(prev, current, scheduler, options=info_backend)
+            prev = gateway.solve(
+                current,
+                scheduler,
+                options=info_backend,
+                incremental=True,
+                prev_result=prev,
+            )
             cold = create_scheduler(scheduler, **info_backend).allocate(current)
             np.testing.assert_allclose(
                 prev.allocation.matrix,
@@ -124,14 +130,20 @@ def test_warm_resolve_chain_matches_cold(lp_backend, instance, chain):
 @given(instance=instances(), chain=perturbation_chains(length=4))
 def test_warm_chain_threads_state_and_stays_exact(instance, chain):
     """The returned warm_state chain itself is safe to thread forward."""
-    service = SchedulingService()
+    gateway = Gateway()
     options = {"backend": "simplex"}
-    prev = service.resolve(None, instance, "oef-noncoop", options=options)
+    prev = gateway.solve(instance, "oef-noncoop", options=options, incremental=True)
     current = instance
     for step in chain:
         current = _apply(current, step)
-        prev = service.resolve(prev, current, options=options)
+        prev = gateway.solve(
+            current,
+            "oef-noncoop",
+            options=options,
+            incremental=True,
+            prev_result=prev,
+        )
         cold = create_scheduler("oef-noncoop", backend="simplex").allocate(current)
         np.testing.assert_allclose(prev.allocation.matrix, cold.matrix, atol=1e-9)
-    stats = service.cache_info()
+    stats = gateway.cache_info()
     assert stats.hits + stats.misses == 1 + len(chain)
