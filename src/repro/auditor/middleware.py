@@ -15,10 +15,9 @@ Position in :func:`repro.gateway.default_pipeline`: right below
 metrics and above coalesce/cache, so the auditor sees every admitted
 response — cache hits included (an allocation served from cache is
 still an allocation users live under, and the settled-key memo makes
-re-observing it a single set lookup).  The batch fan-out lanes replicate the
-pipeline *without* this stage (observers are excluded like metrics):
-batch solves are audited only via their cache-warming effect on
-subsequent singleton traffic.
+re-observing it a single set lookup).  ``Gateway.solve_batch`` items
+dispatch through the same chain, so batch responses are sampled like
+any other.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ Commands
                      the trace store, making it available as a
                      ``trace:<name>`` scenario
 ``experiments``      run the paper experiments (all or a subset, ``--jobs N``)
-``bench``            time a batch of solves serial vs parallel backends;
+``bench``            time a batch of solves in order vs over a thread pool;
                      ``--json`` writes a ``BENCH_parallel.json`` record
                      *and* a ``BENCH_gateway.json`` pipeline-on/off
                      comparison next to it, appending both to the
@@ -55,8 +55,9 @@ Commands
 ``demo``             write a demo instance JSON to get started
 
 ``compare``, ``frontier``, ``experiments``, and ``bench`` accept
-``--backend {auto,serial,thread,process}`` and ``--jobs N`` to fan
-independent solves out through :mod:`repro.parallel`.
+``--backend``/``--backends`` and ``--jobs N`` to fan independent work
+out through :mod:`repro.parallel`; ``compare`` and ``bench`` run solves,
+which fan out over threads only (no ``process``).
 
 ``repro --version`` prints the package version.
 
@@ -88,6 +89,10 @@ from repro.core import (
 from repro.gateway import Gateway, bare_pipeline
 from repro.parallel import BACKEND_NAMES
 from repro.registry import registry_rows, scheduler_names
+
+#: Backends for commands whose work is gateway solves (``compare``,
+#: ``bench``): one in-process pipeline, so threads are the only fan-out.
+_SOLVE_BACKEND_NAMES = tuple(name for name in BACKEND_NAMES if name != "process")
 
 #: The default middleware pipeline behind every CLI solve — one per
 #: process, so repeated solves within a command share the cache.
@@ -971,10 +976,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit_report.set_defaults(func=cmd_audit_report)
 
-    def add_parallel_flags(command, default_backend=None):
+    def add_parallel_flags(command, default_backend=None, choices=BACKEND_NAMES):
         command.add_argument(
             "--backend",
-            choices=BACKEND_NAMES,
+            choices=choices,
             default=default_backend,
             help="execution backend for independent solves "
             f"(default: {default_backend or 'serial'})",
@@ -989,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="compare all schedulers")
     compare.add_argument("instance")
-    add_parallel_flags(compare)
+    add_parallel_flags(compare, choices=_SOLVE_BACKEND_NAMES)
     compare.set_defaults(func=cmd_compare)
 
     frontier = sub.add_parser("frontier", help="efficiency-fairness frontier")
@@ -1122,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.set_defaults(func=cmd_experiments)
 
     bench = sub.add_parser(
-        "bench", help="time a solve batch on serial vs parallel backends"
+        "bench", help="time a solve batch in order vs over a thread pool"
     )
     bench.add_argument("--instances", type=int, default=16)
     bench.add_argument("--users", type=int, default=12)
@@ -1138,8 +1143,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--backends",
         nargs="+",
-        choices=BACKEND_NAMES,
-        default=["thread", "process"],
+        choices=_SOLVE_BACKEND_NAMES,
+        default=["thread"],
         help="backends to time against the serial baseline",
     )
     bench.add_argument(

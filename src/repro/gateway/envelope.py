@@ -148,14 +148,17 @@ class Request:
       the pipeline derive ``(fingerprint, scheduler, options)`` itself.
       Custom pipelines whose payloads have their own content keys (the
       simulator's decision key) set it explicitly and dispatch through
-      :meth:`Gateway.dispatch`; the allocation batch planner always
-      derives its own identity;
+      :meth:`Gateway.dispatch`;
     * ``fingerprint`` — the instance's content fingerprint, filled by
       :meth:`Gateway.solve` during normalisation so downstream stages
       never re-hash the instance; user code leaves it ``None``;
     * ``warm_state`` — a verified LP warm state injected by
       ``WarmStartMiddleware`` on its way down the chain; user code
-      normally leaves it ``None``.
+      normally leaves it ``None``;
+    * ``presolved`` — this request's answer, computed ahead of dispatch
+      by ``Gateway.solve_batch(lp_batch=True)``'s composed-LP prefetch;
+      the terminal solver returns it instead of solving.  User code
+      leaves it ``None``.
     """
 
     instance: Any
@@ -170,6 +173,7 @@ class Request:
     key: Optional[object] = None
     fingerprint: Optional[str] = None
     warm_state: Optional[WarmStartState] = None
+    presolved: Optional[Allocation] = None
 
 
 #: How a response was served; the cache/warm *disposition* of a solve.

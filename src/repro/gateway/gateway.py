@@ -8,7 +8,7 @@ builds the full stack
 (admission → metrics → coalesce → warm-start → cache → solver);
 :func:`bare_pipeline` is just the terminal solver, useful for
 differential testing (``repro solve --pipeline bare``) and as the
-baseline in ``BENCH_gateway.json``.
+baseline of the ``gateway`` benchmark family.
 
 Usage::
 
@@ -25,15 +25,19 @@ anywhere via :meth:`Gateway.use` — see ``docs/middleware.md`` and
 
 Batch solves
 ------------
-:meth:`Gateway.solve_batch` keeps PR 2's parallel engine: with an
-execution backend it plans the batch against the pipeline's cache stage
-(only cache-missing work runs), dedupes identical requests through the
-coalesce stage's identity rule, fans the remainder out through
-capability-matched lanes (process pool / thread fallback / in-line
-serial, degrading with a :class:`RuntimeWarning` instead of crashing),
-and merges worker results back into the cache — so a repeated batch is
-~100% hits on any backend.  Serial batches simply dispatch each request
-through the full pipeline.
+:meth:`Gateway.solve_batch` is the pipeline, fanned out: every request
+is normalised up front (an unknown scheduler or an uncacheable option
+raises before any work starts) and then dispatched through the very
+same stages — in order, or over a thread pool.  Nothing is
+re-implemented for batches: the coalesce stage dedupes in-flight
+duplicates, the cache stage merges results (a repeated batch is all
+hits), and admission, deadlines, warm tiers, the audit tap and
+:meth:`Gateway.use` stages apply to every item.  Threads are the only
+fan-out for solves — the LP solves release the GIL, and a process pool
+could share none of the pipeline's state — so ``backend="process"``
+raises.  ``lp_batch=True`` adds a prefetch: one composed
+:func:`repro.solver.solve_forms` pass whose answers ride down the chain
+on ``Request.presolved``.
 
 Timings
 -------
@@ -47,8 +51,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
-from collections import OrderedDict
 from dataclasses import replace
 from functools import partial
 from typing import (
@@ -63,12 +65,11 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.core.allocation import Allocation
 from repro.core.analysis import FrontierPoint, compare_allocators, frontier_point
 from repro.core.base import Allocator
 from repro.core.properties import PropertyReport, audit_allocator
+from repro.exceptions import ValidationError
 from repro.gateway.envelope import (
     Request,
     RequestShed,
@@ -86,36 +87,12 @@ from repro.gateway.middleware import (
     Middleware,
     SolverMiddleware,
     WarmStartMiddleware,
-    derive_key,
 )
-from repro.parallel import (
-    BackendSpec,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    get_backend,
-    probe_picklable,
-)
+from repro.parallel import BackendSpec, ProcessBackend, ThreadBackend, get_backend
 from repro.registry import SchedulerRegistry
 
 #: Sentinel: "use the registry default" for audit overrides.
 _USE_REGISTRY_DEFAULT = object()
-
-
-def _solve_payload(payload: tuple) -> Tuple[np.ndarray, Optional[str], float]:
-    """Worker-side solve: construct the scheduler and run one allocation.
-
-    Module-level (and fed only picklable payloads) so it can cross a
-    process boundary; thread and serial lanes reuse it unchanged.  Only
-    the allocation matrix travels back — the parent re-wraps it in an
-    :class:`Allocation` against its own instance object and merges it
-    into the shared cache.
-    """
-    instance, factory, options = payload
-    start = time.perf_counter()
-    allocation = factory(**options).allocate(instance)
-    elapsed = time.perf_counter() - start
-    return allocation.matrix, allocation.allocator_name, elapsed
 
 
 class _GatewayAllocator(Allocator):
@@ -403,6 +380,10 @@ class Gateway:
                 priority=priority,
                 deadline=deadline,
             )
+        return self.dispatch(self._normalise(request))
+
+    def _normalise(self, request: Request) -> Request:
+        """Canonical scheduler name, fingerprint and cache key, derived once."""
         name = self.registry.resolve(request.scheduler)
         fingerprint = request.fingerprint or instance_fingerprint(request.instance)
         key = request.key
@@ -410,10 +391,7 @@ class Gateway:
             # inlined derive_key() with the parts already at hand (one
             # dataclasses.replace on the hot path instead of two)
             key = (fingerprint, name, options_key(request.options))
-        request = replace(
-            request, scheduler=name, key=key, fingerprint=fingerprint
-        )
-        return self.dispatch(request)
+        return replace(request, scheduler=name, key=key, fingerprint=fingerprint)
 
     # -- batch solves --------------------------------------------------------
     def solve_batch(
@@ -424,432 +402,101 @@ class Gateway:
         max_workers: Optional[int] = None,
         lp_batch: bool = False,
     ) -> List[Response]:
-        """Solve many requests, optionally fanned out across workers.
+        """Solve many requests through the pipeline, in request order.
 
         ``requests`` is a sequence of :class:`Request` objects (or bare
-        ``(instance, scheduler, options)`` triples).  With ``backend``
-        unset or serial, each request dispatches through the full
-        pipeline in order.  Otherwise the cache-missing solves fan out
-        through capability-matched lanes and merge back into the cache
-        stage; see the module docstring for the contract.
+        ``(instance, scheduler, options)`` triples).  All of them are
+        normalised before any is solved, so an unknown scheduler or an
+        uncacheable option raises up front.  Each then takes the same
+        path as :meth:`solve` — every stage applies to every item, and a
+        shed item comes back as a typed :class:`Overloaded` in its slot.
 
-        ``lp_batch=True`` opts in to the *composed-LP* executor: the
-        cache-missing requests whose schedulers expose the batch
-        protocol (``compile_form``/``allocation_from_values``) are
-        stacked block-diagonally and solved in one vectorized pass via
-        :func:`repro.solver.solve_forms`, which certifies or re-solves
-        each block so answers match the serial path exactly.  The
-        composed solve is itself the batched execution, so it supersedes
-        worker fan-out for the lane-eligible requests; schedulers
-        without the protocol (or instances it declines, e.g. the
-        cutting-plane regime) solve solo as usual.
+        ``backend`` picks how the dispatches run: ``None``/``"serial"``
+        in order on the calling thread, ``"thread"`` over a pool of
+        ``max_workers`` threads, ``"auto"`` threads when there is more
+        than one core and more than one request.  ``"process"`` raises
+        :class:`~repro.exceptions.ValidationError`: the stages' state
+        (cache, in-flight table, admission bound) lives in this process.
 
-        Semantics the lane planner cannot replicate always dispatch
-        through the full pipeline instead of a lane, so a batch answers
-        exactly like the equivalent serial calls on every backend:
-        requests that are ``incremental`` (warm tiers) or carry a
-        ``deadline`` (admission shedding) are routed individually, and a
-        pipeline containing stages beyond the built-in transparent set —
-        a bounded :class:`AdmissionMiddleware` or any user-installed
-        stage — dispatches the *whole* batch through the chain (with a
-        :class:`RuntimeWarning`, since the fan-out is forfeited).
-        Custom ``Request.key`` values are a :meth:`dispatch`-level
-        feature; the lane planner derives its own content identity.
+        ``lp_batch=True`` first solves what it can in one composed LP
+        (see :meth:`_prefetch_forms`); answers equal the solo path's.
         """
         normalised = [
-            item
-            if isinstance(item, Request)
-            else Request(instance=item[0], scheduler=item[1], options=dict(item[2]))
+            self._normalise(
+                item
+                if isinstance(item, Request)
+                else Request(instance=item[0], scheduler=item[1], options=dict(item[2]))
+            )
             for item in requests
         ]
-        resolved = (
-            None
-            if backend is None
-            else get_backend(backend, max_workers, task_count=len(normalised))
+        resolved = get_backend(
+            "serial" if backend is None else backend,
+            max_workers,
+            task_count=len(normalised),
         )
-        use_lanes = resolved is not None and not isinstance(resolved, SerialBackend)
-        if not use_lanes and not lp_batch:
-            return [self.solve(request) for request in normalised]
-        if not self._lanes_replicate_pipeline():
-            warnings.warn(
-                "the pipeline contains stages the batch planner cannot "
-                "replicate (a bounded admission stage or custom "
-                "middleware); dispatching the batch through the full "
-                "pipeline without worker fan-out",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return [self.solve(request) for request in normalised]
-        # split off requests whose pipeline semantics cannot fan out
-        lane_items = [
-            (index, request)
-            for index, request in enumerate(normalised)
-            if not request.incremental and request.deadline is None
-        ]
-        results: List[Optional[Response]] = [None] * len(normalised)
-        if lane_items:
-            lane_requests = [request for _, request in lane_items]
-            lane_responses = (
-                self._solve_batch_lp(lane_requests)
-                if lp_batch
-                else self._solve_batch_parallel(lane_requests, resolved)
-            )
-            for (index, _), response in zip(lane_items, lane_responses):
-                results[index] = response
-        for index, request in enumerate(normalised):
-            if results[index] is None:
-                # full-pipeline dispatch: admission, warm tiers, coalesce
-                # all apply; may hit entries the lanes just merged in
-                results[index] = self.solve(request)
-        return results
+        if isinstance(resolved, ProcessBackend):
+            if str(backend).lower() != "auto":
+                raise ValidationError(
+                    "solves run through one in-process pipeline (cache, "
+                    "coalesce, admission) and cannot fan out across "
+                    'processes; use backend="thread"'
+                )
+            resolved = ThreadBackend(resolved.max_workers)
+        if lp_batch:
+            normalised = self._prefetch_forms(normalised)
+        return resolved.map(self.dispatch, normalised)
 
-    def _lanes_replicate_pipeline(self) -> bool:
-        """True when the batch lanes honour every stage's semantics.
+    def _prefetch_forms(self, requests: List[Request]) -> List[Request]:
+        """Answer the composable cache misses in one block-diagonal LP.
 
-        The lane planner replicates exactly the built-in transparent
-        stages (metrics, coalesce dedup, warm-start for non-incremental
-        work, cache lookup/merge) over a terminal solver; an admission
-        stage with an in-flight bound, or any stage outside the built-in
-        set, would be silently bypassed — those pipelines dispatch
-        per-request instead.
-        """
-        from repro.auditor.middleware import AuditMiddleware
-
-        # exact types: a subclass (e.g. a custom cache entry format) may
-        # change semantics the lanes would silently violate.  The audit
-        # tap is a pure observer, so lanes may bypass it: batch fan-out
-        # responses go unsampled (they still warm the cache the audited
-        # singleton traffic reads).
-        for stage in self._stages[:-1]:
-            if type(stage) is AdmissionMiddleware:
-                if stage.max_in_flight is not None:
-                    return False
-            elif type(stage) not in (
-                MetricsMiddleware,
-                AuditMiddleware,
-                CoalesceMiddleware,
-                WarmStartMiddleware,
-                CacheMiddleware,
-            ):
-                return False
-        return type(self._stages[-1]) is SolverMiddleware
-
-    def _solve_batch_parallel(
-        self, requests: List[Request], backend
-    ) -> List[Response]:
-        """Fan cache-missing solves out to ``backend``, then merge back.
-
-        Three lanes, chosen per scheduler capability: the requested pool
-        (process or thread), a thread fallback for unpicklable work under
-        a process backend, and in-line serial for schedulers that are not
-        ``parallel_safe``.  Duplicate requests inside the batch solve
-        once (the coalesce identity rule); the extra occurrences count as
-        cache hits, mirroring the serial path.
-        """
-        cache = self.find(CacheMiddleware)
-        metrics = self._metrics
-        plan = self._plan_batch(requests, cache)
-        pending = self._pending_work(plan, cache)
-        solved = self._execute_pending(pending, backend)
-        return self._assemble_batch(plan, solved, cache, metrics)
-
-    def _solve_batch_lp(self, requests: List[Request]) -> List[Response]:
-        """The composed-LP batch executor (``solve_batch(lp_batch=True)``).
-
-        Identical planning/merge machinery to the worker-lane path; only
-        the execution differs — protocol-capable schedulers compile a
-        :class:`StandardForm` per request and the whole set solves in
-        one block-diagonal pass through
-        :func:`repro.solver.solve_forms`, which certifies every block's
-        answer against the solo solve (or actually runs it solo).
-        """
-        cache = self.find(CacheMiddleware)
-        metrics = self._metrics
-        plan = self._plan_batch(requests, cache)
-        pending = self._pending_work(plan, cache)
-        solved = self._execute_pending_lp(pending)
-        return self._assemble_batch(plan, solved, cache, metrics)
-
-    def _plan_batch(self, requests: List[Request], cache) -> List[tuple]:
-        """Resolve names/fingerprints up front (raises on unknown
-        schedulers or uncacheable options exactly like the serial path)."""
-        plan = []
-        for request in requests:
-            name = self.registry.resolve(request.scheduler)
-            opts = dict(request.options)
-            fingerprint = request.fingerprint or instance_fingerprint(request.instance)
-            use_cache = request.use_cache and cache is not None
-            # always the derived content identity: a custom Request.key is a
-            # dispatch()-level feature and would corrupt the merge entries
-            key = (fingerprint, name, options_key(opts)) if use_cache else None
-            plan.append((request.instance, name, opts, fingerprint, key, use_cache))
-        return plan
-
-    def _pending_work(
-        self, plan: List[tuple], cache
-    ) -> "OrderedDict[object, Tuple[Any, str, Dict[str, object]]]":
-        """The work that actually needs solving, deduplicated by key."""
-        coalesce = self.find(CoalesceMiddleware)
-        pending: "OrderedDict[object, Tuple[Any, str, Dict[str, object]]]"
-        pending = OrderedDict()
-        duplicates = 0
-        if cache is not None:
-            with cache.lock:
-                for index, (instance, name, opts, _, key, use_cache) in enumerate(plan):
-                    if not use_cache:
-                        pending[("#", index)] = (instance, name, opts)
-                    elif not cache.contains_unlocked(key):
-                        if key in pending:
-                            duplicates += 1
-                        else:
-                            pending[key] = (instance, name, opts)
-        else:
-            for index, (instance, name, opts, _, _, _) in enumerate(plan):
-                pending[("#", index)] = (instance, name, opts)
-        if coalesce is not None:
-            coalesce.note_coalesced(duplicates)
-        return pending
-
-    def _execute_pending_lp(
-        self,
-        pending: "OrderedDict[object, Tuple[Any, str, Dict[str, object]]]",
-    ) -> Dict[object, Tuple[np.ndarray, Optional[str], float]]:
-        """Solve the pending work through one composed LP where possible.
-
-        A scheduler participates when it exposes the batch protocol and
-        ``compile_form`` returns a form for the instance (it returns
-        ``None`` to decline — trivial single-tenant cases, or regimes
-        like cutting planes where a monolithic form is the wrong tool).
-        Everything else runs the ordinary solo payload.
+        A request takes part when it is not ``incremental`` (warm tiers
+        own those), its key is not already cached (an uncounted peek),
+        and its scheduler is ``parallel_safe`` (the others solve only
+        under their lock, in the terminal stage), exposes the batch
+        protocol, and ``compile_form`` returns a form (``None`` declines
+        — single tenants, the cutting-plane regime).  One
+        :func:`repro.solver.solve_forms` pass, which certifies each
+        block against its solo solve or re-solves it, answers them all;
+        each answer rides down on ``Request.presolved`` and the terminal
+        solver returns it as an ordinary ``cold`` response, so counters,
+        dispositions and every stage in between behave as without it.
         """
         from repro.solver import solve_forms
 
-        solved: Dict[object, Tuple[np.ndarray, Optional[str], float]] = {}
-        batchable = []  # (lookup, allocator, instance, form)
-        for lookup, (instance, name, opts) in pending.items():
-            factory = self.registry.info(name).factory
-            allocator = factory(**opts)
-            form = None
+        cache = self.find(CacheMiddleware)
+        blocks: Dict[object, tuple] = {}  # identity -> (allocator, form, indices)
+        for index, request in enumerate(requests):
+            info = self.registry.info(request.scheduler)
+            if request.incremental or not info.parallel_safe:
+                continue
+            # uncached requests never dedupe: a fresh object equals only itself
+            identity = request.key if request.key is not None else object()
+            if identity in blocks:  # a duplicate: one block answers both
+                blocks[identity][2].append(index)
+                continue
+            if cache is not None and identity in cache:
+                continue
+            allocator = info.factory(**request.options)
             if hasattr(allocator, "compile_form") and hasattr(
                 allocator, "allocation_from_values"
             ):
-                form = allocator.compile_form(instance)
-            if form is None:
-                solved[lookup] = _solve_payload((instance, factory, opts))
-            else:
-                batchable.append((lookup, allocator, instance, form))
-        if batchable:
-            start = time.perf_counter()
-            solutions = solve_forms([form for *_, form in batchable])
-            elapsed = (time.perf_counter() - start) / len(batchable)
-            for (lookup, allocator, instance, _), solution in zip(
-                batchable, solutions
-            ):
-                allocation = allocator.allocation_from_values(
-                    instance, solution.values
+                form = allocator.compile_form(request.instance)
+                if form is not None:
+                    blocks[identity] = (allocator, form, [index])
+        if not blocks:
+            return requests
+        solutions = solve_forms([form for _, form, _ in blocks.values()])
+        requests = list(requests)
+        for (allocator, _, indices), solution in zip(blocks.values(), solutions):
+            for index in indices:
+                request = requests[index]
+                requests[index] = replace(
+                    request,
+                    presolved=allocator.allocation_from_values(
+                        request.instance, solution.values
+                    ),
                 )
-                solved[lookup] = (
-                    allocation.matrix,
-                    allocation.allocator_name,
-                    elapsed,
-                )
-        return solved
-
-    def _assemble_batch(
-        self,
-        plan: List[tuple],
-        solved: Dict[object, Tuple[np.ndarray, Optional[str], float]],
-        cache,
-        metrics,
-    ) -> List[Response]:
-        # merge worker results into the parent cache and snapshot one
-        # (matrix, allocator_name, elapsed, from_cache, hits, misses)
-        # tuple per request, in order; duplicates of one solved key read
-        # the merged entry and count as hits, mirroring the serial
-        # miss-then-hit behaviour.  Only bookkeeping happens under the
-        # lock — Allocation construction and any re-solves stay outside.
-        assembled: List[Optional[tuple]] = []
-        evicted: List[int] = []
-        first_seen: set = set()
-        lock = cache.lock if cache is not None else threading.RLock()
-        with lock:
-            if cache is not None:
-                for key, (matrix, allocator_name, _) in solved.items():
-                    if isinstance(key, tuple) and len(key) == 2 and key[0] == "#":
-                        continue  # uncached request: nothing to merge
-                    # key = (fingerprint, name, options); fall back to the
-                    # canonical name exactly like the serial insert path
-                    cache.insert_unlocked(
-                        key,
-                        (matrix.copy(), allocator_name or key[1], key[0], key[1]),
-                    )
-            for index, (instance, name, opts, fingerprint, key, use_cache) in enumerate(
-                plan
-            ):
-                lookup = key if use_cache else ("#", index)
-                if lookup in solved and lookup not in first_seen:
-                    first_seen.add(lookup)
-                    matrix, allocator_name, elapsed = solved[lookup]
-                    hits, misses = (
-                        cache.note_miss_unlocked() if cache is not None else (0, 0)
-                    )
-                    assembled.append(
-                        (matrix, allocator_name, elapsed, False, hits, misses)
-                    )
-                elif use_cache:
-                    entry = cache.get_unlocked(key)
-                    if entry is None:
-                        # a tiny LRU bound can evict a pre-existing entry
-                        # while the worker results merge in; re-solve it
-                        # outside the lock below
-                        evicted.append(index)
-                        assembled.append(None)
-                    else:
-                        matrix, allocator_name = entry[0], entry[1]
-                        hits, misses = cache.note_hit_unlocked()
-                        assembled.append(
-                            (matrix.copy(), allocator_name, 0.0, True, hits, misses)
-                        )
-                else:  # pragma: no cover - every uncached index is unique
-                    raise AssertionError("uncached request missing its result")
-
-        for index in evicted:
-            instance, name, opts, _, _, _ = plan[index]
-            matrix, allocator_name, elapsed = _solve_payload(
-                (instance, self.registry.info(name).factory, opts)
-            )
-            with lock:
-                hits, misses = (
-                    cache.note_miss_unlocked() if cache is not None else (0, 0)
-                )
-                assembled[index] = (
-                    matrix, allocator_name, elapsed, False, hits, misses,
-                )
-
-        responses = []
-        for (instance, name, opts, fingerprint, key, use_cache), (
-            matrix, allocator_name, elapsed, from_cache, hits, misses,
-        ) in zip(plan, assembled):
-            response = Response(
-                scheduler=name,
-                allocation=Allocation(
-                    matrix, instance, allocator_name=allocator_name
-                ),
-                fingerprint=fingerprint,
-                disposition="cache-hit" if from_cache else "cold",
-                solve_seconds=elapsed,
-                cache_hits=hits,
-                cache_misses=misses,
-            )
-            response = replace(response, result=response.allocation)
-            if metrics is not None:
-                metrics.record(response.disposition, elapsed)
-            responses.append(response)
-        return responses
-
-    def _execute_pending(
-        self,
-        pending: "OrderedDict[object, Tuple[Any, str, Dict[str, object]]]",
-        backend,
-    ) -> Dict[object, Tuple[np.ndarray, Optional[str], float]]:
-        """Run the deduplicated work through capability-matched lanes.
-
-        Lane choice per scheduler: a process pool needs only a picklable
-        payload (workers are isolated single-threaded processes, so
-        ``parallel_safe`` is irrelevant there); a thread pool needs
-        ``parallel_safe``; everything else runs serially in the parent.
-        The fallback lanes execute *concurrently* with the requested
-        pool, so a mixed batch still overlaps all its work.
-        """
-        pool_lane: List[Tuple[object, tuple]] = []
-        thread_lane: List[Tuple[object, tuple]] = []
-        serial_lane: List[Tuple[object, tuple]] = []
-        wants_processes = isinstance(backend, ProcessBackend)
-        warned: set = set()
-
-        def warn_once(name: str, message: str) -> None:
-            if name not in warned:
-                warned.add(name)
-                warnings.warn(message, RuntimeWarning, stacklevel=5)
-
-        # memoize the (expensive) instance pickle probe by object identity
-        # — batches typically repeat instances across schedulers — and
-        # probe the (factory, options) part separately; it is tiny.
-        instance_probe: Dict[int, bool] = {}
-
-        def payload_picklable(payload: tuple) -> bool:
-            instance, factory, opts = payload
-            ok = instance_probe.get(id(instance))
-            if ok is None:
-                ok = probe_picklable(instance)
-                instance_probe[id(instance)] = ok
-            return ok and probe_picklable((factory, opts))
-
-        for lookup, (instance, name, opts) in pending.items():
-            info = self.registry.info(name)
-            payload = (instance, info.factory, opts)
-            if wants_processes and info.picklable and payload_picklable(payload):
-                pool_lane.append((lookup, payload))
-            elif not info.parallel_safe:
-                warn_once(
-                    name,
-                    f"scheduler {name!r} is registered parallel_safe=False "
-                    "and cannot reach process isolation; solving it "
-                    "serially in the parent process",
-                )
-                serial_lane.append((lookup, payload))
-            elif wants_processes:
-                warn_once(
-                    name,
-                    f"scheduler {name!r} cannot cross a process boundary "
-                    "(picklable=False or unpicklable payload); falling "
-                    "back to the thread backend for this work",
-                )
-                thread_lane.append((lookup, payload))
-            else:
-                pool_lane.append((lookup, payload))
-
-        solved: Dict[object, Tuple[np.ndarray, Optional[str], float]] = {}
-        fallback_results: Dict[object, Tuple[np.ndarray, Optional[str], float]] = {}
-        fallback_errors: List[BaseException] = []
-
-        def run_fallback_lanes() -> None:
-            try:
-                if thread_lane:
-                    fallback = ThreadBackend(backend.max_workers)
-                    outputs = fallback.map(
-                        _solve_payload, [p for _, p in thread_lane]
-                    )
-                    fallback_results.update(
-                        zip((k for k, _ in thread_lane), outputs)
-                    )
-                # the serial lane runs alone (after the thread-pool map has
-                # drained), honouring parallel_safe=False within this thread
-                for lookup, payload in serial_lane:
-                    fallback_results[lookup] = _solve_payload(payload)
-            except BaseException as exc:  # re-raised in the parent below
-                fallback_errors.append(exc)
-
-        # overlap the fallback lanes with the pool only when the pool's
-        # workers are separate *processes*: under a thread pool, an
-        # overlapped serial lane would solve concurrently with in-process
-        # pool threads — exactly what parallel_safe=False forbids.
-        fallback_worker: Optional[threading.Thread] = None
-        if thread_lane or serial_lane:
-            if pool_lane and wants_processes:
-                fallback_worker = threading.Thread(target=run_fallback_lanes)
-                fallback_worker.start()
-            else:
-                run_fallback_lanes()
-        if pool_lane:
-            outputs = backend.map(_solve_payload, [p for _, p in pool_lane])
-            solved.update(zip((k for k, _ in pool_lane), outputs))
-        if fallback_worker is not None:
-            fallback_worker.join()
-        if fallback_errors:
-            raise fallback_errors[0]
-        solved.update(fallback_results)
-        return solved
+        return requests
 
     # -- audits and summaries ------------------------------------------------
     def allocator(self, scheduler: str, **options) -> Allocator:
@@ -997,5 +644,4 @@ __all__ = [
     "Gateway",
     "bare_pipeline",
     "default_pipeline",
-    "_solve_payload",
 ]

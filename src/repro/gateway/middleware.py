@@ -27,7 +27,8 @@ Built-ins, outermost-first in :func:`repro.gateway.default_pipeline`:
 :class:`WarmStartMiddleware`  PR 4's verified exact/structural warm tiers
 :class:`CacheMiddleware`      the content-hash LRU + :class:`CacheStats`
 :class:`SolverMiddleware`     terminal: constructs the scheduler from the
-                              registry and runs the allocation
+                              registry and runs the allocation (one at a
+                              time for ``parallel_safe=False`` schedulers)
 =====================  =====================================================
 
 Ordering contract (see ``docs/middleware.md``): Admission should be
@@ -35,7 +36,8 @@ outermost (shed before any work), Coalesce must sit above Cache (so a
 coalesced follower's retry is a cache hit), WarmStart must sit above
 Cache (so an exact-tier hit still carries a chainable warm state), and
 the terminal solver is always last.  Correctness never depends on the
-order — only counters and latency do.
+order — only counters and latency do.  :meth:`Gateway.solve_batch` adds
+no stage and skips none: a batch is these stages, dispatched per item.
 
 :class:`CacheMiddleware` is deliberately generic: subclasses override
 ``_key`` / ``_entry`` / ``_revive`` to cache payloads other than
@@ -81,10 +83,10 @@ def derive_key(request: Request, registry: SchedulerRegistry) -> object:
     """The canonical cache identity of an allocation request.
 
     ``(instance fingerprint, canonical scheduler, frozen options)`` —
-    the one rule shared by the cache stage, the coalesce stage, the
-    gateway's normalisation, and the batch planner, so an entry stored
-    by any of them is found by all of them.  Raises ``TypeError`` for
-    option values that cannot be content-hashed.
+    the one rule shared by the cache stage, the coalesce stage and the
+    gateway's normalisation, so an entry stored by any of them is found
+    by all of them.  Raises ``TypeError`` for option values that cannot
+    be content-hashed.
     """
     return (
         request.fingerprint or instance_fingerprint(request.instance),
@@ -161,6 +163,11 @@ class SolverMiddleware(Middleware):
     *verifies* any injected warm state before trusting it (see
     :mod:`repro.solver.warm`) and returns fresh evidence for the next
     round — while plain requests take the cold ``allocate`` path.
+
+    This is also where the registry's ``parallel_safe=False`` flag is
+    enforced: such a scheduler's solves hold its registry-owned lock,
+    so they never overlap however many threads, batches or gateways
+    reach it.  The default (``True``) costs one attribute check.
     """
 
     name = "solver"
@@ -170,16 +177,14 @@ class SolverMiddleware(Middleware):
 
     def handle(self, request: Request, next: Handler) -> Response:
         info = self.registry.info(request.scheduler)
-        allocator = info.factory(**dict(request.options))
         fingerprint = request.fingerprint or instance_fingerprint(request.instance)
-        start = time.perf_counter()
-        if request.incremental:
-            allocation, new_state, warm_used = allocator.allocate_with_state(
-                request.instance, request.warm_state
-            )
+        if info.parallel_safe:
+            allocation, new_state, warm_used, elapsed = self._run(info, request)
         else:
-            allocation, new_state, warm_used = allocator.allocate(request.instance), None, False
-        elapsed = time.perf_counter() - start
+            # one lock per scheduler, owned by the registry, so every
+            # gateway (and server shard) over it takes turns
+            with self.registry.solve_lock(info.name):
+                allocation, new_state, warm_used, elapsed = self._run(info, request)
         return Response(
             scheduler=info.name,
             allocation=allocation,
@@ -190,6 +195,21 @@ class SolverMiddleware(Middleware):
             warm=warm_used,
             warm_state=new_state,
         )
+
+    @staticmethod
+    def _run(info, request: Request):
+        """``(allocation, fresh warm state, warm used, scheduler seconds)``."""
+        if request.presolved is not None:  # solve_batch(lp_batch=True) prefetch
+            return request.presolved, None, False, 0.0
+        allocator = info.factory(**dict(request.options))
+        start = time.perf_counter()
+        if request.incremental:
+            allocation, new_state, warm_used = allocator.allocate_with_state(
+                request.instance, request.warm_state
+            )
+        else:
+            allocation, new_state, warm_used = allocator.allocate(request.instance), None, False
+        return allocation, new_state, warm_used, time.perf_counter() - start
 
     def describe(self) -> Dict[str, object]:
         row = super().describe()
@@ -235,10 +255,8 @@ class CacheMiddleware(Middleware):
         self._misses = 0
         self._warm_hits = 0
         self._evictions = 0
-        #: Guards both stores and all counters.  Public so the gateway's
-        #: batch planner can compound lookups/inserts atomically via the
-        #: ``*_unlocked`` primitives.
-        self.lock = threading.RLock()
+        #: Guards both stores and all counters.
+        self._lock = threading.RLock()
 
     # -- subclass hooks ----------------------------------------------------
     def _key(self, request: Request) -> object:
@@ -275,7 +293,7 @@ class CacheMiddleware(Middleware):
             key = None
 
         if key is not None:
-            with self.lock:
+            with self._lock:
                 entry = self._store.get(key)
                 if entry is not None:
                     self._store.move_to_end(key)
@@ -289,12 +307,12 @@ class CacheMiddleware(Middleware):
 
         # count the miss before the solver runs (concurrent callers
         # each account exactly one hit or miss)
-        with self.lock:
+        with self._lock:
             self._misses += 1
         response = next(request)
         if not response.ok:
             return response
-        with self.lock:
+        with self._lock:
             if key is not None:
                 self._store[key] = self._entry(request, response)
                 self._trim(self._store)
@@ -304,7 +322,7 @@ class CacheMiddleware(Middleware):
     # -- auxiliary store (Gateway.frontier memo) ---------------------------
     def aux_lookup(self, key: object) -> Optional[Any]:
         """Counted lookup in the auxiliary store (shares the LRU bound)."""
-        with self.lock:
+        with self._lock:
             value = self._aux.get(key)
             if value is not None:
                 self._aux.move_to_end(key)
@@ -314,33 +332,9 @@ class CacheMiddleware(Middleware):
             return None
 
     def aux_store(self, key: object, value: Any) -> None:
-        with self.lock:
+        with self._lock:
             self._aux[key] = value
             self._trim(self._aux)
-
-    # -- batch-planner primitives (call under ``self.lock``) ---------------
-    def get_unlocked(self, key: object) -> Optional[Any]:
-        entry = self._store.get(key)
-        if entry is not None:
-            self._store.move_to_end(key)
-        return entry
-
-    def contains_unlocked(self, key: object) -> bool:
-        return key in self._store
-
-    def insert_unlocked(self, key: object, entry: object) -> None:
-        self._store[key] = entry
-        self._trim(self._store)
-
-    def note_hit_unlocked(self, incremental: bool = False) -> Tuple[int, int]:
-        self._hits += 1
-        if incremental:
-            self._warm_hits += 1
-        return self._hits, self._misses
-
-    def note_miss_unlocked(self) -> Tuple[int, int]:
-        self._misses += 1
-        return self._hits, self._misses
 
     # -- maintenance -------------------------------------------------------
     def _trim(self, target: OrderedDict) -> None:
@@ -352,21 +346,26 @@ class CacheMiddleware(Middleware):
             target.popitem(last=False)
             self._evictions += 1
 
+    def __contains__(self, key: object) -> bool:
+        """Uncounted peek at the primary store (no hit/miss, no LRU touch)."""
+        with self._lock:
+            return key in self._store
+
     def __len__(self) -> int:
         """Current entry count (primary + auxiliary stores)."""
-        with self.lock:
+        with self._lock:
             return len(self._store) + len(self._aux)
 
     def invalidate(self) -> int:
         """Drop every entry, keep the counters; returns entries dropped."""
-        with self.lock:
+        with self._lock:
             dropped = len(self._store) + len(self._aux)
             self._store.clear()
             self._aux.clear()
             return dropped
 
     def reset(self) -> None:
-        with self.lock:
+        with self._lock:
             self._store.clear()
             self._aux.clear()
             self._hits = 0
@@ -375,7 +374,7 @@ class CacheMiddleware(Middleware):
             self._evictions = 0
 
     def stats(self) -> Dict[str, int]:
-        with self.lock:
+        with self._lock:
             return {
                 "hits": self._hits,
                 "misses": self._misses,
@@ -495,10 +494,9 @@ class CoalesceMiddleware(Middleware):
     the leader finishes, then re-enter the downstream chain — which is a
     cache hit when a cache stage sits below (the default pipeline), and
     a correct independent solve otherwise.  ``wait_timeout`` bounds the
-    wait so a wedged leader can never deadlock followers.  The gateway's
-    parallel batch planner reuses the same identity rule to solve
-    duplicate requests once per batch and reports them here via
-    :meth:`note_coalesced`.
+    wait so a wedged leader can never deadlock followers.  Duplicate
+    requests inside one threaded :meth:`Gateway.solve_batch` are deduped
+    here like any other concurrent callers.
     """
 
     name = "coalesce"
@@ -544,12 +542,6 @@ class CoalesceMiddleware(Middleware):
             with self._lock:
                 self._coalesced += 1
         return next(request)
-
-    def note_coalesced(self, count: int) -> None:
-        """Batch planner callback: ``count`` duplicates solved once."""
-        if count:
-            with self._lock:
-                self._coalesced += count
 
     def reset(self) -> None:
         with self._lock:

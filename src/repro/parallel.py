@@ -1,12 +1,12 @@
 """Execution backends: one abstraction for serial/thread/process fan-out.
 
 Everything in this repo that loops over *independent* units of work —
-batch solves in :class:`~repro.gateway.Gateway`, the paper
-experiments, Monte-Carlo seed sweeps of the cluster simulator — funnels
-through an :class:`ExecutionBackend`.  A backend is just an ordered
-``map``: it takes a callable and a list of items and returns the results
-in input order, fanning the calls out to worker threads or processes
-when that helps.
+batch solves and frontier sweeps in :class:`~repro.gateway.Gateway`, the
+paper experiments, Monte-Carlo seed sweeps of the cluster simulator,
+fleet regions — funnels through an :class:`ExecutionBackend`.  A backend
+is just an ordered ``map``: it takes a callable and a list of items and
+returns the results in input order, fanning the calls out to worker
+threads or processes when that helps.
 
 Backends are selected by name::
 
@@ -23,11 +23,13 @@ applies — fine when the work releases the GIL or is I/O bound),
 ``"auto"`` picks processes when the machine has more than one core and
 there is more than one item, serial otherwise.
 
-Process pools need picklable payloads.  :func:`probe_picklable` lets
-callers test a payload up front and degrade gracefully — that is how
-the gateway's batch planner (:meth:`repro.gateway.Gateway.solve_batch`)
-falls back to threads for schedulers that cannot cross a process
-boundary instead of crashing.
+Process pools need picklable payloads.  :func:`probe_picklable` tests
+one up front, and ``get_backend(..., payload=work)`` applies the one
+degrade rule — process → threads with a :class:`RuntimeWarning` — for
+the frontier, seed-sweep and fleet fan-outs, whose work is GIL-bound
+Python.  Gateway *solves* are the exception: they share one in-process
+pipeline and release the GIL inside the LP solver, so
+:meth:`repro.gateway.Gateway.solve_batch` maps over threads only.
 
 Execution contract
 ------------------
@@ -53,12 +55,10 @@ Usage::
     results = backend.map(solve_one, instances)          # input order
     squares = parallel_map(lambda x: x * x, range(8))    # one-shot "auto"
 
-Thread-safety of the *work itself* is the caller's contract: the
-scheduler registry's ``parallel_safe`` flag marks work that must not
-run concurrently inside one process (thread pools), and ``picklable``
-marks work that can cross to a process pool — see
-:mod:`repro.registry` and the lane selection in
-:meth:`repro.gateway.Gateway.solve_batch`.
+Thread-safety of the *work itself* is the caller's contract.  For
+schedulers it is declared once, as the registry's ``parallel_safe``
+flag, and enforced once, by the gateway's terminal solver stage — see
+:mod:`repro.registry`.
 """
 
 from __future__ import annotations

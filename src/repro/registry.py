@@ -23,7 +23,7 @@ Lookup is by canonical name or any alias::
 
     allocator = create_scheduler("cooperative")      # alias of "oef-coop"
     info = scheduler_info("gavel")
-    info.max_isolation                               # "process"
+    info.efficiency_constraint                       # "envy_free"
 
 The default registry lazily imports the built-in allocator modules on
 first lookup, so ``import repro.registry`` stays cheap and free of
@@ -31,16 +31,14 @@ import cycles.
 
 Capability flags and concurrency
 --------------------------------
-``SchedulerInfo`` carries two flags the parallel engine reads when it
-plans a batch (:meth:`repro.gateway.Gateway.solve_batch`):
-
-* ``parallel_safe`` — instances may solve concurrently from several
-  *threads* of one process.  Set it to ``False`` for allocators with
-  shared mutable module/class state; their work then runs serially (or
-  in isolated processes, where thread-safety is irrelevant).
-* ``picklable`` — instances/options survive a process boundary, so the
-  work may ship to a *process* pool.  ``max_isolation`` derives the
-  strongest backend from the two flags.
+``SchedulerInfo.parallel_safe`` says whether instances may solve
+concurrently from several *threads* of one process — which is how
+:meth:`repro.gateway.Gateway.solve_batch` and the ``repro serve``
+shard executors run them.  Set it to ``False`` for allocators with
+shared mutable module/class state: the registry then owns one lock for
+that scheduler (:meth:`SchedulerRegistry.solve_lock`) and the gateway's
+terminal solver stage holds it around every solve, so the scheduler
+runs one solve at a time across every gateway built over this registry.
 
 Registration itself is an import-time, single-threaded affair (module
 import holds the interpreter's import lock); lookups afterwards are
@@ -52,6 +50,7 @@ they choose to.
 from __future__ import annotations
 
 import importlib
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -96,32 +95,15 @@ class SchedulerInfo:
     #: Has a job-level (elastic) variant (via JobLevelOEF).
     supports_job_level: bool = False
     #: Safe to solve concurrently from multiple threads of one process.
-    #: Irrelevant under a process pool, where every worker is an isolated
-    #: single-threaded process.
+    #: When False, ``SolverMiddleware`` serialises this scheduler's
+    #: solves behind :meth:`SchedulerRegistry.solve_lock`.
     parallel_safe: bool = True
-    #: Instances/options survive a process boundary (pickle), so batch
-    #: solves may ship this scheduler's work to a process pool.  Set to
-    #: False for schedulers with unpicklable state; the gateway then
-    #: degrades to threads (or serial when also not ``parallel_safe``).
-    picklable: bool = True
     #: Supports verified warm-started re-solves: ``allocate_with_state``
     #: threads a prior :class:`~repro.solver.warm.WarmStartState` into
     #: its LP and returns a fresh one.  The gateway's structural warm
     #: tier (:class:`repro.gateway.middleware.WarmStartMiddleware`)
     #: only engages for schedulers with this flag set.
     warm_startable: bool = False
-
-    @property
-    def max_isolation(self) -> str:
-        """Strongest execution backend this scheduler supports.
-
-        Process pools only need picklability (workers are isolated, so
-        thread-safety never enters into it); thread pools additionally
-        need ``parallel_safe``.
-        """
-        if self.picklable:
-            return "process"
-        return "thread" if self.parallel_safe else "serial"
 
     def as_row(self) -> Dict[str, object]:
         """One printable table row for ``repro list-schedulers``."""
@@ -133,7 +115,6 @@ class SchedulerInfo:
             "efficiency vs": self.efficiency_constraint,
             "weights": "yes" if self.supports_weights else "no",
             "job-level": "yes" if self.supports_job_level else "no",
-            "parallel": self.max_isolation,
             "warm": "yes" if self.warm_startable else "no",
             "description": self.description,
         }
@@ -145,6 +126,8 @@ class SchedulerRegistry:
     def __init__(self, load_builtins: bool = False):
         self._infos: Dict[str, SchedulerInfo] = {}
         self._aliases: Dict[str, str] = {}
+        #: canonical name -> lock, for ``parallel_safe=False`` schedulers only
+        self._solve_locks: Dict[str, threading.RLock] = {}
         self._load_builtins = load_builtins
         self._loaded = False
 
@@ -163,6 +146,8 @@ class SchedulerRegistry:
         self._aliases[info.name] = info.name
         for alias in info.aliases:
             self._aliases[alias] = info.name
+        if not info.parallel_safe:
+            self._solve_locks[info.name] = threading.RLock()
 
     def unregister(self, name: str) -> None:
         """Remove one scheduler (primarily for tests)."""
@@ -170,6 +155,7 @@ class SchedulerRegistry:
         info = self._infos.pop(canonical)
         for alias in (info.name, *info.aliases):
             self._aliases.pop(alias, None)
+        self._solve_locks.pop(canonical, None)
 
     # -- lookup ------------------------------------------------------------
     def resolve(self, name: str) -> str:
@@ -182,6 +168,15 @@ class SchedulerRegistry:
 
     def info(self, name: str) -> SchedulerInfo:
         return self._infos[self.resolve(name)]
+
+    def solve_lock(self, name: str) -> "threading.RLock":
+        """The lock serialising a ``parallel_safe=False`` scheduler's solves.
+
+        One per scheduler for the life of the registration, shared by
+        every gateway over this registry; ``KeyError`` for a
+        ``parallel_safe=True`` scheduler, which needs none.
+        """
+        return self._solve_locks[self.resolve(name)]
 
     def create(self, name: str, **options) -> "Allocator":
         """Instantiate the named scheduler, forwarding constructor options."""
@@ -247,7 +242,6 @@ def register_scheduler(
     supports_weights: bool = False,
     supports_job_level: bool = False,
     parallel_safe: bool = True,
-    picklable: bool = True,
     warm_startable: bool = False,
     registry: Optional[SchedulerRegistry] = None,
 ) -> Callable[[type], type]:
@@ -280,7 +274,6 @@ def register_scheduler(
             supports_weights=supports_weights,
             supports_job_level=supports_job_level,
             parallel_safe=parallel_safe,
-            picklable=picklable,
             warm_startable=warm_startable,
         )
         # explicit "is not None": an empty registry is falsy via __len__

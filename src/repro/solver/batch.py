@@ -1,7 +1,7 @@
 """Batched LP solving: many independent programs, one vectorized solve.
 
-``Gateway.solve_batch`` fans independent small LPs out to worker lanes,
-but each lane still pays a full scipy round-trip per program.  Independent
+``Gateway.solve_batch`` fans independent small LPs out to worker threads,
+but each solve still pays a full scipy round-trip per program.  Independent
 LPs compose exactly: stacking them block-diagonally yields one larger LP
 whose optimum restricts to each block's optimum.  One HiGHS call on the
 composed system amortises model construction and presolve across the

@@ -487,47 +487,145 @@ class TestBatchThroughGateway:
         assert responses[0].warm  # the verified warm tier still engaged
         assert gateway.cache_info().structural_hits == 1
 
-    def test_bounded_admission_applies_to_parallel_batches(self, paper_instance):
-        """A capacity bound must shed in batches exactly like serial calls."""
-        requests = [Request(instance=paper_instance, scheduler="max-min")] * 2
-        serial = Gateway(default_pipeline(max_in_flight=0)).solve_batch(requests)
-        with pytest.warns(RuntimeWarning, match="cannot[\\s\\S]*replicate"):
-            parallel = Gateway(default_pipeline(max_in_flight=0)).solve_batch(
-                requests, backend="thread"
-            )
-        for responses in (serial, parallel):
+    def test_bounded_admission_applies_to_parallel_batches(self, recwarn):
+        """A bounded pipeline fans out: shed items are typed, in their slots."""
+        instances = [random_instance(6, 3, seed=seed) for seed in range(6)]
+        requests = [Request(instance, "oef-coop") for instance in instances]
+        for responses in (
+            Gateway(default_pipeline(max_in_flight=0)).solve_batch(requests),
+            Gateway(default_pipeline(max_in_flight=0)).solve_batch(
+                requests, backend="thread", max_workers=2
+            ),
+        ):
+            assert all(isinstance(r, Overloaded) for r in responses)
             assert all(r.disposition == "shed-capacity" for r in responses)
+        gateway = Gateway(default_pipeline(max_in_flight=1))
+        responses = gateway.solve_batch(requests, backend="thread", max_workers=4)
+        assert len(responses) == len(requests)
+        stats = gateway.find(AdmissionMiddleware).stats()
+        assert stats["admitted"] + stats["shed_capacity"] == len(requests)
+        assert stats["admitted"] >= 1 and stats["in_flight"] == 0
+        reference = Gateway(bare_pipeline())
+        for instance, response in zip(instances, responses):
+            if response.ok:  # admitted: the right answer, in the right slot
+                np.testing.assert_allclose(
+                    response.allocation.matrix,
+                    reference.solve(instance, "oef-coop").allocation.matrix,
+                    atol=1e-9,
+                )
+            else:
+                assert isinstance(response, Overloaded)
+                assert response.retry_after_s > 0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-    def test_custom_stages_see_batched_requests(self, paper_instance):
-        """gateway.use() extensions are never bypassed by the batch planner."""
+    @pytest.mark.parametrize(
+        "how",
+        [{}, {"backend": "serial"}, {"backend": "thread"}, {"backend": "auto"},
+         {"lp_batch": True}],
+        ids=["default", "serial", "thread", "auto", "lp_batch"],
+    )
+    def test_custom_stages_see_batched_requests(self, how, recwarn):
+        """gateway.use() stages see every batch item on every backend."""
         recorder = _Recorder()
         gateway = Gateway(default_pipeline())
         gateway.use(recorder, before="solver")
-        with pytest.warns(RuntimeWarning, match="custom"):
-            gateway.solve_batch(
-                [Request(instance=paper_instance, scheduler="max-min")],
-                backend="thread",
-            )
-        assert len(recorder.requests) == 1
-
-    def test_custom_request_key_cannot_corrupt_the_batch_cache(
-        self, paper_instance
-    ):
-        """The lane planner derives its own identity; a later plain solve
-        must hit a well-formed entry, not bytes-indexed garbage."""
-        gateway = Gateway(default_pipeline())
+        instances = [random_instance(5, 3, seed=seed) for seed in range(4)]
         gateway.solve_batch(
-            [
-                Request(
-                    instance=paper_instance, scheduler="oef-coop", key=b"round-1"
-                )
-            ],
-            backend="thread",
+            [Request(instance, "oef-noncoop") for instance in instances],
+            max_workers=2,
+            **how,
         )
-        hit = gateway.solve(paper_instance, "oef-coop")
-        assert hit.from_cache
-        assert hit.scheduler == "oef-coop"
-        assert isinstance(hit.fingerprint, str) and len(hit.fingerprint) == 64
+        assert sorted(r.fingerprint for r in recorder.requests) == sorted(
+            Gateway().solve(instance).fingerprint for instance in instances
+        )
+        assert len(recorder.responses) == len(instances)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
+        "how", [{"backend": "thread"}, {"lp_batch": True}], ids=["thread", "lp_batch"]
+    )
+    def test_custom_request_key_cannot_corrupt_the_batch_cache(
+        self, paper_instance, how
+    ):
+        """A batch honours ``Request.key`` exactly as ``dispatch`` does: the
+        entry lives under the custom key and only under it."""
+        gateway = Gateway(default_pipeline())
+        keyed = Request(instance=paper_instance, scheduler="oef-coop", key=b"round-1")
+        [first] = gateway.solve_batch([keyed], **how)
+        assert first.disposition == "cold"
+        [again] = gateway.solve_batch([keyed], **how)
+        assert again.from_cache
+        assert again.scheduler == "oef-coop"
+        assert isinstance(again.fingerprint, str) and len(again.fingerprint) == 64
+        np.testing.assert_array_equal(
+            again.allocation.matrix, first.allocation.matrix
+        )
+        # the content identity was never written, so a plain solve misses
+        assert gateway.solve(paper_instance, "oef-coop").disposition == "cold"
+
+    @pytest.mark.parametrize(
+        "how", [{"backend": "thread"}, {"lp_batch": True}], ids=["thread", "lp_batch"]
+    )
+    def test_audit_tap_samples_batch_responses(self, how):
+        """Batch items pass the audit stage like any singleton solve."""
+        from repro.auditor import AuditMiddleware, AuditWorker
+
+        audited = []
+        worker = AuditWorker(
+            None, audit_fn=lambda instance, scheduler: audited.append(scheduler)
+        )
+        tap = AuditMiddleware(1.0, worker=worker)
+        gateway = Gateway(default_pipeline(audit=tap))
+        instances = [random_instance(4, 3, seed=seed) for seed in range(3)]
+        try:
+            responses = gateway.solve_batch(
+                [Request(instance, "oef-noncoop") for instance in instances], **how
+            )
+            assert all(response.ok for response in responses)
+            assert tap.stats()["captured"] == len(instances)
+            assert worker.drain(timeout=5.0)
+            assert audited == ["oef-noncoop"] * len(instances)
+        finally:
+            worker.stop(timeout=5.0)
+
+
+class TestOneBatchPath:
+    """The lane planner is gone: a batch is the pipeline, mapped."""
+
+    def test_planner_surface_is_removed(self):
+        from repro import scheduler_info
+
+        cache = CacheMiddleware()
+        assert not [name for name in dir(cache) if name.endswith("_unlocked")]
+        assert not hasattr(cache, "lock")
+        assert not hasattr(CoalesceMiddleware, "note_coalesced")
+        for name in ("_execute_pending", "_plan_batch", "_assemble_batch"):
+            assert not hasattr(Gateway, name)
+        info = scheduler_info("oef-coop")
+        assert not hasattr(info, "picklable")
+        assert not hasattr(info, "max_isolation")
+
+    def test_process_backend_is_rejected_for_solves(self, gateway, paper_instance):
+        from repro.exceptions import ValidationError
+        from repro.parallel import ProcessBackend
+
+        requests = [Request(paper_instance, "max-min")] * 2
+        for backend in ("process", ProcessBackend(2)):
+            with pytest.raises(ValidationError, match='"thread"'):
+                gateway.solve_batch(requests, backend=backend)
+        with pytest.raises(ValidationError, match='"thread"'):
+            gateway.compare(paper_instance, ["max-min"], backend="process")
+        assert gateway.cache_info().misses == 0  # nothing was solved
+
+    def test_register_scheduler_rejects_picklable(self):
+        from repro.registry import SchedulerRegistry, register_scheduler
+
+        with pytest.raises(TypeError, match="picklable"):
+            register_scheduler(
+                name="never-registered",
+                picklable=False,
+                registry=SchedulerRegistry(),
+            )
 
 
 class TestOneFrontDoor:
@@ -816,15 +914,24 @@ class TestLpBatch:
         assert dispositions.count("cold") == 1
         assert dispositions.count("cache-hit") == 2
 
-    def test_custom_stage_warns_and_dispatches_serially(self):
+    def test_custom_stage_sees_every_prefetched_request(self, recwarn):
         class Tap(Middleware):
             name = "tap"
 
+            def __init__(self):
+                self.seen = []
+
             def handle(self, request, next):
+                self.seen.append(request)
                 return next(request)
 
-        gateway = Gateway([Tap(), SolverMiddleware()])
+        tap = Tap()
+        gateway = Gateway([tap, SolverMiddleware()])
         requests = self._requests(count=2)
-        with pytest.warns(RuntimeWarning, match="cannot replicate"):
-            responses = gateway.solve_batch(requests, lp_batch=True)
-        assert len(responses) == len(requests)
+        responses = gateway.solve_batch(requests, lp_batch=True)
+        assert [r.scheduler for r in responses] == [name for _, name, _ in requests]
+        assert all(response.disposition == "cold" for response in responses)
+        assert len(tap.seen) == len(requests)
+        # the composed-LP answers ride down on the requests the stage saw
+        assert any(request.presolved is not None for request in tap.seen)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
