@@ -117,7 +117,7 @@ from repro.scenarios import (
 )
 from repro.solver.warm import WarmStartState
 
-__version__ = "2.1.0"
+__version__ = "2.2.0"
 
 __all__ = [
     "AdmissionMiddleware",

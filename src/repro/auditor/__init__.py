@@ -22,7 +22,7 @@ See ``docs/auditing.md`` for sampler semantics, the ledger layout, the
 report workflow, and how to register a custom check.
 """
 
-from repro.auditor.ledger import AUDIT_DIR_ENV, AuditLedger, AuditLedgerError
+from repro.auditor.ledger import AUDIT_DIR_ENV, AuditLedger
 from repro.auditor.middleware import AuditMiddleware
 from repro.auditor.report import (
     DEFAULT_REPLAY_SCENARIOS,
@@ -39,7 +39,6 @@ from repro.auditor.sampler import AuditSampler
 from repro.auditor.schema import (
     AUDIT_SCHEMA,
     PROPERTY_KEYS,
-    AuditSchemaError,
     validate_audit_record,
 )
 from repro.auditor.worker import (
@@ -59,10 +58,8 @@ __all__ = [
     "PROPERTY_KEYS",
     "UNFAIR_SCHEDULER",
     "AuditLedger",
-    "AuditLedgerError",
     "AuditMiddleware",
     "AuditSampler",
-    "AuditSchemaError",
     "AuditWorker",
     "UnfairAllocator",
     "classify_marks",

@@ -1,31 +1,45 @@
-"""Validation for ``repro/audit-v1`` records — one audited response each.
+"""The ``repro/audit-v1`` record spec — one audited response each.
 
 The audit ledger is append-only JSONL (see
 :mod:`repro.auditor.ledger`), so a malformed line written today is a
 broken ``repro audit-report`` next month.  Exactly like the benchmark
 ledger (:mod:`repro.benchledger.schema`), every record passes through
-this module on *both* write and read, stdlib-only, with
-JSON-pointer-ish error paths (``properties.SP``).
+this :mod:`repro.fieldspec` table on *both* write and read, and errors
+name the offending field (``properties.SP``).
 
 One ``repro/audit-v1`` record::
 
-    {"schema": "repro/audit-v1",
-     "created_unix": 1722300000.0,
-     "scenario": "steady",               # audit stream label
-     "scheduler": "oef-coop",            # canonical registry name
-     "fingerprint": "9f3a…",             # audited instance content hash
-     "seed": 0,                          # SP-audit seed
-     "verdict": "pass" | "fail" | "error",
-     "properties": {"PE": "yes", "EF": "yes", "SI": "yes",
-                    "SP": "no", "optimal efficiency": "yes"},
-     "violations": ["EF"],               # failed *expected* properties
-     "elapsed_s": 0.012,
-     "error": "..."}                     # required iff verdict == "error"
+    {"schema": "repro/audit-v1", "created_unix": 1722300000.0,
+     "scenario": "steady", "scheduler": "oef-coop",
+     "fingerprint": "9f3a5c0d7e1b", "seed": 0, "verdict": "fail",
+     "properties": {"PE": "yes", "EF": "no", "SI": "yes",
+                    "SP": "n/a", "optimal efficiency": "yes"},
+     "violations": ["EF"], "elapsed_s": 0.012, "error": null}
+
+``scenario`` is the audit stream label, ``scheduler`` the canonical
+registry name, ``fingerprint`` the audited instance's content hash and
+``seed`` the SP-audit seed.  ``verdict`` is ``pass``, ``fail`` or
+``error``; ``violations`` names the failed *expected* properties (a
+``fail`` needs at least one); ``error`` is required iff the verdict is
+``error`` and must be absent or null otherwise.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
+
+from repro.fieldspec import (
+    SchemaError,
+    check_at,
+    choice,
+    integer,
+    list_of,
+    nullable,
+    number,
+    record,
+    register,
+    text,
+)
 
 AUDIT_SCHEMA = "repro/audit-v1"
 
@@ -40,114 +54,43 @@ PROPERTY_MARKS = ("yes", "no", "n/a")
 VERDICTS = ("pass", "fail", "error")
 
 
-class AuditSchemaError(ValueError):
-    """A record that does not conform to ``repro/audit-v1``."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}" if path else message)
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise AuditSchemaError(path, message)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _require_name(value: Any, path: str) -> None:
-    _require(
-        isinstance(value, str) and bool(value.strip()),
-        path,
-        f"expected a non-empty string, got {value!r}",
-    )
-
-
-def validate_audit_record(record: Any) -> Any:
-    """Validate one ``repro/audit-v1`` record; returns it unchanged."""
-    _require(
-        isinstance(record, Mapping), "", f"expected an object, got {record!r}"
-    )
-    _require(
-        record.get("schema") == AUDIT_SCHEMA,
-        "schema",
-        f"expected {AUDIT_SCHEMA!r}, got {record.get('schema')!r}",
-    )
-    _require(
-        _is_number(record.get("created_unix")),
-        "created_unix",
-        f"expected a unix timestamp, got {record.get('created_unix')!r}",
-    )
-    for field in ("scenario", "scheduler", "fingerprint"):
-        _require_name(record.get(field), field)
-    seed = record.get("seed")
-    _require(
-        isinstance(seed, int) and not isinstance(seed, bool),
-        "seed",
-        f"expected an integer seed, got {seed!r}",
-    )
-    verdict = record.get("verdict")
-    _require(
-        verdict in VERDICTS,
-        "verdict",
-        f"expected one of {VERDICTS}, got {verdict!r}",
-    )
-
-    properties = record.get("properties")
-    _require(
-        isinstance(properties, Mapping),
-        "properties",
-        f"expected an object, got {properties!r}",
-    )
-    for key in PROPERTY_KEYS:
-        mark = properties.get(key)
-        _require(
-            mark in PROPERTY_MARKS,
-            f"properties.{key}",
-            f"expected one of {PROPERTY_MARKS}, got {mark!r}",
+def _verdict_is_backed(record_: Mapping[str, Any]) -> None:
+    verdict, error = record_["verdict"], record_.get("error")
+    if verdict == "fail" and not record_["violations"]:
+        raise SchemaError(
+            "violations",
+            "a 'fail' verdict must name at least one violated property",
         )
-    unknown = sorted(set(properties) - set(PROPERTY_KEYS))
-    _require(
-        not unknown,
-        "properties",
-        f"unknown property keys {unknown}; known: {list(PROPERTY_KEYS)}",
-    )
-
-    violations = record.get("violations")
-    _require(
-        isinstance(violations, list),
-        "violations",
-        f"expected a list, got {violations!r}",
-    )
-    for index, name in enumerate(violations):
-        # built-in property keys or user-registered custom check names
-        _require_name(name, f"violations[{index}]")
-    _require(
-        verdict != "fail" or bool(violations),
-        "violations",
-        "a 'fail' verdict must name at least one violated property",
-    )
-
-    elapsed = record.get("elapsed_s")
-    _require(
-        _is_number(elapsed) and elapsed >= 0,
-        "elapsed_s",
-        f"expected a non-negative duration, got {elapsed!r}",
-    )
-
-    error = record.get("error")
     if verdict == "error":
-        _require_name(error, "error")
-    else:
-        _require(
-            error is None,
+        check_at("error", text, error)
+    elif error is not None:
+        raise SchemaError(
             "error",
             f"only 'error' verdicts carry an error message, got {error!r}",
         )
-    return record
+
+
+#: Validate one ``repro/audit-v1`` record; returns it unchanged.
+validate_audit_record = register(
+    AUDIT_SCHEMA,
+    {
+        "created_unix": number(),
+        "scenario": text,
+        "scheduler": text,
+        "fingerprint": text,
+        "seed": integer(),
+        "verdict": choice(*VERDICTS),
+        "properties": record(
+            {key: choice(*PROPERTY_MARKS) for key in PROPERTY_KEYS},
+            closed=True,
+        ),
+        # built-in property keys or user-registered custom check names
+        "violations": list_of(text),
+        "elapsed_s": number(ge=0),
+        "error": nullable(text),
+    },
+    _verdict_is_backed,
+)
 
 
 __all__ = [
@@ -155,6 +98,5 @@ __all__ = [
     "PROPERTY_KEYS",
     "PROPERTY_MARKS",
     "VERDICTS",
-    "AuditSchemaError",
     "validate_audit_record",
 ]

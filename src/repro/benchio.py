@@ -8,21 +8,10 @@ usually one backend or one warm/cold mode), written with
 :func:`write_bench_json` and stable enough to diff across commits or
 plot from CI artifacts.
 
-Schema (``repro/bench-v1``)::
-
-    {
-      "schema": "repro/bench-v1",
-      "benchmark": "warm_start",
-      "created_unix": 1722300000.0,
-      "run": {...},                        # environment provenance, see
-                                           # run_metadata(): git SHA,
-                                           # hostname, python, platform
-      "meta": {...},                       # free-form context
-      "rows": [
-        {"name": "steady/warm", "mean": 0.02, "p50": 0.02, "p95": 0.03,
-         "samples": 5, ...},               # extra keys pass through
-      ]
-    }
+The shape (``repro/bench-v1``) is specified, with an example, in
+:mod:`repro.benchledger.schema` — the one place it is written down.
+``run`` is :func:`run_metadata`'s environment provenance, ``meta`` is
+free-form context and extra row keys pass through.
 
 The ``run`` block is what makes records *comparable across runs* — two
 ``BENCH_*.json`` files can be diffed knowing whether they came from the
@@ -43,9 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.benchledger.schema import validate_record
-
-SCHEMA = "repro/bench-v1"
+from repro.benchledger.schema import BENCH_SCHEMA as SCHEMA, validate_record
 
 #: Environment variable overriding where ``BENCH_*.json`` files land.
 OUTPUT_DIR_ENV = "REPRO_BENCH_DIR"

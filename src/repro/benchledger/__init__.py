@@ -10,8 +10,8 @@ contract rather than a one-off table.
 
 The pieces:
 
-* :mod:`~repro.benchledger.schema` — stdlib validation of records and
-  ledger entries, on write *and* read;
+* :mod:`~repro.benchledger.schema` — the record and ledger-entry specs,
+  checked on write *and* read;
 * :mod:`~repro.benchledger.manifest` — machine/python/config
   provenance and the comparability rule;
 * :mod:`~repro.benchledger.run_id` — ``<sha12>-<manifest10>-<seq04>``
@@ -51,7 +51,6 @@ from repro.benchledger.ledger import (
     LEDGER_DIR_ENV,
     BaselineNotFound,
     BenchLedger,
-    LedgerError,
 )
 from repro.benchledger.manifest import Manifest, comparability
 from repro.benchledger.run_id import (
@@ -60,25 +59,19 @@ from repro.benchledger.run_id import (
     next_sequence,
     parse_run_id,
 )
-from repro.benchledger.schema import (
-    BenchSchemaError,
-    validate_entry,
-    validate_record,
-)
+from repro.benchledger.schema import validate_entry, validate_record
 
 __all__ = [
     "DEFAULT_LEDGER_DIR",
     "LEDGER_DIR_ENV",
     "BaselineNotFound",
     "BenchLedger",
-    "BenchSchemaError",
     "CompareReport",
     "FamilyComparison",
     "GateFailure",
     "GatePolicy",
     "GateResult",
     "GateThreshold",
-    "LedgerError",
     "Manifest",
     "MetricDelta",
     "NoiseFloor",

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.benchledger.manifest import Manifest, comparability
+from repro.fieldspec import is_number
 
 #: Wall-clock statistics (seconds): meaningful only on comparable
 #: provenance, and subject to the absolute noise floor.
@@ -162,10 +163,6 @@ class CompareReport:
         }
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def classify_delta(
     metric: str, base: float, current: float, noise: NoiseFloor
 ) -> MetricDelta:
@@ -203,10 +200,10 @@ def compare_rows(
     """Align one row pair on every shared numeric metric."""
     deltas = []
     for metric, base_value in base_row.items():
-        if metric in NON_METRIC_KEYS or not _is_number(base_value):
+        if metric in NON_METRIC_KEYS or not is_number(base_value):
             continue
         current_value = current_row.get(metric)
-        if not _is_number(current_value):
+        if not is_number(current_value):
             continue
         deltas.append(
             classify_delta(metric, base_value, current_value, noise)  # type: ignore[arg-type]

@@ -11,11 +11,8 @@ schema-validated on *both* write and read
 (:mod:`repro.benchledger.schema`), so a corrupt or hand-mangled line is
 caught with its file and line number, not downstream in a compare.
 
-Appends are atomic in the practical sense: each entry is serialized to
-a single line and written with one ``O_APPEND`` ``write(2)`` + fsync
-(the shared primitives in :mod:`repro.jsonlio`), so concurrent
-appenders interleave whole lines, never halves, and a crash leaves
-either the full new line or nothing.
+Appends are atomic whole lines (the :mod:`repro.jsonlio` write
+discipline, via the shared :class:`~repro.jsonlio.JsonlStore`).
 
 Layout::
 
@@ -26,15 +23,14 @@ Layout::
       ...
 
 ``$REPRO_LEDGER_DIR`` overrides where :meth:`BenchLedger.default`
-looks (the analogue of ``$REPRO_BENCH_DIR`` for the one-shot records);
-an *empty* value disables default-ledger discovery entirely, which the
-test suite uses to keep tier-1 runs from touching the committed ledger.
+looks (the analogue of ``$REPRO_BENCH_DIR`` for the one-shot records;
+semantics in :meth:`repro.jsonlio.JsonlStore.default`).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import jsonlio
 from repro.benchledger.manifest import Manifest
@@ -43,78 +39,32 @@ from repro.benchledger.run_id import (
     is_run_id,
     next_sequence,
 )
-from repro.benchledger.schema import (
-    LEDGER_SCHEMA,
-    validate_entry,
-    validate_record,
-)
+from repro.benchledger.schema import LEDGER_SCHEMA, validate_record
 
 #: Environment variable overriding the default ledger directory.
-#: Set to the empty string to disable default-ledger discovery.
 LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
 
 #: Default ledger location inside a repo checkout (relative to cwd).
 DEFAULT_LEDGER_DIR = os.path.join("benchmarks", "ledger")
 
 
-class LedgerError(RuntimeError):
-    """A ledger file that cannot be read (corrupt line, bad schema)."""
-
-
 class BaselineNotFound(LookupError):
     """A ``--compare`` base spec that resolves to no run in the ledger."""
 
 
-def _family_filename(family: str) -> str:
-    return jsonlio.safe_filename(family)
+class BenchLedger(jsonlio.JsonlStore):
+    """Append, read, and resolve runs in one ledger directory.
 
+    One stream per bench family; the ledger's own part is run-id minting
+    (:meth:`begin_run`, :meth:`append`) and :meth:`resolve_base`.
+    """
 
-class BenchLedger:
-    """Append, read, and resolve runs in one ledger directory."""
+    SCHEMA = LEDGER_SCHEMA
+    DIR_ENV = LEDGER_DIR_ENV
+    DEFAULT_DIR = DEFAULT_LEDGER_DIR
 
-    def __init__(self, root: str):
-        self.root = str(root)
-
-    @classmethod
-    def default(cls) -> Optional["BenchLedger"]:
-        """The conventional ledger for this invocation, if any.
-
-        ``$REPRO_LEDGER_DIR`` wins (empty value → ``None``, i.e. ledger
-        recording disabled); otherwise ``benchmarks/ledger`` relative to
-        the current directory — the committed location in a repo
-        checkout — when its parent ``benchmarks/`` exists.  Outside a
-        checkout there is no sensible default and callers must name a
-        directory explicitly.
-        """
-        if LEDGER_DIR_ENV in os.environ:
-            value = os.environ[LEDGER_DIR_ENV]
-            return cls(value) if value else None
-        if os.path.isdir(os.path.dirname(DEFAULT_LEDGER_DIR) or "."):
-            return cls(DEFAULT_LEDGER_DIR)
-        return None
-
-    # -- paths -----------------------------------------------------------
-
-    def path_for(self, family: str) -> str:
-        return os.path.join(self.root, _family_filename(family))
-
-    def families(self) -> List[str]:
-        """Bench families present, from the ``*.jsonl`` files on disk."""
-        return jsonlio.list_streams(self.root)
-
-    # -- reading ---------------------------------------------------------
-
-    def entries(self, family: str) -> List[Dict[str, object]]:
-        """All validated entries of one family, in append order."""
-        return jsonlio.read_jsonl(
-            self.path_for(family),
-            validate=validate_entry,
-            error_cls=LedgerError,
-        )
-
-    def all_entries(self) -> Iterator[Dict[str, object]]:
-        for family in self.families():
-            yield from self.entries(family)
+    families = jsonlio.JsonlStore.names
+    entries = jsonlio.JsonlStore.read
 
     def runs(self) -> Dict[str, List[Dict[str, object]]]:
         """``run_id -> entries``, ordered oldest run first.
@@ -124,7 +74,7 @@ class BenchLedger:
         in separate files, so no single file knows the global order.
         """
         grouped: Dict[str, List[Dict[str, object]]] = {}
-        for entry in self.all_entries():
+        for entry in self.read_all():
             grouped.setdefault(str(entry["run_id"]), []).append(entry)
 
         def run_key(item: Tuple[str, List[Dict[str, object]]]):
@@ -139,13 +89,13 @@ class BenchLedger:
 
     def entries_for_run(self, run_id: str) -> List[Dict[str, object]]:
         return [
-            entry for entry in self.all_entries()
+            entry for entry in self.read_all()
             if entry["run_id"] == run_id
         ]
 
     def existing_run_ids(self) -> List[str]:
         seen: Dict[str, None] = {}
-        for entry in self.all_entries():
+        for entry in self.read_all():
             seen.setdefault(str(entry["run_id"]))
         return list(seen)
 
@@ -180,18 +130,17 @@ class BenchLedger:
         if run_id is None:
             run_id = self.begin_run(manifest)
         family = str(record["benchmark"])
-        entry: Dict[str, object] = {
-            "schema": LEDGER_SCHEMA,
-            "run_id": run_id,
-            "family": family,
-            "manifest": manifest.to_mapping(),
-            "manifest_hash": manifest.hash(),
-            "record": dict(record),
-        }
-        validate_entry(entry)
-
-        jsonlio.append_jsonl(self.path_for(family), entry)
-        return entry
+        return self.append_entry(
+            family,
+            {
+                "schema": LEDGER_SCHEMA,
+                "run_id": run_id,
+                "family": family,
+                "manifest": manifest.to_mapping(),
+                "manifest_hash": manifest.hash(),
+                "record": dict(record),
+            },
+        )
 
     # -- resolving -------------------------------------------------------
 
@@ -286,5 +235,4 @@ __all__ = [
     "LEDGER_DIR_ENV",
     "BaselineNotFound",
     "BenchLedger",
-    "LedgerError",
 ]

@@ -24,7 +24,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
-from repro.benchledger.schema import BenchSchemaError
+from repro.benchledger.schema import MANIFEST_SPEC
+from repro.fieldspec import check_at
 
 #: Manifest fields that must match for wall-clock statistics from two
 #: runs to be meaningfully compared.  The git SHA is deliberately *not*
@@ -49,16 +50,7 @@ class Manifest:
     ) -> "Manifest":
         """Build from a ``repro/bench-v1`` record's ``run`` block."""
         run = record.get("run")
-        if not isinstance(run, Mapping):
-            raise BenchSchemaError("run", f"expected an object, got {run!r}")
-        missing = [
-            key for key in ("git_sha", "hostname", "python", "platform")
-            if not run.get(key)
-        ]
-        if missing:
-            raise BenchSchemaError(
-                f"run.{missing[0]}", "missing provenance field"
-            )
+        check_at("run", MANIFEST_SPEC, run)
         return cls(
             git_sha=str(run["git_sha"]),
             hostname=str(run["hostname"]),

@@ -1,40 +1,61 @@
-"""Validation for ``repro/bench-v1`` records and ``repro/ledger-v1`` entries.
+"""The ``repro/bench-v1`` record and ``repro/ledger-v1`` entry specs.
 
 Benchmark records used to be written with ``json.dump`` and read back
 with hope: a row missing its ``p50``, a stringly-typed ``mean``, or a
 typo'd schema tag was silently accepted and only exploded much later,
-inside a compare or a plot.  This module is the single chokepoint both
-:mod:`repro.benchio` (on write) and :mod:`repro.benchledger.ledger`
-(on write *and* read) route through, so a malformed record can never
-enter the trajectory.
-
-Validation is deliberately stdlib-only — no ``jsonschema`` dependency —
-and errors carry a JSON-pointer-ish ``path`` (``rows[3].p95``) so the
-offending field is one glance away.
+inside a compare or a plot.  The two :mod:`repro.fieldspec` tables
+here are the single chokepoint both :mod:`repro.benchio` (on write) and
+:mod:`repro.benchledger.ledger` (on write *and* read) route through, so
+a malformed record can never enter the trajectory; errors name the
+offending field (``rows[3].p95``).
 
 The two document shapes:
 
-``repro/bench-v1`` (one benchmark record, see :mod:`repro.benchio`)::
+``repro/bench-v1`` (one benchmark record, see :mod:`repro.benchio`;
+``meta`` is optional and extra row keys pass through)::
 
     {"schema": "repro/bench-v1", "benchmark": "gateway",
      "created_unix": 1722300000.0,
-     "run": {"git_sha": ..., "hostname": ..., "python": ...,
-             "platform": ..., "created_iso": ...},
-     "meta": {...},
-     "rows": [{"name": "pipeline/hot", "mean": ..., "p50": ...,
-               "p95": ..., "samples": 3, ...extras...}]}
+     "run": {"git_sha": "3a0f9c1d2e4b", "hostname": "ci-runner-4",
+             "python": "3.11.7", "platform": "Linux-x86_64",
+             "created_iso": "2024-07-30T00:40:00+00:00"},
+     "meta": {"instances": 64},
+     "rows": [{"name": "pipeline/hot", "mean": 0.0012, "p50": 0.0011,
+               "p95": 0.0019, "samples": 3, "speedup_vs_bare": 44.0}]}
 
 ``repro/ledger-v1`` (one ledger line, see
-:mod:`repro.benchledger.ledger`)::
+:mod:`repro.benchledger.ledger`; ``record`` is a whole valid
+``repro/bench-v1`` document whose ``benchmark`` equals ``family``)::
 
-    {"schema": "repro/ledger-v1", "run_id": "3a0f…-b1c2…-0007",
-     "family": "gateway", "manifest": {...}, "manifest_hash": "b1c2…",
-     "record": {…a valid repro/bench-v1 document…}}
+    {"schema": "repro/ledger-v1",
+     "run_id": "3a0f9c1d2e4b-b1c2d3e4f5-0007", "family": "gateway",
+     "manifest": {"git_sha": "3a0f9c1d2e4b", "hostname": "ci-runner-4",
+                  "python": "3.11.7", "platform": "Linux-x86_64",
+                  "config": {"source": "repro bench"}},
+     "manifest_hash": "b1c2d3e4f5a6",
+     "record": {"schema": "repro/bench-v1", "benchmark": "gateway",
+      "created_unix": 1722300000.0,
+      "run": {"git_sha": "3a0f9c1d2e4b", "hostname": "ci-runner-4",
+              "python": "3.11.7", "platform": "Linux-x86_64",
+              "created_iso": "2024-07-30T00:40:00+00:00"},
+      "rows": [{"name": "hot", "mean": 0.0012, "p50": 0.0011, "p95": 0.0019}]}}
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
+
+from repro.fieldspec import (
+    SchemaError,
+    check_at,
+    integer,
+    list_of,
+    nullable,
+    number,
+    record,
+    register,
+    text,
+)
 
 BENCH_SCHEMA = "repro/bench-v1"
 LEDGER_SCHEMA = "repro/ledger-v1"
@@ -43,187 +64,90 @@ LEDGER_SCHEMA = "repro/ledger-v1"
 #: (matches :func:`repro.benchio.run_metadata`).
 RUN_FIELDS = ("git_sha", "hostname", "python", "platform", "created_iso")
 
-#: Required statistics on every row.  ``samples`` is an int; the rest
-#: are finite non-negative numbers.  Extra row keys pass through
-#: unvalidated (they are benchmark-specific: speedups, hit counts, …).
+#: Required statistics on every row: finite non-negative numbers
+#: (``samples``, when present, is a non-negative int).  Extra row keys
+#: pass through unvalidated (they are benchmark-specific: speedups, hit
+#: counts, …).
 ROW_STATS = ("mean", "p50", "p95")
 
 #: Manifest fields (see :mod:`repro.benchledger.manifest`).
 MANIFEST_FIELDS = ("git_sha", "hostname", "python", "platform")
 
+#: A ledger entry's provenance block; also what ``Manifest.from_record``
+#: demands of a record's ``run`` block before lifting it into a manifest.
+MANIFEST_SPEC = record({field: text for field in MANIFEST_FIELDS})
 
-class BenchSchemaError(ValueError):
-    """A record or ledger entry that does not conform to its schema.
-
-    ``path`` points at the offending field (``rows[2].p50``,
-    ``run.git_sha``); ``str(exc)`` embeds it.
-    """
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}" if path else message)
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise BenchSchemaError(path, message)
-
-
-def _is_number(value: Any) -> bool:
-    # bool is an int subclass but "samples: true" is never a count
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _validate_number(value: Any, path: str) -> None:
-    _require(_is_number(value), path, f"expected a number, got {value!r}")
-    _require(value == value, path, "NaN is not a valid statistic")  # noqa: PLR0124
-    _require(value >= 0, path, f"negative timing statistic {value!r}")
+_ROW = record(
+    {
+        "name": text,
+        **{stat: number(ge=0) for stat in ROW_STATS},
+        "samples": nullable(integer(ge=0)),
+    }
+)
 
 
 def validate_row(row: Any, path: str = "rows[?]") -> None:
     """One benchmark row: ``name`` + mean/p50/p95 (+ integer samples)."""
-    _require(isinstance(row, Mapping), path, f"expected an object, got {row!r}")
-    name = row.get("name")
-    _require(
-        isinstance(name, str) and bool(name.strip()),
-        f"{path}.name",
-        f"every row needs a non-empty string name, got {name!r}",
-    )
-    for stat in ROW_STATS:
-        _require(stat in row, f"{path}.{stat}", "missing required statistic")
-        _validate_number(row[stat], f"{path}.{stat}")
-    samples = row.get("samples")
-    if samples is not None:
-        _require(
-            isinstance(samples, int) and not isinstance(samples, bool)
-            and samples >= 0,
-            f"{path}.samples",
-            f"expected a non-negative integer sample count, got {samples!r}",
-        )
+    check_at(path, _ROW, row)
 
 
-def validate_record(payload: Any) -> Any:
-    """Validate one ``repro/bench-v1`` document; returns it unchanged."""
-    _require(
-        isinstance(payload, Mapping), "", f"expected an object, got {payload!r}"
-    )
-    _require(
-        payload.get("schema") == BENCH_SCHEMA,
-        "schema",
-        f"expected {BENCH_SCHEMA!r}, got {payload.get('schema')!r}",
-    )
-    benchmark = payload.get("benchmark")
-    _require(
-        isinstance(benchmark, str) and bool(benchmark.strip()),
-        "benchmark",
-        f"expected a non-empty benchmark family name, got {benchmark!r}",
-    )
-    _require(
-        _is_number(payload.get("created_unix")),
-        "created_unix",
-        f"expected a unix timestamp, got {payload.get('created_unix')!r}",
-    )
-
-    run = payload.get("run")
-    _require(
-        isinstance(run, Mapping), "run", f"expected an object, got {run!r}"
-    )
-    for field in RUN_FIELDS:
-        value = run.get(field)
-        _require(
-            isinstance(value, str) and bool(value),
-            f"run.{field}",
-            f"expected a non-empty string, got {value!r}",
-        )
-
-    meta = payload.get("meta", {})
-    _require(
-        isinstance(meta, Mapping), "meta", f"expected an object, got {meta!r}"
-    )
-
-    rows = payload.get("rows")
-    _require(
-        isinstance(rows, list) and bool(rows),
-        "rows",
-        f"expected a non-empty list of rows, got {rows!r}",
-    )
+def _unique_row_names(payload: Mapping[str, Any]) -> None:
     names = set()
-    for index, row in enumerate(rows):
-        validate_row(row, f"rows[{index}]")
-        _require(
-            row["name"] not in names,
-            f"rows[{index}].name",
-            f"duplicate row name {row['name']!r} (rows align by name in "
-            "historical compares)",
-        )
+    for index, row in enumerate(payload["rows"]):
+        if row["name"] in names:
+            raise SchemaError(
+                f"rows[{index}].name",
+                f"duplicate row name {row['name']!r} (rows align by name in "
+                "historical compares)",
+            )
         names.add(row["name"])
-    return payload
 
 
-def validate_entry(entry: Any) -> Any:
-    """Validate one ``repro/ledger-v1`` line; returns it unchanged."""
-    _require(
-        isinstance(entry, Mapping), "", f"expected an object, got {entry!r}"
-    )
-    _require(
-        entry.get("schema") == LEDGER_SCHEMA,
-        "schema",
-        f"expected {LEDGER_SCHEMA!r}, got {entry.get('schema')!r}",
-    )
-    run_id = entry.get("run_id")
-    _require(
-        isinstance(run_id, str) and bool(run_id.strip()),
-        "run_id",
-        f"expected a non-empty run id, got {run_id!r}",
-    )
-    family = entry.get("family")
-    _require(
-        isinstance(family, str) and bool(family.strip()),
-        "family",
-        f"expected a non-empty bench family, got {family!r}",
-    )
-    manifest = entry.get("manifest")
-    _require(
-        isinstance(manifest, Mapping),
-        "manifest",
-        f"expected an object, got {manifest!r}",
-    )
-    for field in MANIFEST_FIELDS:
-        value = manifest.get(field)
-        _require(
-            isinstance(value, str) and bool(value),
-            f"manifest.{field}",
-            f"expected a non-empty string, got {value!r}",
+#: Validate one ``repro/bench-v1`` document; returns it unchanged.
+validate_record = register(
+    BENCH_SCHEMA,
+    {
+        "benchmark": text,
+        "created_unix": number(),
+        "run": record({field: text for field in RUN_FIELDS}),
+        "meta": record({}),
+        "rows": list_of(_ROW, non_empty=True),
+    },
+    _unique_row_names,
+    optional=("meta",),
+)
+
+
+def _family_is_the_records_benchmark(entry: Mapping[str, Any]) -> None:
+    if entry["record"]["benchmark"] != entry["family"]:
+        raise SchemaError(
+            "family",
+            f"family {entry['family']!r} does not match the record's "
+            f"benchmark {entry['record']['benchmark']!r}",
         )
-    manifest_hash = entry.get("manifest_hash")
-    _require(
-        isinstance(manifest_hash, str) and bool(manifest_hash),
-        "manifest_hash",
-        f"expected a hash string, got {manifest_hash!r}",
-    )
-    try:
-        validate_record(entry.get("record"))
-    except BenchSchemaError as exc:
-        raise BenchSchemaError(
-            f"record.{exc.path}" if exc.path else "record", exc.message
-        ) from None
-    _require(
-        entry["record"]["benchmark"] == family,
-        "family",
-        f"family {family!r} does not match the record's benchmark "
-        f"{entry['record']['benchmark']!r}",
-    )
-    return entry
+
+
+#: Validate one ``repro/ledger-v1`` line; returns it unchanged.
+validate_entry = register(
+    LEDGER_SCHEMA,
+    {
+        "run_id": text,
+        "family": text,
+        "manifest": MANIFEST_SPEC,
+        "manifest_hash": text,
+        "record": validate_record,
+    },
+    _family_is_the_records_benchmark,
+)
 
 
 __all__ = [
     "BENCH_SCHEMA",
     "LEDGER_SCHEMA",
     "MANIFEST_FIELDS",
+    "MANIFEST_SPEC",
     "ROW_STATS",
     "RUN_FIELDS",
-    "BenchSchemaError",
     "validate_entry",
     "validate_record",
     "validate_row",

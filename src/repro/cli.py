@@ -217,7 +217,6 @@ def cmd_list_scenarios(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Replay one named scenario under one or more schedulers."""
-    from repro.exceptions import UnknownTraceError
     from repro.scenarios import (
         ScenarioRunner,
         make_scenario,
@@ -225,13 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sweep_summary,
     )
 
-    try:
-        scenario = make_scenario(
-            args.scenario, seed=args.seed, rounds=args.rounds
-        )
-    except UnknownTraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = make_scenario(args.scenario, seed=args.seed, rounds=args.rounds)
     warm = not args.cold
     rows = []
     warm_notes = []
@@ -272,22 +265,14 @@ def cmd_fleet_sim(args: argparse.Namespace) -> int:
     import os
     import tempfile
 
-    from repro.exceptions import UnknownTraceError, ValidationError
     from repro.fleet import FleetSimulator, resolve_fleet_scenario
 
-    try:
-        fleet = resolve_fleet_scenario(
-            args.scenario,
-            seed=args.seed,
-            regions=args.regions,
-            rounds=args.rounds,
-        )
-    except UnknownTraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fleet = resolve_fleet_scenario(
+        args.scenario,
+        seed=args.seed,
+        regions=args.regions,
+        rounds=args.rounds,
+    )
 
     metrics_path = args.metrics
     if metrics_path is None:
@@ -334,26 +319,19 @@ def cmd_ingest_trace(args: argparse.Namespace) -> int:
     """Normalize one external trace file into the trace store."""
     import os
 
-    from repro.exceptions import TraceFormatError
     from repro.traces import TraceStore, ingest_file
 
-    try:
-        records = ingest_file(args.file, fmt=args.format)
-        store = (
-            TraceStore(args.store) if args.store else TraceStore.default()
+    records = ingest_file(args.file, fmt=args.format)
+    store = TraceStore(args.store) if args.store else TraceStore.default()
+    if store is None:
+        print(
+            "error: no trace store configured; pass --store or set "
+            "$REPRO_TRACE_DIR",
+            file=sys.stderr,
         )
-        if store is None:
-            print(
-                "error: no trace store configured; pass --store or set "
-                "$REPRO_TRACE_DIR",
-                file=sys.stderr,
-            )
-            return 2
-        name = args.name or os.path.splitext(os.path.basename(args.file))[0]
-        path = store.save(name, records)
-    except TraceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
+    name = args.name or os.path.splitext(os.path.basename(args.file))[0]
+    path = store.save(name, records)
     print(f"ingested {len(records)} jobs from {args.file} -> {path}")
     print(f"replay with: repro simulate --scenario trace:{name}")
     return 0
@@ -625,7 +603,6 @@ def _bench_ledger_and_compare(args: argparse.Namespace, records) -> int:
         BaselineNotFound,
         BenchLedger,
         GatePolicy,
-        LedgerError,
         Manifest,
         apply_gates,
         compare_runs,
@@ -656,16 +633,12 @@ def _bench_ledger_and_compare(args: argparse.Namespace, records) -> int:
         "schedulers": list(args.schedulers),
         "repeat": max(1, args.repeat),
     }
-    try:
-        manifest = Manifest.from_record(records[0], config=config)
-        run_id = ledger.begin_run(manifest)
-        entries = [
-            ledger.append(record, run_id=run_id, config=config)
-            for record in records
-        ]
-    except LedgerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    manifest = Manifest.from_record(records[0], config=config)
+    run_id = ledger.begin_run(manifest)
+    entries = [
+        ledger.append(record, run_id=run_id, config=config)
+        for record in records
+    ]
     print(f"ledger: appended run {run_id} -> {ledger.root}")
     if args.compare is None:
         return 0
@@ -677,9 +650,6 @@ def _bench_ledger_and_compare(args: argparse.Namespace, records) -> int:
             # a fresh ledger's first run has nothing to regress against
             print(f"compare: {exc}; recorded the baseline instead")
             return 0
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -716,7 +686,6 @@ def cmd_audit_report(args: argparse.Namespace) -> int:
     from repro.auditor import (
         UNFAIR_SCHEDULER,
         AuditLedger,
-        AuditLedgerError,
         confirmed_violations,
         injected_unfair_scheduler,
         replay_audit,
@@ -753,11 +722,7 @@ def cmd_audit_report(args: argparse.Namespace) -> int:
         else:
             records = replay_audit(scenarios, schedulers, **replay_kwargs)
     else:
-        try:
-            records = ledger.all_records()
-        except AuditLedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        records = ledger.all_records()
         if args.scenarios:
             records = [r for r in records if r["scenario"] in set(args.scenarios)]
         if args.schedulers:
@@ -1272,9 +1237,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; any :class:`ReproError` (bad input, unknown name,
+    corrupt ledger or trace line) ends as ``error: …`` and exit 2."""
+    from repro.exceptions import ReproError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

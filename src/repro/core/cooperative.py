@@ -371,7 +371,15 @@ class CooperativeOEF(Allocator):
         seeds: List[Tuple[int, int]],
         tol: float,
     ) -> Optional[np.ndarray]:
-        """Per-round cold solves — the portable cutting-plane loop."""
+        """Per-round cold solves — the portable cutting-plane loop.
+
+        Kept beside the incremental session because it is the *only*
+        cutting-plane driver for ``backend="simplex"`` and for scipy
+        1.10–1.14 (no ``_highspy._core``; pyproject still allows them).
+        At 300x10 the incremental session takes 1.37 s, this loop 7.47 s
+        and the full O(n²) program 26.6 s (100x8: 0.086 / 0.308 /
+        0.424 s): falling through to ``_solve_full`` would lose 3.5x.
+        """
         speedups = instance.speedups.values
         num_users, num_types = speedups.shape
         capacity = _capacity_rows(num_users, num_types)

@@ -52,6 +52,23 @@ class ValidationError(ReproError):
     """User-supplied data (speedup matrices, cluster specs) is invalid."""
 
 
+class SchemaError(ValidationError):
+    """A schema-tagged JSON record, or a line of a JSONL stream, is malformed.
+
+    The one error every record family raises (:mod:`repro.fieldspec`).
+    ``path`` is the JSON-pointer-ish offending field (``rows[2].p50``),
+    or ``file:lineno`` when a stored line fails on read.
+    """
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        self.message = message
+        super().__init__(f"{path}: {message}" if path else message)
+
+    def __reduce__(self):  # two-argument constructor: keep it picklable
+        return (type(self), (self.path, self.message))
+
+
 class RegistrationError(ReproError):
     """A scheduler was registered incorrectly (duplicate name or alias)."""
 

@@ -53,7 +53,6 @@ from repro.fleet.scenario import (
 )
 from repro.fleet.schema import (
     FLEETMETRICS_SCHEMA,
-    FleetSchemaError,
     validate_fleet_record,
 )
 from repro.fleet.simulator import (
@@ -70,7 +69,6 @@ __all__ = [
     "FleetMetricsWriter",
     "FleetResult",
     "FleetScenario",
-    "FleetSchemaError",
     "FleetScript",
     "FleetSimulator",
     "QUOTA_WEIGHT_DENOMINATOR",

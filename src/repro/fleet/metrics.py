@@ -23,11 +23,8 @@ import numpy as np
 
 from repro import jsonlio
 from repro.core.analysis import jain_index
-from repro.fleet.schema import (
-    FLEETMETRICS_SCHEMA,
-    FleetSchemaError,
-    validate_fleet_record,
-)
+from repro.exceptions import SchemaError
+from repro.fleet.schema import FLEETMETRICS_SCHEMA, validate_fleet_record
 from repro.scenarios.runner import ScenarioRoundRecord
 
 
@@ -97,9 +94,7 @@ def read_fleet_metrics(path: str) -> List[Dict[str, object]]:
     the deterministic view every consumer (aggregator, tests, CLI)
     works from.
     """
-    records = jsonlio.read_jsonl(
-        path, validate=validate_fleet_record, error_cls=FleetSchemaError
-    )
+    records = jsonlio.read_jsonl(path, FLEETMETRICS_SCHEMA)
     records.sort(key=lambda r: (str(r["region"]), int(r["round"])))  # type: ignore[index]
     return records
 
@@ -117,7 +112,7 @@ class WindowAggregator:
 
     def __init__(self, window_rounds: int = 6):
         if window_rounds < 1:
-            raise FleetSchemaError("window_rounds", "must be >= 1")
+            raise SchemaError("window_rounds", "must be >= 1")
         self.window_rounds = int(window_rounds)
         self._windows: Dict[int, Dict[str, object]] = {}
 

@@ -11,80 +11,37 @@ plus the routing facts a reader needs to regroup an interleaved stream
      "round": 3, "time": 900.0, "active_tenants": 4,
      "total_throughput": 21.7, "utilization": 0.92, "jain": 0.98,
      "envy": 0.05, "starved_jobs": 0}
-
-Validation is stdlib-only and reports JSON-pointer-ish paths, the same
-idiom as the bench and audit schemas.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.exceptions import ValidationError
+from repro.fieldspec import integer, number, register, text
 
 #: Schema tag carried by every streamed fleet-round record.
 FLEETMETRICS_SCHEMA = "repro/fleetmetrics-v1"
 
+_COUNT = integer(ge=0)
+_AMOUNT = number(ge=0)
+_UNIT_INTERVAL = number(ge=0, le=1)
 
-class FleetSchemaError(ValidationError):
-    """A fleet metrics record that violates ``repro/fleetmetrics-v1``."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise FleetSchemaError(path, message)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def validate_fleet_record(record: Mapping[str, object]) -> None:
-    """Reject anything that is not a well-formed fleet-round record."""
-    _require(isinstance(record, Mapping), "$", "record must be an object")
-    _require(
-        record.get("schema") == FLEETMETRICS_SCHEMA,
-        "schema",
-        f"must be {FLEETMETRICS_SCHEMA!r}, got {record.get('schema')!r}",
-    )
-    for key in ("fleet", "region", "scheduler"):
-        value = record.get(key)
-        _require(
-            isinstance(value, str) and value != "",
-            key,
-            "must be a non-empty string",
-        )
-    _require(_is_int(record.get("seed")), "seed", "must be an integer")
-    for key in ("round", "active_tenants", "starved_jobs"):
-        value = record.get(key)
-        _require(
-            _is_int(value) and value >= 0,  # type: ignore[operator]
-            key,
-            "must be an integer >= 0",
-        )
-    for key in ("time", "total_throughput", "utilization"):
-        value = record.get(key)
-        _require(
-            _is_number(value) and float(value) >= 0.0,  # type: ignore[arg-type]
-            key,
-            "must be a number >= 0",
-        )
-    for key in ("jain", "envy"):
-        value = record.get(key)
-        _require(
-            _is_number(value)
-            and 0.0 <= float(value) <= 1.0,  # type: ignore[arg-type]
-            key,
-            "must be a number in [0, 1]",
-        )
+#: Reject anything that is not a well-formed fleet-round record.
+validate_fleet_record = register(
+    FLEETMETRICS_SCHEMA,
+    {
+        "fleet": text,
+        "region": text,
+        "seed": integer(),
+        "scheduler": text,
+        "round": _COUNT,
+        "time": _AMOUNT,
+        "active_tenants": _COUNT,
+        "total_throughput": _AMOUNT,
+        "utilization": _AMOUNT,
+        "jain": _UNIT_INTERVAL,
+        "envy": _UNIT_INTERVAL,
+        "starved_jobs": _COUNT,
+    },
+)
 
 
-__all__ = ["FLEETMETRICS_SCHEMA", "FleetSchemaError", "validate_fleet_record"]
+__all__ = ["FLEETMETRICS_SCHEMA", "validate_fleet_record"]

@@ -1,12 +1,11 @@
-"""Shared append-only JSONL primitives for the repo's ledgers and sinks.
+"""The one JSONL layer under the repo's ledgers, stores and sinks.
 
-Three subsystems keep durable state as schema-validated JSONL streams:
-the benchmark ledger (:mod:`repro.benchledger.ledger`), the audit
-ledger (:mod:`repro.auditor.ledger`), and the fleet metrics sink
-(:mod:`repro.fleet.metrics`).  They used to each carry a private copy
-of the same three helpers; this module is the single home for them.
+Four subsystems keep durable state as schema-validated JSONL streams:
+the benchmark ledger, the audit ledger and the trace store
+(directories of streams: :class:`JsonlStore`), and the fleet metrics
+sink (:mod:`repro.fleet.metrics`, one file, the same primitives).
 
-The write discipline is shared by all three: each entry is serialized
+The write discipline is shared by all four: each entry is serialized
 to one line and written with a single ``O_APPEND`` ``write(2)``
 followed by ``fsync``, so concurrent appenders interleave whole lines,
 never halves, and a crash leaves either the full new line or nothing.
@@ -16,28 +15,21 @@ lands as one contiguous block of whole lines and costs one fsync
 instead of one per line (the fleet sink's per-window flush relies on
 this to keep streaming cheap).
 
-Reads validate every line and report failures with ``{path}:{lineno}``
-so a corrupt or hand-mangled line is caught where it lives, not
-downstream in a compare or aggregate.
+Reads validate every line against its schema tag's spec
+(:mod:`repro.fieldspec`) and report failures as a
+:class:`~repro.exceptions.SchemaError` whose ``path`` is
+``{file}:{lineno}``, so a corrupt or hand-mangled line is caught where
+it lives, not downstream in a compare or aggregate.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Type,
-)
+from typing import Dict, Iterable, List, Mapping, Optional
 
-
-class JsonlError(RuntimeError):
-    """A JSONL file that cannot be read (corrupt line, bad schema)."""
+from repro import fieldspec
+from repro.exceptions import SchemaError
 
 
 def safe_filename(name: str, suffix: str = ".jsonl") -> str:
@@ -73,15 +65,10 @@ def _append_bytes(path: str, data: bytes) -> None:
         os.close(fd)
 
 
-def append_jsonl(path: str, entry: Mapping[str, object]) -> None:
-    """Atomically append one entry: one line, one write, one fsync."""
-    _append_bytes(path, dump_line(entry))
-
-
 def append_jsonl_lines(
     path: str, entries: Iterable[Mapping[str, object]]
 ) -> int:
-    """Append a batch of entries with a single write + fsync.
+    """Atomically append a batch of entries: one write, one fsync.
 
     Returns the number of entries written.  An empty batch touches
     nothing (no file is created).
@@ -94,17 +81,17 @@ def append_jsonl_lines(
 
 
 def read_jsonl(
-    path: str,
-    validate: Optional[Callable[[Mapping[str, object]], None]] = None,
-    error_cls: Type[Exception] = JsonlError,
+    path: str, schema: Optional[str] = None
 ) -> List[Dict[str, object]]:
-    """All validated entries of one stream, in append order.
+    """All entries of one stream, in append order.
 
-    A missing file reads as the empty stream.  Blank lines are skipped
-    (a crash mid-write can leave a trailing newline).  A line that is
-    not valid JSON, or that ``validate`` rejects, raises ``error_cls``
-    with the offending ``{path}:{lineno}`` so the bad line can be found
-    and excised by hand.
+    ``schema`` is the registry tag (:func:`repro.fieldspec.register`)
+    every line must validate against; ``None`` reads untyped lines.  A
+    missing file reads as the empty stream.  Blank lines are skipped (a
+    crash mid-write can leave a trailing newline).  A line that is not
+    valid JSON (a torn last line included), or that its schema rejects,
+    raises :class:`SchemaError` at ``{path}:{lineno}`` so the bad line
+    can be found and excised by hand.
     """
     if not os.path.exists(path):
         return []
@@ -116,14 +103,14 @@ def read_jsonl(
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise error_cls(
-                    f"{path}:{lineno}: not valid JSON ({exc})"
+                raise SchemaError(
+                    f"{path}:{lineno}", f"not valid JSON ({exc})"
                 ) from None
-            if validate is not None:
+            if schema is not None:
                 try:
-                    validate(entry)
-                except Exception as exc:
-                    raise error_cls(f"{path}:{lineno}: {exc}") from None
+                    fieldspec.validate(schema, entry)
+                except SchemaError as exc:
+                    raise SchemaError(f"{path}:{lineno}", str(exc)) from None
             entries.append(entry)
     return entries
 
@@ -139,9 +126,69 @@ def list_streams(root: str, suffix: str = ".jsonl") -> List[str]:
     )
 
 
+class JsonlStore:
+    """A directory of ``<name>.jsonl`` streams holding one schema's records.
+
+    A subclass names its ``SCHEMA`` tag — every line is validated
+    against it before bytes land on append and per line on read — and,
+    for :meth:`default` discovery, its ``DIR_ENV`` variable and (if it
+    has a conventional location) ``DEFAULT_DIR``.
+    """
+
+    SCHEMA: str
+    DIR_ENV: str
+    DEFAULT_DIR: Optional[str] = None
+
+    def __init__(self, root: str):
+        self.root = str(root)
+
+    @classmethod
+    def default(cls):
+        """The conventional store for this invocation, or ``None``.
+
+        ``$DIR_ENV`` wins, and an *empty* value disables discovery
+        entirely (tier-1 test isolation — see ``tests/conftest.py``).
+        Otherwise ``DEFAULT_DIR`` relative to the current directory,
+        when the directory that would hold it exists (for
+        ``benchmarks/ledger``: inside a repo checkout); failing both,
+        callers must name a directory explicitly.
+        """
+        if cls.DIR_ENV in os.environ:
+            value = os.environ[cls.DIR_ENV]
+            return cls(value) if value else None
+        if cls.DEFAULT_DIR and os.path.isdir(
+            os.path.dirname(cls.DEFAULT_DIR) or "."
+        ):
+            return cls(cls.DEFAULT_DIR)
+        return None
+
+    def path_for(self, name: str) -> str:
+        return os.path.join(self.root, safe_filename(name))
+
+    def names(self) -> List[str]:
+        """Stream names present, from the ``*.jsonl`` files on disk."""
+        return list_streams(self.root)
+
+    def read(self, name: str) -> List[Dict[str, object]]:
+        """All validated entries of one stream, in append order."""
+        return read_jsonl(self.path_for(name), self.SCHEMA)
+
+    def read_all(self) -> List[Dict[str, object]]:
+        """Every stream's entries, streams in name order."""
+        return [entry for name in self.names() for entry in self.read(name)]
+
+    def append_entry(
+        self, name: str, entry: Mapping[str, object]
+    ) -> Dict[str, object]:
+        """Validate, then atomically append one entry; returns it."""
+        fieldspec.validate(self.SCHEMA, entry)
+        entry = dict(entry)
+        append_jsonl_lines(self.path_for(name), [entry])
+        return entry
+
+
 __all__ = [
-    "JsonlError",
-    "append_jsonl",
+    "JsonlStore",
     "append_jsonl_lines",
     "dump_line",
     "list_streams",

@@ -24,9 +24,10 @@ Endpoints (see ``docs/server.md`` for the full wire reference):
 ``GET /metrics``             server counters, per-shard cache/admission stats
 ===========================  ================================================
 
-Schema validation is strict: unknown fields are rejected with a typed
-error payload (``{"error": {"code": ..., "message": ...}}``) rather than
-silently ignored, so client typos (``sheduler``) fail loudly.
+Each request body is one :mod:`repro.fieldspec` table.  Validation is
+strict: unknown fields are rejected with a typed error payload
+(``{"error": {"code": ..., "message": ...}}``) rather than silently
+ignored, so client typos (``sheduler``) fail loudly.
 """
 
 from __future__ import annotations
@@ -39,7 +40,15 @@ from repro.core.serialization import (
     allocation_to_dict,
     instance_from_dict,
 )
-from repro.exceptions import ReproError, ValidationError
+from repro.exceptions import ReproError, SchemaError
+from repro.fieldspec import (
+    instance_of,
+    integer,
+    list_of,
+    nullable,
+    number,
+    record,
+)
 from repro.gateway import Request, Response, deadline_in, instance_fingerprint
 from repro.registry import SchedulerRegistry
 
@@ -93,34 +102,71 @@ def parse_json(body: bytes) -> Dict[str, object]:
     return payload
 
 
-# -- solve ------------------------------------------------------------------
-_SOLVE_FIELDS = {
-    "instance", "scheduler", "options", "priority", "deadline_in",
-    "use_cache",
+# -- request bodies -----------------------------------------------------------
+_OBJECT = record({})
+_STRING = instance_of(str, "a string")
+_COUNT = integer(ge=0)
+
+_SOLVE = record(
+    {
+        "instance": _OBJECT,  # repro/instance-v1, decoded by _parse_instance
+        "scheduler": _STRING,
+        "options": _OBJECT,
+        "priority": integer(),
+        "deadline_in": number(ge=0),  # seconds from now
+        "use_cache": instance_of(bool, "a boolean"),
+    },
+    optional=("scheduler", "options", "priority", "deadline_in", "use_cache"),
+    closed=True,
+)
+_BATCH = record({"requests": list_of(_OBJECT, non_empty=True)}, closed=True)
+_AUDIT = record(
+    {
+        "instance": _OBJECT,
+        "scheduler": _STRING,
+        "sp_trials": _COUNT,
+        "seed": _COUNT,
+    },
+    optional=("scheduler", "sp_trials", "seed"),
+    closed=True,
+)
+_COMPARE = record(
+    {"instance": _OBJECT, "schedulers": nullable(list_of(_STRING))},
+    closed=True,
+)
+
+#: Wire codes that are not ``bad-<field>``.  ``""`` is the body itself:
+#: bodies and batch items are already objects, so only unknown keys fail it.
+_CODES = {
+    "": "unknown-field",
+    "instance": "missing-instance",
+    "deadline_in": "bad-deadline",
+    "requests": "bad-batch",
 }
 
 
-def _check_fields(payload: Mapping[str, object], allowed: set, where: str) -> None:
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ProtocolError(
-            400, "unknown-field",
-            f"unknown field(s) in {where}: {', '.join(unknown)} "
-            f"(allowed: {', '.join(sorted(allowed))})",
-        )
-
-
-def _parse_instance(payload: Mapping[str, object], where: str):
-    raw = payload.get("instance")
-    if not isinstance(raw, dict):
-        raise ProtocolError(
-            400, "missing-instance",
-            f"{where} needs an 'instance' object (repro/instance-v1)",
-        )
+def _check(spec, payload: Mapping[str, object], where: str) -> None:
+    """Run one body spec; a rejection becomes the field's typed 400."""
     try:
-        return instance_from_dict(raw)
-    except (ValidationError, ReproError, TypeError, ValueError) as exc:
+        spec(payload)
+    except SchemaError as exc:
+        field = exc.path.split("[")[0].split(".")[0]
+        code = _CODES.get(field) or "bad-" + field.replace("_", "-")
+        raise ProtocolError(400, code, f"{where}: {exc}") from None
+
+
+def _parse_instance(payload: Mapping[str, object]):
+    try:
+        return instance_from_dict(payload["instance"])
+    except (ReproError, TypeError, ValueError) as exc:
         raise ProtocolError(400, "bad-instance", str(exc)) from exc
+
+
+def _resolve(registry: SchedulerRegistry, name: str) -> str:
+    try:
+        return registry.resolve(name)
+    except ReproError as exc:
+        raise ProtocolError(400, "unknown-scheduler", str(exc)) from exc
 
 
 def parse_solve(
@@ -135,48 +181,18 @@ def parse_solve(
     layer — shard pool, gateway stages — shares one identity without
     re-hashing.
     """
-    _check_fields(payload, _SOLVE_FIELDS, where)
-    instance = _parse_instance(payload, where)
-
-    scheduler = payload.get("scheduler", "oef-coop")
-    if not isinstance(scheduler, str):
-        raise ProtocolError(400, "bad-scheduler", "'scheduler' must be a string")
-    try:
-        scheduler = registry.resolve(scheduler)
-    except ReproError as exc:
-        raise ProtocolError(400, "unknown-scheduler", str(exc)) from exc
-
-    options = payload.get("options", {})
-    if not isinstance(options, dict):
-        raise ProtocolError(400, "bad-options", "'options' must be an object")
-
-    priority = payload.get("priority", 0)
-    if not isinstance(priority, int) or isinstance(priority, bool):
-        raise ProtocolError(400, "bad-priority", "'priority' must be an integer")
-
-    use_cache = payload.get("use_cache", True)
-    if not isinstance(use_cache, bool):
-        raise ProtocolError(400, "bad-use-cache", "'use_cache' must be a boolean")
-
+    _check(_SOLVE, payload, where)
+    instance = _parse_instance(payload)
     deadline = None
     if "deadline_in" in payload:
-        raw_deadline = payload["deadline_in"]
-        if not isinstance(raw_deadline, (int, float)) or isinstance(
-            raw_deadline, bool
-        ) or raw_deadline < 0:
-            raise ProtocolError(
-                400, "bad-deadline",
-                "'deadline_in' must be a non-negative number of seconds",
-            )
-        deadline = deadline_in(float(raw_deadline))
-
+        deadline = deadline_in(float(payload["deadline_in"]))
     return Request(
         instance=instance,
-        scheduler=scheduler,
-        options=options,
-        priority=priority,
+        scheduler=_resolve(registry, payload.get("scheduler", "oef-coop")),
+        options=payload.get("options", {}),
+        priority=payload.get("priority", 0),
         deadline=deadline,
-        use_cache=use_cache,
+        use_cache=payload.get("use_cache", True),
         fingerprint=instance_fingerprint(instance),
     )
 
@@ -185,75 +201,43 @@ def parse_batch(
     payload: Mapping[str, object], registry: SchedulerRegistry
 ) -> List[Request]:
     """Validate a ``/solve_batch`` body into an ordered request list."""
-    _check_fields(payload, {"requests"}, "batch request")
-    items = payload.get("requests")
-    if not isinstance(items, list) or not items:
-        raise ProtocolError(
-            400, "bad-batch", "'requests' must be a non-empty array"
-        )
+    _check(_BATCH, payload, "batch request")
+    items = payload["requests"]
     if len(items) > MAX_BATCH_ITEMS:
         raise ProtocolError(
             413, "batch-too-large",
             f"{len(items)} items exceed the {MAX_BATCH_ITEMS}-item bound",
         )
-    requests = []
-    for index, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ProtocolError(
-                400, "bad-batch", f"requests[{index}] must be an object"
-            )
-        requests.append(parse_solve(item, registry, where=f"requests[{index}]"))
-    return requests
+    return [
+        parse_solve(item, registry, where=f"requests[{index}]")
+        for index, item in enumerate(items)
+    ]
 
 
 # -- audit / compare --------------------------------------------------------
-_AUDIT_FIELDS = {"instance", "scheduler", "sp_trials", "seed"}
-
-
 def parse_audit(
     payload: Mapping[str, object], registry: SchedulerRegistry
 ) -> Tuple[Any, str, int, int]:
     """``(instance, scheduler, sp_trials, seed)`` for ``/audit``."""
-    _check_fields(payload, _AUDIT_FIELDS, "audit request")
-    instance = _parse_instance(payload, "audit request")
-    scheduler = payload.get("scheduler", "oef-coop")
-    if not isinstance(scheduler, str):
-        raise ProtocolError(400, "bad-scheduler", "'scheduler' must be a string")
-    try:
-        scheduler = registry.resolve(scheduler)
-    except ReproError as exc:
-        raise ProtocolError(400, "unknown-scheduler", str(exc)) from exc
-    sp_trials = payload.get("sp_trials", 4)
-    seed = payload.get("seed", 0)
-    for name, value in (("sp_trials", sp_trials), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ProtocolError(
-                400, f"bad-{name.replace('_', '-')}",
-                f"'{name}' must be a non-negative integer",
-            )
-    return instance, scheduler, sp_trials, seed
+    _check(_AUDIT, payload, "audit request")
+    return (
+        _parse_instance(payload),
+        _resolve(registry, payload.get("scheduler", "oef-coop")),
+        payload.get("sp_trials", 4),
+        payload.get("seed", 0),
+    )
 
 
 def parse_compare(
     payload: Mapping[str, object], registry: SchedulerRegistry
 ) -> Tuple[Any, Optional[List[str]]]:
     """``(instance, scheduler names or None)`` for ``/compare``."""
-    _check_fields(payload, {"instance", "schedulers"}, "compare request")
-    instance = _parse_instance(payload, "compare request")
+    _check(_COMPARE, payload, "compare request")
+    instance = _parse_instance(payload)
     names = payload.get("schedulers")
     if names is None:
         return instance, None
-    if not isinstance(names, list) or not all(
-        isinstance(name, str) for name in names
-    ):
-        raise ProtocolError(
-            400, "bad-schedulers", "'schedulers' must be an array of strings"
-        )
-    try:
-        resolved = [registry.resolve(name) for name in names]
-    except ReproError as exc:
-        raise ProtocolError(400, "unknown-scheduler", str(exc)) from exc
-    return instance, resolved
+    return instance, [_resolve(registry, name) for name in names]
 
 
 # -- responses --------------------------------------------------------------

@@ -123,12 +123,12 @@ class LinearProgram:
         self._constraints: List[Constraint] = []
         self._matrix_blocks: List[_MatrixBlock] = []
         self._objective: Optional[_Objective] = None
-        # compiled StandardForms per sparse_always flag; cleared on any
-        # model mutation so solve() never re-assembles an unchanged program
-        self._compiled: dict = {}
+        # the compiled StandardForm; cleared on any model mutation so
+        # solve() never re-assembles an unchanged program
+        self._compiled: Optional[StandardForm] = None
 
     def _invalidate(self) -> None:
-        self._compiled.clear()
+        self._compiled = None
 
     # -- variables --------------------------------------------------------
     @property
@@ -239,23 +239,16 @@ class LinearProgram:
         self._invalidate()
 
     # -- compile ------------------------------------------------------------
-    def compile(self, *, sparse_always: bool = False) -> StandardForm:
+    def compile(self) -> StandardForm:
         """Assemble the minimisation standard form for the backends.
-
-        ``sparse_always=True`` keeps the constraint systems as scipy
-        sparse matrices regardless of the ``_DENSE_CELL_LIMIT``
-        densification heuristic — the right call for structurally sparse
-        programs (the OEF envy systems) that happen to fall under the
-        cell limit.
 
         Compilation is memoised: repeated calls on an unchanged program
         (e.g. ``solve()`` on every warm round) return the same
         :class:`StandardForm` without re-assembly.  Any mutation —
         new variable, constraint, or objective — invalidates the cache.
         """
-        cached = self._compiled.get(sparse_always)
-        if cached is not None:
-            return cached
+        if self._compiled is not None:
+            return self._compiled
         if self._objective is None:
             raise ModelError("no objective set; call set_objective() first")
         num_vars = self.num_variables
@@ -316,10 +309,7 @@ class LinearProgram:
                 return None, None
             matrix = sparse.vstack([piece for piece, _rhs in pieces], format="csr")
             rhs = np.concatenate([rhs for _piece, rhs in pieces])
-            if (
-                not sparse_always
-                and matrix.shape[0] * matrix.shape[1] <= _DENSE_CELL_LIMIT
-            ):
+            if matrix.shape[0] * matrix.shape[1] <= _DENSE_CELL_LIMIT:
                 return matrix.toarray(), rhs
             return matrix, rhs
 
@@ -337,13 +327,11 @@ class LinearProgram:
             maximise=self._objective.maximise,
             offset=offset,
         )
-        self._compiled[sparse_always] = form
+        self._compiled = form
         return form
 
     # -- solve ---------------------------------------------------------------
-    def solve(
-        self, backend: str = "auto", warm_start=None, *, sparse_always: bool = False
-    ) -> Solution:
+    def solve(self, backend: str = "auto", warm_start=None) -> Solution:
         """Compile and solve; returns a :class:`Solution`.
 
         ``backend`` is ``"scipy"``, ``"simplex"`` or ``"auto"``.  ``auto``
@@ -362,7 +350,7 @@ class LinearProgram:
         which path produced the result, and ``solution.warm_state``
         carries this solve's own evidence forward.
         """
-        form = self.compile(sparse_always=sparse_always)
+        form = self.compile()
         return solve_form(
             form,
             backend=backend,
@@ -408,8 +396,6 @@ def solve_form(
     else:
         if backend == "scipy":
             solver = ScipyBackend()
-        elif backend == "scipy-ipm":
-            solver = ScipyBackend(method="highs-ipm")
         elif backend == "simplex":
             solver = SimplexBackend()
         else:

@@ -33,9 +33,6 @@ from repro.solver.warm import (
 class ScipyBackend:
     """Solve a :class:`StandardForm` with HiGHS; returns the variable vector."""
 
-    def __init__(self, method: str = "highs"):
-        self.method = method
-
     def solve(
         self, form: StandardForm, warm_start: Optional[WarmStartState] = None
     ) -> np.ndarray:
@@ -63,7 +60,7 @@ class ScipyBackend:
             A_eq=form.a_eq,
             b_eq=form.b_eq,
             bounds=form.bounds,
-            method=self.method,
+            method="highs",
         )
         if result.status == 2:
             raise InfeasibleError(f"linear program infeasible: {result.message}")
@@ -91,7 +88,7 @@ class ScipyBackend:
                 if form.a_eq is None
                 else -np.asarray(result.eqlin.marginals, dtype=float)
             )
-        except AttributeError:  # pragma: no cover - non-HiGHS methods
+        except AttributeError:  # pragma: no cover - HiGHS ships them
             return None
         return WarmStartState(
             signature=form_signature(form),

@@ -24,9 +24,9 @@ an O(rows x cols) tableau sweep.  Pricing and the ratio test replicate
 the classic tableau rules exactly (Bland's smallest-index entering rule,
 the same leaving tie-break on basis indices), so the pivot sequence — and
 therefore the answer and the optimal basis — match the dense tableau this
-module used to run.  The dense tableau is retained as
-:meth:`SimplexBackend._two_phase_dense`, the automatic fallback should
-the factorised path hit numerical trouble on a small program.
+module used to run.  Numerical breakdown (a singular refactorisation,
+the iteration cap) raises :class:`~repro.exceptions.SolverError`; there
+is no second implementation to fall back to.
 
 Warm starting: ``solve(form, warm_start=prior_state)`` accepts the
 :class:`~repro.solver.warm.WarmStartState` of a structurally identical
@@ -72,10 +72,6 @@ _PHASE1_TOL = 1e-7
 #: Rebuild the basis LU factorisation after this many eta updates (bounds
 #: both the per-solve memory and the error accumulated through the chain).
 _REFACTOR_EVERY = 64
-
-#: Above this many cells, the dense-tableau numerical fallback is not
-#: attempted (mirrors the compile-time densification limit).
-_DENSE_FALLBACK_LIMIT = 4_000_000
 
 
 @dataclass
@@ -429,7 +425,9 @@ class SimplexBackend:
             if values is not None:
                 return values, refresh_state(warm_start, form, values), True
         a_full, b_full, c_full, columns = standardised
-        internal, basis = self._two_phase(a_full, b_full, c_full)
+        internal, basis = _RevisedSolver(
+            a_full, b_full, c_full, self.max_iterations
+        ).solve()
         values = unfold_internal(form, columns, internal)
         state = WarmStartState(
             signature=form_signature(form),
@@ -437,126 +435,3 @@ class SimplexBackend:
             primal=values.copy(),
         )
         return values, state, False
-
-    # -- two-phase drivers -------------------------------------------------
-    def _two_phase(
-        self, a: sparse.csc_matrix, b: np.ndarray, c: np.ndarray
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Revised simplex, falling back to the dense tableau on breakdown.
-
-        The factorised path raises :class:`SolverError` on numerical
-        breakdown (singular refactorisation, iteration blow-up); small
-        systems then rerun on the dense tableau, whose element-wise
-        pivoting has no factorisation to lose.  Infeasible/unbounded
-        verdicts are answers, not breakdowns, and propagate directly.
-        """
-        try:
-            return _RevisedSolver(a, b, c, self.max_iterations).solve()
-        except (InfeasibleError, UnboundedError):
-            raise
-        except SolverError:
-            if a.shape[0] * a.shape[1] > _DENSE_FALLBACK_LIMIT:
-                raise
-            return self._two_phase_dense(a.toarray(), b, c)
-
-    # -- dense tableau fallback --------------------------------------------
-    def _two_phase_dense(
-        self, a: np.ndarray, b: np.ndarray, c: np.ndarray
-    ) -> Tuple[np.ndarray, List[int]]:
-        num_rows, num_cols = a.shape
-        if num_rows == 0:
-            # no constraints: optimum is at the lower bounds unless unbounded
-            if np.any(c < -_TOL):
-                raise UnboundedError("objective improves without constraints")
-            return np.zeros(num_cols), []
-
-        # phase 1 tableau: [A | I | b]
-        tableau = np.zeros((num_rows + 1, num_cols + num_rows + 1))
-        tableau[:num_rows, :num_cols] = a
-        tableau[:num_rows, num_cols : num_cols + num_rows] = np.eye(num_rows)
-        tableau[:num_rows, -1] = b
-        basis = list(range(num_cols, num_cols + num_rows))
-
-        # phase-1 reduced costs: minimise sum of artificials
-        cost = np.zeros(num_cols + num_rows)
-        cost[num_cols:] = 1.0
-        tableau[-1, :-1] = cost
-        tableau[-1, -1] = 0.0
-        for row, basic in enumerate(basis):
-            tableau[-1, :] -= cost[basic] * tableau[row, :]
-
-        self._pivot_loop(tableau, basis, allowed_cols=num_cols + num_rows)
-        phase1_objective = -tableau[-1, -1]
-        if phase1_objective > _PHASE1_TOL:
-            raise InfeasibleError(
-                f"phase-1 objective {phase1_objective:.3g} > 0: no feasible point"
-            )
-
-        # drive remaining artificial variables out of the basis
-        for row in range(num_rows):
-            if basis[row] >= num_cols:
-                pivot_col = next(
-                    (
-                        col
-                        for col in range(num_cols)
-                        if abs(tableau[row, col]) > _TOL
-                    ),
-                    None,
-                )
-                if pivot_col is not None:
-                    self._pivot(tableau, basis, row, pivot_col)
-                # else: the row is redundant; its artificial stays basic at 0
-
-        # phase 2: rebuild the cost row for the real objective
-        tableau[-1, :] = 0.0
-        tableau[-1, :num_cols] = c
-        tableau[-1, num_cols:-1] = 0.0
-        for row, basic in enumerate(basis):
-            if basic < num_cols:
-                tableau[-1, :] -= c[basic] * tableau[row, :]
-
-        self._pivot_loop(tableau, basis, allowed_cols=num_cols)
-
-        values = np.zeros(num_cols)
-        for row, basic in enumerate(basis):
-            if basic < num_cols:
-                values[basic] = tableau[row, -1]
-        return values, basis
-
-    def _pivot_loop(self, tableau: np.ndarray, basis: List[int], allowed_cols: int) -> None:
-        """Bland's-rule pivoting until optimal (or raise on unbounded)."""
-        num_rows = tableau.shape[0] - 1
-        for _iteration in range(self.max_iterations):
-            entering = None
-            for col in range(allowed_cols):
-                if tableau[-1, col] < -_TOL:
-                    entering = col
-                    break
-            if entering is None:
-                return
-            # ratio test
-            leaving = None
-            best_ratio = np.inf
-            for row in range(num_rows):
-                coeff = tableau[row, entering]
-                if coeff > _TOL:
-                    ratio = tableau[row, -1] / coeff
-                    if ratio < best_ratio - _TOL or (
-                        abs(ratio - best_ratio) <= _TOL
-                        and (leaving is None or basis[row] < basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = row
-            if leaving is None:
-                raise UnboundedError("entering column has no positive pivot: unbounded LP")
-            self._pivot(tableau, basis, leaving, entering)
-        raise SolverError(f"simplex exceeded {self.max_iterations} iterations")
-
-    @staticmethod
-    def _pivot(tableau: np.ndarray, basis: List[int], row: int, col: int) -> None:
-        pivot_value = tableau[row, col]
-        tableau[row, :] /= pivot_value
-        for other in range(tableau.shape[0]):
-            if other != row and abs(tableau[other, col]) > 0.0:
-                tableau[other, :] -= tableau[other, col] * tableau[row, :]
-        basis[row] = col

@@ -1,10 +1,11 @@
 """The trace store: ingested cluster traces as ``repro/trace-v1`` JSONL.
 
 One trace = one schema-validated JSONL file under the store root, one
-line per job, written and read through the shared :mod:`repro.jsonlio`
-primitives (the same append-fsync discipline as the benchmark and
-audit ledgers).  The canonical record is deliberately tiny — the six
-facts replay needs, nothing else::
+line per job, written and read through the shared
+:class:`repro.jsonlio.JsonlStore` (the same append-fsync discipline and
+:mod:`repro.fieldspec` validation as the benchmark and audit ledgers).
+The canonical record is deliberately tiny — the six facts replay
+needs, nothing else::
 
     {"schema": "repro/trace-v1", "job_id": "j1", "tenant": "vc-a",
      "submit_s": 0.0, "duration_s": 1800.0, "num_workers": 1,
@@ -14,16 +15,15 @@ facts replay needs, nothing else::
 from the catalog when a trace has none (external traces rarely name
 reproducible model families).
 
-``$REPRO_TRACE_DIR`` overrides where :meth:`TraceStore.default` looks;
-an *empty* value disables default-store discovery (tier-1 test
-isolation, the ledger convention).  Otherwise the default is the
-``traces/`` directory relative to the current checkout.
+``$REPRO_TRACE_DIR`` overrides where :meth:`TraceStore.default` looks,
+otherwise ``traces/`` relative to the current directory (semantics in
+:meth:`repro.jsonlio.JsonlStore.default`).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro import jsonlio
 from repro.exceptions import (
@@ -31,99 +31,41 @@ from repro.exceptions import (
     UnknownTraceError,
     unknown_name_message,
 )
+from repro.fieldspec import integer, nullable, number, register, text
 
 #: Schema tag carried by every stored trace record.
 TRACE_SCHEMA = "repro/trace-v1"
 
 #: Environment variable naming the default trace-store directory.
-#: Set to the empty string to disable default-store discovery.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 #: Default store location inside a repo checkout (relative to cwd).
 DEFAULT_TRACE_DIR = "traces"
 
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise TraceFormatError(f"{path}: {message}")
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def validate_trace_record(record: Mapping[str, object]) -> None:
-    """Reject anything that is not a well-formed ``repro/trace-v1`` job."""
-    _require(isinstance(record, Mapping), "$", "record must be an object")
-    _require(
-        record.get("schema") == TRACE_SCHEMA,
-        "schema",
-        f"must be {TRACE_SCHEMA!r}, got {record.get('schema')!r}",
-    )
-    for key in ("job_id", "tenant"):
-        value = record.get(key)
-        _require(
-            isinstance(value, str) and value != "",
-            key,
-            "must be a non-empty string",
-        )
-    submit = record.get("submit_s")
-    _require(
-        _is_number(submit) and float(submit) >= 0.0,
-        "submit_s",
-        "must be a number >= 0",
-    )
-    duration = record.get("duration_s")
-    _require(
-        _is_number(duration) and float(duration) > 0.0,
-        "duration_s",
-        "must be a number > 0",
-    )
-    workers = record.get("num_workers")
-    _require(
-        isinstance(workers, int)
-        and not isinstance(workers, bool)
-        and workers >= 1,
-        "num_workers",
-        "must be an integer >= 1",
-    )
-    model = record.get("model")
-    _require(
-        model is None or (isinstance(model, str) and model != ""),
-        "model",
-        "must be null or a non-empty string",
-    )
+#: Reject anything that is not a well-formed ``repro/trace-v1`` job.
+validate_trace_record = register(
+    TRACE_SCHEMA,
+    {
+        "job_id": text,
+        "tenant": text,
+        "submit_s": number(ge=0),
+        "duration_s": number(gt=0),
+        "num_workers": integer(ge=1),
+        "model": nullable(text),
+    },
+)
 
 
-class TraceStore:
-    """Save, list, and load ingested traces in one directory."""
+class TraceStore(jsonlio.JsonlStore):
+    """Save, list, and load ingested traces in one directory.
 
-    def __init__(self, root: str):
-        self.root = str(root)
+    What is the trace store's own is that a trace is written whole:
+    :meth:`save` replaces any previous version instead of appending.
+    """
 
-    @classmethod
-    def default(cls) -> Optional["TraceStore"]:
-        """The conventional store for this invocation, if any.
-
-        ``$REPRO_TRACE_DIR`` wins (empty value → ``None``, i.e. trace
-        discovery disabled); otherwise ``traces/`` relative to the
-        current directory — created on first ingest.
-        """
-        if TRACE_DIR_ENV in os.environ:
-            value = os.environ[TRACE_DIR_ENV]
-            return cls(value) if value else None
-        return cls(DEFAULT_TRACE_DIR)
-
-    # -- paths -----------------------------------------------------------
-
-    def path_for(self, name: str) -> str:
-        return os.path.join(self.root, jsonlio.safe_filename(name))
-
-    def names(self) -> List[str]:
-        """Ingested trace names, from the ``*.jsonl`` files on disk."""
-        return jsonlio.list_streams(self.root)
-
-    # -- reading ---------------------------------------------------------
+    SCHEMA = TRACE_SCHEMA
+    DIR_ENV = TRACE_DIR_ENV
+    DEFAULT_DIR = DEFAULT_TRACE_DIR
 
     def load(self, name: str) -> List[Dict[str, object]]:
         """All validated job records of one trace, in stored order."""
@@ -132,13 +74,7 @@ class TraceStore:
                 unknown_name_message("trace", name, self.names())
                 + f" (store: {self.root}; ingest with 'repro ingest-trace')"
             )
-        return jsonlio.read_jsonl(
-            self.path_for(name),
-            validate=validate_trace_record,
-            error_cls=TraceFormatError,
-        )
-
-    # -- writing ---------------------------------------------------------
+        return self.read(name)
 
     def save(
         self, name: str, records: List[Mapping[str, object]]
@@ -155,7 +91,6 @@ class TraceStore:
         for record in records:
             validate_trace_record(record)
         path = self.path_for(name)
-        os.makedirs(self.root, exist_ok=True)
         if os.path.exists(path):
             os.remove(path)
         jsonlio.append_jsonl_lines(path, records)

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from repro.auditor.ledger import AUDIT_DIR_ENV, AuditLedger, AuditLedgerError
+from repro.auditor.ledger import AUDIT_DIR_ENV, AuditLedger
 from repro.auditor.schema import AUDIT_SCHEMA
+from repro.exceptions import SchemaError
 
 
 def _record(scenario="steady", scheduler="oef-coop", verdict="pass", **extra):
@@ -79,7 +80,7 @@ class TestCorruption:
         path = ledger.path_for("steady")
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("{not json\n")
-        with pytest.raises(AuditLedgerError, match=rf"{path}:2: "):
+        with pytest.raises(SchemaError, match=rf"{path}:2: "):
             ledger.records("steady")
 
     def test_schema_violating_line_reports_path_and_lineno(self, tmp_path):
@@ -91,7 +92,7 @@ class TestCorruption:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(_record()) + "\n")
             handle.write(json.dumps(bad) + "\n")
-        with pytest.raises(AuditLedgerError, match=rf"{path}:2: verdict"):
+        with pytest.raises(SchemaError, match=rf"{path}:2: verdict"):
             ledger.records("steady")
 
     def test_blank_lines_are_tolerated(self, tmp_path):

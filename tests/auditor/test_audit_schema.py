@@ -5,9 +5,9 @@ import pytest
 from repro.auditor.schema import (
     AUDIT_SCHEMA,
     PROPERTY_KEYS,
-    AuditSchemaError,
     validate_audit_record,
 )
+from repro.exceptions import SchemaError
 
 
 def _record(**overrides):
@@ -77,7 +77,7 @@ class TestRejectedRecords:
         ],
     )
     def test_bad_field_names_its_path(self, overrides, path):
-        with pytest.raises(AuditSchemaError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             validate_audit_record(_record(**overrides))
         assert excinfo.value.path == path
         assert str(excinfo.value).startswith(f"{path}: ")
@@ -85,24 +85,24 @@ class TestRejectedRecords:
     def test_missing_property_mark(self):
         properties = {key: "yes" for key in PROPERTY_KEYS}
         del properties["SP"]
-        with pytest.raises(AuditSchemaError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             validate_audit_record(_record(properties=properties))
         assert excinfo.value.path == "properties.SP"
 
     def test_unknown_property_key(self):
         properties = dict(_record()["properties"], karma="yes")
-        with pytest.raises(AuditSchemaError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             validate_audit_record(_record(properties=properties))
         assert "karma" in str(excinfo.value)
 
     def test_bad_property_mark(self):
         properties = dict(_record()["properties"], PE="maybe")
-        with pytest.raises(AuditSchemaError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             validate_audit_record(_record(properties=properties))
         assert excinfo.value.path == "properties.PE"
 
     def test_fail_verdict_without_violations(self):
-        with pytest.raises(AuditSchemaError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             validate_audit_record(_record(verdict="fail", violations=[]))
         assert excinfo.value.path == "violations"
 
@@ -111,10 +111,10 @@ class TestRejectedRecords:
             verdict="error",
             properties={key: "n/a" for key in PROPERTY_KEYS},
         )
-        with pytest.raises(AuditSchemaError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             validate_audit_record(record)
         assert excinfo.value.path == "error"
 
     def test_non_mapping_record(self):
-        with pytest.raises(AuditSchemaError):
+        with pytest.raises(SchemaError):
             validate_audit_record(["not", "a", "record"])

@@ -8,12 +8,12 @@ import pytest
 from repro.benchledger import (
     BaselineNotFound,
     BenchLedger,
-    LedgerError,
     Manifest,
     parse_run_id,
 )
 from repro.benchledger.ledger import LEDGER_DIR_ENV
 from repro.benchledger.run_id import format_run_id, is_run_id, next_sequence
+from repro.exceptions import SchemaError
 
 
 class TestRunIds:
@@ -89,9 +89,7 @@ class TestAppend:
 
     def test_malformed_record_never_enters_ledger(self, tmp_path):
         ledger = BenchLedger(str(tmp_path))
-        from repro.benchledger import BenchSchemaError
-
-        with pytest.raises(BenchSchemaError):
+        with pytest.raises(SchemaError):
             ledger.append({"schema": "repro/bench-v1", "rows": []})
         assert ledger.families() == []
 
@@ -113,7 +111,7 @@ class TestRead:
         path = tmp_path / "gateway.jsonl"
         with open(path, "a") as handle:
             handle.write('{"schema": "repro/ledger-v1", "run_id": ""}\n')
-        with pytest.raises(LedgerError, match=r"gateway\.jsonl:2"):
+        with pytest.raises(SchemaError, match=r"gateway\.jsonl:2"):
             ledger.entries("gateway")
 
     def test_corrupt_json_named_with_line_number(
@@ -123,7 +121,7 @@ class TestRead:
         ledger.append(record_factory())
         with open(tmp_path / "gateway.jsonl", "a") as handle:
             handle.write("{half a line\n")
-        with pytest.raises(LedgerError, match="not valid JSON"):
+        with pytest.raises(SchemaError, match="not valid JSON"):
             ledger.entries("gateway")
 
     def test_blank_lines_tolerated(self, tmp_path, record_factory):

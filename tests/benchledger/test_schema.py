@@ -3,8 +3,9 @@
 import pytest
 
 from repro.benchio import build_bench_record
-from repro.benchledger import BenchSchemaError, validate_entry, validate_record
+from repro.benchledger import validate_entry, validate_record
 from repro.benchledger.schema import validate_row
+from repro.exceptions import SchemaError
 
 
 def _row(**overrides):
@@ -43,14 +44,14 @@ class TestValidateRecord:
     def test_malformed_records_rejected_with_path(self, mutate, path_fragment):
         record = build_bench_record("gateway", [_row()])
         mutate(record)
-        with pytest.raises(BenchSchemaError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             validate_record(record)
         assert excinfo.value.path == path_fragment
         assert path_fragment in str(excinfo.value)
 
     def test_duplicate_row_names_rejected(self):
         # raised at build time: build_bench_record validates on assembly
-        with pytest.raises(BenchSchemaError, match="duplicate row name"):
+        with pytest.raises(SchemaError, match="duplicate row name"):
             build_bench_record("gateway", [_row(), _row()])
 
     def test_extra_row_keys_pass_through(self):
@@ -61,20 +62,20 @@ class TestValidateRecord:
         assert validate_record(record) is record
 
     def test_non_mapping_rejected(self):
-        with pytest.raises(BenchSchemaError):
+        with pytest.raises(SchemaError):
             validate_record(["not", "a", "record"])
 
 
 class TestValidateRow:
     def test_row_must_be_mapping(self):
-        with pytest.raises(BenchSchemaError):
+        with pytest.raises(SchemaError):
             validate_row("hot", "rows[0]")
 
     def test_samples_optional_but_typed(self):
         row = _row()
         del row["samples"]
         validate_row(row)  # fine without samples
-        with pytest.raises(BenchSchemaError):
+        with pytest.raises(SchemaError):
             validate_row(_row(samples=True))
 
 
@@ -102,13 +103,13 @@ class TestValidateEntry:
     def test_family_must_match_record_benchmark(self):
         entry = self._entry(build_bench_record("gateway", [_row()]))
         entry["family"] = "warm_start"
-        with pytest.raises(BenchSchemaError, match="does not match"):
+        with pytest.raises(SchemaError, match="does not match"):
             validate_entry(entry)
 
     def test_nested_record_errors_carry_record_prefix(self):
         entry = self._entry(build_bench_record("gateway", [_row()]))
         entry["record"]["rows"][0]["p50"] = "fast"
-        with pytest.raises(BenchSchemaError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             validate_entry(entry)
         assert excinfo.value.path == "record.rows[0].p50"
 
@@ -118,5 +119,5 @@ class TestValidateEntry:
     def test_missing_envelope_fields_rejected(self, field):
         entry = self._entry(build_bench_record("gateway", [_row()]))
         del entry[field]
-        with pytest.raises(BenchSchemaError):
+        with pytest.raises(SchemaError):
             validate_entry(entry)

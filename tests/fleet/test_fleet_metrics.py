@@ -10,11 +10,8 @@ from repro.fleet.metrics import (
     aggregate_stream,
     read_fleet_metrics,
 )
-from repro.fleet.schema import (
-    FLEETMETRICS_SCHEMA,
-    FleetSchemaError,
-    validate_fleet_record,
-)
+from repro.exceptions import SchemaError
+from repro.fleet.schema import FLEETMETRICS_SCHEMA, validate_fleet_record
 from repro.scenarios.runner import ScenarioRoundRecord
 
 
@@ -72,7 +69,7 @@ class TestSchema:
         ],
     )
     def test_bad_records_name_the_field(self, overrides, path):
-        with pytest.raises(FleetSchemaError, match=path):
+        with pytest.raises(SchemaError, match=path):
             validate_fleet_record(good_entry(**overrides))
 
 
@@ -162,5 +159,33 @@ class TestAggregator:
         assert 0.0 < row["mean_throughput"] < row["p95_throughput"]
 
     def test_window_rounds_must_be_positive(self):
-        with pytest.raises(FleetSchemaError):
+        with pytest.raises(SchemaError):
             WindowAggregator(window_rounds=0)
+
+
+class TestCorruptStream:
+    """A bad line ends in ``SchemaError`` at ``file:lineno``, never ``TypeError``."""
+
+    @pytest.mark.parametrize(
+        "bad_line, lineno, detail",
+        [
+            ("not json\n", 2, "not valid JSON"),  # corrupt middle line
+            ('{"schema": "repro/fleetmetrics-v1", "jain": 7}\n', 2, "fleet"),
+            ('{"schema": "repro/fleetmetrics-v1", "fle', 3, "not valid JSON"),
+        ],
+        ids=["non-json", "schema-invalid", "torn-last-line"],
+    )
+    def test_bad_line_names_file_and_lineno(
+        self, tmp_path, bad_line, lineno, detail
+    ):
+        import json
+
+        path = str(tmp_path / "m.jsonl")
+        good = json.dumps(good_entry()) + "\n"
+        lines = [good, bad_line, good] if lineno == 2 else [good, good, bad_line]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        for reader in (read_fleet_metrics, aggregate_stream):
+            with pytest.raises(SchemaError, match=detail) as excinfo:
+                reader(path)
+            assert excinfo.value.path == f"{path}:{lineno}"

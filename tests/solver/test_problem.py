@@ -294,19 +294,3 @@ class TestCompileMemoisation:
         first = lp.compile()
         lp.add_constraint(x[0] <= 1.0)
         assert lp.compile() is not first
-
-    def test_sparse_always_has_its_own_slot(self):
-        lp = _toy_program()
-        dense_form = lp.compile()
-        sparse_form = lp.compile(sparse_always=True)
-        assert sparse_form is not dense_form
-        assert sparse.issparse(sparse_form.a_ub)
-        assert not sparse.issparse(dense_form.a_ub)
-
-    def test_sparse_always_solves_identically(self):
-        dense_solution = _toy_program().solve()
-        sparse_solution = _toy_program().solve(sparse_always=True)
-        assert sparse_solution.objective == pytest.approx(dense_solution.objective)
-        np.testing.assert_allclose(
-            sparse_solution.values, dense_solution.values, atol=1e-9
-        )

@@ -70,19 +70,19 @@ class TestSchemaValidation:
     """Every written ``BENCH_*.json`` is validated against repro/bench-v1."""
 
     def test_malformed_rows_rejected_at_write_time(self, tmp_path):
-        from repro.benchledger import BenchSchemaError
+        from repro.exceptions import SchemaError
 
         target = tmp_path / "BENCH_bad.json"
-        with pytest.raises(BenchSchemaError, match="p50"):
+        with pytest.raises(SchemaError, match="p50"):
             write_bench_json(
                 str(target), "bad", [{"name": "a", "mean": 1.0, "p95": 1.0}]
             )
         assert not target.exists()  # nothing lands on disk
 
     def test_row_without_name_rejected(self, tmp_path):
-        from repro.benchledger import BenchSchemaError
+        from repro.exceptions import SchemaError
 
-        with pytest.raises(BenchSchemaError, match="name"):
+        with pytest.raises(SchemaError, match="name"):
             write_bench_json(
                 str(tmp_path / "BENCH_bad.json"),
                 "bad",

@@ -238,3 +238,16 @@ class TestErrors:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_corrupt_stored_trace_is_error_exit_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # main() reports every ReproError once: no traceback, exit 2
+        (tmp_path / "ops.jsonl").write_text(
+            '{"schema": "repro/trace-v1", "job_id": "j1", "tenant": "a", '
+            '"submit_s": 0.0, "duration_s": 0, "num_workers": 1}\n'
+        )
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        assert main(["simulate", "--scenario", "trace:ops", "--rounds", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ops.jsonl:1: duration_s" in err

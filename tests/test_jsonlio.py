@@ -7,9 +7,8 @@ import os
 import pytest
 
 from repro import jsonlio
+from repro.exceptions import SchemaError
 from repro.jsonlio import (
-    JsonlError,
-    append_jsonl,
     append_jsonl_lines,
     dump_line,
     list_streams,
@@ -32,8 +31,8 @@ class TestSafeFilename:
 class TestAppendRead:
     def test_roundtrip_single_lines(self, tmp_path):
         path = str(tmp_path / "stream.jsonl")
-        append_jsonl(path, {"b": 2, "a": 1})
-        append_jsonl(path, {"c": 3})
+        append_jsonl_lines(path, [{"b": 2, "a": 1}])
+        append_jsonl_lines(path, [{"c": 3}])
         assert read_jsonl(path) == [{"a": 1, "b": 2}, {"c": 3}]
 
     def test_batch_append_is_one_write(self, tmp_path):
@@ -61,7 +60,7 @@ class TestAppendRead:
 
     def test_creates_parent_directories(self, tmp_path):
         path = str(tmp_path / "deep" / "er" / "s.jsonl")
-        append_jsonl(path, {"ok": True})
+        append_jsonl_lines(path, [{"ok": True}])
         assert read_jsonl(path) == [{"ok": True}]
 
 
@@ -69,27 +68,23 @@ class TestErrors:
     def test_corrupt_line_reports_path_and_lineno(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"a": 1}\nnot json\n')
-        with pytest.raises(JsonlError, match=rf"{path.name}:2: not valid JSON"):
+        with pytest.raises(SchemaError, match=rf"{path.name}:2: not valid JSON"):
             read_jsonl(str(path))
 
-    def test_validator_failures_carry_location(self, tmp_path):
+    def test_schema_failures_carry_location(self, tmp_path):
+        from repro.traces import TRACE_SCHEMA
+
         path = tmp_path / "invalid.jsonl"
-        path.write_text('{"a": 1}\n')
-
-        class MyError(JsonlError):
-            pass
-
-        def validate(record):
-            raise MyError("a must be even")
-
-        with pytest.raises(MyError, match=rf"{path.name}:1: a must be even"):
-            read_jsonl(str(path), validate=validate, error_cls=MyError)
+        path.write_text('{"schema": "repro/trace-v1", "job_id": "j1"}\n')
+        with pytest.raises(SchemaError, match=rf"{path.name}:1: tenant: ") as exc:
+            read_jsonl(str(path), TRACE_SCHEMA)
+        assert exc.value.path == f"{path}:1"
 
 
 class TestListStreams:
     def test_lists_stems_sorted(self, tmp_path):
         for name in ("b", "a", "c"):
-            append_jsonl(str(tmp_path / f"{name}.jsonl"), {})
+            append_jsonl_lines(str(tmp_path / f"{name}.jsonl"), [{}])
         (tmp_path / "notes.txt").write_text("ignored")
         assert list_streams(str(tmp_path)) == ["a", "b", "c"]
 

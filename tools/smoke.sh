@@ -173,6 +173,17 @@ if REPRO_TRACE_DIR="$TMP/traces" "$PY" -m repro simulate \
     exit 1
 fi
 grep -q "trace" "$TMP/trace_err.txt"
+# a corrupt stored line is a typed error too: "error:", exit 2, no traceback
+echo '{"schema": "repro/trace-v1", "job_id": "j9"}' >> "$TMP/traces/ops.jsonl"
+status=0
+REPRO_TRACE_DIR="$TMP/traces" "$PY" -m repro simulate --scenario trace:ops \
+    > "$TMP/trace_corrupt.txt" 2>&1 || status=$?
+test "$status" -eq 2
+grep -q "^error: .*ops.jsonl:4: tenant" "$TMP/trace_corrupt.txt"
+if grep -q "Traceback" "$TMP/trace_corrupt.txt"; then
+    echo "corrupt stored trace ended in a traceback" >&2
+    exit 1
+fi
 
 echo "== repro serve (serve-smoke: healthz/solve/metrics, 429, drain) =="
 # tiny admission limit so a concurrent cold burst provably sheds
