@@ -2,11 +2,10 @@
 
 The acceptance bar of the middleware-pipeline redesign: routing solves
 through the full default pipeline (admission → metrics → coalesce →
-warm-start → cache → solver) must cost **within 5%** of a bare
-solver-only pipeline on the cold, LP-dominated path — the interceptor
-chain is bookkeeping, the LP is the work — while the cache+warm hot
-path replays the same request set **>= 10x** faster
-than cold bare solves.  Allocations must match the bare pipeline **bit
+cache → solver) must cost **within 5%** of a bare solver-only pipeline
+on the cold, LP-dominated path — the interceptor chain is bookkeeping,
+the LP is the work — while the cache-hit hot path replays the same
+request set **>= 10x** faster than cold bare solves.  Allocations must match the bare pipeline **bit
 for bit** in every mode.
 
 Like the warm-start benchmark this trades cached work for cache
@@ -140,6 +139,6 @@ def test_bench_gateway_pipeline(benchmark):
         f"{OVERHEAD_CEILING:.2f}x acceptance ceiling"
     )
     assert hot_speedup >= HOT_SPEEDUP_FLOOR, (
-        f"cache+warm hot path only {hot_speedup:.1f}x faster than bare "
+        f"cache-hit hot path only {hot_speedup:.1f}x faster than bare "
         f"cold solves (floor {HOT_SPEEDUP_FLOOR:.0f}x)"
     )

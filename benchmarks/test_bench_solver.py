@@ -81,10 +81,10 @@ def test_bench_solver(benchmark):
         for _ in range(5):
             FORM_CACHE.clear()
             start = time.perf_counter()
-            allocator.compile_form(small)
+            allocator._full_form(small)
             assembly_cold.append(time.perf_counter() - start)
             start = time.perf_counter()
-            allocator.compile_form(small)
+            allocator._full_form(small)
             assembly_cached.append(time.perf_counter() - start)
 
         # -- batched independent small LPs vs the solo loop

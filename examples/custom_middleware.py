@@ -5,7 +5,8 @@ any object with a ``handle(request, next)`` method slots in anywhere via
 ``Gateway.use(stage, before=...)``.  This example adds a *logging* stage
 that records one line per request — scheduler, disposition, wall time —
 without touching any built-in stage, then shows it observing cold
-solves, cache hits, verified warm starts, and admission shedding.
+solves, cache hits, a drifted instance solving cold again, and admission
+shedding.
 
 Run it::
 
@@ -68,13 +69,10 @@ def main() -> None:
     gateway.solve(instance, "cooperative")  # alias; same content fingerprint
 
     print()
-    print("=== incremental drift: the verified warm tier ===")
-    opts = {"backend": "simplex"}
-    prev = gateway.solve(instance, "oef-noncoop", options=opts, incremental=True)
+    print("=== a drifted instance is a new fingerprint: cold again ===")
+    gateway.solve(instance, "oef-noncoop")
     drifted = ProblemInstance(instance.speedups, instance.capacities * 1.3)
-    gateway.solve(
-        drifted, "oef-noncoop", options=opts, incremental=True, prev_result=prev
-    )
+    gateway.solve(drifted, "oef-noncoop")
 
     print()
     print("=== an expired deadline is shed before any work ===")
@@ -83,8 +81,7 @@ def main() -> None:
     print()
     stats = gateway.cache_info()
     print(
-        f"cache: {stats.hits} hits / {stats.misses} misses, "
-        f"{stats.structural_hits} verified warm start(s); "
+        f"cache: {stats.hits} hits / {stats.misses} misses; "
         f"logged {len(logger.lines)} request(s)"
     )
 

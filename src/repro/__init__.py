@@ -82,11 +82,9 @@ from repro.gateway import (
     RequestShed,
     Response,
     SolverMiddleware,
-    WarmStartMiddleware,
     bare_pipeline,
     default_pipeline,
     instance_fingerprint,
-    structural_fingerprint,
 )
 from repro.parallel import (
     ExecutionBackend,
@@ -117,7 +115,7 @@ from repro.scenarios import (
 )
 from repro.solver.warm import WarmStartState
 
-__version__ = "2.2.0"
+__version__ = "2.3.0"
 
 __all__ = [
     "AdmissionMiddleware",
@@ -138,7 +136,6 @@ __all__ = [
     "RequestShed",
     "Response",
     "SolverMiddleware",
-    "WarmStartMiddleware",
     "bare_pipeline",
     "default_pipeline",
     "CooperativeOEF",
@@ -184,6 +181,5 @@ __all__ = [
     "scenario_sweep",
     "scheduler_info",
     "scheduler_names",
-    "structural_fingerprint",
     "summarize_records",
 ]

@@ -42,7 +42,6 @@ from repro.auditor.schema import (
     validate_audit_record,
 )
 from repro.auditor.worker import (
-    DEFAULT_PE_TOLERANCE,
     EXPECTED_PROPERTIES,
     AuditWorker,
     classify_marks,
@@ -51,7 +50,6 @@ from repro.auditor.worker import (
 __all__ = [
     "AUDIT_DIR_ENV",
     "AUDIT_SCHEMA",
-    "DEFAULT_PE_TOLERANCE",
     "DEFAULT_REPLAY_SCENARIOS",
     "DEFAULT_REPLAY_SCHEDULERS",
     "EXPECTED_PROPERTIES",

@@ -60,10 +60,6 @@ EXPECTED_PROPERTIES: Dict[str, Tuple[str, ...]] = {
     "efficiency-max": ("PE", "optimal efficiency"),
 }
 
-#: Greedy trading is PE only up to small residuals on random instances —
-#: the same judgement call as ``experiments/table1_properties.py``.
-DEFAULT_PE_TOLERANCE: Dict[str, float] = {"gandiva-fair": 0.02}
-
 _STOP = object()
 
 
@@ -102,7 +98,6 @@ class AuditWorker:
         audit_fn: Optional[
             Callable[[ProblemInstance, str], PropertyReport]
         ] = None,
-        pe_tolerance: Optional[Dict[str, float]] = None,
         max_records: int = 4096,
     ):
         if registry is None:
@@ -116,9 +111,6 @@ class AuditWorker:
         self.seed = int(seed)
         self.deadline_s = deadline_s
         self.audit_fn = audit_fn
-        self.pe_tolerance = dict(
-            DEFAULT_PE_TOLERANCE if pe_tolerance is None else pe_tolerance
-        )
         self._queue: "queue.Queue" = queue.Queue(maxsize=int(max_queue))
         self._records: deque = deque(maxlen=int(max_records))
         self._checks: List[Tuple[str, Callable]] = []
@@ -146,8 +138,8 @@ class AuditWorker:
         """The exact ``audit_allocator`` kwargs this worker audits with.
 
         Pulled from the scheduler's registered audit defaults
-        (``pe_within``, ``efficiency_constraint``) plus this worker's
-        ``sp_trials``/``seed`` and per-scheduler PE tolerance — so a
+        (``pe_within``, ``efficiency_constraint``, ``pe_tolerance``)
+        plus this worker's ``sp_trials``/``seed`` — so a
         synchronous ``audit_allocator(registry.create(name), instance,
         **worker.audit_parameters(name))`` reproduces the worker's
         verdict exactly.
@@ -158,7 +150,7 @@ class AuditWorker:
             "sp_trials": self.sp_trials,
             "seed": self.seed,
             "pe_within": info.pe_within,
-            "pe_tolerance": self.pe_tolerance.get(info.name, 1e-5),
+            "pe_tolerance": info.pe_tolerance,
         }
 
     def add_check(self, name: str, fn: Callable) -> None:
@@ -340,7 +332,6 @@ class AuditWorker:
 
 
 __all__ = [
-    "DEFAULT_PE_TOLERANCE",
     "EXPECTED_PROPERTIES",
     "AuditWorker",
     "classify_marks",

@@ -353,7 +353,7 @@ def _gateway_bench_rows(requests, repeat: int):
     terminal solver only — every pass is a cold LP), through the default
     pipeline with the caches cleared each pass (cold, measuring pipeline
     overhead on the LP-dominated path), through the default pipeline
-    pre-warmed (the cache+warm hot path), and through the default
+    pre-warmed (the cache-hit hot path), and through the default
     pipeline pre-warmed *with continuous auditing on* (sample rate 1.0,
     audit worker drained before timing — steady state, where the stage's
     settled-key memo reduces the capture to one set lookup).  Hot and

@@ -39,14 +39,10 @@ memoizes :class:`~repro.cluster.schedulers.SchedulerDecision` objects by
 the scheduler's own content key
 (:meth:`~repro.cluster.schedulers.FairShareScheduler.decision_key`) —
 a repeat round reuses the previous solution instead of re-running the LP.
-Since the middleware-pipeline redesign the memo *is* a gateway pipeline:
-a two-stage :class:`repro.gateway.Gateway` whose cache stage is a
-decision-caching subclass of
-:class:`~repro.gateway.middleware.CacheMiddleware` (content key supplied
-per request via ``Request.key``, deep-copying decisions on both insert
-and lookup) and whose terminal stage runs the round scheduler — the same
-machinery, ordering contract, and LRU bound that serve allocation
-solves.
+The memo is a bounded LRU ``OrderedDict`` on the simulator
+(:attr:`ClusterSimulator.DECISION_CACHE_MAX` entries), deep-copying
+decisions on both insert and lookup so nothing downstream can mutate a
+memoized entry.
 Because the key covers every input the decision depends on and the
 schedulers are deterministic, a warm replay is **bit-identical** to a
 cold one; anything that changes the instance — tenant churn, device
@@ -61,6 +57,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -79,8 +76,6 @@ from repro.cluster.schedulers import (
 from repro.cluster.tenant import Tenant
 from repro.cluster.topology import ClusterTopology
 from repro.exceptions import SimulationError, ValidationError
-from repro.gateway import Gateway, Request, Response
-from repro.gateway.middleware import CacheMiddleware, Middleware
 from repro.parallel import BackendSpec, get_backend
 
 
@@ -169,43 +164,6 @@ def _copy_decision(
     )
 
 
-class _DecisionCacheMiddleware(CacheMiddleware):
-    """Gateway cache stage specialised for round decisions.
-
-    Keys are supplied per request (the scheduler's own ``decision_key``
-    bytes via ``Request.key``), and decisions are deep-copied on both
-    insert and lookup so nothing downstream can mutate a memoized entry
-    — the same anti-poisoning rule the allocation cache applies to its
-    matrices.  Served hits report ``solver_seconds=0.0``: no LP ran.
-    """
-
-    name = "decision-cache"
-
-    def _entry(self, request: Request, response: Response) -> object:
-        return _copy_decision(response.result)
-
-    def _revive(self, entry: object, request: Request) -> Response:
-        return Response(
-            scheduler=request.scheduler,
-            result=_copy_decision(entry, solver_seconds=0.0),
-            disposition="cache-hit",
-        )
-
-
-class _DecisionSolverMiddleware(Middleware):
-    """Terminal stage: run the simulator's round scheduler cold."""
-
-    name = "decision-solver"
-
-    def __init__(self, simulator: "ClusterSimulator"):
-        self._simulator = simulator
-
-    def handle(self, request: Request, next) -> Response:
-        active, profiles, capacities = request.instance
-        decision = self._simulator.scheduler.shares(active, profiles, capacities)
-        return Response(scheduler=request.scheduler, result=decision)
-
-
 class ClusterSimulator:
     """Drives one scheduler over one topology and tenant population."""
 
@@ -243,14 +201,8 @@ class ClusterSimulator:
         )
         self._capacities = topology.capacities()
         self._recorded_completions: set = set()
-        # warm-start engine: a two-stage gateway pipeline (content-keyed
-        # decision cache over the terminal round-scheduler stage)
-        self._decision_cache = _DecisionCacheMiddleware(
-            max_entries=self.DECISION_CACHE_MAX
-        )
-        self._decision_gateway = Gateway(
-            [self._decision_cache, _DecisionSolverMiddleware(self)]
-        )
+        # warm-start engine: decision_key -> memoized decision, LRU order
+        self._decision_cache: "OrderedDict[object, SchedulerDecision]" = OrderedDict()
         self.warm_stats = WarmStats()
         # timed event stream: a min-heap of (time, sequence, event) so
         # simultaneous events fire in scheduling order
@@ -322,7 +274,8 @@ class ClusterSimulator:
         entries unreachable dead weight, so the mutation hooks flush
         them eagerly.
         """
-        if self._decision_cache.invalidate():
+        if self._decision_cache:
+            self._decision_cache.clear()
             self.warm_stats.invalidations += 1
 
     def set_tenant_weight(self, name: str, weight: float) -> None:
@@ -496,31 +449,30 @@ class ClusterSimulator:
     ) -> SchedulerDecision:
         """One round's fluid shares, warm-started when provably safe.
 
-        Routes through the simulator's decision *gateway*: the cache
-        stage memoizes prior decisions under the scheduler's own content
-        key (supplied per request via ``Request.key``) and a repeat key
-        short-circuits the solve with a deep copy of the stored decision
-        (``solver_seconds`` reported as 0.0 — no LP ran).  A ``None``
-        key — warm starting disabled, or a scheduler whose decision
-        depends on more than the key can cover — dispatches with
-        ``use_cache=False`` and always solves cold.
+        Prior decisions are memoized under the scheduler's own content
+        key; a repeat key short-circuits the solve with a deep copy of
+        the stored decision (``solver_seconds`` reported as 0.0 — no LP
+        ran).  A ``None`` key — warm starting disabled, or a scheduler
+        whose decision depends on more than the key can cover — always
+        solves cold and memoizes nothing.
         """
         key = None
         if self.config.warm_start:
             key = self.scheduler.decision_key(active, profiles, self._capacities)
-        response = self._decision_gateway.dispatch(
-            Request(
-                instance=(active, profiles, self._capacities),
-                scheduler="cluster-round",
-                use_cache=key is not None,
-                key=key,
-            )
-        )
-        if response.from_cache:
-            self.warm_stats.warm_hits += 1
-        else:
-            self.warm_stats.cold_solves += 1
-        return response.result
+        memo = self._decision_cache
+        if key is not None:
+            entry = memo.get(key)
+            if entry is not None:
+                memo.move_to_end(key)
+                self.warm_stats.warm_hits += 1
+                return _copy_decision(entry, solver_seconds=0.0)
+        self.warm_stats.cold_solves += 1
+        decision = self.scheduler.shares(active, profiles, self._capacities)
+        if key is not None:
+            memo[key] = _copy_decision(decision)
+            if len(memo) > self.DECISION_CACHE_MAX:
+                memo.popitem(last=False)
+        return decision
 
     # -- helpers ------------------------------------------------------------------
     def _active_tenants(self, now: float) -> List[Tenant]:

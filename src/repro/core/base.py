@@ -43,10 +43,10 @@ class Allocator(abc.ABC):
     ) -> Tuple[Allocation, Optional["WarmStartState"], bool]:
         """Warm-start-aware solve: ``(allocation, state, warm_used)``.
 
-        LP-backed allocators registered with ``warm_startable=True``
-        override this to thread ``warm_start`` into their program and to
-        return the solve's own :class:`~repro.solver.warm.WarmStartState`
-        for the next structurally identical instance.  The warm path is
+        LP-backed allocators override this to thread ``warm_start`` into
+        their program and to return the solve's own
+        :class:`~repro.solver.warm.WarmStartState` for the next
+        structurally identical instance.  The warm path is
         *verified* (see :mod:`repro.solver.warm`), so the allocation is
         always identical to a cold ``allocate`` up to solver tolerance.
         The default ignores ``warm_start`` and solves cold.

@@ -71,7 +71,6 @@ def _share_bounds(count: int) -> List[Tuple[float, None]]:
     efficiency_constraint="envy_free",
     supports_weights=True,
     supports_job_level=True,
-    warm_startable=True,
 )
 class CooperativeOEF(Allocator):
     """Envy-free OEF for cooperative environments.
@@ -130,29 +129,6 @@ class CooperativeOEF(Allocator):
         return self.method == "cutting-plane" or (
             self.method == "auto" and num_users > self.CUTTING_PLANE_THRESHOLD
         )
-
-    # -- batch protocol -----------------------------------------------------
-    def compile_form(self, instance: ProblemInstance) -> Optional[StandardForm]:
-        """The instance's full-program form, for the batched solve pass.
-
-        ``None`` when this instance would not route through a single
-        static LP (the lone-tenant closed form, or the cutting-plane
-        path, whose row set is discovered iteratively).
-        """
-        num_users = instance.speedups.values.shape[0]
-        if num_users == 1 or self._use_cuts(num_users):
-            return None
-        return self._full_form(instance)
-
-    def allocation_from_values(
-        self, instance: ProblemInstance, values: np.ndarray
-    ) -> Allocation:
-        matrix = np.clip(
-            np.asarray(values, dtype=float).reshape(instance.speedups.values.shape),
-            0.0,
-            None,
-        )
-        return Allocation(matrix, instance, allocator_name=self.name)
 
     # -- full O(n^2) formulation -------------------------------------------
     def _full_form(self, instance: ProblemInstance) -> StandardForm:
@@ -457,7 +433,6 @@ class CooperativeOEF(Allocator):
     family="bound",
     description="Pure efficiency maximisation (Eq. 4), the unfair strawman",
     efficiency_constraint="none",
-    warm_startable=True,
 )
 class EfficiencyMaxAllocator(Allocator):
     """Pure efficiency maximisation (Eq. 4) — the unfair strawman of §3.1.1.

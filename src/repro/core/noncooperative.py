@@ -38,7 +38,6 @@ from repro.solver import FORM_CACHE, StandardForm, fingerprint_arrays, solve_for
     efficiency_constraint="equal_throughput",
     supports_weights=True,
     supports_job_level=True,
-    warm_startable=True,
 )
 class NonCooperativeOEF(Allocator):
     """Strategy-proof OEF for non-cooperative (competitive) environments."""

@@ -47,15 +47,9 @@ def audit_instances(num_random: int = 2, seed: int = 7) -> List[ProblemInstance]
     return instances
 
 
-#: Greedy trading is PE only up to small residuals on random instances
-#: (exact on the paper's worked example) — an experiment judgement call,
-#: so it stays here rather than in the registry metadata.
-_PE_TOLERANCE = {"gandiva-fair": 0.02}
-
-
 def run(num_random: int = 2, sp_trials: int = 2) -> ExperimentResult:
-    # pe_within / efficiency_constraint come from each scheduler's
-    # registered audit defaults (Theorem 5.3: PE within the scheduler's
+    # pe_within / efficiency_constraint / pe_tolerance come from each
+    # scheduler's registered audit defaults (Theorem 5.3: PE within the scheduler's
     # own feasible domain)
     schedulers = ["gavel", "gandiva-fair", "oef-coop", "oef-noncoop"]
     gateway = Gateway()
@@ -73,11 +67,7 @@ def run(num_random: int = 2, sp_trials: int = 2) -> ExperimentResult:
         }
         for index, instance in enumerate(instances):
             report = gateway.audit(
-                instance,
-                name,
-                sp_trials=sp_trials,
-                seed=index,
-                pe_tolerance=_PE_TOLERANCE.get(name, 1e-5),
+                instance, name, sp_trials=sp_trials, seed=index
             )
             combined["PE"] &= report.pareto_efficiency.satisfied
             combined["EF"] &= report.envy_freeness.satisfied

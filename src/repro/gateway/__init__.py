@@ -3,8 +3,8 @@
 The paper models the scheduler as a *middleware service*; this package
 is that service's front door.  A :class:`Gateway` composes an explicit
 chain of :class:`Middleware` stages — admission control, latency
-metrics, in-flight coalescing, verified warm starts, the content-hash
-cache, and the terminal registry solver — behind a stable, typed
+metrics, in-flight coalescing, the content-hash cache, and the terminal
+registry solver — behind a stable, typed
 :class:`Request`/:class:`Response` envelope.  Stages can be reordered,
 disabled, or extended (``Gateway.use(my_stage, before="solver")``)
 without touching the service internals, and audits, comparisons and
@@ -21,8 +21,8 @@ Quick start::
     gateway = Gateway(default_pipeline())
     response = gateway.solve(instance, "oef-coop")
     response.allocation          # the Allocation
-    response.disposition         # "cold" | "cache-hit" | "warm-structural" | ...
-    gateway.cache_info()         # aggregated CacheStats
+    response.disposition         # "cold" | "cache-hit" | "shed-..."
+    gateway.cache_info()         # CacheStats
 """
 
 from repro.gateway.envelope import (
@@ -34,7 +34,6 @@ from repro.gateway.envelope import (
     deadline_in,
     instance_fingerprint,
     options_key,
-    structural_fingerprint,
 )
 from repro.gateway.gateway import Gateway, bare_pipeline, default_pipeline
 from repro.gateway.middleware import (
@@ -45,7 +44,6 @@ from repro.gateway.middleware import (
     MetricsMiddleware,
     Middleware,
     SolverMiddleware,
-    WarmStartMiddleware,
 )
 
 __all__ = [
@@ -62,11 +60,9 @@ __all__ = [
     "RequestShed",
     "Response",
     "SolverMiddleware",
-    "WarmStartMiddleware",
     "bare_pipeline",
     "deadline_in",
     "default_pipeline",
     "instance_fingerprint",
     "options_key",
-    "structural_fingerprint",
 ]

@@ -3,26 +3,20 @@
 The paper frames scheduling as a *middleware service*; this module
 defines the service's wire format.  A :class:`Request` names what to
 solve (instance, scheduler, constructor options) and how the pipeline
-may treat it (cache reuse, incremental warm-start intent, priority and
-deadline for admission control).  A :class:`Response` carries the
-allocation plus full provenance: which scheduler produced it, the
-instance fingerprint it answers, how it was served (the *disposition*:
-cold solve, cache hit, verified warm start, shed), the solver wall time,
-cache-counter snapshots, and per-stage latency once the gateway has
-timed the pipeline.  Both are frozen dataclasses, so middleware stages
+may treat it (cache reuse, priority and deadline for admission control).
+A :class:`Response` carries the allocation plus full provenance: which
+scheduler produced it, the instance fingerprint it answers, how it was
+served (the *disposition*: cold solve, cache hit, shed), the solver
+wall time, cache-counter snapshots, and per-stage latency once the
+gateway has timed the pipeline.  Both are frozen dataclasses, so middleware stages
 derive modified copies with :func:`dataclasses.replace` instead of
 mutating shared state — the envelope is safe to hand across threads.
 
 Content fingerprints
 --------------------
-:func:`instance_fingerprint` and :func:`structural_fingerprint` are the
-cache identities the pipeline keys on:
-
-* the *exact* fingerprint covers user names, GPU types, the speedup
-  matrix, and capacities — identical data ⇒ identical fingerprint;
-* the *structural* fingerprint covers only who is being scheduled (user
-  set, GPU types, matrix shape) — two instances share it exactly when
-  one's LP warm state is a candidate for the other's solve.
+:func:`instance_fingerprint` is the cache identity the pipeline keys on:
+it covers user names, GPU types, the speedup matrix, and capacities —
+identical data ⇒ identical fingerprint.
 
 :func:`options_key` freezes scheduler constructor options into a
 hashable, order-insensitive, content-based key; values whose equality is
@@ -35,14 +29,13 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.instance import ProblemInstance
 from repro.exceptions import ReproError
-from repro.solver.warm import WarmStartState
 
 
 def instance_fingerprint(instance: ProblemInstance) -> str:
@@ -59,24 +52,6 @@ def instance_fingerprint(instance: ProblemInstance) -> str:
     digest.update(b"\x1e")
     digest.update(np.ascontiguousarray(instance.speedups.values, dtype=np.float64).tobytes())
     digest.update(np.ascontiguousarray(instance.capacities, dtype=np.float64).tobytes())
-    return digest.hexdigest()
-
-
-def structural_fingerprint(instance: ProblemInstance) -> str:
-    """Shape-only hash of an instance: who is being scheduled, not how fast.
-
-    Covers user names, GPU-type names, and the speedup-matrix shape while
-    deliberately excluding the numeric values and capacities — two
-    instances share a structural fingerprint exactly when one's LP warm
-    state is a candidate for the other's solve (the delta-aware tier of
-    :class:`~repro.gateway.middleware.WarmStartMiddleware`).
-    """
-    digest = hashlib.sha256()
-    digest.update("\x1f".join(map(str, instance.speedups.users)).encode())
-    digest.update(b"\x1e")
-    digest.update("\x1f".join(map(str, instance.speedups.gpu_types)).encode())
-    digest.update(b"\x1e")
-    digest.update(repr(tuple(instance.speedups.values.shape)).encode())
     return digest.hexdigest()
 
 
@@ -124,11 +99,9 @@ def deadline_in(seconds: float) -> float:
 class Request:
     """One unit of work entering the gateway pipeline.
 
-    ``instance`` is the problem payload — a
-    :class:`~repro.core.instance.ProblemInstance` for allocation solves
-    (custom pipelines, e.g. the cluster simulator's decision pipeline,
-    may carry other payloads).  ``scheduler`` names a registry scheduler
-    (alias or canonical; :meth:`Gateway.solve` canonicalises it).
+    ``instance`` is the :class:`~repro.core.instance.ProblemInstance`
+    to allocate.  ``scheduler`` names a registry scheduler (alias or
+    canonical; :meth:`Gateway.solve` canonicalises it).
 
     Pipeline directives:
 
@@ -137,50 +110,36 @@ class Request:
     * ``deadline`` — absolute monotonic timestamp (see
       :func:`deadline_in`); a request past its deadline is shed with a
       typed :class:`Overloaded` response instead of being solved;
-    * ``prev_result`` — the previous round's result (anything exposing
-      ``.scheduler`` and ``.warm_state``) for incremental re-solves;
     * ``use_cache`` — when ``False`` the cache stage neither looks up
       nor stores (it still counts the solve as a miss);
-    * ``incremental`` — marks a ``resolve``-style request: the cache
-      stage counts exact hits as warm hits and the warm-start stage
-      threads verified LP states through the solver;
-    * ``key`` — a precomputed cache identity; ``None`` (default) lets
-      the pipeline derive ``(fingerprint, scheduler, options)`` itself.
-      Custom pipelines whose payloads have their own content keys (the
-      simulator's decision key) set it explicitly and dispatch through
-      :meth:`Gateway.dispatch`;
+    * ``key`` — the cache identity ``(fingerprint, scheduler,
+      options)``, filled by :meth:`Gateway.solve` during normalisation;
+      ``None`` (default) lets the stages derive it themselves;
     * ``fingerprint`` — the instance's content fingerprint, filled by
       :meth:`Gateway.solve` during normalisation so downstream stages
       never re-hash the instance; user code leaves it ``None``;
-    * ``warm_state`` — a verified LP warm state injected by
-      ``WarmStartMiddleware`` on its way down the chain; user code
-      normally leaves it ``None``;
     * ``presolved`` — this request's answer, computed ahead of dispatch
       by ``Gateway.solve_batch(lp_batch=True)``'s composed-LP prefetch;
       the terminal solver returns it instead of solving.  User code
       leaves it ``None``.
     """
 
-    instance: Any
+    instance: ProblemInstance
     scheduler: str = "oef-coop"
     #: Constructor options forwarded to the scheduler factory.
     options: Mapping[str, object] = field(default_factory=dict)
     priority: int = 0
     deadline: Optional[float] = None
-    prev_result: Optional[Any] = None
     use_cache: bool = True
-    incremental: bool = False
     key: Optional[object] = None
     fingerprint: Optional[str] = None
-    warm_state: Optional[WarmStartState] = None
     presolved: Optional[Allocation] = None
 
 
-#: How a response was served; the cache/warm *disposition* of a solve.
+#: How a response was served; the *disposition* of a solve.
 DISPOSITIONS = (
     "cold",             # the terminal stage ran the scheduler from scratch
     "cache-hit",        # answered from the exact-content cache
-    "warm-structural",  # the LP accepted a verified prior state
     "shed-deadline",    # admission refused: deadline already passed
     "shed-capacity",    # admission refused: too many requests in flight
 )
@@ -192,10 +151,6 @@ class Response:
 
     scheduler: str
     allocation: Optional[Allocation] = None
-    #: The generic payload; equals ``allocation`` for allocation solves.
-    #: Custom pipelines (e.g. the simulator's decision pipeline) put
-    #: their own result type here and leave ``allocation`` as ``None``.
-    result: Any = None
     fingerprint: str = ""
     #: ``"ok"`` or ``"overloaded"`` (see :class:`Overloaded`).
     status: str = "ok"
@@ -207,11 +162,6 @@ class Response:
     #: (0 when no cache stage is in the pipeline).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: True when the scheduler's LP accepted a verified warm start.
-    warm: bool = False
-    #: This solve's own warm-start evidence; feed it back via
-    #: ``Request.prev_result`` for the next drifted instance.
-    warm_state: Optional[WarmStartState] = None
     #: ``((stage_name, inclusive_seconds), ...)`` outermost first —
     #: each entry is the time spent at or below that stage.  Filled by
     #: the gateway after the chain returns.
@@ -276,5 +226,4 @@ __all__ = [
     "deadline_in",
     "instance_fingerprint",
     "options_key",
-    "structural_fingerprint",
 ]

@@ -5,7 +5,7 @@
 request handler and is the only front door for every solve, audit,
 comparison and frontier sweep in the repo.  :func:`default_pipeline`
 builds the full stack
-(admission → metrics → coalesce → warm-start → cache → solver);
+(admission → metrics → coalesce → cache → solver);
 :func:`bare_pipeline` is just the terminal solver, useful for
 differential testing (``repro solve --pipeline bare``) and as the
 baseline of the ``gateway`` benchmark family.
@@ -31,7 +31,7 @@ raises before any work starts) and then dispatched through the very
 same stages — in order, or over a thread pool.  Nothing is
 re-implemented for batches: the coalesce stage dedupes in-flight
 duplicates, the cache stage merges results (a repeated batch is all
-hits), and admission, deadlines, warm tiers, the audit tap and
+hits), and admission, deadlines, the audit tap and
 :meth:`Gateway.use` stages apply to every item.  Threads are the only
 fan-out for solves — the LP solves release the GIL, and a process pool
 could share none of the pipeline's state — so ``backend="process"``
@@ -86,7 +86,6 @@ from repro.gateway.middleware import (
     MetricsMiddleware,
     Middleware,
     SolverMiddleware,
-    WarmStartMiddleware,
 )
 from repro.parallel import BackendSpec, ProcessBackend, ThreadBackend, get_backend
 from repro.registry import SchedulerRegistry
@@ -130,9 +129,8 @@ def default_pipeline(
     metrics time everything below; the audit tap (when enabled) sits
     below metrics and above coalesce/cache so it observes every
     admitted response, cache hits included; coalesce sits above the
-    cache so a coalesced follower's retry is a cache hit; warm-start
-    sits above the cache so exact-tier hits still carry a chainable LP
-    state; the solver terminates the chain.
+    cache so a coalesced follower's retry is a cache hit; the solver
+    terminates the chain.
 
     ``audit`` enables continuous fairness auditing
     (:mod:`repro.auditor`): pass a sampling rate in ``[0, 1]`` for a
@@ -152,7 +150,6 @@ def default_pipeline(
     stages.extend(
         [
             CoalesceMiddleware(registry),
-            WarmStartMiddleware(registry),
             CacheMiddleware(registry, max_entries=max_cache_entries),
             SolverMiddleware(registry),
         ]
@@ -306,9 +303,8 @@ class Gateway:
         """Run one request through the pipeline exactly as given.
 
         No normalisation happens here: the scheduler name is not
-        resolved and no cache key is derived, so custom pipelines with
-        non-allocation payloads (the simulator's decision pipeline) can
-        use the machinery untouched.  Most callers want :meth:`solve`.
+        resolved and no cache key is derived (the stages derive what
+        they need).  Most callers want :meth:`solve`.
         """
         frames = getattr(self._local, "frames", None)
         if frames is None:
@@ -336,8 +332,6 @@ class Gateway:
         *,
         options: Optional[Mapping[str, object]] = None,
         use_cache: bool = True,
-        incremental: bool = False,
-        prev_result: Optional[Any] = None,
         priority: int = 0,
         deadline: Optional[float] = None,
     ) -> Response:
@@ -345,21 +339,17 @@ class Gateway:
 
         Accepts either a prebuilt :class:`Request` (combining one with
         any non-default argument raises ``TypeError``) or the classic
-        ``(instance, scheduler, options)`` shape; ``incremental=True``
-        with ``prev_result`` is the warm re-solve of a drifted instance.
-        Normalisation resolves the scheduler alias to its
-        canonical name and precomputes the cache key once, so every
-        stage below shares the same identity without re-hashing —
-        uncacheable option values raise ``TypeError`` here, before any
-        solving starts.
+        ``(instance, scheduler, options)`` shape.  Normalisation
+        resolves the scheduler alias to its canonical name and
+        precomputes the cache key once, so every stage below shares the
+        same identity without re-hashing — uncacheable option values
+        raise ``TypeError`` here, before any solving starts.
         """
         if isinstance(instance, Request):
             if (
                 scheduler != "oef-coop"
                 or options is not None
                 or not use_cache
-                or incremental
-                or prev_result is not None
                 or priority
                 or deadline is not None
             ):
@@ -375,8 +365,6 @@ class Gateway:
                 scheduler=scheduler,
                 options=dict(options or {}),
                 use_cache=use_cache,
-                incremental=incremental,
-                prev_result=prev_result,
                 priority=priority,
                 deadline=deadline,
             )
@@ -449,12 +437,11 @@ class Gateway:
     def _prefetch_forms(self, requests: List[Request]) -> List[Request]:
         """Answer the composable cache misses in one block-diagonal LP.
 
-        A request takes part when it is not ``incremental`` (warm tiers
-        own those), its key is not already cached (an uncounted peek),
-        and its scheduler is ``parallel_safe`` (the others solve only
-        under their lock, in the terminal stage), exposes the batch
-        protocol, and ``compile_form`` returns a form (``None`` declines
-        — single tenants, the cutting-plane regime).  One
+        A request takes part when its key is not already cached (an
+        uncounted peek) and its scheduler is ``parallel_safe`` (the
+        others solve only under their lock, in the terminal stage),
+        exposes the batch protocol, and ``compile_form`` returns a form
+        (``None`` declines — single tenants).  One
         :func:`repro.solver.solve_forms` pass, which certifies each
         block against its solo solve or re-solves it, answers them all;
         each answer rides down on ``Request.presolved`` and the terminal
@@ -467,7 +454,7 @@ class Gateway:
         blocks: Dict[object, tuple] = {}  # identity -> (allocator, form, indices)
         for index, request in enumerate(requests):
             info = self.registry.info(request.scheduler)
-            if request.incremental or not info.parallel_safe:
+            if not info.parallel_safe:
                 continue
             # uncached requests never dedupe: a fresh object equals only itself
             identity = request.key if request.key is not None else object()
@@ -517,14 +504,14 @@ class Gateway:
         lp_backend: str = "auto",
         pe_within=_USE_REGISTRY_DEFAULT,
         efficiency_constraint=_USE_REGISTRY_DEFAULT,
-        pe_tolerance: float = 1e-5,
+        pe_tolerance=_USE_REGISTRY_DEFAULT,
         options: Optional[Mapping[str, object]] = None,
     ) -> PropertyReport:
         """Table-1 property audit with registry-sourced policy defaults.
 
-        ``pe_within`` / ``efficiency_constraint`` default to the
-        scheduler's registered audit configuration; explicit arguments
-        (including ``None``) win.  ``lp_backend`` names the audit's LP
+        ``pe_within`` / ``efficiency_constraint`` / ``pe_tolerance``
+        default to the scheduler's registered audit configuration;
+        explicit arguments (including a ``None`` domain) win.  ``lp_backend`` names the audit's LP
         solver; solves memoize through the cache stage.
         """
         info = self.registry.info(scheduler)
@@ -532,6 +519,8 @@ class Gateway:
             pe_within = info.pe_within
         if efficiency_constraint is _USE_REGISTRY_DEFAULT:
             efficiency_constraint = info.efficiency_constraint
+        if pe_tolerance is _USE_REGISTRY_DEFAULT:
+            pe_tolerance = info.pe_tolerance
         return audit_allocator(
             self.allocator(info.name, **(options or {})),
             instance,
@@ -603,32 +592,21 @@ class Gateway:
 
     # -- telemetry -----------------------------------------------------------
     def cache_info(self) -> CacheStats:
-        """Aggregated :class:`CacheStats` across the cache + warm stages."""
+        """The cache stage's :class:`CacheStats` (zeros without one)."""
         cache = self.find(CacheMiddleware)
-        warm = self.find(WarmStartMiddleware)
-        cache_stats = cache.stats() if cache is not None else {}
-        warm_stats = warm.stats() if warm is not None else {}
-        return CacheStats(
-            hits=cache_stats.get("hits", 0),
-            misses=cache_stats.get("misses", 0),
-            entries=cache_stats.get("entries", 0),
-            max_entries=cache_stats.get("max_entries", 0),
-            warm_hits=cache_stats.get("warm_hits", 0),
-            structural_hits=warm_stats.get("structural_hits", 0),
-            evictions=cache_stats.get("evictions", 0) + warm_stats.get("evictions", 0),
-            warm_entries=warm_stats.get("warm_entries", 0),
-        )
+        if cache is None:
+            return CacheStats(hits=0, misses=0, entries=0, max_entries=0)
+        return CacheStats(**cache.stats())
 
     def metrics_snapshot(self) -> List[Dict[str, object]]:
         """The metrics stage's histogram rows ([] without one)."""
         return [] if self._metrics is None else self._metrics.snapshot()
 
     def clear_cache(self) -> None:
-        """Reset the cache and warm stages (entries and counters)."""
-        for cls in (CacheMiddleware, WarmStartMiddleware):
-            stage = self.find(cls)
-            if stage is not None:
-                stage.reset()
+        """Reset the cache stage (entries and counters)."""
+        cache = self.find(CacheMiddleware)
+        if cache is not None:
+            cache.reset()
 
     def reset(self) -> None:
         """Reset every stage (caches, counters, histograms)."""

@@ -7,12 +7,11 @@ A middleware is one object with one method::
 
 ``next`` is the downstream remainder of the pipeline; a stage may answer
 without calling it (cache hit, admission shed), derive a modified
-request on the way down (warm-state injection), or derive a modified
-response on the way up (counter snapshots).  Stages hold their own state
-under their own locks, so any subset composes in any order — the
-pipeline-permutation property test asserts that every ordering of the
-optimisation stages around the terminal solver yields bit-identical
-allocations.
+request on the way down, or derive a modified response on the way up
+(counter snapshots).  Stages hold their own state under their own
+locks, so any subset composes in any order — the pipeline-permutation
+property test asserts that every ordering of the optimisation stages
+around the terminal solver yields bit-identical allocations.
 
 Built-ins, outermost-first in :func:`repro.gateway.default_pipeline`:
 
@@ -24,7 +23,6 @@ Built-ins, outermost-first in :func:`repro.gateway.default_pipeline`:
 :class:`CoalesceMiddleware`   dedupes identical in-flight requests — the
                               follower waits for the leader and re-enters
                               the chain (hitting the cache below)
-:class:`WarmStartMiddleware`  PR 4's verified exact/structural warm tiers
 :class:`CacheMiddleware`      the content-hash LRU + :class:`CacheStats`
 :class:`SolverMiddleware`     terminal: constructs the scheduler from the
                               registry and runs the allocation (one at a
@@ -33,16 +31,14 @@ Built-ins, outermost-first in :func:`repro.gateway.default_pipeline`:
 
 Ordering contract (see ``docs/middleware.md``): Admission should be
 outermost (shed before any work), Coalesce must sit above Cache (so a
-coalesced follower's retry is a cache hit), WarmStart must sit above
-Cache (so an exact-tier hit still carries a chainable warm state), and
-the terminal solver is always last.  Correctness never depends on the
-order — only counters and latency do.  :meth:`Gateway.solve_batch` adds
-no stage and skips none: a batch is these stages, dispatched per item.
+coalesced follower's retry is a cache hit), and the terminal solver is
+always last.  Correctness never depends on the order — only counters
+and latency do.  :meth:`Gateway.solve_batch` adds no stage and skips
+none: a batch is these stages, dispatched per item.
 
-:class:`CacheMiddleware` is deliberately generic: subclasses override
-``_key`` / ``_entry`` / ``_revive`` to cache payloads other than
-allocations.  The cluster simulator's warm decision memo is exactly such
-a subclass (see :mod:`repro.cluster.simulator`).
+A request is answered cold or from the exact cache, nothing else: LP
+warm starting lives below the gateway, at the solver API
+(``solve_form(warm_start=)``, ``Allocator.allocate_with_state``).
 """
 
 from __future__ import annotations
@@ -60,17 +56,11 @@ from repro.gateway.envelope import (
     Response,
     instance_fingerprint,
     options_key,
-    structural_fingerprint,
 )
 from repro.registry import SchedulerRegistry
 
 #: Signature of the downstream remainder of a pipeline.
 Handler = Callable[[Request], Response]
-
-#: Bound on retained warm-start states (separate from the LRU bound the
-#: allocation and frontier caches share: states are small and structural
-#: keys are few, so a fixed bound suffices).
-MAX_WARM_STATES = 256
 
 
 def _default_registry() -> SchedulerRegistry:
@@ -100,28 +90,15 @@ class CacheStats:
     """Snapshot of the pipeline's cache counters.
 
     ``hits``/``misses`` account every solve-shaped call against the exact
-    (content-hash) cache stage.  The warm-tier counters refine the
-    picture for incremental requests:
-
-    * ``warm_hits`` — incremental requests answered from the exact cache
-      without running any allocator ("exact hash → reuse allocation");
-    * ``structural_hits`` — requests where the allocator ran but its LP
-      accepted the verified prior state instead of solving cold
-      ("structural hash → reuse basis"); these also count as ``misses``
-      because the exact cache did not have the answer;
-    * ``evictions`` — LRU evictions across the allocation, auxiliary
-      (frontier), and warm-state stores combined.
+    (content-hash) cache stage; ``evictions`` counts LRU evictions across
+    the allocation and auxiliary (frontier) stores combined.
     """
 
     hits: int
     misses: int
     entries: int
     max_entries: int
-    warm_hits: int = 0
-    structural_hits: int = 0
     evictions: int = 0
-    #: Retained warm-start states (bounded separately from ``entries``).
-    warm_entries: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -158,11 +135,7 @@ class SolverMiddleware(Middleware):
     """Terminal stage: construct the scheduler and run the allocation.
 
     Dispatches through the scheduler registry, so aliases resolve and
-    new allocators appear the moment they self-register.  Incremental
-    requests route through ``allocate_with_state`` — the solver then
-    *verifies* any injected warm state before trusting it (see
-    :mod:`repro.solver.warm`) and returns fresh evidence for the next
-    round — while plain requests take the cold ``allocate`` path.
+    new allocators appear the moment they self-register.
 
     This is also where the registry's ``parallel_safe=False`` flag is
     enforced: such a scheduler's solves hold its registry-owned lock,
@@ -179,37 +152,28 @@ class SolverMiddleware(Middleware):
         info = self.registry.info(request.scheduler)
         fingerprint = request.fingerprint or instance_fingerprint(request.instance)
         if info.parallel_safe:
-            allocation, new_state, warm_used, elapsed = self._run(info, request)
+            allocation, elapsed = self._run(info, request)
         else:
             # one lock per scheduler, owned by the registry, so every
             # gateway (and server shard) over it takes turns
             with self.registry.solve_lock(info.name):
-                allocation, new_state, warm_used, elapsed = self._run(info, request)
+                allocation, elapsed = self._run(info, request)
         return Response(
             scheduler=info.name,
             allocation=allocation,
-            result=allocation,
             fingerprint=fingerprint,
-            disposition="warm-structural" if warm_used else "cold",
             solve_seconds=elapsed,
-            warm=warm_used,
-            warm_state=new_state,
         )
 
     @staticmethod
     def _run(info, request: Request):
-        """``(allocation, fresh warm state, warm used, scheduler seconds)``."""
+        """``(allocation, scheduler seconds)``."""
         if request.presolved is not None:  # solve_batch(lp_batch=True) prefetch
-            return request.presolved, None, False, 0.0
+            return request.presolved, 0.0
         allocator = info.factory(**dict(request.options))
         start = time.perf_counter()
-        if request.incremental:
-            allocation, new_state, warm_used = allocator.allocate_with_state(
-                request.instance, request.warm_state
-            )
-        else:
-            allocation, new_state, warm_used = allocator.allocate(request.instance), None, False
-        return allocation, new_state, warm_used, time.perf_counter() - start
+        allocation = allocator.allocate(request.instance)
+        return allocation, time.perf_counter() - start
 
     def describe(self) -> Dict[str, object]:
         row = super().describe()
@@ -232,10 +196,6 @@ class CacheMiddleware(Middleware):
     the downstream solve runs *outside* it, so concurrent solves
     overlap.  ``use_cache=False`` requests still count as misses,
     they just never touch the stores.
-
-    Subclass hooks for non-allocation payloads: ``_key(request)``
-    derives the identity, ``_entry(request, response)`` the stored
-    value, ``_revive(entry, request)`` the served response.
     """
 
     name = "cache"
@@ -253,57 +213,34 @@ class CacheMiddleware(Middleware):
         self._aux: "OrderedDict[object, Any]" = OrderedDict()
         self._hits = 0
         self._misses = 0
-        self._warm_hits = 0
         self._evictions = 0
         #: Guards both stores and all counters.
         self._lock = threading.RLock()
 
-    # -- subclass hooks ----------------------------------------------------
-    def _key(self, request: Request) -> object:
-        return derive_key(request, self.registry)
-
-    def _entry(self, request: Request, response: Response) -> object:
-        allocation = response.allocation
-        return (
-            allocation.matrix.copy(),
-            allocation.allocator_name or response.scheduler,
-            response.fingerprint,
-            response.scheduler,
-        )
-
-    def _revive(self, entry: object, request: Request) -> Response:
-        matrix, allocator_name, fingerprint, canonical = entry
-        allocation = Allocation(
-            matrix.copy(), request.instance, allocator_name=allocator_name
-        )
-        return Response(
-            scheduler=canonical,
-            allocation=allocation,
-            result=allocation,
-            fingerprint=fingerprint,
-            disposition="cache-hit",
-            solve_seconds=0.0,
-        )
-
-    # -- the stage ---------------------------------------------------------
     def handle(self, request: Request, next: Handler) -> Response:
+        key = None
         if request.use_cache:
-            key = request.key if request.key is not None else self._key(request)
-        else:
-            key = None
-
-        if key is not None:
+            key = request.key
+            if key is None:
+                key = derive_key(request, self.registry)
             with self._lock:
                 entry = self._store.get(key)
                 if entry is not None:
                     self._store.move_to_end(key)
                     self._hits += 1
-                    if request.incremental:
-                        self._warm_hits += 1
                     hits, misses = self._hits, self._misses
             if entry is not None:
-                response = self._revive(entry, request)
-                return replace(response, cache_hits=hits, cache_misses=misses)
+                matrix, allocator_name, fingerprint, canonical = entry
+                return Response(
+                    scheduler=canonical,
+                    allocation=Allocation(
+                        matrix.copy(), request.instance, allocator_name=allocator_name
+                    ),
+                    fingerprint=fingerprint,
+                    disposition="cache-hit",
+                    cache_hits=hits,
+                    cache_misses=misses,
+                )
 
         # count the miss before the solver runs (concurrent callers
         # each account exactly one hit or miss)
@@ -314,7 +251,13 @@ class CacheMiddleware(Middleware):
             return response
         with self._lock:
             if key is not None:
-                self._store[key] = self._entry(request, response)
+                allocation = response.allocation
+                self._store[key] = (
+                    allocation.matrix.copy(),
+                    allocation.allocator_name or response.scheduler,
+                    response.fingerprint,
+                    response.scheduler,
+                )
                 self._trim(self._store)
             hits, misses = self._hits, self._misses
         return replace(response, cache_hits=hits, cache_misses=misses)
@@ -370,7 +313,6 @@ class CacheMiddleware(Middleware):
             self._aux.clear()
             self._hits = 0
             self._misses = 0
-            self._warm_hits = 0
             self._evictions = 0
 
     def stats(self) -> Dict[str, int]:
@@ -378,7 +320,6 @@ class CacheMiddleware(Middleware):
             return {
                 "hits": self._hits,
                 "misses": self._misses,
-                "warm_hits": self._warm_hits,
                 "evictions": self._evictions,
                 "entries": len(self._store) + len(self._aux),
                 "max_entries": self.max_entries,
@@ -391,97 +332,6 @@ class CacheMiddleware(Middleware):
             caches="yes",
             stateful="yes",
             detail=f"LRU {snapshot['entries']}/{snapshot['max_entries']}",
-        )
-        return row
-
-
-class WarmStartMiddleware(Middleware):
-    """PR 4's verified warm-start tiers as a composable stage.
-
-    Engages only for ``incremental`` requests.  On the way down it
-    selects a candidate :class:`~repro.solver.warm.WarmStartState` —
-    the caller's ``prev_result`` when it matches, else this stage's own
-    structural store — and injects it into the request for the terminal
-    solver, which *verifies* the state before trusting it (warm answers
-    therefore always equal cold answers to solver tolerance).  On the
-    way up it banks the solve's fresh state under the structural key and
-    counts ``structural_hits`` when the LP actually accepted the warm
-    start.  Placed above the cache stage so an exact-tier hit still
-    carries a chainable state.
-    """
-
-    name = "warm-start"
-
-    def __init__(
-        self,
-        registry: Optional[SchedulerRegistry] = None,
-        max_states: int = MAX_WARM_STATES,
-    ):
-        self.registry = registry if registry is not None else _default_registry()
-        self.max_states = max_states
-        self._states: "OrderedDict[object, Any]" = OrderedDict()
-        self._structural_hits = 0
-        self._evictions = 0
-        self._lock = threading.RLock()
-
-    def handle(self, request: Request, next: Handler) -> Response:
-        if not request.incremental:
-            return next(request)
-        info = self.registry.info(request.scheduler)
-        struct_key = (
-            structural_fingerprint(request.instance),
-            info.name,
-            options_key(request.options),
-        )
-        state = None
-        if info.warm_startable:
-            prev = request.prev_result
-            prev_state = getattr(prev, "warm_state", None)
-            if prev_state is not None and getattr(prev, "scheduler", None) == info.name:
-                state = prev_state
-            else:
-                with self._lock:
-                    state = self._states.get(struct_key)
-                    if state is not None:
-                        # keep the actively chained state LRU-fresh
-                        self._states.move_to_end(struct_key)
-            if state is not None and request.warm_state is None:
-                request = replace(request, warm_state=state)
-        response = next(request)
-        with self._lock:
-            if response.warm:
-                self._structural_hits += 1
-            if response.warm_state is not None:
-                self._states[struct_key] = response.warm_state
-                self._states.move_to_end(struct_key)
-                while len(self._states) > self.max_states:
-                    self._states.popitem(last=False)
-                    self._evictions += 1
-        if response.warm_state is None and state is not None and response.ok:
-            # exact-tier hits still hand the caller a chainable state
-            response = replace(response, warm_state=state)
-        return response
-
-    def reset(self) -> None:
-        with self._lock:
-            self._states.clear()
-            self._structural_hits = 0
-            self._evictions = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "structural_hits": self._structural_hits,
-                "evictions": self._evictions,
-                "warm_entries": len(self._states),
-            }
-
-    def describe(self) -> Dict[str, object]:
-        row = super().describe()
-        row.update(
-            caches="yes",
-            stateful="yes",
-            detail=f"states {len(self._states)}/{self.max_states}",
         )
         return row
 
@@ -561,7 +411,7 @@ class MetricsMiddleware(Middleware):
     """Per-disposition latency histograms for the whole downstream chain.
 
     Records one sample per request under the response's disposition
-    (``cold`` / ``cache-hit`` / ``warm-structural`` / ``shed-*``), and —
+    (``cold`` / ``cache-hit`` / ``shed-*``), and —
     fed by the gateway after each dispatch — per-stage inclusive
     latencies under ``stage:<name>``.  :meth:`snapshot` renders
     ``repro/bench-v1`` rows (mean/p50/p95), which is what
@@ -757,10 +607,8 @@ __all__ = [
     "CacheStats",
     "CoalesceMiddleware",
     "Handler",
-    "MAX_WARM_STATES",
     "MetricsMiddleware",
     "Middleware",
     "SolverMiddleware",
-    "WarmStartMiddleware",
     "derive_key",
 ]

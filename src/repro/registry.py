@@ -75,8 +75,8 @@ _BUILTIN_MODULES = (
 class SchedulerInfo:
     """Everything an entry point needs to know about one scheduler.
 
-    ``pe_within`` and ``efficiency_constraint`` are the audit defaults the
-    paper's Table-1 checks use for this scheduler (see
+    ``pe_within``, ``efficiency_constraint`` and ``pe_tolerance`` are the
+    audit defaults the paper's Table-1 checks use for this scheduler (see
     :func:`repro.core.properties.audit_allocator`); callers may still
     override them per call.
     """
@@ -98,12 +98,9 @@ class SchedulerInfo:
     #: When False, ``SolverMiddleware`` serialises this scheduler's
     #: solves behind :meth:`SchedulerRegistry.solve_lock`.
     parallel_safe: bool = True
-    #: Supports verified warm-started re-solves: ``allocate_with_state``
-    #: threads a prior :class:`~repro.solver.warm.WarmStartState` into
-    #: its LP and returns a fresh one.  The gateway's structural warm
-    #: tier (:class:`repro.gateway.middleware.WarmStartMiddleware`)
-    #: only engages for schedulers with this flag set.
-    warm_startable: bool = False
+    #: Relative residual the PE audit tolerates (greedy heuristics are
+    #: PE only up to small residuals on random instances).
+    pe_tolerance: float = 1e-5
 
     def as_row(self) -> Dict[str, object]:
         """One printable table row for ``repro list-schedulers``."""
@@ -115,7 +112,6 @@ class SchedulerInfo:
             "efficiency vs": self.efficiency_constraint,
             "weights": "yes" if self.supports_weights else "no",
             "job-level": "yes" if self.supports_job_level else "no",
-            "warm": "yes" if self.warm_startable else "no",
             "description": self.description,
         }
 
@@ -242,7 +238,7 @@ def register_scheduler(
     supports_weights: bool = False,
     supports_job_level: bool = False,
     parallel_safe: bool = True,
-    warm_startable: bool = False,
+    pe_tolerance: float = 1e-5,
     registry: Optional[SchedulerRegistry] = None,
 ) -> Callable[[type], type]:
     """Class decorator: register an :class:`Allocator` subclass.
@@ -274,7 +270,7 @@ def register_scheduler(
             supports_weights=supports_weights,
             supports_job_level=supports_job_level,
             parallel_safe=parallel_safe,
-            warm_startable=warm_startable,
+            pe_tolerance=pe_tolerance,
         )
         # explicit "is not None": an empty registry is falsy via __len__
         target = registry if registry is not None else REGISTRY

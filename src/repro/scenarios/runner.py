@@ -24,9 +24,8 @@ order.  Determinism contract: for a fixed (scenario, seed, scheduler),
 the summary row is identical on every backend.
 
 Warm-started replay (``warm=True``, the default) threads each round's
-solution into the next through the simulator's decision *gateway* — a
-two-stage :class:`repro.gateway.Gateway` pipeline whose cache stage
-memoizes decisions by the scheduler's own content key (see
+solution into the next through the simulator's decision memo — a
+bounded LRU keyed by the scheduler's own content key (see
 :mod:`repro.cluster.simulator`) — cutting repeat-round LP cost to zero
 while staying **bit-identical** to a cold replay — compare
 :meth:`ScenarioResult.fingerprint` across ``warm``/``cold`` runs or
@@ -398,7 +397,7 @@ class ScenarioRunner:
         #: Optional callable fed every distilled
         #: :class:`ScenarioRoundRecord` as it happens (any record mode);
         #: if it has a ``close()`` method the runner calls it after the
-        #: replay, so buffering sinks can flush.
+        #: replay (also when it raises), so buffering sinks can flush.
         self.round_sink = round_sink
 
     # -- construction ---------------------------------------------------------
@@ -466,13 +465,16 @@ class ScenarioRunner:
             on_round=observe, keep_rounds=self.record_rounds
         )
         simulator = self.build_simulator(script, metrics=metrics)
-        simulator.run()
+        try:
+            simulator.run()
+        finally:
+            # buffering sinks flush even when the replay dies mid-run
+            close = getattr(self.round_sink, "close", None)
+            if close is not None:
+                close()
         # the run is over: drop the (unpicklable) local observer so the
         # collector travels back from process-backend workers cleanly
         metrics.on_round = None
-        close = getattr(self.round_sink, "close", None)
-        if close is not None:
-            close()
         header = (
             self.scenario.name,
             self.scheduler,

@@ -1,7 +1,7 @@
 """``repro.server``: the async sharded serving layer over the gateway.
 
 The middleware gateway (:mod:`repro.gateway`) has admission control,
-coalescing, typed ``Overloaded`` shedding, and verified warm/cache tiers
+coalescing, typed ``Overloaded`` shedding, and the content-hash cache
 — everything a production scheduler service needs except a socket.  This
 package is the socket: a stdlib-only asyncio HTTP/1.1 front end
 (:class:`ReproServer`) over a consistent-hash

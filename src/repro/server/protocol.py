@@ -259,7 +259,6 @@ def response_payload(response: Response) -> Dict[str, object]:
         "served": {
             "disposition": response.disposition,
             "solve_seconds": response.solve_seconds,
-            "warm": response.warm,
             "cache_hits": response.cache_hits,
             "cache_misses": response.cache_misses,
         },

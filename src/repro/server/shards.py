@@ -1,12 +1,11 @@
 """The shard pool: N gateway workers behind a consistent-hash ring.
 
 Each shard owns a full middleware-pipeline
-:class:`~repro.gateway.Gateway` (its own LRU cache, warm-start store,
-admission stage) plus a dedicated :class:`ThreadPoolExecutor`; the
-asyncio front end routes every request by **consistent hash on the
-instance fingerprint**, so repeated solves of the same (or structurally
-drifted) instance always land on the same shard and that shard's cache
-and warm tiers stay hot.  Gateway dispatch runs on the shard's executor
+:class:`~repro.gateway.Gateway` (its own LRU cache and admission
+stage) plus a dedicated :class:`ThreadPoolExecutor`; the asyncio front
+end routes every request by **consistent hash on the instance
+fingerprint**, so repeated solves of the same instance always land on
+the same shard and that shard's cache stays hot.  Gateway dispatch runs on the shard's executor
 threads — the event loop never blocks on an LP solve.
 
 Consistent hashing (vs ``hash % N``) matters for the roadmap's scale
@@ -180,8 +179,6 @@ class ShardPool:
                     "cache_hits": cache.hits,
                     "cache_misses": cache.misses,
                     "cache_entries": cache.entries,
-                    "warm_hits": cache.warm_hits,
-                    "structural_hits": cache.structural_hits,
                     "admission": (
                         admission.stats() if admission is not None else {}
                     ),

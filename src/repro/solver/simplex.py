@@ -69,6 +69,12 @@ _TOL = 1e-9
 #: infeasible programs (whose phase-1 optimum is bounded away from zero).
 _PHASE1_TOL = 1e-7
 
+#: Ratio-test pivots must exceed this fraction of the entering column's
+#: largest entry: the absolute ``_TOL`` floor alone admits a ``1e-9``
+#: element next to ``O(1)`` ones, and the next refactorisation of that
+#: basis is singular (or the iteration stalls on degenerate steps).
+_PIVOT_REL_TOL = 1e-7
+
 #: Rebuild the basis LU factorisation after this many eta updates (bounds
 #: both the per-solve memory and the error accumulated through the chain).
 _REFACTOR_EVERY = 64
@@ -334,7 +340,8 @@ class _RevisedSolver:
         """Leaving row: minimum ratio, ties to the smallest basis index."""
         leaving = None
         best_ratio = np.inf
-        for row in np.nonzero(direction > _TOL)[0]:
+        threshold = max(_TOL, _PIVOT_REL_TOL * float(np.abs(direction).max(initial=0.0)))
+        for row in np.nonzero(direction > threshold)[0]:
             ratio = self.x_basic[row] / direction[row]
             if ratio < best_ratio - _TOL or (
                 abs(ratio - best_ratio) <= _TOL

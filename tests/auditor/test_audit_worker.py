@@ -285,3 +285,36 @@ class TestLedgerIntegration:
         assert record["properties"]["PE"] == "yes"
         assert record["properties"]["EF"] == "yes"
         assert record["elapsed_s"] > 0
+
+
+class TestSyncAsyncParity:
+    """``Gateway.audit`` and the continuous auditor share one audit policy."""
+
+    def test_gateway_audit_equals_worker_parameters_for_every_scheduler(self):
+        from repro.core import audit_allocator
+        from repro.gateway import Gateway
+        from repro.registry import REGISTRY
+        from repro.workloads.generator import random_instance
+
+        # seed 0: Gandiva_fair's greedy trades leave a PE residual between
+        # 1e-5 and its registered 0.02, so a second tolerance would show
+        drifted = random_instance(6, 3, seed=0, devices_per_type=4.0)
+        worker = AuditWorker(sp_trials=1)
+        try:
+            for scheduler in REGISTRY.names():
+                parameters = worker.audit_parameters(scheduler)
+                direct = audit_allocator(
+                    REGISTRY.create(scheduler), drifted, **parameters
+                )
+                served = Gateway().audit(
+                    drifted, scheduler, sp_trials=1, seed=worker.seed
+                )
+                assert served.as_row() == direct.as_row(), scheduler
+        finally:
+            worker.stop()
+
+    def test_gandiva_tolerance_is_registered_once(self):
+        from repro.registry import scheduler_info
+
+        assert scheduler_info("gandiva-fair").pe_tolerance == 0.02
+        assert scheduler_info("oef-coop").pe_tolerance == 1e-5

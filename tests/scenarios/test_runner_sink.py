@@ -86,6 +86,51 @@ class TestSinkMode:
         assert len(results) == 2  # the local observer must not travel
 
 
+class _Boom:
+    """A timed event whose ``apply`` raises."""
+
+    def __init__(self, time: float):
+        self.time = time
+
+    def apply(self, simulator, now):
+        raise RuntimeError("boom")
+
+
+class TestSinkClosesOnFailure:
+    def _failing_script(self, scenario, at_round: int):
+        from dataclasses import replace
+
+        script = scenario.materialize()
+        boom = _Boom(at_round * scenario.simulation_config({}).round_duration)
+        events = sorted([*script.events, boom], key=lambda event: event.time)
+        return replace(script, events=tuple(events))
+
+    def test_sink_is_closed_when_the_replay_raises(self, scenario):
+        sink = RecordingSink()
+        runner = ScenarioRunner(scenario, record_rounds=False, round_sink=sink)
+        with pytest.raises(RuntimeError, match="boom"):
+            runner.run(self._failing_script(scenario, at_round=5))
+        assert sink.closed
+        assert [r.round_index for r in sink.records] == list(range(5))
+
+    def test_buffered_fleet_stream_keeps_the_rounds_before_the_error(
+        self, scenario, tmp_path
+    ):
+        from repro.fleet.metrics import FleetMetricsWriter, read_fleet_metrics
+
+        path = tmp_path / "metrics.jsonl"
+        writer = FleetMetricsWriter(
+            str(path), fleet="f", region="region0", seed=3, scheduler="oef-coop"
+        )
+        assert writer.flush_every > 5  # the whole run sits in the buffer
+        runner = ScenarioRunner(scenario, record_rounds=False, round_sink=writer)
+        with pytest.raises(RuntimeError, match="boom"):
+            runner.run(self._failing_script(scenario, at_round=5))
+        assert [entry["round"] for entry in read_fleet_metrics(str(path))] == list(
+            range(5)
+        )
+
+
 class TestAggregates:
     def test_running_means_match_recorded_means(self, scenario):
         result = ScenarioRunner(scenario).run()

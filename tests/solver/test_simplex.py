@@ -161,3 +161,48 @@ class TestCrossCheck:
         assert simplex_allocation.total_efficiency() == pytest.approx(
             scipy_allocation.total_efficiency(), rel=1e-6
         )
+
+
+def _coop_case(users, types, seed, perturbed):
+    from repro.core import ProblemInstance
+    from repro.workloads.generator import random_instance
+
+    instance = random_instance(users, types, seed=seed)
+    if perturbed:
+        noise = np.random.default_rng(seed).standard_normal(types)
+        instance = ProblemInstance(
+            instance.speedups, instance.capacities * (1 + 1e-3 * noise)
+        )
+    return instance
+
+
+class TestCoopDifferential:
+    """The reference simplex on feasible coop LPs, objective vs HiGHS.
+
+    The nine 12x4 cases broke down before the ratio test admitted pivots
+    relative to the column's largest entry (singular refactorisations,
+    100000-iteration stalls); the rest samples the grid they came from.
+    """
+
+    BROKE_DOWN = [
+        (12, 4, 0, True), (12, 4, 4, False), (12, 4, 14, True),
+        (12, 4, 20, False), (12, 4, 23, False), (12, 4, 27, True),
+        (12, 4, 31, True), (12, 4, 34, False), (12, 4, 39, True),
+    ]
+    SAMPLE = [
+        (users, types, seed, perturbed)
+        for users, types in ((4, 3), (6, 3), (8, 4), (12, 4))
+        for seed in (1, 17, 33)
+        for perturbed in (False, True)
+    ]
+
+    @pytest.mark.parametrize("users,types,seed,perturbed", BROKE_DOWN + SAMPLE)
+    def test_simplex_objective_matches_scipy(self, users, types, seed, perturbed):
+        from repro.core import CooperativeOEF
+
+        instance = _coop_case(users, types, seed, perturbed)
+        reference = CooperativeOEF(backend="scipy").allocate(instance)
+        simplex = CooperativeOEF(backend="simplex").allocate(instance)
+        assert simplex.total_efficiency() == pytest.approx(
+            reference.total_efficiency(), rel=1e-6, abs=1e-6
+        )

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import ProblemInstance, SpeedupMatrix
+from repro.registry import create_scheduler
 from repro.solver import (
     LinearProgram,
     ScipyBackend,
@@ -177,3 +179,51 @@ class TestTryWarmSolveDirect:
         form = build([1.0, 2.0]).compile()
         values = backend_cls().solve(form, warm_start=None)
         assert values.shape == (4,)
+
+
+class TestAllocatorWarmState:
+    """``Allocator.allocate_with_state``: the warm API above ``solve_form``."""
+
+    @staticmethod
+    def _drifted(instance, scale):
+        return ProblemInstance(instance.speedups, instance.capacities * scale)
+
+    def test_state_is_reused_and_answer_equals_cold(self, paper_instance):
+        allocator = create_scheduler("oef-noncoop", backend="simplex")
+        _, state, warm_used = allocator.allocate_with_state(paper_instance)
+        assert state is not None and not warm_used
+        drifted = self._drifted(paper_instance, 1.1)
+        warm, _, warm_used = allocator.allocate_with_state(drifted, state)
+        assert warm_used
+        cold = create_scheduler("oef-noncoop", backend="simplex").allocate(drifted)
+        np.testing.assert_allclose(warm.matrix, cold.matrix, atol=1e-9)
+
+    def test_chain_matches_cold_at_every_step(self, paper_instance):
+        allocator = create_scheduler("oef-coop", backend="simplex")
+        state = None
+        for scale in (1.0, 1.05, 0.97, 1.12, 1.0):
+            instance = self._drifted(paper_instance, scale)
+            allocation, state, _ = allocator.allocate_with_state(instance, state)
+            cold = create_scheduler("oef-coop", backend="simplex").allocate(instance)
+            np.testing.assert_allclose(allocation.matrix, cold.matrix, atol=1e-9)
+
+    def test_shape_change_falls_back_cold(self, paper_instance):
+        allocator = create_scheduler("oef-noncoop", backend="simplex")
+        _, state, _ = allocator.allocate_with_state(paper_instance)
+        smaller = ProblemInstance(
+            SpeedupMatrix(paper_instance.speedups.values[:2]),
+            paper_instance.capacities,
+        )
+        allocation, _, warm_used = allocator.allocate_with_state(smaller, state)
+        assert not warm_used  # different structure: verified cold solve
+        assert allocation.matrix.shape[0] == 2
+
+    def test_lp_free_scheduler_ignores_the_state(self, paper_instance):
+        allocator = create_scheduler("max-min")
+        allocation, state, warm_used = allocator.allocate_with_state(
+            paper_instance, WarmStartState(("anything",))
+        )
+        assert state is None and not warm_used
+        np.testing.assert_allclose(
+            allocation.matrix, create_scheduler("max-min").allocate(paper_instance).matrix
+        )

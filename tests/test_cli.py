@@ -155,13 +155,13 @@ class TestListMiddleware:
             "admission",
             "metrics",
             "coalesce",
-            "warm-start",
             "cache",
             "solver",
         ):
             assert stage in out
         for header in ("stage", "class", "caches", "sheds", "terminal"):
             assert header in out
+        assert "warm-start" not in out
         # pipeline order: admission outermost, solver terminal
         lines = [line for line in out.splitlines() if line.strip()]
         assert lines[1].split()[1] == "admission"

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import CooperativeOEF, ProblemInstance, SpeedupMatrix
+from repro.core import CooperativeOEF
 from repro.gateway import (
     AdmissionMiddleware,
     CacheMiddleware,
@@ -19,12 +19,10 @@ from repro.gateway import (
     RequestShed,
     Response,
     SolverMiddleware,
-    WarmStartMiddleware,
     bare_pipeline,
     deadline_in,
     default_pipeline,
 )
-from repro.registry import create_scheduler
 from repro.workloads.generator import random_instance
 
 
@@ -63,7 +61,7 @@ class _Blocking(Middleware):
         with self._lock:
             self.calls += 1
         self.release.wait(10.0)
-        return Response(scheduler=request.scheduler, result="done")
+        return Response(scheduler=request.scheduler)
 
 
 class TestEnvelope:
@@ -101,7 +99,7 @@ class TestGatewaySolve:
         response = gateway.solve(paper_instance, "max-min")
         stages = [name for name, _ in response.stage_timings]
         assert stages == [
-            "admission", "metrics", "coalesce", "warm-start", "cache", "solver",
+            "admission", "metrics", "coalesce", "cache", "solver",
         ]
         assert all(seconds >= 0.0 for _, seconds in response.stage_timings)
         # inclusive timings: outer stages cover the inner ones
@@ -177,7 +175,7 @@ class TestPipelineComposition:
     def test_describe_lists_stages_in_order(self, gateway):
         rows = gateway.describe()
         assert [row["stage"] for row in rows] == [
-            "admission", "metrics", "coalesce", "warm-start", "cache", "solver",
+            "admission", "metrics", "coalesce", "cache", "solver",
         ]
         assert rows[-1]["terminal"] == "yes"
 
@@ -186,29 +184,19 @@ class TestPipelineComposition:
         assert gateway.find("nope") is None
 
 
-class TestIncrementalThroughGateway:
-    def test_incremental_matches_cold(self, gateway, paper_instance):
-        options = {"backend": "simplex"}
-        prev = gateway.solve(
-            paper_instance, "oef-noncoop", options=options, incremental=True
-        )
-        assert prev.warm_state is not None and not prev.warm
-        drifted = ProblemInstance(paper_instance.speedups, paper_instance.capacities * 1.1)
-        warm = gateway.solve(
-            drifted, "oef-noncoop", options=options,
-            incremental=True, prev_result=prev,
-        )
-        assert warm.warm and warm.disposition == "warm-structural"
-        cold = create_scheduler("oef-noncoop", backend="simplex").allocate(drifted)
-        np.testing.assert_allclose(warm.allocation.matrix, cold.matrix, atol=1e-9)
-        stats = gateway.cache_info()
-        assert stats.structural_hits == 1 and stats.warm_hits == 0
+class TestWarmTierIsGone:
+    def test_incremental_is_not_a_solve_argument(self, gateway, paper_instance):
+        with pytest.raises(TypeError):
+            gateway.solve(paper_instance, "oef-coop", incremental=True)
+        with pytest.raises(TypeError):
+            Request(paper_instance, "oef-coop", prev_result=None)
 
-    def test_exact_incremental_hit_counts_warm(self, gateway, paper_instance):
-        gateway.solve(paper_instance, "oef-coop", incremental=True)
-        again = gateway.solve(paper_instance, "oef-coop", incremental=True)
-        assert again.from_cache
-        assert gateway.cache_info().warm_hits == 1
+    def test_envelope_and_stats_carry_no_warm_fields(self, gateway, paper_instance):
+        response = gateway.solve(paper_instance, "oef-coop")
+        for name in ("warm", "warm_state", "result"):
+            assert not hasattr(response, name)
+        for name in ("warm_hits", "structural_hits", "warm_entries"):
+            assert not hasattr(gateway.cache_info(), name)
 
 
 class TestAdmission:
@@ -339,7 +327,6 @@ class TestCoalesce:
                 return Response(
                     scheduler=request.scheduler,
                     allocation=allocation,
-                    result=allocation,
                     fingerprint="slow",
                 )
 
@@ -460,32 +447,6 @@ class TestBatchThroughGateway:
             assert responses[0].disposition == "shed-deadline"
             assert responses[0].allocation is None
             assert responses[1].ok and responses[1].allocation is not None
-
-    def test_incremental_requests_keep_warm_tiers_in_parallel_batches(
-        self, paper_instance
-    ):
-        gateway = Gateway(default_pipeline())
-        options = {"backend": "simplex"}
-        prev = gateway.solve(
-            paper_instance, "oef-noncoop", options=options, incremental=True
-        )
-        drifted = ProblemInstance(
-            paper_instance.speedups, paper_instance.capacities * 1.1
-        )
-        responses = gateway.solve_batch(
-            [
-                Request(
-                    instance=drifted,
-                    scheduler="oef-noncoop",
-                    options=options,
-                    incremental=True,
-                    prev_result=prev,
-                )
-            ],
-            backend="thread",
-        )
-        assert responses[0].warm  # the verified warm tier still engaged
-        assert gateway.cache_info().structural_hits == 1
 
     def test_bounded_admission_applies_to_parallel_batches(self, recwarn):
         """A bounded pipeline fans out: shed items are typed, in their slots."""
@@ -650,9 +611,8 @@ class TestOneFrontDoor:
             {"use_cache": False},
             {"deadline": deadline_in(30)},
             {"options": {}},
-            {"incremental": True},
             {"priority": 1},
-            {"scheduler": "oef-coop", "prev_result": object()},
+            {"scheduler": "oef-coop", "priority": 1},
         ):
             with pytest.raises(TypeError, match="prebuilt Request"):
                 gateway.solve(request, **kwargs)
@@ -681,14 +641,6 @@ class TestOneFrontDoor:
         hit = gateway.solve(paper_instance, "gavel", options={"slack": 0.5})
         assert hit.from_cache
         np.testing.assert_array_equal(hit.allocation.matrix, matrix)
-
-    def test_warm_startable_stage_keeps_warm_startable_registry_flag(self):
-        from repro import scheduler_info
-
-        # the stage engages exactly for the schedulers flagged warm_startable
-        assert scheduler_info("oef-coop").warm_startable
-        assert not scheduler_info("max-min").warm_startable
-
 
 class TestUseErrorPaths:
     """Composition mistakes must fail loudly, not corrupt the pipeline."""
@@ -763,7 +715,7 @@ class TestCoalesceLeaderRaises:
                     entered.set()
                     release.wait(10.0)
                     raise boom
-                return Response(scheduler=request.scheduler, result="ok")
+                return Response(scheduler=request.scheduler)
 
         solver = _ExplodingSolver()
         gateway = Gateway([CoalesceMiddleware(), solver])
@@ -827,7 +779,7 @@ class TestRetryAfterHint:
 
             def handle(self, request, next):
                 time.sleep(0.05)
-                return Response(scheduler=request.scheduler, result="done")
+                return Response(scheduler=request.scheduler)
 
         gateway = Gateway([admission, _Sleepy()])
         cold_hint = admission.retry_after_hint()
@@ -848,7 +800,7 @@ class TestRetryAfterHint:
 
             def handle(self, request, next):
                 time.sleep(0.05)
-                return Response(scheduler=request.scheduler, result="done")
+                return Response(scheduler=request.scheduler)
 
         gateway = Gateway([admission, _Sleepy()])
         gateway.dispatch(Request(instance=None, scheduler="noop"))
@@ -932,6 +884,28 @@ class TestLpBatch:
         assert [r.scheduler for r in responses] == [name for _, name, _ in requests]
         assert all(response.disposition == "cold" for response in responses)
         assert len(tap.seen) == len(requests)
-        # the composed-LP answers ride down on the requests the stage saw
-        assert any(request.presolved is not None for request in tap.seen)
+        # the composed-LP answers ride down on the requests the stage saw;
+        # oef-coop left the batch protocol and solves solo in the terminal
+        for request in tap.seen:
+            assert (request.presolved is None) == (request.scheduler == "oef-coop")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_coop_requests_solve_once_each_and_match_serial(self, monkeypatch):
+        import repro.core.cooperative as cooperative
+
+        calls = []
+        solve_form = cooperative.solve_form
+
+        def counting(form, **kwargs):
+            calls.append(form)
+            return solve_form(form, **kwargs)
+
+        monkeypatch.setattr(cooperative, "solve_form", counting)
+        requests = [
+            (random_instance(8, 3, seed=seed), "oef-coop", {}) for seed in range(4)
+        ]
+        batched = Gateway(default_pipeline()).solve_batch(requests, lp_batch=True)
+        assert len(calls) == len(requests)  # no composed pass, no re-solve
+        serial = Gateway(default_pipeline()).solve_batch(requests)
+        for a, b in zip(serial, batched):
+            np.testing.assert_array_equal(b.allocation.matrix, a.allocation.matrix)

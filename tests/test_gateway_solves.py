@@ -1,4 +1,4 @@
-"""Gateway solves: caching, batch solves, warm re-solves, registry audits.
+"""Gateway solves: caching, batch solves, registry audits.
 
 Ported from the removed service facade's suite: the same contracts,
 asserted on the one front door.
@@ -24,7 +24,6 @@ from repro.gateway import (
     default_pipeline,
     instance_fingerprint,
     options_key,
-    structural_fingerprint,
 )
 from repro.registry import create_scheduler, scheduler_names
 
@@ -32,13 +31,6 @@ from repro.registry import create_scheduler, scheduler_names
 @pytest.fixture
 def gateway() -> Gateway:
     return Gateway()
-
-
-def _resolve(gateway, prev, instance, scheduler, **kwargs):
-    """An incremental re-solve: the warm path for a drifted instance."""
-    return gateway.solve(
-        instance, scheduler, incremental=True, prev_result=prev, **kwargs
-    )
 
 
 class TestFingerprint:
@@ -307,138 +299,8 @@ def _drifted(instance: ProblemInstance, scale: float) -> ProblemInstance:
     return ProblemInstance(instance.speedups, instance.capacities * scale)
 
 
-class TestStructuralFingerprint:
-    def test_value_drift_shares_structure(self, paper_instance):
-        assert structural_fingerprint(paper_instance) == structural_fingerprint(
-            _drifted(paper_instance, 1.7)
-        )
-
-    def test_user_set_changes_structure(self, paper_instance):
-        renamed = ProblemInstance(
-            SpeedupMatrix(paper_instance.speedups.values, users=["x", "y", "z"]),
-            paper_instance.capacities,
-        )
-        assert structural_fingerprint(paper_instance) != structural_fingerprint(
-            renamed
-        )
-
-    def test_structural_differs_from_exact(self, paper_instance):
-        assert structural_fingerprint(paper_instance) != instance_fingerprint(
-            paper_instance
-        )
-
-
-class TestResolveWarm:
-    """resolve(): exact tier, structural tier, and cold fallback."""
-
-    def test_exact_tier_counts_warm_hit(self, gateway, paper_instance):
-        prev = _resolve(gateway, None, paper_instance, "oef-coop")
-        again = _resolve(gateway, prev, paper_instance, "oef-coop")
-        assert again.from_cache and not again.warm
-        stats = gateway.cache_info()
-        assert stats.warm_hits == 1 and stats.hits == 1
-
-    def test_plain_solve_hits_are_not_warm_hits(self, gateway, paper_instance):
-        gateway.solve(paper_instance, "oef-coop")
-        gateway.solve(paper_instance, "oef-coop")
-        stats = gateway.cache_info()
-        assert stats.hits == 1 and stats.warm_hits == 0
-
-    def test_structural_tier_reuses_state(self, gateway, paper_instance):
-        options = {"backend": "simplex"}
-        prev = _resolve(gateway, None, paper_instance, "oef-noncoop", options=options)
-        assert prev.warm_state is not None and not prev.warm
-        drifted = _drifted(paper_instance, 1.1)
-        warm = _resolve(gateway, prev, drifted, "oef-noncoop", options=options)
-        assert warm.warm and not warm.from_cache
-        cold = create_scheduler("oef-noncoop", backend="simplex").allocate(drifted)
-        np.testing.assert_allclose(warm.allocation.matrix, cold.matrix, atol=1e-9)
-        stats = gateway.cache_info()
-        assert stats.structural_hits == 1
-        assert stats.misses == 2  # both allocator runs count as exact misses
-
-    def test_structural_tier_without_prev_result(self, gateway, paper_instance):
-        # the gateway's own structural cache supplies the state
-        options = {"backend": "simplex"}
-        _resolve(gateway, None, paper_instance, "oef-noncoop", options=options)
-        warm = _resolve(
-            gateway, None, _drifted(paper_instance, 1.1), "oef-noncoop", options=options
-        )
-        assert warm.warm
-        assert gateway.cache_info().structural_hits == 1
-
-    def test_non_warm_startable_scheduler_solves_cold(self, gateway, paper_instance):
-        prev = _resolve(gateway, None, paper_instance, "max-min")
-        assert prev.warm_state is None
-        follow = _resolve(gateway, prev, _drifted(paper_instance, 1.2), "max-min")
-        assert not follow.warm
-        cold = create_scheduler("max-min").allocate(_drifted(paper_instance, 1.2))
-        np.testing.assert_allclose(follow.allocation.matrix, cold.matrix)
-        assert gateway.cache_info().structural_hits == 0
-
-    def test_resolve_matches_cold_solve_even_when_warm(self, gateway, paper_instance):
-        # chain of drifts: every resolve answer equals a fresh cold solve
-        options = {"backend": "simplex"}
-        prev = _resolve(gateway, None, paper_instance, "oef-coop", options=options)
-        instance = paper_instance
-        for scale in (1.05, 0.97, 1.12, 1.0):
-            instance = _drifted(paper_instance, scale)
-            prev = _resolve(gateway, prev, instance, "oef-coop", options=options)
-            cold = create_scheduler("oef-coop", backend="simplex").allocate(instance)
-            np.testing.assert_allclose(
-                prev.allocation.matrix, cold.matrix, atol=1e-9
-            )
-
-    def test_shape_change_falls_back_cold(self, gateway, paper_instance):
-        options = {"backend": "simplex"}
-        prev = _resolve(gateway, None, paper_instance, "oef-noncoop", options=options)
-        smaller = ProblemInstance(
-            SpeedupMatrix(paper_instance.speedups.values[:2]),
-            paper_instance.capacities,
-        )
-        follow = _resolve(gateway, prev, smaller, "oef-noncoop", options=options)
-        assert not follow.warm  # different structure: verified cold solve
-        assert follow.allocation.matrix.shape[0] == 2
-
-    def test_use_cache_false_still_warm_starts(self, gateway, paper_instance):
-        options = {"backend": "simplex"}
-        prev = _resolve(
-            gateway, None, paper_instance, "oef-noncoop", options=options, use_cache=False
-        )
-        warm = _resolve(
-            gateway,
-            prev,
-            _drifted(paper_instance, 1.1),
-            "oef-noncoop",
-            options=options,
-            use_cache=False,
-        )
-        assert warm.warm and not warm.from_cache
-
-    def test_options_partition_warm_states(self, gateway, paper_instance):
-        _resolve(
-            gateway, None, paper_instance, "oef-noncoop", options={"backend": "simplex"}
-        )
-        other = _resolve(
-            gateway, None, _drifted(paper_instance, 1.1), "oef-noncoop",
-            options={"backend": "auto"},
-        )
-        # the simplex-produced state must not leak into the auto-backend key
-        assert gateway.cache_info().warm_entries == 2
-
-    def test_clear_cache_resets_warm_counters(self, gateway, paper_instance):
-        prev = _resolve(gateway, None, paper_instance, "oef-coop")
-        _resolve(gateway, prev, paper_instance, "oef-coop")
-        gateway.clear_cache()
-        stats = gateway.cache_info()
-        assert stats.warm_hits == 0
-        assert stats.structural_hits == 0
-        assert stats.evictions == 0
-        assert stats.warm_entries == 0
-
-
-class TestWarmAccounting:
-    """CacheStats warm/cold bookkeeping, evictions, and thread-safety."""
+class TestCacheAccounting:
+    """CacheStats bookkeeping, evictions, and thread-safety."""
 
     def test_eviction_counter(self, paper_instance, fig2_instance, eq6_instance):
         gateway = Gateway(default_pipeline(max_cache_entries=2))
@@ -448,22 +310,8 @@ class TestWarmAccounting:
         assert stats.evictions == 1
         assert stats.entries == 2
 
-    def test_every_resolve_lands_in_exactly_one_tier(self, gateway, paper_instance):
-        options = {"backend": "simplex"}
-        prev = _resolve(gateway, None, paper_instance, "oef-noncoop", options=options)
-        prev = _resolve(
-            gateway, prev, paper_instance, "oef-noncoop", options=options
-        )  # exact
-        prev = _resolve(
-            gateway, prev, _drifted(paper_instance, 1.1), "oef-noncoop", options=options
-        )  # structural
-        stats = gateway.cache_info()
-        assert stats.hits + stats.misses == 3
-        assert stats.warm_hits == 1
-        assert stats.structural_hits == 1
-
-    def test_hammer_resolve_from_8_threads(self, paper_instance):
-        """Warm counters must stay exact under the 8-thread hammer."""
+    def test_hammer_solve_from_8_threads(self, paper_instance):
+        """Cache counters must stay exact under the 8-thread hammer."""
         gateway = Gateway()
         instances = [_drifted(paper_instance, 1.0 + 0.05 * i) for i in range(3)]
         options = {"backend": "simplex"}
@@ -475,13 +323,10 @@ class TestWarmAccounting:
         def worker():
             try:
                 barrier.wait()
-                prev = None
                 for index in range(per_thread):
                     instance = instances[index % len(instances)]
-                    prev = _resolve(
-                        gateway, prev, instance, "oef-noncoop", options=options
-                    )
-                    assert prev.allocation.matrix.shape == (3, 2)
+                    response = gateway.solve(instance, "oef-noncoop", options=options)
+                    assert response.allocation.matrix.shape == (3, 2)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -496,14 +341,12 @@ class TestWarmAccounting:
         # every call accounted for exactly once across the two exact-cache
         # outcomes; with unguarded counters the racy `+= 1` loses updates
         assert stats.hits + stats.misses == per_thread * num_threads
-        # exact-tier reuse dominates once the three entries exist
-        assert stats.warm_hits >= per_thread * num_threads - 3 * num_threads
-        assert stats.warm_hits <= stats.hits
+        # cache reuse dominates once the three entries exist
+        assert stats.hits >= per_thread * num_threads - 3 * num_threads
         assert stats.entries == len(instances)
-        assert stats.warm_entries == 1  # one structural key for all drifts
         # cached results stay correct under contention
         for instance in instances:
-            cached = _resolve(gateway, None, instance, "oef-noncoop", options=options)
+            cached = gateway.solve(instance, "oef-noncoop", options=options)
             fresh = create_scheduler("oef-noncoop", backend="simplex").allocate(
                 instance
             )

@@ -1,16 +1,15 @@
 """Property-based differential test: warm-started solves == cold solves.
 
-For random instances and random perturbation sequences, resolving
-through the warm engine (``Gateway.solve(..., incremental=True)``, which may
-serve from the exact cache, accept a verified LP warm start, or fall
-back cold) must match an always-cold solve in **objective and
-allocation to 1e-9**, for every registered scheduler and for both LP
-backends.  Hypothesis shrinks any counterexample to a minimal
-(instance, perturbation chain).
+For random instances and random perturbation sequences, re-solving with
+the previous solve's state (``allocator.allocate_with_state(instance,
+state)``, which may accept a verified LP warm start or fall back cold)
+must match an always-cold solve in **objective and allocation to
+1e-9**, for every registered scheduler and for both LP backends.
+Hypothesis shrinks any counterexample to a minimal (instance,
+perturbation chain).
 
-This is the external guarantee of the whole engine: the warm tiers are
-transparent — a caller can never observe *what* the gateway reused, only
-that it answered faster.
+This is the external guarantee of the solver-level warm API: a caller
+can never observe *what* the solver reused, only that it answered.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ProblemInstance, SpeedupMatrix
-from repro.gateway import Gateway
 from repro.registry import create_scheduler, scheduler_names
 
 #: hypothesis-heavy: deselect with `pytest -m 'not slow'`
@@ -31,7 +29,7 @@ _SETTINGS = settings(
 )
 
 #: LP-free baselines are cheap; solve every registered scheduler anyway —
-#: non-warm-startable ones exercise the cold-fallback arm of resolve().
+#: the LP-free ones exercise ``Allocator.allocate_with_state``'s default.
 _SCHEDULERS = scheduler_names()
 
 
@@ -61,8 +59,8 @@ def perturbation_chains(draw, length: int = 3):
 
     Each step scales the capacities and/or jitters the speedup gains —
     the drift pattern of consecutive simulator rounds.  Structure (user
-    count, type count) never changes, so the warm engine's structural
-    tier is eligible at every step.
+    count, type count) never changes, so the previous state is a warm
+    candidate at every step.
     """
     steps = []
     for _ in range(length):
@@ -96,32 +94,26 @@ def _apply(instance: ProblemInstance, step) -> ProblemInstance:
 @pytest.mark.parametrize("lp_backend", ["auto", "simplex"])
 def test_warm_resolve_chain_matches_cold(lp_backend, instance, chain):
     for scheduler in _SCHEDULERS:
-        info_backend = (
+        options = (
             {"backend": lp_backend}
             if scheduler in ("oef-coop", "oef-noncoop", "efficiency-max")
             else {}
         )
-        gateway = Gateway()
-        prev = None
+        allocator = create_scheduler(scheduler, **options)
+        state = None
         current = instance
         for step in (None, *chain):
             if step is not None:
                 current = _apply(current, step)
-            prev = gateway.solve(
-                current,
-                scheduler,
-                options=info_backend,
-                incremental=True,
-                prev_result=prev,
-            )
-            cold = create_scheduler(scheduler, **info_backend).allocate(current)
+            allocation, state, _ = allocator.allocate_with_state(current, state)
+            cold = create_scheduler(scheduler, **options).allocate(current)
             np.testing.assert_allclose(
-                prev.allocation.matrix,
+                allocation.matrix,
                 cold.matrix,
                 atol=1e-9,
                 err_msg=f"{scheduler} warm/cold allocation drift",
             )
-            assert prev.allocation.total_efficiency() == pytest.approx(
+            assert allocation.total_efficiency() == pytest.approx(
                 cold.total_efficiency(), abs=1e-9
             ), f"{scheduler} warm/cold objective drift"
 
@@ -129,21 +121,14 @@ def test_warm_resolve_chain_matches_cold(lp_backend, instance, chain):
 @_SETTINGS
 @given(instance=instances(), chain=perturbation_chains(length=4))
 def test_warm_chain_threads_state_and_stays_exact(instance, chain):
-    """The returned warm_state chain itself is safe to thread forward."""
-    gateway = Gateway()
-    options = {"backend": "simplex"}
-    prev = gateway.solve(instance, "oef-noncoop", options=options, incremental=True)
+    """The returned warm-state chain itself is safe to thread forward."""
+    allocator = create_scheduler("oef-noncoop", backend="simplex")
+    _, state, warm_used = allocator.allocate_with_state(instance)
+    assert state is not None and not warm_used
     current = instance
     for step in chain:
         current = _apply(current, step)
-        prev = gateway.solve(
-            current,
-            "oef-noncoop",
-            options=options,
-            incremental=True,
-            prev_result=prev,
-        )
+        allocation, state, _ = allocator.allocate_with_state(current, state)
+        assert state is not None
         cold = create_scheduler("oef-noncoop", backend="simplex").allocate(current)
-        np.testing.assert_allclose(prev.allocation.matrix, cold.matrix, atol=1e-9)
-    stats = gateway.cache_info()
-    assert stats.hits + stats.misses == 1 + len(chain)
+        np.testing.assert_allclose(allocation.matrix, cold.matrix, atol=1e-9)

@@ -55,7 +55,7 @@ diff "$TMP/alloc_default.json" "$TMP/alloc_bare.json"
 
 echo "== repro list-middleware =="
 "$PY" -m repro list-middleware | tee "$TMP/middleware.txt"
-for stage in admission metrics coalesce warm-start cache solver; do
+for stage in admission metrics coalesce cache solver; do
     grep -q "$stage" "$TMP/middleware.txt"
 done
 
