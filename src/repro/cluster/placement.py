@@ -89,20 +89,17 @@ class RoundPlacement:
     def cross_type_jobs(self) -> int:
         return sum(1 for placement in self.placements if len(placement.type_counts) > 1)
 
-    def tenant_throughput(self) -> Dict[str, float]:
-        result: Dict[str, float] = {}
+    def throughputs(self) -> Tuple[Dict[str, float], Dict[Tuple[str, str], float]]:
+        """Delivered speedup units per tenant and per (tenant, model family)."""
+        by_tenant: Dict[str, float] = {}
+        by_model: Dict[Tuple[str, str], float] = {}
         for placement in self.placements:
-            tenant = placement.job.tenant
-            result[tenant] = result.get(tenant, 0.0) + placement.normalised_throughput()
-        return result
-
-    def model_throughput(self) -> Dict[Tuple[str, str], float]:
-        """Delivered speedup units per (tenant, model family) — Fig. 5(b)."""
-        result: Dict[Tuple[str, str], float] = {}
-        for placement in self.placements:
-            key = (placement.job.tenant, placement.job.model_name)
-            result[key] = result.get(key, 0.0) + placement.normalised_throughput()
-        return result
+            job = placement.job
+            delivered = placement.normalised_throughput()
+            by_tenant[job.tenant] = by_tenant.get(job.tenant, 0.0) + delivered
+            key = (job.tenant, job.model_name)
+            by_model[key] = by_model.get(key, 0.0) + delivered
+        return by_tenant, by_model
 
 
 class Placer:
@@ -126,9 +123,20 @@ class Placer:
         grants: Dict[str, np.ndarray],
         tenants: Dict[str, Tenant],
         now: float,
+        active_jobs: Optional[Dict[str, List[Job]]] = None,
     ) -> RoundPlacement:
-        """Select runnable jobs per tenant and bind them to devices."""
+        """Select runnable jobs per tenant and bind them to devices.
+
+        ``active_jobs`` maps tenant names to their ``active_jobs(now)`` for
+        a caller that already has them; tenants it lacks are scanned here.
+        """
         self.topology.release_all()
+        # the round's free devices, listed once: type rank -> one list per
+        # host, in host-id order; binding removes the devices it assigns
+        free = {
+            rank: [host.free_devices() for host in self.topology.hosts_of_type(rank)]
+            for rank in range(self.topology.num_gpu_types)
+        }
         selections: List[Tuple[Job, Dict[int, int]]] = []
         starved: List[Job] = []
 
@@ -136,14 +144,15 @@ class Placer:
             tenant = tenants.get(tenant_name)
             if tenant is None:
                 raise PlacementError(f"grant for unknown tenant {tenant_name!r}")
-            budget = np.asarray(grant, dtype=int).copy()
+            budget: List[int] = np.asarray(grant, dtype=int).tolist()
             # pass 1 — decide who runs, in starvation order.  Feasibility
             # depends only on the remaining device total, never on which
             # types earlier jobs took, so this fixes the starved set
             # before any type is chosen.
-            budget_total = int(budget.sum())
+            budget_total = sum(budget)
             placed: List[Tuple[Job, int]] = []
-            for job in tenant.runnable_queue(now):
+            active = active_jobs.get(tenant_name) if active_jobs else None
+            for job in tenant.runnable_queue(now, active):
                 workers = job.num_workers
                 if job.elastic:
                     # elastic jobs (§8) shrink to whatever remains, down to
@@ -179,7 +188,7 @@ class Placer:
 
         placements: List[JobPlacement] = []
         for job, type_counts in selections:
-            devices = self._bind_devices(type_counts)
+            devices = self._bind_devices(type_counts, free)
             outcome = self.straggler_model.evaluate(job, type_counts)
             hosts = len({device.host_id for device in devices})
             for device in devices:
@@ -204,12 +213,12 @@ class Placer:
 
     # -- type selection ---------------------------------------------------------
     def _select_types(
-        self, workers: int, budget: np.ndarray
+        self, workers: int, budget: List[int]
     ) -> Optional[Dict[int, int]]:
         """Pick GPU-type counts for one job from the tenant's budget."""
-        if budget.sum() < workers:
+        if sum(budget) < workers:
             return None
-        num_types = budget.shape[0]
+        num_types = len(budget)
         if self.policy.adjacent_types_only:
             window = self._best_adjacent_window(workers, budget)
             if window is not None:
@@ -226,7 +235,7 @@ class Placer:
         for rank in order:
             if remaining == 0:
                 break
-            take = min(int(budget[rank]), remaining)
+            take = min(budget[rank], remaining)
             if take > 0:
                 counts[rank] = take
                 remaining -= take
@@ -235,14 +244,14 @@ class Placer:
         return counts
 
     def _best_adjacent_window(
-        self, workers: int, budget: np.ndarray
+        self, workers: int, budget: List[int]
     ) -> Optional[Dict[int, int]]:
         """The fastest contiguous run of types that covers the job.
 
         Among windows with enough budget, prefer the one whose fastest
         type is highest, then the narrowest (fewest types mixed).
         """
-        num_types = budget.shape[0]
+        num_types = len(budget)
         best: Optional[Tuple[Tuple[int, int], Dict[int, int]]] = None
         for high in range(num_types - 1, -1, -1):
             if budget[high] <= 0:
@@ -251,12 +260,12 @@ class Placer:
             for low in range(high, -1, -1):
                 if budget[low] <= 0 and low != high:
                     break  # window must stay contiguous over granted types
-                total += int(budget[low])
+                total += budget[low]
                 if total >= workers:
                     counts: Dict[int, int] = {}
                     remaining = workers
                     for rank in range(high, low - 1, -1):
-                        take = min(int(budget[rank]), remaining)
+                        take = min(budget[rank], remaining)
                         if take > 0:
                             counts[rank] = take
                             remaining -= take
@@ -267,38 +276,38 @@ class Placer:
         return best[1] if best else None
 
     # -- physical binding ---------------------------------------------------------
-    def _bind_devices(self, type_counts: Dict[int, int]) -> List[GPUDevice]:
+    def _bind_devices(
+        self, type_counts: Dict[int, int], free: Dict[int, List[List[GPUDevice]]]
+    ) -> List[GPUDevice]:
         devices: List[GPUDevice] = []
         for rank, count in sorted(type_counts.items()):
-            devices.extend(self._bind_type(rank, count))
+            devices.extend(self._bind_type(rank, count, free.get(rank, [])))
         return devices
 
-    def _bind_type(self, rank: int, count: int) -> List[GPUDevice]:
-        hosts = self.topology.hosts_of_type(rank)
-        free_total = sum(host.num_free for host in hosts)
+    def _bind_type(
+        self, rank: int, count: int, pools: List[List[GPUDevice]]
+    ) -> List[GPUDevice]:
+        """Take ``count`` devices out of one type's per-host free lists."""
+        free_total = sum(map(len, pools))
         if free_total < count:
             raise PlacementError(
                 f"grants exceed free devices of type rank {rank} "
                 f"({count} requested, {free_total} free)"
             )
-        if not self.policy.prefer_single_host:
-            chosen: List[GPUDevice] = []
-            for host in hosts:
-                for device in host.free_devices():
-                    chosen.append(device)
-                    if len(chosen) == count:
-                        return chosen
-            return chosen
-        # best-fit: the smallest single host that fits the whole request
-        fitting = [host for host in hosts if host.num_free >= count]
-        if fitting:
-            host = min(fitting, key=lambda h: (h.num_free, h.host_id))
-            return host.free_devices()[:count]
-        # otherwise spread across as few hosts as possible, fullest first
-        chosen = []
-        for host in sorted(hosts, key=lambda h: (-h.num_free, h.host_id)):
-            for device in host.free_devices():
-                chosen.append(device)
-                if len(chosen) == count:
-                    return chosen
+        # ``min`` and ``sorted`` keep host-id order among equally free hosts
+        if self.policy.prefer_single_host:
+            fitting = [pool for pool in pools if len(pool) >= count]
+            if fitting:
+                # best-fit: the smallest single host that fits the whole request
+                pools = [min(fitting, key=len)]
+            else:
+                # otherwise spread across as few hosts as possible, fullest first
+                pools = sorted(pools, key=len, reverse=True)
+        chosen: List[GPUDevice] = []
+        for pool in pools:
+            take = count - len(chosen)
+            chosen.extend(pool[:take])
+            del pool[:take]
+            if len(chosen) == count:
+                break
         return chosen

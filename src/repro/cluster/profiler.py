@@ -11,10 +11,11 @@ fixed bias when ``deterministic_bias`` is set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.cluster.job import Job
 from repro.cluster.tenant import Tenant
 from repro.exceptions import ValidationError
 
@@ -35,16 +36,20 @@ class ProfilingAgent:
         self._rng = np.random.default_rng(self.seed)
 
     def profile_tenant(
-        self, tenant: Tenant, now: Optional[float] = None
+        self,
+        tenant: Tenant,
+        now: Optional[float] = None,
+        active: Optional[List[Job]] = None,
     ) -> Dict[str, np.ndarray]:
         """Measured speedup vector per job type, normalised to slot 0.
 
         The reference (slowest) GPU type is the normalisation anchor, so
         error applies to the relative entries only — matching how relative
-        profiling error manifests in practice.
+        profiling error manifests in practice.  ``active`` is the tenant's
+        ``active_jobs(now)`` when the caller already has it.
         """
         profiles: Dict[str, np.ndarray] = {}
-        for model_name, truth in tenant.true_speedup_profile(now).items():
+        for model_name, truth in tenant.true_speedup_profile(now, active).items():
             measured = truth.copy()
             if self.deterministic_bias is not None:
                 factor = 1.0 + self.deterministic_bias

@@ -118,24 +118,27 @@ class DeviationRounder:
         """
         capacities = np.asarray(capacities, dtype=float)
         num_types = capacities.shape[0]
-        tenants = list(ideal.keys())
-        for tenant in tenants:
-            vector = np.asarray(ideal[tenant], dtype=float)
+        tenants = list(ideal)
+        if not tenants:
+            return RoundingResult(grants={})
+
+        rows = [np.asarray(ideal[tenant], dtype=float) for tenant in tenants]
+        for tenant, vector in zip(tenants, rows):
             if vector.shape != (num_types,):
                 raise ValidationError(
                     f"tenant {tenant!r}: share vector shape {vector.shape} "
                     f"does not match {num_types} GPU types"
                 )
-            if tenant not in self._deviation or self._deviation[tenant].shape != (
-                num_types,
-            ):
-                self._deviation[tenant] = np.zeros(num_types)
-
-        if not tenants:
-            return RoundingResult(grants={})
-
-        ideal_matrix = np.vstack([np.asarray(ideal[t], dtype=float) for t in tenants])
-        deviation_matrix = np.vstack([self._deviation[t] for t in tenants])
+        ideal_matrix = np.array(rows)
+        # tenants seen for the first time (or across a change in the number
+        # of GPU types) start from zero deviation
+        zeros = np.zeros(num_types)
+        deviation_matrix = np.array(
+            [
+                held if held is not None and held.shape == (num_types,) else zeros
+                for held in map(self._deviation.get, tenants)
+            ]
+        )
         target = np.clip(ideal_matrix + deviation_matrix, 0.0, None)
 
         real = np.zeros_like(target, dtype=int)
@@ -146,23 +149,21 @@ class DeviationRounder:
 
         zeroed: List[str] = []
         if min_demands:
+            granted = real.sum(axis=1).tolist()
             for row, tenant in enumerate(tenants):
                 demand = int(min_demands.get(tenant, 0))
-                if demand > 0 and 0 < real[row].sum() < demand:
+                if demand > 0 and 0 < granted[row] < demand:
                     real[row] = 0
                     zeroed.append(tenant)
             if redistribute and zeroed:
                 self._redistribute(real, target, capacities, tenants, min_demands)
 
-        # update deviations and package the result
-        grants: Dict[str, np.ndarray] = {}
-        for row, tenant in enumerate(tenants):
-            grant = real[row]
-            self._deviation[tenant] = (
-                self._deviation[tenant] + ideal_matrix[row] - grant
-            )
-            grants[tenant] = grant.astype(int)
-        return RoundingResult(grants=grants, zeroed_tenants=zeroed)
+        # dev(t + 1) = dev(t) + ideal(t) - real(t), all tenants at once; each
+        # tenant keeps its row
+        self._deviation.update(
+            zip(tenants, deviation_matrix + ideal_matrix - real)
+        )
+        return RoundingResult(grants=dict(zip(tenants, real)), zeroed_tenants=zeroed)
 
     # -- helpers ------------------------------------------------------------
     @staticmethod

@@ -361,8 +361,8 @@ class ClusterSimulator:
             # drain before capacities and the active set are computed
             self._drain_events(now)
             self._capacities = self.topology.capacities()
-            active = self._active_tenants(now)
-            if not active:
+            active_jobs = self._active_jobs(now)
+            if not active_jobs:
                 fireable = (
                     self._event_heap and self._event_heap[0][0] <= final_start
                 )
@@ -374,7 +374,7 @@ class ClusterSimulator:
                     break
                 self.metrics.record_round(RoundMetrics(round_index, now))
                 continue
-            self._run_round(round_index, now, active)
+            self._run_round(round_index, now, active_jobs)
         if self._event_heap:
             warnings.warn(
                 f"{len(self._event_heap)} scheduled event(s) fall after the "
@@ -385,25 +385,35 @@ class ClusterSimulator:
             )
         return self.metrics
 
-    def _run_round(self, round_index: int, now: float, active: List[Tenant]) -> None:
-        profiles = self._measure_profiles(active, now)
+    def _run_round(
+        self, round_index: int, now: float, active_jobs: Dict[str, List[Job]]
+    ) -> None:
+        """One round, given :meth:`_active_jobs`' map — its only job scan.
+
+        Profiling, the min-demand map and the placer's queues all read the
+        map; it holds for the whole round because no job is submitted or
+        finishes before the advance loop.
+        """
+        active = [self.tenants[name] for name in active_jobs]
+        profiles = self._measure_profiles(now, active_jobs)
         decision = self._compute_decision(active, profiles)
         self._validate_decision(decision, active)
 
         min_demands = None
         if self.config.use_min_demand_rule:
             min_demands = {
-                tenant.name: tenant.min_worker_demand(now) for tenant in active
+                name: self.tenants[name].min_worker_demand(now, jobs)
+                for name, jobs in active_jobs.items()
             }
         rounding = self._rounder.round_shares(
             decision.tenant_shares, self._capacities, min_demands
         )
-        placement = self.placer.place_round(rounding.grants, self.tenants, now)
+        placement = self.placer.place_round(
+            rounding.grants, self.tenants, now, active_jobs=active_jobs
+        )
 
-        placed_jobs = set()
         for job_placement in placement.placements:
             job = job_placement.job
-            placed_jobs.add(job.job_id)
             job.advance(
                 now, job_placement.iterations_per_second, self.config.round_duration
             )
@@ -418,24 +428,22 @@ class ClusterSimulator:
                         finish_time=float(job.finish_time),
                     )
                 )
-        starved_count = 0
-        for tenant in active:
-            for job in tenant.active_jobs(now):
-                if job.job_id not in placed_jobs:
-                    job.starve()
-                    starved_count += 1
+        # every runnable job is either placed or on the placer's starved list
+        for job in placement.starved_jobs:
+            job.starve()
 
+        actual, actual_by_model = placement.throughputs()
         self.metrics.record_round(
             RoundMetrics(
                 round_index=round_index,
                 time=now,
                 estimated=dict(decision.estimated),
-                actual=placement.tenant_throughput(),
-                actual_by_model=placement.model_throughput(),
+                actual=actual,
+                actual_by_model=actual_by_model,
                 straggler_workers=placement.straggler_workers(),
                 cross_host_jobs=placement.cross_host_jobs(),
                 cross_type_jobs=placement.cross_type_jobs(),
-                starved_jobs=starved_count,
+                starved_jobs=len(placement.starved_jobs),
                 devices_used=sum(
                     len(job_placement.devices)
                     for job_placement in placement.placements
@@ -475,19 +483,21 @@ class ClusterSimulator:
         return decision
 
     # -- helpers ------------------------------------------------------------------
-    def _active_tenants(self, now: float) -> List[Tenant]:
-        active = []
+    def _active_jobs(self, now: float) -> Dict[str, List[Job]]:
+        """Tenants with work at ``now`` (by name) and each one's active jobs."""
+        active_jobs: Dict[str, List[Job]] = {}
         for tenant in self.tenants.values():
             if tenant.departure_time is not None and now >= tenant.departure_time:
                 self._rounder.forget(tenant.name)
                 continue
             if tenant.arrival_time > now:
                 continue
-            if tenant.has_active_jobs(now):
-                active.append(tenant)
+            jobs = tenant.active_jobs(now)
+            if jobs:
+                active_jobs[tenant.name] = jobs
             else:
                 self._rounder.forget(tenant.name)
-        return active
+        return active_jobs
 
     def _all_work_done(self, now: float) -> bool:
         for tenant in self.tenants.values():
@@ -498,12 +508,12 @@ class ClusterSimulator:
         return True
 
     def _measure_profiles(
-        self, active: List[Tenant], now: float
+        self, now: float, active_jobs: Dict[str, List[Job]]
     ) -> Dict[str, Dict[str, np.ndarray]]:
         profiles: Dict[str, Dict[str, np.ndarray]] = {}
-        for tenant in active:
-            measured = self._profiler.profile_tenant(tenant, now)
-            factors = self.config.misreports.get(tenant.name)
+        for name, jobs in active_jobs.items():
+            measured = self._profiler.profile_tenant(self.tenants[name], now, jobs)
+            factors = self.config.misreports.get(name)
             if factors is not None:
                 factors = np.asarray(factors, dtype=float)
                 lied: Dict[str, np.ndarray] = {}
@@ -512,7 +522,7 @@ class ClusterSimulator:
                     fake = fake / fake[0]
                     lied[model_name] = np.maximum.accumulate(fake)
                 measured = lied
-            profiles[tenant.name] = measured
+            profiles[name] = measured
         return profiles
 
     @staticmethod

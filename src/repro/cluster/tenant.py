@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.job import Job
+from repro.cluster.job import Job, JobState
 from repro.exceptions import ValidationError
 
 
@@ -46,23 +46,24 @@ class Tenant:
 
     def active_jobs(self, now: Optional[float] = None) -> List[Job]:
         """Unfinished jobs that have been submitted by ``now``."""
+        finished = JobState.FINISHED
         return [
             job
             for job in self.jobs
-            if not job.is_finished and (now is None or job.submit_time <= now)
+            if job.state is not finished and (now is None or job.submit_time <= now)
         ]
 
-    def has_active_jobs(self, now: Optional[float] = None) -> bool:
-        return bool(self.active_jobs(now))
-
-    def runnable_queue(self, now: Optional[float] = None) -> List[Job]:
+    def runnable_queue(
+        self, now: Optional[float] = None, active: Optional[List[Job]] = None
+    ) -> List[Job]:
         """Active jobs ordered by the paper's intra-tenant policy.
 
         Longest starvation first; ties broken by submit time then id so the
-        order is deterministic.
+        order is deterministic.  Here and below, a caller that already has
+        ``active_jobs(now)`` (the simulator, once per round) passes it in.
         """
         return sorted(
-            self.active_jobs(now),
+            self.active_jobs(now) if active is None else active,
             key=lambda job: (-job.starvation_rounds, job.submit_time, job.job_id),
         )
 
@@ -74,15 +75,19 @@ class Tenant:
             groups.setdefault(job.model_name, []).append(job)
         return groups
 
-    def true_speedup_profile(self, now: Optional[float] = None) -> Dict[str, np.ndarray]:
+    def true_speedup_profile(
+        self, now: Optional[float] = None, active: Optional[List[Job]] = None
+    ) -> Dict[str, np.ndarray]:
         """Representative ground-truth speedup vector per job type.
 
         The paper's profiling agent runs one representative task per job
-        type (§4.1); jobs of the same model family share the profile.
+        type (§4.1); jobs of the same model family share the profile, which
+        is taken from the family's first active job.
         """
         profiles: Dict[str, np.ndarray] = {}
-        for model_name, jobs in self.job_types(now).items():
-            profiles[model_name] = jobs[0].speedup_vector
+        for job in self.active_jobs(now) if active is None else active:
+            if job.model_name not in profiles:
+                profiles[job.model_name] = job.speedup_vector
         return profiles
 
     def completed_jobs(self) -> List[Job]:
@@ -98,13 +103,16 @@ class Tenant:
         )
         return not pending_future and all(job.is_finished for job in submitted)
 
-    def min_worker_demand(self, now: Optional[float] = None) -> int:
+    def min_worker_demand(
+        self, now: Optional[float] = None, active: Optional[List[Job]] = None
+    ) -> int:
         """``min_k demand_k`` used by the placer's rounding refinement (§4.3).
 
         Elastic jobs count with their minimum worker count — they can run
         on any grant of at least ``min_workers`` devices.
         """
-        active = self.active_jobs(now)
+        if active is None:
+            active = self.active_jobs(now)
         if not active:
             return 0
         return min(

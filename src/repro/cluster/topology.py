@@ -44,6 +44,8 @@ class ClusterTopology:
         ]
         self.hosts: List[Host] = []
         self.devices: List[GPUDevice] = []
+        # hosts per type rank, in host-id order; ``devices[i].device_id == i``
+        self._hosts_by_rank: List[List[Host]] = [[] for _ in groups]
 
         host_id = 0
         device_id = 0
@@ -57,7 +59,9 @@ class ClusterTopology:
                     host_devices.append(device)
                     self.devices.append(device)
                     device_id += 1
-                self.hosts.append(Host(host_id, gpu_type, host_devices))
+                host = Host(host_id, gpu_type, host_devices)
+                self.hosts.append(host)
+                self._hosts_by_rank[gpu_type.rank].append(host)
                 host_id += 1
 
     # -- capacity views -------------------------------------------------------
@@ -81,28 +85,32 @@ class ClusterTopology:
                 counts[device.gpu_type.rank] += 1
         return counts
 
+    def _lookup_devices(self, device_ids) -> List[GPUDevice]:
+        device_ids = list(device_ids)
+        unknown = [i for i in device_ids if not 0 <= i < len(self.devices)]
+        if unknown:
+            raise ValidationError(f"unknown device ids: {unknown}")
+        return [self.devices[i] for i in device_ids]
+
     def fail_devices(self, device_ids) -> None:
-        """Mark the given devices failed (failure injection)."""
-        wanted = set(device_ids)
-        for device in self.devices:
-            if device.device_id in wanted:
-                device.fail()
+        """Fail the given devices; an unknown id raises and changes nothing."""
+        for device in self._lookup_devices(device_ids):
+            device.fail()
 
     def repair_devices(self, device_ids) -> None:
-        wanted = set(device_ids)
-        for device in self.devices:
-            if device.device_id in wanted:
-                device.repair()
+        """Repair the given devices; an unknown id raises and changes nothing."""
+        for device in self._lookup_devices(device_ids):
+            device.repair()
 
     def hosts_of_type(self, rank: int) -> List[Host]:
-        return [host for host in self.hosts if host.gpu_type.rank == rank]
+        """The hosts of one GPU type, in host-id order."""
+        return list(self._hosts_by_rank[rank]) if 0 <= rank < self.num_gpu_types else []
 
     def free_count_by_type(self) -> np.ndarray:
-        counts = np.zeros(self.num_gpu_types, dtype=int)
-        for device in self.devices:
-            if device.is_free:
-                counts[device.gpu_type.rank] += 1
-        return counts
+        return np.array(
+            [sum(host.num_free for host in hosts) for hosts in self._hosts_by_rank],
+            dtype=int,
+        )
 
     def release_all(self) -> None:
         """Unbind every healthy device (start of a scheduling round)."""
@@ -119,8 +127,7 @@ class ClusterTopology:
     def summary(self) -> Dict[str, Tuple[int, int]]:
         """``type name -> (hosts, devices)`` for reports."""
         result: Dict[str, Tuple[int, int]] = {}
-        for gpu_type in self.gpu_types:
-            hosts = self.hosts_of_type(gpu_type.rank)
+        for gpu_type, hosts in zip(self.gpu_types, self._hosts_by_rank):
             result[gpu_type.name] = (
                 len(hosts),
                 sum(host.num_devices for host in hosts),

@@ -9,6 +9,8 @@ from repro.cluster import (
     SimulationConfig,
     paper_cluster,
 )
+from repro.exceptions import ValidationError
+from repro.scenarios.events import DeviceFailure
 from repro.workloads import TenantGenerator
 
 
@@ -46,8 +48,43 @@ class TestDeviceState:
         assert topology.devices[3].failed
         assert topology.free_count_by_type()[0] == 7
 
+    def test_unknown_device_id_is_an_error_and_changes_nothing(self):
+        # a typo'd id used to be a silent no-op
+        topology = paper_cluster()
+        with pytest.raises(ValidationError, match=r"unknown device ids: \[24, 99\]"):
+            topology.fail_devices([0, 24, 99])
+        assert not topology.devices[0].failed
+        topology.fail_devices([0])
+        with pytest.raises(ValidationError, match=r"unknown device ids: \[-1\]"):
+            topology.repair_devices([0, -1])
+        assert topology.devices[0].failed
+
+    def test_index_follows_the_devices(self):
+        # ids index `devices` directly: any order, repeats
+        topology = paper_cluster()
+        topology.fail_devices((23, 8, 8))
+        assert [d.device_id for d in topology.devices if d.failed] == [8, 23]
+        assert [len(topology.hosts_of_type(rank)) for rank in (-1, 0, 2, 3)] == [
+            0, 2, 2, 0,
+        ]
+        np.testing.assert_array_equal(topology.free_count_by_type(), [8, 7, 7])
+        assert topology.summary()["rtx3080"] == (2, 8)
+
 
 class TestSimulationUnderFailures:
+    def test_unknown_device_in_a_failure_event_stops_the_run(self):
+        simulator = ClusterSimulator(
+            paper_cluster(),
+            _population(),
+            OEFScheduler("noncooperative"),
+            config=SimulationConfig(num_rounds=3, stop_when_idle=False),
+            events=[DeviceFailure(time=300.0, device_ids=(2, 240))],
+        )
+        with pytest.raises(ValidationError, match="240"):
+            simulator.run()
+        assert simulator.metrics.rounds_recorded == 1
+        assert not simulator.topology.devices[2].failed
+
     def test_capacity_drop_reduces_throughput(self):
         baseline = ClusterSimulator(
             paper_cluster(),

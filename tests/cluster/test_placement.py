@@ -159,7 +159,7 @@ class TestRoundOutcome:
         placer = Placer(topology)
         tenants = {"t": _tenant("t", [(2, "m"), (1, "m")])}
         result = placer.place_round({"t": np.array([0, 0, 3])}, tenants, 0.0)
-        throughput = result.tenant_throughput()
+        throughput, _by_model = result.throughputs()
         # 3 workers on rank-2 GPUs at speedup 2.0
         assert throughput["t"] == pytest.approx(6.0)
 
@@ -168,4 +168,4 @@ class TestRoundOutcome:
         placer = Placer(topology)
         tenants = {"t": _tenant("t", [(1, "m")])}
         result = placer.place_round({"t": np.array([1, 0, 0])}, tenants, 0.0)
-        assert ("t", "m") in result.model_throughput()
+        assert ("t", "m") in result.throughputs()[1]

@@ -12,9 +12,12 @@ from repro.cluster import (
     SimulationConfig,
     SingleProfileScheduler,
     Tenant,
+    make_job,
     paper_cluster,
 )
+from repro.cluster.gpu import Host
 from repro.exceptions import ValidationError
+from repro.scenarios import ScenarioRunner, make_scenario
 from repro.workloads import TenantGenerator
 
 
@@ -340,3 +343,80 @@ class TestWarmStartEngine:
         caps = np.asarray([2.0, 3.0])
         key = scheduler.decision_key(tenants, profiles, caps)
         assert key == scheduler.decision_key(tenants, profiles, caps)
+
+
+class TestOneScanPerRound:
+    """A round derives its active jobs and free devices once (PR 18)."""
+
+    def test_scan_budget_of_a_steady_replay(self, monkeypatch):
+        # deterministic perf guard: counts, not clocks
+        calls = {"active_jobs": 0, "num_free": 0, "free_devices": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            Tenant, "active_jobs", counting("active_jobs", Tenant.active_jobs)
+        )
+        monkeypatch.setattr(
+            Host, "free_devices", counting("free_devices", Host.free_devices)
+        )
+        monkeypatch.setattr(
+            Host, "num_free", property(counting("num_free", Host.num_free.fget))
+        )
+        # jobs twice the horizon long, so every tenant is active every round
+        runner = ScenarioRunner(
+            make_scenario("steady", seed=1, rounds=3, duration_fraction=2.0)
+        )
+        simulator = runner.build_simulator()
+        metrics = simulator.run()
+
+        assert metrics.rounds_recorded == 3
+        active_tenant_rounds = sum(len(r.estimated) for r in metrics.rounds)
+        assert active_tenant_rounds == 3 * len(simulator.tenants)
+        assert 0 < calls["active_jobs"] <= active_tenant_rounds
+        assert calls["num_free"] == 0
+        assert 0 < calls["free_devices"] <= 3 * len(simulator.topology.hosts)
+
+    @staticmethod
+    def _tenant(name, iterations):
+        jobs = [
+            make_job(job_id, name, "m", [1.0, 1.5, 2.0], total_iterations=total)
+            for job_id, total in iterations.items()
+        ]
+        return Tenant(name=name, jobs=jobs)
+
+    def test_job_finishing_mid_round_is_not_starved(self):
+        # the round's active-job list was taken before the job finished;
+        # it must not count (or mark) the job as starved afterwards
+        short = self._tenant("short", {0: 100.0, 1: 1e9})
+        simulator = _simulator(
+            tenants=[short, self._tenant("long", {2: 1e9})], stop_when_idle=False
+        )
+        metrics = simulator.run()
+        done = short.jobs[0]
+        assert done.is_finished and done.finish_time < 300.0
+        assert done.starvation_rounds == 0
+        assert [r.starved_jobs for r in metrics.rounds] == [0] * 6
+        # from round 1 on the tenant's list holds only the unfinished job
+        assert metrics.rounds[0].devices_used == 3
+        assert [r.devices_used for r in metrics.rounds[1:]] == [2] * 5
+        assert [record.job_id for record in metrics.completions] == [0]
+
+    def test_tenant_whose_last_job_finished_is_dropped_next_round(self):
+        short = self._tenant("short", {0: 100.0})
+        simulator = _simulator(
+            tenants=[short, self._tenant("long", {1: 1e9})], stop_when_idle=False
+        )
+        metrics = simulator.run()
+        assert set(metrics.rounds[0].estimated) == {"short", "long"}
+        for round_metrics in metrics.rounds[1:]:
+            assert set(round_metrics.estimated) == {"long"}
+            assert set(round_metrics.actual) == {"long"}
+        # ... and the rounder dropped its deviation state with it
+        assert simulator._rounder.deviation("short").size == 0
+        assert simulator._rounder.deviation("long").size == 3

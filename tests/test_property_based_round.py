@@ -1,0 +1,207 @@
+"""Differential oracle for the replay round's binding and rounding code.
+
+The live ``Placer`` / ``DeviationRounder`` run beside the parent commit's
+bodies (``reference_round.py``, verbatim) on twin copies of one random
+cluster: random topologies with failed devices, both placement policies,
+rigid and elastic jobs, several rounds so starvation order and deviation
+state carry over.  Every round both sides must agree on the grants, the
+zeroed tenants, the deviations, the starved list and — what no scenario
+fingerprint covers — *which device ids* each job was bound to.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from reference_round import ReferenceDeviationRounder, ReferencePlacer
+from repro.cluster import (
+    ClusterTopology,
+    DeviationRounder,
+    HostGroupSpec,
+    Placer,
+    PlacementPolicy,
+    Tenant,
+    make_job,
+)
+from repro.exceptions import PlacementError
+
+#: hypothesis-heavy: deselect with `pytest -m 'not slow'`
+pytestmark = pytest.mark.slow
+_SETTINGS = settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def clusters(draw):
+    """Host groups, failed device ids, tenants with jobs, a policy."""
+    num_types = draw(st.integers(1, 3))
+    groups = [
+        HostGroupSpec(f"g{rank}", draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+        for rank in range(num_types)
+    ]
+    num_devices = sum(group.num_hosts * group.gpus_per_host for group in groups)
+    failed = draw(st.sets(st.integers(0, num_devices - 1), max_size=3))
+    throughput = [1.0, 1.5, 2.5][:num_types]
+    tenants = {}
+    job_id = 0
+    for index in range(draw(st.integers(1, 4))):
+        tenant = Tenant(name=f"t{index}", weight=draw(st.sampled_from([1.0, 2.0])))
+        for _ in range(draw(st.integers(1, 4))):
+            workers = draw(st.sampled_from([1, 1, 2, 3, 4]))
+            tenant.add_job(
+                make_job(
+                    job_id=job_id,
+                    tenant=tenant.name,
+                    model_name=draw(st.sampled_from(["m", "n"])),
+                    throughput=throughput,
+                    num_workers=workers,
+                    total_iterations=draw(st.sampled_from([500.0, 1e6])),
+                    submit_time=draw(st.sampled_from([0.0, 0.0, 300.0])),
+                    elastic=draw(st.booleans()),
+                    min_workers=draw(st.integers(1, workers)),
+                )
+            )
+            job_id += 1
+        tenants[tenant.name] = tenant
+    policy = draw(st.sampled_from([PlacementPolicy.oef(), PlacementPolicy.naive()]))
+    return groups, sorted(failed), tenants, policy
+
+
+def _twin(groups, failed, tenants):
+    """An independent copy of the cluster: fresh devices, fresh job state."""
+    topology = ClusterTopology(groups)
+    topology.fail_devices(failed)
+    return topology, copy.deepcopy(tenants)
+
+
+def _outcome(placement):
+    """Everything a round's placement decided, in comparable form."""
+    return (
+        [
+            (
+                p.job.job_id,
+                [device.device_id for device in p.devices],
+                p.type_counts,
+                p.hosts_spanned,
+                p.per_worker_rate,
+                p.straggler_workers,
+                p.network_factor,
+            )
+            for p in placement.placements
+        ],
+        [job.job_id for job in placement.starved_jobs],
+    )
+
+
+def _place(placer, grants, tenants, now, **extra):
+    try:
+        return _outcome(placer.place_round(grants, tenants, now, **extra))
+    except PlacementError as error:
+        return str(error)
+
+
+class TestRoundMatchesParent:
+    @_SETTINGS
+    @given(clusters(), st.data())
+    def test_rounding_and_binding_over_rounds(self, cluster, data):
+        groups, failed, tenants, policy = cluster
+        topology, tenants = _twin(groups, failed, tenants)
+        ref_topology, ref_tenants = _twin(groups, failed, tenants)
+        placer, ref_placer = Placer(topology, policy), ReferencePlacer(ref_topology, policy)
+        rounder, ref_rounder = DeviationRounder(), ReferenceDeviationRounder()
+        use_min_demand = data.draw(st.booleans())
+
+        for round_index in range(data.draw(st.integers(1, 4))):
+            now = 300.0 * round_index
+            if round_index and data.draw(st.booleans()):
+                # topology churn between rounds
+                victim = data.draw(st.integers(0, topology.num_devices - 1))
+                for side in (topology, ref_topology):
+                    if side.devices[victim].failed:
+                        side.repair_devices([victim])
+                    else:
+                        side.fail_devices([victim])
+            capacities = topology.capacities()
+            active = {
+                name: jobs
+                for name, jobs in (
+                    (name, tenant.active_jobs(now)) for name, tenant in tenants.items()
+                )
+                if jobs
+            }
+            # fluid shares: random fractions of each type's healthy devices
+            weights = {
+                name: np.array(
+                    [data.draw(st.integers(0, 8)) for _ in capacities], dtype=float
+                )
+                for name in active
+            }
+            total = np.sum(list(weights.values()), axis=0) if weights else 0.0
+            ideal = {
+                name: capacities * weight / np.maximum(total, 1.0)
+                for name, weight in weights.items()
+            }
+            min_demands = None
+            if use_min_demand:
+                min_demands = {
+                    name: tenants[name].min_worker_demand(now) for name in active
+                }
+
+            rounding = rounder.round_shares(ideal, capacities, min_demands)
+            ref_rounding = ref_rounder.round_shares(ideal, capacities, min_demands)
+            assert list(rounding.grants) == list(ref_rounding.grants)
+            for name in ideal:
+                np.testing.assert_array_equal(
+                    rounding.grants[name], ref_rounding.grants[name]
+                )
+                assert rounding.grants[name].dtype == ref_rounding.grants[name].dtype
+                np.testing.assert_array_equal(
+                    rounder.deviation(name), ref_rounder.deviation(name)
+                )
+            assert rounding.zeroed_tenants == ref_rounding.zeroed_tenants
+
+            # the live placer with and without the round's active-job map
+            extra = {"active_jobs": active} if data.draw(st.booleans()) else {}
+            outcome = _place(placer, rounding.grants, tenants, now, **extra)
+            assert outcome == _place(ref_placer, ref_rounding.grants, ref_tenants, now)
+            assert [d.assigned_job for d in topology.devices] == [
+                d.assigned_job for d in ref_topology.devices
+            ]
+
+            # advance both twins the way the simulator does, so later
+            # rounds see new starvation orders and finished jobs
+            assert not isinstance(outcome, str), outcome  # rounded grants fit
+            placements, starved = outcome
+            for side in (tenants, ref_tenants):
+                jobs = {job.job_id: job for t in side.values() for job in t.jobs}
+                for job_id, devices, *_ in placements:
+                    jobs[job_id].advance(now, float(len(devices)), 300.0)
+                for job_id in starved:
+                    jobs[job_id].starve()
+
+    @_SETTINGS
+    @given(clusters(), st.data())
+    def test_arbitrary_grants_bind_or_fail_alike(self, cluster, data):
+        # grants nobody rounded: holes, types nobody has, more than is free
+        groups, failed, tenants, policy = cluster
+        topology, tenants = _twin(groups, failed, tenants)
+        ref_topology, ref_tenants = _twin(groups, failed, tenants)
+        width = len(groups) + data.draw(st.integers(0, 1))
+        grants = {
+            name: np.array([data.draw(st.integers(0, 5)) for _ in range(width)])
+            for name in tenants
+        }
+        outcome = _place(Placer(topology, policy), grants, tenants, 0.0)
+        assert outcome == _place(
+            ReferencePlacer(ref_topology, policy), grants, ref_tenants, 0.0
+        )
+        # also after a PlacementError part-way through the round
+        assert [d.assigned_job for d in topology.devices] == [
+            d.assigned_job for d in ref_topology.devices
+        ]
