@@ -16,9 +16,11 @@ ledger):
   faster — the row asserts only the direction so a one-sample CI blip
   cannot flap the gate);
 * **batched solves**: composing many independent small LPs
-  block-diagonally through ``solve_forms`` must beat the solo loop by
-  **>= 1.2x** (typically ~2x) while returning certified-identical
-  values;
+  block-diagonally through ``solve_forms`` must return
+  certified-identical values.  Its speed-up over the solo loop is
+  recorded, not gated: the ~2x it showed was ``linprog``'s per-call
+  Python amortised over the batch, and since one-shot solves go
+  straight to HiGHS it reads 0.94-1.15x here (2.32-2.45x before);
 * **frontier sweep**: a second epsilon-constraint sweep over the same
   instance (cached matrices, fresh right-hand sides) must not be slower
   than the first.
@@ -41,8 +43,6 @@ USERS, GPU_TYPES = 300, 10
 SEED = 23
 #: The headline acceptance bar for the incremental cutting-plane path.
 COLD_SPEEDUP_FLOOR = 5.0
-#: Composed batch vs solo loop (typically ~2x; floor leaves CI headroom).
-BATCH_SPEEDUP_FLOOR = 1.2
 NEW_PATH_REPEATS = 3
 BATCH_INSTANCES = 24
 BATCH_USERS, BATCH_GPU_TYPES = 12, 4
@@ -204,7 +204,6 @@ def test_bench_solver(benchmark):
             "gpu_types": GPU_TYPES,
             "seed": SEED,
             "cold_speedup_floor": COLD_SPEEDUP_FLOOR,
-            "batch_speedup_floor": BATCH_SPEEDUP_FLOOR,
             "batch_instances": BATCH_INSTANCES,
             "frontier_users": FRONTIER_USERS,
         },
@@ -216,10 +215,6 @@ def test_bench_solver(benchmark):
     assert cold_speedup >= COLD_SPEEDUP_FLOOR, (
         f"incremental cutting-plane path is only {cold_speedup:.2f}x the "
         f"legacy cold loop (floor {COLD_SPEEDUP_FLOOR}x)"
-    )
-    assert batch_speedup >= BATCH_SPEEDUP_FLOOR, (
-        f"composed batch solve is only {batch_speedup:.2f}x the solo loop "
-        f"(floor {BATCH_SPEEDUP_FLOOR}x)"
     )
     assert assembly_ratio >= 1.0, (
         f"cached form assembly slower than cold ({assembly_ratio:.2f}x)"

@@ -47,13 +47,12 @@ from repro.solver import (
 
 def _capacity_rows(num_users: int, num_types: int) -> sparse.csr_matrix:
     """Sparse rows for (10b): sum over users of x_l^j, one row per type."""
+    columns = np.arange(num_types)[:, None] + num_types * np.arange(num_users)
     return sparse.csr_matrix(
         (
             np.ones(num_users * num_types),
-            (
-                np.tile(np.arange(num_types), num_users),
-                np.arange(num_users * num_types),
-            ),
+            columns.ravel(),
+            np.arange(0, num_users * num_types + 1, num_users),
         ),
         shape=(num_types, num_users * num_types),
     )
@@ -85,8 +84,16 @@ class CooperativeOEF(Allocator):
     iterations, which is what keeps the Fig. 10(a) overhead sub-second.
     """
 
-    #: above this many users, use the cutting-plane path
-    CUTTING_PLANE_THRESHOLD = 64
+    #: above this many users ``auto`` takes the cutting-plane path.  Cold
+    #: ``allocate``, ms (20 seeded instances, FORM_CACHE cleared, best of 3):
+    #:   users x types   8x4    16x4   24x6   32x6   48x6   64x8
+    #:   full            1.20   2.35   5.71   11.2   28.2   67.8
+    #:   cutting-plane   1.34   2.53   5.60   9.92   17.4   33.7
+    #: crossing between 20 and 24 users; 20 to 28 is within run noise.  On
+    #: weighted tenants' duplicated virtual-user rows cuts lead from ~16:
+    #:   full / cuts     20x3 3.35/2.65   24x3 4.08/2.93   52x3 23.0/8.69
+    #: 24 keeps every LP of at most 24 users on the full program's bits.
+    CUTTING_PLANE_THRESHOLD = 24
     #: safety cap before falling back to the full O(n^2) program
     MAX_CUT_ROUNDS = 60
     #: at most this many cuts per user enter the LP each round
@@ -145,7 +152,7 @@ class CooperativeOEF(Allocator):
             a_ub = sparse.vstack(
                 [
                     _capacity_rows(num_users, num_types),
-                    -self._envy_rows(speedups),
+                    self._envy_rows(speedups),
                 ],
                 format="csr",
             )
@@ -241,13 +248,7 @@ class CooperativeOEF(Allocator):
             magnitudes = envy[violated[:, 0], violated[:, 1]]
             keep = np.argsort(-magnitudes)[:budget]
             violated = violated[keep]
-        return [(int(l), int(i)) for l, i in violated]
-
-    def _cut_rows(
-        self, speedups: np.ndarray, pairs: Sequence[Tuple[int, int]]
-    ) -> sparse.csr_matrix:
-        """Cuts as ``<= 0`` rows (the ">=" envy rows of (10c), negated)."""
-        return (-self._envy_rows(speedups, pairs)).tocsr()
+        return list(map(tuple, violated.tolist()))
 
     def _cutting_plane_incremental(
         self,
@@ -274,7 +275,7 @@ class CooperativeOEF(Allocator):
             col_lower=np.zeros(num_users * num_types),
             col_upper=np.full(num_users * num_types, np.inf),
             a_ub=sparse.vstack(
-                [_capacity_rows(num_users, num_types), self._cut_rows(speedups, seeds)],
+                [_capacity_rows(num_users, num_types), self._envy_rows(speedups, seeds)],
                 format="csr",
             ),
             b_ub=np.concatenate(
@@ -300,7 +301,7 @@ class CooperativeOEF(Allocator):
                     in_lp, round_number, tol,
                 )
             session.add_rows(
-                self._cut_rows(speedups, new_pairs), np.zeros(len(new_pairs))
+                self._envy_rows(speedups, new_pairs), np.zeros(len(new_pairs))
             )
             cut_pairs.extend(new_pairs)
             cut_born.extend([round_number + 1] * len(new_pairs))
@@ -319,15 +320,15 @@ class CooperativeOEF(Allocator):
         tol: float,
     ) -> None:
         """Bulk-delete aged cut rows that are strictly slack and basic."""
+        aged = round_number - np.asarray(cut_born) >= self.CUT_DROP_MIN_AGE
+        if np.count_nonzero(aged) < self.CUT_DROP_MIN_COUNT:
+            return  # too few candidates: skip reading the basis back
         num_types = speedups.shape[1]
         basic = session.basic_row_mask()[num_types:]
         activity = session.row_values()[num_types:]
         own = np.einsum("lj,lj->l", speedups, matrix)
         scale = max(1.0, float(np.abs(own).max()))
-        age = round_number - np.asarray(cut_born)
-        droppable = np.nonzero(
-            basic & (activity < -tol * scale) & (age >= self.CUT_DROP_MIN_AGE)
-        )[0]
+        droppable = np.nonzero(basic & (activity < -tol * scale) & aged)[0]
         if droppable.shape[0] < self.CUT_DROP_MIN_COUNT:
             return
         session.delete_rows(num_types + droppable)
@@ -352,9 +353,9 @@ class CooperativeOEF(Allocator):
         Kept beside the incremental session because it is the *only*
         cutting-plane driver for ``backend="simplex"`` and for scipy
         1.10–1.14 (no ``_highspy._core``; pyproject still allows them).
-        At 300x10 the incremental session takes 1.37 s, this loop 7.47 s
-        and the full O(n²) program 26.6 s (100x8: 0.086 / 0.308 /
-        0.424 s): falling through to ``_solve_full`` would lose 3.5x.
+        At 300x10 the incremental session takes 1.37 s, this loop 7.05 s
+        and the full O(n²) program 21.1 s (100x8: 0.080 / 0.361 /
+        0.272 s): falling through to ``_solve_full`` would lose 3.0x.
         """
         speedups = instance.speedups.values
         num_users, num_types = speedups.shape
@@ -367,7 +368,7 @@ class CooperativeOEF(Allocator):
             form = StandardForm(
                 c=-speedups.ravel(),
                 a_ub=sparse.vstack(
-                    [capacity, self._cut_rows(speedups, pairs)], format="csr"
+                    [capacity, self._envy_rows(speedups, pairs)], format="csr"
                 ),
                 b_ub=np.concatenate([capacities, np.zeros(len(pairs))]),
                 a_eq=None,
@@ -392,13 +393,14 @@ class CooperativeOEF(Allocator):
     @staticmethod
     def _envy_rows(
         speedups: np.ndarray, pairs: Optional[Sequence[Tuple[int, int]]] = None
-    ) -> sparse.coo_matrix:
-        """Sparse envy rows over flattened x, one per ordered pair (l, i).
+    ) -> sparse.csr_matrix:
+        """The (10c) rows of ordered pairs (l, i) over flattened x, as ``<= 0``.
 
-        Row for (l, i): +W_l at user l's columns, -W_l at user i's.
+        Row for (l, i): -W_l at user l's columns, +W_l at user i's.
         ``pairs`` restricts to a subset (cutting-plane path); ``None``
-        builds all n(n-1) rows.  Assembly is pure index arithmetic —
-        no per-pair Python loop.
+        builds all n(n-1) rows.  Every row holds exactly ``2k`` entries,
+        so the CSR arrays are written directly, lower user's columns
+        first — pure index arithmetic, no per-pair loop, no COO detour.
         """
         num_users, num_types = speedups.shape
         if pairs is None:
@@ -407,24 +409,24 @@ class CooperativeOEF(Allocator):
             keep = envious != envied
             envious, envied = envious[keep], envied[keep]
         else:
-            pair_array = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+            pair_array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
             envious, envied = pair_array[:, 0], pair_array[:, 1]
-        num_rows = envious.shape[0]
-
         type_range = np.arange(num_types)
-        # per row: the envious user's columns (+W_l), then the envied's (-W_l)
-        col_idx = np.concatenate(
+        indices = np.concatenate(
             [
-                envious[:, None] * num_types + type_range,
-                envied[:, None] * num_types + type_range,
+                np.minimum(envious, envied)[:, None] * num_types + type_range,
+                np.maximum(envious, envied)[:, None] * num_types + type_range,
             ],
             axis=1,
-        ).ravel()
-        data = np.concatenate([speedups[envious], -speedups[envious]], axis=1).ravel()
-        row_idx = np.repeat(np.arange(num_rows), 2 * num_types)
-        return sparse.coo_matrix(
-            (data, (row_idx, col_idx)),
-            shape=(num_rows, num_users * num_types),
+        )
+        own = np.where(envious < envied, -1.0, 1.0)[:, None] * speedups[envious]
+        return sparse.csr_matrix(
+            (
+                np.concatenate([own, -own], axis=1).ravel(),
+                indices.ravel(),
+                np.arange(0, indices.size + 1, 2 * num_types),
+            ),
+            shape=(envious.shape[0], num_users * num_types),
         )
 
 

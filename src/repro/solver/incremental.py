@@ -1,16 +1,17 @@
-"""An incremental LP session over scipy's vendored HiGHS bindings.
+"""The one door to scipy's vendored HiGHS: a one-shot solve and a session.
 
-The cutting-plane loop in :class:`~repro.core.cooperative.CooperativeOEF`
-re-solves an LP that grows by a few hundred rows per round.  Through
-``scipy.optimize.linprog`` every round pays model construction, presolve,
-and a from-scratch simplex run on the full row set.  HiGHS itself is
-incremental: rows can be appended to (or deleted from) a loaded model and
-the retained basis warm-starts the next dual-simplex run, which then only
-has to price the new rows in.  scipy ships the complete ``highspy``
-bindings as the private module ``scipy.optimize._highspy`` — this wrapper
-keeps every private-API touch in one place, behind a feature probe, so
-callers degrade gracefully to the per-round :func:`linprog` path when the
-vendored surface is absent or changes shape.
+scipy ships the complete ``highspy`` bindings as the private module
+``scipy.optimize._highspy``; this file keeps every private-API touch in
+one place, behind a feature probe, so callers degrade to
+``scipy.optimize.linprog`` when the vendored surface is absent or
+changes shape.  :func:`solve_once` is what every one-shot LP runs: the
+model and options ``linprog(method="highs")`` would load, without the
+flat 1.5-1.9 ms of input cleaning, option checking and result wrapping
+``linprog`` spends per call.  :class:`IncrementalLP` is the
+cutting-plane session of :class:`~repro.core.cooperative.CooperativeOEF`:
+rows are appended to (or deleted from) a loaded model and the retained
+basis warm-starts the next dual-simplex run, which then only has to
+price the new rows in.
 
 Determinism: the session pins ``threads=1``/``parallel=off`` and disables
 solver output, so repeated runs of the same model produce identical
@@ -25,7 +26,7 @@ for slack-based cut dropping.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -53,6 +54,89 @@ def incremental_available() -> bool:
 _INF = float("inf")
 
 
+def _model(c, col_lower, col_upper, matrix, row_lower, row_upper):
+    """A ``HighsLp`` over a compressed matrix: CSR loads rowwise, CSC colwise.
+
+    The bindings fill their vectors element by element; a list converts
+    in half the time an ndarray takes.
+    """
+    lp = _core.HighsLp()
+    lp.num_row_, lp.num_col_ = matrix.shape
+    lp.col_cost_ = np.asarray(c, dtype=float).tolist()
+    lp.col_lower_ = np.asarray(col_lower, dtype=float).tolist()
+    lp.col_upper_ = np.asarray(col_upper, dtype=float).tolist()
+    lp.row_lower_ = row_lower.tolist()
+    lp.row_upper_ = row_upper.tolist()
+    formats = _core.MatrixFormat
+    lp.a_matrix_.format_ = formats.kRowwise if matrix.format == "csr" else formats.kColwise
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = matrix.shape
+    lp.a_matrix_.start_ = matrix.indptr.tolist()
+    lp.a_matrix_.index_ = matrix.indices.tolist()
+    lp.a_matrix_.value_ = matrix.data.astype(float).tolist()
+    return lp
+
+
+def _run(highs) -> None:
+    """Run a loaded model; anything short of a read-safe optimum raises.
+
+    ``linprog``'s table: infeasible and model-error are verdicts, so is
+    unbounded; the rest (presolve's unbounded-or-infeasible included) is
+    a plain :class:`SolverError`, which ``backend="auto"`` retries.
+    """
+    run_status = highs.run()
+    status = highs.getModelStatus()
+    if status in (_core.HighsModelStatus.kInfeasible, _core.HighsModelStatus.kModelError):
+        raise InfeasibleError(f"linear program infeasible (HiGHS {status})")
+    if status == _core.HighsModelStatus.kUnbounded:
+        raise UnboundedError("linear program unbounded")
+    if run_status == _core.HighsStatus.kError or status != _core.HighsModelStatus.kOptimal:
+        raise SolverError(f"HiGHS run failed (status={status})")
+
+
+def solve_once(
+    c: np.ndarray,
+    col_lower: np.ndarray,
+    col_upper: np.ndarray,
+    a_ub=None,
+    b_ub: Optional[np.ndarray] = None,
+    a_eq=None,
+    b_eq: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One cold solve of exactly the model ``linprog(method="highs")`` loads.
+
+    ``A_ub`` stacked over ``A_eq`` colwise, row bounds ``(-inf, b_ub)`` /
+    ``(b_eq, b_eq)``, and only the options scipy sets — not the session's
+    ``threads=1`` — so ``x`` and the row duals (stacked row order,
+    ``linprog``'s ``marginals`` sign) are ``linprog``'s to the bit.
+    Inputs are trusted: the caller screens shapes and non-finite values.
+    """
+    b_ub = np.zeros(0) if a_ub is None else np.asarray(b_ub, dtype=float)
+    b_eq = np.zeros(0) if a_eq is None else np.asarray(b_eq, dtype=float)
+    blocks = [block for block in (a_ub, a_eq) if block is not None]
+    if len(blocks) == 2:
+        stack = sparse.vstack if any(map(sparse.issparse, blocks)) else np.vstack
+        blocks = [stack(blocks)]
+    matrix = sparse.csc_matrix(blocks[0] if blocks else (0, len(c)))
+    highs = _core._Highs()
+    for option, value in (
+        ("presolve", "on"),
+        ("output_flag", False),
+        ("log_to_console", False),
+        ("simplex_strategy", 1),  # dual simplex, as scipy pins it
+    ):
+        highs.setOptionValue(option, value)
+    lp = _model(
+        c, col_lower, col_upper, matrix,
+        np.concatenate([np.full(b_ub.shape[0], -_INF), b_eq]),
+        np.concatenate([b_ub, b_eq]),
+    )
+    if highs.passModel(lp) == _core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+    _run(highs)
+    solution = highs.getSolution()
+    return np.array(solution.col_value), np.array(solution.row_dual)
+
+
 class IncrementalLP:
     """One mutable ``min c@x  s.t.  A x <= b,  l <= x <= u`` HiGHS session.
 
@@ -71,27 +155,14 @@ class IncrementalLP:
     ):
         if not incremental_available():
             raise SolverError("vendored HiGHS session API unavailable")
-        c = np.asarray(c, dtype=float)
-        num_cols = c.shape[0]
+        num_cols = len(c)
         rows = sparse.csr_matrix((0, num_cols)) if a_ub is None else a_ub.tocsr()
         rhs = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
         if rows.shape[0] != rhs.shape[0]:
             raise SolverError("row/rhs shape mismatch")
-
-        lp = _core.HighsLp()
-        lp.num_col_ = num_cols
-        lp.num_row_ = rows.shape[0]
-        lp.col_cost_ = c
-        lp.col_lower_ = np.asarray(col_lower, dtype=float)
-        lp.col_upper_ = np.asarray(col_upper, dtype=float)
-        lp.row_lower_ = np.full(rows.shape[0], -_INF)
-        lp.row_upper_ = rhs
-        lp.a_matrix_.format_ = _core.MatrixFormat.kRowwise
-        lp.a_matrix_.num_col_ = num_cols
-        lp.a_matrix_.num_row_ = rows.shape[0]
-        lp.a_matrix_.start_ = rows.indptr.astype(np.int32)
-        lp.a_matrix_.index_ = rows.indices.astype(np.int32)
-        lp.a_matrix_.value_ = rows.data.astype(float)
+        lp = _model(
+            c, col_lower, col_upper, rows, np.full(rows.shape[0], -_INF), rhs
+        )
 
         self._highs = _core._Highs()
         # deterministic, quiet, single-threaded: same model -> same vertex
@@ -136,33 +207,19 @@ class IncrementalLP:
     # -- solve -------------------------------------------------------------
     def solve(self) -> np.ndarray:
         """Re-optimise (warm from the retained basis) and return ``x``."""
-        run_status = self._highs.run()
-        model_status = self._highs.getModelStatus()
-        if model_status == _core.HighsModelStatus.kInfeasible:
-            raise InfeasibleError("incremental LP infeasible")
-        if model_status == _core.HighsModelStatus.kUnbounded:
-            raise UnboundedError("incremental LP unbounded")
-        if (
-            run_status == _core.HighsStatus.kError
-            or model_status != _core.HighsModelStatus.kOptimal
-        ):
-            raise SolverError(
-                f"incremental HiGHS run failed (status={model_status})"
-            )
+        _run(self._highs)
         return np.asarray(self._highs.getSolution().col_value, dtype=float)
 
     # -- introspection -----------------------------------------------------
     def basic_row_mask(self) -> np.ndarray:
         """Boolean mask of rows whose slack is basic (row not binding)."""
         statuses = self._highs.getBasis().row_status
-        basic = _core.HighsBasisStatus.kBasic
-        return np.fromiter(
-            (status == basic for status in statuses), dtype=bool, count=len(statuses)
-        )
+        codes = np.fromiter(map(int, statuses), dtype=np.int8, count=len(statuses))
+        return codes == int(_core.HighsBasisStatus.kBasic)
 
     def row_values(self) -> np.ndarray:
         """Current ``A x`` row activity vector."""
         return np.asarray(self._highs.getSolution().row_value, dtype=float)
 
 
-__all__ = ["IncrementalLP", "incremental_available"]
+__all__ = ["IncrementalLP", "incremental_available", "solve_once"]

@@ -7,7 +7,10 @@ from repro.core import (
     CooperativeOEF,
     ProblemInstance,
     SpeedupMatrix,
+    TenantSpec,
+    WeightedOEF,
     check_envy_freeness,
+    check_pareto_efficiency,
     check_sharing_incentive,
     optimal_efficiency_upper_bound,
 )
@@ -194,3 +197,75 @@ class TestCuttingPlanePaths:
         assert cuts.total_efficiency() == pytest.approx(
             full.total_efficiency(), rel=1e-7
         )
+
+
+THRESHOLD = CooperativeOEF.CUTTING_PLANE_THRESHOLD
+
+
+class TestAutoMethodFromTheThreshold:
+    """``auto`` solves lazily above the threshold: same optimum, same guarantees."""
+
+    def _spy_on_cuts(self, monkeypatch):
+        calls = []
+        original = CooperativeOEF._solve_cutting_plane
+
+        def spy(allocator, instance, *args):
+            matrix = original(allocator, instance, *args)
+            calls.append(matrix is not None)
+            return matrix
+
+        monkeypatch.setattr(CooperativeOEF, "_solve_cutting_plane", spy)
+        return calls
+
+    def _check(self, instance):
+        auto = CooperativeOEF().allocate(instance)
+        full = CooperativeOEF(method="full").allocate(instance)
+        assert auto.total_efficiency() == pytest.approx(
+            full.total_efficiency(), rel=1e-9
+        )
+        assert check_envy_freeness(auto, tol=1e-6).satisfied
+        assert check_sharing_incentive(auto, tol=1e-6).satisfied
+        assert check_pareto_efficiency(auto, within="envy_free").satisfied
+        again = CooperativeOEF().allocate(instance)
+        np.testing.assert_array_equal(auto.matrix, again.matrix)
+
+    @pytest.mark.parametrize("users", range(THRESHOLD + 1, 65))
+    def test_auto_matches_full_and_keeps_the_guarantees(self, users, monkeypatch):
+        calls = self._spy_on_cuts(monkeypatch)
+        types = 3 + users % 5
+        self._check(random_instance(users, types, seed=users, devices_per_type=6.0))
+        assert calls == [True, True]  # both auto runs, never the full run
+
+    def test_at_the_threshold_auto_is_the_full_program(self, monkeypatch):
+        calls = self._spy_on_cuts(monkeypatch)
+        instance = random_instance(THRESHOLD, 4, seed=3, devices_per_type=6.0)
+        auto = CooperativeOEF().allocate(instance)
+        full = CooperativeOEF(method="full").allocate(instance)
+        assert calls == []
+        np.testing.assert_array_equal(auto.matrix, full.matrix)
+
+    def test_weighted_virtual_users_cross_the_threshold(self, monkeypatch):
+        # weights 1..4 over 12 tenants: 30 virtual users, many identical rows
+        calls = self._spy_on_cuts(monkeypatch)
+        rng = np.random.default_rng(4)
+        tenants = [
+            TenantSpec.single(
+                f"t{index}",
+                np.concatenate([[1.0], 1.0 + np.sort(rng.uniform(0.2, 3.0, 3))]),
+                weight=float(1 + index % 4),
+            )
+            for index in range(12)
+        ]
+        merged = WeightedOEF(mode="cooperative").allocate(tenants, np.full(4, 6.0))
+        assert merged.expanded.instance.num_users == 30 > THRESHOLD
+        assert calls == [True]
+        self._check(merged.expanded.instance)
+
+    def test_cut_round_cap_falls_back_to_the_full_program(self, monkeypatch):
+        monkeypatch.setattr(CooperativeOEF, "MAX_CUT_ROUNDS", 0)
+        calls = self._spy_on_cuts(monkeypatch)
+        instance = random_instance(THRESHOLD + 6, 4, seed=9, devices_per_type=6.0)
+        auto = CooperativeOEF().allocate(instance)
+        full = CooperativeOEF(method="full").allocate(instance)
+        assert calls == [False]
+        np.testing.assert_array_equal(auto.matrix, full.matrix)

@@ -1,0 +1,304 @@
+"""The HiGHS backend's two doors: ``solve_once`` and the ``linprog`` fallback.
+
+The direct path loads the model ``linprog(method="highs")`` would, so the
+two must agree bit for bit; what ``linprog`` did around HiGHS — the
+status table and the input screen — is the contract kept here.
+"""
+
+import numpy as np
+import pytest
+from scipy import sparse
+from scipy.optimize import linprog
+
+import repro.solver.batch as batch
+import repro.solver.incremental as incremental
+import repro.solver.scipy_backend as scipy_backend
+from repro.core import CooperativeOEF, NonCooperativeOEF
+from repro.core.cooperative import EfficiencyMaxAllocator
+from repro.exceptions import (
+    InfeasibleError,
+    ModelError,
+    SolverError,
+    UnboundedError,
+)
+from repro.solver import (
+    LinearProgram,
+    ScipyBackend,
+    StandardForm,
+    incremental_available,
+    solve_form,
+    solve_forms,
+)
+from repro.workloads.generator import random_instance
+
+needs_highspy = pytest.mark.skipif(
+    not incremental_available(), reason="vendored highspy core not available"
+)
+
+
+def _array(value):
+    if value is None or sparse.issparse(value):
+        return value
+    return np.asarray(value, dtype=float)
+
+
+def _form(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
+    c = np.asarray(c, dtype=float)
+    return StandardForm(
+        c=c,
+        a_ub=_array(a_ub),
+        b_ub=_array(b_ub),
+        a_eq=_array(a_eq),
+        b_eq=_array(b_eq),
+        bounds=bounds or [(0.0, None)] * c.shape[0],
+        maximise=False,
+    )
+
+
+# -- the differential grid ---------------------------------------------------
+def _gavel_like_form():
+    """A ``LinearProgram.compile()`` form: dense ``a_ub``, max-min shape."""
+    rng = np.random.default_rng(5)
+    speedups = rng.uniform(1.0, 4.0, (5, 3))
+    lp = LinearProgram("max-min")
+    shares = lp.new_variable_array("x", (5, 3), lower=0.0)
+    floor = lp.new_variable("t")
+    for column in range(3):
+        lp.add_constraint(sum(shares[:, column]) <= 4.0)
+    for user in range(5):
+        lp.add_constraint(
+            sum(float(speedups[user, j]) * shares[user, j] for j in range(3)) >= floor
+        )
+    lp.set_objective(floor, sense="max")
+    form = lp.compile()
+    assert isinstance(form.a_ub, np.ndarray)
+    return form
+
+
+def _grid():
+    for users in (2, 8, 20, 32):
+        instance = random_instance(users, 4, seed=users, devices_per_type=6.0)
+        yield f"coop-full-{users}", CooperativeOEF()._full_form(instance)
+        yield f"noncoop-{users}", NonCooperativeOEF().compile_form(instance)
+    instance = random_instance(6, 3, seed=1, devices_per_type=4.0)
+    yield "efficiency-max", EfficiencyMaxAllocator().compile_form(instance)
+    yield "compiled-dense", _gavel_like_form()
+    yield "mixed-bounds", _form(
+        [-1.0, -2.0, 0.5, -1.0],
+        a_ub=[[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 2.0]],
+        b_ub=[10.0, 4.0],
+        a_eq=[[0.0, 1.0, -1.0, 0.0]],
+        b_eq=[1.0],
+        bounds=[(None, 3.0), (0.0, None), (-2.0, 5.0), (None, 1.5)],
+    )
+    yield "no-rows", _form([1.0, -1.0, 0.0], bounds=[(0.0, 2.0), (None, 3.0), (1.0, 4.0)])
+
+
+GRID = dict(_grid())
+
+
+def _reference(form):
+    return linprog(
+        c=form.c, A_ub=form.a_ub, b_ub=form.b_ub, A_eq=form.a_eq, b_eq=form.b_eq,
+        bounds=form.bounds, method="highs",
+    )
+
+
+def _assert_same_bits(form, values, state):
+    result = _reference(form)
+    assert result.status == 0
+    np.testing.assert_array_equal(values, result.x)
+    assert float(form.c @ values) == float(form.c @ result.x)
+    if form.a_ub is None:
+        assert state.dual_ub is None
+    else:
+        np.testing.assert_array_equal(state.dual_ub, -result.ineqlin.marginals)
+    if form.a_eq is None:
+        assert state.dual_eq is None
+    else:
+        np.testing.assert_array_equal(state.dual_eq, -result.eqlin.marginals)
+
+
+@needs_highspy
+@pytest.mark.parametrize("name", GRID)
+def test_direct_path_matches_linprog_bit_for_bit(name, monkeypatch):
+    def no_linprog(*_args, **_kwargs):
+        raise AssertionError("the direct path must not reach linprog")
+
+    monkeypatch.setattr(scipy_backend, "linprog", no_linprog)
+    form = GRID[name]
+    values, state, warm_used = ScipyBackend().solve_with_state(form)
+    assert not warm_used
+    _assert_same_bits(form, values, state)
+
+
+@pytest.mark.parametrize("name", GRID)
+def test_linprog_fallback_returns_the_same_bits(name, monkeypatch):
+    monkeypatch.setattr(scipy_backend, "incremental_available", lambda: False)
+    form = GRID[name]
+    values, state, _warm_used = ScipyBackend().solve_with_state(form)
+    _assert_same_bits(form, values, state)
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "linprog"])
+def test_block_diagonal_composition_matches_linprog(direct, monkeypatch):
+    if direct and not incremental_available():
+        pytest.skip("vendored highspy core not available")
+    if not direct:
+        monkeypatch.setattr(scipy_backend, "incremental_available", lambda: False)
+    solved = []
+
+    def recording(form, **kwargs):
+        solution = solve_form(form, **kwargs)
+        solved.append((form, solution))
+        return solution
+
+    monkeypatch.setattr(batch, "solve_form", recording)
+    blocks = [
+        NonCooperativeOEF().compile_form(
+            random_instance(4, 3, seed=seed, devices_per_type=5.0)
+        )
+        for seed in range(3)
+    ]
+    assert len(solve_forms(blocks)) == 3
+    composed, solution = solved[0]
+    assert composed.num_variables == 3 * 13
+    _assert_same_bits(composed, solution.values, solution.warm_state)
+
+
+@needs_highspy
+def test_one_shot_solve_is_not_a_session(monkeypatch):
+    # bench/layers.py reads IncrementalLP.* as "cutting-plane session"
+    def no_session(*_args, **_kwargs):
+        raise AssertionError("one-shot solves must not build a session")
+
+    monkeypatch.setattr(incremental.IncrementalLP, "__init__", no_session)
+    solution = solve_form(GRID["noncoop-8"])
+    assert solution.stats.backend == "scipy"
+    assert solution.stats.num_variables == 33
+    assert solution.stats.num_constraints == 4 + 8
+
+
+# -- the error contract ------------------------------------------------------
+class _FakeHighs:
+    def __init__(self, run_status, model_status):
+        self._run_status, self._model_status = run_status, model_status
+
+    def run(self):
+        return self._run_status
+
+    def getModelStatus(self):
+        return self._model_status
+
+
+@needs_highspy
+class TestStatusTable:
+    core = incremental._core
+
+    def test_every_model_status_maps_as_linprog_mapped_it(self):
+        status = self.core.HighsModelStatus
+        expected = {
+            status.kInfeasible: InfeasibleError,
+            status.kModelError: InfeasibleError,
+            status.kUnbounded: UnboundedError,
+        }
+        statuses = [
+            value for name, value in vars(status).items() if name.startswith("k")
+        ]
+        assert status.kUnboundedOrInfeasible in statuses and len(statuses) >= 15
+        for model_status in statuses:
+            fake = _FakeHighs(self.core.HighsStatus.kOk, model_status)
+            if model_status == status.kOptimal:
+                incremental._run(fake)
+                continue
+            with pytest.raises(SolverError) as caught:
+                incremental._run(fake)
+            # a plain SolverError is what backend="auto" retries on
+            assert type(caught.value) is expected.get(model_status, SolverError)
+
+    def test_run_error_is_never_an_unread_solution(self):
+        fake = _FakeHighs(self.core.HighsStatus.kError, self.core.HighsModelStatus.kOptimal)
+        with pytest.raises(SolverError) as caught:
+            incremental._run(fake)
+        assert type(caught.value) is SolverError
+
+    def test_rejected_model_is_a_solver_error(self):
+        # a duplicated row index inside one column: passModel returns kError
+        broken = sparse.csc_matrix(
+            (np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 1)
+        )
+        with pytest.raises(SolverError) as caught:
+            incremental.solve_once(
+                np.array([1.0]), np.zeros(1), np.ones(1), broken, np.array([1.0])
+            )
+        assert type(caught.value) is SolverError
+
+    def test_auto_retries_a_plain_solver_error_on_the_simplex(self, monkeypatch):
+        def presolve_gives_up(*_args, **_kwargs):
+            raise SolverError("HiGHS run failed (status=kUnboundedOrInfeasible)")
+
+        monkeypatch.setattr(scipy_backend, "solve_once", presolve_gives_up)
+        form = _form([-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[4.0])
+        solution = solve_form(form, backend="auto")
+        assert solution.stats.backend == "simplex"
+        assert solution.objective == pytest.approx(-4.0)
+        with pytest.raises(SolverError):
+            solve_form(form, backend="scipy")
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "linprog"])
+class TestVerdictsOnHandBuiltPrograms:
+    @pytest.fixture(autouse=True)
+    def _path(self, direct, monkeypatch):
+        if direct and not incremental_available():
+            pytest.skip("vendored highspy core not available")
+        if not direct:
+            monkeypatch.setattr(scipy_backend, "incremental_available", lambda: False)
+
+    def test_infeasible(self):
+        form = _form([1.0], a_ub=[[1.0]], b_ub=[1.0], bounds=[(2.0, None)])
+        with pytest.raises(InfeasibleError):
+            ScipyBackend().solve(form)
+
+    def test_crossed_bounds_are_infeasible(self):
+        with pytest.raises(InfeasibleError):
+            ScipyBackend().solve(_form([1.0], bounds=[(2.0, 1.0)]))
+
+    def test_unbounded(self):
+        form = _form([-1.0, 0.0], a_ub=[[1.0, -1.0]], b_ub=[1.0])
+        with pytest.raises(UnboundedError):
+            ScipyBackend().solve(form)
+        with pytest.raises(UnboundedError):  # a verdict: no simplex retry
+            solve_form(form, backend="auto")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(c=[np.nan, 1.0]),
+            dict(c=[np.inf, 1.0]),
+            dict(a_ub=[[np.nan, 1.0]]),
+            dict(a_ub=sparse.csr_matrix(np.array([[np.inf, 1.0]]))),
+            dict(b_ub=[np.nan]),
+            dict(b_ub=[np.inf]),
+            dict(a_eq=[[1.0, np.nan]]),
+            dict(b_eq=[-np.inf]),
+            dict(a_ub=[[1.0, 1.0, 1.0]]),
+            dict(b_ub=[1.0, 2.0]),
+            dict(a_eq=[[1.0]]),
+            dict(bounds=[(0.0, None)]),
+            dict(bounds=[(np.inf, None), (0.0, None)]),
+            dict(bounds=[(0.0, None), (None, -np.inf)]),
+        ],
+        ids=lambda overrides: "-".join(overrides),
+    )
+    def test_malformed_input_is_refused_before_highs(self, overrides):
+        fields = dict(
+            c=[-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[4.0], a_eq=[[1.0, -1.0]], b_eq=[0.0]
+        )
+        fields.update(overrides)
+        form = _form(**fields)
+        # a NaN cost must not come back as an allocation
+        with pytest.raises(ModelError):
+            ScipyBackend().solve(form)
+        with pytest.raises(ModelError):
+            solve_form(form, backend="auto")

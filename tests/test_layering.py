@@ -4,6 +4,10 @@
 and ``repro.fleet`` sit below ``repro.gateway`` and ``repro.server``; an
 import pointing up (module-level or function-local) is a cycle waiting
 to happen and drags the service stack into every simulator worker.
+
+HiGHS has one door each way: scipy's private ``_highspy`` bindings are
+imported by ``solver/incremental.py`` alone, and ``linprog`` — the
+fallback for a scipy without them — by ``solver/scipy_backend.py`` alone.
 """
 
 import ast
@@ -39,3 +43,31 @@ def test_lower_layers_import_nothing_from_gateway_or_server(package):
         if any(module == upper or module.startswith(upper + ".") for upper in UPPER)
     ]
     assert not offenders, "\n".join(offenders)
+
+
+def _importers(wanted):
+    return sorted(
+        str(path.relative_to(ROOT))
+        for path in ROOT.rglob("*.py")
+        if any(wanted(module) for module in _imported_modules(path))
+    )
+
+
+def test_private_highs_bindings_have_one_importer():
+    importers = _importers(lambda module: "_highspy" in module.split("."))
+    assert importers == ["solver/incremental.py"]
+
+
+def test_linprog_is_named_by_one_module():
+    # an import, or ``scipy.optimize.linprog`` reached as an attribute
+    def names_linprog(path):
+        return any(
+            "linprog" in (getattr(node, "id", None), getattr(node, "attr", None))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        )
+
+    by_import = _importers(lambda module: module.split(".")[-1] in ("linprog", "_linprog"))
+    by_name = sorted(
+        str(path.relative_to(ROOT)) for path in ROOT.rglob("*.py") if names_linprog(path)
+    )
+    assert by_import == by_name == ["solver/scipy_backend.py"]

@@ -186,7 +186,7 @@ if grep -q "Traceback" "$TMP/trace_corrupt.txt"; then
 fi
 
 echo "== repro serve (serve-smoke: healthz/solve/metrics, 429, drain) =="
-# tiny admission limit so a concurrent cold burst provably sheds
+# one admission slot, so anything arriving behind a running solve sheds
 "$PY" -m repro serve --port 0 --shards 2 --max-in-flight 1 \
     > "$TMP/serve.log" 2>&1 &
 SERVE_PID=$!
@@ -199,7 +199,7 @@ for _ in $(seq 1 50); do
 done
 test -n "$PORT"
 "$PY" - "$PORT" "$TMP/instance.json" <<'SERVE_SMOKE'
-import json, sys, threading, urllib.error, urllib.request
+import json, random, sys, threading, time, urllib.error, urllib.request
 
 port, instance_path = int(sys.argv[1]), sys.argv[2]
 base = f"http://127.0.0.1:{port}"
@@ -222,15 +222,41 @@ status, _, payload = post({"instance": instance, "scheduler": "oef-coop"})
 assert status == 200 and payload["status"] == "ok", (status, payload)
 assert payload["allocation"]["allocator"] == "oef-coop"
 
-# concurrent cold solves against 1 admission slot must shed with 429
-outcomes = []
-def one():
-    outcomes.append(post({"instance": instance, "use_cache": False}))
-threads = [threading.Thread(target=one) for _ in range(6)]
-for t in threads: t.start()
-for t in threads: t.join()
+# a request that arrives while the one admission slot is held must shed
+# with 429.  The overlap is observed, not timed: one 300x10 oef-coop solve
+# (over a second) takes the slot, /metrics is polled until a shard reports
+# it in flight, only then the burst goes out, and the holder still running
+# afterwards shows the slot was held throughout.
+def in_flight():
+    shards = json.load(urllib.request.urlopen(f"{base}/metrics"))["shards"]
+    return sum(row["admission"]["in_flight"] for row in shards)
+
+rng = random.Random(23)
+held = dict(
+    instance,
+    users=[f"u{i}" for i in range(300)],
+    gpu_types=[f"g{j}" for j in range(10)],
+    speedups=[[1.0] + sorted(1 + 3 * rng.random() for _ in range(9))
+              for _ in range(300)],
+    capacities=[8.0] * 10,
+)
+holding = {"instance": held, "scheduler": "oef-coop", "use_cache": False}
+holder_outcome = []
+holder = threading.Thread(target=lambda: holder_outcome.append(post(holding)))
+holder.start()
+for _ in range(200):
+    if in_flight() == 1:
+        break
+    time.sleep(0.01)
+else:
+    raise AssertionError("the holding request was never admitted")
+# same fingerprint -> same shard -> the held slot
+outcomes = [post(holding) for _ in range(5)]
+assert holder.is_alive(), "the slot was released before the burst finished"
+holder.join()
+assert holder_outcome[0][0] == 200, holder_outcome[0][0]
 sheds = [(h, p) for s, h, p in outcomes if s == 429]
-assert sheds, [s for s, _, _ in outcomes]
+assert len(sheds) == 5, [s for s, _, _ in outcomes]
 headers, payload = sheds[0]
 assert int(headers["Retry-After"]) >= 1, headers
 assert payload["error"]["code"] == "overloaded", payload
@@ -238,7 +264,7 @@ assert payload["error"]["code"] == "overloaded", payload
 metrics = json.load(urllib.request.urlopen(f"{base}/metrics"))
 assert metrics["totals"]["shed_capacity"] == len(sheds), metrics["totals"]
 assert metrics["totals"]["dispatched"] >= 1
-print(f"serve-smoke: {len(sheds)}/6 burst requests shed with Retry-After")
+print(f"serve-smoke: {len(sheds)}/5 requests behind a held slot shed with Retry-After")
 SERVE_SMOKE
 # graceful drain: SIGINT must flush final metrics and exit 0
 kill -INT "$SERVE_PID"
