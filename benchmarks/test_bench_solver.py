@@ -75,7 +75,7 @@ def test_bench_solver(benchmark):
             coop_mod.incremental_available = original
 
         # -- cold vs cached assembly of the full Eq. 10 form
-        small = random_instance(48, 6, seed=5, devices_per_type=48.0)
+        small = random_instance(48, 6, seed=5, devices_per_type=48.0).grouped()
         assembly_cold, assembly_cached = [], []
         allocator = CooperativeOEF(method="full")
         for _ in range(5):

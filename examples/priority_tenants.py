@@ -1,8 +1,9 @@
 """Weighted OEF: priorities and multiple job types per tenant (§4.2.3–4).
 
 A production tenant pays for 2x priority; another trains two different
-model families at once.  Weighted OEF handles both by replicating speedup
-vectors into virtual users, preserving every fairness property.
+model families at once.  Weighted OEF handles both as weighted rows of one
+LP (the paper's virtual users, without the copies), preserving every
+fairness property.
 
 Run:  python examples/priority_tenants.py
 """

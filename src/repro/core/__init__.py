@@ -2,7 +2,7 @@
 
 This package contains the speedup/allocation data model, the two OEF
 linear-programming allocators (non-cooperative, Eq. 9; cooperative, Eq. 10),
-the weighted / multi-job-type extension via virtual users (§4.2.3–4.2.4),
+the weighted / multi-job-type extension via row multiplicities (§4.2.3–4.2.4),
 and LP-based auditors for the fairness properties of Table 1.
 """
 

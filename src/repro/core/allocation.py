@@ -78,7 +78,7 @@ class Allocation:
         return self.user_throughput() - self.instance.equal_split_throughput()
 
     def utilisation(self) -> np.ndarray:
-        """Fraction of each GPU type's capacity handed out."""
+        """Share of each GPU type's capacity handed out."""
         capacities = self.instance.capacities
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(capacities > 0, self.matrix.sum(axis=0) / capacities, 0.0)

@@ -24,8 +24,9 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
+from repro.core.cooperative import capacity_rows
 from repro.core.instance import ProblemInstance
-from repro.core.properties import check_envy_freeness, check_sharing_incentive
+from repro.core.properties import check_envy_freeness, check_sharing_incentive, floor_rows
 from repro.solver import FORM_CACHE, StandardForm, fingerprint_arrays, solve_form
 
 
@@ -110,29 +111,9 @@ def _frontier_form(instance: ProblemInstance, alpha: float) -> StandardForm:
     )
 
     def build() -> StandardForm:
-        capacity = sparse.csr_matrix(
-            (
-                np.ones(num_users * num_types),
-                (
-                    np.tile(np.arange(num_types), num_users),
-                    np.arange(num_users * num_types),
-                ),
-            ),
-            shape=(num_types, num_users * num_types),
-        )
-        # W_l . x_l >= alpha * fair_l, negated into the <= system; the
-        # block is block-diagonal in the users: speedups.ravel() laid out
-        # one user-row at a time
-        floors = sparse.csr_matrix(
-            (
-                -speedups.ravel(),
-                (
-                    np.repeat(np.arange(num_users), num_types),
-                    np.arange(num_users * num_types),
-                ),
-            ),
-            shape=(num_users, num_users * num_types),
-        )
+        capacity = capacity_rows(num_users, num_types)
+        # W_l . x_l >= alpha * fair_l, negated into the <= system
+        floors = floor_rows(speedups)
         return StandardForm(
             c=-speedups.ravel(),
             a_ub=sparse.vstack([capacity, floors], format="csr"),

@@ -13,6 +13,12 @@ Strategy-proofness is *not* provided — that is the point of the split into
 cooperative and non-cooperative variants (Theorems 3.2/3.3 prove the
 combination is impossible at optimal efficiency).
 
+The program is posed over distinct rows with multiplicities ``m_g``
+(:class:`~repro.core.instance.GroupedInstance`): over the groups' total
+shares ``z`` (10a) and (10b) read as above, and (10c) for (g, h) becomes
+``m_h W_g . z_g >= m_g W_g . z_h`` — per unit of weight, denominators
+cleared.  §4.2.3's replicas are the proof, the multiplicity the computation.
+
 Assembly is sparse and vectorized end-to-end: the capacity and envy
 systems are composed as index arrays (no Python-level row loops), the
 standard form is built directly and memoised in the shared
@@ -32,7 +38,7 @@ from scipy import sparse
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
-from repro.core.instance import ProblemInstance
+from repro.core.instance import GroupedInstance, ProblemInstance
 from repro.exceptions import SolverError
 from repro.registry import register_scheduler
 from repro.solver import (
@@ -45,8 +51,11 @@ from repro.solver import (
 )
 
 
-def _capacity_rows(num_users: int, num_types: int) -> sparse.csr_matrix:
-    """Sparse rows for (10b): sum over users of x_l^j, one row per type."""
+def capacity_rows(
+    num_users: int, num_types: int, extra_columns: int = 0
+) -> sparse.csr_matrix:
+    """Sparse rows for (10b): sum over users of x_l^j, one row per type
+    (``extra_columns``: empty trailing ones, the ``T`` of Eq. 9)."""
     columns = np.arange(num_types)[:, None] + num_types * np.arange(num_users)
     return sparse.csr_matrix(
         (
@@ -54,12 +63,57 @@ def _capacity_rows(num_users: int, num_types: int) -> sparse.csr_matrix:
             columns.ravel(),
             np.arange(0, num_users * num_types + 1, num_users),
         ),
-        shape=(num_types, num_users * num_types),
+        shape=(num_types, num_users * num_types + extra_columns),
     )
 
 
 def _share_bounds(count: int) -> List[Tuple[float, None]]:
     return [(0.0, None)] * count
+
+
+def envy_rows(
+    speedups: np.ndarray,
+    multiplicity: np.ndarray,
+    pairs: Optional[Sequence[Tuple[int, int]]] = None,
+) -> sparse.csr_matrix:
+    """The (10c) rows of ordered pairs (g, h) over flattened z, as ``<= 0``.
+
+    Row for (g, h): ``-m_h W_g`` at group g's columns, ``+m_g W_g`` at
+    group h's (unit multiplicities multiply exactly: the paper's rows).
+    ``pairs`` restricts to a subset (cutting-plane path); ``None``
+    builds all n(n-1) rows.  Every row holds exactly ``2k`` entries,
+    so the CSR arrays are written directly, lower group's columns
+    first — pure index arithmetic, no per-pair loop, no COO detour.
+    """
+    num_users, num_types = speedups.shape
+    if pairs is None:
+        envious = np.repeat(np.arange(num_users), num_users)
+        envied = np.tile(np.arange(num_users), num_users)
+        keep = envious != envied
+        envious, envied = envious[keep], envied[keep]
+    else:
+        pair_array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        envious, envied = pair_array[:, 0], pair_array[:, 1]
+    type_range = np.arange(num_types)
+    indices = np.concatenate(
+        [
+            np.minimum(envious, envied)[:, None] * num_types + type_range,
+            np.maximum(envious, envied)[:, None] * num_types + type_range,
+        ],
+        axis=1,
+    )
+    forward = envious < envied
+    at_envious, at_envied = -multiplicity[envied], multiplicity[envious]
+    lower = np.where(forward, at_envious, at_envied)[:, None] * speedups[envious]
+    upper = np.where(forward, at_envied, at_envious)[:, None] * speedups[envious]
+    return sparse.csr_matrix(
+        (
+            np.concatenate([lower, upper], axis=1).ravel(),
+            indices.ravel(),
+            np.arange(0, indices.size + 1, 2 * num_types),
+        ),
+        shape=(envious.shape[0], num_users * num_types),
+    )
 
 
 @register_scheduler(
@@ -89,10 +143,10 @@ class CooperativeOEF(Allocator):
     #:   users x types   8x4    16x4   24x6   32x6   48x6   64x8
     #:   full            1.20   2.35   5.71   11.2   28.2   67.8
     #:   cutting-plane   1.34   2.53   5.60   9.92   17.4   33.7
-    #: crossing between 20 and 24 users; 20 to 28 is within run noise.  On
-    #: weighted tenants' duplicated virtual-user rows cuts lead from ~16:
-    #:   full / cuts     20x3 3.35/2.65   24x3 4.08/2.93   52x3 23.0/8.69
-    #: 24 keeps every LP of at most 24 users on the full program's bits.
+    #: crossing between 20 and 24 users; 20 to 28 is within run noise.
+    #: "Users" are distinct rows — a weighted tenant is one row with a
+    #: multiplicity — and 24 keeps every LP of at most 24 on the full
+    #: program's bits.
     CUTTING_PLANE_THRESHOLD = 24
     #: safety cap before falling back to the full O(n^2) program
     MAX_CUT_ROUNDS = 60
@@ -117,19 +171,20 @@ class CooperativeOEF(Allocator):
     def allocate(self, instance: ProblemInstance) -> Allocation:
         return self.allocate_with_state(instance)[0]
 
-    def allocate_with_state(self, instance, warm_start=None):
-        num_users = instance.speedups.values.shape[0]
-        if num_users == 1:
-            matrix = instance.capacities.reshape(1, -1).copy()
-            return Allocation(matrix, instance, allocator_name=self.name), None, False
-
-        if self._use_cuts(num_users):
+    def allocate_with_state(self, instance, warm_start=None, weights=None):
+        """``weights`` (one per row, default 1) are the §4.2.3 priorities."""
+        groups = instance.grouped(weights)
+        shares, state, warm_used = None, None, False
+        if groups.count == 1:
+            # one profile: its members split the whole cluster by weight
+            shares = instance.capacities.reshape(1, -1)
+        elif self._use_cuts(groups.count):
             # the cutting-plane row set varies run to run, so no stable
             # program structure exists to warm-start against
-            matrix = self._solve_cutting_plane(instance)
-            if matrix is not None:
-                return Allocation(matrix, instance, allocator_name=self.name), None, False
-        matrix, state, warm_used = self._solve_full(instance, warm_start)
+            shares = self._solve_cutting_plane(groups)
+        if shares is None:
+            shares, state, warm_used = self._solve_full(groups, warm_start)
+        matrix = groups.expand(shares)
         return Allocation(matrix, instance, allocator_name=self.name), state, warm_used
 
     def _use_cuts(self, num_users: int) -> bool:
@@ -138,11 +193,12 @@ class CooperativeOEF(Allocator):
         )
 
     # -- full O(n^2) formulation -------------------------------------------
-    def _full_form(self, instance: ProblemInstance) -> StandardForm:
+    def _full_form(self, instance: GroupedInstance) -> StandardForm:
         """Direct sparse standard form of Eq. 10, memoised by content."""
-        speedups = instance.speedups.values
+        speedups = instance.speedups
         key = fingerprint_arrays(
-            speedups, instance.capacities, extra=("oef-coop-full",)
+            speedups, instance.multiplicity, instance.capacities,
+            extra=("oef-coop-full",),
         )
 
         def build() -> StandardForm:
@@ -151,8 +207,8 @@ class CooperativeOEF(Allocator):
             # capacity "<=" rows first, then the ">=" envy rows negated
             a_ub = sparse.vstack(
                 [
-                    _capacity_rows(num_users, num_types),
-                    self._envy_rows(speedups),
+                    capacity_rows(num_users, num_types),
+                    envy_rows(speedups, instance.multiplicity),
                 ],
                 format="csr",
             )
@@ -174,8 +230,8 @@ class CooperativeOEF(Allocator):
 
         return FORM_CACHE.get_or_build(key, build)
 
-    def _solve_full(self, instance: ProblemInstance, warm_start=None):
-        speedups = instance.speedups.values
+    def _solve_full(self, instance: GroupedInstance, warm_start=None):
+        speedups = instance.speedups
         form = self._full_form(instance)
         solution = solve_form(form, backend=self.backend, warm_start=warm_start)
         matrix = np.clip(solution.values.reshape(speedups.shape), 0.0, None)
@@ -183,7 +239,7 @@ class CooperativeOEF(Allocator):
 
     # -- cutting-plane formulation ------------------------------------------
     def _solve_cutting_plane(
-        self, instance: ProblemInstance, tol: float = 1e-7
+        self, instance: GroupedInstance, tol: float = 1e-7
     ) -> Optional[np.ndarray]:
         seeds = self._seed_pairs(instance, tol)
         if self.backend in ("auto", "scipy") and incremental_available():
@@ -194,7 +250,7 @@ class CooperativeOEF(Allocator):
         return self._cutting_plane_linprog(instance, seeds, tol)
 
     def _seed_pairs(
-        self, instance: ProblemInstance, tol: float
+        self, instance: GroupedInstance, tol: float
     ) -> List[Tuple[int, int]]:
         """Initial cut set: profile neighbours + greedy-point violations.
 
@@ -209,7 +265,7 @@ class CooperativeOEF(Allocator):
           round-one optimum is exactly that point, so seeding its worst
           violations saves the first, most expensive, cut rounds.
         """
-        speedups = instance.speedups.values
+        speedups = instance.speedups
         num_users, num_types = speedups.shape
         order = np.argsort(speedups[:, -1])
         pairs: set = set()
@@ -223,16 +279,17 @@ class CooperativeOEF(Allocator):
 
         greedy = np.zeros((num_users, num_types))
         greedy[np.argmax(speedups, axis=0), np.arange(num_types)] = instance.capacities
-        pairs.update(self._violated_pairs(speedups, greedy, tol))
+        pairs.update(self._violated_pairs(instance, greedy, tol))
         return sorted(pairs)
 
     def _violated_pairs(
-        self, speedups: np.ndarray, matrix: np.ndarray, tol: float
+        self, instance: GroupedInstance, matrix: np.ndarray, tol: float
     ) -> List[Tuple[int, int]]:
         """Envy violations of ``matrix``, budget-capped, worst first."""
+        speedups = instance.speedups
         num_users = speedups.shape[0]
-        # cross[l, i] = W_l . x_i, compared against the own diagonal
-        cross = speedups @ matrix.T
+        # cross[g, h] = W_g . z_h / m_h, compared against the own diagonal
+        cross = speedups @ matrix.T / instance.multiplicity
         own = np.diag(cross)
         envy = cross - own[:, None]
         np.fill_diagonal(envy, -np.inf)
@@ -252,7 +309,7 @@ class CooperativeOEF(Allocator):
 
     def _cutting_plane_incremental(
         self,
-        instance: ProblemInstance,
+        instance: GroupedInstance,
         seeds: List[Tuple[int, int]],
         tol: float,
     ) -> Optional[np.ndarray]:
@@ -268,14 +325,17 @@ class CooperativeOEF(Allocator):
         dropped pair may re-enter later, which is why membership is
         tracked per pair rather than per row.
         """
-        speedups = instance.speedups.values
+        speedups, multiplicity = instance.speedups, instance.multiplicity
         num_users, num_types = speedups.shape
         session = IncrementalLP(
             c=-speedups.ravel(),
             col_lower=np.zeros(num_users * num_types),
             col_upper=np.full(num_users * num_types, np.inf),
             a_ub=sparse.vstack(
-                [_capacity_rows(num_users, num_types), self._envy_rows(speedups, seeds)],
+                [
+                    capacity_rows(num_users, num_types),
+                    envy_rows(speedups, multiplicity, seeds),
+                ],
                 format="csr",
             ),
             b_ub=np.concatenate(
@@ -290,7 +350,7 @@ class CooperativeOEF(Allocator):
             matrix = np.clip(
                 session.solve().reshape(num_users, num_types), 0.0, None
             )
-            violated = self._violated_pairs(speedups, matrix, tol)
+            violated = self._violated_pairs(instance, matrix, tol)
             new_pairs = [pair for pair in violated if pair not in in_lp]
             if not new_pairs:
                 return matrix
@@ -301,7 +361,8 @@ class CooperativeOEF(Allocator):
                     in_lp, round_number, tol,
                 )
             session.add_rows(
-                self._envy_rows(speedups, new_pairs), np.zeros(len(new_pairs))
+                envy_rows(speedups, multiplicity, new_pairs),
+                np.zeros(len(new_pairs)),
             )
             cut_pairs.extend(new_pairs)
             cut_born.extend([round_number + 1] * len(new_pairs))
@@ -344,7 +405,7 @@ class CooperativeOEF(Allocator):
 
     def _cutting_plane_linprog(
         self,
-        instance: ProblemInstance,
+        instance: GroupedInstance,
         seeds: List[Tuple[int, int]],
         tol: float,
     ) -> Optional[np.ndarray]:
@@ -357,9 +418,9 @@ class CooperativeOEF(Allocator):
         and the full O(n²) program 21.1 s (100x8: 0.080 / 0.361 /
         0.272 s): falling through to ``_solve_full`` would lose 3.0x.
         """
-        speedups = instance.speedups.values
+        speedups, multiplicity = instance.speedups, instance.multiplicity
         num_users, num_types = speedups.shape
-        capacity = _capacity_rows(num_users, num_types)
+        capacity = capacity_rows(num_users, num_types)
         capacities = np.asarray(instance.capacities, dtype=float)
         active = set(seeds)
 
@@ -368,7 +429,8 @@ class CooperativeOEF(Allocator):
             form = StandardForm(
                 c=-speedups.ravel(),
                 a_ub=sparse.vstack(
-                    [capacity, self._envy_rows(speedups, pairs)], format="csr"
+                    [capacity, envy_rows(speedups, multiplicity, pairs)],
+                    format="csr",
                 ),
                 b_ub=np.concatenate([capacities, np.zeros(len(pairs))]),
                 a_eq=None,
@@ -382,52 +444,13 @@ class CooperativeOEF(Allocator):
             )
             new_pairs = [
                 pair
-                for pair in self._violated_pairs(speedups, matrix, tol)
+                for pair in self._violated_pairs(instance, matrix, tol)
                 if pair not in active
             ]
             if not new_pairs:
                 return matrix
             active.update(new_pairs)
         return None  # fall back to the full program
-
-    @staticmethod
-    def _envy_rows(
-        speedups: np.ndarray, pairs: Optional[Sequence[Tuple[int, int]]] = None
-    ) -> sparse.csr_matrix:
-        """The (10c) rows of ordered pairs (l, i) over flattened x, as ``<= 0``.
-
-        Row for (l, i): -W_l at user l's columns, +W_l at user i's.
-        ``pairs`` restricts to a subset (cutting-plane path); ``None``
-        builds all n(n-1) rows.  Every row holds exactly ``2k`` entries,
-        so the CSR arrays are written directly, lower user's columns
-        first — pure index arithmetic, no per-pair loop, no COO detour.
-        """
-        num_users, num_types = speedups.shape
-        if pairs is None:
-            envious = np.repeat(np.arange(num_users), num_users)
-            envied = np.tile(np.arange(num_users), num_users)
-            keep = envious != envied
-            envious, envied = envious[keep], envied[keep]
-        else:
-            pair_array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-            envious, envied = pair_array[:, 0], pair_array[:, 1]
-        type_range = np.arange(num_types)
-        indices = np.concatenate(
-            [
-                np.minimum(envious, envied)[:, None] * num_types + type_range,
-                np.maximum(envious, envied)[:, None] * num_types + type_range,
-            ],
-            axis=1,
-        )
-        own = np.where(envious < envied, -1.0, 1.0)[:, None] * speedups[envious]
-        return sparse.csr_matrix(
-            (
-                np.concatenate([own, -own], axis=1).ravel(),
-                indices.ravel(),
-                np.arange(0, indices.size + 1, 2 * num_types),
-            ),
-            shape=(envious.shape[0], num_users * num_types),
-        )
 
 
 @register_scheduler(
@@ -463,7 +486,7 @@ class EfficiencyMaxAllocator(Allocator):
             num_users, num_types = speedups.shape
             return StandardForm(
                 c=-speedups.ravel(),
-                a_ub=_capacity_rows(num_users, num_types),
+                a_ub=capacity_rows(num_users, num_types),
                 b_ub=np.asarray(instance.capacities, dtype=float),
                 a_eq=None,
                 b_eq=None,

@@ -2,8 +2,9 @@
 
 The paper closes by noting OEF "can be extended to support job-level
 fairness" by exploiting elastic training.  The extension is a natural
-application of the virtual-user machinery of §4.2.3–4.2.4: every *job*
-becomes a virtual user carrying ``tenant_weight / num_active_jobs``, so
+application of the weighted machinery of §4.2.3–4.2.4: every *job*
+becomes one row carrying ``tenant_weight / num_active_jobs`` (jobs of one
+model share a profile, so they share one LP block whatever their count), so
 
 * tenants still receive throughput proportional to their weights (the
   replication argument of Weighted OEF), and
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.cluster.job import Job
 from repro.cluster.tenant import Tenant
-from repro.core.virtual import JobTypeSpec, TenantSpec, VirtualUserExpansion
+from repro.core.virtual import JobTypeSpec, TenantSpec
 from repro.core.weighted import WeightedOEF
 from repro.exceptions import ValidationError
 
@@ -44,7 +45,7 @@ class JobLevelAllocation:
 
 
 class JobLevelOEF:
-    """OEF with one virtual user per active job (§8 extension)."""
+    """OEF with one weighted row per active job (§8 extension)."""
 
     def __init__(self, mode: str = "noncooperative", backend: str = "auto"):
         self._weighted = WeightedOEF(mode=mode, backend=backend)

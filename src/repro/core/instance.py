@@ -2,12 +2,40 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.speedup import SpeedupMatrix
 from repro.exceptions import ValidationError
+
+
+@dataclass(frozen=True)
+class GroupedInstance:
+    """An instance folded to one row per byte-distinct speedup profile.
+
+    §4.2.3 *proves* the weighted guarantees by replicating a weight-``w``
+    tenant into ``w`` identical users.  Replicas are interchangeable and
+    Eq. 9/10 are linear, so averaging an optimum inside a group of equal
+    rows stays optimal: the allocators solve for one total share ``z_g``
+    per group with multiplicity ``m_g`` (its members' summed weight, any
+    positive real) and member ``l`` receives ``(w_l / m_g) . z_g``.
+    """
+
+    speedups: np.ndarray  # (groups, gpu_types), first-occurrence order
+    multiplicity: np.ndarray  # (groups,)
+    capacities: np.ndarray
+    member_group: np.ndarray  # (members,) group of each instance row
+    member_fraction: np.ndarray  # (members,) w_l / m_g
+
+    @property
+    def count(self) -> int:
+        return self.speedups.shape[0]
+
+    def expand(self, group_shares: np.ndarray) -> np.ndarray:
+        """Group totals ``z`` -> one share row per member."""
+        return group_shares[self.member_group] * self.member_fraction[:, None]
 
 
 class ProblemInstance:
@@ -55,6 +83,24 @@ class ProblemInstance:
         if user is None:
             return per_user
         return float(per_user[self.speedups.user_index(user)])
+
+    def grouped(self, weights: Optional[np.ndarray] = None) -> GroupedInstance:
+        """Fold byte-identical rows (no tolerance); ``weights`` default to 1."""
+        values = self.speedups.values
+        first_seen: dict = {}
+        member_group = np.array(
+            [first_seen.setdefault(row.tobytes(), len(first_seen)) for row in values]
+        )
+        weights = np.ones(len(values)) if weights is None else np.asarray(weights, float)
+        if weights.shape != (len(values),) or not np.all(weights > 0):
+            raise ValidationError("one positive weight per instance row is required")
+        multiplicity = np.bincount(member_group, weights=weights)
+        distinct = np.empty((len(first_seen), values.shape[1]))
+        distinct[member_group] = values
+        fraction = weights / multiplicity[member_group]
+        return GroupedInstance(
+            distinct, multiplicity, self.capacities, member_group, fraction
+        )
 
     def with_speedups(self, speedups: SpeedupMatrix) -> "ProblemInstance":
         return ProblemInstance(speedups, self.capacities)

@@ -13,6 +13,10 @@ cannot raise its *true* throughput.  We model (9c) with one auxiliary free
 variable ``T`` and constraints ``W_l . x_l - T == 0``, then maximise ``T``
 (the objective 9a equals ``n * T`` under the equality constraints).
 
+As in :mod:`repro.core.cooperative` the rows are distinct profiles with
+multiplicities: (9c) reads ``W_g . z_g - m_g T == 0`` over a group's total
+share ``z_g``, and ``T`` is the throughput of one unit of weight.
+
 The standard form is assembled directly as sparse blocks (no per-row
 Python loops) and memoised in the shared form cache, so scenario replays
 that revisit the same instance skip assembly entirely.
@@ -20,14 +24,33 @@ that revisit the same instance skip assembly entirely.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 from scipy import sparse
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
-from repro.core.instance import ProblemInstance
+from repro.core.cooperative import capacity_rows
+from repro.core.instance import GroupedInstance, ProblemInstance
 from repro.registry import register_scheduler
 from repro.solver import FORM_CACHE, StandardForm, fingerprint_arrays, solve_form
+
+
+def equal_throughput_rows(
+    speedups: np.ndarray, multiplicity: np.ndarray
+) -> sparse.csr_matrix:
+    """The (9c) rows ``W_g . z_g - m_g T == 0``; ``T`` is the last column."""
+    num_users, num_types = speedups.shape
+    own_columns = np.arange(speedups.size).reshape(speedups.shape)
+    return sparse.csr_matrix(
+        (
+            np.column_stack([speedups, -multiplicity]).ravel(),
+            np.column_stack([own_columns, np.full(num_users, speedups.size)]).ravel(),
+            np.arange(0, num_users * (num_types + 1) + 1, num_types + 1),
+        ),
+        shape=(num_users, speedups.size + 1),
+    )
 
 
 @register_scheduler(
@@ -57,69 +80,41 @@ class NonCooperativeOEF(Allocator):
         requests into one solve; :meth:`allocation_from_values` converts
         each block's optimum back into an allocation.
         """
-        if instance.num_users == 1:
-            return None
-        return self._form(instance)
+        groups = instance.grouped()
+        return None if groups.count == 1 else self._form(groups)
 
     def allocation_from_values(
-        self, instance: ProblemInstance, values: np.ndarray
+        self,
+        instance: ProblemInstance,
+        values: np.ndarray,
+        groups: Optional[GroupedInstance] = None,
     ) -> Allocation:
-        num_users, num_types = instance.speedups.values.shape
-        matrix = np.clip(
-            values[: num_users * num_types].reshape(num_users, num_types), 0.0, None
+        groups = instance.grouped() if groups is None else groups
+        shares = np.clip(
+            values[: groups.speedups.size].reshape(groups.speedups.shape), 0.0, None
         )
-        return Allocation(matrix, instance, allocator_name=self.name)
+        return Allocation(groups.expand(shares), instance, allocator_name=self.name)
 
-    def _form(self, instance: ProblemInstance) -> StandardForm:
-        speedups = instance.speedups.values
+    def _form(self, instance: GroupedInstance) -> StandardForm:
+        speedups = instance.speedups
         num_users, num_types = speedups.shape
         key = fingerprint_arrays(
-            speedups, instance.capacities, extra=("oef-noncoop",)
+            speedups, instance.multiplicity, instance.capacities,
+            extra=("oef-noncoop",),
         )
 
         def build() -> StandardForm:
             num_shares = num_users * num_types
-            # (9b) capacity per GPU type, plus a zero column for T
-            capacity_rows = sparse.csr_matrix(
-                (
-                    np.ones(num_shares),
-                    (
-                        np.tile(np.arange(num_types), num_users),
-                        np.arange(num_shares),
-                    ),
-                ),
-                shape=(num_types, num_shares + 1),
-            )
-            # (9c) equal normalised throughput: W_l . x_l - T == 0
-            equal_rows = sparse.csr_matrix(
-                (
-                    np.concatenate([speedups.ravel(), -np.ones(num_users)]),
-                    (
-                        np.concatenate(
-                            [
-                                np.repeat(np.arange(num_users), num_types),
-                                np.arange(num_users),
-                            ]
-                        ),
-                        np.concatenate(
-                            [
-                                np.arange(num_shares),
-                                np.full(num_users, num_shares),
-                            ]
-                        ),
-                    ),
-                ),
-                shape=(num_users, num_shares + 1),
-            )
             # (9a) maximise T; StandardForm keeps c in minimisation
             # convention, negated back on report via ``maximise``
             c = np.zeros(num_shares + 1)
             c[num_shares] = -1.0
             return StandardForm(
                 c=c,
-                a_ub=capacity_rows,
+                # (9b) capacity per GPU type, plus a zero column for T
+                a_ub=capacity_rows(num_users, num_types, extra_columns=1),
                 b_ub=np.asarray(instance.capacities, dtype=float),
-                a_eq=equal_rows,
+                a_eq=equal_throughput_rows(speedups, instance.multiplicity),
                 b_eq=np.zeros(num_users),
                 bounds=[(0.0, None)] * (num_shares + 1),
                 maximise=True,
@@ -127,15 +122,16 @@ class NonCooperativeOEF(Allocator):
 
         return FORM_CACHE.get_or_build(key, build)
 
-    def allocate_with_state(self, instance, warm_start=None):
-        if instance.num_users == 1:
-            # a lone tenant simply receives the whole cluster
-            num_types = instance.speedups.values.shape[1]
-            matrix = instance.capacities.reshape(1, num_types).copy()
+    def allocate_with_state(self, instance, warm_start=None, weights=None):
+        """``weights`` (one per row, default 1) are the §4.2.3 priorities."""
+        groups = instance.grouped(weights)
+        if groups.count == 1:
+            # one profile: its members split the whole cluster by weight
+            matrix = groups.expand(instance.capacities.reshape(1, -1))
             return Allocation(matrix, instance, allocator_name=self.name), None, False
 
         solution = solve_form(
-            self._form(instance), backend=self.backend, warm_start=warm_start
+            self._form(groups), backend=self.backend, warm_start=warm_start
         )
-        allocation = self.allocation_from_values(instance, solution.values)
+        allocation = self.allocation_from_values(instance, solution.values, groups)
         return allocation, solution.warm_state, solution.stats.warm_start_used

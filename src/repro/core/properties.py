@@ -9,6 +9,9 @@ Definitions audited (§2.3.1):
 * **EF** — no tenant values another tenant's share above its own.
 * **SI** — every tenant does at least as well as with a 1/n partition of
   every GPU type.
+  With priorities (§4.2.3) both are stated per unit of weight, directly
+  rather than on replicated rows: ``W_l . x_l / w_l >= W_l . x_i / w_i``
+  and ``W_l . x_l >= (w_l / sum w) W_l . m``; pass ``weights``.
 * **PE** — no alternative allocation raises one tenant without lowering
   another; tested exactly with an auxiliary LP.
 * **SP** — no tenant can raise its *true* throughput by inflating its
@@ -26,12 +29,14 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
+from repro.core.cooperative import CooperativeOEF, capacity_rows, envy_rows
 from repro.core.instance import ProblemInstance
-from repro.core.speedup import SpeedupMatrix
-from repro.solver import LinearProgram, dot
+from repro.core.noncooperative import NonCooperativeOEF, equal_throughput_rows
+from repro.solver import StandardForm, solve_form
 
 _DEFAULT_TOL = 1e-6
 
@@ -132,9 +137,16 @@ class PropertyReport:
 # ---------------------------------------------------------------------------
 # individual checkers
 # ---------------------------------------------------------------------------
-def check_envy_freeness(allocation: Allocation, tol: float = _DEFAULT_TOL) -> EnvyReport:
-    """EF holds when no entry of the envy matrix is positive."""
-    envy = allocation.envy_matrix()
+def check_envy_freeness(
+    allocation: Allocation,
+    tol: float = _DEFAULT_TOL,
+    weights: Optional[np.ndarray] = None,
+) -> EnvyReport:
+    """EF holds when no entry of the (per-unit-weight) envy matrix is positive."""
+    per_unit = allocation.cross_throughput()
+    if weights is not None:
+        per_unit = per_unit / np.asarray(weights, dtype=float)
+    envy = per_unit - np.diag(per_unit)[:, None]
     np.fill_diagonal(envy, -np.inf)
     worst_flat = int(np.argmax(envy))
     worst_pair = np.unravel_index(worst_flat, envy.shape)
@@ -148,10 +160,17 @@ def check_envy_freeness(allocation: Allocation, tol: float = _DEFAULT_TOL) -> En
 
 
 def check_sharing_incentive(
-    allocation: Allocation, tol: float = _DEFAULT_TOL
+    allocation: Allocation,
+    tol: float = _DEFAULT_TOL,
+    weights: Optional[np.ndarray] = None,
 ) -> SharingIncentiveReport:
-    """SI holds when every tenant beats its 1/n equal-partition throughput."""
-    gaps = allocation.sharing_incentive_gap()
+    """SI holds when every tenant beats its ``w_l / sum w`` partition (1/n unweighted)."""
+    if weights is None:
+        gaps = allocation.sharing_incentive_gap()
+    else:
+        instance = allocation.instance
+        whole_cluster = instance.speedups.values @ instance.capacities
+        gaps = allocation.user_throughput() - whole_cluster * weights / np.sum(weights)
     worst_user = int(np.argmin(gaps))
     worst_gap = float(gaps[worst_user])
     satisfied = worst_gap >= -tol
@@ -167,6 +186,7 @@ def check_pareto_efficiency(
     tol: float = 1e-5,
     backend: str = "auto",
     within: Optional[str] = None,
+    weights: Optional[np.ndarray] = None,
 ) -> ParetoReport:
     """Exact PE test via LP.
 
@@ -181,54 +201,61 @@ def check_pareto_efficiency(
     * ``"envy_free"`` — improvements must stay envy-free (Eq. 10c);
     * ``"equal_throughput"`` — improvements must keep throughput equal
       across tenants (Eq. 9c).
-    """
-    instance = allocation.instance
-    speedups = instance.speedups.values
-    num_users, num_types = speedups.shape
-    current = allocation.user_throughput()
 
-    lp = LinearProgram("pareto-test")
-    shares = lp.new_variable_array("x", (num_users, num_types), lower=0.0)
-    flat = list(shares.ravel())
-    for type_index in range(num_types):
-        coeff = np.zeros((1, num_users * num_types))
-        coeff[0, type_index::num_types] = 1.0
-        lp.add_matrix_constraints(
-            coeff, flat, "<=", float(instance.capacities[type_index])
-        )
+    ``weights`` state either domain per unit of weight.  Nothing is
+    grouped here: an arbitrary allocation need not treat equal rows alike.
+    """
+    current = allocation.user_throughput()
     slack = tol * max(1.0, float(np.abs(current).max()))
-    for user in range(num_users):
-        lp.add_constraint(
-            dot(speedups[user], shares[user]) >= float(current[user]) - slack
-        )
-    if within == "envy_free":
-        for user in range(num_users):
-            for other in range(num_users):
-                if other != user:
-                    lp.add_constraint(
-                        dot(speedups[user], shares[user])
-                        - dot(speedups[user], shares[other])
-                        >= 0.0
-                    )
-    elif within == "equal_throughput":
-        for user in range(1, num_users):
-            lp.add_constraint(
-                dot(speedups[user], shares[user])
-                - dot(speedups[0], shares[0])
-                == 0.0
-            )
-    elif within is not None:
-        raise ValueError(f"unknown PE domain {within!r}")
-    lp.set_objective(dot(speedups.ravel(), flat), sense="max")
-    achievable = lp.solve(backend=backend).objective
+    achievable = _max_total_with_floors(
+        allocation.instance, current - slack, within, weights, backend
+    )
     current_total = float(current.sum())
     # relative tolerance: LP solvers return slightly-off vertex values
     satisfied = achievable <= current_total + tol * max(1.0, abs(current_total))
-    return ParetoReport(
-        satisfied=satisfied,
-        achievable_total=achievable,
-        current_total=current_total,
+    return ParetoReport(satisfied, achievable, current_total)
+
+
+def floor_rows(speedups: np.ndarray, extra_columns: int = 0) -> sparse.csr_matrix:
+    """``-W_l`` at user l's columns: ``W_l . x_l >= floor_l`` in the ``<=`` system."""
+    num_users, num_types = speedups.shape
+    row_starts = np.arange(0, speedups.size + 1, num_types)
+    return sparse.csr_matrix(
+        (-speedups.ravel(), np.arange(speedups.size), row_starts),
+        shape=(num_users, speedups.size + extra_columns),
     )
+
+
+def _max_total_with_floors(
+    instance: ProblemInstance,
+    floors: np.ndarray,
+    within: Optional[str] = None,
+    weights: Optional[np.ndarray] = None,
+    backend: str = "auto",
+) -> float:
+    """Max total throughput with ``W_l . x_l >= floors[l]``, inside ``within``."""
+    if within not in (None, "envy_free", "equal_throughput"):
+        raise ValueError(f"unknown PE domain {within!r}")
+    speedups = instance.speedups.values
+    num_users, num_types = speedups.shape
+    multiplicity = np.ones(num_users) if weights is None else np.asarray(weights, float)
+    # equal throughput is W_l . x_l - w_l T == 0 with T one more column
+    extra = 1 if within == "equal_throughput" else 0
+    blocks = [capacity_rows(num_users, num_types, extra), floor_rows(speedups, extra)]
+    bounds = [instance.capacities, -floors]
+    if within == "envy_free":
+        blocks.append(envy_rows(speedups, multiplicity))
+        bounds.append(np.zeros(num_users * (num_users - 1)))
+    form = StandardForm(
+        c=-np.concatenate([speedups.ravel(), np.zeros(extra)]),
+        a_ub=sparse.vstack(blocks, format="csr"),
+        b_ub=np.concatenate(bounds),
+        a_eq=equal_throughput_rows(speedups, multiplicity) if extra else None,
+        b_eq=np.zeros(num_users) if extra else None,
+        bounds=[(0.0, None)] * (speedups.size + extra),
+        maximise=True,
+    )
+    return solve_form(form, backend=backend).objective
 
 
 def optimal_efficiency_upper_bound(instance: ProblemInstance) -> float:
@@ -250,9 +277,6 @@ def constrained_optimal_efficiency(
       * ``"equal_throughput"`` — Eq. (9), the non-cooperative OEF optimum;
       * ``"sharing_incentive"`` — capacity + SI lower bounds.
     """
-    from repro.core.cooperative import CooperativeOEF, EfficiencyMaxAllocator
-    from repro.core.noncooperative import NonCooperativeOEF
-
     if constraint == "none":
         return optimal_efficiency_upper_bound(instance)
     if constraint == "envy_free":
@@ -260,22 +284,9 @@ def constrained_optimal_efficiency(
     if constraint == "equal_throughput":
         return NonCooperativeOEF(backend=backend).allocate(instance).total_efficiency()
     if constraint == "sharing_incentive":
-        speedups = instance.speedups.values
-        num_users, num_types = speedups.shape
-        fair = instance.equal_split_throughput()
-        lp = LinearProgram("si-optimal")
-        shares = lp.new_variable_array("x", (num_users, num_types), lower=0.0)
-        flat = list(shares.ravel())
-        for type_index in range(num_types):
-            coeff = np.zeros((1, num_users * num_types))
-            coeff[0, type_index::num_types] = 1.0
-            lp.add_matrix_constraints(
-                coeff, flat, "<=", float(instance.capacities[type_index])
-            )
-        for user in range(num_users):
-            lp.add_constraint(dot(speedups[user], shares[user]) >= float(fair[user]))
-        lp.set_objective(dot(speedups.ravel(), flat), sense="max")
-        return lp.solve(backend=backend).objective
+        return _max_total_with_floors(
+            instance, instance.equal_split_throughput(), backend=backend
+        )
     raise ValueError(f"unknown constraint set {constraint!r}")
 
 

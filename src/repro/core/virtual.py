@@ -1,21 +1,20 @@
-"""Virtual-user expansion for weighted and multi-job-type OEF (§4.2.3–4.2.4).
+"""Tenant specs and their fold to weighted rows (§4.2.3–4.2.4).
 
-The paper's mechanism for priorities is *replication*: a tenant with weight
-2 is entered into the optimisation as two identical virtual users, so every
-fairness property OEF proves for users transfers to weighted tenants.  A
-tenant training several job types splits its weight equally across them,
-one virtual user per job type.
+The paper *proves* the weighted guarantees by replication: a tenant with
+weight 2 is two identical virtual users, so every fairness property OEF
+holds between users transfers to weighted tenants.  A tenant training
+several job types splits its weight equally across them.
 
-Weights may be fractional; they are converted to integer replica counts by
-scaling all weights to a common denominator (``Fraction.limit_denominator``
-keeps the expansion bounded).
+Replication is the proof, not the computation: each (tenant, job type) is
+**one** row carrying the real weight ``tenant.weight / len(job_types)``,
+which the allocators turn into the multiplicity of its LP block
+(:class:`repro.core.instance.GroupedInstance`).  Nothing is rounded to a
+common denominator: weight 1.3 is honoured as 1.3.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -74,20 +73,13 @@ class TenantSpec:
         return TenantSpec.of(name, [JobTypeSpec.of(f"{name}/job", speedups)], weight)
 
 
-@dataclass(frozen=True)
-class VirtualUser:
-    """One expanded row: which tenant/job type it represents."""
-
-    tenant: str
-    job_type: str
-    replica: int
-
-
 @dataclass
 class MergedAllocation:
-    """A virtual-user allocation folded back to tenants and job types."""
+    """A (tenant, job type)-row allocation (``expanded``, solved with
+    ``weights``: what the weighted property checks take) folded to tenants."""
 
     expanded: Allocation
+    weights: np.ndarray
     tenant_shares: Dict[str, np.ndarray]
     tenant_throughput: Dict[str, float]
     job_type_shares: Dict[str, Dict[str, np.ndarray]] = field(default_factory=dict)
@@ -98,13 +90,12 @@ class MergedAllocation:
 
 
 class VirtualUserExpansion:
-    """Expands tenant specs into replicated virtual users and merges back."""
+    """Tenant specs as one weighted row per (tenant, job type), and back."""
 
     def __init__(
         self,
         tenants: Sequence[TenantSpec],
         gpu_types: Optional[Sequence[str]] = None,
-        max_denominator: int = 64,
     ):
         if not tenants:
             raise ValidationError("at least one tenant is required")
@@ -117,94 +108,42 @@ class VirtualUserExpansion:
                 raise ValidationError("tenants disagree on the number of GPU types")
         self.tenants = list(tenants)
         self.gpu_types = list(gpu_types) if gpu_types else None
-        self.max_denominator = max_denominator
-        self._virtual_users: List[VirtualUser] = []
+        #: weight of each (tenant, job type) row: the tenant's, split equally.
+        #: Only ratios matter, so nothing is scaled to integer replica counts
+        self.weights = np.array(
+            [t.weight / len(t.job_types) for t in tenants for _job in t.job_types]
+        )
         self._matrix: Optional[SpeedupMatrix] = None
 
     # -- expansion -----------------------------------------------------------
-    def replica_counts(self) -> Dict[str, int]:
-        """Integer replicas per (tenant, job type) honouring weight ratios.
-
-        Each job type of tenant ``t`` carries effective weight
-        ``weight_t / num_job_types_t``; all effective weights are scaled by
-        the LCM of their denominators to integers.
-        """
-        fractions: Dict[tuple, Fraction] = {}
-        for tenant in self.tenants:
-            per_job = Fraction(tenant.weight).limit_denominator(self.max_denominator) / len(
-                tenant.job_types
-            )
-            for job in tenant.job_types:
-                fractions[(tenant.name, job.name)] = per_job
-        common = math.lcm(*(fraction.denominator for fraction in fractions.values()))
-        counts = {key: int(fraction * common) for key, fraction in fractions.items()}
-        divisor = math.gcd(*counts.values())
-        return {f"{tenant}/{job}": count // divisor for (tenant, job), count in counts.items()}
-
     def expanded_matrix(self) -> SpeedupMatrix:
-        """The virtual-user speedup matrix (one row per replica)."""
-        if self._matrix is not None:
-            return self._matrix
-        counts = self.replica_counts()
-        rows: List[np.ndarray] = []
-        names: List[str] = []
-        self._virtual_users = []
-        for tenant in self.tenants:
-            for job in tenant.job_types:
-                count = counts[f"{tenant.name}/{job.name}"]
-                for replica in range(count):
-                    rows.append(np.asarray(job.speedups))
-                    names.append(f"{tenant.name}/{job.name}#{replica}")
-                    self._virtual_users.append(
-                        VirtualUser(tenant.name, job.name, replica)
-                    )
-        self._matrix = SpeedupMatrix(
-            np.vstack(rows),
-            users=names,
-            gpu_types=self.gpu_types,
-            normalise=False,
-            require_monotone=False,
-        )
+        """The speedup matrix with one row per (tenant, job type)."""
+        if self._matrix is None:
+            rows = [(t.name, job) for t in self.tenants for job in t.job_types]
+            self._matrix = SpeedupMatrix(
+                np.array([job.speedups for _tenant, job in rows]),
+                users=[f"{tenant}/{job.name}" for tenant, job in rows],
+                gpu_types=self.gpu_types,
+                normalise=False,
+                require_monotone=False,
+            )
         return self._matrix
-
-    @property
-    def virtual_users(self) -> List[VirtualUser]:
-        self.expanded_matrix()
-        return list(self._virtual_users)
 
     # -- merging ---------------------------------------------------------------
     def merge(self, allocation: Allocation) -> MergedAllocation:
-        """Fold a virtual-user allocation back to tenants and job types."""
+        """Fold a (tenant, job type)-row allocation back to tenants."""
         matrix = self.expanded_matrix()
         if allocation.matrix.shape[0] != matrix.num_users:
-            raise ValidationError(
-                "allocation was not computed on this expansion's matrix"
-            )
-        num_types = matrix.num_gpu_types
-        tenant_shares: Dict[str, np.ndarray] = {
-            tenant.name: np.zeros(num_types) for tenant in self.tenants
-        }
-        tenant_throughput: Dict[str, float] = {tenant.name: 0.0 for tenant in self.tenants}
-        job_shares: Dict[str, Dict[str, np.ndarray]] = {
-            tenant.name: {job.name: np.zeros(num_types) for job in tenant.job_types}
-            for tenant in self.tenants
-        }
-        job_throughput: Dict[str, Dict[str, float]] = {
-            tenant.name: {job.name: 0.0 for job in tenant.job_types}
-            for tenant in self.tenants
-        }
-        speeds = matrix.values
-        for row_index, virtual in enumerate(self._virtual_users):
-            share = allocation.matrix[row_index]
-            throughput = float(speeds[row_index] @ share)
-            tenant_shares[virtual.tenant] += share
-            tenant_throughput[virtual.tenant] += throughput
-            job_shares[virtual.tenant][virtual.job_type] += share
-            job_throughput[virtual.tenant][virtual.job_type] += throughput
-        return MergedAllocation(
-            expanded=allocation,
-            tenant_shares=tenant_shares,
-            tenant_throughput=tenant_throughput,
-            job_type_shares=job_shares,
-            job_type_throughput=job_throughput,
-        )
+            raise ValidationError("allocation was not computed on this expansion's matrix")
+        merged = MergedAllocation(allocation, self.weights, {}, {})
+        rows = zip(matrix.values, allocation.matrix)
+        for tenant in self.tenants:
+            shares = merged.job_type_shares[tenant.name] = {}
+            throughput = merged.job_type_throughput[tenant.name] = {}
+            for job in tenant.job_types:
+                speeds, share = next(rows)
+                shares[job.name] = share.copy()
+                throughput[job.name] = float(speeds @ share)
+            merged.tenant_shares[tenant.name] = np.sum(list(shares.values()), axis=0)
+            merged.tenant_throughput[tenant.name] = sum(throughput.values(), 0.0)
+        return merged

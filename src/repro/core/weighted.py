@@ -1,13 +1,14 @@
-"""Weighted OEF: priorities and multiple job types via replication (§4.2.3).
+"""Weighted OEF: priorities and multiple job types as multiplicities (§4.2.3).
 
 :class:`WeightedOEF` accepts :class:`~repro.core.virtual.TenantSpec` objects
-(with weights and one or more job types), expands them into virtual users,
-runs the selected OEF variant on the expanded instance, and folds the
-result back to per-tenant and per-job-type shares.
+(with weights and one or more job types), enters each (tenant, job type)
+as one row weighted ``weight / len(job_types)``, runs the selected OEF
+variant with those weights, and folds the result back to per-tenant and
+per-job-type shares.
 
-Replication — rather than weighting the objective — is the paper's trick:
-every fairness property OEF guarantees between users then holds between
-virtual users, and therefore proportionally between weighted tenants.
+The paper argues by replication — what OEF guarantees between users holds
+between a tenant's identical virtual users, hence proportionally between
+weighted tenants; the allocators reach the same optimum without the copies.
 """
 
 from __future__ import annotations
@@ -28,17 +29,11 @@ _MODES = ("noncooperative", "cooperative")
 class WeightedOEF:
     """OEF with tenant weights and multiple job types per tenant."""
 
-    def __init__(
-        self,
-        mode: str = "noncooperative",
-        backend: str = "auto",
-        max_denominator: int = 64,
-    ):
+    def __init__(self, mode: str = "noncooperative", backend: str = "auto"):
         if mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
         self.mode = mode
         self.backend = backend
-        self.max_denominator = max_denominator
         self.name = f"oef-weighted-{'noncoop' if mode == 'noncooperative' else 'coop'}"
 
     def allocate(
@@ -50,18 +45,13 @@ class WeightedOEF:
         """Allocate the cluster among weighted tenants.
 
         Returns a :class:`MergedAllocation` with tenant- and job-type-level
-        shares and throughputs; the raw virtual-user allocation is kept in
-        ``.expanded`` for auditing.
+        shares and throughputs; the (tenant, job type)-row allocation and
+        its weights are kept in ``.expanded`` / ``.weights`` for auditing.
         """
-        expansion = VirtualUserExpansion(
-            tenants, gpu_types=gpu_types, max_denominator=self.max_denominator
+        expansion = VirtualUserExpansion(tenants, gpu_types=gpu_types)
+        instance = ProblemInstance(expansion.expanded_matrix(), capacities)
+        solver = NonCooperativeOEF if self.mode == "noncooperative" else CooperativeOEF
+        allocation, _state, _warm = solver(backend=self.backend).allocate_with_state(
+            instance, weights=expansion.weights
         )
-        matrix = expansion.expanded_matrix()
-        instance = ProblemInstance(matrix, capacities)
-        if self.mode == "noncooperative":
-            allocator = NonCooperativeOEF(backend=self.backend)
-        else:
-            allocator = CooperativeOEF(backend=self.backend)
-        allocation = allocator.allocate(instance)
-        merged = expansion.merge(allocation)
-        return merged
+        return expansion.merge(allocation)

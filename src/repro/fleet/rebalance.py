@@ -53,18 +53,20 @@ from repro.workloads.models import throughput_vector
 DEFAULT_PROPERTY_CHECK_MAX_TENANTS = 256
 
 #: Quota weights are snapped to multiples of ``1/QUOTA_WEIGHT_DENOMINATOR``
-#: (and capped at ``QUOTA_WEIGHT_CAP``).  The weighted OEF schedulers
-#: implement weights by *replication* — ``Fraction(w).limit_denominator(64)``
-#: per tenant, scaled by the LCM of all denominators — so raw float shares
-#: would blow a handful of tenants up into thousands of virtual users and
-#: stall the regional cutting-plane solver.  Eighths keep the whole
-#: expansion within ``8 x weight`` replicas per tenant.
+#: (and capped at ``QUOTA_WEIGHT_CAP``).  The grid dates from when the
+#: weighted OEF schedulers *computed* with §4.2.3's replicas, one LP row
+#: per unit of a common denominator; a weight is now a real multiplicity
+#: on a single row and the solver no longer needs it.  Kept for one more
+#: change (ROADMAP item 6 deletion material): real-valued quotas read
+#: 0-17 % slower on ``fleet-failover`` when tried on top of the compact
+#: program, and a zero global share still needs the positive floor
+#: ``quantize_weight`` gives it.
 QUOTA_WEIGHT_DENOMINATOR = 8
 QUOTA_WEIGHT_CAP = 16.0
 
 
 def quantize_weight(value: float) -> float:
-    """Snap a weight multiplier onto the replication-friendly grid."""
+    """Snap a weight multiplier onto the eighths grid, floor 1/8, cap 16."""
     value = min(float(value), QUOTA_WEIGHT_CAP)
     steps = max(1, round(value * QUOTA_WEIGHT_DENOMINATOR))
     return steps / QUOTA_WEIGHT_DENOMINATOR

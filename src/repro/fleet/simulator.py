@@ -38,7 +38,7 @@ from repro.fleet.rebalance import (
     QuotaSchedule,
     compute_quota_schedule,
 )
-from repro.fleet.scenario import FleetScenario, region_scenario
+from repro.fleet.scenario import FleetScenario, FleetScript, region_scenario
 from repro.parallel import BackendSpec, get_backend
 from repro.scenarios.runner import ScenarioRunner
 
@@ -229,7 +229,7 @@ class FleetSimulator:
         self.metrics_path = metrics_path
         self.flush_every = int(flush_every)
 
-    def _quota(self) -> QuotaSchedule:
+    def _quota(self, script: FleetScript) -> QuotaSchedule:
         if not self.rebalance:
             return QuotaSchedule(
                 scheduler=self.rebalance_scheduler,
@@ -241,33 +241,34 @@ class FleetSimulator:
             window_rounds=self.window_rounds,
             check_properties=self.check_properties,
             property_check_max_tenants=self.property_check_max_tenants,
+            script=script,
         )
 
-    def _tasks(self, quota: QuotaSchedule) -> List[_RegionTask]:
-        script = self.fleet.materialize()
-        tasks: List[_RegionTask] = []
-        for index, region in enumerate(script.regions):
-            tasks.append(
-                _RegionTask(
-                    region=region.name,
-                    scenario=region_scenario(
-                        self.fleet, index, region.name, quota.for_region(region.name)
-                    ),
-                    scheduler=self.scheduler,
-                    warm=self.warm,
-                    config_overrides=region.config_overrides,
-                    metrics_path=self.metrics_path,
-                    fleet=self.fleet.name,
-                    seed=self.fleet.seed,
-                    flush_every=self.flush_every,
-                )
+    def _tasks(self, script: FleetScript, quota: QuotaSchedule) -> List[_RegionTask]:
+        return [
+            _RegionTask(
+                region=region.name,
+                scenario=region_scenario(
+                    self.fleet, index, region.name, quota.for_region(region.name)
+                ),
+                scheduler=self.scheduler,
+                warm=self.warm,
+                config_overrides=region.config_overrides,
+                metrics_path=self.metrics_path,
+                fleet=self.fleet.name,
+                seed=self.fleet.seed,
+                flush_every=self.flush_every,
             )
-        return tasks
+            for index, region in enumerate(script.regions)
+        ]
 
     def run(self) -> FleetResult:
         started = time.perf_counter()
-        quota = self._quota()
-        tasks = self._tasks(quota)
+        # materialised once for both readers: the pre-pass copies the event
+        # lists it consumes and never mutates a tenant; tasks carry recipes
+        script = self.fleet.materialize()
+        quota = self._quota(script)
+        tasks = self._tasks(script, quota)
         resolved = get_backend(
             self.backend, self.max_workers, task_count=len(tasks), payload=tasks
         )

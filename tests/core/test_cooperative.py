@@ -14,6 +14,7 @@ from repro.core import (
     check_sharing_incentive,
     optimal_efficiency_upper_bound,
 )
+from repro.core import cooperative
 from repro.core.cooperative import EfficiencyMaxAllocator
 from repro.workloads.generator import random_instance
 
@@ -244,9 +245,17 @@ class TestAutoMethodFromTheThreshold:
         assert calls == []
         np.testing.assert_array_equal(auto.matrix, full.matrix)
 
-    def test_weighted_virtual_users_cross_the_threshold(self, monkeypatch):
-        # weights 1..4 over 12 tenants: 30 virtual users, many identical rows
+    def test_twelve_weighted_tenants_stay_a_twelve_row_full_program(self, monkeypatch):
+        # weights 1..4 over 12 tenants were 30 virtual users and took the
+        # cutting-plane path; as multiplicities they are 12 rows, below it
         calls = self._spy_on_cuts(monkeypatch)
+        forms = []
+        original = cooperative.solve_form
+        monkeypatch.setattr(
+            cooperative,
+            "solve_form",
+            lambda form, **kwargs: forms.append(form) or original(form, **kwargs),
+        )
         rng = np.random.default_rng(4)
         tenants = [
             TenantSpec.single(
@@ -257,9 +266,16 @@ class TestAutoMethodFromTheThreshold:
             for index in range(12)
         ]
         merged = WeightedOEF(mode="cooperative").allocate(tenants, np.full(4, 6.0))
-        assert merged.expanded.instance.num_users == 30 > THRESHOLD
-        assert calls == [True]
-        self._check(merged.expanded.instance)
+        assert merged.expanded.instance.num_users == 12 <= THRESHOLD
+        assert calls == []
+        assert [form.num_variables for form in forms] == [12 * 4]
+        assert forms[0].a_ub.shape[0] == 4 + 12 * 11
+        weights = merged.weights
+        assert check_envy_freeness(merged.expanded, weights=weights).satisfied
+        assert check_sharing_incentive(merged.expanded, weights=weights).satisfied
+        assert check_pareto_efficiency(
+            merged.expanded, within="envy_free", weights=weights
+        ).satisfied
 
     def test_cut_round_cap_falls_back_to_the_full_program(self, monkeypatch):
         monkeypatch.setattr(CooperativeOEF, "MAX_CUT_ROUNDS", 0)

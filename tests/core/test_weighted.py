@@ -48,25 +48,30 @@ class TestSpecs:
             )
 
 
-class TestExpansion:
-    def test_unit_weights_one_replica_each(self):
-        expansion = VirtualUserExpansion(_two_tenants())
-        counts = expansion.replica_counts()
-        assert counts == {"u1/u1/job": 1, "u2/u2/job": 1}
+def _multiplicities(tenants):
+    """``"tenant/job type"`` -> the weight that row enters the LP with."""
+    expansion = VirtualUserExpansion(tenants)
+    return dict(zip(expansion.expanded_matrix().users, expansion.weights.tolist()))
 
-    def test_integer_weight_replicates(self):
-        expansion = VirtualUserExpansion(_two_tenants(weight2=2.0))
-        counts = expansion.replica_counts()
+
+class TestExpansion:
+    """Weights are multiplicities of one row each, never replica counts."""
+
+    def test_unit_weights_unit_multiplicity_each(self):
+        assert _multiplicities(_two_tenants()) == {"u1/u1/job": 1.0, "u2/u2/job": 1.0}
+
+    def test_integer_weight_is_a_two_to_one_multiplicity(self):
+        counts = _multiplicities(_two_tenants(weight2=2.0))
         assert counts["u2/u2/job"] == 2 * counts["u1/u1/job"]
 
-    def test_fractional_weight_scaled_to_integers(self):
+    def test_fractional_weight_stays_fractional(self):
         tenants = [
             TenantSpec.single("a", [1, 2], weight=1.5),
             TenantSpec.single("b", [1, 2], weight=1.0),
         ]
-        counts = VirtualUserExpansion(tenants).replica_counts()
-        assert counts["a/a/job"] == 3
-        assert counts["b/b/job"] == 2
+        counts = _multiplicities(tenants)
+        # 3:2 without scaling anything to integers
+        assert counts == {"a/a/job": 1.5, "b/b/job": 1.0}
 
     def test_job_types_split_weight(self):
         tenants = [
@@ -77,17 +82,16 @@ class TestExpansion:
             ),
             TenantSpec.single("s", [1, 4]),
         ]
-        counts = VirtualUserExpansion(tenants).replica_counts()
+        counts = _multiplicities(tenants)
         # tenant t: 1/2 weight per job type; tenant s: weight 1
-        assert counts["t/x"] == 1
-        assert counts["t/y"] == 1
-        assert counts["s/s/job"] == 2
+        assert counts == {"t/x": 0.5, "t/y": 0.5, "s/s/job": 1.0}
 
-    def test_expanded_matrix_rows(self):
+    def test_expanded_matrix_has_one_row_per_tenant_job_type(self):
         expansion = VirtualUserExpansion(_two_tenants(weight2=2.0))
         matrix = expansion.expanded_matrix()
-        assert matrix.num_users == 3
-        np.testing.assert_allclose(matrix.values[1], matrix.values[2])
+        assert matrix.num_users == 2  # weight 2 is a multiplier, not a second row
+        assert matrix.users == ["u1/u1/job", "u2/u2/job"]
+        np.testing.assert_array_equal(expansion.weights, [1.0, 2.0])
 
     def test_duplicate_tenant_names_rejected(self):
         with pytest.raises(ValidationError):
@@ -162,7 +166,9 @@ class TestWeightedAllocation:
 
     def test_merge_requires_matching_allocation(self):
         expansion = VirtualUserExpansion(_two_tenants())
-        other = VirtualUserExpansion(_two_tenants(weight2=3.0))
+        other = VirtualUserExpansion(
+            _two_tenants() + [TenantSpec.single("u3", [1.0, 3.0])]
+        )
         other_matrix = other.expanded_matrix()
         from repro.core import Allocation, ProblemInstance
 
@@ -172,3 +178,13 @@ class TestWeightedAllocation:
         )
         with pytest.raises(ValidationError):
             expansion.merge(allocation)
+
+    def test_merged_allocation_keeps_rows_and_weights_for_auditing(self):
+        merged = WeightedOEF(mode="cooperative").allocate(
+            _two_tenants(weight2=2.0), [1.0, 1.0]
+        )
+        assert merged.expanded.instance.speedups.users == ["u1/u1/job", "u2/u2/job"]
+        np.testing.assert_array_equal(merged.weights, [1.0, 2.0])
+        np.testing.assert_array_equal(
+            merged.expanded.matrix[1], merged.tenant_shares["u2"]
+        )

@@ -78,7 +78,7 @@ def _gavel_like_form():
 def _grid():
     for users in (2, 8, 20, 32):
         instance = random_instance(users, 4, seed=users, devices_per_type=6.0)
-        yield f"coop-full-{users}", CooperativeOEF()._full_form(instance)
+        yield f"coop-full-{users}", CooperativeOEF()._full_form(instance.grouped())
         yield f"noncoop-{users}", NonCooperativeOEF().compile_form(instance)
     instance = random_instance(6, 3, seed=1, devices_per_type=4.0)
     yield "efficiency-max", EfficiencyMaxAllocator().compile_form(instance)

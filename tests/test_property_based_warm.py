@@ -14,7 +14,7 @@ can never observe *what* the solver reused, only that it answered.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ProblemInstance, SpeedupMatrix
@@ -122,6 +122,9 @@ def test_warm_resolve_chain_matches_cold(lp_backend, instance, chain):
 @given(instance=instances(), chain=perturbation_chains(length=4))
 def test_warm_chain_threads_state_and_stays_exact(instance, chain):
     """The returned warm-state chain itself is safe to thread forward."""
+    # tenants that all share one profile split the cluster without an LP,
+    # so there is no state to thread (the jitter keeps equal rows equal)
+    assume(instance.grouped().count > 1)
     allocator = create_scheduler("oef-noncoop", backend="simplex")
     _, state, warm_used = allocator.allocate_with_state(instance)
     assert state is not None and not warm_used

@@ -157,6 +157,18 @@ grep "fleet fingerprint:" "$TMP/fleet.txt" > "$TMP/fp_serial.txt"
 grep "fleet fingerprint:" "$TMP/fleet_thread.txt" > "$TMP/fp_thread.txt"
 diff "$TMP/fp_serial.txt" "$TMP/fp_thread.txt"
 
+echo "== repro fleet-sim (weighted tenants: serial vs the default backend) =="
+# quota rebalancing is the only weighted-tenant path the CLI reaches; the
+# backend the CLI picks by default must replay what the serial one does
+"$PY" -m repro fleet-sim --scenario multiregion-failover --regions 2 --rounds 8 \
+    --backend serial | tee "$TMP/fleet_w_serial.txt"
+"$PY" -m repro fleet-sim --scenario multiregion-failover --regions 2 --rounds 8 \
+    | tee "$TMP/fleet_w_default.txt"
+grep -q "fairness violations: 0" "$TMP/fleet_w_serial.txt"
+grep -q "fairness violations: 0" "$TMP/fleet_w_default.txt"
+diff <(grep "fleet fingerprint:" "$TMP/fleet_w_serial.txt") \
+    <(grep "fleet fingerprint:" "$TMP/fleet_w_default.txt")
+
 echo "== repro ingest-trace -> trace:<name> replay =="
 printf 'jobid,user,submit_time,run_time,gpus\nj1,vc-a,0,3600,1\nj2,vc-b,600,1800,2\nj3,vc-a,1200,3600,1\n' \
     > "$TMP/jobs.csv"
