@@ -36,9 +36,11 @@ from repro.core.allocation import Allocation
 from repro.core.instance import ProblemInstance
 from repro.core.speedup import SpeedupMatrix
 from repro.exceptions import ValidationError
+from repro.fieldspec import check_at, instance_of, list_of, nullable
 
 INSTANCE_SCHEMA = "repro/instance-v1"
 ALLOCATION_SCHEMA = "repro/allocation-v1"
+_NAMES = nullable(list_of(instance_of(str, "a string")))
 
 PathLike = Union[str, Path]
 
@@ -62,6 +64,8 @@ def instance_from_dict(payload: dict) -> ProblemInstance:
     for field in ("speedups", "capacities"):
         if field not in payload:
             raise ValidationError(f"instance JSON missing field {field!r}")
+    for field in ("users", "gpu_types"):
+        check_at(field, _NAMES, payload.get(field))
     matrix = SpeedupMatrix(
         payload["speedups"],
         users=payload.get("users"),

@@ -27,6 +27,7 @@ allocation.
 from __future__ import annotations
 
 import hashlib
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
@@ -37,20 +38,21 @@ from repro.core.allocation import Allocation
 from repro.core.instance import ProblemInstance
 from repro.exceptions import ReproError
 
+#: JSON keeps ``1`` from ``"1"`` and ``["a,b"]`` from ``["a", "b"]``; joining does not.
+_encode_names = json.JSONEncoder(default=str).encode
+
 
 def instance_fingerprint(instance: ProblemInstance) -> str:
     """Content hash of an instance: identical data ⇒ identical fingerprint.
 
     Covers user names, GPU-type names, the speedup matrix, and the
     capacity vector, so two independently constructed but equal instances
-    share cache entries.
+    share cache entries — and two that differ in any name do not.
     """
+    speedups = instance.speedups
     digest = hashlib.sha256()
-    digest.update("\x1f".join(map(str, instance.speedups.users)).encode())
-    digest.update(b"\x1e")
-    digest.update("\x1f".join(map(str, instance.speedups.gpu_types)).encode())
-    digest.update(b"\x1e")
-    digest.update(np.ascontiguousarray(instance.speedups.values, dtype=np.float64).tobytes())
+    digest.update(_encode_names([speedups.users, speedups.gpu_types]).encode())
+    digest.update(np.ascontiguousarray(speedups.values, dtype=np.float64).tobytes())
     digest.update(np.ascontiguousarray(instance.capacities, dtype=np.float64).tobytes())
     return digest.hexdigest()
 
@@ -166,6 +168,9 @@ class Response:
     #: each entry is the time spent at or below that stage.  Filled by
     #: the gateway after the chain returns.
     stage_timings: Tuple[Tuple[str, float], ...] = ()
+    #: Opaque identity (compare with ``is``) of the cache entry behind a
+    #: ``cache-hit``, else ``None``: the same stored entry, the same object.
+    cache_entry: Optional[object] = None
     #: Human-readable explanation for non-``ok`` responses.
     reason: str = ""
 

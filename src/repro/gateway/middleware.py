@@ -187,9 +187,10 @@ class CacheMiddleware(Middleware):
     Keys on ``Request.key`` when set, else on ``(instance fingerprint,
     canonical scheduler, frozen options)``.  Cached matrices are copied
     on both insert and lookup, so callers can never poison the cache by
-    mutating a returned allocation.  One LRU bound (``max_entries``)
-    covers the primary store and the auxiliary store
-    (:meth:`Gateway.frontier`'s memo) combined.
+    mutating a returned allocation; a hit names its entry only by the
+    opaque per-insert token beside the matrix (``Response.cache_entry``).
+    One LRU bound (``max_entries``) covers the primary store and the
+    auxiliary store (:meth:`Gateway.frontier`'s memo) combined.
 
     Threading: one re-entrant lock guards the stores and counters;
     lookups, inserts, LRU reordering, and trims happen under it while
@@ -230,7 +231,7 @@ class CacheMiddleware(Middleware):
                     self._hits += 1
                     hits, misses = self._hits, self._misses
             if entry is not None:
-                matrix, allocator_name, fingerprint, canonical = entry
+                matrix, allocator_name, fingerprint, canonical, token = entry
                 return Response(
                     scheduler=canonical,
                     allocation=Allocation(
@@ -240,6 +241,7 @@ class CacheMiddleware(Middleware):
                     disposition="cache-hit",
                     cache_hits=hits,
                     cache_misses=misses,
+                    cache_entry=token,
                 )
 
         # count the miss before the solver runs (concurrent callers
@@ -257,6 +259,7 @@ class CacheMiddleware(Middleware):
                     allocation.allocator_name or response.scheduler,
                     response.fingerprint,
                     response.scheduler,
+                    object(),  # this entry's identity (Response.cache_entry)
                 )
                 self._trim(self._store)
             hits, misses = self._hits, self._misses

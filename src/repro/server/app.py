@@ -37,8 +37,10 @@ or from the command line: ``repro serve --port 8080 --shards 4``.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import sys
+from collections import OrderedDict
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from repro import __version__
@@ -64,6 +66,8 @@ from repro.server.protocol import (
     parse_solve,
     response_payload,
     retry_after_header,
+    served_block,
+    split_served,
 )
 from repro.server.shards import ShardPool
 
@@ -148,6 +152,16 @@ class ReproServer:
         self._writers: Set[asyncio.StreamWriter] = set()
         self._status_counts: Dict[str, int] = {}
         self._endpoint_counts: Dict[str, int] = {}
+        #: ``/solve`` bodies already answered from cache, LRU by sha256 of the
+        #: bytes: ``(Request, cache entry, prefix, suffix)``; event loop only,
+        #: bytes reused only when that same entry answers (docs/server.md).
+        self._hot: "OrderedDict[bytes, tuple]" = OrderedDict()
+        self._hot_bound = sum(
+            gateway.cache_info().max_entries for gateway in self.pool.gateways
+        )
+        self._hot_counts = dict.fromkeys(
+            ("hits", "admitted", "re_encoded", "dropped", "unspliced"), 0
+        )
         #: Metrics payload snapshotted by the graceful drain, so operators
         #: can flush final counters even after the listener is gone.
         self.final_metrics: Optional[Dict[str, object]] = None
@@ -347,6 +361,7 @@ class ReproServer:
                 "draining": self._draining,
                 "requests_by_status": dict(self._status_counts),
                 "requests_by_endpoint": dict(self._endpoint_counts),
+                "hot_bodies": {"entries": len(self._hot), **self._hot_counts},
             },
             "totals": totals,
             "shards": shard_rows,
@@ -401,17 +416,44 @@ class ReproServer:
         )
         return True
 
-    async def _dispatch(self, request: Request) -> Response:
-        return await self.pool.dispatch(request)
-
     async def _handle_solve(self, request, writer) -> bool:
-        gateway_request = parse_solve(parse_json(request.body), self.registry)
-        response = await self._dispatch(gateway_request)
-        if not response.ok:
-            self._respond_shed(writer, request.path, response)
+        digest = hashlib.sha256(request.body).digest()
+        row = self._hot.get(digest)
+        if row is None:
+            gateway_request = parse_solve(parse_json(request.body), self.registry)
         else:
-            self._respond(writer, request.path, 200, response_payload(response))
+            self._hot.move_to_end(digest)
+            gateway_request = row[0]
+        response = await self.pool.dispatch(gateway_request)
+        if row is not None and response.cache_entry is row[1]:
+            self._hot_counts["hits"] += 1
+            body = row[2] + json_bytes(served_block(response)) + row[3]
+        elif response.ok:
+            payload = response_payload(response)
+            body = json_bytes(payload)
+            self._restock(digest, gateway_request, response, payload, body)
+        else:
+            self._restock(digest, gateway_request, response)
+            self._respond_shed(writer, request.path, response)
+            return True
+        self._count(request.path, 200)
+        writer.write(http11.response_bytes(200, body))
         return True
+
+    def _restock(self, digest, gateway_request, response, payload=None, body=None):
+        """Answered otherwise than from a row: store one (cache hit) or drop it."""
+        counts, parts = self._hot_counts, None
+        if response.cache_entry is not None and gateway_request.deadline is None:
+            parts = split_served(payload, body)
+            counts["unspliced"] += parts is None
+        if parts is None:
+            counts["dropped"] += self._hot.pop(digest, None) is not None
+            return
+        counts["re_encoded" if digest in self._hot else "admitted"] += 1
+        self._hot[digest] = (gateway_request, response.cache_entry, *parts)
+        if len(self._hot) > self._hot_bound:
+            self._hot.popitem(last=False)
+            counts["dropped"] += 1
 
     async def _handle_solve_batch(self, request, writer) -> bool:
         """Streaming batch: one NDJSON line per result, completion order.
@@ -426,13 +468,14 @@ class ReproServer:
         writer.write(http11.chunked_head(200))
 
         async def solve_one(index: int, item: Request) -> Dict[str, object]:
-            response = await self._dispatch(item)
+            shard = self.pool.route(item)
+            response = await self.pool.dispatch(item, shard)
             if not response.ok:
                 payload = overloaded_payload(response)
             else:
                 payload = response_payload(response)
             payload["index"] = index
-            payload["shard"] = self.pool.route(item)
+            payload["shard"] = shard
             return payload
 
         tasks = [

@@ -256,13 +256,34 @@ def response_payload(response: Response) -> Dict[str, object]:
         "scheduler": response.scheduler,
         "fingerprint": response.fingerprint,
         "allocation": allocation_to_dict(response.allocation),
-        "served": {
-            "disposition": response.disposition,
-            "solve_seconds": response.solve_seconds,
-            "cache_hits": response.cache_hits,
-            "cache_misses": response.cache_misses,
-        },
+        "served": served_block(response),
     }
+
+
+def served_block(response: Response) -> Dict[str, object]:
+    """The per-serving telemetry of :func:`response_payload`."""
+    return {
+        "disposition": response.disposition,
+        "solve_seconds": response.solve_seconds,
+        "cache_hits": response.cache_hits,
+        "cache_misses": response.cache_misses,
+    }
+
+
+def split_served(
+    payload: Mapping[str, object], body: bytes
+) -> Optional[Tuple[bytes, bytes]]:
+    """``body = json_bytes(payload)`` as ``(prefix, suffix)`` around ``served``.
+
+    Encoded from the keys sorting before and after it, so any ``served``
+    block splices in canonically; ``None`` if the pieces do not reassemble
+    (as when no key sorts before it, or none after).
+    """
+    head = json_bytes({k: v for k, v in payload.items() if k < "served"})
+    tail = json_bytes({k: v for k, v in payload.items() if k > "served"})
+    prefix, suffix = head[:-1] + b',"served":', b"," + tail[1:]
+    whole = prefix + json_bytes(payload["served"]) + suffix
+    return (prefix, suffix) if whole == body else None
 
 
 def overloaded_payload(response: Response) -> Dict[str, object]:
@@ -301,4 +322,6 @@ __all__ = [
     "parse_solve",
     "response_payload",
     "retry_after_header",
+    "served_block",
+    "split_served",
 ]

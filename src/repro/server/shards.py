@@ -135,11 +135,13 @@ class ShardPool:
             self._dispatched[shard] += 1
         return self.gateways[shard].solve(request)
 
-    async def dispatch(self, request: Request) -> Response:
-        """Route and solve without blocking the event loop."""
+    async def dispatch(
+        self, request: Request, shard: Optional[int] = None
+    ) -> Response:
+        """Route (unless the caller already did) and solve off the loop."""
         if self._drained:
             raise RuntimeError("shard pool is drained")
-        shard = self.route(request)
+        shard = self.route(request) if shard is None else shard
         with self._lock:
             self._dispatched[shard] += 1
         loop = asyncio.get_running_loop()

@@ -52,6 +52,19 @@ class TestInstanceRoundTrip:
         with pytest.raises(ValidationError):
             instance_from_dict(payload)
 
+    @pytest.mark.parametrize("field", ["users", "gpu_types"])
+    @pytest.mark.parametrize("names", [[1, 2], ["a", None], "ab", {"a": 1}])
+    def test_names_must_be_strings(self, paper_instance, field, names):
+        payload = instance_to_dict(paper_instance)
+        payload[field] = names
+        with pytest.raises(ValidationError, match=field):
+            instance_from_dict(payload)
+
+    def test_names_stay_optional(self, paper_instance):
+        payload = instance_to_dict(paper_instance)
+        del payload["users"], payload["gpu_types"]
+        assert instance_from_dict(payload).num_users == paper_instance.num_users
+
 
 class TestAllocationRoundTrip:
     def test_dict_round_trip(self, paper_instance):

@@ -23,7 +23,10 @@ from repro.server.protocol import (
     parse_compare,
     parse_json,
     parse_solve,
+    response_payload,
     retry_after_header,
+    served_block,
+    split_served,
 )
 
 
@@ -209,6 +212,48 @@ class TestOverloadWire:
     def test_retry_after_header_is_integer_ceiling(self, hint, header):
         shed = Overloaded(scheduler="s", retry_after_s=hint)
         assert retry_after_header(shed) == header
+
+
+# -- the body cut around ``served`` -----------------------------------------
+class TestSplitServed:
+    def test_any_served_block_splices_to_the_canonical_body(self, paper_instance):
+        from repro.gateway import Gateway
+
+        gateway = Gateway()
+        cold = gateway.solve(Request(instance=paper_instance))
+        hit = gateway.solve(Request(instance=paper_instance))
+        payload = response_payload(hit)
+        assert payload["served"] == served_block(hit)
+        prefix, suffix = split_served(payload, json_bytes(payload))
+        assert prefix.endswith(b'"schema":"repro/serve-v1","served":')
+        assert suffix == b',"status":"ok"}'
+        # the same entry answered ``cold``'s instance: only ``served`` differs
+        assert prefix + json_bytes(served_block(cold)) + suffix == json_bytes(
+            response_payload(cold)
+        )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"a": '"served":{', "served": {"n": 1}, "z": [1, {"served": 2}]},
+            {"z": "\u00e9", "t": None, "served": 1.5, "a": 0, "A": {"served": 3}},
+        ],
+    )
+    def test_split_is_by_structure_not_by_search(self, payload):
+        prefix, suffix = split_served(payload, json_bytes(payload))
+        for served in (payload["served"], {"other": [1, 2]}, "text"):
+            assert prefix + json_bytes(served) + suffix == json_bytes(
+                {**payload, "served": served}
+            )
+
+    def test_what_does_not_reassemble_is_refused(self):
+        payload = {"a": 1, "served": {"n": 1}, "z": 2}
+        assert split_served(payload, json_bytes(payload)) is not None
+        assert split_served(payload, json_bytes(payload) + b" ") is None
+        assert split_served(payload, json_bytes({**payload, "a": 2})) is None
+        # ``served`` first or last is not the wire shape: refused, not mis-cut
+        for lopsided in ({"a": 1, "served": 2}, {"served": 2, "z": 1}, {"served": 2}):
+            assert split_served(lopsided, json_bytes(lopsided)) is None
 
 
 # -- http/1.1 codec ---------------------------------------------------------

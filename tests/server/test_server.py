@@ -17,9 +17,15 @@ import pytest
 
 from repro.core.serialization import instance_to_dict
 from repro.gateway import Gateway, Request, default_pipeline, instance_fingerprint
+from repro.gateway.middleware import AdmissionMiddleware, CacheMiddleware
 from repro.server import http11
 from repro.server.app import ReproServer
-from repro.server.protocol import json_bytes, response_payload
+from repro.server.protocol import (
+    json_bytes,
+    parse_json,
+    parse_solve,
+    response_payload,
+)
 from repro.server.shards import ShardPool
 from repro.workloads.generator import random_instance
 
@@ -543,3 +549,364 @@ class TestDrain:
             assert len(server.audit_worker.records()) == 4
 
         _with_server(run, shards=2, audit=1.0)
+
+
+# -- a repeated body is answered from bytes ---------------------------------
+class TestHotBodies:
+    """The handler's hot-body table skips parse + encode and nothing else."""
+
+    @staticmethod
+    async def _post(server, body: bytes):
+        status, _, raw = await _roundtrip(server.port, "POST", "/solve", body)
+        return status, raw
+
+    @staticmethod
+    async def _metrics(server) -> Dict[str, object]:
+        _, _, raw = await _roundtrip(server.port, "GET", "/metrics")
+        return json.loads(raw)
+
+    @staticmethod
+    def _core(raw: bytes) -> bytes:
+        payload = json.loads(raw)
+        payload.pop("served")
+        return json_bytes(payload)
+
+    @staticmethod
+    def _direct_core(instance) -> bytes:
+        payload = response_payload(Gateway().solve(Request(instance=instance)))
+        payload.pop("served")
+        return json_bytes(payload)
+
+    @staticmethod
+    def _cache_stage(server, body: bytes) -> CacheMiddleware:
+        request = parse_solve(parse_json(body), server.registry)
+        return server.pool.gateways[server.pool.route(request)].find(
+            CacheMiddleware
+        )
+
+    def test_fifty_sends_parse_and_encode_at_most_twice(self, monkeypatch):
+        # deterministic perf guard: counts, not clocks
+        import repro.server.app as app
+        import repro.server.protocol as protocol
+
+        calls = {"parse_solve": 0, "allocation_to_dict": 0}
+        answered = []
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        async def recording(self, request, shard=None):
+            response = await dispatch(self, request, shard)
+            answered.append(response)
+            return response
+
+        dispatch = ShardPool.dispatch
+        monkeypatch.setattr(ShardPool, "dispatch", recording)
+        monkeypatch.setattr(
+            app, "parse_solve", counting("parse_solve", app.parse_solve)
+        )
+        monkeypatch.setattr(
+            protocol,
+            "allocation_to_dict",
+            counting("allocation_to_dict", protocol.allocation_to_dict),
+        )
+        instance = random_instance(5, 3, seed=21)
+        body = _solve_body(instance)
+
+        async def run(server):
+            first = [await self._post(server, body) for _ in range(50)]
+            counted = dict(calls)  # before the test's own encoding below
+            before = await self._metrics(server)
+            again = [await self._post(server, body) for _ in range(50)]
+            after = await self._metrics(server)
+            return first + again, counted, before, after
+
+        replies, counted, before, after = _with_server(run, shards=2)
+        assert all(status == 200 for status, _ in replies)
+        assert 1 <= counted["parse_solve"] <= 2
+        assert 1 <= counted["allocation_to_dict"] <= 2
+        assert calls == counted  # the second fifty added none
+
+        # byte-identity now covers ``served``: every body, spliced or not,
+        # is the canonical encoding of the response the pipeline returned
+        assert len(answered) == 100
+        for (_, raw), response in zip(replies, answered):
+            assert raw == json_bytes(response_payload(response))
+        expected = self._direct_core(instance)
+        assert all(self._core(raw) == expected for _, raw in replies)
+
+        served = [json.loads(raw)["served"] for _, raw in replies]
+        assert [block["disposition"] for block in served] == (
+            ["cold"] + ["cache-hit"] * 99
+        )
+        hits = [block["cache_hits"] for block in served]
+        assert hits == list(range(100))  # strictly increasing: the stage ran
+
+        def advanced(read):
+            return read(after) - read(before)
+
+        assert advanced(lambda m: m["totals"]["dispatched"]) == 50
+        assert advanced(lambda m: m["totals"]["cache_hits"]) == 50
+        assert advanced(
+            lambda m: sum(row["admission"]["admitted"] for row in m["shards"])
+        ) == 50
+        assert after["server"]["hot_bodies"] == {
+            "entries": 1, "hits": 98, "admitted": 1,
+            "re_encoded": 0, "dropped": 0, "unspliced": 0,
+        }
+        assert after["server"]["requests_by_endpoint"]["/solve"] == 100
+
+    def test_bytes_never_outlive_their_cache_entry(self):
+        instance = random_instance(5, 3, seed=22)
+        body = _solve_body(instance)
+        # same instance, other bytes: shares the cache entry, not the row
+        twin = _solve_body(instance, priority=0)
+        expected = self._direct_core(instance)
+
+        async def run(server):
+            cache = self._cache_stage(server, body)
+            dispositions = []
+
+            async def send(wire=body):
+                status, raw = await self._post(server, wire)
+                assert status == 200 and self._core(raw) == expected
+                dispositions.append(json.loads(raw)["served"]["disposition"])
+                return (await self._metrics(server))["server"]["hot_bodies"]
+
+            await send(), await send()
+            assert (await send())["hits"] == 1
+            assert cache.invalidate() == 1
+            hot = await send()  # the entry is gone: solved again, row dropped
+            assert (hot["entries"], hot["dropped"]) == (0, 1)
+            hot = await send()  # encoded again, from the new entry
+            assert (hot["entries"], hot["admitted"], hot["hits"]) == (1, 2, 1)
+            assert (await send())["hits"] == 2
+
+            # the entry replaced behind the row's back, no cold answer seen
+            cache.invalidate()
+            await send(twin)
+            hot = await send()
+            assert (hot["re_encoded"], hot["hits"], hot["dropped"]) == (1, 2, 1)
+            assert (await send())["hits"] == 3
+            assert dispositions == [
+                "cold", "cache-hit", "cache-hit", "cold", "cache-hit",
+                "cache-hit", "cold", "cache-hit", "cache-hit",
+            ]
+
+        _with_server(run, shards=2)
+
+    def test_deadlines_and_uncached_bodies_never_get_a_row(self):
+        instance = random_instance(4, 3, seed=23)
+        expected = self._direct_core(instance)
+
+        async def run(server):
+            for _ in range(4):
+                status, raw = await self._post(
+                    server, _solve_body(instance, deadline_in=0)
+                )
+                assert status == 429
+                error = json.loads(raw)["error"]
+                assert error["disposition"] == "shed-deadline"
+            for _ in range(4):
+                status, raw = await self._post(
+                    server, _solve_body(instance, use_cache=False)
+                )
+                assert status == 200 and self._core(raw) == expected
+                assert json.loads(raw)["served"]["disposition"] == "cold"
+            # a live deadline is a cache hit, but its Request is not a
+            # function of the bytes (the deadline is absolute)
+            await self._post(server, _solve_body(instance))
+            for _ in range(4):
+                status, raw = await self._post(
+                    server, _solve_body(instance, deadline_in=60)
+                )
+                assert status == 200 and self._core(raw) == expected
+                assert json.loads(raw)["served"]["disposition"] == "cache-hit"
+            payload = await self._metrics(server)
+            assert payload["totals"]["shed_deadline"] == 4
+            assert payload["server"]["hot_bodies"] == {
+                "entries": 0, "hits": 0, "admitted": 0,
+                "re_encoded": 0, "dropped": 0, "unspliced": 0,
+            }
+
+        _with_server(run, shards=2)
+
+    def test_audit_tap_still_sees_every_hot_request(self, tmp_path, monkeypatch):
+        from repro.auditor.middleware import AuditMiddleware
+
+        seen = []
+        handle = AuditMiddleware.handle
+
+        def tapped(self, request, next):
+            seen.append(self)
+            return handle(self, request, next)
+
+        monkeypatch.setattr(AuditMiddleware, "handle", tapped)
+        body = _solve_body(random_instance(4, 3, seed=24))
+
+        async def run(server):
+            for _ in range(6):
+                assert (await self._post(server, body))[0] == 200
+            assert len(seen) == 6
+            await asyncio.get_running_loop().run_in_executor(
+                None, server.audit_worker.drain
+            )
+            assert server.audit_worker.stats()["enqueued"] == 1  # one key
+            # forget the stage's settled key: the next request, a hot one,
+            # reaches the worker again (which knows the key: a duplicate)
+            seen[0].reset()
+            assert (await self._post(server, body))[0] == 200
+            stats = server.audit_worker.stats()
+            assert (stats["enqueued"], stats["duplicates"]) == (1, 1)
+            hot = (await self._metrics(server))["server"]["hot_bodies"]
+            assert (hot["admitted"], hot["hits"]) == (1, 5)
+
+        _with_server(
+            run, shards=2, audit=1.0, audit_ledger=str(tmp_path / "audit")
+        )
+
+    def test_zero_slots_shed_a_repeated_body_every_time(self):
+        body = _solve_body(random_instance(4, 3, seed=25))
+
+        async def run(server):
+            for _ in range(5):
+                status, raw = await self._post(server, body)
+                assert status == 429
+                error = json.loads(raw)["error"]
+                assert error["disposition"] == "shed-capacity"
+            payload = await self._metrics(server)
+            assert payload["totals"]["shed_capacity"] == 5
+            assert payload["totals"]["dispatched"] == 5
+            assert payload["server"]["hot_bodies"]["entries"] == 0
+
+        _with_server(run, shards=2, max_in_flight=0)
+
+    def test_a_shed_drops_the_row_and_the_next_hit_restores_it(self):
+        body = _solve_body(random_instance(4, 3, seed=26))
+
+        async def run(server):
+            for _ in range(3):
+                assert (await self._post(server, body))[0] == 200
+            admission = server.pool.gateways[0].find(AdmissionMiddleware)
+            admission.max_in_flight = 0
+            assert (await self._post(server, body))[0] == 429
+            admission.max_in_flight = None
+            for _ in range(2):
+                status, raw = await self._post(server, body)
+                assert status == 200
+                assert json.loads(raw)["served"]["disposition"] == "cache-hit"
+            hot = (await self._metrics(server))["server"]["hot_bodies"]
+            assert hot == {
+                "entries": 1, "hits": 2, "admitted": 2,
+                "re_encoded": 0, "dropped": 1, "unspliced": 0,
+            }
+
+        _with_server(run, shards=1, max_in_flight=4)
+
+    def test_table_is_bounded_by_the_pools_cache_bound(self):
+        bodies = [
+            _solve_body(random_instance(3, 2, seed=seed)) for seed in (27, 28)
+        ]
+
+        async def run(server):
+            assert server._hot_bound == 2 * 4096  # two default cache stages
+            server._hot_bound = 1
+            for body in bodies:
+                for _ in range(2):
+                    assert (await self._post(server, body))[0] == 200
+            hot = (await self._metrics(server))["server"]["hot_bodies"]
+            assert (hot["entries"], hot["admitted"], hot["dropped"]) == (1, 2, 1)
+            # the survivor is the body seen last
+            assert (await self._post(server, bodies[1]))[0] == 200
+            hot = (await self._metrics(server))["server"]["hot_bodies"]
+            assert hot["hits"] == 1
+
+        _with_server(run, shards=2)
+
+    def test_a_split_that_does_not_reassemble_is_counted_not_served(
+        self, monkeypatch
+    ):
+        import repro.server.app as app
+
+        monkeypatch.setattr(app, "split_served", lambda payload, body: None)
+        instance = random_instance(4, 3, seed=29)
+        expected = self._direct_core(instance)
+
+        async def run(server):
+            for _ in range(4):
+                status, raw = await self._post(server, _solve_body(instance))
+                assert status == 200 and self._core(raw) == expected
+            hot = (await self._metrics(server))["server"]["hot_bodies"]
+            assert (hot["entries"], hot["hits"], hot["unspliced"]) == (0, 0, 3)
+
+        _with_server(run, shards=2)
+
+    def test_final_metrics_carry_the_table_counters(self):
+        body = _solve_body(random_instance(4, 3, seed=30))
+
+        async def run(server):
+            for _ in range(3):
+                await self._post(server, body)
+            await server.stop()
+            hot = server.final_metrics["server"]["hot_bodies"]
+            assert (hot["entries"], hot["admitted"], hot["hits"]) == (1, 1, 1)
+
+        _with_server(run, shards=2)
+
+
+# -- names that used to hash alike ------------------------------------------
+class TestNameAliasing:
+    """Bodies whose names collided under the joined-string fingerprint."""
+
+    @staticmethod
+    def _body(users) -> bytes:
+        return json_bytes(
+            {
+                "instance": {
+                    "schema": "repro/instance-v1",
+                    "users": users,
+                    "gpu_types": ["slow", "fast"],
+                    "speedups": [[1.0, 2.0], [1.0, 3.0]],
+                    "capacities": [2.0, 2.0],
+                }
+            }
+        )
+
+    def test_alternating_bodies_each_get_their_own_names_back(self):
+        pair = (["a\x1fb", "c"], ["a", "b\x1fc"])
+
+        async def run(server):
+            fingerprints = set()
+            for round_ in range(4):  # cold, admitted, then from bytes
+                for users in pair:
+                    status, _, raw = await _roundtrip(
+                        server.port, "POST", "/solve", self._body(users)
+                    )
+                    payload = json.loads(raw)
+                    assert status == 200
+                    assert payload["allocation"]["instance"]["users"] == users
+                    assert payload["served"]["disposition"] == (
+                        "cache-hit" if round_ else "cold"
+                    )
+                    fingerprints.add(payload["fingerprint"])
+            assert len(fingerprints) == 2
+            _, _, raw = await _roundtrip(server.port, "GET", "/metrics")
+            hot = json.loads(raw)["server"]["hot_bodies"]
+            assert (hot["entries"], hot["hits"]) == (2, 4)
+
+        _with_server(run, shards=2)
+
+    @pytest.mark.parametrize("users", [[1, 2], ["a", 2], "ab", [["a"], "b"]])
+    def test_non_string_names_are_a_typed_400(self, users):
+        async def run(server):
+            status, _, raw = await _roundtrip(
+                server.port, "POST", "/solve", self._body(users)
+            )
+            assert status == 400
+            assert json.loads(raw)["error"]["code"] == "bad-instance"
+
+        _with_server(run, shards=1)

@@ -22,6 +22,7 @@ from repro.gateway import (
     bare_pipeline,
     deadline_in,
     default_pipeline,
+    instance_fingerprint,
 )
 from repro.workloads.generator import random_instance
 
@@ -79,6 +80,42 @@ class TestEnvelope:
 
     def test_deadline_in_is_monotonic_future(self):
         assert deadline_in(5.0) > time.monotonic()
+
+
+class TestFingerprintIsInjectiveOverNames:
+    @staticmethod
+    def _fingerprint(users, gpu_types=("slow", "fast"), values=((1, 2), (1, 3))):
+        from repro.core.instance import ProblemInstance
+        from repro.core.speedup import SpeedupMatrix
+
+        matrix = SpeedupMatrix(
+            np.asarray(values, dtype=float),
+            users=list(users),
+            gpu_types=list(gpu_types),
+            normalise=False,
+            require_monotone=False,
+        )
+        return instance_fingerprint(
+            ProblemInstance(matrix, np.ones(len(gpu_types)))
+        )
+
+    @pytest.mark.parametrize(
+        "one,other",
+        [
+            (["a\x1fb", "c"], ["a", "b\x1fc"]),  # the old joining separator
+            ([1, 2], ["1", "2"]),                # str() of a name is not the name
+            (['a","b', "c"], ["a", 'b","c']),    # nor does a JSON-ish one fool it
+        ],
+    )
+    def test_names_that_used_to_collide(self, one, other):
+        assert self._fingerprint(one) != self._fingerprint(other)
+        assert self._fingerprint(one) == self._fingerprint(list(one))
+
+    def test_a_name_cannot_move_between_users_and_gpu_types(self):
+        # 2x3 and 3x2 of the same six values, names summing to the same five
+        wide = self._fingerprint(["a", "b"], ["c", "d", "e"], [[1, 2, 3], [1, 2, 3]])
+        tall = self._fingerprint(["a", "b", "c"], ["d", "e"], [[1, 2], [3, 1], [2, 3]])
+        assert wide != tall
 
 
 class TestGatewaySolve:
