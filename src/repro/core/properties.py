@@ -36,6 +36,7 @@ from repro.core.base import Allocator
 from repro.core.cooperative import CooperativeOEF, capacity_rows, envy_rows
 from repro.core.instance import ProblemInstance
 from repro.core.noncooperative import NonCooperativeOEF, equal_throughput_rows
+from repro.exceptions import InfeasibleError
 from repro.solver import StandardForm, solve_form
 
 _DEFAULT_TOL = 1e-6
@@ -202,15 +203,32 @@ def check_pareto_efficiency(
     * ``"equal_throughput"`` — improvements must keep throughput equal
       across tenants (Eq. 9c).
 
-    ``weights`` state either domain per unit of weight.  Nothing is
-    grouped here: an arbitrary allocation need not treat equal rows alike.
+    ``weights`` state either domain per unit of weight.
+
+    The LP is posed over ``instance.grouped(weights)``, one block per
+    distinct row, and a group's floor comes from its members' floors
+    ``f_l``.  Inside either domain two same-row members must end with
+    equal throughput per unit of weight (neither may envy the other), so
+    the group's floor is ``m_g . max_l (f_l / w_l)``; unconstrained, the
+    members split the group's throughput at will, so it is
+    ``sum_l max(f_l, 0)``.  Averaging a member-level point inside each
+    group, and expanding a group-level one by ``w_l / m_g``, map feasible
+    points onto feasible points of equal total: the optimum is the
+    member-level program's.
+
+    When no allocation in the domain meets every floor (the allocation
+    under audit lies outside the domain), nothing there dominates it:
+    the report is satisfied with ``achievable_total = -inf``.
     """
     current = allocation.user_throughput()
-    slack = tol * max(1.0, float(np.abs(current).max()))
-    achievable = _max_total_with_floors(
-        allocation.instance, current - slack, within, weights, backend
-    )
     current_total = float(current.sum())
+    slack = tol * max(1.0, float(np.abs(current).max()))
+    try:
+        achievable = _max_total_with_floors(
+            allocation.instance, current - slack, within, weights, backend
+        )
+    except InfeasibleError:
+        return ParetoReport(True, -np.inf, current_total)
     # relative tolerance: LP solvers return slightly-off vertex values
     satisfied = achievable <= current_total + tol * max(1.0, abs(current_total))
     return ParetoReport(satisfied, achievable, current_total)
@@ -233,25 +251,33 @@ def _max_total_with_floors(
     weights: Optional[np.ndarray] = None,
     backend: str = "auto",
 ) -> float:
-    """Max total throughput with ``W_l . x_l >= floors[l]``, inside ``within``."""
+    """Max total throughput with ``W_l . x_l >= floors[l]``, inside ``within``,
+    over distinct rows (the floor rules are in :func:`check_pareto_efficiency`)."""
     if within not in (None, "envy_free", "equal_throughput"):
         raise ValueError(f"unknown PE domain {within!r}")
-    speedups = instance.speedups.values
-    num_users, num_types = speedups.shape
-    multiplicity = np.ones(num_users) if weights is None else np.asarray(weights, float)
-    # equal throughput is W_l . x_l - w_l T == 0 with T one more column
+    groups = instance.grouped(weights)
+    speedups, multiplicity = groups.speedups, groups.multiplicity
+    num_groups, num_types = speedups.shape
+    if within is None:
+        group_floors = np.bincount(groups.member_group, np.maximum(floors, 0.0))
+    else:
+        per_unit = floors if weights is None else floors / np.asarray(weights, float)
+        group_floors = np.full(num_groups, -np.inf)
+        np.maximum.at(group_floors, groups.member_group, per_unit)
+        group_floors *= multiplicity
+    # equal throughput is W_g . z_g - m_g T == 0 with T one more column
     extra = 1 if within == "equal_throughput" else 0
-    blocks = [capacity_rows(num_users, num_types, extra), floor_rows(speedups, extra)]
-    bounds = [instance.capacities, -floors]
+    blocks = [capacity_rows(num_groups, num_types, extra), floor_rows(speedups, extra)]
+    bounds = [instance.capacities, -group_floors]
     if within == "envy_free":
         blocks.append(envy_rows(speedups, multiplicity))
-        bounds.append(np.zeros(num_users * (num_users - 1)))
+        bounds.append(np.zeros(num_groups * (num_groups - 1)))
     form = StandardForm(
         c=-np.concatenate([speedups.ravel(), np.zeros(extra)]),
         a_ub=sparse.vstack(blocks, format="csr"),
         b_ub=np.concatenate(bounds),
         a_eq=equal_throughput_rows(speedups, multiplicity) if extra else None,
-        b_eq=np.zeros(num_users) if extra else None,
+        b_eq=np.zeros(num_groups) if extra else None,
         bounds=[(0.0, None)] * (speedups.size + extra),
         maximise=True,
     )

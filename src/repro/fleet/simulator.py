@@ -154,6 +154,8 @@ class FleetResult:
     metrics_path: Optional[str]
     backend: str
     wall_seconds: float
+    #: the part of ``wall_seconds`` spent in the quota pre-pass
+    rebalance_seconds: float = 0.0
 
     @property
     def fairness_violations(self) -> int:
@@ -267,7 +269,9 @@ class FleetSimulator:
         # materialised once for both readers: the pre-pass copies the event
         # lists it consumes and never mutates a tenant; tasks carry recipes
         script = self.fleet.materialize()
+        rebalance_started = time.perf_counter()
         quota = self._quota(script)
+        rebalance_seconds = time.perf_counter() - rebalance_started
         tasks = self._tasks(script, quota)
         resolved = get_backend(
             self.backend, self.max_workers, task_count=len(tasks), payload=tasks
@@ -283,6 +287,7 @@ class FleetSimulator:
             metrics_path=self.metrics_path,
             backend=resolved.name,
             wall_seconds=time.perf_counter() - started,
+            rebalance_seconds=rebalance_seconds,
         )
 
 

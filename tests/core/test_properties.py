@@ -17,10 +17,13 @@ from repro.core import (
     check_strategy_proofness,
     optimal_efficiency_upper_bound,
 )
+from repro.core import properties
 from repro.core.properties import (
     check_optimal_efficiency,
     constrained_optimal_efficiency,
 )
+from repro.exceptions import SolverError
+from repro.workloads.generator import random_instance
 
 
 @pytest.fixture
@@ -89,6 +92,38 @@ class TestParetoChecker:
     def test_vertex_gavel_is_pareto_efficient(self, paper_instance):
         allocation = Gavel(dense=False).allocate(paper_instance)
         assert check_pareto_efficiency(allocation).satisfied
+
+    @pytest.mark.parametrize("within", ["envy_free", "equal_throughput"])
+    def test_allocation_outside_the_domain_is_undominated_in_it(self, within):
+        # no envy-free / equal-throughput allocation meets every floor of
+        # the efficiency maximiser's, so the floor LP is infeasible
+        allocation = EfficiencyMaxAllocator().allocate(random_instance(6, 3, seed=3))
+        report = check_pareto_efficiency(allocation, within=within)
+        assert report.satisfied
+        assert report.achievable_total == -np.inf
+        assert report.current_total == pytest.approx(allocation.total_efficiency())
+
+    def test_other_solver_errors_still_propagate(self, instance, monkeypatch):
+        def broken(form, **kwargs):
+            raise SolverError("numerical trouble")
+
+        monkeypatch.setattr(properties, "solve_form", broken)
+        with pytest.raises(SolverError, match="numerical trouble"):
+            check_pareto_efficiency(MaxMinFairness().allocate(instance))
+
+    def test_audit_outside_the_pe_domain_reports_every_row(self):
+        report = audit_allocator(
+            EfficiencyMaxAllocator(),
+            random_instance(6, 3, seed=3),
+            sp_trials=1,
+            pe_within="envy_free",
+        )
+        assert report.pareto_efficiency.satisfied
+        assert report.strategy_proofness is not None
+        assert report.as_row() == {
+            "scheduler": "efficiency-max", "PE": "yes", "EF": "no", "SI": "no",
+            "SP": "no", "optimal efficiency": "yes",
+        }
 
 
 class TestOptimalEfficiency:

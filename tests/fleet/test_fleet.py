@@ -212,12 +212,12 @@ class TestRebalance:
             assert all(weight > 0 for _, _, weight in window.weights)
 
     def test_weights_are_replication_friendly(self):
-        """Quota weights land on the small-rational grid.
+        """Quota weights land on the eighths grid.
 
-        Weighted OEF expands weights into virtual-user *replicas* (LCM of
-        the weights' denominators); raw float shares would explode a
-        4-tenant region into thousands of virtual users and stall the
-        regional solver.
+        Weighted OEF takes a weight as a real multiplicity on one LP row,
+        so the solver no longer needs the grid.  It is kept for the
+        positive floor it gives a zero global share (1/8, not 0), as the
+        comment above ``QUOTA_WEIGHT_DENOMINATOR`` says.
         """
         from repro.fleet import QUOTA_WEIGHT_DENOMINATOR, quantize_weight
 
@@ -294,6 +294,7 @@ class TestFleetSimulator:
         assert len(with_quota.quota.windows) > 0
         assert without.quota.windows == ()
         assert with_quota.fingerprint() != without.fingerprint()
+        assert 0 < with_quota.rebalance_seconds < with_quota.wall_seconds
 
     def test_seed_changes_the_fleet(self):
         results = [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -41,6 +43,7 @@ class TestFleetSim:
         out = capsys.readouterr().out
         assert code == 0
         assert "fairness violations: 0" in out
+        assert re.search(r"PE/SI-checked, pre-pass \d+\.\d{3}s\)", out)
         assert "fleet fingerprint:" in out
         assert metrics.exists() and metrics.stat().st_size > 0
 

@@ -2,8 +2,8 @@
 
 PR 21 solves Eq. 9/10 over one row per distinct speedup profile with a
 multiplicity, where the parent entered a weight-``w`` tenant as ``w``
-identical rows (§4.2.3's virtual users).  Three things are kept here so
-``test_weighted_differential.py`` can run them beside the live code:
+identical rows (§4.2.3's virtual users).  Four things are kept here so
+the differential tests can run them beside the live code:
 
 * :func:`replicated_optimum` — the paper's program on literally replicated
   rows (``SpeedupMatrix.replicated``), with grouping switched off;
@@ -12,7 +12,10 @@ identical rows (§4.2.3's virtual users).  Three things are kept here so
   copied without edits, for the "unit weights, distinct rows: same arrays"
   identity;
 * :func:`parent_check_pareto_efficiency` — the ``LinearProgram`` build the
-  sparse PE check replaces, copied without edits.
+  sparse PE check replaces, copied without edits;
+* :func:`member_max_total_with_floors` — the PE floor LP over every
+  member row, which the live check now poses over distinct rows (used by
+  ``test_pareto_differential.py``), copied without edits.
 
 Do not "tidy" the copied bodies: they are only worth anything while they
 stay the old code.
@@ -26,8 +29,10 @@ import numpy as np
 from scipy import sparse
 
 from repro.core import CooperativeOEF, NonCooperativeOEF, ProblemInstance, SpeedupMatrix
+from repro.core.cooperative import capacity_rows, envy_rows
 from repro.core.instance import GroupedInstance
-from repro.core.properties import ParetoReport
+from repro.core.noncooperative import equal_throughput_rows
+from repro.core.properties import ParetoReport, floor_rows
 from repro.solver import LinearProgram, StandardForm, dot, solve_form
 
 
@@ -237,3 +242,35 @@ def parent_check_pareto_efficiency(
         achievable_total=achievable,
         current_total=current_total,
     )
+
+
+def member_max_total_with_floors(
+    instance: ProblemInstance,
+    floors: np.ndarray,
+    within: Optional[str] = None,
+    weights: Optional[np.ndarray] = None,
+    backend: str = "auto",
+) -> float:
+    """Max total throughput with ``W_l . x_l >= floors[l]``, inside ``within``."""
+    if within not in (None, "envy_free", "equal_throughput"):
+        raise ValueError(f"unknown PE domain {within!r}")
+    speedups = instance.speedups.values
+    num_users, num_types = speedups.shape
+    multiplicity = np.ones(num_users) if weights is None else np.asarray(weights, float)
+    # equal throughput is W_l . x_l - w_l T == 0 with T one more column
+    extra = 1 if within == "equal_throughput" else 0
+    blocks = [capacity_rows(num_users, num_types, extra), floor_rows(speedups, extra)]
+    bounds = [instance.capacities, -floors]
+    if within == "envy_free":
+        blocks.append(envy_rows(speedups, multiplicity))
+        bounds.append(np.zeros(num_users * (num_users - 1)))
+    form = StandardForm(
+        c=-np.concatenate([speedups.ravel(), np.zeros(extra)]),
+        a_ub=sparse.vstack(blocks, format="csr"),
+        b_ub=np.concatenate(bounds),
+        a_eq=equal_throughput_rows(speedups, multiplicity) if extra else None,
+        b_eq=np.zeros(num_users) if extra else None,
+        bounds=[(0.0, None)] * (speedups.size + extra),
+        maximise=True,
+    )
+    return solve_form(form, backend=backend).objective

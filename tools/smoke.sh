@@ -30,6 +30,11 @@ echo "== repro audit (registry audit defaults) =="
     | tee "$TMP/audit.txt"
 grep -q "oef-coop" "$TMP/audit.txt"
 
+echo "== repro audit (PE outside the allocation's domain answers, exit 0) =="
+"$PY" -m repro audit "$TMP/instance.json" --scheduler efficiency-max \
+    --pe-within envy_free --sp-trials 1 | tee "$TMP/audit_out_of_domain.txt"
+grep -q "efficiency-max" "$TMP/audit_out_of_domain.txt"
+
 echo "== repro compare =="
 "$PY" -m repro compare "$TMP/instance.json" | tee "$TMP/compare.txt"
 grep -q "oef-noncoop" "$TMP/compare.txt"
