@@ -17,6 +17,8 @@ import numpy as np
 
 from repro.exceptions import SimulationError, ValidationError
 
+SPEEDUP_SHAPE_RTOL = 1e-9  #: a given ``speedups`` vs the throughput's own shape
+
 
 class JobState(enum.Enum):
     PENDING = "pending"
@@ -39,6 +41,8 @@ class Job:
     # [min_workers, num_workers]; num_workers is then the *maximum*
     elastic: bool = False
     min_workers: int = 1
+    # read-only speedup shape (slowest type = 1); the throughput's by default
+    speedups: Optional[np.ndarray] = None
 
     state: JobState = JobState.PENDING
     done_iterations: float = 0.0
@@ -57,16 +61,32 @@ class Job:
             )
         if self.total_iterations <= 0:
             raise ValidationError(f"job {self.job_id}: total_iterations must be > 0")
-        if self.true_throughput.ndim != 1 or np.any(self.true_throughput <= 0):
+        throughput = self.true_throughput
+        if throughput.ndim != 1 or not throughput.size or throughput.min() <= 0:
             raise ValidationError(
                 f"job {self.job_id}: throughput must be a positive vector"
             )
+        shape = throughput / throughput[0]
+        if self.speedups is not None:
+            given = np.asarray(self.speedups, dtype=float)
+            if given.shape != shape.shape or given[0] != 1.0 or (
+                abs(given - shape) > SPEEDUP_SHAPE_RTOL * shape
+            ).any():
+                raise ValidationError(f"job {self.job_id}: inconsistent speedups")
+            shape = given.copy() if given.flags.writeable else given
+        self.speedups = shape
+        self.speedups.setflags(write=False)
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writable; keep the profile frozen
+        self.__dict__.update(state)
+        self.speedups.setflags(write=False)
 
     # -- profile views ---------------------------------------------------------
     @property
     def speedup_vector(self) -> np.ndarray:
         """Ground-truth speedups, normalised to the slowest GPU type."""
-        return self.true_throughput / self.true_throughput[0]
+        return self.speedups
 
     @property
     def remaining_iterations(self) -> float:
@@ -128,6 +148,7 @@ def make_job(
     submit_time: float = 0.0,
     elastic: bool = False,
     min_workers: int = 1,
+    speedups: Optional[Sequence[float]] = None,
 ) -> Job:
     """Convenience constructor used by workload generators and tests."""
     return Job(
@@ -140,4 +161,5 @@ def make_job(
         submit_time=submit_time,
         elastic=elastic,
         min_workers=min_workers,
+        speedups=speedups,
     )

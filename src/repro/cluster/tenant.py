@@ -82,7 +82,8 @@ class Tenant:
 
         The paper's profiling agent runs one representative task per job
         type (§4.1); jobs of the same model family share the profile, which
-        is taken from the family's first active job.
+        is the first active job's read-only ``speedups`` (one array for all
+        generator-built jobs of a model, so which job is first is moot).
         """
         profiles: Dict[str, np.ndarray] = {}
         for job in self.active_jobs(now) if active is None else active:

@@ -15,6 +15,7 @@ from repro.workloads.models import (
     MODEL_CATALOG,
     PAPER_GPU_TYPES,
     all_models,
+    speedup_vector,
     throughput_vector,
 )
 
@@ -114,6 +115,7 @@ class TenantGenerator:
         self.rng = np.random.default_rng(seed)
         self.jitter = hyperparameter_jitter
         self._next_job_id = 0
+        self._speedups: Dict[str, np.ndarray] = {}
 
     def _job_throughput(self, model_name: str) -> np.ndarray:
         base = throughput_vector(model_name, self.gpu_types)
@@ -130,6 +132,9 @@ class TenantGenerator:
         submit_time: float = 0.0,
     ) -> Job:
         """A job sized so one slowest-type worker finishes in ``duration``."""
+        if model_name not in self._speedups:  # one shared read-only row per model
+            self._speedups[model_name] = speedup_vector(model_name, self.gpu_types)
+            self._speedups[model_name].setflags(write=False)
         throughput = self._job_throughput(model_name)
         total_iterations = float(throughput[0]) * duration_on_slowest
         job = make_job(
@@ -140,6 +145,7 @@ class TenantGenerator:
             num_workers=num_workers,
             total_iterations=total_iterations,
             submit_time=submit_time,
+            speedups=self._speedups[model_name],
         )
         self._next_job_id += 1
         return job

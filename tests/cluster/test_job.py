@@ -1,9 +1,12 @@
 """Job lifecycle: progress, completion interpolation, starvation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.cluster import Job, JobState, make_job
+from repro.cluster.job import SPEEDUP_SHAPE_RTOL
 from repro.exceptions import SimulationError, ValidationError
 
 
@@ -42,6 +45,79 @@ class TestValidation:
     def test_speedup_vector_normalised(self):
         job = _job(throughput=[2.0, 3.0, 4.0])
         np.testing.assert_allclose(job.speedup_vector, [1.0, 1.5, 2.0])
+
+    def test_empty_throughput_rejected(self):
+        with pytest.raises(ValidationError):
+            _job(throughput=[])
+
+
+class TestSpeedups:
+    """``Job.speedups``: the stored shape, validated against the throughput."""
+
+    THROUGHPUT = np.array([3.1, 4.3, 5.9]) * 1.05
+
+    def test_default_is_the_per_job_division_bit_for_bit(self):
+        job = _job(throughput=self.THROUGHPUT)
+        expected = self.THROUGHPUT / self.THROUGHPUT[0]
+        assert job.speedups.tobytes() == expected.tobytes()
+        assert job.speedup_vector is job.speedups
+        assert not job.speedups.flags.writeable
+
+    def test_a_given_shape_is_kept_even_where_the_division_differs(self):
+        base = np.array([3.1, 4.3, 5.9])
+        canonical = base / base[0]
+        job = _job(throughput=self.THROUGHPUT, speedups=canonical)
+        assert job.speedups.tobytes() == canonical.tobytes()
+        # the jittered division lands elsewhere in the last bits: the
+        # reason a generator hands its jobs the model's vector
+        assert not np.array_equal(self.THROUGHPUT / self.THROUGHPUT[0], canonical)
+
+    def test_a_read_only_array_is_shared_and_a_writable_one_copied(self):
+        frozen = np.array([1.0, 1.5, 2.0])
+        frozen.setflags(write=False)
+        assert _job(speedups=frozen).speedups is frozen
+        writable = np.array([1.0, 1.5, 2.0])
+        job = _job(speedups=writable)
+        assert job.speedups is not writable and writable.flags.writeable
+        assert not job.speedups.flags.writeable
+
+    def test_writing_through_the_stored_vector_raises(self):
+        job = _job()
+        with pytest.raises(ValueError):
+            job.speedups[1] = 9.0
+
+    @pytest.mark.parametrize(
+        "speedups",
+        [
+            [1.0, 1.5],  # one entry short
+            [1.0, 1.5, 2.0, 2.5],  # one entry long
+            [[1.0, 1.5, 2.0]],  # right size, wrong shape
+            [2.0, 3.0, 4.0],  # the throughput itself, slot 0 not 1
+            [1.0 + 1e-12, 1.5, 2.0],  # inside the tolerance, but slot 0 is not 1
+            [1.0, 1.5, 2.0 * (1 + 1e-6)],  # the shape, bent beyond the tolerance
+            [1.0, 2.0, 1.5],  # another shape altogether
+        ],
+    )
+    def test_an_inconsistent_shape_raises(self, speedups):
+        with pytest.raises(ValidationError):
+            _job(throughput=[2.0, 3.0, 4.0], speedups=speedups)
+
+    def test_agreement_within_the_named_tolerance_is_accepted(self):
+        nudged = [1.0, 1.5 * (1 + SPEEDUP_SHAPE_RTOL / 2), 2.0]
+        job = _job(throughput=[2.0, 3.0, 4.0], speedups=nudged)
+        assert job.speedups[1] == nudged[1]
+
+    def test_pickle_round_trip_keeps_values_sharing_and_read_only(self):
+        shared = np.array([1.0, 1.5, 2.0])
+        shared.setflags(write=False)
+        jobs = [_job(job_id=i, speedups=shared) for i in range(2)]
+        copies = pickle.loads(pickle.dumps(jobs))
+        for job in copies:
+            assert job.speedups.tobytes() == shared.tobytes()
+            assert not job.speedups.flags.writeable
+        # one array in, one array out: the memo keeps the sharing
+        assert copies[0].speedups is copies[1].speedups
+        assert copies[0].true_throughput.tobytes() == jobs[0].true_throughput.tobytes()
 
 
 class TestProgress:

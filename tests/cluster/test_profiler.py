@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import ProfilingAgent, Tenant, make_job
 from repro.exceptions import ValidationError
+from repro.workloads.generator import TenantGenerator
 
 
 @pytest.fixture
@@ -79,3 +80,48 @@ class TestProfiles:
         profile = ProfilingAgent().profile_tenant(tenant)
         assert set(profile) == {"a", "b"}
         np.testing.assert_allclose(profile["b"], [1.0, 3.0])
+
+
+class TestProfilesDoNotAliasJobState:
+    """Generator-built jobs of one model share one speedup array; nothing
+    handed out can be written through to it."""
+
+    @pytest.fixture
+    def tenants(self):
+        generator = TenantGenerator(seed=4, hyperparameter_jitter=0.3)
+        return [generator.make_tenant(f"t{i}", model_name="lstm") for i in range(2)]
+
+    def test_the_jobs_share_one_read_only_array(self, tenants):
+        arrays = {id(job.speedups) for tenant in tenants for job in tenant.jobs}
+        assert len(arrays) == 1
+        assert not tenants[0].jobs[0].speedups.flags.writeable
+
+    def test_writing_through_a_true_profile_raises(self, tenants):
+        profile = tenants[0].true_speedup_profile()["lstm"]
+        before = profile.copy()
+        with pytest.raises(ValueError):
+            profile[1] = 99.0
+        with pytest.raises(ValueError):
+            profile *= 2.0
+        for tenant in tenants:
+            for job in tenant.jobs:
+                assert job.speedups.tobytes() == before.tobytes()
+
+    def test_exact_measurements_are_writable_copies(self, tenants):
+        measured = ProfilingAgent().profile_tenant(tenants[0])["lstm"]
+        truth = tenants[0].jobs[0].speedups
+        assert measured is not truth and measured.tobytes() == truth.tobytes()
+        measured[1] = 99.0
+        assert truth[1] != 99.0
+
+    def test_distorted_measurements_are_writable_and_per_tenant(self, tenants):
+        agent = ProfilingAgent(error_rate=0.2, seed=3)
+        first, second = (agent.profile_tenant(t)["lstm"] for t in tenants)
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.array_equal(first, second)
+        truth = tenants[0].jobs[0].speedups.copy()
+        first[1:] = 7.0
+        assert not np.array_equal(second[1:], 7.0)
+        for tenant in tenants:
+            for job in tenant.jobs:
+                assert job.speedups.tobytes() == truth.tobytes()

@@ -6,11 +6,13 @@ import pytest
 from repro.baselines import Gavel, MaxMinFairness
 from repro.cluster import (
     OEFScheduler,
+    ProfilingAgent,
     SingleProfileScheduler,
     Tenant,
     make_job,
 )
 from repro.exceptions import SimulationError
+from repro.workloads.generator import TenantGenerator
 
 
 def _tenant(name, model="vgg16", speedups=(1.0, 1.5, 2.0), num_jobs=2, weight=1.0):
@@ -99,6 +101,29 @@ class TestOEFScheduler:
         decision = OEFScheduler("cooperative").shares(tenants, profiles, CAPACITIES)
         total = np.sum(list(decision.tenant_shares.values()), axis=0)
         assert np.all(total <= CAPACITIES + 1e-6)
+
+    @pytest.mark.parametrize("mode", ["cooperative", "noncooperative"])
+    def test_finishing_a_same_model_job_keeps_the_decision_key(self, mode):
+        # seed 1's two lstm jobs divide out to different last bits, so a
+        # profile taken per job would change bytes (and the memo key) here
+        generator = TenantGenerator(seed=1, hyperparameter_jitter=0.15)
+        tenant = generator.make_tenant("a", model_name="lstm", num_jobs=2)
+        first, second = tenant.jobs
+        assert (first.true_throughput / first.true_throughput[0]).tobytes() != (
+            second.true_throughput / second.true_throughput[0]
+        ).tobytes()
+        others = [_tenant("b", "vgg16", (1.0, 1.2, 1.4))]
+        scheduler, agent = OEFScheduler(mode), ProfilingAgent()
+
+        def key():
+            group = [tenant, *others]
+            measured = {t.name: agent.profile_tenant(t) for t in group}
+            return scheduler.decision_key(group, measured, CAPACITIES)
+
+        before = key()
+        first.advance(now=0.0, iterations_per_second=1e9, duration=1.0)
+        assert first.is_finished and tenant.active_jobs() == [second]
+        assert key() == before
 
 
 class TestSingleProfileScheduler:

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.cluster import ProfilingAgent
+from repro.core import ProblemInstance, SpeedupMatrix
 from repro.exceptions import ValidationError
+from repro.workloads import speedup_vector
 from repro.workloads.generator import (
     TenantGenerator,
     log_linear_speedup_matrix,
@@ -57,9 +60,27 @@ class TestTenantGenerator:
 
     def test_jitter_changes_scale_not_shape(self):
         generator = TenantGenerator(seed=3, hyperparameter_jitter=0.3)
-        job1 = generator.make_job("t", "vgg16")
-        job2 = generator.make_job("t", "vgg16")
-        np.testing.assert_allclose(job1.speedup_vector, job2.speedup_vector)
+        jobs = [generator.make_job("t", model) for model in ["vgg16", "lstm"] * 4]
+        for job in jobs:
+            canonical = speedup_vector(job.model_name)
+            # byte equality: a last-bit difference splits an LP group
+            assert job.speedup_vector.tobytes() == canonical.tobytes()
+        assert not np.array_equal(jobs[0].true_throughput, jobs[2].true_throughput)
+        # the per-job division would not have given these bytes
+        assert any(
+            (job.true_throughput / job.true_throughput[0]).tobytes()
+            != job.speedup_vector.tobytes()
+            for job in jobs
+        )
+
+    def test_two_tenants_of_one_model_fold_to_one_group(self):
+        generator = TenantGenerator(seed=3, hyperparameter_jitter=0.3)
+        tenants = [generator.make_tenant(f"t{i}", model_name="lstm") for i in range(2)]
+        profiles = [ProfilingAgent().profile_tenant(t)["lstm"] for t in tenants]
+        matrix = SpeedupMatrix(np.vstack(profiles), normalise=False)
+        grouped = ProblemInstance(matrix, [4.0, 4.0, 4.0]).grouped()
+        assert grouped.count == 1
+        np.testing.assert_array_equal(grouped.multiplicity, [2.0])
 
     def test_job_ids_unique(self):
         generator = TenantGenerator(seed=0)

@@ -139,6 +139,20 @@ grep "^bursty" "$TMP/simulate.txt" > "$TMP/warm_row.txt"
 grep "^bursty" "$TMP/simulate_cold.txt" > "$TMP/cold_row.txt"
 diff "$TMP/warm_row.txt" "$TMP/cold_row.txt"
 
+echo "== repro simulate tenant-churn, memo vs --cold (canonical-row gate) =="
+# same-model tenants fold into one LP group and a finished job leaves its
+# tenant's profile bytes alone; the memo must still replay what cold solves
+"$PY" -m repro simulate --scenario tenant-churn --rounds 12 \
+    | tee "$TMP/churn.txt"
+"$PY" -m repro simulate --scenario tenant-churn --rounds 12 --cold \
+    | tee "$TMP/churn_cold.txt"
+grep -q "warm-started" "$TMP/churn.txt"
+grep -q "warm-start disabled" "$TMP/churn_cold.txt"
+grep "^tenant-churn" "$TMP/churn.txt" > "$TMP/churn_row.txt"
+grep "^tenant-churn" "$TMP/churn_cold.txt" > "$TMP/churn_cold_row.txt"
+test -s "$TMP/churn_row.txt"
+diff "$TMP/churn_row.txt" "$TMP/churn_cold_row.txt"
+
 echo "== repro list-scenarios =="
 "$PY" -m repro list-scenarios | tee "$TMP/scenarios.txt"
 for name in steady bursty diurnal tenant-churn philly-replay \
