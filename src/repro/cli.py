@@ -310,6 +310,7 @@ def cmd_fleet_sim(args: argparse.Namespace) -> int:
         f"rebalance windows: {len(result.quota.windows)} "
         f"({result.quota.checked_windows} PE/SI-checked, "
         f"pre-pass {result.rebalance_seconds:.3f}s), "
+        f"fan-out {result.fanout_seconds:.3f}s, "
         f"fairness violations: {result.fairness_violations}"
     )
     print(f"fleet fingerprint: {result.fingerprint()}")

@@ -7,7 +7,9 @@ fans them out on the existing execution backends
 single-cluster simulator, and regions are embarrassingly parallel
 because the quota rebalancer (:mod:`repro.fleet.rebalance`) is a pure
 pre-pass: the parent computes the whole weight timeline once and ships
-it to workers as plain event data.
+it to workers as plain event data.  On a process backend the regions
+run on the executor of :func:`repro.parallel.warm_map`, which later
+runs in the same interpreter reuse.
 
 Memory contract: regions run in sink mode (``record_rounds=False``)
 streaming every distilled round into the shared
@@ -24,13 +26,15 @@ fleet analogue of the sweep-level guarantee the scenario tests pin.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import ValidationError
+from repro.exceptions import SimulationError, ValidationError
 from repro.fleet.library import resolve_fleet_scenario
 from repro.fleet.metrics import FleetMetricsWriter, aggregate_stream
 from repro.fleet.rebalance import (
@@ -39,8 +43,10 @@ from repro.fleet.rebalance import (
     compute_quota_schedule,
 )
 from repro.fleet.scenario import FleetScenario, FleetScript, region_scenario
-from repro.parallel import BackendSpec, get_backend
+from repro.parallel import BackendSpec, ProcessBackend, get_backend, warm_map
+from repro.registry import REGISTRY
 from repro.scenarios.runner import ScenarioRunner
+from repro.solver import FORM_CACHE
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,28 @@ def _run_region(task: _RegionTask) -> RegionSummary:
     )
 
 
+def _run_pickled_region(blob: bytes) -> Optional[RegionSummary]:
+    """Warm-pool entry: a task this worker cannot unpickle (it names an
+    object defined in the parent after the fork) comes back as ``None``."""
+    try:
+        task = pickle.loads(blob)
+    except (AttributeError, ImportError):
+        return None
+    FORM_CACHE.clear()  # cold per task, as a fresh fork of a cleared parent
+    return _run_region(task)
+
+
+def _map_warm(blobs: List[bytes], workers: int) -> List[RegionSummary]:
+    """Regions on :func:`repro.parallel.warm_map`'s reused executor."""
+    try:
+        summaries = warm_map(_run_pickled_region, blobs, workers, REGISTRY.generation)
+    except BrokenProcessPool as exc:
+        raise SimulationError("a region worker died mid-run; pool discarded") from exc
+    if any(summary is None for summary in summaries):
+        raise SimulationError("a region task did not unpickle on a fresh worker")
+    return summaries  # type: ignore[return-value]
+
+
 @dataclass
 class FleetResult:
     """One fleet replay: region summaries plus the global quota audit."""
@@ -156,6 +184,8 @@ class FleetResult:
     wall_seconds: float
     #: the part of ``wall_seconds`` spent in the quota pre-pass
     rebalance_seconds: float = 0.0
+    #: the part of ``wall_seconds`` spent in the region map
+    fanout_seconds: float = 0.0
 
     @property
     def fairness_violations(self) -> int:
@@ -273,10 +303,19 @@ class FleetSimulator:
         quota = self._quota(script)
         rebalance_seconds = time.perf_counter() - rebalance_started
         tasks = self._tasks(script, quota)
-        resolved = get_backend(
-            self.backend, self.max_workers, task_count=len(tasks), payload=tasks
-        )
-        summaries = resolved.map(_run_region, tasks)
+        resolved = get_backend(self.backend, self.max_workers, task_count=len(tasks))
+        blobs = None  # the picklability probe's bytes are what workers unpickle
+        try:
+            if isinstance(resolved, ProcessBackend) and len(tasks) > 1:
+                blobs = [pickle.dumps(task) for task in tasks]
+        except Exception:  # degrade to threads, with the usual warning
+            resolved = get_backend(resolved, payload=tasks)
+        fanout_started = time.perf_counter()
+        if blobs:
+            summaries = _map_warm(blobs, resolved.max_workers)
+        else:
+            summaries = resolved.map(_run_region, tasks)
+        fanout_seconds = time.perf_counter() - fanout_started
         return FleetResult(
             fleet=self.fleet.name,
             scheduler=self.scheduler,
@@ -288,6 +327,7 @@ class FleetSimulator:
             backend=resolved.name,
             wall_seconds=time.perf_counter() - started,
             rebalance_seconds=rebalance_seconds,
+            fanout_seconds=fanout_seconds,
         )
 
 

@@ -43,9 +43,12 @@ Execution contract
 * **Sizing** — ``max_workers`` defaults to one worker per usable core
   (CPU-affinity aware), and pools never start more workers than items;
   single-item maps run inline with zero pool overhead.
-* **State** — backends are stateless between calls: each ``map`` builds
-  and tears down its own executor, so a backend instance may be shared
-  freely across threads.
+* **State** — each ``map`` builds and tears down its own executor, so a
+  backend may be shared across threads.  The exception is the fleet's
+  region fan-out, which reuses :func:`warm_map`'s executor across runs:
+  its warm workers hold what the parent held when it was forked, so a
+  later monkeypatch or module edit reaches them only after
+  :func:`shutdown_shared_pool`.
 
 Usage::
 
@@ -65,8 +68,10 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Callable,
     Iterable,
@@ -117,25 +122,87 @@ def probe_picklable(payload: object) -> bool:
         return False
 
 
+_shared_lock = threading.Lock()
+_shared_pool: Optional[ProcessPoolExecutor] = None
+_shared_key: tuple = ()  # (workers, pid, generation) it was forked for
+
+
+def _submit_shared(fn, items: list, workers: int, generation: int, fresh: bool):
+    """Submit to the shared executor, first re-forking it when ``fresh``,
+    broken, too small, another pid's or of another ``generation`` (under
+    the lock, so no caller retires it between build and submit)."""
+    global _shared_pool, _shared_key
+    pid = os.getpid()
+    with _shared_lock:
+        pool = _shared_pool
+        size, owner, built_for = _shared_key or (0, pid, generation)
+        if pool is None or fresh or pool._broken or size < workers \
+                or (owner, built_for) != (pid, generation):
+            if pool is not None and owner == pid:  # never a parent's pool
+                pool.shutdown(wait=True)
+            pool = _shared_pool = ProcessPoolExecutor(workers)
+            _shared_key = (workers, pid, generation)
+        return [pool.submit(fn, item) for item in items]
+
+
+def warm_map(fn: Callable[[T], R], items: Iterable[T], workers: int,
+             generation: int) -> List[Optional[R]]:
+    """Ordered ``fn`` over ``items`` on one process-wide executor that
+    later calls reuse while its ``generation`` stands.  Items ``fn``
+    answers ``None`` (work a warm worker cannot take) re-run once on a
+    fresh fork; a dead worker discards the pool (``BrokenProcessPool``).
+    """
+    items = list(items)
+    workers = max(1, min(workers, len(items)))
+    try:
+        futures = _submit_shared(fn, items, workers, generation, False)
+        results = [future.result() for future in futures]
+        stale = [index for index, result in enumerate(results) if result is None]
+        if stale:
+            retried = [items[index] for index in stale]
+            futures = _submit_shared(fn, retried, workers, generation, True)
+            for index, future in zip(stale, futures):
+                results[index] = future.result()
+    except BrokenProcessPool:
+        shutdown_shared_pool()
+        raise
+    return results
+
+
+def shutdown_shared_pool() -> None:
+    """Shut the :func:`warm_map` executor down, if there is one."""
+    global _shared_pool
+    with _shared_lock:
+        pool, _shared_pool = _shared_pool, None
+        if pool is not None and _shared_key[1] == os.getpid():
+            pool.shutdown(wait=True)
+
+
 class ExecutionBackend:
-    """Ordered ``map`` over independent work items."""
+    """Ordered ``map`` over independent work items, on ``executor``'s
+    workers (inline when it is ``None`` or there is one item)."""
 
     name: str = "abstract"
+    executor: Optional[type] = None
 
     def __init__(self, max_workers: Optional[int] = None):
         self.max_workers = default_workers(max_workers)
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        raise NotImplementedError
+        return list(self.imap(fn, items))
 
     def imap(self, fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
         """Like :meth:`map`, but yields each result as soon as it — and
         everything before it — has finished (results stay in input order).
         Lets callers stream output while later items are still running.
-        The base implementation is lazy: item N+1 does not start until
-        result N has been consumed."""
-        for item in items:
-            yield fn(item)
+        Inline it is lazy: item N+1 does not start until result N has
+        been consumed."""
+        items = items if self.executor is None else list(items)
+        if self.executor is None or len(items) <= 1:
+            yield from map(fn, items)
+            return
+        with self.executor(self._effective_workers(items)) as pool:
+            yield from pool.map(fn, items)
 
     def _effective_workers(self, items: Sequence) -> int:
         return max(1, min(self.max_workers, len(items)))
@@ -152,9 +219,6 @@ class SerialBackend(ExecutionBackend):
     def __init__(self, max_workers: Optional[int] = None):
         super().__init__(1 if max_workers is None else max_workers)
 
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        return [fn(item) for item in items]
-
 
 class ThreadBackend(ExecutionBackend):
     """Fan out to a thread pool: shared memory, no pickling required.
@@ -164,16 +228,7 @@ class ThreadBackend(ExecutionBackend):
     """
 
     name = "thread"
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(self._effective_workers(items)) as pool:
-            return list(pool.map(fn, items))
-
-    def imap(self, fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
-        return _pool_imap(ThreadPoolExecutor, self, fn, items)
+    executor = ThreadPoolExecutor
 
 
 class ProcessBackend(ExecutionBackend):
@@ -185,29 +240,7 @@ class ProcessBackend(ExecutionBackend):
     """
 
     name = "process"
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        with ProcessPoolExecutor(self._effective_workers(items)) as pool:
-            return list(pool.map(fn, items))
-
-    def imap(self, fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
-        return _pool_imap(ProcessPoolExecutor, self, fn, items)
-
-
-def _pool_imap(executor_cls, backend: ExecutionBackend, fn, items) -> Iterator:
-    """Shared imap: submit everything, yield results in input order."""
-    items = list(items)
-    if len(items) <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    with executor_cls(backend._effective_workers(items)) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        for future in futures:
-            yield future.result()
+    executor = ProcessPoolExecutor
 
 
 BackendSpec = Union[str, ExecutionBackend, None]
@@ -292,4 +325,6 @@ __all__ = [
     "get_backend",
     "parallel_map",
     "probe_picklable",
+    "shutdown_shared_pool",
+    "warm_map",
 ]

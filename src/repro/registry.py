@@ -126,6 +126,8 @@ class SchedulerRegistry:
         self._solve_locks: Dict[str, threading.RLock] = {}
         self._load_builtins = load_builtins
         self._loaded = False
+        #: bumped by every (un)registration; keys the warm process pool
+        self.generation = 0
 
     # -- registration ------------------------------------------------------
     def register(self, info: SchedulerInfo) -> None:
@@ -144,6 +146,7 @@ class SchedulerRegistry:
             self._aliases[alias] = info.name
         if not info.parallel_safe:
             self._solve_locks[info.name] = threading.RLock()
+        self.generation += 1
 
     def unregister(self, name: str) -> None:
         """Remove one scheduler (primarily for tests)."""
@@ -152,6 +155,7 @@ class SchedulerRegistry:
         for alias in (info.name, *info.aliases):
             self._aliases.pop(alias, None)
         self._solve_locks.pop(canonical, None)
+        self.generation += 1
 
     # -- lookup ------------------------------------------------------------
     def resolve(self, name: str) -> str:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import ProblemInstance, SpeedupMatrix
+from repro.parallel import shutdown_shared_pool
 
 
 @pytest.fixture(autouse=True)
@@ -25,6 +26,17 @@ def _isolate_bench_ledger(monkeypatch):
     monkeypatch.setenv("REPRO_LEDGER_DIR", "")
     monkeypatch.setenv("REPRO_AUDIT_DIR", "")
     monkeypatch.setenv("REPRO_TRACE_DIR", "")
+
+
+@pytest.fixture(autouse=True)
+def _shutdown_shared_pool():
+    """Retire the warm process pool a test forked, if it forked one.
+
+    Its workers are copies of the parent at fork time, so a later test
+    must never reach one that still carries this test's monkeypatches.
+    """
+    yield
+    shutdown_shared_pool()
 
 
 @pytest.fixture

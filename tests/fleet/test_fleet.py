@@ -257,18 +257,25 @@ class TestRebalance:
 
 class TestFleetSimulator:
     def test_backends_produce_identical_fingerprints(self, tmp_path):
+        import repro.parallel as parallel
+
         fingerprints = {}
-        for backend in ("serial", "thread", "process"):
+        pids = []
+        for run, backend in enumerate(("serial", "thread", "process", "process")):
             result = run_fleet(
                 "spot-preemption",
                 regions=3,
                 rounds=6,
                 seed=9,
                 backend=backend,
-                metrics_path=str(tmp_path / f"{backend}.jsonl"),
+                metrics_path=str(tmp_path / f"{run}-{backend}.jsonl"),
             )
-            fingerprints[backend] = result.fingerprint()
+            fingerprints[run] = result.fingerprint()
+            if backend == "process":
+                pids.append(sorted(parallel._shared_pool._processes))
         assert len(set(fingerprints.values())) == 1
+        # the second process run reuses the first one's warm workers
+        assert pids[0] and set(pids[0]) <= set(pids[1])
 
     def test_streamed_rounds_match_region_summaries(self, tmp_path):
         from repro.fleet.metrics import read_fleet_metrics

@@ -43,7 +43,9 @@ class TestFleetSim:
         out = capsys.readouterr().out
         assert code == 0
         assert "fairness violations: 0" in out
-        assert re.search(r"PE/SI-checked, pre-pass \d+\.\d{3}s\)", out)
+        assert re.search(
+            r"PE/SI-checked, pre-pass \d+\.\d{3}s\), fan-out \d+\.\d{3}s,", out
+        )
         assert "fleet fingerprint:" in out
         assert metrics.exists() and metrics.stat().st_size > 0
 

@@ -175,6 +175,10 @@ grep -q "fleet fingerprint:" "$TMP/fleet.txt"
 grep "fleet fingerprint:" "$TMP/fleet.txt" > "$TMP/fp_serial.txt"
 grep "fleet fingerprint:" "$TMP/fleet_thread.txt" > "$TMP/fp_thread.txt"
 diff "$TMP/fp_serial.txt" "$TMP/fp_thread.txt"
+# so must the process backend's warm pool, and it must not hang exit
+timeout 60 "$PY" -m repro fleet-sim --scenario multiregion-failover --regions 4 \
+    --backend process --metrics "$TMP/fleet3.jsonl" | tee "$TMP/fleet_process.txt"
+diff "$TMP/fp_serial.txt" <(grep "fleet fingerprint:" "$TMP/fleet_process.txt")
 
 echo "== repro fleet-sim (weighted tenants: serial vs the default backend) =="
 # quota rebalancing is the only weighted-tenant path the CLI reaches; the
