@@ -18,7 +18,7 @@ import numpy as np
 
 @dataclass
 class RoundMetrics:
-    """One scheduling round's outcome."""
+    """One scheduling round's outcome (``estimated`` may be a shared memo dict)."""
 
     round_index: int
     time: float

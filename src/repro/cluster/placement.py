@@ -80,9 +80,6 @@ class RoundPlacement:
     placements: List[JobPlacement] = field(default_factory=list)
     starved_jobs: List[Job] = field(default_factory=list)
 
-    def cross_host_jobs(self) -> int:
-        return sum(1 for placement in self.placements if placement.hosts_spanned > 1)
-
     def straggler_workers(self) -> int:
         return sum(placement.straggler_workers for placement in self.placements)
 
@@ -152,7 +149,12 @@ class Placer:
             budget_total = sum(budget)
             placed: List[Tuple[Job, int]] = []
             active = active_jobs.get(tenant_name) if active_jobs else None
-            for job in tenant.runnable_queue(now, active):
+            queue = tenant.runnable_queue(now, active)
+            for index, job in enumerate(queue):
+                if budget_total <= 0:
+                    # nothing left: every job from here on starves
+                    starved.extend(queue[index:])
+                    break
                 workers = job.num_workers
                 if job.elastic:
                     # elastic jobs (§8) shrink to whatever remains, down to
@@ -169,7 +171,7 @@ class Placer:
             # pass 2 — assign GPU types; under the OEF policy large jobs
             # pick first so a small job cannot fragment the contiguous
             # fast window a larger job needs (§4.3 adjacency)
-            if self.policy.pack_large_jobs_first:
+            if self.policy.pack_large_jobs_first and len(placed) > 1:
                 placed.sort(key=lambda pair: (-pair[1], pair[0].job_id))
             for job, workers in placed:
                 type_counts = self._select_types(workers, budget)
@@ -188,9 +190,8 @@ class Placer:
 
         placements: List[JobPlacement] = []
         for job, type_counts in selections:
-            devices = self._bind_devices(type_counts, free)
+            devices, hosts = self._bind_devices(type_counts, free)
             outcome = self.straggler_model.evaluate(job, type_counts)
-            hosts = len({device.host_id for device in devices})
             for device in devices:
                 device.assigned_job = job.job_id
             placements.append(
@@ -216,8 +217,6 @@ class Placer:
         self, workers: int, budget: List[int]
     ) -> Optional[Dict[int, int]]:
         """Pick GPU-type counts for one job from the tenant's budget."""
-        if sum(budget) < workers:
-            return None
         num_types = len(budget)
         if self.policy.adjacent_types_only:
             window = self._best_adjacent_window(workers, budget)
@@ -249,11 +248,11 @@ class Placer:
         """The fastest contiguous run of types that covers the job.
 
         Among windows with enough budget, prefer the one whose fastest
-        type is highest, then the narrowest (fewest types mixed).
+        type is highest, then the narrowest (fewest types mixed).  Types
+        are tried fastest first and each grows its window only until it
+        covers the job, so the first window found is that one.
         """
-        num_types = len(budget)
-        best: Optional[Tuple[Tuple[int, int], Dict[int, int]]] = None
-        for high in range(num_types - 1, -1, -1):
+        for high in range(len(budget) - 1, -1, -1):
             if budget[high] <= 0:
                 continue
             total = 0
@@ -269,45 +268,50 @@ class Placer:
                         if take > 0:
                             counts[rank] = take
                             remaining -= take
-                    score = (high, -(high - low))
-                    if best is None or score > best[0]:
-                        best = (score, counts)
-                    break
-        return best[1] if best else None
+                    return counts
+        return None
 
     # -- physical binding ---------------------------------------------------------
     def _bind_devices(
         self, type_counts: Dict[int, int], free: Dict[int, List[List[GPUDevice]]]
-    ) -> List[GPUDevice]:
+    ) -> Tuple[List[GPUDevice], int]:
+        """The job's devices, slowest type first, and how many hosts they span."""
         devices: List[GPUDevice] = []
-        for rank, count in sorted(type_counts.items()):
-            devices.extend(self._bind_type(rank, count, free.get(rank, [])))
-        return devices
+        hosts = 0
+        items = type_counts.items()
+        for rank, count in sorted(items) if len(items) > 1 else items:
+            chosen, used = self._bind_type(rank, count, free.get(rank, []))
+            devices += chosen
+            hosts += used
+        return devices, hosts
 
     def _bind_type(
         self, rank: int, count: int, pools: List[List[GPUDevice]]
-    ) -> List[GPUDevice]:
+    ) -> Tuple[List[GPUDevice], int]:
         """Take ``count`` devices out of one type's per-host free lists."""
-        free_total = sum(map(len, pools))
+        # one scan: the free total and the best fit (smallest host that fits
+        # the whole request, the first in host-id order on ties)
+        free_total = 0
+        best: Optional[List[GPUDevice]] = None
+        for pool in pools:
+            free_total += len(pool)
+            if len(pool) >= count and (best is None or len(pool) < len(best)):
+                best = pool
         if free_total < count:
             raise PlacementError(
                 f"grants exceed free devices of type rank {rank} "
                 f"({count} requested, {free_total} free)"
             )
-        # ``min`` and ``sorted`` keep host-id order among equally free hosts
         if self.policy.prefer_single_host:
-            fitting = [pool for pool in pools if len(pool) >= count]
-            if fitting:
-                # best-fit: the smallest single host that fits the whole request
-                pools = [min(fitting, key=len)]
-            else:
-                # otherwise spread across as few hosts as possible, fullest first
-                pools = sorted(pools, key=len, reverse=True)
+            # else as few hosts as possible, fullest first (stable: id order)
+            pools = [best] if best is not None else sorted(pools, key=len, reverse=True)
         chosen: List[GPUDevice] = []
+        hosts = 0
         for pool in pools:
             take = count - len(chosen)
+            if not take:
+                break
+            hosts += bool(pool)
             chosen.extend(pool[:take])
             del pool[:take]
-            if len(chosen) == count:
-                break
-        return chosen
+        return chosen, hosts

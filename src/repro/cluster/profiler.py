@@ -34,6 +34,8 @@ class ProfilingAgent:
         if self.deterministic_bias is not None and self.deterministic_bias <= -1:
             raise ValidationError("deterministic_bias must be > -1")
         self._rng = np.random.default_rng(self.seed)
+        # exact measurements by truth-vector bytes (content, not ``id``)
+        self._exact: Dict[bytes, np.ndarray] = {}
 
     def profile_tenant(
         self,
@@ -46,10 +48,19 @@ class ProfilingAgent:
         The reference (slowest) GPU type is the normalisation anchor, so
         error applies to the relative entries only — matching how relative
         profiling error manifests in practice.  ``active`` is the tenant's
-        ``active_jobs(now)`` when the caller already has it.
+        ``active_jobs(now)`` when the caller already has it.  Exact
+        measurements are read-only and shared; noisy ones are fresh draws.
         """
+        exact = self.deterministic_bias is None and self.error_rate == 0
         profiles: Dict[str, np.ndarray] = {}
         for model_name, truth in tenant.true_speedup_profile(now, active).items():
+            if exact:
+                measured = self._exact.get(truth.tobytes())
+                if measured is None:
+                    measured = self._exact[truth.tobytes()] = _normalised(truth)
+                    measured.setflags(write=False)
+                profiles[model_name] = measured
+                continue
             measured = truth.copy()
             if self.deterministic_bias is not None:
                 factor = 1.0 + self.deterministic_bias
@@ -59,9 +70,11 @@ class ProfilingAgent:
                     1.0 - self.error_rate, 1.0 + self.error_rate, size=measured.size - 1
                 )
                 measured[1:] = measured[1:] * factors
-            # renormalise and keep the vector monotone so downstream
-            # validation (slowest-type-first ordering) still holds
-            measured = measured / measured[0]
-            measured = np.maximum.accumulate(measured)
-            profiles[model_name] = measured
+            profiles[model_name] = _normalised(measured)
         return profiles
+
+
+def _normalised(measured: np.ndarray) -> np.ndarray:
+    """Renormalise to slot 0 and keep the vector monotone, so downstream
+    validation (slowest-type-first ordering) still holds."""
+    return np.maximum.accumulate(measured / measured[0])

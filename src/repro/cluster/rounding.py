@@ -25,6 +25,10 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 
+REMAINDER_ATOL = 1e-12  #: a smaller remainder is float residue, not a request
+DEFICIT_ATOL = 1e-12  #: this close to its target, a tenant is not under-served
+TARGET_ATOL = 1e-12  #: a smaller target on a type is residue, not demand for it
+
 
 @dataclass
 class RoundingResult:
@@ -141,10 +145,22 @@ class DeviationRounder:
         )
         target = np.clip(ideal_matrix + deviation_matrix, 0.0, None)
 
-        real = np.zeros_like(target, dtype=int)
-        for type_index in range(num_types):
+        # largest remainder for all types at once: per column, the ``remaining``
+        # largest remainders (``_largest_remainder``'s order) get one more device
+        whole = np.rint(capacities).astype(int)
+        floors = np.floor(target)
+        real = floors.astype(int)
+        remaining = whole - real.sum(axis=0)
+        remainders = target - floors
+        order = np.argsort(-remainders, axis=0)
+        columns = np.arange(num_types)
+        real[order, columns] += (np.arange(len(tenants))[:, None] < remaining) & (
+            remainders[order, columns] > REMAINDER_ATOL
+        )
+        # an oversubscribed type is shaved by the per-column routine
+        for type_index in np.flatnonzero(remaining < 0):
             real[:, type_index] = self._largest_remainder(
-                target[:, type_index], int(round(capacities[type_index]))
+                target[:, type_index], int(whole[type_index])
             )
 
         zeroed: List[str] = []
@@ -188,7 +204,7 @@ class DeviationRounder:
             for index in order:
                 if remaining <= 0:
                     break
-                if remainders[index] <= 1e-12:
+                if remainders[index] <= REMAINDER_ATOL:
                     break  # don't grant devices nobody asked for
                 floors[index] += 1
                 remaining -= 1
@@ -223,11 +239,11 @@ class DeviationRounder:
                     for row in runnable_rows
                 ]
                 deficit, row = max(deficits)
-                if deficit <= 1e-12:
+                if deficit <= DEFICIT_ATOL:
                     candidates = [
                         (target[r, type_index], r)
                         for r in runnable_rows
-                        if target[r, type_index] > 1e-12
+                        if target[r, type_index] > TARGET_ATOL
                     ]
                     if not candidates:
                         break

@@ -25,10 +25,10 @@ construct adapters by hand.
 from __future__ import annotations
 
 import abc
-import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,9 +37,17 @@ from repro.core.instance import ProblemInstance
 from repro.core.speedup import SpeedupMatrix
 from repro.core.virtual import JobTypeSpec, TenantSpec
 from repro.core.weighted import WeightedOEF
+from repro.cluster.job import Job
 from repro.cluster.tenant import Tenant
 from repro.exceptions import SimulationError
 from repro.registry import create_scheduler, resolve_scheduler_name
+
+#: tenant name -> the round's active jobs (``None``: every unfinished job)
+ActiveJobs = Optional[Mapping[str, Sequence[Job]]]
+
+
+def _vector_bytes(vector: np.ndarray) -> bytes:
+    return np.asarray(vector, dtype=float).tobytes()
 
 
 @dataclass
@@ -63,11 +71,13 @@ class FairShareScheduler(abc.ABC):
         tenants: Sequence[Tenant],
         profiles: Dict[str, Dict[str, np.ndarray]],
         capacities: np.ndarray,
+        *, active_jobs: ActiveJobs = None,
     ) -> SchedulerDecision:
         """Compute fluid shares for the given round.
 
         ``profiles`` maps tenant name -> job type -> measured speedup
-        vector (already normalised, slowest type first).
+        vector (already normalised, slowest type first); ``active_jobs``
+        the round's active jobs per tenant (``None``: all unfinished ones).
         """
 
     def decision_key(
@@ -75,7 +85,8 @@ class FairShareScheduler(abc.ABC):
         tenants: Sequence[Tenant],
         profiles: Dict[str, Dict[str, np.ndarray]],
         capacities: np.ndarray,
-    ) -> Optional[bytes]:
+        *, active_jobs: ActiveJobs = None,
+    ) -> Optional[Hashable]:
         """Content key over *everything* :meth:`shares` reads, or ``None``.
 
         The simulator's warm-start path memoizes :class:`SchedulerDecision`
@@ -104,6 +115,7 @@ class OEFScheduler(FairShareScheduler):
         tenants: Sequence[Tenant],
         profiles: Dict[str, Dict[str, np.ndarray]],
         capacities: np.ndarray,
+        *, active_jobs: ActiveJobs = None,
     ) -> SchedulerDecision:
         specs: List[TenantSpec] = []
         for tenant in tenants:
@@ -128,19 +140,18 @@ class OEFScheduler(FairShareScheduler):
             },
         )
 
-    def decision_key(self, tenants, profiles, capacities) -> Optional[bytes]:
+    def decision_key(self, tenants, profiles, capacities, *, active_jobs=None):
         # shares() is a pure function of (name, weight, profiles) per
-        # tenant in order, plus capacities — hash exactly those
-        digest = hashlib.sha256()
+        # tenant in order, plus capacities — the key is exactly those,
+        # flat: each tenant is name, weight, (model, bytes) pairs, None
+        key: List[object] = [_vector_bytes(capacities)]
         for tenant in tenants:
-            digest.update(tenant.name.encode())
-            digest.update(repr(float(tenant.weight)).encode())
-            for model_name, vector in sorted(profiles[tenant.name].items()):
-                digest.update(model_name.encode())
-                digest.update(np.ascontiguousarray(vector, dtype=float).tobytes())
-            digest.update(b"\x1e")
-        digest.update(np.ascontiguousarray(capacities, dtype=float).tobytes())
-        return digest.digest()
+            profile = profiles[tenant.name]
+            key += (tenant.name, float(tenant.weight))
+            for model_name in sorted(profile) if len(profile) > 1 else profile:
+                key += (model_name, _vector_bytes(profile[model_name]))
+            key.append(None)
+        return tuple(key)
 
 
 class ElasticOEFScheduler(FairShareScheduler):
@@ -167,6 +178,7 @@ class ElasticOEFScheduler(FairShareScheduler):
         tenants: Sequence[Tenant],
         profiles: Dict[str, Dict[str, np.ndarray]],
         capacities: np.ndarray,
+        *, active_jobs: ActiveJobs = None,
     ) -> SchedulerDecision:
         # job-level scheduling uses the jobs' own (profiled) speedups; the
         # tenant-level profiles parameter is accepted for interface parity
@@ -209,12 +221,13 @@ class SingleProfileScheduler(FairShareScheduler):
         tenants: Sequence[Tenant],
         profiles: Dict[str, Dict[str, np.ndarray]],
         capacities: np.ndarray,
+        *, active_jobs: ActiveJobs = None,
     ) -> SchedulerDecision:
         rows: List[np.ndarray] = []
         names: List[str] = []
         for tenant in tenants:
             tenant_profiles = profiles[tenant.name]
-            dominant = self._dominant_job_type(tenant, tenant_profiles)
+            dominant = self._dominant_job_type(tenant, tenant_profiles, active_jobs)
             rows.append(tenant_profiles[dominant])
             names.append(tenant.name)
         matrix = SpeedupMatrix(
@@ -235,32 +248,28 @@ class SingleProfileScheduler(FairShareScheduler):
             tenant_shares=shares, estimated=estimated, solver_seconds=elapsed
         )
 
-    def decision_key(self, tenants, profiles, capacities) -> Optional[bytes]:
+    def decision_key(self, tenants, profiles, capacities, *, active_jobs=None):
         # the baseline adapter reads one row per tenant — the *dominant*
         # job type's profile, which shifts with active-job counts — so
-        # the key hashes the selected (model, row) pairs, not the raw
+        # the key holds the selected (model, row) pairs, not the raw
         # profile dict: count changes that keep the dominant type fixed
         # still reuse the decision, count changes that flip it do not
-        digest = hashlib.sha256()
+        rows = []
         for tenant in tenants:
-            dominant = self._dominant_job_type(tenant, profiles[tenant.name])
-            digest.update(tenant.name.encode())
-            digest.update(dominant.encode())
-            digest.update(
-                np.ascontiguousarray(
-                    profiles[tenant.name][dominant], dtype=float
-                ).tobytes()
-            )
-            digest.update(b"\x1e")
-        digest.update(np.ascontiguousarray(capacities, dtype=float).tobytes())
-        return digest.digest()
+            measured = profiles[tenant.name]
+            dominant = self._dominant_job_type(tenant, measured, active_jobs)
+            rows.append((tenant.name, dominant, _vector_bytes(measured[dominant])))
+        return tuple(rows), _vector_bytes(capacities)
 
     @staticmethod
     def _dominant_job_type(
-        tenant: Tenant, tenant_profiles: Dict[str, np.ndarray]
+        tenant: Tenant,
+        tenant_profiles: Dict[str, np.ndarray],
+        active_jobs: ActiveJobs = None,
     ) -> str:
         """The job type with the most active jobs (deterministic ties)."""
-        counts = {model: len(jobs) for model, jobs in tenant.job_types().items()}
+        jobs = (active_jobs or {}).get(tenant.name)
+        counts = Counter(job.model_name for job in jobs or tenant.active_jobs())
         return max(
             tenant_profiles.keys(),
             key=lambda model: (counts.get(model, 0), model),

@@ -40,9 +40,9 @@ the scheduler's own content key
 (:meth:`~repro.cluster.schedulers.FairShareScheduler.decision_key`) —
 a repeat round reuses the previous solution instead of re-running the LP.
 The memo is a bounded LRU ``OrderedDict`` on the simulator
-(:attr:`ClusterSimulator.DECISION_CACHE_MAX` entries), deep-copying
-decisions on both insert and lookup so nothing downstream can mutate a
-memoized entry.
+(:attr:`ClusterSimulator.DECISION_CACHE_MAX` entries) holding each decision
+once, with read-only arrays; a hit hands out that entry itself (its
+``estimated`` dict too), so nothing is copied and a stray write raises.
 Because the key covers every input the decision depends on and the
 schedulers are deterministic, a warm replay is **bit-identical** to a
 cold one; anything that changes the instance — tenant churn, device
@@ -145,20 +145,22 @@ class WarmStats:
         return self.warm_hits / total if total else 0.0
 
 
-def _copy_decision(
-    decision: SchedulerDecision, solver_seconds: Optional[float] = None
-) -> SchedulerDecision:
-    """Deep-copy a decision so memoized arrays can never be mutated."""
+def _frozen(share: np.ndarray) -> np.ndarray:
+    share = share.copy()
+    share.setflags(write=False)
+    return share
+
+
+def _memo_entry(decision: SchedulerDecision) -> SchedulerDecision:
+    """The memo's one copy of a fresh decision: read-only arrays, no LP time."""
     return SchedulerDecision(
         tenant_shares={
-            name: share.copy() for name, share in decision.tenant_shares.items()
+            name: _frozen(share) for name, share in decision.tenant_shares.items()
         },
         estimated=dict(decision.estimated),
-        solver_seconds=(
-            decision.solver_seconds if solver_seconds is None else solver_seconds
-        ),
+        solver_seconds=0.0,
         job_type_shares={
-            tenant: {jt: share.copy() for jt, share in by_type.items()}
+            tenant: {jt: _frozen(share) for jt, share in by_type.items()}
             for tenant, by_type in decision.job_type_shares.items()
         },
     )
@@ -396,7 +398,7 @@ class ClusterSimulator:
         """
         active = [self.tenants[name] for name in active_jobs]
         profiles = self._measure_profiles(now, active_jobs)
-        decision = self._compute_decision(active, profiles)
+        decision = self._compute_decision(active, profiles, active_jobs)
         self._validate_decision(decision, active)
 
         min_demands = None
@@ -412,7 +414,13 @@ class ClusterSimulator:
             rounding.grants, self.tenants, now, active_jobs=active_jobs
         )
 
+        # the RoundMetrics counts come from this same pass
+        stragglers = cross_host = cross_type = devices_used = 0
         for job_placement in placement.placements:
+            stragglers += job_placement.straggler_workers
+            cross_host += job_placement.hosts_spanned > 1
+            cross_type += len(job_placement.type_counts) > 1
+            devices_used += len(job_placement.devices)
             job = job_placement.job
             job.advance(
                 now, job_placement.iterations_per_second, self.config.round_duration
@@ -437,47 +445,48 @@ class ClusterSimulator:
             RoundMetrics(
                 round_index=round_index,
                 time=now,
-                estimated=dict(decision.estimated),
+                estimated=decision.estimated,
                 actual=actual,
                 actual_by_model=actual_by_model,
-                straggler_workers=placement.straggler_workers(),
-                cross_host_jobs=placement.cross_host_jobs(),
-                cross_type_jobs=placement.cross_type_jobs(),
+                straggler_workers=stragglers,
+                cross_host_jobs=cross_host,
+                cross_type_jobs=cross_type,
                 starved_jobs=len(placement.starved_jobs),
-                devices_used=sum(
-                    len(job_placement.devices)
-                    for job_placement in placement.placements
-                ),
+                devices_used=devices_used,
                 solver_seconds=decision.solver_seconds,
             )
         )
 
     def _compute_decision(
-        self, active: List[Tenant], profiles: Dict[str, Dict[str, np.ndarray]]
+        self,
+        active: List[Tenant],
+        profiles: Dict[str, Dict[str, np.ndarray]],
+        active_jobs: Dict[str, List[Job]],
     ) -> SchedulerDecision:
         """One round's fluid shares, warm-started when provably safe.
 
         Prior decisions are memoized under the scheduler's own content
-        key; a repeat key short-circuits the solve with a deep copy of
-        the stored decision (``solver_seconds`` reported as 0.0 — no LP
-        ran).  A ``None`` key — warm starting disabled, or a scheduler
-        whose decision depends on more than the key can cover — always
-        solves cold and memoizes nothing.
+        key; a repeat key short-circuits the solve with the stored,
+        read-only decision itself (``solver_seconds`` 0.0 — no LP ran).
+        A ``None`` key — warm starting disabled, or a scheduler whose
+        decision depends on more than the key can cover — always solves
+        cold and memoizes nothing.
         """
+        question = (active, profiles, self._capacities)
         key = None
         if self.config.warm_start:
-            key = self.scheduler.decision_key(active, profiles, self._capacities)
+            key = self.scheduler.decision_key(*question, active_jobs=active_jobs)
         memo = self._decision_cache
         if key is not None:
             entry = memo.get(key)
             if entry is not None:
                 memo.move_to_end(key)
                 self.warm_stats.warm_hits += 1
-                return _copy_decision(entry, solver_seconds=0.0)
+                return entry
         self.warm_stats.cold_solves += 1
-        decision = self.scheduler.shares(active, profiles, self._capacities)
+        decision = self.scheduler.shares(*question, active_jobs=active_jobs)
         if key is not None:
-            memo[key] = _copy_decision(decision)
+            memo[key] = _memo_entry(decision)
             if len(memo) > self.DECISION_CACHE_MAX:
                 memo.popitem(last=False)
         return decision

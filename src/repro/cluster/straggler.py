@@ -18,6 +18,8 @@ import numpy as np
 from repro.cluster.job import Job
 from repro.exceptions import SimulationError
 
+STRAGGLER_RATE_ATOL = 1e-12  #: a rate must beat the slowest by more to straggle
+
 
 @dataclass(frozen=True)
 class StragglerOutcome:
@@ -48,19 +50,16 @@ class StragglerModel:
         ``type_counts`` maps GPU-type rank -> number of the job's workers
         placed on that type.  Raises if no workers were assigned.
         """
+        if len(type_counts) == 1:
+            ((rank, count),) = type_counts.items()
+            if count:
+                return StragglerOutcome(float(job.true_throughput[rank]), 0, 1)
         if not type_counts or sum(type_counts.values()) == 0:
             raise SimulationError(f"job {job.job_id}: no workers assigned")
         rates = {
             rank: float(job.true_throughput[rank]) for rank in type_counts
         }
         slowest = min(rates.values())
-        if len(type_counts) == 1:
-            (rank,) = type_counts
-            return StragglerOutcome(
-                per_worker_rate=rates[rank],
-                straggler_workers=0,
-                types_spanned=1,
-            )
         # blended rate: the synchronous part runs at the slowest type's
         # speed, the remainder at each worker's native speed; report the
         # average per-worker rate so job progress = rate * workers
@@ -73,7 +72,8 @@ class StragglerModel:
             self.sync_fraction * slowest + (1.0 - self.sync_fraction) * native_average
         )
         stragglers = sum(
-            count for rank, count in type_counts.items() if rates[rank] > slowest + 1e-12
+            count for rank, count in type_counts.items()
+            if rates[rank] > slowest + STRAGGLER_RATE_ATOL
         )
         return StragglerOutcome(
             per_worker_rate=effective,

@@ -146,6 +146,8 @@ class _FingerprintStream:
 
     def __init__(self) -> None:
         self._digest = hashlib.sha256()
+        # rounds answered by one memo entry share its ``estimated`` dict
+        self._estimated: tuple = (None, b"")
 
     def observe_round(
         self, record: "ScenarioRoundRecord", round_metrics: RoundMetrics
@@ -164,7 +166,10 @@ class _FingerprintStream:
                 )
             ).encode()
         )
-        self._digest.update(repr(sorted(round_metrics.estimated.items())).encode())
+        estimated = round_metrics.estimated
+        if estimated is not self._estimated[0]:
+            self._estimated = (estimated, repr(sorted(estimated.items())).encode())
+        self._digest.update(self._estimated[1])
         self._digest.update(repr(sorted(round_metrics.actual.items())).encode())
 
     def finalize(self, completions, header: tuple) -> str:

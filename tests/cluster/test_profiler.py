@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import ProfilingAgent, Tenant, make_job
+from repro.cluster import profiler
 from repro.exceptions import ValidationError
+from repro.scenarios import ScenarioRunner, make_scenario
 from repro.workloads.generator import TenantGenerator
 
 
@@ -107,12 +109,27 @@ class TestProfilesDoNotAliasJobState:
             for job in tenant.jobs:
                 assert job.speedups.tobytes() == before.tobytes()
 
-    def test_exact_measurements_are_writable_copies(self, tenants):
+    def test_exact_measurements_are_read_only(self, tenants):
         measured = ProfilingAgent().profile_tenant(tenants[0])["lstm"]
         truth = tenants[0].jobs[0].speedups
+        before = truth.copy()
         assert measured is not truth and measured.tobytes() == truth.tobytes()
-        measured[1] = 99.0
-        assert truth[1] != 99.0
+        with pytest.raises(ValueError):
+            measured[1] = 99.0
+        with pytest.raises(ValueError):
+            measured *= 2.0
+        assert truth.tobytes() == before.tobytes()
+        assert measured.tobytes() == before.tobytes()
+
+    def test_noisy_profiling_draws_afresh_on_every_call(self, tenant):
+        agent = ProfilingAgent(error_rate=0.2, seed=7)
+        first, second = (agent.profile_tenant(tenant)["lstm"] for _ in range(2))
+        assert first is not second and not np.array_equal(first, second)
+        assert first.flags.writeable and second.flags.writeable
+        # a same-seed agent reproduces the pair: one rng draw per call
+        twin = ProfilingAgent(error_rate=0.2, seed=7)
+        np.testing.assert_array_equal(twin.profile_tenant(tenant)["lstm"], first)
+        np.testing.assert_array_equal(twin.profile_tenant(tenant)["lstm"], second)
 
     def test_distorted_measurements_are_writable_and_per_tenant(self, tenants):
         agent = ProfilingAgent(error_rate=0.2, seed=3)
@@ -125,3 +142,42 @@ class TestProfilesDoNotAliasJobState:
         for tenant in tenants:
             for job in tenant.jobs:
                 assert job.speedups.tobytes() == truth.tobytes()
+
+
+class TestExactProfilesOnce:
+    """Exact profiling normalises each distinct truth vector once."""
+
+    def test_a_steady_replay_normalises_each_vector_once(self, monkeypatch):
+        # deterministic perf guard: counts, not clocks
+        calls = []
+        normalised = profiler._normalised
+        monkeypatch.setattr(
+            profiler,
+            "_normalised",
+            lambda vector: calls.append(vector.tobytes()) or normalised(vector),
+        )
+        runner = ScenarioRunner(
+            make_scenario("steady", seed=1, rounds=4, duration_fraction=2.0)
+        )
+        simulator = runner.build_simulator()
+        metrics = simulator.run()
+        distinct = {
+            job.speedups.tobytes()
+            for tenant in simulator.tenants.values()
+            for job in tenant.jobs
+        }
+        profiled = sum(len(r.estimated) for r in metrics.rounds)
+        assert profiled == 4 * len(simulator.tenants) > len(distinct)
+        assert sorted(calls) == sorted(distinct)
+
+    def test_equal_content_shares_one_entry(self):
+        # keyed by bytes, not identity: a fresh array with the same
+        # content is served the cached measurement
+        agent = ProfilingAgent()
+        first = Tenant("a", jobs=[make_job(1, "a", "m", [2.0, 3.0, 5.0])])
+        second = Tenant("b", jobs=[make_job(2, "b", "m", [2.0, 3.0, 5.0])])
+        assert first.jobs[0].speedups is not second.jobs[0].speedups
+        one = agent.profile_tenant(first)["m"]
+        assert agent.profile_tenant(second)["m"] is one
+        other = Tenant("c", jobs=[make_job(3, "c", "m", [2.0, 3.0, 4.0])])
+        np.testing.assert_array_equal(agent.profile_tenant(other)["m"], [1.0, 1.5, 2.0])

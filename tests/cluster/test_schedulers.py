@@ -5,11 +5,14 @@ import pytest
 
 from repro.baselines import Gavel, MaxMinFairness
 from repro.cluster import (
+    ClusterSimulator,
     OEFScheduler,
     ProfilingAgent,
+    SimulationConfig,
     SingleProfileScheduler,
     Tenant,
     make_job,
+    paper_cluster,
 )
 from repro.exceptions import SimulationError
 from repro.workloads.generator import TenantGenerator
@@ -159,3 +162,49 @@ class TestSingleProfileScheduler:
         profiles = {"a": tenant.true_speedup_profile()}
         dominant = SingleProfileScheduler._dominant_job_type(tenant, profiles["a"])
         assert dominant == "many"
+
+    def test_dominant_type_counts_only_the_rounds_active_jobs(self):
+        # at t=0: two active A jobs, one active B job, and three B jobs
+        # not submitted until t=1000 — those must not make B dominant
+        tenant = dominance_tenant()
+        active_jobs = {"a": tenant.active_jobs(0.0)}
+        profiles = {"a": ProfilingAgent().profile_tenant(tenant, 0.0, active_jobs["a"])}
+        scheduler = SingleProfileScheduler(MaxMinFairness())
+        assert scheduler._dominant_job_type(tenant, profiles["a"], active_jobs) == "A"
+        # without the round's map, every unfinished job counts
+        assert scheduler._dominant_job_type(tenant, profiles["a"]) == "B"
+
+        decision = scheduler.shares(
+            [tenant], profiles, CAPACITIES, active_jobs=active_jobs
+        )
+        assert decision.estimated["a"] == pytest.approx(
+            float(profiles["a"]["A"] @ CAPACITIES)
+        )
+        key = scheduler.decision_key(
+            [tenant], profiles, CAPACITIES, active_jobs=active_jobs
+        )
+        assert key != scheduler.decision_key([tenant], profiles, CAPACITIES)
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_the_simulator_passes_the_rounds_active_jobs(self, warm_start):
+        simulator = ClusterSimulator(
+            paper_cluster(),
+            [dominance_tenant()],
+            SingleProfileScheduler(MaxMinFairness()),
+            config=SimulationConfig(num_rounds=1, warm_start=warm_start),
+        )
+        (first,) = simulator.run().rounds
+        # the whole cluster at A's speedups, not B's
+        assert first.estimated["a"] == pytest.approx(1.0 * 8 + 2.0 * 8 + 3.0 * 8)
+
+
+def dominance_tenant():
+    """Tenant ``a``: A jobs 0-1 and B job 2 at t=0, B jobs 3-5 at t=1000."""
+    tenant = Tenant(name="a")
+    rows = {"A": [1.0, 2.0, 3.0], "B": [1.0, 1.1, 1.2]}
+    specs = [("A", 0.0)] * 2 + [("B", 0.0)] + [("B", 1000.0)] * 3
+    for job_id, (model, submit_time) in enumerate(specs):
+        tenant.add_job(
+            make_job(job_id, "a", model, rows[model], submit_time=submit_time)
+        )
+    return tenant

@@ -296,6 +296,39 @@ class TestWarmStartEngine:
         for a, b in zip(warm_metrics.rounds, cold_metrics.rounds):
             assert a.estimated == b.estimated
 
+    def test_memo_hits_hand_out_the_read_only_entry(self):
+        simulator = _simulator()
+        now = 0.0
+        active_jobs = simulator._active_jobs(now)
+        active = [simulator.tenants[name] for name in active_jobs]
+        profiles = simulator._measure_profiles(now, active_jobs)
+
+        def decide():
+            return simulator._compute_decision(active, profiles, active_jobs)
+
+        cold = decide()
+        hit = decide()
+        assert simulator.warm_stats.cold_solves == 1
+        assert simulator.warm_stats.warm_hits == 1
+        assert hit.solver_seconds == 0.0 and cold.solver_seconds > 0.0
+        before = {name: share.copy() for name, share in hit.tenant_shares.items()}
+        for name, share in hit.tenant_shares.items():
+            with pytest.raises(ValueError):
+                share[0] = 99.0
+            with pytest.raises(ValueError):
+                share *= 2.0
+            for by_type in hit.job_type_shares[name].values():
+                with pytest.raises(ValueError):
+                    by_type[0] = 99.0
+        # the next hit is the same entry, unchanged; the cold answer the
+        # memo copied from is still the caller's own, writable
+        again = decide()
+        assert again is hit and simulator.warm_stats.warm_hits == 2
+        for name, share in again.tenant_shares.items():
+            assert share.tobytes() == before[name].tobytes()
+            assert share.tobytes() == cold.tenant_shares[name].tobytes()
+        assert all(share.flags.writeable for share in cold.tenant_shares.values())
+
     def test_decision_cache_is_bounded(self):
         simulator = _simulator()
         assert simulator.DECISION_CACHE_MAX == 64

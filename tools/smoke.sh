@@ -153,6 +153,20 @@ grep "^tenant-churn" "$TMP/churn_cold.txt" > "$TMP/churn_cold_row.txt"
 test -s "$TMP/churn_row.txt"
 diff "$TMP/churn_row.txt" "$TMP/churn_cold_row.txt"
 
+echo "== repro simulate steady, memo vs --cold (shared memo entries gate) =="
+# nearly every steady round is a memo hit that hands out the entry's own
+# read-only arrays; the row must still match a replay that solves cold
+"$PY" -m repro simulate --scenario steady --rounds 24 \
+    | tee "$TMP/steady.txt"
+"$PY" -m repro simulate --scenario steady --rounds 24 --cold \
+    | tee "$TMP/steady_cold.txt"
+grep -q "warm-started" "$TMP/steady.txt"
+grep -q "warm-start disabled" "$TMP/steady_cold.txt"
+grep "^steady" "$TMP/steady.txt" > "$TMP/steady_row.txt"
+grep "^steady" "$TMP/steady_cold.txt" > "$TMP/steady_cold_row.txt"
+test -s "$TMP/steady_row.txt"
+diff "$TMP/steady_row.txt" "$TMP/steady_cold_row.txt"
+
 echo "== repro list-scenarios =="
 "$PY" -m repro list-scenarios | tee "$TMP/scenarios.txt"
 for name in steady bursty diurnal tenant-churn philly-replay \
