@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.base import Allocator
 from repro.core.instance import ProblemInstance
 from repro.core.speedup import SpeedupMatrix
-from repro.core.virtual import JobTypeSpec, TenantSpec
 from repro.core.weighted import WeightedOEF
 from repro.cluster.job import Job
 from repro.cluster.tenant import Tenant
@@ -117,27 +116,17 @@ class OEFScheduler(FairShareScheduler):
         capacities: np.ndarray,
         *, active_jobs: ActiveJobs = None,
     ) -> SchedulerDecision:
-        specs: List[TenantSpec] = []
-        for tenant in tenants:
-            tenant_profiles = profiles[tenant.name]
-            job_types = [
-                JobTypeSpec.of(model_name, vector)
-                for model_name, vector in sorted(tenant_profiles.items())
-            ]
-            specs.append(TenantSpec.of(tenant.name, job_types, weight=tenant.weight))
+        # one row per (tenant, model), models sorted; the fold checks them
+        rows = [(t.name, t.weight, sorted(profiles[t.name].items())) for t in tenants]
         start = time.perf_counter()
-        merged = WeightedOEF(mode=self.mode, backend=self.backend).allocate(
-            specs, capacities
-        )
+        merged = WeightedOEF(mode=self.mode, backend=self.backend).allocate(rows, capacities)
         elapsed = time.perf_counter() - start
+        # the merged arrays are this call's own: handed over without copies
         return SchedulerDecision(
-            tenant_shares={name: share.copy() for name, share in merged.tenant_shares.items()},
-            estimated=dict(merged.tenant_throughput),
+            tenant_shares=merged.tenant_shares,
+            estimated=merged.tenant_throughput,
             solver_seconds=elapsed,
-            job_type_shares={
-                tenant: {jt: share.copy() for jt, share in by_type.items()}
-                for tenant, by_type in merged.job_type_shares.items()
-            },
+            job_type_shares=merged.job_type_shares,
         )
 
     def decision_key(self, tenants, profiles, capacities, *, active_jobs=None):

@@ -86,6 +86,38 @@ def envy_rows(
     first — pure index arithmetic, no per-pair loop, no COO detour.
     """
     num_users, num_types = speedups.shape
+    data, indices = _envy_entries(speedups, multiplicity, pairs)
+    return sparse.csr_matrix(
+        (data, indices, np.arange(0, indices.size + 1, 2 * num_types)),
+        shape=(indices.size // (2 * num_types), num_users * num_types),
+    )
+
+
+def eq10_rows(
+    speedups: np.ndarray,
+    multiplicity: np.ndarray,
+    pairs: Optional[Sequence[Tuple[int, int]]] = None,
+) -> sparse.csr_matrix:
+    """(10b) over (10c): ``vstack([capacity_rows, envy_rows], format="csr")``
+    byte for byte, in one constructor, without building either block."""
+    num_users, num_types = speedups.shape
+    head = num_users * num_types
+    data, indices = _envy_entries(speedups, multiplicity, pairs)
+    columns = np.arange(num_types)[:, None] + num_types * np.arange(num_users)
+    starts = np.arange(head, head + indices.size + 1, 2 * num_types)
+    return sparse.csr_matrix(
+        (
+            np.concatenate([np.ones(head), data]),
+            np.concatenate([columns.ravel(), indices]),
+            np.concatenate([np.arange(0, head, num_users), starts]),
+        ),
+        shape=(num_types + indices.size // (2 * num_types), head),
+    )
+
+
+def _envy_entries(speedups, multiplicity, pairs) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(data, indices)`` of the (10c) rows, ``2k`` entries each."""
+    num_users, num_types = speedups.shape
     if pairs is None:
         envious = np.repeat(np.arange(num_users), num_users)
         envied = np.tile(np.arange(num_users), num_users)
@@ -106,14 +138,7 @@ def envy_rows(
     at_envious, at_envied = -multiplicity[envied], multiplicity[envious]
     lower = np.where(forward, at_envious, at_envied)[:, None] * speedups[envious]
     upper = np.where(forward, at_envied, at_envious)[:, None] * speedups[envious]
-    return sparse.csr_matrix(
-        (
-            np.concatenate([lower, upper], axis=1).ravel(),
-            indices.ravel(),
-            np.arange(0, indices.size + 1, 2 * num_types),
-        ),
-        shape=(envious.shape[0], num_users * num_types),
-    )
+    return np.concatenate([lower, upper], axis=1).ravel(), indices.ravel()
 
 
 @register_scheduler(
@@ -205,13 +230,7 @@ class CooperativeOEF(Allocator):
             num_users, num_types = speedups.shape
             # row order mirrors the historical LinearProgram compile:
             # capacity "<=" rows first, then the ">=" envy rows negated
-            a_ub = sparse.vstack(
-                [
-                    capacity_rows(num_users, num_types),
-                    envy_rows(speedups, instance.multiplicity),
-                ],
-                format="csr",
-            )
+            a_ub = eq10_rows(speedups, instance.multiplicity)
             b_ub = np.concatenate(
                 [
                     np.asarray(instance.capacities, dtype=float),
@@ -331,13 +350,7 @@ class CooperativeOEF(Allocator):
             c=-speedups.ravel(),
             col_lower=np.zeros(num_users * num_types),
             col_upper=np.full(num_users * num_types, np.inf),
-            a_ub=sparse.vstack(
-                [
-                    capacity_rows(num_users, num_types),
-                    envy_rows(speedups, multiplicity, seeds),
-                ],
-                format="csr",
-            ),
+            a_ub=eq10_rows(speedups, multiplicity, seeds),
             b_ub=np.concatenate(
                 [np.asarray(instance.capacities, dtype=float), np.zeros(len(seeds))]
             ),
@@ -420,7 +433,6 @@ class CooperativeOEF(Allocator):
         """
         speedups, multiplicity = instance.speedups, instance.multiplicity
         num_users, num_types = speedups.shape
-        capacity = capacity_rows(num_users, num_types)
         capacities = np.asarray(instance.capacities, dtype=float)
         active = set(seeds)
 
@@ -428,10 +440,7 @@ class CooperativeOEF(Allocator):
             pairs = sorted(active)
             form = StandardForm(
                 c=-speedups.ravel(),
-                a_ub=sparse.vstack(
-                    [capacity, envy_rows(speedups, multiplicity, pairs)],
-                    format="csr",
-                ),
+                a_ub=eq10_rows(speedups, multiplicity, pairs),
                 b_ub=np.concatenate([capacities, np.zeros(len(pairs))]),
                 a_eq=None,
                 b_eq=None,

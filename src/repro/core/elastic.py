@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.cluster.job import Job
 from repro.cluster.tenant import Tenant
-from repro.core.virtual import JobTypeSpec, TenantSpec
+from repro.core.virtual import TenantRows
 from repro.core.weighted import WeightedOEF
 from repro.exceptions import ValidationError
 
@@ -59,7 +59,7 @@ class JobLevelOEF:
         now: float | None = None,
     ) -> JobLevelAllocation:
         """Fluid per-job shares for the active jobs of the given tenants."""
-        specs: List[TenantSpec] = []
+        rows: List[TenantRows] = []
         job_index: Dict[str, List[Job]] = {}
         for tenant in tenants:
             active = tenant.active_jobs(now)
@@ -68,15 +68,10 @@ class JobLevelOEF:
                     f"tenant {tenant.name!r} has no active jobs to allocate for"
                 )
             job_index[tenant.name] = active
-            job_types = [
-                JobTypeSpec.of(f"job{job.job_id}", job.speedup_vector)
-                for job in active
-            ]
-            specs.append(
-                TenantSpec.of(tenant.name, job_types, weight=tenant.weight)
-            )
+            jobs = [(f"job{job.job_id}", job.speedup_vector) for job in active]
+            rows.append((tenant.name, tenant.weight, jobs))
 
-        merged = self._weighted.allocate(specs, capacities)
+        merged = self._weighted.allocate(rows, capacities)
 
         job_shares: Dict[Tuple[str, int], np.ndarray] = {}
         job_throughput: Dict[Tuple[str, int], float] = {}

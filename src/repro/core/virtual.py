@@ -15,7 +15,7 @@ common denominator: weight 1.3 is honoured as 1.3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,61 +89,84 @@ class MergedAllocation:
         return float(sum(self.tenant_throughput.values()))
 
 
+#: A tenant as plain data: name, weight, ``(job type, speedups)`` pairs in row order.
+TenantRows = Tuple[str, float, Sequence[Tuple[str, Sequence[float]]]]
+
+
 class VirtualUserExpansion:
-    """Tenant specs as one weighted row per (tenant, job type), and back."""
+    """Tenants as one weighted row per (tenant, job type), and back.
+
+    ``tenants`` are :class:`TenantSpec` objects or :data:`TenantRows`
+    tuples, stacked into one matrix and checked as the specs are (each a
+    :class:`ValidationError`).
+    """
 
     def __init__(
         self,
-        tenants: Sequence[TenantSpec],
+        tenants: Sequence[TenantSpec | TenantRows],
         gpu_types: Optional[Sequence[str]] = None,
     ):
         if not tenants:
             raise ValidationError("at least one tenant is required")
-        names = [tenant.name for tenant in tenants]
-        if len(set(names)) != len(names):
-            raise ValidationError("tenant names must be unique")
-        num_types = len(tenants[0].job_types[0].speedups)
+        #: (tenant name, its job type names), in row order
+        self._layout: List[Tuple[str, List[str]]] = []
+        vectors, users, weights = [], [], []
         for tenant in tenants:
-            if len(tenant.job_types[0].speedups) != num_types:
-                raise ValidationError("tenants disagree on the number of GPU types")
-        self.tenants = list(tenants)
+            if isinstance(tenant, TenantSpec):
+                tenant = (tenant.name, tenant.weight,
+                          [(job.name, job.speedups) for job in tenant.job_types])
+            name, weight, jobs = tenant
+            if not jobs:
+                raise ValidationError(f"tenant {name!r} needs at least one job type")
+            if not weight > 0:
+                raise ValidationError(f"tenant {name!r}: weight must be positive")
+            self._layout.append((name, [job for job, _speedups in jobs]))
+            # only ratios matter: nothing is scaled to integer replica counts
+            weights += [float(weight) / len(jobs)] * len(jobs)
+            vectors += [speedups for _job, speedups in jobs]
+            users += [f"{name}/{job}" for job, _speedups in jobs]
+        if len({name for name, _jobs in self._layout}) != len(self._layout):
+            raise ValidationError("tenant names must be unique")
+        try:
+            rows = np.array(vectors, dtype=float)
+        except ValueError:  # ragged
+            rows = np.empty(0)
+        if rows.ndim != 2 or rows.shape[1] == 0:
+            raise ValidationError("speedups must be 1-D vectors of one length")
+        if not (np.isfinite(rows).all() and (rows > 0).all()):
+            raise ValidationError("speedups must be finite and positive")
         self.gpu_types = list(gpu_types) if gpu_types else None
-        #: weight of each (tenant, job type) row: the tenant's, split equally.
-        #: Only ratios matter, so nothing is scaled to integer replica counts
-        self.weights = np.array(
-            [t.weight / len(t.job_types) for t in tenants for _job in t.job_types]
+        #: weight of each (tenant, job type) row: the tenant's, split equally
+        self.weights = np.array(weights)
+        self._matrix = SpeedupMatrix(
+            rows / rows[:, :1], users=users, gpu_types=self.gpu_types,
+            normalise=False, require_monotone=False,
         )
-        self._matrix: Optional[SpeedupMatrix] = None
 
     # -- expansion -----------------------------------------------------------
     def expanded_matrix(self) -> SpeedupMatrix:
         """The speedup matrix with one row per (tenant, job type)."""
-        if self._matrix is None:
-            rows = [(t.name, job) for t in self.tenants for job in t.job_types]
-            self._matrix = SpeedupMatrix(
-                np.array([job.speedups for _tenant, job in rows]),
-                users=[f"{tenant}/{job.name}" for tenant, job in rows],
-                gpu_types=self.gpu_types,
-                normalise=False,
-                require_monotone=False,
-            )
         return self._matrix
 
     # -- merging ---------------------------------------------------------------
     def merge(self, allocation: Allocation) -> MergedAllocation:
-        """Fold a (tenant, job type)-row allocation back to tenants."""
-        matrix = self.expanded_matrix()
-        if allocation.matrix.shape[0] != matrix.num_users:
+        """Fold a (tenant, job type)-row allocation back to tenants, in one pass.
+
+        The shares are views of one copy of the allocation matrix.
+        """
+        if allocation.matrix.shape[0] != self._matrix.num_users:
             raise ValidationError("allocation was not computed on this expansion's matrix")
+        shares = allocation.matrix.copy()
+        # row l's W_l @ x_l, batched: the same matmul loop per row, same bits
+        speeds = self._matrix.values
+        throughputs = np.matmul(speeds[:, None, :], shares[:, :, None])[:, 0, 0].tolist()
         merged = MergedAllocation(allocation, self.weights, {}, {})
-        rows = zip(matrix.values, allocation.matrix)
-        for tenant in self.tenants:
-            shares = merged.job_type_shares[tenant.name] = {}
-            throughput = merged.job_type_throughput[tenant.name] = {}
-            for job in tenant.job_types:
-                speeds, share = next(rows)
-                shares[job.name] = share.copy()
-                throughput[job.name] = float(speeds @ share)
-            merged.tenant_shares[tenant.name] = np.sum(list(shares.values()), axis=0)
-            merged.tenant_throughput[tenant.name] = sum(throughput.values(), 0.0)
+        start = 0
+        for name, jobs in self._layout:
+            stop = start + len(jobs)
+            merged.job_type_shares[name] = dict(zip(jobs, shares[start:stop]))
+            merged.job_type_throughput[name] = dict(zip(jobs, throughputs[start:stop]))
+            merged.tenant_shares[name] = shares[start:stop].sum(axis=0)
+            merged.tenant_throughput[name] = sum(throughputs[start:stop], 0.0)
+            start = stop
         return merged

@@ -1,10 +1,10 @@
 """Weighted OEF: priorities and multiple job types as multiplicities (§4.2.3).
 
 :class:`WeightedOEF` accepts :class:`~repro.core.virtual.TenantSpec` objects
-(with weights and one or more job types), enters each (tenant, job type)
-as one row weighted ``weight / len(job_types)``, runs the selected OEF
-variant with those weights, and folds the result back to per-tenant and
-per-job-type shares.
+or plain :data:`~repro.core.virtual.TenantRows` tuples (with weights and
+one or more job types), enters each (tenant, job type) as one row weighted
+``weight / len(job_types)``, runs the selected OEF variant with those
+weights, and folds the result back to per-tenant and per-job-type shares.
 
 The paper argues by replication — what OEF guarantees between users holds
 between a tenant's identical virtual users, hence proportionally between
@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.cooperative import CooperativeOEF
 from repro.core.instance import ProblemInstance
 from repro.core.noncooperative import NonCooperativeOEF
-from repro.core.virtual import MergedAllocation, TenantSpec, VirtualUserExpansion
+from repro.core.virtual import MergedAllocation, TenantRows, TenantSpec, VirtualUserExpansion
 from repro.exceptions import ValidationError
 
 _MODES = ("noncooperative", "cooperative")
@@ -38,15 +38,18 @@ class WeightedOEF:
 
     def allocate(
         self,
-        tenants: Sequence[TenantSpec],
+        tenants: Sequence[TenantSpec | TenantRows],
         capacities: Sequence[float] | np.ndarray,
         gpu_types: Sequence[str] | None = None,
     ) -> MergedAllocation:
         """Allocate the cluster among weighted tenants.
 
-        Returns a :class:`MergedAllocation` with tenant- and job-type-level
-        shares and throughputs; the (tenant, job type)-row allocation and
-        its weights are kept in ``.expanded`` / ``.weights`` for auditing.
+        ``(name, weight, [(job type, speedups), ...])`` tuples go through
+        the same fold as specs without building one; every spec check
+        still raises.  Returns a :class:`MergedAllocation` with tenant- and
+        job-type-level shares and throughputs; the (tenant, job type)-row
+        allocation and its weights are kept in ``.expanded`` / ``.weights``
+        for auditing.
         """
         expansion = VirtualUserExpansion(tenants, gpu_types=gpu_types)
         instance = ProblemInstance(expansion.expanded_matrix(), capacities)

@@ -7,7 +7,8 @@ one place, behind a feature probe, so callers degrade to
 changes shape.  :func:`solve_once` is what every one-shot LP runs: the
 model and options ``linprog(method="highs")`` would load, without the
 flat 1.5-1.9 ms of input cleaning, option checking and result wrapping
-``linprog`` spends per call.  :class:`IncrementalLP` is the
+``linprog`` spends per call, nor a CSC copy or a new HiGHS instance per
+solve (one per thread, cleared per model).  :class:`IncrementalLP` is the
 cutting-plane session of :class:`~repro.core.cooperative.CooperativeOEF`:
 rows are appended to (or deleted from) a loaded model and the retained
 basis warm-starts the next dual-simplex run, which then only has to
@@ -26,6 +27,7 @@ for slack-based cut dropping.
 
 from __future__ import annotations
 
+import threading
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +49,8 @@ def incremental_available() -> bool:
         hasattr(_core, name) for name in ("_Highs", "HighsLp", "MatrixFormat")
     ) and all(
         hasattr(_core._Highs, name)
-        for name in ("passModel", "run", "addRows", "deleteRows", "getBasis", "getSolution")
+        for name in ("passModel", "clearModel", "run", "addRows", "deleteRows",
+                     "getBasis", "getSolution")
     )
 
 
@@ -93,6 +96,10 @@ def _run(highs) -> None:
         raise SolverError(f"HiGHS run failed (status={status})")
 
 
+#: each thread's one-shot HiGHS instance, built on its first solve
+_THREAD = threading.local()
+
+
 def solve_once(
     c: np.ndarray,
     col_lower: np.ndarray,
@@ -104,11 +111,17 @@ def solve_once(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One cold solve of exactly the model ``linprog(method="highs")`` loads.
 
-    ``A_ub`` stacked over ``A_eq`` colwise, row bounds ``(-inf, b_ub)`` /
+    ``A_ub`` stacked over ``A_eq``, row bounds ``(-inf, b_ub)`` /
     ``(b_eq, b_eq)``, and only the options scipy sets — not the session's
     ``threads=1`` — so ``x`` and the row duals (stacked row order,
     ``linprog``'s ``marginals`` sign) are ``linprog``'s to the bit.
     Inputs are trusted: the caller screens shapes and non-finite values.
+
+    Neither saving moves a bit.  A CSR matrix loads rowwise, uncopied:
+    HiGHS makes it colwise by the row-major sweep ``tocsc`` makes.  The
+    instance is this thread's (a forked child inherits it as memory),
+    and ``clearModel`` drops model, solution and basis, not options, so
+    each run starts where a new instance would.
     """
     b_ub = np.zeros(0) if a_ub is None else np.asarray(b_ub, dtype=float)
     b_eq = np.zeros(0) if a_eq is None else np.asarray(b_eq, dtype=float)
@@ -116,15 +129,18 @@ def solve_once(
     if len(blocks) == 2:
         stack = sparse.vstack if any(map(sparse.issparse, blocks)) else np.vstack
         blocks = [stack(blocks)]
-    matrix = sparse.csc_matrix(blocks[0] if blocks else (0, len(c)))
-    highs = _core._Highs()
-    for option, value in (
-        ("presolve", "on"),
-        ("output_flag", False),
-        ("log_to_console", False),
-        ("simplex_strategy", 1),  # dual simplex, as scipy pins it
-    ):
-        highs.setOptionValue(option, value)
+    matrix = sparse.csr_matrix(blocks[0] if blocks else (0, len(c)))
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _core._Highs()
+        for option, value in (
+            ("presolve", "on"),
+            ("output_flag", False),
+            ("log_to_console", False),
+            ("simplex_strategy", 1),  # dual simplex, as scipy pins it
+        ):
+            highs.setOptionValue(option, value)
+    highs.clearModel()
     lp = _model(
         c, col_lower, col_upper, matrix,
         np.concatenate([np.full(b_ub.shape[0], -_INF), b_eq]),

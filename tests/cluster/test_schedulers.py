@@ -14,7 +14,7 @@ from repro.cluster import (
     make_job,
     paper_cluster,
 )
-from repro.exceptions import SimulationError
+from repro.exceptions import SimulationError, ValidationError
 from repro.workloads.generator import TenantGenerator
 
 
@@ -104,6 +104,46 @@ class TestOEFScheduler:
         decision = OEFScheduler("cooperative").shares(tenants, profiles, CAPACITIES)
         total = np.sum(list(decision.tenant_shares.values()), axis=0)
         assert np.all(total <= CAPACITIES + 1e-6)
+
+    @pytest.mark.parametrize("mode", ["cooperative", "noncooperative"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "no-tenants", "empty-profiles", "zero-weight", "negative-weight",
+            "nan-weight", "lengths-across-tenants", "lengths-within-a-tenant",
+            "zero-speedup", "negative-speedup", "negative-row", "nan-speedup",
+            "inf-speedup", "inf-first-speedup",
+        ],
+    )
+    def test_a_bad_round_is_a_validation_error(self, mode, case):
+        tenants = [
+            _tenant("a", "vgg16", (1.0, 1.2, 1.4)),
+            _tenant("b", "lstm", (1.0, 1.6, 2.15)),
+        ]
+        profiles = {"a": {"vgg16": np.array([1.0, 1.2, 1.4])},
+                    "b": {"lstm": np.array([1.0, 1.6, 2.15])}}
+        rows = {
+            "lengths-across-tenants": [1.0, 1.6],
+            "zero-speedup": [1.0, 0.0, 2.0],
+            "negative-speedup": [1.0, -1.6, 2.15],
+            "negative-row": [-1.0, -1.6, -2.15],
+            "nan-speedup": [1.0, np.nan, 2.15],
+            "inf-speedup": [1.0, np.inf, 2.15],
+            "inf-first-speedup": [np.inf, 1.6, 2.15],
+        }
+        weights = {"zero-weight": 0.0, "negative-weight": -1.0, "nan-weight": np.nan}
+        if case == "no-tenants":
+            tenants, profiles = [], {}
+        elif case == "empty-profiles":
+            profiles["b"] = {}
+        elif case == "lengths-within-a-tenant":
+            profiles["b"]["bert"] = np.array([1.0, 2.0])
+        elif case in weights:
+            tenants[1].weight = weights[case]  # past Tenant's own check
+        else:
+            profiles["b"]["lstm"] = np.array(rows[case])
+        with pytest.raises(ValidationError):
+            OEFScheduler(mode).shares(tenants, profiles, CAPACITIES)
 
     @pytest.mark.parametrize("mode", ["cooperative", "noncooperative"])
     def test_finishing_a_same_model_job_keeps_the_decision_key(self, mode):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core import (
     CooperativeOEF,
@@ -198,6 +199,47 @@ class TestCuttingPlanePaths:
         assert cuts.total_efficiency() == pytest.approx(
             full.total_efficiency(), rel=1e-7
         )
+
+
+def _csr_bytes(matrix):
+    return (
+        matrix.format, matrix.shape, matrix.data.dtype, matrix.indices.dtype,
+        matrix.indptr.dtype, matrix.data.tobytes(), matrix.indices.tobytes(),
+        matrix.indptr.tobytes(),
+    )
+
+
+class TestEq10AsOneMatrix:
+    """``eq10_rows`` is the ``vstack`` of the two row builders, byte for byte."""
+
+    @pytest.mark.parametrize("groups", [2, 3, 8, 24, 25])
+    @pytest.mark.parametrize("types", [1, 4, 10])
+    def test_equals_vstack_of_capacity_and_envy_rows(self, groups, types):
+        rng = np.random.default_rng(groups * 100 + types)
+        speedups = np.cumsum(rng.uniform(0.0, 1.0, (groups, types)), axis=1)
+        speedups /= speedups[:, :1]
+        multiplicity = rng.choice([0.5, 1.0, 1.3, 2.0, 7 / 3], size=groups)
+        reference = sparse.vstack(
+            [
+                cooperative.capacity_rows(groups, types),
+                cooperative.envy_rows(speedups, multiplicity),
+            ],
+            format="csr",
+        )
+        assert reference.shape == (types + groups * (groups - 1), groups * types)
+        one = cooperative.eq10_rows(speedups, multiplicity)
+        assert _csr_bytes(one) == _csr_bytes(reference)
+        # a cut session's seed rows: the same over a subset of pairs
+        pairs = [(g, h) for g in range(groups) for h in range(groups) if (g + h) % 3 == 1]
+        reference = sparse.vstack(
+            [
+                cooperative.capacity_rows(groups, types),
+                cooperative.envy_rows(speedups, multiplicity, pairs),
+            ],
+            format="csr",
+        )
+        one = cooperative.eq10_rows(speedups, multiplicity, pairs)
+        assert _csr_bytes(one) == _csr_bytes(reference)
 
 
 THRESHOLD = CooperativeOEF.CUTTING_PLANE_THRESHOLD

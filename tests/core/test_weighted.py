@@ -106,6 +106,56 @@ class TestExpansion:
             )
 
 
+class TestRowsFold:
+    """Plain tuples fold like specs, and ``merge`` keeps the loop's bits."""
+
+    def test_rows_and_specs_give_the_same_bytes(self):
+        rows = [("a", 1.5, [("x", [1.0, 2.0]), ("y", [2.0, 3.0])]), ("b", 1.0, [("z", [1, 5])])]
+        specs = [
+            TenantSpec.of(name, [JobTypeSpec.of(job, v) for job, v in jobs], weight=w)
+            for name, w, jobs in rows
+        ]
+        for mode in ("cooperative", "noncooperative"):
+            by_rows = WeightedOEF(mode=mode).allocate(rows, [1.0, 2.0])
+            by_specs = WeightedOEF(mode=mode).allocate(specs, [1.0, 2.0])
+            assert by_rows.expanded.matrix.tobytes() == by_specs.expanded.matrix.tobytes()
+            assert by_rows.weights.tobytes() == by_specs.weights.tobytes()
+            for name in ("a", "b"):
+                assert (by_rows.tenant_shares[name].tobytes()
+                        == by_specs.tenant_shares[name].tobytes())
+
+    def test_merge_matches_the_per_row_loop_bit_for_bit(self):
+        from repro.core import Allocation, ProblemInstance
+
+        rng = np.random.default_rng(29)
+        for _case in range(60):
+            types = int(rng.integers(1, 11))
+            tenants = [
+                (f"t{t}", float(rng.choice([0.5, 1.0, 1.3])), [
+                    (f"j{j}", np.concatenate(
+                        [[1.0], 1.0 + np.sort(rng.uniform(0.0, 3.0, types - 1))]))
+                    for j in range(int(rng.integers(1, 4)))
+                ])
+                for t in range(int(rng.integers(1, 8)))
+            ]
+            expansion = VirtualUserExpansion(tenants)
+            matrix = expansion.expanded_matrix()
+            shares = rng.uniform(0.0, 1.0, (matrix.num_users, types))
+            shares[rng.uniform(size=shares.shape) < 0.3] = 0.0
+            allocation = Allocation(shares, ProblemInstance(matrix, shares.sum(axis=0) + 1))
+            merged = expansion.merge(allocation)
+            rows = zip(matrix.values, allocation.matrix)
+            for name, _weight, jobs in tenants:
+                # the loop version: one W_l @ x_l per row, np.sum over the rows
+                own = [next(rows) for _job in jobs]
+                want = [float(w @ x) for w, x in own]
+                got = [merged.job_type_throughput[name][job] for job, _v in jobs]
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+                assert merged.tenant_throughput[name] == sum(want, 0.0)
+                assert (merged.tenant_shares[name].tobytes()
+                        == np.sum([x.copy() for _w, x in own], axis=0).tobytes())
+
+
 class TestWeightedAllocation:
     def test_weight_doubles_throughput_noncoop(self):
         merged = WeightedOEF(mode="noncooperative").allocate(

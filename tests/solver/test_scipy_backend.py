@@ -5,6 +5,10 @@ two must agree bit for bit; what ``linprog`` did around HiGHS — the
 status table and the input screen — is the contract kept here.
 """
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -177,6 +181,119 @@ def test_one_shot_solve_is_not_a_session(monkeypatch):
     assert solution.stats.backend == "scipy"
     assert solution.stats.num_variables == 33
     assert solution.stats.num_constraints == 4 + 8
+
+
+# -- one instance per thread, loaded rowwise -----------------------------------
+def _fresh_csc_solve(c, col_lower, col_upper, a_ub, b_ub, a_eq, b_eq):
+    """The reference: a new instance per call, the matrix copied to CSC."""
+    core = incremental._core
+    b_ub = np.zeros(0) if a_ub is None else np.asarray(b_ub, dtype=float)
+    b_eq = np.zeros(0) if a_eq is None else np.asarray(b_eq, dtype=float)
+    blocks = [block for block in (a_ub, a_eq) if block is not None]
+    if len(blocks) == 2:
+        stack = sparse.vstack if any(map(sparse.issparse, blocks)) else np.vstack
+        blocks = [stack(blocks)]
+    matrix = sparse.csc_matrix(blocks[0] if blocks else (0, len(c)))
+    highs = core._Highs()
+    for option, value in (
+        ("presolve", "on"), ("output_flag", False), ("log_to_console", False),
+        ("simplex_strategy", 1),
+    ):
+        highs.setOptionValue(option, value)
+    lp = incremental._model(
+        c, col_lower, col_upper, matrix,
+        np.concatenate([np.full(b_ub.shape[0], -np.inf), b_eq]),
+        np.concatenate([b_ub, b_eq]),
+    )
+    assert highs.passModel(lp) != core.HighsStatus.kError
+    incremental._run(highs)
+    solution = highs.getSolution()
+    return np.array(solution.col_value), np.array(solution.row_dual)
+
+
+def _solve_args(form):
+    bounds = scipy_backend._screen(form)
+    return (form.c, bounds[:, 0], bounds[:, 1], form.a_ub, form.b_ub, form.a_eq, form.b_eq)
+
+
+def _churn_forms():
+    """Every one-shot form a ``tenant-churn`` replay solves, both OEF modes."""
+    from repro.core import cooperative, noncooperative
+    from repro.scenarios import ScenarioRunner, make_scenario
+
+    forms = []
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (cooperative, noncooperative):
+            original = module.solve_form
+            patch.setattr(
+                module, "solve_form",
+                lambda form, _original=original, **kw: forms.append(form)
+                or _original(form, **kw),
+            )
+        for scheduler in ("oef-coop", "oef-noncoop"):
+            scenario = make_scenario(
+                "tenant-churn", seed=29, rounds=32, resident_tenants=6,
+                churn_tenants=10, jobs_per_tenant=2, lifetime_fraction=0.2,
+            )
+            ScenarioRunner(scenario, scheduler).run()
+    return forms
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Churn LPs, ``oef-noncoop`` 32×6, full ``oef-coop`` 12×6 and 24×8."""
+    if not incremental_available():
+        pytest.skip("vendored highspy core not available")
+    forms = _churn_forms()
+    assert len(forms) > 20
+    for seed in range(3):
+        forms.append(NonCooperativeOEF().compile_form(
+            random_instance(32, 6, seed=seed, devices_per_type=8.0)))
+        for users, types in ((12, 6), (24, 8)):
+            instance = random_instance(users, types, seed=seed, devices_per_type=6.0)
+            forms.append(CooperativeOEF()._full_form(instance.grouped()))
+    return [_solve_args(form) for form in forms]
+
+
+def _same_bits(got, want):
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@needs_highspy
+class TestOneInstancePerThread:
+    def test_same_bits_as_a_fresh_csc_instance_in_either_order(self, corpus):
+        want = [_fresh_csc_solve(*args) for args in corpus]
+        infeasible = _solve_args(_form([1.0], a_ub=[[1.0]], b_ub=[1.0], bounds=[(2.0, None)]))
+        for order in (range(len(corpus)), reversed(range(len(corpus)))):
+            for position, index in enumerate(order):
+                if position % 7 == 3:  # a failed run leaves nothing behind
+                    with pytest.raises(InfeasibleError):
+                        incremental.solve_once(*infeasible)
+                assert _same_bits(incremental.solve_once(*corpus[index]), want[index])
+
+    def test_threads_solving_at_once_get_the_serial_bits(self, corpus):
+        want = [_fresh_csc_solve(*args) for args in corpus]
+        workers = 4  # more than the cores of a small host
+        start = threading.Barrier(workers)
+
+        def work(shift):
+            start.wait(timeout=30)
+            order = [(index + shift) % len(corpus) for index in range(len(corpus))]
+            got = {index: incremental.solve_once(*corpus[index]) for index in order}
+            return got, incremental._THREAD.highs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(work, shift * 5) for shift in range(workers)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, _instance in results:
+            assert all(_same_bits(got[index], want[index]) for index in range(len(corpus)))
+        # one instance per thread, none shared
+        assert len({id(instance) for _got, instance in results}) == workers
 
 
 # -- the error contract ------------------------------------------------------

@@ -48,7 +48,8 @@ def group_count(specs, capacities):
 
 
 def _capture(monkeypatch, scheduler, seed):
-    """Each ``WeightedOEF.allocate`` input of one replay, with per-job rows."""
+    """Each LP input of one replay, with per-job rows: every cold round hands
+    the scheduler's rows to ``WeightedOEF.allocate`` exactly once."""
     reference, captured = {}, []
     profile_tenant = ProfilingAgent.profile_tenant
     allocate = WeightedOEF.allocate
@@ -59,14 +60,23 @@ def _capture(monkeypatch, scheduler, seed):
         return profile_tenant(self, tenant, now, active)
 
     def allocate_spy(self, tenants, capacities, gpu_types=None):
-        rows = {spec.name: reference[spec.name] for spec in tenants}
-        captured.append((list(tenants), np.array(capacities), rows))
+        specs = [
+            TenantSpec.of(
+                name, [JobTypeSpec.of(job, row) for job, row in jobs], weight=weight
+            )
+            for name, weight, jobs in tenants
+        ]
+        rows = {spec.name: reference[spec.name] for spec in specs}
+        captured.append((specs, np.array(capacities), rows))
         return allocate(self, tenants, capacities, gpu_types)
 
     monkeypatch.setattr(ProfilingAgent, "profile_tenant", profile_spy)
     monkeypatch.setattr(WeightedOEF, "allocate", allocate_spy)
-    ScenarioRunner(make_scenario("tenant-churn", seed=seed, **SMOKE), scheduler).run()
+    result = ScenarioRunner(
+        make_scenario("tenant-churn", seed=seed, **SMOKE), scheduler
+    ).run()
     monkeypatch.undo()
+    assert len(captured) == result.cold_solves
     return captured
 
 
@@ -109,7 +119,7 @@ def test_a_churn_lp_has_at_most_one_group_per_model(monkeypatch, seed):
     allocate, solve_full = WeightedOEF.allocate, CooperativeOEF._solve_full
 
     def allocate_spy(self, tenants, capacities, gpu_types=None):
-        current["models"] = {jt.name for spec in tenants for jt in spec.job_types}
+        current["models"] = {job for _name, _weight, jobs in tenants for job, _ in jobs}
         current["tenants"] = len(tenants)
         return allocate(self, tenants, capacities, gpu_types)
 

@@ -399,4 +399,17 @@ for name in oef-coop oef-noncoop max-min gandiva-fair gavel drf \
     grep -q "$name" "$TMP/schedulers.txt"
 done
 
+echo "== bench tracing seams (replay-churn, fleet-failover, traced smoke) =="
+# bench/tracing.py wraps each seam by name (vars(owner)[attr]), so a renamed
+# seam raises KeyError in traced runs only: run the two round paths traced
+for workload in replay-churn fleet-failover; do
+    "$PY" "$ROOT/bench/run.py" --workload "$workload" --smoke --trace 1 \
+        > "$TMP/bench_$workload.json"
+    tail -n 1 "$TMP/bench_$workload.json" | "$PY" -c '
+import json, sys
+failed = json.load(sys.stdin)["failed"]
+sys.exit(f"{sys.argv[1]}: failed={failed}" if failed != 0 else 0)
+' "$workload"
+done
+
 echo "smoke OK"
