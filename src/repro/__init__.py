@@ -115,7 +115,7 @@ from repro.scenarios import (
 )
 from repro.solver.warm import WarmStartState
 
-__version__ = "2.10.0"
+__version__ = "2.11.0"
 
 __all__ = [
     "AdmissionMiddleware",

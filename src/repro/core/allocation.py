@@ -37,15 +37,16 @@ class Allocation:
             raise ValidationError(
                 f"allocation shape {array.shape} does not match instance {expected}"
             )
-        if np.any(array < -capacity_tolerance):
+        # fmin skips NaN, as an elementwise ``array < -tol`` test does
+        if np.fmin.reduce(array, axis=None, initial=np.inf) < -capacity_tolerance:
             raise ValidationError("allocation contains negative shares")
-        used = array.sum(axis=0)
-        if np.any(used > instance.capacities + capacity_tolerance):
-            overful = np.flatnonzero(used > instance.capacities + capacity_tolerance)
+        overful = array.sum(axis=0) > instance.capacities + capacity_tolerance
+        if overful.any():
             raise ValidationError(
-                f"allocation exceeds capacity for GPU type(s) {overful.tolist()}"
+                "allocation exceeds capacity for GPU type(s) "
+                f"{np.flatnonzero(overful).tolist()}"
             )
-        self.matrix = np.clip(array, 0.0, None)
+        self.matrix = np.maximum(array, 0.0)  # a new array, -0.0 -> 0.0
         self.instance = instance
         self.allocator_name = allocator_name
 

@@ -115,7 +115,7 @@ class Request:
     * ``use_cache`` — when ``False`` the cache stage neither looks up
       nor stores (it still counts the solve as a miss);
     * ``key`` — the cache identity ``(fingerprint, scheduler,
-      options)``, filled by :meth:`Gateway.solve` during normalisation;
+      options)``, filled in normalisation (:meth:`Gateway.solve`, ``parse_solve``);
       ``None`` (default) lets the stages derive it themselves;
     * ``fingerprint`` — the instance's content fingerprint, filled by
       :meth:`Gateway.solve` during normalisation so downstream stages

@@ -89,6 +89,7 @@ from repro.gateway.middleware import (
     MetricsMiddleware,
     Middleware,
     SolverMiddleware,
+    derive_key,
 )
 from repro.parallel import BackendSpec, ProcessBackend, ThreadBackend, get_backend
 from repro.registry import SchedulerRegistry
@@ -291,6 +292,7 @@ class Gateway:
             handler = wrap(stage, handler)
         self._entry = handler
         self._metrics = self.find(MetricsMiddleware)
+        self._cache = self.find(CacheMiddleware)
 
     def describe(self) -> List[Dict[str, object]]:
         """One capability row per stage, pipeline order, for the CLI."""
@@ -319,7 +321,8 @@ class Gateway:
             collected = frames.pop()
         timings = tuple(reversed(collected))
         if timings:
-            response = replace(response, stage_timings=timings)
+            # the chain built this response for this call; no second copy
+            object.__setattr__(response, "stage_timings", timings)
             if self._metrics is not None:
                 self._metrics.observe_stages(timings)
                 if all(name != self._metrics.name for name, _ in timings):
@@ -379,10 +382,23 @@ class Gateway:
         fingerprint = request.fingerprint or instance_fingerprint(request.instance)
         key = request.key
         if key is None and request.use_cache:
-            # inlined derive_key() with the parts already at hand (one
-            # dataclasses.replace on the hot path instead of two)
+            # inlined derive_key() with the parts already at hand
             key = (fingerprint, name, options_key(request.options))
+        if (name, key, fingerprint) == (
+            request.scheduler, request.key, request.fingerprint
+        ):
+            return request  # already canonical (``parse_solve`` builds these)
         return replace(request, scheduler=name, key=key, fingerprint=fingerprint)
+
+    def holds(self, request: Request) -> bool:
+        """Does the cache stage hold ``request``'s key?  Counts nothing, keeps
+        the LRU order; the entry may be gone by the time a dispatch looks."""
+        if self._cache is None or not request.use_cache:
+            return False
+        key = request.key
+        if key is None:
+            key = derive_key(request, self.registry)
+        return key in self._cache
 
     # -- batch solves --------------------------------------------------------
     def solve_batch(
@@ -453,7 +469,7 @@ class Gateway:
         """
         from repro.solver import solve_forms
 
-        cache = self.find(CacheMiddleware)
+        cache = self._cache
         blocks: Dict[object, tuple] = {}  # identity -> (allocator, form, indices)
         for index, request in enumerate(requests):
             info = self.registry.info(request.scheduler)
@@ -576,7 +592,7 @@ class Gateway:
         """
         alpha_key = tuple(float(alpha) for alpha in alphas)
         key = ("frontier", instance_fingerprint(instance), alpha_key, lp_backend)
-        cache = self.find(CacheMiddleware)
+        cache = self._cache
         if cache is not None:
             cached = cache.aux_lookup(key)
             if cached is not None:
@@ -596,10 +612,9 @@ class Gateway:
     # -- telemetry -----------------------------------------------------------
     def cache_info(self) -> CacheStats:
         """The cache stage's :class:`CacheStats` (zeros without one)."""
-        cache = self.find(CacheMiddleware)
-        if cache is None:
+        if self._cache is None:
             return CacheStats(hits=0, misses=0, entries=0, max_entries=0)
-        return CacheStats(**cache.stats())
+        return CacheStats(**self._cache.stats())
 
     def metrics_snapshot(self) -> List[Dict[str, object]]:
         """The metrics stage's histogram rows ([] without one)."""
@@ -607,9 +622,8 @@ class Gateway:
 
     def clear_cache(self) -> None:
         """Reset the cache stage (entries and counters)."""
-        cache = self.find(CacheMiddleware)
-        if cache is not None:
-            cache.reset()
+        if self._cache is not None:
+            self._cache.reset()
 
     def reset(self) -> None:
         """Reset every stage (caches, counters, histograms)."""

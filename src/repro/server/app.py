@@ -3,9 +3,10 @@
 One :class:`asyncio.start_server` accept loop, the
 :mod:`repro.server.http11` codec per connection, the
 :mod:`repro.server.protocol` wire schemas per request, and a
-:class:`~repro.server.shards.ShardPool` doing the actual solving on
-per-shard executor threads.  The event loop only ever parses, routes,
-and writes — every LP solve happens off-loop.
+:class:`~repro.server.shards.ShardPool` running each request's gateway
+pipeline: on the event loop when the routed shard's cache holds the
+answer, else on that shard's executor threads, so an LP solve happens
+off-loop (bar the counted race in :mod:`repro.server.shards`).
 
 Overload semantics: a request the routed shard's
 :class:`~repro.gateway.middleware.AdmissionMiddleware` sheds comes back
@@ -362,6 +363,7 @@ class ReproServer:
                 "requests_by_status": dict(self._status_counts),
                 "requests_by_endpoint": dict(self._endpoint_counts),
                 "hot_bodies": {"entries": len(self._hot), **self._hot_counts},
+                "dispatch": self.pool.paths(),
             },
             "totals": totals,
             "shards": shard_rows,

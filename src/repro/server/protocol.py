@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.serialization import (
@@ -50,6 +51,7 @@ from repro.fieldspec import (
     record,
 )
 from repro.gateway import Request, Response, deadline_in, instance_fingerprint
+from repro.gateway.middleware import derive_key
 from repro.registry import SchedulerRegistry
 
 #: Version tag stamped on every wire payload this server emits.
@@ -177,16 +179,16 @@ def parse_solve(
     """Validate one solve body and build the normalised gateway request.
 
     The instance fingerprint is computed here (it is also the shard
-    routing key) and the scheduler alias resolved, so every downstream
-    layer — shard pool, gateway stages — shares one identity without
-    re-hashing.
+    routing key), the scheduler alias resolved and the cache key derived,
+    so every downstream layer — shard pool, gateway stages — shares one
+    identity without re-hashing, and the gateway dispatches it unchanged.
     """
     _check(_SOLVE, payload, where)
     instance = _parse_instance(payload)
     deadline = None
     if "deadline_in" in payload:
         deadline = deadline_in(float(payload["deadline_in"]))
-    return Request(
+    request = Request(
         instance=instance,
         scheduler=_resolve(registry, payload.get("scheduler", "oef-coop")),
         options=payload.get("options", {}),
@@ -195,6 +197,8 @@ def parse_solve(
         use_cache=payload.get("use_cache", True),
         fingerprint=instance_fingerprint(instance),
     )
+    key = derive_key(request, registry) if request.use_cache else None
+    return replace(request, key=key)
 
 
 def parse_batch(

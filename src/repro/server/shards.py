@@ -5,8 +5,11 @@ Each shard owns a full middleware-pipeline
 stage) plus a dedicated :class:`ThreadPoolExecutor`; the asyncio front
 end routes every request by **consistent hash on the instance
 fingerprint**, so repeated solves of the same instance always land on
-the same shard and that shard's cache stays hot.  Gateway dispatch runs on the shard's executor
-threads — the event loop never blocks on an LP solve.
+the same shard and that shard's cache stays hot.  A request that cache
+holds (an uncounted peek, :meth:`Gateway.holds`) runs the pipeline on the
+event loop, any other on the shard's executor threads, so the loop never
+waits on an LP solve, bar one race, counted as ``loop_solved``: an entry
+evicted between peek and lookup is solved on the loop (``docs/server.md``).
 
 Consistent hashing (vs ``hash % N``) matters for the roadmap's scale
 story: when the shard count changes, only ~1/N of the keyspace moves, so
@@ -101,6 +104,8 @@ class ShardPool:
             for index in range(shards)
         ]
         self._dispatched = [0] * shards
+        #: Where ``dispatch`` ran the pipeline (``paths()``).
+        self._paths = dict.fromkeys(("loop", "loop_solved", "shard"), 0)
         self._lock = threading.Lock()
         self._drained = False
 
@@ -138,16 +143,24 @@ class ShardPool:
     async def dispatch(
         self, request: Request, shard: Optional[int] = None
     ) -> Response:
-        """Route (unless the caller already did) and solve off the loop."""
+        """Route (unless the caller already did) and solve: on the calling
+        loop when the shard's cache holds the answer, else on its thread."""
         if self._drained:
             raise RuntimeError("shard pool is drained")
         shard = self.route(request) if shard is None else shard
+        gateway = self.gateways[shard]
+        on_loop = gateway.holds(request)
         with self._lock:
             self._dispatched[shard] += 1
+            self._paths["loop" if on_loop else "shard"] += 1
+        if on_loop:
+            response = gateway.solve(request)
+            if response.disposition == "cold":  # evicted since the peek
+                with self._lock:
+                    self._paths["loop_solved"] += 1
+            return response
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executors[shard], self.gateways[shard].solve, request
-        )
+        return await loop.run_in_executor(self._executors[shard], gateway.solve, request)
 
     async def run_on_shard(self, fingerprint: str, fn: Callable, *args):
         """Run an arbitrary callable on the shard owning ``fingerprint``.
@@ -187,6 +200,11 @@ class ShardPool:
                 }
             )
         return rows
+
+    def paths(self) -> Dict[str, int]:
+        """``dispatch`` counts by where the pipeline ran (``server.dispatch``)."""
+        with self._lock:
+            return dict(self._paths)
 
     def drain(self) -> None:
         """Finish in-flight shard work, then release the executors."""

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 from typing import Dict, Optional, Tuple
 
 import pytest
 
 from repro.core.serialization import instance_to_dict
 from repro.gateway import Gateway, Request, default_pipeline, instance_fingerprint
-from repro.gateway.middleware import AdmissionMiddleware, CacheMiddleware
+from repro.gateway.middleware import (
+    AdmissionMiddleware,
+    CacheMiddleware,
+    SolverMiddleware,
+)
 from repro.server import http11
 from repro.server.app import ReproServer
 from repro.server.protocol import (
@@ -651,6 +656,11 @@ class TestHotBodies:
 
         assert advanced(lambda m: m["totals"]["dispatched"]) == 50
         assert advanced(lambda m: m["totals"]["cache_hits"]) == 50
+        # the spy sits on ``dispatch``, which both paths pass: every hit ran
+        # on the event loop, only the cold first send on a shard thread
+        assert after["server"]["dispatch"] == {
+            "loop": 99, "loop_solved": 0, "shard": 1,
+        }
         assert advanced(
             lambda m: sum(row["admission"]["admitted"] for row in m["shards"])
         ) == 50
@@ -856,6 +866,203 @@ class TestHotBodies:
             assert (hot["entries"], hot["admitted"], hot["hits"]) == (1, 1, 1)
 
         _with_server(run, shards=2)
+
+
+# -- cache hits answered on the event loop ----------------------------------
+#: Bound on each test below: a hang fails the test instead of stalling CI.
+DEADLINE_S = 60.0
+
+
+def _within(seconds: float, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` on a daemon thread; fail unless it returns in time."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, fn(*args, **kwargs)))
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert outcome, f"no answer within {seconds} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+class TestLoopAnswers:
+    """A request its shard's cache holds runs the pipeline on the event loop."""
+
+    @staticmethod
+    async def _post(server, body: bytes):
+        return await _roundtrip(server.port, "POST", "/solve", body)
+
+    @staticmethod
+    async def _metrics(server) -> Dict[str, object]:
+        _, _, raw = await _roundtrip(server.port, "GET", "/metrics")
+        return json.loads(raw)
+
+    def test_repeats_run_on_the_loop_and_distinct_bodies_never_do(self):
+        repeated = _solve_body(random_instance(5, 3, seed=40))
+        distinct = [
+            _solve_body(random_instance(4, 3, seed=seed)) for seed in range(41, 49)
+        ]
+
+        async def run(server):
+            for _ in range(10):
+                assert (await self._post(server, repeated))[0] == 200
+            payload = await self._metrics(server)
+            assert payload["totals"]["cache_hits"] == 9
+            assert payload["server"]["dispatch"] == {
+                "loop": 9, "loop_solved": 0, "shard": 1,
+            }
+            for body in distinct:
+                assert (await self._post(server, body))[0] == 200
+            payload = await self._metrics(server)
+            assert payload["server"]["dispatch"] == {
+                "loop": 9, "loop_solved": 0, "shard": 9,
+            }
+            # every routed request counts, whichever thread ran it
+            assert payload["totals"]["dispatched"] == 18
+            assert sum(row["dispatched"] for row in payload["shards"]) == 18
+
+        _within(DEADLINE_S, _with_server, run, shards=2)
+
+    def test_a_peek_that_lies_still_answers_right_and_is_counted(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(Gateway, "holds", lambda self, request: True)
+        instance = random_instance(5, 3, seed=50)
+        expected = TestHotBodies._direct_core(instance)
+
+        async def run(server):
+            status, _, raw = await self._post(server, _solve_body(instance))
+            assert status == 200 and TestHotBodies._core(raw) == expected
+            assert json.loads(raw)["served"]["disposition"] == "cold"
+            assert (await self._metrics(server))["server"]["dispatch"] == {
+                "loop": 1, "loop_solved": 1, "shard": 0,
+            }
+
+        _within(DEADLINE_S, _with_server, run, shards=2)
+
+    def test_an_eviction_between_peek_and_lookup_is_solved_on_the_loop(
+        self, monkeypatch
+    ):
+        pool = ShardPool(
+            1, pipeline_factory=lambda: default_pipeline(max_cache_entries=1)
+        )
+        wanted, other = (
+            Request(instance=random_instance(4, 3, seed=seed)) for seed in (51, 52)
+        )
+        peek = Gateway.holds
+
+        def racing(self, request):
+            held = peek(self, request)
+            if held:  # an insert lands between the peek and the lookup
+                self.solve(other)
+            return held
+
+        async def go():
+            first = await pool.dispatch(wanted)
+            monkeypatch.setattr(Gateway, "holds", racing)
+            return first, await pool.dispatch(wanted)
+
+        try:
+            first, second = _within(DEADLINE_S, asyncio.run, go())
+        finally:
+            pool.drain()
+        assert second.disposition == "cold"
+        assert second.allocation.matrix.tobytes() == (
+            first.allocation.matrix.tobytes()
+        )
+        assert pool.paths() == {"loop": 1, "loop_solved": 1, "shard": 1}
+
+    def test_concurrent_repeats_and_distinct_bodies_agree_with_direct(self):
+        instances = [random_instance(4, 3, seed=seed) for seed in range(60, 66)]
+        expected = [TestHotBodies._direct_core(instance) for instance in instances]
+        # the first body is sent four times a round, the others once
+        picks = [0, 0, 0, 0] + list(range(1, len(instances)))
+
+        async def run(server):
+            for _ in range(4):
+                replies = await asyncio.gather(
+                    *(
+                        self._post(server, _solve_body(instances[pick]))
+                        for pick in picks
+                    )
+                )
+                for pick, (status, _, raw) in zip(picks, replies):
+                    assert status == 200
+                    assert TestHotBodies._core(raw) == expected[pick]
+            payload = await self._metrics(server)
+            paths = payload["server"]["dispatch"]
+            assert paths["loop"] + paths["shard"] == 4 * len(picks)
+            assert paths["loop"] >= 3 * len(picks)  # rounds 2-4 all hit
+            assert paths["loop_solved"] == 0
+            assert payload["totals"]["dispatched"] == 4 * len(picks)
+
+        _within(DEADLINE_S, _with_server, run, shards=2)
+
+    def test_a_drained_pool_refuses_a_held_request_as_it_refuses_a_miss(self):
+        pool = ShardPool(1)
+        held = Request(instance=random_instance(3, 2, seed=70))
+        missing = Request(instance=random_instance(3, 2, seed=71))
+        pool.dispatch_sync(held)
+        assert pool.gateways[0].holds(held)
+        assert not pool.gateways[0].holds(missing)
+        pool.drain()
+
+        def refusal(request) -> str:
+            with pytest.raises(RuntimeError) as caught:
+                asyncio.run(pool.dispatch(request))
+            return str(caught.value)
+
+        assert refusal(held) == refusal(missing) == "shard pool is drained"
+        assert pool.stats()[0]["dispatched"] == 1
+        assert pool.paths() == {"loop": 0, "loop_solved": 0, "shard": 0}
+
+    def test_a_held_slot_still_sheds_a_repeated_body(self, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+        run_solver = SolverMiddleware._run
+
+        def blocking(info, request):
+            if not request.use_cache:  # the slot holder
+                entered.set()
+                release.wait(DEADLINE_S)
+            return run_solver(info, request)
+
+        monkeypatch.setattr(SolverMiddleware, "_run", staticmethod(blocking))
+        instance = random_instance(4, 3, seed=80)
+        body = _solve_body(instance)
+
+        async def run(server):
+            for _ in range(2):  # cold, then a hit: the key is held
+                assert (await self._post(server, body))[0] == 200
+            holder = asyncio.ensure_future(
+                self._post(server, _solve_body(instance, use_cache=False))
+            )
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, entered.wait, DEADLINE_S)
+            try:
+                for _ in range(3):
+                    status, headers, raw = await self._post(server, body)
+                    assert status == 429
+                    assert int(headers["retry-after"]) >= 1
+                    error = json.loads(raw)["error"]
+                    assert error["disposition"] == "shed-capacity"
+            finally:
+                release.set()
+            assert (await holder)[0] == 200
+            payload = await self._metrics(server)
+            assert payload["totals"]["shed_capacity"] == 3
+            assert payload["server"]["dispatch"] == {
+                "loop": 4, "loop_solved": 0, "shard": 2,
+            }
+
+        _within(DEADLINE_S, _with_server, run, shards=1, max_in_flight=1)
 
 
 # -- names that used to hash alike ------------------------------------------

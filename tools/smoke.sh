@@ -399,10 +399,11 @@ for name in oef-coop oef-noncoop max-min gandiva-fair gavel drf \
     grep -q "$name" "$TMP/schedulers.txt"
 done
 
-echo "== bench tracing seams (replay-churn, fleet-failover, traced smoke) =="
+echo "== bench tracing seams (serve, replay-churn, fleet-failover, traced smoke) =="
 # bench/tracing.py wraps each seam by name (vars(owner)[attr]), so a renamed
-# seam raises KeyError in traced runs only: run the two round paths traced
-for workload in replay-churn fleet-failover; do
+# seam raises KeyError in traced runs only: run the serve and round paths
+# traced (the serve runs wrap Gateway.dispatch and instance_fingerprint)
+for workload in serve-hot serve-miss replay-churn fleet-failover; do
     "$PY" "$ROOT/bench/run.py" --workload "$workload" --smoke --trace 1 \
         > "$TMP/bench_$workload.json"
     tail -n 1 "$TMP/bench_$workload.json" | "$PY" -c '
