@@ -1,6 +1,5 @@
 """Ablation benches for the design choices called out in DESIGN.md §5.
 
-* LP backend: scipy HiGHS vs the in-repo simplex on the same program;
 * cooperative OEF: full O(n^2) formulation vs the cutting-plane path;
 * rounding: deviation-accumulating vs naive independent rounding
   (long-run tracking error of the ideal share);
@@ -20,25 +19,9 @@ from repro.cluster import (
     SimulationConfig,
     paper_cluster,
 )
-from repro.core import CooperativeOEF, NonCooperativeOEF
+from repro.core import CooperativeOEF
 from repro.workloads import TenantGenerator
 from repro.workloads.generator import random_instance
-
-
-class TestBackendAblation:
-    def test_bench_backend_scipy(self, benchmark):
-        instance = random_instance(10, 3, seed=5, devices_per_type=8.0)
-        allocator = NonCooperativeOEF(backend="scipy")
-        benchmark.pedantic(allocator.allocate, args=(instance,), rounds=5)
-
-    def test_bench_backend_simplex(self, benchmark):
-        instance = random_instance(10, 3, seed=5, devices_per_type=8.0)
-        allocator = NonCooperativeOEF(backend="simplex")
-        result = benchmark.pedantic(allocator.allocate, args=(instance,), rounds=5)
-        reference = NonCooperativeOEF(backend="scipy").allocate(instance)
-        assert result.total_efficiency() == (
-            __import__("pytest").approx(reference.total_efficiency(), rel=1e-6)
-        )
 
 
 class TestCuttingPlaneAblation:

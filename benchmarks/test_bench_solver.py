@@ -6,21 +6,16 @@ ledger):
 
 * **cold cooperative solve** at the paper's Fig. 10(a) scale (300 users
   x 10 GPU types) must run **>= 5x** faster through the persistent
-  incremental-HiGHS cutting-plane path than through the per-round cold
-  ``linprog`` loop it replaces, with the objective matching to 1e-6
-  relative — the batching/warm-session machinery must never buy speed
-  with a different optimum;
+  incremental-HiGHS cutting-plane path than through the per-round loop
+  of cold one-shot solves it replaced (kept below as
+  :func:`_cutting_plane_per_round`), with the objective matching to 1e-6
+  relative — the warm session must never buy speed with a different
+  optimum;
 * **cold assembly** of the full Eq. 10 standard form is pure vectorized
   sparse block composition; re-assembly through the form cache must not
   be slower than cold assembly (it is typically orders of magnitude
   faster — the row asserts only the direction so a one-sample CI blip
   cannot flap the gate);
-* **batched solves**: composing many independent small LPs
-  block-diagonally through ``solve_forms`` must return
-  certified-identical values.  Its speed-up over the solo loop is
-  recorded, not gated: the ~2x it showed was ``linprog``'s per-call
-  Python amortised over the batch, and since one-shot solves go
-  straight to HiGHS it reads 0.94-1.15x here (2.32-2.45x before);
 * **frontier sweep**: a second epsilon-constraint sweep over the same
   instance (cached matrices, fresh right-hand sides) must not be slower
   than the first.
@@ -28,14 +23,16 @@ ledger):
 
 import time
 
+from typing import List, Optional, Tuple
+
 import numpy as np
 
-import repro.core.cooperative as coop_mod
 from repro.benchio import bench_output_path, bench_stats, write_bench_json
+from repro.core.allocation import Allocation
 from repro.core.analysis import efficiency_fairness_frontier
-from repro.core.cooperative import CooperativeOEF
-from repro.core.noncooperative import NonCooperativeOEF
-from repro.solver import FORM_CACHE, solve_form, solve_forms
+from repro.core.cooperative import CooperativeOEF, _share_bounds, eq10_rows
+from repro.core.instance import GroupedInstance
+from repro.solver import FORM_CACHE, StandardForm, solve_form
 from repro.workloads.generator import random_instance
 
 #: Fig. 10(a) scale: the paper's largest cooperative-OEF evaluation.
@@ -44,13 +41,68 @@ SEED = 23
 #: The headline acceptance bar for the incremental cutting-plane path.
 COLD_SPEEDUP_FLOOR = 5.0
 NEW_PATH_REPEATS = 3
-BATCH_INSTANCES = 24
-BATCH_USERS, BATCH_GPU_TYPES = 12, 4
 FRONTIER_USERS, FRONTIER_GPU_TYPES = 60, 6
 
 
 def _fig10a_instance():
     return random_instance(USERS, GPU_TYPES, seed=SEED, devices_per_type=float(USERS))
+
+
+def _cutting_plane_per_round(
+    self: CooperativeOEF,
+    instance: GroupedInstance,
+    seeds: List[Tuple[int, int]],
+    tol: float,
+) -> Optional[np.ndarray]:
+    """Per-round cold solves — the portable cutting-plane loop.
+
+    ``CooperativeOEF._cutting_plane_linprog`` as the allocator ran it
+    until the incremental session became its only cut path, the LP
+    backend argument aside: each round is one cold ``solve_form``.
+    At 300x10 the incremental session takes 1.37 s, this loop 7.05 s
+    and the full O(n²) program 21.1 s (100x8: 0.080 / 0.361 /
+    0.272 s).
+    """
+    speedups, multiplicity = instance.speedups, instance.multiplicity
+    num_users, num_types = speedups.shape
+    capacities = np.asarray(instance.capacities, dtype=float)
+    active = set(seeds)
+
+    for _round in range(self.MAX_CUT_ROUNDS):
+        pairs = sorted(active)
+        form = StandardForm(
+            c=-speedups.ravel(),
+            a_ub=eq10_rows(speedups, multiplicity, pairs),
+            b_ub=np.concatenate([capacities, np.zeros(len(pairs))]),
+            a_eq=None,
+            b_eq=None,
+            bounds=_share_bounds(num_users * num_types),
+            maximise=True,
+        )
+        solution = solve_form(form)
+        matrix = np.clip(
+            solution.values.reshape(num_users, num_types), 0.0, None
+        )
+        new_pairs = [
+            pair
+            for pair in self._violated_pairs(instance, matrix, tol)
+            if pair not in active
+        ]
+        if not new_pairs:
+            return matrix
+        active.update(new_pairs)
+    return None  # fall back to the full program
+
+
+def _per_round_allocate(instance, tol: float = 1e-7) -> Allocation:
+    """``CooperativeOEF().allocate`` with the per-round loop as its cut path."""
+    allocator = CooperativeOEF()
+    groups = instance.grouped()
+    seeds = allocator._seed_pairs(groups, tol)
+    shares = _cutting_plane_per_round(allocator, groups, seeds, tol)
+    if shares is None:
+        shares = allocator._solve_full(groups)
+    return Allocation(groups.expand(shares), instance, allocator_name=allocator.name)
 
 
 def test_bench_solver(benchmark):
@@ -65,14 +117,9 @@ def test_bench_solver(benchmark):
             allocation = CooperativeOEF().allocate(instance)
             new_samples.append(time.perf_counter() - start)
             objectives.append(allocation.total_efficiency())
-        original = coop_mod.incremental_available
-        coop_mod.incremental_available = lambda: False
-        try:
-            start = time.perf_counter()
-            legacy_allocation = CooperativeOEF().allocate(instance)
-            legacy_sample = time.perf_counter() - start
-        finally:
-            coop_mod.incremental_available = original
+        start = time.perf_counter()
+        legacy_allocation = _per_round_allocate(instance)
+        legacy_sample = time.perf_counter() - start
 
         # -- cold vs cached assembly of the full Eq. 10 form
         small = random_instance(48, 6, seed=5, devices_per_type=48.0).grouped()
@@ -86,28 +133,6 @@ def test_bench_solver(benchmark):
             start = time.perf_counter()
             allocator._full_form(small)
             assembly_cached.append(time.perf_counter() - start)
-
-        # -- batched independent small LPs vs the solo loop
-        noncoop = NonCooperativeOEF()
-        forms = [
-            noncoop.compile_form(
-                random_instance(
-                    BATCH_USERS,
-                    BATCH_GPU_TYPES,
-                    seed=seed,
-                    devices_per_type=float(BATCH_USERS),
-                )
-            )
-            for seed in range(BATCH_INSTANCES)
-        ]
-        solo_samples, batch_samples = [], []
-        for _ in range(3):
-            start = time.perf_counter()
-            solo_solutions = [solve_form(form) for form in forms]
-            solo_samples.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            batch_solutions = solve_forms(forms)
-            batch_samples.append(time.perf_counter() - start)
 
         # -- frontier sweep: cold assembly vs cached matrices
         frontier_instance = random_instance(
@@ -129,10 +154,6 @@ def test_bench_solver(benchmark):
             legacy_allocation.total_efficiency(),
             assembly_cold,
             assembly_cached,
-            solo_samples,
-            batch_samples,
-            solo_solutions,
-            batch_solutions,
             frontier_cold,
             frontier_cached,
         )
@@ -144,10 +165,6 @@ def test_bench_solver(benchmark):
         legacy_objective,
         assembly_cold,
         assembly_cached,
-        solo_samples,
-        batch_samples,
-        solo_solutions,
-        batch_solutions,
         frontier_cold,
         frontier_cached,
     ) = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -155,11 +172,8 @@ def test_bench_solver(benchmark):
     # speed must never buy a different optimum
     for objective in objectives:
         assert objective == _approx(legacy_objective)
-    for solo, batched in zip(solo_solutions, batch_solutions):
-        np.testing.assert_allclose(batched.values, solo.values, atol=1e-8)
 
     cold_speedup = legacy_sample / min(new_samples)
-    batch_speedup = min(solo_samples) / min(batch_samples)
     assembly_ratio = min(assembly_cold) / max(min(assembly_cached), 1e-9)
     frontier_ratio = frontier_cold / max(frontier_cached, 1e-9)
 
@@ -171,6 +185,7 @@ def test_bench_solver(benchmark):
             "objective": objectives[0],
         },
         {
+            # the row keeps its name so the ledger series stays one series
             "name": "coop-cold/legacy-linprog",
             **bench_stats([legacy_sample]),
             "objective": legacy_objective,
@@ -181,13 +196,6 @@ def test_bench_solver(benchmark):
             "cached_speedup": assembly_ratio,
         },
         {"name": "assembly/cached", **bench_stats(assembly_cached)},
-        {
-            "name": "batch/composed",
-            **bench_stats(batch_samples),
-            "speedup_vs_solo": batch_speedup,
-            "matches_solo": True,
-        },
-        {"name": "batch/solo", **bench_stats(solo_samples)},
         {
             "name": "frontier/cold",
             **bench_stats([frontier_cold]),
@@ -204,13 +212,11 @@ def test_bench_solver(benchmark):
             "gpu_types": GPU_TYPES,
             "seed": SEED,
             "cold_speedup_floor": COLD_SPEEDUP_FLOOR,
-            "batch_instances": BATCH_INSTANCES,
             "frontier_users": FRONTIER_USERS,
         },
     )
     benchmark.extra_info["bench_json"] = path
     benchmark.extra_info["cold_speedup"] = round(cold_speedup, 2)
-    benchmark.extra_info["batch_speedup"] = round(batch_speedup, 2)
 
     assert cold_speedup >= COLD_SPEEDUP_FLOOR, (
         f"incremental cutting-plane path is only {cold_speedup:.2f}x the "

@@ -113,9 +113,8 @@ from repro.scenarios import (
     scenario_names,
     scenario_sweep,
 )
-from repro.solver.warm import WarmStartState
 
-__version__ = "2.11.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AdmissionMiddleware",
@@ -159,7 +158,6 @@ __all__ = [
     "ThreadBackend",
     "TenantSpec",
     "VirtualUserExpansion",
-    "WarmStartState",
     "WeightedOEF",
     "audit_allocator",
     "check_envy_freeness",

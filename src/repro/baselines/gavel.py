@@ -18,12 +18,25 @@ as §2.4 shows — pareto-inefficient and manipulable.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
+from repro.core.cooperative import capacity_rows
 from repro.core.instance import ProblemInstance
+from repro.core.properties import floor_rows
 from repro.registry import register_scheduler
-from repro.solver import LinearProgram, dot, lin_sum
+from repro.solver import StandardForm, solve_form
+
+
+def _le_rhs(values) -> np.ndarray:
+    """A ``<=`` row's right-hand side ``r``, a zero written as ``-0.0``.
+
+    ``-(0.0 - r)`` and ``0.0 - r`` (for a ``>=`` row negated into the
+    ``<=`` system) are the exact arithmetic of the expression compile
+    these forms replace, which moved ``r`` into the row and back.
+    """
+    return -(0.0 - np.asarray(values, dtype=float))
 
 
 @register_scheduler(
@@ -43,12 +56,15 @@ class Gavel(Allocator):
     Gavel's cross-type placements and its pareto-inefficiency in §2.4.
     ``dense=False`` returns a work-conserving simplex vertex instead —
     exactly ratio-pinned, and typically pareto-efficient.
+
+    Both phases are built as standard forms directly: variables are the
+    row-major shares ``x`` followed by the phase's extra columns, and rows
+    come in the order ``<=`` rows first, then the ``>=`` rows negated.
     """
 
     name = "gavel"
 
-    def __init__(self, backend: str = "auto", dense: bool = True, slack: float = 0.02):
-        self.backend = backend
+    def __init__(self, dense: bool = True, slack: float = 0.02):
         self.dense = dense
         self.slack = slack
 
@@ -67,61 +83,81 @@ class Gavel(Allocator):
 
     # -- phase 1 ---------------------------------------------------------------
     def _max_min_ratio(self, instance: ProblemInstance, fair_share: np.ndarray) -> float:
+        """max c  s.t.  capacity rows,  W_l . x_l - c f_l >= 0 per user."""
         speedups = instance.speedups.values
         num_users, num_types = speedups.shape
-        lp = LinearProgram("gavel-phase1")
-        shares = lp.new_variable_array("x", (num_users, num_types), lower=0.0)
-        ratio = lp.new_variable("c", lower=0.0)
-        for type_index in range(num_types):
-            lp.add_constraint(
-                lin_sum(shares[:, type_index]) <= float(instance.capacities[type_index])
-            )
-        for user in range(num_users):
-            lp.add_constraint(
-                dot(speedups[user], shares[user]) - ratio * float(fair_share[user]) >= 0.0
-            )
-        lp.set_objective(ratio.to_expr(), sense="max")
-        solution = lp.solve(backend=self.backend)
-        return float(solution.value(ratio))
+        ratio = speedups.size  # the column of c, after the shares
+        ratio_rows = sparse.hstack(
+            [floor_rows(speedups), sparse.csr_matrix(fair_share[:, None])], format="csr"
+        )
+        form = StandardForm(
+            # -c for max c; the unused share columns hold -0.0
+            c=-np.eye(1, ratio + 1, ratio).ravel(),
+            a_ub=sparse.vstack(
+                [capacity_rows(num_users, num_types, extra_columns=1), ratio_rows],
+                format="csr",
+            ),
+            b_ub=np.concatenate([_le_rhs(instance.capacities), np.zeros(num_users)]),
+            a_eq=None,
+            b_eq=None,
+            bounds=[(0.0, None)] * (ratio + 1),
+            maximise=True,
+        )
+        return float(solve_form(form).values[ratio])
 
     # -- phase 2 ---------------------------------------------------------------
     def _work_conserving_at_ratio(
         self, instance: ProblemInstance, fair_share: np.ndarray, ratio: float
     ) -> np.ndarray:
+        """Every tenant within a band of the common ratio; max usage."""
         speedups = instance.speedups.values
         num_users, num_types = speedups.shape
-        lp = LinearProgram("gavel-phase2")
-        shares = lp.new_variable_array("x", (num_users, num_types), lower=0.0)
-        for type_index in range(num_types):
-            lp.add_constraint(
-                lin_sum(shares[:, type_index]) <= float(instance.capacities[type_index])
-            )
+        num_shares = speedups.size
+        capacities = np.asarray(instance.capacities, dtype=float)
         # every tenant sits within a band of the common max-min ratio; the
         # dense variant may dip `slack` below the optimum (interior-point
         # behaviour), the vertex variant is pinned tight
         lower_band = self.slack if self.dense else 1e-6
-        for user in range(num_users):
-            target = ratio * float(fair_share[user])
-            lp.add_constraint(
-                dot(speedups[user], shares[user]) >= target * (1 - lower_band)
-            )
-            lp.add_constraint(dot(speedups[user], shares[user]) <= target * (1 + 1e-6))
+        target = ratio * fair_share
+        extra = num_shares if self.dense else 0  # the spread columns y
+        # <= rows: capacity, each tenant's upper band, then (dense) the
+        # spread rows; the lower bands follow as negated >= rows
+        blocks = [capacity_rows(num_users, num_types, extra), -floor_rows(speedups, extra)]
+        rhs = [_le_rhs(capacities), _le_rhs(target * (1 + 1e-6))]
         if self.dense:
             # spread bonus: y_lj <= min(x_lj, m_j / n) and maximise sum(y),
-            # which emulates the dense mixes interior-point solvers return
-            spread = lp.new_variable_array("y", (num_users, num_types), lower=0.0)
-            for user in range(num_users):
-                for type_index in range(num_types):
-                    cap = float(instance.capacities[type_index]) / num_users
-                    lp.add_constraint(
-                        spread[user, type_index].to_expr()
-                        - shares[user, type_index].to_expr()
-                        <= 0.0
-                    )
-                    lp.add_constraint(spread[user, type_index] <= cap)
-            objective = lin_sum(spread.ravel()) + 1e-3 * lin_sum(shares.ravel())
-            lp.set_objective(objective, sense="max")
+            # which emulates the dense mixes interior-point solvers return;
+            # per cell the rows y - x <= 0 and y <= m_j / n, interleaved
+            cells = np.arange(num_shares)
+            blocks.append(
+                sparse.csr_matrix(
+                    (
+                        np.tile([-1.0, 1.0, 1.0], num_shares),
+                        np.column_stack([cells, cells + extra, cells + extra]).ravel(),
+                        np.append(np.column_stack([3 * cells, 3 * cells + 2]).ravel(),
+                                  3 * num_shares),
+                    ),
+                    shape=(2 * num_shares, 2 * num_shares),
+                )
+            )
+            bands = np.empty(2 * num_shares)
+            bands[0::2] = -0.0
+            bands[1::2] = _le_rhs(np.tile(capacities / num_users, num_users))
+            rhs.append(bands)
+            # sum(y) + 1e-3 sum(x), negated for the minimisation convention
+            c = -np.concatenate([np.full(num_shares, 1e-3), np.ones(num_shares)])
         else:
-            lp.set_objective(lin_sum(shares.ravel()), sense="max")
-        solution = lp.solve(backend=self.backend)
-        return np.clip(solution.value(shares), 0.0, None)
+            c = -np.ones(num_shares)
+        blocks.append(floor_rows(speedups, extra))
+        rhs.append(0.0 - target * (1 - lower_band))
+        form = StandardForm(
+            c=c,
+            a_ub=sparse.vstack(blocks, format="csr"),
+            b_ub=np.concatenate(rhs),
+            a_eq=None,
+            b_eq=None,
+            bounds=[(0.0, None)] * (num_shares + extra),
+            maximise=True,
+        )
+        values = solve_form(form).values[:num_shares]
+        return np.clip(values.reshape(num_users, num_types), 0.0, None)

@@ -25,13 +25,15 @@ envelopes for ``log`` on a geometric grid with ratio r is <= log(r) -
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
+from repro.core.cooperative import capacity_rows
 from repro.core.instance import ProblemInstance
 from repro.core.properties import optimal_efficiency_upper_bound
 from repro.registry import register_scheduler
-from repro.solver import LinearProgram, dot
+from repro.solver import StandardForm, solve_form
 
 
 @register_scheduler(
@@ -48,13 +50,11 @@ class NashWelfare(Allocator):
         self,
         num_tangents: int = 48,
         refine_rounds: int = 6,
-        backend: str = "auto",
     ):
         if num_tangents < 2:
             raise ValueError("need at least two tangent points")
         self.num_tangents = num_tangents
         self.refine_rounds = refine_rounds
-        self.backend = backend
 
     def allocate(self, instance: ProblemInstance) -> Allocation:
         speedups = instance.speedups.values
@@ -94,31 +94,47 @@ class NashWelfare(Allocator):
         return Allocation(matrix, instance, allocator_name=self.name)
 
     def _solve_with_tangents(self, instance: ProblemInstance, tangents) -> np.ndarray:
+        """max sum_l u_l  s.t.  tangent rows, then capacity rows.
+
+        Columns are the row-major shares ``x`` followed by the free
+        utilities ``u``.  The tangent row for user l at point t reads
+        ``u_l - W_l . x_l / t <= log(t) - 1``, its coefficients
+        ``-(w * (1 / t))``: the exact arithmetic of the expression build
+        this form replaces.
+        """
         speedups = instance.speedups.values
         num_users, num_types = speedups.shape
-
-        lp = LinearProgram("nash-welfare")
-        shares = lp.new_variable_array("x", (num_users, num_types), lower=0.0)
-        utilities = lp.new_variable_array("u", num_users, lower=None)
-        flat = list(shares.ravel())
-
-        for type_index in range(num_types):
-            row = np.zeros((1, num_users * num_types))
-            row[0, type_index::num_types] = 1.0
-            lp.add_matrix_constraints(
-                row, flat, "<=", float(instance.capacities[type_index])
-            )
-        for user in range(num_users):
-            throughput = dot(speedups[user], shares[user])
-            for point in tangents[user]:
-                # u <= log(t) + (T - t)/t
-                lp.add_constraint(
-                    utilities[user] - throughput / float(point)
-                    <= float(np.log(point) - 1.0)
-                )
-        objective = utilities[0].to_expr()
-        for user in range(1, num_users):
-            objective = objective + utilities[user]
-        lp.set_objective(objective, sense="max")
-        solution = lp.solve(backend=self.backend)
-        return np.clip(solution.value(shares), 0.0, None)
+        num_shares = speedups.size
+        columns, data, rhs = [], [], []
+        for user, points in enumerate(tangents):
+            # per row: the user's share columns, then its utility column
+            slopes = -(speedups[user] * (1.0 / points)[:, None])
+            own = np.arange(user * num_types, (user + 1) * num_types)
+            columns.append(np.tile(np.append(own, num_shares + user), len(points)))
+            data.append(np.column_stack([slopes, np.ones(len(points))]).ravel())
+            # log one point at a time, as the scalar build did
+            rhs.append([float(np.log(point) - 1.0) for point in points])
+        num_tangent_rows = sum(len(points) for points in tangents)
+        tangent_rows = sparse.csr_matrix(
+            (
+                np.concatenate(data),
+                np.concatenate(columns),
+                np.arange(0, num_tangent_rows * (num_types + 1) + 1, num_types + 1),
+            ),
+            shape=(num_tangent_rows, num_shares + num_users),
+        )
+        form = StandardForm(
+            # -sum(u) for max sum(u); the share columns hold -0.0
+            c=-np.concatenate([np.zeros(num_shares), np.ones(num_users)]),
+            a_ub=sparse.vstack(
+                [tangent_rows, capacity_rows(num_users, num_types, num_users)],
+                format="csr",
+            ),
+            b_ub=np.concatenate([np.concatenate(rhs), instance.capacities]).astype(float),
+            a_eq=None,
+            b_eq=None,
+            bounds=[(0.0, None)] * num_shares + [(None, None)] * num_users,
+            maximise=True,
+        )
+        values = solve_form(form).values[:num_shares]
+        return np.clip(values.reshape(num_users, num_types), 0.0, None)

@@ -102,11 +102,10 @@ class FairShareScheduler(abc.ABC):
 class OEFScheduler(FairShareScheduler):
     """OEF fair-share evaluator (either environment)."""
 
-    def __init__(self, mode: str = "noncooperative", backend: str = "auto"):
+    def __init__(self, mode: str = "noncooperative"):
         if mode not in ("noncooperative", "cooperative"):
             raise SimulationError(f"unknown OEF mode {mode!r}")
         self.mode = mode
-        self.backend = backend
         self.name = f"oef-{'noncoop' if mode == 'noncooperative' else 'coop'}"
 
     def shares(
@@ -119,7 +118,7 @@ class OEFScheduler(FairShareScheduler):
         # one row per (tenant, model), models sorted; the fold checks them
         rows = [(t.name, t.weight, sorted(profiles[t.name].items())) for t in tenants]
         start = time.perf_counter()
-        merged = WeightedOEF(mode=self.mode, backend=self.backend).allocate(rows, capacities)
+        merged = WeightedOEF(mode=self.mode).allocate(rows, capacities)
         elapsed = time.perf_counter() - start
         # the merged arrays are this call's own: handed over without copies
         return SchedulerDecision(
@@ -153,12 +152,12 @@ class ElasticOEFScheduler(FairShareScheduler):
     consumable.
     """
 
-    def __init__(self, mode: str = "noncooperative", backend: str = "auto"):
+    def __init__(self, mode: str = "noncooperative"):
         if mode not in ("noncooperative", "cooperative"):
             raise SimulationError(f"unknown OEF mode {mode!r}")
         from repro.core.elastic import JobLevelOEF
 
-        self._job_level = JobLevelOEF(mode=mode, backend=backend)
+        self._job_level = JobLevelOEF(mode=mode)
         self.mode = mode
         self.name = f"oef-elastic-{'noncoop' if mode == 'noncooperative' else 'coop'}"
 

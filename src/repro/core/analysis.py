@@ -62,26 +62,16 @@ class FrontierPoint:
     jain: float
 
 
-def frontier_point(
-    instance: ProblemInstance,
-    alpha: float,
-    backend: str = "auto",
-) -> FrontierPoint:
+def frontier_point(instance: ProblemInstance, alpha: float) -> FrontierPoint:
     """One epsilon-constraint solve: max efficiency with fairness floor ``alpha``.
 
     A single, self-contained LP — the unit of work
     :func:`efficiency_fairness_frontier` sweeps over, exposed so batch
     runners can fan independent alphas out to worker threads/processes.
-
-    ``backend`` here names the *LP solver* (``"auto"``/``"scipy"``/
-    ``"simplex"``), not an execution backend: this layer sits below the
-    fan-out machinery.  :meth:`repro.gateway.Gateway.frontier`
-    exposes the same knob as ``lp_backend=`` and reserves ``backend=``
-    for the :mod:`repro.parallel` execution backend.
     """
     speedups = instance.speedups.values
     num_users, num_types = speedups.shape
-    solution = solve_form(_frontier_form(instance, float(alpha)), backend=backend)
+    solution = solve_form(_frontier_form(instance, float(alpha)))
     matrix = np.clip(solution.values.reshape(num_users, num_types), 0.0, None)
     throughputs = np.einsum("lj,lj->l", speedups, matrix)
     return FrontierPoint(
@@ -145,17 +135,14 @@ def _frontier_form(instance: ProblemInstance, alpha: float) -> StandardForm:
 def efficiency_fairness_frontier(
     instance: ProblemInstance,
     alphas: Iterable[float] = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0),
-    backend: str = "auto",
 ) -> List[FrontierPoint]:
     """Max total throughput s.t. ``E_l >= alpha * (W_l . m/n)`` per alpha.
 
     Monotone non-increasing in ``alpha``: fairness floors cost efficiency.
-    ``backend`` names the LP solver (see :func:`frontier_point`); for a
-    parallel sweep over the alphas use
-    :meth:`repro.gateway.Gateway.frontier` with ``backend=``
-    (execution) and ``lp_backend=`` (LP solver).
+    For a parallel sweep over the alphas use
+    :meth:`repro.gateway.Gateway.frontier` with ``backend=``.
     """
-    return [frontier_point(instance, alpha, backend) for alpha in alphas]
+    return [frontier_point(instance, alpha) for alpha in alphas]
 
 
 def compare_allocators(

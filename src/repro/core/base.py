@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, ClassVar, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, Optional
 
 from repro.core.allocation import Allocation
 from repro.core.instance import ProblemInstance
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.registry import SchedulerInfo
-    from repro.solver.warm import WarmStartState
 
 
 class Allocator(abc.ABC):
@@ -35,23 +34,6 @@ class Allocator(abc.ABC):
     @abc.abstractmethod
     def allocate(self, instance: ProblemInstance) -> Allocation:
         """Compute the allocation matrix for the given instance."""
-
-    def allocate_with_state(
-        self,
-        instance: ProblemInstance,
-        warm_start: Optional["WarmStartState"] = None,
-    ) -> Tuple[Allocation, Optional["WarmStartState"], bool]:
-        """Warm-start-aware solve: ``(allocation, state, warm_used)``.
-
-        LP-backed allocators override this to thread ``warm_start`` into
-        their program and to return the solve's own
-        :class:`~repro.solver.warm.WarmStartState` for the next
-        structurally identical instance.  The warm path is
-        *verified* (see :mod:`repro.solver.warm`), so the allocation is
-        always identical to a cold ``allocate`` up to solver tolerance.
-        The default ignores ``warm_start`` and solves cold.
-        """
-        return self.allocate(instance), None, False
 
     @classmethod
     def describe(cls) -> "SchedulerInfo":

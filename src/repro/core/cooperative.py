@@ -39,14 +39,13 @@ from scipy import sparse
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
 from repro.core.instance import GroupedInstance, ProblemInstance
-from repro.exceptions import SolverError
 from repro.registry import register_scheduler
+# solve_form is bound here by name: bench/layers.py wraps this module's binding
 from repro.solver import (
     FORM_CACHE,
     IncrementalLP,
     StandardForm,
     fingerprint_arrays,
-    incremental_available,
     solve_form,
 )
 
@@ -187,30 +186,27 @@ class CooperativeOEF(Allocator):
 
     name = "oef-coop"
 
-    def __init__(self, backend: str = "auto", method: str = "auto"):
+    def __init__(self, method: str = "auto"):
         if method not in ("auto", "full", "cutting-plane"):
             raise ValueError(f"unknown method {method!r}")
-        self.backend = backend
         self.method = method
 
     def allocate(self, instance: ProblemInstance) -> Allocation:
-        return self.allocate_with_state(instance)[0]
+        return self.allocate_with_state(instance)
 
-    def allocate_with_state(self, instance, warm_start=None, weights=None):
+    # kept under its old name: bench/layers.py wraps it as the allocator's span
+    def allocate_with_state(self, instance, weights=None) -> Allocation:
         """``weights`` (one per row, default 1) are the §4.2.3 priorities."""
         groups = instance.grouped(weights)
-        shares, state, warm_used = None, None, False
+        shares = None
         if groups.count == 1:
             # one profile: its members split the whole cluster by weight
             shares = instance.capacities.reshape(1, -1)
         elif self._use_cuts(groups.count):
-            # the cutting-plane row set varies run to run, so no stable
-            # program structure exists to warm-start against
             shares = self._solve_cutting_plane(groups)
         if shares is None:
-            shares, state, warm_used = self._solve_full(groups, warm_start)
-        matrix = groups.expand(shares)
-        return Allocation(matrix, instance, allocator_name=self.name), state, warm_used
+            shares = self._solve_full(groups)
+        return Allocation(groups.expand(shares), instance, allocator_name=self.name)
 
     def _use_cuts(self, num_users: int) -> bool:
         return self.method == "cutting-plane" or (
@@ -228,8 +224,7 @@ class CooperativeOEF(Allocator):
 
         def build() -> StandardForm:
             num_users, num_types = speedups.shape
-            # row order mirrors the historical LinearProgram compile:
-            # capacity "<=" rows first, then the ">=" envy rows negated
+            # capacity rows first, then the envy rows as "<= 0"
             a_ub = eq10_rows(speedups, instance.multiplicity)
             b_ub = np.concatenate(
                 [
@@ -249,24 +244,16 @@ class CooperativeOEF(Allocator):
 
         return FORM_CACHE.get_or_build(key, build)
 
-    def _solve_full(self, instance: GroupedInstance, warm_start=None):
-        speedups = instance.speedups
-        form = self._full_form(instance)
-        solution = solve_form(form, backend=self.backend, warm_start=warm_start)
-        matrix = np.clip(solution.values.reshape(speedups.shape), 0.0, None)
-        return matrix, solution.warm_state, solution.stats.warm_start_used
+    def _solve_full(self, instance: GroupedInstance) -> np.ndarray:
+        solution = solve_form(self._full_form(instance))
+        return np.clip(solution.values.reshape(instance.speedups.shape), 0.0, None)
 
     # -- cutting-plane formulation ------------------------------------------
     def _solve_cutting_plane(
         self, instance: GroupedInstance, tol: float = 1e-7
     ) -> Optional[np.ndarray]:
         seeds = self._seed_pairs(instance, tol)
-        if self.backend in ("auto", "scipy") and incremental_available():
-            try:
-                return self._cutting_plane_incremental(instance, seeds, tol)
-            except SolverError:
-                pass  # vendored-API hiccup: fall through to the plain loop
-        return self._cutting_plane_linprog(instance, seeds, tol)
+        return self._cutting_plane_incremental(instance, seeds, tol)
 
     def _seed_pairs(
         self, instance: GroupedInstance, tol: float
@@ -416,51 +403,6 @@ class CooperativeOEF(Allocator):
         cut_pairs[:] = [pair for pair, _born in kept]
         cut_born[:] = [born for _pair, born in kept]
 
-    def _cutting_plane_linprog(
-        self,
-        instance: GroupedInstance,
-        seeds: List[Tuple[int, int]],
-        tol: float,
-    ) -> Optional[np.ndarray]:
-        """Per-round cold solves — the portable cutting-plane loop.
-
-        Kept beside the incremental session because it is the *only*
-        cutting-plane driver for ``backend="simplex"`` and for scipy
-        1.10–1.14 (no ``_highspy._core``; pyproject still allows them).
-        At 300x10 the incremental session takes 1.37 s, this loop 7.05 s
-        and the full O(n²) program 21.1 s (100x8: 0.080 / 0.361 /
-        0.272 s): falling through to ``_solve_full`` would lose 3.0x.
-        """
-        speedups, multiplicity = instance.speedups, instance.multiplicity
-        num_users, num_types = speedups.shape
-        capacities = np.asarray(instance.capacities, dtype=float)
-        active = set(seeds)
-
-        for _round in range(self.MAX_CUT_ROUNDS):
-            pairs = sorted(active)
-            form = StandardForm(
-                c=-speedups.ravel(),
-                a_ub=eq10_rows(speedups, multiplicity, pairs),
-                b_ub=np.concatenate([capacities, np.zeros(len(pairs))]),
-                a_eq=None,
-                b_eq=None,
-                bounds=_share_bounds(num_users * num_types),
-                maximise=True,
-            )
-            solution = solve_form(form, backend=self.backend)
-            matrix = np.clip(
-                solution.values.reshape(num_users, num_types), 0.0, None
-            )
-            new_pairs = [
-                pair
-                for pair in self._violated_pairs(instance, matrix, tol)
-                if pair not in active
-            ]
-            if not new_pairs:
-                return matrix
-            active.update(new_pairs)
-        return None  # fall back to the full program
-
 
 @register_scheduler(
     aliases=("efficiency",),
@@ -478,13 +420,13 @@ class EfficiencyMaxAllocator(Allocator):
 
     name = "efficiency-max"
 
-    def __init__(self, backend: str = "auto"):
-        self.backend = backend
-
     def allocate(self, instance: ProblemInstance) -> Allocation:
-        return self.allocate_with_state(instance)[0]
+        matrix = solve_form(self._form(instance)).values.reshape(
+            instance.speedups.values.shape
+        )
+        return Allocation(np.clip(matrix, 0.0, None), instance, allocator_name=self.name)
 
-    def compile_form(self, instance: ProblemInstance) -> StandardForm:
+    def _form(self, instance: ProblemInstance) -> StandardForm:
         """Eq. 4 as a direct sparse form: capacity rows only."""
         speedups = instance.speedups.values
         key = fingerprint_arrays(
@@ -504,19 +446,3 @@ class EfficiencyMaxAllocator(Allocator):
             )
 
         return FORM_CACHE.get_or_build(key, build)
-
-    def allocation_from_values(
-        self, instance: ProblemInstance, values: np.ndarray
-    ) -> Allocation:
-        matrix = np.clip(
-            np.asarray(values, dtype=float).reshape(instance.speedups.values.shape),
-            0.0,
-            None,
-        )
-        return Allocation(matrix, instance, allocator_name=self.name)
-
-    def allocate_with_state(self, instance, warm_start=None):
-        form = self.compile_form(instance)
-        solution = solve_form(form, backend=self.backend, warm_start=warm_start)
-        allocation = self.allocation_from_values(instance, solution.values)
-        return allocation, solution.warm_state, solution.stats.warm_start_used

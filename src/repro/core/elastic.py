@@ -47,8 +47,8 @@ class JobLevelAllocation:
 class JobLevelOEF:
     """OEF with one weighted row per active job (§8 extension)."""
 
-    def __init__(self, mode: str = "noncooperative", backend: str = "auto"):
-        self._weighted = WeightedOEF(mode=mode, backend=backend)
+    def __init__(self, mode: str = "noncooperative"):
+        self._weighted = WeightedOEF(mode=mode)
         self.mode = mode
         self.name = f"oef-job-level-{'noncoop' if mode == 'noncooperative' else 'coop'}"
 

@@ -34,6 +34,7 @@ from repro.core.base import Allocator
 from repro.core.cooperative import capacity_rows
 from repro.core.instance import GroupedInstance, ProblemInstance
 from repro.registry import register_scheduler
+# solve_form is bound here by name: bench/layers.py wraps this module's binding
 from repro.solver import FORM_CACHE, StandardForm, fingerprint_arrays, solve_form
 
 
@@ -67,22 +68,10 @@ class NonCooperativeOEF(Allocator):
 
     name = "oef-noncoop"
 
-    def __init__(self, backend: str = "auto"):
-        self.backend = backend
-
     def allocate(self, instance: ProblemInstance) -> Allocation:
-        return self.allocate_with_state(instance)[0]
+        return self.allocate_with_state(instance)
 
-    def compile_form(self, instance: ProblemInstance):
-        """The Eq. 9 standard form, or ``None`` when no LP is needed.
-
-        Batch protocol hook: ``solve_forms`` composes the forms of many
-        requests into one solve; :meth:`allocation_from_values` converts
-        each block's optimum back into an allocation.
-        """
-        groups = instance.grouped()
-        return None if groups.count == 1 else self._form(groups)
-
+    # kept as its own method: bench/layers.py times it as a span
     def allocation_from_values(
         self,
         instance: ProblemInstance,
@@ -122,16 +111,13 @@ class NonCooperativeOEF(Allocator):
 
         return FORM_CACHE.get_or_build(key, build)
 
-    def allocate_with_state(self, instance, warm_start=None, weights=None):
+    # kept under its old name: bench/layers.py wraps it as the allocator's span
+    def allocate_with_state(self, instance, weights=None) -> Allocation:
         """``weights`` (one per row, default 1) are the §4.2.3 priorities."""
         groups = instance.grouped(weights)
         if groups.count == 1:
             # one profile: its members split the whole cluster by weight
             matrix = groups.expand(instance.capacities.reshape(1, -1))
-            return Allocation(matrix, instance, allocator_name=self.name), None, False
-
-        solution = solve_form(
-            self._form(groups), backend=self.backend, warm_start=warm_start
-        )
-        allocation = self.allocation_from_values(instance, solution.values, groups)
-        return allocation, solution.warm_state, solution.stats.warm_start_used
+            return Allocation(matrix, instance, allocator_name=self.name)
+        solution = solve_form(self._form(groups))
+        return self.allocation_from_values(instance, solution.values, groups)

@@ -185,7 +185,6 @@ def check_sharing_incentive(
 def check_pareto_efficiency(
     allocation: Allocation,
     tol: float = 1e-5,
-    backend: str = "auto",
     within: Optional[str] = None,
     weights: Optional[np.ndarray] = None,
 ) -> ParetoReport:
@@ -225,7 +224,7 @@ def check_pareto_efficiency(
     slack = tol * max(1.0, float(np.abs(current).max()))
     try:
         achievable = _max_total_with_floors(
-            allocation.instance, current - slack, within, weights, backend
+            allocation.instance, current - slack, within, weights
         )
     except InfeasibleError:
         return ParetoReport(True, -np.inf, current_total)
@@ -249,7 +248,6 @@ def _max_total_with_floors(
     floors: np.ndarray,
     within: Optional[str] = None,
     weights: Optional[np.ndarray] = None,
-    backend: str = "auto",
 ) -> float:
     """Max total throughput with ``W_l . x_l >= floors[l]``, inside ``within``,
     over distinct rows (the floor rules are in :func:`check_pareto_efficiency`)."""
@@ -281,7 +279,7 @@ def _max_total_with_floors(
         bounds=[(0.0, None)] * (speedups.size + extra),
         maximise=True,
     )
-    return solve_form(form, backend=backend).objective
+    return solve_form(form).objective
 
 
 def optimal_efficiency_upper_bound(instance: ProblemInstance) -> float:
@@ -293,7 +291,6 @@ def optimal_efficiency_upper_bound(instance: ProblemInstance) -> float:
 def constrained_optimal_efficiency(
     instance: ProblemInstance,
     constraint: str = "envy_free",
-    backend: str = "auto",
 ) -> float:
     """Max total throughput subject to a named fairness constraint set.
 
@@ -306,13 +303,11 @@ def constrained_optimal_efficiency(
     if constraint == "none":
         return optimal_efficiency_upper_bound(instance)
     if constraint == "envy_free":
-        return CooperativeOEF(backend=backend).allocate(instance).total_efficiency()
+        return CooperativeOEF().allocate(instance).total_efficiency()
     if constraint == "equal_throughput":
-        return NonCooperativeOEF(backend=backend).allocate(instance).total_efficiency()
+        return NonCooperativeOEF().allocate(instance).total_efficiency()
     if constraint == "sharing_incentive":
-        return _max_total_with_floors(
-            instance, instance.equal_split_throughput(), backend=backend
-        )
+        return _max_total_with_floors(instance, instance.equal_split_throughput())
     raise ValueError(f"unknown constraint set {constraint!r}")
 
 
@@ -320,12 +315,9 @@ def check_optimal_efficiency(
     allocation: Allocation,
     constraint: str = "envy_free",
     tol: float = 1e-4,
-    backend: str = "auto",
 ) -> EfficiencyReport:
     """Does the allocation attain the constrained-optimal total throughput?"""
-    optimum = constrained_optimal_efficiency(
-        allocation.instance, constraint=constraint, backend=backend
-    )
+    optimum = constrained_optimal_efficiency(allocation.instance, constraint=constraint)
     achieved = allocation.total_efficiency()
     satisfied = achieved >= optimum - tol * max(1.0, abs(optimum))
     return EfficiencyReport(satisfied=satisfied, achieved=achieved, optimum=optimum)
@@ -415,7 +407,6 @@ def audit_allocator(
     instance: ProblemInstance,
     efficiency_constraint: str = "envy_free",
     sp_trials: int = 4,
-    backend: str = "auto",
     seed: int = 0,
     pe_within: Optional[str] = None,
     pe_tolerance: float = 1e-5,
@@ -433,12 +424,12 @@ def audit_allocator(
         envy_freeness=check_envy_freeness(allocation),
         sharing_incentive=check_sharing_incentive(allocation),
         pareto_efficiency=check_pareto_efficiency(
-            allocation, tol=pe_tolerance, backend=backend, within=pe_within
+            allocation, tol=pe_tolerance, within=pe_within
         ),
         strategy_proofness=check_strategy_proofness(
             allocator, instance, trials=sp_trials, seed=seed
         ),
         optimal_efficiency=check_optimal_efficiency(
-            allocation, constraint=efficiency_constraint, backend=backend
+            allocation, constraint=efficiency_constraint
         ),
     )

@@ -29,11 +29,10 @@ _MODES = ("noncooperative", "cooperative")
 class WeightedOEF:
     """OEF with tenant weights and multiple job types per tenant."""
 
-    def __init__(self, mode: str = "noncooperative", backend: str = "auto"):
+    def __init__(self, mode: str = "noncooperative"):
         if mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
         self.mode = mode
-        self.backend = backend
         self.name = f"oef-weighted-{'noncoop' if mode == 'noncooperative' else 'coop'}"
 
     def allocate(
@@ -54,7 +53,5 @@ class WeightedOEF:
         expansion = VirtualUserExpansion(tenants, gpu_types=gpu_types)
         instance = ProblemInstance(expansion.expanded_matrix(), capacities)
         solver = NonCooperativeOEF if self.mode == "noncooperative" else CooperativeOEF
-        allocation, _state, _warm = solver(backend=self.backend).allocate_with_state(
-            instance, weights=expansion.weights
-        )
+        allocation = solver().allocate_with_state(instance, weights=expansion.weights)
         return expansion.merge(allocation)

@@ -37,7 +37,7 @@ class ModelError(ReproError):
 
 
 class SolverError(ReproError):
-    """The LP backend failed to produce a usable solution."""
+    """HiGHS failed to produce a usable solution."""
 
 
 class InfeasibleError(SolverError):

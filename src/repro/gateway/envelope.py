@@ -119,11 +119,7 @@ class Request:
       ``None`` (default) lets the stages derive it themselves;
     * ``fingerprint`` — the instance's content fingerprint, filled by
       :meth:`Gateway.solve` during normalisation so downstream stages
-      never re-hash the instance; user code leaves it ``None``;
-    * ``presolved`` — this request's answer, computed ahead of dispatch
-      by ``Gateway.solve_batch(lp_batch=True)``'s composed-LP prefetch;
-      the terminal solver returns it instead of solving.  User code
-      leaves it ``None``.
+      never re-hash the instance; user code leaves it ``None``.
     """
 
     instance: ProblemInstance
@@ -135,7 +131,6 @@ class Request:
     use_cache: bool = True
     key: Optional[object] = None
     fingerprint: Optional[str] = None
-    presolved: Optional[Allocation] = None
 
 
 #: How a response was served; the *disposition* of a solve.

@@ -35,12 +35,7 @@ hits), and admission, deadlines, the audit tap and
 :meth:`Gateway.use` stages apply to every item.  Threads are the only
 fan-out for solves — the LP solves release the GIL, and a process pool
 could share none of the pipeline's state — so ``backend="process"``
-raises.  ``lp_batch=True`` adds a prefetch: one composed
-:func:`repro.solver.solve_forms` pass whose answers ride down the chain
-on ``Request.presolved``.  It no longer buys time: the composed LP runs
-at 0.97x / 0.84x / 0.75x the speed of solo solves (16 8x4, 16 32x6, 64
-32x6 ``oef-noncoop`` forms; 2.46x / 1.56x / 1.40x while every solo solve
-still went through ``linprog``).
+raises.
 
 Timings
 -------
@@ -407,7 +402,6 @@ class Gateway:
         *,
         backend: Optional[BackendSpec] = None,
         max_workers: Optional[int] = None,
-        lp_batch: bool = False,
     ) -> List[Response]:
         """Solve many requests through the pipeline, in request order.
 
@@ -424,9 +418,6 @@ class Gateway:
         than one core and more than one request.  ``"process"`` raises
         :class:`~repro.exceptions.ValidationError`: the stages' state
         (cache, in-flight table, admission bound) lives in this process.
-
-        ``lp_batch=True`` first solves what it can in one composed LP
-        (see :meth:`_prefetch_forms`); answers equal the solo path's.
         """
         normalised = [
             self._normalise(
@@ -449,60 +440,7 @@ class Gateway:
                     'processes; use backend="thread"'
                 )
             resolved = ThreadBackend(resolved.max_workers)
-        if lp_batch:
-            normalised = self._prefetch_forms(normalised)
         return resolved.map(self.dispatch, normalised)
-
-    def _prefetch_forms(self, requests: List[Request]) -> List[Request]:
-        """Answer the composable cache misses in one block-diagonal LP.
-
-        A request takes part when its key is not already cached (an
-        uncounted peek) and its scheduler is ``parallel_safe`` (the
-        others solve only under their lock, in the terminal stage),
-        exposes the batch protocol, and ``compile_form`` returns a form
-        (``None`` declines — single tenants).  One
-        :func:`repro.solver.solve_forms` pass, which certifies each
-        block against its solo solve or re-solves it, answers them all;
-        each answer rides down on ``Request.presolved`` and the terminal
-        solver returns it as an ordinary ``cold`` response, so counters,
-        dispositions and every stage in between behave as without it.
-        """
-        from repro.solver import solve_forms
-
-        cache = self._cache
-        blocks: Dict[object, tuple] = {}  # identity -> (allocator, form, indices)
-        for index, request in enumerate(requests):
-            info = self.registry.info(request.scheduler)
-            if not info.parallel_safe:
-                continue
-            # uncached requests never dedupe: a fresh object equals only itself
-            identity = request.key if request.key is not None else object()
-            if identity in blocks:  # a duplicate: one block answers both
-                blocks[identity][2].append(index)
-                continue
-            if cache is not None and identity in cache:
-                continue
-            allocator = info.factory(**request.options)
-            if hasattr(allocator, "compile_form") and hasattr(
-                allocator, "allocation_from_values"
-            ):
-                form = allocator.compile_form(request.instance)
-                if form is not None:
-                    blocks[identity] = (allocator, form, [index])
-        if not blocks:
-            return requests
-        solutions = solve_forms([form for _, form, _ in blocks.values()])
-        requests = list(requests)
-        for (allocator, _, indices), solution in zip(blocks.values(), solutions):
-            for index in indices:
-                request = requests[index]
-                requests[index] = replace(
-                    request,
-                    presolved=allocator.allocation_from_values(
-                        request.instance, solution.values
-                    ),
-                )
-        return requests
 
     # -- audits and summaries ------------------------------------------------
     def allocator(self, scheduler: str, **options) -> Allocator:
@@ -520,7 +458,6 @@ class Gateway:
         *,
         sp_trials: int = 4,
         seed: int = 0,
-        lp_backend: str = "auto",
         pe_within=_USE_REGISTRY_DEFAULT,
         efficiency_constraint=_USE_REGISTRY_DEFAULT,
         pe_tolerance=_USE_REGISTRY_DEFAULT,
@@ -530,8 +467,8 @@ class Gateway:
 
         ``pe_within`` / ``efficiency_constraint`` / ``pe_tolerance``
         default to the scheduler's registered audit configuration;
-        explicit arguments (including a ``None`` domain) win.  ``lp_backend`` names the audit's LP
-        solver; solves memoize through the cache stage.
+        explicit arguments (including a ``None`` domain) win.  Solves
+        memoize through the cache stage.
         """
         info = self.registry.info(scheduler)
         if pe_within is _USE_REGISTRY_DEFAULT:
@@ -545,7 +482,6 @@ class Gateway:
             instance,
             efficiency_constraint=efficiency_constraint,
             sp_trials=sp_trials,
-            backend=lp_backend,
             seed=seed,
             pe_within=pe_within,
             pe_tolerance=pe_tolerance,
@@ -581,23 +517,22 @@ class Gateway:
         backend: Optional[BackendSpec] = None,
         *,
         max_workers: Optional[int] = None,
-        lp_backend: str = "auto",
     ) -> List[FrontierPoint]:
         """The efficiency–fairness frontier sweep (memoized per alpha grid).
 
         Each alpha is an independent epsilon-constraint LP; ``backend``
         fans them out.  The memo lives in the cache stage's auxiliary
-        store (same LRU bound and counters), keyed on the
-        instance/alphas/LP solver, never on how it was executed.
+        store (same LRU bound and counters), keyed on the instance and
+        alphas, never on how it was executed.
         """
         alpha_key = tuple(float(alpha) for alpha in alphas)
-        key = ("frontier", instance_fingerprint(instance), alpha_key, lp_backend)
+        key = ("frontier", instance_fingerprint(instance), alpha_key)
         cache = self._cache
         if cache is not None:
             cached = cache.aux_lookup(key)
             if cached is not None:
                 return list(cached)
-        solve_alpha = partial(frontier_point, instance, backend=lp_backend)
+        solve_alpha = partial(frontier_point, instance)
         resolved = get_backend(
             backend if backend is not None else "serial",
             max_workers,

@@ -36,9 +36,7 @@ always last.  Correctness never depends on the order — only counters
 and latency do.  :meth:`Gateway.solve_batch` adds no stage and skips
 none: a batch is these stages, dispatched per item.
 
-A request is answered cold or from the exact cache, nothing else: LP
-warm starting lives below the gateway, at the solver API
-(``solve_form(warm_start=)``, ``Allocator.allocate_with_state``).
+A request is answered cold or from the exact cache, nothing else.
 """
 
 from __future__ import annotations
@@ -168,8 +166,6 @@ class SolverMiddleware(Middleware):
     @staticmethod
     def _run(info, request: Request):
         """``(allocation, scheduler seconds)``."""
-        if request.presolved is not None:  # solve_batch(lp_batch=True) prefetch
-            return request.presolved, 0.0
         allocator = info.factory(**dict(request.options))
         start = time.perf_counter()
         allocation = allocator.allocate(request.instance)

@@ -203,6 +203,7 @@ class ScenarioResult:
     #: Warm-start engine split for this run (0/0 under ``warm=False``
     #: never-cached schedulers).  Excluded from :meth:`summary_row` and
     #: :meth:`fingerprint` so warm and cold replays stay comparable.
+    #: (``warm_hits`` counts decision-memo hits; bench/worker.py reads the name.)
     warm_hits: int = 0
     cold_solves: int = 0
     #: Running aggregates maintained during the replay; the summary

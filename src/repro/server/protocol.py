@@ -182,16 +182,24 @@ def parse_solve(
     routing key), the scheduler alias resolved and the cache key derived,
     so every downstream layer — shard pool, gateway stages — shares one
     identity without re-hashing, and the gateway dispatches it unchanged.
+    The scheduler is built once from its options, so options it refuses
+    are a ``400 bad-options`` here rather than a failure in a shard.
     """
     _check(_SOLVE, payload, where)
     instance = _parse_instance(payload)
     deadline = None
     if "deadline_in" in payload:
         deadline = deadline_in(float(payload["deadline_in"]))
+    scheduler = _resolve(registry, payload.get("scheduler", "oef-coop"))
+    options = payload.get("options", {})
+    try:  # constructors only check and store their options
+        registry.create(scheduler, **options)
+    except (TypeError, ValueError, ReproError) as exc:
+        raise ProtocolError(400, "bad-options", f"{where}: {exc}") from exc
     request = Request(
         instance=instance,
-        scheduler=_resolve(registry, payload.get("scheduler", "oef-coop")),
-        options=payload.get("options", {}),
+        scheduler=scheduler,
+        options=options,
         priority=payload.get("priority", 0),
         deadline=deadline,
         use_cache=payload.get("use_cache", True),

@@ -1,60 +1,40 @@
-"""A small linear-programming substrate.
+"""The linear-programming substrate: one form, one solver.
 
-The OEF paper implements its fair-share evaluator with ``cvxpy`` + ECOS.
-Neither is available offline, so this package provides the same ergonomics
-from scratch:
+The OEF paper implements its fair-share evaluator with ``cvxpy`` + ECOS,
+one LP per scheduling round.  Neither is available offline; this package
+solves the same programs with scipy's vendored HiGHS:
 
-* an expression layer (:mod:`repro.solver.expression`) with scalar
-  :class:`~repro.solver.expression.Variable` handles and affine
-  :class:`~repro.solver.expression.LinExpr` algebra,
-* a model object (:class:`~repro.solver.problem.LinearProgram`) that collects
-  constraints and an objective and compiles them to matrix standard form,
-* two interchangeable backends: scipy's HiGHS
-  (:mod:`repro.solver.scipy_backend`) for speed, and a from-scratch
-  two-phase dense simplex (:mod:`repro.solver.simplex`) used to cross-check
-  results and to keep the repository self-contained.
+* :class:`~repro.solver.form.StandardForm` is the matrix form every
+  allocator builds directly, and :func:`~repro.solver.form.solve_form`
+  solves it in one cold HiGHS run;
+* :class:`~repro.solver.incremental.IncrementalLP` is the one session
+  that keeps a basis between solves: the cooperative allocator's
+  cutting-plane loop appends rows to it;
+* :data:`~repro.solver.formcache.FORM_CACHE` memoises built forms by the
+  content of their inputs.
 
 Typical usage::
 
-    lp = LinearProgram("demo")
-    x = lp.new_variable_array("x", (2, 2))
-    lp.add_constraint(x[0, 0] + x[1, 0] <= 1.0)
-    lp.set_objective(2.0 * x[0, 0] + x[1, 1], sense="max")
-    solution = lp.solve()
-    solution.value(x[0, 0])
+    form = StandardForm(
+        c=np.array([-2.0, -1.0]),
+        a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]),
+        a_eq=None, b_eq=None, bounds=[(0.0, None)] * 2, maximise=True,
+    )
+    solve_form(form).objective  # 2.0
 """
 
-from repro.solver.batch import solve_forms
-from repro.solver.expression import LinExpr, Variable, dot, lin_sum
+from repro.solver.form import Solution, SolveStats, StandardForm, solve_form
 from repro.solver.formcache import FORM_CACHE, FormCache, fingerprint_arrays
 from repro.solver.incremental import IncrementalLP, incremental_available
-from repro.solver.problem import Constraint, LinearProgram, StandardForm, solve_form
-from repro.solver.result import Solution, SolveStats
-from repro.solver.scipy_backend import ScipyBackend
-from repro.solver.simplex import SimplexBackend, standardise_form
-from repro.solver.warm import WarmStartState, form_signature, try_warm_solve
 
 __all__ = [
-    "Constraint",
     "FORM_CACHE",
     "FormCache",
     "IncrementalLP",
-    "LinExpr",
-    "LinearProgram",
-    "ScipyBackend",
-    "SimplexBackend",
     "Solution",
     "SolveStats",
     "StandardForm",
-    "Variable",
-    "WarmStartState",
-    "dot",
     "fingerprint_arrays",
-    "form_signature",
     "incremental_available",
-    "lin_sum",
     "solve_form",
-    "solve_forms",
-    "standardise_form",
-    "try_warm_solve",
 ]

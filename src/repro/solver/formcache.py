@@ -1,17 +1,15 @@
 """A process-wide cache of compiled :class:`StandardForm` objects.
 
-``LinearProgram.compile`` now memoises per program *object*, but the OEF
-allocators construct a fresh program per request — a scenario replay that
-solves the same instance shape round after round still paid full
-Python-level assembly every time.  This module closes that gap: allocators
-that build their standard forms directly (the vectorized builders in
-:mod:`repro.core`) key them here by a **content fingerprint** of the
-arrays that determine the form (speedup matrix, capacities, options), so
-repeat rounds skip assembly entirely.
+The OEF allocators build a fresh program per request, so a scenario
+replay that solves the same instance shape round after round would pay
+the assembly every time.  The allocators' form builders (the vectorized
+builders in :mod:`repro.core`) key their forms here by a **content
+fingerprint** of the arrays that determine the form (speedup matrix,
+capacities, options), so repeat rounds skip assembly entirely.
 
 Cached forms are shared between callers and must be treated as immutable
-— every consumer in this repository already is (backends read, never
-write), which is what makes the sharing safe.
+— every consumer in this repository already is (the solver reads, never
+writes), which is what makes the sharing safe.
 
 The cache is a small thread-safe LRU; eviction keeps memory bounded when
 a fleet-scale sweep touches thousands of distinct instances.
@@ -26,7 +24,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from repro.solver.problem import StandardForm
+from repro.solver.form import StandardForm
 
 
 def fingerprint_arrays(*arrays: np.ndarray, extra: Tuple = ()) -> str:

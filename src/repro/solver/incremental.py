@@ -2,17 +2,19 @@
 
 scipy ships the complete ``highspy`` bindings as the private module
 ``scipy.optimize._highspy``; this file keeps every private-API touch in
-one place, behind a feature probe, so callers degrade to
-``scipy.optimize.linprog`` when the vendored surface is absent or
-changes shape.  :func:`solve_once` is what every one-shot LP runs: the
-model and options ``linprog(method="highs")`` would load, without the
+one place, behind a feature probe.  HiGHS is the only solver: when the
+probe fails (a scipy older than 1.15, or one whose private surface
+changed shape), :func:`solve_once` and :class:`IncrementalLP` raise a
+:class:`~repro.exceptions.SolverError` naming the installed scipy.
+:func:`solve_once` is what every one-shot LP runs: the model and options
+scipy's own HiGHS front end (``method="highs"``) would load, without the
 flat 1.5-1.9 ms of input cleaning, option checking and result wrapping
-``linprog`` spends per call, nor a CSC copy or a new HiGHS instance per
-solve (one per thread, cleared per model).  :class:`IncrementalLP` is the
-cutting-plane session of :class:`~repro.core.cooperative.CooperativeOEF`:
-rows are appended to (or deleted from) a loaded model and the retained
-basis warm-starts the next dual-simplex run, which then only has to
-price the new rows in.
+that front end spends per call, nor a CSC copy or a new HiGHS instance
+per solve (one per thread, cleared per model).  :class:`IncrementalLP`
+is the cutting-plane session of
+:class:`~repro.core.cooperative.CooperativeOEF`: rows are appended to
+(or deleted from) a loaded model and the retained basis warm-starts the
+next dual-simplex run, which then only has to price the new rows in.
 
 Determinism: the session pins ``threads=1``/``parallel=off`` and disables
 solver output, so repeated runs of the same model produce identical
@@ -31,6 +33,7 @@ import threading
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 from scipy import sparse
 
 from repro.exceptions import InfeasibleError, SolverError, UnboundedError
@@ -52,6 +55,15 @@ def incremental_available() -> bool:
         for name in ("passModel", "clearModel", "run", "addRows", "deleteRows",
                      "getBasis", "getSolution")
     )
+
+
+def _require() -> None:
+    """Raise unless the probe passes: there is no other way to solve."""
+    if not incremental_available():
+        raise SolverError(
+            f"scipy {scipy.__version__} lacks the vendored HiGHS bindings "
+            "(scipy.optimize._highspy._core); repro needs scipy>=1.15"
+        )
 
 
 _INF = float("inf")
@@ -82,9 +94,9 @@ def _model(c, col_lower, col_upper, matrix, row_lower, row_upper):
 def _run(highs) -> None:
     """Run a loaded model; anything short of a read-safe optimum raises.
 
-    ``linprog``'s table: infeasible and model-error are verdicts, so is
+    scipy's status table: infeasible and model-error are verdicts, so is
     unbounded; the rest (presolve's unbounded-or-infeasible included) is
-    a plain :class:`SolverError`, which ``backend="auto"`` retries.
+    a plain :class:`SolverError`.
     """
     run_status = highs.run()
     status = highs.getModelStatus()
@@ -109,12 +121,12 @@ def solve_once(
     a_eq=None,
     b_eq: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One cold solve of exactly the model ``linprog(method="highs")`` loads.
+    """One cold solve of exactly the model scipy's ``method="highs"`` loads.
 
     ``A_ub`` stacked over ``A_eq``, row bounds ``(-inf, b_ub)`` /
     ``(b_eq, b_eq)``, and only the options scipy sets — not the session's
-    ``threads=1`` — so ``x`` and the row duals (stacked row order,
-    ``linprog``'s ``marginals`` sign) are ``linprog``'s to the bit.
+    ``threads=1`` — so ``x`` and the row duals (stacked row order, the
+    sign of scipy's ``marginals``) are scipy's to the bit.
     Inputs are trusted: the caller screens shapes and non-finite values.
 
     Neither saving moves a bit.  A CSR matrix loads rowwise, uncopied:
@@ -123,6 +135,7 @@ def solve_once(
     and ``clearModel`` drops model, solution and basis, not options, so
     each run starts where a new instance would.
     """
+    _require()
     b_ub = np.zeros(0) if a_ub is None else np.asarray(b_ub, dtype=float)
     b_eq = np.zeros(0) if a_eq is None else np.asarray(b_eq, dtype=float)
     blocks = [block for block in (a_ub, a_eq) if block is not None]
@@ -169,8 +182,7 @@ class IncrementalLP:
         a_ub: Optional[sparse.spmatrix] = None,
         b_ub: Optional[np.ndarray] = None,
     ):
-        if not incremental_available():
-            raise SolverError("vendored HiGHS session API unavailable")
+        _require()
         num_cols = len(c)
         rows = sparse.csr_matrix((0, num_cols)) if a_ub is None else a_ub.tocsr()
         rhs = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)

@@ -176,20 +176,17 @@ class TestEfficiencyMax:
 
 
 class TestCuttingPlanePaths:
-    def test_incremental_matches_linprog_fallback(self, monkeypatch):
-        # the persistent-session hot path and the per-round linprog
-        # fallback must land on the same optimum
-        import repro.core.cooperative as coop_mod
-
+    def test_incremental_matches_the_full_program(self):
+        # the persistent-session cut loop and the full O(n^2) program
+        # must land on the same optimum
         instance = random_instance(80, 6, seed=11, devices_per_type=40.0)
         incremental = CooperativeOEF(method="cutting-plane").allocate(instance)
-        monkeypatch.setattr(coop_mod, "incremental_available", lambda: False)
-        legacy = CooperativeOEF(method="cutting-plane").allocate(instance)
+        full = CooperativeOEF(method="full").allocate(instance)
         assert incremental.total_efficiency() == pytest.approx(
-            legacy.total_efficiency(), rel=1e-7
+            full.total_efficiency(), rel=1e-7
         )
         assert check_envy_freeness(incremental, tol=1e-5).satisfied
-        assert check_envy_freeness(legacy, tol=1e-5).satisfied
+        assert check_envy_freeness(full, tol=1e-5).satisfied
 
     def test_cutting_plane_matches_full_form(self):
         # both regimes solve Eq. 10 exactly; objectives must agree

@@ -1,45 +1,230 @@
-"""The :class:`LinearProgram` model object and its standard-form compiler.
+"""The LP modelling DSL, kept as a test oracle for hand-written forms.
 
-A program collects variables, constraints, and one objective, then compiles
-to :class:`StandardForm` — the exact shape that both backends (scipy HiGHS
-and the in-repo simplex) consume:
+Every allocator in ``repro`` builds its :class:`~repro.solver.StandardForm`
+directly.  This module is the declarative model those forms replaced —
+scalar :class:`Variable` handles, affine :class:`LinExpr` algebra, and a
+:class:`LinearProgram` that collects constraints and an objective and
+compiles them to the matrix standard form:
 
     minimise    c @ x
     subject to  A_ub @ x <= b_ub
                 A_eq @ x == b_eq
                 lower <= x <= upper   (element-wise; None = unbounded)
 
-Maximisation is handled by negating ``c`` at compile time and the objective
-value at read-back time.
+Maximisation negates ``c`` at compile time (unused columns end as
+``-0.0``).  Expression ``<=`` rows come first, then the ``>=`` rows
+negated, then bulk matrix blocks; a system of at most
+``_DENSE_CELL_LIMIT`` cells is densified.  Tests hold each hand-written
+form to this compile, and solve it on HiGHS or on the simplex oracle::
 
-Two constraint-building paths are supported:
-
-* expression constraints via ``lp.add_constraint(expr <= rhs)`` — readable,
-  used for small programs and examples;
-* bulk matrix rows via :meth:`LinearProgram.add_matrix_constraints` — the
-  fast path used by the OEF allocators.  Blocks may be dense numpy arrays
-  or ``scipy.sparse`` matrices; the cooperative OEF formulation has
-  O(n^2) envy rows, which must stay sparse at the scale of the paper's
-  overhead experiment (Fig. 10a, 300 users x 10 GPU types).
+    lp = LinearProgram("demo")
+    x = lp.new_variable_array("x", (2, 2))
+    lp.add_constraint(x[0, 0] + x[1, 0] <= 1.0)
+    lp.set_objective(2.0 * x[0, 0] + x[1, 1], sense="max")
+    solution = lp.solve()          # or lp.solve(backend="simplex")
+    solution.value(x[0, 0])
 """
 
 from __future__ import annotations
 
-import time
+import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
-from repro.exceptions import (
-    InfeasibleError,
-    ModelError,
-    SolverError,
-    UnboundedError,
-)
-from repro.solver.expression import LinExpr, Variable
-from repro.solver.result import Solution, SolveStats
+from reference_simplex import simplex_solve_form
+from repro.exceptions import ModelError
+from repro.solver import Solution, StandardForm, solve_form
+
+Scalar = Union[int, float, np.integer, np.floating]
+ExprLike = Union["Variable", "LinExpr", Scalar]
+
+
+def _is_scalar(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+class Variable:
+    """A scalar decision variable.
+
+    Instances are created by :meth:`LinearProgram.new_variable` and carry a
+    global column index within their owning program.  All arithmetic
+    promotes to :class:`LinExpr`.
+    """
+
+    __slots__ = ("index", "name", "lower", "upper")
+
+    def __init__(self, index: int, name: str, lower: float | None, upper: float | None):
+        self.index = index
+        self.name = name
+        self.lower = lower
+        self.upper = upper
+
+    # -- promotion -------------------------------------------------------
+    def to_expr(self) -> "LinExpr":
+        return LinExpr({self.index: 1.0}, 0.0)
+
+    # -- arithmetic ------------------------------------------------------
+    def __add__(self, other: ExprLike) -> "LinExpr":
+        return self.to_expr() + other
+
+    __radd__ = __add__
+
+    def __sub__(self, other: ExprLike) -> "LinExpr":
+        return self.to_expr() - other
+
+    def __rsub__(self, other: ExprLike) -> "LinExpr":
+        return (-self.to_expr()) + other
+
+    def __mul__(self, other: Scalar) -> "LinExpr":
+        return self.to_expr() * other
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: Scalar) -> "LinExpr":
+        return self.to_expr() / other
+
+    def __neg__(self) -> "LinExpr":
+        return self.to_expr() * -1.0
+
+    # -- comparisons build constraints ------------------------------------
+    def __le__(self, other: ExprLike):
+        return self.to_expr() <= other
+
+    def __ge__(self, other: ExprLike):
+        return self.to_expr() >= other
+
+    def __eq__(self, other: object):  # type: ignore[override]
+        return self.to_expr() == other
+
+    def __hash__(self) -> int:
+        return hash(("Variable", self.index))
+
+    def __repr__(self) -> str:
+        return f"Variable({self.name!r}, index={self.index})"
+
+
+class LinExpr:
+    """An affine expression ``sum(coeff_i * x_i) + constant``."""
+
+    __slots__ = ("coeffs", "constant")
+
+    def __init__(self, coeffs: Dict[int, float] | None = None, constant: float = 0.0):
+        self.coeffs: Dict[int, float] = dict(coeffs) if coeffs else {}
+        self.constant = float(constant)
+
+    # -- helpers ----------------------------------------------------------
+    @staticmethod
+    def coerce(value: ExprLike) -> "LinExpr":
+        """Promote a variable or scalar to a :class:`LinExpr`."""
+        if isinstance(value, LinExpr):
+            return value
+        if isinstance(value, Variable):
+            return value.to_expr()
+        if _is_scalar(value):
+            return LinExpr({}, float(value))
+        raise ModelError(f"cannot use {value!r} in a linear expression")
+
+    def copy(self) -> "LinExpr":
+        return LinExpr(self.coeffs, self.constant)
+
+    def is_constant(self) -> bool:
+        return not self.coeffs
+
+    # -- arithmetic ------------------------------------------------------
+    def __add__(self, other: ExprLike) -> "LinExpr":
+        other = LinExpr.coerce(other)
+        result = self.copy()
+        for index, coeff in other.coeffs.items():
+            result.coeffs[index] = result.coeffs.get(index, 0.0) + coeff
+        result.constant += other.constant
+        return result
+
+    __radd__ = __add__
+
+    def __sub__(self, other: ExprLike) -> "LinExpr":
+        return self + (LinExpr.coerce(other) * -1.0)
+
+    def __rsub__(self, other: ExprLike) -> "LinExpr":
+        return (self * -1.0) + other
+
+    def __mul__(self, other: Scalar) -> "LinExpr":
+        if not _is_scalar(other):
+            raise ModelError("linear expressions only support scalar multiplication")
+        factor = float(other)
+        return LinExpr(
+            {index: coeff * factor for index, coeff in self.coeffs.items()},
+            self.constant * factor,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: Scalar) -> "LinExpr":
+        if not _is_scalar(other):
+            raise ModelError("linear expressions only support scalar division")
+        if other == 0:
+            raise ModelError("division of a linear expression by zero")
+        return self * (1.0 / float(other))
+
+    def __neg__(self) -> "LinExpr":
+        return self * -1.0
+
+    # -- comparisons ------------------------------------------------------
+    def __le__(self, other: ExprLike):
+        return Constraint(self - LinExpr.coerce(other), "<=")
+
+    def __ge__(self, other: ExprLike):
+        return Constraint(self - LinExpr.coerce(other), ">=")
+
+    def __eq__(self, other: object):  # type: ignore[override]
+        return Constraint(self - LinExpr.coerce(other), "==")
+
+    def __hash__(self) -> int:  # required because __eq__ is overloaded
+        return id(self)
+
+    def __repr__(self) -> str:
+        terms = " + ".join(f"{coeff:g}*x{index}" for index, coeff in sorted(self.coeffs.items()))
+        if not terms:
+            return f"LinExpr({self.constant:g})"
+        if self.constant:
+            return f"LinExpr({terms} + {self.constant:g})"
+        return f"LinExpr({terms})"
+
+
+def dot(coefficients: Sequence[Scalar] | np.ndarray, variables: Iterable[Variable]) -> LinExpr:
+    """Inner product of a numeric vector with a vector of variables.
+
+    This is the fast path for building expressions like ``W_l . x_l``: it
+    avoids the quadratic cost of repeated ``LinExpr.__add__`` calls.
+    """
+    coeff_array = np.asarray(coefficients, dtype=float).ravel()
+    variable_list = list(variables)
+    if coeff_array.shape[0] != len(variable_list):
+        raise ModelError(
+            f"dot length mismatch: {coeff_array.shape[0]} coefficients "
+            f"vs {len(variable_list)} variables"
+        )
+    coeffs: Dict[int, float] = {}
+    for coeff, variable in zip(coeff_array, variable_list):
+        if coeff == 0.0:
+            continue
+        coeffs[variable.index] = coeffs.get(variable.index, 0.0) + float(coeff)
+    return LinExpr(coeffs, 0.0)
+
+
+def lin_sum(terms: Iterable[ExprLike]) -> LinExpr:
+    """Sum of expressions, variables, and scalars (linear-time)."""
+    coeffs: Dict[int, float] = {}
+    constant = 0.0
+    for term in terms:
+        expr = LinExpr.coerce(term)
+        constant += expr.constant
+        for index, coeff in expr.coeffs.items():
+            coeffs[index] = coeffs.get(index, 0.0) + coeff
+    return LinExpr(coeffs, constant)
+
 
 _SENSES = ("<=", ">=", "==")
 
@@ -78,28 +263,6 @@ class _MatrixBlock:
     column_indices: np.ndarray
     sense: str
     rhs: np.ndarray
-
-
-@dataclass
-class StandardForm:
-    """Matrix form consumed by LP backends (minimisation convention).
-
-    ``a_ub``/``a_eq`` may be dense ndarrays or scipy sparse matrices; the
-    scipy backend passes either through, and the simplex backend densifies.
-    """
-
-    c: np.ndarray
-    a_ub: Optional[MatrixLike]
-    b_ub: Optional[np.ndarray]
-    a_eq: Optional[MatrixLike]
-    b_eq: Optional[np.ndarray]
-    bounds: List[Tuple[Optional[float], Optional[float]]]
-    maximise: bool
-    offset: float = 0.0
-
-    @property
-    def num_variables(self) -> int:
-        return int(self.c.shape[0])
 
 
 @dataclass
@@ -331,93 +494,38 @@ class LinearProgram:
         return form
 
     # -- solve ---------------------------------------------------------------
-    def solve(self, backend: str = "auto", warm_start=None) -> Solution:
-        """Compile and solve; returns a :class:`Solution`.
-
-        ``backend`` is ``"scipy"``, ``"simplex"`` or ``"auto"``.  ``auto``
-        runs scipy's HiGHS and, should HiGHS fail for a reason other than
-        a provably infeasible/unbounded program, retries with the in-repo
-        :class:`~repro.solver.simplex.SimplexBackend` — the self-contained
-        fallback.  ``solution.stats.backend`` records the backend that
-        actually produced the answer.
-
-        ``warm_start`` accepts the ``warm_state`` of a prior
-        :class:`~repro.solver.result.Solution` for a structurally
-        identical program.  The state is verified against this program's
-        numbers before it is trusted (see :mod:`repro.solver.warm`); on
-        a miss the solve silently runs cold, so warm starting never
-        changes an answer.  ``solution.stats.warm_start_used`` reports
-        which path produced the result, and ``solution.warm_state``
-        carries this solve's own evidence forward.
-        """
+    def solve(self, backend: str = "highs") -> "ValuedSolution":
+        """Compile and solve on ``"highs"`` (the package's solver) or
+        ``"simplex"`` (the oracle in :mod:`reference_simplex`)."""
         form = self.compile()
-        return solve_form(
-            form,
-            backend=backend,
-            warm_start=warm_start,
-            num_constraints=self.num_constraints,
-        )
-
-
-def solve_form(
-    form: StandardForm,
-    backend: str = "auto",
-    warm_start=None,
-    num_constraints: Optional[int] = None,
-) -> Solution:
-    """Solve an already-compiled :class:`StandardForm`.
-
-    The backend-dispatch half of :meth:`LinearProgram.solve`, exposed so
-    callers that assemble standard forms directly (the OEF allocators'
-    vectorized builders, the batch solver) share one solve path —
-    including the ``auto`` fallback contract: try scipy HiGHS, and on a
-    :class:`~repro.exceptions.SolverError` that is *not* a definitive
-    infeasible/unbounded verdict, retry with the self-contained simplex,
-    recording whichever backend produced the answer in
-    ``solution.stats.backend``.
-    """
-    from repro.solver.scipy_backend import ScipyBackend
-    from repro.solver.simplex import SimplexBackend
-
-    start = time.perf_counter()
-    if backend == "auto":
-        backend_used = "scipy"
-        try:
-            values, warm_state, warm_used = ScipyBackend().solve_with_state(
-                form, warm_start
-            )
-        except (InfeasibleError, UnboundedError):
-            raise  # definitive verdicts, not backend failures
-        except SolverError:
-            backend_used = "simplex"
-            values, warm_state, warm_used = SimplexBackend().solve_with_state(
-                form, warm_start
-            )
-    else:
-        if backend == "scipy":
-            solver = ScipyBackend()
+        if backend == "highs":
+            solution = solve_form(form)
         elif backend == "simplex":
-            solver = SimplexBackend()
+            solution = simplex_solve_form(form)
         else:
             raise ModelError(f"unknown backend {backend!r}")
-        backend_used = backend
-        values, warm_state, warm_used = solver.solve_with_state(form, warm_start)
-    elapsed = time.perf_counter() - start
+        return ValuedSolution(solution.values, solution.objective, solution.stats)
 
-    raw_objective = float(form.c @ values)
-    objective = (-raw_objective if form.maximise else raw_objective) + form.offset
-    rows = 0 if form.a_ub is None else int(form.a_ub.shape[0])
-    rows += 0 if form.a_eq is None else int(form.a_eq.shape[0])
-    stats = SolveStats(
-        backend=backend_used,
-        solve_seconds=elapsed,
-        num_variables=form.num_variables,
-        num_constraints=rows if num_constraints is None else num_constraints,
-        warm_start_used=warm_used,
-    )
-    return Solution(
-        values=values,
-        objective=objective,
-        stats=stats,
-        warm_state=warm_state,
-    )
+
+@dataclass(frozen=True)
+class ValuedSolution(Solution):
+    """A :class:`~repro.solver.Solution` that reads back model handles.
+
+    ``value`` evaluates scalars, variables, expressions, or object arrays
+    of variables (returning a float ndarray of the same shape).
+    """
+
+    def value(self, item):
+        if isinstance(item, Variable):
+            return float(self.values[item.index])
+        if isinstance(item, LinExpr):
+            total = item.constant
+            for index, coeff in item.coeffs.items():
+                total += coeff * self.values[index]
+            return float(total)
+        if isinstance(item, np.ndarray) and item.dtype == object:
+            out = np.empty(item.shape, dtype=float)
+            for index in np.ndindex(*item.shape):
+                out[index] = self.value(item[index])
+            return out
+        raise TypeError(f"cannot evaluate {type(item).__name__} against a solution")

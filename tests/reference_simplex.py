@@ -1,10 +1,8 @@
-"""A from-scratch sparse revised-simplex LP backend.
+"""A from-scratch sparse revised-simplex LP solver: the test oracle for HiGHS.
 
-This backend keeps the repository self-contained (the paper's artifact uses
-ECOS through cvxpy; we cross-check scipy's HiGHS against this
-implementation in the test suite).  The solve is a classic two-phase
-simplex, but run *revised* over sparse matrices instead of on a dense
-tableau:
+HiGHS is the package's only solver; this file cross-checks it from the
+test suite.  The solve is a classic two-phase simplex, run *revised*
+over sparse matrices instead of on a dense tableau:
 
 1. Standardise: shift finite lower bounds to zero, split free variables
    into positive/negative parts, turn finite upper bounds into extra rows,
@@ -22,40 +20,28 @@ and refactorised periodically.  Each iteration costs one BTRAN (pricing),
 one sparse mat-vec (reduced costs), and one FTRAN (pivot column) — never
 an O(rows x cols) tableau sweep.  Pricing and the ratio test replicate
 the classic tableau rules exactly (Bland's smallest-index entering rule,
-the same leaving tie-break on basis indices), so the pivot sequence — and
-therefore the answer and the optimal basis — match the dense tableau this
-module used to run.  Numerical breakdown (a singular refactorisation,
-the iteration cap) raises :class:`~repro.exceptions.SolverError`; there
-is no second implementation to fall back to.
+the same leaving tie-break on basis indices).  Numerical breakdown (a
+singular refactorisation, the iteration cap) raises
+:class:`~repro.exceptions.SolverError`.
 
-Warm starting: ``solve(form, warm_start=prior_state)`` accepts the
-:class:`~repro.solver.warm.WarmStartState` of a structurally identical
-prior program.  The prior optimal basis is re-verified against the new
-numbers (feasible + strictly optimal, hence unique — see
-:mod:`repro.solver.warm`); on success the solution drops out of one
-``(m, m)`` solve instead of the full two-phase run, and on any doubt the
-backend silently falls back to the cold path, so warm starts can never
-change an answer.  ``solve_with_state`` additionally returns the state of
-*this* solve for the next round to reuse.
+:func:`simplex_solve_form` has :func:`repro.solver.solve_form`'s
+signature and result type, so a test can swap it in for an allocator's
+module-level ``solve_form`` and run that allocator on the simplex.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
+import pytest
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from repro.exceptions import InfeasibleError, SolverError, UnboundedError
-from repro.solver.problem import StandardForm
-from repro.solver.warm import (
-    WarmStartState,
-    form_signature,
-    refresh_state,
-    try_warm_solve,
-)
+from repro.solver import Solution, SolveStats, StandardForm
 
 _TOL = 1e-9
 
@@ -97,9 +83,7 @@ def standardise_form(
     ``A`` comes back as a ``scipy.sparse.csc_matrix`` assembled by block
     composition — the variable-split expansion is one sparse
     matrix-matrix product, upper-bound rows are a row slice of the
-    expansion operator, and slacks are an identity block.  Module-level
-    because warm-start verification (:mod:`repro.solver.warm`)
-    re-standardises the successor form to check a prior basis against it.
+    expansion operator, and slacks are an identity block.
     """
     num_original = form.num_variables
     columns: List[_Column] = []
@@ -200,9 +184,7 @@ def unfold_internal(
     """Map a standardised-space point back to original variables.
 
     The inverse of :func:`standardise_form`'s variable treatment
-    (re-merge split free variables, re-apply lower-bound shifts); shared
-    with warm-start verification so the unfolding can never drift from
-    the standardisation it inverts.
+    (re-merge split free variables, re-apply lower-bound shifts).
     """
     values = np.zeros(form.num_variables)
     num_internal = len(columns)
@@ -407,38 +389,39 @@ class SimplexBackend:
     def __init__(self, max_iterations: int = 100_000):
         self.max_iterations = max_iterations
 
-    # -- public API --------------------------------------------------------
-    def solve(
-        self, form: StandardForm, warm_start: Optional[WarmStartState] = None
-    ) -> np.ndarray:
-        values, _state, _used = self.solve_with_state(form, warm_start)
-        return values
-
-    def solve_with_state(
-        self, form: StandardForm, warm_start: Optional[WarmStartState] = None
-    ) -> Tuple[np.ndarray, Optional[WarmStartState], bool]:
-        """Solve and return ``(values, state, warm_start_used)``.
-
-        ``state`` carries this solve's optimal basis (plus the point
-        itself) for a future structurally identical program; when the
-        supplied ``warm_start`` verifies against ``form`` the answer is
-        produced without pivoting at all and ``warm_start_used`` is True.
-        """
-        standardised = standardise_form(form)
-        if warm_start is not None:
-            # hand the standardised tuple down so a warm miss does not
-            # pay the standardisation twice
-            values = try_warm_solve(form, warm_start, standardised)
-            if values is not None:
-                return values, refresh_state(warm_start, form, values), True
-        a_full, b_full, c_full, columns = standardised
-        internal, basis = _RevisedSolver(
+    def solve(self, form: StandardForm) -> np.ndarray:
+        """The optimal point of ``form``, in its original variables."""
+        a_full, b_full, c_full, columns = standardise_form(form)
+        internal, _basis = _RevisedSolver(
             a_full, b_full, c_full, self.max_iterations
         ).solve()
-        values = unfold_internal(form, columns, internal)
-        state = WarmStartState(
-            signature=form_signature(form),
-            basis=tuple(int(index) for index in basis),
-            primal=values.copy(),
-        )
-        return values, state, False
+        return unfold_internal(form, columns, internal)
+
+
+def simplex_solve_form(form: StandardForm) -> Solution:
+    """:func:`repro.solver.solve_form` with the simplex in place of HiGHS."""
+    values = SimplexBackend().solve(form)
+    raw_objective = float(form.c @ values)
+    objective = (-raw_objective if form.maximise else raw_objective) + form.offset
+    rows = sum(
+        0 if matrix is None else int(matrix.shape[0]) for matrix in (form.a_ub, form.a_eq)
+    )
+    return Solution(
+        values=values,
+        objective=objective,
+        stats=SolveStats(
+            solve_seconds=0.0, num_variables=form.num_variables, num_constraints=rows
+        ),
+    )
+
+
+@contextmanager
+def allocators_on_simplex():
+    """Route the OEF allocators' one-shot solves through the simplex."""
+    import repro.core.cooperative as cooperative
+    import repro.core.noncooperative as noncooperative
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (cooperative, noncooperative):
+            patch.setattr(module, "solve_form", simplex_solve_form)
+        yield

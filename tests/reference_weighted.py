@@ -18,7 +18,9 @@ the differential tests can run them beside the live code:
   ``test_pareto_differential.py``), copied without edits.
 
 Do not "tidy" the copied bodies: they are only worth anything while they
-stay the old code.
+stay the old code.  The one edit since: the LP-backend argument left with
+the knob it named, and ``LinearProgram`` now comes from the test-side
+oracle ``reference_lp.py``.
 """
 
 from fractions import Fraction
@@ -33,7 +35,8 @@ from repro.core.cooperative import capacity_rows, envy_rows
 from repro.core.instance import GroupedInstance
 from repro.core.noncooperative import equal_throughput_rows
 from repro.core.properties import ParetoReport, floor_rows
-from repro.solver import LinearProgram, StandardForm, dot, solve_form
+from reference_lp import LinearProgram, dot
+from repro.solver import StandardForm, solve_form
 
 
 def replica_counts(weights: Sequence[float]) -> np.ndarray:
@@ -63,7 +66,7 @@ def replicated_optimum(
     matrix = SpeedupMatrix(rows, normalise=False, require_monotone=False)
     replicas = ungrouped(ProblemInstance(matrix.replicated(counts), capacities))
     if mode == "cooperative":
-        shares, _state, _warm = CooperativeOEF(method="full")._solve_full(replicas)
+        shares = CooperativeOEF(method="full")._solve_full(replicas)
     else:
         values = solve_form(NonCooperativeOEF()._form(replicas)).values
         shares = values[: replicas.speedups.size].reshape(replicas.speedups.shape)
@@ -192,7 +195,6 @@ def parent_noncoop_form(instance: ProblemInstance) -> StandardForm:
 def parent_check_pareto_efficiency(
     allocation,
     tol: float = 1e-5,
-    backend: str = "auto",
     within: Optional[str] = None,
 ) -> ParetoReport:
     instance = allocation.instance
@@ -233,7 +235,7 @@ def parent_check_pareto_efficiency(
     elif within is not None:
         raise ValueError(f"unknown PE domain {within!r}")
     lp.set_objective(dot(speedups.ravel(), flat), sense="max")
-    achievable = lp.solve(backend=backend).objective
+    achievable = lp.solve().objective
     current_total = float(current.sum())
     # relative tolerance: LP solvers return slightly-off vertex values
     satisfied = achievable <= current_total + tol * max(1.0, abs(current_total))
@@ -249,7 +251,6 @@ def member_max_total_with_floors(
     floors: np.ndarray,
     within: Optional[str] = None,
     weights: Optional[np.ndarray] = None,
-    backend: str = "auto",
 ) -> float:
     """Max total throughput with ``W_l . x_l >= floors[l]``, inside ``within``."""
     if within not in (None, "envy_free", "equal_throughput"):
@@ -273,4 +274,4 @@ def member_max_total_with_floors(
         bounds=[(0.0, None)] * (speedups.size + extra),
         maximise=True,
     )
-    return solve_form(form, backend=backend).objective
+    return solve_form(form).objective

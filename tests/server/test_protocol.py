@@ -133,6 +133,28 @@ class TestParseSolve:
             parse_solve({"instance": instance_dict, field: value}, registry)
         assert exc.value.code == code
 
+    @pytest.mark.parametrize(
+        "scheduler,options",
+        [
+            ("oef-coop", {"nope": 1}),  # TypeError in the constructor
+            ("oef-coop", {"method": "bogus"}),  # ValueError
+            ("oef-noncoop", {"backend": "simplex"}),  # an option that left in 3.0
+        ],
+        ids=["unknown-option", "bad-value", "removed-option"],
+    )
+    def test_options_the_scheduler_refuses_are_a_typed_400(
+        self, instance_dict, registry, scheduler, options
+    ):
+        body = {"instance": instance_dict, "scheduler": scheduler, "options": options}
+        with pytest.raises(ProtocolError) as exc:
+            parse_solve(body, registry)
+        assert (exc.value.status, exc.value.code) == (400, "bad-options")
+        # one bad member refuses the whole batch before anything streams
+        with pytest.raises(ProtocolError) as exc:
+            parse_batch({"requests": [{"instance": instance_dict}, body]}, registry)
+        assert (exc.value.status, exc.value.code) == (400, "bad-options")
+        assert "requests[1]" in exc.value.message
+
     def test_deadline_in_becomes_absolute(self, instance_dict, registry):
         request = parse_solve(
             {"instance": instance_dict, "deadline_in": 30}, registry

@@ -333,6 +333,70 @@ class TestEndpoints:
         _with_server(run)
 
 
+class TestBadOptions:
+    """Options a scheduler's constructor refuses: a typed 400, not a 500."""
+
+    BAD = [
+        ("oef-coop", {"nope": 1}),
+        ("oef-coop", {"method": "bogus"}),
+        ("oef-noncoop", {"backend": "simplex"}),
+    ]
+
+    def test_each_is_a_400_and_the_connection_stays_open(self):
+        instance = random_instance(4, 3, seed=5)
+
+        async def run(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                for scheduler, options in self.BAD:
+                    body = _solve_body(instance, scheduler, options=options)
+                    writer.write(_request_wire("POST", "/solve", body, close=False))
+                    await writer.drain()
+                    status, headers, raw = await http11.read_response(reader)
+                    assert status == 400
+                    assert json.loads(raw)["error"]["code"] == "bad-options"
+                    assert headers["connection"] == "keep-alive"
+                # the same connection still solves
+                body = _solve_body(instance, "oef-coop", options={"method": "full"})
+                writer.write(_request_wire("POST", "/solve", body, close=False))
+                await writer.drain()
+                status, _, _ = await http11.read_response(reader)
+                assert status == 200
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            _, _, raw = await _roundtrip(server.port, "GET", "/metrics")
+            assert "500" not in json.loads(raw)["server"]["requests_by_status"]
+
+        _with_server(run)
+
+    def test_one_bad_batch_member_refuses_the_batch_before_streaming(self):
+        instance = random_instance(4, 3, seed=6)
+        scheduler, options = self.BAD[1]
+        body = json_bytes(
+            {
+                "requests": [
+                    {"instance": instance_to_dict(instance)},
+                    {
+                        "instance": instance_to_dict(instance),
+                        "scheduler": scheduler,
+                        "options": options,
+                    },
+                ]
+            }
+        )
+
+        async def run(server):
+            status, headers, raw = await _roundtrip(
+                server.port, "POST", "/solve_batch", body
+            )
+            assert status == 400
+            assert "transfer-encoding" not in headers
+            assert json.loads(raw)["error"]["code"] == "bad-options"
+
+        _with_server(run)
+
+
 # -- overload: 429 + Retry-After, no queue collapse -------------------------
 class TestOverload:
     def test_cold_burst_sheds_with_retry_after(self):

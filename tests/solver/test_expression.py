@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
+from reference_lp import Constraint, LinearProgram, LinExpr, dot, lin_sum
 from repro.exceptions import ModelError
-from repro.solver import LinearProgram, LinExpr, dot, lin_sum
-from repro.solver.problem import Constraint
 
 
 @pytest.fixture

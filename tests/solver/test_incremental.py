@@ -1,21 +1,11 @@
-"""The persistent HiGHS session used by the cutting-plane hot path.
-
-Everything here is gated on :func:`incremental_available`: the session
-binds to scipy's vendored ``highspy`` core, which is an implementation
-detail scipy does not guarantee — when absent, the allocators fall back
-to the per-round ``linprog`` path and these tests skip.
-"""
+"""The persistent HiGHS session used by the cutting-plane hot path."""
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from repro.exceptions import InfeasibleError
-from repro.solver import IncrementalLP, incremental_available
-
-pytestmark = pytest.mark.skipif(
-    not incremental_available(), reason="vendored highspy core not available"
-)
+from repro.solver import IncrementalLP
 
 
 def _session():

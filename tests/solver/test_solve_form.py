@@ -1,8 +1,9 @@
-"""The HiGHS backend's two doors: ``solve_once`` and the ``linprog`` fallback.
+"""``solve_form``: one cold HiGHS run through ``solve_once``.
 
-The direct path loads the model ``linprog(method="highs")`` would, so the
-two must agree bit for bit; what ``linprog`` did around HiGHS — the
-status table and the input screen — is the contract kept here.
+``solve_once`` loads the model ``linprog(method="highs")`` would, so the
+two must agree bit for bit — ``linprog`` stays the reference here; what
+``linprog`` did around HiGHS — the status table and the input screen —
+is the contract kept here too.
 """
 
 import sys
@@ -11,12 +12,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy
 from scipy import sparse
 from scipy.optimize import linprog
 
-import repro.solver.batch as batch
+import repro.solver.form as form_module
 import repro.solver.incremental as incremental
-import repro.solver.scipy_backend as scipy_backend
+from reference_lp import LinearProgram
 from repro.core import CooperativeOEF, NonCooperativeOEF
 from repro.core.cooperative import EfficiencyMaxAllocator
 from repro.exceptions import (
@@ -25,19 +27,9 @@ from repro.exceptions import (
     SolverError,
     UnboundedError,
 )
-from repro.solver import (
-    LinearProgram,
-    ScipyBackend,
-    StandardForm,
-    incremental_available,
-    solve_form,
-    solve_forms,
-)
+from repro.solver import StandardForm, solve_form
+from repro.solver.form import _screen
 from repro.workloads.generator import random_instance
-
-needs_highspy = pytest.mark.skipif(
-    not incremental_available(), reason="vendored highspy core not available"
-)
 
 
 def _array(value):
@@ -83,9 +75,9 @@ def _grid():
     for users in (2, 8, 20, 32):
         instance = random_instance(users, 4, seed=users, devices_per_type=6.0)
         yield f"coop-full-{users}", CooperativeOEF()._full_form(instance.grouped())
-        yield f"noncoop-{users}", NonCooperativeOEF().compile_form(instance)
+        yield f"noncoop-{users}", NonCooperativeOEF()._form(instance.grouped())
     instance = random_instance(6, 3, seed=1, devices_per_type=4.0)
-    yield "efficiency-max", EfficiencyMaxAllocator().compile_form(instance)
+    yield "efficiency-max", EfficiencyMaxAllocator()._form(instance)
     yield "compiled-dense", _gavel_like_form()
     yield "mixed-bounds", _form(
         [-1.0, -2.0, 0.5, -1.0],
@@ -108,69 +100,33 @@ def _reference(form):
     )
 
 
-def _assert_same_bits(form, values, state):
+def _assert_same_bits(form, values, duals=None):
     result = _reference(form)
     assert result.status == 0
     np.testing.assert_array_equal(values, result.x)
     assert float(form.c @ values) == float(form.c @ result.x)
-    if form.a_ub is None:
-        assert state.dual_ub is None
-    else:
-        np.testing.assert_array_equal(state.dual_ub, -result.ineqlin.marginals)
-    if form.a_eq is None:
-        assert state.dual_eq is None
-    else:
-        np.testing.assert_array_equal(state.dual_eq, -result.eqlin.marginals)
-
-
-@needs_highspy
-@pytest.mark.parametrize("name", GRID)
-def test_direct_path_matches_linprog_bit_for_bit(name, monkeypatch):
-    def no_linprog(*_args, **_kwargs):
-        raise AssertionError("the direct path must not reach linprog")
-
-    monkeypatch.setattr(scipy_backend, "linprog", no_linprog)
-    form = GRID[name]
-    values, state, warm_used = ScipyBackend().solve_with_state(form)
-    assert not warm_used
-    _assert_same_bits(form, values, state)
-
-
-@pytest.mark.parametrize("name", GRID)
-def test_linprog_fallback_returns_the_same_bits(name, monkeypatch):
-    monkeypatch.setattr(scipy_backend, "incremental_available", lambda: False)
-    form = GRID[name]
-    values, state, _warm_used = ScipyBackend().solve_with_state(form)
-    _assert_same_bits(form, values, state)
-
-
-@pytest.mark.parametrize("direct", [True, False], ids=["direct", "linprog"])
-def test_block_diagonal_composition_matches_linprog(direct, monkeypatch):
-    if direct and not incremental_available():
-        pytest.skip("vendored highspy core not available")
-    if not direct:
-        monkeypatch.setattr(scipy_backend, "incremental_available", lambda: False)
-    solved = []
-
-    def recording(form, **kwargs):
-        solution = solve_form(form, **kwargs)
-        solved.append((form, solution))
-        return solution
-
-    monkeypatch.setattr(batch, "solve_form", recording)
-    blocks = [
-        NonCooperativeOEF().compile_form(
-            random_instance(4, 3, seed=seed, devices_per_type=5.0)
+    if duals is not None:
+        np.testing.assert_array_equal(
+            duals, np.concatenate([result.ineqlin.marginals, result.eqlin.marginals])
         )
-        for seed in range(3)
-    ]
-    assert len(solve_forms(blocks)) == 3
-    composed, solution = solved[0]
-    assert composed.num_variables == 3 * 13
-    _assert_same_bits(composed, solution.values, solution.warm_state)
 
 
-@needs_highspy
+@pytest.mark.parametrize("name", GRID)
+def test_direct_path_matches_linprog_bit_for_bit(name):
+    form = GRID[name]
+    values, duals = incremental.solve_once(*_solve_args(form))
+    _assert_same_bits(form, values, duals)
+
+
+@pytest.mark.parametrize("name", GRID)
+def test_solve_form_returns_linprogs_bits(name):
+    form = GRID[name]
+    solution = solve_form(form)
+    _assert_same_bits(form, solution.values)
+    raw = float(form.c @ _reference(form).x)
+    assert solution.objective == (-raw if form.maximise else raw) + form.offset
+
+
 def test_one_shot_solve_is_not_a_session(monkeypatch):
     # bench/layers.py reads IncrementalLP.* as "cutting-plane session"
     def no_session(*_args, **_kwargs):
@@ -178,9 +134,9 @@ def test_one_shot_solve_is_not_a_session(monkeypatch):
 
     monkeypatch.setattr(incremental.IncrementalLP, "__init__", no_session)
     solution = solve_form(GRID["noncoop-8"])
-    assert solution.stats.backend == "scipy"
     assert solution.stats.num_variables == 33
     assert solution.stats.num_constraints == 4 + 8
+    assert solution.stats.warm_start_used is False
 
 
 # -- one instance per thread, loaded rowwise -----------------------------------
@@ -212,7 +168,7 @@ def _fresh_csc_solve(c, col_lower, col_upper, a_ub, b_ub, a_eq, b_eq):
 
 
 def _solve_args(form):
-    bounds = scipy_backend._screen(form)
+    bounds = _screen(form)
     return (form.c, bounds[:, 0], bounds[:, 1], form.a_ub, form.b_ub, form.a_eq, form.b_eq)
 
 
@@ -242,13 +198,11 @@ def _churn_forms():
 @pytest.fixture(scope="module")
 def corpus():
     """Churn LPs, ``oef-noncoop`` 32×6, full ``oef-coop`` 12×6 and 24×8."""
-    if not incremental_available():
-        pytest.skip("vendored highspy core not available")
     forms = _churn_forms()
     assert len(forms) > 20
     for seed in range(3):
-        forms.append(NonCooperativeOEF().compile_form(
-            random_instance(32, 6, seed=seed, devices_per_type=8.0)))
+        forms.append(NonCooperativeOEF()._form(
+            random_instance(32, 6, seed=seed, devices_per_type=8.0).grouped()))
         for users, types in ((12, 6), (24, 8)):
             instance = random_instance(users, types, seed=seed, devices_per_type=6.0)
             forms.append(CooperativeOEF()._full_form(instance.grouped()))
@@ -259,7 +213,6 @@ def _same_bits(got, want):
     return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-@needs_highspy
 class TestOneInstancePerThread:
     def test_same_bits_as_a_fresh_csc_instance_in_either_order(self, corpus):
         want = [_fresh_csc_solve(*args) for args in corpus]
@@ -308,7 +261,6 @@ class _FakeHighs:
         return self._model_status
 
 
-@needs_highspy
 class TestStatusTable:
     core = incremental._core
 
@@ -330,7 +282,6 @@ class TestStatusTable:
                 continue
             with pytest.raises(SolverError) as caught:
                 incremental._run(fake)
-            # a plain SolverError is what backend="auto" retries on
             assert type(caught.value) is expected.get(model_status, SolverError)
 
     def test_run_error_is_never_an_unread_solution(self):
@@ -350,43 +301,56 @@ class TestStatusTable:
             )
         assert type(caught.value) is SolverError
 
-    def test_auto_retries_a_plain_solver_error_on_the_simplex(self, monkeypatch):
+    def test_a_plain_highs_failure_is_a_solver_error(self, monkeypatch):
         def presolve_gives_up(*_args, **_kwargs):
             raise SolverError("HiGHS run failed (status=kUnboundedOrInfeasible)")
 
-        monkeypatch.setattr(scipy_backend, "solve_once", presolve_gives_up)
+        monkeypatch.setattr(form_module, "solve_once", presolve_gives_up)
         form = _form([-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[4.0])
-        solution = solve_form(form, backend="auto")
-        assert solution.stats.backend == "simplex"
-        assert solution.objective == pytest.approx(-4.0)
-        with pytest.raises(SolverError):
-            solve_form(form, backend="scipy")
+        with pytest.raises(SolverError) as caught:
+            solve_form(form)
+        assert type(caught.value) is SolverError
 
 
-@pytest.mark.parametrize("direct", [True, False], ids=["direct", "linprog"])
-class TestVerdictsOnHandBuiltPrograms:
+class TestProbe:
+    """Without the vendored bindings there is no solver: a typed refusal."""
+
     @pytest.fixture(autouse=True)
-    def _path(self, direct, monkeypatch):
-        if direct and not incremental_available():
-            pytest.skip("vendored highspy core not available")
-        if not direct:
-            monkeypatch.setattr(scipy_backend, "incremental_available", lambda: False)
+    def _no_core(self, monkeypatch):
+        monkeypatch.setattr(incremental, "_core", None)
+        assert not incremental.incremental_available()
 
+    def _assert_names_scipy(self, caught):
+        assert type(caught.value) is SolverError
+        assert f"scipy {scipy.__version__}" in str(caught.value)
+        assert "scipy>=1.15" in str(caught.value)
+
+    def test_solve_form_raises_naming_the_scipy_version(self):
+        with pytest.raises(SolverError) as caught:
+            solve_form(GRID["noncoop-8"])
+        self._assert_names_scipy(caught)
+
+    def test_the_cut_path_raises_naming_the_scipy_version(self):
+        instance = random_instance(30, 4, seed=3)
+        with pytest.raises(SolverError) as caught:
+            CooperativeOEF(method="cutting-plane").allocate(instance)
+        self._assert_names_scipy(caught)
+
+
+class TestVerdictsOnHandBuiltPrograms:
     def test_infeasible(self):
         form = _form([1.0], a_ub=[[1.0]], b_ub=[1.0], bounds=[(2.0, None)])
         with pytest.raises(InfeasibleError):
-            ScipyBackend().solve(form)
+            solve_form(form)
 
     def test_crossed_bounds_are_infeasible(self):
         with pytest.raises(InfeasibleError):
-            ScipyBackend().solve(_form([1.0], bounds=[(2.0, 1.0)]))
+            solve_form(_form([1.0], bounds=[(2.0, 1.0)]))
 
     def test_unbounded(self):
         form = _form([-1.0, 0.0], a_ub=[[1.0, -1.0]], b_ub=[1.0])
         with pytest.raises(UnboundedError):
-            ScipyBackend().solve(form)
-        with pytest.raises(UnboundedError):  # a verdict: no simplex retry
-            solve_form(form, backend="auto")
+            solve_form(form)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -416,6 +380,4 @@ class TestVerdictsOnHandBuiltPrograms:
         form = _form(**fields)
         # a NaN cost must not come back as an allocation
         with pytest.raises(ModelError):
-            ScipyBackend().solve(form)
-        with pytest.raises(ModelError):
-            solve_form(form, backend="auto")
+            solve_form(form)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from reference_lp import LinearProgram, lin_sum
+from reference_simplex import _PHASE1_TOL, standardise_form
 from repro.exceptions import InfeasibleError
-from repro.solver import LinearProgram, lin_sum, standardise_form
-from repro.solver.simplex import _PHASE1_TOL
 
 
 class TestStandardiseStructure:
@@ -48,7 +48,7 @@ class TestBoundFolding:
         lp = LinearProgram()
         x = lp.new_variable("x", lower=None, upper=4.0)
         lp.set_objective(x.to_expr(), sense="max")
-        for backend in ("scipy", "simplex"):
+        for backend in ("highs", "simplex"):
             assert lp.solve(backend=backend).objective == pytest.approx(4.0)
 
     def test_upper_bound_only_in_constraint(self):
@@ -58,7 +58,7 @@ class TestBoundFolding:
         lp.add_constraint(x + y <= 6.0)
         lp.add_constraint(x.to_expr() >= -2.0)
         lp.set_objective(2.0 * x + y, sense="max")
-        scipy_solution = lp.solve(backend="scipy")
+        scipy_solution = lp.solve(backend="highs")
         simplex_solution = lp.solve(backend="simplex")
         assert simplex_solution.objective == pytest.approx(scipy_solution.objective)
 
@@ -66,7 +66,7 @@ class TestBoundFolding:
         lp = LinearProgram()
         x = lp.new_variable("x", lower=None, upper=-1.0)
         lp.set_objective(x.to_expr(), sense="max")
-        for backend in ("scipy", "simplex"):
+        for backend in ("highs", "simplex"):
             assert lp.solve(backend=backend).objective == pytest.approx(-1.0)
 
 
@@ -79,14 +79,14 @@ class TestDegenerateSystems:
         lp.add_constraint(x[0] + x[1] == 3.0)
         lp.add_constraint(x[0] + x[1] == 3.0)
         lp.set_objective(2.0 * x[0] + x[1], sense="max")
-        for backend in ("scipy", "simplex"):
+        for backend in ("highs", "simplex"):
             assert lp.solve(backend=backend).objective == pytest.approx(6.0)
 
     def test_no_constraints_at_all(self):
         lp = LinearProgram()
         x = lp.new_variable("x", upper=5.0)
         lp.set_objective(x.to_expr(), sense="max")
-        for backend in ("scipy", "simplex"):
+        for backend in ("highs", "simplex"):
             assert lp.solve(backend=backend).objective == pytest.approx(5.0)
 
     def test_empty_objective_feasibility_check(self):
@@ -152,7 +152,7 @@ class TestRandomDifferential:
         lp.set_objective(
             sum(float(w) * xi for w, xi in zip(weights, x)), sense="max"
         )
-        scipy_solution = lp.solve(backend="scipy")
+        scipy_solution = lp.solve(backend="highs")
         simplex_solution = lp.solve(backend="simplex")
         assert simplex_solution.objective == pytest.approx(
             scipy_solution.objective, abs=1e-7

@@ -123,9 +123,9 @@ def test_a_churn_lp_has_at_most_one_group_per_model(monkeypatch, seed):
         current["tenants"] = len(tenants)
         return allocate(self, tenants, capacities, gpu_types)
 
-    def solve_full_spy(self, groups, warm_start=None):
+    def solve_full_spy(self, groups):
         lps.append((groups.count, current["models"], current["tenants"]))
-        return solve_full(self, groups, warm_start)
+        return solve_full(self, groups)
 
     def no_cuts(self, groups, tol=1e-7):
         raise AssertionError(f"{groups.count} groups took the cutting-plane path")

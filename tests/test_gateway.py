@@ -235,6 +235,11 @@ class TestWarmTierIsGone:
         for name in ("warm_hits", "structural_hits", "warm_entries"):
             assert not hasattr(gateway.cache_info(), name)
 
+    def test_there_is_no_composed_lp_prefetch(self, gateway, paper_instance):
+        assert not hasattr(Request(paper_instance), "presolved")
+        with pytest.raises(TypeError):
+            gateway.solve_batch([Request(paper_instance)], lp_batch=True)
+
 
 class TestAdmission:
     def test_expired_deadline_is_shed(self, gateway, paper_instance):
@@ -518,9 +523,8 @@ class TestBatchThroughGateway:
 
     @pytest.mark.parametrize(
         "how",
-        [{}, {"backend": "serial"}, {"backend": "thread"}, {"backend": "auto"},
-         {"lp_batch": True}],
-        ids=["default", "serial", "thread", "auto", "lp_batch"],
+        [{}, {"backend": "serial"}, {"backend": "thread"}, {"backend": "auto"}],
+        ids=["default", "serial", "thread", "auto"],
     )
     def test_custom_stages_see_batched_requests(self, how, recwarn):
         """gateway.use() stages see every batch item on every backend."""
@@ -539,9 +543,7 @@ class TestBatchThroughGateway:
         assert len(recorder.responses) == len(instances)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-    @pytest.mark.parametrize(
-        "how", [{"backend": "thread"}, {"lp_batch": True}], ids=["thread", "lp_batch"]
-    )
+    @pytest.mark.parametrize("how", [{"backend": "thread"}], ids=["thread"])
     def test_custom_request_key_cannot_corrupt_the_batch_cache(
         self, paper_instance, how
     ):
@@ -561,9 +563,7 @@ class TestBatchThroughGateway:
         # the content identity was never written, so a plain solve misses
         assert gateway.solve(paper_instance, "oef-coop").disposition == "cold"
 
-    @pytest.mark.parametrize(
-        "how", [{"backend": "thread"}, {"lp_batch": True}], ids=["thread", "lp_batch"]
-    )
+    @pytest.mark.parametrize("how", [{"backend": "thread"}], ids=["thread"])
     def test_audit_tap_samples_batch_responses(self, how):
         """Batch items pass the audit stage like any singleton solve."""
         from repro.auditor import AuditMiddleware, AuditWorker
@@ -862,87 +862,3 @@ class TestAdmissionStats:
 
     def test_no_admission_stage_means_no_stats(self):
         assert Gateway(bare_pipeline()).find(AdmissionMiddleware) is None
-
-
-class TestLpBatch:
-    """``solve_batch(lp_batch=True)``: the composed-LP executor."""
-
-    def _requests(self, count=4):
-        instances = [random_instance(8, 3, seed=seed) for seed in range(count)]
-        return [
-            (instance, scheduler, {})
-            for instance in instances
-            for scheduler in ("oef-coop", "oef-noncoop", "efficiency-max")
-        ]
-
-    def test_matches_serial(self):
-        requests = self._requests()
-        serial = Gateway(default_pipeline()).solve_batch(requests)
-        batched = Gateway(default_pipeline()).solve_batch(requests, lp_batch=True)
-        for a, b in zip(serial, batched):
-            assert b.scheduler == a.scheduler
-            np.testing.assert_allclose(
-                b.allocation.matrix, a.allocation.matrix, atol=1e-9
-            )
-
-    def test_merges_into_cache(self):
-        gateway = Gateway(default_pipeline())
-        requests = self._requests(count=3)
-        first = gateway.solve_batch(requests, lp_batch=True)
-        assert all(response.disposition == "cold" for response in first)
-        second = gateway.solve_batch(requests, lp_batch=True)
-        assert all(response.disposition == "cache-hit" for response in second)
-
-    def test_duplicates_solve_once(self):
-        instance = random_instance(5, 2, seed=0)
-        requests = [(instance, "oef-noncoop", {})] * 3
-        responses = Gateway(default_pipeline()).solve_batch(
-            requests, lp_batch=True
-        )
-        dispositions = [response.disposition for response in responses]
-        assert dispositions.count("cold") == 1
-        assert dispositions.count("cache-hit") == 2
-
-    def test_custom_stage_sees_every_prefetched_request(self, recwarn):
-        class Tap(Middleware):
-            name = "tap"
-
-            def __init__(self):
-                self.seen = []
-
-            def handle(self, request, next):
-                self.seen.append(request)
-                return next(request)
-
-        tap = Tap()
-        gateway = Gateway([tap, SolverMiddleware()])
-        requests = self._requests(count=2)
-        responses = gateway.solve_batch(requests, lp_batch=True)
-        assert [r.scheduler for r in responses] == [name for _, name, _ in requests]
-        assert all(response.disposition == "cold" for response in responses)
-        assert len(tap.seen) == len(requests)
-        # the composed-LP answers ride down on the requests the stage saw;
-        # oef-coop left the batch protocol and solves solo in the terminal
-        for request in tap.seen:
-            assert (request.presolved is None) == (request.scheduler == "oef-coop")
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-
-    def test_coop_requests_solve_once_each_and_match_serial(self, monkeypatch):
-        import repro.core.cooperative as cooperative
-
-        calls = []
-        solve_form = cooperative.solve_form
-
-        def counting(form, **kwargs):
-            calls.append(form)
-            return solve_form(form, **kwargs)
-
-        monkeypatch.setattr(cooperative, "solve_form", counting)
-        requests = [
-            (random_instance(8, 3, seed=seed), "oef-coop", {}) for seed in range(4)
-        ]
-        batched = Gateway(default_pipeline()).solve_batch(requests, lp_batch=True)
-        assert len(calls) == len(requests)  # no composed pass, no re-solve
-        serial = Gateway(default_pipeline()).solve_batch(requests)
-        for a, b in zip(serial, batched):
-            np.testing.assert_array_equal(b.allocation.matrix, a.allocation.matrix)

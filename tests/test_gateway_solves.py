@@ -314,7 +314,7 @@ class TestCacheAccounting:
         """Cache counters must stay exact under the 8-thread hammer."""
         gateway = Gateway()
         instances = [_drifted(paper_instance, 1.0 + 0.05 * i) for i in range(3)]
-        options = {"backend": "simplex"}
+        options = {}
         per_thread = 12
         num_threads = 8
         errors: list = []
@@ -347,9 +347,7 @@ class TestCacheAccounting:
         # cached results stay correct under contention
         for instance in instances:
             cached = gateway.solve(instance, "oef-noncoop", options=options)
-            fresh = create_scheduler("oef-noncoop", backend="simplex").allocate(
-                instance
-            )
+            fresh = create_scheduler("oef-noncoop").allocate(instance)
             np.testing.assert_allclose(
                 cached.allocation.matrix, fresh.matrix, atol=1e-9
             )

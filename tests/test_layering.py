@@ -5,12 +5,13 @@ and ``repro.fleet`` sit below ``repro.gateway`` and ``repro.server``; an
 import pointing up (module-level or function-local) is a cycle waiting
 to happen and drags the service stack into every simulator worker.
 
-HiGHS has one door each way: scipy's private ``_highspy`` bindings are
-imported by ``solver/incremental.py`` alone, and ``linprog`` — the
-fallback for a scipy without them — by ``solver/scipy_backend.py`` alone.
+HiGHS has one door: scipy's private ``_highspy`` bindings are imported by
+``solver/incremental.py`` alone, and no module names ``linprog`` or the
+LP oracles the test suite keeps (``LinearProgram``, ``SimplexBackend``).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -58,16 +59,13 @@ def test_private_highs_bindings_have_one_importer():
     assert importers == ["solver/incremental.py"]
 
 
-def test_linprog_is_named_by_one_module():
-    # an import, or ``scipy.optimize.linprog`` reached as an attribute
-    def names_linprog(path):
-        return any(
-            "linprog" in (getattr(node, "id", None), getattr(node, "attr", None))
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        )
-
-    by_import = _importers(lambda module: module.split(".")[-1] in ("linprog", "_linprog"))
-    by_name = sorted(
-        str(path.relative_to(ROOT)) for path in ROOT.rglob("*.py") if names_linprog(path)
-    )
-    assert by_import == by_name == ["solver/scipy_backend.py"]
+def test_no_module_names_linprog_or_the_test_oracles():
+    # in code, comments or docstrings: the one solver path is HiGHS
+    pattern = re.compile(r"linprog|LinearProgram|SimplexBackend")
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in sorted(ROOT.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not offenders, "\n".join(offenders)

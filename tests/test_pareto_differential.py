@@ -53,7 +53,7 @@ def _allocations(instance, weights):
     }
     for name, allocator in (("weighted-coop", CooperativeOEF()),
                             ("weighted-noncoop", NonCooperativeOEF())):
-        allocations[name] = allocator.allocate_with_state(instance, weights=weights)[0]
+        allocations[name] = allocator.allocate_with_state(instance, weights=weights)
     coop = allocations["weighted-coop"].matrix
     allocations["scaled"] = Allocation(coop * 0.99, instance)
     # two members of the largest group: after the move their floors differ

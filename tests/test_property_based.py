@@ -27,7 +27,7 @@ from repro.core import (
     check_sharing_incentive,
     optimal_efficiency_upper_bound,
 )
-from repro.solver import LinearProgram, dot
+from reference_lp import LinearProgram, dot
 
 
 #: hypothesis-heavy: deselect with `pytest -m 'not slow'`
@@ -170,7 +170,7 @@ class TestSimplexAgainstScipy:
         rhs = rng.uniform(0.5, 4.0, size=num_rows)
         lp.add_matrix_constraints(matrix, list(x), "<=", rhs)
         lp.set_objective(dot(rng.uniform(0.0, 2.0, num_vars), x), sense="max")
-        scipy_obj = lp.solve(backend="scipy").objective
+        scipy_obj = lp.solve(backend="highs").objective
         simplex_obj = lp.solve(backend="simplex").objective
         assert simplex_obj == pytest.approx(scipy_obj, rel=1e-6, abs=1e-7)
 

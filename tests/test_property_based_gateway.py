@@ -190,9 +190,7 @@ def test_drift_chain_matches_cold_under_any_permutation(
     instance, order, scales, scheduler
 ):
     """A drifted instance is never answered with its neighbour's entry."""
-    options = {"backend": "simplex"}
-    if scheduler == "max-min":
-        options = {}
+    options = {"method": "full"} if scheduler == "oef-coop" else {}
     permuted = _permuted_gateway(order)
     permuted.solve(instance, scheduler, options=options)
     for scale in scales:

@@ -162,16 +162,17 @@ class TestMoreGroupsThanTheThreshold:
     def test_incremental_cut_loop(self, tenants, monkeypatch):
         forms = _spy_on_forms(monkeypatch, cooperative)
         merged = WeightedOEF(mode="cooperative").allocate(tenants, self.CAPACITIES)
-        if cooperative.incremental_available():
-            assert forms == []  # never the full program, never a cold round
+        assert forms == []  # never the full program, never a cold round
         self._check(merged)
 
-    def test_portable_cut_loop(self, tenants, monkeypatch):
-        monkeypatch.setattr(cooperative, "incremental_available", lambda: False)
+    def test_cut_loop_matches_the_full_program(self, tenants, monkeypatch):
+        cuts = WeightedOEF(mode="cooperative").allocate(tenants, self.CAPACITIES)
+        monkeypatch.setattr(CooperativeOEF, "CUTTING_PLANE_THRESHOLD", 10**9)
         forms = _spy_on_forms(monkeypatch, cooperative)
-        merged = WeightedOEF(mode="cooperative").allocate(tenants, self.CAPACITIES)
-        assert forms and all(form.a_ub.shape[0] < 3 + 30 * 29 for form in forms)
-        self._check(merged)
+        full = WeightedOEF(mode="cooperative").allocate(tenants, self.CAPACITIES)
+        assert [form.a_ub.shape for form in forms] == [(3 + 30 * 29, 90)]
+        self._check(full)
+        assert cuts.total_efficiency() == pytest.approx(full.total_efficiency(), rel=1e-9)
 
     def test_cut_round_cap_falls_back_to_the_weighted_full_program(
         self, tenants, monkeypatch
@@ -253,7 +254,7 @@ class TestUnitWeightsDistinctRowsAreTheParentsProgram:
         np.testing.assert_array_equal(groups.multiplicity, np.ones(users))
         _assert_same_form(CooperativeOEF()._full_form(groups), parent_coop_form(instance))
         _assert_same_form(
-            NonCooperativeOEF().compile_form(instance), parent_noncoop_form(instance)
+            NonCooperativeOEF()._form(instance.grouped()), parent_noncoop_form(instance)
         )
         shares = np.arange(users * 4, dtype=float).reshape(users, 4)
         np.testing.assert_array_equal(groups.expand(shares), shares)
