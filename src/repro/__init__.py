@@ -114,7 +114,7 @@ from repro.scenarios import (
     scenario_sweep,
 )
 
-__version__ = "3.0.0"
+__version__ = "3.1.0"
 
 __all__ = [
     "AdmissionMiddleware",

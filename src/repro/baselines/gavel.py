@@ -18,15 +18,15 @@ as §2.4 shows — pareto-inefficient and manipulable.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
 from repro.core.cooperative import capacity_rows
 from repro.core.instance import ProblemInstance
+from repro.core.noncooperative import equal_throughput_rows
 from repro.core.properties import floor_rows
 from repro.registry import register_scheduler
-from repro.solver import StandardForm, solve_form
+from repro.solver import CSR, StandardForm, solve_form
 
 
 def _le_rhs(values) -> np.ndarray:
@@ -87,16 +87,12 @@ class Gavel(Allocator):
         speedups = instance.speedups.values
         num_users, num_types = speedups.shape
         ratio = speedups.size  # the column of c, after the shares
-        ratio_rows = sparse.hstack(
-            [floor_rows(speedups), sparse.csr_matrix(fair_share[:, None])], format="csr"
-        )
+        # W_l . x_l - c f_l >= 0 negated: (9c)'s row over -W and -f (f > 0)
+        ratio_rows = equal_throughput_rows(-speedups, -fair_share)
         form = StandardForm(
             # -c for max c; the unused share columns hold -0.0
             c=-np.eye(1, ratio + 1, ratio).ravel(),
-            a_ub=sparse.vstack(
-                [capacity_rows(num_users, num_types, extra_columns=1), ratio_rows],
-                format="csr",
-            ),
+            a_ub=CSR.vstack([capacity_rows(num_users, num_types, extra_columns=1), ratio_rows]),
             b_ub=np.concatenate([_le_rhs(instance.capacities), np.zeros(num_users)]),
             a_eq=None,
             b_eq=None,
@@ -122,7 +118,7 @@ class Gavel(Allocator):
         extra = num_shares if self.dense else 0  # the spread columns y
         # <= rows: capacity, each tenant's upper band, then (dense) the
         # spread rows; the lower bands follow as negated >= rows
-        blocks = [capacity_rows(num_users, num_types, extra), -floor_rows(speedups, extra)]
+        blocks = [capacity_rows(num_users, num_types, extra), floor_rows(-speedups, extra)]
         rhs = [_le_rhs(capacities), _le_rhs(target * (1 + 1e-6))]
         if self.dense:
             # spread bonus: y_lj <= min(x_lj, m_j / n) and maximise sum(y),
@@ -130,14 +126,12 @@ class Gavel(Allocator):
             # per cell the rows y - x <= 0 and y <= m_j / n, interleaved
             cells = np.arange(num_shares)
             blocks.append(
-                sparse.csr_matrix(
-                    (
-                        np.tile([-1.0, 1.0, 1.0], num_shares),
-                        np.column_stack([cells, cells + extra, cells + extra]).ravel(),
-                        np.append(np.column_stack([3 * cells, 3 * cells + 2]).ravel(),
-                                  3 * num_shares),
-                    ),
-                    shape=(2 * num_shares, 2 * num_shares),
+                CSR(
+                    np.tile([-1.0, 1.0, 1.0], num_shares),
+                    np.column_stack([cells, cells + extra, cells + extra]).ravel(),
+                    np.append(np.column_stack([3 * cells, 3 * cells + 2]).ravel(),
+                              3 * num_shares),
+                    (2 * num_shares, 2 * num_shares),
                 )
             )
             bands = np.empty(2 * num_shares)
@@ -152,7 +146,7 @@ class Gavel(Allocator):
         rhs.append(0.0 - target * (1 - lower_band))
         form = StandardForm(
             c=c,
-            a_ub=sparse.vstack(blocks, format="csr"),
+            a_ub=CSR.vstack(blocks),
             b_ub=np.concatenate(rhs),
             a_eq=None,
             b_eq=None,

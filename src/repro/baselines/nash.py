@@ -25,7 +25,6 @@ envelopes for ``log`` on a geometric grid with ratio r is <= log(r) -
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
@@ -33,7 +32,7 @@ from repro.core.cooperative import capacity_rows
 from repro.core.instance import ProblemInstance
 from repro.core.properties import optimal_efficiency_upper_bound
 from repro.registry import register_scheduler
-from repro.solver import StandardForm, solve_form
+from repro.solver import CSR, StandardForm, solve_form
 
 
 @register_scheduler(
@@ -115,21 +114,16 @@ class NashWelfare(Allocator):
             # log one point at a time, as the scalar build did
             rhs.append([float(np.log(point) - 1.0) for point in points])
         num_tangent_rows = sum(len(points) for points in tangents)
-        tangent_rows = sparse.csr_matrix(
-            (
-                np.concatenate(data),
-                np.concatenate(columns),
-                np.arange(0, num_tangent_rows * (num_types + 1) + 1, num_types + 1),
-            ),
-            shape=(num_tangent_rows, num_shares + num_users),
+        tangent_rows = CSR(
+            np.concatenate(data),
+            np.concatenate(columns),
+            np.arange(0, num_tangent_rows * (num_types + 1) + 1, num_types + 1),
+            (num_tangent_rows, num_shares + num_users),
         )
         form = StandardForm(
             # -sum(u) for max sum(u); the share columns hold -0.0
             c=-np.concatenate([np.zeros(num_shares), np.ones(num_users)]),
-            a_ub=sparse.vstack(
-                [tangent_rows, capacity_rows(num_users, num_types, num_users)],
-                format="csr",
-            ),
+            a_ub=CSR.vstack([tangent_rows, capacity_rows(num_users, num_types, num_users)]),
             b_ub=np.concatenate([np.concatenate(rhs), instance.capacities]).astype(float),
             a_eq=None,
             b_eq=None,

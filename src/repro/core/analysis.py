@@ -27,7 +27,7 @@ from repro.core.base import Allocator
 from repro.core.cooperative import capacity_rows
 from repro.core.instance import ProblemInstance
 from repro.core.properties import check_envy_freeness, check_sharing_incentive, floor_rows
-from repro.solver import FORM_CACHE, StandardForm, fingerprint_arrays, solve_form
+from repro.solver import CSR, FORM_CACHE, StandardForm, fingerprint_arrays, solve_form
 
 
 def jain_index(throughputs: Sequence[float] | np.ndarray) -> float:
@@ -91,8 +91,6 @@ def _frontier_form(instance: ProblemInstance, alpha: float) -> StandardForm:
     all of the assembly cost — is memoised in the shared form cache;
     each alpha then only rewrites the throughput-floor right-hand side.
     """
-    from scipy import sparse
-
     speedups = instance.speedups.values
     num_users, num_types = speedups.shape
     fair = instance.equal_split_throughput()
@@ -106,7 +104,7 @@ def _frontier_form(instance: ProblemInstance, alpha: float) -> StandardForm:
         floors = floor_rows(speedups)
         return StandardForm(
             c=-speedups.ravel(),
-            a_ub=sparse.vstack([capacity, floors], format="csr"),
+            a_ub=CSR.vstack([capacity, floors]),
             b_ub=np.concatenate(
                 [np.asarray(instance.capacities, dtype=float), np.zeros(num_users)]
             ),

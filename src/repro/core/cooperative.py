@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
@@ -42,6 +41,7 @@ from repro.core.instance import GroupedInstance, ProblemInstance
 from repro.registry import register_scheduler
 # solve_form is bound here by name: bench/layers.py wraps this module's binding
 from repro.solver import (
+    CSR,
     FORM_CACHE,
     IncrementalLP,
     StandardForm,
@@ -50,19 +50,15 @@ from repro.solver import (
 )
 
 
-def capacity_rows(
-    num_users: int, num_types: int, extra_columns: int = 0
-) -> sparse.csr_matrix:
+def capacity_rows(num_users: int, num_types: int, extra_columns: int = 0) -> CSR:
     """Sparse rows for (10b): sum over users of x_l^j, one row per type
     (``extra_columns``: empty trailing ones, the ``T`` of Eq. 9)."""
     columns = np.arange(num_types)[:, None] + num_types * np.arange(num_users)
-    return sparse.csr_matrix(
-        (
-            np.ones(num_users * num_types),
-            columns.ravel(),
-            np.arange(0, num_users * num_types + 1, num_users),
-        ),
-        shape=(num_types, num_users * num_types + extra_columns),
+    return CSR(
+        np.ones(num_users * num_types),
+        columns.ravel(),
+        np.arange(0, num_users * num_types + 1, num_users),
+        (num_types, num_users * num_types + extra_columns),
     )
 
 
@@ -74,7 +70,7 @@ def envy_rows(
     speedups: np.ndarray,
     multiplicity: np.ndarray,
     pairs: Optional[Sequence[Tuple[int, int]]] = None,
-) -> sparse.csr_matrix:
+) -> CSR:
     """The (10c) rows of ordered pairs (g, h) over flattened z, as ``<= 0``.
 
     Row for (g, h): ``-m_h W_g`` at group g's columns, ``+m_g W_g`` at
@@ -86,31 +82,27 @@ def envy_rows(
     """
     num_users, num_types = speedups.shape
     data, indices = _envy_entries(speedups, multiplicity, pairs)
-    return sparse.csr_matrix(
-        (data, indices, np.arange(0, indices.size + 1, 2 * num_types)),
-        shape=(indices.size // (2 * num_types), num_users * num_types),
-    )
+    starts = np.arange(0, indices.size + 1, 2 * num_types)
+    return CSR(data, indices, starts, (starts.size - 1, num_users * num_types))
 
 
 def eq10_rows(
     speedups: np.ndarray,
     multiplicity: np.ndarray,
     pairs: Optional[Sequence[Tuple[int, int]]] = None,
-) -> sparse.csr_matrix:
-    """(10b) over (10c): ``vstack([capacity_rows, envy_rows], format="csr")``
-    byte for byte, in one constructor, without building either block."""
+) -> CSR:
+    """(10b) over (10c): ``CSR.vstack([capacity_rows, envy_rows])`` byte for
+    byte, in one constructor, without building either block."""
     num_users, num_types = speedups.shape
     head = num_users * num_types
     data, indices = _envy_entries(speedups, multiplicity, pairs)
     columns = np.arange(num_types)[:, None] + num_types * np.arange(num_users)
     starts = np.arange(head, head + indices.size + 1, 2 * num_types)
-    return sparse.csr_matrix(
-        (
-            np.concatenate([np.ones(head), data]),
-            np.concatenate([columns.ravel(), indices]),
-            np.concatenate([np.arange(0, head, num_users), starts]),
-        ),
-        shape=(num_types + indices.size // (2 * num_types), head),
+    return CSR(
+        np.concatenate([np.ones(head), data]),
+        np.concatenate([columns.ravel(), indices]),
+        np.concatenate([np.arange(0, head, num_users), starts]),
+        (num_types + indices.size // (2 * num_types), head),
     )
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
@@ -35,22 +34,18 @@ from repro.core.cooperative import capacity_rows
 from repro.core.instance import GroupedInstance, ProblemInstance
 from repro.registry import register_scheduler
 # solve_form is bound here by name: bench/layers.py wraps this module's binding
-from repro.solver import FORM_CACHE, StandardForm, fingerprint_arrays, solve_form
+from repro.solver import CSR, FORM_CACHE, StandardForm, fingerprint_arrays, solve_form
 
 
-def equal_throughput_rows(
-    speedups: np.ndarray, multiplicity: np.ndarray
-) -> sparse.csr_matrix:
+def equal_throughput_rows(speedups: np.ndarray, multiplicity: np.ndarray) -> CSR:
     """The (9c) rows ``W_g . z_g - m_g T == 0``; ``T`` is the last column."""
     num_users, num_types = speedups.shape
     own_columns = np.arange(speedups.size).reshape(speedups.shape)
-    return sparse.csr_matrix(
-        (
-            np.column_stack([speedups, -multiplicity]).ravel(),
-            np.column_stack([own_columns, np.full(num_users, speedups.size)]).ravel(),
-            np.arange(0, num_users * (num_types + 1) + 1, num_types + 1),
-        ),
-        shape=(num_users, speedups.size + 1),
+    return CSR(
+        np.column_stack([speedups, -multiplicity]).ravel(),
+        np.column_stack([own_columns, np.full(num_users, speedups.size)]).ravel(),
+        np.arange(0, num_users * (num_types + 1) + 1, num_types + 1),
+        (num_users, speedups.size + 1),
     )
 
 

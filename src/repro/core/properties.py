@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
@@ -37,7 +36,7 @@ from repro.core.cooperative import CooperativeOEF, capacity_rows, envy_rows
 from repro.core.instance import ProblemInstance
 from repro.core.noncooperative import NonCooperativeOEF, equal_throughput_rows
 from repro.exceptions import InfeasibleError
-from repro.solver import StandardForm, solve_form
+from repro.solver import CSR, StandardForm, solve_form
 
 _DEFAULT_TOL = 1e-6
 
@@ -233,13 +232,15 @@ def check_pareto_efficiency(
     return ParetoReport(satisfied, achievable, current_total)
 
 
-def floor_rows(speedups: np.ndarray, extra_columns: int = 0) -> sparse.csr_matrix:
+def floor_rows(speedups: np.ndarray, extra_columns: int = 0) -> CSR:
     """``-W_l`` at user l's columns: ``W_l . x_l >= floor_l`` in the ``<=`` system."""
     num_users, num_types = speedups.shape
     row_starts = np.arange(0, speedups.size + 1, num_types)
-    return sparse.csr_matrix(
-        (-speedups.ravel(), np.arange(speedups.size), row_starts),
-        shape=(num_users, speedups.size + extra_columns),
+    return CSR(
+        -speedups.ravel(),
+        np.arange(speedups.size),
+        row_starts,
+        (num_users, speedups.size + extra_columns),
     )
 
 
@@ -272,7 +273,7 @@ def _max_total_with_floors(
         bounds.append(np.zeros(num_groups * (num_groups - 1)))
     form = StandardForm(
         c=-np.concatenate([speedups.ravel(), np.zeros(extra)]),
-        a_ub=sparse.vstack(blocks, format="csr"),
+        a_ub=CSR.vstack(blocks),
         b_ub=np.concatenate(bounds),
         a_eq=equal_throughput_rows(speedups, multiplicity) if extra else None,
         b_eq=np.zeros(num_groups) if extra else None,

@@ -5,8 +5,9 @@ one LP per scheduling round.  Neither is available offline; this package
 solves the same programs with scipy's vendored HiGHS:
 
 * :class:`~repro.solver.form.StandardForm` is the matrix form every
-  allocator builds directly, and :func:`~repro.solver.form.solve_form`
-  solves it in one cold HiGHS run;
+  allocator builds directly, its rows as :class:`~repro.solver.form.CSR`
+  records, and :func:`~repro.solver.form.solve_form` solves it in one
+  cold HiGHS run;
 * :class:`~repro.solver.incremental.IncrementalLP` is the one session
   that keeps a basis between solves: the cooperative allocator's
   cutting-plane loop appends rows to it;
@@ -23,11 +24,12 @@ Typical usage::
     solve_form(form).objective  # 2.0
 """
 
-from repro.solver.form import Solution, SolveStats, StandardForm, solve_form
+from repro.solver.form import CSR, Solution, SolveStats, StandardForm, solve_form
 from repro.solver.formcache import FORM_CACHE, FormCache, fingerprint_arrays
 from repro.solver.incremental import IncrementalLP, incremental_available
 
 __all__ = [
+    "CSR",
     "FORM_CACHE",
     "FormCache",
     "IncrementalLP",

@@ -1,10 +1,16 @@
 """The one door to scipy's vendored HiGHS: a one-shot solve and a session.
 
-scipy ships the complete ``highspy`` bindings as the private module
-``scipy.optimize._highspy``; this file keeps every private-API touch in
-one place, behind a feature probe.  HiGHS is the only solver: when the
-probe fails (a scipy older than 1.15, or one whose private surface
-changed shape), :func:`solve_once` and :class:`IncrementalLP` raise a
+scipy ships the complete ``highspy`` bindings as the private extension
+module ``scipy.optimize._highspy._core``; this file keeps every
+private-API touch in one place, behind a feature probe.  The extension is
+loaded from its file, not imported through ``scipy.optimize``: that
+package import pulls in ``scipy.linalg``, ``sparse``, ``special`` and
+``spatial`` (≈ 0.5 s of a fresh process) for a module that needs numpy
+alone.  It is registered under its own dotted name, so a later
+``import scipy.optimize`` finds and shares it; one already imported is
+reused.  HiGHS is the only solver: when the probe fails (a scipy older
+than 1.15, or one whose private surface changed shape),
+:func:`solve_once` and :class:`IncrementalLP` raise a
 :class:`~repro.exceptions.SolverError` naming the installed scipy.
 :func:`solve_once` is what every one-shot LP runs: the model and options
 scipy's own HiGHS front end (``method="highs"``) would load, without the
@@ -15,6 +21,8 @@ is the cutting-plane session of
 :class:`~repro.core.cooperative.CooperativeOEF`: rows are appended to
 (or deleted from) a loaded model and the retained basis warm-starts the
 next dual-simplex run, which then only has to price the new rows in.
+Both read a row matrix as the three arrays of a
+:class:`~repro.solver.form.CSR` and load it rowwise.
 
 Determinism: the session pins ``threads=1``/``parallel=off`` and disables
 solver output, so repeated runs of the same model produce identical
@@ -29,18 +37,46 @@ for slack-based cut dropping.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy
-from scipy import sparse
 
 from repro.exceptions import InfeasibleError, SolverError, UnboundedError
 
+#: the extension's name inside scipy, under which ``sys.modules`` holds it
+_CORE_NAME = "scipy.optimize._highspy._core"
+
+
+def _load_core():
+    """The vendored HiGHS extension, loaded from its file; ``None`` if scipy has none."""
+    if _CORE_NAME in sys.modules:
+        return sys.modules[_CORE_NAME]
+    scipy_spec = importlib.util.find_spec("scipy")  # finds, does not import
+    stem = os.path.join(
+        scipy_spec.submodule_search_locations[0], "optimize", "_highspy", "_core"
+    )
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(_CORE_NAME, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_CORE_NAME] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[_CORE_NAME]
+                raise
+            return module
+    return None
+
+
 try:  # pragma: no cover - absence exercised via _core=None monkeypatch
-    from scipy.optimize._highspy import _core
-except Exception:  # ImportError or a reshaped private API
+    _core = _load_core()
+except Exception:  # no scipy at all, an ImportError or a reshaped private API
     _core = None
 
 
@@ -60,8 +96,14 @@ def incremental_available() -> bool:
 def _require() -> None:
     """Raise unless the probe passes: there is no other way to solve."""
     if not incremental_available():
+        from importlib import metadata  # 20 ms, paid only on the way to the error
+
+        try:
+            version = metadata.version("scipy")
+        except metadata.PackageNotFoundError:
+            version = "(not installed)"
         raise SolverError(
-            f"scipy {scipy.__version__} lacks the vendored HiGHS bindings "
+            f"scipy {version} lacks the vendored HiGHS bindings "
             "(scipy.optimize._highspy._core); repro needs scipy>=1.15"
         )
 
@@ -69,25 +111,25 @@ def _require() -> None:
 _INF = float("inf")
 
 
-def _model(c, col_lower, col_upper, matrix, row_lower, row_upper):
-    """A ``HighsLp`` over a compressed matrix: CSR loads rowwise, CSC colwise.
+def _model(c, col_lower, col_upper, rows, row_lower, row_upper):
+    """A ``HighsLp`` loading ``rows`` (a CSR record; ``None``: no rows) rowwise.
 
     The bindings fill their vectors element by element; a list converts
     in half the time an ndarray takes.
     """
     lp = _core.HighsLp()
-    lp.num_row_, lp.num_col_ = matrix.shape
+    lp.num_row_, lp.num_col_ = len(row_lower), len(c)
     lp.col_cost_ = np.asarray(c, dtype=float).tolist()
     lp.col_lower_ = np.asarray(col_lower, dtype=float).tolist()
     lp.col_upper_ = np.asarray(col_upper, dtype=float).tolist()
     lp.row_lower_ = row_lower.tolist()
     lp.row_upper_ = row_upper.tolist()
-    formats = _core.MatrixFormat
-    lp.a_matrix_.format_ = formats.kRowwise if matrix.format == "csr" else formats.kColwise
-    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = matrix.shape
-    lp.a_matrix_.start_ = matrix.indptr.tolist()
-    lp.a_matrix_.index_ = matrix.indices.tolist()
-    lp.a_matrix_.value_ = matrix.data.astype(float).tolist()
+    lp.a_matrix_.format_ = _core.MatrixFormat.kRowwise
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = lp.num_row_, lp.num_col_
+    if rows is not None:  # else HighsLp's own empty start_ = [0]
+        lp.a_matrix_.start_ = rows.indptr.tolist()
+        lp.a_matrix_.index_ = rows.indices.tolist()
+        lp.a_matrix_.value_ = rows.data.tolist()
     return lp
 
 
@@ -116,33 +158,27 @@ def solve_once(
     c: np.ndarray,
     col_lower: np.ndarray,
     col_upper: np.ndarray,
-    a_ub=None,
-    b_ub: Optional[np.ndarray] = None,
-    a_eq=None,
-    b_eq: Optional[np.ndarray] = None,
+    rows,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One cold solve of exactly the model scipy's ``method="highs"`` loads.
 
-    ``A_ub`` stacked over ``A_eq``, row bounds ``(-inf, b_ub)`` /
-    ``(b_eq, b_eq)``, and only the options scipy sets — not the session's
-    ``threads=1`` — so ``x`` and the row duals (stacked row order, the
-    sign of scipy's ``marginals``) are scipy's to the bit.
-    Inputs are trusted: the caller screens shapes and non-finite values.
+    ``rows`` is ``A_ub`` stacked over ``A_eq`` as one CSR record, with row
+    bounds ``(-inf, b_ub)`` / ``(b_eq, b_eq)`` — the assembly
+    :func:`~repro.solver.form.solve_form`'s screen does — and only the
+    options scipy sets are on, not the session's ``threads=1``, so ``x``
+    and the row duals (stacked row order, the sign of scipy's
+    ``marginals``) are scipy's to the bit.  Inputs are trusted: the
+    caller screens shapes and non-finite values.
 
-    Neither saving moves a bit.  A CSR matrix loads rowwise, uncopied:
-    HiGHS makes it colwise by the row-major sweep ``tocsc`` makes.  The
+    Neither saving moves a bit.  The CSR loads rowwise, uncopied: HiGHS
+    makes it colwise by the row-major sweep ``tocsc`` makes.  The
     instance is this thread's (a forked child inherits it as memory),
     and ``clearModel`` drops model, solution and basis, not options, so
     each run starts where a new instance would.
     """
     _require()
-    b_ub = np.zeros(0) if a_ub is None else np.asarray(b_ub, dtype=float)
-    b_eq = np.zeros(0) if a_eq is None else np.asarray(b_eq, dtype=float)
-    blocks = [block for block in (a_ub, a_eq) if block is not None]
-    if len(blocks) == 2:
-        stack = sparse.vstack if any(map(sparse.issparse, blocks)) else np.vstack
-        blocks = [stack(blocks)]
-    matrix = sparse.csr_matrix(blocks[0] if blocks else (0, len(c)))
     highs = getattr(_THREAD, "highs", None)
     if highs is None:
         highs = _THREAD.highs = _core._Highs()
@@ -154,11 +190,7 @@ def solve_once(
         ):
             highs.setOptionValue(option, value)
     highs.clearModel()
-    lp = _model(
-        c, col_lower, col_upper, matrix,
-        np.concatenate([np.full(b_ub.shape[0], -_INF), b_eq]),
-        np.concatenate([b_ub, b_eq]),
-    )
+    lp = _model(c, col_lower, col_upper, rows, row_lower, row_upper)
     if highs.passModel(lp) == _core.HighsStatus.kError:
         raise SolverError("HiGHS rejected the model")
     _run(highs)
@@ -179,44 +211,34 @@ class IncrementalLP:
         c: np.ndarray,
         col_lower: np.ndarray,
         col_upper: np.ndarray,
-        a_ub: Optional[sparse.spmatrix] = None,
+        a_ub=None,
         b_ub: Optional[np.ndarray] = None,
     ):
         _require()
-        num_cols = len(c)
-        rows = sparse.csr_matrix((0, num_cols)) if a_ub is None else a_ub.tocsr()
         rhs = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-        if rows.shape[0] != rhs.shape[0]:
+        if (0 if a_ub is None else a_ub.shape[0]) != rhs.shape[0]:
             raise SolverError("row/rhs shape mismatch")
-        lp = _model(
-            c, col_lower, col_upper, rows, np.full(rows.shape[0], -_INF), rhs
-        )
+        lp = _model(c, col_lower, col_upper, a_ub, np.full(rhs.shape[0], -_INF), rhs)
 
         self._highs = _core._Highs()
         # deterministic, quiet, single-threaded: same model -> same vertex
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("threads", 1)
         self._highs.setOptionValue("parallel", "off")
-        self._highs.passModel(lp)
-        self.num_cols = num_cols
-        self.num_rows = rows.shape[0]
+        if self._highs.passModel(lp) == _core.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the model")
+        self.num_cols = len(c)
+        self.num_rows = rhs.shape[0]
 
     # -- row edits ---------------------------------------------------------
-    def add_rows(self, matrix: sparse.spmatrix, rhs: np.ndarray) -> None:
-        """Append ``matrix @ x <= rhs`` rows, keeping the current basis."""
-        rows = matrix.tocsr()
+    def add_rows(self, rows, rhs: np.ndarray) -> None:
+        """Append ``rows @ x <= rhs`` rows (a CSR record), keeping the current basis."""
         rhs = np.asarray(rhs, dtype=float)
         count = rows.shape[0]
         if count == 0:
             return
         status = self._highs.addRows(
-            count,
-            np.full(count, -_INF),
-            rhs,
-            rows.nnz,
-            rows.indptr.astype(np.int32),
-            rows.indices.astype(np.int32),
-            rows.data.astype(float),
+            count, np.full(count, -_INF), rhs, rows.nnz, rows.indptr, rows.indices, rows.data
         )
         if status == _core.HighsStatus.kError:
             raise SolverError("HiGHS addRows failed")

@@ -17,6 +17,7 @@ import repro.baselines.nash as nash
 from reference_baselines import ParentGavel, ParentNashWelfare
 from repro.core import ProblemInstance, SpeedupMatrix
 from repro.solver.form import _screen
+from scipy_csr import to_scipy
 
 
 def _instance(seed: int) -> ProblemInstance:
@@ -40,8 +41,8 @@ def _instance(seed: int) -> ProblemInstance:
 def _highs_view(form):
     """What ``solve_once`` hands HiGHS for a form without equality rows."""
     assert form.a_eq is None and form.b_eq is None
-    bounds = _screen(form)
-    matrix = sparse.csr_matrix(form.a_ub)
+    bounds = _screen(form)[0]
+    matrix = sparse.csr_matrix(to_scipy(form.a_ub))
     return {
         "c": np.asarray(form.c, dtype=float),
         "col_lower": bounds[:, 0],

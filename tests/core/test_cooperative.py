@@ -18,6 +18,7 @@ from repro.core import (
 from repro.core import cooperative
 from repro.core.cooperative import EfficiencyMaxAllocator
 from repro.workloads.generator import random_instance
+from scipy_csr import csr_bytes, to_scipy
 
 
 class TestPaperExamples:
@@ -198,16 +199,11 @@ class TestCuttingPlanePaths:
         )
 
 
-def _csr_bytes(matrix):
-    return (
-        matrix.format, matrix.shape, matrix.data.dtype, matrix.indices.dtype,
-        matrix.indptr.dtype, matrix.data.tobytes(), matrix.indices.tobytes(),
-        matrix.indptr.tobytes(),
-    )
-
-
 class TestEq10AsOneMatrix:
-    """``eq10_rows`` is the ``vstack`` of the two row builders, byte for byte."""
+    """``eq10_rows`` is scipy's ``vstack`` of the two row builders, byte for byte.
+
+    The reference stacks scipy matrices rebuilt from each block's arrays.
+    """
 
     @pytest.mark.parametrize("groups", [2, 3, 8, 24, 25])
     @pytest.mark.parametrize("types", [1, 4, 10])
@@ -218,25 +214,25 @@ class TestEq10AsOneMatrix:
         multiplicity = rng.choice([0.5, 1.0, 1.3, 2.0, 7 / 3], size=groups)
         reference = sparse.vstack(
             [
-                cooperative.capacity_rows(groups, types),
-                cooperative.envy_rows(speedups, multiplicity),
+                to_scipy(cooperative.capacity_rows(groups, types)),
+                to_scipy(cooperative.envy_rows(speedups, multiplicity)),
             ],
             format="csr",
         )
         assert reference.shape == (types + groups * (groups - 1), groups * types)
         one = cooperative.eq10_rows(speedups, multiplicity)
-        assert _csr_bytes(one) == _csr_bytes(reference)
+        assert csr_bytes(one) == csr_bytes(reference)
         # a cut session's seed rows: the same over a subset of pairs
         pairs = [(g, h) for g in range(groups) for h in range(groups) if (g + h) % 3 == 1]
         reference = sparse.vstack(
             [
-                cooperative.capacity_rows(groups, types),
-                cooperative.envy_rows(speedups, multiplicity, pairs),
+                to_scipy(cooperative.capacity_rows(groups, types)),
+                to_scipy(cooperative.envy_rows(speedups, multiplicity, pairs)),
             ],
             format="csr",
         )
         one = cooperative.eq10_rows(speedups, multiplicity, pairs)
-        assert _csr_bytes(one) == _csr_bytes(reference)
+        assert csr_bytes(one) == csr_bytes(reference)
 
 
 THRESHOLD = CooperativeOEF.CUTTING_PLANE_THRESHOLD

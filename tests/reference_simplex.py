@@ -41,7 +41,8 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from repro.exceptions import InfeasibleError, SolverError, UnboundedError
-from repro.solver import Solution, SolveStats, StandardForm
+from repro.solver import CSR, Solution, SolveStats, StandardForm
+from scipy_csr import to_scipy
 
 _TOL = 1e-9
 
@@ -116,6 +117,8 @@ def standardise_form(
     def _sparse(matrix) -> Optional[sparse.csr_matrix]:
         if matrix is None:
             return None
+        if isinstance(matrix, CSR):
+            return to_scipy(matrix)
         if sparse.issparse(matrix):
             return matrix.tocsr()
         return sparse.csr_matrix(np.atleast_2d(np.asarray(matrix, dtype=float)))

@@ -18,9 +18,10 @@ the differential tests can run them beside the live code:
   ``test_pareto_differential.py``), copied without edits.
 
 Do not "tidy" the copied bodies: they are only worth anything while they
-stay the old code.  The one edit since: the LP-backend argument left with
-the knob it named, and ``LinearProgram`` now comes from the test-side
-oracle ``reference_lp.py``.
+stay the old code.  The edits since: the LP-backend argument left with
+the knob it named, ``LinearProgram`` now comes from the test-side
+oracle ``reference_lp.py``, and the live row builders' CSR records are
+wrapped for scipy's ``vstack`` (``to_scipy``).
 """
 
 from fractions import Fraction
@@ -36,6 +37,7 @@ from repro.core.instance import GroupedInstance
 from repro.core.noncooperative import equal_throughput_rows
 from repro.core.properties import ParetoReport, floor_rows
 from reference_lp import LinearProgram, dot
+from scipy_csr import to_scipy
 from repro.solver import StandardForm, solve_form
 
 
@@ -267,7 +269,7 @@ def member_max_total_with_floors(
         bounds.append(np.zeros(num_users * (num_users - 1)))
     form = StandardForm(
         c=-np.concatenate([speedups.ravel(), np.zeros(extra)]),
-        a_ub=sparse.vstack(blocks, format="csr"),
+        a_ub=sparse.vstack([to_scipy(block) for block in blocks], format="csr"),
         b_ub=np.concatenate(bounds),
         a_eq=equal_throughput_rows(speedups, multiplicity) if extra else None,
         b_eq=np.zeros(num_users) if extra else None,

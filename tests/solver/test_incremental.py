@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 
-from repro.exceptions import InfeasibleError
-from repro.solver import IncrementalLP
+from repro.exceptions import InfeasibleError, SolverError
+from repro.solver import CSR, IncrementalLP
+
+
+def _rows(dense):
+    """A CSR record of a small dense matrix, zeros kept out."""
+    dense = np.asarray(dense, dtype=float)
+    rows, columns = np.nonzero(dense)
+    return CSR(dense[rows, columns], columns, np.searchsorted(rows, np.arange(len(dense) + 1)),
+               dense.shape)
 
 
 def _session():
@@ -14,7 +21,7 @@ def _session():
         c=np.array([-1.0, -1.0]),
         col_lower=np.zeros(2),
         col_upper=np.full(2, np.inf),
-        a_ub=sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]])),
+        a_ub=_rows([[1.0, 1.0], [1.0, 0.0]]),
         b_ub=np.array([4.0, 3.0]),
     )
 
@@ -27,7 +34,7 @@ class TestIncrementalLP:
     def test_add_rows_resolves(self):
         session = _session()
         session.solve()
-        session.add_rows(sparse.csr_matrix(np.array([[0.0, 1.0]])), np.array([1.0]))
+        session.add_rows(_rows([[0.0, 1.0]]), np.array([1.0]))
         values = session.solve()
         assert values[1] <= 1.0 + 1e-9
         assert values.sum() == pytest.approx(4.0)
@@ -35,7 +42,7 @@ class TestIncrementalLP:
     def test_delete_rows_restores_relaxation(self):
         session = _session()
         session.add_rows(
-            sparse.csr_matrix(np.array([[1.0, 1.0]])), np.array([2.0])
+            _rows([[1.0, 1.0]]), np.array([2.0])
         )
         assert session.solve().sum() == pytest.approx(2.0)
         session.delete_rows([2])
@@ -44,7 +51,7 @@ class TestIncrementalLP:
     def test_row_bookkeeping(self):
         session = _session()
         assert session.num_rows == 2
-        session.add_rows(sparse.csr_matrix(np.array([[0.0, 1.0]])), np.array([1.0]))
+        session.add_rows(_rows([[0.0, 1.0]]), np.array([1.0]))
         assert session.num_rows == 3
         session.delete_rows([2])
         assert session.num_rows == 2
@@ -54,11 +61,23 @@ class TestIncrementalLP:
             c=np.array([-1.0]),
             col_lower=np.array([2.0]),
             col_upper=np.array([np.inf]),
-            a_ub=sparse.csr_matrix(np.array([[1.0]])),
+            a_ub=_rows([[1.0]]),
             b_ub=np.array([1.0]),
         )
         with pytest.raises(InfeasibleError):
             session.solve()
+
+    @pytest.mark.parametrize("indices", [[0, 0], [0, 2]], ids=["duplicate", "out-of-range"])
+    def test_rejected_model_raises_at_construction(self, indices):
+        # a column index twice in one row, or past the last column
+        with pytest.raises(SolverError, match="rejected"):
+            IncrementalLP(
+                c=np.array([-1.0, -1.0]),
+                col_lower=np.zeros(2),
+                col_upper=np.full(2, np.inf),
+                a_ub=CSR([1.0, 1.0], indices, [0, 2], (1, 2)),
+                b_ub=np.array([4.0]),
+            )
 
     def test_basic_row_mask_and_values(self):
         session = _session()

@@ -27,9 +27,10 @@ from repro.exceptions import (
     SolverError,
     UnboundedError,
 )
-from repro.solver import StandardForm, solve_form
+from repro.solver import CSR, StandardForm, solve_form
 from repro.solver.form import _screen
 from repro.workloads.generator import random_instance
+from scipy_csr import to_scipy
 
 
 def _array(value):
@@ -95,8 +96,8 @@ GRID = dict(_grid())
 
 def _reference(form):
     return linprog(
-        c=form.c, A_ub=form.a_ub, b_ub=form.b_ub, A_eq=form.a_eq, b_eq=form.b_eq,
-        bounds=form.bounds, method="highs",
+        c=form.c, A_ub=to_scipy(form.a_ub), b_ub=form.b_ub, A_eq=to_scipy(form.a_eq),
+        b_eq=form.b_eq, bounds=form.bounds, method="highs",
     )
 
 
@@ -140,27 +141,26 @@ def test_one_shot_solve_is_not_a_session(monkeypatch):
 
 
 # -- one instance per thread, loaded rowwise -----------------------------------
-def _fresh_csc_solve(c, col_lower, col_upper, a_ub, b_ub, a_eq, b_eq):
-    """The reference: a new instance per call, the matrix copied to CSC."""
+def _fresh_csc_solve(c, col_lower, col_upper, rows, row_lower, row_upper):
+    """The reference: a new instance per call, the matrix copied to CSC
+    and loaded colwise."""
     core = incremental._core
-    b_ub = np.zeros(0) if a_ub is None else np.asarray(b_ub, dtype=float)
-    b_eq = np.zeros(0) if a_eq is None else np.asarray(b_eq, dtype=float)
-    blocks = [block for block in (a_ub, a_eq) if block is not None]
-    if len(blocks) == 2:
-        stack = sparse.vstack if any(map(sparse.issparse, blocks)) else np.vstack
-        blocks = [stack(blocks)]
-    matrix = sparse.csc_matrix(blocks[0] if blocks else (0, len(c)))
+    matrix = to_scipy(rows).tocsc()
     highs = core._Highs()
     for option, value in (
         ("presolve", "on"), ("output_flag", False), ("log_to_console", False),
         ("simplex_strategy", 1),
     ):
         highs.setOptionValue(option, value)
-    lp = incremental._model(
-        c, col_lower, col_upper, matrix,
-        np.concatenate([np.full(b_ub.shape[0], -np.inf), b_eq]),
-        np.concatenate([b_ub, b_eq]),
-    )
+    lp = core.HighsLp()
+    lp.num_row_, lp.num_col_ = matrix.shape
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), col_lower.tolist(), col_upper.tolist()
+    lp.row_lower_, lp.row_upper_ = row_lower.tolist(), row_upper.tolist()
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = matrix.shape
+    lp.a_matrix_.start_ = matrix.indptr.tolist()
+    lp.a_matrix_.index_ = matrix.indices.tolist()
+    lp.a_matrix_.value_ = matrix.data.tolist()
     assert highs.passModel(lp) != core.HighsStatus.kError
     incremental._run(highs)
     solution = highs.getSolution()
@@ -168,8 +168,8 @@ def _fresh_csc_solve(c, col_lower, col_upper, a_ub, b_ub, a_eq, b_eq):
 
 
 def _solve_args(form):
-    bounds = _screen(form)
-    return (form.c, bounds[:, 0], bounds[:, 1], form.a_ub, form.b_ub, form.a_eq, form.b_eq)
+    bounds, rows, row_lower, row_upper = _screen(form)
+    return (form.c, bounds[:, 0], bounds[:, 1], rows, row_lower, row_upper)
 
 
 def _churn_forms():
@@ -290,14 +290,14 @@ class TestStatusTable:
             incremental._run(fake)
         assert type(caught.value) is SolverError
 
-    def test_rejected_model_is_a_solver_error(self):
-        # a duplicated row index inside one column: passModel returns kError
-        broken = sparse.csc_matrix(
-            (np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 1)
-        )
-        with pytest.raises(SolverError) as caught:
+    @pytest.mark.parametrize("indices", [[0, 0], [0, 2]], ids=["duplicate", "out-of-range"])
+    def test_rejected_model_is_a_solver_error(self, indices):
+        # a column index twice in one row, or past the last column: kError
+        broken = CSR([1.0, 1.0], indices, [0, 2], (1, 2))
+        with pytest.raises(SolverError, match="rejected") as caught:
             incremental.solve_once(
-                np.array([1.0]), np.zeros(1), np.ones(1), broken, np.array([1.0])
+                np.array([1.0, 1.0]), np.zeros(2), np.ones(2), broken,
+                np.array([-np.inf]), np.array([1.0]),
             )
         assert type(caught.value) is SolverError
 

@@ -5,9 +5,11 @@ and ``repro.fleet`` sit below ``repro.gateway`` and ``repro.server``; an
 import pointing up (module-level or function-local) is a cycle waiting
 to happen and drags the service stack into every simulator worker.
 
-HiGHS has one door: scipy's private ``_highspy`` bindings are imported by
-``solver/incremental.py`` alone, and no module names ``linprog`` or the
-LP oracles the test suite keeps (``LinearProgram``, ``SimplexBackend``).
+HiGHS has one door: scipy's private ``_highspy`` bindings are loaded from
+their file by ``solver/incremental.py`` alone, no module has an import
+statement for scipy (its ``optimize`` and ``sparse`` packages cost a fresh
+process half a second), and no module names ``linprog`` or the LP oracles
+the test suite keeps (``LinearProgram``, ``SimplexBackend``).
 """
 
 import ast
@@ -55,8 +57,14 @@ def _importers(wanted):
 
 
 def test_private_highs_bindings_have_one_importer():
-    importers = _importers(lambda module: "_highspy" in module.split("."))
-    assert importers == ["solver/incremental.py"]
+    loaders = sorted(
+        str(path.relative_to(ROOT)) for path in ROOT.rglob("*.py") if "_highspy" in path.read_text()
+    )
+    assert loaders == ["solver/incremental.py"]
+
+
+def test_no_module_imports_scipy():
+    assert _importers(lambda module: module.split(".")[0] == "scipy") == []
 
 
 def test_no_module_names_linprog_or_the_test_oracles():
