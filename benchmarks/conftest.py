@@ -5,25 +5,6 @@ Every bench regenerates one paper table/figure (scaled for CI speed) via
 end-to-end runs, not micro-benchmarks, so one round is the meaningful
 measurement.  Key reproduced numbers are attached as ``extra_info`` so the
 benchmark table doubles as the experiment record.
-
-Ledger routing
---------------
-At session end, every benchmark module's record is appended to the
-persistent benchmark ledger (:mod:`repro.benchledger`) under **one**
-run id:
-
-* modules that write their own ``BENCH_*.json`` through
-  :mod:`repro.benchio` (warm_start, gateway, serve, parallel) are
-  picked up from :func:`repro.benchio.session_records`;
-* every other module's timings are synthesized into ``repro/bench-v1``
-  records straight from the pytest-benchmark stats (one family per
-  ``test_bench_<family>.py`` module, one row per test, ``extra_info``
-  riding along) — so every bench family builds a trajectory,
-  not just the four with hand-written records.
-
-The ledger directory comes from ``$REPRO_LEDGER_DIR`` (an empty value
-disables routing — tier-1 isolation) and defaults to the committed
-``benchmarks/ledger/`` next to this file.
 """
 
 import pathlib
@@ -31,7 +12,6 @@ import pathlib
 import pytest
 
 _BENCH_DIR = pathlib.Path(__file__).parent
-_FAMILY_PREFIX = "test_bench_"
 
 
 def pytest_collection_modifyitems(items):
@@ -56,92 +36,3 @@ def run_once(benchmark):
 
     return _run
 
-
-def _session_ledger():
-    """The ledger this bench session appends to, or ``None``."""
-    import os
-
-    from repro.benchledger import BenchLedger
-    from repro.benchledger.ledger import LEDGER_DIR_ENV
-
-    if LEDGER_DIR_ENV in os.environ:
-        value = os.environ[LEDGER_DIR_ENV]
-        return BenchLedger(value) if value else None
-    return BenchLedger(str(_BENCH_DIR / "ledger"))
-
-
-def _family_of(fullname: str):
-    """``benchmarks/test_bench_fig2.py::test_x`` -> ``fig2``."""
-    module = pathlib.Path(fullname.split("::", 1)[0]).stem
-    if not module.startswith(_FAMILY_PREFIX):
-        return None
-    return module[len(_FAMILY_PREFIX):]
-
-
-def _json_scalar(value):
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    return str(value)
-
-
-def _synthesized_records(benchmarks, skip_families):
-    """``repro/bench-v1`` records from raw pytest-benchmark stats."""
-    from repro.benchio import bench_stats, build_bench_record
-
-    by_family = {}
-    for bench in benchmarks:
-        family = _family_of(getattr(bench, "fullname", ""))
-        if family is None or family in skip_families:
-            continue
-        stats = getattr(bench, "stats", None)
-        data = list(getattr(stats, "data", []) or [])
-        if not data:
-            continue
-        row = {"name": bench.name, **bench_stats(data)}
-        for key, value in sorted(getattr(bench, "extra_info", {}).items()):
-            row.setdefault(key, _json_scalar(value))
-        by_family.setdefault(family, []).append(row)
-    return [
-        build_bench_record(
-            family, rows, meta={"source": "pytest-benchmark"}
-        )
-        for family, rows in sorted(by_family.items())
-    ]
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Route every bench record of this session through the ledger.
-
-    Only runs when bench-marked tests actually executed and passed —
-    a failed session must not pollute the trajectory with partial runs.
-    """
-    if exitstatus != 0:
-        return
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    benchmarks = list(getattr(bench_session, "benchmarks", []) or [])
-    if not benchmarks:
-        return
-    ledger = _session_ledger()
-    if ledger is None:
-        return
-
-    from repro.benchio import session_records
-    from repro.benchledger import Manifest
-
-    records = list(session_records())
-    skip = {str(record["benchmark"]) for record in records}
-    records.extend(_synthesized_records(benchmarks, skip))
-    if not records:
-        return
-
-    config = {"source": "pytest-benchmark", "modules": sorted(
-        {f"{_FAMILY_PREFIX}{record['benchmark']}" for record in records}
-    )}
-    manifest = Manifest.from_record(records[0], config=config)
-    run_id = ledger.begin_run(manifest)
-    for record in records:
-        ledger.append(record, run_id=run_id, config=config)
-    print(
-        f"\nbenchledger: appended {len(records)} record(s) as run "
-        f"{run_id} -> {ledger.root}"
-    )

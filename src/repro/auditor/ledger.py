@@ -2,8 +2,8 @@
 
 Every audited response becomes one ``repro/audit-v1`` line under
 ``<root>/<scenario>.jsonl`` — the durable record ``repro audit-report``
-summarizes.  The write discipline is the benchmark ledger's (the shared
-:class:`repro.jsonlio.JsonlStore`): concurrent audit workers interleave
+summarizes.  It writes through the shared
+:class:`repro.jsonlio.JsonlStore`: concurrent audit workers interleave
 whole lines, never halves, and lines are schema-validated on both
 write and read (:mod:`repro.auditor.schema`), so a corrupt line is
 caught with its file and line number.

@@ -2,8 +2,8 @@
 
 Sampling must be three things at once:
 
-* **cheap** — it runs on the gateway hot path, inside the latency the
-  bench ledger gates at 5% (``audit_overhead_vs_hot``);
+* **cheap** — it runs on the gateway hot path, inside every audited
+  request's latency;
 * **deterministic** — the differential and property tests replay the
   same traffic and must see the same sampled subset, whatever thread or
   shard the request landed on; and

@@ -2,10 +2,9 @@
 
 The audit ledger is append-only JSONL (see
 :mod:`repro.auditor.ledger`), so a malformed line written today is a
-broken ``repro audit-report`` next month.  Exactly like the benchmark
-ledger (:mod:`repro.benchledger.schema`), every record passes through
-this :mod:`repro.fieldspec` table on *both* write and read, and errors
-name the offending field (``properties.SP``).
+broken ``repro audit-report`` next month.  So every record passes
+through this :mod:`repro.fieldspec` table on *both* write and read, and
+errors name the offending field (``properties.SP``).
 
 One ``repro/audit-v1`` record::
 

@@ -32,32 +32,18 @@ Commands
                      the trace store, making it available as a
                      ``trace:<name>`` scenario
 ``experiments``      run the paper experiments (all or a subset, ``--jobs N``)
-``bench``            time a batch of solves in order vs over a thread pool;
-                     ``--json`` writes a ``BENCH_parallel.json`` record
-                     *and* a ``BENCH_gateway.json`` pipeline-on/off
-                     comparison next to it, appending both to the
-                     persistent benchmark ledger (``--ledger DIR``;
-                     see :mod:`repro.benchledger`); ``--compare BASE``
-                     renders a regression report against a prior run
-                     (run id, git ref, or ``latest``) and exits 1 when
-                     a gated hot-path metric regresses — including the
-                     5% ``audit_overhead_vs_hot`` budget of the audited
-                     pipeline
 ``serve``            run the async sharded HTTP serving layer
                      (``--port --shards --pipeline --max-in-flight``;
                      ``--audit RATE`` samples responses into the
                      continuous fairness auditor and serves
                      ``GET /audit/report``; see :mod:`repro.server`
                      and ``docs/server.md``)
-``loadtest``         drive a running server with the open-loop bursty
-                     load generator and print the latency/throughput
-                     report (``--json`` writes a ``BENCH_serve.json``)
 ``demo``             write a demo instance JSON to get started
 
-``compare``, ``frontier``, ``experiments``, and ``bench`` accept
-``--backend``/``--backends`` and ``--jobs N`` to fan independent work
-out through :mod:`repro.parallel`; ``compare`` and ``bench`` run solves,
-which fan out over threads only (no ``process``).
+``compare``, ``frontier``, ``experiments``, ``simulate`` and
+``fleet-sim`` accept ``--backend`` and ``--jobs N`` to fan independent
+work out through :mod:`repro.parallel`; ``compare`` runs solves, which
+fan out over threads only (no ``process``).
 
 ``repro --version`` prints the package version.
 
@@ -90,8 +76,8 @@ from repro.gateway import Gateway, bare_pipeline
 from repro.parallel import BACKEND_NAMES
 from repro.registry import registry_rows, scheduler_names
 
-#: Backends for commands whose work is gateway solves (``compare``,
-#: ``bench``): one in-process pipeline, so threads are the only fan-out.
+#: Backends for ``compare``, whose work is gateway solves: one
+#: in-process pipeline, so threads are the only fan-out.
 _SOLVE_BACKEND_NAMES = tuple(name for name in BACKEND_NAMES if name != "process")
 
 #: The default middleware pipeline behind every CLI solve — one per
@@ -348,331 +334,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0 if suite_ok(outcomes) else 1
 
 
-def _gateway_bench_rows(requests, repeat: int):
-    """Pipeline-on/off comparison rows for ``BENCH_gateway.json``.
-
-    Times the same request set four ways: through a bare pipeline (the
-    terminal solver only — every pass is a cold LP), through the default
-    pipeline with the caches cleared each pass (cold, measuring pipeline
-    overhead on the LP-dominated path), through the default pipeline
-    pre-warmed (the cache-hit hot path), and through the default
-    pipeline pre-warmed *with continuous auditing on* (sample rate 1.0,
-    audit worker drained before timing — steady state, where the stage's
-    settled-key memo reduces the capture to one set lookup).  Hot and
-    audited samples are taken as tightly adjacent pairs with the order
-    alternating each pair, and the audited row carries
-    ``audit_overhead_vs_hot`` — the *median* of the per-pair ratios,
-    which host-noise bursts on a shared machine cannot move — the
-    lower-is-better ratio the 5% ledger gate watches.
-    Returns the ``repro/bench-v1`` rows plus a correctness flag:
-    hot-path allocations must match the bare pipeline bit for bit.
-    """
-    import statistics as _statistics
-    import time as _time
-
-    import numpy as np
-
-    from repro.auditor.middleware import AuditMiddleware
-    from repro.auditor.worker import AuditWorker
-    from repro.benchio import bench_stats
-    from repro.gateway import default_pipeline
-
-    def time_passes(gateway, clear: bool):
-        samples, responses = [], None
-        for _ in range(repeat):
-            if clear:
-                gateway.clear_cache()
-            start = _time.perf_counter()
-            responses = [gateway.solve(request) for request in requests]
-            samples.append(_time.perf_counter() - start)
-        return bench_stats(samples), responses
-
-    bare_stats, bare_responses = time_passes(Gateway(bare_pipeline()), clear=False)
-    pipeline = Gateway(default_pipeline())
-    cold_stats, _ = time_passes(pipeline, clear=True)
-    for request in requests:  # warm the cache for the hot passes
-        pipeline.solve(request)
-
-    audit_worker = AuditWorker(None)  # in-memory only: no ledger IO in timings
-    audited = Gateway(
-        default_pipeline(audit=AuditMiddleware(1.0, worker=audit_worker))
-    )
-    for request in requests:  # warm the cache and enqueue every audit once
-        audited.solve(request)
-    audit_worker.drain()  # steady state: settled-key memo armed
-
-    # pair the hot and audited samples tightly in time, alternating the
-    # order each pair: the audit ratio divides two sub-millisecond
-    # numbers, so machine-load drift must hit both sides of every pair
-    # equally or it shows up as phantom overhead — and batch enough
-    # passes per sample that the clock sees milliseconds, not ticks
-    probe_start = _time.perf_counter()
-    hot_responses = [pipeline.solve(request) for request in requests]
-    probe = _time.perf_counter() - probe_start
-    inner = max(1, int(0.02 / max(probe, 1e-7)))
-
-    def _hot_sample():
-        start = _time.perf_counter()
-        responses = None
-        for _ in range(inner):
-            responses = [pipeline.solve(request) for request in requests]
-        return (_time.perf_counter() - start) / inner, responses
-
-    def _audited_sample():
-        start = _time.perf_counter()
-        responses = None
-        for _ in range(inner):
-            responses = [audited.solve(request) for request in requests]
-        return (_time.perf_counter() - start) / inner, responses
-
-    hot_samples, audited_samples = [], []
-    audited_responses = None
-    for pair in range(max(repeat, 9)):
-        if pair % 2 == 0:
-            sample, hot_responses = _hot_sample()
-            hot_samples.append(sample)
-            sample, audited_responses = _audited_sample()
-            audited_samples.append(sample)
-        else:
-            sample, audited_responses = _audited_sample()
-            audited_samples.append(sample)
-            sample, hot_responses = _hot_sample()
-            hot_samples.append(sample)
-    audit_worker.stop()
-    hot_stats = bench_stats(hot_samples)
-    audited_stats = bench_stats(audited_samples)
-
-    identical = all(
-        np.allclose(a.allocation.matrix, b.allocation.matrix, atol=1e-9)
-        for a, b in zip(hot_responses, bare_responses)
-    ) and all(
-        np.allclose(a.allocation.matrix, b.allocation.matrix, atol=1e-9)
-        for a, b in zip(audited_responses, bare_responses)
-    )
-    bare_p50 = bare_stats["p50"] or float("inf")
-    hot_p50 = hot_stats["p50"] or float("inf")
-    rows = [
-        {"name": "bare/cold", **bare_stats},
-        {
-            "name": "pipeline/cold",
-            **cold_stats,
-            "overhead_vs_bare": cold_stats["p50"] / bare_p50,
-        },
-        {
-            "name": "pipeline/hot",
-            **hot_stats,
-            "speedup_vs_bare_cold": bare_p50 / hot_p50,
-            "matches_bare": bool(identical),
-        },
-        {
-            "name": "pipeline+audit/hot",
-            **audited_stats,
-            "speedup_vs_bare_cold": bare_p50
-            / (audited_stats["p50"] or float("inf")),
-            # median of per-pair ratios: drift cancels inside each
-            # adjacent pair and a noise burst only costs its pair
-            # (mirrors benchmarks/test_bench_audit.py)
-            "audit_overhead_vs_hot": _statistics.median(
-                audited / (hot or float("inf"))
-                for audited, hot in zip(audited_samples, hot_samples)
-            ),
-        },
-    ]
-    return rows, identical
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Time a batch of solves on each requested backend and report speedup."""
-    import os
-    import time as _time
-
-    import numpy as np
-
-    from repro.benchio import bench_stats
-    from repro.gateway import Request, default_pipeline
-    from repro.workloads.generator import random_instance
-
-    instances = [
-        random_instance(args.users, args.gpu_types, seed=args.seed + index)
-        for index in range(args.instances)
-    ]
-    requests = [
-        Request(instance=instance, scheduler=scheduler)
-        for instance in instances
-        for scheduler in args.schedulers
-    ]
-
-    baseline = None
-    rows = []
-    json_rows = []
-    backends = ["serial", *(b for b in args.backends if b != "serial")]
-    for backend_name in backends:
-        gateway = Gateway(default_pipeline())
-        samples = []
-        results = None
-        for _ in range(max(1, args.repeat)):
-            gateway.clear_cache()
-            start = _time.perf_counter()
-            results = gateway.solve_batch(
-                requests,
-                backend=None if backend_name == "serial" else backend_name,
-                max_workers=args.jobs,
-            )
-            samples.append(_time.perf_counter() - start)
-        stats = bench_stats(samples)
-        matrices = [result.allocation.matrix for result in results]
-        if baseline is None:
-            baseline = (stats["p50"], matrices)
-        identical = all(
-            np.allclose(matrix, reference, atol=1e-8)
-            for matrix, reference in zip(matrices, baseline[1])
-        )
-        # repeat the batch: the merged cache must serve it entirely
-        before_repeat = gateway.cache_info()
-        gateway.solve_batch(
-            requests, backend=None if backend_name == "serial" else backend_name,
-            max_workers=args.jobs,
-        )
-        cache = gateway.cache_info()
-        repeat_hits = cache.hits - before_repeat.hits
-        speedup = baseline[0] / stats["p50"] if stats["p50"] > 0 else float("inf")
-        rows.append(
-            {
-                "backend": backend_name,
-                "seconds": stats["p50"],
-                "speedup": speedup,
-                "matches serial": "yes" if identical else "NO",
-                "repeat hit rate": f"{repeat_hits / len(requests):.0%}",
-            }
-        )
-        json_rows.append(
-            {
-                "name": backend_name,
-                **stats,
-                "speedup_vs_serial": speedup,
-                "matches_serial": bool(identical),
-            }
-        )
-    print(
-        f"{len(requests)} solves "
-        f"({args.instances} instances x {len(args.schedulers)} schedulers, "
-        f"{args.users} users x {args.gpu_types} GPU types)"
-    )
-    _print_table(rows)
-    ok = all(row["matches serial"] == "yes" for row in rows)
-    # --json and --compare both need the full records (the pipeline-on/off
-    # comparison rides along so the gateway perf trajectory stays populated)
-    need_records = args.json is not None or args.compare is not None
-    parallel_record = gateway_record = None
-    if need_records:
-        from repro.benchio import build_bench_record, write_record_json
-
-        meta = {
-            "instances": args.instances,
-            "users": args.users,
-            "gpu_types": args.gpu_types,
-            "schedulers": list(args.schedulers),
-            "repeat": max(1, args.repeat),
-        }
-        gateway_rows, gateway_ok = _gateway_bench_rows(
-            requests, repeat=max(1, args.repeat)
-        )
-        ok = ok and gateway_ok
-        parallel_record = build_bench_record("parallel", json_rows, meta=meta)
-        gateway_record = build_bench_record("gateway", gateway_rows, meta=meta)
-        if args.json:
-            print(f"wrote {write_record_json(args.json, parallel_record)}")
-            gateway_path = os.path.join(
-                os.path.dirname(args.json) or ".", "BENCH_gateway.json"
-            )
-            print(f"wrote {write_record_json(gateway_path, gateway_record)}")
-    exit_code = 0 if ok else 1
-    if need_records:
-        ledger_code = _bench_ledger_and_compare(
-            args, [parallel_record, gateway_record]
-        )
-        exit_code = exit_code or ledger_code
-    return exit_code
-
-
-def _bench_ledger_and_compare(args: argparse.Namespace, records) -> int:
-    """Append this run to the ledger; with ``--compare``, report + gate.
-
-    Returns 0 when nothing is gated or every gate passes, 1 when a gate
-    fails, 2 on a usage/lookup error (no ledger, unknown base spec).
-    """
-    from repro.benchledger import (
-        BaselineNotFound,
-        BenchLedger,
-        GatePolicy,
-        Manifest,
-        apply_gates,
-        compare_runs,
-        render_text,
-    )
-
-    if args.no_ledger:
-        ledger = None
-    elif args.ledger:
-        ledger = BenchLedger(args.ledger)
-    else:
-        ledger = BenchLedger.default()
-    if ledger is None:
-        if args.compare is not None:
-            print(
-                "error: --compare needs a ledger "
-                "(pass --ledger DIR or set $REPRO_LEDGER_DIR)",
-                file=sys.stderr,
-            )
-            return 2
-        return 0
-
-    config = {
-        "source": "repro bench",
-        "instances": args.instances,
-        "users": args.users,
-        "gpu_types": args.gpu_types,
-        "schedulers": list(args.schedulers),
-        "repeat": max(1, args.repeat),
-    }
-    manifest = Manifest.from_record(records[0], config=config)
-    run_id = ledger.begin_run(manifest)
-    entries = [
-        ledger.append(record, run_id=run_id, config=config)
-        for record in records
-    ]
-    print(f"ledger: appended run {run_id} -> {ledger.root}")
-    if args.compare is None:
-        return 0
-
-    try:
-        base_id = ledger.resolve_base(args.compare, exclude=run_id)
-    except BaselineNotFound as exc:
-        if args.compare == "latest":
-            # a fresh ledger's first run has nothing to regress against
-            print(f"compare: {exc}; recorded the baseline instead")
-            return 0
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    report = compare_runs(ledger.entries_for_run(base_id), entries)
-    policy = GatePolicy()
-    if args.max_regression is not None:
-        policy = policy.with_max_regression(args.max_regression)
-    verdict = apply_gates(report, policy)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"report": report.to_json(), "gates": verdict.to_json()},
-                indent=2,
-            )
-        )
-    else:
-        print(render_text(report))
-        print(verdict.describe())
-    return 0 if verdict.ok else 1
-
-
 def cmd_audit_report(args: argparse.Namespace) -> int:
     """Continuous-auditing report; exit 1 on any confirmed violation.
 
@@ -786,47 +447,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         audit_ledger=args.audit_ledger,
         audit_seed=args.audit_seed,
     )
-
-
-def cmd_loadtest(args: argparse.Namespace) -> int:
-    """Drive a running server with the open-loop bursty load generator."""
-    from repro.benchio import write_bench_json
-    from repro.server import LoadGenConfig, run_load
-
-    config = LoadGenConfig(
-        duration_s=args.duration,
-        rate=args.rate,
-        burst_factor=args.burst_factor,
-        num_instances=args.instances,
-        users=args.users,
-        gpu_types=args.gpu_types,
-        schedulers=tuple(args.schedulers),
-        seed=args.seed,
-        use_cache=not args.no_cache,
-    )
-    report = run_load(args.host, args.port, config)
-    _print_table([report.summary_row()])
-    if report.retry_after_values:
-        print(
-            f"{report.shed} requests shed with 429; Retry-After "
-            f"{min(report.retry_after_values):.0f}-"
-            f"{max(report.retry_after_values):.0f}s"
-        )
-    if args.json:
-        meta = {
-            "host": args.host,
-            "port": args.port,
-            "rate": args.rate,
-            "duration_s": args.duration,
-            "burst_factor": args.burst_factor,
-            "schedulers": list(args.schedulers),
-            "use_cache": not args.no_cache,
-        }
-        path = write_bench_json(
-            args.json, "serve", report.bench_rows("loadtest"), meta=meta
-        )
-        print(f"wrote {path}")
-    return 0 if report.errors == 0 else 1
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -1093,78 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_parallel_flags(experiments, default_backend="auto")
     experiments.set_defaults(func=cmd_experiments)
 
-    bench = sub.add_parser(
-        "bench", help="time a solve batch in order vs over a thread pool"
-    )
-    bench.add_argument("--instances", type=int, default=16)
-    bench.add_argument("--users", type=int, default=12)
-    bench.add_argument("--gpu-types", type=int, default=6)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--schedulers",
-        nargs="+",
-        default=["oef-coop"],
-        choices=names,
-        help="schedulers to solve each instance with",
-    )
-    bench.add_argument(
-        "--backends",
-        nargs="+",
-        choices=_SOLVE_BACKEND_NAMES,
-        default=["thread"],
-        help="backends to time against the serial baseline",
-    )
-    bench.add_argument(
-        "--jobs", "-j", type=int, default=None,
-        help="max concurrent workers (default: one per core)",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=1,
-        help="timing repetitions per backend (mean/p50/p95 in --json output)",
-    )
-    bench.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write a machine-readable BENCH_parallel.json record here",
-    )
-    bench.add_argument(
-        "--ledger",
-        default=None,
-        metavar="DIR",
-        help="benchmark ledger directory to append this run to "
-        "(default: $REPRO_LEDGER_DIR, else benchmarks/ledger in a "
-        "repo checkout; only used with --json/--compare)",
-    )
-    bench.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="do not append this run to any ledger",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASE",
-        help="compare this run against a ledger baseline and apply the "
-        "regression gates; BASE is a run id, a git ref, or 'latest' "
-        "(exit 1 on a gated regression)",
-    )
-    bench.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="how --compare renders the regression report",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="override every gate threshold with one value, in percent "
-        "(provenance rules still apply; see docs/benchmarks.md)",
-    )
-    bench.set_defaults(func=cmd_bench)
-
     serve = sub.add_parser(
         "serve", help="run the async sharded HTTP serving layer"
     )
@@ -1202,34 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the audit sampler and strategyproofness probes",
     )
     serve.set_defaults(func=cmd_serve)
-
-    loadtest = sub.add_parser(
-        "loadtest", help="open-loop bursty load test against a running server"
-    )
-    loadtest.add_argument("--host", default="127.0.0.1")
-    loadtest.add_argument("--port", type=int, default=8080)
-    loadtest.add_argument("--duration", type=float, default=3.0)
-    loadtest.add_argument("--rate", type=float, default=100.0,
-                          help="base arrival rate, requests/second")
-    loadtest.add_argument("--burst-factor", type=float, default=4.0)
-    loadtest.add_argument("--instances", type=int, default=8)
-    loadtest.add_argument("--users", type=int, default=6)
-    loadtest.add_argument("--gpu-types", type=int, default=3)
-    loadtest.add_argument("--seed", type=int, default=0)
-    loadtest.add_argument(
-        "--schedulers", nargs="+", default=["oef-coop"], choices=names
-    )
-    loadtest.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="mark every request use_cache:false so each one runs a real "
-        "LP server-side (saturates a bounded admission stage)",
-    )
-    loadtest.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write a machine-readable BENCH_serve.json record here",
-    )
-    loadtest.set_defaults(func=cmd_loadtest)
 
     demo = sub.add_parser("demo", help="write a demo instance JSON")
     demo.add_argument("--output", default="instance.json")

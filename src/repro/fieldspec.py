@@ -1,8 +1,8 @@
 """One declarative field-spec for every schema-tagged JSON record.
 
-The repo keeps its claims — benchmark rows, Table-1 audit verdicts, the
-fleet's per-round Jain/envy stream, ingested traces — as JSON records
-carrying a ``schema`` tag, and accepts JSON request bodies on the wire.
+The repo keeps its claims — Table-1 audit verdicts, the fleet's
+per-round Jain/envy stream, ingested traces — as JSON records carrying
+a ``schema`` tag, and accepts JSON request bodies on the wire.
 Each shape is described once, as a table of ``field -> check``, and the
 rest is derived from it: validation before bytes land on write and per
 line on read (:mod:`repro.jsonlio`), and the wire layer's typed 400s

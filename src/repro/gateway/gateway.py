@@ -7,8 +7,7 @@ comparison and frontier sweep in the repo.  :func:`default_pipeline`
 builds the full stack
 (admission → metrics → coalesce → cache → solver);
 :func:`bare_pipeline` is just the terminal solver, useful for
-differential testing (``repro solve --pipeline bare``) and as the
-baseline of the ``gateway`` benchmark family.
+differential testing (``repro solve --pipeline bare``).
 
 Usage::
 
@@ -42,7 +41,7 @@ Timings
 Every dispatch times each stage (inclusive: time at or below the stage)
 and attaches the result to ``Response.stage_timings``; when a
 :class:`~repro.gateway.middleware.MetricsMiddleware` is present the same
-samples feed its per-stage histograms, which ``repro bench`` renders.
+samples feed its per-stage histograms, which ``GET /metrics`` renders.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ Built-ins, outermost-first in :func:`repro.gateway.default_pipeline`:
 :class:`AdmissionMiddleware`  max in-flight bound + deadline shedding, typed
                               :class:`~repro.gateway.envelope.Overloaded`
 :class:`MetricsMiddleware`    per-disposition and per-stage latency
-                              histograms (feeds ``repro bench``)
+                              histograms (feeds ``GET /metrics``)
 :class:`CoalesceMiddleware`   dedupes identical in-flight requests — the
                               follower waits for the leader and re-enters
                               the chain (hitting the cache below)
@@ -46,6 +46,8 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.gateway.envelope import (
@@ -412,9 +414,8 @@ class MetricsMiddleware(Middleware):
     Records one sample per request under the response's disposition
     (``cold`` / ``cache-hit`` / ``shed-*``), and —
     fed by the gateway after each dispatch — per-stage inclusive
-    latencies under ``stage:<name>``.  :meth:`snapshot` renders
-    ``repro/bench-v1`` rows (mean/p50/p95), which is what
-    ``repro bench --json`` folds into ``BENCH_gateway.json``.
+    latencies under ``stage:<name>``.  :meth:`snapshot` renders one
+    row per label (mean/p50/p95 seconds), which ``GET /metrics`` serves.
     """
 
     name = "metrics"
@@ -445,16 +446,14 @@ class MetricsMiddleware(Middleware):
             self.record(f"stage:{stage}", seconds)
 
     def snapshot(self) -> List[Dict[str, object]]:
-        """One ``repro/bench-v1`` row per label (mean/p50/p95/samples)."""
-        from repro.benchio import bench_stats
-
+        """One row per label (mean/p50/p95/samples)."""
         with self._lock:
             items = [
                 (label, list(bucket), self._counts.get(label, 0))
                 for label, bucket in self._samples.items()
             ]
         return [
-            {"name": label, **bench_stats(samples), "total_observations": count}
+            {"name": label, **_latency_stats(samples), "total_observations": count}
             for label, samples, count in sorted(items)
             if samples
         ]
@@ -470,6 +469,17 @@ class MetricsMiddleware(Middleware):
         row = super().describe()
         row.update(stateful="yes", detail=f"{labels} histogram(s)")
         return row
+
+
+def _latency_stats(seconds: List[float]) -> Dict[str, float]:
+    """mean/p50/p95 and the sample count of one non-empty histogram."""
+    samples = np.asarray(seconds, dtype=float)
+    return {
+        "mean": float(samples.mean()),
+        "p50": float(np.percentile(samples, 50)),
+        "p95": float(np.percentile(samples, 95)),
+        "samples": int(samples.size),
+    }
 
 
 class AdmissionMiddleware(Middleware):

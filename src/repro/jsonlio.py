@@ -1,11 +1,11 @@
 """The one JSONL layer under the repo's ledgers, stores and sinks.
 
-Four subsystems keep durable state as schema-validated JSONL streams:
-the benchmark ledger, the audit ledger and the trace store
-(directories of streams: :class:`JsonlStore`), and the fleet metrics
-sink (:mod:`repro.fleet.metrics`, one file, the same primitives).
+Three subsystems keep durable state as schema-validated JSONL streams:
+the audit ledger and the trace store (directories of streams:
+:class:`JsonlStore`), and the fleet metrics sink
+(:mod:`repro.fleet.metrics`, one file, the same primitives).
 
-The write discipline is shared by all four: each entry is serialized
+The write discipline is shared by all three: each entry is serialized
 to one line and written with a single ``O_APPEND`` ``write(2)``
 followed by ``fsync``, so concurrent appenders interleave whole lines,
 never halves, and a crash leaves either the full new line or nothing.
@@ -148,17 +148,13 @@ class JsonlStore:
 
         ``$DIR_ENV`` wins, and an *empty* value disables discovery
         entirely (tier-1 test isolation — see ``tests/conftest.py``).
-        Otherwise ``DEFAULT_DIR`` relative to the current directory,
-        when the directory that would hold it exists (for
-        ``benchmarks/ledger``: inside a repo checkout); failing both,
-        callers must name a directory explicitly.
+        Otherwise ``DEFAULT_DIR`` relative to the current directory;
+        failing both, callers must name a directory explicitly.
         """
         if cls.DIR_ENV in os.environ:
             value = os.environ[cls.DIR_ENV]
             return cls(value) if value else None
-        if cls.DEFAULT_DIR and os.path.isdir(
-            os.path.dirname(cls.DEFAULT_DIR) or "."
-        ):
+        if cls.DEFAULT_DIR:
             return cls(cls.DEFAULT_DIR)
         return None
 

@@ -6,8 +6,7 @@ coalescing, typed ``Overloaded`` shedding, and the content-hash cache
 package is the socket: a stdlib-only asyncio HTTP/1.1 front end
 (:class:`ReproServer`) over a consistent-hash
 :class:`~repro.server.shards.ShardPool` of gateway workers, speaking the
-JSON wire protocol in :mod:`repro.server.protocol`, with an open-loop
-bursty load generator (:mod:`repro.server.loadgen`) as its test harness.
+JSON wire protocol in :mod:`repro.server.protocol`.
 
 Layers (each importable and testable alone):
 
@@ -16,7 +15,6 @@ Layers (each importable and testable alone):
 :mod:`repro.server.protocol`    JSON wire schemas ↔ gateway envelopes
 :mod:`repro.server.shards`      consistent-hash pool of gateway workers
 :mod:`repro.server.app`         :class:`ReproServer` + ``repro serve``
-:mod:`repro.server.loadgen`     open-loop bursty client, ``repro loadtest``
 ==============================  =========================================
 
 Quick start::
@@ -31,12 +29,6 @@ and overload semantics.
 """
 
 from repro.server.app import ReproServer, serve
-from repro.server.loadgen import (
-    LoadGenConfig,
-    LoadReport,
-    run_load,
-    run_load_async,
-)
 from repro.server.protocol import (
     MAX_BATCH_ITEMS,
     ProtocolError,
@@ -52,8 +44,6 @@ from repro.server.protocol import (
 from repro.server.shards import ShardPool
 
 __all__ = [
-    "LoadGenConfig",
-    "LoadReport",
     "MAX_BATCH_ITEMS",
     "ProtocolError",
     "ReproServer",
@@ -66,7 +56,5 @@ __all__ = [
     "parse_solve",
     "response_payload",
     "retry_after_header",
-    "run_load",
-    "run_load_async",
     "serve",
 ]

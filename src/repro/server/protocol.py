@@ -5,8 +5,8 @@ gateway's :class:`~repro.gateway.Request` / :class:`~repro.gateway.Response`
 / :class:`~repro.gateway.Overloaded` envelopes and back — the network
 layer (:mod:`repro.server.app`) does IO, this module does meaning.
 Keeping it pure makes the wire format unit-testable and doctestable
-(``docs/server.md``) and guarantees the differential property the serve
-benchmark asserts: a server-routed solve serialises through exactly the
+(``docs/server.md``) and guarantees the differential property the server
+tests assert: a server-routed solve serialises through exactly the
 same code path as a direct in-process dispatch, so the results are
 byte-identical.
 

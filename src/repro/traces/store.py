@@ -3,7 +3,7 @@
 One trace = one schema-validated JSONL file under the store root, one
 line per job, written and read through the shared
 :class:`repro.jsonlio.JsonlStore` (the same append-fsync discipline and
-:mod:`repro.fieldspec` validation as the benchmark and audit ledgers).
+:mod:`repro.fieldspec` validation as the audit ledger).
 The canonical record is deliberately tiny — the six facts replay
 needs, nothing else::
 

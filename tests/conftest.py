@@ -10,20 +10,14 @@ from repro.parallel import shutdown_shared_pool
 
 
 @pytest.fixture(autouse=True)
-def _isolate_bench_ledger(monkeypatch):
-    """Keep tier-1 tests away from the committed benchmark ledger.
+def _isolate_stores(monkeypatch):
+    """Keep tier-1 tests away from any store directory in the checkout.
 
-    An empty ``$REPRO_LEDGER_DIR`` disables default-ledger discovery
-    (see :mod:`repro.benchledger.ledger`), so in-process CLI invocations
-    like ``repro bench --json`` never append to ``benchmarks/ledger/``
-    from a test run.  Ledger tests opt back in with ``--ledger DIR`` or
-    by setting the variable themselves.  Same deal for the audit ledger
-    (:mod:`repro.auditor.ledger`): an empty ``$REPRO_AUDIT_DIR`` keeps
-    audited pipelines built by tests purely in memory, and an empty
+    An empty ``$REPRO_AUDIT_DIR`` keeps audited pipelines built by tests
+    purely in memory (:mod:`repro.auditor.ledger`), and an empty
     ``$REPRO_TRACE_DIR`` (:mod:`repro.traces.store`) keeps trace
     discovery away from any ``traces/`` directory in the checkout.
     """
-    monkeypatch.setenv("REPRO_LEDGER_DIR", "")
     monkeypatch.setenv("REPRO_AUDIT_DIR", "")
     monkeypatch.setenv("REPRO_TRACE_DIR", "")
 

@@ -43,7 +43,7 @@ class TestRunExperiment:
 
 
 class TestRunSuite:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_subset_in_canonical_order(self, backend):
         stream = io.StringIO()
         outcomes = run_suite(

@@ -271,6 +271,8 @@ class TestFleetSimulator:
                 metrics_path=str(tmp_path / f"{run}-{backend}.jsonl"),
             )
             fingerprints[run] = result.fingerprint()
+            assert result.fairness_violations == 0
+            assert result.completed_jobs > 0
             if backend == "process":
                 pids.append(sorted(parallel._shared_pool._processes))
         assert len(set(fingerprints.values())) == 1

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
+from repro.fleet import FleetSimulator, resolve_fleet_scenario
 from repro.fleet.metrics import (
     FleetMetricsWriter,
     WindowAggregator,
@@ -124,6 +127,53 @@ class TestWriter:
         (record,) = read_fleet_metrics(path)
         assert record["jain"] == 1.0
         assert record["envy"] == 0.0
+
+
+class TestStreamingMemory:
+    """Regions stream their rounds to the sink instead of keeping them.
+
+    Peak traced memory of an 8x longer fleet run stays within
+    ``PEAK_FACTOR`` of the short run's.  Kept rounds would grow it by
+    about 2.5x on this shape.  Every job outlives the run, so each round
+    after the first is a decision-memo hit and no cache fills up with
+    run length.  The rebalancer is off because its weight timeline holds
+    one row per window by design, and the sink flushes every 4 rounds so
+    its buffer stays a small constant.
+    """
+
+    SHORT_ROUNDS, LONG_ROUNDS = 8, 64
+    PEAK_FACTOR = 2.0
+
+    def _peak_bytes(self, tmp_path, rounds: int) -> int:
+        fleet = resolve_fleet_scenario(
+            "steady", seed=5, regions=2, rounds=rounds,
+            num_tenants=32, jobs_per_tenant=1, duration_fraction=3.0,
+        )
+        simulator = FleetSimulator(
+            fleet, backend="serial", rebalance=False, flush_every=4,
+            metrics_path=str(tmp_path / f"rounds{rounds}.jsonl"),
+        )
+        tracemalloc.start()
+        try:
+            result = simulator.run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.total_rounds == rounds * 2  # both regions ran full
+        assert result.fairness_violations == 0
+        return peak
+
+    def test_peak_memory_independent_of_rounds(self, tmp_path):
+        # the first run in a process pays one-time allocations
+        self._peak_bytes(tmp_path, self.SHORT_ROUNDS)
+        short_peak = self._peak_bytes(tmp_path, self.SHORT_ROUNDS)
+        long_peak = self._peak_bytes(tmp_path, self.LONG_ROUNDS)
+        ratio = long_peak / short_peak
+        assert ratio < self.PEAK_FACTOR, (
+            f"peak memory grew {ratio:.2f}x for "
+            f"{self.LONG_ROUNDS // self.SHORT_ROUNDS}x the rounds: round "
+            f"records are accumulating instead of streaming"
+        )
 
 
 class TestAggregator:

@@ -214,6 +214,52 @@ class TestParseOthers:
             )
 
 
+    @pytest.mark.parametrize(
+        "parse, body, status, code",
+        [
+            (parse_audit, {}, 400, "missing-instance"),
+            (parse_audit, {"instance": []}, 400, "missing-instance"),
+            (parse_audit, {"instance": {}}, 400, "bad-instance"),
+            (parse_audit, {"scheduler": 7}, 400, "bad-scheduler"),
+            (parse_audit, {"scheduler": "no-such"}, 400, "unknown-scheduler"),
+            (parse_audit, {"sp_trials": "4"}, 400, "bad-sp-trials"),
+            (parse_audit, {"sp_trials": 2.0}, 400, "bad-sp-trials"),
+            (parse_audit, {"sp_trials": True}, 400, "bad-sp-trials"),
+            (parse_audit, {"seed": -1}, 400, "bad-seed"),
+            (parse_audit, {"seed": "0"}, 400, "bad-seed"),
+            (parse_audit, {"sp_trial": 4}, 400, "unknown-field"),
+            (parse_compare, {}, 400, "missing-instance"),
+            (parse_compare, {"schedulers": "oef-coop"}, 400, "bad-schedulers"),
+            (parse_compare, {"schedulers": [7]}, 400, "bad-schedulers"),
+            (parse_compare, {"schedulers": ["no-such"]}, 400, "unknown-scheduler"),
+            (parse_compare, {"scheduler": ["oef-coop"]}, 400, "unknown-field"),
+            (parse_solve, {}, 400, "missing-instance"),
+            (parse_solve, {"instance": "paper"}, 400, "missing-instance"),
+            (parse_solve, {"instance": {}}, 400, "bad-instance"),
+            (parse_solve, {"options": None}, 400, "bad-options"),
+            (parse_solve, {"priority": 1.5}, 400, "bad-priority"),
+            (parse_solve, {"deadline_in": "soon"}, 400, "bad-deadline"),
+            (parse_solve, {"use_cache": 1}, 400, "bad-use-cache"),
+            (parse_batch, {"requests": {}}, 400, "bad-batch"),
+            (parse_batch, {"requests": [1]}, 400, "bad-batch"),
+            (parse_batch, {"requests": None}, 400, "bad-batch"),
+            (parse_batch, {"request": []}, 400, "unknown-field"),
+        ],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_bad_body_is_a_typed_error(
+        self, instance_dict, registry, parse, body, status, code
+    ):
+        # ``{}`` stays empty; any other non-batch body gets the paper
+        # instance unless it names its own
+        if parse is not parse_batch and body and "instance" not in body:
+            body = {"instance": instance_dict, **body}
+        with pytest.raises(ProtocolError) as exc:
+            parse(body, registry)
+        assert (exc.value.status, exc.value.code) == (status, code)
+        assert exc.value.payload() == error_payload(code, exc.value.message)
+
+
 # -- overload serialisation -------------------------------------------------
 class TestOverloadWire:
     def test_overloaded_payload_carries_hint(self):
@@ -326,12 +372,35 @@ class TestHttp11:
             (b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n", 400),
             (b"POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
             (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 501),
+            (b"GET / HTTP/1.1\r\nHost: h", 400),
+            (b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", 400),
+            (b"GET  / HTTP/1.1\r\n\r\n", 400),
         ],
     )
     def test_malformed_inputs_map_to_typed_errors(self, wire, status):
         with pytest.raises(ProtocolError) as exc:
             _parse_request(wire)
         assert exc.value.status == status
+
+    @pytest.mark.parametrize(
+        "wire, attribute, expected",
+        [
+            (b"get /x HTTP/1.1\r\n\r\n", "method", "GET"),
+            (b"GET /x HTTP/1.0\r\n\r\n", "path", "/x"),
+            (b"GET ?a=1 HTTP/1.1\r\n\r\n", "path", "/"),
+            (b"GET /x?a=1&a=2&b=3 HTTP/1.1\r\n\r\n", "query", {"a": "2", "b": "3"}),
+            (b"GET / HTTP/1.1\r\nX-Thing:  v  \r\n\r\n", "headers", {"x-thing": "v"}),
+            (b"GET / HTTP/1.1\r\nConnection: Close\r\n\r\n", "wants_close", True),
+            (b"GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n", "wants_close", False),
+            (b"POST / HTTP/1.1\r\nContent-Length: 0\r\n\r\n", "body", b""),
+        ],
+        ids=[
+            "method-upper-cased", "http-1.0", "empty-path", "last-query-value-wins",
+            "header-names-folded", "connection-close", "keep-alive", "empty-body",
+        ],
+    )
+    def test_request_head_is_normalised(self, wire, attribute, expected):
+        assert getattr(_parse_request(wire), attribute) == expected
 
     def test_oversized_body_is_413(self):
         wire = b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + b"x" * 100

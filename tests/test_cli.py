@@ -168,46 +168,6 @@ class TestListMiddleware:
         assert lines[-1].split()[1] == "solver"
 
 
-class TestBenchGatewayRecord:
-    def test_bench_json_also_writes_gateway_record(self, tmp_path, capsys):
-        target = tmp_path / "records" / "BENCH_parallel.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "--instances",
-                    "2",
-                    "--users",
-                    "4",
-                    "--gpu-types",
-                    "2",
-                    "--backends",
-                    "thread",
-                    "--jobs",
-                    "2",
-                    "--json",
-                    str(target),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        gateway_record = json.loads(
-            (tmp_path / "records" / "BENCH_gateway.json").read_text()
-        )
-        assert gateway_record["schema"] == "repro/bench-v1"
-        assert gateway_record["benchmark"] == "gateway"
-        rows = {row["name"]: row for row in gateway_record["rows"]}
-        assert set(rows) == {
-            "bare/cold",
-            "pipeline/cold",
-            "pipeline/hot",
-            "pipeline+audit/hot",
-        }
-        assert rows["pipeline/hot"]["matches_bare"] is True
-        assert rows["pipeline+audit/hot"]["audit_overhead_vs_hot"] > 0
-
-
 class TestListSchedulers:
     def test_lists_every_registered_scheduler(self, capsys):
         from repro import scheduler_names
@@ -251,3 +211,80 @@ class TestErrors:
         assert main(["simulate", "--scenario", "trace:ops", "--rounds", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "ops.jsonl:1: duration_s" in err
+
+
+def _subcommands():
+    from repro.cli import build_parser
+
+    actions = [
+        action
+        for action in build_parser()._actions
+        if action.__class__.__name__ == "_SubParsersAction"
+    ]
+    return sorted(actions[0].choices)
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_every_subcommand_has_help(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        canonical = "allocate" if command == "solve" else command  # an alias
+        assert capsys.readouterr().out.startswith(f"usage: repro {canonical}")
+
+    @pytest.mark.parametrize(
+        "command", [name for name in _subcommands() if name != "solve"]
+    )
+    def test_module_docstring_lists_every_subcommand(self, command):
+        import repro.cli
+
+        assert f"``{command}``" in repro.cli.__doc__
+
+    @pytest.mark.parametrize("command", ["bench", "loadtest"])
+    def test_removed_benchmark_commands_are_unknown(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (["allocate"], "instance"),
+            (["audit", "x.json", "--pe-within", "bogus"], "--pe-within"),
+            (["audit", "x.json", "--efficiency-constraint", "bogus"],
+             "--efficiency-constraint"),
+            (["audit", "x.json", "--sp-trials", "many"], "--sp-trials"),
+            (["audit-report", "--format", "yaml"], "--format"),
+            (["audit-report", "--rate", "high"], "--rate"),
+            (["compare", "x.json", "--backend", "process"], "--backend"),
+            (["frontier"], "instance"),
+            (["frontier", "x.json", "--jobs", "two"], "--jobs"),
+            (["simulate"], "--scenario"),
+            (["simulate", "--scenario", "steady", "--seeds"], "--seeds"),
+            (["simulate", "--scenario", "steady", "--backend", "gpu"], "--backend"),
+            (["fleet-sim"], "--scenario"),
+            (["fleet-sim", "--scenario", "steady", "--window-rounds", "x"],
+             "--window-rounds"),
+            (["ingest-trace"], "file"),
+            (["ingest-trace", "t.csv", "--format", "xml"], "--format"),
+            (["experiments", "--jobs", "two"], "--jobs"),
+            (["serve", "--port", "http"], "--port"),
+            (["serve", "--pipeline", "turbo"], "--pipeline"),
+            (["serve", "--audit", "often"], "--audit"),
+        ],
+        ids=lambda value: "-".join(value) if isinstance(value, list) else None,
+    )
+    def test_bad_arguments_are_usage_errors(self, argv, complaint, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]}") and complaint in err
+
+    @pytest.mark.parametrize("command", ["simulate", "fleet-sim"])
+    def test_unknown_scenario_is_error_exit_2(self, command, capsys):
+        assert main([command, "--scenario", "stedy", "--rounds", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "steady" in err

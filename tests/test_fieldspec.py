@@ -17,34 +17,12 @@ import pytest
 
 from repro import fieldspec
 from repro.auditor import AuditLedger
-from repro.benchledger import BenchLedger
 from repro.exceptions import SchemaError
 from repro.fleet.metrics import FleetMetricsWriter, read_fleet_metrics
 from repro.scenarios.runner import ScenarioRoundRecord
 from repro.traces import TraceStore
 
-BENCH, LEDGER = "repro/bench-v1", "repro/ledger-v1"
 AUDIT, FLEET, TRACE = "repro/audit-v1", "repro/fleetmetrics-v1", "repro/trace-v1"
-
-
-def _bench(tmp, example):
-    ledger = BenchLedger(str(tmp))
-    family = str(example["benchmark"])
-    return (
-        ledger.path_for(family),
-        lambda: ledger.append(example),
-        lambda: [entry["record"] for entry in ledger.entries(family)],
-    )
-
-
-def _ledger(tmp, example):
-    ledger = BenchLedger(str(tmp))
-    family = str(example["family"])
-    return (
-        ledger.path_for(family),
-        lambda: ledger.append_entry(family, example),
-        lambda: ledger.entries(family),
-    )
 
 
 def _audit(tmp, example):
@@ -97,20 +75,6 @@ def _trace(tmp, example):
 #: example's pass-through leaves, out-of-range values by path, closed
 #: sub-records by path)
 CONTRACTS = {
-    BENCH: (
-        "repro.benchledger.schema",
-        _bench,
-        {"meta.instances", "rows[0].speedup_vs_bare"},
-        {"rows[0].mean": -1.0, "rows[0].p95": float("nan"), "rows[0].samples": -1},
-        (),
-    ),
-    LEDGER: (
-        "repro.benchledger.schema",
-        _ledger,
-        {"manifest.config"},
-        {"record.rows[0].p50": -0.5},
-        (),
-    ),
     AUDIT: (
         "repro.auditor.schema",
         _audit,
@@ -250,3 +214,224 @@ def test_bad_field_is_rejected_at_its_path(tag, path, keys, bad, tmp_path):
         with pytest.raises(SchemaError):
             append()
         assert not list(tmp_path.iterdir())
+
+
+# -- the combinators, one value at a time --------------------------------------
+NAN, INF = float("nan"), float("inf")
+_ROW = fieldspec.record({"name": fieldspec.text, "p95": fieldspec.number(ge=0)})
+_NON_EMPTY = fieldspec.list_of(fieldspec.integer(), non_empty=True)
+
+#: (check, value, path of the rejection or ``None`` when the value passes)
+CHECK_CASES = {
+    "number:int": (fieldspec.number(), 3, None),
+    "number:negative-float": (fieldspec.number(), -2.5, None),
+    "number:huge-int": (fieldspec.number(), 10**30, None),
+    "number:bool": (fieldspec.number(), True, ""),
+    "number:string": (fieldspec.number(), "1", ""),
+    "number:null": (fieldspec.number(), None, ""),
+    "number:list": (fieldspec.number(), [1], ""),
+    "number-ge0:zero": (fieldspec.number(ge=0), 0, None),
+    "number-ge0:negative": (fieldspec.number(ge=0), -1e-9, ""),
+    "number-ge0:nan": (fieldspec.number(ge=0), NAN, ""),
+    "number-ge0:minus-inf": (fieldspec.number(ge=0), -INF, ""),
+    "number-gt0:zero": (fieldspec.number(gt=0), 0.0, ""),
+    "number-gt0:tiny": (fieldspec.number(gt=0), 1e-12, None),
+    "number-gt0:nan": (fieldspec.number(gt=0), NAN, ""),
+    "unit:lower-edge": (fieldspec.number(ge=0, le=1), 0, None),
+    "unit:upper-edge": (fieldspec.number(ge=0, le=1), 1.0, None),
+    "unit:above": (fieldspec.number(ge=0, le=1), 1.0000001, ""),
+    "unit:below": (fieldspec.number(ge=0, le=1), -0.1, ""),
+    "unit:nan": (fieldspec.number(ge=0, le=1), NAN, ""),
+    "unit:inf": (fieldspec.number(ge=0, le=1), INF, ""),
+    "integer:zero": (fieldspec.integer(), 0, None),
+    "integer:negative": (fieldspec.integer(), -5, None),
+    "integer:big": (fieldspec.integer(), 2**70, None),
+    "integer:whole-float": (fieldspec.integer(), 2.0, ""),
+    "integer:true": (fieldspec.integer(), True, ""),
+    "integer:false": (fieldspec.integer(), False, ""),
+    "integer:string": (fieldspec.integer(), "3", ""),
+    "integer-ge1:zero": (fieldspec.integer(ge=1), 0, ""),
+    "integer-ge1:one": (fieldspec.integer(ge=1), 1, None),
+    "text:word": (fieldspec.text, "a", None),
+    "text:padded": (fieldspec.text, " a ", None),
+    "text:empty": (fieldspec.text, "", ""),
+    "text:spaces": (fieldspec.text, "  ", ""),
+    "text:whitespace": (fieldspec.text, "\t\n", ""),
+    "text:int": (fieldspec.text, 7, ""),
+    "text:bytes": (fieldspec.text, b"x", ""),
+    "const:equal": (fieldspec.const("repro/x-v1"), "repro/x-v1", None),
+    "const:other": (fieldspec.const("repro/x-v1"), "repro/x-v2", ""),
+    "const:null": (fieldspec.const("repro/x-v1"), None, ""),
+    "choice:first": (fieldspec.choice("a", "b"), "a", None),
+    "choice:second": (fieldspec.choice("a", "b"), "b", None),
+    "choice:outside": (fieldspec.choice("a", "b"), "c", ""),
+    "choice:wrapped": (fieldspec.choice("a", "b"), ["a"], ""),
+    "bool:true": (fieldspec.instance_of(bool, "a boolean"), True, None),
+    "bool:false": (fieldspec.instance_of(bool, "a boolean"), False, None),
+    "bool:one": (fieldspec.instance_of(bool, "a boolean"), 1, ""),
+    "bool:string": (fieldspec.instance_of(bool, "a boolean"), "true", ""),
+    "nullable:null": (fieldspec.nullable(fieldspec.integer()), None, None),
+    "nullable:inner": (fieldspec.nullable(fieldspec.integer()), 3, None),
+    "nullable:bad-inner": (fieldspec.nullable(fieldspec.integer()), 2.5, ""),
+    "list:empty": (fieldspec.list_of(fieldspec.integer()), [], None),
+    "list:ints": (fieldspec.list_of(fieldspec.integer()), [1, 2], None),
+    "list:bad-item": (fieldspec.list_of(fieldspec.integer()), [1, "x"], "[1]"),
+    "list:string": (fieldspec.list_of(fieldspec.text), "ab", ""),
+    "list:tuple": (fieldspec.list_of(fieldspec.integer()), (1, 2), ""),
+    "list:null": (fieldspec.list_of(fieldspec.integer()), None, ""),
+    "non-empty:empty": (_NON_EMPTY, [], ""),
+    "non-empty:one": (_NON_EMPTY, [0], None),
+    "nested-list": (
+        fieldspec.list_of(fieldspec.list_of(fieldspec.integer())),
+        [[1], [2, "x"]],
+        "[1][1]",
+    ),
+    "record:ok": (_ROW, {"name": "a", "p95": 1.0}, None),
+    "record:extra-key-passes": (_ROW, {"name": "a", "p95": 1.0, "k": 2}, None),
+    "record:missing-key": (_ROW, {"name": "a"}, "p95"),
+    "record:list": (_ROW, [], ""),
+    "record:null": (_ROW, None, ""),
+    "record:bad-field": (_ROW, {"name": " ", "p95": 1.0}, "name"),
+    "record:closed-unknown-key": (
+        fieldspec.record({"a": fieldspec.integer()}, closed=True),
+        {"a": 1, "b": 2},
+        "",
+    ),
+    "record:closed-ok": (
+        fieldspec.record({"a": fieldspec.integer()}, closed=True),
+        {"a": 1},
+        None,
+    ),
+    "record:optional-absent": (
+        fieldspec.record({"a": fieldspec.integer()}, optional=("a",)),
+        {},
+        None,
+    ),
+    "record:optional-null": (
+        fieldspec.record({"a": fieldspec.integer()}, optional=("a",)),
+        {"a": None},
+        "a",
+    ),
+    "record:nullable-absent": (
+        fieldspec.record({"a": fieldspec.nullable(fieldspec.integer())}),
+        {},
+        None,
+    ),
+    "record:rows-nan": (
+        fieldspec.record({"rows": fieldspec.list_of(_ROW)}),
+        {"rows": [{"name": "a", "p95": 1.0}, {"name": "b", "p95": NAN}]},
+        "rows[1].p95",
+    ),
+    "record:nested-record": (
+        fieldspec.record({"r": fieldspec.record({"x": fieldspec.text})}),
+        {"r": {"x": ""}},
+        "r.x",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "check, value, failure", list(CHECK_CASES.values()), ids=list(CHECK_CASES)
+)
+def test_check_accepts_or_rejects_at_its_path(check, value, failure):
+    if failure is None:
+        check(value)
+        return
+    with pytest.raises(SchemaError) as excinfo:
+        check(value)
+    assert excinfo.value.path == failure
+
+
+@pytest.mark.parametrize(
+    "check, value, message",
+    [
+        (fieldspec.number(ge=0, le=1), 2, "expected a number >= 0 <= 1, got 2"),
+        (fieldspec.number(gt=0), NAN, "expected a number > 0, got nan"),
+        (fieldspec.integer(ge=1), 0, "expected an integer >= 1, got 0"),
+        (fieldspec.integer(), True, "expected an integer, got True"),
+        (fieldspec.text, " ", "expected a non-empty string, got ' '"),
+        (fieldspec.choice("a", "b"), "c", "expected one of ('a', 'b'), got 'c'"),
+        (_NON_EMPTY, [], "expected a non-empty list, got []"),
+        (
+            fieldspec.record(
+                {"b": fieldspec.integer(), "a": fieldspec.text}, closed=True
+            ),
+            {"a": "x", "b": 1, "d": 0, "c": 0},
+            "unknown field(s) c, d (allowed: a, b)",
+        ),
+    ],
+    ids=[
+        "bounds", "nan", "integer-bound", "bool", "blank", "choice",
+        "non-empty", "closed",
+    ],
+)
+def test_rejection_message_names_what_was_expected(check, value, message):
+    with pytest.raises(SchemaError) as excinfo:
+        check(value)
+    assert excinfo.value.message == message
+
+
+@pytest.mark.parametrize(
+    "path, check, value, where",
+    [
+        ("", fieldspec.text, "", ""),
+        ("field", fieldspec.text, "", "field"),
+        ("rows", fieldspec.list_of(fieldspec.text), ["a", ""], "rows[1]"),
+        ("run", _ROW, {"name": "a", "p95": -1}, "run.p95"),
+        ("a.b", fieldspec.record({"c": fieldspec.text}), {"c": 1}, "a.b.c"),
+    ],
+    ids=["root", "field", "index", "key", "dotted-prefix"],
+)
+def test_check_at_prefixes_the_failure_path(path, check, value, where):
+    with pytest.raises(SchemaError) as excinfo:
+        fieldspec.check_at(path, check, value)
+    assert excinfo.value.path == where
+
+
+class TestRegister:
+    @pytest.fixture(autouse=True)
+    def _private_specs(self, monkeypatch):
+        # registrations here must not leak into the shared registry
+        monkeypatch.setattr(fieldspec, "SPECS", dict(fieldspec.SPECS))
+
+    def _register(self, *rules):
+        return fieldspec.register(
+            "repro/toy-v1",
+            {"low": fieldspec.number(), "high": fieldspec.number()},
+            *rules,
+            optional=("high",),
+        )
+
+    def test_validator_returns_the_record_it_was_given(self):
+        validate = self._register()
+        record = {"schema": "repro/toy-v1", "low": 1}
+        assert validate(record) is record
+        assert fieldspec.validate("repro/toy-v1", record) is record
+
+    def test_schema_tag_is_enforced(self):
+        self._register()
+        with pytest.raises(SchemaError) as excinfo:
+            fieldspec.validate("repro/toy-v1", {"schema": "repro/toy-v2", "low": 1})
+        assert excinfo.value.path == "schema"
+
+    def test_rules_run_after_every_field_passes(self):
+        seen = []
+
+        def ordered(value):
+            seen.append(value["low"])
+            if "high" in value and value["high"] < value["low"]:
+                raise SchemaError("high", "must not be below low")
+
+        self._register(ordered)
+        with pytest.raises(SchemaError) as excinfo:
+            fieldspec.validate("repro/toy-v1", {"schema": "repro/toy-v1", "low": "x"})
+        assert excinfo.value.path == "low" and seen == []
+        with pytest.raises(SchemaError, match="must not be below low"):
+            fieldspec.validate(
+                "repro/toy-v1", {"schema": "repro/toy-v1", "low": 2, "high": 1}
+            )
+        assert seen == [2]
+
+    def test_unknown_tag_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            fieldspec.validate("repro/never-registered-v1", {})

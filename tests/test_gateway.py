@@ -414,6 +414,111 @@ class TestMetrics:
         for row in rows.values():
             assert row["p95"] >= row["p50"] >= 0.0
 
+    @pytest.mark.parametrize(
+        "samples, rows",
+        [
+            (
+                [1.0, 2.0, 3.0],
+                [
+                    {
+                        "name": "cold",
+                        "mean": 2.0,
+                        "p50": 2.0,
+                        "p95": 2.9,
+                        "samples": 3,
+                        "total_observations": 3,
+                    }
+                ],
+            ),
+            ([], []),
+            (
+                [0.5],
+                [
+                    {
+                        "name": "cold",
+                        "mean": 0.5,
+                        "p50": 0.5,
+                        "p95": 0.5,
+                        "samples": 1,
+                        "total_observations": 1,
+                    }
+                ],
+            ),
+            (
+                [3.0, 1.0, 2.0],
+                [
+                    {
+                        "name": "cold",
+                        "mean": 2.0,
+                        "p50": 2.0,
+                        "p95": 2.9,
+                        "samples": 3,
+                        "total_observations": 3,
+                    }
+                ],
+            ),
+            (
+                [float(i) for i in range(1, 21)],
+                [
+                    {
+                        "name": "cold",
+                        "mean": 10.5,
+                        "p50": 10.5,
+                        "p95": 19.05,
+                        "samples": 20,
+                        "total_observations": 20,
+                    }
+                ],
+            ),
+            (
+                [2.0, 2.0, 2.0, 2.0],
+                [
+                    {
+                        "name": "cold",
+                        "mean": 2.0,
+                        "p50": 2.0,
+                        "p95": 2.0,
+                        "samples": 4,
+                        "total_observations": 4,
+                    }
+                ],
+            ),
+            (
+                [0.25, 0.75],
+                [
+                    {
+                        "name": "cold",
+                        "mean": 0.5,
+                        "p50": 0.5,
+                        "p95": 0.725,
+                        "samples": 2,
+                        "total_observations": 2,
+                    }
+                ],
+            ),
+        ],
+    )
+    def test_snapshot_statistics(self, samples, rows):
+        metrics = MetricsMiddleware()
+        for seconds in samples:
+            metrics.record("cold", seconds)
+        assert metrics.snapshot() == rows
+
+    def test_snapshot_window_keeps_the_latest_samples_and_counts_all(self):
+        metrics = MetricsMiddleware(max_samples=2)
+        for seconds in (9.0, 1.0, 3.0):
+            metrics.record("cold", seconds)
+        (row,) = metrics.snapshot()
+        assert (row["mean"], row["samples"], row["total_observations"]) == (2.0, 2, 3)
+
+    def test_snapshot_rows_are_sorted_by_label(self):
+        metrics = MetricsMiddleware()
+        for label in ("stage:solver", "cold", "cache-hit", "stage:cache"):
+            metrics.record(label, 1.0)
+        assert [row["name"] for row in metrics.snapshot()] == [
+            "cache-hit", "cold", "stage:cache", "stage:solver",
+        ]
+
     def test_reset_clears_histograms(self, gateway, paper_instance):
         gateway.solve(paper_instance, "max-min")
         gateway.find(MetricsMiddleware).reset()
@@ -583,6 +688,18 @@ class TestBatchThroughGateway:
             assert tap.stats()["captured"] == len(instances)
             assert worker.drain(timeout=5.0)
             assert audited == ["oef-noncoop"] * len(instances)
+            # a hot pass is settled at the tap: nothing re-reaches the worker
+            again = gateway.solve_batch(
+                [Request(instance, "oef-noncoop") for instance in instances], **how
+            )
+            assert all(response.disposition == "cache-hit" for response in again)
+            for response, first in zip(again, responses):
+                np.testing.assert_array_equal(
+                    response.allocation.matrix, first.allocation.matrix
+                )
+            assert worker.drain(timeout=5.0)
+            assert audited == ["oef-noncoop"] * len(instances)
+            assert worker.stats()["duplicates"] == 0
         finally:
             worker.stop(timeout=5.0)
 

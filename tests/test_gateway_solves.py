@@ -270,9 +270,10 @@ class TestCompareAndFrontier:
         assert [row["scheduler"] for row in rows] == scheduler_names()
 
     def test_repeated_compare_hits_cache(self, gateway, paper_instance):
-        gateway.compare(paper_instance)
+        rows = gateway.compare(paper_instance)
         before = gateway.cache_info()
-        gateway.compare(paper_instance)
+        assert before.hits == 0  # a fresh gateway solves every row cold
+        assert gateway.compare(paper_instance) == rows
         after = gateway.cache_info()
         assert after.hits >= before.hits + len(scheduler_names())
 
