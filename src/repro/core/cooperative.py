@@ -148,22 +148,31 @@ class CooperativeOEF(Allocator):
     past a couple hundred users.  Since only O(n + k) of those rows are
     active at the optimum (the allocation matrix has at most n + k - 1
     non-zeros, §4.4), large instances are solved by *cutting planes*:
-    solve with capacity rows only, add the envy constraints the solution
-    violates, and repeat.  Termination is exact — the final solution is
-    verified against every pair — and typically needs a handful of
-    iterations, which is what keeps the Fig. 10(a) overhead sub-second.
+    seed the LP with the envy rows between each user and the users whose
+    speedup profiles are nearest in shape (:meth:`_seed_pairs`), solve,
+    add the envy constraints the solution violates, and repeat.
+    Termination is exact — the final solution is verified against every
+    pair — and typically needs two or three solves at 32x6, which is what
+    keeps the Fig. 10(a) overhead sub-second.
     """
 
     #: above this many users ``auto`` takes the cutting-plane path.  Cold
-    #: ``allocate``, ms (20 seeded instances, FORM_CACHE cleared, best of 3):
-    #:   users x types   8x4    16x4   24x6   32x6   48x6   64x8
-    #:   full            1.20   2.35   5.71   11.2   28.2   67.8
-    #:   cutting-plane   1.34   2.53   5.60   9.92   17.4   33.7
-    #: crossing between 20 and 24 users; 20 to 28 is within run noise.
+    #: ``allocate``, ms (20 seeded instances, FORM_CACHE cleared, best of 5,
+    #: least of 3 passes on a 2-vCPU host):
+    #:   users x types   8x4    12x4   16x4   24x6   32x6   48x6   64x8
+    #:   full            0.78   1.29   1.97   5.02   10.5   27.7   77.9
+    #:   cutting-plane   0.82   1.24   1.63   3.61   5.42   10.9   21.5
+    #: crossing at about 12 users; 8 to 12 is within run noise.
     #: "Users" are distinct rows — a weighted tenant is one row with a
     #: multiplicity — and 24 keeps every LP of at most 24 on the full
     #: program's bits.
     CUTTING_PLANE_THRESHOLD = 24
+    #: the cut session is seeded with each group's this-many nearest
+    #: profiles (see :meth:`_seed_pairs`).  Cuts, ms per instance, best of
+    #: 3 over 12 seeds:  K = 2     3     4     5     6
+    #:            32x6      6.2   6.2   5.3   5.6   5.5
+    #:            64x8     26.9  22.5  23.2  22.0  22.6
+    SEED_NEIGHBOURS = 4
     #: safety cap before falling back to the full O(n^2) program
     MAX_CUT_ROUNDS = 60
     #: at most this many cuts per user enter the LP each round
@@ -242,48 +251,42 @@ class CooperativeOEF(Allocator):
 
     # -- cutting-plane formulation ------------------------------------------
     def _solve_cutting_plane(
-        self, instance: GroupedInstance, tol: float = 1e-7
+        self, instance: GroupedInstance, tol: float = 1e-9
     ) -> Optional[np.ndarray]:
-        seeds = self._seed_pairs(instance, tol)
-        return self._cutting_plane_incremental(instance, seeds, tol)
+        # a pair is violated above tol x the largest own throughput (at 1e-7
+        # a 59x10 instance kept 1.6e-6 of envy the full program does not)
+        return self._cutting_plane_incremental(instance, self._seed_pairs(instance), tol)
 
-    def _seed_pairs(
-        self, instance: GroupedInstance, tol: float
-    ) -> List[Tuple[int, int]]:
-        """Initial cut set: profile neighbours + greedy-point violations.
+    def _seed_pairs(self, instance: GroupedInstance) -> np.ndarray:
+        """Initial cut set: each group's ``SEED_NEIGHBOURS`` nearest profiles.
 
-        Two cheap heuristics cover most binding rows before round one:
-
-        * neighbours in "steepness" order — with monotone speedup rows,
-          binding envy constraints overwhelmingly involve users with
-          adjacent speedup profiles (the adjacent-allocation structure of
-          Theorem 5.2);
-        * the envy pairs most violated by the *efficiency-max* point
-          (each GPU type handed to its fastest user) — the relaxation's
-          round-one optimum is exactly that point, so seeding its worst
-          violations saves the first, most expensive, cut rounds.
+        Nearness is the Euclidean distance between unit-normalised speedup
+        rows, read off the Gram form ``2 - 2 U U^T`` (an n x n matrix, never
+        an n x n x k difference tensor).  Binding envy pairs are not
+        neighbours in last-column order: at 32x6 they spread over
+        last-column ranks 1 to 20 apart, and the two nearest ranks on either
+        side hold a fifth of them, the four nearest profiles about half.
+        The relation is symmetrised — (g, h) seeds (h, g) — so the set is
+        irreflexive, symmetric and at most ``2 K n`` pairs, returned as
+        ``(pairs, 2)`` indices in ascending ``(g, h)`` order.  Equal
+        distances go to the lower index.
         """
         speedups = instance.speedups
-        num_users, num_types = speedups.shape
-        order = np.argsort(speedups[:, -1])
-        pairs: set = set()
-        for position in range(num_users):
-            for distance in (1, 2):
-                if position + distance < num_users:
-                    first = int(order[position])
-                    second = int(order[position + distance])
-                    pairs.add((first, second))
-                    pairs.add((second, first))
-
-        greedy = np.zeros((num_users, num_types))
-        greedy[np.argmax(speedups, axis=0), np.arange(num_types)] = instance.capacities
-        pairs.update(self._violated_pairs(instance, greedy, tol))
-        return sorted(pairs)
+        num_users = speedups.shape[0]
+        unit = speedups / np.linalg.norm(speedups, axis=1)[:, None]
+        distance = 2.0 - 2.0 * (unit @ unit.T)
+        np.fill_diagonal(distance, np.inf)
+        neighbours = min(self.SEED_NEIGHBOURS, num_users - 1)
+        nearest = np.argsort(distance, axis=1, kind="stable")[:, :neighbours]
+        member = np.zeros((num_users, num_users), dtype=bool)
+        member[np.arange(num_users)[:, None], nearest] = True
+        return np.argwhere(member | member.T)
 
     def _violated_pairs(
         self, instance: GroupedInstance, matrix: np.ndarray, tol: float
-    ) -> List[Tuple[int, int]]:
-        """Envy violations of ``matrix``, budget-capped, worst first."""
+    ) -> np.ndarray:
+        """Envy violations of ``matrix`` as ``(pairs, 2)`` indices, budget-capped,
+        worst first (equal magnitudes in ascending ``(g, h)`` order)."""
         speedups = instance.speedups
         num_users = speedups.shape[0]
         # cross[g, h] = W_g . z_h / m_h, compared against the own diagonal
@@ -293,22 +296,19 @@ class CooperativeOEF(Allocator):
         np.fill_diagonal(envy, -np.inf)
         scale = max(1.0, float(np.abs(own).max()))
         violated = np.argwhere(envy > tol * scale)
-        if violated.shape[0] == 0:
-            return []
         # cap cuts per round: take the most-violated pairs, at most a
         # few per user — adding every violated pair balloons the LP
         # back to O(n^2) rows, one per user converges too slowly
         budget = self.CUT_BUDGET_FACTOR * num_users
         if violated.shape[0] > budget:
             magnitudes = envy[violated[:, 0], violated[:, 1]]
-            keep = np.argsort(-magnitudes)[:budget]
-            violated = violated[keep]
-        return list(map(tuple, violated.tolist()))
+            violated = violated[np.argsort(-magnitudes, kind="stable")[:budget]]
+        return violated
 
     def _cutting_plane_incremental(
         self,
         instance: GroupedInstance,
-        seeds: List[Tuple[int, int]],
+        seeds: np.ndarray,
         tol: float,
     ) -> Optional[np.ndarray]:
         """Cutting planes over one persistent, incrementally-grown LP.
@@ -321,7 +321,8 @@ class CooperativeOEF(Allocator):
         bulk once they have survived a couple of rounds, keeping the
         working LP near the O(n + k) active set the theory promises; a
         dropped pair may re-enter later, which is why membership is
-        tracked per pair rather than per row.
+        tracked per pair (the n x n ``in_lp`` matrix) rather than per row.
+        ``pairs[i]`` and ``born[i]`` describe the session's i-th cut row.
         """
         speedups, multiplicity = instance.speedups, instance.multiplicity
         num_users, num_types = speedups.shape
@@ -334,31 +335,32 @@ class CooperativeOEF(Allocator):
                 [np.asarray(instance.capacities, dtype=float), np.zeros(len(seeds))]
             ),
         )
-        cut_pairs: List[Tuple[int, int]] = list(seeds)
-        cut_born: List[int] = [0] * len(seeds)
-        in_lp = set(seeds)
+        pairs = seeds
+        born = np.zeros(len(seeds), dtype=np.int64)
+        in_lp = np.zeros((num_users, num_users), dtype=bool)
+        in_lp[pairs[:, 0], pairs[:, 1]] = True
 
         for round_number in range(self.MAX_CUT_ROUNDS):
             matrix = np.clip(
                 session.solve().reshape(num_users, num_types), 0.0, None
             )
             violated = self._violated_pairs(instance, matrix, tol)
-            new_pairs = [pair for pair in violated if pair not in in_lp]
-            if not new_pairs:
+            new_pairs = violated[~in_lp[violated[:, 0], violated[:, 1]]]
+            if not len(new_pairs):
                 return matrix
 
             if round_number <= self.CUT_DROP_LAST_ROUND:
-                self._drop_slack_cuts(
-                    session, speedups, matrix, cut_pairs, cut_born,
+                pairs, born = self._drop_slack_cuts(
+                    session, speedups, matrix, pairs, born,
                     in_lp, round_number, tol,
                 )
             session.add_rows(
                 envy_rows(speedups, multiplicity, new_pairs),
                 np.zeros(len(new_pairs)),
             )
-            cut_pairs.extend(new_pairs)
-            cut_born.extend([round_number + 1] * len(new_pairs))
-            in_lp.update(new_pairs)
+            pairs = np.concatenate([pairs, new_pairs])
+            born = np.concatenate([born, np.full(len(new_pairs), round_number + 1)])
+            in_lp[new_pairs[:, 0], new_pairs[:, 1]] = True
         return None  # fall back to the full program
 
     def _drop_slack_cuts(
@@ -366,34 +368,28 @@ class CooperativeOEF(Allocator):
         session: IncrementalLP,
         speedups: np.ndarray,
         matrix: np.ndarray,
-        cut_pairs: List[Tuple[int, int]],
-        cut_born: List[int],
-        in_lp: set,
+        pairs: np.ndarray,
+        born: np.ndarray,
+        in_lp: np.ndarray,
         round_number: int,
         tol: float,
-    ) -> None:
-        """Bulk-delete aged cut rows that are strictly slack and basic."""
-        aged = round_number - np.asarray(cut_born) >= self.CUT_DROP_MIN_AGE
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Bulk-delete aged cut rows that are strictly slack and basic;
+        returns the surviving ``(pairs, born)``."""
+        aged = round_number - born >= self.CUT_DROP_MIN_AGE
         if np.count_nonzero(aged) < self.CUT_DROP_MIN_COUNT:
-            return  # too few candidates: skip reading the basis back
+            return pairs, born  # too few candidates: skip reading the basis back
         num_types = speedups.shape[1]
         basic = session.basic_row_mask()[num_types:]
         activity = session.row_values()[num_types:]
         own = np.einsum("lj,lj->l", speedups, matrix)
         scale = max(1.0, float(np.abs(own).max()))
-        droppable = np.nonzero(basic & (activity < -tol * scale) & aged)[0]
-        if droppable.shape[0] < self.CUT_DROP_MIN_COUNT:
-            return
-        session.delete_rows(num_types + droppable)
-        dropped = set(droppable.tolist())
-        kept = [
-            (pair, born)
-            for position, (pair, born) in enumerate(zip(cut_pairs, cut_born))
-            if position not in dropped
-        ]
-        in_lp.difference_update(cut_pairs[position] for position in dropped)
-        cut_pairs[:] = [pair for pair, _born in kept]
-        cut_born[:] = [born for _pair, born in kept]
+        drop = basic & (activity < -tol * scale) & aged
+        if np.count_nonzero(drop) < self.CUT_DROP_MIN_COUNT:
+            return pairs, born
+        session.delete_rows(num_types + np.flatnonzero(drop))
+        in_lp[pairs[drop, 0], pairs[drop, 1]] = False
+        return pairs[~drop], born[~drop]
 
 
 @register_scheduler(

@@ -136,7 +136,7 @@ class TestCuttingPlane:
         full = CooperativeOEF(method="full").allocate(instance)
         cuts = CooperativeOEF(method="cutting-plane").allocate(instance)
         assert cuts.total_efficiency() == pytest.approx(
-            full.total_efficiency(), rel=1e-5
+            full.total_efficiency(), rel=1e-9
         )
 
     def test_cutting_plane_result_is_envy_free(self):
@@ -155,6 +155,63 @@ class TestCuttingPlane:
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError):
             CooperativeOEF(method="magic")
+
+
+class TestCutChoice:
+    """Which pairs seed the cut session and which cuts a round adds."""
+
+    K = CooperativeOEF.SEED_NEIGHBOURS
+
+    @staticmethod
+    def _groups(speedups):
+        instance = ProblemInstance(
+            SpeedupMatrix(speedups, normalise=False), np.full(speedups.shape[1], 4.0)
+        )
+        return instance.grouped()
+
+    @pytest.mark.parametrize("users,types", [(2, 3), (5, 2), (32, 6), (64, 10)])
+    def test_seed_set_is_symmetric_small_and_holds_each_nearest_profile(
+        self, users, types
+    ):
+        groups = random_instance(users, types, seed=users).grouped()
+        pairs = CooperativeOEF()._seed_pairs(groups)
+        member = np.zeros((users, users), dtype=bool)
+        member[pairs[:, 0], pairs[:, 1]] = True
+        assert len(pairs) == np.count_nonzero(member) <= 2 * self.K * users
+        assert not member.diagonal().any()
+        np.testing.assert_array_equal(member, member.T)
+        # ascending (g, h) order
+        np.testing.assert_array_equal(pairs, np.argwhere(member))
+        # every group's nearest profile, by the n x n x k difference tensor
+        unit = groups.speedups / np.linalg.norm(groups.speedups, axis=1)[:, None]
+        distance = np.linalg.norm(unit[:, None, :] - unit[None, :, :], axis=2)
+        np.fill_diagonal(distance, np.inf)
+        seeded = np.where(member, distance, np.inf).min(axis=1)
+        np.testing.assert_allclose(seeded, distance.min(axis=1), atol=1e-9)
+        np.testing.assert_array_equal(CooperativeOEF()._seed_pairs(groups), pairs)
+
+    def test_tied_envy_keeps_the_lowest_pairs(self):
+        # rows are multiples of one profile, so envy of g for h is
+        # c_g (v.z_h - v.z_g): groups 0-6 hold one slow device each, groups
+        # 7-23 hold nothing and envy each of the seven by exactly c_g
+        scale = np.arange(1.0, 25.0)
+        groups = self._groups(scale[:, None] * np.array([1.0, 2.0]))
+        matrix = np.zeros((24, 2))
+        matrix[:7, 0] = 1.0
+        allocator = CooperativeOEF()
+        allocator.CUT_BUDGET_FACTOR = 1  # 119 violated pairs, a budget of 24
+        violated = allocator._violated_pairs(groups, matrix, 1e-9)
+        expected = [[g, h] for g in (23, 22, 21) for h in range(7)]
+        assert violated.tolist() == expected + [[20, 0], [20, 1], [20, 2]]
+
+    def test_collinear_profiles_seed_the_same_pairs_on_repeat(self):
+        # distance-0 neighbours: every seed is a tie, broken the same way
+        scale = np.arange(1.0, 11.0)
+        groups = self._groups(scale[:, None] * np.array([1.0, 1.5, 4.0]))
+        first = CooperativeOEF()._seed_pairs(groups)
+        assert len(first) <= 2 * self.K * 10
+        for _ in range(3):
+            np.testing.assert_array_equal(CooperativeOEF()._seed_pairs(groups), first)
 
 
 class TestEfficiencyMax:
