@@ -86,14 +86,7 @@ from repro.gateway import (
     default_pipeline,
     instance_fingerprint,
 )
-from repro.parallel import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    get_backend,
-    parallel_map,
-)
+from repro.parallel import get_backend
 from repro.registry import (
     SchedulerInfo,
     SchedulerRegistry,
@@ -114,7 +107,7 @@ from repro.scenarios import (
     scenario_sweep,
 )
 
-__version__ = "4.1.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AdmissionMiddleware",
@@ -139,23 +132,19 @@ __all__ = [
     "default_pipeline",
     "CooperativeOEF",
     "EfficiencyMaxAllocator",
-    "ExecutionBackend",
     "GandivaFair",
     "Gavel",
     "JobTypeSpec",
     "MaxMinFairness",
     "NonCooperativeOEF",
     "ProblemInstance",
-    "ProcessBackend",
     "PropertyReport",
     "Scenario",
     "ScenarioResult",
     "ScenarioRunner",
     "SchedulerInfo",
     "SchedulerRegistry",
-    "SerialBackend",
     "SpeedupMatrix",
-    "ThreadBackend",
     "TenantSpec",
     "VirtualUserExpansion",
     "WeightedOEF",
@@ -169,7 +158,6 @@ __all__ = [
     "instance_fingerprint",
     "make_scenario",
     "optimal_efficiency_upper_bound",
-    "parallel_map",
     "register_scheduler",
     "registry_rows",
     "replay_audit",

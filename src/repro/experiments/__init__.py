@@ -1,6 +1,6 @@
 """Paper experiments: one module per table/figure (see DESIGN.md §4).
 
-Run everything with ``python -m repro.experiments`` or individual modules
+Run everything with ``python -m repro experiments`` or individual modules
 with e.g. ``python -m repro.experiments.fig8_coop_throughput``.
 """
 

@@ -1,12 +1,11 @@
 """Concurrent experiment runner with per-experiment timing and a summary.
 
-Replaces the serial loop that used to live in ``experiments/__main__``:
-any subset of the fig1–fig10/table1 experiments runs through an
-execution backend (:mod:`repro.parallel`), each experiment's stdout is
-captured and replayed in the deterministic input order, and a pass/fail
-summary table with wall-clock timings closes the run — the orchestration
-shape of an audit runner: fan out independent checks, aggregate one
-verdict.
+``repro experiments`` drives it: any subset of the fig1–fig10/table1
+experiments runs through an execution backend (:mod:`repro.parallel`),
+each experiment's stdout is captured and replayed in the deterministic
+input order, and a pass/fail summary table with wall-clock timings
+closes the run — the orchestration shape of an audit runner: fan out
+independent checks, aggregate one verdict.
 
 Experiments are addressed by id (``"fig1"``, ``"table1"``, ...), which
 is all that crosses a process boundary; each worker re-imports the

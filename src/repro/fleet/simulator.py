@@ -8,7 +8,7 @@ single-cluster simulator, and regions are embarrassingly parallel
 because the quota rebalancer (:mod:`repro.fleet.rebalance`) is a pure
 pre-pass: the parent computes the whole weight timeline once and ships
 it to workers as plain event data.  On a process backend the regions
-run on the executor of :func:`repro.parallel.warm_map`, which later
+run on the shared warm executor of :mod:`repro.parallel`, which later
 runs in the same interpreter reuse.
 
 Memory contract: regions run in sink mode (``record_rounds=False``)
@@ -26,7 +26,6 @@ fleet analogue of the sweep-level guarantee the scenario tests pin.
 from __future__ import annotations
 
 import hashlib
-import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -43,8 +42,7 @@ from repro.fleet.rebalance import (
     compute_quota_schedule,
 )
 from repro.fleet.scenario import FleetScenario, FleetScript, region_scenario
-from repro.parallel import BackendSpec, ProcessBackend, get_backend, warm_map
-from repro.registry import REGISTRY
+from repro.parallel import BackendSpec, get_backend
 from repro.scenarios.runner import ScenarioRunner
 from repro.solver import FORM_CACHE
 
@@ -147,26 +145,12 @@ def _run_region(task: _RegionTask) -> RegionSummary:
     )
 
 
-def _run_pickled_region(blob: bytes) -> Optional[RegionSummary]:
-    """Warm-pool entry: a task this worker cannot unpickle (it names an
-    object defined in the parent after the fork) comes back as ``None``."""
-    try:
-        task = pickle.loads(blob)
-    except (AttributeError, ImportError):
-        return None
-    FORM_CACHE.clear()  # cold per task, as a fresh fork of a cleared parent
+def _run_cold_region(task: _RegionTask) -> RegionSummary:
+    """Process-path entry: every region starts on an empty compiled-form
+    cache, as on a fresh fork of a cleared parent, however warm the
+    worker is."""
+    FORM_CACHE.clear()
     return _run_region(task)
-
-
-def _map_warm(blobs: List[bytes], workers: int) -> List[RegionSummary]:
-    """Regions on :func:`repro.parallel.warm_map`'s reused executor."""
-    try:
-        summaries = warm_map(_run_pickled_region, blobs, workers, REGISTRY.generation)
-    except BrokenProcessPool as exc:
-        raise SimulationError("a region worker died mid-run; pool discarded") from exc
-    if any(summary is None for summary in summaries):
-        raise SimulationError("a region task did not unpickle on a fresh worker")
-    return summaries  # type: ignore[return-value]
 
 
 @dataclass
@@ -303,18 +287,15 @@ class FleetSimulator:
         quota = self._quota(script)
         rebalance_seconds = time.perf_counter() - rebalance_started
         tasks = self._tasks(script, quota)
-        resolved = get_backend(self.backend, self.max_workers, task_count=len(tasks))
-        blobs = None  # the picklability probe's bytes are what workers unpickle
-        try:
-            if isinstance(resolved, ProcessBackend) and len(tasks) > 1:
-                blobs = [pickle.dumps(task) for task in tasks]
-        except Exception:  # degrade to threads, with the usual warning
-            resolved = get_backend(resolved, payload=tasks)
+        resolved = get_backend(
+            self.backend, self.max_workers, task_count=len(tasks), payload=tasks
+        )
+        run = _run_cold_region if resolved.name == "process" else _run_region
         fanout_started = time.perf_counter()
-        if blobs:
-            summaries = _map_warm(blobs, resolved.max_workers)
-        else:
-            summaries = resolved.map(_run_region, tasks)
+        try:
+            summaries = resolved.map(run, tasks)
+        except BrokenProcessPool as exc:
+            raise SimulationError("a region worker died mid-run; pool discarded") from exc
         fanout_seconds = time.perf_counter() - fanout_started
         return FleetResult(
             fleet=self.fleet.name,

@@ -85,7 +85,7 @@ from repro.gateway.middleware import (
     SolverMiddleware,
     derive_key,
 )
-from repro.parallel import BackendSpec, ProcessBackend, ThreadBackend, get_backend
+from repro.parallel import BackendSpec, get_backend
 from repro.registry import SchedulerRegistry
 
 #: Sentinel: "use the registry default" for audit overrides.
@@ -431,14 +431,14 @@ class Gateway:
             max_workers,
             task_count=len(normalised),
         )
-        if isinstance(resolved, ProcessBackend):
+        if resolved.name == "process":
             if str(backend).lower() != "auto":
                 raise ValidationError(
                     "solves run through one in-process pipeline (cache, "
                     "coalesce, admission) and cannot fan out across "
                     'processes; use backend="thread"'
                 )
-            resolved = ThreadBackend(resolved.max_workers)
+            resolved = get_backend("thread", resolved.max_workers)
         return resolved.map(self.dispatch, normalised)
 
     # -- audits and summaries ------------------------------------------------

@@ -16,7 +16,7 @@ deviation rounding.  That keeps ``ScenarioRunner(scenario, s).run()``
 an apples-to-apples replay of the same event stream under scheduler
 ``s``.
 
-Multi-seed sweeps ride the PR 2 parallel backends unchanged:
+Multi-seed sweeps ride the execution backends (:mod:`repro.parallel`):
 :func:`scenario_sweep` hands :meth:`ClusterSimulator.run_sweep` a
 picklable runner factory, so ``backend="process"`` fans whole scenario
 replays out across cores and the per-seed results come back in seed
@@ -540,7 +540,7 @@ def scenario_sweep(
 
     Rides :meth:`ClusterSimulator.run_sweep`, so ``backend`` accepts the
     usual ``"serial"`` / ``"thread"`` / ``"process"`` / ``"auto"`` names
-    (or an :class:`~repro.parallel.ExecutionBackend` instance).  Results
+    (see :func:`repro.parallel.get_backend`).  Results
     arrive in seed order and are backend-independent: aggregate metrics
     from a serial sweep match a thread or process sweep bit for bit.
     """

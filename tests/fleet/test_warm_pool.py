@@ -1,4 +1,6 @@
-"""The fleet's warm region pool: reuse, rebuild triggers and failure modes."""
+"""The warm process pool every process fan-out shares: reuse, rebuild
+triggers, the worker cap and failure modes, seen through fleet runs,
+scenario sweeps and plain backend maps."""
 
 from __future__ import annotations
 
@@ -16,7 +18,9 @@ import repro.fleet.simulator as simulator
 import repro.parallel as parallel
 from repro.exceptions import SimulationError
 from repro.fleet import FleetSimulator, make_fleet_scenario
+from repro.parallel import get_backend
 from repro.registry import REGISTRY, register_scheduler
+from repro.scenarios import make_scenario, scenario_sweep
 
 PARENT = os.getpid()
 
@@ -79,6 +83,22 @@ class _Killer:
         return super().allocate(instance)
 
 
+class _CountingPool(parallel.ProcessPoolExecutor):
+    forks: list = []
+
+    def __init__(self, workers):
+        self.forks.append(workers)
+        super().__init__(workers)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Worker counts of the executors forked from here on."""
+    monkeypatch.setattr(_CountingPool, "forks", [])
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _CountingPool)
+    return _CountingPool.forks
+
+
 class TestWorkerFailure:
     def test_dead_worker_is_a_typed_error_and_the_pool_recovers(self, scheduler_names):
         base = REGISTRY.info("max-min").factory
@@ -92,7 +112,7 @@ class TestWorkerFailure:
         assert parallel._shared_pool is None
         assert _fingerprint() == _fingerprint(backend="serial")
 
-    def test_stale_task_is_retried_once_on_a_fresh_fork(self, monkeypatch):
+    def test_stale_task_is_retried_once_on_a_fresh_fork(self, monkeypatch, forks):
         _fingerprint()  # the warm pool exists before the module does
         warm = parallel._shared_pool
         module = types.ModuleType("_fleet_injected_recipes")
@@ -100,44 +120,91 @@ class TestWorkerFailure:
         exec("def build(fleet):\n    return base(fleet)\n", module.__dict__)
         monkeypatch.setitem(sys.modules, module.__name__, module)
         fleet = replace(_fleet(), builder=module.build)
-        forks = []
-
-        class CountingPool(parallel.ProcessPoolExecutor):
-            def __init__(self, workers):
-                forks.append(workers)
-                super().__init__(workers)
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
         assert _fingerprint(fleet=fleet) == _fingerprint(fleet=fleet, backend="serial")
-        assert len(forks) == 1  # one retry, on one fresh fork
+        assert forks == [2, 2]  # the warm pool, then one retry on one fresh fork
         assert parallel._shared_pool is not warm
-
-    def test_a_task_no_fork_can_take_is_a_typed_error(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_run_pickled_region", _never_unpickles)
-        with pytest.raises(SimulationError, match="unpickle"):
-            _fingerprint()
-
-
-def _never_unpickles(blob):
-    return None
 
 
 def _pid(item):
     return os.getpid()
 
 
-class TestWarmMap:
-    def test_a_smaller_map_reuses_a_larger_pool(self):
-        parallel.warm_map(_pid, range(2), 2, 0)
+def _none(item):
+    return None
+
+
+def _interval(item):
+    started = time.time()
+    time.sleep(0.2)
+    return started, time.time()
+
+
+def _overlapping(intervals):
+    ordered = sorted(intervals)
+    return any(later[0] < earlier[1] for earlier, later in zip(ordered, ordered[1:]))
+
+
+def _refuse_outside_the_parent():
+    if os.getpid() != PARENT:
+        raise AttributeError("no such object in this worker")
+    return _Refusing()
+
+
+class _Refusing:
+    """Pickles fine; no worker unpickles it, however fresh."""
+
+    def __reduce__(self):
+        return _refuse_outside_the_parent, ()
+
+
+class TestSharedPool:
+    def test_a_smaller_map_reuses_a_larger_pool(self, scheduler_names):
+        get_backend("process", 2).map(_pid, range(2))
         pool = parallel._shared_pool
-        parallel.warm_map(_pid, range(1), 2, 0)
-        parallel.warm_map(_pid, range(2), 1, 0)
+        get_backend("process", 1).map(_pid, range(3))
         assert parallel._shared_pool is pool
-        parallel.warm_map(_pid, range(2), 2, 1)  # a new generation re-forks
+        _register(scheduler_names, "warm-generation", "max-min")
+        get_backend("process", 2).map(_pid, range(2))  # a new generation re-forks
         assert parallel._shared_pool is not pool
 
-    def test_a_none_that_survives_the_retry_is_returned(self):
-        assert parallel.warm_map(_never_unpickles, [b"a", b"b"], 2, 0) == [None, None]
+    def test_a_reused_larger_pool_keeps_the_worker_cap(self):
+        get_backend("process", 2).map(_pid, range(2))
+        pool = parallel._shared_pool
+        intervals = get_backend("process", 1).map(_interval, range(3))
+        assert parallel._shared_pool is pool
+        assert not _overlapping(intervals)
+
+    def test_work_that_returns_none_is_not_retried(self, forks):
+        assert get_backend("process", 2).map(_none, range(3)) == [None] * 3
+        assert forks == [2]
+
+    def test_a_task_no_fork_can_take_raises_its_unpickling_error(self, forks):
+        get_backend("process", 2).map(_pid, range(2))
+        with pytest.raises(AttributeError, match="no such object"):
+            get_backend("process", 2).map(_pid, [_Refusing(), _Refusing()])
+        assert forks == [2, 2]  # the warm pool, then one fresh fork
+
+
+def _sweep_rows(scheduler="oef-coop", backend="process"):
+    recipe = make_scenario("steady", rounds=3)
+    results = scenario_sweep(recipe, [1, 2], scheduler=scheduler, backend=backend)
+    return [result.summary_row() for result in results]
+
+
+class TestSweepsShareThePool:
+    def test_two_process_sweeps_run_on_the_same_workers(self):
+        first = _sweep_rows()
+        pool = parallel._shared_pool
+        pids = set(pool._processes)
+        assert _sweep_rows() == first == _sweep_rows(backend="serial")
+        assert parallel._shared_pool is pool and set(pool._processes) == pids
+
+    def test_a_scheduler_registered_between_sweeps_runs_in_the_next(
+        self, scheduler_names
+    ):
+        _sweep_rows()
+        _register(scheduler_names, "warm-sweep-late", "max-min")
+        assert _sweep_rows("warm-sweep-late") == _sweep_rows("warm-sweep-late", "serial")
 
 
 _original_run_region = simulator._run_region
@@ -159,3 +226,31 @@ class TestIsolation:
     def test_a_later_test_never_sees_that_patch(self):
         assert parallel._shared_pool is None
         assert _fingerprint() == _fingerprint(backend="serial")
+
+
+def _timed_region(task):
+    """Runs the region after a dwell, recording its wall interval beside
+    the region's metrics file."""
+    started = time.time()
+    time.sleep(0.2)
+    summary = _original_run_region(task)
+    with open(f"{task.metrics_path}.{task.region}.interval", "w") as handle:
+        handle.write(f"{started} {time.time()}")
+    return summary
+
+
+class TestFleetWorkerCap:
+    def test_max_workers_holds_on_a_reused_larger_pool(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(simulator, "_run_region", _timed_region)
+        for run, workers in enumerate((2, 1)):
+            FleetSimulator(
+                _fleet(), backend="process", max_workers=workers, rebalance=False,
+                metrics_path=str(tmp_path / f"{run}.jsonl"),
+            ).run()
+        intervals = [
+            tuple(map(float, path.read_text().split()))
+            for path in tmp_path.glob("1.jsonl.*.interval")
+        ]
+        assert len(intervals) == 3
+        assert len(parallel._shared_pool._processes) == 2  # reused, not re-forked
+        assert not _overlapping(intervals)

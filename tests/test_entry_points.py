@@ -16,13 +16,13 @@ def _run(args, timeout=600):
 
 
 class TestExperimentRunner:
-    def test_single_experiment_via_module(self):
-        result = _run(["-m", "repro.experiments", "fig1"])
+    def test_single_experiment_via_cli(self):
+        result = _run(["-m", "repro", "experiments", "fig1"])
         assert result.returncode == 0
         assert "Fig. 1" in result.stdout
 
-    def test_fig2_via_module(self):
-        result = _run(["-m", "repro.experiments", "fig2"])
+    def test_fig2_via_cli(self):
+        result = _run(["-m", "repro", "experiments", "fig2"])
         assert result.returncode == 0
         assert "strategy-proof" in result.stdout
 

@@ -722,10 +722,9 @@ class TestOneBatchPath:
 
     def test_process_backend_is_rejected_for_solves(self, gateway, paper_instance):
         from repro.exceptions import ValidationError
-        from repro.parallel import ProcessBackend
 
         requests = [Request(paper_instance, "max-min")] * 2
-        for backend in ("process", ProcessBackend(2)):
+        for backend in ("process", "PROCESS"):
             with pytest.raises(ValidationError, match='"thread"'):
                 gateway.solve_batch(requests, backend=backend)
         with pytest.raises(ValidationError, match='"thread"'):

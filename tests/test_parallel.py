@@ -10,16 +10,7 @@ import pytest
 
 from repro.core import Allocation, Allocator, ProblemInstance, SpeedupMatrix
 from repro.exceptions import ValidationError
-from repro.parallel import (
-    BACKEND_NAMES,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    cpu_count,
-    get_backend,
-    parallel_map,
-    probe_picklable,
-)
+from repro.parallel import BACKEND_NAMES, Backend, cpu_count, get_backend
 from repro.gateway import Gateway, Request
 from repro.registry import SchedulerRegistry, register_scheduler
 from repro.workloads.generator import random_instance
@@ -84,70 +75,60 @@ def _probe_registry(parallel_safe: bool):
 
 class TestBackends:
     def test_serial_map_preserves_order(self):
-        assert SerialBackend().map(_square, range(5)) == [0, 1, 4, 9, 16]
+        assert get_backend("serial").map(_square, range(5)) == [0, 1, 4, 9, 16]
 
     def test_thread_map_preserves_order(self):
-        assert ThreadBackend(4).map(_square, range(20)) == [
+        assert get_backend("thread", 4).map(_square, range(20)) == [
             value * value for value in range(20)
         ]
 
     def test_process_map_preserves_order(self):
-        assert ProcessBackend(2).map(_square, range(8)) == [
+        assert get_backend("process", 2).map(_square, range(8)) == [
             value * value for value in range(8)
         ]
 
     def test_get_backend_by_name(self):
-        assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("thread"), ThreadBackend)
-        assert isinstance(get_backend("process"), ProcessBackend)
-        assert get_backend("THREAD").max_workers >= 1
+        assert get_backend("serial") == Backend("serial", 1)
+        assert get_backend("thread", 3) == Backend("thread", 3)
+        assert get_backend("process", 2) == Backend("process", 2)
+        assert get_backend("THREAD").name == "thread"
+        assert get_backend("process").max_workers == cpu_count()
 
-    def test_get_backend_passthrough_and_unknown(self):
-        backend = ThreadBackend(2)
-        assert get_backend(backend) is backend
+    def test_unknown_names_and_instances_rejected(self):
         with pytest.raises(ValidationError, match="unknown execution backend"):
             get_backend("gpu")
+        with pytest.raises(ValidationError, match="unknown execution backend"):
+            get_backend(Backend("thread", 2))
 
     def test_auto_serial_for_single_task(self):
-        assert isinstance(get_backend("auto", task_count=1), SerialBackend)
+        assert get_backend("auto", task_count=1) == Backend("serial", 1)
+        assert get_backend(None, 1, task_count=8) == Backend("serial", 1)
 
     def test_auto_respects_core_count(self):
         resolved = get_backend("auto", task_count=8)
         if cpu_count() > 1:
-            assert isinstance(resolved, ProcessBackend)
+            assert resolved == Backend("process", cpu_count())
         else:
-            assert isinstance(resolved, SerialBackend)
+            assert resolved == Backend("serial", 1)
 
-    def test_bad_worker_count_rejected(self):
+    @pytest.mark.parametrize("name", ["serial", "thread", "process", "auto"])
+    def test_bad_worker_count_rejected(self, name):
         with pytest.raises(ValidationError, match="max_workers"):
-            ThreadBackend(0)
-
-    def test_parallel_map_convenience(self):
-        assert parallel_map(_square, range(6), backend="thread") == [
-            value * value for value in range(6)
-        ]
+            get_backend(name, 0)
 
     def test_backend_names_constant(self):
         assert set(BACKEND_NAMES) == {"auto", "serial", "thread", "process"}
 
-    def test_probe_picklable(self):
-        assert probe_picklable({"a": np.arange(3)})
-        assert not probe_picklable(lambda: None)
-
     def test_unpicklable_payload_degrades_process_to_threads(self):
-        with pytest.warns(RuntimeWarning, match="not picklable") as caught:
-            resolved = get_backend("process", 3, payload=[lambda: None])
-        assert isinstance(resolved, ThreadBackend) and resolved.max_workers == 3
-        # an already-built process backend degrades the same way
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            assert isinstance(
-                get_backend(ProcessBackend(2), payload=[lambda: None]), ThreadBackend
-            )
+            resolved = get_backend("process", 3, payload=[lambda: None])
+        assert resolved == Backend("thread", 3)
 
     def test_payload_probe_leaves_other_resolutions_alone(self, recwarn):
-        assert isinstance(get_backend("process", payload=[1, 2]), ProcessBackend)
-        assert isinstance(get_backend("thread", payload=[lambda: None]), ThreadBackend)
-        assert isinstance(get_backend("serial", payload=[lambda: None]), SerialBackend)
+        payload = {"a": np.arange(3)}
+        assert get_backend("process", 2, payload=payload) == Backend("process", 2)
+        assert get_backend("thread", payload=[lambda: None]).name == "thread"
+        assert get_backend("serial", payload=[lambda: None]).name == "serial"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

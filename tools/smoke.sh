@@ -63,6 +63,11 @@ echo "== repro frontier (thread backend) =="
     --backend thread --jobs 2 | tee "$TMP/frontier_thread.txt"
 diff "$TMP/frontier.txt" "$TMP/frontier_thread.txt"
 
+echo "== repro frontier (process backend) =="
+"$PY" -m repro frontier "$TMP/instance.json" --alphas 0,0.5,1 \
+    --backend process --jobs 2 | tee "$TMP/frontier_process.txt"
+diff "$TMP/frontier.txt" "$TMP/frontier_process.txt"
+
 echo "== repro solve --pipeline default vs --pipeline bare (gateway gate) =="
 "$PY" -m repro solve "$TMP/instance.json" --scheduler oef-coop \
     --pipeline default --output "$TMP/alloc_default.json"
@@ -125,6 +130,16 @@ grep "^steady" "$TMP/steady.txt" > "$TMP/steady_row.txt"
 grep "^steady" "$TMP/steady_cold.txt" > "$TMP/steady_cold_row.txt"
 test -s "$TMP/steady_row.txt"
 diff "$TMP/steady_row.txt" "$TMP/steady_cold_row.txt"
+
+echo "== repro simulate seed sweep, serial vs process (shared pool gate) =="
+"$PY" -m repro simulate --scenario steady --rounds 4 --seeds 1 2 \
+    --backend serial | tee "$TMP/sweep_serial.txt"
+"$PY" -m repro simulate --scenario steady --rounds 4 --seeds 1 2 \
+    --backend process --jobs 2 | tee "$TMP/sweep_process.txt"
+grep "^steady" "$TMP/sweep_serial.txt" > "$TMP/sweep_serial_rows.txt"
+grep "^steady" "$TMP/sweep_process.txt" > "$TMP/sweep_process_rows.txt"
+test -s "$TMP/sweep_serial_rows.txt"
+diff "$TMP/sweep_serial_rows.txt" "$TMP/sweep_process_rows.txt"
 
 echo "== repro list-scenarios =="
 "$PY" -m repro list-scenarios | tee "$TMP/scenarios.txt"
