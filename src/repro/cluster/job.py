@@ -94,7 +94,7 @@ class Job:
 
     @property
     def is_finished(self) -> bool:
-        return self.state == JobState.FINISHED
+        return self.state is JobState.FINISHED
 
     @property
     def jct(self) -> Optional[float]:
@@ -111,7 +111,7 @@ class Job:
         when the job finishes mid-round, so JCTs interpolate within a
         scheduling round).
         """
-        if self.is_finished:
+        if self.state is JobState.FINISHED:
             raise SimulationError(f"job {self.job_id} already finished")
         if iterations_per_second < 0 or duration < 0:
             raise SimulationError("negative progress rate or duration")
@@ -122,7 +122,8 @@ class Job:
 
         if iterations_per_second == 0:
             return duration
-        time_to_finish = self.remaining_iterations / iterations_per_second
+        remaining = max(0.0, self.total_iterations - self.done_iterations)
+        time_to_finish = remaining / iterations_per_second
         if time_to_finish <= duration:
             self.done_iterations = self.total_iterations
             self.state = JobState.FINISHED
@@ -133,7 +134,7 @@ class Job:
 
     def starve(self) -> None:
         """Record one round without any allocated GPU."""
-        if not self.is_finished:
+        if self.state is not JobState.FINISHED:
             self.starvation_rounds += 1
             self.state = JobState.PENDING
 

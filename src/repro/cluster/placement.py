@@ -7,9 +7,12 @@ baselines use:
 * **job selection** — within a tenant, jobs are served in starvation order
   (the paper's uniform intra-tenant round-robin);
 * **type choice** — OEF fills a job from the fastest granted type downward
-  and keeps the types it mixes *adjacent* (Theorem 5.2 guarantees the
-  grant itself is adjacent); the naive policy consumes types in index
-  order with no adjacency care;
+  and keeps the types it mixes *adjacent*; the naive policy consumes types
+  in index order with no adjacency care.  Theorem 5.2 makes an
+  ``oef-noncoop`` grant itself adjacent, but an ``oef-coop`` grant can
+  skip a type (see :mod:`repro.cluster.straggler`), and so can a grant
+  after redistribution: when no contiguous window covers a job, OEF falls
+  back to the greedy fastest-first fill;
 * **host packing** — OEF places large jobs first and keeps each job on as
   few hosts as possible (network-contention alleviation); the naive
   policy takes free devices in id order.
@@ -29,6 +32,9 @@ from repro.cluster.straggler import StragglerModel
 from repro.cluster.tenant import Tenant
 from repro.cluster.topology import ClusterTopology
 from repro.exceptions import PlacementError
+
+#: Bound on a placer's memo of type choices; a full memo is cleared.
+TYPE_CHOICE_MEMO_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -67,11 +73,6 @@ class JobPlacement:
             self.per_worker_rate * len(self.devices) * self.network_factor
         )
 
-    def normalised_throughput(self) -> float:
-        """Delivered speed in speedup units (relative to the slowest type)."""
-        reference = float(self.job.true_throughput[0])
-        return self.iterations_per_second / reference
-
 
 @dataclass
 class RoundPlacement:
@@ -85,18 +86,6 @@ class RoundPlacement:
 
     def cross_type_jobs(self) -> int:
         return sum(1 for placement in self.placements if len(placement.type_counts) > 1)
-
-    def throughputs(self) -> Tuple[Dict[str, float], Dict[Tuple[str, str], float]]:
-        """Delivered speedup units per tenant and per (tenant, model family)."""
-        by_tenant: Dict[str, float] = {}
-        by_model: Dict[Tuple[str, str], float] = {}
-        for placement in self.placements:
-            job = placement.job
-            delivered = placement.normalised_throughput()
-            by_tenant[job.tenant] = by_tenant.get(job.tenant, 0.0) + delivered
-            key = (job.tenant, job.model_name)
-            by_model[key] = by_model.get(key, 0.0) + delivered
-        return by_tenant, by_model
 
 
 class Placer:
@@ -113,6 +102,10 @@ class Placer:
         self.policy = policy or PlacementPolicy.oef()
         self.straggler_model = straggler_model or StragglerModel()
         self.network_model = network_model or NetworkModel()
+        # (workers, *budget) -> the type counts ``_select_types`` chose; a
+        # pure function of the key under a fixed policy, and replay rounds
+        # keep asking for the same few pairs
+        self._type_choices: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
     # -- public entry point ---------------------------------------------------
     def place_round(
@@ -127,6 +120,8 @@ class Placer:
         ``active_jobs`` maps tenant names to their ``active_jobs(now)`` for
         a caller that already has them; tenants it lacks are scanned here.
         """
+        pack_large_jobs_first = self.policy.pack_large_jobs_first
+        select_types = self._select_types
         self.topology.release_all()
         # the round's free devices, listed once: type rank -> one list per
         # host, in host-id order; binding removes the devices it assigns
@@ -171,10 +166,10 @@ class Placer:
             # pass 2 — assign GPU types; under the OEF policy large jobs
             # pick first so a small job cannot fragment the contiguous
             # fast window a larger job needs (§4.3 adjacency)
-            if self.policy.pack_large_jobs_first and len(placed) > 1:
+            if pack_large_jobs_first and len(placed) > 1:
                 placed.sort(key=lambda pair: (-pair[1], pair[0].job_id))
             for job, workers in placed:
-                type_counts = self._select_types(workers, budget)
+                type_counts = select_types(workers, budget)
                 if type_counts is None:  # cannot happen: totals checked above
                     raise PlacementError(
                         f"internal accounting error placing job {job.job_id}"
@@ -183,40 +178,68 @@ class Placer:
                     budget[rank] -= count
                 selections.append((job, type_counts))
 
-        if self.policy.pack_large_jobs_first:
-            selections.sort(key=lambda pair: (-pair[0].num_workers, pair[0].job_id))
-        else:
-            selections.sort(key=lambda pair: pair[0].job_id)
+        if len(selections) > 1:
+            if pack_large_jobs_first:
+                selections.sort(
+                    key=lambda pair: (-pair[0].num_workers, pair[0].job_id)
+                )
+            else:
+                selections.sort(key=lambda pair: pair[0].job_id)
 
+        bind_devices = self._bind_devices
+        evaluate = self.straggler_model.evaluate
         placements: List[JobPlacement] = []
+        cross_host = False
         for job, type_counts in selections:
-            devices, hosts = self._bind_devices(type_counts, free)
-            outcome = self.straggler_model.evaluate(job, type_counts)
+            devices, hosts = bind_devices(type_counts, free)
+            outcome = evaluate(job, type_counts)
+            job_id = job.job_id
             for device in devices:
-                device.assigned_job = job.job_id
+                device.assigned_job = job_id
+            cross_host = cross_host or hosts > 1
             placements.append(
                 JobPlacement(
-                    job=job,
-                    devices=devices,
-                    type_counts=type_counts,
-                    hosts_spanned=hosts,
-                    per_worker_rate=outcome.per_worker_rate,
-                    straggler_workers=outcome.straggler_workers,
+                    job,
+                    devices,
+                    type_counts,
+                    hosts,
+                    outcome.per_worker_rate,
+                    outcome.straggler_workers,
                 )
             )
 
-        factors = self.network_model.round_factors(
-            [placement.hosts_spanned for placement in placements]
-        )
-        for placement, factor in zip(placements, factors):
-            placement.network_factor = factor
-        return RoundPlacement(placements=placements, starved_jobs=starved)
+        # a job on one host runs at network factor 1.0 (``NetworkModel``),
+        # so only a round with a cross-host job has factors to set
+        if cross_host:
+            factors = self.network_model.round_factors(
+                [placement.hosts_spanned for placement in placements]
+            )
+            for placement, factor in zip(placements, factors):
+                placement.network_factor = factor
+        return RoundPlacement(placements, starved)
 
     # -- type selection ---------------------------------------------------------
     def _select_types(
         self, workers: int, budget: List[int]
     ) -> Optional[Dict[int, int]]:
-        """Pick GPU-type counts for one job from the tenant's budget."""
+        """Pick GPU-type counts for one job from the tenant's budget.
+
+        Memoised per placer; every caller gets a dict of its own.
+        """
+        key = (workers, *budget)
+        counts = self._type_choices.get(key)
+        if counts is None:
+            counts = self._choose_types(workers, budget)
+            if counts is None:
+                return None
+            if len(self._type_choices) >= TYPE_CHOICE_MEMO_MAX:
+                self._type_choices.clear()
+            self._type_choices[key] = counts
+        return dict(counts)
+
+    def _choose_types(
+        self, workers: int, budget: List[int]
+    ) -> Optional[Dict[int, int]]:
         num_types = len(budget)
         if self.policy.adjacent_types_only:
             window = self._best_adjacent_window(workers, budget)
@@ -276,10 +299,12 @@ class Placer:
         self, type_counts: Dict[int, int], free: Dict[int, List[List[GPUDevice]]]
     ) -> Tuple[List[GPUDevice], int]:
         """The job's devices, slowest type first, and how many hosts they span."""
+        if len(type_counts) == 1:
+            ((rank, count),) = type_counts.items()
+            return self._bind_type(rank, count, free.get(rank, []))
         devices: List[GPUDevice] = []
         hosts = 0
-        items = type_counts.items()
-        for rank, count in sorted(items) if len(items) > 1 else items:
+        for rank, count in sorted(type_counts.items()):
             chosen, used = self._bind_type(rank, count, free.get(rank, []))
             devices += chosen
             hosts += used

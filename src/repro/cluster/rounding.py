@@ -85,17 +85,52 @@ class NaiveRounder:
 
 
 class DeviationRounder:
-    """Stateful rounder: one instance per simulation, fed every round."""
+    """Stateful rounder: one instance per simulation, fed every round.
+
+    The deviations live in one (rows × GPU types) matrix with a stable row
+    per tenant; a forgotten tenant's row goes to the next new tenant.  A
+    tenant starts from zero deviation when first seen, and every tenant
+    does after a change in the number of GPU types.
+    """
 
     def __init__(self) -> None:
-        self._deviation: Dict[str, np.ndarray] = {}
+        self._rows: Dict[str, int] = {}
+        self._spare: List[int] = []  # rows of forgotten tenants
+        self._matrix = np.zeros((0, 0))
 
     def deviation(self, tenant: str) -> np.ndarray:
-        return self._deviation.get(tenant, np.zeros(0)).copy()
+        row = self._rows.get(tenant)
+        return np.zeros(0) if row is None else self._matrix[row].copy()
 
     def forget(self, tenant: str) -> None:
         """Drop state for a departed tenant."""
-        self._deviation.pop(tenant, None)
+        row = self._rows.pop(tenant, None)
+        if row is not None:
+            self._spare.append(row)
+
+    def _row_index(self, tenants: List[str], num_types: int) -> np.ndarray:
+        """Each tenant's row of the deviation matrix; new tenants get zeros."""
+        if self._matrix.shape[1] != num_types:
+            self._rows.clear()
+            self._spare.clear()
+            self._matrix = np.zeros((len(tenants), num_types))
+        rows = self._rows
+        index = list(map(rows.get, tenants))
+        if None in index:
+            for position, tenant in enumerate(tenants):
+                if index[position] is not None:
+                    continue
+                if self._spare:
+                    row = self._spare.pop()
+                    self._matrix[row] = 0.0
+                else:
+                    row = len(rows) + len(self._spare)
+                    if row == self._matrix.shape[0]:
+                        grown = np.zeros((2 * row + 1, num_types))
+                        grown[:row] = self._matrix
+                        self._matrix = grown
+                rows[tenant] = index[position] = row
+        return np.array(index)
 
     def round_shares(
         self,
@@ -126,42 +161,37 @@ class DeviationRounder:
         if not tenants:
             return RoundingResult(grants={})
 
-        rows = [np.asarray(ideal[tenant], dtype=float) for tenant in tenants]
-        for tenant, vector in zip(tenants, rows):
-            if vector.shape != (num_types,):
-                raise ValidationError(
-                    f"tenant {tenant!r}: share vector shape {vector.shape} "
-                    f"does not match {num_types} GPU types"
-                )
-        ideal_matrix = np.array(rows)
-        # tenants seen for the first time (or across a change in the number
-        # of GPU types) start from zero deviation
-        zeros = np.zeros(num_types)
-        deviation_matrix = np.array(
-            [
-                held if held is not None and held.shape == (num_types,) else zeros
-                for held in map(self._deviation.get, tenants)
-            ]
-        )
-        target = np.clip(ideal_matrix + deviation_matrix, 0.0, None)
+        try:
+            ideal_matrix = np.array(list(ideal.values()), dtype=float)
+        except ValueError:  # ragged vectors
+            ideal_matrix = None
+        if ideal_matrix is None or ideal_matrix.shape != (len(tenants), num_types):
+            for tenant, vector in ideal.items():
+                if np.shape(vector) != (num_types,):
+                    raise ValidationError(
+                        f"tenant {tenant!r}: share vector shape {np.shape(vector)} "
+                        f"does not match {num_types} GPU types"
+                    )
+        index = self._row_index(tenants, num_types)
+        deviation_matrix = self._matrix[index]
+        target = np.maximum(ideal_matrix + deviation_matrix, 0.0)  # clip at 0
 
         # largest remainder for all types at once: per column, the ``remaining``
-        # largest remainders (``_largest_remainder``'s order) get one more device
+        # largest remainders (``_largest_remainder``'s order) get one more
+        # device; ``place`` is each row's position in its column's order
         whole = np.rint(capacities).astype(int)
         floors = np.floor(target)
         real = floors.astype(int)
         remaining = whole - real.sum(axis=0)
         remainders = target - floors
-        order = np.argsort(-remainders, axis=0)
-        columns = np.arange(num_types)
-        real[order, columns] += (np.arange(len(tenants))[:, None] < remaining) & (
-            remainders[order, columns] > REMAINDER_ATOL
-        )
+        place = np.argsort(np.argsort(-remainders, axis=0), axis=0)
+        real += (place < remaining) & (remainders > REMAINDER_ATOL)
         # an oversubscribed type is shaved by the per-column routine
-        for type_index in np.flatnonzero(remaining < 0):
-            real[:, type_index] = self._largest_remainder(
-                target[:, type_index], int(whole[type_index])
-            )
+        for type_index, left in enumerate(remaining.tolist()):
+            if left < 0:
+                real[:, type_index] = self._largest_remainder(
+                    target[:, type_index], int(whole[type_index])
+                )
 
         zeroed: List[str] = []
         if min_demands:
@@ -174,11 +204,8 @@ class DeviationRounder:
             if redistribute and zeroed:
                 self._redistribute(real, target, capacities, tenants, min_demands)
 
-        # dev(t + 1) = dev(t) + ideal(t) - real(t), all tenants at once; each
-        # tenant keeps its row
-        self._deviation.update(
-            zip(tenants, deviation_matrix + ideal_matrix - real)
-        )
+        # dev(t + 1) = dev(t) + ideal(t) - real(t), all tenants at once
+        self._matrix[index] = deviation_matrix + ideal_matrix - real
         return RoundingResult(grants=dict(zip(tenants, real)), zeroed_tenants=zeroed)
 
     # -- helpers ------------------------------------------------------------

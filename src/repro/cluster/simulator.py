@@ -59,11 +59,11 @@ import heapq
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.job import Job
+from repro.cluster.job import Job, JobState
 from repro.cluster.metrics import CompletionRecord, MetricsCollector, RoundMetrics
 from repro.cluster.placement import Placer, PlacementPolicy
 from repro.cluster.profiler import ProfilingAgent
@@ -414,7 +414,13 @@ class ClusterSimulator:
             rounding.grants, self.tenants, now, active_jobs=active_jobs
         )
 
-        # the RoundMetrics counts come from this same pass
+        # the RoundMetrics counts and the delivered speed per tenant and per
+        # (tenant, model family) come from this same pass; a job delivers
+        # its rate in speedup units, i.e. over its slowest type's rate
+        duration = self.config.round_duration
+        recorded = self._recorded_completions
+        actual: Dict[str, float] = {}
+        actual_by_model: Dict[Tuple[str, str], float] = {}
         stragglers = cross_host = cross_type = devices_used = 0
         for job_placement in placement.placements:
             stragglers += job_placement.straggler_workers
@@ -422,11 +428,15 @@ class ClusterSimulator:
             cross_type += len(job_placement.type_counts) > 1
             devices_used += len(job_placement.devices)
             job = job_placement.job
-            job.advance(
-                now, job_placement.iterations_per_second, self.config.round_duration
-            )
-            if job.is_finished and job.job_id not in self._recorded_completions:
-                self._recorded_completions.add(job.job_id)
+            rate = job_placement.iterations_per_second
+            delivered = rate / float(job.true_throughput[0])
+            tenant = job.tenant
+            actual[tenant] = actual.get(tenant, 0.0) + delivered
+            key = (tenant, job.model_name)
+            actual_by_model[key] = actual_by_model.get(key, 0.0) + delivered
+            job.advance(now, rate, duration)
+            if job.state is JobState.FINISHED and job.job_id not in recorded:
+                recorded.add(job.job_id)
                 self.metrics.record_completion(
                     CompletionRecord(
                         job_id=job.job_id,
@@ -440,7 +450,6 @@ class ClusterSimulator:
         for job in placement.starved_jobs:
             job.starve()
 
-        actual, actual_by_model = placement.throughputs()
         self.metrics.record_round(
             RoundMetrics(
                 round_index=round_index,
@@ -520,9 +529,11 @@ class ClusterSimulator:
         self, now: float, active_jobs: Dict[str, List[Job]]
     ) -> Dict[str, Dict[str, np.ndarray]]:
         profiles: Dict[str, Dict[str, np.ndarray]] = {}
+        profile_tenant = self._profiler.profile_tenant
+        misreports = self.config.misreports
         for name, jobs in active_jobs.items():
-            measured = self._profiler.profile_tenant(self.tenants[name], now, jobs)
-            factors = self.config.misreports.get(name)
+            measured = profile_tenant(self.tenants[name], now, jobs)
+            factors = misreports.get(name)
             if factors is not None:
                 factors = np.asarray(factors, dtype=float)
                 lied: Dict[str, np.ndarray] = {}

@@ -3,9 +3,13 @@
 Synchronous data parallelism paces every worker to the slowest one: when a
 job's workers span GPU types, each iteration waits for the workers on the
 slowest assigned type, so fast-GPU workers idle during the periodic
-gradient synchronisations.  OEF mitigates this structurally — Theorem 5.2
-shows OEF allocations only ever mix *adjacent* GPU types — while baselines
-may scatter a tenant across the full range.
+gradient synchronisations.  OEF mitigates this structurally: its placer
+keeps the types a job mixes *adjacent*, and Theorem 5.2 makes every
+``oef-noncoop`` grant adjacent, while baselines may scatter a tenant
+across the full range.  The theorem does not cover ``oef-coop``: on
+log-linear speedups a cooperative grant can skip a type (4×4, capacity 4
+per type, seeds 124, 134 and 183), and a job that no contiguous window of
+its grant covers is filled greedily across the gap.
 """
 
 from __future__ import annotations

@@ -117,5 +117,5 @@ class Tenant:
         if not active:
             return 0
         return min(
-            job.min_workers if job.elastic else job.num_workers for job in active
+            [job.min_workers if job.elastic else job.num_workers for job in active]
         )

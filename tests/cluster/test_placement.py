@@ -10,6 +10,7 @@ from repro.cluster import (
     make_job,
     paper_cluster,
 )
+from repro.cluster import placement
 from repro.exceptions import PlacementError
 
 
@@ -154,18 +155,43 @@ class TestRoundOutcome:
         result = placer.place_round({"t": np.array([0, 0, 2])}, tenants, 0.0)
         assert result.placements[0].network_factor == 1.0
 
-    def test_tenant_throughput_aggregation(self):
-        topology = paper_cluster()
-        placer = Placer(topology)
-        tenants = {"t": _tenant("t", [(2, "m"), (1, "m")])}
-        result = placer.place_round({"t": np.array([0, 0, 3])}, tenants, 0.0)
-        throughput, _by_model = result.throughputs()
-        # 3 workers on rank-2 GPUs at speedup 2.0
-        assert throughput["t"] == pytest.approx(6.0)
 
-    def test_model_throughput_keyed_by_pair(self):
-        topology = paper_cluster()
-        placer = Placer(topology)
-        tenants = {"t": _tenant("t", [(1, "m")])}
-        result = placer.place_round({"t": np.array([1, 0, 0])}, tenants, 0.0)
-        assert ("t", "m") in result.throughputs()[1]
+class TestTypeChoiceMemo:
+    """``_select_types`` is memoised per placer by (workers, *budget)."""
+
+    @staticmethod
+    def _tenants():
+        return {
+            name: Tenant(
+                name=name,
+                jobs=[make_job(job_id, name, "m", [1.0, 1.5, 2.0], num_workers=2)],
+            )
+            for job_id, name in enumerate(["a", "b"])
+        }
+
+    def test_each_job_gets_its_own_type_counts(self):
+        placer = Placer(paper_cluster())
+        tenants = self._tenants()
+        grants = {"a": np.array([0, 1, 1]), "b": np.array([0, 1, 1])}
+        first, second = placer.place_round(grants, tenants, 0.0).placements
+        assert first.type_counts == second.type_counts == {2: 1, 1: 1}
+        assert first.type_counts is not second.type_counts
+        first.type_counts[2] = 99
+        assert second.type_counts == {2: 1, 1: 1}
+        # the next round is answered from the memo, untouched by the write
+        again = placer.place_round(grants, tenants, 300.0).placements
+        assert [p.type_counts for p in again] == [{2: 1, 1: 1}, {2: 1, 1: 1}]
+        assert again[0].type_counts is not first.type_counts
+
+    def test_a_full_memo_starts_over(self, monkeypatch):
+        monkeypatch.setattr(placement, "TYPE_CHOICE_MEMO_MAX", 2)
+        placer = Placer(paper_cluster())
+        tenants = self._tenants()
+        for grant in ([0, 0, 2], [0, 2, 0], [2, 0, 0], [1, 1, 0], [0, 0, 2]):
+            grants = {"a": np.array(grant)}
+            chosen = placer.place_round(grants, tenants, 0.0).placements
+            expected = Placer(paper_cluster()).place_round(grants, tenants, 0.0)
+            assert [p.type_counts for p in chosen] == [
+                p.type_counts for p in expected.placements
+            ]
+            assert len(placer._type_choices) <= 2

@@ -82,6 +82,24 @@ class TestDeviationRounder:
         rounder.forget("a")
         assert rounder.deviation("a").size == 0
 
+    def test_forgotten_row_reused_from_zero(self):
+        rounder = DeviationRounder()
+        rounder.round_shares({"a": np.array([0.4]), "b": np.array([0.3])}, [1.0])
+        rounder.forget("a")
+        rounder.round_shares({"c": np.array([0.2]), "b": np.array([0.3])}, [1.0])
+        fresh = DeviationRounder()
+        fresh.round_shares({"c": np.array([0.2])}, [0.0])
+        np.testing.assert_array_equal(rounder.deviation("c"), fresh.deviation("c"))
+        assert rounder.deviation("a").size == 0
+
+    def test_new_type_count_starts_from_zero(self):
+        rounder = DeviationRounder()
+        rounder.round_shares({"a": np.array([0.4])}, [1.0])
+        rounder.round_shares({"a": np.array([0.4, 0.4])}, [1.0, 1.0])
+        fresh = DeviationRounder()
+        fresh.round_shares({"a": np.array([0.4, 0.4])}, [1.0, 1.0])
+        np.testing.assert_array_equal(rounder.deviation("a"), fresh.deviation("a"))
+
     def test_shape_mismatch_rejected(self):
         rounder = DeviationRounder()
         with pytest.raises(ValidationError):

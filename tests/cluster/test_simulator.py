@@ -453,3 +453,51 @@ class TestOneScanPerRound:
         # ... and the rounder dropped its deviation state with it
         assert simulator._rounder.deviation("short").size == 0
         assert simulator._rounder.deviation("long").size == 3
+
+
+class TestDeliveredThroughput:
+    """The advance pass sums each job's delivered speedup units."""
+
+    def _lone_tenant_round(self):
+        # a lone tenant is granted the whole cluster: both jobs land on
+        # rank 2 (speedup 2.0) on one host each
+        tenant = TestOneScanPerRound._tenant("t", {0: 1e9, 1: 1e9})
+        tenant.jobs[0].num_workers = 2
+        simulator = ClusterSimulator(
+            paper_cluster(), [tenant], OEFScheduler("noncooperative"),
+            config=SimulationConfig(num_rounds=1),
+        )
+        return simulator.run().rounds[0]
+
+    def test_tenant_throughput_aggregation(self):
+        # 3 workers on rank-2 GPUs at speedup 2.0
+        assert self._lone_tenant_round().actual["t"] == pytest.approx(6.0)
+
+    def test_model_throughput_keyed_by_pair(self):
+        assert self._lone_tenant_round().actual_by_model == pytest.approx(
+            {("t", "m"): 6.0}
+        )
+
+    def test_sums_equal_the_placements_exactly(self, monkeypatch):
+        placed = []
+        place_round = Placer.place_round
+
+        def recording(self, *args, **kwargs):
+            placed.append(place_round(self, *args, **kwargs))
+            return placed[-1]
+
+        monkeypatch.setattr(Placer, "place_round", recording)
+        metrics = _simulator(_population(num_tenants=4, num_jobs=3)).run()
+        assert len(placed) == len(metrics.rounds) > 1
+        for placement, record in zip(placed, metrics.rounds):
+            by_tenant, by_model = {}, {}
+            for job_placement in placement.placements:
+                job = job_placement.job
+                delivered = job_placement.iterations_per_second / float(
+                    job.true_throughput[0]
+                )
+                key = (job.tenant, job.model_name)
+                by_tenant[job.tenant] = by_tenant.get(job.tenant, 0.0) + delivered
+                by_model[key] = by_model.get(key, 0.0) + delivered
+            assert record.actual == by_tenant
+            assert record.actual_by_model == by_model

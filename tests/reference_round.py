@@ -9,7 +9,9 @@ job received.  So the bodies below are the pre-change
 ``_bind_devices`` / ``_bind_type`` and ``DeviationRounder.round_shares``,
 copied without edits onto subclasses; ``test_property_based_round.py``
 runs them beside the live code.  ``_largest_remainder`` and
-``_redistribute`` did not change and are inherited.
+``_redistribute`` did not change and are inherited; the rounder's
+dict-held state, which the live class replaced with a matrix, is copied
+too.
 
 Do not "tidy" this file: it is only worth anything while it stays the old
 code.
@@ -215,7 +217,22 @@ class ReferencePlacer(Placer):
 
 
 class ReferenceDeviationRounder(DeviationRounder):
-    """``DeviationRounder`` with the parent commit's ``round_shares``."""
+    """``DeviationRounder`` with the parent commit's ``round_shares``.
+
+    The live rounder keeps its deviations in a matrix since 5.1; the
+    per-tenant dict state below (``__init__`` / ``deviation`` / ``forget``)
+    is the 5.0 code, copied without edits, because ``round_shares`` reads it.
+    """
+
+    def __init__(self) -> None:
+        self._deviation: Dict[str, np.ndarray] = {}
+
+    def deviation(self, tenant: str) -> np.ndarray:
+        return self._deviation.get(tenant, np.zeros(0)).copy()
+
+    def forget(self, tenant: str) -> None:
+        """Drop state for a departed tenant."""
+        self._deviation.pop(tenant, None)
 
     def round_shares(
         self,

@@ -205,3 +205,60 @@ class TestRoundMatchesParent:
         assert [d.assigned_job for d in topology.devices] == [
             d.assigned_job for d in ref_topology.devices
         ]
+
+
+class TestRounderRowReuse:
+    @_SETTINGS
+    @given(st.data())
+    def test_departures_and_arrivals_match_parent(self, data):
+        # the live rounder hands a forgotten tenant's matrix row to the next
+        # newcomer; the parent kept a dict, so a reused row must start at
+        # zero and every deviation must match round for round
+        num_types = data.draw(st.integers(1, 3))
+        capacities = np.array(
+            [data.draw(st.integers(1, 6)) for _ in range(num_types)], dtype=float
+        )
+        rounder, ref_rounder = DeviationRounder(), ReferenceDeviationRounder()
+        present = [f"t{index}" for index in range(data.draw(st.integers(1, 4)))]
+        seen = list(present)
+        for _ in range(data.draw(st.integers(2, 8))):
+            leaving = st.sets(st.sampled_from(present)) if present else st.just(set())
+            for name in data.draw(leaving):
+                rounder.forget(name)
+                ref_rounder.forget(name)
+                present.remove(name)
+            for _ in range(data.draw(st.integers(0, 2))):
+                present.append(f"t{len(seen)}")
+                seen.append(present[-1])
+            if not present:
+                continue
+            # a random order and a random subset: idle tenants keep their rows
+            order = data.draw(st.permutations(present))
+            active = order[: data.draw(st.integers(1, len(order)))]
+            weights = {
+                name: np.array(
+                    [data.draw(st.integers(0, 8)) for _ in range(num_types)],
+                    dtype=float,
+                )
+                for name in active
+            }
+            total = np.sum(list(weights.values()), axis=0)
+            ideal = {
+                name: capacities * weight / np.maximum(total, 1.0)
+                for name, weight in weights.items()
+            }
+            min_demands = None
+            if data.draw(st.booleans()):
+                min_demands = {name: data.draw(st.integers(0, 3)) for name in active}
+
+            rounding = rounder.round_shares(ideal, capacities, min_demands)
+            ref_rounding = ref_rounder.round_shares(ideal, capacities, min_demands)
+            assert rounding.zeroed_tenants == ref_rounding.zeroed_tenants
+            for name in active:
+                np.testing.assert_array_equal(
+                    rounding.grants[name], ref_rounding.grants[name]
+                )
+            for name in seen:
+                np.testing.assert_array_equal(
+                    rounder.deviation(name), ref_rounder.deviation(name)
+                )
