@@ -122,8 +122,7 @@ class Job:
 
         if iterations_per_second == 0:
             return duration
-        remaining = max(0.0, self.total_iterations - self.done_iterations)
-        time_to_finish = remaining / iterations_per_second
+        time_to_finish = self.remaining_iterations / iterations_per_second
         if time_to_finish <= duration:
             self.done_iterations = self.total_iterations
             self.state = JobState.FINISHED

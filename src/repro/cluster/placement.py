@@ -81,12 +81,6 @@ class RoundPlacement:
     placements: List[JobPlacement] = field(default_factory=list)
     starved_jobs: List[Job] = field(default_factory=list)
 
-    def straggler_workers(self) -> int:
-        return sum(placement.straggler_workers for placement in self.placements)
-
-    def cross_type_jobs(self) -> int:
-        return sum(1 for placement in self.placements if len(placement.type_counts) > 1)
-
 
 class Placer:
     """Maps per-tenant integral grants to devices and effective rates."""
@@ -319,8 +313,9 @@ class Placer:
         free_total = 0
         best: Optional[List[GPUDevice]] = None
         for pool in pools:
-            free_total += len(pool)
-            if len(pool) >= count and (best is None or len(pool) < len(best)):
+            size = len(pool)
+            free_total += size
+            if size >= count and (best is None or size < len(best)):
                 best = pool
         if free_total < count:
             raise PlacementError(
@@ -328,8 +323,12 @@ class Placer:
                 f"({count} requested, {free_total} free)"
             )
         if self.policy.prefer_single_host:
+            if best is not None:
+                chosen = best[:count]
+                del best[:count]
+                return chosen, 1
             # else as few hosts as possible, fullest first (stable: id order)
-            pools = [best] if best is not None else sorted(pools, key=len, reverse=True)
+            pools = sorted(pools, key=len, reverse=True)
         chosen: List[GPUDevice] = []
         hosts = 0
         for pool in pools:

@@ -30,6 +30,18 @@ DEFICIT_ATOL = 1e-12  #: this close to its target, a tenant is not under-served
 TARGET_ATOL = 1e-12  #: a smaller target on a type is residue, not demand for it
 
 
+def _shave(column: np.ndarray, capacity: int) -> None:
+    """Cut an integer column down to ``capacity`` in place, largest first."""
+    overflow = column.sum() - capacity
+    if overflow > 0:
+        for index in np.argsort(-column):
+            if overflow <= 0:
+                break
+            take = min(column[index], overflow)
+            column[index] -= take
+            overflow -= take
+
+
 @dataclass
 class RoundingResult:
     """Integral grants plus bookkeeping for tests and metrics."""
@@ -66,17 +78,9 @@ class NaiveRounder:
         matrix = np.vstack([np.asarray(ideal[t], dtype=float) for t in tenants])
         real = np.rint(matrix).astype(int)
         real = np.clip(real, 0, None)
-        # enforce capacity by shaving over-subscribed types, largest first
+        # enforce capacity by shaving over-subscribed types
         for type_index in range(matrix.shape[1]):
-            overflow = real[:, type_index].sum() - int(round(capacities[type_index]))
-            if overflow > 0:
-                order = np.argsort(-real[:, type_index])
-                for row in order:
-                    if overflow <= 0:
-                        break
-                    take = min(real[row, type_index], overflow)
-                    real[row, type_index] -= take
-                    overflow -= take
+            _shave(real[:, type_index], int(round(capacities[type_index])))
         grants = {tenant: real[row].astype(int) for row, tenant in enumerate(tenants)}
         return RoundingResult(grants=grants)
 
@@ -95,7 +99,7 @@ class DeviationRounder:
 
     def __init__(self) -> None:
         self._rows: Dict[str, int] = {}
-        self._spare: List[int] = []  # rows of forgotten tenants
+        self._spare: List[int] = []  # zeroed rows no tenant holds
         self._matrix = np.zeros((0, 0))
 
     def deviation(self, tenant: str) -> np.ndarray:
@@ -106,30 +110,26 @@ class DeviationRounder:
         """Drop state for a departed tenant."""
         row = self._rows.pop(tenant, None)
         if row is not None:
+            self._matrix[row] = 0.0
             self._spare.append(row)
 
     def _row_index(self, tenants: List[str], num_types: int) -> np.ndarray:
-        """Each tenant's row of the deviation matrix; new tenants get zeros."""
+        """Each tenant's row of the deviation matrix; a new tenant's is zeros."""
         if self._matrix.shape[1] != num_types:
             self._rows.clear()
             self._spare.clear()
-            self._matrix = np.zeros((len(tenants), num_types))
-        rows = self._rows
-        index = list(map(rows.get, tenants))
+            self._matrix = np.zeros((0, num_types))
+        index = list(map(self._rows.get, tenants))
         if None in index:
             for position, tenant in enumerate(tenants):
-                if index[position] is not None:
-                    continue
-                if self._spare:
-                    row = self._spare.pop()
-                    self._matrix[row] = 0.0
-                else:
-                    row = len(rows) + len(self._spare)
-                    if row == self._matrix.shape[0]:
-                        grown = np.zeros((2 * row + 1, num_types))
-                        grown[:row] = self._matrix
-                        self._matrix = grown
-                rows[tenant] = index[position] = row
+                if index[position] is None:
+                    if not self._spare:  # double the matrix
+                        size = len(self._matrix)
+                        self._matrix = np.vstack(
+                            [self._matrix, np.zeros((size + 1, num_types))]
+                        )
+                        self._spare = list(range(2 * size, size - 1, -1))
+                    index[position] = self._rows[tenant] = self._spare.pop()
         return np.array(index)
 
     def round_shares(
@@ -184,7 +184,8 @@ class DeviationRounder:
         real = floors.astype(int)
         remaining = whole - real.sum(axis=0)
         remainders = target - floors
-        place = np.argsort(np.argsort(-remainders, axis=0), axis=0)
+        order = np.argsort(-remainders, axis=0)
+        place = np.argsort(order, axis=0)
         real += (place < remaining) & (remainders > REMAINDER_ATOL)
         # an oversubscribed type is shaved by the per-column routine
         for type_index, left in enumerate(remaining.tolist()):
@@ -213,17 +214,8 @@ class DeviationRounder:
     def _largest_remainder(target: np.ndarray, capacity: int) -> np.ndarray:
         """Round a column to integers summing to at most ``capacity``."""
         floors = np.floor(target).astype(int)
-        overflow = floors.sum() - capacity
-        if overflow > 0:
-            # capacity was oversubscribed by accumulated deviations: shave
-            # the largest grants first
-            order = np.argsort(-floors)
-            for index in order:
-                if overflow <= 0:
-                    break
-                take = min(floors[index], overflow)
-                floors[index] -= take
-                overflow -= take
+        # accumulated deviations can oversubscribe the capacity
+        _shave(floors, capacity)
         remaining = capacity - floors.sum()
         if remaining > 0:
             remainders = target - np.floor(target)
