@@ -167,9 +167,10 @@ class DeviationRounder:
             ideal_matrix = None
         if ideal_matrix is None or ideal_matrix.shape != (len(tenants), num_types):
             for tenant, vector in ideal.items():
-                if np.shape(vector) != (num_types,):
+                shape = np.asarray(vector, dtype=float).shape
+                if shape != (num_types,):
                     raise ValidationError(
-                        f"tenant {tenant!r}: share vector shape {np.shape(vector)} "
+                        f"tenant {tenant!r}: share vector shape {shape} "
                         f"does not match {num_types} GPU types"
                     )
         index = self._row_index(tenants, num_types)

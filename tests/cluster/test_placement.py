@@ -10,7 +10,7 @@ from repro.cluster import (
     make_job,
     paper_cluster,
 )
-from repro.cluster import placement
+from repro.cluster import placement as placement_module
 from repro.exceptions import PlacementError
 
 
@@ -183,7 +183,7 @@ class TestTypeChoiceMemo:
         assert again[0].type_counts is not first.type_counts
 
     def test_a_full_memo_starts_over(self, monkeypatch):
-        monkeypatch.setattr(placement, "TYPE_CHOICE_MEMO_MAX", 2)
+        monkeypatch.setattr(placement_module, "TYPE_CHOICE_MEMO_MAX", 2)
         placer = Placer(paper_cluster())
         tenants = self._tenants()
         for grant in ([0, 0, 2], [0, 2, 0], [2, 0, 0], [1, 1, 0], [0, 0, 2]):

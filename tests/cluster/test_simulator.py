@@ -461,10 +461,14 @@ class TestDeliveredThroughput:
     def _lone_tenant_round(self):
         # a lone tenant is granted the whole cluster: both jobs land on
         # rank 2 (speedup 2.0) on one host each
-        tenant = TestOneScanPerRound._tenant("t", {0: 1e9, 1: 1e9})
-        tenant.jobs[0].num_workers = 2
+        jobs = [
+            make_job(0, "t", "m", [1.0, 1.5, 2.0], num_workers=2, total_iterations=1e9),
+            make_job(1, "t", "m", [1.0, 1.5, 2.0], num_workers=1, total_iterations=1e9),
+        ]
         simulator = ClusterSimulator(
-            paper_cluster(), [tenant], OEFScheduler("noncooperative"),
+            paper_cluster(),
+            [Tenant(name="t", jobs=jobs)],
+            OEFScheduler("noncooperative"),
             config=SimulationConfig(num_rounds=1),
         )
         return simulator.run().rounds[0]
