@@ -14,6 +14,11 @@ exceed the device count.  The §4.3 refinement also zeroes a tenant's grant
 when it cannot fit the tenant's smallest job (``min_k demand_k``) — the
 deviation then builds up until the tenant is guaranteed a runnable grant,
 which is what shrinks starvation and JCT in Fig. 9.
+
+Every sort that breaks a tie here is stable, so of two equal remainders
+(or equal grants being shaved) the tenant listed first wins.  numpy's default sort kind
+breaks such ties differently on each CPU's SIMD kernel, and a tie decides
+which tenant gets a device.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ def _shave(column: np.ndarray, capacity: int) -> None:
     """Cut an integer column down to ``capacity`` in place, largest first."""
     overflow = column.sum() - capacity
     if overflow > 0:
-        for index in np.argsort(-column):
+        for index in np.argsort(-column, kind="stable"):
             if overflow <= 0:
                 break
             take = min(column[index], overflow)
@@ -185,7 +190,7 @@ class DeviationRounder:
         real = floors.astype(int)
         remaining = whole - real.sum(axis=0)
         remainders = target - floors
-        order = np.argsort(-remainders, axis=0)
+        order = np.argsort(-remainders, axis=0, kind="stable")
         place = np.argsort(order, axis=0)
         real += (place < remaining) & (remainders > REMAINDER_ATOL)
         # an oversubscribed type is shaved by the per-column routine
@@ -220,7 +225,7 @@ class DeviationRounder:
         remaining = capacity - floors.sum()
         if remaining > 0:
             remainders = target - np.floor(target)
-            order = np.argsort(-remainders)
+            order = np.argsort(-remainders, kind="stable")
             for index in order:
                 if remaining <= 0:
                     break

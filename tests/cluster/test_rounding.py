@@ -118,6 +118,22 @@ class TestDeviationRounder:
         # nobody asked for type 2; largest-remainder must not hand it out
         assert result.grants["a"][1] == 0
 
+    def test_equal_remainders_go_to_the_first_rows(self):
+        # 12 remainders of 0.5 compete for 9 devices: the first nine win,
+        # whichever sort kernel numpy dispatches on this CPU
+        ideal = {
+            f"t{row:02d}": np.array([0.5 if row % 2 else 0.25]) for row in range(24)
+        }
+        grants = DeviationRounder().round_shares(ideal, [9.0]).grants
+        granted = [row for row, grant in enumerate(grants.values()) if grant[0]]
+        assert granted == list(range(1, 18, 2))
+
+    def test_oversubscribed_shave_takes_the_first_of_equal_grants(self):
+        target = np.full(6, 2.0)
+        np.testing.assert_array_equal(
+            DeviationRounder._largest_remainder(target, 9), [0, 1, 2, 2, 2, 2]
+        )
+
 
 class TestNaiveRounder:
     def test_rint_behaviour(self):
