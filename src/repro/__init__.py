@@ -107,7 +107,7 @@ from repro.scenarios import (
     scenario_sweep,
 )
 
-__version__ = "5.1.0"
+__version__ = "5.2.0"
 
 __all__ = [
     "AdmissionMiddleware",

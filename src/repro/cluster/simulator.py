@@ -145,24 +145,20 @@ class WarmStats:
         return self.warm_hits / total if total else 0.0
 
 
-def _frozen(share: np.ndarray) -> np.ndarray:
-    share = share.copy()
-    share.setflags(write=False)
-    return share
-
-
 def _memo_entry(decision: SchedulerDecision) -> SchedulerDecision:
-    """The memo's one copy of a fresh decision: read-only arrays, no LP time."""
+    """The memo's entry for a fresh decision: its dicts and arrays, no LP time.
+
+    The arrays are frozen in place, not copied: nothing downstream writes
+    to a decision's arrays, and the freeze makes any such write raise
+    instead of reaching a memoized answer.
+    """
+    for share in decision.tenant_shares.values():
+        share.setflags(write=False)
+    for by_type in decision.job_type_shares.values():
+        for share in by_type.values():
+            share.setflags(write=False)
     return SchedulerDecision(
-        tenant_shares={
-            name: _frozen(share) for name, share in decision.tenant_shares.items()
-        },
-        estimated=dict(decision.estimated),
-        solver_seconds=0.0,
-        job_type_shares={
-            tenant: {jt: _frozen(share) for jt, share in by_type.items()}
-            for tenant, by_type in decision.job_type_shares.items()
-        },
+        decision.tenant_shares, decision.estimated, 0.0, decision.job_type_shares
     )
 
 

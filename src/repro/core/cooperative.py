@@ -145,9 +145,10 @@ class CooperativeOEF(Allocator):
     """Envy-free OEF for cooperative environments.
 
     With ``n`` users the program has O(n^2) envy rows, which grows painful
-    past a couple hundred users.  Since only O(n + k) of those rows are
-    active at the optimum (the allocation matrix has at most n + k - 1
-    non-zeros, §4.4), large instances are solved by *cutting planes*:
+    past a couple hundred users.  Since only a minority of those rows bind
+    at the optimum (114-197 of 992 pairs at 32x6; §4.4's n + k - 1
+    non-zeros bound Eq. 9's vertices, not Eq. 10's, which carry 6-21 more
+    at that size), large instances are solved by *cutting planes*:
     seed the LP with the envy rows between each user and the users whose
     speedup profiles are nearest in shape (:meth:`_seed_pairs`), solve,
     add the envy constraints the solution violates, and repeat.
@@ -319,7 +320,7 @@ class CooperativeOEF(Allocator):
         ever-growing program.  Cuts whose slack is strictly basic (their
         envy inequality is slack at the current vertex) are dropped in
         bulk once they have survived a couple of rounds, keeping the
-        working LP near the O(n + k) active set the theory promises; a
+        working LP near the minority of envy rows that bind; a
         dropped pair may re-enter later, which is why membership is
         tracked per pair (the n x n ``in_lp`` matrix) rather than per row.
         ``pairs[i]`` and ``born[i]`` describe the session's i-th cut row.

@@ -58,7 +58,7 @@ class ProblemInstance:
                 f"capacities shape {capacity_array.shape} does not match "
                 f"{speedups.num_gpu_types} GPU types"
             )
-        if np.any(capacity_array < 0) or not np.all(np.isfinite(capacity_array)):
+        if (capacity_array < 0).any() or not np.isfinite(capacity_array).all():
             raise ValidationError("capacities must be finite and non-negative")
         if capacity_array.sum() <= 0:
             raise ValidationError("the cluster must have at least one device")
@@ -87,12 +87,15 @@ class ProblemInstance:
     def grouped(self, weights: Optional[np.ndarray] = None) -> GroupedInstance:
         """Fold byte-identical rows (no tolerance); ``weights`` default to 1."""
         values = self.speedups.values
+        # the rows' bytes, sliced row by row: one tobytes() for the matrix
+        flat, width = values.tobytes(), values.shape[1] * values.itemsize
         first_seen: dict = {}
         member_group = np.array(
-            [first_seen.setdefault(row.tobytes(), len(first_seen)) for row in values]
+            [first_seen.setdefault(flat[at:at + width], len(first_seen))
+             for at in range(0, len(flat), width)]
         )
         weights = np.ones(len(values)) if weights is None else np.asarray(weights, float)
-        if weights.shape != (len(values),) or not np.all(weights > 0):
+        if weights.shape != (len(values),) or not (weights > 0).all():
             raise ValidationError("one positive weight per instance row is required")
         multiplicity = np.bincount(member_group, weights=weights)
         distinct = np.empty((len(first_seen), values.shape[1]))

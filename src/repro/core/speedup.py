@@ -50,9 +50,9 @@ class SpeedupMatrix:
             raise ValidationError(f"speedup matrix must be 2-D, got shape {array.shape}")
         if array.size == 0:
             raise ValidationError("speedup matrix must not be empty")
-        if not np.all(np.isfinite(array)):
+        if not np.isfinite(array).all():
             raise ValidationError("speedup matrix contains non-finite entries")
-        if np.any(array <= 0):
+        if (array <= 0).any():
             raise ValidationError("speedups must be strictly positive")
 
         if normalise:

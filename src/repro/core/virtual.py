@@ -120,11 +120,14 @@ class VirtualUserExpansion:
                 raise ValidationError(f"tenant {name!r} needs at least one job type")
             if not weight > 0:
                 raise ValidationError(f"tenant {name!r}: weight must be positive")
-            self._layout.append((name, [job for job, _speedups in jobs]))
             # only ratios matter: nothing is scaled to integer replica counts
-            weights += [float(weight) / len(jobs)] * len(jobs)
-            vectors += [speedups for _job, speedups in jobs]
-            users += [f"{name}/{job}" for job, _speedups in jobs]
+            share, job_names = float(weight) / len(jobs), []
+            for job, speedups in jobs:
+                job_names.append(job)
+                vectors.append(speedups)
+                users.append(f"{name}/{job}")
+                weights.append(share)
+            self._layout.append((name, job_names))
         if len({name for name, _jobs in self._layout}) != len(self._layout):
             raise ValidationError("tenant names must be unique")
         try:
@@ -163,6 +166,13 @@ class VirtualUserExpansion:
         merged = MergedAllocation(allocation, self.weights, {}, {})
         start = 0
         for name, jobs in self._layout:
+            if len(jobs) == 1:  # a row is its own total: a one-row sum's bits
+                merged.job_type_shares[name] = {jobs[0]: shares[start]}
+                merged.job_type_throughput[name] = {jobs[0]: throughputs[start]}
+                merged.tenant_shares[name] = shares[start]
+                merged.tenant_throughput[name] = 0.0 + throughputs[start]
+                start += 1
+                continue
             stop = start + len(jobs)
             merged.job_type_shares[name] = dict(zip(jobs, shares[start:stop]))
             merged.job_type_throughput[name] = dict(zip(jobs, throughputs[start:stop]))

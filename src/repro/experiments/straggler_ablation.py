@@ -1,7 +1,8 @@
 """§6.3.3: straggler-effect alleviation ablation.
 
 Counts cross-GPU-type placements and straggler-affected workers under OEF
-(adjacent-type allocations, Theorem 5.2 + the placer's adjacency rule)
+(``oef-noncoop``, whose allocations mix only adjacent types by Theorem 5.2 —
+the theorem does not cover ``oef-coop`` — plus the placer's adjacency rule)
 versus the baselines with naive placement (paper: OEF reduces straggler-
 affected workers by 14% vs Gandiva_fair and 26% vs Gavel).
 

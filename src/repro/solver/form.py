@@ -149,7 +149,7 @@ def _screen(form: StandardForm) -> Tuple[np.ndarray, CSR, np.ndarray, np.ndarray
     bounds = np.where(np.isnan(bounds), (-np.inf, np.inf), bounds)
     num_vars = form.c.shape[0]
     ok = bounds.shape[0] == num_vars and np.isfinite(form.c).all()
-    blocks, lower, upper = [CSR([], [], [0], (0, num_vars))], [np.zeros(0)], [np.zeros(0)]
+    blocks, lower, upper = [], [], []
     for matrix, rhs, equality in ((form.a_ub, form.b_ub, False), (form.a_eq, form.b_eq, True)):
         if ok and matrix is not None:
             matrix, rhs = _as_csr(matrix), np.asarray(rhs, dtype=float)
@@ -163,6 +163,10 @@ def _screen(form: StandardForm) -> Tuple[np.ndarray, CSR, np.ndarray, np.ndarray
             upper.append(rhs)
     if not ok or (bounds[:, 0] == np.inf).any() or (bounds[:, 1] == -np.inf).any():
         raise ModelError("malformed LP: mismatched shapes or non-finite coefficients")
+    if len(blocks) == 1:  # stacking one block copies its arrays, bit for bit
+        return bounds, blocks[0], lower[0], upper[0]
+    if not blocks:
+        return bounds, CSR([], [], [0], (0, num_vars)), np.zeros(0), np.zeros(0)
     return bounds, CSR.vstack(blocks), np.concatenate(lower), np.concatenate(upper)
 
 

@@ -37,6 +37,7 @@ for slack-based cut dropping.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -81,16 +82,32 @@ except Exception:  # no scipy at all, an ImportError or a reshaped private API
 
 
 def incremental_available() -> bool:
-    """True when the vendored HiGHS bindings expose the session surface."""
-    if _core is None:
+    """True when the vendored HiGHS bindings expose the session surface and
+    ``passModel`` loads a model by arrays."""
+    return _core is not None and _probe(_core)
+
+
+@functools.lru_cache(maxsize=1)  # one core is loaded; a test may swap in a stub
+def _probe(core) -> bool:
+    """Whether ``core`` (the loaded ``_core``, which keys the cache) has every
+    name used here and ``passModel`` takes arrays: checked once per core,
+    by loading a one-column model the way every solve loads one."""
+    if not (
+        all(hasattr(core, name) for name in ("_Highs", "MatrixFormat", "ObjSense", "HighsStatus"))
+        and all(
+            hasattr(core._Highs, name)
+            for name in ("setOptionValue", "passModel", "clearModel", "run", "addRows",
+                         "deleteRows", "getBasis", "getSolution")
+        )
+    ):
         return False
-    return all(
-        hasattr(_core, name) for name in ("_Highs", "HighsLp", "MatrixFormat")
-    ) and all(
-        hasattr(_core._Highs, name)
-        for name in ("passModel", "clearModel", "run", "addRows", "deleteRows",
-                     "getBasis", "getSolution")
-    )
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    try:
+        _load(highs, np.zeros(1), np.zeros(1), np.ones(1), None, np.zeros(0), np.zeros(0))
+    except (TypeError, SolverError):  # no array overload, or one of another shape
+        return False
+    return True
 
 
 def _require() -> None:
@@ -109,28 +126,25 @@ def _require() -> None:
 
 
 _INF = float("inf")
+#: the CSR arrays of a model without rows
+_NO_ROWS = (np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
 
 
-def _model(c, col_lower, col_upper, rows, row_lower, row_upper):
-    """A ``HighsLp`` loading ``rows`` (a CSR record; ``None``: no rows) rowwise.
-
-    The bindings fill their vectors element by element; a list converts
-    in half the time an ndarray takes.
-    """
-    lp = _core.HighsLp()
-    lp.num_row_, lp.num_col_ = len(row_lower), len(c)
-    lp.col_cost_ = np.asarray(c, dtype=float).tolist()
-    lp.col_lower_ = np.asarray(col_lower, dtype=float).tolist()
-    lp.col_upper_ = np.asarray(col_upper, dtype=float).tolist()
-    lp.row_lower_ = row_lower.tolist()
-    lp.row_upper_ = row_upper.tolist()
-    lp.a_matrix_.format_ = _core.MatrixFormat.kRowwise
-    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = lp.num_row_, lp.num_col_
-    if rows is not None:  # else HighsLp's own empty start_ = [0]
-        lp.a_matrix_.start_ = rows.indptr.tolist()
-        lp.a_matrix_.index_ = rows.indices.tolist()
-        lp.a_matrix_.value_ = rows.data.tolist()
-    return lp
+def _load(highs, c, col_lower, col_upper, rows, row_lower, row_upper) -> None:
+    """Load ``rows`` (a CSR record; ``None``: no rows) rowwise through
+    ``passModel``'s array overload, every column continuous."""
+    num_col = len(c)
+    indptr, indices, data = _NO_ROWS if rows is None else (rows.indptr, rows.indices, rows.data)
+    status = highs.passModel(
+        num_col, len(row_lower), int(indptr[-1]),
+        _core.MatrixFormat.kRowwise, _core.ObjSense.kMinimize, 0.0,
+        np.asarray(c, dtype=float), np.asarray(col_lower, dtype=float),
+        np.asarray(col_upper, dtype=float), row_lower, row_upper, indptr, indices, data,
+        # an empty array loads no model at all: HiGHS then reports kModelEmpty
+        np.zeros(num_col, dtype=np.int32),
+    )
+    if status == _core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
 
 
 def _run(highs) -> None:
@@ -190,9 +204,7 @@ def solve_once(
         ):
             highs.setOptionValue(option, value)
     highs.clearModel()
-    lp = _model(c, col_lower, col_upper, rows, row_lower, row_upper)
-    if highs.passModel(lp) == _core.HighsStatus.kError:
-        raise SolverError("HiGHS rejected the model")
+    _load(highs, c, col_lower, col_upper, rows, row_lower, row_upper)
     _run(highs)
     solution = highs.getSolution()
     return np.array(solution.col_value), np.array(solution.row_dual)
@@ -218,15 +230,12 @@ class IncrementalLP:
         rhs = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
         if (0 if a_ub is None else a_ub.shape[0]) != rhs.shape[0]:
             raise SolverError("row/rhs shape mismatch")
-        lp = _model(c, col_lower, col_upper, a_ub, np.full(rhs.shape[0], -_INF), rhs)
-
         self._highs = _core._Highs()
         # deterministic, quiet, single-threaded: same model -> same vertex
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("threads", 1)
         self._highs.setOptionValue("parallel", "off")
-        if self._highs.passModel(lp) == _core.HighsStatus.kError:
-            raise SolverError("HiGHS rejected the model")
+        _load(self._highs, c, col_lower, col_upper, a_ub, np.full(rhs.shape[0], -_INF), rhs)
         self.num_cols = len(c)
         self.num_rows = rhs.shape[0]
 

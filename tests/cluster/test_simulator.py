@@ -320,14 +320,14 @@ class TestWarmStartEngine:
             for by_type in hit.job_type_shares[name].values():
                 with pytest.raises(ValueError):
                     by_type[0] = 99.0
-        # the next hit is the same entry, unchanged; the cold answer the
-        # memo copied from is still the caller's own, writable
+        # the next hit is the same entry, unchanged; the cold answer holds
+        # the entry's own arrays, frozen in place rather than copied
         again = decide()
         assert again is hit and simulator.warm_stats.warm_hits == 2
         for name, share in again.tenant_shares.items():
             assert share.tobytes() == before[name].tobytes()
-            assert share.tobytes() == cold.tenant_shares[name].tobytes()
-        assert all(share.flags.writeable for share in cold.tenant_shares.values())
+            assert share is cold.tenant_shares[name]
+        assert not any(share.flags.writeable for share in cold.tenant_shares.values())
 
     def test_decision_cache_is_bounded(self):
         simulator = _simulator()

@@ -156,6 +156,115 @@ class TestRowsFold:
                         == np.sum([x.copy() for _w, x in own], axis=0).tobytes())
 
 
+def _floats(values):
+    return np.array(list(values), dtype=float).tobytes()
+
+
+def _assert_same_merge(got, want):
+    assert got.expanded.matrix.tobytes() == want.expanded.matrix.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert list(got.tenant_shares) == list(want.tenant_shares)
+    for name, share in want.tenant_shares.items():
+        assert got.tenant_shares[name].tobytes() == share.tobytes()
+        assert got.tenant_throughput[name] == want.tenant_throughput[name]
+        assert list(got.job_type_shares[name]) == list(want.job_type_shares[name])
+        for job, job_share in want.job_type_shares[name].items():
+            assert got.job_type_shares[name][job].tobytes() == job_share.tobytes()
+        assert (_floats(got.job_type_throughput[name].values())
+                == _floats(want.job_type_throughput[name].values()))
+    assert (_floats(got.tenant_throughput.values())
+            == _floats(want.tenant_throughput.values()))
+
+
+def _random_rows(rng, types):
+    """Tenant rows with weights other than 1, up to three job types each,
+    and profiles repeated across and within tenants (some entered scaled,
+    which normalises to the same bytes)."""
+    pool = [np.concatenate([[1.0], 1.0 + np.sort(rng.uniform(0.0, 3.0, types - 1))])
+            for _ in range(int(rng.integers(1, 6)))]
+    return [
+        (f"t{t}", float(rng.choice([0.5, 1.0, 1.3, 2.0])), [
+            (f"j{j}", pool[int(rng.integers(len(pool)))] * float(rng.choice([1.0, 2.0, 3.7])))
+            for j in range(int(rng.integers(1, 4)))
+        ])
+        for t in range(int(rng.integers(1, 12)))
+    ]
+
+
+class TestOneFold:
+    """The lean fold gives the 5.1 chain's bytes (``reference_fold.py``):
+    ``VirtualUserExpansion`` -> ``ProblemInstance`` -> ``grouped`` ->
+    ``allocate_with_state`` -> ``merge``."""
+
+    @pytest.mark.parametrize("mode", ["cooperative", "noncooperative"])
+    def test_merged_allocation_matches_the_5_1_chain(self, mode):
+        import reference_fold
+        from repro.core import CooperativeOEF, NonCooperativeOEF, ProblemInstance
+
+        solver = CooperativeOEF if mode == "cooperative" else NonCooperativeOEF
+        rng = np.random.default_rng(38)
+        for _case in range(40):
+            types = int(rng.integers(1, 7))
+            tenants = _random_rows(rng, types)
+            capacities = rng.uniform(0.5, 8.0, types)
+            old, new = reference_fold.VirtualUserExpansion(tenants), VirtualUserExpansion(tenants)
+            old_matrix, new_matrix = old.expanded_matrix(), new.expanded_matrix()
+            assert new_matrix.values.tobytes() == old_matrix.values.tobytes()
+            assert new_matrix.users == old_matrix.users
+            assert new.weights.tobytes() == old.weights.tobytes()
+            instance = ProblemInstance(new_matrix, capacities)
+            assert (instance.capacities.tobytes()
+                    == reference_fold.check_capacities(old_matrix, capacities).tobytes())
+            want_groups = reference_fold.grouped(instance, old.weights)
+            groups = instance.grouped(new.weights)
+            for field in ("speedups", "multiplicity", "member_group", "member_fraction"):
+                want = getattr(want_groups, field)
+                assert getattr(groups, field).dtype == want.dtype
+                assert getattr(groups, field).tobytes() == want.tobytes()
+            allocation = solver().allocate_with_state(instance, weights=new.weights)
+            _assert_same_merge(new.merge(allocation), old.merge(allocation))
+            _assert_same_merge(
+                WeightedOEF(mode=mode).allocate(tenants, capacities), old.merge(allocation)
+            )
+
+    @pytest.mark.parametrize(
+        "tenants, capacities",
+        [
+            ([], [1.0, 1.0]),
+            ([("a", 1.0, [])], [1.0, 1.0]),
+            ([("a", 0.0, [("x", [1.0, 2.0])])], [1.0, 1.0]),
+            ([("a", -1.0, [("x", [1.0, 2.0])])], [1.0, 1.0]),
+            ([("a", float("nan"), [("x", [1.0, 2.0])])], [1.0, 1.0]),
+            ([("a", 1.0, [("x", [1.0, 2.0])]), ("a", 1.0, [("y", [1.0, 3.0])])], [1.0, 1.0]),
+            ([("a", 1.0, [("x", [1.0, 2.0]), ("y", [1.0, 2.0, 3.0])])], [1.0, 1.0]),
+            ([("a", 1.0, [("x", [])])], [1.0, 1.0]),
+            ([("a", 1.0, [("x", [[1.0, 2.0]])])], [1.0, 1.0]),
+            ([("a", 1.0, [("x", [1.0, float("inf")])])], [1.0, 1.0]),
+            ([("a", 1.0, [("x", [float("nan"), 1.0])])], [1.0, 1.0]),
+            ([("a", 1.0, [("x", [1.0, 0.0])])], [1.0, 1.0]),
+            ([("a", 1.0, [("x", [-1.0, -2.0])])], [1.0, 1.0]),
+            # finite and positive, but not once divided by the first entry
+            ([("a", 1.0, [("x", [1e-300, 1e300])])], [1.0, 1.0]),
+            ([("a", 1.0, [("x", [1e300, 1e-300])])], [1.0, 1.0]),
+            ([("a", 1.0, [("x", [1.0, 2.0])])], [1.0, 1.0, 1.0]),
+            ([("a", 1.0, [("x", [1.0, 2.0])])], [1.0, -1.0]),
+            ([("a", 1.0, [("x", [1.0, 2.0])])], [1.0, float("nan")]),
+            ([("a", 1.0, [("x", [1.0, 2.0])])], [0.0, 0.0]),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    def test_every_validation_error_keeps_its_message(self, tenants, capacities):
+        import reference_fold
+
+        with pytest.raises(ValidationError) as want:
+            old = reference_fold.VirtualUserExpansion(tenants)
+            reference_fold.check_capacities(old.expanded_matrix(), capacities)
+        for mode in ("cooperative", "noncooperative"):
+            with pytest.raises(ValidationError) as got:
+                WeightedOEF(mode=mode).allocate(tenants, capacities)
+            assert str(got.value) == str(want.value)
+
+
 class TestWeightedAllocation:
     def test_weight_doubles_throughput_noncoop(self):
         merged = WeightedOEF(mode="noncooperative").allocate(

@@ -8,6 +8,7 @@ is the contract kept here too.
 
 import sys
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,7 +20,7 @@ from scipy.optimize import linprog
 import repro.solver.form as form_module
 import repro.solver.incremental as incremental
 from reference_lp import LinearProgram
-from repro.core import CooperativeOEF, NonCooperativeOEF
+from repro.core import CooperativeOEF, NonCooperativeOEF, ProblemInstance, SpeedupMatrix
 from repro.core.cooperative import EfficiencyMaxAllocator
 from repro.exceptions import (
     InfeasibleError,
@@ -72,7 +73,23 @@ def _gavel_like_form():
     return form
 
 
+def _churn_shaped(groups, types, seed):
+    """A grouped instance at a ``tenant-churn`` shape: ``groups`` distinct
+    profiles, three of them entered twice, with weights other than 1."""
+    values = random_instance(groups, types, seed=seed).speedups.values
+    matrix = SpeedupMatrix(
+        np.vstack([values, values[:3]]), normalise=False, require_monotone=False
+    )
+    weights = np.concatenate([np.ones(groups), [0.5, 0.5, 2.0]])
+    return ProblemInstance(matrix, np.full(types, 8.0)).grouped(weights)
+
+
 def _grid():
+    # the churn's commonest full Eq. 10 forms (27 x 75 and 24 x 59), and
+    # Eq. 9 with its equality rows at the first of those shapes
+    for groups in (9, 8):
+        yield f"coop-churn-{groups}x3", CooperativeOEF()._full_form(_churn_shaped(groups, 3, 7))
+    yield "noncoop-churn-9x3", NonCooperativeOEF()._form(_churn_shaped(9, 3, 7))
     for users in (2, 8, 20, 32):
         instance = random_instance(users, 4, seed=users, devices_per_type=6.0)
         yield f"coop-full-{users}", CooperativeOEF()._full_form(instance.grouped())
@@ -335,6 +352,62 @@ class TestProbe:
         with pytest.raises(SolverError) as caught:
             CooperativeOEF(method="cutting-plane").allocate(instance)
         self._assert_names_scipy(caught)
+
+
+def _stub_core(highs):
+    """A module with the real core's enums around the ``_Highs`` class given."""
+    stub = types.ModuleType("stub_core")
+    stub._Highs = highs
+    core = incremental._core
+    stub.MatrixFormat, stub.ObjSense, stub.HighsStatus = (
+        core.MatrixFormat, core.ObjSense, core.HighsStatus
+    )
+    return stub
+
+
+class _ListOnlyHighs:
+    """A ``_Highs`` whose ``passModel`` takes a ``HighsLp`` and nothing else."""
+
+    def passModel(self, lp):
+        return incremental._core.HighsStatus.kOk
+
+    def setOptionValue(self, *_args):
+        pass
+
+    clearModel = run = addRows = deleteRows = getBasis = getSolution = setOptionValue
+
+
+class TestArrayOverloadProbe:
+    """The probe also loads a model by arrays: a core without that overload
+    is refused up front, never met as a ``TypeError`` inside a solve."""
+
+    def test_a_core_without_the_array_overload_is_no_solver(self, monkeypatch):
+        monkeypatch.setattr(incremental, "_core", _stub_core(_ListOnlyHighs))
+        assert not incremental.incremental_available()
+        for solve in (
+            lambda: solve_form(GRID["noncoop-8"]),
+            lambda: CooperativeOEF(method="cutting-plane").allocate(
+                random_instance(30, 4, seed=3)),
+        ):
+            with pytest.raises(SolverError) as caught:
+                solve()
+            assert type(caught.value) is SolverError
+            assert f"scipy {scipy.__version__}" in str(caught.value)
+
+    def test_the_overload_is_probed_once_per_core(self, monkeypatch):
+        loads = []
+
+        class CountingHighs(_ListOnlyHighs):
+            def passModel(self, *args):
+                loads.append(len(args))
+                return incremental._core.HighsStatus.kOk
+
+        monkeypatch.setattr(incremental, "_core", _stub_core(CountingHighs))
+        assert all(incremental.incremental_available() for _ in range(5))
+        assert loads == [15]
+
+    def test_the_installed_core_passes(self):
+        assert incremental.incremental_available()
 
 
 class TestVerdictsOnHandBuiltPrograms:
