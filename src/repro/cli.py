@@ -193,11 +193,11 @@ def cmd_list_middleware(args: argparse.Namespace) -> int:
 
 def cmd_list_scenarios(args: argparse.Namespace) -> int:
     """One table across all three scenario families: cluster, fleet, trace."""
-    from repro.fleet.library import fleet_scenario_rows
+    import repro.fleet.library  # noqa: F401 - registers the fleet family
     from repro.scenarios import scenario_rows
     from repro.traces import trace_rows
 
-    _print_table(scenario_rows() + fleet_scenario_rows() + trace_rows())
+    _print_table(scenario_rows() + scenario_rows("fleet") + trace_rows())
     return 0
 
 

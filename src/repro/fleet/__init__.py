@@ -3,8 +3,9 @@
 The package composes four layers, each usable on its own:
 
 - :mod:`repro.fleet.scenario` — frozen multi-region recipes
-  (:class:`FleetScenario`) that materialise into ordinary per-region
-  event timelines, plus the :class:`QuotaUpdate` event regions consume.
+  (:class:`FleetScenario`, a scenario recipe with a region count) whose
+  builders produce one ordinary region timeline at a time, plus the
+  :class:`QuotaUpdate` event regions consume.
 - :mod:`repro.fleet.rebalance` — the global quota layer: a fluid
   pre-pass that solves the fleet-wide allocation per rebalance window
   with any registered scheduler and audits PE / sharing incentive at
@@ -13,18 +14,16 @@ The package composes four layers, each usable on its own:
   sink and its incremental window aggregator (memory O(regions), not
   O(rounds × tenants)).
 - :mod:`repro.fleet.simulator` — :class:`FleetSimulator`: fans regions
-  out across the execution backends and folds the streamed results into
-  one backend-independent :class:`FleetResult`.
+  out across the execution backends (each worker builds only its own
+  region) and folds the streamed results into one backend-independent
+  :class:`FleetResult`.
 
 Entry points: ``repro fleet-sim`` on the CLI, :func:`run_fleet` in code.
 """
 
 from repro.fleet.library import (
-    FleetInfo,
     fleet_scenario_names,
-    fleet_scenario_rows,
     make_fleet_scenario,
-    register_fleet_scenario,
     resolve_fleet_scenario,
     shard_of,
     sharded_fleet,
@@ -65,7 +64,6 @@ from repro.fleet.simulator import (
 __all__ = [
     "DEFAULT_PROPERTY_CHECK_MAX_TENANTS",
     "FLEETMETRICS_SCHEMA",
-    "FleetInfo",
     "FleetMetricsWriter",
     "FleetResult",
     "FleetScenario",
@@ -82,12 +80,10 @@ __all__ = [
     "build_fleet_region",
     "compute_quota_schedule",
     "fleet_scenario_names",
-    "fleet_scenario_rows",
     "make_fleet_scenario",
     "quantize_weight",
     "read_fleet_metrics",
     "region_scenario",
-    "register_fleet_scenario",
     "resolve_fleet_scenario",
     "run_fleet",
     "shard_of",

@@ -1,33 +1,33 @@
 """Named fleet scenario library: ``spot-preemption``,
 ``hetero-generations``, ``multiregion-failover``, ``tenant-swarm``.
 
-Same contract as the single-cluster library
-(:mod:`repro.scenarios.library`), one level up: each name expands a
-seeded :class:`~repro.fleet.scenario.FleetScenario` recipe into a
-:class:`~repro.fleet.scenario.FleetScript` — one ordinary region
-timeline per region, with all randomness flowing through rngs derived
-from ``(fleet seed, region index)`` so every backend re-materialises
-identical event streams.
+Fleet recipes live in the scenario registry
+(:mod:`repro.scenarios.library`) as its ``"fleet"`` family: they
+register through ``register_scenario(..., default_regions=N)`` and each
+builder is ``builder(fleet, index) -> RegionScript`` — it builds region
+``index`` of a seeded :class:`~repro.fleet.scenario.FleetScenario`
+alone, with all randomness flowing through rngs derived from ``(fleet
+seed, region index)``, so a region worker can build just its own region
+and every backend sees identical event streams.
 
 Any *single-cluster* scenario (library names and ``trace:<name>``
 replays alike) also runs at fleet scale through
-:func:`sharded_fleet`: the base timeline is re-materialised per region
-and tenants are routed to shards by a stable hash of their name —
+:func:`sharded_fleet`: each region materialises the base timeline and
+keeps the tenants routed to it by a stable hash of their name —
 ``repro fleet-sim --scenario steady --regions 8`` just works.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.tenant import Tenant
-from repro.cluster.topology import paper_cluster, scaled_cluster
-from repro.exceptions import ValidationError, unknown_name_message
-from repro.fleet.scenario import FleetScenario, FleetScript, RegionScript
+from repro.cluster.topology import ClusterTopology, paper_cluster, scaled_cluster
+from repro.exceptions import ValidationError
+from repro.fleet.scenario import FleetScenario, RegionScript
 from repro.scenarios.events import (
     DeviceFailure,
     DeviceRepair,
@@ -36,77 +36,20 @@ from repro.scenarios.events import (
     TenantArrival,
     TenantDeparture,
 )
-from repro.scenarios.library import make_scenario
+from repro.scenarios.library import (
+    lookup_recipe,
+    make_scenario,
+    register_scenario,
+    scenario_names,
+)
 from repro.scenarios.scenario import Scenario, ScenarioScript
 from repro.workloads.generator import TenantGenerator
 from repro.workloads.models import PAPER_GPU_TYPES, all_models
 
 
-@dataclass(frozen=True)
-class FleetInfo:
-    """Registry record for one named fleet scenario."""
-
-    name: str
-    builder: object
-    description: str
-    default_rounds: int
-    default_regions: int
-    default_params: Tuple[Tuple[str, object], ...]
-
-    def as_row(self) -> Dict[str, object]:
-        """One printable table row for ``repro list-scenarios``."""
-        params = ", ".join(f"{k}={v}" for k, v in self.default_params)
-        return {
-            "name": self.name,
-            "family": "fleet",
-            "rounds": self.default_rounds,
-            "params": ", ".join(
-                part
-                for part in (f"regions={self.default_regions}", params)
-                if part
-            ),
-            "description": self.description,
-        }
-
-
-_FLEETS: Dict[str, FleetInfo] = {}
-
-
-def register_fleet_scenario(
-    name: str,
-    *,
-    description: str = "",
-    default_rounds: int = 12,
-    default_regions: int = 4,
-    **default_params: object,
-):
-    """Function decorator: register ``builder(fleet) -> FleetScript``."""
-
-    def wrap(builder):
-        if name in _FLEETS:
-            raise ValidationError(f"fleet scenario {name!r} is already registered")
-        _FLEETS[name] = FleetInfo(
-            name=name,
-            builder=builder,
-            description=description
-            or (builder.__doc__ or "").strip().split("\n")[0],
-            default_rounds=default_rounds,
-            default_regions=default_regions,
-            default_params=tuple(sorted(default_params.items())),
-        )
-        return builder
-
-    return wrap
-
-
 def fleet_scenario_names() -> List[str]:
     """Sorted names of every registered fleet scenario."""
-    return sorted(_FLEETS)
-
-
-def fleet_scenario_rows() -> List[Dict[str, object]]:
-    """Printable metadata rows, one per registered fleet scenario."""
-    return [_FLEETS[name].as_row() for name in fleet_scenario_names()]
+    return scenario_names("fleet")
 
 
 def make_fleet_scenario(
@@ -119,20 +62,7 @@ def make_fleet_scenario(
     **params: object,
 ) -> FleetScenario:
     """Build a seeded :class:`FleetScenario` recipe from a registered name."""
-    try:
-        info = _FLEETS[name]
-    except KeyError:
-        raise ValidationError(
-            unknown_name_message("fleet scenario", name, _FLEETS)
-        ) from None
-    merged = dict(info.default_params)
-    unknown = sorted(set(params) - set(merged))
-    if unknown:
-        raise ValidationError(
-            f"unknown {name!r} fleet scenario parameters {unknown}; "
-            f"known: {sorted(merged)}"
-        )
-    merged.update(params)
+    info, merged = lookup_recipe("fleet", name, params)
     return FleetScenario(
         name=name,
         builder=info.builder,
@@ -140,7 +70,7 @@ def make_fleet_scenario(
         num_regions=int(regions) if regions is not None else info.default_regions,
         num_rounds=int(rounds) if rounds is not None else info.default_rounds,
         round_duration=float(round_duration),
-        params=tuple(sorted(merged.items())),
+        params=merged,
         description=info.description,
     )
 
@@ -162,7 +92,7 @@ def resolve_fleet_scenario(
     (:class:`~repro.exceptions.ValidationError` with did-you-mean,
     :class:`~repro.exceptions.UnknownTraceError` for traces).
     """
-    if name in _FLEETS:
+    if name in fleet_scenario_names():
         return make_fleet_scenario(
             name,
             seed=seed,
@@ -182,8 +112,19 @@ def resolve_fleet_scenario(
 
 
 # -- shared building blocks ----------------------------------------------------
-def _region_names(count: int) -> List[str]:
-    return [f"region{index}" for index in range(count)]
+def _region(
+    index: int,
+    topology: ClusterTopology,
+    tenants: Sequence[Tenant],
+    events: Sequence[ScenarioEvent],
+    config_overrides: Tuple[Tuple[str, object], ...] = (),
+) -> RegionScript:
+    """Region ``index``'s timeline under its fleet-wide name."""
+    return RegionScript(
+        f"region{index}",
+        ScenarioScript(topology, tuple(tenants), tuple(events)),
+        config_overrides=config_overrides,
+    )
 
 
 def _region_seed(fleet: FleetScenario, index: int) -> int:
@@ -216,7 +157,7 @@ def _region_population(
 
 
 # -- the library ---------------------------------------------------------------
-@register_fleet_scenario(
+@register_scenario(
     "spot-preemption",
     description="random device batches vanish and return, per region",
     default_rounds=12,
@@ -227,55 +168,50 @@ def _region_population(
     batch_devices=4,
     outage_rounds=2,
 )
-def build_spot_preemption(fleet: FleetScenario) -> FleetScript:
+def build_spot_preemption(fleet: FleetScenario, index: int) -> RegionScript:
     """Spot-market churn: every region loses random device batches."""
-    regions: List[RegionScript] = []
     outage = float(fleet.param("outage_rounds")) * fleet.round_duration
-    for index, name in enumerate(_region_names(fleet.num_regions)):
-        topology = paper_cluster()
-        generator = TenantGenerator(
-            gpu_types=topology.gpu_type_names, seed=_region_seed(fleet, index)
+    topology = paper_cluster()
+    generator = TenantGenerator(
+        gpu_types=topology.gpu_type_names, seed=_region_seed(fleet, index)
+    )
+    rng = np.random.default_rng([fleet.seed, index])
+    tenants = _region_population(
+        fleet,
+        index,
+        generator,
+        int(fleet.param("tenants_per_region")),
+        int(fleet.param("jobs_per_tenant")),
+    )
+    events: List[ScenarioEvent] = []
+    times = np.sort(
+        rng.uniform(
+            0.1 * fleet.horizon,
+            0.7 * fleet.horizon,
+            size=int(fleet.param("preemptions")),
         )
-        rng = np.random.default_rng([fleet.seed, index])
-        tenants = _region_population(
-            fleet,
-            index,
-            generator,
-            int(fleet.param("tenants_per_region")),
-            int(fleet.param("jobs_per_tenant")),
+    ).clip(max=fleet.last_round_start)
+    for preempt_time in times:
+        batch = tuple(
+            int(device_id)
+            for device_id in rng.choice(
+                topology.num_devices,
+                size=min(int(fleet.param("batch_devices")), topology.num_devices),
+                replace=False,
+            )
         )
-        events: List[ScenarioEvent] = []
-        times = np.sort(
-            rng.uniform(
-                0.1 * fleet.horizon,
-                0.7 * fleet.horizon,
-                size=int(fleet.param("preemptions")),
+        events.append(DeviceFailure(time=float(preempt_time), device_ids=batch))
+        events.append(
+            DeviceRepair(
+                time=min(float(preempt_time) + outage, fleet.last_round_start),
+                device_ids=batch,
             )
-        ).clip(max=fleet.last_round_start)
-        for preempt_time in times:
-            batch = tuple(
-                int(device_id)
-                for device_id in rng.choice(
-                    topology.num_devices,
-                    size=min(
-                        int(fleet.param("batch_devices")), topology.num_devices
-                    ),
-                    replace=False,
-                )
-            )
-            events.append(DeviceFailure(time=float(preempt_time), device_ids=batch))
-            events.append(
-                DeviceRepair(
-                    time=min(float(preempt_time) + outage, fleet.last_round_start),
-                    device_ids=batch,
-                )
-            )
-        events.sort(key=lambda event: event.time)
-        regions.append(RegionScript(name, ScenarioScript(topology, tuple(tenants), tuple(events))))
-    return FleetScript(tuple(regions))
+        )
+    events.sort(key=lambda event: event.time)
+    return _region(index, topology, tenants, events)
 
 
-@register_fleet_scenario(
+@register_scenario(
     "hetero-generations",
     description="regions run different GPU generation mixes of one fleet",
     default_rounds=12,
@@ -284,7 +220,7 @@ def build_spot_preemption(fleet: FleetScenario) -> FleetScript:
     tenants_per_region=4,
     jobs_per_tenant=3,
 )
-def build_hetero_generations(fleet: FleetScenario) -> FleetScript:
+def build_hetero_generations(fleet: FleetScenario, index: int) -> RegionScript:
     """Hardware skew: old-only, mixed, and new-only regions coexist."""
     # slowest-first subsets, cycled across regions: a full mix, the two
     # older generations, the two newer, then latest-only
@@ -294,26 +230,23 @@ def build_hetero_generations(fleet: FleetScenario) -> FleetScript:
         list(PAPER_GPU_TYPES[1:]),
         list(PAPER_GPU_TYPES[2:]),
     ]
-    regions: List[RegionScript] = []
-    for index, name in enumerate(_region_names(fleet.num_regions)):
-        topology = scaled_cluster(
-            mixes[index % len(mixes)], int(fleet.param("devices_per_type"))
-        )
-        generator = TenantGenerator(
-            gpu_types=topology.gpu_type_names, seed=_region_seed(fleet, index)
-        )
-        tenants = _region_population(
-            fleet,
-            index,
-            generator,
-            int(fleet.param("tenants_per_region")),
-            int(fleet.param("jobs_per_tenant")),
-        )
-        regions.append(RegionScript(name, ScenarioScript(topology, tuple(tenants), ())))
-    return FleetScript(tuple(regions))
+    topology = scaled_cluster(
+        mixes[index % len(mixes)], int(fleet.param("devices_per_type"))
+    )
+    generator = TenantGenerator(
+        gpu_types=topology.gpu_type_names, seed=_region_seed(fleet, index)
+    )
+    tenants = _region_population(
+        fleet,
+        index,
+        generator,
+        int(fleet.param("tenants_per_region")),
+        int(fleet.param("jobs_per_tenant")),
+    )
+    return _region(index, topology, tenants, [])
 
 
-@register_fleet_scenario(
+@register_scenario(
     "multiregion-failover",
     description="region0 mostly fails mid-run; its tenants re-home elsewhere",
     default_rounds=12,
@@ -323,7 +256,7 @@ def build_hetero_generations(fleet: FleetScenario) -> FleetScript:
     fail_fraction=0.4,
     survivors=4,
 )
-def build_multiregion_failover(fleet: FleetScenario) -> FleetScript:
+def build_multiregion_failover(fleet: FleetScenario, index: int) -> RegionScript:
     """The DR drill: mass device failure plus cross-region tenant migration."""
     fail_time = min(
         float(fleet.param("fail_fraction")) * fleet.horizon,
@@ -332,49 +265,42 @@ def build_multiregion_failover(fleet: FleetScenario) -> FleetScript:
     models = all_models()
     jobs_per_tenant = int(fleet.param("jobs_per_tenant"))
     tenants_per_region = int(fleet.param("tenants_per_region"))
-    regions: List[RegionScript] = []
-    for index, name in enumerate(_region_names(fleet.num_regions)):
-        topology = paper_cluster()
-        generator = TenantGenerator(
-            gpu_types=topology.gpu_type_names, seed=_region_seed(fleet, index)
-        )
-        tenants = _region_population(
-            fleet, index, generator, tenants_per_region, jobs_per_tenant
-        )
-        events: List[ScenarioEvent] = []
-        if index == 0:
-            # a handful of survivors keeps the regional scheduler's
-            # problem well-posed (a zero-capacity cluster has no shares)
-            survivors = max(1, int(fleet.param("survivors")))
-            failed = tuple(range(max(0, topology.num_devices - survivors)))
-            events.append(DeviceFailure(time=fail_time, device_ids=failed))
-            for tenant in tenants:
-                events.append(
-                    TenantDeparture(time=fail_time, tenant_name=tenant.name)
-                )
-        elif fleet.num_regions > 1:
-            # region0's displaced tenants re-home round-robin over the
-            # surviving regions, keeping their model mix (fresh jobs:
-            # checkpoint state does not survive a region loss here)
-            for offset in range(tenants_per_region):
-                if offset % (fleet.num_regions - 1) + 1 != index:
-                    continue
-                refugee = generator.make_tenant(
-                    name=f"r0t{offset + 1}-failover",
-                    model_name=models[offset % len(models)],
-                    num_jobs=jobs_per_tenant,
-                    duration_on_slowest=0.4 * fleet.horizon,
-                    submit_time=fail_time,
-                )
-                events.append(TenantArrival(time=fail_time, tenant=refugee))
-        events.sort(key=lambda event: event.time)
-        regions.append(
-            RegionScript(name, ScenarioScript(topology, tuple(tenants), tuple(events)))
-        )
-    return FleetScript(tuple(regions))
+    topology = paper_cluster()
+    generator = TenantGenerator(
+        gpu_types=topology.gpu_type_names, seed=_region_seed(fleet, index)
+    )
+    tenants = _region_population(
+        fleet, index, generator, tenants_per_region, jobs_per_tenant
+    )
+    events: List[ScenarioEvent] = []
+    if index == 0:
+        # a handful of survivors keeps the regional scheduler's
+        # problem well-posed (a zero-capacity cluster has no shares)
+        survivors = max(1, int(fleet.param("survivors")))
+        failed = tuple(range(max(0, topology.num_devices - survivors)))
+        events.append(DeviceFailure(time=fail_time, device_ids=failed))
+        for tenant in tenants:
+            events.append(TenantDeparture(time=fail_time, tenant_name=tenant.name))
+    elif fleet.num_regions > 1:
+        # region0's displaced tenants re-home round-robin over the
+        # surviving regions, keeping their model mix (fresh jobs:
+        # checkpoint state does not survive a region loss here)
+        for offset in range(tenants_per_region):
+            if offset % (fleet.num_regions - 1) + 1 != index:
+                continue
+            refugee = generator.make_tenant(
+                name=f"r0t{offset + 1}-failover",
+                model_name=models[offset % len(models)],
+                num_jobs=jobs_per_tenant,
+                duration_on_slowest=0.4 * fleet.horizon,
+                submit_time=fail_time,
+            )
+            events.append(TenantArrival(time=fail_time, tenant=refugee))
+    events.sort(key=lambda event: event.time)
+    return _region(index, topology, tenants, events)
 
 
-@register_fleet_scenario(
+@register_scenario(
     "tenant-swarm",
     description="large churning population with an adversarial misreporting slice",
     default_rounds=12,
@@ -385,71 +311,59 @@ def build_multiregion_failover(fleet: FleetScenario) -> FleetScript:
     adversarial_fraction=0.25,
     misreport_factor=1.5,
 )
-def build_tenant_swarm(fleet: FleetScenario) -> FleetScript:
+def build_tenant_swarm(fleet: FleetScenario, index: int) -> RegionScript:
     """Population pressure: many small tenants, some lying about speedups."""
-    regions: List[RegionScript] = []
     churn_fraction = min(1.0, max(0.0, float(fleet.param("churn_fraction"))))
     adversarial_fraction = min(
         1.0, max(0.0, float(fleet.param("adversarial_fraction")))
     )
     factor = max(1.0, float(fleet.param("misreport_factor")))
-    for index, name in enumerate(_region_names(fleet.num_regions)):
-        topology = paper_cluster()
-        generator = TenantGenerator(
-            gpu_types=topology.gpu_type_names, seed=_region_seed(fleet, index)
+    topology = paper_cluster()
+    generator = TenantGenerator(
+        gpu_types=topology.gpu_type_names, seed=_region_seed(fleet, index)
+    )
+    rng = np.random.default_rng([fleet.seed, index, 1])
+    count = int(fleet.param("tenants_per_region"))
+    tenants = _region_population(
+        fleet,
+        index,
+        generator,
+        count,
+        int(fleet.param("jobs_per_tenant")),
+        duration_fraction=0.45,
+    )
+    resident_count = count - int(round(churn_fraction * count))
+    events: List[ScenarioEvent] = []
+    for tenant in tenants[resident_count:]:
+        arrival = min(
+            float(rng.uniform(0.05, 0.5)) * fleet.horizon,
+            fleet.last_round_start,
         )
-        rng = np.random.default_rng([fleet.seed, index, 1])
-        count = int(fleet.param("tenants_per_region"))
-        tenants = _region_population(
-            fleet,
-            index,
-            generator,
-            count,
-            int(fleet.param("jobs_per_tenant")),
-            duration_fraction=0.45,
-        )
-        resident_count = count - int(round(churn_fraction * count))
-        residents = tenants[:resident_count]
-        events: List[ScenarioEvent] = []
-        for tenant in tenants[resident_count:]:
-            arrival = min(
-                float(rng.uniform(0.05, 0.5)) * fleet.horizon,
-                fleet.last_round_start,
-            )
-            departure = min(
-                arrival + 0.4 * fleet.horizon, fleet.last_round_start
-            )
-            rehomed = Tenant(
-                name=tenant.name, weight=tenant.weight, arrival_time=arrival
-            )
-            for job in tenant.jobs:
-                job.submit_time = arrival
-                rehomed.add_job(job)
-            events.append(TenantArrival(time=arrival, tenant=rehomed))
-            events.append(
-                TenantDeparture(time=departure, tenant_name=tenant.name)
-            )
-        events.sort(key=lambda event: event.time)
-        # the first adversarial_fraction of tenants inflate their reported
-        # speedups on faster GPU types (the paper's Fig. 4b cheat)
-        num_types = len(topology.gpu_type_names)
-        cheat = tuple(
-            round(factor ** (j / max(1, num_types - 1)), 9)
-            for j in range(num_types)
-        )
-        liars = tuple(
-            (tenant.name, cheat)
-            for tenant in tenants[: int(round(adversarial_fraction * count))]
-        )
-        overrides = (("misreports", liars),) if liars else ()
-        regions.append(
-            RegionScript(
-                name,
-                ScenarioScript(topology, tuple(residents), tuple(events)),
-                config_overrides=overrides,
-            )
-        )
-    return FleetScript(tuple(regions))
+        departure = min(arrival + 0.4 * fleet.horizon, fleet.last_round_start)
+        rehomed = Tenant(name=tenant.name, weight=tenant.weight, arrival_time=arrival)
+        for job in tenant.jobs:
+            job.submit_time = arrival
+            rehomed.add_job(job)
+        events.append(TenantArrival(time=arrival, tenant=rehomed))
+        events.append(TenantDeparture(time=departure, tenant_name=tenant.name))
+    events.sort(key=lambda event: event.time)
+    # the first adversarial_fraction of tenants inflate their reported
+    # speedups on faster GPU types (the paper's Fig. 4b cheat)
+    num_types = len(topology.gpu_type_names)
+    cheat = tuple(
+        round(factor ** (j / max(1, num_types - 1)), 9) for j in range(num_types)
+    )
+    liars = tuple(
+        (tenant.name, cheat)
+        for tenant in tenants[: int(round(adversarial_fraction * count))]
+    )
+    return _region(
+        index,
+        topology,
+        tenants[:resident_count],
+        events,
+        config_overrides=(("misreports", dict(liars)),) if liars else (),
+    )
 
 
 # -- sharding arbitrary single-cluster scenarios -------------------------------
@@ -464,36 +378,31 @@ def _event_shard(event: ScenarioEvent, num_regions: int) -> int:
     if isinstance(event, (TenantDeparture, JobArrival)):
         return shard_of(event.tenant_name, num_regions)
     # device events (and anything tenant-less) route by content hash so
-    # every re-materialisation sends them to the same replica
+    # every region build sends them to the same replica
     return zlib.crc32(repr(event.signature()).encode("utf-8")) % num_regions
 
 
-def build_sharded_fleet(fleet: FleetScenario) -> FleetScript:
-    """Builder: re-materialise the base scenario per region, keep one shard.
+def build_sharded_fleet(fleet: FleetScenario, index: int) -> RegionScript:
+    """Builder: materialise the base scenario, keep region ``index``'s shard.
 
-    Each region re-runs the (deterministic) base builder and keeps only
-    the tenants hashed to its shard, over a full replica of the base
-    topology — the fleet models N copies of the cluster serving a
+    Each region runs the (deterministic) base builder once and keeps
+    only the tenants hashed to its shard, over a full replica of the
+    base topology — the fleet models N copies of the cluster serving a
     partitioned population.
     """
     base: Scenario = fleet.param("base")  # type: ignore[assignment]
-    regions: List[RegionScript] = []
-    for index, name in enumerate(_region_names(fleet.num_regions)):
-        script = base.materialize()
-        initial = tuple(
-            tenant
-            for tenant in script.initial_tenants
-            if shard_of(tenant.name, fleet.num_regions) == index
-        )
-        events = tuple(
-            event
-            for event in script.events
-            if _event_shard(event, fleet.num_regions) == index
-        )
-        regions.append(
-            RegionScript(name, ScenarioScript(script.topology, initial, events))
-        )
-    return FleetScript(tuple(regions))
+    script = base.materialize()
+    initial = [
+        tenant
+        for tenant in script.initial_tenants
+        if shard_of(tenant.name, fleet.num_regions) == index
+    ]
+    events = [
+        event
+        for event in script.events
+        if _event_shard(event, fleet.num_regions) == index
+    ]
+    return _region(index, script.topology, initial, events)
 
 
 def sharded_fleet(base: Scenario, num_regions: int) -> FleetScenario:
@@ -513,12 +422,9 @@ def sharded_fleet(base: Scenario, num_regions: int) -> FleetScenario:
 
 
 __all__ = [
-    "FleetInfo",
     "build_sharded_fleet",
     "fleet_scenario_names",
-    "fleet_scenario_rows",
     "make_fleet_scenario",
-    "register_fleet_scenario",
     "resolve_fleet_scenario",
     "shard_of",
     "sharded_fleet",

@@ -1,13 +1,13 @@
 """Fleet recipes: N per-region scenario timelines under one seed.
 
-A :class:`FleetScenario` is to a fleet what
-:class:`~repro.scenarios.scenario.Scenario` is to one cluster: a
-frozen, picklable recipe whose :meth:`FleetScenario.materialize`
-expands into a :class:`FleetScript` — one
-:class:`~repro.scenarios.scenario.ScenarioScript` per region, each a
-fully ordinary single-cluster timeline the existing simulator runs
-unchanged.  Determinism contract carries over: same name + seed +
-params ⇒ identical per-region event streams, regardless of which
+A :class:`FleetScenario` is a :class:`~repro.scenarios.scenario.Scenario`
+with a region count: a frozen, picklable recipe whose builder expands
+one region index into a :class:`RegionScript` — an ordinary
+single-cluster :class:`~repro.scenarios.scenario.ScenarioScript` the
+existing simulator runs unchanged — and whose
+:meth:`FleetScenario.materialize` collects every region into a
+:class:`FleetScript`.  Determinism contract carries over: same name +
+seed + params ⇒ identical per-region event streams, regardless of which
 execution backend later fans the regions out.
 
 The global quota layer speaks to regions through one extra event
@@ -16,15 +16,16 @@ resets tenant weights inside the region, which the warm-start engine
 already treats as a cold-solve trigger (the scheduler's decision key
 covers weights).  :func:`build_fleet_region` is the module-level
 adapter that turns ``(fleet recipe, region index, quota schedule)``
-into a plain :class:`~repro.scenarios.scenario.Scenario` — region
-workers rebuild their timeline from the recipe inside the worker
-process, so nothing unpicklable ever crosses a process boundary.
+into a plain :class:`~repro.scenarios.scenario.Scenario` — a region
+worker builds its own region, and only that one, from the recipe
+inside the worker process, so nothing unpicklable ever crosses a
+process boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Tuple
 
 from repro.exceptions import ValidationError
 from repro.scenarios.events import ScenarioEvent
@@ -68,9 +69,10 @@ class RegionScript:
 
     name: str
     script: ScenarioScript
-    #: Per-region ``SimulationConfig`` overrides (e.g. ``misreports``
-    #: for adversarial tenants in ``tenant-swarm``), applied on top of
-    #: the fleet-level horizon settings.
+    #: Per-region ``SimulationConfig`` overrides (e.g. ``misreports``,
+    #: tenant name -> reported-speedup factors, for adversarial tenants
+    #: in ``tenant-swarm``), applied on top of the fleet-level horizon
+    #: settings.
     config_overrides: Tuple[Tuple[str, object], ...] = ()
 
 
@@ -95,74 +97,44 @@ class FleetScript:
 
 
 @dataclass(frozen=True)
-class FleetScenario:
-    """A named, seeded multi-region recipe.
+class FleetScenario(Scenario):
+    """A named, seeded multi-region recipe: a :class:`Scenario` with regions.
 
     ``builder`` must be a module-level callable
-    ``builder(fleet) -> FleetScript`` and a *pure function* of the
-    recipe — region workers re-materialise the fleet inside worker
-    processes and must reconstruct byte-identical timelines.
+    ``builder(fleet, index) -> RegionScript`` that builds region
+    ``index`` alone and is a *pure function* of the recipe: each region
+    worker calls it for its own region only, inside the worker process,
+    and must reconstruct the byte-identical timeline the parent's
+    pre-pass saw.
     """
 
-    name: str
-    builder: Callable[["FleetScenario"], FleetScript]
-    seed: int = 0
-    num_regions: int = 4
     num_rounds: int = 12
-    round_duration: float = 300.0
-    params: Tuple[Tuple[str, object], ...] = ()
-    description: str = ""
+    num_regions: int = 4
 
     def __post_init__(self) -> None:
         if self.num_regions < 1:
             raise ValidationError("num_regions must be >= 1")
-        if self.num_rounds < 1:
-            raise ValidationError("num_rounds must be >= 1")
-        if self.round_duration <= 0:
-            raise ValidationError("round_duration must be positive")
+        super().__post_init__()
 
-    @property
-    def horizon(self) -> float:
-        return self.num_rounds * self.round_duration
-
-    @property
-    def last_round_start(self) -> float:
-        return (self.num_rounds - 1) * self.round_duration
-
-    @property
-    def options(self) -> Dict[str, object]:
-        return dict(self.params)
-
-    def param(self, key: str, default: object = None) -> object:
-        return self.options.get(key, default)
-
-    def with_seed(self, seed: int) -> "FleetScenario":
-        return replace(self, seed=int(seed))
-
-    def materialize(self) -> FleetScript:
+    def materialize(self) -> FleetScript:  # type: ignore[override]
         """Expand the recipe into fresh, single-use region timelines."""
-        script = self.builder(self)
-        if len(script.regions) != self.num_regions:
-            raise ValidationError(
-                f"fleet builder for {self.name!r} produced "
-                f"{len(script.regions)} regions, expected {self.num_regions}"
-            )
-        return script
+        return FleetScript(
+            tuple(self.builder(self, index) for index in range(self.num_regions))
+        )
 
 
 def build_fleet_region(scenario: Scenario) -> ScenarioScript:
     """Builder for one region's :class:`Scenario` adapter.
 
-    Re-materialises the whole fleet recipe (cheap: event generation
-    only), picks this worker's region, and splices the precomputed
-    quota schedule into the region's event stream.  The stable sort
-    keeps same-instant base events (arrivals included) ahead of the
+    Builds only this worker's region from the fleet recipe and splices
+    the precomputed quota schedule into its event stream.  The stable
+    sort keeps same-instant base events (arrivals included) ahead of the
     quota update, so a window-boundary arrival is re-weighted by that
     same boundary's quota.
     """
     fleet: FleetScenario = scenario.param("fleet_scenario")  # type: ignore[assignment]
     index = int(scenario.param("region_index"))  # type: ignore[arg-type]
-    region = fleet.materialize().regions[index]
+    region = fleet.builder(fleet, index)
     events = list(region.script.events)
     for time, weights in scenario.param("quota", ()):  # type: ignore[union-attr]
         events.append(QuotaUpdate(time=float(time), weights=tuple(weights)))

@@ -17,6 +17,11 @@ streaming every distilled round into the shared
 :class:`RegionSummary` per region — peak RSS is O(regions), never
 O(rounds × tenants).
 
+Each region worker builds its own region, and only that one, from the
+recipe (:func:`~repro.fleet.scenario.build_fleet_region`); the parent
+materialises the whole fleet once per run, for the pre-pass and the
+region configs.
+
 Determinism contract: the fleet fingerprint folds each region's
 streaming result fingerprint in *sorted region order*, so serial,
 thread and process runs of the same recipe are bit-identical — the
@@ -30,8 +35,6 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.exceptions import SimulationError, ValidationError
 from repro.fleet.library import resolve_fleet_scenario
@@ -91,21 +94,6 @@ class RegionSummary:
         }
 
 
-def _decode_overrides(
-    overrides: Tuple[Tuple[str, object], ...]
-) -> Dict[str, object]:
-    """Region config overrides travel as nested tuples (frozen recipes);
-    ``misreports`` must arrive at the simulator as name -> factor array."""
-    decoded: Dict[str, object] = dict(overrides)
-    misreports = decoded.get("misreports")
-    if isinstance(misreports, (tuple, list)):
-        decoded["misreports"] = {
-            str(name): np.asarray(factors, dtype=float)
-            for name, factors in misreports
-        }
-    return decoded
-
-
 def _run_region(task: _RegionTask) -> RegionSummary:
     """Module-level worker entry: replay one region, stream its rounds."""
     sink = None
@@ -121,7 +109,7 @@ def _run_region(task: _RegionTask) -> RegionSummary:
     runner = ScenarioRunner(
         task.scenario,  # type: ignore[arg-type]
         scheduler=task.scheduler,
-        config_overrides=_decode_overrides(task.config_overrides),
+        config_overrides=dict(task.config_overrides),
         warm=task.warm,
         record_rounds=False,
         round_sink=sink,
@@ -129,7 +117,6 @@ def _run_region(task: _RegionTask) -> RegionSummary:
     started = time.perf_counter()
     result = runner.run()
     wall = time.perf_counter() - started
-    aggregates = result.aggregates
     return RegionSummary(
         region=task.region,
         fingerprint=result.fingerprint(),
@@ -139,8 +126,8 @@ def _run_region(task: _RegionTask) -> RegionSummary:
         mean_utilization=result.mean_utilization,
         mean_jain=result.mean_jain,
         mean_envy=result.mean_envy,
-        mean_throughput=aggregates.mean_throughput if aggregates else 0.0,
-        starved_jobs=aggregates.starved_jobs if aggregates else 0,
+        mean_throughput=result.aggregates.mean_throughput,
+        starved_jobs=result.aggregates.starved_jobs,
         wall_seconds=wall,
     )
 

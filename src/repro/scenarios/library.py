@@ -54,18 +54,25 @@ class ScenarioInfo:
     description: str
     default_rounds: int
     default_params: Tuple[Tuple[str, object], ...]
-    #: Scenario family shown by ``repro list-scenarios``: single-cluster
-    #: scenarios are ``"cluster"``; the fleet registry contributes
-    #: ``"fleet"`` rows and the trace store ``"trace"`` rows.
-    family: str = "cluster"
+    #: Region count of a fleet recipe; ``None`` for a single-cluster one.
+    default_regions: Optional[int] = None
+
+    @property
+    def family(self) -> str:
+        """``"fleet"`` for a recipe with regions, ``"cluster"`` otherwise
+        (the trace store adds ``"trace"`` rows of its own)."""
+        return "cluster" if self.default_regions is None else "fleet"
 
     def as_row(self) -> Dict[str, object]:
         """One printable table row for ``repro list-scenarios``."""
+        params = [f"{k}={v}" for k, v in self.default_params]
+        if self.default_regions is not None:
+            params.insert(0, f"regions={self.default_regions}")
         return {
             "name": self.name,
             "family": self.family,
             "rounds": self.default_rounds,
-            "params": ", ".join(f"{k}={v}" for k, v in self.default_params) or "-",
+            "params": ", ".join(params) or "-",
             "description": self.description,
         }
 
@@ -78,9 +85,16 @@ def register_scenario(
     *,
     description: str = "",
     default_rounds: int = 24,
+    default_regions: Optional[int] = None,
     **default_params: object,
 ):
-    """Function decorator: register ``builder(scenario) -> ScenarioScript``."""
+    """Function decorator: register a recipe builder under ``name``.
+
+    A single-cluster builder is ``builder(scenario) -> ScenarioScript``;
+    with ``default_regions`` set the recipe is a fleet and its builder is
+    ``builder(fleet, index) -> RegionScript`` (see
+    :mod:`repro.fleet.library`).  Both families share one name space.
+    """
 
     def wrap(builder):
         if name in _SCENARIOS:
@@ -91,20 +105,47 @@ def register_scenario(
             description=description or (builder.__doc__ or "").strip().split("\n")[0],
             default_rounds=default_rounds,
             default_params=tuple(sorted(default_params.items())),
+            default_regions=default_regions,
         )
         return builder
 
     return wrap
 
 
-def scenario_names() -> List[str]:
-    """Sorted names of every registered scenario."""
-    return sorted(_SCENARIOS)
+def scenario_names(family: str = "cluster") -> List[str]:
+    """Sorted names of every registered ``family`` recipe."""
+    return sorted(name for name, info in _SCENARIOS.items() if info.family == family)
 
 
-def scenario_rows() -> List[Dict[str, object]]:
-    """Printable metadata rows, one per registered scenario."""
-    return [_SCENARIOS[name].as_row() for name in scenario_names()]
+def scenario_rows(family: str = "cluster") -> List[Dict[str, object]]:
+    """Printable metadata rows, one per registered ``family`` recipe."""
+    return [_SCENARIOS[name].as_row() for name in scenario_names(family)]
+
+
+def lookup_recipe(
+    family: str, name: str, params: Dict[str, object]
+) -> Tuple[ScenarioInfo, Tuple[Tuple[str, object], ...]]:
+    """The registered ``family`` recipe ``name`` and its merged knobs.
+
+    ``params`` override the recipe's registered shape knobs; unknown
+    names (with a did-you-mean over the family) and unknown knobs are
+    rejected so typos fail loudly rather than silently running the
+    default shape.
+    """
+    kind = "scenario" if family == "cluster" else f"{family} scenario"
+    names = scenario_names(family)
+    if name not in names:
+        raise ValidationError(unknown_name_message(kind, name, names))
+    info = _SCENARIOS[name]
+    merged = dict(info.default_params)
+    unknown = sorted(set(params) - set(merged))
+    if unknown:
+        raise ValidationError(
+            f"unknown {name!r} {kind} parameters {unknown}; "
+            f"known: {sorted(merged)}"
+        )
+    merged.update(params)
+    return info, tuple(sorted(merged.items()))
 
 
 def make_scenario(
@@ -117,9 +158,9 @@ def make_scenario(
 ) -> Scenario:
     """Build a seeded :class:`Scenario` recipe from a registered name.
 
-    ``params`` override the scenario's registered shape knobs; unknown
-    knobs are rejected so typos fail loudly rather than silently running
-    the default shape.
+    ``params`` override the scenario's shape knobs (see
+    :func:`lookup_recipe`); fleet recipes are not found here, only by
+    :func:`repro.fleet.library.make_fleet_scenario`.
 
     ``trace:<name>`` names resolve through the trace store
     (:mod:`repro.traces`) instead of the registry: they replay an
@@ -136,27 +177,14 @@ def make_scenario(
             round_duration=round_duration,
             **params,  # type: ignore[arg-type]
         )
-    try:
-        info = _SCENARIOS[name]
-    except KeyError:
-        raise ValidationError(
-            unknown_name_message("scenario", name, _SCENARIOS)
-        ) from None
-    merged = dict(info.default_params)
-    unknown = sorted(set(params) - set(merged))
-    if unknown:
-        raise ValidationError(
-            f"unknown {name!r} scenario parameters {unknown}; "
-            f"known: {sorted(merged)}"
-        )
-    merged.update(params)
+    info, merged = lookup_recipe("cluster", name, params)
     return Scenario(
         name=name,
         builder=info.builder,
         seed=int(seed),
         num_rounds=int(rounds) if rounds is not None else info.default_rounds,
         round_duration=float(round_duration),
-        params=tuple(sorted(merged.items())),
+        params=merged,
         description=info.description,
     )
 
@@ -395,6 +423,7 @@ def build_philly_replay(scenario: Scenario) -> ScenarioScript:
 
 __all__ = [
     "ScenarioInfo",
+    "lookup_recipe",
     "make_scenario",
     "register_scenario",
     "scenario_names",

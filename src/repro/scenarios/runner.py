@@ -199,6 +199,12 @@ class ScenarioResult:
     num_rounds: int
     num_events: int
     metrics: MetricsCollector
+    #: Running aggregates maintained during the replay; the summary
+    #: properties read these, so they survive ``record_rounds=False``.
+    aggregates: ScenarioAggregates
+    #: Fingerprint computed incrementally during the run (sink mode has
+    #: nothing to recompute it from); :meth:`fingerprint` returns it.
+    digest: str
     records: List[ScenarioRoundRecord] = field(default_factory=list)
     #: Warm-start engine split for this run (0/0 under ``warm=False``
     #: never-cached schedulers).  Excluded from :meth:`summary_row` and
@@ -206,14 +212,6 @@ class ScenarioResult:
     #: (``warm_hits`` counts decision-memo hits; bench/worker.py reads the name.)
     warm_hits: int = 0
     cold_solves: int = 0
-    #: Running aggregates maintained during the replay; the summary
-    #: properties read these, so they survive ``record_rounds=False``.
-    aggregates: Optional[ScenarioAggregates] = None
-    #: Fingerprint precomputed incrementally during the run (sink mode
-    #: has nothing to recompute it from).  ``None`` on hand-built
-    #: results; :meth:`fingerprint` then derives it from the stored
-    #: records and metrics.
-    digest: Optional[str] = None
 
     # -- aggregates -----------------------------------------------------------
     @property
@@ -230,30 +228,19 @@ class ScenarioResult:
 
     @property
     def mean_utilization(self) -> float:
-        if self.aggregates is not None:
-            return self.aggregates.mean_utilization
-        values = [r.utilization for r in self.records if r.active_tenants]
-        return float(np.mean(values)) if values else 0.0
+        return self.aggregates.mean_utilization
 
     @property
     def mean_jain(self) -> float:
-        if self.aggregates is not None:
-            return self.aggregates.mean_jain
-        values = [r.jain for r in self.records if r.active_tenants]
-        return float(np.mean(values)) if values else 1.0
+        return self.aggregates.mean_jain
 
     @property
     def mean_envy(self) -> float:
-        if self.aggregates is not None:
-            return self.aggregates.mean_envy
-        values = [r.envy for r in self.records if r.active_tenants]
-        return float(np.mean(values)) if values else 0.0
+        return self.aggregates.mean_envy
 
     @property
     def total_starvation(self) -> int:
-        if self.aggregates is not None:
-            return self.aggregates.starved_jobs
-        return sum(r.starved_jobs for r in self.records)
+        return self.aggregates.starved_jobs
 
     def fingerprint(self) -> str:
         """SHA-256 over every scheduling outcome: the differential probe.
@@ -273,21 +260,7 @@ class ScenarioResult:
         recipe.  Fingerprints are only ever *compared* between runs,
         never parsed or pinned as constants.
         """
-        if self.digest is not None:
-            return self.digest
-        stream = _FingerprintStream()
-        for record, round_metrics in zip(self.records, self.metrics.rounds):
-            stream.observe_round(record, round_metrics)
-        return stream.finalize(
-            self.metrics.completions,
-            (
-                self.scenario_name,
-                self.scheduler,
-                self.seed,
-                self.num_rounds,
-                self.num_events,
-            ),
-        )
+        return self.digest
 
     def summary_row(self) -> Dict[str, object]:
         """One comparison-table row; also the determinism probe for sweeps."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.exceptions import ValidationError
@@ -17,7 +19,14 @@ from repro.fleet import (
     shard_of,
     sharded_fleet,
 )
-from repro.scenarios import ScenarioRunner, make_scenario
+from repro.scenarios import (
+    ScenarioRunner,
+    library,
+    make_scenario,
+    scenario_names,
+    scenario_rows,
+)
+from repro.scenarios.library import register_scenario
 from repro.scenarios.events import (
     DeviceFailure,
     DeviceRepair,
@@ -356,3 +365,80 @@ class TestFleetSimulator:
     def test_rejects_non_fleet_scenarios(self):
         with pytest.raises(ValidationError, match="FleetScenario"):
             FleetSimulator(make_scenario("steady"))
+
+
+class TestOneRegistry:
+    """Fleet recipes are the scenario registry's ``"fleet"`` family."""
+
+    def test_one_name_cannot_be_both_families(self, monkeypatch):
+        monkeypatch.setattr(library, "_SCENARIOS", dict(library._SCENARIOS))
+
+        @register_scenario("dual", default_rounds=6, default_regions=2)
+        def build_dual(fleet, index):  # pragma: no cover - never built
+            raise AssertionError
+
+        assert "dual" in fleet_scenario_names()
+        assert "dual" not in scenario_names()
+        with pytest.raises(ValidationError, match="'dual' is already registered"):
+            register_scenario("dual")(build_dual)
+
+    def test_cluster_lookup_never_finds_a_fleet(self):
+        with pytest.raises(ValidationError) as raised:
+            make_scenario("spot-preemption")
+        assert str(raised.value) == (
+            "unknown scenario 'spot-preemption'; choose from "
+            "['bursty', 'diurnal', 'philly-replay', 'steady', 'tenant-churn']"
+        )
+
+    def test_fleet_lookup_never_finds_a_cluster_scenario(self):
+        with pytest.raises(ValidationError) as raised:
+            make_fleet_scenario("steady")
+        assert str(raised.value) == (
+            "unknown fleet scenario 'steady'; choose from ['hetero-generations', "
+            "'multiregion-failover', 'spot-preemption', 'tenant-swarm']"
+        )
+
+    def test_did_you_mean_stays_inside_the_family(self):
+        with pytest.raises(ValidationError, match="did you mean 'tenant-swarm'"):
+            make_fleet_scenario("tenant-swarn")
+        with pytest.raises(ValidationError, match="did you mean 'tenant-churn'"):
+            make_scenario("tenant-swarn")
+        with pytest.raises(
+            ValidationError, match="unknown 'tenant-swarm' fleet scenario parameters"
+        ):
+            make_fleet_scenario("tenant-swarm", num_bursts=2)
+
+    def test_fleet_rows_lead_with_the_region_count(self):
+        rows = {row["name"]: row for row in scenario_rows("fleet")}
+        assert set(rows) == set(fleet_scenario_names())
+        assert all(row["family"] == "fleet" for row in rows.values())
+        assert rows["spot-preemption"]["params"].startswith("regions=4, ")
+
+
+class TestRegionBuilds:
+    """The parent builds every region once; a worker builds only its own."""
+
+    def test_serial_run_builds_each_region_twice(self):
+        fleet = make_fleet_scenario("spot-preemption", regions=3, rounds=6)
+        calls = []
+
+        def counting(recipe, index):
+            calls.append(index)
+            return fleet.builder(recipe, index)
+
+        counted = FleetSimulator(replace(fleet, builder=counting), backend="serial")
+        fingerprint = counted.run().fingerprint()
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+        assert fingerprint == FleetSimulator(fleet, backend="serial").run().fingerprint()
+
+    def test_sharded_fleet_materialises_its_base_once_per_region(self):
+        base = make_scenario("tenant-churn", rounds=6)
+        calls = []
+
+        def counting(scenario):
+            calls.append(scenario.name)
+            return base.builder(scenario)
+
+        fleet = sharded_fleet(replace(base, builder=counting), 3)
+        FleetSimulator(fleet, backend="serial").run()
+        assert len(calls) == 2 * 3

@@ -117,7 +117,7 @@ class TestWorkerFailure:
         warm = parallel._shared_pool
         module = types.ModuleType("_fleet_injected_recipes")
         module.base = _fleet().builder
-        exec("def build(fleet):\n    return base(fleet)\n", module.__dict__)
+        exec("def build(fleet, index):\n    return base(fleet, index)\n", module.__dict__)
         monkeypatch.setitem(sys.modules, module.__name__, module)
         fleet = replace(_fleet(), builder=module.build)
         assert _fingerprint(fleet=fleet) == _fingerprint(fleet=fleet, backend="serial")

@@ -180,6 +180,15 @@ grep -q "fairness violations: 0" "$TMP/fleet_w_default.txt"
 diff <(grep "fleet fingerprint:" "$TMP/fleet_w_serial.txt") \
     <(grep "fleet fingerprint:" "$TMP/fleet_w_default.txt")
 
+echo "== repro fleet-sim (sharded cluster scenario: serial vs process) =="
+# each process worker builds its own shard from the base scenario
+"$PY" -m repro fleet-sim --scenario tenant-churn --regions 3 --rounds 6 \
+    --backend serial | tee "$TMP/fleet_shard_serial.txt"
+timeout 60 "$PY" -m repro fleet-sim --scenario tenant-churn --regions 3 --rounds 6 \
+    --backend process | tee "$TMP/fleet_shard_process.txt"
+diff <(grep "fleet fingerprint:" "$TMP/fleet_shard_serial.txt") \
+    <(grep "fleet fingerprint:" "$TMP/fleet_shard_process.txt")
+
 echo "== repro ingest-trace -> trace:<name> replay =="
 printf 'jobid,user,submit_time,run_time,gpus\nj1,vc-a,0,3600,1\nj2,vc-b,600,1800,2\nj3,vc-a,1200,3600,1\n' \
     > "$TMP/jobs.csv"
