@@ -17,155 +17,71 @@ Allocators self-register metadata (canonical name, aliases, family, audit
 policy, capability flags) via :func:`repro.registry.register_scheduler`;
 ``repro list-schedulers`` on the command line renders the registry.
 
-The public API re-exports the pieces a downstream user needs:
-
-* gateway -- :class:`Gateway` (``solve`` / ``solve_batch`` / ``audit`` /
-  ``compare`` / ``frontier``), :class:`Request`, :class:`Response`,
-  :class:`CacheStats`;
-* registry -- :func:`create_scheduler`, :func:`scheduler_names`,
-  :func:`scheduler_info`, :func:`register_scheduler`,
-  :class:`SchedulerInfo`;
-* data model -- :class:`SpeedupMatrix`, :class:`ProblemInstance`,
-  :class:`Allocation`;
-* allocators -- :class:`NonCooperativeOEF`, :class:`CooperativeOEF`,
-  :class:`WeightedOEF` and the baselines (:class:`MaxMinFairness`,
-  :class:`GandivaFair`, :class:`Gavel`);
-* fairness auditors -- :func:`audit_allocator` and the individual property
-  checkers, plus the continuous-auditing layer (:class:`AuditMiddleware`,
-  :class:`AuditWorker`, :class:`AuditLedger`, :func:`replay_audit`; see
-  :mod:`repro.auditor` and ``docs/auditing.md``);
-* dynamic workloads -- :class:`Scenario`, :class:`ScenarioRunner`,
-  :class:`ScenarioResult`, :func:`make_scenario`, :func:`scenario_names`,
-  :func:`run_scenario`, :func:`scenario_sweep` (see :mod:`repro.scenarios`);
-* the cluster runtime lives in :mod:`repro.cluster`, workload generators in
-  :mod:`repro.workloads`, and paper experiments in :mod:`repro.experiments`.
+The public names below are listed once, under their home module, in
+``_EXPORTS``; ``__all__`` is derived from it.  ``import repro`` loads no
+submodule: the first use of a name imports its home module (PEP 562), so
+``repro.Gateway`` costs the gateway stack and ``python -m repro --help``
+costs no numpy.  Subpackages are not attributes until imported: write
+``import repro.cluster`` (the cluster runtime), ``repro.workloads``
+(workload generators) or ``repro.experiments`` (paper experiments).
 """
 
-from repro.auditor import (
-    AuditLedger,
-    AuditMiddleware,
-    AuditSampler,
-    AuditWorker,
-    replay_audit,
-    summarize_records,
-)
-from repro.baselines import EfficiencyMaxAllocator, GandivaFair, Gavel, MaxMinFairness
-from repro.core import (
-    Allocation,
-    Allocator,
-    CooperativeOEF,
-    JobTypeSpec,
-    NonCooperativeOEF,
-    ProblemInstance,
-    PropertyReport,
-    SpeedupMatrix,
-    TenantSpec,
-    VirtualUserExpansion,
-    WeightedOEF,
-    audit_allocator,
-    check_envy_freeness,
-    check_pareto_efficiency,
-    check_sharing_incentive,
-    check_strategy_proofness,
-    optimal_efficiency_upper_bound,
-)
-from repro.gateway import (
-    AdmissionMiddleware,
-    CacheMiddleware,
-    CacheStats,
-    CoalesceMiddleware,
-    Gateway,
-    MetricsMiddleware,
-    Middleware,
-    Overloaded,
-    Request,
-    RequestShed,
-    Response,
-    SolverMiddleware,
-    bare_pipeline,
-    default_pipeline,
-    instance_fingerprint,
-)
-from repro.parallel import get_backend
-from repro.registry import (
-    SchedulerInfo,
-    SchedulerRegistry,
-    create_scheduler,
-    register_scheduler,
-    registry_rows,
-    resolve_scheduler_name,
-    scheduler_info,
-    scheduler_names,
-)
-from repro.scenarios import (
-    Scenario,
-    ScenarioResult,
-    ScenarioRunner,
-    make_scenario,
-    run_scenario,
-    scenario_names,
-    scenario_sweep,
-)
+import importlib
 
-__version__ = "5.3.0"
+__version__ = "5.4.0"
 
-__all__ = [
-    "AdmissionMiddleware",
-    "Allocation",
-    "Allocator",
-    "AuditLedger",
-    "AuditMiddleware",
-    "AuditSampler",
-    "AuditWorker",
-    "CacheMiddleware",
-    "CacheStats",
-    "CoalesceMiddleware",
-    "Gateway",
-    "MetricsMiddleware",
-    "Middleware",
-    "Overloaded",
-    "Request",
-    "RequestShed",
-    "Response",
-    "SolverMiddleware",
-    "bare_pipeline",
-    "default_pipeline",
-    "CooperativeOEF",
-    "EfficiencyMaxAllocator",
-    "GandivaFair",
-    "Gavel",
-    "JobTypeSpec",
-    "MaxMinFairness",
-    "NonCooperativeOEF",
-    "ProblemInstance",
-    "PropertyReport",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "SchedulerInfo",
-    "SchedulerRegistry",
-    "SpeedupMatrix",
-    "TenantSpec",
-    "VirtualUserExpansion",
-    "WeightedOEF",
-    "audit_allocator",
-    "check_envy_freeness",
-    "check_pareto_efficiency",
-    "check_sharing_incentive",
-    "check_strategy_proofness",
-    "create_scheduler",
-    "get_backend",
-    "instance_fingerprint",
-    "make_scenario",
-    "optimal_efficiency_upper_bound",
-    "register_scheduler",
-    "registry_rows",
-    "replay_audit",
-    "resolve_scheduler_name",
-    "run_scenario",
-    "scenario_names",
-    "scenario_sweep",
-    "scheduler_info",
-    "scheduler_names",
-    "summarize_records",
-]
+#: Home module -> the public names it exports.
+_EXPORTS = {
+    # the continuous-auditing layer (docs/auditing.md)
+    "repro.auditor": (
+        "AuditLedger", "AuditMiddleware", "AuditSampler", "AuditWorker",
+        "replay_audit", "summarize_records",
+    ),
+    "repro.baselines": (
+        "EfficiencyMaxAllocator", "GandivaFair", "Gavel", "MaxMinFairness",
+    ),
+    # data model, allocators and the Table-1 property checkers
+    "repro.core": (
+        "Allocation", "Allocator", "CooperativeOEF", "JobTypeSpec",
+        "NonCooperativeOEF", "ProblemInstance", "PropertyReport",
+        "SpeedupMatrix", "TenantSpec", "VirtualUserExpansion", "WeightedOEF",
+        "audit_allocator", "check_envy_freeness", "check_pareto_efficiency",
+        "check_sharing_incentive", "check_strategy_proofness",
+        "optimal_efficiency_upper_bound",
+    ),
+    "repro.gateway": (
+        "AdmissionMiddleware", "CacheMiddleware", "CacheStats",
+        "CoalesceMiddleware", "Gateway", "MetricsMiddleware", "Middleware",
+        "Overloaded", "Request", "RequestShed", "Response", "SolverMiddleware",
+        "bare_pipeline", "default_pipeline", "instance_fingerprint",
+    ),
+    "repro.parallel": ("get_backend",),
+    "repro.registry": (
+        "SchedulerInfo", "SchedulerRegistry", "create_scheduler",
+        "register_scheduler", "registry_rows", "resolve_scheduler_name",
+        "scheduler_info", "scheduler_names",
+    ),
+    # dynamic workloads
+    "repro.scenarios": (
+        "Scenario", "ScenarioResult", "ScenarioRunner", "make_scenario",
+        "run_scenario", "scenario_names", "scenario_sweep",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import ``name``'s home module on first use and keep the object."""
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _HOME.keys())

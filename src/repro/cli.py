@@ -6,11 +6,9 @@ Commands
                      (alias: ``solve``; ``--pipeline {default,bare}``
                      selects the gateway middleware pipeline)
 ``audit``            run the Table-1 property audit on a JSON instance
-``audit-report``     continuous-auditing report: summarize an audit
-                     ledger, or replay the seeded scenario streams
-                     through an audited pipeline (``--replay``,
-                     ``--inject-unfair``); exits 1 on any confirmed
-                     fairness violation (see ``docs/auditing.md``)
+``audit-report``     summarize an audit ledger, or replay the seeded
+                     scenario streams through an audited pipeline; exits 1
+                     on any confirmed fairness violation (``docs/auditing.md``)
 ``compare``          efficiency/fairness summary of all schedulers on an instance
 ``frontier``         print the efficiency-fairness frontier of an instance
 ``list-schedulers``  render the scheduler registry (name, family, capabilities)
@@ -22,22 +20,16 @@ Commands
 ``list-scenarios``   render the scenario library (name, family, defaults,
                      description) — cluster scenarios, fleet scenarios,
                      and ingested ``trace:<name>`` replays in one table
-``fleet-sim``        run a multi-region fleet simulation: regions fan out
-                     across execution backends, per-round metrics stream
-                     to a ``repro/fleetmetrics-v1`` JSONL sink, and the
-                     global quota layer rebalances tenant weights every
-                     ``--window-rounds`` (exit 1 on any checked fairness
-                     violation; see ``docs/fleet.md``)
+``fleet-sim``        run a multi-region fleet simulation with per-round
+                     metrics streamed to JSONL and a global quota layer
+                     (exit 1 on any checked fairness violation; ``docs/fleet.md``)
 ``ingest-trace``     normalize an external trace file (CSV/JSONL) into
                      the trace store, making it available as a
                      ``trace:<name>`` scenario
 ``experiments``      run the paper experiments (all or a subset, ``--jobs N``)
-``serve``            run the async sharded HTTP serving layer
-                     (``--port --shards --pipeline --max-in-flight``;
-                     ``--audit RATE`` samples responses into the
-                     continuous fairness auditor and serves
-                     ``GET /audit/report``; see :mod:`repro.server`
-                     and ``docs/server.md``)
+``serve``            run the async sharded HTTP serving layer; ``--audit
+                     RATE`` samples responses into the fairness auditor
+                     (:mod:`repro.server`, ``docs/server.md``)
 ``demo``             write a demo instance JSON to get started
 
 ``compare``, ``frontier``, ``experiments``, ``simulate`` and
@@ -56,7 +48,8 @@ registered metadata — overridable with
 appear in every command the moment they self-register.
 
 Instances use the ``repro/instance-v1`` JSON schema (see
-:mod:`repro.core.serialization`).
+:mod:`repro.core.serialization`).  Each command imports the modules it
+uses when it runs, so building the parser loads no numpy.
 """
 
 from __future__ import annotations
@@ -67,65 +60,77 @@ import sys
 from typing import List, Optional
 
 from repro import __version__
-from repro.core import (
-    allocation_to_dict,
-    instance_to_dict,
-    load_instance,
-)
-from repro.gateway import Gateway, bare_pipeline
+from repro.exceptions import ReproError
 from repro.parallel import BACKEND_NAMES
-from repro.registry import registry_rows, scheduler_names
 
 #: Backends for ``compare``, whose work is gateway solves: one
 #: in-process pipeline, so threads are the only fan-out.
 _SOLVE_BACKEND_NAMES = tuple(name for name in BACKEND_NAMES if name != "process")
 
-#: The default middleware pipeline behind every CLI solve — one per
-#: process, so repeated solves within a command share the cache.
-_GATEWAY = Gateway()
-
-#: ``--pipeline`` spellings -> gateway factory.
-_PIPELINES = {
-    "default": lambda: _GATEWAY,
-    "bare": lambda: Gateway(bare_pipeline()),
-}
+#: ``--pipeline`` spellings: the full default stack or a bare solver.
+_PIPELINE_NAMES = ("bare", "default")
 
 #: CLI spelling -> audit keyword value for ``--pe-within``.
 _PE_CHOICES = ("envy_free", "equal_throughput", "none")
 _EFFICIENCY_CHOICES = ("none", "envy_free", "equal_throughput", "sharing_incentive")
 
 
-def _print_table(rows: List[dict], stream=None) -> None:
-    stream = stream or sys.stdout
+def _in_range(cast, low, high):
+    """An argparse ``type=``: ``cast(text)``, refused outside ``[low, high]``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{text!r} is not in [{low}, {high}]")
+        return value
+
+    parse.__name__ = cast.__name__  # "invalid float value: 'x'"
+    return parse
+
+
+_RATE = _in_range(float, 0.0, 1.0)
+
+
+def _alphas(text: str) -> List[float]:
+    try:
+        return [float(alpha) for alpha in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated floats, got {text!r}"
+        ) from None
+
+
+def _print_table(rows: List[dict]) -> None:
     if not rows:
         return
-    headers: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in headers:
-                headers.append(key)
+    headers = list(dict.fromkeys(key for row in rows for key in row))
 
     def fmt(value):
-        if isinstance(value, float):
-            return f"{value:.4f}"
-        return str(value)
+        return f"{value:.4f}" if isinstance(value, float) else str(value)
 
     widths = {
         header: max(len(header), *(len(fmt(row.get(header, ""))) for row in rows))
         for header in headers
     }
-    print("  ".join(h.ljust(widths[h]) for h in headers), file=stream)
+    print("  ".join(h.ljust(widths[h]) for h in headers))
     for row in rows:
-        print(
-            "  ".join(fmt(row.get(h, "")).ljust(widths[h]) for h in headers),
-            file=stream,
-        )
+        print("  ".join(fmt(row.get(h, "")).ljust(widths[h]) for h in headers))
 
 
 # -- commands ---------------------------------------------------------------
+def _instance_and_gateway(args: argparse.Namespace):
+    """The command's instance file, and a gateway over its ``--pipeline``."""
+    from repro.core import load_instance
+    from repro.gateway import Gateway, bare_pipeline
+
+    bare = getattr(args, "pipeline", "default") == "bare"
+    return load_instance(args.instance), Gateway(bare_pipeline() if bare else None)
+
+
 def cmd_allocate(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
-    gateway = _PIPELINES[getattr(args, "pipeline", "default")]()
+    from repro.core import allocation_to_dict
+
+    instance, gateway = _instance_and_gateway(args)
     response = gateway.solve(instance, args.scheduler)
     payload = allocation_to_dict(response.allocation)
     if args.output:
@@ -139,13 +144,13 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
+    instance, gateway = _instance_and_gateway(args)
     overrides = {}
     if args.pe_within is not None:
         overrides["pe_within"] = None if args.pe_within == "none" else args.pe_within
     if args.efficiency_constraint is not None:
         overrides["efficiency_constraint"] = args.efficiency_constraint
-    report = _GATEWAY.audit(
+    report = gateway.audit(
         instance, args.scheduler, sp_trials=args.sp_trials, **overrides
     )
     _print_table([report.as_row()])
@@ -153,18 +158,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
+    instance, gateway = _instance_and_gateway(args)
     _print_table(
-        _GATEWAY.compare(instance, backend=args.backend, max_workers=args.jobs)
+        gateway.compare(instance, backend=args.backend, max_workers=args.jobs)
     )
     return 0
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
-    alphas = [float(a) for a in args.alphas.split(",")]
-    points = _GATEWAY.frontier(
-        instance, alphas=alphas, backend=args.backend, max_workers=args.jobs
+    instance, gateway = _instance_and_gateway(args)
+    points = gateway.frontier(
+        instance, alphas=args.alphas, backend=args.backend, max_workers=args.jobs
     )
     _print_table(
         [
@@ -181,13 +185,17 @@ def cmd_frontier(args: argparse.Namespace) -> int:
 
 
 def cmd_list_schedulers(args: argparse.Namespace) -> int:
+    from repro.registry import registry_rows
+
     _print_table(registry_rows())
     return 0
 
 
 def cmd_list_middleware(args: argparse.Namespace) -> int:
     """Render the default gateway pipeline: stage order + capabilities."""
-    _print_table(_GATEWAY.describe())
+    from repro.gateway import Gateway
+
+    _print_table(Gateway().describe())
     return 0
 
 
@@ -397,18 +405,13 @@ def cmd_audit_report(args: argparse.Namespace) -> int:
     confirmed = confirmed_violations(records)
     errors = sum(1 for record in records if record["verdict"] == "error")
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "records": len(records),
-                    "summary": rows,
-                    "confirmed_violations": len(confirmed),
-                    "errors": errors,
-                },
-                indent=2,
-                default=float,
-            )
-        )
+        summary = {
+            "records": len(records),
+            "summary": rows,
+            "confirmed_violations": len(confirmed),
+            "errors": errors,
+        }
+        print(json.dumps(summary, indent=2, default=float))
     else:
         if not records:
             print("no audit records" + ("" if replay else f" in {ledger.root}"))
@@ -417,17 +420,8 @@ def cmd_audit_report(args: argparse.Namespace) -> int:
         if errors:
             print(f"{errors} audit(s) errored (not gating; see the ledger)")
         if confirmed:
-            print(
-                f"{len(confirmed)} confirmed violation(s): "
-                + ", ".join(
-                    sorted(
-                        {
-                            f"{r['scenario']}/{r['scheduler']}"
-                            for r in confirmed
-                        }
-                    )
-                )
-            )
+            pairs = sorted({f"{r['scenario']}/{r['scheduler']}" for r in confirmed})
+            print(f"{len(confirmed)} confirmed violation(s): " + ", ".join(pairs))
         else:
             print("no confirmed violations")
     return 1 if confirmed else 0
@@ -450,6 +444,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from repro.core import instance_to_dict
     from repro.workloads.generator import zoo_instance
 
     instance = zoo_instance(["vgg16", "resnet50", "transformer", "lstm"])
@@ -469,17 +464,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = scheduler_names()
+    scheduler_help = "scheduler name or alias (see `repro list-schedulers`)"
 
     allocate = sub.add_parser(
         "allocate", aliases=["solve"], help="solve a JSON instance"
     )
     allocate.add_argument("instance", help="path to an instance JSON file")
-    allocate.add_argument("--scheduler", default="oef-coop", choices=names)
+    allocate.add_argument("--scheduler", default="oef-coop", help=scheduler_help)
     allocate.add_argument("--output", help="write the allocation JSON here")
     allocate.add_argument(
         "--pipeline",
-        choices=sorted(_PIPELINES),
+        choices=_PIPELINE_NAMES,
         default="default",
         help="gateway middleware pipeline to solve through: the full "
         "default stack or a bare terminal solver (differential testing; "
@@ -489,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="Table-1 property audit")
     audit.add_argument("instance")
-    audit.add_argument("--scheduler", default="oef-coop", choices=names)
+    audit.add_argument("--scheduler", default="oef-coop", help=scheduler_help)
     audit.add_argument("--sp-trials", type=int, default=4)
     audit.add_argument(
         "--pe-within",
@@ -555,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit_report.add_argument("--seed", type=int, default=7)
     audit_report.add_argument("--sp-trials", type=int, default=2)
     audit_report.add_argument(
-        "--rate", type=float, default=1.0,
+        "--rate", type=_RATE, default=1.0,
         help="replay sampling rate in [0, 1] (default: audit everything)",
     )
     audit_report.add_argument(
@@ -586,7 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     frontier = sub.add_parser("frontier", help="efficiency-fairness frontier")
     frontier.add_argument("instance")
-    frontier.add_argument("--alphas", default="0,0.25,0.5,0.75,0.9,1.0")
+    frontier.add_argument(
+        "--alphas", type=_alphas, default="0,0.25,0.5,0.75,0.9,1.0"
+    )
     add_parallel_flags(frontier)
     frontier.set_defaults(func=cmd_frontier)
 
@@ -717,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the async sharded HTTP serving layer"
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080,
+    serve.add_argument("--port", type=_in_range(int, 0, 65535), default=8080,
                        help="listen port (0 picks a free one)")
     serve.add_argument(
         "--shards", type=int, default=2,
@@ -725,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--pipeline",
-        choices=sorted(_PIPELINES),
+        choices=_PIPELINE_NAMES,
         default="default",
         help="middleware pipeline each shard solves through",
     )
@@ -735,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with Retry-After (default: unbounded)",
     )
     serve.add_argument(
-        "--audit", type=float, default=None, metavar="RATE",
+        "--audit", type=_RATE, default=None, metavar="RATE",
         help="sample this fraction of responses (in [0, 1]) into the "
         "continuous fairness auditor and serve GET /audit/report "
         "(default: auditing off)",
@@ -761,8 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command; any :class:`ReproError` (bad input, unknown name,
     corrupt ledger or trace line) ends as ``error: …`` and exit 2."""
-    from repro.exceptions import ReproError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

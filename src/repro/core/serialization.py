@@ -81,7 +81,7 @@ def save_instance(instance: ProblemInstance, path: PathLike) -> None:
 
 
 def load_instance(path: PathLike) -> ProblemInstance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    return instance_from_dict(_read_object(path))
 
 
 # -- allocations ---------------------------------------------------------------
@@ -114,4 +114,18 @@ def save_allocation(allocation: Allocation, path: PathLike) -> None:
 
 
 def load_allocation(path: PathLike) -> Allocation:
-    return allocation_from_dict(json.loads(Path(path).read_text()))
+    return allocation_from_dict(_read_object(path))
+
+
+def _read_object(path: PathLike) -> dict:
+    """The JSON object stored at ``path``; a :class:`ValidationError`
+    naming the path if the file cannot be read or holds no JSON object."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return payload

@@ -138,28 +138,32 @@ def load_rows(
                 f"cannot infer trace format from {path!r}; "
                 "pass --format csv|jsonl"
             )
-    if fmt == "csv":
+    if fmt not in ("csv", "jsonl"):
+        raise TraceFormatError(f"unknown trace format {fmt!r} (csv|jsonl)")
+    try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            return [dict(row) for row in csv.DictReader(handle)]
-    if fmt == "jsonl":
-        rows: List[Dict[str, object]] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: not valid JSON ({exc})"
-                    ) from None
-                if not isinstance(row, Mapping):
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: expected a JSON object"
-                    )
-                rows.append(dict(row))
-        return rows
-    raise TraceFormatError(f"unknown trace format {fmt!r} (csv|jsonl)")
+            if fmt == "csv":
+                return [dict(row) for row in csv.DictReader(handle)]
+            return _jsonl_rows(path, handle)
+    except OSError as exc:
+        raise TraceFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _jsonl_rows(path: str, handle) -> List[Dict[str, object]]:
+    rows: List[Dict[str, object]] = []
+    for lineno, line in enumerate(handle, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"{path}:{lineno}: not valid JSON ({exc})") from None
+        if not isinstance(row, Mapping):
+            raise TraceFormatError(f"{path}:{lineno}: expected a JSON object")
+        rows.append(dict(row))
+    return rows
 
 
 def ingest_file(

@@ -191,9 +191,28 @@ class TestVersion:
 
 
 class TestErrors:
-    def test_unknown_scheduler_exits(self, instance_path):
-        with pytest.raises(SystemExit):
-            main(["allocate", instance_path, "--scheduler", "fifo"])
+    def test_unknown_scheduler_exits(self, instance_path, capsys):
+        # the registry's did-you-mean error, as simulate and the wire give
+        assert main(["allocate", instance_path, "--scheduler", "fifo"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown scheduler 'fifo'; choose from [")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, name]
+            for command in ("allocate", "audit", "compare", "frontier")
+            for name in ("missing.json", "malformed.json")
+        ]
+        + [["ingest-trace", "missing.csv"]],
+        ids="-".join,
+    )
+    def test_bad_input_file_is_error_exit_2(self, argv, tmp_path, capsys):
+        (tmp_path / "malformed.json").write_text('{"schema": ')
+        path = str(tmp_path / argv[1])
+        assert main([argv[0], path, *argv[2:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
 
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
@@ -273,6 +292,10 @@ class TestParser:
             (["serve", "--port", "http"], "--port"),
             (["serve", "--pipeline", "turbo"], "--pipeline"),
             (["serve", "--audit", "often"], "--audit"),
+            (["frontier", "x.json", "--alphas", "a,b"], "--alphas"),
+            (["audit-report", "--rate", "5"], "--rate"),
+            (["serve", "--audit", "5"], "--audit"),
+            (["serve", "--port", "99999"], "--port"),
         ],
         ids=lambda value: "-".join(value) if isinstance(value, list) else None,
     )

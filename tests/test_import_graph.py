@@ -5,8 +5,13 @@ its file, so importing every entry point and solving one LP must leave
 ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg`` out of
 ``sys.modules`` (together ≈ 0.6 s of a one-shot run).  The extension is
 registered under its dotted name, so scipy imported later, or earlier,
-shares the one module object.  Each case runs in a new interpreter:
-this one has scipy loaded already.
+shares the one module object.
+
+The edges are lazy above that: ``import repro`` loads no submodule (its
+public names import their home module on first use), and building the
+CLI parser loads no numpy; each command imports what it uses on
+dispatch.  Each case runs in a new interpreter: this one has scipy
+loaded already.
 """
 
 import os
@@ -73,3 +78,39 @@ import repro.solver.incremental as incremental
 print(_core is incremental._core and incremental.incremental_available())
 """
     ) == "True"
+
+
+def test_building_the_parser_loads_five_modules_and_no_numpy():
+    loaded = _run(
+        """
+import sys
+import repro, repro.cli
+repro.cli.build_parser()
+print(sorted(m for m in sys.modules if m == "repro" or m.startswith("repro.")))
+print("numpy" in sys.modules)
+"""
+    )
+    assert loaded.splitlines() == [
+        "['repro', 'repro.cli', 'repro.exceptions', 'repro.parallel', 'repro.registry']",
+        "False",
+    ]
+
+
+def test_every_export_is_its_home_modules_object():
+    assert _run(
+        """
+import importlib
+import sys
+import repro
+assert [m for m in sys.modules if m.startswith("repro")] == ["repro"]
+assert set(repro.__all__) <= set(dir(repro))
+for module, names in repro._EXPORTS.items():
+    home = importlib.import_module(module)
+    for name in names:
+        assert getattr(repro, name) is getattr(home, name), name
+try:
+    repro.SchedulingService
+except AttributeError as exc:
+    print(exc)
+"""
+    ) == "module 'repro' has no attribute 'SchedulingService'"

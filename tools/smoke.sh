@@ -38,6 +38,16 @@ echo "== repro allocate =="
 test -s "$TMP/allocation.json"
 grep -q '"allocator": "oef-coop"' "$TMP/allocation.json"
 
+echo "== repro allocate (missing instance file: error:, exit 2, no traceback) =="
+status=0
+"$PY" -m repro allocate "$TMP/missing.json" > "$TMP/missing.txt" 2>&1 || status=$?
+test "$status" -eq 2
+grep -q "^error: .*missing.json" "$TMP/missing.txt"
+if grep -q "Traceback" "$TMP/missing.txt"; then
+    echo "a missing instance file ended in a traceback" >&2
+    exit 1
+fi
+
 echo "== repro audit (registry audit defaults) =="
 "$PY" -m repro audit "$TMP/instance.json" --scheduler oef-coop --sp-trials 1 \
     | tee "$TMP/audit.txt"
