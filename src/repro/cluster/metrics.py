@@ -150,27 +150,7 @@ class MetricsCollector:
     def total_starvation_rounds(self) -> int:
         return sum(r.starved_jobs for r in self.rounds)
 
-    def mean_solver_seconds(self) -> float:
-        values = [r.solver_seconds for r in self.rounds if r.estimated]
-        return float(np.mean(values)) if values else 0.0
-
     def makespan(self) -> float:
         if not self.completions:
             return 0.0
         return max(record.finish_time for record in self.completions)
-
-    def estimated_actual_deviation(self) -> float:
-        """Mean relative gap between evaluator estimate and delivery (Fig. 10b).
-
-        Placement effects (packing gains, straggler/contention losses) are
-        part of the gap by design; the sensitivity experiment compares the
-        gap *across error rates*, so shared placement effects cancel.
-        """
-        gaps = []
-        for round_metrics in self.rounds:
-            estimated = round_metrics.total_estimated
-            if estimated > 0:
-                gaps.append(
-                    abs(estimated - round_metrics.total_actual) / estimated
-                )
-        return float(np.mean(gaps)) if gaps else 0.0

@@ -54,11 +54,6 @@ class RoundingResult:
     grants: Dict[str, np.ndarray]
     zeroed_tenants: List[str] = field(default_factory=list)
 
-    def total_granted(self) -> np.ndarray:
-        if not self.grants:
-            return np.zeros(0)
-        return np.sum(list(self.grants.values()), axis=0)
-
 
 class NaiveRounder:
     """Memoryless rounding baseline: independent round() per entry.

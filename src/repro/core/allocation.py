@@ -85,10 +85,6 @@ class Allocation:
             ratio = np.where(capacities > 0, self.matrix.sum(axis=0) / capacities, 0.0)
         return ratio
 
-    def user_share(self, user: int | str) -> np.ndarray:
-        """One tenant's allocation vector ``x_l``."""
-        return self.matrix[self.instance.speedups.user_index(user)].copy()
-
     def gpu_types_used(self, user: int | str, tol: float = 1e-6) -> list:
         """Indices of GPU types with a non-negligible share for a tenant."""
         row = self.matrix[self.instance.speedups.user_index(user)]

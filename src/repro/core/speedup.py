@@ -135,18 +135,6 @@ class SpeedupMatrix:
             require_monotone=False,
         )
 
-    def without_user(self, user: int | str) -> "SpeedupMatrix":
-        """A copy with one tenant removed (tenant departure, Fig. 4)."""
-        index = self.user_index(user)
-        if self.num_users == 1:
-            raise ValidationError("cannot remove the only user")
-        values = np.delete(self._values, index, axis=0)
-        users = [name for i, name in enumerate(self.users) if i != index]
-        return SpeedupMatrix(
-            values, users=users, gpu_types=self.gpu_types,
-            normalise=False, require_monotone=False,
-        )
-
     def replicated(self, counts: Sequence[int]) -> "SpeedupMatrix":
         """Replicate each row ``counts[l]`` times (weighted OEF, §4.2.3)."""
         counts_list = [int(c) for c in counts]

@@ -1,7 +1,10 @@
 """Paper experiments: one module per table/figure (see DESIGN.md §4).
 
-Run everything with ``python -m repro experiments`` or individual modules
-with e.g. ``python -m repro.experiments.fig8_coop_throughput``.
+Each module's one entry point is ``run()``, returning an
+:class:`ExperimentResult` or a list of them.  Run everything with
+``python -m repro experiments``, one experiment with e.g.
+``python -m repro experiments fig8``, and write the markdown report
+with ``python -m repro.experiments.report``.
 """
 
 from repro.experiments import (

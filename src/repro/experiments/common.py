@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.cluster.placement import Placer, PlacementPolicy
 from repro.cluster.schedulers import make_fair_share_scheduler
@@ -21,31 +21,32 @@ class ExperimentResult:
     series: Dict[str, List[float]] = field(default_factory=dict)
 
     def format(self) -> str:
+        """Plain-text rendering: a ``== title ==`` line, padded columns, notes."""
         lines = [f"== {self.experiment} =="]
         if self.rows:
-            headers: List[str] = []
-            for row in self.rows:
-                for key in row:
-                    if key not in headers:
-                        headers.append(key)
-            widths = {
-                header: max(
-                    len(str(header)),
-                    *(len(_fmt(row.get(header, ""))) for row in self.rows),
-                )
-                for header in headers
-            }
-            lines.append("  ".join(str(h).ljust(widths[h]) for h in headers))
-            for row in self.rows:
+            headers, cells = table_cells(self.rows)
+            widths = [
+                max(len(header), *(len(row[index]) for row in cells))
+                for index, header in enumerate(headers)
+            ]
+            for row in [headers, *cells]:
                 lines.append(
-                    "  ".join(
-                        _fmt(row.get(header, "")).ljust(widths[header])
-                        for header in headers
-                    )
+                    "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
                 )
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
+
+
+def table_cells(rows: Sequence[Dict[str, object]]) -> tuple:
+    """``(headers, cells)`` for a table of rows with possibly differing keys.
+
+    Headers are the union of every row's keys in first-seen order; a row
+    missing a key gets an empty cell, and floats print with three decimals.
+    """
+    headers = list(dict.fromkeys(key for row in rows for key in row))
+    cells = [[_fmt(row.get(header, "")) for header in headers] for row in rows]
+    return headers, cells
 
 
 def _fmt(value: object) -> str:

@@ -115,13 +115,3 @@ def run_sensitivity(
 
 def run() -> List[ExperimentResult]:
     return [run_overhead(), run_sensitivity()]
-
-
-def main() -> None:
-    for result in run():
-        print(result.format())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -51,11 +51,3 @@ def run() -> ExperimentResult:
         "(paper: Max-Min loses ~10% overall)"
     )
     return result
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -81,11 +81,3 @@ def run() -> ExperimentResult:
         f"total drops to {lied_total:.3f} (paper 4.875)"
     )
     return result
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -104,11 +104,3 @@ def run(
         "equal normalised progress (see series)"
     )
     return result
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

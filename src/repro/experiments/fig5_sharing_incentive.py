@@ -10,6 +10,8 @@
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from repro.cluster import (
@@ -154,21 +156,5 @@ def run_panel_b(
     return result
 
 
-def run(num_rounds: int = 12) -> ExperimentResult:
-    panel_a = run_panel_a(num_rounds=num_rounds)
-    panel_b = run_panel_b(num_rounds=max(num_rounds, 8))
-    combined = ExperimentResult("Fig. 5 — sharing incentive & multiple job types")
-    combined.rows = panel_a.rows + panel_b.rows
-    combined.notes = panel_a.notes + panel_b.notes
-    combined.series = {**panel_a.series, **panel_b.series}
-    return combined
-
-
-def main() -> None:
-    print(run_panel_a().format())
-    print()
-    print(run_panel_b().format())
-
-
-if __name__ == "__main__":
-    main()
+def run() -> List[ExperimentResult]:
+    return [run_panel_a(), run_panel_b()]

@@ -41,11 +41,3 @@ def run(models=None, capacities=None) -> ExperimentResult:
         f"(EF check: {'holds' if report.satisfied else 'VIOLATED'})"
     )
     return result
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -135,11 +135,3 @@ def run(
         "placer (paper: 1.10x)"
     )
     return result
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -37,11 +37,3 @@ def run(
         "(paper ~+32%)"
     )
     return result
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -95,11 +95,3 @@ def run(
         "deviation rounding"
     )
     return result
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

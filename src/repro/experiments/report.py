@@ -1,41 +1,33 @@
 """Generate a markdown reproduction report for all experiments.
 
-``python -m repro.experiments.report [output.md]`` runs every experiment
-(at the default scaled-down parameters) and writes one markdown document
-with every regenerated table — a refreshable companion to the manually
-annotated EXPERIMENTS.md.
+``python -m repro.experiments.report [output.md] [ids...]`` runs every
+experiment (or the given ids) at the default scaled-down parameters
+through :func:`~repro.experiments.runner.run_experiment` — the same
+outcomes ``repro experiments`` prints as text — and writes one markdown
+document with every regenerated table, a refreshable companion to the
+manually annotated EXPERIMENTS.md.  An experiment that raises gets a
+``FAILED`` section with its traceback, the rest still run, and the exit
+status is 1.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from typing import List, Optional, TextIO
 
-from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.common import ExperimentResult
+from repro.exceptions import ValidationError
+from repro.experiments.common import ExperimentResult, table_cells
+from repro.experiments.runner import resolve_ids, run_experiment
 
 
 def _as_markdown(result: ExperimentResult) -> str:
     lines = [f"### {result.experiment}", ""]
     if result.rows:
-        headers: List[str] = []
-        for row in result.rows:
-            for key in row:
-                if key not in headers:
-                    headers.append(key)
-
-        def fmt(value) -> str:
-            if isinstance(value, float):
-                return f"{value:.3f}"
-            return str(value)
-
+        headers, cells = table_cells(result.rows)
         lines.append("| " + " | ".join(headers) + " |")
         lines.append("|" + "---|" * len(headers))
-        for row in result.rows:
-            lines.append(
-                "| " + " | ".join(fmt(row.get(h, "")) for h in headers) + " |"
-            )
+        for row in cells:
+            lines.append("| " + " | ".join(row) + " |")
         lines.append("")
     for note in result.notes:
         lines.append(f"> {note}")
@@ -43,49 +35,49 @@ def _as_markdown(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def _collect(module) -> List[ExperimentResult]:
-    """Run one experiment module and normalise to a list of results."""
-    outcome = module.run()
-    if isinstance(outcome, ExperimentResult):
-        return [outcome]
-    return list(outcome)
-
-
 def generate_report(
     stream: TextIO,
     only: Optional[List[str]] = None,
 ) -> int:
-    """Write the report; returns the number of experiments that ran."""
-    count = 0
+    """Write the report for ``only`` (default: every experiment).
+
+    Returns the number of experiments that passed; unknown ids raise a
+    :class:`~repro.exceptions.ValidationError` before anything is written.
+    """
+    names = resolve_ids(only)
     stream.write("# OEF reproduction report (auto-generated)\n\n")
     stream.write(
         "Regenerated by `python -m repro.experiments.report`; see "
         "EXPERIMENTS.md for paper-vs-measured commentary.\n\n"
     )
-    for name, module in ALL_EXPERIMENTS:
-        if only and name not in only:
-            continue
-        started = time.perf_counter()
-        for result in _collect(module):
+    passed = 0
+    for name in names:
+        outcome = run_experiment(name)
+        for result in outcome.results:
             stream.write(_as_markdown(result))
             stream.write("\n")
-        elapsed = time.perf_counter() - started
-        stream.write(f"_{name} regenerated in {elapsed:.1f}s_\n\n")
-        count += 1
-    return count
+        if not outcome.ok:
+            stream.write(f"### {name} FAILED\n\n```\n{outcome.error}```\n\n")
+        stream.write(f"_{name} regenerated in {outcome.seconds:.1f}s_\n\n")
+        passed += outcome.ok
+    return passed
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     output = argv[0] if argv else None
-    only = argv[1:] if len(argv) > 1 else None
+    try:
+        ids = resolve_ids(argv[1:])
+    except ValidationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if output:
         with open(output, "w", encoding="utf-8") as handle:
-            count = generate_report(handle, only)
-        print(f"wrote {count} experiments to {output}")
+            passed = generate_report(handle, ids)
+        print(f"wrote {len(ids)} experiments to {output}")
     else:
-        generate_report(sys.stdout, only)
-    return 0
+        passed = generate_report(sys.stdout, ids)
+    return 0 if passed == len(ids) else 1
 
 
 if __name__ == "__main__":

@@ -2,112 +2,54 @@
 
 ``repro experiments`` drives it: any subset of the fig1–fig10/table1
 experiments runs through an execution backend (:mod:`repro.parallel`),
-each experiment's stdout is captured and replayed in the deterministic
+each experiment's tables are rendered as text in the deterministic
 input order, and a pass/fail summary table with wall-clock timings
 closes the run — the orchestration shape of an audit runner: fan out
 independent checks, aggregate one verdict.
 
+An experiment module's one contract is ``run()``, returning an
+:class:`~repro.experiments.common.ExperimentResult` or a list of them.
 Experiments are addressed by id (``"fig1"``, ``"table1"``, ...), which
 is all that crosses a process boundary; each worker re-imports the
-experiment module and runs its ``main()``.  Exit status is non-zero when
-any experiment fails, making ``repro experiments --jobs N`` a usable CI
-gate.
+experiment module and runs its ``run()``.  The markdown report
+(:mod:`repro.experiments.report`) renders the same outcomes.  Exit
+status is non-zero when any experiment fails, making ``repro experiments
+--jobs N`` a usable CI gate.
 """
 
 from __future__ import annotations
 
-import io
 import sys
-import threading
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TextIO
+from typing import List, Optional, Sequence, TextIO, Tuple
 
 from repro.exceptions import ValidationError
+from repro.experiments.common import ExperimentResult
 from repro.parallel import BackendSpec, get_backend
-
-
-class _StdoutRouter(io.TextIOBase):
-    """Routes writes to a per-thread buffer when one is active.
-
-    ``contextlib.redirect_stdout`` swaps the single process-global
-    ``sys.stdout``, so two thread-backend workers would capture each
-    other's prints (and an overlapping exit order can leave a worker's
-    buffer installed as ``sys.stdout`` forever).  This proxy is installed
-    once while captures are active; each thread registers its own buffer
-    and unrouted threads write straight through to the real stream.
-    """
-
-    def __init__(self, target):
-        super().__init__()
-        self.target = target
-        self.active = 0
-        self._local = threading.local()
-
-    def _sink(self):
-        return getattr(self._local, "buffer", None) or self.target
-
-    def write(self, text):  # noqa: D102 - io.TextIOBase API
-        return self._sink().write(text)
-
-    def flush(self):  # noqa: D102
-        self._sink().flush()
-
-    @property
-    def encoding(self):  # some libraries probe sys.stdout.encoding
-        return getattr(self.target, "encoding", "utf-8")
-
-    def bind(self, buffer) -> None:
-        self._local.buffer = buffer
-
-    def unbind(self) -> None:
-        self._local.buffer = None
-
-
-_ROUTER_LOCK = threading.Lock()
-
-
-@contextmanager
-def _capture_stdout():
-    """Capture this thread's stdout into a fresh StringIO, thread-safely.
-
-    Installs the router on first use, refcounts concurrent captures, and
-    restores the original stream only when the last capture exits (and
-    only if nobody else has since replaced ``sys.stdout``).
-    """
-    buffer = io.StringIO()
-    with _ROUTER_LOCK:
-        router = sys.stdout if isinstance(sys.stdout, _StdoutRouter) else None
-        if router is None:
-            router = _StdoutRouter(sys.stdout)
-            sys.stdout = router
-        router.active += 1
-    router.bind(buffer)
-    try:
-        yield buffer
-    finally:
-        router.unbind()
-        with _ROUTER_LOCK:
-            router.active -= 1
-            if router.active == 0 and sys.stdout is router:
-                sys.stdout = router.target
 
 
 @dataclass(frozen=True)
 class ExperimentOutcome:
-    """One experiment's verdict: captured output, timing, and any error."""
+    """One experiment's verdict: its result tables, timing, and any error."""
 
     name: str
     ok: bool
     seconds: float
-    output: str
+    results: Tuple[ExperimentResult, ...] = ()
     error: str = ""
 
     @property
     def status(self) -> str:
         return "PASS" if self.ok else "FAIL"
+
+    @property
+    def output(self) -> str:
+        """The text rendering: each result's table, blank-line separated."""
+        if not self.results:
+            return ""
+        return "\n\n".join(result.format() for result in self.results) + "\n"
 
 
 def experiment_ids() -> List[str]:
@@ -117,8 +59,20 @@ def experiment_ids() -> List[str]:
     return [name for name, _ in ALL_EXPERIMENTS]
 
 
+def resolve_ids(ids: Optional[Sequence[str]] = None) -> List[str]:
+    """``ids`` checked against the known experiments (default: all of them)."""
+    known = experiment_ids()
+    names = list(ids) if ids else known
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValidationError(
+            f"unknown experiment ids {unknown}; choose from {known}"
+        )
+    return names
+
+
 def run_experiment(name: str) -> ExperimentOutcome:
-    """Run one experiment by id, capturing stdout and timing it.
+    """Run one experiment by id, keeping its results and timing it.
 
     Module-level and string-addressed so it fans out to process pools;
     an experiment that raises is reported as a failure, never as a crash
@@ -133,16 +87,17 @@ def run_experiment(name: str) -> ExperimentOutcome:
         )
     start = time.perf_counter()
     try:
-        with _capture_stdout() as buffer:
-            modules[name].main()
-        ok, error = True, ""
+        returned = modules[name].run()
+        if isinstance(returned, ExperimentResult):
+            returned = [returned]
+        results, ok, error = tuple(returned), True, ""
     except Exception:
-        ok, error = False, traceback.format_exc()
+        results, ok, error = (), False, traceback.format_exc()
     return ExperimentOutcome(
         name=name,
         ok=ok,
         seconds=time.perf_counter() - start,
-        output=buffer.getvalue(),
+        results=results,
         error=error,
     )
 
@@ -156,21 +111,14 @@ def run_suite(
 ) -> List[ExperimentOutcome]:
     """Run a subset of experiments (default: all) through a backend.
 
-    Streams each experiment's captured output in the given order as soon
+    Streams each experiment's text output in the given order as soon
     as it — and everything ahead of it — has finished (later experiments
     keep running in the pool meanwhile), then prints a timing/verdict
     summary.  Returns the outcomes; the caller decides the exit code
     (see :func:`suite_ok`).
     """
     stream = stream if stream is not None else sys.stdout
-    known = experiment_ids()
-    names = list(ids) if ids else known
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise ValidationError(
-            f"unknown experiment ids {unknown}; choose from {known}"
-        )
-
+    names = resolve_ids(ids)
     resolved = get_backend(backend, jobs, task_count=len(names))
     suite_start = time.perf_counter()
     outcomes: List[ExperimentOutcome] = []
@@ -223,6 +171,7 @@ __all__ = [
     "ExperimentOutcome",
     "experiment_ids",
     "format_summary",
+    "resolve_ids",
     "run_experiment",
     "run_suite",
     "suite_ok",

@@ -43,11 +43,3 @@ def run(rounds: int = 8, seed: int = 0) -> ExperimentResult:
             "(0 = envy-free proxy holds)",
         ],
     )
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

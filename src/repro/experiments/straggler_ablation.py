@@ -98,11 +98,3 @@ def run(
         "Gandiva_fair) and 26% (vs Gavel)"
     )
     return result
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -112,11 +112,3 @@ def run(num_random: int = 2, sp_trials: int = 2) -> ExperimentResult:
         "a 2% residual band (greedy trading)."
     )
     return result
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

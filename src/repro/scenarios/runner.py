@@ -278,29 +278,6 @@ class ScenarioResult:
             "starvation": self.total_starvation,
         }
 
-    def to_experiment_result(self):
-        """This run as an :class:`~repro.experiments.common.ExperimentResult`.
-
-        Lazily imported so ``repro.scenarios`` never drags the whole
-        experiments package (which itself imports scenarios for the
-        comparison experiment) into its import graph.  Sink-mode runs
-        (``record_rounds=False``) keep the summary row but their series
-        are empty — the per-round data went to the sink.
-        """
-        from repro.experiments.common import ExperimentResult
-
-        return ExperimentResult(
-            experiment=f"scenario {self.scenario_name} / {self.scheduler}",
-            rows=[self.summary_row()],
-            series={
-                "total_throughput": [
-                    r.total_throughput for r in self.records
-                ],
-                "utilization": [r.utilization for r in self.records],
-                "jain": [r.jain for r in self.records],
-            },
-        )
-
 
 def _weighted_envy(throughputs: Sequence[float], weights: Sequence[float]) -> float:
     """Normalised spread of weighted throughput: 0 = envy-free proxy holds."""

@@ -139,12 +139,3 @@ class PhillyTraceGenerator:
                 )
             tenants.append(tenant)
         return tenants
-
-    def offered_load(self, tenants: Sequence[Tenant]) -> float:
-        """Offered GPU-seconds / (capacity x window) — the realised contention."""
-        total = sum(
-            job.total_iterations / job.true_throughput[0] * job.num_workers
-            for tenant in tenants
-            for job in tenant.jobs
-        )
-        return total / (self.cluster_devices * self.config.window_seconds)

@@ -79,16 +79,7 @@ class TestAggregates:
         assert collector.total_cross_type_jobs() == 1
         assert collector.total_starvation_rounds() == 1
 
-    def test_solver_seconds(self):
-        collector = _collector()
-        assert collector.mean_solver_seconds() == pytest.approx(0.02)
-
     def test_makespan(self):
         collector = _collector()
         assert collector.makespan() == 450.0
         assert MetricsCollector().makespan() == 0.0
-
-    def test_estimated_actual_deviation(self):
-        collector = _collector()
-        # round 0: |10-8|/10 = 0.2; round 1: 0.0
-        assert collector.estimated_actual_deviation() == pytest.approx(0.1)

@@ -136,12 +136,6 @@ class TestMetrics:
         allocation = Allocation([[0.5, 0.0], [0.25, 1.0]], instance)
         np.testing.assert_allclose(allocation.utilisation(), [0.75, 1.0])
 
-    def test_user_share_copy(self, instance):
-        allocation = Allocation([[0.5, 0.5], [0.0, 0.0]], instance)
-        share = allocation.user_share(0)
-        share[0] = 9.0
-        assert allocation.matrix[0, 0] == 0.5
-
     def test_gpu_types_used(self, instance):
         allocation = Allocation([[1.0, 0.0], [0.0, 1.0]], instance)
         assert allocation.gpu_types_used(0) == [0]

@@ -108,17 +108,6 @@ class TestDerivedMatrices:
         with pytest.raises(ValidationError):
             matrix.with_row(0, [1, 2, 3])
 
-    def test_without_user(self):
-        matrix = SpeedupMatrix([[1, 2], [1, 3], [1, 4]], users=["a", "b", "c"])
-        smaller = matrix.without_user("b")
-        assert smaller.users == ["a", "c"]
-        np.testing.assert_allclose(smaller.values, [[1, 2], [1, 4]])
-
-    def test_without_only_user_rejected(self):
-        matrix = SpeedupMatrix([[1, 2]])
-        with pytest.raises(ValidationError):
-            matrix.without_user(0)
-
     def test_replicated_counts(self):
         matrix = SpeedupMatrix([[1, 2], [1, 3]])
         replicated = matrix.replicated([2, 1])

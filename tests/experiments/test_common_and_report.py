@@ -5,12 +5,14 @@ import io
 import pytest
 
 from repro.cluster import PlacementPolicy, paper_cluster
+from repro.experiments import fig1_motivation, report
 from repro.experiments.common import (
     ExperimentResult,
     baseline_stack,
     oef_stack,
 )
 from repro.experiments.report import _as_markdown, generate_report
+from repro.experiments.runner import run_experiment
 
 
 class TestExperimentResultFormat:
@@ -80,3 +82,43 @@ class TestReport:
         assert "Fig. 1" in text
         assert "Fig. 2" in text
         assert "regenerated in" in text
+
+    @pytest.mark.parametrize("name", ["fig1", "fig5", "fig10"])
+    def test_text_and_markdown_titles_agree(self, name):
+        # both outputs render the same run() results, table for table
+        text_titles = [
+            line[len("== "):-len(" ==")]
+            for line in run_experiment(name).output.splitlines()
+            if line.startswith("== ")
+        ]
+        stream = io.StringIO()
+        generate_report(stream, only=[name])
+        markdown_titles = [
+            line[len("### "):]
+            for line in stream.getvalue().splitlines()
+            if line.startswith("### ")
+        ]
+        assert text_titles and text_titles == markdown_titles
+
+    def test_unknown_id_exits_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "report.md"
+        assert report.main([str(path), "fig1", "fig99"]) == 2
+        assert "unknown experiment ids ['fig99']" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_failing_experiment_gets_a_failed_section(self, monkeypatch, tmp_path):
+        class _Boom:
+            @staticmethod
+            def run():
+                raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(
+            "repro.experiments.ALL_EXPERIMENTS",
+            [("boom", _Boom), ("fig1", fig1_motivation)],
+        )
+        path = tmp_path / "report.md"
+        assert report.main([str(path)]) == 1
+        text = path.read_text(encoding="utf-8")
+        assert "### boom FAILED" in text and "injected failure" in text
+        # the experiments after the failing one still ran
+        assert "### Fig. 1 — heterogeneity motivation" in text

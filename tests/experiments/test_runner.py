@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.experiments import runner
+from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import (
     ExperimentOutcome,
     experiment_ids,
@@ -31,7 +32,7 @@ class TestRunExperiment:
     def test_failure_is_an_outcome_not_a_crash(self, monkeypatch):
         class _Boom:
             @staticmethod
-            def main():
+            def run():
                 raise RuntimeError("injected failure")
 
         monkeypatch.setattr(
@@ -82,7 +83,7 @@ class TestRunSuite:
     def test_failed_experiment_reported_in_summary(self, monkeypatch):
         class _Boom:
             @staticmethod
-            def main():
+            def run():
                 raise RuntimeError("injected failure")
 
         monkeypatch.setattr(
@@ -96,11 +97,23 @@ class TestRunSuite:
         assert "injected failure" in stream.getvalue()
 
 
+class TestOutcomeText:
+    def test_results_render_blank_line_separated(self):
+        outcome = ExperimentOutcome(
+            "fig5", True, 0.1,
+            results=(ExperimentResult("a"), ExperimentResult("b", notes=["n"])),
+        )
+        assert outcome.output == "== a ==\n\n== b ==\n  note: n\n"
+
+    def test_failed_outcome_has_no_text(self):
+        assert ExperimentOutcome("boom", False, 0.1, error="x").output == ""
+
+
 class TestSummary:
     def test_format_summary_lines(self):
         outcomes = [
-            ExperimentOutcome("fig1", True, 1.25, ""),
-            ExperimentOutcome("table1", False, 0.5, "", error="boom"),
+            ExperimentOutcome("fig1", True, 1.25),
+            ExperimentOutcome("table1", False, 0.5, error="boom"),
         ]
         text = format_summary(outcomes, suite_seconds=1.3, backend_name="thread")
         assert "thread backend" in text

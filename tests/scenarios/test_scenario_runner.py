@@ -68,14 +68,6 @@ class TestScenarioRunner:
             "mean JCT (h)", "utilization", "jain", "envy", "starvation",
         }
 
-    def test_to_experiment_result(self):
-        result = run_scenario("steady", rounds=4)
-        experiment = result.to_experiment_result()
-        assert "steady" in experiment.experiment
-        assert experiment.rows == [result.summary_row()]
-        assert len(experiment.series["utilization"]) == result.num_rounds
-        assert experiment.format()  # renders without blowing up
-
 
 class TestDifferentialReplay:
     """Warm replay must be bit-identical to cold, for every library scenario.

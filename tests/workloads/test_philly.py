@@ -61,7 +61,15 @@ class TestTraceAssembly:
 
     def test_contention_calibrated(self, generator):
         tenants = generator.generate()
-        realised = generator.offered_load(tenants)
+        # offered GPU-seconds / (capacity x window): the realised contention
+        offered = sum(
+            job.total_iterations / job.true_throughput[0] * job.num_workers
+            for tenant in tenants
+            for job in tenant.jobs
+        )
+        realised = offered / (
+            generator.cluster_devices * generator.config.window_seconds
+        )
         assert realised == pytest.approx(0.8, rel=0.15)
 
     def test_jobs_inherit_arrival_time(self, generator):

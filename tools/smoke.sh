@@ -97,6 +97,15 @@ echo "== repro experiments (2 jobs) =="
     | tee "$TMP/experiments.txt"
 grep -q "2/2 passed" "$TMP/experiments.txt"
 
+echo "== markdown report (same run() results as the text) =="
+"$PY" -m repro.experiments.report "$TMP/report.md" fig1 fig5
+grep -q "^### Fig. 5(a)" "$TMP/report.md"
+grep -q "^### Fig. 5(b)" "$TMP/report.md"
+if grep -q "Traceback" "$TMP/report.md"; then
+    echo "the markdown report recorded a traceback" >&2
+    exit 1
+fi
+
 echo "== repro simulate (scenario smoke) =="
 "$PY" -m repro simulate --scenario bursty --rounds 3 \
     | tee "$TMP/simulate.txt"
