@@ -51,11 +51,20 @@ cold.  Shape-changing mutations additionally flush the memo outright
 (:meth:`ClusterSimulator.invalidate_warm_cache`).  ``warm_stats``
 reports the hit/solve split; pass ``warm_start=False`` (CLI:
 ``repro simulate --cold``) to disable reuse entirely.
+
+Rounds that must pose the same question form an *active-set epoch*: its
+first round computes the active-job map, ``capacities()``, the profiles,
+the validated decision and the min-demand map; later rounds reuse them
+(the decision only where the memo would hit — warm start, a key, exact
+profiling — counted as a warm hit).  An epoch ends when an event fires, a
+mutation hook runs, a job finishes, the clock reaches the next submit,
+arrival or departure time, or :meth:`run` starts.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -202,6 +211,11 @@ class ClusterSimulator:
         # warm-start engine: decision_key -> memoized decision, LRU order
         self._decision_cache: "OrderedDict[object, SchedulerDecision]" = OrderedDict()
         self.warm_stats = WarmStats()
+        # active-set epoch: when the question can next change on its own,
+        # its min-demand map and its reusable decision (None: ask each round)
+        self._epoch_until = -math.inf
+        self._min_demands: Optional[Dict[str, int]] = None
+        self._epoch_decision: Optional[SchedulerDecision] = None
         # timed event stream: a min-heap of (time, sequence, event) so
         # simultaneous events fire in scheduling order
         self._event_heap: List[tuple] = []
@@ -270,8 +284,9 @@ class ClusterSimulator:
         force a cold solve whenever any scheduler input changed — but
         shape changes (tenant churn, device failure/repair) make the old
         entries unreachable dead weight, so the mutation hooks flush
-        them eagerly.
+        them eagerly.  It also ends the epoch, whose reused decision is a memo entry.
         """
+        self._epoch_until = -math.inf
         if self._decision_cache:
             self._decision_cache.clear()
             self.warm_stats.invalidations += 1
@@ -302,6 +317,7 @@ class ClusterSimulator:
         except KeyError:
             raise ValidationError(f"unknown tenant {tenant_name!r}") from None
         tenant.add_job(job)
+        self._epoch_until = -math.inf
 
     def _drain_events(self, now: float) -> int:
         """Apply every event due at or before ``now``; returns the count."""
@@ -310,6 +326,7 @@ class ClusterSimulator:
             _, _, event = heapq.heappop(self._event_heap)
             event.apply(self, now)
             fired += 1
+            self._epoch_until = -math.inf
         self.events_applied += fired
         return fired
 
@@ -349,6 +366,7 @@ class ClusterSimulator:
         # start can ever fire: such events must neither hold the idle-stop
         # hostage nor vanish silently
         final_start = (self.config.num_rounds - 1) * self.config.round_duration
+        self._epoch_until = -math.inf
         for round_index in range(self.config.num_rounds):
             now = round_index * self.config.round_duration
             if round_index in self.config.device_repairs:
@@ -358,8 +376,15 @@ class ClusterSimulator:
             # dynamic events may mutate tenants *and* topology, so they
             # drain before capacities and the active set are computed
             self._drain_events(now)
-            self._capacities = self.topology.capacities()
-            active_jobs = self._active_jobs(now)
+            if now >= self._epoch_until:  # a new epoch: re-ask the question
+                self._capacities = self.topology.capacities()
+                active_jobs = self._active_jobs(now)
+                self._epoch_decision = self._min_demands = None
+                if self.config.use_min_demand_rule:
+                    self._min_demands = {
+                        name: self.tenants[name].min_worker_demand(now, jobs)
+                        for name, jobs in active_jobs.items()
+                    }
             if not active_jobs:
                 fireable = (
                     self._event_heap and self._event_heap[0][0] <= final_start
@@ -386,25 +411,21 @@ class ClusterSimulator:
     def _run_round(
         self, round_index: int, now: float, active_jobs: Dict[str, List[Job]]
     ) -> None:
-        """One round, given :meth:`_active_jobs`' map — its only job scan.
+        """One round, given its epoch's :meth:`_active_jobs` map.
 
-        Profiling, the min-demand map and the placer's queues all read the
-        map; it holds for the whole round because no job is submitted or
-        finishes before the advance loop.
+        The map and the min-demand map hold for the whole epoch: nothing is
+        submitted inside it, and a finished job ends it in the advance loop.
         """
-        active = [self.tenants[name] for name in active_jobs]
-        profiles = self._measure_profiles(now, active_jobs)
-        decision = self._compute_decision(active, profiles, active_jobs)
-        self._validate_decision(decision, active)
-
-        min_demands = None
-        if self.config.use_min_demand_rule:
-            min_demands = {
-                name: self.tenants[name].min_worker_demand(now, jobs)
-                for name, jobs in active_jobs.items()
-            }
+        decision = self._epoch_decision
+        if decision is not None:
+            self.warm_stats.warm_hits += 1
+        else:
+            active = [self.tenants[name] for name in active_jobs]
+            profiles = self._measure_profiles(now, active_jobs)
+            decision = self._compute_decision(active, profiles, active_jobs)
+            self._validate_decision(decision, active)
         rounding = self._rounder.round_shares(
-            decision.tenant_shares, self._capacities, min_demands
+            decision.tenant_shares, self._capacities, self._min_demands
         )
         placement = self.placer.place_round(
             rounding.grants, self.tenants, now, active_jobs=active_jobs
@@ -433,6 +454,7 @@ class ClusterSimulator:
             job.advance(now, rate, duration)
             if job.state is JobState.FINISHED and job.job_id not in recorded:
                 recorded.add(job.job_id)
+                self._epoch_until = -math.inf
                 self.metrics.record_completion(
                     CompletionRecord(
                         job_id=job.job_id,
@@ -475,42 +497,59 @@ class ClusterSimulator:
         read-only decision itself (``solver_seconds`` 0.0 — no LP ran).
         A ``None`` key — warm starting disabled, or a scheduler whose
         decision depends on more than the key can cover — always solves
-        cold and memoizes nothing.
+        cold and memoizes nothing.  With exact profiles the round's memo
+        entry (``None`` without a key) becomes the epoch's decision.
         """
         question = (active, profiles, self._capacities)
         key = None
         if self.config.warm_start:
             key = self.scheduler.decision_key(*question, active_jobs=active_jobs)
         memo = self._decision_cache
-        if key is not None:
-            entry = memo.get(key)
-            if entry is not None:
-                memo.move_to_end(key)
-                self.warm_stats.warm_hits += 1
-                return entry
-        self.warm_stats.cold_solves += 1
-        decision = self.scheduler.shares(*question, active_jobs=active_jobs)
-        if key is not None:
-            memo[key] = _memo_entry(decision)
-            if len(memo) > self.DECISION_CACHE_MAX:
-                memo.popitem(last=False)
+        entry = None if key is None else memo.get(key)
+        if entry is not None:
+            memo.move_to_end(key)
+            self.warm_stats.warm_hits += 1
+            decision = entry
+        else:
+            self.warm_stats.cold_solves += 1
+            decision = self.scheduler.shares(*question, active_jobs=active_jobs)
+            if key is not None:
+                memo[key] = entry = _memo_entry(decision)
+                if len(memo) > self.DECISION_CACHE_MAX:
+                    memo.popitem(last=False)
+        if self._profiler.error_rate == 0:
+            # exact profiles: the rest of the epoch asks this same question
+            self._epoch_decision = entry
         return decision
 
     # -- helpers ------------------------------------------------------------------
     def _active_jobs(self, now: float) -> Dict[str, List[Job]]:
-        """Tenants with work at ``now`` (by name) and each one's active jobs."""
+        """Tenants with work at ``now`` (by name) and each one's active jobs.
+
+        The same pass sets the epoch's end: the earliest future arrival,
+        departure or job submit, where the map next changes on its own.
+        """
+        until = math.inf
         active_jobs: Dict[str, List[Job]] = {}
         for tenant in self.tenants.values():
-            if tenant.departure_time is not None and now >= tenant.departure_time:
-                self._rounder.forget(tenant.name)
-                continue
+            if tenant.departure_time is not None:
+                if now >= tenant.departure_time:
+                    self._rounder.forget(tenant.name)
+                    continue
+                until = min(until, tenant.departure_time)
             if tenant.arrival_time > now:
+                until = min(until, tenant.arrival_time)
                 continue
-            jobs = tenant.active_jobs(now)
+            queued = tenant.active_jobs()
+            jobs = [job for job in queued if job.submit_time <= now]
+            if len(jobs) < len(queued):
+                later = [job.submit_time for job in queued if job.submit_time > now]
+                until = min(until, *later)
             if jobs:
                 active_jobs[tenant.name] = jobs
             else:
                 self._rounder.forget(tenant.name)
+        self._epoch_until = until
         return active_jobs
 
     def _all_work_done(self, now: float) -> bool:

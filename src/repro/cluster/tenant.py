@@ -60,7 +60,7 @@ class Tenant:
 
         Longest starvation first; ties broken by submit time then id so the
         order is deterministic.  Here and below, a caller that already has
-        ``active_jobs(now)`` (the simulator, once per round) passes it in.
+        ``active_jobs(now)`` (the simulator, once per epoch) passes it in.
         """
         return sorted(
             self.active_jobs(now) if active is None else active,

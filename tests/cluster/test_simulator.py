@@ -1,24 +1,32 @@
 """End-to-end cluster simulations: integration tests."""
 
+import math
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
 from repro.baselines import MaxMinFairness
 from repro.cluster import (
     ClusterSimulator,
+    ClusterTopology,
+    Job,
+    MetricsCollector,
     OEFScheduler,
     Placer,
     PlacementPolicy,
     SimulationConfig,
     SingleProfileScheduler,
     Tenant,
+    make_fair_share_scheduler,
     make_job,
     paper_cluster,
 )
 from repro.cluster.gpu import Host
 from repro.exceptions import ValidationError
-from repro.scenarios import ScenarioRunner, make_scenario
-from repro.workloads import TenantGenerator
+from repro.fleet import fleet_scenario_names, run_fleet
+from repro.scenarios import ScenarioRunner, make_scenario, scenario_names
+from repro.workloads import PhillyTraceConfig, PhillyTraceGenerator, TenantGenerator
 
 
 def _population(num_tenants=3, num_jobs=3, duration=1800.0, seed=0):
@@ -380,11 +388,11 @@ class TestWarmStartEngine:
 
 
 class TestOneScanPerRound:
-    """A round derives its active jobs and free devices once (PR 18)."""
+    """An epoch derives its active jobs once, a round its free devices once."""
 
     def test_scan_budget_of_a_steady_replay(self, monkeypatch):
         # deterministic perf guard: counts, not clocks
-        calls = {"active_jobs": 0, "num_free": 0, "free_devices": 0}
+        calls = {"active_jobs": 0, "num_free": 0, "free_devices": 0, "capacities": 0}
 
         def counting(name, function):
             def wrapper(*args, **kwargs):
@@ -407,12 +415,19 @@ class TestOneScanPerRound:
             make_scenario("steady", seed=1, rounds=3, duration_fraction=2.0)
         )
         simulator = runner.build_simulator()
+        monkeypatch.setattr(
+            ClusterTopology,
+            "capacities",
+            counting("capacities", ClusterTopology.capacities),
+        )
         metrics = simulator.run()
 
         assert metrics.rounds_recorded == 3
         active_tenant_rounds = sum(len(r.estimated) for r in metrics.rounds)
         assert active_tenant_rounds == 3 * len(simulator.tenants)
-        assert 0 < calls["active_jobs"] <= active_tenant_rounds
+        # one active-set epoch: one job scan per tenant, one capacity read
+        assert calls["active_jobs"] == len(simulator.tenants)
+        assert calls["capacities"] == 1
         assert calls["num_free"] == 0
         assert 0 < calls["free_devices"] <= 3 * len(simulator.topology.hosts)
 
@@ -454,6 +469,265 @@ class TestOneScanPerRound:
         # ... and the rounder dropped its deviation state with it
         assert simulator._rounder.deviation("short").size == 0
         assert simulator._rounder.deviation("long").size == 3
+
+
+def _epoch_per_round(patch):
+    """End the active-set epoch after every round's scan: the loop before epochs."""
+    scan = ClusterSimulator._active_jobs
+
+    def every_round(self, now):
+        active_jobs = scan(self, now)
+        self._epoch_until = -math.inf
+        return active_jobs
+
+    patch.setattr(ClusterSimulator, "_active_jobs", every_round)
+
+
+@dataclass
+class _DirectSubmit:
+    """An event that hands a tenant a job behind every simulator hook's back."""
+
+    time: float
+    job: Job
+
+    def apply(self, simulator, now):
+        simulator.tenants[self.job.tenant].jobs.append(self.job)
+
+
+def _long_job(job_id, tenant, model="extra", submit_time=0.0):
+    return make_job(
+        job_id, tenant, model, [1.0, 1.7, 2.9], total_iterations=1e9,
+        submit_time=submit_time,
+    )
+
+
+class TestRoundEpoch:
+    """A round re-asks its question only when its active-set epoch ends.
+
+    Each case runs one trigger twice — with epochs, and with an epoch
+    ended after every round's scan — and asserts equal round records
+    (``solver_seconds`` as solved-or-not), completions and memo counts,
+    plus the round starts at which the epoch run scanned.
+    """
+
+    @staticmethod
+    def _replay(build, monkeypatch, every_round):
+        scans = []
+        with monkeypatch.context() as patch:
+            if every_round:
+                _epoch_per_round(patch)
+            scan = ClusterSimulator._active_jobs
+            patch.setattr(
+                ClusterSimulator,
+                "_active_jobs",
+                lambda self, now: scans.append(now) or scan(self, now),
+            )
+            simulator = build()
+            metrics = simulator.run()
+        rounds = [
+            replace(record, solver_seconds=record.solver_seconds > 0)
+            for record in metrics.rounds
+        ]
+        stats = simulator.warm_stats
+        return (rounds, metrics.completions, stats.warm_hits, stats.cold_solves), scans
+
+    def _scans(self, build, monkeypatch):
+        """Where the epoch run scanned, once it matched the per-round run."""
+        epochs, scans = self._replay(build, monkeypatch, every_round=False)
+        per_round, round_scans = self._replay(build, monkeypatch, every_round=True)
+        assert epochs == per_round
+        assert round_scans[: len(epochs[0])] == [record.time for record in epochs[0]]
+        return scans
+
+    @staticmethod
+    def _build(tenants, events=(), scheduler=None, metrics=None, **config):
+        config.setdefault("num_rounds", 8)
+        return ClusterSimulator(
+            paper_cluster(),
+            tenants,
+            scheduler or OEFScheduler("noncooperative"),
+            config=SimulationConfig(**config),
+            events=events,
+            metrics=metrics,
+        )
+
+    def _steady(self, **config):
+        return lambda: self._build(_population(duration=36000.0), **config)
+
+    def test_a_steady_run_is_one_epoch(self, monkeypatch):
+        assert self._scans(self._steady(), monkeypatch) == [0.0]
+        (_rounds, _done, hits, solves), _ = self._replay(
+            self._steady(), monkeypatch, every_round=False
+        )
+        assert (hits, solves) == (7, 1)
+
+    def test_an_event(self, monkeypatch):
+        def build():
+            return self._build(
+                _population(duration=36000.0),
+                events=[_DirectSubmit(700.0, _long_job(99, "t0"))],
+            )
+
+        assert self._scans(build, monkeypatch) == [0.0, 900.0]
+
+    def test_a_completion(self, monkeypatch):
+        build = lambda: self._build(_population(num_jobs=2, duration=900.0))
+        scans = self._scans(build, monkeypatch)
+        assert scans[0] == 0.0 and 1 < len(scans)
+        _records, done, _hits, _solves = self._replay(build, monkeypatch, False)[0]
+        assert {record.finish_time // 300 * 300 + 300 for record in done} >= set(
+            scans[1:]
+        )
+
+    def test_a_bare_arrival_crossing(self, monkeypatch):
+        # Fig. 9's tenants arrive by arrival_time alone, with no event
+        config = PhillyTraceConfig(
+            num_tenants=5, jobs_per_tenant_mean=2.0, window_seconds=2400.0,
+            contention=40.0, seed=3,
+        )
+
+        def build():
+            tenants = PhillyTraceGenerator(config=config).generate()
+            return self._build(tenants, num_rounds=10, stop_when_idle=False)
+
+        arrivals = {tenant.arrival_time for tenant in build().tenants.values()}
+        due = {math.ceil(time / 300.0) * 300.0 for time in arrivals if time < 3000.0}
+        scans = self._scans(build, monkeypatch)
+        assert len(due) > 2 and due <= set(scans)
+
+    def test_a_bare_submit_crossing(self, monkeypatch):
+        def build():
+            tenants = _population(duration=36000.0)
+            tenants[1].add_job(_long_job(99, "t1", submit_time=1000.0))
+            return self._build(tenants)
+
+        assert self._scans(build, monkeypatch) == [0.0, 1200.0]
+
+    def test_a_departure(self, monkeypatch):
+        def build():
+            tenants = _population(duration=36000.0)
+            tenants[2].departure_time = 750.0
+            return self._build(tenants, stop_when_idle=False)
+
+        assert self._scans(build, monkeypatch) == [0.0, 900.0]
+
+    def test_a_config_failure_and_repair(self, monkeypatch):
+        build = self._steady(device_failures={2: [0, 1]}, device_repairs={5: [0, 1]})
+        assert self._scans(build, monkeypatch) == [0.0, 600.0, 1500.0]
+
+    def test_set_tenant_weight_and_add_job(self, monkeypatch):
+        # the hooks run from the record path, outside any event
+        def build():
+            metrics = MetricsCollector()
+            simulator = self._build(_population(duration=36000.0), metrics=metrics)
+
+            def mutate(record):
+                if record.round_index == 2:
+                    simulator.set_tenant_weight("t0", 3.0)
+                if record.round_index == 4:
+                    simulator.add_job("t1", _long_job(99, "t1"))
+
+            metrics.on_round = mutate
+            return simulator
+
+        assert self._scans(build, monkeypatch) == [0.0, 900.0, 1500.0]
+
+    def test_run_starts_an_epoch(self, monkeypatch):
+        def build():
+            simulator = self._build(_population(duration=36000.0), num_rounds=3)
+            simulator.run()
+            simulator.tenants["t0"].jobs.append(_long_job(99, "t0"))
+            return simulator
+
+        assert self._scans(build, monkeypatch) == [0.0, 0.0]
+
+    def test_noisy_profiling(self, monkeypatch):
+        build = self._steady(profiling_error=0.1, profiling_seed=4)
+        assert self._scans(build, monkeypatch) == [0.0]
+        (_rounds, _done, hits, solves), _ = self._replay(build, monkeypatch, False)
+        assert (hits, solves) == (0, 8)
+
+    def test_warm_start_off(self, monkeypatch):
+        build = self._steady(warm_start=False)
+        assert self._scans(build, monkeypatch) == [0.0]
+
+    def test_a_scheduler_without_a_key(self, monkeypatch):
+        def build():
+            return self._build(
+                _population(duration=36000.0),
+                scheduler=make_fair_share_scheduler("oef-elastic-noncoop"),
+            )
+
+        assert self._scans(build, monkeypatch) == [0.0]
+        (_rounds, _done, hits, solves), _ = self._replay(build, monkeypatch, False)
+        assert (hits, solves) == (0, 8)
+
+
+#: every cluster-family library replay the differential grid covers
+EPOCH_REPLAYS = [
+    (name, scheduler, seed)
+    for name in scenario_names()
+    for scheduler in ("oef-coop", "oef-noncoop", "gavel")
+    for seed in (1, 4)
+]
+#: every library fleet on every backend
+EPOCH_FLEETS = [
+    (name, backend)
+    for name in fleet_scenario_names()
+    for backend in ("serial", "thread", "process")
+]
+
+
+def _check_replay(monkeypatch, name, scheduler, seed):
+    scenario = make_scenario(name, seed=seed, rounds=12)
+    results = []
+    for every_round in (False, True):
+        with monkeypatch.context() as patch:
+            if every_round:
+                _epoch_per_round(patch)
+            result = ScenarioRunner(scenario, scheduler).run()
+        results.append((result.fingerprint(), result.warm_hits, result.cold_solves))
+    assert results[0] == results[1]
+
+
+def _check_fleet(monkeypatch, tmp_path, name, backend):
+    def fingerprint(backend, label):
+        path = str(tmp_path / f"{label}.jsonl")
+        return run_fleet(
+            name, regions=3, rounds=12, seed=3, backend=backend, metrics_path=path
+        ).fingerprint()
+
+    # the patch reaches this process only, so the reference runs serially
+    with monkeypatch.context() as patch:
+        _epoch_per_round(patch)
+        per_round = fingerprint("serial", "per-round")
+    assert fingerprint(backend, "epochs") == per_round
+
+
+class TestEpochDifferential:
+    """Epochs on vs an epoch per round: fingerprints and memo counts equal.
+
+    Tier-1 runs a sample; ``pytest -m differential`` runs every library
+    replay (5 scenarios x 3 schedulers x 2 seeds) and all 12 fleet runs.
+    """
+
+    @pytest.mark.parametrize("name, scheduler, seed", EPOCH_REPLAYS[::5])
+    def test_replay_sample(self, monkeypatch, name, scheduler, seed):
+        _check_replay(monkeypatch, name, scheduler, seed)
+
+    @pytest.mark.parametrize("name, backend", EPOCH_FLEETS[::4])
+    def test_fleet_sample(self, monkeypatch, tmp_path, name, backend):
+        _check_fleet(monkeypatch, tmp_path, name, backend)
+
+    @pytest.mark.differential
+    @pytest.mark.parametrize("name, scheduler, seed", EPOCH_REPLAYS)
+    def test_every_replay(self, monkeypatch, name, scheduler, seed):
+        _check_replay(monkeypatch, name, scheduler, seed)
+
+    @pytest.mark.differential
+    @pytest.mark.parametrize("name, backend", EPOCH_FLEETS)
+    def test_every_fleet(self, monkeypatch, tmp_path, name, backend):
+        _check_fleet(monkeypatch, tmp_path, name, backend)
 
 
 class TestDeliveredThroughput:

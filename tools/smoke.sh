@@ -150,6 +150,21 @@ grep "^steady" "$TMP/steady_cold.txt" > "$TMP/steady_cold_row.txt"
 test -s "$TMP/steady_row.txt"
 diff "$TMP/steady_row.txt" "$TMP/steady_cold_row.txt"
 
+echo "== repro simulate philly-replay, memo vs --cold (active-set epoch gate) =="
+# arrival waves and multi-GPU jobs (min demand > 1): a round reuses its
+# epoch's question until an arrival, completion or event, which must
+# replay what a cold solve every round gives
+"$PY" -m repro simulate --scenario philly-replay --rounds 24 \
+    | tee "$TMP/philly.txt"
+"$PY" -m repro simulate --scenario philly-replay --rounds 24 --cold \
+    | tee "$TMP/philly_cold.txt"
+grep -q "warm-started" "$TMP/philly.txt"
+grep -q "warm-start disabled" "$TMP/philly_cold.txt"
+grep "^philly-replay" "$TMP/philly.txt" > "$TMP/philly_row.txt"
+grep "^philly-replay" "$TMP/philly_cold.txt" > "$TMP/philly_cold_row.txt"
+test -s "$TMP/philly_row.txt"
+diff "$TMP/philly_row.txt" "$TMP/philly_cold_row.txt"
+
 echo "== repro simulate seed sweep, serial vs process (shared pool gate) =="
 "$PY" -m repro simulate --scenario steady --rounds 4 --seeds 1 2 \
     --backend serial | tee "$TMP/sweep_serial.txt"
