@@ -11,8 +11,6 @@ Run:  python examples/hyperparameter_sweep.py
 
 from repro.cluster import (
     ClusterSimulator,
-    Placer,
-    PlacementPolicy,
     SimulationConfig,
     make_fair_share_scheduler,
     paper_cluster,
@@ -39,16 +37,11 @@ def build_tenants(seed: int):
 
 
 def run(scheduler, label: str, seed: int = 42) -> None:
-    topology = paper_cluster()
-    placer = Placer(
-        topology,
-        policy=PlacementPolicy.oef() if "OEF" in label else PlacementPolicy.naive(),
-    )
+    # the scheduler brings its own placer and rounding rule (§6.1.3)
     simulator = ClusterSimulator(
-        topology,
+        paper_cluster(),
         build_tenants(seed),
         scheduler,
-        placer=placer,
         config=SimulationConfig(num_rounds=96, stop_when_idle=True),
     )
     metrics = simulator.run()
@@ -69,12 +62,10 @@ def run(scheduler, label: str, seed: int = 42) -> None:
 
 def build_simulator(seed: int) -> ClusterSimulator:
     """Module-level factory so `run_sweep` can ship it to process workers."""
-    topology = paper_cluster()
     return ClusterSimulator(
-        topology,
+        paper_cluster(),
         build_tenants(seed),
         make_fair_share_scheduler("oef-coop"),
-        placer=Placer(topology, policy=PlacementPolicy.oef()),
         config=SimulationConfig(num_rounds=96, stop_when_idle=True),
     )
 

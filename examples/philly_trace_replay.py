@@ -9,7 +9,7 @@ Run:  python examples/philly_trace_replay.py
 """
 
 from repro.cluster import ClusterSimulator, SimulationConfig, paper_cluster
-from repro.experiments.common import baseline_stack, oef_stack
+from repro.experiments.common import evaluated
 from repro.workloads import PhillyTraceConfig, PhillyTraceGenerator
 
 TRACE = PhillyTraceConfig(
@@ -21,7 +21,8 @@ TRACE = PhillyTraceConfig(
 )
 
 
-def replay(label: str, scheduler, placer, use_min_demand: bool) -> None:
+def replay(label: str, name: str) -> None:
+    # each scheduler brings its own placer and rounding rule (§6.1.3)
     topology = paper_cluster()
     tenants = PhillyTraceGenerator(
         config=TRACE, cluster_devices=topology.num_devices
@@ -29,12 +30,10 @@ def replay(label: str, scheduler, placer, use_min_demand: bool) -> None:
     simulator = ClusterSimulator(
         topology,
         tenants,
-        scheduler,
-        placer=placer,
+        evaluated(name),
         config=SimulationConfig(
             num_rounds=int(TRACE.window_seconds / 300 * 3),
             stop_when_idle=True,
-            use_min_demand_rule=use_min_demand,
         ),
     )
     metrics = simulator.run()
@@ -46,13 +45,10 @@ def replay(label: str, scheduler, placer, use_min_demand: bool) -> None:
 
 
 def main() -> None:
-    topology = paper_cluster()
-    print(f"cluster: {topology.summary()}")
-    scheduler, placer = oef_stack(topology, "cooperative")
-    replay("OEF", scheduler, placer, use_min_demand=True)
+    print(f"cluster: {paper_cluster().summary()}")
+    replay("OEF", "cooperative")
     for name in ("gandiva", "gavel"):
-        scheduler, placer = baseline_stack(paper_cluster(), name)
-        replay(name.capitalize(), scheduler, placer, use_min_demand=False)
+        replay(name.capitalize(), name)
 
 
 if __name__ == "__main__":

@@ -71,11 +71,13 @@ class GandivaFair(Allocator):
 
         The default 0.0 trades arbitrarily fine fractions — the fluid
         mechanism of the paper's §2.4 analysis.  The real Gandiva_fair
-        trades whole GPUs (it migrates jobs between physical devices), so
-        the cluster simulation uses ``trade_lot=1.0``: trades below one
-        device cannot execute, leaving tenants with mixed residual
-        holdings across GPU types — the source of Gandiva's cross-type
-        placements in §6.3.3.
+        migrates jobs between physical devices but time-slices them, so
+        the paper experiments (``repro.experiments``) use
+        ``trade_lot=0.25``: trades below a quarter device cannot execute,
+        leaving tenants with mixed residual holdings across GPU types —
+        the source of Gandiva's cross-type placements in §6.3.3.
+        Scenario and fleet replays (``repro simulate``, ``repro
+        fleet-sim``) build the scheduler by name and so trade at 0.0.
         """
         self.min_gap = min_gap
         self.min_volume = min_volume

@@ -63,6 +63,12 @@ class FairShareScheduler(abc.ABC):
     """One fair-share evaluation per scheduling round."""
 
     name: str = "scheduler"
+    #: The evaluation stack this scheduler runs with (§6.1.3): ``True``
+    #: pairs it with the optimised placer and the §4.3 min-demand rule,
+    #: ``False`` (the baselines) with the naive placer and plain
+    #: deviation rounding.  :class:`~repro.cluster.simulator.ClusterSimulator`
+    #: builds its default stack from this.
+    oef_stack: bool = False
 
     @abc.abstractmethod
     def shares(
@@ -101,6 +107,8 @@ class FairShareScheduler(abc.ABC):
 
 class OEFScheduler(FairShareScheduler):
     """OEF fair-share evaluator (either environment)."""
+
+    oef_stack = True
 
     def __init__(self, mode: str = "noncooperative"):
         if mode not in ("noncooperative", "cooperative"):
@@ -151,6 +159,8 @@ class ElasticOEFScheduler(FairShareScheduler):
     elastic jobs (``Job.elastic = True``) so grants of any size are
     consumable.
     """
+
+    oef_stack = True
 
     def __init__(self, mode: str = "noncooperative"):
         if mode not in ("noncooperative", "cooperative"):

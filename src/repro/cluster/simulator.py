@@ -12,6 +12,12 @@ Each scheduling round (5 minutes by default):
 5. jobs advance; completions are timestamped inside the round, starved
    jobs accumulate priority for the next round.
 
+The scheduler brings its own evaluation stack (§6.1.3): a scheduler with
+``oef_stack`` set (OEF, elastic OEF) runs with the optimised placer and
+the min-demand rounding rule, every other one (the baselines) with the
+naive placer and plain deviation rounding.  An explicit ``placer=``
+overrides the placement half (the placement ablations pass one).
+
 The simulator substitutes the paper's 24-GPU testbed: every reported
 metric (normalised throughput, JCT, straggler counts, solver overhead) is
 a function of scheduling decisions, which are bit-for-bit the real
@@ -19,8 +25,7 @@ algorithms from :mod:`repro.core` and :mod:`repro.baselines`.
 
 Dynamic workloads
 -----------------
-Beyond the static config knobs (``device_failures`` / ``device_repairs``),
-the simulator accepts a *timed event stream*: any object with a ``time``
+The simulator accepts a *timed event stream*: any object with a ``time``
 attribute (seconds) and an ``apply(simulator, now)`` method can be passed
 via the ``events`` constructor argument or :meth:`ClusterSimulator.schedule_event`.
 Due events are drained at the start of each round, before capacities are
@@ -76,7 +81,7 @@ from repro.cluster.job import Job, JobState
 from repro.cluster.metrics import CompletionRecord, MetricsCollector, RoundMetrics
 from repro.cluster.placement import Placer, PlacementPolicy
 from repro.cluster.profiler import ProfilingAgent
-from repro.cluster.rounding import DeviationRounder, NaiveRounder
+from repro.cluster.rounding import DeviationRounder
 from repro.cluster.schedulers import (
     FairShareScheduler,
     SchedulerDecision,
@@ -112,19 +117,9 @@ class SimulationConfig:
     profiling_error: float = 0.0
     profiling_seed: int = 0
     stop_when_idle: bool = True
-    # deviation rounding models time-sliced realisation of fractional
-    # shares (all real systems do some form of it); the min-demand rule
-    # (§4.3) is OEF's refinement and is what baselines lack
-    use_deviation_rounding: bool = True
-    use_min_demand_rule: bool = True
     # tenant name -> multiplicative factors applied to its reported
     # speedups (Fig. 4b cheats by inflating entries above 1.0)
     misreports: Dict[str, np.ndarray] = field(default_factory=dict)
-    # failure injection: round index -> device ids that fail at the start
-    # of that round (capacity shrinks; the evaluator reallocates around it)
-    device_failures: Dict[int, List[int]] = field(default_factory=dict)
-    # round index -> device ids repaired at the start of that round
-    device_repairs: Dict[int, List[int]] = field(default_factory=dict)
     # reuse the previous solution when a round poses the scheduler an
     # identical question (see "Incremental rounds" in the module docs);
     # False forces a cold LP solve every round
@@ -195,14 +190,13 @@ class ClusterSimulator:
         self.topology = topology
         self.tenants: Dict[str, Tenant] = {tenant.name: tenant for tenant in tenants}
         self.scheduler = scheduler
-        self.placer = placer or Placer(topology)
+        policy = PlacementPolicy.oef() if scheduler.oef_stack else PlacementPolicy.naive()
+        self.placer = placer or Placer(topology, policy=policy)
         self.config = config or SimulationConfig()
         # callers may supply a pre-wired collector (streaming observer,
         # keep_rounds=False) — see MetricsCollector's docstring
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        self._rounder = (
-            DeviationRounder() if self.config.use_deviation_rounding else NaiveRounder()
-        )
+        self._rounder = DeviationRounder()
         self._profiler = ProfilingAgent(
             error_rate=self.config.profiling_error, seed=self.config.profiling_seed
         )
@@ -237,8 +231,8 @@ class ClusterSimulator:
         event times to the horizon to avoid this).
         """
         time = float(event.time)
-        if time < 0:
-            raise ValidationError("event time must be >= 0")
+        if not 0 <= time < math.inf:
+            raise ValidationError(f"event time must be finite and >= 0, got {time}")
         heapq.heappush(self._event_heap, (time, self._event_seq, event))
         self._event_seq += 1
 
@@ -369,10 +363,6 @@ class ClusterSimulator:
         self._epoch_until = -math.inf
         for round_index in range(self.config.num_rounds):
             now = round_index * self.config.round_duration
-            if round_index in self.config.device_repairs:
-                self.repair_devices(self.config.device_repairs[round_index])
-            if round_index in self.config.device_failures:
-                self.fail_devices(self.config.device_failures[round_index])
             # dynamic events may mutate tenants *and* topology, so they
             # drain before capacities and the active set are computed
             self._drain_events(now)
@@ -380,7 +370,7 @@ class ClusterSimulator:
                 self._capacities = self.topology.capacities()
                 active_jobs = self._active_jobs(now)
                 self._epoch_decision = self._min_demands = None
-                if self.config.use_min_demand_rule:
+                if self.scheduler.oef_stack:
                     self._min_demands = {
                         name: self.tenants[name].min_worker_demand(now, jobs)
                         for name, jobs in active_jobs.items()

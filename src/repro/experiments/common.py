@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.cluster.placement import Placer, PlacementPolicy
-from repro.cluster.schedulers import make_fair_share_scheduler
-from repro.cluster.topology import ClusterTopology
+from repro.cluster.schedulers import FairShareScheduler, make_fair_share_scheduler
 from repro.registry import resolve_scheduler_name
 
 
@@ -66,23 +64,14 @@ _BASELINE_OPTIONS: Dict[str, Dict[str, object]] = {
 }
 
 
-def oef_stack(topology: ClusterTopology, mode: str) -> tuple:
-    """OEF's full stack: its evaluator plus its optimised placer."""
-    scheduler = make_fair_share_scheduler(mode)
-    placer = Placer(topology, policy=PlacementPolicy.oef())
-    return scheduler, placer
+def evaluated(name: str) -> FairShareScheduler:
+    """The round scheduler the evaluation (§6.1.3) runs under ``name``.
 
-
-def baseline_stack(topology: ClusterTopology, name: str) -> tuple:
-    """A baseline evaluator paired with the naive placer (§6.1.3).
-
-    ``name`` is any registry name or alias; the baselines have no
-    placement optimisation, so they run with first-fit placement, no
-    packing, and no adjacency enforcement.
+    ``name`` is any registry name or alias; baselines get their
+    evaluation options.  The simulator pairs the scheduler with its own
+    placer and rounding rule (:attr:`FairShareScheduler.oef_stack`).
     """
     canonical = resolve_scheduler_name(name)
-    scheduler = make_fair_share_scheduler(
+    return make_fair_share_scheduler(
         canonical, **_BASELINE_OPTIONS.get(canonical, {})
     )
-    placer = Placer(topology, policy=PlacementPolicy.naive())
-    return scheduler, placer

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cluster import ClusterSimulator, SimulationConfig, paper_cluster
-from repro.experiments.common import ExperimentResult, oef_stack
+from repro.experiments.common import ExperimentResult, evaluated
 from repro.workloads.generator import TenantGenerator
 
 TENANT_MODELS = {
@@ -33,7 +33,6 @@ def _build_simulation(
     jobs_per_tenant: int,
     seed: int = 3,
 ):
-    topology = paper_cluster()
     generator = TenantGenerator(seed=seed)
     tenants = []
     for name, model in TENANT_MODELS.items():
@@ -46,13 +45,14 @@ def _build_simulation(
         tenants.append(tenant)
     # user-4 exits at the 40-minute mark (Fig. 4 caption)
     tenants[-1].departure_time = departure_round * 300.0
-    scheduler, placer = oef_stack(topology, "noncooperative")
     config = SimulationConfig(
         num_rounds=num_rounds,
         misreports={"user1": misreport} if misreport is not None else {},
         stop_when_idle=False,
     )
-    return ClusterSimulator(topology, tenants, scheduler, placer=placer, config=config)
+    return ClusterSimulator(
+        paper_cluster(), tenants, evaluated("noncooperative"), config=config
+    )
 
 
 def run(

@@ -19,7 +19,7 @@ from repro.cluster import (
     SimulationConfig,
     paper_cluster,
 )
-from repro.experiments.common import ExperimentResult, baseline_stack, oef_stack
+from repro.experiments.common import ExperimentResult, evaluated
 from repro.workloads.generator import TenantGenerator
 
 TENANT_MODELS = {
@@ -43,28 +43,15 @@ def _population(generator: TenantGenerator, jobs_per_tenant: int):
 
 
 def run_panel_a(num_rounds: int = 12, jobs_per_tenant: int = 10) -> ExperimentResult:
-    topology = paper_cluster()
-
-    scheduler, placer = oef_stack(topology, "cooperative")
-    oef_sim = ClusterSimulator(
-        topology,
-        _population(TenantGenerator(seed=11), jobs_per_tenant),
-        scheduler,
-        placer=placer,
-        config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=False),
+    oef_metrics, maxmin_metrics = (
+        ClusterSimulator(
+            paper_cluster(),
+            _population(TenantGenerator(seed=11), jobs_per_tenant),
+            evaluated(name),
+            config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=False),
+        ).run()
+        for name in ("cooperative", "max-min")
     )
-    oef_metrics = oef_sim.run()
-
-    topology_b = paper_cluster()
-    maxmin_scheduler, maxmin_placer = baseline_stack(topology_b, "max-min")
-    maxmin_sim = ClusterSimulator(
-        topology_b,
-        _population(TenantGenerator(seed=11), jobs_per_tenant),
-        maxmin_scheduler,
-        placer=maxmin_placer,
-        config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=False),
-    )
-    maxmin_metrics = maxmin_sim.run()
 
     result = ExperimentResult("Fig. 5(a) — sharing incentive under cooperative OEF")
     for name in TENANT_MODELS:
@@ -105,12 +92,10 @@ def run_panel_b(
                 submit_time=switch_time,
             )
         )
-    scheduler, placer = oef_stack(topology, "noncooperative")
     sim = ClusterSimulator(
         topology,
         tenants,
-        scheduler,
-        placer=placer,
+        evaluated("noncooperative"),
         config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=False),
     )
     metrics = sim.run()

@@ -13,7 +13,7 @@ from typing import Dict, List
 
 from repro.cluster import ClusterSimulator, SimulationConfig, paper_cluster
 from repro.cluster.tenant import Tenant
-from repro.experiments.common import ExperimentResult, baseline_stack, oef_stack
+from repro.experiments.common import ExperimentResult, evaluated
 from repro.workloads.generator import TenantGenerator
 from repro.workloads.models import all_models
 
@@ -63,37 +63,14 @@ def run_setting(
 ) -> Dict[str, Dict[str, float]]:
     """Throughput of OEF(mode) vs both baselines on identical populations."""
     outcomes: Dict[str, Dict[str, float]] = {}
-
-    topology = paper_cluster()
-    scheduler, placer = oef_stack(topology, mode)
-    sim = ClusterSimulator(
-        topology,
-        _population(num_tenants, jobs_per_tenant, seed),
-        scheduler,
-        placer=placer,
-        config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=False),
-    )
-    metrics = sim.run()
-    outcomes["OEF"] = {
-        "estimated": metrics.mean_total_estimated(),
-        "actual": metrics.mean_total_actual(),
-    }
-
-    for baseline in ("gandiva", "gavel"):
-        topology = paper_cluster()
-        scheduler, placer = baseline_stack(topology, baseline)
-        sim = ClusterSimulator(
-            topology,
+    for label, name in (("OEF", mode), ("Gandiva", "gandiva"), ("Gavel", "gavel")):
+        metrics = ClusterSimulator(
+            paper_cluster(),
             _population(num_tenants, jobs_per_tenant, seed),
-            scheduler,
-            placer=placer,
-            config=SimulationConfig(
-                num_rounds=num_rounds, stop_when_idle=False,
-                use_min_demand_rule=False,
-            ),
-        )
-        metrics = sim.run()
-        outcomes[baseline.capitalize()] = {
+            evaluated(name),
+            config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=False),
+        ).run()
+        outcomes[label] = {
             "estimated": metrics.mean_total_estimated(),
             "actual": metrics.mean_total_actual(),
         }

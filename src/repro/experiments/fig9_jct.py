@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.cluster import ClusterSimulator, SimulationConfig, paper_cluster
-from repro.experiments.common import ExperimentResult, baseline_stack, oef_stack
+from repro.experiments.common import ExperimentResult, evaluated
 from repro.workloads.philly import PhillyTraceConfig, PhillyTraceGenerator
 
 
@@ -47,36 +47,15 @@ def run(
     jcts: Dict[str, float] = {}
     makespans: Dict[str, float] = {}
 
-    topology = paper_cluster()
-    scheduler, placer = oef_stack(topology, mode)
-    sim = ClusterSimulator(
-        topology,
-        _trace(trace_config),
-        scheduler,
-        placer=placer,
-        config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=True),
-    )
-    metrics = sim.run()
-    jcts["OEF"] = metrics.mean_jct()
-    makespans["OEF"] = metrics.makespan()
-
-    for baseline in ("gandiva", "gavel"):
-        topology = paper_cluster()
-        scheduler, placer = baseline_stack(topology, baseline)
-        sim = ClusterSimulator(
-            topology,
+    for label, name in (("OEF", mode), ("Gandiva", "gandiva"), ("Gavel", "gavel")):
+        metrics = ClusterSimulator(
+            paper_cluster(),
             _trace(trace_config),
-            scheduler,
-            placer=placer,
-            config=SimulationConfig(
-                num_rounds=num_rounds,
-                stop_when_idle=True,
-                use_min_demand_rule=False,
-            ),
-        )
-        metrics = sim.run()
-        jcts[baseline.capitalize()] = metrics.mean_jct()
-        makespans[baseline.capitalize()] = metrics.makespan()
+            evaluated(name),
+            config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=True),
+        ).run()
+        jcts[label] = metrics.mean_jct()
+        makespans[label] = metrics.makespan()
 
     result = ExperimentResult("Fig. 9 — mean JCT over a Philly-like trace")
     reference = jcts["OEF"]

@@ -16,7 +16,7 @@ from typing import Dict, List
 
 from repro.cluster import ClusterSimulator, SimulationConfig, paper_cluster
 from repro.cluster.tenant import Tenant
-from repro.experiments.common import ExperimentResult, baseline_stack, oef_stack
+from repro.experiments.common import ExperimentResult, evaluated
 from repro.workloads.generator import TenantGenerator
 from repro.workloads.models import all_models
 
@@ -44,42 +44,20 @@ def run(
     num_tenants: int = 8, num_rounds: int = 10, seed: int = 17
 ) -> ExperimentResult:
     counts: Dict[str, Dict[str, float]] = {}
-
-    topology = paper_cluster()
-    scheduler, placer = oef_stack(topology, "noncooperative")
-    sim = ClusterSimulator(
-        topology,
-        _population(num_tenants, seed),
-        scheduler,
-        placer=placer,
-        config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=False),
-    )
-    metrics = sim.run()
-    counts["OEF"] = {
-        "straggler_workers": metrics.total_straggler_workers(),
-        "cross_type_jobs": metrics.total_cross_type_jobs(),
-    }
-
     # Baselines keep their naive placement (the variable under test is
     # placement adjacency, §4.4) but share OEF's deviation rounding: their
     # real systems also realise fractional shares over time, which is what
     # fragments a tenant's per-round holdings across GPU types.
-    for baseline in ("gandiva", "gavel"):
-        topology = paper_cluster()
-        scheduler, placer = baseline_stack(topology, baseline)
-        sim = ClusterSimulator(
-            topology,
+    for label, name in (
+        ("OEF", "noncooperative"), ("Gandiva", "gandiva"), ("Gavel", "gavel")
+    ):
+        metrics = ClusterSimulator(
+            paper_cluster(),
             _population(num_tenants, seed),
-            scheduler,
-            placer=placer,
-            config=SimulationConfig(
-                num_rounds=num_rounds,
-                stop_when_idle=False,
-                use_min_demand_rule=False,
-            ),
-        )
-        metrics = sim.run()
-        counts[baseline.capitalize()] = {
+            evaluated(name),
+            config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=False),
+        ).run()
+        counts[label] = {
             "straggler_workers": metrics.total_straggler_workers(),
             "cross_type_jobs": metrics.total_cross_type_jobs(),
         }

@@ -9,12 +9,12 @@ Jain fairness, an envy proxy, starvation) plus the aggregate summary row
 the CLI, the scenario-comparison experiment, and
 ``experiments/report.py`` consume.
 
-Scheduler/placement pairing follows the paper's evaluation setup
-(§6.1.3): OEF evaluators run with the optimised placer and the
-min-demand rounding rule; baselines run with the naive placer and plain
-deviation rounding.  That keeps ``ScenarioRunner(scenario, s).run()``
-an apples-to-apples replay of the same event stream under scheduler
-``s``.
+Each scheduler brings its own evaluation stack (§6.1.3), which the
+simulator derives from it: OEF evaluators run with the optimised placer
+and the min-demand rounding rule; baselines run with the naive placer
+and plain deviation rounding.  That keeps ``ScenarioRunner(scenario,
+s).run()`` an apples-to-apples replay of the same event stream under
+scheduler ``s``.
 
 Multi-seed sweeps ride the execution backends (:mod:`repro.parallel`):
 :func:`scenario_sweep` hands :meth:`ClusterSimulator.run_sweep` a
@@ -43,13 +43,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.cluster.metrics import MetricsCollector, RoundMetrics
-from repro.cluster.placement import Placer, PlacementPolicy
 from repro.cluster.schedulers import make_fair_share_scheduler
 from repro.cluster.simulator import ClusterSimulator
 from repro.core.analysis import jain_index
 from repro.exceptions import ValidationError
 from repro.parallel import BackendSpec
-from repro.registry import REGISTRY
 from repro.scenarios.library import make_scenario
 from repro.scenarios.scenario import Scenario, ScenarioScript
 
@@ -357,13 +355,6 @@ class ScenarioRunner:
         self.round_sink = round_sink
 
     # -- construction ---------------------------------------------------------
-    def _is_oef(self) -> bool:
-        """OEF stacks get the optimised placer + min-demand rule (§6.1.3)."""
-        name = self.scheduler
-        if name in REGISTRY:
-            name = REGISTRY.resolve(name)
-        return name.startswith("oef") or name in ("cooperative", "noncooperative")
-
     def build_simulator(
         self,
         script: Optional[ScenarioScript] = None,
@@ -371,24 +362,11 @@ class ScenarioRunner:
     ) -> ClusterSimulator:
         """A fresh, event-loaded simulator for one replay of the recipe."""
         script = script if script is not None else self.scenario.materialize()
-        oef = self._is_oef()
-        scheduler = make_fair_share_scheduler(
-            self.scheduler, **self.scheduler_options
-        )
-        placer = Placer(
-            script.topology,
-            policy=PlacementPolicy.oef() if oef else PlacementPolicy.naive(),
-        )
-        overrides = {
-            "use_min_demand_rule": oef,
-            "warm_start": self.warm,
-            **self.config_overrides,
-        }
+        overrides = {"warm_start": self.warm, **self.config_overrides}
         return ClusterSimulator(
             script.topology,
             list(script.initial_tenants),
-            scheduler,
-            placer=placer,
+            make_fair_share_scheduler(self.scheduler, **self.scheduler_options),
             config=self.scenario.simulation_config(overrides),
             events=script.events,
             metrics=metrics,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -55,11 +56,14 @@ def _pick(row: Mapping[str, object], field: str) -> object:
 
 def _as_float(value: object, where: str, field: str) -> float:
     try:
-        return float(value)  # type: ignore[arg-type]
+        number = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
+        number = math.nan  # reported below, like any non-finite value
+    if not math.isfinite(number):
         raise TraceFormatError(
-            f"{where}: field {field!r} is not a number ({value!r})"
-        ) from None
+            f"{where}: field {field!r} is not a finite number ({value!r})"
+        )
+    return number
 
 
 def normalize_rows(

@@ -10,7 +10,7 @@ from repro.cluster import (
     paper_cluster,
 )
 from repro.exceptions import ValidationError
-from repro.scenarios.events import DeviceFailure
+from repro.scenarios.events import DeviceFailure, DeviceRepair
 from repro.workloads import TenantGenerator
 
 
@@ -24,6 +24,15 @@ def _population(num_tenants=3, num_jobs=8):
         )
         for i in range(num_tenants)
     ]
+
+
+def _fail(round_index, device_ids):
+    """Devices that fail at the start of ``round_index`` (300 s rounds)."""
+    return DeviceFailure(time=round_index * 300.0, device_ids=tuple(device_ids))
+
+
+def _repair(round_index, device_ids):
+    return DeviceRepair(time=round_index * 300.0, device_ids=tuple(device_ids))
 
 
 class TestDeviceState:
@@ -97,11 +106,8 @@ class TestSimulationUnderFailures:
             paper_cluster(),
             _population(),
             OEFScheduler("noncooperative"),
-            config=SimulationConfig(
-                num_rounds=4,
-                stop_when_idle=False,
-                device_failures={2: list(range(16, 24))},  # lose all 3090s
-            ),
+            config=SimulationConfig(num_rounds=4, stop_when_idle=False),
+            events=[_fail(2, range(16, 24))],  # lose all 3090s
         ).run()
 
         # identical before the failure round
@@ -117,11 +123,8 @@ class TestSimulationUnderFailures:
             paper_cluster(),
             _population(),
             OEFScheduler("noncooperative"),
-            config=SimulationConfig(
-                num_rounds=4,
-                stop_when_idle=False,
-                device_failures={1: [0, 1, 2, 3]},
-            ),
+            config=SimulationConfig(num_rounds=4, stop_when_idle=False),
+            events=[_fail(1, [0, 1, 2, 3])],
         ).run()
         # cluster keeps running every round; nothing crashes or stalls
         for round_metrics in metrics.rounds:
@@ -132,12 +135,8 @@ class TestSimulationUnderFailures:
             paper_cluster(),
             _population(),
             OEFScheduler("noncooperative"),
-            config=SimulationConfig(
-                num_rounds=4,
-                stop_when_idle=False,
-                device_failures={1: list(range(8))},
-                device_repairs={3: list(range(8))},
-            ),
+            config=SimulationConfig(num_rounds=4, stop_when_idle=False),
+            events=[_fail(1, range(8)), _repair(3, range(8))],
         ).run()
         assert metrics.rounds[3].devices_used > metrics.rounds[1].devices_used
 
@@ -148,10 +147,7 @@ class TestSimulationUnderFailures:
             paper_cluster(),
             _population(num_tenants=2, num_jobs=4),
             OEFScheduler("cooperative"),
-            config=SimulationConfig(
-                num_rounds=3,
-                stop_when_idle=False,
-                device_failures={1: list(range(0, 8))},
-            ),
+            config=SimulationConfig(num_rounds=3, stop_when_idle=False),
+            events=[_fail(1, range(0, 8))],
         ).run()
         assert metrics.rounds[2].total_actual > 0

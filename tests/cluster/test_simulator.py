@@ -25,7 +25,9 @@ from repro.cluster import (
 from repro.cluster.gpu import Host
 from repro.exceptions import ValidationError
 from repro.fleet import fleet_scenario_names, run_fleet
+from repro.registry import REGISTRY
 from repro.scenarios import ScenarioRunner, make_scenario, scenario_names
+from repro.scenarios.events import DeviceFailure, DeviceRepair
 from repro.workloads import PhillyTraceConfig, PhillyTraceGenerator, TenantGenerator
 
 
@@ -41,12 +43,12 @@ def _population(num_tenants=3, num_jobs=3, duration=1800.0, seed=0):
     ]
 
 
-def _simulator(tenants=None, scheduler=None, **config_overrides):
+def _simulator(tenants=None, scheduler=None, events=(), **config_overrides):
     topology = paper_cluster()
     tenants = tenants or _population()
     scheduler = scheduler or OEFScheduler("noncooperative")
     config = SimulationConfig(num_rounds=6, **config_overrides)
-    return ClusterSimulator(topology, tenants, scheduler, config=config)
+    return ClusterSimulator(topology, tenants, scheduler, config=config, events=events)
 
 
 class TestConfig:
@@ -198,6 +200,59 @@ class TestSchedulerIntegration:
         assert solver_seconds and np.mean(solver_seconds) > 0
 
 
+#: Every scheduler name (registry names, aliases, elastic modes) -> whether
+#: it runs OEF's §6.1.3 stack (optimised placer + min-demand rule) or a
+#: baseline's (naive placer, plain deviation rounding).
+STACKS = {
+    **dict.fromkeys(
+        ("oef-coop", "cooperative", "coop", "oef-noncoop", "noncooperative",
+         "noncoop", "oef-elastic-coop", "oef-elastic-noncoop"),
+        True,
+    ),
+    **dict.fromkeys(
+        ("drf", "dominant-resource", "efficiency-max", "efficiency",
+         "gandiva-fair", "gandiva", "gavel", "max-min", "maxmin", "equal-share",
+         "nash-welfare", "nash"),
+        False,
+    ),
+}
+
+
+class TestSchedulerStack:
+    def test_every_name_is_covered(self):
+        names = {name for info in REGISTRY for name in (info.name, *info.aliases)}
+        assert set(STACKS) == names | {"oef-elastic-coop", "oef-elastic-noncoop"}
+
+    @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_the_scheduler_picks_placer_and_min_demand_rule(self, name, monkeypatch):
+        oef = STACKS[name]
+        policy = PlacementPolicy.oef() if oef else PlacementPolicy.naive()
+        simulator = ClusterSimulator(
+            paper_cluster(), _population(), name, config=SimulationConfig(num_rounds=1)
+        )
+        round_shares = simulator._rounder.round_shares
+        min_demands = []
+
+        def spy(shares, capacities, demands=None):
+            min_demands.append(demands)
+            return round_shares(shares, capacities, demands)
+
+        monkeypatch.setattr(simulator._rounder, "round_shares", spy)
+        simulator.run()
+        assert simulator.placer.policy == policy
+        assert len(min_demands) == 1 and (min_demands[0] is not None) == oef
+        runner = ScenarioRunner(make_scenario("steady", rounds=1), name)
+        assert runner.build_simulator().placer.policy == policy
+
+    @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_an_explicit_placer_wins(self, name):
+        topology = paper_cluster()
+        for policy in (PlacementPolicy.oef(), PlacementPolicy.naive()):
+            placer = Placer(topology, policy=policy)
+            simulator = ClusterSimulator(topology, _population(), name, placer=placer)
+            assert simulator.placer is placer
+
+
 def _sweep_factory(seed: int) -> ClusterSimulator:
     """Module-level so the process backend can pickle it."""
     return _simulator(tenants=_population(seed=seed))
@@ -295,11 +350,13 @@ class TestWarmStartEngine:
         # memo was already empty after the failure flush
         assert simulator.warm_stats.invalidations == 1
 
-    def test_config_driven_failures_fall_back_cold(self):
+    def test_failure_events_fall_back_cold(self):
         # a failure changes capacities -> new decision key -> cold solve
-        warm = _simulator(device_failures={2: [0, 1]})
+        warm = _simulator(events=[DeviceFailure(time=600.0, device_ids=(0, 1))])
         warm.run()
-        cold = _simulator(device_failures={2: [0, 1]}, warm_start=False)
+        cold = _simulator(
+            events=[DeviceFailure(time=600.0, device_ids=(0, 1))], warm_start=False
+        )
         cold_metrics = cold.run()
         warm_metrics = warm.metrics
         for a, b in zip(warm_metrics.rounds, cold_metrics.rounds):
@@ -611,8 +668,16 @@ class TestRoundEpoch:
 
         assert self._scans(build, monkeypatch) == [0.0, 900.0]
 
-    def test_a_config_failure_and_repair(self, monkeypatch):
-        build = self._steady(device_failures={2: [0, 1]}, device_repairs={5: [0, 1]})
+    def test_a_failure_and_repair(self, monkeypatch):
+        def build():
+            return self._build(
+                _population(duration=36000.0),
+                events=[
+                    DeviceFailure(time=600.0, device_ids=(0, 1)),
+                    DeviceRepair(time=1500.0, device_ids=(0, 1)),
+                ],
+            )
+
         assert self._scans(build, monkeypatch) == [0.0, 600.0, 1500.0]
 
     def test_set_tenant_weight_and_add_job(self, monkeypatch):

@@ -4,13 +4,9 @@ import io
 
 import pytest
 
-from repro.cluster import PlacementPolicy, paper_cluster
+from repro.cluster import OEFScheduler, SingleProfileScheduler
 from repro.experiments import fig1_motivation, report
-from repro.experiments.common import (
-    ExperimentResult,
-    baseline_stack,
-    oef_stack,
-)
+from repro.experiments.common import ExperimentResult, evaluated
 from repro.experiments.report import _as_markdown, generate_report
 from repro.experiments.runner import run_experiment
 
@@ -38,30 +34,27 @@ class TestExperimentResultFormat:
 
 
 class TestStacks:
-    def test_oef_stack_modes(self):
-        topology = paper_cluster()
-        scheduler, placer = oef_stack(topology, "cooperative")
-        assert scheduler.name == "oef-coop"
-        assert placer.policy == PlacementPolicy.oef()
+    def test_oef_modes(self):
+        for spelling, name in (("cooperative", "oef-coop"), ("noncoop", "oef-noncoop")):
+            scheduler = evaluated(spelling)
+            assert isinstance(scheduler, OEFScheduler)
+            assert scheduler.name == name and scheduler.oef_stack
 
-    def test_baseline_stack_naive_placement(self):
-        topology = paper_cluster()
+    def test_baselines_run_the_naive_stack(self):
         for name in ("gandiva", "gavel", "max-min"):
-            scheduler, placer = baseline_stack(topology, name)
-            assert placer.policy == PlacementPolicy.naive()
+            scheduler = evaluated(name)
+            assert isinstance(scheduler, SingleProfileScheduler)
+            assert not scheduler.oef_stack
 
-    def test_baseline_stack_unknown(self):
+    def test_unknown_name(self):
         with pytest.raises(KeyError):
-            baseline_stack(paper_cluster(), "fifo")
+            evaluated("fifo")
 
-    def test_baseline_stack_options_follow_canonical_name(self):
+    def test_options_follow_canonical_name(self):
         # the §6.1.3 options must apply however the scheduler is spelled
-        topology = paper_cluster()
         for spelling in ("gandiva", "gandiva-fair"):
-            scheduler, _ = baseline_stack(topology, spelling)
-            assert scheduler.allocator.trade_lot == 0.25
-        scheduler, _ = baseline_stack(topology, "gavel")
-        assert scheduler.allocator.slack == 0.01
+            assert evaluated(spelling).allocator.trade_lot == 0.25
+        assert evaluated("gavel").allocator.slack == 0.01
 
 
 class TestReport:

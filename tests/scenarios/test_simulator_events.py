@@ -1,5 +1,8 @@
 """ClusterSimulator event-queue hooks: mid-run tenant/job/device mutation."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -57,18 +60,15 @@ class TestEventQueue:
         assert sim.events_applied == 2
         assert sim.pending_events() == 0
 
-    def test_negative_event_time_rejected(self):
+    @pytest.mark.parametrize("time", [-1.0, math.nan, math.inf])
+    def test_negative_event_time_rejected(self, time):
+        # a NaN would corrupt the event heap's order, an inf never fires
         _, tenants = _population()
         sim = _simulator(tenants)
 
-        class Bad:
-            time = -1.0
-
-            def apply(self, simulator, now):  # pragma: no cover
-                pass
-
-        with pytest.raises(ValidationError):
-            sim.schedule_event(Bad())
+        bad = SimpleNamespace(time=time, apply=lambda simulator, now: None)
+        with pytest.raises(ValidationError, match="finite"):
+            sim.schedule_event(bad)
 
     def test_job_arrival_event_adds_work(self):
         generator, tenants = _population(num_tenants=1, jobs=1)

@@ -61,6 +61,16 @@ class TestNormalize:
         with pytest.raises(TraceFormatError, match="duration"):
             normalize_rows([{"job_id": "j1", "user": "a", "submit": 0}])
 
+    def test_nan_worker_count_is_a_typed_error(self):
+        row = {"user": "a", "submit": 0, "duration": 60, "gpus": "nan"}
+        with pytest.raises(TraceFormatError, match="num_workers"):
+            normalize_rows([row])
+
+    def test_infinite_duration_is_a_typed_error(self):
+        row = {"user": "a", "submit": 0, "duration": "inf", "gpus": 1}
+        with pytest.raises(TraceFormatError, match="duration_s"):
+            normalize_rows([row])
+
     def test_jsonl_input(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
         path.write_text(

@@ -387,6 +387,16 @@ for name in oef-coop oef-noncoop max-min gandiva-fair gavel drf \
     grep -q "$name" "$TMP/schedulers.txt"
 done
 
+echo "== examples (each runs as-is and exits 0) =="
+for example in "$ROOT"/examples/*.py; do
+    echo "-- $(basename "$example")"
+    if ! (cd "$TMP" && "$PY" "$example" > "$TMP/example.txt" 2>&1); then
+        cat "$TMP/example.txt" >&2
+        echo "example $(basename "$example") failed" >&2
+        exit 1
+    fi
+done
+
 echo "== bench tracing seams (serve, replay-churn, fleet-failover, traced smoke) =="
 # bench/tracing.py wraps each seam by name (vars(owner)[attr]), so a renamed
 # seam raises KeyError in traced runs only: run the serve and round paths
