@@ -12,10 +12,9 @@ import numpy as np
 from repro.cluster import (
     ClusterSimulator,
     DeviationRounder,
-    NaiveRounder,
     OEFScheduler,
     Placer,
-    PlacementPolicy,
+    RoundingResult,
     SimulationConfig,
     paper_cluster,
 )
@@ -38,6 +37,14 @@ class TestCuttingPlaneAblation:
         assert abs(result.total_efficiency() - reference.total_efficiency()) < 1e-4 * (
             reference.total_efficiency()
         )
+
+
+class _RintRounder:
+    """Memoryless rounding: an independent ``rint`` per entry."""
+
+    @staticmethod
+    def round_shares(ideal, capacities):
+        return RoundingResult({name: np.rint(share) for name, share in ideal.items()})
 
 
 class TestRoundingAblation:
@@ -64,7 +71,7 @@ class TestRoundingAblation:
 
     def test_bench_naive_rounding_drifts(self, benchmark):
         error = benchmark.pedantic(
-            self._tracking_error, args=(NaiveRounder,), rounds=1
+            self._tracking_error, args=(_RintRounder,), rounds=1
         )
         benchmark.extra_info["tracking_error"] = round(error, 4)
         # naive rint(0.4) = 0 forever: the 0.4 share is never served
@@ -73,7 +80,7 @@ class TestRoundingAblation:
 
 class TestPlacementAblation:
     @staticmethod
-    def _actual_throughput(policy: PlacementPolicy) -> float:
+    def _actual_throughput(oef: bool) -> float:
         topology = paper_cluster()
         generator = TenantGenerator(seed=31)
         tenants = []
@@ -99,22 +106,22 @@ class TestPlacementAblation:
             topology,
             tenants,
             OEFScheduler("noncooperative"),
-            placer=Placer(topology, policy=policy),
+            placer=Placer(topology, oef=oef),
             config=SimulationConfig(num_rounds=6, stop_when_idle=False),
         )
         return simulator.run().mean_total_actual()
 
     def test_bench_oef_placement(self, benchmark):
         value = benchmark.pedantic(
-            self._actual_throughput, args=(PlacementPolicy.oef(),), rounds=1
+            self._actual_throughput, args=(True,), rounds=1
         )
         benchmark.extra_info["actual_throughput"] = round(value, 2)
 
     def test_bench_naive_placement(self, benchmark):
         naive = benchmark.pedantic(
-            self._actual_throughput, args=(PlacementPolicy.naive(),), rounds=1
+            self._actual_throughput, args=(False,), rounds=1
         )
-        oef = self._actual_throughput(PlacementPolicy.oef())
+        oef = self._actual_throughput(True)
         benchmark.extra_info["actual_throughput"] = round(naive, 2)
         benchmark.extra_info["oef_gain_pct"] = round((oef / naive - 1) * 100, 1)
         assert oef >= naive * 0.98

@@ -9,7 +9,6 @@ Run:  python examples/philly_trace_replay.py
 """
 
 from repro.cluster import ClusterSimulator, SimulationConfig, paper_cluster
-from repro.experiments.common import evaluated
 from repro.workloads import PhillyTraceConfig, PhillyTraceGenerator
 
 TRACE = PhillyTraceConfig(
@@ -30,7 +29,7 @@ def replay(label: str, name: str) -> None:
     simulator = ClusterSimulator(
         topology,
         tenants,
-        evaluated(name),
+        name,
         config=SimulationConfig(
             num_rounds=int(TRACE.window_seconds / 300 * 3),
             stop_when_idle=True,

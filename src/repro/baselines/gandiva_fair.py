@@ -72,12 +72,14 @@ class GandivaFair(Allocator):
         The default 0.0 trades arbitrarily fine fractions — the fluid
         mechanism of the paper's §2.4 analysis.  The real Gandiva_fair
         migrates jobs between physical devices but time-slices them, so
-        the paper experiments (``repro.experiments``) use
-        ``trade_lot=0.25``: trades below a quarter device cannot execute,
-        leaving tenants with mixed residual holdings across GPU types —
-        the source of Gandiva's cross-type placements in §6.3.3.
-        Scenario and fleet replays (``repro simulate``, ``repro
-        fleet-sim``) build the scheduler by name and so trade at 0.0.
+        every round scheduler
+        (:func:`~repro.cluster.schedulers.make_fair_share_scheduler`: the
+        paper experiments, ``repro simulate``, ``repro fleet-sim``'s
+        regions) uses ``trade_lot=0.25``: trades below a quarter device
+        cannot execute, leaving tenants with mixed residual holdings
+        across GPU types — the source of Gandiva's cross-type placements
+        in §6.3.3.  Instance-level solves (the gateway, ``repro
+        compare``, Table 1, the fleet's quota pre-pass) trade at 0.0.
         """
         self.min_gap = min_gap
         self.min_volume = min_volume

@@ -9,14 +9,9 @@ from repro.cluster.gpu import GPUDevice, GPUType, Host
 from repro.cluster.job import Job, JobState, make_job
 from repro.cluster.metrics import CompletionRecord, MetricsCollector, RoundMetrics
 from repro.cluster.network import NetworkModel
-from repro.cluster.placement import (
-    JobPlacement,
-    Placer,
-    PlacementPolicy,
-    RoundPlacement,
-)
+from repro.cluster.placement import JobPlacement, Placer, RoundPlacement
 from repro.cluster.profiler import ProfilingAgent
-from repro.cluster.rounding import DeviationRounder, NaiveRounder, RoundingResult
+from repro.cluster.rounding import DeviationRounder, RoundingResult
 from repro.cluster.schedulers import (
     ElasticOEFScheduler,
     FairShareScheduler,
@@ -50,11 +45,9 @@ __all__ = [
     "JobPlacement",
     "JobState",
     "MetricsCollector",
-    "NaiveRounder",
     "NetworkModel",
     "OEFScheduler",
     "Placer",
-    "PlacementPolicy",
     "ProfilingAgent",
     "RoundMetrics",
     "RoundPlacement",

@@ -1,13 +1,13 @@
 """The placer: integral grants -> physical devices -> effective job rates.
 
-Implements §4.3's placement optimisation as a configurable policy so the
+Implements §4.3's placement optimisation behind one flag, ``oef``, so the
 evaluation can compare OEF's placer against the naive placement the
 baselines use:
 
 * **job selection** — within a tenant, jobs are served in starvation order
   (the paper's uniform intra-tenant round-robin);
 * **type choice** — OEF fills a job from the fastest granted type downward
-  and keeps the types it mixes *adjacent*; the naive policy consumes types
+  and keeps the types it mixes *adjacent*; the naive placer consumes types
   in index order with no adjacency care.  Theorem 5.2 makes an
   ``oef-noncoop`` grant itself adjacent, but an ``oef-coop`` grant can
   skip a type (see :mod:`repro.cluster.straggler`), and so can a grant
@@ -15,7 +15,7 @@ baselines use:
   back to the greedy fastest-first fill;
 * **host packing** — OEF places large jobs first and keeps each job on as
   few hosts as possible (network-contention alleviation); the naive
-  policy takes free devices in id order.
+  placer takes free devices in id order.
 """
 
 from __future__ import annotations
@@ -35,24 +35,6 @@ from repro.exceptions import PlacementError
 
 #: Bound on a placer's memo of type choices; a full memo is cleared.
 TYPE_CHOICE_MEMO_MAX = 4096
-
-
-@dataclass(frozen=True)
-class PlacementPolicy:
-    """Knobs separating OEF's placer from the naive baseline placer."""
-
-    pack_large_jobs_first: bool = True
-    prefer_single_host: bool = True
-    adjacent_types_only: bool = True
-    prefer_fast_types: bool = True
-
-    @staticmethod
-    def oef() -> "PlacementPolicy":
-        return PlacementPolicy(True, True, True, True)
-
-    @staticmethod
-    def naive() -> "PlacementPolicy":
-        return PlacementPolicy(False, False, False, False)
 
 
 @dataclass
@@ -83,21 +65,26 @@ class RoundPlacement:
 
 
 class Placer:
-    """Maps per-tenant integral grants to devices and effective rates."""
+    """Maps per-tenant integral grants to devices and effective rates.
+
+    ``oef`` picks OEF's placer (large jobs first, adjacent fastest-first
+    types, fewest hosts) over the naive one (job-id order, types in index
+    order, free devices in id order).
+    """
 
     def __init__(
         self,
         topology: ClusterTopology,
-        policy: Optional[PlacementPolicy] = None,
+        oef: bool = True,
         straggler_model: Optional[StragglerModel] = None,
         network_model: Optional[NetworkModel] = None,
     ):
         self.topology = topology
-        self.policy = policy or PlacementPolicy.oef()
+        self.oef = bool(oef)
         self.straggler_model = straggler_model or StragglerModel()
         self.network_model = network_model or NetworkModel()
         # (workers, *budget) -> the type counts ``_select_types`` chose; a
-        # pure function of the key under a fixed policy, and replay rounds
+        # pure function of the key under a fixed flag, and replay rounds
         # keep asking for the same few pairs
         self._type_choices: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
@@ -114,7 +101,7 @@ class Placer:
         ``active_jobs`` maps tenant names to their ``active_jobs(now)`` for
         a caller that already has them; tenants it lacks are scanned here.
         """
-        pack_large_jobs_first = self.policy.pack_large_jobs_first
+        oef = self.oef
         select_types = self._select_types
         self.topology.release_all()
         # the round's free devices, listed once: type rank -> one list per
@@ -157,10 +144,10 @@ class Placer:
                     continue
                 budget_total -= workers
                 placed.append((job, workers))
-            # pass 2 — assign GPU types; under the OEF policy large jobs
+            # pass 2 — assign GPU types; under the OEF placer large jobs
             # pick first so a small job cannot fragment the contiguous
             # fast window a larger job needs (§4.3 adjacency)
-            if pack_large_jobs_first and len(placed) > 1:
+            if oef and len(placed) > 1:
                 placed.sort(key=lambda pair: (-pair[1], pair[0].job_id))
             for job, workers in placed:
                 type_counts = select_types(workers, budget)
@@ -173,7 +160,7 @@ class Placer:
                 selections.append((job, type_counts))
 
         if len(selections) > 1:
-            if pack_large_jobs_first:
+            if oef:
                 selections.sort(
                     key=lambda pair: (-pair[0].num_workers, pair[0].job_id)
                 )
@@ -235,17 +222,13 @@ class Placer:
         self, workers: int, budget: List[int]
     ) -> Optional[Dict[int, int]]:
         num_types = len(budget)
-        if self.policy.adjacent_types_only:
+        if self.oef:
             window = self._best_adjacent_window(workers, budget)
             if window is not None:
                 return window
             # no contiguous window covers the job (grant has holes after
             # redistribution); fall through to greedy rather than starve
-        order = (
-            range(num_types - 1, -1, -1)
-            if self.policy.prefer_fast_types
-            else range(num_types)
-        )
+        order = range(num_types - 1, -1, -1) if self.oef else range(num_types)
         remaining = workers
         counts: Dict[int, int] = {}
         for rank in order:
@@ -322,7 +305,7 @@ class Placer:
                 f"grants exceed free devices of type rank {rank} "
                 f"({count} requested, {free_total} free)"
             )
-        if self.policy.prefer_single_host:
+        if self.oef:
             if best is not None:
                 chosen = best[:count]
                 del best[:count]

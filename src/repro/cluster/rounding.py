@@ -55,39 +55,6 @@ class RoundingResult:
     zeroed_tenants: List[str] = field(default_factory=list)
 
 
-class NaiveRounder:
-    """Memoryless rounding baseline: independent round() per entry.
-
-    Used by the baseline schedulers and by the rounding ablation bench.
-    Without deviation accumulation, tenants whose fractional share rounds
-    to zero starve indefinitely; without the min-demand rule, tenants can
-    receive grants too small to run any job.
-    """
-
-    def round_shares(
-        self,
-        ideal: Dict[str, np.ndarray],
-        capacities: Sequence[float] | np.ndarray,
-        min_demands: Dict[str, int] | None = None,
-        redistribute: bool = True,
-    ) -> RoundingResult:
-        capacities = np.asarray(capacities, dtype=float)
-        tenants = list(ideal.keys())
-        if not tenants:
-            return RoundingResult(grants={})
-        matrix = np.vstack([np.asarray(ideal[t], dtype=float) for t in tenants])
-        real = np.rint(matrix).astype(int)
-        real = np.clip(real, 0, None)
-        # enforce capacity by shaving over-subscribed types
-        for type_index in range(matrix.shape[1]):
-            _shave(real[:, type_index], int(round(capacities[type_index])))
-        grants = {tenant: real[row].astype(int) for row, tenant in enumerate(tenants)}
-        return RoundingResult(grants=grants)
-
-    def forget(self, tenant: str) -> None:
-        """No state to drop; present for interface parity."""
-
-
 class DeviationRounder:
     """Stateful rounder: one instance per simulation, fed every round.
 

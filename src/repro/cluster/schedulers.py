@@ -18,8 +18,9 @@ Two adapters exist:
   baseline comparisons use single-type tenants).
 
 :func:`make_fair_share_scheduler` builds either adapter from a registry
-name or alias, so the simulator, experiments, and examples never
-construct adapters by hand.
+name or alias, with the evaluation's baseline options (§6.1.3), so the
+simulator, scenario replays, the fleet, the experiments and the examples
+all run one stack per name and never construct adapters by hand.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import abc
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -200,17 +201,11 @@ class ElasticOEFScheduler(FairShareScheduler):
 class SingleProfileScheduler(FairShareScheduler):
     """Adapter for baselines that take one speedup vector per tenant.
 
-    Accepts either an :class:`Allocator` instance or a registry
-    name/alias (with constructor ``options`` forwarded to the factory).
+    Wraps an :class:`Allocator` instance; build one by name with
+    :func:`make_fair_share_scheduler`.
     """
 
-    def __init__(self, allocator: Union[Allocator, str], **options):
-        if isinstance(allocator, str):
-            allocator = create_scheduler(allocator, **options)
-        elif options:
-            raise SimulationError(
-                "constructor options require a scheduler name, not an instance"
-            )
+    def __init__(self, allocator: Allocator):
         self.allocator = allocator
         self.name = allocator.name
 
@@ -282,6 +277,16 @@ _ELASTIC_MODES = {
     "oef-elastic-noncoop": "noncooperative",
     "oef-elastic-coop": "cooperative",
 }
+#: Non-default constructor options the evaluation setup (§6.1.3) runs the
+#: baselines with, keyed by canonical registry name.  Quarter-GPU trading
+#: lots: Gandiva_fair migrates physical devices but time-slices them, so
+#: trades below a fraction of a device cannot execute and tenants keep
+#: mixed residual holdings.  Instance-level allocators
+#: (:func:`~repro.registry.create_scheduler`) keep the class defaults.
+_BASELINE_OPTIONS: Dict[str, Dict[str, object]] = {
+    "gandiva-fair": {"trade_lot": 0.25},
+    "gavel": {"slack": 0.01},
+}
 
 
 def make_fair_share_scheduler(name: str, **options) -> FairShareScheduler:
@@ -290,12 +295,14 @@ def make_fair_share_scheduler(name: str, **options) -> FairShareScheduler:
     OEF names map to :class:`OEFScheduler` (weights + multi-job-type via
     :class:`~repro.core.weighted.WeightedOEF`), ``oef-elastic-*`` to
     :class:`ElasticOEFScheduler`, and every other registered allocator to
-    a :class:`SingleProfileScheduler` wrapping it.  ``options`` forward to
-    the chosen constructor.
+    a :class:`SingleProfileScheduler` wrapping it, built with its §6.1.3
+    options.  ``options`` forward to the chosen constructor and win over
+    the §6.1.3 ones.
     """
     if name in _ELASTIC_MODES:
         return ElasticOEFScheduler(mode=_ELASTIC_MODES[name], **options)
     canonical = resolve_scheduler_name(name)
     if canonical in _OEF_MODES:
         return OEFScheduler(mode=_OEF_MODES[canonical], **options)
+    options = {**_BASELINE_OPTIONS.get(canonical, {}), **options}
     return SingleProfileScheduler(create_scheduler(canonical, **options))

@@ -79,7 +79,7 @@ import numpy as np
 
 from repro.cluster.job import Job, JobState
 from repro.cluster.metrics import CompletionRecord, MetricsCollector, RoundMetrics
-from repro.cluster.placement import Placer, PlacementPolicy
+from repro.cluster.placement import Placer
 from repro.cluster.profiler import ProfilingAgent
 from repro.cluster.rounding import DeviationRounder
 from repro.cluster.schedulers import (
@@ -190,8 +190,7 @@ class ClusterSimulator:
         self.topology = topology
         self.tenants: Dict[str, Tenant] = {tenant.name: tenant for tenant in tenants}
         self.scheduler = scheduler
-        policy = PlacementPolicy.oef() if scheduler.oef_stack else PlacementPolicy.naive()
-        self.placer = placer or Placer(topology, policy=policy)
+        self.placer = placer or Placer(topology, oef=scheduler.oef_stack)
         self.config = config or SimulationConfig()
         # callers may supply a pre-wired collector (streaming observer,
         # keep_rounds=False) — see MetricsCollector's docstring

@@ -5,9 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.cluster.schedulers import FairShareScheduler, make_fair_share_scheduler
-from repro.registry import resolve_scheduler_name
-
 
 @dataclass
 class ExperimentResult:
@@ -52,26 +49,3 @@ def _fmt(value: object) -> str:
         return f"{value:.3f}"
     return str(value)
 
-
-#: Non-default constructor options the evaluation setup (§6.1.3) uses,
-#: keyed by canonical registry name (aliases resolve before lookup).
-#: quarter-GPU trading lots: Gandiva_fair migrates physical devices but
-#: time-slices them, so trades below a fraction of a device cannot
-#: execute and tenants keep mixed residual holdings.
-_BASELINE_OPTIONS: Dict[str, Dict[str, object]] = {
-    "gandiva-fair": {"trade_lot": 0.25},
-    "gavel": {"slack": 0.01},
-}
-
-
-def evaluated(name: str) -> FairShareScheduler:
-    """The round scheduler the evaluation (§6.1.3) runs under ``name``.
-
-    ``name`` is any registry name or alias; baselines get their
-    evaluation options.  The simulator pairs the scheduler with its own
-    placer and rounding rule (:attr:`FairShareScheduler.oef_stack`).
-    """
-    canonical = resolve_scheduler_name(name)
-    return make_fair_share_scheduler(
-        canonical, **_BASELINE_OPTIONS.get(canonical, {})
-    )

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cluster import ClusterSimulator, SimulationConfig, paper_cluster
-from repro.experiments.common import ExperimentResult, evaluated
+from repro.experiments.common import ExperimentResult
 from repro.workloads.generator import TenantGenerator
 
 TENANT_MODELS = {
@@ -51,7 +51,7 @@ def _build_simulation(
         stop_when_idle=False,
     )
     return ClusterSimulator(
-        paper_cluster(), tenants, evaluated("noncooperative"), config=config
+        paper_cluster(), tenants, "noncooperative", config=config
     )
 
 

@@ -19,7 +19,7 @@ from repro.cluster import (
     SimulationConfig,
     paper_cluster,
 )
-from repro.experiments.common import ExperimentResult, evaluated
+from repro.experiments.common import ExperimentResult
 from repro.workloads.generator import TenantGenerator
 
 TENANT_MODELS = {
@@ -47,7 +47,7 @@ def run_panel_a(num_rounds: int = 12, jobs_per_tenant: int = 10) -> ExperimentRe
         ClusterSimulator(
             paper_cluster(),
             _population(TenantGenerator(seed=11), jobs_per_tenant),
-            evaluated(name),
+            name,
             config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=False),
         ).run()
         for name in ("cooperative", "max-min")
@@ -95,7 +95,7 @@ def run_panel_b(
     sim = ClusterSimulator(
         topology,
         tenants,
-        evaluated("noncooperative"),
+        "noncooperative",
         config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=False),
     )
     metrics = sim.run()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.cluster import ClusterSimulator, SimulationConfig, paper_cluster
-from repro.experiments.common import ExperimentResult, evaluated
+from repro.experiments.common import ExperimentResult
 from repro.workloads.philly import PhillyTraceConfig, PhillyTraceGenerator
 
 
@@ -51,7 +51,7 @@ def run(
         metrics = ClusterSimulator(
             paper_cluster(),
             _trace(trace_config),
-            evaluated(name),
+            name,
             config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=True),
         ).run()
         jcts[label] = metrics.mean_jct()

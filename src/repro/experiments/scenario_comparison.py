@@ -3,7 +3,8 @@
 Goes beyond the paper: the original evaluation replays static job mixes,
 while this experiment replays each scenario in the library (``steady``,
 ``bursty``, ``diurnal``, ``tenant-churn``, ``philly-replay``) under the
-OEF cooperative stack and the two heterogeneity-aware baselines, all
+OEF cooperative stack and the two heterogeneity-aware baselines — each
+the same scheduler, options and placer the figures run (§6.1.3) — all
 fed the *same* seeded event stream per scenario.  Rows report completed
 jobs, mean JCT, utilisation, Jain fairness, the weighted-envy proxy,
 and starvation rounds — the dynamic-load counterpart of Fig. 8/9.
@@ -19,8 +20,9 @@ from typing import Sequence
 from repro.experiments.common import ExperimentResult
 from repro.scenarios import ScenarioRunner, make_scenario, scenario_names
 
-#: Registry names/aliases replayed per scenario; OEF runs its optimised
-#: placer + min-demand rule, baselines the naive placer (§6.1.3).
+#: Registry names/aliases replayed per scenario, each on the §6.1.3 stack
+#: the figures use: OEF with its optimised placer and min-demand rule, the
+#: baselines with the naive placer and their evaluation options.
 SCHEDULERS: Sequence[str] = ("oef-coop", "gandiva-fair", "gavel")
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List
 
 from repro.cluster import ClusterSimulator, SimulationConfig, paper_cluster
 from repro.cluster.tenant import Tenant
-from repro.experiments.common import ExperimentResult, evaluated
+from repro.experiments.common import ExperimentResult
 from repro.workloads.generator import TenantGenerator
 from repro.workloads.models import all_models
 
@@ -54,7 +54,7 @@ def run(
         metrics = ClusterSimulator(
             paper_cluster(),
             _population(num_tenants, seed),
-            evaluated(name),
+            name,
             config=SimulationConfig(num_rounds=num_rounds, stop_when_idle=False),
         ).run()
         counts[label] = {

@@ -39,11 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.exceptions import SimulationError, ValidationError
 from repro.fleet.library import resolve_fleet_scenario
 from repro.fleet.metrics import FleetMetricsWriter, aggregate_stream
-from repro.fleet.rebalance import (
-    DEFAULT_PROPERTY_CHECK_MAX_TENANTS,
-    QuotaSchedule,
-    compute_quota_schedule,
-)
+from repro.fleet.rebalance import QuotaSchedule, compute_quota_schedule
 from repro.fleet.scenario import FleetScenario, FleetScript, region_scenario
 from repro.parallel import BackendSpec, get_backend
 from repro.scenarios.runner import ScenarioRunner
@@ -94,8 +90,8 @@ class RegionSummary:
         }
 
 
-def _run_region(task: _RegionTask) -> RegionSummary:
-    """Module-level worker entry: replay one region, stream its rounds."""
+def _region_runner(task: _RegionTask) -> ScenarioRunner:
+    """The sink-mode replay of one region, streaming into the metrics file."""
     sink = None
     if task.metrics_path:
         sink = FleetMetricsWriter(
@@ -106,7 +102,7 @@ def _run_region(task: _RegionTask) -> RegionSummary:
             scheduler=task.scheduler,
             flush_every=task.flush_every,
         )
-    runner = ScenarioRunner(
+    return ScenarioRunner(
         task.scenario,  # type: ignore[arg-type]
         scheduler=task.scheduler,
         config_overrides=dict(task.config_overrides),
@@ -114,6 +110,11 @@ def _run_region(task: _RegionTask) -> RegionSummary:
         record_rounds=False,
         round_sink=sink,
     )
+
+
+def _run_region(task: _RegionTask) -> RegionSummary:
+    """Module-level worker entry: replay one region, stream its rounds."""
+    runner = _region_runner(task)
     started = time.perf_counter()
     result = runner.run()
     wall = time.perf_counter() - started
@@ -207,10 +208,8 @@ class FleetSimulator:
         max_workers: Optional[int] = None,
         warm: bool = True,
         rebalance: bool = True,
-        rebalance_scheduler: Optional[str] = None,
         window_rounds: int = 6,
         check_properties: bool = True,
-        property_check_max_tenants: int = DEFAULT_PROPERTY_CHECK_MAX_TENANTS,
         metrics_path: Optional[str] = None,
         flush_every: int = 64,
     ):
@@ -219,31 +218,29 @@ class FleetSimulator:
                 "FleetSimulator needs a FleetScenario; wrap single-cluster "
                 "scenarios with repro.fleet.library.sharded_fleet"
             )
+        if window_rounds < 1:
+            raise ValidationError("window_rounds must be >= 1")
         self.fleet = fleet
         self.scheduler = scheduler
         self.backend = backend
         self.max_workers = max_workers
         self.warm = bool(warm)
         self.rebalance = bool(rebalance)
-        self.rebalance_scheduler = rebalance_scheduler or scheduler
         self.window_rounds = int(window_rounds)
         self.check_properties = bool(check_properties)
-        self.property_check_max_tenants = int(property_check_max_tenants)
         self.metrics_path = metrics_path
         self.flush_every = int(flush_every)
 
     def _quota(self, script: FleetScript) -> QuotaSchedule:
         if not self.rebalance:
             return QuotaSchedule(
-                scheduler=self.rebalance_scheduler,
-                window_rounds=self.window_rounds,
+                scheduler=self.scheduler, window_rounds=self.window_rounds
             )
         return compute_quota_schedule(
             self.fleet,
-            scheduler=self.rebalance_scheduler,
+            scheduler=self.scheduler,
             window_rounds=self.window_rounds,
             check_properties=self.check_properties,
-            property_check_max_tenants=self.property_check_max_tenants,
             script=script,
         )
 

@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.cluster.metrics import MetricsCollector, RoundMetrics
-from repro.cluster.schedulers import make_fair_share_scheduler
 from repro.cluster.simulator import ClusterSimulator
 from repro.core.analysis import jain_index
 from repro.exceptions import ValidationError
@@ -316,9 +315,10 @@ class ScenarioRunner:
     """Replays one scenario recipe under one scheduler.
 
     ``scheduler`` is any registry name or alias (``"oef-coop"``,
-    ``"cooperative"``, ``"gavel"``, ...) or an elastic mode name
-    understood by
-    :func:`~repro.cluster.schedulers.make_fair_share_scheduler`.  Every
+    ``"cooperative"``, ``"gavel"``, ...) or an elastic mode name; the
+    simulator builds it with
+    :func:`~repro.cluster.schedulers.make_fair_share_scheduler`, so a
+    replay runs the same §6.1.3 stack as the paper experiments.  Every
     ``run()`` call re-materialises the recipe, so one runner can be run
     repeatedly — and two runners replaying the same recipe under
     different schedulers see byte-identical event streams.
@@ -329,7 +329,6 @@ class ScenarioRunner:
         scenario: Union[Scenario, str],
         scheduler: str = "oef-coop",
         *,
-        scheduler_options: Optional[Dict[str, object]] = None,
         config_overrides: Optional[Dict[str, object]] = None,
         warm: bool = True,
         record_rounds: bool = True,
@@ -339,7 +338,6 @@ class ScenarioRunner:
             scenario = make_scenario(scenario)
         self.scenario = scenario
         self.scheduler = scheduler
-        self.scheduler_options = dict(scheduler_options or {})
         self.config_overrides = dict(config_overrides or {})
         self.warm = bool(warm)
         #: ``False`` = sink mode: per-round records are distilled,
@@ -366,7 +364,7 @@ class ScenarioRunner:
         return ClusterSimulator(
             script.topology,
             list(script.initial_tenants),
-            make_fair_share_scheduler(self.scheduler, **self.scheduler_options),
+            self.scheduler,
             config=self.scenario.simulation_config(overrides),
             events=script.events,
             metrics=metrics,

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    Placer,
-    PlacementPolicy,
-    Tenant,
-    make_job,
-    paper_cluster,
-)
+from repro.cluster import Placer, Tenant, make_job, paper_cluster
 from repro.cluster import placement as placement_module
 from repro.exceptions import PlacementError
 
@@ -34,7 +28,7 @@ def _tenant(name, jobs_spec):
 class TestTypeSelection:
     def test_prefers_fast_types(self):
         topology = paper_cluster()
-        placer = Placer(topology, policy=PlacementPolicy.oef())
+        placer = Placer(topology)
         tenants = {"t": _tenant("t", [(2, "m")])}
         result = placer.place_round({"t": np.array([2, 2, 2])}, tenants, 0.0)
         placement = result.placements[0]
@@ -42,14 +36,14 @@ class TestTypeSelection:
 
     def test_naive_takes_slow_types_first(self):
         topology = paper_cluster()
-        placer = Placer(topology, policy=PlacementPolicy.naive())
+        placer = Placer(topology, oef=False)
         tenants = {"t": _tenant("t", [(2, "m")])}
         result = placer.place_round({"t": np.array([2, 2, 2])}, tenants, 0.0)
         assert result.placements[0].type_counts == {0: 2}
 
     def test_adjacent_window_chosen(self):
         topology = paper_cluster()
-        placer = Placer(topology, policy=PlacementPolicy.oef())
+        placer = Placer(topology)
         tenants = {"t": _tenant("t", [(4, "m")])}
         # grant has a hole-free window 3080+3090 covering 4 workers
         result = placer.place_round({"t": np.array([0, 2, 2])}, tenants, 0.0)
@@ -57,7 +51,7 @@ class TestTypeSelection:
 
     def test_naive_spans_whole_range(self):
         topology = paper_cluster()
-        placer = Placer(topology, policy=PlacementPolicy.naive())
+        placer = Placer(topology, oef=False)
         tenants = {"t": _tenant("t", [(3, "m")])}
         result = placer.place_round({"t": np.array([1, 1, 1])}, tenants, 0.0)
         assert result.placements[0].type_counts == {0: 1, 1: 1, 2: 1}
@@ -82,21 +76,21 @@ class TestTypeSelection:
 class TestHostPacking:
     def test_single_host_preferred(self):
         topology = paper_cluster()
-        placer = Placer(topology, policy=PlacementPolicy.oef())
+        placer = Placer(topology)
         tenants = {"t": _tenant("t", [(4, "m")])}
         result = placer.place_round({"t": np.array([0, 0, 4])}, tenants, 0.0)
         assert result.placements[0].hosts_spanned == 1
 
     def test_oversized_job_spreads_minimally(self):
         topology = paper_cluster()
-        placer = Placer(topology, policy=PlacementPolicy.oef())
+        placer = Placer(topology)
         tenants = {"t": _tenant("t", [(6, "m")])}
         result = placer.place_round({"t": np.array([0, 0, 6])}, tenants, 0.0)
         assert result.placements[0].hosts_spanned == 2
 
     def test_large_jobs_placed_first_under_oef(self):
         topology = paper_cluster()
-        placer = Placer(topology, policy=PlacementPolicy.oef())
+        placer = Placer(topology)
         tenants = {
             "a": _tenant("a", [(1, "m"), (1, "m")]),
             "b": _tenant("b", [(4, "m")]),
@@ -133,7 +127,7 @@ class TestRoundOutcome:
 
     def test_cross_type_job_counts_stragglers(self):
         topology = paper_cluster()
-        placer = Placer(topology, policy=PlacementPolicy.naive())
+        placer = Placer(topology, oef=False)
         tenants = {"t": _tenant("t", [(2, "m")])}
         result = placer.place_round({"t": np.array([1, 1, 0])}, tenants, 0.0)
         (placement,) = result.placements
@@ -142,7 +136,7 @@ class TestRoundOutcome:
 
     def test_network_factor_applied_to_cross_host(self):
         topology = paper_cluster()
-        placer = Placer(topology, policy=PlacementPolicy.naive())
+        placer = Placer(topology, oef=False)
         tenants = {"t": _tenant("t", [(2, "m")])}
         result = placer.place_round({"t": np.array([1, 1, 0])}, tenants, 0.0)
         assert result.placements[0].network_factor < 1.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import DeviationRounder, NaiveRounder
+from repro.cluster import DeviationRounder
 from repro.exceptions import ValidationError
 
 
@@ -134,26 +134,3 @@ class TestDeviationRounder:
             DeviationRounder._largest_remainder(target, 9), [0, 1, 2, 2, 2, 2]
         )
 
-
-class TestNaiveRounder:
-    def test_rint_behaviour(self):
-        rounder = NaiveRounder()
-        result = rounder.round_shares(
-            {"a": np.array([1.6, 0.4])}, [8.0, 8.0]
-        )
-        np.testing.assert_array_equal(result.grants["a"], [2, 0])
-
-    def test_small_shares_starve_forever(self):
-        rounder = NaiveRounder()
-        for _ in range(5):
-            result = rounder.round_shares({"a": np.array([0.4])}, [1.0])
-            assert result.grants["a"][0] == 0
-
-    def test_capacity_shaved_on_oversubscription(self):
-        rounder = NaiveRounder()
-        ideal = {f"t{i}": np.array([0.6]) for i in range(10)}  # rint -> 1 each
-        result = rounder.round_shares(ideal, [4.0])
-        assert sum(grant[0] for grant in result.grants.values()) <= 4
-
-    def test_forget_is_noop(self):
-        NaiveRounder().forget("whoever")

@@ -11,10 +11,12 @@ from repro.cluster import (
     SimulationConfig,
     SingleProfileScheduler,
     Tenant,
+    make_fair_share_scheduler,
     make_job,
     paper_cluster,
 )
 from repro.exceptions import SimulationError, ValidationError
+from repro.registry import create_scheduler
 from repro.workloads.generator import TenantGenerator
 
 
@@ -236,6 +238,39 @@ class TestSingleProfileScheduler:
         (first,) = simulator.run().rounds
         # the whole cluster at A's speedups, not B's
         assert first.estimated["a"] == pytest.approx(1.0 * 8 + 2.0 * 8 + 3.0 * 8)
+
+
+class TestStacks:
+    def test_oef_modes(self):
+        for spelling, name in (("cooperative", "oef-coop"), ("noncoop", "oef-noncoop")):
+            scheduler = make_fair_share_scheduler(spelling)
+            assert isinstance(scheduler, OEFScheduler)
+            assert scheduler.name == name and scheduler.oef_stack
+
+    def test_baselines_run_the_naive_stack(self):
+        for name in ("gandiva", "gavel", "max-min"):
+            scheduler = make_fair_share_scheduler(name)
+            assert isinstance(scheduler, SingleProfileScheduler)
+            assert not scheduler.oef_stack
+
+    def test_unknown_name(self):
+        with pytest.raises(KeyError):
+            make_fair_share_scheduler("fifo")
+
+    def test_options_follow_canonical_name(self):
+        # the §6.1.3 options must apply however the scheduler is spelled
+        for spelling in ("gandiva", "gandiva-fair"):
+            assert make_fair_share_scheduler(spelling).allocator.trade_lot == 0.25
+        assert make_fair_share_scheduler("gavel").allocator.slack == 0.01
+
+    def test_explicit_options_win(self):
+        allocator = make_fair_share_scheduler("gandiva", trade_lot=0.5, max_trades=7).allocator
+        assert (allocator.trade_lot, allocator.max_trades) == (0.5, 7)
+        assert make_fair_share_scheduler("gavel", slack=0.02).allocator.slack == 0.02
+
+    def test_instance_level_allocators_keep_the_class_defaults(self):
+        assert create_scheduler("gandiva-fair").trade_lot == 0.0
+        assert create_scheduler("gavel").slack == 0.02
 
 
 def dominance_tenant():

@@ -14,7 +14,6 @@ from repro.cluster import (
     MetricsCollector,
     OEFScheduler,
     Placer,
-    PlacementPolicy,
     SimulationConfig,
     SingleProfileScheduler,
     Tenant,
@@ -24,7 +23,9 @@ from repro.cluster import (
 )
 from repro.cluster.gpu import Host
 from repro.exceptions import ValidationError
-from repro.fleet import fleet_scenario_names, run_fleet
+from repro.fleet import FleetSimulator, fleet_scenario_names, run_fleet
+from repro.fleet.library import make_fleet_scenario
+from repro.fleet.simulator import _region_runner
 from repro.registry import REGISTRY
 from repro.scenarios import ScenarioRunner, make_scenario, scenario_names
 from repro.scenarios.events import DeviceFailure, DeviceRepair
@@ -185,7 +186,7 @@ class TestSchedulerIntegration:
             topology,
             _population(),
             SingleProfileScheduler(MaxMinFairness()),
-            placer=Placer(topology, policy=PlacementPolicy.naive()),
+            placer=Placer(topology, oef=False),
             config=SimulationConfig(num_rounds=3),
         )
         assert simulator.run().mean_total_actual() > 0
@@ -218,15 +219,52 @@ STACKS = {
 }
 
 
+#: The §6.1.3 options every round scheduler of a baseline must carry,
+#: however it is built (canonical registry name -> allocator attributes).
+EVALUATION_OPTIONS = {"gandiva-fair": {"trade_lot": 0.25}, "gavel": {"slack": 0.01}}
+
+
+def _stack(scheduler, placer_oef):
+    """What a replay runs: adapter, name, allocator options, stack, placer."""
+    allocator = getattr(scheduler, "allocator", None)
+    options = vars(allocator) if allocator is not None else {"mode": scheduler.mode}
+    return type(scheduler), scheduler.name, options, scheduler.oef_stack, placer_oef
+
+
+def _fleet_region_simulator(name):
+    fleet = make_fleet_scenario("multiregion-failover", regions=2, rounds=2)
+    simulator = FleetSimulator(fleet, name, rebalance=False)
+    script = fleet.materialize()
+    task = simulator._tasks(script, simulator._quota(script))[0]
+    return _region_runner(task).build_simulator()
+
+
 class TestSchedulerStack:
     def test_every_name_is_covered(self):
         names = {name for info in REGISTRY for name in (info.name, *info.aliases)}
         assert set(STACKS) == names | {"oef-elastic-coop", "oef-elastic-noncoop"}
 
     @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_every_entry_point_builds_the_factorys_stack(self, name):
+        scheduler = make_fair_share_scheduler(name)
+        expected = _stack(scheduler, STACKS[name])
+        assert scheduler.oef_stack == STACKS[name]
+        if not STACKS[name]:
+            wanted = EVALUATION_OPTIONS.get(scheduler.name, {})
+            assert vars(scheduler.allocator).items() >= wanted.items()
+        simulators = {
+            "simulator": ClusterSimulator(paper_cluster(), [], name),
+            "scenario": ScenarioRunner(
+                make_scenario("steady", rounds=1), name
+            ).build_simulator(),
+            "fleet region": _fleet_region_simulator(name),
+        }
+        for path, simulator in simulators.items():
+            assert _stack(simulator.scheduler, simulator.placer.oef) == expected, path
+
+    @pytest.mark.parametrize("name", sorted(STACKS))
     def test_the_scheduler_picks_placer_and_min_demand_rule(self, name, monkeypatch):
         oef = STACKS[name]
-        policy = PlacementPolicy.oef() if oef else PlacementPolicy.naive()
         simulator = ClusterSimulator(
             paper_cluster(), _population(), name, config=SimulationConfig(num_rounds=1)
         )
@@ -239,16 +277,14 @@ class TestSchedulerStack:
 
         monkeypatch.setattr(simulator._rounder, "round_shares", spy)
         simulator.run()
-        assert simulator.placer.policy == policy
+        assert simulator.placer.oef == oef
         assert len(min_demands) == 1 and (min_demands[0] is not None) == oef
-        runner = ScenarioRunner(make_scenario("steady", rounds=1), name)
-        assert runner.build_simulator().placer.policy == policy
 
     @pytest.mark.parametrize("name", sorted(STACKS))
     def test_an_explicit_placer_wins(self, name):
         topology = paper_cluster()
-        for policy in (PlacementPolicy.oef(), PlacementPolicy.naive()):
-            placer = Placer(topology, policy=policy)
+        for oef in (True, False):
+            placer = Placer(topology, oef=oef)
             simulator = ClusterSimulator(topology, _population(), name, placer=placer)
             assert simulator.placer is placer
 

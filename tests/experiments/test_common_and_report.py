@@ -1,12 +1,11 @@
-"""Experiment helpers: table formatting, stacks, and the report generator."""
+"""Experiment helpers: table formatting and the report generator."""
 
 import io
 
 import pytest
 
-from repro.cluster import OEFScheduler, SingleProfileScheduler
 from repro.experiments import fig1_motivation, report
-from repro.experiments.common import ExperimentResult, evaluated
+from repro.experiments.common import ExperimentResult
 from repro.experiments.report import _as_markdown, generate_report
 from repro.experiments.runner import run_experiment
 
@@ -31,30 +30,6 @@ class TestExperimentResultFormat:
         result = ExperimentResult("t")
         result.rows = [{"x": 1.23456789}]
         assert "1.235" in result.format()
-
-
-class TestStacks:
-    def test_oef_modes(self):
-        for spelling, name in (("cooperative", "oef-coop"), ("noncoop", "oef-noncoop")):
-            scheduler = evaluated(spelling)
-            assert isinstance(scheduler, OEFScheduler)
-            assert scheduler.name == name and scheduler.oef_stack
-
-    def test_baselines_run_the_naive_stack(self):
-        for name in ("gandiva", "gavel", "max-min"):
-            scheduler = evaluated(name)
-            assert isinstance(scheduler, SingleProfileScheduler)
-            assert not scheduler.oef_stack
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            evaluated("fifo")
-
-    def test_options_follow_canonical_name(self):
-        # the §6.1.3 options must apply however the scheduler is spelled
-        for spelling in ("gandiva", "gandiva-fair"):
-            assert evaluated(spelling).allocator.trade_lot == 0.25
-        assert evaluated("gavel").allocator.slack == 0.01
 
 
 class TestReport:

@@ -366,6 +366,12 @@ class TestFleetSimulator:
         with pytest.raises(ValidationError, match="FleetScenario"):
             FleetSimulator(make_scenario("steady"))
 
+    @pytest.mark.parametrize("rebalance", [True, False])
+    def test_rejects_an_empty_window_before_running(self, rebalance):
+        fleet = make_fleet_scenario("spot-preemption", regions=2, rounds=4)
+        with pytest.raises(ValidationError, match="window_rounds"):
+            FleetSimulator(fleet, rebalance=rebalance, window_rounds=0)
+
 
 class TestOneRegistry:
     """Fleet recipes are the scenario registry's ``"fleet"`` family."""

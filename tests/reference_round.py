@@ -72,7 +72,7 @@ class ReferencePlacer(Placer):
             # pass 2 — assign GPU types; under the OEF policy large jobs
             # pick first so a small job cannot fragment the contiguous
             # fast window a larger job needs (§4.3 adjacency)
-            if self.policy.pack_large_jobs_first:
+            if self.oef:
                 placed.sort(key=lambda pair: (-pair[1], pair[0].job_id))
             for job, workers in placed:
                 type_counts = self._select_types(workers, budget)
@@ -84,7 +84,7 @@ class ReferencePlacer(Placer):
                     budget[rank] -= count
                 selections.append((job, type_counts))
 
-        if self.policy.pack_large_jobs_first:
+        if self.oef:
             selections.sort(key=lambda pair: (-pair[0].num_workers, pair[0].job_id))
         else:
             selections.sort(key=lambda pair: pair[0].job_id)
@@ -122,7 +122,7 @@ class ReferencePlacer(Placer):
         if budget.sum() < workers:
             return None
         num_types = budget.shape[0]
-        if self.policy.adjacent_types_only:
+        if self.oef:
             window = self._best_adjacent_window(workers, budget)
             if window is not None:
                 return window
@@ -130,7 +130,7 @@ class ReferencePlacer(Placer):
             # redistribution); fall through to greedy rather than starve
         order = (
             range(num_types - 1, -1, -1)
-            if self.policy.prefer_fast_types
+            if self.oef
             else range(num_types)
         )
         remaining = workers
@@ -193,7 +193,7 @@ class ReferencePlacer(Placer):
                 f"grants exceed free devices of type rank {rank} "
                 f"({count} requested, {free_total} free)"
             )
-        if not self.policy.prefer_single_host:
+        if not self.oef:
             chosen: List[GPUDevice] = []
             for host in hosts:
                 for device in host.free_devices():

@@ -231,6 +231,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "ops.jsonl:1: duration_s" in err
 
+    def test_fleet_window_rounds_checked_before_any_region_runs(
+        self, tmp_path, capsys
+    ):
+        metrics = tmp_path / "fleet.jsonl"
+        argv = ["fleet-sim", "--scenario", "multiregion-failover", "--regions", "2",
+                "--rounds", "2", "--no-rebalance", "--window-rounds", "0",
+                "--backend", "serial", "--metrics", str(metrics)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not metrics.exists()
+        assert err.startswith("error: ") and "window_rounds" in err
+
 
 def _subcommands():
     from repro.cli import build_parser

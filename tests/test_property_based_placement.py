@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Placer, PlacementPolicy, Tenant, make_job, paper_cluster
+from repro.cluster import Placer, Tenant, make_job, paper_cluster
 
 
 #: hypothesis-heavy: deselect with `pytest -m 'not slow'`
@@ -60,17 +60,17 @@ def placement_scenarios(draw):
         remaining = remaining - grant
         tenants[name] = tenant
         grants[name] = grant
-    policy = draw(st.sampled_from([PlacementPolicy.oef(), PlacementPolicy.naive()]))
-    return tenants, grants, policy
+    oef = draw(st.sampled_from([True, False]))
+    return tenants, grants, oef
 
 
 class TestPlacerInvariants:
     @_SETTINGS
     @given(placement_scenarios())
     def test_all_invariants(self, scenario):
-        tenants, grants, policy = scenario
+        tenants, grants, oef = scenario
         topology = paper_cluster()
-        placer = Placer(topology, policy=policy)
+        placer = Placer(topology, oef=oef)
         result = placer.place_round(grants, tenants, 0.0)
 
         # 1. no device double-bound
@@ -125,15 +125,15 @@ class TestPlacerInvariants:
     @_SETTINGS
     @given(placement_scenarios())
     def test_adjacency_under_oef_policy(self, scenario):
-        # The OEF policy serves a tenant's jobs largest-first; a job's
+        # The OEF placer serves a tenant's jobs largest-first; a job's
         # placement must be contiguous whenever a contiguous window of
         # the budget *remaining at its turn* could cover it.  (Checking
         # against the whole original grant per job is unsatisfiable: two
         # jobs can each have an original-grant window yet be impossible
         # to place contiguously at once, e.g. workers 4+2 on [5, 0, 1].)
-        tenants, grants, _policy = scenario
+        tenants, grants, _oef = scenario
         topology = paper_cluster()
-        placer = Placer(topology, policy=PlacementPolicy.oef())
+        placer = Placer(topology)
         result = placer.place_round(grants, tenants, 0.0)
         by_tenant: dict = {}
         for placement in result.placements:

@@ -22,7 +22,6 @@ from repro.cluster import (
     DeviationRounder,
     HostGroupSpec,
     Placer,
-    PlacementPolicy,
     Tenant,
     make_job,
 )
@@ -39,7 +38,7 @@ _SETTINGS = settings(
 
 @st.composite
 def clusters(draw):
-    """Host groups, failed device ids, tenants with jobs, a policy."""
+    """Host groups, failed device ids, tenants with jobs, the placer flag."""
     num_types = draw(st.integers(1, 3))
     groups = [
         HostGroupSpec(f"g{rank}", draw(st.integers(1, 3)), draw(st.integers(1, 4)))
@@ -69,8 +68,8 @@ def clusters(draw):
             )
             job_id += 1
         tenants[tenant.name] = tenant
-    policy = draw(st.sampled_from([PlacementPolicy.oef(), PlacementPolicy.naive()]))
-    return groups, sorted(failed), tenants, policy
+    oef = draw(st.sampled_from([True, False]))
+    return groups, sorted(failed), tenants, oef
 
 
 def _twin(groups, failed, tenants):
@@ -110,10 +109,10 @@ class TestRoundMatchesParent:
     @_SETTINGS
     @given(clusters(), st.data())
     def test_rounding_and_binding_over_rounds(self, cluster, data):
-        groups, failed, tenants, policy = cluster
+        groups, failed, tenants, oef = cluster
         topology, tenants = _twin(groups, failed, tenants)
         ref_topology, ref_tenants = _twin(groups, failed, tenants)
-        placer, ref_placer = Placer(topology, policy), ReferencePlacer(ref_topology, policy)
+        placer, ref_placer = Placer(topology, oef), ReferencePlacer(ref_topology, oef)
         rounder, ref_rounder = DeviationRounder(), ReferenceDeviationRounder()
         use_min_demand = data.draw(st.booleans())
 
@@ -189,7 +188,7 @@ class TestRoundMatchesParent:
     @given(clusters(), st.data())
     def test_arbitrary_grants_bind_or_fail_alike(self, cluster, data):
         # grants nobody rounded: holes, types nobody has, more than is free
-        groups, failed, tenants, policy = cluster
+        groups, failed, tenants, oef = cluster
         topology, tenants = _twin(groups, failed, tenants)
         ref_topology, ref_tenants = _twin(groups, failed, tenants)
         width = len(groups) + data.draw(st.integers(0, 1))
@@ -197,9 +196,9 @@ class TestRoundMatchesParent:
             name: np.array([data.draw(st.integers(0, 5)) for _ in range(width)])
             for name in tenants
         }
-        outcome = _place(Placer(topology, policy), grants, tenants, 0.0)
+        outcome = _place(Placer(topology, oef), grants, tenants, 0.0)
         assert outcome == _place(
-            ReferencePlacer(ref_topology, policy), grants, ref_tenants, 0.0
+            ReferencePlacer(ref_topology, oef), grants, ref_tenants, 0.0
         )
         # also after a PlacementError part-way through the round
         assert [d.assigned_job for d in topology.devices] == [

@@ -165,6 +165,20 @@ grep "^philly-replay" "$TMP/philly_cold.txt" > "$TMP/philly_cold_row.txt"
 test -s "$TMP/philly_row.txt"
 diff "$TMP/philly_row.txt" "$TMP/philly_cold_row.txt"
 
+echo "== repro simulate philly-replay baselines, memo vs --cold (§6.1.3 stack gate) =="
+# the baselines replay with the evaluation's options and the naive placer;
+# their memoized rounds must replay what a cold solve every round gives
+"$PY" -m repro simulate --scenario philly-replay --rounds 24 \
+    --scheduler gandiva-fair gavel | tee "$TMP/baselines.txt"
+"$PY" -m repro simulate --scenario philly-replay --rounds 24 --cold \
+    --scheduler gandiva-fair gavel | tee "$TMP/baselines_cold.txt"
+grep -q "warm-started" "$TMP/baselines.txt"
+grep -q "warm-start disabled" "$TMP/baselines_cold.txt"
+grep "^philly-replay" "$TMP/baselines.txt" > "$TMP/baselines_row.txt"
+grep "^philly-replay" "$TMP/baselines_cold.txt" > "$TMP/baselines_cold_row.txt"
+test "$(wc -l < "$TMP/baselines_row.txt")" -eq 2
+diff "$TMP/baselines_row.txt" "$TMP/baselines_cold_row.txt"
+
 echo "== repro simulate seed sweep, serial vs process (shared pool gate) =="
 "$PY" -m repro simulate --scenario steady --rounds 4 --seeds 1 2 \
     --backend serial | tee "$TMP/sweep_serial.txt"
