@@ -7,8 +7,9 @@ per-scheduler differences below are purely scheduling — same arrivals,
 same bursts, same jobs.
 
 Also shows a multi-seed sweep of ``bursty`` riding the parallel
-execution backends: aggregate metrics are identical whichever backend
-ran the sweep.
+execution backends: ``scenario_sweep`` replays one runner's settings
+(scheduler, config overrides, round sink) over the seeds, and the
+aggregate metrics are identical whichever backend ran the sweep.
 
 Run:  python examples/scenario_replay.py
 """
@@ -45,12 +46,8 @@ def replay(scenario_name: str) -> None:
 
 def sweep() -> None:
     print("\n== bursty, seeds 1-4, thread backend ==")
-    results = scenario_sweep(
-        make_scenario("bursty", rounds=ROUNDS),
-        seeds=[1, 2, 3, 4],
-        scheduler="oef-coop",
-        backend="thread",
-    )
+    runner = ScenarioRunner(make_scenario("bursty", rounds=ROUNDS), "oef-coop")
+    results = scenario_sweep(runner, seeds=[1, 2, 3, 4], backend="thread")
     summary = sweep_summary(results)
     for key, value in summary.items():
         print(f"  {key}: {value:.3f}" if isinstance(value, float) else f"  {key}: {value}")

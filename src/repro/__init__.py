@@ -28,7 +28,7 @@ costs no numpy.  Subpackages are not attributes until imported: write
 
 import importlib
 
-__version__ = "5.8.0"
+__version__ = "5.9.0"
 
 #: Home module -> the public names it exports.
 _EXPORTS = {
@@ -64,7 +64,7 @@ _EXPORTS = {
     # dynamic workloads
     "repro.scenarios": (
         "Scenario", "ScenarioResult", "ScenarioRunner", "make_scenario",
-        "run_scenario", "scenario_names", "scenario_sweep",
+        "scenario_names", "scenario_sweep",
     ),
 }
 

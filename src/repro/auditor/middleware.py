@@ -27,7 +27,7 @@ from typing import Dict, Optional
 
 from repro.auditor.ledger import AuditLedger
 from repro.auditor.sampler import AuditSampler
-from repro.auditor.worker import AuditWorker
+from repro.auditor.worker import SEEN_KEYS_BOUND, AuditWorker
 from repro.gateway.envelope import Request, Response, instance_fingerprint
 from repro.gateway.middleware import Handler, Middleware
 
@@ -67,7 +67,6 @@ class AuditMiddleware(Middleware):
         #: steady-state hot path reduces to this one set lookup instead
         #: of two lock round-trips per solve
         self._observed: set = set()
-        self._observed_bound = 4096
 
     def handle(self, request: Request, next: Handler) -> Response:
         response = next(request)
@@ -89,7 +88,7 @@ class AuditMiddleware(Middleware):
 
     def _capture(self, fingerprint: str, scheduler: str, instance) -> None:
         key = (fingerprint, scheduler)
-        if len(self._observed) >= self._observed_bound:
+        if len(self._observed) >= SEEN_KEYS_BOUND:
             self._observed.clear()
         if not self.sampler.admit(fingerprint, scheduler):
             self._observed.add(key)

@@ -41,6 +41,11 @@ from repro.core.instance import ProblemInstance
 from repro.core.properties import PropertyReport, audit_allocator
 from repro.registry import SchedulerRegistry
 
+#: Most ``(fingerprint, scheduler)`` keys a dedup set holds (the worker's
+#: submitted keys, the middleware's settled keys); a full set is cleared,
+#: so a long run costs at most a re-audit per key, never unbounded memory.
+SEEN_KEYS_BOUND = 4096
+
 #: Expected-to-hold properties per scheduler — the paper's Table 1
 #: contract.  A ``"no"`` mark on an expected property is a *confirmed
 #: violation* (verdict ``fail``); a ``"no"`` on anything else is
@@ -179,6 +184,8 @@ class AuditWorker:
             if key in self._seen:
                 self._counts["duplicates"] += 1
                 return False
+            if len(self._seen) >= SEEN_KEYS_BOUND:
+                self._seen.clear()
             self._seen.add(key)
         try:
             self._queue.put_nowait((instance, scheduler, fingerprint))

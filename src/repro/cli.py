@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -219,24 +220,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
 
     scenario = make_scenario(args.scenario, seed=args.seed, rounds=args.rounds)
-    warm = not args.cold
+    overrides = {"warm_start": False} if args.cold else None
     rows = []
     warm_notes = []
     for scheduler in args.schedulers:
+        runner = ScenarioRunner(scenario, scheduler, config_overrides=overrides)
         if args.seeds:
             results = scenario_sweep(
-                scenario,
+                runner,
                 args.seeds,
-                scheduler=scheduler,
                 backend=args.backend or "auto",
                 max_workers=args.jobs,
-                warm=warm,
             )
             rows.append(sweep_summary(results))
         else:
-            result = ScenarioRunner(
-                scenario, scheduler=scheduler, warm=warm
-            ).run()
+            result = runner.run()
             rows.append(result.summary_row())
             total = result.warm_hits + result.cold_solves
             warm_notes.append(
@@ -717,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=_in_range(int, 0, 65535), default=8080,
                        help="listen port (0 picks a free one)")
     serve.add_argument(
-        "--shards", type=int, default=2,
+        "--shards", type=_in_range(int, 1, math.inf), default=2,
         help="gateway workers behind the consistent-hash ring",
     )
     serve.add_argument(
@@ -727,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="middleware pipeline each shard solves through",
     )
     serve.add_argument(
-        "--max-in-flight", type=int, default=None,
+        "--max-in-flight", type=_in_range(int, 0, math.inf), default=None,
         help="per-shard admission bound; excess solves shed as HTTP 429 "
         "with Retry-After (default: unbounded)",
     )

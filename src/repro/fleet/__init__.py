@@ -18,7 +18,10 @@ The package composes four layers, each usable on its own:
   region) and folds the streamed results into one backend-independent
   :class:`FleetResult`.
 
-Entry points: ``repro fleet-sim`` on the CLI, :func:`run_fleet` in code.
+Entry points: ``repro fleet-sim`` on the CLI and
+``FleetSimulator(resolve_fleet_scenario(name, ...)).run()`` in code; a
+fleet recipe name, a cluster scenario name or ``trace:<name>`` all
+resolve to one :class:`FleetScenario`.
 """
 
 from repro.fleet.library import (
@@ -58,7 +61,6 @@ from repro.fleet.simulator import (
     FleetResult,
     FleetSimulator,
     RegionSummary,
-    run_fleet,
 )
 
 __all__ = [
@@ -85,7 +87,6 @@ __all__ = [
     "read_fleet_metrics",
     "region_scenario",
     "resolve_fleet_scenario",
-    "run_fleet",
     "shard_of",
     "sharded_fleet",
     "validate_fleet_record",

@@ -1,10 +1,9 @@
 """Streaming fleet metrics: the per-round JSONL sink and its aggregator.
 
-The sink replaces in-memory ``ScenarioResult`` round accumulation at
-fleet scale: each region worker distils rounds as they happen
-(:class:`~repro.scenarios.runner.ScenarioRunner` sink mode) and
-appends them to ONE shared ``repro/fleetmetrics-v1`` JSONL file
-through :class:`FleetMetricsWriter`.  Batches land with a single
+The sink is a region's ``round_sink``: each region worker's
+:class:`~repro.scenarios.runner.ScenarioRunner` distils rounds as they
+happen and :class:`FleetMetricsWriter` appends them to ONE shared
+``repro/fleetmetrics-v1`` JSONL file.  Batches land with a single
 ``O_APPEND`` ``write(2)`` + fsync (:func:`repro.jsonlio.append_jsonl_lines`),
 so concurrent regions interleave whole lines, never halves — line
 *order* across regions is nondeterministic, line *content* is not,

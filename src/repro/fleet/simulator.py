@@ -11,8 +11,8 @@ it to workers as plain event data.  On a process backend the regions
 run on the shared warm executor of :mod:`repro.parallel`, which later
 runs in the same interpreter reuse.
 
-Memory contract: regions run in sink mode (``record_rounds=False``)
-streaming every distilled round into the shared
+Memory contract: a region's :class:`ScenarioRunner` keeps no rounds; it
+streams every distilled round into the shared
 ``repro/fleetmetrics-v1`` JSONL file, so the parent holds one
 :class:`RegionSummary` per region — peak RSS is O(regions), never
 O(rounds × tenants).
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import SimulationError, ValidationError
-from repro.fleet.library import resolve_fleet_scenario
 from repro.fleet.metrics import FleetMetricsWriter, aggregate_stream
 from repro.fleet.rebalance import QuotaSchedule, compute_quota_schedule
 from repro.fleet.scenario import FleetScenario, FleetScript, region_scenario
@@ -53,7 +52,6 @@ class _RegionTask:
     region: str
     scenario: object  # the region's Scenario adapter
     scheduler: str
-    warm: bool
     config_overrides: Tuple[Tuple[str, object], ...]
     metrics_path: Optional[str]
     fleet: str
@@ -91,7 +89,7 @@ class RegionSummary:
 
 
 def _region_runner(task: _RegionTask) -> ScenarioRunner:
-    """The sink-mode replay of one region, streaming into the metrics file."""
+    """The replay of one region, streaming into the metrics file."""
     sink = None
     if task.metrics_path:
         sink = FleetMetricsWriter(
@@ -106,8 +104,6 @@ def _region_runner(task: _RegionTask) -> ScenarioRunner:
         task.scenario,  # type: ignore[arg-type]
         scheduler=task.scheduler,
         config_overrides=dict(task.config_overrides),
-        warm=task.warm,
-        record_rounds=False,
         round_sink=sink,
     )
 
@@ -176,8 +172,8 @@ class FleetResult:
         """SHA-256 over region fingerprints in sorted region order.
 
         Same contract as scenario fingerprints: identical across
-        serial/thread/process backends and across record modes; compare
-        two runs, never pin the literal value.
+        serial/thread/process backends; compare two runs, never pin the
+        literal value.
         """
         digest = hashlib.sha256()
         digest.update(
@@ -206,7 +202,6 @@ class FleetSimulator:
         *,
         backend: BackendSpec = "auto",
         max_workers: Optional[int] = None,
-        warm: bool = True,
         rebalance: bool = True,
         window_rounds: int = 6,
         check_properties: bool = True,
@@ -224,7 +219,6 @@ class FleetSimulator:
         self.scheduler = scheduler
         self.backend = backend
         self.max_workers = max_workers
-        self.warm = bool(warm)
         self.rebalance = bool(rebalance)
         self.window_rounds = int(window_rounds)
         self.check_properties = bool(check_properties)
@@ -252,7 +246,6 @@ class FleetSimulator:
                     self.fleet, index, region.name, quota.for_region(region.name)
                 ),
                 scheduler=self.scheduler,
-                warm=self.warm,
                 config_overrides=region.config_overrides,
                 metrics_path=self.metrics_path,
                 fleet=self.fleet.name,
@@ -296,47 +289,8 @@ class FleetSimulator:
         )
 
 
-def run_fleet(
-    name: str,
-    *,
-    scheduler: str = "oef-coop",
-    seed: int = 0,
-    regions: Optional[int] = None,
-    rounds: Optional[int] = None,
-    round_duration: float = 300.0,
-    backend: BackendSpec = "auto",
-    max_workers: Optional[int] = None,
-    metrics_path: Optional[str] = None,
-    window_rounds: int = 6,
-    rebalance: bool = True,
-    check_properties: bool = True,
-    **params: object,
-) -> FleetResult:
-    """One-shot convenience: resolve the recipe (fleet, cluster, or
-    ``trace:<name>``), run it, return the :class:`FleetResult`."""
-    fleet = resolve_fleet_scenario(
-        name,
-        seed=seed,
-        regions=regions,
-        rounds=rounds,
-        round_duration=round_duration,
-        **params,
-    )
-    return FleetSimulator(
-        fleet,
-        scheduler=scheduler,
-        backend=backend,
-        max_workers=max_workers,
-        metrics_path=metrics_path,
-        window_rounds=window_rounds,
-        rebalance=rebalance,
-        check_properties=check_properties,
-    ).run()
-
-
 __all__ = [
     "FleetResult",
     "FleetSimulator",
     "RegionSummary",
-    "run_fleet",
 ]

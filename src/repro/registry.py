@@ -41,10 +41,11 @@ terminal solver stage holds it around every solve, so the scheduler
 runs one solve at a time across every gateway built over this registry.
 
 Registration itself is an import-time, single-threaded affair (module
-import holds the interpreter's import lock); lookups afterwards are
-read-only and safe from any thread.  ``create()`` constructs a fresh
-allocator per call, so callers never share allocator instances unless
-they choose to.
+import holds the interpreter's import lock).  The lazy first load runs
+under the registry's own lock, so a first lookup from any thread waits
+for the whole builtin set; lookups afterwards are read-only and safe
+from any thread.  ``create()`` constructs a fresh allocator per call,
+so callers never share allocator instances unless they choose to.
 """
 
 from __future__ import annotations
@@ -126,6 +127,8 @@ class SchedulerRegistry:
         self._solve_locks: Dict[str, threading.RLock] = {}
         self._load_builtins = load_builtins
         self._loaded = False
+        self._loading = False
+        self._load_lock = threading.RLock()
         #: bumped by every (un)registration; keys the warm process pool
         self.generation = 0
 
@@ -206,17 +209,21 @@ class SchedulerRegistry:
     def _ensure_builtins(self) -> None:
         if self._loaded or not self._load_builtins:
             return
-        # set the flag first to guard against recursive lookups while the
-        # builtin modules import, but reset it on failure so the real
-        # ImportError resurfaces on retry instead of a silently empty
-        # registry claiming every scheduler is unknown
-        self._loaded = True
-        try:
-            for module in _BUILTIN_MODULES:
-                importlib.import_module(module)
-        except BaseException:
-            self._loaded = False
-            raise
+        # other threads wait on the lock until every builtin is in; the
+        # loading thread's own recursive lookups re-enter it and return.
+        # ``_loaded`` is set only on success, so a failed import
+        # resurfaces on retry instead of a silently empty registry
+        # claiming every scheduler is unknown
+        with self._load_lock:
+            if self._loaded or self._loading:
+                return
+            self._loading = True
+            try:
+                for module in _BUILTIN_MODULES:
+                    importlib.import_module(module)
+                self._loaded = True
+            finally:
+                self._loading = False
 
     def _unknown(self, name: str) -> UnknownSchedulerError:
         return UnknownSchedulerError(

@@ -10,9 +10,10 @@ the simulator's input a first-class, reproducible *timeline*:
 * :mod:`repro.scenarios.library` — named, seeded scenario builders
   (``steady``, ``bursty``, ``diurnal``, ``tenant-churn``,
   ``philly-replay``) behind :func:`make_scenario`;
-* :mod:`repro.scenarios.runner` — :class:`ScenarioRunner` /
-  :class:`ScenarioResult` plus :func:`scenario_sweep`, which fans
-  multi-seed replays out through :mod:`repro.parallel` backends.
+* :mod:`repro.scenarios.runner` — :class:`ScenarioRunner`, the one
+  description of a replay, and :class:`ScenarioResult`, plus
+  :func:`scenario_sweep`, which fans a runner's settings out over seeds
+  through :mod:`repro.parallel` backends.
 
 Quick start::
 
@@ -44,7 +45,6 @@ from repro.scenarios.runner import (
     ScenarioResult,
     ScenarioRoundRecord,
     ScenarioRunner,
-    run_scenario,
     scenario_sweep,
     sweep_summary,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "TenantDeparture",
     "make_scenario",
     "register_scenario",
-    "run_scenario",
     "scenario_names",
     "scenario_rows",
     "scenario_sweep",

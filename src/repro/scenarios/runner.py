@@ -2,12 +2,21 @@
 
 The runner materialises a :class:`~repro.scenarios.scenario.Scenario`
 recipe, builds a :class:`~repro.cluster.simulator.ClusterSimulator`
-with the scenario's event stream attached, runs it, and distils the raw
-:class:`~repro.cluster.metrics.MetricsCollector` into a
-:class:`ScenarioResult`: per-round records (throughput, utilisation,
-Jain fairness, an envy proxy, starvation) plus the aggregate summary row
-the CLI, the scenario-comparison experiment, and
-``experiments/report.py`` consume.
+with the scenario's event stream attached, runs it, and distils each
+raw round into a :class:`ScenarioRoundRecord` as it happens: the records
+feed running aggregates, the fingerprint and the optional
+``round_sink``, and are then dropped, so a replay's memory is O(1) in
+rounds.  The :class:`ScenarioResult` carries the aggregate summary row
+the CLI, the scenario-comparison experiment and
+``experiments/report.py`` consume; per-round records come from
+``round_sink``.
+
+A runner is the one description of a replay: scenario, scheduler,
+``config_overrides`` (any :class:`~repro.cluster.simulator.SimulationConfig`
+field) and ``round_sink``.  Every other entry point derives from it:
+:func:`scenario_sweep` replays a runner's settings over many seeds, and
+:class:`~repro.fleet.simulator.FleetSimulator` builds one runner per
+region.
 
 Each scheduler brings its own evaluation stack (§6.1.3), which the
 simulator derives from it: OEF evaluators run with the optimised placer
@@ -23,20 +32,20 @@ replays out across cores and the per-seed results come back in seed
 order.  Determinism contract: for a fixed (scenario, seed, scheduler),
 the summary row is identical on every backend.
 
-Warm-started replay (``warm=True``, the default) threads each round's
-solution into the next through the simulator's decision memo — a
-bounded LRU keyed by the scheduler's own content key (see
-:mod:`repro.cluster.simulator`) — cutting repeat-round LP cost to zero
-while staying **bit-identical** to a cold replay — compare
-:meth:`ScenarioResult.fingerprint` across ``warm``/``cold`` runs or
-execution backends to check.  ``warm=False`` (CLI: ``--cold``) forces
-every round to solve from scratch.
+Warm-started replay (``SimulationConfig.warm_start``, on by default)
+threads each round's solution into the next through the simulator's
+decision memo — a bounded LRU keyed by the scheduler's own content key
+(see :mod:`repro.cluster.simulator`) — cutting repeat-round LP cost to
+zero while staying **bit-identical** to a cold replay — compare
+:meth:`ScenarioResult.fingerprint` across warm/cold runs or execution
+backends to check.  ``config_overrides={"warm_start": False}`` (CLI:
+``--cold``) forces every round to solve from scratch.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -75,12 +84,10 @@ class ScenarioRoundRecord:
 class ScenarioAggregates:
     """Running aggregate stats, maintained one round at a time.
 
-    This is the O(1)-memory companion of the per-round record list: the
-    runner feeds it every distilled record as it happens, so summary
-    rows stay available even when ``record_rounds=False`` drops the
-    records themselves.  Means are over *active* rounds (rounds with at
-    least one scheduled tenant), matching the historical record-based
-    aggregation.
+    The runner feeds it every distilled record as it happens, so summary
+    rows stay available although the records themselves are dropped.
+    Means are over *active* rounds (rounds with at least one scheduled
+    tenant).
     """
 
     rounds: int = 0
@@ -197,14 +204,13 @@ class ScenarioResult:
     num_events: int
     metrics: MetricsCollector
     #: Running aggregates maintained during the replay; the summary
-    #: properties read these, so they survive ``record_rounds=False``.
+    #: properties read these.
     aggregates: ScenarioAggregates
-    #: Fingerprint computed incrementally during the run (sink mode has
-    #: nothing to recompute it from); :meth:`fingerprint` returns it.
+    #: Fingerprint computed incrementally during the run (the rounds are
+    #: not kept to recompute it from); :meth:`fingerprint` returns it.
     digest: str
-    records: List[ScenarioRoundRecord] = field(default_factory=list)
-    #: Warm-start engine split for this run (0/0 under ``warm=False``
-    #: never-cached schedulers).  Excluded from :meth:`summary_row` and
+    #: Warm-start engine split for this run (0 hits with the memo off or
+    #: for never-cached schedulers).  Excluded from :meth:`summary_row` and
     #: :meth:`fingerprint` so warm and cold replays stay comparable.
     #: (``warm_hits`` counts decision-memo hits; bench/worker.py reads the name.)
     warm_hits: int = 0
@@ -250,11 +256,9 @@ class ScenarioResult:
         warm-start telemetry are excluded.
 
         The contract: for a fixed (scenario, seed, scheduler), the
-        fingerprint is identical across warm/cold replays,
-        serial/thread/process sweeps, **and** record-keeping modes — a
-        ``record_rounds=False`` streaming run hashes each round as it
-        happens and must agree with a record-keeping replay of the same
-        recipe.  Fingerprints are only ever *compared* between runs,
+        fingerprint is identical across warm/cold replays and
+        serial/thread/process sweeps; each round is hashed as it
+        happens.  Fingerprints are only ever *compared* between runs,
         never parsed or pinned as constants.
         """
         return self.digest
@@ -322,6 +326,13 @@ class ScenarioRunner:
     ``run()`` call re-materialises the recipe, so one runner can be run
     repeatedly — and two runners replaying the same recipe under
     different schedulers see byte-identical event streams.
+
+    ``config_overrides`` are :class:`~repro.cluster.simulator.SimulationConfig`
+    fields laid over the scenario's horizon (``{"warm_start": False}``
+    replays cold).  ``round_sink`` is fed every distilled
+    :class:`ScenarioRoundRecord` as it happens; if it has a ``close()``
+    method the runner calls it after the replay (also when it raises),
+    so buffering sinks can flush.
     """
 
     def __init__(
@@ -330,8 +341,6 @@ class ScenarioRunner:
         scheduler: str = "oef-coop",
         *,
         config_overrides: Optional[Dict[str, object]] = None,
-        warm: bool = True,
-        record_rounds: bool = True,
         round_sink: Optional[Callable[[ScenarioRoundRecord], None]] = None,
     ):
         if isinstance(scenario, str):
@@ -339,17 +348,6 @@ class ScenarioRunner:
         self.scenario = scenario
         self.scheduler = scheduler
         self.config_overrides = dict(config_overrides or {})
-        self.warm = bool(warm)
-        #: ``False`` = sink mode: per-round records are distilled,
-        #: streamed to ``round_sink`` (if any) and then dropped, so a
-        #: long replay's memory is O(1) in rounds while summary rows and
-        #: the fingerprint stay available (see
-        #: :meth:`ScenarioResult.fingerprint` for the contract).
-        self.record_rounds = bool(record_rounds)
-        #: Optional callable fed every distilled
-        #: :class:`ScenarioRoundRecord` as it happens (any record mode);
-        #: if it has a ``close()`` method the runner calls it after the
-        #: replay (also when it raises), so buffering sinks can flush.
         self.round_sink = round_sink
 
     # -- construction ---------------------------------------------------------
@@ -360,12 +358,11 @@ class ScenarioRunner:
     ) -> ClusterSimulator:
         """A fresh, event-loaded simulator for one replay of the recipe."""
         script = script if script is not None else self.scenario.materialize()
-        overrides = {"warm_start": self.warm, **self.config_overrides}
         return ClusterSimulator(
             script.topology,
             list(script.initial_tenants),
             self.scheduler,
-            config=self.scenario.simulation_config(overrides),
+            config=self.scenario.simulation_config(self.config_overrides),
             events=script.events,
             metrics=metrics,
         )
@@ -380,7 +377,6 @@ class ScenarioRunner:
                 weights[tenant.name] = tenant.weight
         total_devices = script.topology.num_devices
 
-        records: List[ScenarioRoundRecord] = []
         aggregates = ScenarioAggregates()
         stream = _FingerprintStream()
 
@@ -388,14 +384,10 @@ class ScenarioRunner:
             record = distill_round(round_metrics, weights, total_devices)
             stream.observe_round(record, round_metrics)
             aggregates.observe(record)
-            if self.record_rounds:
-                records.append(record)
             if self.round_sink is not None:
                 self.round_sink(record)
 
-        metrics = MetricsCollector(
-            on_round=observe, keep_rounds=self.record_rounds
-        )
+        metrics = MetricsCollector(on_round=observe, keep_rounds=False)
         simulator = self.build_simulator(script, metrics=metrics)
         try:
             simulator.run()
@@ -421,7 +413,6 @@ class ScenarioRunner:
             num_rounds=metrics.rounds_recorded,
             num_events=simulator.events_applied,
             metrics=metrics,
-            records=records,
             warm_hits=simulator.warm_stats.warm_hits,
             cold_solves=simulator.warm_stats.cold_solves,
             aggregates=aggregates,
@@ -429,54 +420,43 @@ class ScenarioRunner:
         )
 
 
-def run_scenario(
-    name: str,
-    *,
-    scheduler: str = "oef-coop",
-    seed: int = 0,
-    rounds: Optional[int] = None,
-    round_duration: float = 300.0,
-    warm: bool = True,
-    **params: object,
-) -> ScenarioResult:
-    """One-shot convenience: build the recipe, replay it, return the result."""
-    scenario = make_scenario(
-        name, seed=seed, rounds=rounds, round_duration=round_duration, **params
+def _sweep_runner_factory(seed: int, *, runner: ScenarioRunner) -> ScenarioRunner:
+    """Module-level (hence picklable) ``factory(seed)`` for scenario sweeps:
+    ``runner``'s settings on the recipe re-seeded with ``seed``."""
+    return ScenarioRunner(
+        runner.scenario.with_seed(seed),
+        runner.scheduler,
+        config_overrides=runner.config_overrides,
+        round_sink=runner.round_sink,
     )
-    return ScenarioRunner(scenario, scheduler=scheduler, warm=warm).run()
-
-
-def _sweep_runner_factory(
-    seed: int, *, scenario: Scenario, scheduler: str, warm: bool = True
-) -> ScenarioRunner:
-    """Module-level (hence picklable) ``factory(seed)`` for scenario sweeps."""
-    return ScenarioRunner(scenario.with_seed(seed), scheduler=scheduler, warm=warm)
 
 
 def scenario_sweep(
-    scenario: Union[Scenario, str],
+    runner: ScenarioRunner,
     seeds: Sequence[int],
     *,
-    scheduler: str = "oef-coop",
     backend: BackendSpec = "auto",
     max_workers: Optional[int] = None,
-    warm: bool = True,
 ) -> List[ScenarioResult]:
-    """Replay one scenario under many seeds, fanned out across workers.
+    """Replay ``runner``'s settings under many seeds, fanned out across workers.
 
-    Rides :meth:`ClusterSimulator.run_sweep`, so ``backend`` accepts the
-    usual ``"serial"`` / ``"thread"`` / ``"process"`` / ``"auto"`` names
-    (see :func:`repro.parallel.get_backend`).  Results
-    arrive in seed order and are backend-independent: aggregate metrics
-    from a serial sweep match a thread or process sweep bit for bit.
+    Each seed re-seeds the runner's recipe; its scheduler,
+    ``config_overrides`` and ``round_sink`` carry over (a sink runs in
+    the worker that replays the seed).  Rides
+    :meth:`ClusterSimulator.run_sweep`, so ``backend`` accepts the usual
+    ``"serial"`` / ``"thread"`` / ``"process"`` / ``"auto"`` names (see
+    :func:`repro.parallel.get_backend`).  Results arrive in seed order
+    and are backend-independent: aggregate metrics from a serial sweep
+    match a thread or process sweep bit for bit.
     """
+    if not isinstance(runner, ScenarioRunner):
+        raise ValidationError(
+            "scenario_sweep takes a ScenarioRunner: "
+            "scenario_sweep(ScenarioRunner(recipe, scheduler), seeds)"
+        )
     if not seeds:
         raise ValidationError("scenario_sweep needs at least one seed")
-    if isinstance(scenario, str):
-        scenario = make_scenario(scenario)
-    factory = partial(
-        _sweep_runner_factory, scenario=scenario, scheduler=scheduler, warm=warm
-    )
+    factory = partial(_sweep_runner_factory, runner=runner)
     return ClusterSimulator.run_sweep(
         factory, list(seeds), backend=backend, max_workers=max_workers
     )
@@ -506,7 +486,6 @@ __all__ = [
     "ScenarioRoundRecord",
     "ScenarioRunner",
     "distill_round",
-    "run_scenario",
     "scenario_sweep",
     "sweep_summary",
 ]

@@ -16,6 +16,7 @@ from repro.auditor.ledger import AuditLedger
 from repro.auditor.schema import PROPERTY_KEYS
 from repro.auditor.worker import (
     EXPECTED_PROPERTIES,
+    SEEN_KEYS_BOUND,
     AuditWorker,
     classify_marks,
 )
@@ -212,6 +213,19 @@ class TestQueueDiscipline:
         stats = worker.stats()
         assert stats["duplicates"] == 1
         assert stats["audited"] == 2
+
+    def test_seen_keys_stay_bounded(self, instance):
+        # a long run samples ever new keys; the dedup set is cleared when
+        # full, as the middleware's settled-key set is
+        keys = SEEN_KEYS_BOUND + 10
+        worker = _stub_worker(max_queue=keys)
+        try:
+            for index in range(keys):
+                assert worker.submit(instance, "oef-coop", f"fp-{index}")
+                assert len(worker._seen) <= SEEN_KEYS_BOUND
+        finally:
+            worker.stop()
+        assert worker.stats()["audited"] == keys
 
     def test_full_queue_drops_instead_of_blocking(self, instance):
         gate = threading.Event()

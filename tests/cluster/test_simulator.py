@@ -23,7 +23,7 @@ from repro.cluster import (
 )
 from repro.cluster.gpu import Host
 from repro.exceptions import ValidationError
-from repro.fleet import FleetSimulator, fleet_scenario_names, run_fleet
+from repro.fleet import FleetSimulator, fleet_scenario_names, resolve_fleet_scenario
 from repro.fleet.library import make_fleet_scenario
 from repro.fleet.simulator import _region_runner
 from repro.registry import REGISTRY
@@ -794,9 +794,9 @@ def _check_replay(monkeypatch, name, scheduler, seed):
 def _check_fleet(monkeypatch, tmp_path, name, backend):
     def fingerprint(backend, label):
         path = str(tmp_path / f"{label}.jsonl")
-        return run_fleet(
-            name, regions=3, rounds=12, seed=3, backend=backend, metrics_path=path
-        ).fingerprint()
+        fleet = resolve_fleet_scenario(name, regions=3, rounds=12, seed=3)
+        result = FleetSimulator(fleet, backend=backend, metrics_path=path).run()
+        return result.fingerprint()
 
     # the patch reaches this process only, so the reference runs serially
     with monkeypatch.context() as patch:

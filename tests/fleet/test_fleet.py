@@ -15,7 +15,6 @@ from repro.fleet import (
     make_fleet_scenario,
     region_scenario,
     resolve_fleet_scenario,
-    run_fleet,
     shard_of,
     sharded_fleet,
 )
@@ -271,14 +270,11 @@ class TestFleetSimulator:
         fingerprints = {}
         pids = []
         for run, backend in enumerate(("serial", "thread", "process", "process")):
-            result = run_fleet(
-                "spot-preemption",
-                regions=3,
-                rounds=6,
-                seed=9,
+            result = FleetSimulator(
+                make_fleet_scenario("spot-preemption", regions=3, rounds=6, seed=9),
                 backend=backend,
                 metrics_path=str(tmp_path / f"{run}-{backend}.jsonl"),
-            )
+            ).run()
             fingerprints[run] = result.fingerprint()
             assert result.fairness_violations == 0
             assert result.completed_jobs > 0
@@ -292,13 +288,11 @@ class TestFleetSimulator:
         from repro.fleet.metrics import read_fleet_metrics
 
         path = str(tmp_path / "m.jsonl")
-        result = run_fleet(
-            "hetero-generations",
-            regions=2,
-            rounds=6,
+        result = FleetSimulator(
+            make_fleet_scenario("hetero-generations", regions=2, rounds=6),
             backend="serial",
             metrics_path=path,
-        )
+        ).run()
         records = read_fleet_metrics(path)
         assert len(records) == result.total_rounds > 0
         assert {r["region"] for r in records} == {
@@ -316,9 +310,10 @@ class TestFleetSimulator:
 
     def test_seed_changes_the_fleet(self):
         results = [
-            run_fleet(
-                "spot-preemption", regions=2, rounds=6, seed=seed, backend="serial"
-            )
+            FleetSimulator(
+                make_fleet_scenario("spot-preemption", regions=2, rounds=6, seed=seed),
+                backend="serial",
+            ).run()
             for seed in (0, 1)
         ]
         assert results[0].fingerprint() != results[1].fingerprint()
@@ -343,13 +338,10 @@ class TestFleetSimulator:
             for i in range(8)
         ]
         store.save("ops", normalize_rows(rows))
-        result = run_fleet(
-            "trace:ops",
-            regions=2,
-            rounds=6,
-            backend="serial",
-            store_root=store.root,
+        fleet = resolve_fleet_scenario(
+            "trace:ops", regions=2, rounds=6, store_root=store.root
         )
+        result = FleetSimulator(fleet, backend="serial").run()
         assert result.fleet == "sharded:trace:ops"
         assert result.completed_jobs > 0
 

@@ -20,7 +20,7 @@ from repro.exceptions import SimulationError
 from repro.fleet import FleetSimulator, make_fleet_scenario
 from repro.parallel import get_backend
 from repro.registry import REGISTRY, register_scheduler
-from repro.scenarios import make_scenario, scenario_sweep
+from repro.scenarios import ScenarioRunner, make_scenario, scenario_sweep
 
 PARENT = os.getpid()
 
@@ -187,7 +187,9 @@ class TestSharedPool:
 
 def _sweep_rows(scheduler="oef-coop", backend="process"):
     recipe = make_scenario("steady", rounds=3)
-    results = scenario_sweep(recipe, [1, 2], scheduler=scheduler, backend=backend)
+    results = scenario_sweep(
+        ScenarioRunner(recipe, scheduler), [1, 2], backend=backend
+    )
     return [result.summary_row() for result in results]
 
 

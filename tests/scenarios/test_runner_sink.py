@@ -1,9 +1,9 @@
-"""Sink mode: ``record_rounds=False`` streams rounds instead of keeping them.
+"""A replay streams its rounds to ``round_sink`` instead of keeping them.
 
 The documented fingerprint contract is the heart of this file: for a
-fixed (scenario, seed, scheduler) the fingerprint is identical across
-record modes, warm/cold replays, and execution backends — it is
-computed incrementally from the same per-round stream either way.
+fixed (scenario, seed, scheduler) the fingerprint is identical with or
+without a sink, across warm/cold replays, and across execution backends
+— it is computed incrementally from the same per-round stream.
 """
 
 from __future__ import annotations
@@ -34,56 +34,52 @@ def scenario():
 
 
 class TestSinkMode:
-    def test_records_are_dropped_but_counted(self, scenario):
-        result = ScenarioRunner(scenario, record_rounds=False).run()
-        assert result.records == []
+    @pytest.mark.parametrize("with_sink", [False, True], ids=["default", "sink"])
+    def test_records_are_dropped_but_counted(self, scenario, with_sink):
+        sink = RecordingSink() if with_sink else None
+        result = ScenarioRunner(scenario, round_sink=sink).run()
         assert result.num_rounds > 0
-        assert result.metrics.rounds == []  # collector dropped them too
+        assert result.metrics.rounds == []  # the collector keeps none
         assert result.metrics.rounds_recorded == result.num_rounds
 
     def test_round_sink_sees_every_round_and_is_closed(self, scenario):
         sink = RecordingSink()
-        result = ScenarioRunner(
-            scenario, record_rounds=False, round_sink=sink
-        ).run()
+        result = ScenarioRunner(scenario, round_sink=sink).run()
         assert sink.closed
         assert len(sink.records) == result.num_rounds
         assert [r.round_index for r in sink.records] == list(
             range(result.num_rounds)
         )
 
-    def test_sink_also_works_in_record_mode(self, scenario):
-        sink = RecordingSink()
-        result = ScenarioRunner(scenario, round_sink=sink).run()
-        assert sink.closed
-        assert len(sink.records) == len(result.records)
-
-    def test_fingerprint_identical_across_record_modes(self, scenario):
-        recorded = ScenarioRunner(scenario).run()
-        streamed = ScenarioRunner(scenario, record_rounds=False).run()
-        assert recorded.fingerprint() == streamed.fingerprint()
+    def test_fingerprint_identical_with_and_without_a_sink(self, scenario):
+        bare = ScenarioRunner(scenario).run()
+        sunk = ScenarioRunner(scenario, round_sink=RecordingSink()).run()
+        assert bare.fingerprint() == sunk.fingerprint()
+        assert bare.summary_row() == sunk.summary_row()
 
     def test_fingerprint_identical_across_warm_and_cold(self, scenario):
-        warm = ScenarioRunner(scenario, record_rounds=False).run()
-        cold = ScenarioRunner(scenario, record_rounds=False, warm=False).run()
+        warm_sink, cold_sink = RecordingSink(), RecordingSink()
+        warm = ScenarioRunner(scenario, round_sink=warm_sink).run()
+        cold = ScenarioRunner(
+            scenario, config_overrides={"warm_start": False}, round_sink=cold_sink
+        ).run()
         assert warm.fingerprint() == cold.fingerprint()
+        assert warm_sink.records == cold_sink.records
 
-    def test_summary_values_identical_across_record_modes(self, scenario):
-        recorded = ScenarioRunner(scenario).run()
-        streamed = ScenarioRunner(scenario, record_rounds=False).run()
-        assert streamed.mean_utilization == pytest.approx(
-            recorded.mean_utilization
-        )
-        assert streamed.mean_jain == pytest.approx(recorded.mean_jain)
-        assert streamed.mean_envy == pytest.approx(recorded.mean_envy)
-        assert streamed.total_starvation == recorded.total_starvation
-        assert streamed.completed_jobs == recorded.completed_jobs
-
-    def test_sink_mode_result_survives_the_process_backend(self, scenario):
+    def test_result_survives_the_process_backend(self, scenario):
         from repro.scenarios import scenario_sweep
 
-        results = scenario_sweep(scenario, [0, 1], backend="process")
+        results = scenario_sweep(ScenarioRunner(scenario), [0, 1], backend="process")
         assert len(results) == 2  # the local observer must not travel
+
+    def test_a_sweep_feeds_the_runner_sink_every_seed(self, scenario):
+        from repro.scenarios import scenario_sweep
+
+        sink = RecordingSink()
+        results = scenario_sweep(
+            ScenarioRunner(scenario, round_sink=sink), [0, 1], backend="serial"
+        )
+        assert len(sink.records) == sum(r.num_rounds for r in results)
 
 
 class _Boom:
@@ -107,7 +103,7 @@ class TestSinkClosesOnFailure:
 
     def test_sink_is_closed_when_the_replay_raises(self, scenario):
         sink = RecordingSink()
-        runner = ScenarioRunner(scenario, record_rounds=False, round_sink=sink)
+        runner = ScenarioRunner(scenario, round_sink=sink)
         with pytest.raises(RuntimeError, match="boom"):
             runner.run(self._failing_script(scenario, at_round=5))
         assert sink.closed
@@ -123,7 +119,7 @@ class TestSinkClosesOnFailure:
             str(path), fleet="f", region="region0", seed=3, scheduler="oef-coop"
         )
         assert writer.flush_every > 5  # the whole run sits in the buffer
-        runner = ScenarioRunner(scenario, record_rounds=False, round_sink=writer)
+        runner = ScenarioRunner(scenario, round_sink=writer)
         with pytest.raises(RuntimeError, match="boom"):
             runner.run(self._failing_script(scenario, at_round=5))
         assert [entry["round"] for entry in read_fleet_metrics(str(path))] == list(
@@ -133,9 +129,10 @@ class TestSinkClosesOnFailure:
 
 class TestAggregates:
     def test_running_means_match_recorded_means(self, scenario):
-        result = ScenarioRunner(scenario).run()
+        sink = RecordingSink()
+        result = ScenarioRunner(scenario, round_sink=sink).run()
         aggregates = ScenarioAggregates()
-        for record in result.records:
+        for record in sink.records:
             aggregates.observe(record)
         assert aggregates.mean_utilization == pytest.approx(
             result.mean_utilization

@@ -11,28 +11,36 @@ from repro.scenarios import (
     ScenarioResult,
     ScenarioRunner,
     make_scenario,
-    run_scenario,
     scenario_names,
     scenario_sweep,
     sweep_summary,
 )
 
 ROUNDS = 6
+COLD = {"warm_start": False}
+
+
+def _replay(scenario, scheduler="oef-coop", config_overrides=None):
+    """One replay plus the per-round records its round sink saw."""
+    records = []
+    result = ScenarioRunner(
+        scenario, scheduler, config_overrides=config_overrides,
+        round_sink=records.append,
+    ).run()
+    return result, records
 
 
 class TestScenarioRunner:
     def test_end_to_end_result_shape(self):
-        result = ScenarioRunner(
-            make_scenario("bursty", seed=7, rounds=ROUNDS)
-        ).run()
+        result, records = _replay(make_scenario("bursty", seed=7, rounds=ROUNDS))
         assert isinstance(result, ScenarioResult)
         assert result.scenario_name == "bursty"
         assert result.scheduler == "oef-coop"
         assert 0 < result.num_rounds <= ROUNDS
         assert result.num_events > 0
         assert result.completed_jobs > 0
-        assert len(result.records) == result.num_rounds
-        for record in result.records:
+        assert len(records) == result.num_rounds
+        for record in records:
             assert 0.0 <= record.utilization <= 1.0
             assert 0.0 <= record.jain <= 1.0
             assert 0.0 <= record.envy <= 1.0
@@ -54,15 +62,14 @@ class TestScenarioRunner:
         assert oef.num_events == gavel.num_events
         assert oef.seed == gavel.seed
 
-    def test_run_scenario_convenience(self):
-        result = run_scenario(
-            "bursty", scheduler="max-min", seed=1, rounds=ROUNDS, num_bursts=1
-        )
+    def test_recipe_params_reach_the_replay(self):
+        scenario = make_scenario("bursty", seed=1, rounds=ROUNDS, num_bursts=1)
+        result = ScenarioRunner(scenario, "max-min").run()
         assert result.scheduler == "max-min"
         assert result.num_events == 4  # one burst x burst_jobs default
 
     def test_summary_row_keys(self):
-        row = run_scenario("steady", rounds=4).summary_row()
+        row = ScenarioRunner(make_scenario("steady", rounds=4)).run().summary_row()
         assert set(row) == {
             "scenario", "scheduler", "seed", "rounds", "events", "jobs done",
             "mean JCT (h)", "utilization", "jain", "envy", "starvation",
@@ -82,33 +89,31 @@ class TestDifferentialReplay:
     @pytest.mark.parametrize("name", sorted(scenario_names()))
     def test_warm_equals_cold_everywhere(self, name):
         scenario = make_scenario(name, seed=2, rounds=ROUNDS)
-        warm = ScenarioRunner(scenario, warm=True).run()
-        cold = ScenarioRunner(scenario, warm=False).run()
+        warm, warm_records = _replay(scenario)
+        cold, cold_records = _replay(scenario, config_overrides=COLD)
         assert warm.fingerprint() == cold.fingerprint()
-        assert warm.records == cold.records
+        assert warm_records == cold_records
         assert warm.summary_row() == cold.summary_row()
         assert cold.warm_hits == 0
 
     def test_warm_engine_actually_fires(self):
-        result = ScenarioRunner(
-            make_scenario("steady", seed=0, rounds=ROUNDS), warm=True
-        ).run()
+        result = ScenarioRunner(make_scenario("steady", seed=0, rounds=ROUNDS)).run()
         assert result.warm_hits > 0
         assert result.warm_hits + result.cold_solves == result.num_rounds
 
     def test_warm_equals_cold_for_baseline_scheduler(self):
         scenario = make_scenario("bursty", seed=5, rounds=ROUNDS)
-        warm = ScenarioRunner(scenario, scheduler="gavel", warm=True).run()
-        cold = ScenarioRunner(scenario, scheduler="gavel", warm=False).run()
+        warm = ScenarioRunner(scenario, scheduler="gavel").run()
+        cold = ScenarioRunner(
+            scenario, scheduler="gavel", config_overrides=COLD
+        ).run()
         assert warm.fingerprint() == cold.fingerprint()
 
     def test_elastic_scheduler_never_warm_starts(self):
         # job-level decisions depend on live job state the decision key
-        # cannot cover, so every round must solve cold even under warm=True
+        # cannot cover, so every round must solve cold even with the memo on
         scenario = make_scenario("steady", seed=0, rounds=3)
-        result = ScenarioRunner(
-            scenario, scheduler="oef-elastic-coop", warm=True
-        ).run()
+        result = ScenarioRunner(scenario, scheduler="oef-elastic-coop").run()
         assert result.warm_hits == 0
         assert result.cold_solves == result.num_rounds
 
@@ -129,13 +134,15 @@ class TestDifferentialReplay:
         """scenario fingerprints: warm/cold x serial/thread/process all equal."""
         seeds = [1, 2]
         warm = scenario_sweep(
-            "bursty", seeds, backend=backend, max_workers=2, warm=True
+            ScenarioRunner("bursty"), seeds, backend=backend, max_workers=2
         )
         cold = scenario_sweep(
-            "bursty", seeds, backend=backend, max_workers=2, warm=False
+            ScenarioRunner("bursty", config_overrides=COLD),
+            seeds, backend=backend, max_workers=2,
         )
-        serial_warm = scenario_sweep("bursty", seeds, backend="serial", warm=True)
+        serial_warm = scenario_sweep(ScenarioRunner("bursty"), seeds, backend="serial")
         assert [r.fingerprint() for r in warm] == [r.fingerprint() for r in cold]
+        assert [r.warm_hits for r in cold] == [0, 0]  # the override travelled
         assert [r.fingerprint() for r in warm] == [
             r.fingerprint() for r in serial_warm
         ]
@@ -146,12 +153,9 @@ class TestSweepDeterminism:
 
     def test_serial_and_thread_backends_agree(self):
         seeds = [1, 2, 3]
-        serial = scenario_sweep(
-            "bursty", seeds, scheduler="oef-coop", backend="serial"
-        )
-        threaded = scenario_sweep(
-            "bursty", seeds, scheduler="oef-coop", backend="thread", max_workers=3
-        )
+        runner = ScenarioRunner("bursty", "oef-coop")
+        serial = scenario_sweep(runner, seeds, backend="serial")
+        threaded = scenario_sweep(runner, seeds, backend="thread", max_workers=3)
         assert [r.summary_row() for r in serial] == [
             r.summary_row() for r in threaded
         ]
@@ -161,24 +165,38 @@ class TestSweepDeterminism:
         import warnings
 
         seeds = [1, 2]
-        serial = scenario_sweep("tenant-churn", seeds, backend="serial")
+        runner = ScenarioRunner("tenant-churn")
+        serial = scenario_sweep(runner, seeds, backend="serial")
         # recipes must be picklable: no thread-degradation RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             processed = scenario_sweep(
-                "tenant-churn", seeds, backend="process", max_workers=2
+                runner, seeds, backend="process", max_workers=2
             )
         assert [r.summary_row() for r in serial] == [
             r.summary_row() for r in processed
         ]
 
     def test_results_come_back_in_seed_order(self):
-        results = scenario_sweep("steady", [5, 3, 9], backend="thread")
+        results = scenario_sweep(
+            ScenarioRunner("steady"), [5, 3, 9], backend="thread"
+        )
         assert [r.seed for r in results] == [5, 3, 9]
+
+    def test_sweep_keeps_the_runner_scheduler(self):
+        (result,) = scenario_sweep(
+            ScenarioRunner(make_scenario("steady", rounds=3), "gavel"), [4],
+            backend="serial",
+        )
+        assert (result.scheduler, result.seed) == ("gavel", 4)
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValidationError, match="at least one seed"):
-            scenario_sweep("steady", [])
+            scenario_sweep(ScenarioRunner("steady"), [])
+
+    def test_a_recipe_is_not_a_runner(self):
+        with pytest.raises(ValidationError, match="takes a ScenarioRunner"):
+            scenario_sweep("steady", [1])
 
 
 class TestCLISimulate:

@@ -308,6 +308,8 @@ class TestParser:
             (["audit-report", "--rate", "5"], "--rate"),
             (["serve", "--audit", "5"], "--audit"),
             (["serve", "--port", "99999"], "--port"),
+            (["serve", "--shards", "0"], "--shards"),
+            (["serve", "--max-in-flight", "-1"], "--max-in-flight"),
         ],
         ids=lambda value: "-".join(value) if isinstance(value, list) else None,
     )

@@ -1,7 +1,12 @@
 """The scheduler registry: registration, lookup, and metadata completeness."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
 from repro.exceptions import RegistrationError, UnknownSchedulerError
@@ -16,6 +21,8 @@ from repro.registry import (
     scheduler_info,
     scheduler_names,
 )
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 CANONICAL = [
     "drf",
@@ -148,6 +155,35 @@ class TestDefaultRegistry:
         with pytest.raises(LookupError, match="not registered"):
             Derived.describe()
         assert GandivaFair.describe().name == "gandiva-fair"
+
+    def test_first_lookups_from_many_threads_all_see_every_builtin(self):
+        # the lazy builtin load must finish before any thread's lookup
+        # answers; it used to answer "unknown scheduler" mid-load
+        code = (
+            "import threading\n"
+            "from repro.registry import REGISTRY\n"
+            "barrier = threading.Barrier(4)\n"
+            "errors = []\n"
+            "def probe():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        REGISTRY.resolve('gavel')\n"
+            "    except Exception as exc:\n"
+            "        errors.append(exc)\n"
+            "threads = [threading.Thread(target=probe) for _ in range(4)]\n"
+            "for thread in threads: thread.start()\n"
+            "for thread in threads: thread.join()\n"
+            "print(errors)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestPrivateRegistry:

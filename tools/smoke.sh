@@ -189,6 +189,19 @@ grep "^steady" "$TMP/sweep_process.txt" > "$TMP/sweep_process_rows.txt"
 test -s "$TMP/sweep_serial_rows.txt"
 diff "$TMP/sweep_serial_rows.txt" "$TMP/sweep_process_rows.txt"
 
+echo "== repro simulate tenant-churn seed sweep, memo vs --cold (sweep gate) =="
+# a sweep replays one runner's settings per seed: --cold must reach every
+# worker, and the memoized sweep must aggregate to the same row
+"$PY" -m repro simulate --scenario tenant-churn --rounds 12 --seeds 1 2 \
+    --backend process | tee "$TMP/churn_sweep.txt"
+"$PY" -m repro simulate --scenario tenant-churn --rounds 12 --seeds 1 2 \
+    --backend process --cold | tee "$TMP/churn_sweep_cold.txt"
+grep -q "warm-start disabled" "$TMP/churn_sweep_cold.txt"
+grep "^tenant-churn" "$TMP/churn_sweep.txt" > "$TMP/churn_sweep_row.txt"
+grep "^tenant-churn" "$TMP/churn_sweep_cold.txt" > "$TMP/churn_sweep_cold_row.txt"
+test -s "$TMP/churn_sweep_row.txt"
+diff "$TMP/churn_sweep_row.txt" "$TMP/churn_sweep_cold_row.txt"
+
 echo "== repro list-scenarios =="
 "$PY" -m repro list-scenarios | tee "$TMP/scenarios.txt"
 for name in steady bursty diurnal tenant-churn philly-replay \
