@@ -11,7 +11,7 @@ from repro.cluster.metrics import CompletionRecord, MetricsCollector, RoundMetri
 from repro.cluster.network import NetworkModel
 from repro.cluster.placement import JobPlacement, Placer, RoundPlacement
 from repro.cluster.profiler import ProfilingAgent
-from repro.cluster.rounding import DeviationRounder, RoundingResult
+from repro.cluster.rounding import DeviationRounder, RoundingQuestion, RoundingResult
 from repro.cluster.schedulers import (
     ElasticOEFScheduler,
     FairShareScheduler,
@@ -51,6 +51,7 @@ __all__ = [
     "ProfilingAgent",
     "RoundMetrics",
     "RoundPlacement",
+    "RoundingQuestion",
     "RoundingResult",
     "SchedulerDecision",
     "SimulationConfig",

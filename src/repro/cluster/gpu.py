@@ -46,9 +46,6 @@ class GPUDevice:
     def is_free(self) -> bool:
         return self.assigned_job is None and not self.failed
 
-    def release(self) -> None:
-        self.assigned_job = None
-
     def fail(self) -> None:
         """Mark the device failed; any bound job loses this worker."""
         self.failed = True
@@ -79,7 +76,13 @@ class Host:
         return len(self.devices)
 
     def free_devices(self) -> List[GPUDevice]:
-        return [device for device in self.devices if device.is_free]
+        # ``is_free`` inlined: the placer lists every host's free devices
+        # once per round
+        return [
+            device
+            for device in self.devices
+            if device.assigned_job is None and not device.failed
+        ]
 
     @property
     def num_free(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +50,9 @@ class Job:
     finish_time: Optional[float] = None
     starvation_rounds: int = 0
     rounds_scheduled: int = 0
+    # the throughput as Python floats, derived once like ``speedups``: the
+    # placer and the simulator read one per placed job per round
+    rates: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.true_throughput = np.asarray(self.true_throughput, dtype=float)
@@ -76,6 +79,7 @@ class Job:
             shape = given.copy() if given.flags.writeable else given
         self.speedups = shape
         self.speedups.setflags(write=False)
+        self.rates = tuple(throughput.tolist())
 
     def __setstate__(self, state: dict) -> None:
         # unpickled arrays come back writable; keep the profile frozen
@@ -133,9 +137,16 @@ class Job:
 
     def starve(self) -> None:
         """Record one round without any allocated GPU."""
-        if self.state is not JobState.FINISHED:
-            self.starvation_rounds += 1
-            self.state = JobState.PENDING
+        Job.starve_all((self,))
+
+    @staticmethod
+    def starve_all(jobs: Iterable["Job"]) -> None:
+        """Record one round without any allocated GPU for each unfinished job."""
+        finished, pending = JobState.FINISHED, JobState.PENDING
+        for job in jobs:
+            if job.state is not finished:
+                job.starvation_rounds += 1
+                job.state = pending
 
 
 def make_job(

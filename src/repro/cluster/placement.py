@@ -21,14 +21,14 @@ baselines use:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.gpu import GPUDevice
 from repro.cluster.job import Job
 from repro.cluster.network import NetworkModel
-from repro.cluster.straggler import StragglerModel
+from repro.cluster.straggler import StragglerModel, single_type_rate
 from repro.cluster.tenant import Tenant
 from repro.cluster.topology import ClusterTopology
 from repro.exceptions import PlacementError
@@ -83,6 +83,11 @@ class Placer:
         self.oef = bool(oef)
         self.straggler_model = straggler_model or StragglerModel()
         self.network_model = network_model or NetworkModel()
+        # hosts per type rank, in host-id order: a topology never gains or
+        # loses a host, only device states change
+        self._hosts = [
+            topology.hosts_of_type(rank) for rank in range(topology.num_gpu_types)
+        ]
         # (workers, *budget) -> the type counts ``_select_types`` chose; a
         # pure function of the key under a fixed flag, and replay rounds
         # keep asking for the same few pairs
@@ -98,8 +103,9 @@ class Placer:
     ) -> RoundPlacement:
         """Select runnable jobs per tenant and bind them to devices.
 
-        ``active_jobs`` maps tenant names to their ``active_jobs(now)`` for
-        a caller that already has them; tenants it lacks are scanned here.
+        ``active_jobs`` maps tenant names to their ``active_jobs(now)`` in
+        :func:`~repro.cluster.tenant.submit_order`, for a caller that already
+        has them; tenants it lacks are scanned here.
         """
         oef = self.oef
         select_types = self._select_types
@@ -107,8 +113,8 @@ class Placer:
         # the round's free devices, listed once: type rank -> one list per
         # host, in host-id order; binding removes the devices it assigns
         free = {
-            rank: [host.free_devices() for host in self.topology.hosts_of_type(rank)]
-            for rank in range(self.topology.num_gpu_types)
+            rank: [host.free_devices() for host in hosts]
+            for rank, hosts in enumerate(self._hosts)
         }
         selections: List[Tuple[Job, Dict[int, int]]] = []
         starved: List[Job] = []
@@ -167,26 +173,29 @@ class Placer:
             else:
                 selections.sort(key=lambda pair: pair[0].job_id)
 
-        bind_devices = self._bind_devices
-        evaluate = self.straggler_model.evaluate
+        bind_type = self._bind_type
         placements: List[JobPlacement] = []
         cross_host = False
         for job, type_counts in selections:
-            devices, hosts = bind_devices(type_counts, free)
-            outcome = evaluate(job, type_counts)
+            if len(type_counts) == 1:
+                ((rank, count),) = type_counts.items()
+                devices, hosts = bind_type(rank, count, free.get(rank, []))
+                rate, stragglers = single_type_rate(job, rank), 0
+            else:
+                # slowest type first
+                devices, hosts = [], 0
+                for rank, count in sorted(type_counts.items()):
+                    chosen, used = bind_type(rank, count, free.get(rank, []))
+                    devices += chosen
+                    hosts += used
+                outcome = self.straggler_model.evaluate(job, type_counts)
+                rate, stragglers = outcome.per_worker_rate, outcome.straggler_workers
             job_id = job.job_id
             for device in devices:
                 device.assigned_job = job_id
             cross_host = cross_host or hosts > 1
             placements.append(
-                JobPlacement(
-                    job,
-                    devices,
-                    type_counts,
-                    hosts,
-                    outcome.per_worker_rate,
-                    outcome.straggler_workers,
-                )
+                JobPlacement(job, devices, type_counts, hosts, rate, stragglers)
             )
 
         # a job on one host runs at network factor 1.0 (``NetworkModel``),
@@ -272,21 +281,6 @@ class Placer:
         return None
 
     # -- physical binding ---------------------------------------------------------
-    def _bind_devices(
-        self, type_counts: Dict[int, int], free: Dict[int, List[List[GPUDevice]]]
-    ) -> Tuple[List[GPUDevice], int]:
-        """The job's devices, slowest type first, and how many hosts they span."""
-        if len(type_counts) == 1:
-            ((rank, count),) = type_counts.items()
-            return self._bind_type(rank, count, free.get(rank, []))
-        devices: List[GPUDevice] = []
-        hosts = 0
-        for rank, count in sorted(type_counts.items()):
-            chosen, used = self._bind_type(rank, count, free.get(rank, []))
-            devices += chosen
-            hosts += used
-        return devices, hosts
-
     def _bind_type(
         self, rank: int, count: int, pools: List[List[GPUDevice]]
     ) -> Tuple[List[GPUDevice], int]:

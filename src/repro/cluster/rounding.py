@@ -24,7 +24,7 @@ which tenant gets a device.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,26 @@ class RoundingResult:
     zeroed_tenants: List[str] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class RoundingQuestion:
+    """One round's input to :meth:`DeviationRounder.round_shares`, prepared once.
+
+    :meth:`DeviationRounder.prepare` builds it from copies of its inputs,
+    so a caller editing its dicts afterwards does not change the question.
+    A caller whose shares, capacities and min demands hold for several
+    rounds (the simulator, for an active-set epoch) prepares once and
+    passes the question every round.
+    """
+
+    tenants: List[str]
+    ideal: np.ndarray  # tenants x types, read-only
+    capacities: np.ndarray  # devices per type
+    whole: np.ndarray  # ``rint(capacities)`` as ints
+    demands: Optional[np.ndarray]  # min demand per tenant (0: none); None: no rule
+    rows: np.ndarray  # each tenant's deviation row under ``layout``
+    layout: Optional[object]  # the rounder's row layout when prepared
+
+
 class DeviationRounder:
     """Stateful rounder: one instance per simulation, fed every round.
 
@@ -68,6 +88,9 @@ class DeviationRounder:
         self._rows: Dict[str, int] = {}
         self._spare: List[int] = []  # zeroed rows no tenant holds
         self._matrix = np.zeros((0, 0))
+        # replaced whenever a row changes hands, which stales a prepared
+        # question's rows
+        self._layout = object()
 
     def deviation(self, tenant: str) -> np.ndarray:
         row = self._rows.get(tenant)
@@ -79,6 +102,7 @@ class DeviationRounder:
         if row is not None:
             self._matrix[row] = 0.0
             self._spare.append(row)
+            self._layout = object()
 
     def _row_index(self, tenants: List[str], num_types: int) -> np.ndarray:
         """Each tenant's row of the deviation matrix; a new tenant's is zeros."""
@@ -86,6 +110,7 @@ class DeviationRounder:
             self._rows.clear()
             self._spare.clear()
             self._matrix = np.zeros((0, num_types))
+            self._layout = object()
         index = list(map(self._rows.get, tenants))
         if None in index:
             for position, tenant in enumerate(tenants):
@@ -99,35 +124,22 @@ class DeviationRounder:
                     index[position] = self._rows[tenant] = self._spare.pop()
         return np.array(index)
 
-    def round_shares(
+    def prepare(
         self,
         ideal: Dict[str, np.ndarray],
         capacities: Sequence[float] | np.ndarray,
         min_demands: Dict[str, int] | None = None,
-        redistribute: bool = True,
-    ) -> RoundingResult:
-        """Convert fractional shares into per-type integer grants.
-
-        Parameters
-        ----------
-        ideal:
-            tenant -> fractional share vector (one entry per GPU type).
-        capacities:
-            device count per GPU type; granted totals never exceed it.
-        min_demands:
-            tenant -> smallest worker count among its jobs; grants smaller
-            than this are zeroed (the tenant cannot run anything with them)
-            and the deviation absorbs the difference.
-        redistribute:
-            hand GPUs freed by the zeroing rule to other tenants (work
-            conservation), largest accumulated deviation first.
-        """
-        capacities = np.asarray(capacities, dtype=float)
+    ) -> RoundingQuestion:
+        """Check and pack one round's question; :meth:`round_shares` explains
+        the parameters.  A tenant new to the rounder gets its row here."""
+        capacities = np.array(capacities, dtype=float)
         num_types = capacities.shape[0]
         tenants = list(ideal)
         if not tenants:
-            return RoundingResult(grants={})
-
+            empty = np.zeros(0, dtype=int)
+            return RoundingQuestion(
+                [], np.zeros((0, num_types)), capacities, empty, None, empty, None
+            )
         try:
             ideal_matrix = np.array(list(ideal.values()), dtype=float)
         except ValueError:  # ragged vectors
@@ -140,14 +152,66 @@ class DeviationRounder:
                         f"tenant {tenant!r}: share vector shape {shape} "
                         f"does not match {num_types} GPU types"
                     )
-        index = self._row_index(tenants, num_types)
-        deviation_matrix = self._matrix[index]
-        target = np.maximum(ideal_matrix + deviation_matrix, 0.0)  # clip at 0
+        ideal_matrix.setflags(write=False)
+        demands = None
+        if min_demands:
+            demands = np.array(
+                [int(min_demands.get(tenant, 0)) for tenant in tenants], dtype=int
+            )
+            if demands.max() <= 1:  # no whole grant is above 0 and below 1
+                demands = None
+        rows = self._row_index(tenants, num_types)
+        whole = np.rint(capacities).astype(int)
+        return RoundingQuestion(
+            tenants, ideal_matrix, capacities, whole, demands, rows, self._layout
+        )
+
+    def round_shares(
+        self,
+        ideal: Dict[str, np.ndarray] | RoundingQuestion,
+        capacities: Sequence[float] | np.ndarray | None = None,
+        min_demands: Dict[str, int] | None = None,
+        redistribute: bool = True,
+    ) -> RoundingResult:
+        """Convert fractional shares into per-type integer grants.
+
+        Parameters
+        ----------
+        ideal:
+            tenant -> fractional share vector (one entry per GPU type), or
+            a :class:`RoundingQuestion` from :meth:`prepare`, which carries
+            the capacities and min demands (pass neither then).
+        capacities:
+            device count per GPU type; granted totals never exceed it.
+        min_demands:
+            tenant -> smallest worker count among its jobs; grants smaller
+            than this are zeroed (the tenant cannot run anything with them)
+            and the deviation absorbs the difference.
+        redistribute:
+            hand GPUs freed by the zeroing rule to other tenants (work
+            conservation), largest accumulated deviation first.
+        """
+        if isinstance(ideal, RoundingQuestion):
+            if capacities is not None or min_demands is not None:
+                raise ValidationError("a prepared question carries its own inputs")
+            question = ideal
+        elif capacities is None:
+            raise ValidationError("rounding a share dict needs the capacities")
+        else:
+            question = self.prepare(ideal, capacities, min_demands)
+        tenants = question.tenants
+        if not tenants:
+            return RoundingResult(grants={})
+        whole = question.whole
+        index = question.rows
+        if question.layout is not self._layout:  # a row changed hands since
+            index = self._row_index(tenants, whole.shape[0])
+        wanted = question.ideal + self._matrix[index]
+        target = np.maximum(wanted, 0.0)  # clip at 0
 
         # largest remainder for all types at once: per column, the ``remaining``
         # largest remainders (``_largest_remainder``'s order) get one more
         # device; ``place`` is each row's position in its column's order
-        whole = np.rint(capacities).astype(int)
         floors = np.floor(target)
         real = floors.astype(int)
         remaining = whole - real.sum(axis=0)
@@ -163,18 +227,18 @@ class DeviationRounder:
                 )
 
         zeroed: List[str] = []
-        if min_demands:
-            granted = real.sum(axis=1).tolist()
-            for row, tenant in enumerate(tenants):
-                demand = int(min_demands.get(tenant, 0))
-                if demand > 0 and 0 < granted[row] < demand:
-                    real[row] = 0
-                    zeroed.append(tenant)
-            if redistribute and zeroed:
-                self._redistribute(real, target, capacities, tenants, min_demands)
+        demands = question.demands
+        if demands is not None:
+            granted = real.sum(axis=1)
+            short = (granted > 0) & (granted < demands)
+            if short.any():
+                real[short] = 0
+                zeroed = [tenants[row] for row in np.flatnonzero(short).tolist()]
+                if redistribute:
+                    self._redistribute(real, target, question.capacities, demands)
 
         # dev(t + 1) = dev(t) + ideal(t) - real(t), all tenants at once
-        self._matrix[index] = deviation_matrix + ideal_matrix - real
+        self._matrix[index] = wanted - real
         return RoundingResult(grants=dict(zip(tenants, real)), zeroed_tenants=zeroed)
 
     # -- helpers ------------------------------------------------------------
@@ -202,17 +266,14 @@ class DeviationRounder:
         real: np.ndarray,
         target: np.ndarray,
         capacities: np.ndarray,
-        tenants: List[str],
-        min_demands: Dict[str, int],
+        demands: np.ndarray,
     ) -> None:
         """Give devices freed by the zeroing rule to runnable tenants."""
         free = np.asarray(capacities, dtype=int) - real.sum(axis=0)
         # candidates: tenants already holding a runnable grant
-        runnable_rows = [
-            row
-            for row, tenant in enumerate(tenants)
-            if real[row].sum() >= max(1, int(min_demands.get(tenant, 0)))
-        ]
+        runnable_rows = np.flatnonzero(
+            real.sum(axis=1) >= np.maximum(demands, 1)
+        ).tolist()
         if not runnable_rows:
             return
         for type_index in range(real.shape[1]):

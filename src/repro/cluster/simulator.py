@@ -79,15 +79,15 @@ import numpy as np
 
 from repro.cluster.job import Job, JobState
 from repro.cluster.metrics import CompletionRecord, MetricsCollector, RoundMetrics
-from repro.cluster.placement import Placer
+from repro.cluster.placement import Placer, RoundPlacement
 from repro.cluster.profiler import ProfilingAgent
-from repro.cluster.rounding import DeviationRounder
+from repro.cluster.rounding import DeviationRounder, RoundingQuestion
 from repro.cluster.schedulers import (
     FairShareScheduler,
     SchedulerDecision,
     make_fair_share_scheduler,
 )
-from repro.cluster.tenant import Tenant
+from repro.cluster.tenant import Tenant, submit_order
 from repro.cluster.topology import ClusterTopology
 from repro.exceptions import SimulationError, ValidationError
 from repro.parallel import BackendSpec, get_backend
@@ -205,10 +205,12 @@ class ClusterSimulator:
         self._decision_cache: "OrderedDict[object, SchedulerDecision]" = OrderedDict()
         self.warm_stats = WarmStats()
         # active-set epoch: when the question can next change on its own,
-        # its min-demand map and its reusable decision (None: ask each round)
+        # its min-demand map, its reusable decision and the rounder's
+        # question prepared from it (None: ask each round)
         self._epoch_until = -math.inf
         self._min_demands: Optional[Dict[str, int]] = None
         self._epoch_decision: Optional[SchedulerDecision] = None
+        self._question: Optional[RoundingQuestion] = None
         # timed event stream: a min-heap of (time, sequence, event) so
         # simultaneous events fire in scheduling order
         self._event_heap: List[tuple] = []
@@ -368,7 +370,12 @@ class ClusterSimulator:
             if now >= self._epoch_until:  # a new epoch: re-ask the question
                 self._capacities = self.topology.capacities()
                 active_jobs = self._active_jobs(now)
-                self._epoch_decision = self._min_demands = None
+                # the placer's queues: a sort of its own, so the map the
+                # profiles and the decision key read keeps its job order
+                queues = {
+                    name: submit_order(jobs) for name, jobs in active_jobs.items()
+                }
+                self._epoch_decision = self._min_demands = self._question = None
                 if self.scheduler.oef_stack:
                     self._min_demands = {
                         name: self.tenants[name].min_worker_demand(now, jobs)
@@ -386,7 +393,7 @@ class ClusterSimulator:
                     break
                 self.metrics.record_round(RoundMetrics(round_index, now))
                 continue
-            self._run_round(round_index, now, active_jobs)
+            self._run_round(round_index, now, active_jobs, queues)
         if self._event_heap:
             warnings.warn(
                 f"{len(self._event_heap)} scheduled event(s) fall after the "
@@ -398,11 +405,16 @@ class ClusterSimulator:
         return self.metrics
 
     def _run_round(
-        self, round_index: int, now: float, active_jobs: Dict[str, List[Job]]
+        self,
+        round_index: int,
+        now: float,
+        active_jobs: Dict[str, List[Job]],
+        queues: Dict[str, List[Job]],
     ) -> None:
-        """One round, given its epoch's :meth:`_active_jobs` map.
+        """One round, given its epoch's :meth:`_active_jobs` map and the same
+        jobs in :func:`~repro.cluster.tenant.submit_order`.
 
-        The map and the min-demand map hold for the whole epoch: nothing is
+        The maps and the min-demand map hold for the whole epoch: nothing is
         submitted inside it, and a finished job ends it in the advance loop.
         """
         decision = self._epoch_decision
@@ -413,16 +425,32 @@ class ClusterSimulator:
             profiles = self._measure_profiles(now, active_jobs)
             decision = self._compute_decision(active, profiles, active_jobs)
             self._validate_decision(decision, active)
-        rounding = self._rounder.round_shares(
-            decision.tenant_shares, self._capacities, self._min_demands
-        )
+        question = self._question
+        if question is None:
+            question = self._rounder.prepare(
+                decision.tenant_shares, self._capacities, self._min_demands
+            )
+            if self._epoch_decision is not None:  # one question all epoch
+                self._question = question
+        rounding = self._rounder.round_shares(question)
         placement = self.placer.place_round(
-            rounding.grants, self.tenants, now, active_jobs=active_jobs
+            rounding.grants, self.tenants, now, active_jobs=queues
         )
+        self._advance(round_index, now, placement, decision)
 
-        # the RoundMetrics counts and the delivered speed per tenant and per
-        # (tenant, model family) come from this same pass; a job delivers
-        # its rate in speedup units, i.e. over its slowest type's rate
+    def _advance(
+        self,
+        round_index: int,
+        now: float,
+        placement: RoundPlacement,
+        decision: SchedulerDecision,
+    ) -> None:
+        """Run the placed jobs for one round, starve the rest, record the round.
+
+        The RoundMetrics counts and the delivered speed per tenant and per
+        (tenant, model family) come from this one pass; a job delivers its
+        rate in speedup units, i.e. over its slowest type's rate.
+        """
         duration = self.config.round_duration
         recorded = self._recorded_completions
         actual: Dict[str, float] = {}
@@ -435,7 +463,7 @@ class ClusterSimulator:
             devices_used += len(job_placement.devices)
             job = job_placement.job
             rate = job_placement.iterations_per_second
-            delivered = rate / float(job.true_throughput[0])
+            delivered = rate / job.rates[0]
             tenant = job.tenant
             actual[tenant] = actual.get(tenant, 0.0) + delivered
             key = (tenant, job.model_name)
@@ -454,8 +482,7 @@ class ClusterSimulator:
                     )
                 )
         # every runnable job is either placed or on the placer's starved list
-        for job in placement.starved_jobs:
-            job.starve()
+        Job.starve_all(placement.starved_jobs)
 
         self.metrics.record_round(
             RoundMetrics(

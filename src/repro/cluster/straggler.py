@@ -15,14 +15,21 @@ its grant covers is filled greedily across the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Dict
 
 from repro.cluster.job import Job
 from repro.exceptions import SimulationError
 
 STRAGGLER_RATE_ATOL = 1e-12  #: a rate must beat the slowest by more to straggle
+
+
+def single_type_rate(job: Job, rank: int) -> float:
+    """Per-worker rate of a job whose workers all sit on type ``rank``.
+
+    No worker waits for a slower type, so each runs at that type's native
+    rate and none straggles, whatever the synchronisation share.
+    """
+    return job.rates[rank]
 
 
 @dataclass(frozen=True)
@@ -31,7 +38,6 @@ class StragglerOutcome:
 
     per_worker_rate: float  # iterations/sec each worker contributes
     straggler_workers: int  # workers pinned below their GPU's native rate
-    types_spanned: int
 
 
 class StragglerModel:
@@ -57,7 +63,7 @@ class StragglerModel:
         if len(type_counts) == 1:
             ((rank, count),) = type_counts.items()
             if count:
-                return StragglerOutcome(float(job.true_throughput[rank]), 0, 1)
+                return StragglerOutcome(single_type_rate(job, rank), 0)
         if not type_counts or sum(type_counts.values()) == 0:
             raise SimulationError(f"job {job.job_id}: no workers assigned")
         rates = {
@@ -79,14 +85,4 @@ class StragglerModel:
             count for rank, count in type_counts.items()
             if rates[rank] > slowest + STRAGGLER_RATE_ATOL
         )
-        return StragglerOutcome(
-            per_worker_rate=effective,
-            straggler_workers=stragglers,
-            types_spanned=len(type_counts),
-        )
-
-    @staticmethod
-    def adjacent_types_only(type_counts: Dict[int, int]) -> bool:
-        """True when the assigned type ranks form a contiguous range."""
-        ranks = sorted(type_counts)
-        return ranks == list(range(ranks[0], ranks[-1] + 1))
+        return StragglerOutcome(per_worker_rate=effective, straggler_workers=stragglers)

@@ -9,12 +9,21 @@ applied uniformly to OEF and all baselines for a fair comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.job import Job, JobState
 from repro.exceptions import ValidationError
+
+_SUBMIT_ORDER = attrgetter("submit_time", "job_id")
+_STARVATION = attrgetter("starvation_rounds")
+
+
+def submit_order(jobs: Sequence[Job]) -> List[Job]:
+    """``jobs`` by submit time, then id: the tie order of the run queue."""
+    return sorted(jobs, key=_SUBMIT_ORDER)
 
 
 @dataclass
@@ -59,13 +68,15 @@ class Tenant:
         """Active jobs ordered by the paper's intra-tenant policy.
 
         Longest starvation first; ties broken by submit time then id so the
-        order is deterministic.  Here and below, a caller that already has
-        ``active_jobs(now)`` (the simulator, once per epoch) passes it in.
+        order is deterministic.  A caller that already has the active jobs
+        in that tie order (:func:`submit_order`; the simulator sorts once
+        per epoch) passes them in, and only the stable starvation sort runs.
+        Below, ``active`` is plain ``active_jobs(now)``.
         """
-        return sorted(
-            self.active_jobs(now) if active is None else active,
-            key=lambda job: (-job.starvation_rounds, job.submit_time, job.job_id),
-        )
+        if active is None:
+            active = submit_order(self.active_jobs(now))
+        # stable: equal starvation keeps the submit order, reverse=True too
+        return sorted(active, key=_STARVATION, reverse=True)
 
     # -- profiles -------------------------------------------------------------
     def job_types(self, now: Optional[float] = None) -> Dict[str, List[Job]]:

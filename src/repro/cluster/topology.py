@@ -106,17 +106,11 @@ class ClusterTopology:
         """The hosts of one GPU type, in host-id order."""
         return list(self._hosts_by_rank[rank]) if 0 <= rank < self.num_gpu_types else []
 
-    def free_count_by_type(self) -> np.ndarray:
-        return np.array(
-            [sum(host.num_free for host in hosts) for hosts in self._hosts_by_rank],
-            dtype=int,
-        )
-
     def release_all(self) -> None:
         """Unbind every healthy device (start of a scheduling round)."""
         for device in self.devices:
             if not device.failed:
-                device.release()
+                device.assigned_job = None
 
     def type_index(self, name: str) -> int:
         for gpu_type in self.gpu_types:

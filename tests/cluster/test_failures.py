@@ -55,7 +55,7 @@ class TestDeviceState:
         topology.fail_devices([3])
         topology.release_all()
         assert topology.devices[3].failed
-        assert topology.free_count_by_type()[0] == 7
+        assert sum(host.num_free for host in topology.hosts_of_type(0)) == 7
 
     def test_unknown_device_id_is_an_error_and_changes_nothing(self):
         # a typo'd id used to be a silent no-op
@@ -76,7 +76,7 @@ class TestDeviceState:
         assert [len(topology.hosts_of_type(rank)) for rank in (-1, 0, 2, 3)] == [
             0, 2, 2, 0,
         ]
-        np.testing.assert_array_equal(topology.free_count_by_type(), [8, 7, 7])
+        np.testing.assert_array_equal(topology.capacities(), [8, 7, 7])
         assert topology.summary()["rtx3080"] == (2, 8)
 
 

@@ -21,12 +21,14 @@ class TestGPUPrimitives:
         fast = GPUType(2, "a100")
         assert slow < fast
 
-    def test_device_free_and_release(self):
+    def test_device_free_and_failed(self):
         device = GPUDevice(0, GPUType(0, "k80"), host_id=0)
         assert device.is_free
         device.assigned_job = 7
         assert not device.is_free
-        device.release()
+        device.fail()
+        assert device.assigned_job is None and not device.is_free
+        device.repair()
         assert device.is_free
 
     def test_host_rejects_mixed_types(self):
@@ -77,11 +79,9 @@ class TestTopology:
         topology = paper_cluster()
         topology.devices[0].assigned_job = 1
         topology.devices[8].assigned_job = 2
-        counts = topology.free_count_by_type()
-        assert counts[0] == 7
-        assert counts[1] == 7
+        assert [host.num_free for host in topology.hosts] == [3, 4, 3, 4, 4, 4]
         topology.release_all()
-        assert topology.free_count_by_type().sum() == 24
+        assert sum(host.num_free for host in topology.hosts) == 24
 
     def test_empty_groups_rejected(self):
         with pytest.raises(ValidationError):

@@ -189,3 +189,15 @@ class TestStarvation:
         job.advance(0.0, 0.1, 300.0)
         job.starve()
         assert job.state == JobState.PENDING
+
+    def test_starve_all_applies_the_rule_to_each_job(self):
+        finished, running, pending = _job(total_iterations=1.0), _job(), _job()
+        finished.advance(0.0, 10.0, 10.0)
+        running.advance(0.0, 0.1, 300.0)
+        Job.starve_all([finished, running, pending])
+        assert [job.starvation_rounds for job in (finished, running, pending)] == [
+            0, 1, 1
+        ]
+        assert [job.state for job in (finished, running, pending)] == [
+            JobState.FINISHED, JobState.PENDING, JobState.PENDING
+        ]

@@ -16,6 +16,7 @@ from repro.cluster import (
     Placer,
     SimulationConfig,
     SingleProfileScheduler,
+    StragglerModel,
     Tenant,
     make_fair_share_scheduler,
     make_job,
@@ -268,14 +269,14 @@ class TestSchedulerStack:
         simulator = ClusterSimulator(
             paper_cluster(), _population(), name, config=SimulationConfig(num_rounds=1)
         )
-        round_shares = simulator._rounder.round_shares
+        prepare = simulator._rounder.prepare
         min_demands = []
 
         def spy(shares, capacities, demands=None):
             min_demands.append(demands)
-            return round_shares(shares, capacities, demands)
+            return prepare(shares, capacities, demands)
 
-        monkeypatch.setattr(simulator._rounder, "round_shares", spy)
+        monkeypatch.setattr(simulator._rounder, "prepare", spy)
         simulator.run()
         assert simulator.placer.oef == oef
         assert len(min_demands) == 1 and (min_demands[0] is not None) == oef
@@ -485,7 +486,11 @@ class TestOneScanPerRound:
 
     def test_scan_budget_of_a_steady_replay(self, monkeypatch):
         # deterministic perf guard: counts, not clocks
-        calls = {"active_jobs": 0, "num_free": 0, "free_devices": 0, "capacities": 0}
+        calls = dict.fromkeys(
+            ["active_jobs", "num_free", "free_devices", "capacities", "evaluate",
+             "runnable_queue", "starve", "starve_all"],
+            0,
+        )
 
         def counting(name, function):
             def wrapper(*args, **kwargs):
@@ -502,6 +507,18 @@ class TestOneScanPerRound:
         )
         monkeypatch.setattr(
             Host, "num_free", property(counting("num_free", Host.num_free.fget))
+        )
+        monkeypatch.setattr(
+            StragglerModel, "evaluate", counting("evaluate", StragglerModel.evaluate)
+        )
+        monkeypatch.setattr(
+            Tenant,
+            "runnable_queue",
+            counting("runnable_queue", Tenant.runnable_queue),
+        )
+        monkeypatch.setattr(Job, "starve", counting("starve", Job.starve))
+        monkeypatch.setattr(
+            Job, "starve_all", staticmethod(counting("starve_all", Job.starve_all))
         )
         # jobs twice the horizon long, so every tenant is active every round
         runner = ScenarioRunner(
@@ -523,6 +540,15 @@ class TestOneScanPerRound:
         assert calls["capacities"] == 1
         assert calls["num_free"] == 0
         assert 0 < calls["free_devices"] <= 3 * len(simulator.topology.hosts)
+        # every job needs one worker, so every placement is on one type: no
+        # straggler evaluation; one queue per tenant and one starvation
+        # update per round
+        tenants = simulator.tenants.values()
+        assert {job.num_workers for tenant in tenants for job in tenant.jobs} == {1}
+        assert calls["evaluate"] == 0
+        assert calls["runnable_queue"] == active_tenant_rounds
+        assert calls["starve"] == 0
+        assert calls["starve_all"] == 3
 
     @staticmethod
     def _tenant(name, iterations):

@@ -22,7 +22,6 @@ class TestStragglerModel:
         outcome = StragglerModel().evaluate(job, {2: 4})
         assert outcome.per_worker_rate == pytest.approx(4.0)
         assert outcome.straggler_workers == 0
-        assert outcome.types_spanned == 1
 
     def test_full_sync_pins_to_slowest(self, job):
         outcome = StragglerModel(sync_fraction=1.0).evaluate(job, {0: 2, 2: 2})
@@ -47,11 +46,6 @@ class TestStragglerModel:
     def test_invalid_sync_fraction(self):
         with pytest.raises(SimulationError):
             StragglerModel(sync_fraction=1.5)
-
-    def test_adjacency_helper(self):
-        assert StragglerModel.adjacent_types_only({1: 2, 2: 1})
-        assert not StragglerModel.adjacent_types_only({0: 1, 2: 1})
-        assert StragglerModel.adjacent_types_only({3: 4})
 
 
 class TestNetworkModel:

@@ -2,29 +2,38 @@
 
 PR 18 rewrote how a replay round binds devices (per-host free lists built
 once per round, integer budgets) and how the deviation rounder updates its
-state (one matrix operation).  Both must choose *exactly* what the code
-before them chose, and a scenario fingerprint cannot tell which devices a
-job received.  So the bodies below are the pre-change
+state (one matrix operation); 5.10 rewrote the rounder's min-demand step
+and the simulator's advance pass.  Each must choose *exactly* what the
+code before it chose, and a scenario fingerprint cannot tell which
+devices a job received.  So the bodies below are the pre-change
 ``Placer.place_round`` / ``_select_types`` / ``_best_adjacent_window`` /
-``_bind_devices`` / ``_bind_type`` and ``DeviationRounder.round_shares``,
-copied without edits onto subclasses; ``test_property_based_round.py``
-runs them beside the live code.  ``_largest_remainder`` and
-``_redistribute`` did not change and are inherited; the rounder's
-dict-held state, which the live class replaced with a matrix, is copied
-too.
+``_bind_devices`` / ``_bind_type``, ``DeviationRounder.round_shares`` /
+``_redistribute`` and the advance pass of ``ClusterSimulator._run_round``
+(everything after placement), copied without edits onto subclasses and
+into :func:`reference_advance`; ``test_property_based_round.py`` runs them
+beside the live code.  ``_largest_remainder`` did not change and is
+inherited; the rounder's dict-held state, which the live class replaced
+with a matrix, is copied too.
 
 Do not "tidy" this file: it is only worth anything while it stays the old
 code.
 """
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.gpu import GPUDevice
-from repro.cluster.job import Job
+from repro.cluster.job import Job, JobState
+from repro.cluster.metrics import CompletionRecord, RoundMetrics
 from repro.cluster.placement import JobPlacement, Placer, RoundPlacement
-from repro.cluster.rounding import DeviationRounder, RoundingResult
+from repro.cluster.rounding import (
+    DEFICIT_ATOL,
+    TARGET_ATOL,
+    DeviationRounder,
+    RoundingResult,
+)
 from repro.cluster.tenant import Tenant
 from repro.exceptions import PlacementError, ValidationError
 
@@ -304,3 +313,101 @@ class ReferenceDeviationRounder(DeviationRounder):
             )
             grants[tenant] = grant.astype(int)
         return RoundingResult(grants=grants, zeroed_tenants=zeroed)
+
+    def _redistribute(
+        self,
+        real: np.ndarray,
+        target: np.ndarray,
+        capacities: np.ndarray,
+        tenants: List[str],
+        min_demands: Dict[str, int],
+    ) -> None:
+        """Give devices freed by the zeroing rule to runnable tenants."""
+        free = np.asarray(capacities, dtype=int) - real.sum(axis=0)
+        # candidates: tenants already holding a runnable grant
+        runnable_rows = [
+            row
+            for row, tenant in enumerate(tenants)
+            if real[row].sum() >= max(1, int(min_demands.get(tenant, 0)))
+        ]
+        if not runnable_rows:
+            return
+        for type_index in range(real.shape[1]):
+            while free[type_index] > 0:
+                # most under-served runnable tenant on this type; when no
+                # tenant is below target, still hand the device to the
+                # largest-target tenant (work conservation — the deviation
+                # update claws the excess back in later rounds)
+                deficits = [
+                    (target[row, type_index] - real[row, type_index], row)
+                    for row in runnable_rows
+                ]
+                deficit, row = max(deficits)
+                if deficit <= DEFICIT_ATOL:
+                    candidates = [
+                        (target[r, type_index], r)
+                        for r in runnable_rows
+                        if target[r, type_index] > TARGET_ATOL
+                    ]
+                    if not candidates:
+                        break
+                    _, row = max(candidates)
+                real[row, type_index] += 1
+                free[type_index] -= 1
+
+
+def reference_advance(self, round_index, now, placement, decision):
+    """``ClusterSimulator._run_round`` after placement, dedented one level;
+    ``self`` is a simulator."""
+    # the RoundMetrics counts and the delivered speed per tenant and per
+    # (tenant, model family) come from this same pass; a job delivers
+    # its rate in speedup units, i.e. over its slowest type's rate
+    duration = self.config.round_duration
+    recorded = self._recorded_completions
+    actual: Dict[str, float] = {}
+    actual_by_model: Dict[Tuple[str, str], float] = {}
+    stragglers = cross_host = cross_type = devices_used = 0
+    for job_placement in placement.placements:
+        stragglers += job_placement.straggler_workers
+        cross_host += job_placement.hosts_spanned > 1
+        cross_type += len(job_placement.type_counts) > 1
+        devices_used += len(job_placement.devices)
+        job = job_placement.job
+        rate = job_placement.iterations_per_second
+        delivered = rate / float(job.true_throughput[0])
+        tenant = job.tenant
+        actual[tenant] = actual.get(tenant, 0.0) + delivered
+        key = (tenant, job.model_name)
+        actual_by_model[key] = actual_by_model.get(key, 0.0) + delivered
+        job.advance(now, rate, duration)
+        if job.state is JobState.FINISHED and job.job_id not in recorded:
+            recorded.add(job.job_id)
+            self._epoch_until = -math.inf
+            self.metrics.record_completion(
+                CompletionRecord(
+                    job_id=job.job_id,
+                    tenant=job.tenant,
+                    model_name=job.model_name,
+                    submit_time=job.submit_time,
+                    finish_time=float(job.finish_time),
+                )
+            )
+    # every runnable job is either placed or on the placer's starved list
+    for job in placement.starved_jobs:
+        job.starve()
+
+    self.metrics.record_round(
+        RoundMetrics(
+            round_index=round_index,
+            time=now,
+            estimated=decision.estimated,
+            actual=actual,
+            actual_by_model=actual_by_model,
+            straggler_workers=stragglers,
+            cross_host_jobs=cross_host,
+            cross_type_jobs=cross_type,
+            starved_jobs=len(placement.starved_jobs),
+            devices_used=devices_used,
+            solver_seconds=decision.solver_seconds,
+        )
+    )

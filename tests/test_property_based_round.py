@@ -1,23 +1,34 @@
-"""Differential oracle for the replay round's binding and rounding code.
+"""Differential oracle for the replay round: rounding, binding and advance.
 
-The live ``Placer`` / ``DeviationRounder`` run beside the parent commit's
-bodies (``reference_round.py``, verbatim) on twin copies of one random
-cluster: random topologies with failed devices, both placement policies,
-rigid and elastic jobs, several rounds so starvation order and deviation
-state carry over.  Every round both sides must agree on the grants, the
-zeroed tenants, the deviations, the starved list and — what no scenario
-fingerprint covers — *which device ids* each job was bound to.
+The live ``Placer`` / ``DeviationRounder`` and the simulator's advance pass
+run beside the parent commit's bodies (``reference_round.py``, verbatim)
+on twin copies of one random cluster: random topologies with failed
+devices, both placement policies, rigid and elastic jobs, several rounds
+so starvation order and deviation state carry over.  The live rounder is
+asked the way the simulator asks it: one prepared question per epoch
+(while the active jobs and capacities hold), the parent a fresh dict
+every round.  Every round both sides must agree on the grants, the zeroed
+tenants, the deviations, the starved list, *which device ids* each job
+was bound to (no scenario fingerprint covers that), each job's state and
+progress, and the round's ``RoundMetrics``.  A ``differential`` run
+repeats this on 300 ``replay-steady``-like shapes.
 """
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference_round import ReferenceDeviationRounder, ReferencePlacer
+from reference_round import (
+    ReferenceDeviationRounder,
+    ReferencePlacer,
+    reference_advance,
+)
 from repro.cluster import (
+    ClusterSimulator,
     ClusterTopology,
     DeviationRounder,
     HostGroupSpec,
@@ -25,6 +36,7 @@ from repro.cluster import (
     Tenant,
     make_job,
 )
+from repro.cluster.tenant import submit_order
 from repro.exceptions import PlacementError
 
 #: hypothesis-heavy: deselect with `pytest -m 'not slow'`
@@ -72,6 +84,33 @@ def clusters(draw):
     return groups, sorted(failed), tenants, oef
 
 
+@st.composite
+def steady_clusters(draw):
+    """``replay-steady``'s shape: 3 types x 2 hosts x 4 devices, none failed,
+    8-24 tenants with rigid single-worker jobs."""
+    groups = [HostGroupSpec(f"g{rank}", 2, 4) for rank in range(3)]
+    throughputs = {"m": [1.0, 1.5, 2.5], "n": [1.0, 1.2, 1.4], "o": [2.0, 3.0, 7.0]}
+    tenants = {}
+    job_id = 0
+    for index in range(draw(st.integers(8, 24))):
+        tenant = Tenant(name=f"t{index}", weight=draw(st.sampled_from([1.0, 2.0])))
+        for _ in range(draw(st.integers(1, 4))):
+            model = draw(st.sampled_from(sorted(throughputs)))
+            tenant.add_job(
+                make_job(
+                    job_id=job_id,
+                    tenant=tenant.name,
+                    model_name=model,
+                    throughput=throughputs[model],
+                    total_iterations=draw(st.sampled_from([1500.0, 1e6])),
+                    submit_time=draw(st.sampled_from([0.0, 0.0, 0.0, 600.0])),
+                )
+            )
+            job_id += 1
+        tenants[tenant.name] = tenant
+    return groups, [], tenants, draw(st.sampled_from([True, False]))
+
+
 def _twin(groups, failed, tenants):
     """An independent copy of the cluster: fresh devices, fresh job state."""
     topology = ClusterTopology(groups)
@@ -105,35 +144,67 @@ def _place(placer, grants, tenants, now, **extra):
         return str(error)
 
 
-class TestRoundMatchesParent:
-    @_SETTINGS
-    @given(clusters(), st.data())
-    def test_rounding_and_binding_over_rounds(self, cluster, data):
-        groups, failed, tenants, oef = cluster
-        topology, tenants = _twin(groups, failed, tenants)
-        ref_topology, ref_tenants = _twin(groups, failed, tenants)
-        placer, ref_placer = Placer(topology, oef), ReferencePlacer(ref_topology, oef)
-        rounder, ref_rounder = DeviationRounder(), ReferenceDeviationRounder()
-        use_min_demand = data.draw(st.booleans())
+def _job_states(tenants):
+    return [
+        (
+            job.job_id,
+            job.state,
+            job.starvation_rounds,
+            job.rounds_scheduled,
+            job.done_iterations,
+            job.start_time,
+            job.finish_time,
+        )
+        for tenant in tenants.values()
+        for job in tenant.jobs
+    ]
 
-        for round_index in range(data.draw(st.integers(1, 4))):
-            now = 300.0 * round_index
-            if round_index and data.draw(st.booleans()):
-                # topology churn between rounds
-                victim = data.draw(st.integers(0, topology.num_devices - 1))
-                for side in (topology, ref_topology):
-                    if side.devices[victim].failed:
-                        side.repair_devices([victim])
-                    else:
-                        side.fail_devices([victim])
-            capacities = topology.capacities()
-            active = {
-                name: jobs
-                for name, jobs in (
-                    (name, tenant.active_jobs(now)) for name, tenant in tenants.items()
-                )
-                if jobs
-            }
+
+def _replay_rounds(cluster, data, num_rounds, churn=True):
+    """Round, place and advance both twins, comparing everything each round."""
+    groups, failed, tenants, oef = cluster
+    topology, tenants = _twin(groups, failed, tenants)
+    ref_topology, ref_tenants = _twin(groups, failed, tenants)
+    placer, ref_placer = Placer(topology, oef), ReferencePlacer(ref_topology, oef)
+    rounder, ref_rounder = DeviationRounder(), ReferenceDeviationRounder()
+    # the advance pass runs on simulators holding each twin; nothing else
+    # of them runs
+    simulator = ClusterSimulator(
+        topology, list(tenants.values()), "oef-noncoop", placer=placer
+    )
+    ref_simulator = ClusterSimulator(
+        ref_topology, list(ref_tenants.values()), "oef-noncoop", placer=ref_placer
+    )
+    decision = SimpleNamespace(estimated={}, solver_seconds=0.0)
+    use_min_demand = data.draw(st.booleans())
+    epoch = None
+
+    for round_index in range(num_rounds):
+        now = 300.0 * round_index
+        if churn and round_index and data.draw(st.booleans()):
+            # topology churn between rounds
+            victim = data.draw(st.integers(0, topology.num_devices - 1))
+            for side in (topology, ref_topology):
+                if side.devices[victim].failed:
+                    side.repair_devices([victim])
+                else:
+                    side.fail_devices([victim])
+        capacities = topology.capacities()
+        active = {
+            name: jobs
+            for name, jobs in (
+                (name, tenant.active_jobs(now)) for name, tenant in tenants.items()
+            )
+            if jobs
+        }
+        # an epoch holds while the active jobs and capacities do; the draw
+        # may also end it, as a cold solve with new shares would
+        key = (
+            capacities.tobytes(),
+            [(name, [job.job_id for job in jobs]) for name, jobs in active.items()],
+        )
+        if key != epoch or data.draw(st.booleans()):
+            epoch = key
             # fluid shares: random fractions of each type's healthy devices
             weights = {
                 name: np.array(
@@ -151,38 +222,51 @@ class TestRoundMatchesParent:
                 min_demands = {
                     name: tenants[name].min_worker_demand(now) for name in active
                 }
+            question = rounder.prepare(ideal, capacities, min_demands)
 
-            rounding = rounder.round_shares(ideal, capacities, min_demands)
-            ref_rounding = ref_rounder.round_shares(ideal, capacities, min_demands)
-            assert list(rounding.grants) == list(ref_rounding.grants)
-            for name in ideal:
-                np.testing.assert_array_equal(
-                    rounding.grants[name], ref_rounding.grants[name]
-                )
-                assert rounding.grants[name].dtype == ref_rounding.grants[name].dtype
-                np.testing.assert_array_equal(
-                    rounder.deviation(name), ref_rounder.deviation(name)
-                )
-            assert rounding.zeroed_tenants == ref_rounding.zeroed_tenants
+        rounding = rounder.round_shares(question)
+        ref_rounding = ref_rounder.round_shares(ideal, capacities, min_demands)
+        assert list(rounding.grants) == list(ref_rounding.grants)
+        for name in ideal:
+            np.testing.assert_array_equal(
+                rounding.grants[name], ref_rounding.grants[name]
+            )
+            assert rounding.grants[name].dtype == ref_rounding.grants[name].dtype
+            np.testing.assert_array_equal(
+                rounder.deviation(name), ref_rounder.deviation(name)
+            )
+        assert rounding.zeroed_tenants == ref_rounding.zeroed_tenants
 
-            # the live placer with and without the round's active-job map
-            extra = {"active_jobs": active} if data.draw(st.booleans()) else {}
-            outcome = _place(placer, rounding.grants, tenants, now, **extra)
-            assert outcome == _place(ref_placer, ref_rounding.grants, ref_tenants, now)
-            assert [d.assigned_job for d in topology.devices] == [
-                d.assigned_job for d in ref_topology.devices
-            ]
+        # the live placer with and without the round's queues
+        queues = {name: submit_order(jobs) for name, jobs in active.items()}
+        extra = {"active_jobs": queues} if data.draw(st.booleans()) else {}
+        placement = placer.place_round(rounding.grants, tenants, now, **extra)
+        ref_placement = ref_placer.place_round(ref_rounding.grants, ref_tenants, now)
+        assert _outcome(placement) == _outcome(ref_placement)
+        assert [d.assigned_job for d in topology.devices] == [
+            d.assigned_job for d in ref_topology.devices
+        ]
 
-            # advance both twins the way the simulator does, so later
-            # rounds see new starvation orders and finished jobs
-            assert not isinstance(outcome, str), outcome  # rounded grants fit
-            placements, starved = outcome
-            for side in (tenants, ref_tenants):
-                jobs = {job.job_id: job for t in side.values() for job in t.jobs}
-                for job_id, devices, *_ in placements:
-                    jobs[job_id].advance(now, float(len(devices)), 300.0)
-                for job_id in starved:
-                    jobs[job_id].starve()
+        # advance both twins through their simulator's pass, so later
+        # rounds see new starvation orders and finished jobs
+        simulator._advance(round_index, now, placement, decision)
+        reference_advance(ref_simulator, round_index, now, ref_placement, decision)
+        assert _job_states(tenants) == _job_states(ref_tenants)
+        assert simulator.metrics.rounds == ref_simulator.metrics.rounds
+        assert simulator.metrics.completions == ref_simulator.metrics.completions
+
+
+class TestRoundMatchesParent:
+    @_SETTINGS
+    @given(clusters(), st.data())
+    def test_rounding_and_binding_over_rounds(self, cluster, data):
+        _replay_rounds(cluster, data, data.draw(st.integers(1, 4)))
+
+    @pytest.mark.differential
+    @settings(_SETTINGS, max_examples=300)
+    @given(steady_clusters(), st.data())
+    def test_steady_shapes_over_rounds(self, cluster, data):
+        _replay_rounds(cluster, data, data.draw(st.integers(2, 8)), churn=False)
 
     @_SETTINGS
     @given(clusters(), st.data())
