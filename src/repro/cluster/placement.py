@@ -37,7 +37,7 @@ from repro.exceptions import PlacementError
 TYPE_CHOICE_MEMO_MAX = 4096
 
 
-@dataclass
+@dataclass(slots=True)
 class JobPlacement:
     """One job's devices and effective execution rate for a round."""
 
@@ -103,6 +103,10 @@ class Placer:
     ) -> RoundPlacement:
         """Select runnable jobs per tenant and bind them to devices.
 
+        ``grants`` maps tenant names to per-type int grants: arrays, or
+        lists of Python ints (a ``RoundingResult.grant_lists``), which are
+        copied, not converted.
+
         ``active_jobs`` maps tenant names to their ``active_jobs(now)`` in
         :func:`~repro.cluster.tenant.submit_order`, for a caller that already
         has them; tenants it lacks are scanned here.
@@ -123,7 +127,11 @@ class Placer:
             tenant = tenants.get(tenant_name)
             if tenant is None:
                 raise PlacementError(f"grant for unknown tenant {tenant_name!r}")
-            budget: List[int] = np.asarray(grant, dtype=int).tolist()
+            budget: List[int] = (
+                grant.copy()
+                if type(grant) is list
+                else np.asarray(grant, dtype=int).tolist()
+            )
             # pass 1 — decide who runs, in starvation order.  Feasibility
             # depends only on the remaining device total, never on which
             # types earlier jobs took, so this fixes the starved set

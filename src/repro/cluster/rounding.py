@@ -53,6 +53,16 @@ class RoundingResult:
 
     grants: Dict[str, np.ndarray]
     zeroed_tenants: List[str] = field(default_factory=list)
+    #: ``grants`` as lists of Python ints, the form the placer reads;
+    #: derived from ``grants`` when not given
+    grant_lists: Optional[Dict[str, List[int]]] = None
+
+    def __post_init__(self) -> None:
+        if self.grant_lists is None:
+            self.grant_lists = {
+                tenant: np.asarray(grant, dtype=int).tolist()
+                for tenant, grant in self.grants.items()
+            }
 
 
 @dataclass(frozen=True)
@@ -239,7 +249,9 @@ class DeviationRounder:
 
         # dev(t + 1) = dev(t) + ideal(t) - real(t), all tenants at once
         self._matrix[index] = wanted - real
-        return RoundingResult(grants=dict(zip(tenants, real)), zeroed_tenants=zeroed)
+        return RoundingResult(
+            dict(zip(tenants, real)), zeroed, dict(zip(tenants, real.tolist()))
+        )
 
     # -- helpers ------------------------------------------------------------
     @staticmethod

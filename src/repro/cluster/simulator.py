@@ -77,7 +77,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.job import Job, JobState
+from repro.cluster.job import Job
 from repro.cluster.metrics import CompletionRecord, MetricsCollector, RoundMetrics
 from repro.cluster.placement import Placer, RoundPlacement
 from repro.cluster.profiler import ProfilingAgent
@@ -434,7 +434,7 @@ class ClusterSimulator:
                 self._question = question
         rounding = self._rounder.round_shares(question)
         placement = self.placer.place_round(
-            rounding.grants, self.tenants, now, active_jobs=queues
+            rounding.grant_lists, self.tenants, now, active_jobs=queues
         )
         self._advance(round_index, now, placement, decision)
 
@@ -448,28 +448,35 @@ class ClusterSimulator:
         """Run the placed jobs for one round, starve the rest, record the round.
 
         The RoundMetrics counts and the delivered speed per tenant and per
-        (tenant, model family) come from this one pass; a job delivers its
-        rate in speedup units, i.e. over its slowest type's rate.
+        (tenant, model family) come from one walk of the placements; a job
+        delivers its rate in speedup units, i.e. over its slowest type's
+        rate.  One :meth:`Job.advance_all` call then runs the placed jobs.
         """
         duration = self.config.round_duration
-        recorded = self._recorded_completions
         actual: Dict[str, float] = {}
         actual_by_model: Dict[Tuple[str, str], float] = {}
+        runs: List[Tuple[Job, float]] = []
         stragglers = cross_host = cross_type = devices_used = 0
         for job_placement in placement.placements:
+            workers = len(job_placement.devices)
             stragglers += job_placement.straggler_workers
             cross_host += job_placement.hosts_spanned > 1
             cross_type += len(job_placement.type_counts) > 1
-            devices_used += len(job_placement.devices)
+            devices_used += workers
             job = job_placement.job
-            rate = job_placement.iterations_per_second
+            # JobPlacement.iterations_per_second, each field read once
+            rate = (
+                job_placement.per_worker_rate * workers * job_placement.network_factor
+            )
             delivered = rate / job.rates[0]
             tenant = job.tenant
             actual[tenant] = actual.get(tenant, 0.0) + delivered
             key = (tenant, job.model_name)
             actual_by_model[key] = actual_by_model.get(key, 0.0) + delivered
-            job.advance(now, rate, duration)
-            if job.state is JobState.FINISHED and job.job_id not in recorded:
+            runs.append((job, rate))
+        recorded = self._recorded_completions
+        for job, _ in Job.advance_all(runs, now, duration):
+            if job.job_id not in recorded:
                 recorded.add(job.job_id)
                 self._epoch_until = -math.inf
                 self.metrics.record_completion(

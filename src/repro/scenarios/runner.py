@@ -47,7 +47,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -137,6 +137,10 @@ class ScenarioAggregates:
         )
 
 
+#: Bound on a fingerprint stream's memo of entry texts; a full memo is cleared.
+ENTRY_TEXT_MEMO_MAX = 4096
+
+
 class _FingerprintStream:
     """Incremental SHA-256 over one replay's scheduling outcomes.
 
@@ -146,17 +150,40 @@ class _FingerprintStream:
     its round/event counts are only known once the run ends; the order
     is fixed and deterministic, which is all the fingerprint contract
     needs (fingerprints are compared between runs, never parsed).
+
+    A round hashes ``repr(sorted(d.items())).encode()`` of each dict.  Rounds
+    answered by one memo entry share its ``estimated`` dict, which is
+    encoded once (:meth:`active_order`); ``actual`` entry texts are memoised,
+    as a replay delivers few distinct rates.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, weights: Dict[str, float]) -> None:
         self._digest = hashlib.sha256()
-        # rounds answered by one memo entry share its ``estimated`` dict
-        self._estimated: tuple = (None, b"")
+        self._weights = weights
+        # (estimated dict, its bytes, (sorted tenants, their weights))
+        self._estimated: tuple = (None, b"", ([], []))
+        # (tenant, value) -> repr((tenant, value)); only nonzero floats, as
+        # 0.0 == -0.0 and 1 == 1.0 would share a key but not a text
+        self._texts: Dict[tuple, str] = {}
+
+    def active_order(
+        self, estimated: Dict[str, float]
+    ) -> Tuple[List[str], List[float]]:
+        """``estimated``'s tenants sorted, and their weights (1.0 if unknown)."""
+        if estimated is not self._estimated[0]:
+            active = sorted(estimated)
+            self._estimated = (
+                estimated,
+                repr(sorted(estimated.items())).encode(),
+                (active, [self._weights.get(name, 1.0) for name in active]),
+            )
+        return self._estimated[2]
 
     def observe_round(
         self, record: "ScenarioRoundRecord", round_metrics: RoundMetrics
     ) -> None:
-        self._digest.update(
+        update = self._digest.update
+        update(
             repr(
                 (
                     record.round_index,
@@ -170,11 +197,22 @@ class _FingerprintStream:
                 )
             ).encode()
         )
-        estimated = round_metrics.estimated
-        if estimated is not self._estimated[0]:
-            self._estimated = (estimated, repr(sorted(estimated.items())).encode())
-        self._digest.update(self._estimated[1])
-        self._digest.update(repr(sorted(round_metrics.actual.items())).encode())
+        self.active_order(round_metrics.estimated)
+        update(self._estimated[1])
+        texts = self._texts
+        entries = []
+        for item in sorted(round_metrics.actual.items()):
+            value = item[1]
+            if type(value) is not float or not value:
+                entries.append(repr(item))
+                continue
+            text = texts.get(item)
+            if text is None:
+                if len(texts) >= ENTRY_TEXT_MEMO_MAX:
+                    texts.clear()
+                text = texts[item] = repr(item)
+            entries.append(text)
+        update(f"[{', '.join(entries)}]".encode())
 
     def finalize(self, completions, header: tuple) -> str:
         for completion in completions:
@@ -293,12 +331,21 @@ def distill_round(
     round_metrics: RoundMetrics,
     weights: Dict[str, float],
     total_devices: int,
+    order: Optional[Tuple[List[str], List[float]]] = None,
 ) -> ScenarioRoundRecord:
-    """One raw :class:`RoundMetrics` → one distilled scenario record."""
-    active = sorted(round_metrics.estimated)
-    throughputs = [
-        float(round_metrics.actual.get(name, 0.0)) for name in active
-    ]
+    """One raw :class:`RoundMetrics` → one distilled scenario record.
+
+    ``order`` is the round's active tenants sorted and their weights, for a
+    caller that keeps them across rounds sharing an ``estimated`` dict;
+    ``weights`` is not read then.
+    """
+    if order is None:
+        active = sorted(round_metrics.estimated)
+        active_weights = [weights.get(name, 1.0) for name in active]
+    else:
+        active, active_weights = order
+    actual = round_metrics.actual
+    throughputs = [float(actual.get(name, 0.0)) for name in active]
     return ScenarioRoundRecord(
         round_index=round_metrics.round_index,
         time=round_metrics.time,
@@ -308,9 +355,7 @@ def distill_round(
             round_metrics.devices_used / total_devices if total_devices else 0.0
         ),
         jain=jain_index(throughputs) if active else 1.0,
-        envy=_weighted_envy(
-            throughputs, [weights.get(name, 1.0) for name in active]
-        ),
+        envy=_weighted_envy(throughputs, active_weights),
         starved_jobs=round_metrics.starved_jobs,
     )
 
@@ -378,10 +423,11 @@ class ScenarioRunner:
         total_devices = script.topology.num_devices
 
         aggregates = ScenarioAggregates()
-        stream = _FingerprintStream()
+        stream = _FingerprintStream(weights)
 
         def observe(round_metrics: RoundMetrics) -> None:
-            record = distill_round(round_metrics, weights, total_devices)
+            order = stream.active_order(round_metrics.estimated)
+            record = distill_round(round_metrics, weights, total_devices, order)
             stream.observe_round(record, round_metrics)
             aggregates.observe(record)
             if self.round_sink is not None:

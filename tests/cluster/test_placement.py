@@ -188,3 +188,35 @@ class TestTypeChoiceMemo:
                 p.type_counts for p in expected.placements
             ]
             assert len(placer._type_choices) <= 2
+
+
+class TestGrantRows:
+    """A grant may come as an int array or as a list of Python ints."""
+
+    @staticmethod
+    def _outcome(result):
+        return [
+            (p.job.job_id, [d.device_id for d in p.devices], p.type_counts,
+             p.per_worker_rate)
+            for p in result.placements
+        ], [job.job_id for job in result.starved_jobs]
+
+    def test_lists_place_as_arrays_do_and_stay_unchanged(self):
+        tenants = {
+            "a": _tenant("a", [(2, "m"), (1, "m"), (4, "m")]),
+            "b": _tenant("b", [(1, "m"), (3, "m")]),
+        }
+        rows = {"a": [1, 2, 2], "b": [0, 1, 1]}
+        arrays = {name: np.array(row) for name, row in rows.items()}
+        from_arrays = Placer(paper_cluster()).place_round(arrays, tenants, 0.0)
+        from_lists = Placer(paper_cluster()).place_round(rows, tenants, 0.0)
+        assert self._outcome(from_lists) == self._outcome(from_arrays)
+        assert rows == {"a": [1, 2, 2], "b": [0, 1, 1]}
+
+    def test_a_job_placement_has_no_instance_dict(self):
+        tenants = {"t": _tenant("t", [(2, "m")])}
+        placement = Placer(paper_cluster()).place_round(
+            {"t": [0, 0, 2]}, tenants, 0.0
+        ).placements[0]
+        assert not hasattr(placement, "__dict__")
+        assert placement.iterations_per_second == 2 * placement.per_worker_rate

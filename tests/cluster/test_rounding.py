@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import DeviationRounder
+from repro.cluster.rounding import RoundingResult
 from repro.exceptions import ValidationError
 
 
@@ -109,6 +110,22 @@ class TestDeviationRounder:
         rounder = DeviationRounder()
         result = rounder.round_shares({}, [2.0])
         assert result.grants == {}
+        assert result.grant_lists == {}
+
+    def test_grant_lists_are_the_grants_as_python_ints(self):
+        rounder = DeviationRounder()
+        ideal = {"a": np.array([1.4, 0.6]), "b": np.array([0.6, 1.4])}
+        for _ in range(5):
+            result = rounder.round_shares(ideal, [2.0, 2.0])
+            assert list(result.grant_lists) == list(result.grants)
+            for name, grant in result.grants.items():
+                assert result.grant_lists[name] == grant.tolist()
+                assert {type(count) for count in result.grant_lists[name]} == {int}
+
+    def test_a_result_built_from_arrays_derives_its_lists(self):
+        result = RoundingResult({"a": np.array([1.0, 2.0])}, ["b"])
+        assert result.grant_lists == {"a": [1, 2]}
+        assert result.zeroed_tenants == ["b"]
 
     def test_no_devices_granted_beyond_requests(self):
         rounder = DeviationRounder()
@@ -211,6 +228,31 @@ class TestStarvationGuarantee:
         rounder = DeviationRounder()
         ideal = {"t0": np.array([4.0]), "t1": np.array([4.0])}
         demands = {"t0": 8, "t1": 8}
+        runs = dict.fromkeys(ideal, 0)
+        idle_rounds = 0
+        worst = 0.0
+        for _ in range(200):
+            grants = rounder.round_shares(ideal, [8.0], demands).grants
+            for name, grant in grants.items():
+                runs[name] += int(grant.sum() >= demands[name])
+                worst = max(worst, float(np.abs(rounder.deviation(name)).max()))
+            idle_rounds += all(grant.sum() == 0 for grant in grants.values())
+        assert min(runs.values()) > 0
+        assert idle_rounds == 0
+        assert worst <= 8
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "§4.3 hand case (ROADMAP item 1): with tenants of demand 4/4/8 and "
+            "ideal 2/2/4 on one type of 8 devices, over 200 rounds t2 never "
+            "runs, 100 rounds grant nothing and |dev| reaches 800"
+        ),
+    )
+    def test_three_tenants_of_demand_4_4_8_each_run(self):
+        rounder = DeviationRounder()
+        ideal = {"t0": np.array([2.0]), "t1": np.array([2.0]), "t2": np.array([4.0])}
+        demands = {"t0": 4, "t1": 4, "t2": 8}
         runs = dict.fromkeys(ideal, 0)
         idle_rounds = 0
         worst = 0.0

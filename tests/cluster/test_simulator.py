@@ -23,6 +23,8 @@ from repro.cluster import (
     paper_cluster,
 )
 from repro.cluster.gpu import Host
+from repro.cluster.placement import JobPlacement, RoundPlacement
+from repro.cluster.schedulers import SchedulerDecision
 from repro.exceptions import ValidationError
 from repro.fleet import FleetSimulator, fleet_scenario_names, resolve_fleet_scenario
 from repro.fleet.library import make_fleet_scenario
@@ -883,6 +885,26 @@ class TestDeliveredThroughput:
         assert self._lone_tenant_round().actual_by_model == pytest.approx(
             {("t", "m"): 6.0}
         )
+
+    def test_a_job_runs_at_its_placements_rate_to_the_bit(self):
+        # 0.1 × 3 × 0.7 rounds differently from 0.1 × (3 × 0.7): the
+        # advance pass must multiply in iterations_per_second's order
+        job = make_job(0, "t", "m", [0.1, 0.2, 0.3], total_iterations=1e9)
+        simulator = ClusterSimulator(
+            paper_cluster(),
+            [Tenant(name="t", jobs=[job])],
+            OEFScheduler("noncooperative"),
+            config=SimulationConfig(num_rounds=1),
+        )
+        placement = JobPlacement(
+            job, simulator.topology.devices[:3], {0: 3}, 2, 0.1, 0, network_factor=0.7
+        )
+        simulator._advance(
+            0, 0.0, RoundPlacement([placement], []), SchedulerDecision({}, {"t": 1.0})
+        )
+        rate = placement.iterations_per_second
+        assert simulator.metrics.rounds[0].actual == {"t": rate / 0.1}
+        assert job.done_iterations == rate * 300.0
 
     def test_sums_equal_the_placements_exactly(self, monkeypatch):
         placed = []

@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Build or compare the replay fingerprint manifest.
+
+A change meant to keep every scheduling outcome (a speed-up, a refactor)
+must leave every fingerprint as it was.  This script writes one JSON
+manifest of them and compares two manifests:
+
+    python tools/fingerprints.py --out head.json
+    python tools/fingerprints.py --compare parent.json head.json
+
+The manifest holds, keyed by ``family/...`` strings:
+
+* ``replay/<scenario>/<scheduler>/<memo|cold>``: each library scenario
+  (default shape and seed) under every registry name and alias and both
+  ``oef-elastic-*`` modes, with the decision memo on and off; the value
+  is the fingerprint with the run's warm hits and cold solves;
+* ``fleet/<fleet>/<backend>``: each library fleet on the serial, thread
+  and process backends;
+* ``bench/<workload>``: the benchmark's replay and fleet shapes
+  (``bench/workloads.py``) at seed :data:`BENCH_SEED`.
+
+``--compare A B`` prints every key whose value moved or that only one
+side has, and exits 1 if there is any.  Run both sides on one Python and
+numpy: fingerprints are compared between runs, never pinned.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from typing import Dict, List, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+#: Fleet backends whose fingerprints must agree.
+BACKENDS = ("serial", "thread", "process")
+
+#: Round-level schedulers outside the registry.
+ELASTIC = ("oef-elastic-coop", "oef-elastic-noncoop")
+
+#: Benchmark workloads that replay (the serve and solve ones do not).
+BENCH_WORKLOADS = ("replay-steady", "replay-churn", "fleet-failover")
+
+#: The ``bench/run.py --seed`` the benchmark shapes are built with.
+BENCH_SEED = 0
+
+
+def replay_schedulers() -> List[str]:
+    """Every registry name and alias, then the elastic modes."""
+    from repro.registry import REGISTRY
+
+    names = [name for info in REGISTRY for name in (info.name, *info.aliases)]
+    return sorted(names) + list(ELASTIC)
+
+
+def _replay(scenario, scheduler: str, cold: bool) -> Dict[str, object]:
+    from repro.scenarios import ScenarioRunner
+
+    overrides = {"warm_start": False} if cold else None
+    result = ScenarioRunner(scenario, scheduler, config_overrides=overrides).run()
+    return {
+        "fingerprint": result.fingerprint(),
+        "warm_hits": result.warm_hits,
+        "cold_solves": result.cold_solves,
+    }
+
+
+def _fleet(fleet, backend: str) -> Dict[str, object]:
+    from repro.fleet import FleetSimulator
+
+    return {"fingerprint": FleetSimulator(fleet, backend=backend).run().fingerprint()}
+
+
+def build() -> Dict[str, Dict[str, object]]:
+    """Every fingerprint of the manifest, keyed as the module docs say."""
+    from repro.fleet.library import fleet_scenario_names, make_fleet_scenario
+    from repro.scenarios.library import make_scenario, scenario_names
+
+    manifest: Dict[str, Dict[str, object]] = {}
+    for name in scenario_names():
+        scenario = make_scenario(name)
+        for scheduler in replay_schedulers():
+            for mode in ("memo", "cold"):
+                manifest[f"replay/{name}/{scheduler}/{mode}"] = _replay(
+                    scenario, scheduler, cold=mode == "cold"
+                )
+    for name in fleet_scenario_names():
+        fleet = make_fleet_scenario(name)
+        for backend in BACKENDS:
+            manifest[f"fleet/{name}/{backend}"] = _fleet(fleet, backend)
+
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from workloads import WORKLOADS, worker_inputs
+
+    for workload_name in BENCH_WORKLOADS:
+        workload = WORKLOADS[workload_name]
+        inputs = worker_inputs(workload, BENCH_SEED, 0, smoke=False)
+        if workload.kind == "replay":
+            scenario = make_scenario(
+                inputs["scenario"], seed=inputs["seed"], rounds=inputs["rounds"],
+                **inputs["shape"],
+            )
+            value = _replay(scenario, "oef-coop", cold=False)
+        else:
+            fleet = make_fleet_scenario(
+                inputs["scenario"], seed=inputs["seed"], regions=inputs["regions"],
+                rounds=inputs["rounds"], **inputs["shape"],
+            )
+            value = _fleet(fleet, "serial")
+        manifest[f"bench/{workload_name}"] = value
+    return manifest
+
+
+def compare(
+    before: Dict[str, object], after: Dict[str, object]
+) -> List[Tuple[str, object, object]]:
+    """``(key, before, after)`` for each key that moved or one side lacks."""
+    return [
+        (key, before.get(key), after.get(key))
+        for key in sorted(set(before) | set(after))
+        if before.get(key) != after.get(key)
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--out", help="build the manifest into this JSON file")
+    action.add_argument(
+        "--compare", nargs=2, metavar=("A", "B"), help="list the keys that moved"
+    )
+    args = parser.parse_args(argv)
+    if args.out:
+        manifest = build()
+        with open(args.out, "w") as handle:
+            json.dump(manifest, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        print(f"{len(manifest)} fingerprints -> {args.out}")
+        return 0
+    sides = []
+    for path in args.compare:
+        with open(path) as handle:
+            sides.append(json.load(handle))
+    moved = compare(*sides)
+    for key, before, after in moved:
+        print(f"moved {key}: {before} -> {after}")
+    print(f"{len(moved)} moved of {len(set(sides[0]) | set(sides[1]))}")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
