@@ -9,7 +9,7 @@ from repro.cluster.gpu import GPUDevice, GPUType, Host
 from repro.cluster.job import Job, JobState, make_job
 from repro.cluster.metrics import CompletionRecord, MetricsCollector, RoundMetrics
 from repro.cluster.network import NetworkModel
-from repro.cluster.placement import JobPlacement, Placer, RoundPlacement
+from repro.cluster.placement import JobPlacement, JobTable, Placer, RoundPlacement
 from repro.cluster.profiler import ProfilingAgent
 from repro.cluster.rounding import DeviationRounder, RoundingQuestion, RoundingResult
 from repro.cluster.schedulers import (
@@ -43,6 +43,7 @@ __all__ = [
     "HostGroupSpec",
     "Job",
     "JobPlacement",
+    "JobTable",
     "JobState",
     "MetricsCollector",
     "NetworkModel",

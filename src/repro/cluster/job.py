@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,53 +113,34 @@ class Job:
 
         Returns the elapsed time actually used (shorter than ``duration``
         when the job finishes mid-round, so JCTs interpolate within a
-        scheduling round).
+        scheduling round).  :meth:`~repro.cluster.placement.JobTable.advance`
+        applies the same rule to a round's placed jobs.
         """
-        finished = Job.advance_all(((self, iterations_per_second),), now, duration)
-        return finished[0][1] if finished else duration
+        if self.state is JobState.FINISHED:
+            raise SimulationError(f"job {self.job_id} already finished")
+        if iterations_per_second < 0 or duration < 0:
+            raise SimulationError("negative progress rate or duration")
+        if self.start_time is None:
+            self.start_time = now
+        self.state = JobState.RUNNING
+        self.rounds_scheduled += 1
 
-    @staticmethod
-    def advance_all(
-        runs: Iterable[Tuple["Job", float]], now: float, duration: float
-    ) -> List[Tuple["Job", float]]:
-        """Run each ``(job, iterations_per_second)`` for up to ``duration``
-        seconds; returns ``(job, elapsed time)`` for each job that finished."""
-        finished_state, running = JobState.FINISHED, JobState.RUNNING
-        finished: List[Tuple[Job, float]] = []
-        for job, iterations_per_second in runs:
-            if job.state is finished_state:
-                raise SimulationError(f"job {job.job_id} already finished")
-            if iterations_per_second < 0 or duration < 0:
-                raise SimulationError("negative progress rate or duration")
-            if job.start_time is None:
-                job.start_time = now
-            job.state = running
-            job.rounds_scheduled += 1
-
-            if iterations_per_second == 0:
-                continue
-            time_to_finish = job.remaining_iterations / iterations_per_second
-            if time_to_finish <= duration:
-                job.done_iterations = job.total_iterations
-                job.state = finished_state
-                job.finish_time = now + time_to_finish
-                finished.append((job, time_to_finish))
-            else:
-                job.done_iterations += iterations_per_second * duration
-        return finished
+        if iterations_per_second == 0:
+            return duration
+        time_to_finish = self.remaining_iterations / iterations_per_second
+        if time_to_finish <= duration:
+            self.done_iterations = self.total_iterations
+            self.state = JobState.FINISHED
+            self.finish_time = now + time_to_finish
+            return time_to_finish
+        self.done_iterations += iterations_per_second * duration
+        return duration
 
     def starve(self) -> None:
         """Record one round without any allocated GPU."""
-        Job.starve_all((self,))
-
-    @staticmethod
-    def starve_all(jobs: Iterable["Job"]) -> None:
-        """Record one round without any allocated GPU for each unfinished job."""
-        finished, pending = JobState.FINISHED, JobState.PENDING
-        for job in jobs:
-            if job.state is not finished:
-                job.starvation_rounds += 1
-                job.state = pending
+        if self.state is not JobState.FINISHED:
+            self.starvation_rounds += 1
+            self.state = JobState.PENDING
 
 
 def make_job(

@@ -16,25 +16,44 @@ baselines use:
 * **host packing** — OEF places large jobs first and keeps each job on as
   few hosts as possible (network-contention alleviation); the naive
   placer takes free devices in id order.
+
+A round is placed on a :class:`JobTable`: the jobs each tenant has active,
+as per-job keys and lists, and each host's healthy devices.  The simulator
+builds one per active-set epoch and places every round of the epoch on it;
+:meth:`Placer.place_round` without a table builds one for the round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.gpu import GPUDevice
-from repro.cluster.job import Job
+from repro.cluster.job import Job, JobState
 from repro.cluster.network import NetworkModel
-from repro.cluster.straggler import StragglerModel, single_type_rate
-from repro.cluster.tenant import Tenant
+from repro.cluster.rounding import RoundingResult
+from repro.cluster.straggler import StragglerModel
+from repro.cluster.tenant import Tenant, submit_order
 from repro.cluster.topology import ClusterTopology
 from repro.exceptions import PlacementError
 
-#: Bound on a placer's memo of type choices; a full memo is cleared.
-TYPE_CHOICE_MEMO_MAX = 4096
+#: Bound on each of a placer's memos (tenant plans, per-type bindings); a
+#: full memo starts over.
+PLAN_MEMO_MAX = 4096
+
+#: A job's run-queue key is ``tenant row << STARVATION_BITS`` minus its
+#: starvation rounds.
+STARVATION_BITS = 32
+
+#: An elastic job's demand code is ``-(num_workers << ELASTIC_SHIFT |
+#: min_workers)``; a rigid job's is its worker count.
+ELASTIC_SHIFT = 32
+
+Grants = Union[Mapping[str, Union[np.ndarray, List[int]]], RoundingResult]
 
 
 @dataclass(slots=True)
@@ -56,12 +75,328 @@ class JobPlacement:
         )
 
 
-@dataclass
-class RoundPlacement:
-    """Everything the simulator needs to advance one round."""
+@dataclass(slots=True)
+class TableRound:
+    """One round placed on a :class:`JobTable`, job by job in binding order.
 
-    placements: List[JobPlacement] = field(default_factory=list)
-    starved_jobs: List[Job] = field(default_factory=list)
+    ``jobs`` are table positions; ``devices`` holds each job's devices by
+    ascending type rank.
+    """
+
+    jobs: List[int]
+    workers: List[int]
+    type_counts: List[Dict[int, int]]
+    devices: List[Sequence[GPUDevice]]
+    hosts: List[int]
+    per_worker_rate: List[float]
+    stragglers: List[int]
+    network_factors: Optional[List[float]]  # None: every job on one host
+    mixed: int  # jobs on more than one type
+    starved: np.ndarray
+
+
+class RoundPlacement:
+    """Everything the simulator needs to advance one round.
+
+    A placer's result is a view of the :class:`JobTable` round it placed
+    (``table_round``): its :class:`JobPlacement` list and starved jobs are
+    built on first read.
+    """
+
+    def __init__(
+        self,
+        placements: Optional[List[JobPlacement]] = None,
+        starved_jobs: Optional[List[Job]] = None,
+        *,
+        table: Optional["JobTable"] = None,
+        table_round: Optional[TableRound] = None,
+    ):
+        self.table, self.table_round = table, table_round
+        if table_round is None:
+            self.placements = placements or []
+            self.starved_jobs = starved_jobs or []
+
+    @cached_property
+    def placements(self) -> List[JobPlacement]:
+        placed, jobs = self.table_round, self.table.jobs
+        return [
+            JobPlacement(jobs[index], list(devices), dict(counts), hosts, rate,
+                         stragglers, factor)
+            for index, devices, counts, hosts, rate, stragglers, factor in zip(
+                placed.jobs, placed.devices, placed.type_counts, placed.hosts,
+                placed.per_worker_rate, placed.stragglers,
+                placed.network_factors or repeat(1.0),
+            )
+        ]
+
+    @cached_property
+    def starved_jobs(self) -> List[Job]:
+        return [self.table.jobs[index] for index in self.table_round.starved.tolist()]
+
+
+class JobTable:
+    """The jobs each tenant has active, as per-job keys and lists.
+
+    ``queues`` maps tenant names to their active jobs in
+    :func:`~repro.cluster.tenant.submit_order`, the tie order of the run
+    queue.  A table holds while nothing outside it changes a job or a
+    device: the simulator builds one per active-set epoch.  Each round
+    :meth:`place` orders the jobs by starvation, decides who runs from the
+    placer's memoised per-tenant plans and binds them to each host's
+    healthy devices; :meth:`advance` runs and starves them and writes back
+    only the :class:`Job` fields that changed, so jobs and tenants stay
+    the live view after every round.
+    """
+
+    def __init__(self, placer: "Placer", queues: Mapping[str, Sequence[Job]]):
+        self.placer = placer
+        self.names = list(queues)
+        self.jobs: List[Job] = [job for queue in queues.values() for job in queue]
+        jobs = self.jobs
+        # the run queues' order: by tenant, then longest starved first; a
+        # stable sort keeps submit order on ties
+        self._queue_key = np.array(
+            [
+                (row << STARVATION_BITS) - job.starvation_rounds
+                for row, queue in enumerate(queues.values())
+                for job in queue
+            ],
+            dtype=np.int64,
+        )
+        self._ids = [job.job_id for job in jobs]
+        # binding order: the OEF placer binds large jobs first
+        self._bind_keys = (
+            list(zip([-job.num_workers for job in jobs], self._ids))
+            if placer.oef
+            else self._ids
+        )
+        self._codes = [
+            -(job.num_workers << ELASTIC_SHIFT | job.min_workers)
+            if job.elastic
+            else job.num_workers
+            for job in jobs
+        ]
+        # each tenant's block of the table, and its jobs' demand codes when
+        # they are all alike (so in any order)
+        self._blocks: List[Tuple[int, int, Optional[tuple]]] = []
+        start = 0
+        for queue in queues.values():
+            stop = start + len(queue)
+            block = self._codes[start:stop]
+            alike = not block or block.count(block[0]) == len(block)
+            self._blocks.append((start, stop, tuple(block) if alike else None))
+            start = stop
+        # each job's rates, tenant and (tenant, model) group
+        self._rates = [job.rates for job in jobs]
+        self._tenants = [job.tenant for job in jobs]
+        self._groups = [(job.tenant, job.model_name) for job in jobs]
+        placer.topology.release_all()
+        placer._bound = []
+        placer._check_health()
+
+    # -- one round ---------------------------------------------------------------
+    def place(self, names: list, budgets: List[List[int]]) -> TableRound:
+        """Place one round: ``budgets[i]`` is tenant ``names[i]``'s grant.
+
+        Tenants are served in the table's order; the jobs of a tenant
+        without a grant starve.
+        """
+        placer = self.placer
+        if names != self.names:
+            grants = dict(zip(names, budgets))
+            budgets = [grants.get(name, ()) for name in self.names]
+        queue = np.argsort(self._queue_key, kind="stable")
+        codes, order = self._codes, None
+        plans, plan = placer._plans, placer._plan
+        runs = bytearray()  # per job in queue order: does it run?
+        workers: List[int] = []
+        choices: List[Tuple[Dict[int, int], tuple]] = []
+        counts: List[int] = []  # jobs each tenant runs
+        for (start, stop, alike), budget in zip(self._blocks, budgets):
+            if alike is None:  # the codes in starvation order
+                if order is None:
+                    order = queue.tolist()
+                alike = tuple([codes[index] for index in order[start:stop]])
+            key = (tuple(budget), alike)
+            run, chosen_workers, chosen = plans.get(key) or plan(key)
+            runs += run
+            if chosen_workers:
+                workers += chosen_workers
+                choices += chosen
+                counts.append(len(chosen_workers))
+        runs_mask = np.frombuffer(runs, dtype=bool)
+        placed = queue[runs_mask].tolist()
+        starved = queue[~runs_mask]
+        ids = self._ids
+        if placer.oef and len(counts) < len(placed):
+            # a tenant's jobs pick types largest first, ties by job id
+            tenants = [number for number, count in enumerate(counts) for _ in range(count)]
+            keys = [
+                (tenant, -count, ids[job])
+                for tenant, count, job in zip(tenants, workers, placed)
+            ]
+            pick = sorted(range(len(placed)), key=keys.__getitem__)
+            placed = [placed[k] for k in pick]
+            workers = [workers[k] for k in pick]
+        # the OEF placer binds large jobs first (by their full worker
+        # count), the naive one in job-id order
+        bind_keys = self._bind_keys
+        keys = [bind_keys[job] for job in placed]
+        bind = sorted(range(len(placed)), key=keys.__getitem__)
+        return self._bind(
+            [placed[k] for k in bind],
+            [workers[k] for k in bind],
+            [choices[k] for k in bind],
+            starved,
+        )
+
+    def _bind(
+        self,
+        jobs: List[int],
+        workers: List[int],
+        choices: List[Tuple[Dict[int, int], tuple]],
+        starved: np.ndarray,
+    ) -> TableRound:
+        """Bind each job, in order, to devices over per-host free counts.
+
+        ``choices`` holds each job's type counts and their ``(rank, count)``
+        items by ascending rank, the order a job binds its types in.
+        """
+        placer = self.placer
+        num_types = len(placer._healthy)
+        # per type rank: the requests in binding order, and whose they are;
+        # a rank the topology lacks fails at once
+        counts_of: List[List[int]] = [[] for _ in range(num_types)]
+        owners_of: List[List[int]] = [[] for _ in range(num_types)]
+        failure: Optional[tuple] = None
+        mixed = 0
+        for position, (_, items) in enumerate(choices):
+            mixed += len(items) > 1
+            for rank, count in items:
+                if rank < num_types:
+                    counts_of[rank].append(count)
+                    owners_of[rank].append(position)
+                elif failure is None:
+                    failure = (position, rank, count, 0)
+
+        num_jobs = len(choices)
+        devices: List[Sequence[GPUDevice]] = [()] * num_jobs
+        hosts = [0] * num_jobs
+        taken = placer._taken
+        for rank, counts in enumerate(counts_of):
+            if not counts:
+                continue
+            key = (rank, tuple(counts))
+            chosen, spans, failed = taken.get(key) or placer._take(key)
+            owners = owners_of[rank]
+            if failed is not None:
+                index, free_total = failed
+                at = (owners[index], rank, counts[index], free_total)
+                if failure is None or at[:2] < failure[:2]:
+                    failure = at
+            for position, group, spanned in zip(owners, chosen, spans):
+                devices[position] += group
+                hosts[position] += spanned
+
+        bound = placer._bound
+        for device in bound:
+            device.assigned_job = None
+        bound.clear()
+        ids = self._ids
+        last = num_jobs if failure is None else failure[0]
+        for job, group in zip(jobs[:last], devices):
+            job_id = ids[job]
+            for device in group:
+                device.assigned_job = job_id
+            bound += group
+        if failure is not None:
+            _, rank, count, free_total = failure
+            raise PlacementError(
+                f"grants exceed free devices of type rank {rank} "
+                f"({count} requested, {free_total} free)"
+            )
+
+        # single-type jobs run at their type's native rate, mixed ones as
+        # the straggler model says
+        rates = self._rates
+        per_worker = [
+            rates[job][items[0][0]] for job, (_, items) in zip(jobs, choices)
+        ]
+        stragglers = [0] * num_jobs
+        if mixed:
+            for position, (counts, items) in enumerate(choices):
+                if len(items) > 1:
+                    outcome = placer.straggler_model.evaluate(
+                        self.jobs[jobs[position]], counts
+                    )
+                    per_worker[position] = outcome.per_worker_rate
+                    stragglers[position] = outcome.straggler_workers
+        # a job on one host runs at network factor 1.0 (``NetworkModel``),
+        # so only a round with a cross-host job has factors to set
+        factors = None
+        if max(hosts, default=0) > 1:
+            factors = placer.network_model.round_factors(hosts)
+        return TableRound(
+            jobs, workers, [counts for counts, _ in choices], devices, hosts,
+            per_worker, stragglers, factors, mixed, starved,
+        )
+
+    # -- running the round ------------------------------------------------------
+    def advance(
+        self, placed: TableRound, now: float, duration: float
+    ) -> Tuple[Dict[str, float], Dict[Tuple[str, str], float], List[Job]]:
+        """Run the placed jobs for ``duration`` seconds and starve the rest.
+
+        Returns each tenant's and each (tenant, model family)'s delivered
+        speed — a job delivers its rate over its slowest type's rate, summed
+        in binding order — and the jobs that finished, in binding order.
+        One pass over the placed jobs does it all: at a round's size (tens
+        of jobs) a numpy call costs more than the Python it would replace.
+        """
+        jobs, tenants, groups, rates = self.jobs, self._tenants, self._groups, self._rates
+        actual: Dict[str, float] = {}
+        by_model: Dict[Tuple[str, str], float] = {}
+        finished: List[Job] = []
+        running = JobState.RUNNING
+        factors = placed.network_factors or repeat(1.0)
+        for index, per_worker, workers, factor in zip(
+            placed.jobs, placed.per_worker_rate, placed.workers, factors
+        ):
+            # JobPlacement.iterations_per_second, in its order
+            rate = per_worker * workers * factor
+            delivered = rate / rates[index][0]
+            tenant = tenants[index]
+            actual[tenant] = actual.get(tenant, 0.0) + delivered
+            group = groups[index]
+            by_model[group] = by_model.get(group, 0.0) + delivered
+            # Job.advance's rule
+            job = jobs[index]
+            if job.start_time is None:
+                job.start_time = now
+            if job.state is not running:
+                job.state = running
+            job.rounds_scheduled += 1
+            if not rate:
+                continue
+            remaining = job.total_iterations - job.done_iterations
+            time_to_finish = (remaining if remaining > 0.0 else 0.0) / rate
+            if time_to_finish <= duration:
+                job.done_iterations = job.total_iterations
+                job.state = JobState.FINISHED
+                job.finish_time = now + time_to_finish
+                finished.append(job)
+            else:
+                job.done_iterations += rate * duration
+
+        starved = placed.starved
+        self._queue_key[starved] -= 1
+        pending = JobState.PENDING
+        for index in starved.tolist():
+            job = jobs[index]
+            job.starvation_rounds += 1
+            if job.state is not pending:
+                job.state = pending
+        return actual, by_model, finished
 
 
 class Placer:
@@ -88,153 +423,169 @@ class Placer:
         self._hosts = [
             topology.hosts_of_type(rank) for rank in range(topology.num_gpu_types)
         ]
-        # (workers, *budget) -> the type counts ``_select_types`` chose; a
-        # pure function of the key under a fixed flag, and replay rounds
-        # keep asking for the same few pairs
-        self._type_choices: Dict[Tuple[int, ...], Dict[int, int]] = {}
+        # (grant, demand codes in starvation order) -> who runs and on
+        # which types: a pure function of the key under a fixed flag
+        self._plans: Dict[tuple, tuple] = {}
+        # healthy devices per type rank, host by host in host-id order (a
+        # round takes each host's devices from the front), as of the last
+        # table; (rank, request counts) -> one type's binding on them
+        self._failed: Optional[Tuple[int, ...]] = None
+        self._healthy: List[List[List[GPUDevice]]] = []
+        self._taken: Dict[tuple, tuple] = {}
+        # the devices the last round bound
+        self._bound: List[GPUDevice] = []
 
     # -- public entry point ---------------------------------------------------
     def place_round(
         self,
-        grants: Dict[str, np.ndarray],
-        tenants: Dict[str, Tenant],
+        grants: Grants,
+        tenants: Mapping[str, Tenant],
         now: float,
-        active_jobs: Optional[Dict[str, List[Job]]] = None,
+        *,
+        table: Optional[JobTable] = None,
     ) -> RoundPlacement:
         """Select runnable jobs per tenant and bind them to devices.
 
-        ``grants`` maps tenant names to per-type int grants: arrays, or
-        lists of Python ints (a ``RoundingResult.grant_lists``), which are
-        copied, not converted.
-
-        ``active_jobs`` maps tenant names to their ``active_jobs(now)`` in
-        :func:`~repro.cluster.tenant.submit_order`, for a caller that already
-        has them; tenants it lacks are scanned here.
+        ``grants`` maps tenant names to per-type int grants (arrays, or
+        lists of Python ints), or is a :class:`RoundingResult`.  ``table``
+        is the epoch's :class:`JobTable` to place on; without one, the
+        round gets a table of its own, of each granted tenant's active jobs.
         """
+        if isinstance(grants, RoundingResult):
+            names, budgets = grants.rows()
+        else:
+            names = list(grants)
+            budgets = [
+                grant if type(grant) is list else np.asarray(grant, dtype=int).tolist()
+                for grant in grants.values()
+            ]
+        if table is None:
+            queues: Dict[str, List[Job]] = {}
+            for name in names:
+                tenant = tenants.get(name)
+                if tenant is None:
+                    self.topology.release_all()
+                    raise PlacementError(f"grant for unknown tenant {name!r}")
+                queues[name] = submit_order(tenant.active_jobs(now))
+            table = JobTable(self, queues)
+        return RoundPlacement(table=table, table_round=table.place(names, budgets))
+
+    # -- physical binding -----------------------------------------------------
+    def _check_health(self) -> None:
+        """Re-list the healthy devices if any failed or came back."""
+        failed = tuple(
+            device.device_id for device in self.topology.devices if device.failed
+        )
+        if failed != self._failed:
+            self._failed = failed
+            self._healthy = [
+                [[device for device in host.devices if not device.failed] for host in hosts]
+                for hosts in self._hosts
+            ]
+            self._taken.clear()
+
+    def _take(self, key: tuple) -> tuple:
+        """Bind one type's requests, in order, to its hosts' free devices.
+
+        ``key`` is the type rank and the requested counts.  Returns, per
+        request, its devices and the hosts it spans, then ``None`` or the
+        failing request's index and the free total it found.  Memoised
+        while the healthy devices stay the same.
+        """
+        rank, counts = key
         oef = self.oef
-        select_types = self._select_types
-        self.topology.release_all()
-        # the round's free devices, listed once: type rank -> one list per
-        # host, in host-id order; binding removes the devices it assigns
-        free = {
-            rank: [host.free_devices() for host in hosts]
-            for rank, hosts in enumerate(self._hosts)
-        }
-        selections: List[Tuple[Job, Dict[int, int]]] = []
-        starved: List[Job] = []
-
-        for tenant_name, grant in grants.items():
-            tenant = tenants.get(tenant_name)
-            if tenant is None:
-                raise PlacementError(f"grant for unknown tenant {tenant_name!r}")
-            budget: List[int] = (
-                grant.copy()
-                if type(grant) is list
-                else np.asarray(grant, dtype=int).tolist()
-            )
-            # pass 1 — decide who runs, in starvation order.  Feasibility
-            # depends only on the remaining device total, never on which
-            # types earlier jobs took, so this fixes the starved set
-            # before any type is chosen.
-            budget_total = sum(budget)
-            placed: List[Tuple[Job, int]] = []
-            active = active_jobs.get(tenant_name) if active_jobs else None
-            queue = tenant.runnable_queue(now, active)
-            for index, job in enumerate(queue):
-                if budget_total <= 0:
-                    # nothing left: every job from here on starves
-                    starved.extend(queue[index:])
+        pools = [list(devices) for devices in self._healthy[rank]]
+        chosen: List[Tuple[GPUDevice, ...]] = []
+        spans: List[int] = []
+        failed = None
+        for index, count in enumerate(counts):
+            # one scan: the free total and the best fit (smallest host that
+            # fits the whole request, the first in host-id order on ties)
+            free_total = 0
+            best: Optional[List[GPUDevice]] = None
+            for pool in pools:
+                size = len(pool)
+                free_total += size
+                if size >= count and (best is None or size < len(best)):
+                    best = pool
+            if free_total < count:
+                failed = (index, free_total)
+                break
+            if oef and best is not None:
+                chosen.append(tuple(best[:count]))
+                del best[:count]
+                spans.append(1)
+                continue
+            # else as few hosts as possible, fullest first (stable: id
+            # order); the naive placer takes hosts in id order
+            group: List[GPUDevice] = []
+            hosts = 0
+            for pool in sorted(pools, key=len, reverse=True) if oef else pools:
+                take = count - len(group)
+                if not take:
                     break
-                workers = job.num_workers
-                if job.elastic:
-                    # elastic jobs (§8) shrink to whatever remains, down to
-                    # their minimum worker count
-                    workers = min(job.num_workers, budget_total)
-                    if workers < job.min_workers:
-                        starved.append(job)
-                        continue
-                elif budget_total < workers:
-                    starved.append(job)
-                    continue
-                budget_total -= workers
-                placed.append((job, workers))
-            # pass 2 — assign GPU types; under the OEF placer large jobs
-            # pick first so a small job cannot fragment the contiguous
-            # fast window a larger job needs (§4.3 adjacency)
-            if oef and len(placed) > 1:
-                placed.sort(key=lambda pair: (-pair[1], pair[0].job_id))
-            for job, workers in placed:
-                type_counts = select_types(workers, budget)
-                if type_counts is None:  # cannot happen: totals checked above
-                    raise PlacementError(
-                        f"internal accounting error placing job {job.job_id}"
-                    )
-                for rank, count in type_counts.items():
-                    budget[rank] -= count
-                selections.append((job, type_counts))
+                hosts += bool(pool)
+                group += pool[:take]
+                del pool[:take]
+            chosen.append(tuple(group))
+            spans.append(hosts)
+        binding = (chosen, spans, failed)
+        if len(self._taken) >= PLAN_MEMO_MAX:
+            self._taken.clear()
+        self._taken[key] = binding
+        return binding
 
-        if len(selections) > 1:
-            if oef:
-                selections.sort(
-                    key=lambda pair: (-pair[0].num_workers, pair[0].job_id)
-                )
+    # -- who runs -------------------------------------------------------------
+    def _plan(self, key: tuple) -> tuple:
+        """One tenant's round: ``key`` is its grant and its jobs' demand
+        codes in starvation order.
+
+        Returns whether each job runs, the worker count of each that does
+        (queue order), and the type counts in the order jobs pick types:
+        under the OEF placer large jobs pick first, so a small job cannot
+        fragment the contiguous fast window a larger job needs (§4.3
+        adjacency); ties pick in job-id order, which the table applies.
+        """
+        grant, codes = key
+        budget = list(grant)
+        # pass 1 — decide who runs.  Feasibility depends only on the
+        # remaining device total, never on which types earlier jobs took,
+        # so this fixes the starved set before any type is chosen.
+        budget_total = sum(budget)
+        runs: List[bool] = []
+        workers: List[int] = []
+        for code in codes:
+            if budget_total <= 0:
+                runs.append(False)  # nothing left: every job from here starves
+                continue
+            if code > 0:
+                count = code
+                fits = budget_total >= count
             else:
-                selections.sort(key=lambda pair: pair[0].job_id)
-
-        bind_type = self._bind_type
-        placements: List[JobPlacement] = []
-        cross_host = False
-        for job, type_counts in selections:
-            if len(type_counts) == 1:
-                ((rank, count),) = type_counts.items()
-                devices, hosts = bind_type(rank, count, free.get(rank, []))
-                rate, stragglers = single_type_rate(job, rank), 0
-            else:
-                # slowest type first
-                devices, hosts = [], 0
-                for rank, count in sorted(type_counts.items()):
-                    chosen, used = bind_type(rank, count, free.get(rank, []))
-                    devices += chosen
-                    hosts += used
-                outcome = self.straggler_model.evaluate(job, type_counts)
-                rate, stragglers = outcome.per_worker_rate, outcome.straggler_workers
-            job_id = job.job_id
-            for device in devices:
-                device.assigned_job = job_id
-            cross_host = cross_host or hosts > 1
-            placements.append(
-                JobPlacement(job, devices, type_counts, hosts, rate, stragglers)
-            )
-
-        # a job on one host runs at network factor 1.0 (``NetworkModel``),
-        # so only a round with a cross-host job has factors to set
-        if cross_host:
-            factors = self.network_model.round_factors(
-                [placement.hosts_spanned for placement in placements]
-            )
-            for placement, factor in zip(placements, factors):
-                placement.network_factor = factor
-        return RoundPlacement(placements, starved)
+                # elastic jobs (§8) shrink to whatever remains, down to
+                # their minimum worker count
+                count = min(-code >> ELASTIC_SHIFT, budget_total)
+                fits = count >= -code & ((1 << ELASTIC_SHIFT) - 1)
+            runs.append(fits)
+            if fits:
+                budget_total -= count
+                workers.append(count)
+        # pass 2 — assign GPU types
+        choices: List[Tuple[Dict[int, int], tuple]] = []
+        for count in sorted(workers, reverse=True) if self.oef else workers:
+            counts = self._choose_types(count, budget)
+            if counts is None:  # cannot happen: totals checked above
+                raise PlacementError("internal accounting error: grant too small")
+            for rank, taken in counts.items():
+                budget[rank] -= taken
+            choices.append((counts, tuple(sorted(counts.items()))))
+        plan = (bytes(runs), workers, choices)
+        if len(self._plans) >= PLAN_MEMO_MAX:
+            self._plans.clear()
+        self._plans[key] = plan
+        return plan
 
     # -- type selection ---------------------------------------------------------
-    def _select_types(
-        self, workers: int, budget: List[int]
-    ) -> Optional[Dict[int, int]]:
-        """Pick GPU-type counts for one job from the tenant's budget.
-
-        Memoised per placer; every caller gets a dict of its own.
-        """
-        key = (workers, *budget)
-        counts = self._type_choices.get(key)
-        if counts is None:
-            counts = self._choose_types(workers, budget)
-            if counts is None:
-                return None
-            if len(self._type_choices) >= TYPE_CHOICE_MEMO_MAX:
-                self._type_choices.clear()
-            self._type_choices[key] = counts
-        return dict(counts)
-
     def _choose_types(
         self, workers: int, budget: List[int]
     ) -> Optional[Dict[int, int]]:
@@ -287,40 +638,3 @@ class Placer:
                             remaining -= take
                     return counts
         return None
-
-    # -- physical binding ---------------------------------------------------------
-    def _bind_type(
-        self, rank: int, count: int, pools: List[List[GPUDevice]]
-    ) -> Tuple[List[GPUDevice], int]:
-        """Take ``count`` devices out of one type's per-host free lists."""
-        # one scan: the free total and the best fit (smallest host that fits
-        # the whole request, the first in host-id order on ties)
-        free_total = 0
-        best: Optional[List[GPUDevice]] = None
-        for pool in pools:
-            size = len(pool)
-            free_total += size
-            if size >= count and (best is None or size < len(best)):
-                best = pool
-        if free_total < count:
-            raise PlacementError(
-                f"grants exceed free devices of type rank {rank} "
-                f"({count} requested, {free_total} free)"
-            )
-        if self.oef:
-            if best is not None:
-                chosen = best[:count]
-                del best[:count]
-                return chosen, 1
-            # else as few hosts as possible, fullest first (stable: id order)
-            pools = sorted(pools, key=len, reverse=True)
-        chosen: List[GPUDevice] = []
-        hosts = 0
-        for pool in pools:
-            take = count - len(chosen)
-            if not take:
-                break
-            hosts += bool(pool)
-            chosen.extend(pool[:take])
-            del pool[:take]
-        return chosen, hosts

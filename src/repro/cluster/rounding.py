@@ -23,8 +23,9 @@ which tenant gets a device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,22 +48,46 @@ def _shave(column: np.ndarray, capacity: int) -> None:
             overflow -= take
 
 
-@dataclass
 class RoundingResult:
-    """Integral grants plus bookkeeping for tests and metrics."""
+    """Integral grants plus bookkeeping for tests and metrics.
 
-    grants: Dict[str, np.ndarray]
-    zeroed_tenants: List[str] = field(default_factory=list)
-    #: ``grants`` as lists of Python ints, the form the placer reads;
-    #: derived from ``grants`` when not given
-    grant_lists: Optional[Dict[str, List[int]]] = None
+    The rounder hands over its int matrix (``matrix``, one row per tenant
+    in ``tenants`` order), which the placer reads through :meth:`rows`;
+    ``grants`` (tenant -> row) and ``grant_lists`` (the rows as lists of
+    Python ints) are derived on first read.  A hand-built result passes
+    ``grants`` instead.
+    """
 
-    def __post_init__(self) -> None:
-        if self.grant_lists is None:
-            self.grant_lists = {
-                tenant: np.asarray(grant, dtype=int).tolist()
-                for tenant, grant in self.grants.items()
-            }
+    def __init__(
+        self,
+        grants: Optional[Dict[str, np.ndarray]] = None,
+        zeroed_tenants: Optional[List[str]] = None,
+        *,
+        tenants: Optional[List[str]] = None,
+        matrix: Optional[np.ndarray] = None,
+    ) -> None:
+        self.zeroed_tenants = zeroed_tenants or []
+        self.matrix = matrix
+        self.tenants: List[str] = tenants or []
+        if grants is not None:
+            self.grants = grants
+            self.tenants = list(grants)
+
+    @cached_property
+    def grants(self) -> Dict[str, np.ndarray]:
+        return dict(zip(self.tenants, self.matrix)) if self.tenants else {}
+
+    @cached_property
+    def grant_lists(self) -> Dict[str, List[int]]:
+        return dict(zip(*self.rows()))
+
+    def rows(self) -> Tuple[List[str], List[List[int]]]:
+        """The tenants in order and each one's grant as Python ints."""
+        if self.matrix is None:
+            return self.tenants, [
+                np.asarray(grant, dtype=int).tolist() for grant in self.grants.values()
+            ]
+        return self.tenants, self.matrix.tolist()
 
 
 @dataclass(frozen=True)
@@ -249,9 +274,7 @@ class DeviationRounder:
 
         # dev(t + 1) = dev(t) + ideal(t) - real(t), all tenants at once
         self._matrix[index] = wanted - real
-        return RoundingResult(
-            dict(zip(tenants, real)), zeroed, dict(zip(tenants, real.tolist()))
-        )
+        return RoundingResult(zeroed_tenants=zeroed, tenants=tenants, matrix=real)
 
     # -- helpers ------------------------------------------------------------
     @staticmethod

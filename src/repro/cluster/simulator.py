@@ -59,9 +59,11 @@ reports the hit/solve split; pass ``warm_start=False`` (CLI:
 
 Rounds that must pose the same question form an *active-set epoch*: its
 first round computes the active-job map, ``capacities()``, the profiles,
-the validated decision and the min-demand map; later rounds reuse them
-(the decision only where the memo would hit — warm start, a key, exact
-profiling — counted as a warm hit).  An epoch ends when an event fires, a
+the validated decision, the min-demand map and the placer's
+:class:`~repro.cluster.placement.JobTable`; later rounds reuse them (the
+decision only where the memo would hit — warm start, a key, exact
+profiling — counted as a warm hit), and every round is placed and
+advanced on the table.  An epoch ends when an event fires, a
 mutation hook runs, a job finishes, the clock reaches the next submit,
 arrival or departure time, or :meth:`run` starts.
 """
@@ -73,13 +75,13 @@ import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.job import Job
 from repro.cluster.metrics import CompletionRecord, MetricsCollector, RoundMetrics
-from repro.cluster.placement import Placer, RoundPlacement
+from repro.cluster.placement import JobTable, Placer, RoundPlacement
 from repro.cluster.profiler import ProfilingAgent
 from repro.cluster.rounding import DeviationRounder, RoundingQuestion
 from repro.cluster.schedulers import (
@@ -211,6 +213,7 @@ class ClusterSimulator:
         self._min_demands: Optional[Dict[str, int]] = None
         self._epoch_decision: Optional[SchedulerDecision] = None
         self._question: Optional[RoundingQuestion] = None
+        self._table: Optional[JobTable] = None
         # timed event stream: a min-heap of (time, sequence, event) so
         # simultaneous events fire in scheduling order
         self._event_heap: List[tuple] = []
@@ -376,6 +379,7 @@ class ClusterSimulator:
                     name: submit_order(jobs) for name, jobs in active_jobs.items()
                 }
                 self._epoch_decision = self._min_demands = self._question = None
+                self._table = JobTable(self.placer, queues) if queues else None
                 if self.scheduler.oef_stack:
                     self._min_demands = {
                         name: self.tenants[name].min_worker_demand(now, jobs)
@@ -393,7 +397,7 @@ class ClusterSimulator:
                     break
                 self.metrics.record_round(RoundMetrics(round_index, now))
                 continue
-            self._run_round(round_index, now, active_jobs, queues)
+            self._run_round(round_index, now, active_jobs)
         if self._event_heap:
             warnings.warn(
                 f"{len(self._event_heap)} scheduled event(s) fall after the "
@@ -405,17 +409,13 @@ class ClusterSimulator:
         return self.metrics
 
     def _run_round(
-        self,
-        round_index: int,
-        now: float,
-        active_jobs: Dict[str, List[Job]],
-        queues: Dict[str, List[Job]],
+        self, round_index: int, now: float, active_jobs: Dict[str, List[Job]]
     ) -> None:
-        """One round, given its epoch's :meth:`_active_jobs` map and the same
-        jobs in :func:`~repro.cluster.tenant.submit_order`.
+        """One round, given its epoch's :meth:`_active_jobs` map.
 
-        The maps and the min-demand map hold for the whole epoch: nothing is
-        submitted inside it, and a finished job ends it in the advance loop.
+        The map, the min-demand map and the job table hold for the whole
+        epoch: nothing is submitted inside it, and a finished job ends it
+        in the advance pass.
         """
         decision = self._epoch_decision
         if decision is not None:
@@ -434,7 +434,7 @@ class ClusterSimulator:
                 self._question = question
         rounding = self._rounder.round_shares(question)
         placement = self.placer.place_round(
-            rounding.grant_lists, self.tenants, now, active_jobs=queues
+            rounding, self.tenants, now, table=self._table
         )
         self._advance(round_index, now, placement, decision)
 
@@ -447,38 +447,18 @@ class ClusterSimulator:
     ) -> None:
         """Run the placed jobs for one round, starve the rest, record the round.
 
-        The RoundMetrics counts and the delivered speed per tenant and per
-        (tenant, model family) come from one walk of the placements; a job
-        delivers its rate in speedup units, i.e. over its slowest type's
-        rate.  One :meth:`Job.advance_all` call then runs the placed jobs.
+        The job table the round was placed on runs it
+        (:meth:`~repro.cluster.placement.JobTable.advance`); a finished job
+        ends the epoch.
         """
-        duration = self.config.round_duration
-        actual: Dict[str, float] = {}
-        actual_by_model: Dict[Tuple[str, str], float] = {}
-        runs: List[Tuple[Job, float]] = []
-        stragglers = cross_host = cross_type = devices_used = 0
-        for job_placement in placement.placements:
-            workers = len(job_placement.devices)
-            stragglers += job_placement.straggler_workers
-            cross_host += job_placement.hosts_spanned > 1
-            cross_type += len(job_placement.type_counts) > 1
-            devices_used += workers
-            job = job_placement.job
-            # JobPlacement.iterations_per_second, each field read once
-            rate = (
-                job_placement.per_worker_rate * workers * job_placement.network_factor
-            )
-            delivered = rate / job.rates[0]
-            tenant = job.tenant
-            actual[tenant] = actual.get(tenant, 0.0) + delivered
-            key = (tenant, job.model_name)
-            actual_by_model[key] = actual_by_model.get(key, 0.0) + delivered
-            runs.append((job, rate))
+        placed = placement.table_round
+        actual, actual_by_model, finished = placement.table.advance(
+            placed, now, self.config.round_duration
+        )
         recorded = self._recorded_completions
-        for job, _ in Job.advance_all(runs, now, duration):
+        for job in finished:
             if job.job_id not in recorded:
                 recorded.add(job.job_id)
-                self._epoch_until = -math.inf
                 self.metrics.record_completion(
                     CompletionRecord(
                         job_id=job.job_id,
@@ -488,9 +468,8 @@ class ClusterSimulator:
                         finish_time=float(job.finish_time),
                     )
                 )
-        # every runnable job is either placed or on the placer's starved list
-        Job.starve_all(placement.starved_jobs)
-
+        if finished:
+            self._epoch_until = -math.inf
         self.metrics.record_round(
             RoundMetrics(
                 round_index=round_index,
@@ -498,11 +477,15 @@ class ClusterSimulator:
                 estimated=decision.estimated,
                 actual=actual,
                 actual_by_model=actual_by_model,
-                straggler_workers=stragglers,
-                cross_host_jobs=cross_host,
-                cross_type_jobs=cross_type,
-                starved_jobs=len(placement.starved_jobs),
-                devices_used=devices_used,
+                straggler_workers=sum(placed.stragglers),
+                cross_host_jobs=(
+                    0
+                    if placed.network_factors is None
+                    else sum(spanned > 1 for spanned in placed.hosts)
+                ),
+                cross_type_jobs=placed.mixed,
+                starved_jobs=len(placed.starved),
+                devices_used=sum(placed.workers),
                 solver_seconds=decision.solver_seconds,
             )
         )

@@ -23,15 +23,6 @@ from repro.exceptions import SimulationError
 STRAGGLER_RATE_ATOL = 1e-12  #: a rate must beat the slowest by more to straggle
 
 
-def single_type_rate(job: Job, rank: int) -> float:
-    """Per-worker rate of a job whose workers all sit on type ``rank``.
-
-    No worker waits for a slower type, so each runs at that type's native
-    rate and none straggles, whatever the synchronisation share.
-    """
-    return job.rates[rank]
-
-
 @dataclass(frozen=True)
 class StragglerOutcome:
     """Effective execution profile of one job for one round."""
@@ -61,9 +52,11 @@ class StragglerModel:
         placed on that type.  Raises if no workers were assigned.
         """
         if len(type_counts) == 1:
+            # no worker waits for a slower type: each runs at its type's
+            # native rate and none straggles, whatever the sync share
             ((rank, count),) = type_counts.items()
             if count:
-                return StragglerOutcome(single_type_rate(job, rank), 0)
+                return StragglerOutcome(job.rates[rank], 0)
         if not type_counts or sum(type_counts.values()) == 0:
             raise SimulationError(f"job {job.job_id}: no workers assigned")
         rates = {

@@ -170,35 +170,6 @@ class TestProgress:
         job = _job()
         assert job.jct is None
 
-    def test_advance_all_applies_the_rule_to_each_job(self):
-        def jobs():
-            return [
-                _job(job_id=1, total_iterations=50.0),
-                _job(job_id=2),
-                _job(job_id=3),
-            ]
-
-        speeds = [1.0, 0.1, 0.0]
-        one_by_one = jobs()
-        used = [
-            job.advance(300.0, speed, 300.0) for job, speed in zip(one_by_one, speeds)
-        ]
-        together = jobs()
-        finished = Job.advance_all(zip(together, speeds), 300.0, 300.0)
-        assert [(job.job_id, elapsed) for job, elapsed in finished] == [(1, used[0])]
-        assert used[1:] == [300.0, 300.0]
-        def state(job):
-            return (job.state, job.done_iterations, job.start_time,
-                    job.finish_time, job.rounds_scheduled)
-
-        assert [state(job) for job in together] == [state(job) for job in one_by_one]
-
-    def test_advance_all_rejects_a_finished_job(self):
-        done = _job(total_iterations=1.0)
-        done.advance(0.0, 10.0, 10.0)
-        with pytest.raises(SimulationError):
-            Job.advance_all([(_job(job_id=2), 1.0), (done, 1.0)], 300.0, 300.0)
-
 
 class TestStarvation:
     def test_starve_increments(self):
@@ -218,15 +189,3 @@ class TestStarvation:
         job.advance(0.0, 0.1, 300.0)
         job.starve()
         assert job.state == JobState.PENDING
-
-    def test_starve_all_applies_the_rule_to_each_job(self):
-        finished, running, pending = _job(total_iterations=1.0), _job(), _job()
-        finished.advance(0.0, 10.0, 10.0)
-        running.advance(0.0, 0.1, 300.0)
-        Job.starve_all([finished, running, pending])
-        assert [job.starvation_rounds for job in (finished, running, pending)] == [
-            0, 1, 1
-        ]
-        assert [job.state for job in (finished, running, pending)] == [
-            JobState.FINISHED, JobState.PENDING, JobState.PENDING
-        ]

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Placer, Tenant, make_job, paper_cluster
+from repro.cluster import (
+    JobState,
+    JobTable,
+    Placer,
+    Tenant,
+    make_job,
+    paper_cluster,
+)
 from repro.cluster import placement as placement_module
 from repro.exceptions import PlacementError
 
@@ -150,7 +157,8 @@ class TestRoundOutcome:
 
 
 class TestTypeChoiceMemo:
-    """``_select_types`` is memoised per placer by (workers, *budget)."""
+    """A tenant's plan (who runs, on which types) is memoised per placer by
+    (grant, demand codes)."""
 
     @staticmethod
     def _tenants():
@@ -177,7 +185,7 @@ class TestTypeChoiceMemo:
         assert again[0].type_counts is not first.type_counts
 
     def test_a_full_memo_starts_over(self, monkeypatch):
-        monkeypatch.setattr(placement_module, "TYPE_CHOICE_MEMO_MAX", 2)
+        monkeypatch.setattr(placement_module, "PLAN_MEMO_MAX", 2)
         placer = Placer(paper_cluster())
         tenants = self._tenants()
         for grant in ([0, 0, 2], [0, 2, 0], [2, 0, 0], [1, 1, 0], [0, 0, 2]):
@@ -187,7 +195,7 @@ class TestTypeChoiceMemo:
             assert [p.type_counts for p in chosen] == [
                 p.type_counts for p in expected.placements
             ]
-            assert len(placer._type_choices) <= 2
+            assert len(placer._plans) <= 2
 
 
 class TestGrantRows:
@@ -220,3 +228,113 @@ class TestGrantRows:
         ).placements[0]
         assert not hasattr(placement, "__dict__")
         assert placement.iterations_per_second == 2 * placement.per_worker_rate
+
+
+class TestJobTable:
+    """An epoch's rounds placed on one table, as the simulator does."""
+
+    @staticmethod
+    def _jobs(name, specs):
+        """specs: (job id, workers) pairs, submitted at 0 in this order."""
+        return [
+            make_job(job_id, name, "m", [1.0, 1.5, 2.0], num_workers=workers,
+                     total_iterations=1e9)
+            for job_id, workers in specs
+        ]
+
+    def test_a_round_releases_what_the_last_one_bound(self):
+        topology = paper_cluster()
+        placer = Placer(topology)
+        tenants = {"t": Tenant(name="t", jobs=self._jobs("t", [(0, 4), (1, 2)]))}
+        table = JobTable(placer, {"t": tenants["t"].jobs})
+        placer.place_round({"t": [0, 0, 6]}, tenants, 0.0, table=table)
+        assert sum(d.assigned_job is not None for d in topology.devices) == 6
+        placer.place_round({"t": [0, 0, 2]}, tenants, 300.0, table=table)
+        assert [d.device_id for d in topology.devices if d.assigned_job == 1] == [
+            16, 17
+        ]
+        assert sum(d.assigned_job is not None for d in topology.devices) == 2
+
+    def test_equal_jobs_pick_types_in_job_id_order(self):
+        # job 7 is longer starved, so it comes first in the run queue, but
+        # among equal worker counts the lower job id picks the faster type
+        jobs = self._jobs("t", [(7, 1), (3, 1)])
+        jobs[0].starvation_rounds = 2
+        tenants = {"t": Tenant(name="t", jobs=jobs)}
+        placer = Placer(paper_cluster())
+        table = JobTable(placer, {"t": jobs})
+        result = placer.place_round({"t": [0, 1, 1]}, tenants, 0.0, table=table)
+        assert {p.job.job_id: p.type_counts for p in result.placements} == {
+            3: {2: 1}, 7: {1: 1}
+        }
+
+    def test_jobs_stay_the_live_view_after_every_round(self):
+        jobs = self._jobs("t", [(0, 2), (1, 2)])
+        tenants = {"t": Tenant(name="t", jobs=jobs)}
+        placer = Placer(paper_cluster())
+        table = JobTable(placer, {"t": jobs})
+        ran = []
+        for round_index in range(4):
+            now = 300.0 * round_index
+            placement = placer.place_round({"t": [0, 0, 2]}, tenants, now, table=table)
+            table.advance(placement.table_round, now, 300.0)
+            ran.append([p.job.job_id for p in placement.placements])
+        # one grant for two jobs: the longer starved runs, round-robin
+        assert ran == [[0], [1], [0], [1]]
+        assert [job.starvation_rounds for job in jobs] == [2, 2]
+        assert [job.rounds_scheduled for job in jobs] == [2, 2]
+        assert [job.start_time for job in jobs] == [0.0, 300.0]
+        assert [job.state.value for job in jobs] == ["pending", "running"]
+
+    @staticmethod
+    def _state(job):
+        return (job.state, job.done_iterations, job.start_time, job.finish_time,
+                job.rounds_scheduled, job.starvation_rounds)
+
+    def test_advance_applies_the_job_rule_to_each_job(self):
+        # the table's pass against Job.advance job by job: one job
+        # finishes mid-round, one runs on, one runs at rate 0
+        def jobs():
+            return [
+                make_job(job_id, "t", "m", [1.0, 1.5, 2.0], total_iterations=total)
+                for job_id, total in ((1, 50.0), (2, 1e6), (3, 1e6))
+            ]
+
+        speeds = [1.0, 0.1, 0.0]
+        one_by_one = jobs()
+        used = [job.advance(300.0, speed, 300.0) for job, speed in zip(one_by_one, speeds)]
+        together = jobs()
+        table = JobTable(Placer(paper_cluster()), {"t": together})
+        placed = placement_module.TableRound(
+            [0, 1, 2], [1, 1, 1], [{0: 1}] * 3, [()] * 3, [1] * 3, speeds, [0] * 3,
+            None, 0, np.zeros(0, dtype=int),
+        )
+        _, _, finished = table.advance(placed, 300.0, 300.0)
+        assert finished == [together[0]]
+        assert used == [50.0, 300.0, 300.0]
+        assert [self._state(job) for job in together] == [
+            self._state(job) for job in one_by_one
+        ]
+
+    def test_advance_starves_by_the_job_rule(self):
+        def jobs():
+            running, pending = (
+                make_job(job_id, "t", "m", [1.0, 1.5, 2.0], total_iterations=1e6)
+                for job_id in (0, 1)
+            )
+            running.advance(0.0, 0.1, 300.0)
+            return [running, pending]
+
+        one_by_one = jobs()
+        for job in one_by_one:
+            job.starve()
+        together = jobs()
+        table = JobTable(Placer(paper_cluster()), {"t": together})
+        placed = placement_module.TableRound(
+            [], [], [], [], [], [], [], None, 0, np.array([0, 1]),
+        )
+        table.advance(placed, 300.0, 300.0)
+        assert [self._state(job) for job in together] == [
+            self._state(job) for job in one_by_one
+        ]
+        assert [job.state for job in together] == [JobState.PENDING] * 2

@@ -127,6 +127,26 @@ class TestDeviationRounder:
         assert result.grant_lists == {"a": [1, 2]}
         assert result.zeroed_tenants == ["b"]
 
+    def test_a_rounded_result_and_a_hand_built_one_expose_the_same_grants(self):
+        # the rounder hands over its int matrix and tenant order; grants
+        # and grant_lists are derived on first read, as from a dict
+        rounder = DeviationRounder()
+        ideal = {"a": np.array([1.4, 0.6]), "b": np.array([0.6, 1.4])}
+        for _ in range(3):
+            rounded = rounder.round_shares(ideal, [2.0, 2.0])
+            assert rounded.tenants == ["a", "b"]
+            assert rounded.matrix.dtype.kind == "i"
+            hand = RoundingResult(
+                {name: row.copy() for name, row in zip(rounded.tenants, rounded.matrix)}
+            )
+            assert list(rounded.grants) == list(hand.grants) == ["a", "b"]
+            for name in ideal:
+                np.testing.assert_array_equal(rounded.grants[name], hand.grants[name])
+                assert rounded.grants[name].dtype == hand.grants[name].dtype
+            assert rounded.grant_lists == hand.grant_lists
+            assert rounded.rows() == hand.rows()
+            assert rounded.grants is rounded.grants  # derived once
+
     def test_no_devices_granted_beyond_requests(self):
         rounder = DeviationRounder()
         result = rounder.round_shares(

@@ -23,7 +23,7 @@ from repro.cluster import (
     paper_cluster,
 )
 from repro.cluster.gpu import Host
-from repro.cluster.placement import JobPlacement, RoundPlacement
+from repro.cluster.placement import JobPlacement, JobTable, RoundPlacement, TableRound
 from repro.cluster.schedulers import SchedulerDecision
 from repro.exceptions import ValidationError
 from repro.fleet import FleetSimulator, fleet_scenario_names, resolve_fleet_scenario
@@ -490,7 +490,8 @@ class TestOneScanPerRound:
         # deterministic perf guard: counts, not clocks
         calls = dict.fromkeys(
             ["active_jobs", "num_free", "free_devices", "capacities", "evaluate",
-             "runnable_queue", "starve", "starve_all"],
+             "runnable_queue", "starve", "advance", "table", "place",
+             "table_advance"],
             0,
         )
 
@@ -519,8 +520,11 @@ class TestOneScanPerRound:
             counting("runnable_queue", Tenant.runnable_queue),
         )
         monkeypatch.setattr(Job, "starve", counting("starve", Job.starve))
+        monkeypatch.setattr(Job, "advance", counting("advance", Job.advance))
+        monkeypatch.setattr(JobTable, "__init__", counting("table", JobTable.__init__))
+        monkeypatch.setattr(JobTable, "place", counting("place", JobTable.place))
         monkeypatch.setattr(
-            Job, "starve_all", staticmethod(counting("starve_all", Job.starve_all))
+            JobTable, "advance", counting("table_advance", JobTable.advance)
         )
         # jobs twice the horizon long, so every tenant is active every round
         runner = ScenarioRunner(
@@ -537,20 +541,23 @@ class TestOneScanPerRound:
         assert metrics.rounds_recorded == 3
         active_tenant_rounds = sum(len(r.estimated) for r in metrics.rounds)
         assert active_tenant_rounds == 3 * len(simulator.tenants)
-        # one active-set epoch: one job scan per tenant, one capacity read
+        # one active-set epoch: one job scan per tenant, one capacity read,
+        # one job table
         assert calls["active_jobs"] == len(simulator.tenants)
         assert calls["capacities"] == 1
+        assert calls["table"] == 1
+        # each round is placed and advanced on the table's arrays: no
+        # device list, run queue or per-job advance or starve call
+        assert calls["place"] == calls["table_advance"] == 3
         assert calls["num_free"] == 0
-        assert 0 < calls["free_devices"] <= 3 * len(simulator.topology.hosts)
+        assert calls["free_devices"] == 0
+        assert calls["runnable_queue"] == 0
+        assert calls["advance"] == calls["starve"] == 0
         # every job needs one worker, so every placement is on one type: no
-        # straggler evaluation; one queue per tenant and one starvation
-        # update per round
+        # straggler evaluation
         tenants = simulator.tenants.values()
         assert {job.num_workers for tenant in tenants for job in tenant.jobs} == {1}
         assert calls["evaluate"] == 0
-        assert calls["runnable_queue"] == active_tenant_rounds
-        assert calls["starve"] == 0
-        assert calls["starve_all"] == 3
 
     @staticmethod
     def _tenant(name, iterations):
@@ -899,8 +906,15 @@ class TestDeliveredThroughput:
         placement = JobPlacement(
             job, simulator.topology.devices[:3], {0: 3}, 2, 0.1, 0, network_factor=0.7
         )
+        # the same placement as a round of the job's table
+        table = JobTable(simulator.placer, {"t": [job]})
+        placed = TableRound(
+            [0], [3], [{0: 3}], [placement.devices], [2], [0.1], [0],
+            [0.7], 0, np.zeros(0, dtype=int),
+        )
         simulator._advance(
-            0, 0.0, RoundPlacement([placement], []), SchedulerDecision({}, {"t": 1.0})
+            0, 0.0, RoundPlacement(table=table, table_round=placed),
+            SchedulerDecision({}, {"t": 1.0}),
         )
         rate = placement.iterations_per_second
         assert simulator.metrics.rounds[0].actual == {"t": rate / 0.1}

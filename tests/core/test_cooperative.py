@@ -129,6 +129,54 @@ class TestAdjacency:
                 assert used == list(range(min(used), max(used) + 1))
 
 
+class TestTheorem52Coverage:
+    """Theorem 5.2 over 200 log-linear 4x4 instances (capacity 4 per type).
+
+    ``oef-noncoop`` mixes only adjacent types on every seed and keeps at
+    most n + k - 1 non-zeros (a vertex of its LP); ``oef-coop`` is not
+    covered by the theorem and skips a type on exactly three seeds, pinned
+    here as golden instances so a change in either direction shows.
+    """
+
+    SEEDS = range(200)
+    #: seed -> each user's types under ``oef-coop`` (a hole in each)
+    COOP_HOLES = {
+        124: [[0, 1], [1, 2], [1, 3], [3]],
+        134: [[0, 1], [2, 3], [1, 2, 3], [1, 3]],
+        183: [[0, 1], [1, 2, 3], [1, 3], [3]],
+    }
+
+    @staticmethod
+    def _used(allocation):
+        return [
+            allocation.gpu_types_used(user, tol=1e-5)
+            for user in range(allocation.instance.num_users)
+        ]
+
+    @staticmethod
+    def _adjacent(used):
+        return all(not types or types == list(range(types[0], types[-1] + 1))
+                   for types in used)
+
+    def test_noncooperative_is_adjacent_on_every_seed(self):
+        from repro.core import NonCooperativeOEF
+
+        for seed in self.SEEDS:
+            instance = TestAdjacency._instance(seed)
+            used = self._used(NonCooperativeOEF().allocate(instance))
+            assert self._adjacent(used), (seed, used)
+            bound = instance.num_users + instance.num_gpu_types - 1
+            assert sum(map(len, used)) <= bound, (seed, used)
+
+    def test_cooperative_skips_a_type_on_the_golden_seeds_only(self):
+        holes = {}
+        for seed in self.SEEDS:
+            used = self._used(CooperativeOEF().allocate(TestAdjacency._instance(seed)))
+            if not self._adjacent(used):
+                holes[seed] = used
+        assert holes == self.COOP_HOLES
+
+
 class TestCuttingPlane:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_full_formulation(self, seed):

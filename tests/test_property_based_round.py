@@ -4,14 +4,17 @@ The live ``Placer`` / ``DeviationRounder`` and the simulator's advance pass
 run beside the parent commit's bodies (``reference_round.py``, verbatim)
 on twin copies of one random cluster: random topologies with failed
 devices, both placement policies, rigid and elastic jobs, several rounds
-so starvation order and deviation state carry over.  The live rounder is
-asked the way the simulator asks it: one prepared question per epoch
-(while the active jobs and capacities hold), the parent a fresh dict
-every round.  Every round both sides must agree on the grants, the zeroed
-tenants, the deviations, the starved list, *which device ids* each job
-was bound to (no scenario fingerprint covers that), each job's state and
-progress, and the round's ``RoundMetrics``.  A ``differential`` run
-repeats this on 300 ``replay-steady``-like shapes.
+so starvation order and deviation state carry over.  The live side is
+driven the way the simulator drives it: one prepared question and one
+job table per epoch (while the active jobs and capacities hold), the
+parent a fresh dict and a fresh scan every round.  Every round both
+sides must agree on the grants, the zeroed tenants, the deviations, the
+starved list, *which device ids* each job was bound to (no scenario
+fingerprint covers that), each job's state and progress, and the
+round's ``RoundMetrics``.  Two ``differential`` runs
+repeat this on 300 ``replay-steady``-like shapes and on 300
+``replay-churn``-like ones (arrivals, departures, finishing jobs, so
+epochs of a round or two).
 """
 
 import copy
@@ -32,6 +35,7 @@ from repro.cluster import (
     ClusterTopology,
     DeviationRounder,
     HostGroupSpec,
+    JobTable,
     Placer,
     Tenant,
     make_job,
@@ -111,6 +115,46 @@ def steady_clusters(draw):
     return groups, [], tenants, draw(st.sampled_from([True, False]))
 
 
+@st.composite
+def churn_clusters(draw):
+    """``replay-churn``'s shape: 3 types x 2 hosts x 4 devices, none failed,
+    6-16 tenants arriving and leaving, rigid and elastic jobs of 1-4
+    workers, short ones finishing within a few rounds: epochs last a
+    round or two."""
+    groups = [HostGroupSpec(f"g{rank}", 2, 4) for rank in range(3)]
+    throughputs = {"m": [1.0, 1.5, 2.5], "n": [1.0, 1.2, 1.4], "o": [2.0, 3.0, 7.0]}
+    tenants = {}
+    job_id = 0
+    for index in range(draw(st.integers(6, 16))):
+        arrival = draw(st.sampled_from([0.0, 0.0, 300.0, 600.0, 900.0]))
+        stay = draw(st.sampled_from([None, 600.0, 1200.0]))
+        tenant = Tenant(
+            name=f"t{index}",
+            weight=draw(st.sampled_from([1.0, 2.0])),
+            arrival_time=arrival,
+            departure_time=None if stay is None else arrival + stay,
+        )
+        for _ in range(draw(st.integers(1, 2))):
+            model = draw(st.sampled_from(sorted(throughputs)))
+            workers = draw(st.sampled_from([1, 1, 2, 3, 4]))
+            tenant.add_job(
+                make_job(
+                    job_id=job_id,
+                    tenant=tenant.name,
+                    model_name=model,
+                    throughput=throughputs[model],
+                    num_workers=workers,
+                    total_iterations=draw(st.sampled_from([300.0, 900.0, 1e6])),
+                    submit_time=arrival + draw(st.sampled_from([0.0, 0.0, 300.0])),
+                    elastic=draw(st.booleans()),
+                    min_workers=draw(st.integers(1, workers)),
+                )
+            )
+            job_id += 1
+        tenants[tenant.name] = tenant
+    return groups, [], tenants, draw(st.sampled_from([True, False]))
+
+
 def _twin(groups, failed, tenants):
     """An independent copy of the cluster: fresh devices, fresh job state."""
     topology = ClusterTopology(groups)
@@ -161,7 +205,14 @@ def _job_states(tenants):
 
 
 def _replay_rounds(cluster, data, num_rounds, churn=True):
-    """Round, place and advance both twins, comparing everything each round."""
+    """Round, place and advance both twins, comparing everything each round.
+
+    The live side runs as the simulator does: one job table per epoch (while
+    the active jobs and the healthy devices hold; a device failure, an
+    arrival or a finished job ends it), placed and advanced every round.
+    Some epochs instead place each round on a table of its own, the way
+    ``Placer.place_round`` without a table does.
+    """
     groups, failed, tenants, oef = cluster
     topology, tenants = _twin(groups, failed, tenants)
     ref_topology, ref_tenants = _twin(groups, failed, tenants)
@@ -177,7 +228,7 @@ def _replay_rounds(cluster, data, num_rounds, churn=True):
     )
     decision = SimpleNamespace(estimated={}, solver_seconds=0.0)
     use_min_demand = data.draw(st.booleans())
-    epoch = None
+    epoch = table = None
 
     for round_index in range(num_rounds):
         now = 300.0 * round_index
@@ -193,18 +244,25 @@ def _replay_rounds(cluster, data, num_rounds, churn=True):
         active = {
             name: jobs
             for name, jobs in (
-                (name, tenant.active_jobs(now)) for name, tenant in tenants.items()
+                (name, tenant.active_jobs(now))
+                for name, tenant in tenants.items()
+                if tenant.arrival_time <= now
+                and (tenant.departure_time is None or now < tenant.departure_time)
             )
             if jobs
         }
-        # an epoch holds while the active jobs and capacities do; the draw
-        # may also end it, as a cold solve with new shares would
+        queues = {name: submit_order(jobs) for name, jobs in active.items()}
+        # an epoch holds while the active jobs and capacities do
         key = (
             capacities.tobytes(),
             [(name, [job.job_id for job in jobs]) for name, jobs in active.items()],
         )
-        if key != epoch or data.draw(st.booleans()):
+        new_epoch = key != epoch
+        if new_epoch:
             epoch = key
+            table = JobTable(placer, queues) if data.draw(st.booleans()) else None
+        # a cold solve with new shares may change the question mid-epoch
+        if new_epoch or data.draw(st.booleans()):
             # fluid shares: random fractions of each type's healthy devices
             weights = {
                 name: np.array(
@@ -237,10 +295,15 @@ def _replay_rounds(cluster, data, num_rounds, churn=True):
             )
         assert rounding.zeroed_tenants == ref_rounding.zeroed_tenants
 
-        # the live placer with and without the round's queues
-        queues = {name: submit_order(jobs) for name, jobs in active.items()}
-        extra = {"active_jobs": queues} if data.draw(st.booleans()) else {}
-        placement = placer.place_round(rounding.grants, tenants, now, **extra)
+        if table is not None:
+            placement = placer.place_round(rounding, tenants, now, table=table)
+        else:
+            # a table of the round's own, from the queues or from a scan
+            extra = {}
+            if data.draw(st.booleans()):
+                extra["table"] = JobTable(placer, queues)
+            grants = rounding if data.draw(st.booleans()) else rounding.grants
+            placement = placer.place_round(grants, tenants, now, **extra)
         ref_placement = ref_placer.place_round(ref_rounding.grants, ref_tenants, now)
         assert _outcome(placement) == _outcome(ref_placement)
         assert [d.assigned_job for d in topology.devices] == [
@@ -268,6 +331,12 @@ class TestRoundMatchesParent:
     def test_steady_shapes_over_rounds(self, cluster, data):
         _replay_rounds(cluster, data, data.draw(st.integers(2, 8)), churn=False)
 
+    @pytest.mark.differential
+    @settings(_SETTINGS, max_examples=300)
+    @given(churn_clusters(), st.data())
+    def test_churn_shapes_over_rounds(self, cluster, data):
+        _replay_rounds(cluster, data, data.draw(st.integers(3, 8)), churn=False)
+
     @_SETTINGS
     @given(clusters(), st.data())
     def test_arbitrary_grants_bind_or_fail_alike(self, cluster, data):
@@ -280,7 +349,17 @@ class TestRoundMatchesParent:
             name: np.array([data.draw(st.integers(0, 5)) for _ in range(width)])
             for name in tenants
         }
-        outcome = _place(Placer(topology, oef), grants, tenants, 0.0)
+        placer = Placer(topology, oef)
+        if data.draw(st.booleans()):
+            # on an epoch's table, as the simulator places
+            queues = {
+                name: submit_order(tenant.active_jobs(0.0))
+                for name, tenant in tenants.items()
+            }
+            table = JobTable(placer, queues)
+            outcome = _place(placer, grants, tenants, 0.0, table=table)
+        else:
+            outcome = _place(placer, grants, tenants, 0.0)
         assert outcome == _place(
             ReferencePlacer(ref_topology, oef), grants, ref_tenants, 0.0
         )
