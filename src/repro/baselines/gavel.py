@@ -26,7 +26,7 @@ from repro.core.instance import ProblemInstance
 from repro.core.noncooperative import equal_throughput_rows
 from repro.core.properties import floor_rows
 from repro.registry import register_scheduler
-from repro.solver import CSR, StandardForm, solve_form
+from repro.solver import CSR, StandardForm, nonnegative_bounds, solve_form
 
 
 def _le_rhs(values) -> np.ndarray:
@@ -96,7 +96,7 @@ class Gavel(Allocator):
             b_ub=np.concatenate([_le_rhs(instance.capacities), np.zeros(num_users)]),
             a_eq=None,
             b_eq=None,
-            bounds=[(0.0, None)] * (ratio + 1),
+            bounds=nonnegative_bounds(ratio + 1),
             maximise=True,
         )
         return float(solve_form(form).values[ratio])
@@ -150,7 +150,7 @@ class Gavel(Allocator):
             b_ub=np.concatenate(rhs),
             a_eq=None,
             b_eq=None,
-            bounds=[(0.0, None)] * (num_shares + extra),
+            bounds=nonnegative_bounds(num_shares + extra),
             maximise=True,
         )
         values = solve_form(form).values[:num_shares]

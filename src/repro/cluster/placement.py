@@ -49,6 +49,11 @@ PLAN_MEMO_MAX = 4096
 #: starvation rounds.
 STARVATION_BITS = 32
 
+#: At most this many jobs, a table orders its run queues in Python: below
+#: about 30 jobs a stable ``sorted`` costs less than numpy's fixed cost per
+#: call (``argsort`` and the mask split), above it more.
+PYTHON_QUEUE_MAX = 32
+
 #: An elastic job's demand code is ``-(num_workers << ELASTIC_SHIFT |
 #: min_workers)``; a rigid job's is its worker count.
 ELASTIC_SHIFT = 32
@@ -92,7 +97,7 @@ class TableRound:
     stragglers: List[int]
     network_factors: Optional[List[float]]  # None: every job on one host
     mixed: int  # jobs on more than one type
-    starved: np.ndarray
+    starved: Union[List[int], np.ndarray]  # an array on a large table
 
 
 class RoundPlacement:
@@ -131,7 +136,8 @@ class RoundPlacement:
 
     @cached_property
     def starved_jobs(self) -> List[Job]:
-        return [self.table.jobs[index] for index in self.table_round.starved.tolist()]
+        starved = np.asarray(self.table_round.starved, dtype=int).tolist()
+        return [self.table.jobs[index] for index in starved]
 
 
 class JobTable:
@@ -155,13 +161,13 @@ class JobTable:
         jobs = self.jobs
         # the run queues' order: by tenant, then longest starved first; a
         # stable sort keeps submit order on ties
-        self._queue_key = np.array(
-            [
-                (row << STARVATION_BITS) - job.starvation_rounds
-                for row, queue in enumerate(queues.values())
-                for job in queue
-            ],
-            dtype=np.int64,
+        keys = [
+            (row << STARVATION_BITS) - job.starvation_rounds
+            for row, queue in enumerate(queues.values())
+            for job in queue
+        ]
+        self._queue_key = (
+            keys if len(keys) <= PYTHON_QUEUE_MAX else np.array(keys, dtype=np.int64)
         )
         self._ids = [job.job_id for job in jobs]
         # binding order: the OEF placer binds large jobs first
@@ -205,8 +211,12 @@ class JobTable:
         if names != self.names:
             grants = dict(zip(names, budgets))
             budgets = [grants.get(name, ()) for name in self.names]
-        queue = np.argsort(self._queue_key, kind="stable")
-        codes, order = self._codes, None
+        key = self._queue_key
+        if type(key) is list:  # a small table (PYTHON_QUEUE_MAX)
+            queue = order = sorted(range(len(key)), key=key.__getitem__)
+        else:
+            queue, order = np.argsort(key, kind="stable"), None
+        codes = self._codes
         plans, plan = placer._plans, placer._plan
         runs = bytearray()  # per job in queue order: does it run?
         workers: List[int] = []
@@ -224,9 +234,12 @@ class JobTable:
                 workers += chosen_workers
                 choices += chosen
                 counts.append(len(chosen_workers))
-        runs_mask = np.frombuffer(runs, dtype=bool)
-        placed = queue[runs_mask].tolist()
-        starved = queue[~runs_mask]
+        if type(queue) is list:
+            placed = [job for job, run in zip(queue, runs) if run]
+            starved = [job for job, run in zip(queue, runs) if not run]
+        else:
+            runs_mask = np.frombuffer(runs, dtype=bool)
+            placed, starved = queue[runs_mask].tolist(), queue[~runs_mask]
         ids = self._ids
         if placer.oef and len(counts) < len(placed):
             # a tenant's jobs pick types largest first, ties by job id
@@ -255,7 +268,7 @@ class JobTable:
         jobs: List[int],
         workers: List[int],
         choices: List[Tuple[Dict[int, int], tuple]],
-        starved: np.ndarray,
+        starved: Union[List[int], np.ndarray],
     ) -> TableRound:
         """Bind each job, in order, to devices over per-host free counts.
 
@@ -388,10 +401,15 @@ class JobTable:
             else:
                 job.done_iterations += rate * duration
 
-        starved = placed.starved
-        self._queue_key[starved] -= 1
+        starved, key = placed.starved, self._queue_key
+        if type(key) is list:
+            for index in starved:
+                key[index] -= 1
+        else:
+            key[starved] -= 1
+            starved = starved.tolist()
         pending = JobState.PENDING
-        for index in starved.tolist():
+        for index in starved:
             job = jobs[index]
             job.starvation_rounds += 1
             if job.state is not pending:

@@ -99,7 +99,9 @@ class FairShareScheduler(abc.ABC):
         objects by this key: a repeat key is served from the previous
         solve instead of re-running the LP, which is sound exactly
         because the key covers every input the decision depends on and
-        :meth:`shares` is deterministic.  Return ``None`` (the default)
+        :meth:`shares` is deterministic.  A scheduler that returns a key
+        hands its share arrays over read-only: the memo shares them with
+        every later hit.  Return ``None`` (the default)
         when the decision depends on state beyond the three arguments —
         e.g. job-level scheduling — so every round solves cold.
         """
@@ -129,7 +131,7 @@ class OEFScheduler(FairShareScheduler):
         start = time.perf_counter()
         merged = WeightedOEF(mode=self.mode).allocate(rows, capacities)
         elapsed = time.perf_counter() - start
-        # the merged arrays are this call's own: handed over without copies
+        # the merged arrays are this call's own and read-only: handed over as they are
         return SchedulerDecision(
             tenant_shares=merged.tenant_shares,
             estimated=merged.tenant_throughput,
@@ -230,11 +232,12 @@ class SingleProfileScheduler(FairShareScheduler):
         start = time.perf_counter()
         allocation = self.allocator.allocate(instance)
         elapsed = time.perf_counter() - start
-        shares = {
-            name: allocation.matrix[row].copy() for row, name in enumerate(names)
-        }
+        # one frozen copy, each tenant a row of it: memoizable as it is
+        answer = allocation.matrix.copy()
+        answer.setflags(write=False)
+        shares = dict(zip(names, answer))
         estimated = {
-            name: float(matrix.values[row] @ allocation.matrix[row])
+            name: float(matrix.values[row] @ answer[row])
             for row, name in enumerate(names)
         }
         return SchedulerDecision(

@@ -74,7 +74,7 @@ import heapq
 import math
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -89,7 +89,7 @@ from repro.cluster.schedulers import (
     SchedulerDecision,
     make_fair_share_scheduler,
 )
-from repro.cluster.tenant import Tenant, submit_order
+from repro.cluster.tenant import Tenant, check_weight, submit_order
 from repro.cluster.topology import ClusterTopology
 from repro.exceptions import SimulationError, ValidationError
 from repro.parallel import BackendSpec, get_backend
@@ -149,23 +149,6 @@ class WarmStats:
     def hit_rate(self) -> float:
         total = self.warm_hits + self.cold_solves
         return self.warm_hits / total if total else 0.0
-
-
-def _memo_entry(decision: SchedulerDecision) -> SchedulerDecision:
-    """The memo's entry for a fresh decision: its dicts and arrays, no LP time.
-
-    The arrays are frozen in place, not copied: nothing downstream writes
-    to a decision's arrays, and the freeze makes any such write raise
-    instead of reaching a memoized answer.
-    """
-    for share in decision.tenant_shares.values():
-        share.setflags(write=False)
-    for by_type in decision.job_type_shares.values():
-        for share in by_type.values():
-            share.setflags(write=False)
-    return SchedulerDecision(
-        decision.tenant_shares, decision.estimated, 0.0, decision.job_type_shares
-    )
 
 
 class ClusterSimulator:
@@ -295,11 +278,10 @@ class ClusterSimulator:
         The scheduler's decision key covers tenant weights, so a weight
         change already forces a cold solve; the explicit memo flush just
         drops the now-unreachable entries eagerly, like the other
-        mutation hooks.  Weights must stay positive (the
+        mutation hooks.  Weights must stay positive and finite (the
         :class:`~repro.cluster.tenant.Tenant` invariant).
         """
-        if weight <= 0:
-            raise ValidationError("tenant weight must be positive")
+        check_weight(name, weight)
         try:
             tenant = self.tenants[name]
         except KeyError:
@@ -520,7 +502,8 @@ class ClusterSimulator:
             self.warm_stats.cold_solves += 1
             decision = self.scheduler.shares(*question, active_jobs=active_jobs)
             if key is not None:
-                memo[key] = entry = _memo_entry(decision)
+                # the shares are read-only (a keyed scheduler's contract): shared, not copied
+                memo[key] = entry = replace(decision, solver_seconds=0.0)
                 if len(memo) > self.DECISION_CACHE_MAX:
                     memo.popitem(last=False)
         if self._profiler.error_rate == 0:

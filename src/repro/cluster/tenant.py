@@ -8,6 +8,7 @@ applied uniformly to OEF and all baselines for a fair comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
@@ -26,6 +27,15 @@ def submit_order(jobs: Sequence[Job]) -> List[Job]:
     return sorted(jobs, key=_SUBMIT_ORDER)
 
 
+def check_weight(name: str, weight: float) -> None:
+    """A tenant's weight is positive (which NaN is not) and finite, as
+    :func:`repro.core.virtual.check_weight` has it."""
+    if not 0 < weight < math.inf:
+        raise ValidationError(
+            f"tenant {name!r}: weight must be {'finite' if weight > 0 else 'positive'}"
+        )
+
+
 @dataclass
 class Tenant:
     """A cluster user with a weight and a set of jobs."""
@@ -37,8 +47,7 @@ class Tenant:
     departure_time: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValidationError(f"tenant {self.name!r}: weight must be positive")
+        check_weight(self.name, self.weight)
         for job in self.jobs:
             if job.tenant != self.name:
                 raise ValidationError(

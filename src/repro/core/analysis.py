@@ -29,6 +29,7 @@ from repro.core.cooperative import capacity_rows
 from repro.core.instance import ProblemInstance
 from repro.core.properties import check_envy_freeness, check_sharing_incentive, floor_rows
 from repro.solver import CSR, FORM_CACHE, StandardForm, fingerprint_arrays, solve_form
+from repro.solver.form import nonnegative_bounds
 
 
 def _add_reduce(values: List[float]) -> float:
@@ -153,7 +154,7 @@ def _frontier_form(instance: ProblemInstance, alpha: float) -> StandardForm:
             ),
             a_eq=None,
             b_eq=None,
-            bounds=[(0.0, None)] * (num_users * num_types),
+            bounds=nonnegative_bounds(num_users * num_types),
             maximise=True,
         )
 

@@ -21,17 +21,18 @@ cleared.  §4.2.3's replicas are the proof, the multiplicity the computation.
 
 Assembly is sparse and vectorized end-to-end: the capacity and envy
 systems are composed as index arrays (no Python-level row loops), the
-standard form is built directly and memoised in the shared
-:data:`~repro.solver.formcache.FORM_CACHE` keyed by the instance's
-content, and the cutting-plane path keeps one *incremental* HiGHS session
-alive across rounds (new cuts are appended rows; each re-solve is a warm
-dual-simplex run) with slack-based cut dropping — see
+full program's index arrays are built once per (groups, types) shape
+and each instance computes only its coefficients, and the cutting-plane
+path keeps one *incremental* HiGHS session alive across rounds (new cuts
+are appended rows; each re-solve is a warm dual-simplex run) with
+slack-based cut dropping — see
 :meth:`CooperativeOEF._cutting_plane_incremental`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import functools
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from repro.solver import (
     IncrementalLP,
     StandardForm,
     fingerprint_arrays,
+    nonnegative_bounds,
     solve_form,
 )
 
@@ -60,10 +62,6 @@ def capacity_rows(num_users: int, num_types: int, extra_columns: int = 0) -> CSR
         np.arange(0, num_users * num_types + 1, num_users),
         (num_types, num_users * num_types + extra_columns),
     )
-
-
-def _share_bounds(count: int) -> List[Tuple[float, None]]:
-    return [(0.0, None)] * count
 
 
 def envy_rows(
@@ -92,23 +90,82 @@ def eq10_rows(
     pairs: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> CSR:
     """(10b) over (10c): ``CSR.vstack([capacity_rows, envy_rows])`` byte for
-    byte, in one constructor, without building either block."""
+    byte, in one constructor, without building either block.
+
+    All n(n-1) pairs (``pairs=None``, the full program) take their index
+    arrays from the shape's :func:`_eq10_skeleton` and compute only the
+    coefficients: one product table and one gather.
+    """
     num_users, num_types = speedups.shape
-    head = num_users * num_types
+    if pairs is None:
+        skeleton = _eq10_skeleton(num_users, num_types)
+        # source[1 + (g * k + j) * 2n + s] = W_g[j] * (m, -m)[s]; source[0] = 1
+        signed = np.concatenate((multiplicity, -multiplicity))
+        source = np.concatenate((_ONE, np.multiply.outer(speedups, signed).ravel()))
+        return CSR(source.take(skeleton.gather), skeleton.indices, skeleton.indptr,
+                   skeleton.shape)
     data, indices = _envy_entries(speedups, multiplicity, pairs)
+    ones = np.ones(num_users * num_types)
+    return CSR(*_below_capacity_rows(num_users, num_types, ones, data, indices))
+
+
+def _below_capacity_rows(num_users, num_types, head_data, data, indices) -> tuple:
+    """``(data, indices, indptr, shape)`` of the (10b) rows, entries
+    ``head_data``, over (10c) rows of ``2k`` entries each."""
+    head = num_users * num_types
     columns = np.arange(num_types)[:, None] + num_types * np.arange(num_users)
     starts = np.arange(head, head + indices.size + 1, 2 * num_types)
-    return CSR(
-        np.concatenate([np.ones(head), data]),
+    return (
+        np.concatenate([head_data, data]),
         np.concatenate([columns.ravel(), indices]),
         np.concatenate([np.arange(0, head, num_users), starts]),
         (num_types + indices.size // (2 * num_types), head),
     )
 
 
-def _envy_entries(speedups, multiplicity, pairs) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR ``(data, indices)`` of the (10c) rows, ``2k`` entries each."""
-    num_users, num_types = speedups.shape
+_ONE = np.ones(1)
+
+
+class _Skeleton(NamedTuple):
+    """What the full Eq. 10 of one (groups, types) shape holds whatever its
+    numbers: read-only arrays shared by every question of that shape."""
+
+    gather: np.ndarray  # each entry's place in eq10_rows' source vector
+    indices: np.ndarray  # int32 column of each entry
+    indptr: np.ndarray  # int32 row starts
+    shape: Tuple[int, int]
+    zero_rhs: np.ndarray  # the (10c) right-hand sides
+
+
+@functools.lru_cache(maxsize=64)
+def _eq10_skeleton(num_users: int, num_types: int) -> _Skeleton:
+    """The index arrays of ``eq10_rows(W, m)`` for an n x k ``W``, built once
+    per shape (64 shapes kept), each entry's value given by its place in
+    the source vector instead."""
+    envious, envied, indices = _envy_layout(num_users, num_types, None)
+    # slot s of group g's products: +m_g W_g at s = g, -m_h W_g at s = n + h
+    own, cross, forward = envious, num_users + envied, envious < envied
+    slots = np.stack([np.where(forward, cross, own), np.where(forward, own, cross)], axis=1)
+    columns = envious[:, None, None] * num_types + np.arange(num_types)
+    gather = (1 + columns * 2 * num_users + slots[:, :, None]).ravel()
+    head = np.zeros(num_users * num_types, dtype=np.intp)
+    gather, indices, indptr, shape = _below_capacity_rows(
+        num_users, num_types, head, gather, indices
+    )
+    skeleton = _Skeleton(
+        gather, indices.astype(np.int32), indptr.astype(np.int32), shape,
+        np.zeros(envious.size),
+    )
+    for array in (skeleton.gather, skeleton.indices, skeleton.indptr, skeleton.zero_rhs):
+        array.setflags(write=False)
+    return skeleton
+
+
+def _envy_layout(
+    num_users: int, num_types: int, pairs
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(envious, envied, indices)`` of the (10c) rows: the pair of each row
+    and the CSR column of each of its ``2k`` entries, lower group first."""
     if pairs is None:
         envious = np.repeat(np.arange(num_users), num_users)
         envied = np.tile(np.arange(num_users), num_users)
@@ -125,11 +182,17 @@ def _envy_entries(speedups, multiplicity, pairs) -> Tuple[np.ndarray, np.ndarray
         ],
         axis=1,
     )
+    return envious, envied, indices.ravel()
+
+
+def _envy_entries(speedups, multiplicity, pairs) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(data, indices)`` of the (10c) rows, ``2k`` entries each."""
+    envious, envied, indices = _envy_layout(*speedups.shape, pairs)
     forward = envious < envied
     at_envious, at_envied = -multiplicity[envied], multiplicity[envious]
     lower = np.where(forward, at_envious, at_envied)[:, None] * speedups[envious]
     upper = np.where(forward, at_envied, at_envious)[:, None] * speedups[envious]
-    return np.concatenate([lower, upper], axis=1).ravel(), indices.ravel()
+    return np.concatenate([lower, upper], axis=1).ravel(), indices
 
 
 @register_scheduler(
@@ -217,34 +280,24 @@ class CooperativeOEF(Allocator):
 
     # -- full O(n^2) formulation -------------------------------------------
     def _full_form(self, instance: GroupedInstance) -> StandardForm:
-        """Direct sparse standard form of Eq. 10, memoised by content."""
+        """Eq. 10 as a sparse standard form on its shape's skeleton.
+
+        Not memoised by content: a replay's cold questions repeat about
+        one time in fifty, and the key cost more than the build it saved.
+        """
         speedups = instance.speedups
-        key = fingerprint_arrays(
-            speedups, instance.multiplicity, instance.capacities,
-            extra=("oef-coop-full",),
-        )
-
-        def build() -> StandardForm:
-            num_users, num_types = speedups.shape
+        return StandardForm(
+            c=-speedups.ravel(),
             # capacity rows first, then the envy rows as "<= 0"
-            a_ub = eq10_rows(speedups, instance.multiplicity)
-            b_ub = np.concatenate(
-                [
-                    np.asarray(instance.capacities, dtype=float),
-                    np.zeros(num_users * (num_users - 1)),
-                ]
-            )
-            return StandardForm(
-                c=-speedups.ravel(),
-                a_ub=a_ub,
-                b_ub=b_ub,
-                a_eq=None,
-                b_eq=None,
-                bounds=_share_bounds(num_users * num_types),
-                maximise=True,
-            )
-
-        return FORM_CACHE.get_or_build(key, build)
+            a_ub=eq10_rows(speedups, instance.multiplicity),
+            b_ub=np.concatenate(
+                (instance.capacities, _eq10_skeleton(*speedups.shape).zero_rhs)
+            ),
+            a_eq=None,
+            b_eq=None,
+            bounds=nonnegative_bounds(speedups.size),
+            maximise=True,
+        )
 
     def _solve_full(self, instance: GroupedInstance) -> np.ndarray:
         solution = solve_form(self._full_form(instance))
@@ -430,7 +483,7 @@ class EfficiencyMaxAllocator(Allocator):
                 b_ub=np.asarray(instance.capacities, dtype=float),
                 a_eq=None,
                 b_eq=None,
-                bounds=_share_bounds(num_users * num_types),
+                bounds=nonnegative_bounds(num_users * num_types),
                 maximise=True,
             )
 

@@ -58,7 +58,8 @@ class ProblemInstance:
                 f"capacities shape {capacity_array.shape} does not match "
                 f"{speedups.num_gpu_types} GPU types"
             )
-        if (capacity_array < 0).any() or not np.isfinite(capacity_array).all():
+        # a NaN fails both tests
+        if not (capacity_array.min() >= 0 and capacity_array.max() < np.inf):
             raise ValidationError("capacities must be finite and non-negative")
         if capacity_array.sum() <= 0:
             raise ValidationError("the cluster must have at least one device")
@@ -95,8 +96,10 @@ class ProblemInstance:
              for at in range(0, len(flat), width)]
         )
         weights = np.ones(len(values)) if weights is None else np.asarray(weights, float)
-        if weights.shape != (len(values),) or not (weights > 0).all():
-            raise ValidationError("one positive weight per instance row is required")
+        if weights.shape != (len(values),) or not (
+            weights.min() > 0 and weights.max() < np.inf  # a NaN fails both
+        ):
+            raise ValidationError("one positive finite weight per instance row is required")
         multiplicity = np.bincount(member_group, weights=weights)
         distinct = np.empty((len(first_seen), values.shape[1]))
         distinct[member_group] = values

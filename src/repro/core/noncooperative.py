@@ -35,6 +35,7 @@ from repro.core.instance import GroupedInstance, ProblemInstance
 from repro.registry import register_scheduler
 # solve_form is bound here by name: bench/layers.py wraps this module's binding
 from repro.solver import CSR, FORM_CACHE, StandardForm, fingerprint_arrays, solve_form
+from repro.solver.form import nonnegative_bounds
 
 
 def equal_throughput_rows(speedups: np.ndarray, multiplicity: np.ndarray) -> CSR:
@@ -100,7 +101,7 @@ class NonCooperativeOEF(Allocator):
                 b_ub=np.asarray(instance.capacities, dtype=float),
                 a_eq=equal_throughput_rows(speedups, instance.multiplicity),
                 b_eq=np.zeros(num_users),
-                bounds=[(0.0, None)] * (num_shares + 1),
+                bounds=nonnegative_bounds(num_shares + 1),
                 maximise=True,
             )
 

@@ -36,7 +36,7 @@ from repro.core.cooperative import CooperativeOEF, capacity_rows, envy_rows
 from repro.core.instance import ProblemInstance
 from repro.core.noncooperative import NonCooperativeOEF, equal_throughput_rows
 from repro.exceptions import InfeasibleError
-from repro.solver import CSR, StandardForm, solve_form
+from repro.solver import CSR, StandardForm, nonnegative_bounds, solve_form
 
 _DEFAULT_TOL = 1e-6
 
@@ -277,7 +277,7 @@ def _max_total_with_floors(
         b_ub=np.concatenate(bounds),
         a_eq=equal_throughput_rows(speedups, multiplicity) if extra else None,
         b_eq=np.zeros(num_groups) if extra else None,
-        bounds=[(0.0, None)] * (speedups.size + extra),
+        bounds=nonnegative_bounds(speedups.size + extra),
         maximise=True,
     )
     return solve_form(form).objective

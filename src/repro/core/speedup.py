@@ -63,6 +63,23 @@ class SpeedupMatrix:
                 "speedup rows must be non-decreasing (order GPU types slowest first)"
             )
 
+        self._adopt(array, users, gpu_types)
+
+    @classmethod
+    def checked(
+        cls,
+        values: np.ndarray,
+        users: Optional[Sequence[str]] = None,
+        gpu_types: Optional[Sequence[str]] = None,
+    ) -> "SpeedupMatrix":
+        """A matrix over ``values`` as they are: a 2-D float array its
+        caller has checked finite and positive (and normalised, if it
+        should be), owned from here on, not copied or tested again."""
+        matrix = cls.__new__(cls)
+        matrix._adopt(values, users, gpu_types)
+        return matrix
+
+    def _adopt(self, array: np.ndarray, users, gpu_types) -> None:
         self._values = array
         num_users, num_types = array.shape
         self.users: List[str] = (

@@ -14,6 +14,7 @@ common denominator: weight 1.3 is honoured as 1.3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +43,14 @@ class JobTypeSpec:
         return JobTypeSpec(name, tuple(float(v) for v in normalised))
 
 
+def check_weight(name: str, weight: float) -> None:
+    """A tenant's weight is positive (which NaN is not) and finite."""
+    if not 0 < weight < math.inf:
+        raise ValidationError(
+            f"tenant {name!r}: weight must be {'finite' if weight > 0 else 'positive'}"
+        )
+
+
 @dataclass(frozen=True)
 class TenantSpec:
     """A tenant: a name, a priority weight, and >= 1 job types."""
@@ -58,8 +67,7 @@ class TenantSpec:
     ) -> "TenantSpec":
         if not job_types:
             raise ValidationError(f"tenant {name!r} needs at least one job type")
-        if weight <= 0:
-            raise ValidationError(f"tenant {name!r}: weight must be positive")
+        check_weight(name, weight)
         sizes = {len(job.speedups) for job in job_types}
         if len(sizes) != 1:
             raise ValidationError(
@@ -118,8 +126,7 @@ class VirtualUserExpansion:
             name, weight, jobs = tenant
             if not jobs:
                 raise ValidationError(f"tenant {name!r} needs at least one job type")
-            if not weight > 0:
-                raise ValidationError(f"tenant {name!r}: weight must be positive")
+            check_weight(name, weight)
             # only ratios matter: nothing is scaled to integer replica counts
             share, job_names = float(weight) / len(jobs), []
             for job, speedups in jobs:
@@ -136,15 +143,16 @@ class VirtualUserExpansion:
             rows = np.empty(0)
         if rows.ndim != 2 or rows.shape[1] == 0:
             raise ValidationError("speedups must be 1-D vectors of one length")
-        if not (np.isfinite(rows).all() and (rows > 0).all()):
+        if not (rows.min() > 0 and rows.max() < np.inf):  # a NaN fails both
             raise ValidationError("speedups must be finite and positive")
         self.gpu_types = list(gpu_types) if gpu_types else None
         #: weight of each (tenant, job type) row: the tenant's, split equally
         self.weights = np.array(weights)
-        self._matrix = SpeedupMatrix(
-            rows / rows[:, :1], users=users, gpu_types=self.gpu_types,
-            normalise=False, require_monotone=False,
-        )
+        normalised = rows / rows[:, :1]
+        if not (normalised.min() > 0 and normalised.max() < np.inf):
+            # positive rows whose ratios are not: the matrix says which way
+            SpeedupMatrix(normalised, normalise=False, require_monotone=False)
+        self._matrix = SpeedupMatrix.checked(normalised, users, self.gpu_types)
 
     # -- expansion -----------------------------------------------------------
     def expanded_matrix(self) -> SpeedupMatrix:
@@ -155,11 +163,17 @@ class VirtualUserExpansion:
     def merge(self, allocation: Allocation) -> MergedAllocation:
         """Fold a (tenant, job type)-row allocation back to tenants, in one pass.
 
-        The shares are views of one copy of the allocation matrix.
+        Every share is read-only: a row view of the allocation's matrix
+        when that is read-only already (as :class:`~repro.core.weighted.
+        WeightedOEF` hands it over), else of one frozen copy of it; a
+        tenant's total over several job types is a frozen sum of its rows.
         """
         if allocation.matrix.shape[0] != self._matrix.num_users:
             raise ValidationError("allocation was not computed on this expansion's matrix")
-        shares = allocation.matrix.copy()
+        shares = allocation.matrix
+        if shares.flags.writeable:
+            shares = shares.copy()
+            shares.setflags(write=False)
         # row l's W_l @ x_l, batched: the same matmul loop per row, same bits
         speeds = self._matrix.values
         throughputs = np.matmul(speeds[:, None, :], shares[:, :, None])[:, 0, 0].tolist()
@@ -176,7 +190,8 @@ class VirtualUserExpansion:
             stop = start + len(jobs)
             merged.job_type_shares[name] = dict(zip(jobs, shares[start:stop]))
             merged.job_type_throughput[name] = dict(zip(jobs, throughputs[start:stop]))
-            merged.tenant_shares[name] = shares[start:stop].sum(axis=0)
+            merged.tenant_shares[name] = total = shares[start:stop].sum(axis=0)
+            total.setflags(write=False)
             merged.tenant_throughput[name] = sum(throughputs[start:stop], 0.0)
             start = stop
         return merged

@@ -54,4 +54,6 @@ class WeightedOEF:
         instance = ProblemInstance(expansion.expanded_matrix(), capacities)
         solver = NonCooperativeOEF if self.mode == "noncooperative" else CooperativeOEF
         allocation = solver().allocate_with_state(instance, weights=expansion.weights)
+        # this call's own matrix: frozen, merge's shares are views of it
+        allocation.matrix.setflags(write=False)
         return expansion.merge(allocation)

@@ -24,7 +24,7 @@ Typical usage::
     solve_form(form).objective  # 2.0
 """
 
-from repro.solver.form import CSR, Solution, SolveStats, StandardForm, solve_form
+from repro.solver.form import CSR, Solution, SolveStats, StandardForm, nonnegative_bounds, solve_form
 from repro.solver.formcache import FORM_CACHE, FormCache, fingerprint_arrays
 from repro.solver.incremental import IncrementalLP, incremental_available
 
@@ -38,5 +38,6 @@ __all__ = [
     "StandardForm",
     "fingerprint_arrays",
     "incremental_available",
+    "nonnegative_bounds",
     "solve_form",
 ]

@@ -21,6 +21,7 @@ raises — :class:`~repro.exceptions.InfeasibleError` and
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -72,6 +73,18 @@ class CSR:
 
 
 MatrixLike = Union[CSR, np.ndarray]
+Bounds = Union[List[Tuple[Optional[float], Optional[float]]], np.ndarray]
+
+
+@functools.lru_cache(maxsize=64)
+def nonnegative_bounds(count: int) -> np.ndarray:
+    """``[(0.0, None)] * count`` as the ``(count, 2)`` array the screen makes
+    of it: read-only, one per count, shared by every form that uses it.
+    Column-major, so each column is the contiguous array HiGHS loads."""
+    bounds = np.zeros((count, 2), order="F")
+    bounds[:, 1] = np.inf
+    bounds.setflags(write=False)
+    return bounds
 
 
 def _as_csr(matrix) -> CSR:
@@ -99,6 +112,9 @@ class StandardForm:
     ``a_ub``/``a_eq`` are :class:`CSR` records as every builder here makes
     them; :func:`solve_form` also takes a dense ndarray (stored as
     ``csr_matrix`` would) or a scipy sparse matrix (via its ``tocsr()``).
+    ``bounds`` is one ``(lower, upper)`` pair per column (``None``:
+    unbounded) or, as the builders here hand it, an ``(n, 2)`` float
+    array with infinities for none (:func:`nonnegative_bounds`).
     """
 
     c: np.ndarray
@@ -106,7 +122,7 @@ class StandardForm:
     b_ub: Optional[np.ndarray]
     a_eq: Optional[MatrixLike]
     b_eq: Optional[np.ndarray]
-    bounds: List[Tuple[Optional[float], Optional[float]]]
+    bounds: Bounds
     maximise: bool
     offset: float = 0.0
 
@@ -161,7 +177,12 @@ def _screen(form: StandardForm) -> Tuple[np.ndarray, CSR, np.ndarray, np.ndarray
             blocks.append(matrix)
             lower.append(rhs if equality else np.full(len(rhs), -np.inf))
             upper.append(rhs)
-    if not ok or (bounds[:, 0] == np.inf).any() or (bounds[:, 1] == -np.inf).any():
+    # a NaN bound fails its test
+    if not (
+        ok
+        and bounds[:, 0].max(initial=-np.inf) < np.inf
+        and bounds[:, 1].min(initial=np.inf) > -np.inf
+    ):
         raise ModelError("malformed LP: mismatched shapes or non-finite coefficients")
     if len(blocks) == 1:  # stacking one block copies its arrays, bit for bit
         return bounds, blocks[0], lower[0], upper[0]

@@ -1,11 +1,16 @@
 """A process-wide cache of compiled :class:`StandardForm` objects.
 
-The OEF allocators build a fresh program per request, so a scenario
-replay that solves the same instance shape round after round would pay
-the assembly every time.  The allocators' form builders (the vectorized
-builders in :mod:`repro.core`) key their forms here by the **content**
-of the arrays that determine the form (speedup matrix, capacities,
-options), so repeat rounds skip assembly entirely.
+``oef-noncoop``'s Eq. 9, ``efficiency-max``'s Eq. 4 and the frontier's
+base program key their forms here by the **content** of the arrays that
+determine the form (speedup matrix, capacities, options), so a repeated
+question skips assembly.
+
+``oef-coop``'s full Eq. 10 does not: its questions repeat too rarely to
+pay for the key.  From a cleared cache, one run per recipe of the
+benchmark's shapes (seeds 0-2, three recipes each) hit 9 of 460 lookups
+on ``replay-churn`` (0.020) and 9 of 270 on ``fleet-failover`` (0.033),
+while every lookup hashed the arrays' bytes; the program is built on a
+per-shape skeleton instead (:func:`repro.core.cooperative.eq10_rows`).
 
 Cached forms are shared between callers and must be treated as immutable
 — every consumer in this repository already is (the solver reads, never

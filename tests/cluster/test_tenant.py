@@ -24,6 +24,14 @@ class TestBasics:
         with pytest.raises(ValidationError):
             Tenant(name="t", weight=0.0)
 
+    @pytest.mark.parametrize(
+        "weight, says", [(float("nan"), "positive"), (float("inf"), "finite"),
+                         (-float("inf"), "positive")]
+    )
+    def test_non_finite_weights_are_refused_where_they_enter(self, weight, says):
+        with pytest.raises(ValidationError, match=f"weight must be {says}"):
+            Tenant(name="t", weight=weight)
+
     def test_job_ownership_validated_on_init(self):
         with pytest.raises(ValidationError):
             Tenant(name="t", jobs=[_job(1, tenant="someone-else")])

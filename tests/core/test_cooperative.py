@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.core import cooperative
 from repro.core.cooperative import EfficiencyMaxAllocator
+from repro.solver.form import _screen
 from repro.workloads.generator import random_instance
 from scipy_csr import csr_bytes, to_scipy
 
@@ -158,11 +159,15 @@ class TestTheorem52Coverage:
         return all(not types or types == list(range(types[0], types[-1] + 1))
                    for types in used)
 
+    @staticmethod
+    def _instance(seed):
+        return TestAdjacency._instance(seed)
+
     def test_noncooperative_is_adjacent_on_every_seed(self):
         from repro.core import NonCooperativeOEF
 
         for seed in self.SEEDS:
-            instance = TestAdjacency._instance(seed)
+            instance = self._instance(seed)
             used = self._used(NonCooperativeOEF().allocate(instance))
             assert self._adjacent(used), (seed, used)
             bound = instance.num_users + instance.num_gpu_types - 1
@@ -171,10 +176,31 @@ class TestTheorem52Coverage:
     def test_cooperative_skips_a_type_on_the_golden_seeds_only(self):
         holes = {}
         for seed in self.SEEDS:
-            used = self._used(CooperativeOEF().allocate(TestAdjacency._instance(seed)))
+            used = self._used(CooperativeOEF().allocate(self._instance(seed)))
             if not self._adjacent(used):
                 holes[seed] = used
         assert holes == self.COOP_HOLES
+
+
+@pytest.mark.differential
+class TestTheorem52At8x4(TestTheorem52Coverage):
+    """The same properties over 200 log-linear 8x4 instances (capacity 8 per
+    type).  Eight groups pose the full Eq. 10 (not the cuts), so the pinned
+    holes also pin the vertices of the program built on its shape's skeleton.
+    """
+
+    COOP_HOLES = {
+        66: [[0], [1, 2], [0, 1, 2], [0, 2], [2], [2, 3], [2, 3], [3]],
+        151: [[0], [0, 1], [1, 2], [1, 2, 3], [1, 2, 3], [1, 3], [3], [3]],
+        190: [[0], [0, 1], [1, 2], [1, 2, 3], [1, 3], [3], [3], [3]],
+    }
+
+    @staticmethod
+    def _instance(seed):
+        from repro.workloads.generator import log_linear_speedup_matrix
+
+        rng = np.random.default_rng(seed)
+        return ProblemInstance(log_linear_speedup_matrix(8, 4, rng), np.full(4, 8.0))
 
 
 class TestCuttingPlane:
@@ -338,6 +364,56 @@ class TestEq10AsOneMatrix:
         )
         one = cooperative.eq10_rows(speedups, multiplicity, pairs)
         assert csr_bytes(one) == csr_bytes(reference)
+
+    @staticmethod
+    def _question(groups, types, seed):
+        """Distinct rows with unit weights: a full-path question the parent's
+        scipy-built form (``reference_weighted.parent_coop_form``) poses too."""
+        rng = np.random.default_rng(seed)
+        speedups = np.cumsum(rng.uniform(0.1, 1.0, (groups, types)), axis=1)
+        # not normalised: one type still leaves the rows distinct
+        matrix = SpeedupMatrix(speedups, normalise=False)
+        instance = ProblemInstance(matrix, rng.uniform(1.0, 9.0, types))
+        grouped = instance.grouped()
+        assert grouped.count == groups
+        return instance, grouped
+
+    @staticmethod
+    def _assert_loads_as(form, reference):
+        """c, column bounds, the A_ub CSR and b_ub, byte for byte: what HiGHS loads."""
+        assert form.a_eq is None and reference.a_eq is None
+        assert form.maximise and reference.maximise
+        assert form.c.dtype == reference.c.dtype and form.c.tobytes() == reference.c.tobytes()
+        assert _screen(form)[0].tobytes() == _screen(reference)[0].tobytes()
+        assert csr_bytes(form.a_ub) == csr_bytes(reference.a_ub)
+        assert form.b_ub.dtype == reference.b_ub.dtype
+        assert form.b_ub.tobytes() == reference.b_ub.tobytes()
+
+    @pytest.mark.parametrize("groups", [1, 2, 3, 8, 24, 25])
+    @pytest.mark.parametrize("types", [1, 4, 10])
+    def test_the_full_form_is_the_scipy_built_reference(self, groups, types):
+        from reference_weighted import parent_coop_form
+
+        instance, grouped = self._question(groups, types, groups * 100 + types)
+        self._assert_loads_as(
+            CooperativeOEF()._full_form(grouped), parent_coop_form(instance)
+        )
+
+    @pytest.mark.parametrize("groups, types", [(3, 1), (8, 4), (24, 10)])
+    def test_a_reused_skeleton_carries_nothing_between_questions(self, groups, types):
+        from reference_weighted import parent_coop_form
+
+        first, second = (self._question(groups, types, seed) for seed in (1, 2))
+        built = [CooperativeOEF()._full_form(grouped) for _instance, grouped in (first, second)]
+        # back to back on one skeleton: each is its own question's form ...
+        self._assert_loads_as(built[0], parent_coop_form(first[0]))
+        self._assert_loads_as(built[1], parent_coop_form(second[0]))
+        assert built[0].a_ub.data.tobytes() != built[1].a_ub.data.tobytes()
+        # ... sharing only the shape's read-only index arrays
+        assert built[0].a_ub.indices is built[1].a_ub.indices
+        assert not built[0].a_ub.indices.flags.writeable
+        assert not built[0].a_ub.indptr.flags.writeable
+        assert built[1].a_ub.data.flags.writeable
 
 
 THRESHOLD = CooperativeOEF.CUTTING_PLANE_THRESHOLD

@@ -265,6 +265,21 @@ class TestOneFold:
             assert str(got.value) == str(want.value)
 
 
+class TestNonFiniteWeights:
+    """NaN and infinite weights stop at the fold, not in the LP."""
+
+    @pytest.mark.parametrize("mode", ["cooperative", "noncooperative"])
+    def test_an_infinite_tenant_weight_is_refused(self, mode):
+        tenants = [("a", float("inf"), [("x", [1.0, 2.0])]), ("b", 1.0, [("y", [1.0, 3.0])])]
+        with pytest.raises(ValidationError, match="tenant 'a': weight must be finite"):
+            WeightedOEF(mode=mode).allocate(tenants, [1.0, 1.0])
+
+    @pytest.mark.parametrize("weight, says", [(float("nan"), "positive"), (float("inf"), "finite")])
+    def test_a_spec_refuses_them(self, weight, says):
+        with pytest.raises(ValidationError, match=f"weight must be {says}"):
+            TenantSpec.single("a", [1.0, 2.0], weight=weight)
+
+
 class TestWeightedAllocation:
     def test_weight_doubles_throughput_noncoop(self):
         merged = WeightedOEF(mode="noncooperative").allocate(

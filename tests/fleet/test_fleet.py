@@ -168,6 +168,16 @@ class TestQuotaEvents:
         with pytest.raises(ValidationError, match="positive"):
             simulator.set_tenant_weight("tenant1", 0.0)
 
+    @pytest.mark.parametrize("weight, says", [(float("nan"), "positive"), (float("inf"), "finite")])
+    def test_set_tenant_weight_refuses_non_finite_weights(self, weight, says):
+        # they used to get through and fail at the next cold solve, if at all
+        runner = ScenarioRunner(make_scenario("steady", rounds=4), "oef-coop")
+        simulator = runner.build_simulator()
+        with pytest.raises(ValidationError, match=f"weight must be {says}"):
+            simulator.set_tenant_weight("tenant1", weight)
+        assert simulator.tenants["tenant1"].weight == 1.0
+        simulator.run()
+
     def test_quota_update_skips_departed_tenants(self):
         runner = ScenarioRunner(make_scenario("steady", rounds=4))
         simulator = runner.build_simulator()

@@ -32,7 +32,7 @@ module-level ``solve_form`` and run that allocator on the simplex.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -394,6 +394,11 @@ class SimplexBackend:
 
     def solve(self, form: StandardForm) -> np.ndarray:
         """The optimal point of ``form``, in its original variables."""
+        if isinstance(form.bounds, np.ndarray):  # (n, 2), infinities for none
+            form = replace(form, bounds=[
+                (None if lower == -np.inf else lower, None if upper == np.inf else upper)
+                for lower, upper in form.bounds.tolist()
+            ])
         a_full, b_full, c_full, columns = standardise_form(form)
         internal, _basis = _RevisedSolver(
             a_full, b_full, c_full, self.max_iterations

@@ -17,7 +17,15 @@ The manifest holds, keyed by ``family/...`` strings:
 * ``fleet/<fleet>/<backend>``: each library fleet on the serial, thread
   and process backends;
 * ``bench/<workload>``: the benchmark's replay and fleet shapes
-  (``bench/workloads.py``) at seed :data:`BENCH_SEED`.
+  (``bench/workloads.py``) at seed :data:`BENCH_SEED`;
+* ``alloc/<scheduler>/<users>x<types>/<seed>``: each registry
+  allocator's cold answer on :func:`random_instance` over a grid that
+  crosses ``oef-coop``'s full/cutting-plane threshold (:data:`ALLOC_USERS`
+  x :data:`ALLOC_TYPES`); the value is the SHA-256 of the allocation
+  matrix's bytes (or the error the allocator raised);
+* ``quota/<fleet>``: each library fleet's rebalance pre-pass, one entry
+  per window with its exact shares and PE/SI verdicts, which the eighths
+  the regions are shipped can hide.
 
 ``--compare A B`` prints every key whose value moved or that only one
 side has, and exits 1 if there is any.  Run both sides on one Python and
@@ -27,6 +35,7 @@ numpy: fingerprints are compared between runs, never pinned.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -46,6 +55,11 @@ BENCH_WORKLOADS = ("replay-steady", "replay-churn", "fleet-failover")
 
 #: The ``bench/run.py --seed`` the benchmark shapes are built with.
 BENCH_SEED = 0
+
+#: The ``alloc/`` grid: users on both sides of the cutting-plane threshold.
+ALLOC_USERS = (2, 8, 24, 25, 40)
+ALLOC_TYPES = (1, 4, 8)
+ALLOC_SEEDS = (0,)
 
 
 def replay_schedulers() -> List[str]:
@@ -74,6 +88,29 @@ def _fleet(fleet, backend: str) -> Dict[str, object]:
     return {"fingerprint": FleetSimulator(fleet, backend=backend).run().fingerprint()}
 
 
+def _allocation(name: str, instance) -> Dict[str, object]:
+    from repro.registry import create_scheduler
+    from repro.solver import FORM_CACHE
+
+    FORM_CACHE.clear()  # a cold answer
+    try:
+        matrix = create_scheduler(name).allocate(instance).matrix
+    except Exception as error:  # an allocator's refusal is its answer too
+        return {"error": type(error).__name__}
+    digest = hashlib.sha256(matrix.dtype.str.encode() + matrix.tobytes())
+    return {"matrix": digest.hexdigest(), "shape": list(matrix.shape)}
+
+
+def _quota(fleet) -> List[object]:
+    from repro.fleet.rebalance import compute_quota_schedule
+
+    return [
+        [window.index, window.time, list(window.tenants), list(window.shares),
+         window.checked, window.pareto_satisfied, window.sharing_incentive_satisfied]
+        for window in compute_quota_schedule(fleet).windows
+    ]
+
+
 def build() -> Dict[str, Dict[str, object]]:
     """Every fingerprint of the manifest, keyed as the module docs say."""
     from repro.fleet.library import fleet_scenario_names, make_fleet_scenario
@@ -91,6 +128,18 @@ def build() -> Dict[str, Dict[str, object]]:
         fleet = make_fleet_scenario(name)
         for backend in BACKENDS:
             manifest[f"fleet/{name}/{backend}"] = _fleet(fleet, backend)
+        manifest[f"quota/{name}"] = {"windows": _quota(fleet)}
+
+    from repro.registry import REGISTRY
+    from repro.workloads.generator import random_instance
+
+    for users in ALLOC_USERS:
+        for types in ALLOC_TYPES:
+            for seed in ALLOC_SEEDS:
+                instance = random_instance(users, types, seed=seed)
+                for info in REGISTRY:
+                    key = f"alloc/{info.name}/{users}x{types}/{seed}"
+                    manifest[key] = _allocation(info.name, instance)
 
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from workloads import WORKLOADS, worker_inputs
