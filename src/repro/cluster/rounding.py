@@ -53,9 +53,8 @@ class RoundingResult:
 
     The rounder hands over its int matrix (``matrix``, one row per tenant
     in ``tenants`` order), which the placer reads through :meth:`rows`;
-    ``grants`` (tenant -> row) and ``grant_lists`` (the rows as lists of
-    Python ints) are derived on first read.  A hand-built result passes
-    ``grants`` instead.
+    ``grants`` (tenant -> row) is derived on first read.  A hand-built
+    result passes ``grants`` instead.
     """
 
     def __init__(
@@ -76,10 +75,6 @@ class RoundingResult:
     @cached_property
     def grants(self) -> Dict[str, np.ndarray]:
         return dict(zip(self.tenants, self.matrix)) if self.tenants else {}
-
-    @cached_property
-    def grant_lists(self) -> Dict[str, List[int]]:
-        return dict(zip(*self.rows()))
 
     def rows(self) -> Tuple[List[str], List[List[int]]]:
         """The tenants in order and each one's grant as Python ints."""

@@ -89,8 +89,9 @@ from repro.cluster.schedulers import (
     SchedulerDecision,
     make_fair_share_scheduler,
 )
-from repro.cluster.tenant import Tenant, check_weight, submit_order
+from repro.cluster.tenant import Tenant, submit_order
 from repro.cluster.topology import ClusterTopology
+from repro.core.virtual import check_weight
 from repro.exceptions import SimulationError, ValidationError
 from repro.parallel import BackendSpec, get_backend
 

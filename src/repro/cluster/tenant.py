@@ -8,7 +8,6 @@ applied uniformly to OEF and all baselines for a fair comparison.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
@@ -16,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.job import Job, JobState
+from repro.core.virtual import check_weight
 from repro.exceptions import ValidationError
 
 _SUBMIT_ORDER = attrgetter("submit_time", "job_id")
@@ -25,15 +25,6 @@ _STARVATION = attrgetter("starvation_rounds")
 def submit_order(jobs: Sequence[Job]) -> List[Job]:
     """``jobs`` by submit time, then id: the tie order of the run queue."""
     return sorted(jobs, key=_SUBMIT_ORDER)
-
-
-def check_weight(name: str, weight: float) -> None:
-    """A tenant's weight is positive (which NaN is not) and finite, as
-    :func:`repro.core.virtual.check_weight` has it."""
-    if not 0 < weight < math.inf:
-        raise ValidationError(
-            f"tenant {name!r}: weight must be {'finite' if weight > 0 else 'positive'}"
-        )
 
 
 @dataclass

@@ -17,7 +17,6 @@ Beyond reproducing the paper's figures, a downstream operator wants to
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
@@ -32,60 +31,18 @@ from repro.solver import CSR, FORM_CACHE, StandardForm, fingerprint_arrays, solv
 from repro.solver.form import nonnegative_bounds
 
 
-def _add_reduce(values: List[float]) -> float:
-    """``np.add.reduce`` of a float64 vector, bit for bit, in plain Python.
-
-    numpy adds a vector pairwise: under 8 values in order, up to 128 in
-    eight interleaved partial sums, longer ones as two halves (the first a
-    multiple of 8) summed apart; the sum is added to the identity, 0.0, so
-    no sum is -0.0.  ``sum()`` would round differently, and from Python
-    3.12 on compensates.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _add_reduce(values[:half]) + _add_reduce(values[half:])
-    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        r0 += values[i]
-        r1 += values[i + 1]
-        r2 += values[i + 2]
-        r3 += values[i + 3]
-        r4 += values[i + 4]
-        r5 += values[i + 5]
-        r6 += values[i + 6]
-        r7 += values[i + 7]
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for i in range(tail, n):
-        total += values[i]
-    return 0.0 + total
-
-
 def jain_index(throughputs: Sequence[float] | np.ndarray) -> float:
-    """Jain's fairness index: 1 = perfectly equal, 1/n = maximally unequal.
-
-    Plain Python over a vector's floats, with the bits of the numpy
-    formula ``s.sum() ** 2 / (s.size * (s**2).sum())`` for ``s = v / v.max()``
-    (numpy's ``max`` is nan when any value is).
-    """
-    values = list(map(float, throughputs))
-    if not values:
+    """Jain's fairness index: 1 = perfectly equal, 1/n = maximally unequal."""
+    values = np.asarray(throughputs, dtype=float)
+    if values.size == 0:
         return 1.0
-    peak = max(values)
+    peak = values.max()
     if peak <= 0:
-        return math.nan if any(value != value for value in values) else 1.0
+        return 1.0
     # the index is scale-invariant; normalising by the max keeps the
     # squares away from float under/overflow for extreme inputs
-    scaled = [value / peak for value in values]
-    squares = _add_reduce([value * value for value in scaled])
-    return float(np.float64(_add_reduce(scaled)) ** 2 / (len(scaled) * squares))
+    scaled = values / peak
+    return float(scaled.sum() ** 2 / (scaled.size * (scaled**2).sum()))
 
 
 def min_max_ratio(throughputs: Sequence[float] | np.ndarray) -> float:

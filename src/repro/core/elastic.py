@@ -20,15 +20,17 @@ starvation that integral job demands cause under rigid scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.job import Job
-from repro.cluster.tenant import Tenant
 from repro.core.virtual import TenantRows
 from repro.core.weighted import WeightedOEF
 from repro.exceptions import ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.job import Job
+    from repro.cluster.tenant import Tenant
 
 
 @dataclass

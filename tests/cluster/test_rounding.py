@@ -110,26 +110,28 @@ class TestDeviationRounder:
         rounder = DeviationRounder()
         result = rounder.round_shares({}, [2.0])
         assert result.grants == {}
-        assert result.grant_lists == {}
+        assert result.rows() == ([], [])
 
-    def test_grant_lists_are_the_grants_as_python_ints(self):
+    def test_rows_are_the_grants_as_python_ints(self):
         rounder = DeviationRounder()
         ideal = {"a": np.array([1.4, 0.6]), "b": np.array([0.6, 1.4])}
         for _ in range(5):
             result = rounder.round_shares(ideal, [2.0, 2.0])
-            assert list(result.grant_lists) == list(result.grants)
-            for name, grant in result.grants.items():
-                assert result.grant_lists[name] == grant.tolist()
-                assert {type(count) for count in result.grant_lists[name]} == {int}
+            tenants, rows = result.rows()
+            assert tenants == list(result.grants)
+            for row, grant in zip(rows, result.grants.values()):
+                assert row == grant.tolist()
+                assert {type(count) for count in row} == {int}
 
-    def test_a_result_built_from_arrays_derives_its_lists(self):
+    def test_a_result_built_from_arrays_derives_its_rows(self):
         result = RoundingResult({"a": np.array([1.0, 2.0])}, ["b"])
-        assert result.grant_lists == {"a": [1, 2]}
+        assert result.rows() == (["a"], [[1, 2]])
+        assert {type(count) for count in result.rows()[1][0]} == {int}
         assert result.zeroed_tenants == ["b"]
 
     def test_a_rounded_result_and_a_hand_built_one_expose_the_same_grants(self):
         # the rounder hands over its int matrix and tenant order; grants
-        # and grant_lists are derived on first read, as from a dict
+        # are derived on first read, as from a dict
         rounder = DeviationRounder()
         ideal = {"a": np.array([1.4, 0.6]), "b": np.array([0.6, 1.4])}
         for _ in range(3):
@@ -143,7 +145,6 @@ class TestDeviationRounder:
             for name in ideal:
                 np.testing.assert_array_equal(rounded.grants[name], hand.grants[name])
                 assert rounded.grants[name].dtype == hand.grants[name].dtype
-            assert rounded.grant_lists == hand.grant_lists
             assert rounded.rows() == hand.rows()
             assert rounded.grants is rounded.grants  # derived once
 
