@@ -126,6 +126,12 @@ def _below_capacity_rows(num_users, num_types, head_data, data, indices) -> tupl
 _ONE = np.ones(1)
 
 
+def _presolve_reduces(capacities: np.ndarray) -> bool:
+    """HiGHS presolve reduces Eq. 10 only by fixing a zero-capacity type's
+    columns at zero: skipped otherwise, the same model reaches the simplex."""
+    return not capacities.min() > 0
+
+
 class _Skeleton(NamedTuple):
     """What the full Eq. 10 of one (groups, types) shape holds whatever its
     numbers: read-only arrays shared by every question of that shape."""
@@ -222,11 +228,12 @@ class CooperativeOEF(Allocator):
 
     #: above this many users ``auto`` takes the cutting-plane path.  Cold
     #: ``allocate``, ms (20 seeded instances, FORM_CACHE cleared, best of 5,
-    #: least of 3 passes on a 2-vCPU host):
+    #: least of 15 passes on a loaded 2-vCPU host, presolve off since 5.15):
     #:   users x types   8x4    12x4   16x4   24x6   32x6   48x6   64x8
-    #:   full            0.78   1.29   1.97   5.02   10.5   27.7   77.9
-    #:   cutting-plane   0.82   1.24   1.63   3.61   5.42   10.9   21.5
-    #: crossing at about 12 users; 8 to 12 is within run noise.
+    #:   full            0.40   0.82   1.35   3.87   7.30   23.1   62.7
+    #:   cutting-plane   0.66   1.14   1.50   3.59   5.00   11.8   21.8
+    #: crossing between 16 and 24 users (about 12 before 5.15: skipping
+    #: presolve helps the full program's one cold run most).
     #: "Users" are distinct rows — a weighted tenant is one row with a
     #: multiplicity — and 24 keeps every LP of at most 24 on the full
     #: program's bits.
@@ -260,9 +267,10 @@ class CooperativeOEF(Allocator):
         return self.allocate_with_state(instance)
 
     # kept under its old name: bench/layers.py wraps it as the allocator's span
-    def allocate_with_state(self, instance, weights=None) -> Allocation:
-        """``weights`` (one per row, default 1) are the §4.2.3 priorities."""
-        groups = instance.grouped(weights)
+    def allocate_with_state(self, instance, weights=None, groups=None) -> Allocation:
+        """``weights`` (one per row, default 1) are the §4.2.3 priorities;
+        ``groups``, when given, is ``instance.grouped(weights)`` built already."""
+        groups = instance.grouped(weights) if groups is None else groups
         shares = None
         if groups.count == 1:
             # one profile: its members split the whole cluster by weight
@@ -297,11 +305,12 @@ class CooperativeOEF(Allocator):
             b_eq=None,
             bounds=nonnegative_bounds(speedups.size),
             maximise=True,
+            presolve=_presolve_reduces(instance.capacities),
         )
 
     def _solve_full(self, instance: GroupedInstance) -> np.ndarray:
         solution = solve_form(self._full_form(instance))
-        return np.clip(solution.values.reshape(instance.speedups.shape), 0.0, None)
+        return np.maximum(solution.values.reshape(instance.speedups.shape), 0.0)
 
     # -- cutting-plane formulation ------------------------------------------
     def _solve_cutting_plane(
@@ -388,6 +397,7 @@ class CooperativeOEF(Allocator):
             b_ub=np.concatenate(
                 [np.asarray(instance.capacities, dtype=float), np.zeros(len(seeds))]
             ),
+            presolve=_presolve_reduces(instance.capacities),
         )
         pairs = seeds
         born = np.zeros(len(seeds), dtype=np.int64)
@@ -395,9 +405,7 @@ class CooperativeOEF(Allocator):
         in_lp[pairs[:, 0], pairs[:, 1]] = True
 
         for round_number in range(self.MAX_CUT_ROUNDS):
-            matrix = np.clip(
-                session.solve().reshape(num_users, num_types), 0.0, None
-            )
+            matrix = np.maximum(session.solve().reshape(num_users, num_types), 0.0)
             violated = self._violated_pairs(instance, matrix, tol)
             new_pairs = violated[~in_lp[violated[:, 0], violated[:, 1]]]
             if not len(new_pairs):

@@ -37,6 +37,24 @@ class GroupedInstance:
         """Group totals ``z`` -> one share row per member."""
         return group_shares[self.member_group] * self.member_fraction[:, None]
 
+    @classmethod
+    def fold(cls, values, weights, capacities) -> "GroupedInstance":
+        """Fold byte-identical rows of ``values`` (no tolerance), first seen
+        first, weighted by ``weights`` (positive and finite: the caller
+        checked them)."""
+        # the rows' bytes, sliced row by row: one tobytes() for the matrix
+        flat, width = values.tobytes(), values.shape[1] * values.itemsize
+        first_seen: dict = {}
+        member_group = np.array(
+            [first_seen.setdefault(flat[at:at + width], len(first_seen))
+             for at in range(0, len(flat), width)]
+        )
+        distinct = np.empty((len(first_seen), values.shape[1]))
+        distinct[member_group] = values
+        multiplicity = np.bincount(member_group, weights=weights)
+        fraction = weights / multiplicity[member_group]
+        return cls(distinct, multiplicity, capacities, member_group, fraction)
+
 
 class ProblemInstance:
     """The input to every allocator: ``(W, m)``.
@@ -88,25 +106,12 @@ class ProblemInstance:
     def grouped(self, weights: Optional[np.ndarray] = None) -> GroupedInstance:
         """Fold byte-identical rows (no tolerance); ``weights`` default to 1."""
         values = self.speedups.values
-        # the rows' bytes, sliced row by row: one tobytes() for the matrix
-        flat, width = values.tobytes(), values.shape[1] * values.itemsize
-        first_seen: dict = {}
-        member_group = np.array(
-            [first_seen.setdefault(flat[at:at + width], len(first_seen))
-             for at in range(0, len(flat), width)]
-        )
         weights = np.ones(len(values)) if weights is None else np.asarray(weights, float)
         if weights.shape != (len(values),) or not (
             weights.min() > 0 and weights.max() < np.inf  # a NaN fails both
         ):
             raise ValidationError("one positive finite weight per instance row is required")
-        multiplicity = np.bincount(member_group, weights=weights)
-        distinct = np.empty((len(first_seen), values.shape[1]))
-        distinct[member_group] = values
-        fraction = weights / multiplicity[member_group]
-        return GroupedInstance(
-            distinct, multiplicity, self.capacities, member_group, fraction
-        )
+        return GroupedInstance.fold(values, weights, self.capacities)
 
     def with_speedups(self, speedups: SpeedupMatrix) -> "ProblemInstance":
         return ProblemInstance(speedups, self.capacities)

@@ -75,8 +75,8 @@ class NonCooperativeOEF(Allocator):
         groups: Optional[GroupedInstance] = None,
     ) -> Allocation:
         groups = instance.grouped() if groups is None else groups
-        shares = np.clip(
-            values[: groups.speedups.size].reshape(groups.speedups.shape), 0.0, None
+        shares = np.maximum(
+            values[: groups.speedups.size].reshape(groups.speedups.shape), 0.0
         )
         return Allocation(groups.expand(shares), instance, allocator_name=self.name)
 
@@ -108,9 +108,10 @@ class NonCooperativeOEF(Allocator):
         return FORM_CACHE.get_or_build(key, build)
 
     # kept under its old name: bench/layers.py wraps it as the allocator's span
-    def allocate_with_state(self, instance, weights=None) -> Allocation:
-        """``weights`` (one per row, default 1) are the §4.2.3 priorities."""
-        groups = instance.grouped(weights)
+    def allocate_with_state(self, instance, weights=None, groups=None) -> Allocation:
+        """``weights`` (one per row, default 1) are the §4.2.3 priorities;
+        ``groups``, when given, is ``instance.grouped(weights)`` built already."""
+        groups = instance.grouped(weights) if groups is None else groups
         if groups.count == 1:
             # one profile: its members split the whole cluster by weight
             matrix = groups.expand(instance.capacities.reshape(1, -1))

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.allocation import Allocation
+from repro.core.instance import GroupedInstance, ProblemInstance
 from repro.core.speedup import SpeedupMatrix
 from repro.exceptions import ValidationError
 
@@ -148,16 +149,24 @@ class VirtualUserExpansion:
         self.gpu_types = list(gpu_types) if gpu_types else None
         #: weight of each (tenant, job type) row: the tenant's, split equally
         self.weights = np.array(weights)
-        normalised = rows / rows[:, :1]
-        if not (normalised.min() > 0 and normalised.max() < np.inf):
+        self._profiles = rows / rows[:, :1]
+        if not (self._profiles.min() > 0 and self._profiles.max() < np.inf):
             # positive rows whose ratios are not: the matrix says which way
-            SpeedupMatrix(normalised, normalise=False, require_monotone=False)
-        self._matrix = SpeedupMatrix.checked(normalised, users, self.gpu_types)
+            SpeedupMatrix(self._profiles, normalise=False, require_monotone=False)
+        self._matrix = SpeedupMatrix.checked(self._profiles, users, self.gpu_types)
 
     # -- expansion -----------------------------------------------------------
     def expanded_matrix(self) -> SpeedupMatrix:
         """The speedup matrix with one row per (tenant, job type)."""
         return self._matrix
+
+    def problem(self, capacities) -> Tuple[ProblemInstance, GroupedInstance]:
+        """The rows on ``capacities`` (checked by :class:`ProblemInstance`)
+        and their fold to LP blocks, from the profiles and weights read here."""
+        instance = ProblemInstance(self._matrix, capacities)
+        return instance, GroupedInstance.fold(
+            self._profiles, self.weights, instance.capacities
+        )
 
     # -- merging ---------------------------------------------------------------
     def merge(self, allocation: Allocation) -> MergedAllocation:
@@ -175,15 +184,15 @@ class VirtualUserExpansion:
             shares = shares.copy()
             shares.setflags(write=False)
         # row l's W_l @ x_l, batched: the same matmul loop per row, same bits
-        speeds = self._matrix.values
+        speeds = self._profiles
         throughputs = np.matmul(speeds[:, None, :], shares[:, :, None])[:, 0, 0].tolist()
         merged = MergedAllocation(allocation, self.weights, {}, {})
         start = 0
         for name, jobs in self._layout:
             if len(jobs) == 1:  # a row is its own total: a one-row sum's bits
-                merged.job_type_shares[name] = {jobs[0]: shares[start]}
+                merged.tenant_shares[name] = row = shares[start]
+                merged.job_type_shares[name] = {jobs[0]: row}
                 merged.job_type_throughput[name] = {jobs[0]: throughputs[start]}
-                merged.tenant_shares[name] = shares[start]
                 merged.tenant_throughput[name] = 0.0 + throughputs[start]
                 start += 1
                 continue

@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.cooperative import CooperativeOEF
-from repro.core.instance import ProblemInstance
 from repro.core.noncooperative import NonCooperativeOEF
 from repro.core.virtual import MergedAllocation, TenantRows, TenantSpec, VirtualUserExpansion
 from repro.exceptions import ValidationError
@@ -51,9 +50,9 @@ class WeightedOEF:
         for auditing.
         """
         expansion = VirtualUserExpansion(tenants, gpu_types=gpu_types)
-        instance = ProblemInstance(expansion.expanded_matrix(), capacities)
+        instance, groups = expansion.problem(capacities)
         solver = NonCooperativeOEF if self.mode == "noncooperative" else CooperativeOEF
-        allocation = solver().allocate_with_state(instance, weights=expansion.weights)
+        allocation = solver().allocate_with_state(instance, groups=groups)
         # this call's own matrix: frozen, merge's shares are views of it
         allocation.matrix.setflags(write=False)
         return expansion.merge(allocation)

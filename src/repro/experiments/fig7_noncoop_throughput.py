@@ -17,7 +17,7 @@ from repro.experiments.common import ExperimentResult
 from repro.workloads.generator import TenantGenerator
 from repro.workloads.models import all_models
 
-# Honest reproduction note (see EXPERIMENTS.md): our Gavel and
+# Honest reproduction note (tests/claims/test_paper_claims.py): our Gavel and
 # Gandiva_fair are *idealised* LP/trading implementations, so their
 # evaluator-level ("estimated") efficiency sits within a few percent of
 # OEF's — the paper's own worked example (§2.4) shows the same ~2% fluid

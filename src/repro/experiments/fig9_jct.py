@@ -5,9 +5,8 @@ OEF's JCT edge comes from (i) higher delivered throughput and (ii) the
 deviation-accumulating rounding that keeps small tenants from starving
 (paper: -17% vs Gandiva_fair, -19% vs Gavel).
 
-The full paper-scale run (50 tenants x ~20 jobs x 3 days) is available via
-parameters; the defaults are scaled down so the bench suite stays fast
-while preserving the contention level.
+The full paper-scale run (50 tenants x ~20 jobs x 3 days) takes parameters;
+the defaults keep tests/claims/test_paper_claims.py fast at the same contention.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@
 experiment (or the given ids) at the default scaled-down parameters
 through :func:`~repro.experiments.runner.run_experiment` — the same
 outcomes ``repro experiments`` prints as text — and writes one markdown
-document with every regenerated table, a refreshable companion to the
-manually annotated EXPERIMENTS.md.  An experiment that raises gets a
+document with every regenerated table; the paper-vs-measured bands are
+the claims table, ``tests/claims/test_paper_claims.py``.  An experiment that raises gets a
 ``FAILED`` section with its traceback, the rest still run, and the exit
 status is 1.
 """
@@ -47,8 +47,8 @@ def generate_report(
     names = resolve_ids(only)
     stream.write("# OEF reproduction report (auto-generated)\n\n")
     stream.write(
-        "Regenerated by `python -m repro.experiments.report`; see "
-        "EXPERIMENTS.md for paper-vs-measured commentary.\n\n"
+        "Regenerated by `python -m repro.experiments.report`; the paper's "
+        "numbers and their bands are `tests/claims/test_paper_claims.py`.\n\n"
     )
     passed = 0
     for name in names:

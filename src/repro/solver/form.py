@@ -125,6 +125,9 @@ class StandardForm:
     bounds: Bounds
     maximise: bool
     offset: float = 0.0
+    #: False where HiGHS presolve is known to reduce nothing (Eq. 10 on
+    #: positive capacities): the solve skips it, same bits sooner
+    presolve: bool = True
 
     @property
     def num_variables(self) -> int:
@@ -196,7 +199,7 @@ def solve_form(form: StandardForm) -> Solution:
     start = time.perf_counter()
     bounds, rows, row_lower, row_upper = _screen(form)
     values, _duals = solve_once(
-        form.c, bounds[:, 0], bounds[:, 1], rows, row_lower, row_upper
+        form.c, bounds[:, 0], bounds[:, 1], rows, row_lower, row_upper, form.presolve
     )
     elapsed = time.perf_counter() - start
 

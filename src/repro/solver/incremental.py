@@ -24,10 +24,17 @@ next dual-simplex run, which then only has to price the new rows in.
 Both read a row matrix as the three arrays of a
 :class:`~repro.solver.form.CSR` and load it rowwise.
 
+Both run HiGHS presolve unless passed ``presolve=False``; only Eq. 10
+with every capacity positive passes it (the full form, through
+``StandardForm.presolve``, and the cut session): presolve reduces none of
+those (``kNotReduced``), so the same dual simplex runs on the same model,
+a quarter sooner on ``replay-churn``'s forms.  Presolve does reduce some
+Eq. 9 programs (18 of 285 on ``replay-churn``), and Eq. 10 at zero capacity.
+
 Determinism: the session pins ``threads=1``/``parallel=off`` and disables
 solver output, so repeated runs of the same model produce identical
 vertices — the property the allocator's bit-identical replay contract
-relies on.
+relies on; whether presolve runs is the program's (its form's) to say.
 
 Only the shapes this repository needs are exposed: minimisation over
 box-bounded columns with one-sided ``A x <= b`` rows (every OEF program
@@ -175,6 +182,7 @@ def solve_once(
     rows,
     row_lower: np.ndarray,
     row_upper: np.ndarray,
+    presolve: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One cold solve of exactly the model scipy's ``method="highs"`` loads.
 
@@ -183,8 +191,9 @@ def solve_once(
     :func:`~repro.solver.form.solve_form`'s screen does — and only the
     options scipy sets are on, not the session's ``threads=1``, so ``x``
     and the row duals (stacked row order, the sign of scipy's
-    ``marginals``) are scipy's to the bit.  Inputs are trusted: the
-    caller screens shapes and non-finite values.
+    ``marginals``) are scipy's to the bit, also with ``presolve=False`` on
+    a model presolve would not reduce.  Inputs are trusted: the caller
+    screens shapes and non-finite values.
 
     Neither saving moves a bit.  The CSR loads rowwise, uncopied: HiGHS
     makes it colwise by the row-major sweep ``tocsc`` makes.  The
@@ -197,12 +206,12 @@ def solve_once(
     if highs is None:
         highs = _THREAD.highs = _core._Highs()
         for option, value in (
-            ("presolve", "on"),
             ("output_flag", False),
             ("log_to_console", False),
             ("simplex_strategy", 1),  # dual simplex, as scipy pins it
         ):
             highs.setOptionValue(option, value)
+    highs.setOptionValue("presolve", "on" if presolve else "off")
     highs.clearModel()
     _load(highs, c, col_lower, col_upper, rows, row_lower, row_upper)
     _run(highs)
@@ -216,6 +225,7 @@ class IncrementalLP:
     Rows appended with :meth:`add_rows` (and removed with
     :meth:`delete_rows`) keep the solver's basis, so the next
     :meth:`solve` is a warm dual-simplex run rather than a cold start.
+    ``presolve=False`` skips presolve on the cold first run (warm ones never run it).
     """
 
     def __init__(
@@ -225,6 +235,7 @@ class IncrementalLP:
         col_upper: np.ndarray,
         a_ub=None,
         b_ub: Optional[np.ndarray] = None,
+        presolve: bool = True,
     ):
         _require()
         rhs = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
@@ -235,6 +246,7 @@ class IncrementalLP:
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("threads", 1)
         self._highs.setOptionValue("parallel", "off")
+        self._highs.setOptionValue("presolve", "on" if presolve else "off")
         _load(self._highs, c, col_lower, col_upper, a_ub, np.full(rhs.shape[0], -_INF), rhs)
         self.num_cols = len(c)
         self.num_rows = rhs.shape[0]

@@ -227,6 +227,55 @@ class TestOneFold:
                 WeightedOEF(mode=mode).allocate(tenants, capacities), old.merge(allocation)
             )
 
+    @pytest.mark.parametrize("mode", ["cooperative", "noncooperative"])
+    def test_multi_job_tenants_fold_as_the_row_chain_across_the_cut_line(self, mode):
+        """No library recipe has a tenant with several models, so no replay
+        fingerprint sees ``merge`` split one: here every case has tenants
+        training two or three job types of their own profiles, at weights
+        other than 1, some folding with another tenant's, and every third
+        case has enough distinct profiles to take ``oef-coop``'s cuts.
+        The references are the per-row chain (expansion, ``ProblemInstance``,
+        ``grouped``, ``merge``) as the live code and as 5.1's."""
+        import reference_fold
+        from repro.core import CooperativeOEF, NonCooperativeOEF, ProblemInstance
+
+        solver = CooperativeOEF if mode == "cooperative" else NonCooperativeOEF
+        rng = np.random.default_rng(51)
+        cut_cases = 0
+        for case in range(12):
+            wide = case % 3 == 0  # about 30 distinct profiles: past the cut line
+            types = int(rng.integers(2, 6))
+            pool = [np.concatenate([[1.0], 1.0 + np.sort(rng.uniform(0.0, 3.0, types - 1))])
+                    for _ in range(80 if wide else int(rng.integers(2, 8)))]
+            tenants = [
+                (f"t{t}", float(rng.choice([0.5, 1.3, 2.0, 3.0])), [
+                    (f"j{j}", pool[int(rng.integers(len(pool)))]) for j in range(1 + (t + case) % 3)
+                ])
+                for t in range(20 if wide else int(rng.integers(3, 12)))
+            ]
+            capacities = rng.uniform(0.5, 8.0, types)
+            got = WeightedOEF(mode=mode).allocate(tenants, capacities)
+
+            rows = VirtualUserExpansion(tenants)
+            instance = ProblemInstance(rows.expanded_matrix(), capacities)
+            cut_cases += solver is CooperativeOEF and (
+                instance.grouped(rows.weights).count > CooperativeOEF.CUTTING_PLANE_THRESHOLD)
+            allocation = solver().allocate_with_state(instance, weights=rows.weights)
+            allocation.matrix.setflags(write=False)
+            _assert_same_merge(got, rows.merge(allocation))
+
+            old = reference_fold.VirtualUserExpansion(tenants)
+            old_instance = ProblemInstance(old.expanded_matrix(), capacities)
+            groups = reference_fold.grouped(old_instance, old.weights)
+            _assert_same_merge(
+                got, old.merge(solver().allocate_with_state(old_instance, groups=groups))
+            )
+            assert got.expanded.instance.speedups.users == old.expanded_matrix().users
+            for name, jobs in got.job_type_shares.items():
+                assert not got.tenant_shares[name].flags.writeable
+                assert all(not share.flags.writeable for share in jobs.values())
+        assert cut_cases == (4 if mode == "cooperative" else 0)
+
     @pytest.mark.parametrize(
         "tenants, capacities",
         [

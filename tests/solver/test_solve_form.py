@@ -17,11 +17,13 @@ import scipy
 from scipy import sparse
 from scipy.optimize import linprog
 
+import repro.core.cooperative as cooperative
 import repro.solver.form as form_module
 import repro.solver.incremental as incremental
 from reference_lp import LinearProgram
 from repro.core import CooperativeOEF, NonCooperativeOEF, ProblemInstance, SpeedupMatrix
 from repro.core.cooperative import EfficiencyMaxAllocator
+from repro.core.instance import GroupedInstance
 from repro.exceptions import (
     InfeasibleError,
     ModelError,
@@ -90,6 +92,11 @@ def _grid():
     for groups in (9, 8):
         yield f"coop-churn-{groups}x3", CooperativeOEF()._full_form(_churn_shaped(groups, 3, 7))
     yield "noncoop-churn-9x3", NonCooperativeOEF()._form(_churn_shaped(9, 3, 7))
+    # a zero-capacity type: presolve fixes its columns, so the form keeps it
+    zero = _churn_shaped(9, 3, 7)
+    yield "eq10-zero-capacity", CooperativeOEF()._full_form(
+        GroupedInstance(zero.speedups, zero.multiplicity, np.array([8.0, 0.0, 8.0]),
+                        zero.member_group, zero.member_fraction))
     for users in (2, 8, 20, 32):
         instance = random_instance(users, 4, seed=users, devices_per_type=6.0)
         yield f"coop-full-{users}", CooperativeOEF()._full_form(instance.grouped())
@@ -145,6 +152,13 @@ def test_solve_form_returns_linprogs_bits(name):
     assert solution.objective == (-raw if form.maximise else raw) + form.offset
 
 
+def test_solve_form_returns_linprogs_bits_on_the_churns_eq10_forms(churn_forms):
+    # linprog runs presolve; these forms skip it and must not notice
+    for form in churn_forms["oef-coop"]:
+        assert form.presolve is False
+        _assert_same_bits(form, solve_form(form).values)
+
+
 def test_one_shot_solve_is_not_a_session(monkeypatch):
     # bench/layers.py reads IncrementalLP.* as "cutting-plane session"
     def no_session(*_args, **_kwargs):
@@ -190,20 +204,21 @@ def _solve_args(form):
 
 
 def _churn_forms():
-    """Every one-shot form a ``tenant-churn`` replay solves, both OEF modes."""
+    """Every one-shot form a ``tenant-churn`` replay solves, by scheduler."""
     from repro.core import cooperative, noncooperative
     from repro.scenarios import ScenarioRunner, make_scenario
 
-    forms = []
+    forms = {}
     with pytest.MonkeyPatch.context() as patch:
         for module in (cooperative, noncooperative):
             original = module.solve_form
             patch.setattr(
                 module, "solve_form",
-                lambda form, _original=original, **kw: forms.append(form)
+                lambda form, _original=original, **kw: forms[scheduler].append(form)
                 or _original(form, **kw),
             )
         for scheduler in ("oef-coop", "oef-noncoop"):
+            forms[scheduler] = []
             scenario = make_scenario(
                 "tenant-churn", seed=29, rounds=32, resident_tenants=6,
                 churn_tenants=10, jobs_per_tenant=2, lifetime_fraction=0.2,
@@ -213,43 +228,59 @@ def _churn_forms():
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    """Churn LPs, ``oef-noncoop`` 32×6, full ``oef-coop`` 12×6 and 24×8."""
+def churn_forms():
     forms = _churn_forms()
-    assert len(forms) > 20
+    assert all(len(found) > 10 for found in forms.values())
+    return forms
+
+
+@pytest.fixture(scope="module")
+def corpus(churn_forms):
+    """Churn LPs, ``oef-noncoop`` 32×6, full ``oef-coop`` 12×6 and 24×8,
+    each with the presolve setting its form carries."""
+    forms = churn_forms["oef-coop"] + churn_forms["oef-noncoop"]
     for seed in range(3):
         forms.append(NonCooperativeOEF()._form(
             random_instance(32, 6, seed=seed, devices_per_type=8.0).grouped()))
         for users, types in ((12, 6), (24, 8)):
             instance = random_instance(users, types, seed=seed, devices_per_type=6.0)
             forms.append(CooperativeOEF()._full_form(instance.grouped()))
-    return [_solve_args(form) for form in forms]
+    return [(_solve_args(form), form.presolve) for form in forms]
 
 
 def _same_bits(got, want):
     return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
+def _solve_as_carried(args, presolve):
+    return incremental.solve_once(*args, presolve=presolve)
+
+
 class TestOneInstancePerThread:
+    """The reference runs presolve on every form: an Eq. 10 form that skips
+    it (the churn's and the 12×6 / 24×8 ones) must not move a bit, and
+    switching the option between runs must leave nothing behind."""
+
     def test_same_bits_as_a_fresh_csc_instance_in_either_order(self, corpus):
-        want = [_fresh_csc_solve(*args) for args in corpus]
+        assert {presolve for _args, presolve in corpus} == {False, True}
+        want = [_fresh_csc_solve(*args) for args, _presolve in corpus]
         infeasible = _solve_args(_form([1.0], a_ub=[[1.0]], b_ub=[1.0], bounds=[(2.0, None)]))
         for order in (range(len(corpus)), reversed(range(len(corpus)))):
             for position, index in enumerate(order):
                 if position % 7 == 3:  # a failed run leaves nothing behind
                     with pytest.raises(InfeasibleError):
                         incremental.solve_once(*infeasible)
-                assert _same_bits(incremental.solve_once(*corpus[index]), want[index])
+                assert _same_bits(_solve_as_carried(*corpus[index]), want[index])
 
     def test_threads_solving_at_once_get_the_serial_bits(self, corpus):
-        want = [_fresh_csc_solve(*args) for args in corpus]
+        want = [_fresh_csc_solve(*args) for args, _presolve in corpus]
         workers = 4  # more than the cores of a small host
         start = threading.Barrier(workers)
 
         def work(shift):
             start.wait(timeout=30)
             order = [(index + shift) % len(corpus) for index in range(len(corpus))]
-            got = {index: incremental.solve_once(*corpus[index]) for index in order}
+            got = {index: _solve_as_carried(*corpus[index]) for index in order}
             return got, incremental._THREAD.highs
 
         interval = sys.getswitchinterval()
@@ -264,6 +295,85 @@ class TestOneInstancePerThread:
             assert all(_same_bits(got[index], want[index]) for index in range(len(corpus)))
         # one instance per thread, none shared
         assert len({id(instance) for _got, instance in results}) == workers
+
+
+# -- where presolve runs --------------------------------------------------------
+def _presolve_status(c, col_lower, col_upper, rows, row_lower, row_upper):
+    """What HiGHS presolve makes of a model (a ``HighsPresolveStatus``)."""
+    highs = incremental._core._Highs()
+    highs.setOptionValue("output_flag", False)
+    incremental._load(highs, c, col_lower, col_upper, rows, row_lower, row_upper)
+    highs.presolve()
+    return highs.getModelPresolveStatus()
+
+
+def _presolve_grid():
+    """Grouped instances of 2-40 profiles over 2-6 types: unit rows, weighted
+    folds (rows entered twice at weights 0.5-3, multiplicities other than 1)
+    and each once more with one type at zero capacity."""
+    rng = np.random.default_rng(17)
+    for users, types in ((2, 2), (5, 3), (9, 4), (16, 6), (24, 3), (32, 6), (40, 4)):
+        values = random_instance(users, types, seed=users).speedups.values
+        repeat = values[: users // 2 + 1]
+        matrix = SpeedupMatrix(np.vstack([values, repeat]), normalise=False,
+                               require_monotone=False)
+        rows = SpeedupMatrix(values, normalise=False, require_monotone=False)
+        weights = rng.choice([0.5, 1.0, 1.3, 2.0, 3.0], matrix.num_users)
+        capacities = rng.uniform(1.0, 9.0, types)
+        for zero in (False, True):
+            if zero:
+                capacities = capacities.copy()
+                capacities[users % types] = 0.0
+            for unit in (True, False):
+                instance = ProblemInstance(rows if unit else matrix, capacities)
+                yield zero, instance.grouped(None if unit else weights)
+
+
+class TestPresolveScope:
+    """Presolve is skipped only where it reduces nothing: Eq. 10, the full
+    form or the cut session's seed LP, with every capacity positive.  A
+    zero-capacity type's columns are fixed at zero by its (10b) row, and
+    presolve removes them, so those programs keep it (skipping it there
+    changed the bits in 99 of 100 random cases)."""
+
+    def test_eq10_full_forms_are_not_reduced_on_positive_capacities(self):
+        seen = set()
+        for zero, groups in _presolve_grid():
+            form = CooperativeOEF()._full_form(groups)
+            status = _presolve_status(*_solve_args(form))
+            reduced = status != incremental._core.HighsPresolveStatus.kNotReduced
+            assert reduced is zero and form.presolve is zero
+            seen.add((zero, bool((groups.multiplicity != 1).any())))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_the_cut_sessions_seed_lp_is_not_reduced_on_positive_capacities(self, monkeypatch):
+        seeds = []
+
+        class Recording(incremental.IncrementalLP):
+            def __init__(self, c, col_lower, col_upper, a_ub=None, b_ub=None, presolve=True):
+                seeds.append((presolve, _presolve_status(
+                    c, col_lower, col_upper, a_ub, np.full(len(b_ub), -np.inf), b_ub)))
+                super().__init__(c, col_lower, col_upper, a_ub, b_ub, presolve)
+
+        monkeypatch.setattr(cooperative, "IncrementalLP", Recording)
+        for zero, groups in _presolve_grid():
+            if groups.count > CooperativeOEF.CUTTING_PLANE_THRESHOLD:
+                CooperativeOEF(method="cutting-plane")._solve_cutting_plane(groups)
+                status = seeds[-1][1]
+                assert seeds[-1][0] is zero
+                assert (status != incremental._core.HighsPresolveStatus.kNotReduced) is zero
+        assert {presolve for presolve, _status in seeds} == {False, True}
+
+    def test_every_other_form_keeps_presolve(self, churn_forms):
+        for name, form in GRID.items():
+            assert form.presolve is not name.startswith("coop-"), name
+        assert all(form.presolve for form in churn_forms["oef-noncoop"])
+        # the option reaches the thread's instance, both ways, so every form
+        # that keeps presolve is still checked against _fresh_csc_solve's
+        for name, setting in (("noncoop-8", "on"), ("coop-full-8", "off"),
+                              ("efficiency-max", "on")):
+            solve_form(GRID[name])
+            assert incremental._THREAD.highs.getOptionValue("presolve")[1] == setting
 
 
 # -- the error contract ------------------------------------------------------
