@@ -9,7 +9,7 @@ from repro.cluster.gpu import GPUDevice, GPUType, Host
 from repro.cluster.job import Job, JobState, make_job
 from repro.cluster.metrics import CompletionRecord, MetricsCollector, RoundMetrics
 from repro.cluster.network import NetworkModel
-from repro.cluster.placement import JobPlacement, JobTable, Placer, RoundPlacement
+from repro.cluster.placement import JobTable, Placer
 from repro.cluster.profiler import ProfilingAgent
 from repro.cluster.rounding import DeviationRounder, RoundingQuestion, RoundingResult
 from repro.cluster.schedulers import (
@@ -42,7 +42,6 @@ __all__ = [
     "Host",
     "HostGroupSpec",
     "Job",
-    "JobPlacement",
     "JobTable",
     "JobState",
     "MetricsCollector",
@@ -51,7 +50,6 @@ __all__ = [
     "Placer",
     "ProfilingAgent",
     "RoundMetrics",
-    "RoundPlacement",
     "RoundingQuestion",
     "RoundingResult",
     "SchedulerDecision",

@@ -19,14 +19,15 @@ baselines use:
 
 A round is placed on a :class:`JobTable`: the jobs each tenant has active,
 as per-job keys and lists, and each host's healthy devices.  The simulator
-builds one per active-set epoch and places every round of the epoch on it;
-:meth:`Placer.place_round` without a table builds one for the round.
+builds one per active-set epoch, places every round of the epoch on it
+(:meth:`Placer.place_round` takes the rounder's :class:`RoundingResult`
+and the table) and runs the :class:`TableRound` it gets back with
+:meth:`JobTable.advance`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -37,7 +38,6 @@ from repro.cluster.job import Job, JobState
 from repro.cluster.network import NetworkModel
 from repro.cluster.rounding import RoundingResult
 from repro.cluster.straggler import StragglerModel
-from repro.cluster.tenant import Tenant, submit_order
 from repro.cluster.topology import ClusterTopology
 from repro.exceptions import PlacementError
 
@@ -51,33 +51,15 @@ STARVATION_BITS = 32
 
 #: At most this many jobs, a table orders its run queues in Python: below
 #: about 30 jobs a stable ``sorted`` costs less than numpy's fixed cost per
-#: call (``argsort`` and the mask split), above it more.
+#: call (``argsort`` and the mask split), above it more.  Both paths stay
+#: (5.13): with Python queues at every size, ``replay-steady`` (96 jobs)
+#: read 0.935x (seeds 12201-12205), and ``fleet-failover`` (about 12 jobs a
+#: region) is on the Python side.
 PYTHON_QUEUE_MAX = 32
 
 #: An elastic job's demand code is ``-(num_workers << ELASTIC_SHIFT |
 #: min_workers)``; a rigid job's is its worker count.
 ELASTIC_SHIFT = 32
-
-Grants = Union[Mapping[str, Union[np.ndarray, List[int]]], RoundingResult]
-
-
-@dataclass(slots=True)
-class JobPlacement:
-    """One job's devices and effective execution rate for a round."""
-
-    job: Job
-    devices: List[GPUDevice]
-    type_counts: Dict[int, int]
-    hosts_spanned: int
-    per_worker_rate: float  # iterations/sec, straggler-adjusted
-    straggler_workers: int
-    network_factor: float = 1.0
-
-    @property
-    def iterations_per_second(self) -> float:
-        return (
-            self.per_worker_rate * len(self.devices) * self.network_factor
-        )
 
 
 @dataclass(slots=True)
@@ -98,46 +80,6 @@ class TableRound:
     network_factors: Optional[List[float]]  # None: every job on one host
     mixed: int  # jobs on more than one type
     starved: Union[List[int], np.ndarray]  # an array on a large table
-
-
-class RoundPlacement:
-    """Everything the simulator needs to advance one round.
-
-    A placer's result is a view of the :class:`JobTable` round it placed
-    (``table_round``): its :class:`JobPlacement` list and starved jobs are
-    built on first read.
-    """
-
-    def __init__(
-        self,
-        placements: Optional[List[JobPlacement]] = None,
-        starved_jobs: Optional[List[Job]] = None,
-        *,
-        table: Optional["JobTable"] = None,
-        table_round: Optional[TableRound] = None,
-    ):
-        self.table, self.table_round = table, table_round
-        if table_round is None:
-            self.placements = placements or []
-            self.starved_jobs = starved_jobs or []
-
-    @cached_property
-    def placements(self) -> List[JobPlacement]:
-        placed, jobs = self.table_round, self.table.jobs
-        return [
-            JobPlacement(jobs[index], list(devices), dict(counts), hosts, rate,
-                         stragglers, factor)
-            for index, devices, counts, hosts, rate, stragglers, factor in zip(
-                placed.jobs, placed.devices, placed.type_counts, placed.hosts,
-                placed.per_worker_rate, placed.stragglers,
-                placed.network_factors or repeat(1.0),
-            )
-        ]
-
-    @cached_property
-    def starved_jobs(self) -> List[Job]:
-        starved = np.asarray(self.table_round.starved, dtype=int).tolist()
-        return [self.table.jobs[index] for index in starved]
 
 
 class JobTable:
@@ -210,7 +152,11 @@ class JobTable:
         placer = self.placer
         if names != self.names:
             grants = dict(zip(names, budgets))
-            budgets = [grants.get(name, ()) for name in self.names]
+            budgets = [grants.pop(name, ()) for name in self.names]
+            if grants:  # what is left has no jobs on the table
+                placer.topology.release_all()
+                unknown = next(iter(grants))
+                raise PlacementError(f"grant for unknown tenant {unknown!r}")
         key = self._queue_key
         if type(key) is list:  # a small table (PYTHON_QUEUE_MAX)
             queue = order = sorted(range(len(key)), key=key.__getitem__)
@@ -375,7 +321,7 @@ class JobTable:
         for index, per_worker, workers, factor in zip(
             placed.jobs, placed.per_worker_rate, placed.workers, factors
         ):
-            # JobPlacement.iterations_per_second, in its order
+            # iterations/s, multiplied in this order: the bits depend on it
             rate = per_worker * workers * factor
             delivered = rate / rates[index][0]
             tenant = tenants[index]
@@ -454,39 +400,13 @@ class Placer:
         self._bound: List[GPUDevice] = []
 
     # -- public entry point ---------------------------------------------------
-    def place_round(
-        self,
-        grants: Grants,
-        tenants: Mapping[str, Tenant],
-        now: float,
-        *,
-        table: Optional[JobTable] = None,
-    ) -> RoundPlacement:
+    def place_round(self, rounding: RoundingResult, table: JobTable) -> TableRound:
         """Select runnable jobs per tenant and bind them to devices.
 
-        ``grants`` maps tenant names to per-type int grants (arrays, or
-        lists of Python ints), or is a :class:`RoundingResult`.  ``table``
-        is the epoch's :class:`JobTable` to place on; without one, the
-        round gets a table of its own, of each granted tenant's active jobs.
+        ``table`` is the epoch's :class:`JobTable`, built on this placer;
+        the round comes back as its :class:`TableRound`.
         """
-        if isinstance(grants, RoundingResult):
-            names, budgets = grants.rows()
-        else:
-            names = list(grants)
-            budgets = [
-                grant if type(grant) is list else np.asarray(grant, dtype=int).tolist()
-                for grant in grants.values()
-            ]
-        if table is None:
-            queues: Dict[str, List[Job]] = {}
-            for name in names:
-                tenant = tenants.get(name)
-                if tenant is None:
-                    self.topology.release_all()
-                    raise PlacementError(f"grant for unknown tenant {name!r}")
-                queues[name] = submit_order(tenant.active_jobs(now))
-            table = JobTable(self, queues)
-        return RoundPlacement(table=table, table_round=table.place(names, budgets))
+        return table.place(*rounding.rows())
 
     # -- physical binding -----------------------------------------------------
     def _check_health(self) -> None:

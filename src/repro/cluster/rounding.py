@@ -48,40 +48,22 @@ def _shave(column: np.ndarray, capacity: int) -> None:
             overflow -= take
 
 
+@dataclass(eq=False)
 class RoundingResult:
-    """Integral grants plus bookkeeping for tests and metrics.
+    """One round's integral grants: ``matrix`` holds one int row per tenant
+    in ``tenants`` order, which the placer reads through :meth:`rows`;
+    ``grants`` (tenant -> row) is derived on first read."""
 
-    The rounder hands over its int matrix (``matrix``, one row per tenant
-    in ``tenants`` order), which the placer reads through :meth:`rows`;
-    ``grants`` (tenant -> row) is derived on first read.  A hand-built
-    result passes ``grants`` instead.
-    """
-
-    def __init__(
-        self,
-        grants: Optional[Dict[str, np.ndarray]] = None,
-        zeroed_tenants: Optional[List[str]] = None,
-        *,
-        tenants: Optional[List[str]] = None,
-        matrix: Optional[np.ndarray] = None,
-    ) -> None:
-        self.zeroed_tenants = zeroed_tenants or []
-        self.matrix = matrix
-        self.tenants: List[str] = tenants or []
-        if grants is not None:
-            self.grants = grants
-            self.tenants = list(grants)
+    tenants: List[str]
+    matrix: np.ndarray  # tenants x types, ints
+    zeroed_tenants: List[str]
 
     @cached_property
     def grants(self) -> Dict[str, np.ndarray]:
-        return dict(zip(self.tenants, self.matrix)) if self.tenants else {}
+        return dict(zip(self.tenants, self.matrix))
 
     def rows(self) -> Tuple[List[str], List[List[int]]]:
         """The tenants in order and each one's grant as Python ints."""
-        if self.matrix is None:
-            return self.tenants, [
-                np.asarray(grant, dtype=int).tolist() for grant in self.grants.values()
-            ]
         return self.tenants, self.matrix.tolist()
 
 
@@ -160,8 +142,22 @@ class DeviationRounder:
         capacities: Sequence[float] | np.ndarray,
         min_demands: Dict[str, int] | None = None,
     ) -> RoundingQuestion:
-        """Check and pack one round's question; :meth:`round_shares` explains
-        the parameters.  A tenant new to the rounder gets its row here."""
+        """Check and pack one round's question for :meth:`round_shares`.
+
+        A tenant new to the rounder gets its row here.
+
+        Parameters
+        ----------
+        ideal:
+            tenant -> fractional share vector (one entry per GPU type).
+        capacities:
+            device count per GPU type; granted totals never exceed it.
+        min_demands:
+            tenant -> smallest worker count among its jobs; grants smaller
+            than this are zeroed (the tenant cannot run anything with them),
+            the deviation absorbs the difference, and the freed GPUs go to
+            other tenants (work conservation), largest deviation first.
+        """
         capacities = np.array(capacities, dtype=float)
         num_types = capacities.shape[0]
         tenants = list(ideal)
@@ -196,42 +192,12 @@ class DeviationRounder:
             tenants, ideal_matrix, capacities, whole, demands, rows, self._layout
         )
 
-    def round_shares(
-        self,
-        ideal: Dict[str, np.ndarray] | RoundingQuestion,
-        capacities: Sequence[float] | np.ndarray | None = None,
-        min_demands: Dict[str, int] | None = None,
-        redistribute: bool = True,
-    ) -> RoundingResult:
-        """Convert fractional shares into per-type integer grants.
-
-        Parameters
-        ----------
-        ideal:
-            tenant -> fractional share vector (one entry per GPU type), or
-            a :class:`RoundingQuestion` from :meth:`prepare`, which carries
-            the capacities and min demands (pass neither then).
-        capacities:
-            device count per GPU type; granted totals never exceed it.
-        min_demands:
-            tenant -> smallest worker count among its jobs; grants smaller
-            than this are zeroed (the tenant cannot run anything with them)
-            and the deviation absorbs the difference.
-        redistribute:
-            hand GPUs freed by the zeroing rule to other tenants (work
-            conservation), largest accumulated deviation first.
-        """
-        if isinstance(ideal, RoundingQuestion):
-            if capacities is not None or min_demands is not None:
-                raise ValidationError("a prepared question carries its own inputs")
-            question = ideal
-        elif capacities is None:
-            raise ValidationError("rounding a share dict needs the capacities")
-        else:
-            question = self.prepare(ideal, capacities, min_demands)
+    def round_shares(self, question: RoundingQuestion) -> RoundingResult:
+        """Convert a prepared question's fractional shares into per-type
+        integer grants (:meth:`prepare` explains the inputs)."""
         tenants = question.tenants
         if not tenants:
-            return RoundingResult(grants={})
+            return RoundingResult([], np.zeros(question.ideal.shape, dtype=int), [])
         whole = question.whole
         index = question.rows
         if question.layout is not self._layout:  # a row changed hands since
@@ -264,12 +230,11 @@ class DeviationRounder:
             if short.any():
                 real[short] = 0
                 zeroed = [tenants[row] for row in np.flatnonzero(short).tolist()]
-                if redistribute:
-                    self._redistribute(real, target, question.capacities, demands)
+                self._redistribute(real, target, question.capacities, demands)
 
         # dev(t + 1) = dev(t) + ideal(t) - real(t), all tenants at once
         self._matrix[index] = wanted - real
-        return RoundingResult(zeroed_tenants=zeroed, tenants=tenants, matrix=real)
+        return RoundingResult(tenants, real, zeroed)
 
     # -- helpers ------------------------------------------------------------
     @staticmethod

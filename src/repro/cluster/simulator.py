@@ -81,7 +81,7 @@ import numpy as np
 
 from repro.cluster.job import Job
 from repro.cluster.metrics import CompletionRecord, MetricsCollector, RoundMetrics
-from repro.cluster.placement import JobTable, Placer, RoundPlacement
+from repro.cluster.placement import JobTable, Placer, TableRound
 from repro.cluster.profiler import ProfilingAgent
 from repro.cluster.rounding import DeviationRounder, RoundingQuestion
 from repro.cluster.schedulers import (
@@ -416,26 +416,23 @@ class ClusterSimulator:
             if self._epoch_decision is not None:  # one question all epoch
                 self._question = question
         rounding = self._rounder.round_shares(question)
-        placement = self.placer.place_round(
-            rounding, self.tenants, now, table=self._table
-        )
-        self._advance(round_index, now, placement, decision)
+        placed = self.placer.place_round(rounding, self._table)
+        self._advance(round_index, now, placed, decision)
 
     def _advance(
         self,
         round_index: int,
         now: float,
-        placement: RoundPlacement,
+        placed: TableRound,
         decision: SchedulerDecision,
     ) -> None:
         """Run the placed jobs for one round, starve the rest, record the round.
 
-        The job table the round was placed on runs it
+        The epoch's job table, which the round was placed on, runs it
         (:meth:`~repro.cluster.placement.JobTable.advance`); a finished job
         ends the epoch.
         """
-        placed = placement.table_round
-        actual, actual_by_model, finished = placement.table.advance(
+        actual, actual_by_model, finished = self._table.advance(
             placed, now, self.config.round_duration
         )
         recorded = self._recorded_completions

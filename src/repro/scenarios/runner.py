@@ -329,21 +329,16 @@ def _weighted_envy(throughputs: Sequence[float], weights: Sequence[float]) -> fl
 
 def distill_round(
     round_metrics: RoundMetrics,
-    weights: Dict[str, float],
+    order: Tuple[List[str], List[float]],
     total_devices: int,
-    order: Optional[Tuple[List[str], List[float]]] = None,
 ) -> ScenarioRoundRecord:
     """One raw :class:`RoundMetrics` → one distilled scenario record.
 
-    ``order`` is the round's active tenants sorted and their weights, for a
-    caller that keeps them across rounds sharing an ``estimated`` dict;
-    ``weights`` is not read then.
+    ``order`` is the round's active tenants sorted and their weights, as
+    :meth:`_FingerprintStream.active_order` keeps them across the rounds
+    that share an ``estimated`` dict.
     """
-    if order is None:
-        active = sorted(round_metrics.estimated)
-        active_weights = [weights.get(name, 1.0) for name in active]
-    else:
-        active, active_weights = order
+    active, active_weights = order
     actual = round_metrics.actual
     throughputs = [float(actual.get(name, 0.0)) for name in active]
     return ScenarioRoundRecord(
@@ -427,7 +422,7 @@ class ScenarioRunner:
 
         def observe(round_metrics: RoundMetrics) -> None:
             order = stream.active_order(round_metrics.estimated)
-            record = distill_round(round_metrics, weights, total_devices, order)
+            record = distill_round(round_metrics, order, total_devices)
             stream.observe_round(record, round_metrics)
             aggregates.observe(record)
             if self.round_sink is not None:

@@ -27,7 +27,6 @@ from repro.cluster import (
     ElasticOEFScheduler,
     OEFScheduler,
     Placer,
-    RoundingResult,
     SimulationConfig,
     Tenant,
     make_job,
@@ -49,6 +48,7 @@ from repro.experiments import (
 from repro.registry import create_scheduler
 from repro.workloads import TenantGenerator
 from repro.workloads.generator import random_instance
+from round_views import round_dict
 
 
 @dataclass(frozen=True)
@@ -260,22 +260,26 @@ def _cut_vs_full_gap() -> float:
     return abs(cut - full) / full
 
 
-class _RintRounder:
+def _rint_grants(ideal, capacities):
     """Memoryless rounding: an independent ``rint`` per entry."""
-
-    @staticmethod
-    def round_shares(ideal, capacities):
-        return RoundingResult({name: np.rint(share) for name, share in ideal.items()})
+    return {name: np.rint(share) for name, share in ideal.items()}
 
 
-def _tracking_error(rounder, rounds: int = 30) -> float:
-    """Worst gap between a tenant's time-averaged grant and its ideal share."""
+def _deviation_grants():
+    """The §4.3 rounder's grants, round after round."""
+    rounder = DeviationRounder()
+    return lambda ideal, capacities: round_dict(rounder, ideal, capacities).grants
+
+
+def _tracking_error(grants_of, rounds: int = 30) -> float:
+    """Worst gap between a tenant's time-averaged grant and its ideal share;
+    ``grants_of(ideal, capacities)`` rounds one round."""
     ideal = {"a": np.array([0.4, 1.2]), "b": np.array([1.6, 0.8])}
     granted = {name: np.zeros(2) for name in ideal}
     for _ in range(rounds):
-        result = rounder.round_shares(ideal, [2.0, 2.0])
+        grants = grants_of(ideal, [2.0, 2.0])
         for name in granted:
-            granted[name] += result.grants[name]
+            granted[name] += grants[name]
     return float(max(np.abs(granted[name] / rounds - ideal[name]).max() for name in ideal))
 
 
@@ -447,11 +451,11 @@ CLAIMS: Dict[str, Claim] = {
     ),
     "deviation-rounding-tracks-ideal": Claim(
         "§4.3", "time-averaged grant converges to the ideal share",
-        lambda: _tracking_error(DeviationRounder()), at_most(0.05),
+        lambda: _tracking_error(_deviation_grants()), at_most(0.05),
     ),
     "naive-rounding-drifts": Claim(
         "§4.3", "independent rounding never serves a 0.4 share",
-        lambda: _tracking_error(_RintRounder()), at_least(0.35),
+        lambda: _tracking_error(_rint_grants), at_least(0.35),
     ),
     "oef-placer-vs-naive": Claim(
         "§4.3 placement", "OEF's placer delivers more than first-fit",

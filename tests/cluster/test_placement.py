@@ -13,6 +13,7 @@ from repro.cluster import (
 )
 from repro.cluster import placement as placement_module
 from repro.exceptions import PlacementError
+from round_views import place_grants, round_view, rounding_of
 
 
 def _tenant(name, jobs_spec):
@@ -37,7 +38,7 @@ class TestTypeSelection:
         topology = paper_cluster()
         placer = Placer(topology)
         tenants = {"t": _tenant("t", [(2, "m")])}
-        result = placer.place_round({"t": np.array([2, 2, 2])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([2, 2, 2])}, tenants, 0.0)
         placement = result.placements[0]
         assert placement.type_counts == {2: 2}
 
@@ -45,7 +46,7 @@ class TestTypeSelection:
         topology = paper_cluster()
         placer = Placer(topology, oef=False)
         tenants = {"t": _tenant("t", [(2, "m")])}
-        result = placer.place_round({"t": np.array([2, 2, 2])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([2, 2, 2])}, tenants, 0.0)
         assert result.placements[0].type_counts == {0: 2}
 
     def test_adjacent_window_chosen(self):
@@ -53,21 +54,21 @@ class TestTypeSelection:
         placer = Placer(topology)
         tenants = {"t": _tenant("t", [(4, "m")])}
         # grant has a hole-free window 3080+3090 covering 4 workers
-        result = placer.place_round({"t": np.array([0, 2, 2])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([0, 2, 2])}, tenants, 0.0)
         assert result.placements[0].type_counts == {1: 2, 2: 2}
 
     def test_naive_spans_whole_range(self):
         topology = paper_cluster()
         placer = Placer(topology, oef=False)
         tenants = {"t": _tenant("t", [(3, "m")])}
-        result = placer.place_round({"t": np.array([1, 1, 1])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([1, 1, 1])}, tenants, 0.0)
         assert result.placements[0].type_counts == {0: 1, 1: 1, 2: 1}
 
     def test_insufficient_grant_starves_job(self):
         topology = paper_cluster()
         placer = Placer(topology)
         tenants = {"t": _tenant("t", [(4, "m")])}
-        result = placer.place_round({"t": np.array([1, 1, 1])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([1, 1, 1])}, tenants, 0.0)
         assert not result.placements
         assert len(result.starved_jobs) == 1
 
@@ -75,7 +76,7 @@ class TestTypeSelection:
         topology = paper_cluster()
         placer = Placer(topology)
         tenants = {"t": _tenant("t", [(8, "m"), (2, "m")])}
-        result = placer.place_round({"t": np.array([0, 0, 3])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([0, 0, 3])}, tenants, 0.0)
         assert len(result.placements) == 1
         assert result.placements[0].job.num_workers == 2
 
@@ -85,14 +86,14 @@ class TestHostPacking:
         topology = paper_cluster()
         placer = Placer(topology)
         tenants = {"t": _tenant("t", [(4, "m")])}
-        result = placer.place_round({"t": np.array([0, 0, 4])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([0, 0, 4])}, tenants, 0.0)
         assert result.placements[0].hosts_spanned == 1
 
     def test_oversized_job_spreads_minimally(self):
         topology = paper_cluster()
         placer = Placer(topology)
         tenants = {"t": _tenant("t", [(6, "m")])}
-        result = placer.place_round({"t": np.array([0, 0, 6])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([0, 0, 6])}, tenants, 0.0)
         assert result.placements[0].hosts_spanned == 2
 
     def test_large_jobs_placed_first_under_oef(self):
@@ -103,7 +104,7 @@ class TestHostPacking:
             "b": _tenant("b", [(4, "m")]),
         }
         grants = {"a": np.array([0, 0, 2]), "b": np.array([0, 0, 4])}
-        result = placer.place_round(grants, tenants, 0.0)
+        result = place_grants(placer, grants, tenants, 0.0)
         # the 4-worker job landed on a single host despite 'a' also using
         # the same type
         big = next(p for p in result.placements if p.job.num_workers == 4)
@@ -114,13 +115,28 @@ class TestHostPacking:
         placer = Placer(topology)
         tenants = {"t": _tenant("t", [(9, "m")])}
         with pytest.raises(PlacementError):
-            placer.place_round({"t": np.array([0, 0, 9])}, tenants, 0.0)
+            place_grants(placer, {"t": np.array([0, 0, 9])}, tenants, 0.0)
 
     def test_unknown_tenant_rejected(self):
+        # a grant for a tenant without jobs on the table is an error, not
+        # devices nobody uses
+        placer = Placer(paper_cluster())
+        table = JobTable(placer, {"a": _tenant("a", [(2, "m")]).jobs})
+        grants = rounding_of({"a": [0, 0, 2], "ghost": [0, 0, 4]})
+        with pytest.raises(PlacementError, match="unknown tenant 'ghost'"):
+            placer.place_round(grants, table)
+
+
+    def test_a_rejected_round_binds_nothing(self):
+        # a rejected round leaves no device bound from the round before
         topology = paper_cluster()
         placer = Placer(topology)
-        with pytest.raises(PlacementError):
-            placer.place_round({"ghost": np.array([1, 0, 0])}, {}, 0.0)
+        table = JobTable(placer, {"a": _tenant("a", [(2, "m")]).jobs})
+        placer.place_round(rounding_of({"a": [0, 0, 2]}), table)
+        assert sum(not device.is_free for device in topology.devices) == 2
+        with pytest.raises(PlacementError, match="unknown tenant 'ghost'"):
+            placer.place_round(rounding_of({"ghost": [0, 0, 1]}), table)
+        assert all(device.is_free for device in topology.devices)
 
 
 class TestRoundOutcome:
@@ -128,7 +144,7 @@ class TestRoundOutcome:
         topology = paper_cluster()
         placer = Placer(topology)
         tenants = {"t": _tenant("t", [(2, "m")])}
-        result = placer.place_round({"t": np.array([0, 0, 2])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([0, 0, 2])}, tenants, 0.0)
         assert sum(1 for device in topology.devices if not device.is_free) == 2
         assert len(result.placements[0].devices) == 2
 
@@ -136,7 +152,7 @@ class TestRoundOutcome:
         topology = paper_cluster()
         placer = Placer(topology, oef=False)
         tenants = {"t": _tenant("t", [(2, "m")])}
-        result = placer.place_round({"t": np.array([1, 1, 0])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([1, 1, 0])}, tenants, 0.0)
         (placement,) = result.placements
         assert placement.straggler_workers == 1
         assert len(placement.type_counts) == 2
@@ -145,14 +161,14 @@ class TestRoundOutcome:
         topology = paper_cluster()
         placer = Placer(topology, oef=False)
         tenants = {"t": _tenant("t", [(2, "m")])}
-        result = placer.place_round({"t": np.array([1, 1, 0])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([1, 1, 0])}, tenants, 0.0)
         assert result.placements[0].network_factor < 1.0
 
     def test_single_host_job_no_penalty(self):
         topology = paper_cluster()
         placer = Placer(topology)
         tenants = {"t": _tenant("t", [(2, "m")])}
-        result = placer.place_round({"t": np.array([0, 0, 2])}, tenants, 0.0)
+        result = place_grants(placer, {"t": np.array([0, 0, 2])}, tenants, 0.0)
         assert result.placements[0].network_factor == 1.0
 
 
@@ -174,13 +190,13 @@ class TestTypeChoiceMemo:
         placer = Placer(paper_cluster())
         tenants = self._tenants()
         grants = {"a": np.array([0, 1, 1]), "b": np.array([0, 1, 1])}
-        first, second = placer.place_round(grants, tenants, 0.0).placements
+        first, second = place_grants(placer, grants, tenants, 0.0).placements
         assert first.type_counts == second.type_counts == {2: 1, 1: 1}
         assert first.type_counts is not second.type_counts
         first.type_counts[2] = 99
         assert second.type_counts == {2: 1, 1: 1}
         # the next round is answered from the memo, untouched by the write
-        again = placer.place_round(grants, tenants, 300.0).placements
+        again = place_grants(placer, grants, tenants, 300.0).placements
         assert [p.type_counts for p in again] == [{2: 1, 1: 1}, {2: 1, 1: 1}]
         assert again[0].type_counts is not first.type_counts
 
@@ -190,44 +206,12 @@ class TestTypeChoiceMemo:
         tenants = self._tenants()
         for grant in ([0, 0, 2], [0, 2, 0], [2, 0, 0], [1, 1, 0], [0, 0, 2]):
             grants = {"a": np.array(grant)}
-            chosen = placer.place_round(grants, tenants, 0.0).placements
-            expected = Placer(paper_cluster()).place_round(grants, tenants, 0.0)
+            chosen = place_grants(placer, grants, tenants, 0.0).placements
+            expected = place_grants(Placer(paper_cluster()), grants, tenants, 0.0)
             assert [p.type_counts for p in chosen] == [
                 p.type_counts for p in expected.placements
             ]
             assert len(placer._plans) <= 2
-
-
-class TestGrantRows:
-    """A grant may come as an int array or as a list of Python ints."""
-
-    @staticmethod
-    def _outcome(result):
-        return [
-            (p.job.job_id, [d.device_id for d in p.devices], p.type_counts,
-             p.per_worker_rate)
-            for p in result.placements
-        ], [job.job_id for job in result.starved_jobs]
-
-    def test_lists_place_as_arrays_do_and_stay_unchanged(self):
-        tenants = {
-            "a": _tenant("a", [(2, "m"), (1, "m"), (4, "m")]),
-            "b": _tenant("b", [(1, "m"), (3, "m")]),
-        }
-        rows = {"a": [1, 2, 2], "b": [0, 1, 1]}
-        arrays = {name: np.array(row) for name, row in rows.items()}
-        from_arrays = Placer(paper_cluster()).place_round(arrays, tenants, 0.0)
-        from_lists = Placer(paper_cluster()).place_round(rows, tenants, 0.0)
-        assert self._outcome(from_lists) == self._outcome(from_arrays)
-        assert rows == {"a": [1, 2, 2], "b": [0, 1, 1]}
-
-    def test_a_job_placement_has_no_instance_dict(self):
-        tenants = {"t": _tenant("t", [(2, "m")])}
-        placement = Placer(paper_cluster()).place_round(
-            {"t": [0, 0, 2]}, tenants, 0.0
-        ).placements[0]
-        assert not hasattr(placement, "__dict__")
-        assert placement.iterations_per_second == 2 * placement.per_worker_rate
 
 
 class TestJobTable:
@@ -247,9 +231,9 @@ class TestJobTable:
         placer = Placer(topology)
         tenants = {"t": Tenant(name="t", jobs=self._jobs("t", [(0, 4), (1, 2)]))}
         table = JobTable(placer, {"t": tenants["t"].jobs})
-        placer.place_round({"t": [0, 0, 6]}, tenants, 0.0, table=table)
+        place_grants(placer, {"t": [0, 0, 6]}, tenants, 0.0, table=table)
         assert sum(d.assigned_job is not None for d in topology.devices) == 6
-        placer.place_round({"t": [0, 0, 2]}, tenants, 300.0, table=table)
+        place_grants(placer, {"t": [0, 0, 2]}, tenants, 300.0, table=table)
         assert [d.device_id for d in topology.devices if d.assigned_job == 1] == [
             16, 17
         ]
@@ -263,10 +247,36 @@ class TestJobTable:
         tenants = {"t": Tenant(name="t", jobs=jobs)}
         placer = Placer(paper_cluster())
         table = JobTable(placer, {"t": jobs})
-        result = placer.place_round({"t": [0, 1, 1]}, tenants, 0.0, table=table)
+        result = place_grants(placer, {"t": [0, 1, 1]}, tenants, 0.0, table=table)
         assert {p.job.job_id: p.type_counts for p in result.placements} == {
             3: {2: 1}, 7: {1: 1}
         }
+
+    def test_grants_in_another_order_place_as_in_the_tables(self):
+        # a table serves its tenants in its own order, whatever order the
+        # grant rows come in
+        def placed(names):
+            jobs = {name: self._jobs(name, [(row, 2)]) for row, name in enumerate("ab")}
+            placer = Placer(paper_cluster())
+            table = JobTable(placer, jobs)
+            grants = {name: {"a": [0, 1, 1], "b": [0, 0, 2]}[name] for name in names}
+            return round_view(table, placer.place_round(rounding_of(grants), table))
+
+        in_order, reversed_order = placed("ab"), placed("ba")
+        assert [(p.job.job_id, [d.device_id for d in p.devices], p.type_counts)
+                for p in reversed_order.placements] == [
+            (p.job.job_id, [d.device_id for d in p.devices], p.type_counts)
+            for p in in_order.placements
+        ]
+        assert reversed_order.starved_jobs == in_order.starved_jobs == []
+
+    def test_a_table_tenant_without_a_grant_starves(self):
+        jobs = {name: self._jobs(name, [(row, 1)]) for row, name in enumerate("ab")}
+        placer = Placer(paper_cluster())
+        table = JobTable(placer, jobs)
+        placed = placer.place_round(rounding_of({"b": [0, 0, 1]}), table)
+        assert [table.jobs[index].job_id for index in placed.jobs] == [1]
+        assert np.asarray(placed.starved).tolist() == [0]
 
     def test_jobs_stay_the_live_view_after_every_round(self):
         jobs = self._jobs("t", [(0, 2), (1, 2)])
@@ -276,9 +286,9 @@ class TestJobTable:
         ran = []
         for round_index in range(4):
             now = 300.0 * round_index
-            placement = placer.place_round({"t": [0, 0, 2]}, tenants, now, table=table)
-            table.advance(placement.table_round, now, 300.0)
-            ran.append([p.job.job_id for p in placement.placements])
+            placed = placer.place_round(rounding_of({"t": [0, 0, 2]}), table)
+            table.advance(placed, now, 300.0)
+            ran.append([jobs[index].job_id for index in placed.jobs])
         # one grant for two jobs: the longer starved runs, round-robin
         assert ran == [[0], [1], [0], [1]]
         assert [job.starvation_rounds for job in jobs] == [2, 2]

@@ -6,19 +6,20 @@ import pytest
 from repro.cluster import DeviationRounder
 from repro.cluster.rounding import RoundingResult
 from repro.exceptions import ValidationError
+from round_views import round_dict
 
 
 class TestDeviationRounder:
     def test_integral_output(self):
         rounder = DeviationRounder()
-        result = rounder.round_shares({"a": np.array([1.4, 0.6])}, [8.0, 8.0])
+        result = round_dict(rounder, {"a": np.array([1.4, 0.6])}, [8.0, 8.0])
         assert result.grants["a"].dtype.kind == "i"
 
     def test_capacity_never_exceeded(self):
         rounder = DeviationRounder()
         ideal = {f"t{i}": np.array([0.7, 0.7]) for i in range(10)}
         for _ in range(20):
-            result = rounder.round_shares(ideal, [4.0, 4.0])
+            result = round_dict(rounder, ideal, [4.0, 4.0])
             total = np.sum(list(result.grants.values()), axis=0)
             assert np.all(total <= 4 + 1e-9)
 
@@ -28,7 +29,7 @@ class TestDeviationRounder:
         totals = {"a": np.zeros(2), "b": np.zeros(2)}
         rounds = 40
         for _ in range(rounds):
-            result = rounder.round_shares(ideal, [2.0, 2.0])
+            result = round_dict(rounder, ideal, [2.0, 2.0])
             for name in totals:
                 totals[name] += result.grants[name]
         np.testing.assert_allclose(totals["a"] / rounds, [0.5, 1.5], atol=0.06)
@@ -43,15 +44,15 @@ class TestDeviationRounder:
         }
         grants = []
         for _ in range(8):
-            result = rounder.round_shares(ideal, [1.0])
+            result = round_dict(rounder, ideal, [1.0])
             grants.append(int(result.grants["small"][0]))
         assert sum(grants) == 2  # 8 * 0.25
 
     def test_min_demand_zeroes_small_grants(self):
         rounder = DeviationRounder()
         ideal = {"a": np.array([1.0, 0.0]), "b": np.array([3.0, 0.0])}
-        result = rounder.round_shares(
-            ideal, [4.0, 4.0], min_demands={"a": 2, "b": 1}
+        result = round_dict(
+            rounder, ideal, [4.0, 4.0], min_demands={"a": 2, "b": 1}
         )
         assert result.grants["a"].sum() == 0
         assert "a" in result.zeroed_tenants
@@ -59,99 +60,89 @@ class TestDeviationRounder:
     def test_zeroing_accumulates_deviation_until_runnable(self):
         rounder = DeviationRounder()
         ideal = {"a": np.array([1.0]), "b": np.array([3.0])}
-        served = 0
+        granted = []
         for _ in range(4):
-            result = rounder.round_shares(
-                ideal, [4.0], min_demands={"a": 2, "b": 1}, redistribute=False
-            )
-            served += int(result.grants["a"].sum() >= 2)
-        assert served >= 1  # deviation eventually buys a 2-GPU grant
+            result = round_dict(rounder, ideal, [4.0], min_demands={"a": 2, "b": 1})
+            granted.append(result.grants["a"].tolist())
+        # the deviation zeroed in round 0 buys a 2-GPU grant in round 1
+        assert granted == [[0], [2], [0], [2]]
 
     def test_redistribution_keeps_work_conserving(self):
         rounder = DeviationRounder()
         ideal = {"a": np.array([1.0]), "b": np.array([3.0])}
-        result = rounder.round_shares(
-            ideal, [4.0], min_demands={"a": 2, "b": 1}, redistribute=True
-        )
+        result = round_dict(rounder, ideal, [4.0], min_demands={"a": 2, "b": 1})
         if result.grants["a"].sum() == 0:
             assert result.grants["b"].sum() == 4
 
+    def test_zeroed_devices_go_to_a_runnable_tenant_in_the_same_round(self):
+        rounder = DeviationRounder()
+        ideal = {"a": np.array([1.0, 0.0]), "b": np.array([3.0, 2.0])}
+        result = round_dict(rounder, ideal, [4.0, 2.0], min_demands={"a": 2, "b": 1})
+        assert result.zeroed_tenants == ["a"]
+        assert result.rows() == (["a", "b"], [[0, 0], [4, 2]])
+        # b's extra device is owed back: its deviation goes negative
+        np.testing.assert_array_equal(rounder.deviation("b"), [-1.0, 0.0])
+
     def test_forget_drops_state(self):
         rounder = DeviationRounder()
-        rounder.round_shares({"a": np.array([0.4])}, [1.0])
+        round_dict(rounder, {"a": np.array([0.4])}, [1.0])
         assert rounder.deviation("a").shape == (1,)
         rounder.forget("a")
         assert rounder.deviation("a").size == 0
 
     def test_forgotten_row_reused_from_zero(self):
         rounder = DeviationRounder()
-        rounder.round_shares({"a": np.array([0.4]), "b": np.array([0.3])}, [1.0])
+        round_dict(rounder, {"a": np.array([0.4]), "b": np.array([0.3])}, [1.0])
         rounder.forget("a")
-        rounder.round_shares({"c": np.array([0.2]), "b": np.array([0.3])}, [1.0])
+        round_dict(rounder, {"c": np.array([0.2]), "b": np.array([0.3])}, [1.0])
         fresh = DeviationRounder()
-        fresh.round_shares({"c": np.array([0.2])}, [0.0])
+        round_dict(fresh, {"c": np.array([0.2])}, [0.0])
         np.testing.assert_array_equal(rounder.deviation("c"), fresh.deviation("c"))
         assert rounder.deviation("a").size == 0
 
     def test_new_type_count_starts_from_zero(self):
         rounder = DeviationRounder()
-        rounder.round_shares({"a": np.array([0.4])}, [1.0])
-        rounder.round_shares({"a": np.array([0.4, 0.4])}, [1.0, 1.0])
+        round_dict(rounder, {"a": np.array([0.4])}, [1.0])
+        round_dict(rounder, {"a": np.array([0.4, 0.4])}, [1.0, 1.0])
         fresh = DeviationRounder()
-        fresh.round_shares({"a": np.array([0.4, 0.4])}, [1.0, 1.0])
+        round_dict(fresh, {"a": np.array([0.4, 0.4])}, [1.0, 1.0])
         np.testing.assert_array_equal(rounder.deviation("a"), fresh.deviation("a"))
 
     def test_shape_mismatch_rejected(self):
         rounder = DeviationRounder()
         with pytest.raises(ValidationError):
-            rounder.round_shares({"a": np.array([0.4])}, [1.0, 1.0])
+            round_dict(rounder, {"a": np.array([0.4])}, [1.0, 1.0])
 
     def test_empty_input(self):
         rounder = DeviationRounder()
-        result = rounder.round_shares({}, [2.0])
+        result = round_dict(rounder, {}, [2.0])
         assert result.grants == {}
         assert result.rows() == ([], [])
+        assert result.matrix.shape == (0, 1)
 
     def test_rows_are_the_grants_as_python_ints(self):
         rounder = DeviationRounder()
         ideal = {"a": np.array([1.4, 0.6]), "b": np.array([0.6, 1.4])}
         for _ in range(5):
-            result = rounder.round_shares(ideal, [2.0, 2.0])
+            result = round_dict(rounder, ideal, [2.0, 2.0])
             tenants, rows = result.rows()
-            assert tenants == list(result.grants)
+            assert tenants == list(result.grants) == ["a", "b"]
+            assert result.matrix.dtype.kind == "i"
+            assert result.grants is result.grants  # derived once
             for row, grant in zip(rows, result.grants.values()):
                 assert row == grant.tolist()
                 assert {type(count) for count in row} == {int}
 
     def test_a_result_built_from_arrays_derives_its_rows(self):
-        result = RoundingResult({"a": np.array([1.0, 2.0])}, ["b"])
+        result = RoundingResult(["a"], np.array([[1, 2]]), ["b"])
         assert result.rows() == (["a"], [[1, 2]])
         assert {type(count) for count in result.rows()[1][0]} == {int}
         assert result.zeroed_tenants == ["b"]
 
-    def test_a_rounded_result_and_a_hand_built_one_expose_the_same_grants(self):
-        # the rounder hands over its int matrix and tenant order; grants
-        # are derived on first read, as from a dict
-        rounder = DeviationRounder()
-        ideal = {"a": np.array([1.4, 0.6]), "b": np.array([0.6, 1.4])}
-        for _ in range(3):
-            rounded = rounder.round_shares(ideal, [2.0, 2.0])
-            assert rounded.tenants == ["a", "b"]
-            assert rounded.matrix.dtype.kind == "i"
-            hand = RoundingResult(
-                {name: row.copy() for name, row in zip(rounded.tenants, rounded.matrix)}
-            )
-            assert list(rounded.grants) == list(hand.grants) == ["a", "b"]
-            for name in ideal:
-                np.testing.assert_array_equal(rounded.grants[name], hand.grants[name])
-                assert rounded.grants[name].dtype == hand.grants[name].dtype
-            assert rounded.rows() == hand.rows()
-            assert rounded.grants is rounded.grants  # derived once
-
     def test_no_devices_granted_beyond_requests(self):
         rounder = DeviationRounder()
-        result = rounder.round_shares(
-            {"a": np.array([0.5, 0.0])}, [8.0, 8.0]
+        result = round_dict(
+            rounder, {"a": np.array([0.5, 0.0])}, [8.0, 8.0]
         )
         # nobody asked for type 2; largest-remainder must not hand it out
         assert result.grants["a"][1] == 0
@@ -162,7 +153,7 @@ class TestDeviationRounder:
         ideal = {
             f"t{row:02d}": np.array([0.5 if row % 2 else 0.25]) for row in range(24)
         }
-        grants = DeviationRounder().round_shares(ideal, [9.0]).grants
+        grants = round_dict(DeviationRounder(), ideal, [9.0]).grants
         granted = [row for row, grant in enumerate(grants.values()) if grant[0]]
         assert granted == list(range(1, 18, 2))
 
@@ -176,7 +167,7 @@ class TestDeviationRounder:
 
 
 class TestPreparedQuestion:
-    """One question prepared per epoch rounds like the dicts every round."""
+    """One question prepared per epoch rounds like a fresh one every round."""
 
     @staticmethod
     def _ideal():
@@ -185,7 +176,7 @@ class TestPreparedQuestion:
     def _rounds_alike(self, live, question, fresh, ideal, rounds=5):
         for _ in range(rounds):
             got = live.round_shares(question)
-            want = fresh.round_shares(ideal, [4.0, 2.0], {"a": 2, "b": 1})
+            want = round_dict(fresh, ideal, [4.0, 2.0], {"a": 2, "b": 1})
             assert got.zeroed_tenants == want.zeroed_tenants
             for name in ideal:
                 np.testing.assert_array_equal(got.grants[name], want.grants[name])
@@ -213,24 +204,15 @@ class TestPreparedQuestion:
         # not write a's deviation into c's row
         live, fresh = DeviationRounder(), DeviationRounder()
         for rounder in (live, fresh):
-            rounder.round_shares({"c": np.array([0.1, 0.1])}, [4.0, 2.0])
+            round_dict(rounder, {"c": np.array([0.1, 0.1])}, [4.0, 2.0])
         question = live.prepare(self._ideal(), [4.0, 2.0], {"a": 2, "b": 1})
         self._rounds_alike(live, question, fresh, self._ideal(), rounds=1)
         for rounder in (live, fresh):
             rounder.forget("c")
             rounder.forget("a")
-            rounder.round_shares({"c": np.array([0.7, 0.2])}, [4.0, 2.0])
+            round_dict(rounder, {"c": np.array([0.7, 0.2])}, [4.0, 2.0])
         self._rounds_alike(live, question, fresh, self._ideal())
         np.testing.assert_array_equal(live.deviation("c"), fresh.deviation("c"))
-
-    def test_a_question_carries_its_own_inputs(self):
-        rounder = DeviationRounder()
-        question = rounder.prepare(self._ideal(), [4.0, 2.0])
-        with pytest.raises(ValidationError):
-            rounder.round_shares(question, [4.0, 2.0])
-        with pytest.raises(ValidationError):
-            rounder.round_shares(self._ideal())
-        assert rounder.round_shares(rounder.prepare({}, [4.0, 2.0])).grants == {}
 
 
 class TestStarvationGuarantee:
@@ -253,7 +235,7 @@ class TestStarvationGuarantee:
         idle_rounds = 0
         worst = 0.0
         for _ in range(200):
-            grants = rounder.round_shares(ideal, [8.0], demands).grants
+            grants = round_dict(rounder, ideal, [8.0], demands).grants
             for name, grant in grants.items():
                 runs[name] += int(grant.sum() >= demands[name])
                 worst = max(worst, float(np.abs(rounder.deviation(name)).max()))
@@ -278,7 +260,7 @@ class TestStarvationGuarantee:
         idle_rounds = 0
         worst = 0.0
         for _ in range(200):
-            grants = rounder.round_shares(ideal, [8.0], demands).grants
+            grants = round_dict(rounder, ideal, [8.0], demands).grants
             for name, grant in grants.items():
                 runs[name] += int(grant.sum() >= demands[name])
                 worst = max(worst, float(np.abs(rounder.deviation(name)).max()))

@@ -23,7 +23,7 @@ from repro.cluster import (
     paper_cluster,
 )
 from repro.cluster.gpu import Host
-from repro.cluster.placement import JobPlacement, JobTable, RoundPlacement, TableRound
+from repro.cluster.placement import JobTable, TableRound
 from repro.cluster.schedulers import SchedulerDecision
 from repro.exceptions import ValidationError
 from repro.fleet import FleetSimulator, fleet_scenario_names, resolve_fleet_scenario
@@ -33,6 +33,7 @@ from repro.registry import REGISTRY
 from repro.scenarios import ScenarioRunner, make_scenario, scenario_names
 from repro.scenarios.events import DeviceFailure, DeviceRepair
 from repro.workloads import PhillyTraceConfig, PhillyTraceGenerator, TenantGenerator
+from round_views import round_view
 
 
 def _population(num_tenants=3, num_jobs=3, duration=1800.0, seed=0):
@@ -903,19 +904,15 @@ class TestDeliveredThroughput:
             OEFScheduler("noncooperative"),
             config=SimulationConfig(num_rounds=1),
         )
-        placement = JobPlacement(
-            job, simulator.topology.devices[:3], {0: 3}, 2, 0.1, 0, network_factor=0.7
-        )
-        # the same placement as a round of the job's table
+        # a round of the job's table, and its view as one job's placement
         table = JobTable(simulator.placer, {"t": [job]})
         placed = TableRound(
-            [0], [3], [{0: 3}], [placement.devices], [2], [0.1], [0],
+            [0], [3], [{0: 3}], [simulator.topology.devices[:3]], [2], [0.1], [0],
             [0.7], 0, np.zeros(0, dtype=int),
         )
-        simulator._advance(
-            0, 0.0, RoundPlacement(table=table, table_round=placed),
-            SchedulerDecision({}, {"t": 1.0}),
-        )
+        (placement,) = round_view(table, placed).placements
+        simulator._table = table
+        simulator._advance(0, 0.0, placed, SchedulerDecision({}, {"t": 1.0}))
         rate = placement.iterations_per_second
         assert simulator.metrics.rounds[0].actual == {"t": rate / 0.1}
         assert job.done_iterations == rate * 300.0
@@ -924,9 +921,10 @@ class TestDeliveredThroughput:
         placed = []
         place_round = Placer.place_round
 
-        def recording(self, *args, **kwargs):
-            placed.append(place_round(self, *args, **kwargs))
-            return placed[-1]
+        def recording(self, rounding, table):
+            round_placed = place_round(self, rounding, table)
+            placed.append(round_view(table, round_placed))
+            return round_placed
 
         monkeypatch.setattr(Placer, "place_round", recording)
         metrics = _simulator(_population(num_tenants=4, num_jobs=3)).run()

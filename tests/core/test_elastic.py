@@ -6,6 +6,7 @@ import pytest
 from repro.cluster import Tenant, make_job
 from repro.core import JobLevelOEF
 from repro.exceptions import ValidationError
+from round_views import place_grants
 
 
 def _tenant(name, models_speedups, weight=1.0):
@@ -122,9 +123,7 @@ class TestElasticJobs:
                 throughput=[1.0, 1.5, 2.0], num_workers=8, elastic=True,
             )
         )
-        result = placer.place_round(
-            {"t": np.array([0, 0, 3])}, {"t": tenant}, 0.0
-        )
+        result = place_grants(placer, {"t": np.array([0, 0, 3])}, {"t": tenant}, 0.0)
         assert len(result.placements) == 1
         assert len(result.placements[0].devices) == 3
 
@@ -140,9 +139,7 @@ class TestElasticJobs:
                 throughput=[1.0, 1.5, 2.0], num_workers=8, elastic=False,
             )
         )
-        result = placer.place_round(
-            {"t": np.array([0, 0, 3])}, {"t": tenant}, 0.0
-        )
+        result = place_grants(placer, {"t": np.array([0, 0, 3])}, {"t": tenant}, 0.0)
         assert not result.placements
         assert len(result.starved_jobs) == 1
 
@@ -159,9 +156,7 @@ class TestElasticJobs:
                 elastic=True, min_workers=4,
             )
         )
-        result = placer.place_round(
-            {"t": np.array([0, 0, 3])}, {"t": tenant}, 0.0
-        )
+        result = place_grants(placer, {"t": np.array([0, 0, 3])}, {"t": tenant}, 0.0)
         assert not result.placements
 
     def test_elastic_simulation_end_to_end(self):

@@ -15,11 +15,19 @@ beside the live code.  ``_largest_remainder`` did not change and is
 inherited; the rounder's dict-held state, which the live class replaced
 with a matrix, is copied too.
 
+The result containers those bodies build are gone from ``src/`` (the live
+rounder returns a tenants-and-matrix ``RoundingResult``, the live placer a
+``TableRound``), so this file keeps its own copies of them:
+:class:`JobPlacement`, :class:`RoundPlacement` (placements and starved
+jobs as lists) and :class:`RoundingResult` (a grant dict).  ``round_views``
+builds the same per-job views of a live round to compare against.
+
 Do not "tidy" this file: it is only worth anything while it stays the old
 code.
 """
 
 import math
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,15 +35,45 @@ import numpy as np
 from repro.cluster.gpu import GPUDevice
 from repro.cluster.job import Job, JobState
 from repro.cluster.metrics import CompletionRecord, RoundMetrics
-from repro.cluster.placement import JobPlacement, Placer, RoundPlacement
-from repro.cluster.rounding import (
-    DEFICIT_ATOL,
-    TARGET_ATOL,
-    DeviationRounder,
-    RoundingResult,
-)
+from repro.cluster.placement import Placer
+from repro.cluster.rounding import DEFICIT_ATOL, TARGET_ATOL, DeviationRounder
 from repro.cluster.tenant import Tenant
 from repro.exceptions import PlacementError, ValidationError
+
+
+@dataclass(slots=True)
+class JobPlacement:
+    """One job's devices and effective execution rate for a round."""
+
+    job: Job
+    devices: List[GPUDevice]
+    type_counts: Dict[int, int]
+    hosts_spanned: int
+    per_worker_rate: float  # iterations/sec, straggler-adjusted
+    straggler_workers: int
+    network_factor: float = 1.0
+
+    @property
+    def iterations_per_second(self) -> float:
+        return (
+            self.per_worker_rate * len(self.devices) * self.network_factor
+        )
+
+
+@dataclass
+class RoundPlacement:
+    """Everything the simulator needs to advance one round."""
+
+    placements: List[JobPlacement]
+    starved_jobs: List[Job]
+
+
+@dataclass
+class RoundingResult:
+    """Integral grants plus bookkeeping for tests and metrics."""
+
+    grants: Dict[str, np.ndarray]
+    zeroed_tenants: List[str] = field(default_factory=list)
 
 
 class ReferencePlacer(Placer):

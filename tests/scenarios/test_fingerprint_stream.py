@@ -5,7 +5,7 @@ the stream takes each entry's text from a memo instead of formatting it
 again, and works out the ``estimated`` dict's bytes and sorted tenants once
 per dict.  These tests run the encoder the stream replaced beside it, byte
 for byte, on hand-made rounds and on random ones, and check that a distilled
-record is what a fresh :func:`distill_round` call returns.
+record is what :func:`distill_round` returns on an order built afresh.
 """
 
 from __future__ import annotations
@@ -46,6 +46,12 @@ def _reference_observe(digest, record, round_metrics) -> None:
     digest.update(repr(sorted(round_metrics.actual.items())).encode())
 
 
+def _fresh_order(estimated, weights):
+    """The round's active tenants sorted and their weights, built anew."""
+    active = sorted(estimated)
+    return active, [weights.get(name, 1.0) for name in active]
+
+
 def _assert_same_bytes(rounds, weights=None) -> _FingerprintStream:
     """Feed ``(estimated, actual)`` rounds to a stream and to the reference;
     the digests must agree after every round."""
@@ -56,8 +62,8 @@ def _assert_same_bytes(rounds, weights=None) -> _FingerprintStream:
         for index, (estimated, actual) in enumerate(rounds):
             metrics = RoundMetrics(index, 300.0 * index, estimated, actual)
             order = stream.active_order(estimated)
-            record = distill_round(metrics, weights, TOTAL_DEVICES, order)
-            fresh = distill_round(metrics, weights, TOTAL_DEVICES)
+            record = distill_round(metrics, order, TOTAL_DEVICES)
+            fresh = distill_round(metrics, _fresh_order(estimated, weights), TOTAL_DEVICES)
             assert repr(record) == repr(fresh)  # repr: nan != nan
             stream.observe_round(record, metrics)
             _reference_observe(reference, record, metrics)
@@ -170,11 +176,17 @@ class TestDistilledRecords:
     ):
         seen = {"rounds": 0, "estimated": set(), "reweights": 0}
         distill = runner_module.distill_round
+        streams = []  # each replay's weights, as its stream holds them
+        stream_init = runner_module._FingerprintStream.__init__
 
-        def checked(round_metrics, weights, total_devices, order=None):
-            record = distill(round_metrics, weights, total_devices, order)
-            assert order is not None
-            assert record == distill(round_metrics, weights, total_devices)
+        def recording(stream, weights):
+            streams.append(weights)
+            stream_init(stream, weights)
+
+        def checked(round_metrics, order, total_devices):
+            record = distill(round_metrics, order, total_devices)
+            fresh = _fresh_order(round_metrics.estimated, streams[-1])
+            assert record == distill(round_metrics, fresh, total_devices)
             seen["rounds"] += 1
             seen["estimated"].add(id(round_metrics.estimated))
             return record
@@ -186,6 +198,7 @@ class TestDistilledRecords:
             set_weight(simulator, name, weight)
 
         monkeypatch.setattr(runner_module, "distill_round", checked)
+        monkeypatch.setattr(runner_module._FingerprintStream, "__init__", recording)
         monkeypatch.setattr(ClusterSimulator, "set_tenant_weight", counting)
         fleet = make_fleet_scenario("tenant-swarm", seed=2, regions=2, rounds=12)
         FleetSimulator(fleet, backend="serial").run()

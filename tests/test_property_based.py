@@ -28,6 +28,7 @@ from repro.core import (
     optimal_efficiency_upper_bound,
 )
 from reference_lp import LinearProgram, dot
+from round_views import round_dict
 
 
 #: hypothesis-heavy: deselect with `pytest -m 'not slow'`
@@ -140,7 +141,7 @@ class TestRoundingInvariants:
         capacities = [6.0, 6.0]
         ideal = {f"t{i}": np.asarray(row) for i, row in enumerate(shares)}
         for _ in range(5):
-            result = rounder.round_shares(ideal, capacities)
+            result = round_dict(rounder, ideal, capacities)
             if result.grants:
                 total = np.sum(list(result.grants.values()), axis=0)
                 assert np.all(total <= 6 + 1e-9)
@@ -153,7 +154,7 @@ class TestRoundingInvariants:
         rounds = 50
         total = 0
         for _ in range(rounds):
-            total += int(rounder.round_shares(ideal, [1.0]).grants["a"][0])
+            total += int(round_dict(rounder, ideal, [1.0]).grants["a"][0])
         assert total / rounds == pytest.approx(fraction, abs=0.05)
 
 

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Placer, Tenant, make_job, paper_cluster
+from round_views import place_grants
 
 
 #: hypothesis-heavy: deselect with `pytest -m 'not slow'`
@@ -71,7 +72,7 @@ class TestPlacerInvariants:
         tenants, grants, oef = scenario
         topology = paper_cluster()
         placer = Placer(topology, oef=oef)
-        result = placer.place_round(grants, tenants, 0.0)
+        result = place_grants(placer, grants, tenants, 0.0)
 
         # 1. no device double-bound
         device_ids = [
@@ -134,7 +135,7 @@ class TestPlacerInvariants:
         tenants, grants, _oef = scenario
         topology = paper_cluster()
         placer = Placer(topology)
-        result = placer.place_round(grants, tenants, 0.0)
+        result = place_grants(placer, grants, tenants, 0.0)
         by_tenant: dict = {}
         for placement in result.placements:
             by_tenant.setdefault(placement.job.tenant, []).append(placement)

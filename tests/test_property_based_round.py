@@ -30,6 +30,7 @@ from reference_round import (
     ReferencePlacer,
     reference_advance,
 )
+from round_views import grants_table, place_grants, round_dict, round_view
 from repro.cluster import (
     ClusterSimulator,
     ClusterTopology,
@@ -181,9 +182,9 @@ def _outcome(placement):
     )
 
 
-def _place(placer, grants, tenants, now, **extra):
+def _place(place, *args):
     try:
-        return _outcome(placer.place_round(grants, tenants, now, **extra))
+        return _outcome(place(*args))
     except PlacementError as error:
         return str(error)
 
@@ -210,8 +211,8 @@ def _replay_rounds(cluster, data, num_rounds, churn=True):
     The live side runs as the simulator does: one job table per epoch (while
     the active jobs and the healthy devices hold; a device failure, an
     arrival or a finished job ends it), placed and advanced every round.
-    Some epochs instead place each round on a table of its own, the way
-    ``Placer.place_round`` without a table does.
+    Some epochs instead place each round on a table of its own, of the
+    granted tenants' active jobs.
     """
     groups, failed, tenants, oef = cluster
     topology, tenants = _twin(groups, failed, tenants)
@@ -284,6 +285,10 @@ def _replay_rounds(cluster, data, num_rounds, churn=True):
 
         rounding = rounder.round_shares(question)
         ref_rounding = ref_rounder.round_shares(ideal, capacities, min_demands)
+        assert rounding.rows() == (
+            list(ref_rounding.grants),
+            [grant.tolist() for grant in ref_rounding.grants.values()],
+        )
         assert list(rounding.grants) == list(ref_rounding.grants)
         for name in ideal:
             np.testing.assert_array_equal(
@@ -295,24 +300,25 @@ def _replay_rounds(cluster, data, num_rounds, churn=True):
             )
         assert rounding.zeroed_tenants == ref_rounding.zeroed_tenants
 
-        if table is not None:
-            placement = placer.place_round(rounding, tenants, now, table=table)
-        else:
-            # a table of the round's own, from the queues or from a scan
-            extra = {}
+        # the epoch's table, or one of the round's own (from the queues or
+        # from a scan)
+        round_table = table
+        if round_table is None:
             if data.draw(st.booleans()):
-                extra["table"] = JobTable(placer, queues)
-            grants = rounding if data.draw(st.booleans()) else rounding.grants
-            placement = placer.place_round(grants, tenants, now, **extra)
+                round_table = JobTable(placer, queues)
+            else:
+                round_table = grants_table(placer, rounding.grants, tenants, now)
+        placed = placer.place_round(rounding, round_table)
         ref_placement = ref_placer.place_round(ref_rounding.grants, ref_tenants, now)
-        assert _outcome(placement) == _outcome(ref_placement)
+        assert _outcome(round_view(round_table, placed)) == _outcome(ref_placement)
         assert [d.assigned_job for d in topology.devices] == [
             d.assigned_job for d in ref_topology.devices
         ]
 
         # advance both twins through their simulator's pass, so later
         # rounds see new starvation orders and finished jobs
-        simulator._advance(round_index, now, placement, decision)
+        simulator._table = round_table
+        simulator._advance(round_index, now, placed, decision)
         reference_advance(ref_simulator, round_index, now, ref_placement, decision)
         assert _job_states(tenants) == _job_states(ref_tenants)
         assert simulator.metrics.rounds == ref_simulator.metrics.rounds
@@ -357,11 +363,11 @@ class TestRoundMatchesParent:
                 for name, tenant in tenants.items()
             }
             table = JobTable(placer, queues)
-            outcome = _place(placer, grants, tenants, 0.0, table=table)
+            outcome = _place(place_grants, placer, grants, tenants, 0.0, table)
         else:
-            outcome = _place(placer, grants, tenants, 0.0)
+            outcome = _place(place_grants, placer, grants, tenants, 0.0)
         assert outcome == _place(
-            ReferencePlacer(ref_topology, oef), grants, ref_tenants, 0.0
+            ReferencePlacer(ref_topology, oef).place_round, grants, ref_tenants, 0.0
         )
         # also after a PlacementError part-way through the round
         assert [d.assigned_job for d in topology.devices] == [
@@ -413,7 +419,7 @@ class TestRounderRowReuse:
             if data.draw(st.booleans()):
                 min_demands = {name: data.draw(st.integers(0, 3)) for name in active}
 
-            rounding = rounder.round_shares(ideal, capacities, min_demands)
+            rounding = round_dict(rounder, ideal, capacities, min_demands)
             ref_rounding = ref_rounder.round_shares(ideal, capacities, min_demands)
             assert rounding.zeroed_tenants == ref_rounding.zeroed_tenants
             for name in active:
