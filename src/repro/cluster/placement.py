@@ -19,14 +19,16 @@ baselines use:
 
 A round is placed on a :class:`JobTable`: the jobs each tenant has active,
 as per-job keys and lists, and each host's healthy devices.  The simulator
-builds one per active-set epoch, places every round of the epoch on it
-(:meth:`Placer.place_round` takes the rounder's :class:`RoundingResult`
-and the table) and runs the :class:`TableRound` it gets back with
-:meth:`JobTable.advance`.
+keeps one per run and, at each active-set epoch, swaps the blocks of the
+tenants whose active jobs changed (:meth:`JobTable.update`); it places
+every round on it (:meth:`Placer.place_round` takes the rounder's
+:class:`RoundingResult` and the table) and runs the :class:`TableRound` it
+gets back with :meth:`JobTable.advance`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -45,7 +47,7 @@ from repro.exceptions import PlacementError
 #: full memo starts over.
 PLAN_MEMO_MAX = 4096
 
-#: A job's run-queue key is ``tenant row << STARVATION_BITS`` minus its
+#: A job's run-queue key is ``tenant rank << STARVATION_BITS`` minus its
 #: starvation rounds.
 STARVATION_BITS = 32
 
@@ -87,8 +89,10 @@ class JobTable:
 
     ``queues`` maps tenant names to their active jobs in
     :func:`~repro.cluster.tenant.submit_order`, the tie order of the run
-    queue.  A table holds while nothing outside it changes a job or a
-    device: the simulator builds one per active-set epoch.  Each round
+    queue; they are ranked in that order.  A tenant's block holds while
+    nothing outside the table changes its jobs: :meth:`update` swaps the
+    blocks of tenants whose jobs did change, and a device failure or
+    repair needs the placer's :meth:`Placer.check_health`.  Each round
     :meth:`place` orders the jobs by starvation, decides who runs from the
     placer's memoised per-tenant plans and binds them to each host's
     healthy devices; :meth:`advance` runs and starves them and writes back
@@ -98,49 +102,84 @@ class JobTable:
 
     def __init__(self, placer: "Placer", queues: Mapping[str, Sequence[Job]]):
         self.placer = placer
-        self.names = list(queues)
-        self.jobs: List[Job] = [job for queue in queues.values() for job in queue]
-        jobs = self.jobs
-        # the run queues' order: by tenant, then longest starved first; a
-        # stable sort keeps submit order on ties
-        keys = [
-            (row << STARVATION_BITS) - job.starvation_rounds
-            for row, queue in enumerate(queues.values())
-            for job in queue
-        ]
+        # per tenant: its name, rank and block (start, stop, its demand codes
+        # if alike); per job: the job, its run-queue key, id, binding key,
+        # demand code, rates, tenant and (tenant, model) group
+        self.names: List[str] = []
+        self._ranks: List[int] = []
+        self._blocks: List[Tuple[int, int, Optional[tuple]]] = []
+        self.jobs: List[Job] = []
+        self._queue_key: Union[List[int], np.ndarray] = []
+        (self._ids, self._bind_keys, self._codes, self._rates, self._tenants,
+         self._groups) = ([] for _ in range(6))
+        placer.topology.release_all()
+        placer._bound = []
+        placer.check_health()
+        self.update(queues, dict(zip(queues, range(len(queues)))))
+
+    def update(
+        self, queues: Mapping[str, Optional[Sequence[Job]]], ranks: Mapping[str, int]
+    ) -> None:
+        """Give each tenant in ``queues`` its new active jobs (``None`` drops
+        it); every other tenant keeps its block, starvation keys and all.
+
+        ``ranks`` orders the tenants, lowest first.  Each changed block is
+        one slice assignment per list, so an update costs what changed.
+        """
+        if not queues:
+            return
+        key = self._queue_key
+        keys = key if type(key) is list else key.tolist()
+        columns = (
+            self.jobs, keys, self._ids, self._bind_keys, self._codes, self._rates,
+            self._tenants, self._groups,
+        )
+        names, tenant_ranks, blocks = self.names, self._ranks, self._blocks
+        oef = self.placer.oef
+        # from the last rank down, so no edit moves a block still to edit
+        for rank, name, queue in sorted(
+            [(ranks[name], name, queue) for name, queue in queues.items()], reverse=True
+        ):
+            at = bisect_left(tenant_ranks, rank)
+            held = at < len(tenant_ranks) and tenant_ranks[at] == rank
+            if queue is None and not held:
+                continue
+            start = blocks[at][0] if at < len(blocks) else len(keys)
+            # the run queues' order: by tenant, then longest starved first
+            # (a stable sort keeps submit order on ties); the OEF placer
+            # binds large jobs first
+            block = (queue or [], [], [], [], [], [], [], [])
+            _jobs, queue_keys, ids, bind_keys, codes, rates, tenants, groups = block
+            high = rank << STARVATION_BITS
+            for job in block[0]:
+                workers = job.num_workers
+                queue_keys.append(high - job.starvation_rounds)
+                ids.append(job.job_id)
+                bind_keys.append((-workers, job.job_id) if oef else job.job_id)
+                codes.append(
+                    -(workers << ELASTIC_SHIFT | job.min_workers) if job.elastic else workers
+                )
+                rates.append(job.rates)
+                tenants.append(job.tenant)
+                groups.append((job.tenant, job.model_name))
+            stop = blocks[at][1] if held else start
+            for column, values in zip(columns, block):
+                column[start:stop] = values
+            # the block's demand codes when they are all alike (so in any order)
+            alike = not codes or codes.count(codes[0]) == len(codes)
+            kept = [] if queue is None else [
+                (start, start + len(codes), tuple(codes) if alike else None)
+            ]
+            blocks[at:at + held] = kept
+            names[at:at + held] = [name] * len(kept)
+            tenant_ranks[at:at + held] = [rank] * len(kept)
+            shift = len(codes) - (stop - start)
+            if shift:  # the blocks after it move
+                after = at + len(kept)
+                blocks[after:] = [(a + shift, b + shift, same) for a, b, same in blocks[after:]]
         self._queue_key = (
             keys if len(keys) <= PYTHON_QUEUE_MAX else np.array(keys, dtype=np.int64)
         )
-        self._ids = [job.job_id for job in jobs]
-        # binding order: the OEF placer binds large jobs first
-        self._bind_keys = (
-            list(zip([-job.num_workers for job in jobs], self._ids))
-            if placer.oef
-            else self._ids
-        )
-        self._codes = [
-            -(job.num_workers << ELASTIC_SHIFT | job.min_workers)
-            if job.elastic
-            else job.num_workers
-            for job in jobs
-        ]
-        # each tenant's block of the table, and its jobs' demand codes when
-        # they are all alike (so in any order)
-        self._blocks: List[Tuple[int, int, Optional[tuple]]] = []
-        start = 0
-        for queue in queues.values():
-            stop = start + len(queue)
-            block = self._codes[start:stop]
-            alike = not block or block.count(block[0]) == len(block)
-            self._blocks.append((start, stop, tuple(block) if alike else None))
-            start = stop
-        # each job's rates, tenant and (tenant, model) group
-        self._rates = [job.rates for job in jobs]
-        self._tenants = [job.tenant for job in jobs]
-        self._groups = [(job.tenant, job.model_name) for job in jobs]
-        placer.topology.release_all()
-        placer._bound = []
-        placer._check_health()
 
     # -- one round ---------------------------------------------------------------
     def place(self, names: list, budgets: List[List[int]]) -> TableRound:
@@ -409,8 +448,10 @@ class Placer:
         return table.place(*rounding.rows())
 
     # -- physical binding -----------------------------------------------------
-    def _check_health(self) -> None:
-        """Re-list the healthy devices if any failed or came back."""
+    def check_health(self) -> None:
+        """Re-list the healthy devices if any failed or came back (a walk
+        of every device: a table calls it when built, the simulator after
+        a failure or repair)."""
         failed = tuple(
             device.device_id for device in self.topology.devices if device.failed
         )

@@ -29,13 +29,14 @@ import abc
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.base import Allocator
 from repro.core.instance import ProblemInstance
 from repro.core.speedup import SpeedupMatrix
+from repro.core.virtual import CheckedRows
 from repro.core.weighted import WeightedOEF
 from repro.cluster.job import Job
 from repro.cluster.tenant import Tenant
@@ -44,6 +45,8 @@ from repro.registry import create_scheduler, resolve_scheduler_name
 
 #: tenant name -> the round's active jobs (``None``: every unfinished job)
 ActiveJobs = Optional[Mapping[str, Sequence[Job]]]
+#: One tenant's part of a question: its decision-key part, what shares() keeps
+TenantPart = Tuple[Hashable, object]
 
 
 def _vector_bytes(vector: np.ndarray) -> bytes:
@@ -78,13 +81,39 @@ class FairShareScheduler(abc.ABC):
         profiles: Dict[str, Dict[str, np.ndarray]],
         capacities: np.ndarray,
         *, active_jobs: ActiveJobs = None,
+        parts: Optional[Sequence[TenantPart]] = None,
     ) -> SchedulerDecision:
         """Compute fluid shares for the given round.
 
         ``profiles`` maps tenant name -> job type -> measured speedup
         vector (already normalised, slowest type first); ``active_jobs``
-        the round's active jobs per tenant (``None``: all unfinished ones).
+        the round's active jobs per tenant (``None``: all unfinished ones);
+        ``parts`` the tenants' :meth:`tenant_part`, when the caller keeps them.
         """
+
+    def tenant_part(
+        self,
+        tenant: Tenant,
+        profile: Dict[str, np.ndarray],
+        jobs: Optional[Sequence[Job]] = None,
+    ) -> Optional[TenantPart]:
+        """One tenant's part of :meth:`decision_key` and what :meth:`shares`
+        keeps of it, or ``None`` (no key): a pure function of its name,
+        weight, ``profile`` and active ``jobs``, kept while those hold."""
+        return None
+
+    def tenant_parts(
+        self,
+        tenants: Sequence[Tenant],
+        profiles: Dict[str, Dict[str, np.ndarray]],
+        active_jobs: ActiveJobs = None,
+    ) -> List[Optional[TenantPart]]:
+        """Each tenant's :meth:`tenant_part`, in order."""
+        jobs = active_jobs or {}
+        return [
+            self.tenant_part(tenant, profiles[tenant.name], jobs.get(tenant.name))
+            for tenant in tenants
+        ]
 
     def decision_key(
         self,
@@ -92,6 +121,7 @@ class FairShareScheduler(abc.ABC):
         profiles: Dict[str, Dict[str, np.ndarray]],
         capacities: np.ndarray,
         *, active_jobs: ActiveJobs = None,
+        parts: Optional[Sequence[TenantPart]] = None,
     ) -> Optional[Hashable]:
         """Content key over *everything* :meth:`shares` reads, or ``None``.
 
@@ -103,9 +133,15 @@ class FairShareScheduler(abc.ABC):
         hands its share arrays over read-only: the memo shares them with
         every later hit.  Return ``None`` (the default)
         when the decision depends on state beyond the three arguments —
-        e.g. job-level scheduling — so every round solves cold.
+        e.g. job-level scheduling — so every round solves cold.  A keyed
+        scheduler's key is the capacities and each tenant's :meth:`tenant_part`.
         """
         return None
+
+    def _content_key(self, tenants, profiles, capacities, active_jobs, parts) -> tuple:
+        if parts is None:
+            parts = self.tenant_parts(tenants, profiles, active_jobs)
+        return (_vector_bytes(capacities), *[key for key, _kept in parts])
 
 
 class OEFScheduler(FairShareScheduler):
@@ -125,9 +161,11 @@ class OEFScheduler(FairShareScheduler):
         profiles: Dict[str, Dict[str, np.ndarray]],
         capacities: np.ndarray,
         *, active_jobs: ActiveJobs = None,
+        parts: Optional[Sequence[TenantPart]] = None,
     ) -> SchedulerDecision:
-        # one row per (tenant, model), models sorted; the fold checks them
-        rows = [(t.name, t.weight, sorted(profiles[t.name].items())) for t in tenants]
+        if parts is None:
+            parts = self.tenant_parts(tenants, profiles)
+        rows = [checked for _key, checked in parts]
         start = time.perf_counter()
         merged = WeightedOEF(mode=self.mode).allocate(rows, capacities)
         elapsed = time.perf_counter() - start
@@ -139,18 +177,16 @@ class OEFScheduler(FairShareScheduler):
             job_type_shares=merged.job_type_shares,
         )
 
-    def decision_key(self, tenants, profiles, capacities, *, active_jobs=None):
-        # shares() is a pure function of (name, weight, profiles) per
-        # tenant in order, plus capacities — the key is exactly those,
-        # flat: each tenant is name, weight, (model, bytes) pairs, None
-        key: List[object] = [_vector_bytes(capacities)]
-        for tenant in tenants:
-            profile = profiles[tenant.name]
-            key += (tenant.name, float(tenant.weight))
-            for model_name in sorted(profile) if len(profile) > 1 else profile:
-                key += (model_name, _vector_bytes(profile[model_name]))
-            key.append(None)
-        return tuple(key)
+    def tenant_part(self, tenant, profile, jobs=None) -> TenantPart:
+        # shares() is a pure function of each tenant's name, weight and
+        # normalised rows (one per model, models sorted), in order, plus
+        # capacities: the checked rows hold exactly those, so they are
+        # both the key part and what shares() keeps
+        checked = CheckedRows.of((tenant.name, tenant.weight, sorted(profile.items())))
+        return checked, checked
+
+    def decision_key(self, tenants, profiles, capacities, *, active_jobs=None, parts=None):
+        return self._content_key(tenants, profiles, capacities, active_jobs, parts)
 
 
 class ElasticOEFScheduler(FairShareScheduler):
@@ -180,6 +216,7 @@ class ElasticOEFScheduler(FairShareScheduler):
         profiles: Dict[str, Dict[str, np.ndarray]],
         capacities: np.ndarray,
         *, active_jobs: ActiveJobs = None,
+        parts: Optional[Sequence[TenantPart]] = None,
     ) -> SchedulerDecision:
         # job-level scheduling uses the jobs' own (profiled) speedups; the
         # tenant-level profiles parameter is accepted for interface parity
@@ -217,12 +254,14 @@ class SingleProfileScheduler(FairShareScheduler):
         profiles: Dict[str, Dict[str, np.ndarray]],
         capacities: np.ndarray,
         *, active_jobs: ActiveJobs = None,
+        parts: Optional[Sequence[TenantPart]] = None,
     ) -> SchedulerDecision:
         rows: List[np.ndarray] = []
         names: List[str] = []
         for tenant in tenants:
             tenant_profiles = profiles[tenant.name]
-            dominant = self._dominant_job_type(tenant, tenant_profiles, active_jobs)
+            jobs = (active_jobs or {}).get(tenant.name)
+            dominant = self._dominant_job_type(tenant, tenant_profiles, jobs)
             rows.append(tenant_profiles[dominant])
             names.append(tenant.name)
         matrix = SpeedupMatrix(
@@ -244,27 +283,26 @@ class SingleProfileScheduler(FairShareScheduler):
             tenant_shares=shares, estimated=estimated, solver_seconds=elapsed
         )
 
-    def decision_key(self, tenants, profiles, capacities, *, active_jobs=None):
+    def tenant_part(self, tenant, profile, jobs=None) -> TenantPart:
         # the baseline adapter reads one row per tenant — the *dominant*
         # job type's profile, which shifts with active-job counts — so
-        # the key holds the selected (model, row) pairs, not the raw
+        # the key holds the selected (model, row) pair, not the raw
         # profile dict: count changes that keep the dominant type fixed
         # still reuse the decision, count changes that flip it do not
-        rows = []
-        for tenant in tenants:
-            measured = profiles[tenant.name]
-            dominant = self._dominant_job_type(tenant, measured, active_jobs)
-            rows.append((tenant.name, dominant, _vector_bytes(measured[dominant])))
-        return tuple(rows), _vector_bytes(capacities)
+        dominant = self._dominant_job_type(tenant, profile, jobs)
+        return (tenant.name, dominant, _vector_bytes(profile[dominant])), None
+
+    def decision_key(self, tenants, profiles, capacities, *, active_jobs=None, parts=None):
+        return self._content_key(tenants, profiles, capacities, active_jobs, parts)
 
     @staticmethod
     def _dominant_job_type(
         tenant: Tenant,
         tenant_profiles: Dict[str, np.ndarray],
-        active_jobs: ActiveJobs = None,
+        jobs: Optional[Sequence[Job]] = None,
     ) -> str:
-        """The job type with the most active jobs (deterministic ties)."""
-        jobs = (active_jobs or {}).get(tenant.name)
+        """The job type with the most of ``jobs`` (``None``: the tenant's
+        unfinished jobs), deterministic ties."""
         counts = Counter(job.model_name for job in jobs or tenant.active_jobs())
         return max(
             tenant_profiles.keys(),

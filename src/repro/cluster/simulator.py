@@ -52,20 +52,25 @@ Because the key covers every input the decision depends on and the
 schedulers are deterministic, a warm replay is **bit-identical** to a
 cold one; anything that changes the instance — tenant churn, device
 failure/repair, profile drift, misreports — changes the key and solves
-cold.  Shape-changing mutations additionally flush the memo outright
-(:meth:`ClusterSimulator.invalidate_warm_cache`).  ``warm_stats``
+cold.  Shape-changing mutation hooks additionally flush the memo
+outright.  ``warm_stats``
 reports the hit/solve split; pass ``warm_start=False`` (CLI:
 ``repro simulate --cold``) to disable reuse entirely.
 
-Rounds that must pose the same question form an *active-set epoch*: its
-first round computes the active-job map, ``capacities()``, the profiles,
-the validated decision, the min-demand map and the placer's
-:class:`~repro.cluster.placement.JobTable`; later rounds reuse them (the
-decision only where the memo would hit — warm start, a key, exact
-profiling — counted as a warm hit), and every round is placed and
-advanced on the table.  An epoch ends when an event fires, a
-mutation hook runs, a job finishes, the clock reaches the next submit,
-arrival or departure time, or :meth:`run` starts.
+Rounds that must pose the same question form an *active-set epoch*.  Each
+active tenant keeps its part of it across epochs — its active jobs, min
+demand, exact profile, decision-key part and checked question rows
+(:meth:`~repro.cluster.schedulers.FairShareScheduler.tenant_part`), and its
+block of the :class:`~repro.cluster.placement.JobTable` with live
+starvation keys — and rebuilds it only when an epoch's end touches it: an
+event's tenant, through the hook it calls; a finished job's tenant; the
+tenant whose submit, arrival or departure time came.  A device failure or
+repair touches only the capacities and the healthy devices; an event
+without ``hooks_only``, :meth:`ClusterSimulator.invalidate_warm_cache` and
+the start of :meth:`run` touch everything.  Noisy or misreported profiles
+are measured afresh each epoch, since their draws are part of the answer.
+Within an epoch the decision is reused only where the memo would hit —
+warm start, a key, exact profiling — counted as a warm hit.
 """
 
 from __future__ import annotations
@@ -75,7 +80,8 @@ import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from operator import is_
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +93,7 @@ from repro.cluster.rounding import DeviationRounder, RoundingQuestion
 from repro.cluster.schedulers import (
     FairShareScheduler,
     SchedulerDecision,
+    TenantPart,
     make_fair_share_scheduler,
 )
 from repro.cluster.tenant import Tenant, submit_order
@@ -133,6 +140,18 @@ class SimulationConfig:
             raise ValidationError("round_duration must be positive")
         if self.num_rounds < 1:
             raise ValidationError("num_rounds must be >= 1")
+
+
+@dataclass(eq=False)
+class _ActiveTenant:
+    """One active tenant's part of the epoch, kept until something touches it."""
+
+    jobs: List[Job]  # its active jobs, in its own order (profiles, decision)
+    min_demand: int  # §4.3's min_k demand_k (0 off the OEF stack)
+    # its exact profile and the scheduler's tenant_part of it (None: not
+    # kept, the profile is measured afresh each epoch)
+    profile: Optional[Dict[str, np.ndarray]]
+    part: Optional[TenantPart]
 
 
 @dataclass
@@ -186,14 +205,24 @@ class ClusterSimulator:
             error_rate=self.config.profiling_error, seed=self.config.profiling_seed
         )
         self._capacities = topology.capacities()
+        # exact, truthful profiles are kept per tenant
+        self._kept_profiles = self.config.profiling_error == 0 and not self.config.misreports
         self._recorded_completions: set = set()
         # warm-start engine: decision_key -> memoized decision, LRU order
         self._decision_cache: "OrderedDict[object, SchedulerDecision]" = OrderedDict()
         self.warm_stats = WarmStats()
-        # active-set epoch: when the question can next change on its own,
-        # its min-demand map, its reusable decision and the rounder's
-        # question prepared from it (None: ask each round)
-        self._epoch_until = -math.inf
+        # active-set epochs: each tenant's rank (admission order), the active
+        # ones' kept state in rank order, what the epoch's end touched, and
+        # when each tenant's jobs next change on their own (a heap; entries
+        # ``_until`` no longer holds are stale)
+        self._rank: Dict[str, int] = {name: rank for rank, name in enumerate(self.tenants)}
+        self._active: Dict[str, _ActiveTenant] = {}
+        self._touched: set = set()
+        self._devices_changed = False
+        self._until: Dict[str, float] = {}
+        self._changes: List[Tuple[float, str]] = []
+        # the epoch's min-demand map, reusable decision, the rounder's
+        # question (None: ask each round) and the run's job table
         self._min_demands: Optional[Dict[str, int]] = None
         self._epoch_decision: Optional[SchedulerDecision] = None
         self._question: Optional[RoundingQuestion] = None
@@ -236,7 +265,9 @@ class ClusterSimulator:
                 "stay unique for the whole simulation"
             )
         self.tenants[tenant.name] = tenant
-        self.invalidate_warm_cache()
+        self._rank[tenant.name] = len(self._rank)
+        self._touched.add(tenant.name)
+        self._flush()
 
     def remove_tenant(self, name: str, now: float) -> None:
         """Force a tenant's departure at ``now`` (unfinished jobs are dropped)."""
@@ -247,31 +278,42 @@ class ClusterSimulator:
         if tenant.departure_time is None or tenant.departure_time > now:
             tenant.departure_time = now
         self._rounder.forget(name)
-        self.invalidate_warm_cache()
+        self._touched.add(name)
+        self._flush()
 
     def fail_devices(self, device_ids: Sequence[int]) -> None:
         """Fail devices mid-simulation; flushes the warm-start memo."""
         self.topology.fail_devices(list(device_ids))
-        self.invalidate_warm_cache()
+        self._devices_changed = True
+        self._flush()
 
     def repair_devices(self, device_ids: Sequence[int]) -> None:
         """Repair devices mid-simulation; flushes the warm-start memo."""
         self.topology.repair_devices(list(device_ids))
-        self.invalidate_warm_cache()
+        self._devices_changed = True
+        self._flush()
 
     def invalidate_warm_cache(self) -> None:
-        """Drop every memoized decision (shape-changing mutation fallback).
+        """Drop every memoized decision and end the epoch with every tenant
+        and device touched: the fallback after a mutation the hooks did not make.
 
-        Correctness never depends on this — the content keys already
+        Correctness never depends on the flush — the content keys already
         force a cold solve whenever any scheduler input changed — but
         shape changes (tenant churn, device failure/repair) make the old
         entries unreachable dead weight, so the mutation hooks flush
-        them eagerly.  It also ends the epoch, whose reused decision is a memo entry.
+        them eagerly, each touching only what it changed.
         """
-        self._epoch_until = -math.inf
+        self._flush()
+        self._touch_everything()
+
+    def _flush(self) -> None:
         if self._decision_cache:
             self._decision_cache.clear()
             self.warm_stats.invalidations += 1
+
+    def _touch_everything(self) -> None:
+        self._touched.update(self.tenants)
+        self._devices_changed = True
 
     def set_tenant_weight(self, name: str, weight: float) -> None:
         """Re-weight a tenant mid-simulation (fleet quota rebalance).
@@ -289,7 +331,8 @@ class ClusterSimulator:
             raise ValidationError(f"unknown tenant {name!r}") from None
         if tenant.weight != float(weight):
             tenant.weight = float(weight)
-            self.invalidate_warm_cache()
+            self._touched.add(name)
+            self._flush()
 
     def add_job(self, tenant_name: str, job: Job) -> None:
         """Submit one more job to an existing tenant (demand spike)."""
@@ -298,16 +341,18 @@ class ClusterSimulator:
         except KeyError:
             raise ValidationError(f"unknown tenant {tenant_name!r}") from None
         tenant.add_job(job)
-        self._epoch_until = -math.inf
+        self._touched.add(tenant_name)
 
     def _drain_events(self, now: float) -> int:
-        """Apply every event due at or before ``now``; returns the count."""
+        """Apply every event due at or before ``now``; returns the count.
+        An event not ``hooks_only`` may have changed anything: it touches all."""
         fired = 0
         while self._event_heap and self._event_heap[0][0] <= now:
             _, _, event = heapq.heappop(self._event_heap)
             event.apply(self, now)
             fired += 1
-            self._epoch_until = -math.inf
+            if not getattr(event, "hooks_only", False):
+                self._touch_everything()
         self.events_applied += fired
         return fired
 
@@ -347,28 +392,20 @@ class ClusterSimulator:
         # start can ever fire: such events must neither hold the idle-stop
         # hostage nor vanish silently
         final_start = (self.config.num_rounds - 1) * self.config.round_duration
-        self._epoch_until = -math.inf
+        self._start_over()
         for round_index in range(self.config.num_rounds):
             now = round_index * self.config.round_duration
             # dynamic events may mutate tenants *and* topology, so they
-            # drain before capacities and the active set are computed
+            # drain before the epoch's state is brought up to date
             self._drain_events(now)
-            if now >= self._epoch_until:  # a new epoch: re-ask the question
-                self._capacities = self.topology.capacities()
-                active_jobs = self._active_jobs(now)
-                # the placer's queues: a sort of its own, so the map the
-                # profiles and the decision key read keeps its job order
-                queues = {
-                    name: submit_order(jobs) for name, jobs in active_jobs.items()
-                }
-                self._epoch_decision = self._min_demands = self._question = None
-                self._table = JobTable(self.placer, queues) if queues else None
-                if self.scheduler.oef_stack:
-                    self._min_demands = {
-                        name: self.tenants[name].min_worker_demand(now, jobs)
-                        for name, jobs in active_jobs.items()
-                    }
-            if not active_jobs:
+            changes, until = self._changes, self._until
+            while changes and changes[0][0] <= now:
+                time, name = heapq.heappop(changes)
+                if until.get(name) == time:  # else the tenant was rebuilt since
+                    self._touched.add(name)
+            if self._touched or self._devices_changed:
+                self._epoch(now)
+            if not self._active:
                 fireable = (
                     self._event_heap and self._event_heap[0][0] <= final_start
                 )
@@ -380,7 +417,7 @@ class ClusterSimulator:
                     break
                 self.metrics.record_round(RoundMetrics(round_index, now))
                 continue
-            self._run_round(round_index, now, active_jobs)
+            self._run_round(round_index, now)
         if self._event_heap:
             warnings.warn(
                 f"{len(self._event_heap)} scheduled event(s) fall after the "
@@ -391,23 +428,116 @@ class ClusterSimulator:
             )
         return self.metrics
 
-    def _run_round(
-        self, round_index: int, now: float, active_jobs: Dict[str, List[Job]]
-    ) -> None:
-        """One round, given its epoch's :meth:`_active_jobs` map.
+    def _start_over(self) -> None:
+        """Drop every tenant's kept state: the next epoch is the delta from
+        nothing (an empty table, every tenant touched), as a run's first is."""
+        self._active, self._until, self._changes = {}, {}, []
+        self._table = JobTable(self.placer, {})
+        self._capacities = self.topology.capacities()
+        self._devices_changed = False
+        self._touched.update(self.tenants)
 
-        The map, the min-demand map and the job table hold for the whole
-        epoch: nothing is submitted inside it, and a finished job ends it
-        in the advance pass.
+    def _epoch(self, now: float) -> None:
+        """Start an active-set epoch at ``now``.
+
+        Only the tenants touched since the last epoch (those whose submit,
+        arrival or departure time came among them) rebuild their state; the
+        job table swaps the blocks of those whose active jobs changed.
+        Capacities and healthy devices are re-read after a failure or repair.
+        """
+        touched = self._touched
+        if self._devices_changed:
+            self._devices_changed = False
+            self._capacities = self.topology.capacities()
+            self.placer.check_health()
+        active, rank = self._active, self._rank
+        # the placer's queues: a sort of its own, so the jobs the profiles
+        # and the decision key read keep their order
+        queues: Dict[str, Optional[List[Job]]] = {}
+        unordered = False
+        for name in sorted(touched, key=rank.__getitem__):
+            old = active.get(name)
+            state = self._rebuild(self.tenants[name], now, old)
+            if state is None:
+                if old is not None:
+                    del active[name]
+                    queues[name] = None
+            elif state is not old:
+                # a new tenant goes last, which is its place unless it
+                # ranks below the last one
+                unordered = unordered or (
+                    old is None and bool(active) and rank[name] < rank[next(reversed(active))]
+                )
+                active[name] = state
+                queues[name] = submit_order(state.jobs)
+        touched.clear()
+        if unordered:
+            self._active = active = dict(
+                sorted(active.items(), key=lambda item: rank[item[0]])
+            )
+        self._table.update(queues, rank)
+        self._epoch_decision = self._question = None
+        if self.scheduler.oef_stack:
+            self._min_demands = {name: state.min_demand for name, state in active.items()}
+
+    def _rebuild(
+        self, tenant: Tenant, now: float, old: Optional[_ActiveTenant]
+    ) -> Optional[_ActiveTenant]:
+        """One tenant's state at ``now`` (None: nothing active), and when
+        its active jobs next change on their own: its earliest future
+        arrival, departure or job submit.  Active jobs the ``old`` state
+        holds already keep it, with only the decision's part made anew
+        (after a new weight, say)."""
+        name, departure, jobs = tenant.name, tenant.departure_time, []
+        until = math.inf if departure is None else departure
+        if tenant.arrival_time > now:
+            until = min(until, tenant.arrival_time)
+        elif until > now:
+            queued = tenant.active_jobs()
+            jobs = [job for job in queued if job.submit_time <= now]
+            if len(jobs) < len(queued):
+                until = min(until, *[job.submit_time for job in queued if job.submit_time > now])
+        if now < until < math.inf:
+            self._until[name] = until
+            heapq.heappush(self._changes, (until, name))
+        else:
+            self._until.pop(name, None)
+        if not jobs:
+            self._rounder.forget(name)
+            return None
+        if old is not None and len(old.jobs) == len(jobs) and all(map(is_, old.jobs, jobs)):
+            if self._kept_profiles:
+                old.part = self.scheduler.tenant_part(tenant, old.profile, jobs)
+            return old
+        profile = part = None
+        if self._kept_profiles:
+            profile = self._profiler.profile_tenant(tenant, now, jobs)
+            part = self.scheduler.tenant_part(tenant, profile, jobs)
+        min_demand = tenant.min_worker_demand(now, jobs) if self.scheduler.oef_stack else 0
+        return _ActiveTenant(jobs, min_demand, profile, part)
+
+    def _run_round(self, round_index: int, now: float) -> None:
+        """One round of the epoch's active tenants.
+
+        Their jobs, the min-demand map and the job table hold for the
+        whole epoch: nothing is submitted inside it, and a finished job
+        ends it in the advance pass.
         """
         decision = self._epoch_decision
         if decision is not None:
             self.warm_stats.warm_hits += 1
         else:
-            active = [self.tenants[name] for name in active_jobs]
-            profiles = self._measure_profiles(now, active_jobs)
-            decision = self._compute_decision(active, profiles, active_jobs)
-            self._validate_decision(decision, active)
+            tenants, active_jobs, profiles, parts = [], {}, {}, []
+            for name, state in self._active.items():
+                tenants.append(self.tenants[name])
+                active_jobs[name] = state.jobs
+                profiles[name] = state.profile
+                parts.append(state.part)
+            if not self._kept_profiles:  # noisy or misreported: measured now
+                profiles = self._measure_profiles(now, active_jobs)
+                parts = self.scheduler.tenant_parts(tenants, profiles, active_jobs)
+            decision = self._compute_decision(tenants, profiles, active_jobs, parts)
+            self._validate_decision(decision)
         question = self._question
         if question is None:
             question = self._rounder.prepare(
@@ -430,13 +560,14 @@ class ClusterSimulator:
 
         The epoch's job table, which the round was placed on, runs it
         (:meth:`~repro.cluster.placement.JobTable.advance`); a finished job
-        ends the epoch.
+        ends the epoch, touching its tenant.
         """
         actual, actual_by_model, finished = self._table.advance(
             placed, now, self.config.round_duration
         )
         recorded = self._recorded_completions
         for job in finished:
+            self._touched.add(job.tenant)
             if job.job_id not in recorded:
                 recorded.add(job.job_id)
                 self.metrics.record_completion(
@@ -448,8 +579,6 @@ class ClusterSimulator:
                         finish_time=float(job.finish_time),
                     )
                 )
-        if finished:
-            self._epoch_until = -math.inf
         self.metrics.record_round(
             RoundMetrics(
                 round_index=round_index,
@@ -475,6 +604,7 @@ class ClusterSimulator:
         active: List[Tenant],
         profiles: Dict[str, Dict[str, np.ndarray]],
         active_jobs: Dict[str, List[Job]],
+        parts: List[Optional[TenantPart]],
     ) -> SchedulerDecision:
         """One round's fluid shares, warm-started when provably safe.
 
@@ -489,7 +619,7 @@ class ClusterSimulator:
         question = (active, profiles, self._capacities)
         key = None
         if self.config.warm_start:
-            key = self.scheduler.decision_key(*question, active_jobs=active_jobs)
+            key = self.scheduler.decision_key(*question, active_jobs=active_jobs, parts=parts)
         memo = self._decision_cache
         entry = None if key is None else memo.get(key)
         if entry is not None:
@@ -498,7 +628,7 @@ class ClusterSimulator:
             decision = entry
         else:
             self.warm_stats.cold_solves += 1
-            decision = self.scheduler.shares(*question, active_jobs=active_jobs)
+            decision = self.scheduler.shares(*question, active_jobs=active_jobs, parts=parts)
             if key is not None:
                 # the shares are read-only (a keyed scheduler's contract): shared, not copied
                 memo[key] = entry = replace(decision, solver_seconds=0.0)
@@ -510,35 +640,6 @@ class ClusterSimulator:
         return decision
 
     # -- helpers ------------------------------------------------------------------
-    def _active_jobs(self, now: float) -> Dict[str, List[Job]]:
-        """Tenants with work at ``now`` (by name) and each one's active jobs.
-
-        The same pass sets the epoch's end: the earliest future arrival,
-        departure or job submit, where the map next changes on its own.
-        """
-        until = math.inf
-        active_jobs: Dict[str, List[Job]] = {}
-        for tenant in self.tenants.values():
-            if tenant.departure_time is not None:
-                if now >= tenant.departure_time:
-                    self._rounder.forget(tenant.name)
-                    continue
-                until = min(until, tenant.departure_time)
-            if tenant.arrival_time > now:
-                until = min(until, tenant.arrival_time)
-                continue
-            queued = tenant.active_jobs()
-            jobs = [job for job in queued if job.submit_time <= now]
-            if len(jobs) < len(queued):
-                later = [job.submit_time for job in queued if job.submit_time > now]
-                until = min(until, *later)
-            if jobs:
-                active_jobs[tenant.name] = jobs
-            else:
-                self._rounder.forget(tenant.name)
-        self._epoch_until = until
-        return active_jobs
-
     def _all_work_done(self, now: float) -> bool:
         for tenant in self.tenants.values():
             if tenant.departure_time is not None and now >= tenant.departure_time:
@@ -567,11 +668,8 @@ class ClusterSimulator:
             profiles[name] = measured
         return profiles
 
-    @staticmethod
-    def _validate_decision(
-        decision: SchedulerDecision, active: List[Tenant]
-    ) -> None:
-        missing = {tenant.name for tenant in active} - set(decision.tenant_shares)
+    def _validate_decision(self, decision: SchedulerDecision) -> None:
+        missing = self._active.keys() - decision.tenant_shares.keys()
         if missing:
             raise SimulationError(
                 f"scheduler returned no share for tenants: {sorted(missing)}"

@@ -38,16 +38,16 @@ class GroupedInstance:
         return group_shares[self.member_group] * self.member_fraction[:, None]
 
     @classmethod
-    def fold(cls, values, weights, capacities) -> "GroupedInstance":
+    def fold(cls, values, weights, capacities, rows=None) -> "GroupedInstance":
         """Fold byte-identical rows of ``values`` (no tolerance), first seen
         first, weighted by ``weights`` (positive and finite: the caller
-        checked them)."""
-        # the rows' bytes, sliced row by row: one tobytes() for the matrix
-        flat, width = values.tobytes(), values.shape[1] * values.itemsize
+        checked them); ``rows`` are the rows' bytes, when the caller has them."""
+        if rows is None:  # sliced row by row: one tobytes() for the matrix
+            flat, width = values.tobytes(), values.shape[1] * values.itemsize
+            rows = [flat[at:at + width] for at in range(0, len(flat), width)]
         first_seen: dict = {}
         member_group = np.array(
-            [first_seen.setdefault(flat[at:at + width], len(first_seen))
-             for at in range(0, len(flat), width)]
+            [first_seen.setdefault(row, len(first_seen)) for row in rows]
         )
         distinct = np.empty((len(first_seen), values.shape[1]))
         distinct[member_group] = values

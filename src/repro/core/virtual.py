@@ -15,8 +15,9 @@ common denominator: weight 1.3 is honoured as 1.3.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,57 +103,92 @@ class MergedAllocation:
 TenantRows = Tuple[str, float, Sequence[Tuple[str, Sequence[float]]]]
 
 
+class CheckedRows(NamedTuple):
+    """One tenant's rows, checked and normalised once, as
+    :class:`VirtualUserExpansion` stacks them: a caller that keeps them while
+    the tenant's weight and profiles hold pays its checks once.  Equal
+    content, equal tuples: it is its own content key."""
+
+    name: str
+    weight: float
+    jobs: Tuple[str, ...]  # job type names, in row order
+    users: Tuple[str, ...]  # ``tenant/job type`` per row
+    width: int  # GPU types
+    rows: Tuple[bytes, ...]  # each row normalised to slot 0, as float64 bytes
+
+    @staticmethod
+    def of(tenant: "TenantSpec | TenantRows") -> "CheckedRows":
+        """Check one tenant as :class:`VirtualUserExpansion` does (each a
+        :class:`ValidationError`) and normalise its rows."""
+        if isinstance(tenant, TenantSpec):
+            tenant = (tenant.name, tenant.weight,
+                      [(job.name, job.speedups) for job in tenant.job_types])
+        name, weight, jobs = tenant
+        if not jobs:
+            raise ValidationError(f"tenant {name!r} needs at least one job type")
+        check_weight(name, weight)
+        try:
+            rows = np.array([speedups for _job, speedups in jobs], dtype=float)
+        except ValueError:  # ragged
+            rows = np.empty(0)
+        if rows.ndim != 2 or rows.shape[1] == 0:
+            raise ValidationError("speedups must be 1-D vectors of one length")
+        # a tenant's few numbers are checked and divided as Python floats:
+        # the bits numpy's division gives, without its cost per call
+        values = rows.tolist()
+        if not all(0 < value < math.inf for row in values for value in row):
+            raise ValidationError("speedups must be finite and positive")  # NaN too
+        # only ratios matter: nothing is scaled to integer replica counts
+        ratios = [[value / row[0] for value in row] for row in values]
+        if not all(0 < value < math.inf for row in ratios for value in row):
+            # positive rows whose ratios are not: the matrix says which way
+            SpeedupMatrix(np.array(ratios), normalise=False, require_monotone=False)
+        names = tuple(job for job, _speedups in jobs)
+        return CheckedRows(
+            name, float(weight), names, tuple(f"{name}/{job}" for job in names),
+            len(ratios[0]), tuple(array("d", row).tobytes() for row in ratios),
+        )
+
+
 class VirtualUserExpansion:
     """Tenants as one weighted row per (tenant, job type), and back.
 
-    ``tenants`` are :class:`TenantSpec` objects or :data:`TenantRows`
-    tuples, stacked into one matrix and checked as the specs are (each a
-    :class:`ValidationError`).
+    ``tenants`` are :class:`TenantSpec` objects, :data:`TenantRows` tuples
+    or :class:`CheckedRows` already checked; the others are checked here
+    (each a :class:`ValidationError`), then all are stacked into one matrix.
     """
 
     def __init__(
         self,
-        tenants: Sequence[TenantSpec | TenantRows],
+        tenants: Sequence[TenantSpec | TenantRows | CheckedRows],
         gpu_types: Optional[Sequence[str]] = None,
     ):
         if not tenants:
             raise ValidationError("at least one tenant is required")
         #: (tenant name, its job type names), in row order
-        self._layout: List[Tuple[str, List[str]]] = []
-        vectors, users, weights = [], [], []
+        self._layout: List[Tuple[str, Tuple[str, ...]]] = []
+        # each row's bytes (which key the fold), user name and weight: the
+        # tenant's, split equally
+        self._rows: List[bytes] = []
+        users: List[str] = []
+        weights: List[float] = []
+        widths = set()
         for tenant in tenants:
-            if isinstance(tenant, TenantSpec):
-                tenant = (tenant.name, tenant.weight,
-                          [(job.name, job.speedups) for job in tenant.job_types])
-            name, weight, jobs = tenant
-            if not jobs:
-                raise ValidationError(f"tenant {name!r} needs at least one job type")
-            check_weight(name, weight)
-            # only ratios matter: nothing is scaled to integer replica counts
-            share, job_names = float(weight) / len(jobs), []
-            for job, speedups in jobs:
-                job_names.append(job)
-                vectors.append(speedups)
-                users.append(f"{name}/{job}")
-                weights.append(share)
-            self._layout.append((name, job_names))
+            block = tenant if isinstance(tenant, CheckedRows) else CheckedRows.of(tenant)
+            self._layout.append((block.name, block.jobs))
+            self._rows += block.rows
+            users += block.users
+            weights += [block.weight / len(block.jobs)] * len(block.jobs)
+            widths.add(block.width)
         if len({name for name, _jobs in self._layout}) != len(self._layout):
             raise ValidationError("tenant names must be unique")
-        try:
-            rows = np.array(vectors, dtype=float)
-        except ValueError:  # ragged
-            rows = np.empty(0)
-        if rows.ndim != 2 or rows.shape[1] == 0:
+        if len(widths) != 1:
             raise ValidationError("speedups must be 1-D vectors of one length")
-        if not (rows.min() > 0 and rows.max() < np.inf):  # a NaN fails both
-            raise ValidationError("speedups must be finite and positive")
         self.gpu_types = list(gpu_types) if gpu_types else None
-        #: weight of each (tenant, job type) row: the tenant's, split equally
         self.weights = np.array(weights)
-        self._profiles = rows / rows[:, :1]
-        if not (self._profiles.min() > 0 and self._profiles.max() < np.inf):
-            # positive rows whose ratios are not: the matrix says which way
-            SpeedupMatrix(self._profiles, normalise=False, require_monotone=False)
+        self._profiles = np.frombuffer(b"".join(self._rows)).reshape(
+            len(self._rows), widths.pop()
+        )
         self._matrix = SpeedupMatrix.checked(self._profiles, users, self.gpu_types)
 
     # -- expansion -----------------------------------------------------------
@@ -165,7 +201,7 @@ class VirtualUserExpansion:
         and their fold to LP blocks, from the profiles and weights read here."""
         instance = ProblemInstance(self._matrix, capacities)
         return instance, GroupedInstance.fold(
-            self._profiles, self.weights, instance.capacities
+            self._profiles, self.weights, instance.capacities, self._rows
         )
 
     # -- merging ---------------------------------------------------------------

@@ -18,7 +18,7 @@ run state); compare signatures instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, ClassVar, Tuple
 
 from repro.cluster.job import Job
 from repro.cluster.tenant import Tenant
@@ -32,6 +32,11 @@ class ScenarioEvent:
     """Base timed event: fires once, at the first round starting >= ``time``."""
 
     time: float
+
+    #: ``apply`` changes the simulation only through the simulator's hooks,
+    #: which name the tenants they touch; a subclass that changes it any
+    #: other way sets this False, and the simulator rebuilds every tenant
+    hooks_only: ClassVar[bool] = True
 
     def apply(self, simulator: "ClusterSimulator", now: float) -> None:
         raise NotImplementedError

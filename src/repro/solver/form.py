@@ -162,12 +162,19 @@ def _screen(form: StandardForm) -> Tuple[np.ndarray, CSR, np.ndarray, np.ndarray
     ``A_ub`` over ``A_eq`` as one :class:`CSR`, and the row bounds
     ``(-inf, b_ub)`` / ``(b_eq, b_eq)``.  HiGHS would take a NaN cost and
     hand back a point, so shapes and non-finite numbers are refused here,
-    before the solve, as is a matrix of no known kind.
+    before the solve, as is a matrix of no known kind.  The shared
+    :func:`nonnegative_bounds` array is its own screen and comes back as it is.
     """
-    bounds = np.array(form.bounds, dtype=float).reshape(-1, 2)  # None -> nan
-    bounds = np.where(np.isnan(bounds), (-np.inf, np.inf), bounds)
-    num_vars = form.c.shape[0]
-    ok = bounds.shape[0] == num_vars and np.isfinite(form.c).all()
+    num_vars, bounds = form.c.shape[0], form.bounds
+    ok = np.isfinite(form.c).all()
+    if bounds is not nonnegative_bounds(num_vars):
+        bounds = np.array(bounds, dtype=float).reshape(-1, 2)  # None -> nan
+        bounds = np.where(np.isnan(bounds), (-np.inf, np.inf), bounds)
+        # a lower bound of +inf or an upper bound of -inf fails its test
+        ok = ok and bounds.shape[0] == num_vars and (
+            bounds[:, 0].max(initial=-np.inf) < np.inf
+            and bounds[:, 1].min(initial=np.inf) > -np.inf
+        )
     blocks, lower, upper = [], [], []
     for matrix, rhs, equality in ((form.a_ub, form.b_ub, False), (form.a_eq, form.b_eq, True)):
         if ok and matrix is not None:
@@ -180,12 +187,7 @@ def _screen(form: StandardForm) -> Tuple[np.ndarray, CSR, np.ndarray, np.ndarray
             blocks.append(matrix)
             lower.append(rhs if equality else np.full(len(rhs), -np.inf))
             upper.append(rhs)
-    # a NaN bound fails its test
-    if not (
-        ok
-        and bounds[:, 0].max(initial=-np.inf) < np.inf
-        and bounds[:, 1].min(initial=np.inf) > -np.inf
-    ):
+    if not ok:
         raise ModelError("malformed LP: mismatched shapes or non-finite coefficients")
     if len(blocks) == 1:  # stacking one block copies its arrays, bit for bit
         return bounds, blocks[0], lower[0], upper[0]

@@ -212,8 +212,8 @@ class TestSingleProfileScheduler:
         active_jobs = {"a": tenant.active_jobs(0.0)}
         profiles = {"a": ProfilingAgent().profile_tenant(tenant, 0.0, active_jobs["a"])}
         scheduler = SingleProfileScheduler(MaxMinFairness())
-        assert scheduler._dominant_job_type(tenant, profiles["a"], active_jobs) == "A"
-        # without the round's map, every unfinished job counts
+        assert scheduler._dominant_job_type(tenant, profiles["a"], active_jobs["a"]) == "A"
+        # without the round's jobs, every unfinished job counts
         assert scheduler._dominant_job_type(tenant, profiles["a"]) == "B"
 
         decision = scheduler.shares(

@@ -1,6 +1,8 @@
 """End-to-end cluster simulations: integration tests."""
 
+import copy
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,15 +25,25 @@ from repro.cluster import (
     paper_cluster,
 )
 from repro.cluster.gpu import Host
-from repro.cluster.placement import JobTable, TableRound
+from repro.cluster.placement import STARVATION_BITS, JobTable, TableRound
+from repro.cluster.profiler import ProfilingAgent
 from repro.cluster.schedulers import SchedulerDecision
+from repro.cluster.tenant import submit_order
+from repro.core.virtual import VirtualUserExpansion
 from repro.exceptions import ValidationError
 from repro.fleet import FleetSimulator, fleet_scenario_names, resolve_fleet_scenario
 from repro.fleet.library import make_fleet_scenario
+from repro.fleet.scenario import QuotaUpdate
 from repro.fleet.simulator import _region_runner
 from repro.registry import REGISTRY
 from repro.scenarios import ScenarioRunner, make_scenario, scenario_names
-from repro.scenarios.events import DeviceFailure, DeviceRepair
+from repro.scenarios.events import (
+    DeviceFailure,
+    DeviceRepair,
+    JobArrival,
+    TenantArrival,
+    TenantDeparture,
+)
 from repro.workloads import PhillyTraceConfig, PhillyTraceGenerator, TenantGenerator
 from round_views import round_view
 
@@ -405,12 +417,13 @@ class TestWarmStartEngine:
     def test_memo_hits_hand_out_the_read_only_entry(self):
         simulator = _simulator()
         now = 0.0
-        active_jobs = simulator._active_jobs(now)
-        active = [simulator.tenants[name] for name in active_jobs]
+        active = list(simulator.tenants.values())
+        active_jobs = {tenant.name: tenant.active_jobs(now) for tenant in active}
         profiles = simulator._measure_profiles(now, active_jobs)
+        parts = simulator.scheduler.tenant_parts(active, profiles, active_jobs)
 
         def decide():
-            return simulator._compute_decision(active, profiles, active_jobs)
+            return simulator._compute_decision(active, profiles, active_jobs, parts)
 
         cold = decide()
         hit = decide()
@@ -482,6 +495,12 @@ class TestWarmStartEngine:
         caps = np.asarray([2.0, 3.0])
         key = scheduler.decision_key(tenants, profiles, caps)
         assert key == scheduler.decision_key(tenants, profiles, caps)
+
+
+def _event_tenant(event):
+    """The tenant a scenario event names, if any."""
+    tenant = getattr(event, "tenant", None)
+    return getattr(event, "tenant_name", None) if tenant is None else tenant.name
 
 
 class TestOneScanPerRound:
@@ -560,6 +579,69 @@ class TestOneScanPerRound:
         assert {job.num_workers for tenant in tenants for job in tenant.jobs} == {1}
         assert calls["evaluate"] == 0
 
+    def test_scan_budget_of_a_churn_replay(self, monkeypatch):
+        # per epoch, only the tenants something touched are scanned, and the
+        # placer walks the devices' health only after a failure or repair
+        runner = ScenarioRunner(
+            make_scenario(
+                "tenant-churn", seed=3, rounds=24, resident_tenants=4,
+                churn_tenants=8, jobs_per_tenant=2, lifetime_fraction=0.2,
+            )
+        )
+        script = runner.scenario.materialize()
+        simulator = runner.build_simulator(script)
+        outages = [DeviceFailure(1500.0, (0, 1)), DeviceRepair(3300.0, (0, 1))]
+        for event in outages:
+            simulator.schedule_event(event)
+        events = list(script.events) + outages
+        epochs, walks = [], []
+        active_jobs, check_health = Tenant.active_jobs, Placer.check_health
+        monkeypatch.setattr(
+            Tenant, "active_jobs",
+            lambda self, now=None: epochs[-1][1].append(self.name) or active_jobs(self, now),
+        )
+        monkeypatch.setattr(
+            Placer, "check_health",
+            lambda self: walks.append(epochs[-1][0] if epochs else None) or check_health(self),
+        )
+        epoch = ClusterSimulator._epoch
+        monkeypatch.setattr(
+            ClusterSimulator, "_epoch",
+            lambda self, now: epochs.append((now, [])) or epoch(self, now),
+        )
+        metrics = simulator.run()
+
+        # the run's first epoch scans every tenant it starts with, once
+        (start, first), *later = epochs
+        assert start == 0.0 and sorted(first) == sorted(t.name for t in script.initial_tenants)
+        finished = [(record.finish_time, record.tenant) for record in metrics.completions]
+        tenants = simulator.tenants.values()
+        scanned = 0
+        for (before, _), (now, names) in zip(epochs, later):
+            # a job that finished, an event's tenant, an arrival, departure
+            # or submit time that came
+            touched = {
+                name for time, name in finished if before <= time < now
+            } | {
+                _event_tenant(event) for event in events if before < event.time <= now
+            } | {
+                tenant.name
+                for tenant in tenants
+                if any(
+                    time is not None and before < time <= now
+                    for time in (
+                        tenant.arrival_time,
+                        tenant.departure_time,
+                        *[job.submit_time for job in tenant.jobs],
+                    )
+                )
+            }
+            assert len(names) == len(set(names)) and set(names) <= touched
+            scanned += len(names)
+        assert len(later) > 10 and scanned < 2 * len(later)
+        # the table's health walk: the run's start, then the failure and the repair
+        assert walks == [None, 1500.0, 3300.0]
+
     @staticmethod
     def _tenant(name, iterations):
         jobs = [
@@ -601,15 +683,16 @@ class TestOneScanPerRound:
 
 
 def _epoch_per_round(patch):
-    """End the active-set epoch after every round's scan: the loop before epochs."""
-    scan = ClusterSimulator._active_jobs
+    """Build every round's epoch from nothing, as a run's first: the loop
+    before epochs."""
+    drain = ClusterSimulator._drain_events
 
     def every_round(self, now):
-        active_jobs = scan(self, now)
-        self._epoch_until = -math.inf
-        return active_jobs
+        fired = drain(self, now)
+        self._start_over()
+        return fired
 
-    patch.setattr(ClusterSimulator, "_active_jobs", every_round)
+    patch.setattr(ClusterSimulator, "_drain_events", every_round)
 
 
 @dataclass
@@ -630,13 +713,184 @@ def _long_job(job_id, tenant, model="extra", submit_time=0.0):
     )
 
 
+def _same(jobs, others):
+    return len(jobs) == len(others) and all(map(operator.is_, jobs, others))
+
+
+def _assert_fresh_build(simulator, now):
+    """The simulator's epoch state at ``now`` against one built from a scan
+    of every tenant: the active jobs, the table's per-job lists and live
+    starvation keys, the min demands, the exact profiles, the decision key,
+    the stacked question rows, the capacities and the healthy devices."""
+    active = {}
+    for tenant in simulator.tenants.values():
+        if tenant.departure_time is not None and now >= tenant.departure_time:
+            continue
+        jobs = [job for job in tenant.active_jobs() if job.submit_time <= now]
+        if tenant.arrival_time <= now and jobs:
+            active[tenant.name] = jobs
+    states = simulator._active
+    assert list(states) == list(active)
+    assert all(_same(states[name].jobs, jobs) for name, jobs in active.items())
+
+    table, topology = simulator._table, copy.deepcopy(simulator.topology)
+    fresh = JobTable(Placer(topology, oef=simulator.placer.oef), {})
+    fresh.update(
+        {name: submit_order(jobs) for name, jobs in active.items()}, simulator._rank
+    )
+    assert table.names == fresh.names and _same(table.jobs, fresh.jobs)
+    for column in ("_ids", "_bind_keys", "_codes", "_blocks", "_rates", "_tenants", "_groups"):
+        assert getattr(table, column) == getattr(fresh, column)
+    keys = [
+        (simulator._rank[job.tenant] << STARVATION_BITS) - job.starvation_rounds
+        for job in table.jobs
+    ]
+    assert list(table._queue_key) == list(fresh._queue_key) == keys
+    healthy = [
+        [[device.device_id for device in host] for host in hosts]
+        for hosts in simulator.placer._healthy
+    ]
+    assert healthy == [
+        [[device.device_id for device in host] for host in hosts]
+        for hosts in fresh.placer._healthy
+    ]
+    capacities = topology.capacities()
+    assert simulator._capacities.tobytes() == capacities.tobytes()
+
+    tenants = [simulator.tenants[name] for name in active]
+    scheduler = simulator.scheduler
+    if scheduler.oef_stack:
+        assert simulator._min_demands == {
+            tenant.name: tenant.min_worker_demand(now, active[tenant.name])
+            for tenant in tenants
+        }
+    profiles = {
+        tenant.name: ProfilingAgent().profile_tenant(tenant, now, active[tenant.name])
+        for tenant in tenants
+    }
+    for name, profile in profiles.items():
+        kept = states[name].profile
+        assert list(kept) == list(profile)
+        assert all(kept[model].tobytes() == profile[model].tobytes() for model in profile)
+    parts = [states[name].part for name in active]
+    assert scheduler.decision_key(
+        tenants, profiles, capacities, active_jobs=active, parts=parts
+    ) == scheduler.decision_key(tenants, profiles, capacities, active_jobs=active)
+    if tenants and isinstance(scheduler, OEFScheduler):
+        kept = VirtualUserExpansion([rows for _key, rows in parts])
+        fresh_rows = VirtualUserExpansion(
+            [(t.name, t.weight, sorted(profiles[t.name].items())) for t in tenants]
+        )
+        assert kept.expanded_matrix().users == fresh_rows.expanded_matrix().users
+        for got, want in (
+            (kept.expanded_matrix().values, fresh_rows.expanded_matrix().values),
+            (kept.weights, fresh_rows.weights),
+        ):
+            assert got.tobytes() == want.tobytes()
+
+
+def _extra_tenant(name="t9"):
+    generator = TenantGenerator(seed=7)
+    return generator.make_tenant(
+        name, model_name="resnet50", num_jobs=2, duration_on_slowest=36000.0
+    )
+
+
+def _hooked(mutations):
+    """A steady build whose record path calls simulator hooks: ``mutations``
+    maps a round index to a call on the simulator."""
+
+    def build(make, scheduler):
+        metrics = MetricsCollector()
+        simulator = make(_population(duration=36000.0), scheduler=scheduler, metrics=metrics)
+
+        def mutate(record):
+            if record.round_index in mutations:
+                mutations[record.round_index](simulator, record.time)
+
+        metrics.on_round = mutate
+        return simulator
+
+    return build
+
+
+def _evented(*events):
+    return lambda make, scheduler: make(
+        _population(duration=36000.0), events=list(events), scheduler=scheduler
+    )
+
+
+def _timed(change):
+    def build(make, scheduler):
+        tenants = _population(duration=36000.0)
+        change(tenants)
+        return make(tenants, scheduler=scheduler, stop_when_idle=False)
+
+    return build
+
+
+def _arrive_and_leave(tenants):
+    tenants[0].arrival_time = 1000.0
+    tenants[2].departure_time = 750.0
+
+
+#: epoch-ending reason -> (build(make, scheduler), a round start it ends an epoch at)
+_REASONS = {
+    "event-tenant-arrival": (_evented(TenantArrival(700.0, _extra_tenant())), 900.0),
+    "event-tenant-departure": (_evented(TenantDeparture(700.0, "t1")), 900.0),
+    "event-job-arrival": (_evented(JobArrival(700.0, "t0", _long_job(99, "t0"))), 900.0),
+    "event-device-failure": (_evented(DeviceFailure(600.0, (0, 1))), 600.0),
+    "event-device-repair": (
+        _evented(DeviceFailure(600.0, (0, 1)), DeviceRepair(1500.0, (0, 1))), 1500.0,
+    ),
+    "event-quota-update": (
+        _evented(QuotaUpdate(700.0, (("t0", 2.0), ("t2", 0.5)))), 900.0,
+    ),
+    "hook-add-tenant": (
+        _hooked({2: lambda simulator, now: simulator.add_tenant(_extra_tenant())}), 900.0,
+    ),
+    "hook-remove-tenant": (
+        _hooked({2: lambda simulator, now: simulator.remove_tenant("t1", now)}), 900.0,
+    ),
+    "hook-fail-devices": (
+        _hooked({2: lambda simulator, now: simulator.fail_devices([0, 5])}), 900.0,
+    ),
+    "hook-repair-devices": (
+        _hooked({
+            1: lambda simulator, now: simulator.fail_devices([0, 5]),
+            3: lambda simulator, now: simulator.repair_devices([0, 5]),
+        }),
+        1200.0,
+    ),
+    "hook-set-tenant-weight": (
+        _hooked({2: lambda simulator, now: simulator.set_tenant_weight("t0", 3.0)}), 900.0,
+    ),
+    "hook-add-job": (
+        _hooked({2: lambda simulator, now: simulator.add_job("t1", _long_job(99, "t1"))}),
+        900.0,
+    ),
+    "submit-time": (
+        _timed(lambda tenants: tenants[1].add_job(_long_job(99, "t1", submit_time=1000.0))),
+        1200.0,
+    ),
+    "arrival-and-departure-time": (_timed(_arrive_and_leave), 900.0),
+    "job-finish": (
+        lambda make, scheduler: make(
+            _population(num_jobs=2, duration=900.0), scheduler=scheduler
+        ),
+        900.0,
+    ),
+    "foreign-event": (_evented(_DirectSubmit(700.0, _long_job(99, "t0"))), 900.0),
+}
+
+
 class TestRoundEpoch:
     """A round re-asks its question only when its active-set epoch ends.
 
-    Each case runs one trigger twice — with epochs, and with an epoch
-    ended after every round's scan — and asserts equal round records
+    Each case runs one trigger twice — with epochs, and with every
+    round's epoch built from nothing — and asserts equal round records
     (``solver_seconds`` as solved-or-not), completions and memo counts,
-    plus the round starts at which the epoch run scanned.
+    plus the round starts at which the epoch run began an epoch.
     """
 
     @staticmethod
@@ -645,11 +899,11 @@ class TestRoundEpoch:
         with monkeypatch.context() as patch:
             if every_round:
                 _epoch_per_round(patch)
-            scan = ClusterSimulator._active_jobs
+            epoch = ClusterSimulator._epoch
             patch.setattr(
                 ClusterSimulator,
-                "_active_jobs",
-                lambda self, now: scans.append(now) or scan(self, now),
+                "_epoch",
+                lambda self, now: scans.append(now) or epoch(self, now),
             )
             simulator = build()
             metrics = simulator.run()
@@ -740,6 +994,17 @@ class TestRoundEpoch:
 
         assert self._scans(build, monkeypatch) == [0.0, 900.0]
 
+    def test_a_departure_brought_forward(self, monkeypatch):
+        # the departure time the tenant had is no epoch end any more
+        def build():
+            tenants = _population(duration=36000.0)
+            tenants[2].departure_time = 1950.0
+            return self._build(
+                tenants, events=[TenantDeparture(700.0, "t2")], stop_when_idle=False
+            )
+
+        assert self._scans(build, monkeypatch) == [0.0, 900.0]
+
     def test_a_failure_and_repair(self, monkeypatch):
         def build():
             return self._build(
@@ -798,6 +1063,25 @@ class TestRoundEpoch:
         assert self._scans(build, monkeypatch) == [0.0]
         (_rounds, _done, hits, solves), _ = self._replay(build, monkeypatch, False)
         assert (hits, solves) == (0, 8)
+
+    @pytest.mark.parametrize("scheduler", ["oef-noncoop", "gavel"])
+    @pytest.mark.parametrize("reason", sorted(_REASONS))
+    def test_the_carried_state_is_a_fresh_build(self, monkeypatch, reason, scheduler):
+        """After every epoch, what each tenant carried equals a build from
+        nothing; the epoch ``reason`` ends comes where it should."""
+        build, due = _REASONS[reason]
+        checked = []
+
+        def epoch(self, now):
+            original(self, now)
+            _assert_fresh_build(self, now)
+            checked.append(now)
+
+        original = ClusterSimulator._epoch
+        monkeypatch.setattr(ClusterSimulator, "_epoch", epoch)
+        simulator = build(self._build, make_fair_share_scheduler(scheduler))
+        simulator.run()
+        assert checked[0] == 0.0 and due in checked
 
 
 #: every cluster-family library replay the differential grid covers

@@ -564,3 +564,40 @@ class TestVerdictsOnHandBuiltPrograms:
         # a NaN cost must not come back as an allocation
         with pytest.raises(ModelError):
             solve_form(form)
+
+    @staticmethod
+    def _bounded(bounds):
+        return StandardForm(
+            c=np.array([-1.0, -1.0]), a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([4.0]),
+            a_eq=None, b_eq=None, bounds=bounds, maximise=False,
+        )
+
+    def test_the_shared_nonnegative_bounds_pass_uncopied(self):
+        bounds = form_module.nonnegative_bounds(2)
+        assert _screen(self._bounded(bounds))[0] is bounds
+        # an equal array of the form's own, or the list it stands for, is
+        # screened in full: a new array, the same numbers
+        for own in (bounds.copy(), [(0.0, None)] * 2):
+            screened = _screen(self._bounded(own))[0]
+            assert screened is not own and screened is not bounds
+            np.testing.assert_array_equal(screened, bounds)
+
+    def test_a_nan_bound_still_reads_as_none(self):
+        # what scipy's front end made of it: no bound, not an error
+        screened = _screen(self._bounded([(np.nan, None), (0.0, np.nan)]))[0]
+        np.testing.assert_array_equal(screened, [[-np.inf, np.inf], [0.0, np.inf]])
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [(np.inf, None), (0.0, None)],
+            [(0.0, -np.inf), (0.0, None)],
+            [(0.0, None)] * 3,
+            np.zeros((3, 2)),
+            form_module.nonnegative_bounds(3),
+        ],
+        ids=["inf-lower", "inf-upper", "three-for-two", "array", "shared-of-three"],
+    )
+    def test_other_bounds_keep_the_full_screen(self, bounds):
+        with pytest.raises(ModelError):
+            _screen(self._bounded(bounds))

@@ -60,11 +60,17 @@ def _capture(monkeypatch, scheduler, seed):
         return profile_tenant(self, tenant, now, active)
 
     def allocate_spy(self, tenants, capacities, gpu_types=None):
+        # the scheduler hands over each tenant's checked rows
         specs = [
             TenantSpec.of(
-                name, [JobTypeSpec.of(job, row) for job, row in jobs], weight=weight
+                rows.name,
+                [
+                    JobTypeSpec.of(job, np.frombuffer(row))
+                    for job, row in zip(rows.jobs, rows.rows)
+                ],
+                weight=rows.weight,
             )
-            for name, weight, jobs in tenants
+            for rows in tenants
         ]
         rows = {spec.name: reference[spec.name] for spec in specs}
         captured.append((specs, np.array(capacities), rows))
@@ -119,7 +125,7 @@ def test_a_churn_lp_has_at_most_one_group_per_model(monkeypatch, seed):
     allocate, solve_full = WeightedOEF.allocate, CooperativeOEF._solve_full
 
     def allocate_spy(self, tenants, capacities, gpu_types=None):
-        current["models"] = {job for _name, _weight, jobs in tenants for job, _ in jobs}
+        current["models"] = {job for rows in tenants for job in rows.jobs}
         current["tenants"] = len(tenants)
         return allocate(self, tenants, capacities, gpu_types)
 
