@@ -94,10 +94,9 @@ async def main() -> None:
         status, _, raw = post(f"{base}/solve_batch", batch)
         for line in raw.splitlines():
             row = json.loads(line)
-            print(
-                f"  index={row['index']} shard={row['shard']} "
-                f"status={row['status']}"
-            )
+            # a shed item streams the typed error body, which has no status
+            status = row["status"] if "status" in row else row["error"]["code"]
+            print(f"  index={row['index']} shard={row['shard']} status={status}")
         print()
 
         print("== overload: burst of cold solves vs 2 admission slots ==")

@@ -50,6 +50,19 @@ class Allocation:
         self.instance = instance
         self.allocator_name = allocator_name
 
+    @classmethod
+    def checked(
+        cls, matrix: np.ndarray, instance: ProblemInstance, allocator_name: str = ""
+    ) -> "Allocation":
+        """An allocation over ``matrix`` as it is: an array a validating
+        :class:`Allocation` already produced for ``instance``'s content,
+        shared from here on, not copied or tested again."""
+        allocation = cls.__new__(cls)
+        allocation.matrix = matrix
+        allocation.instance = instance
+        allocation.allocator_name = allocator_name
+        return allocation
+
     # -- metrics -------------------------------------------------------------
     def user_throughput(self, user: Optional[int | str] = None):
         """Normalised throughput per tenant (``E`` vector), or one entry."""

@@ -183,10 +183,15 @@ class CacheMiddleware(Middleware):
     """Content-addressed LRU over solved requests (the exact tier).
 
     Keys on ``Request.key`` when set, else on ``(instance fingerprint,
-    canonical scheduler, frozen options)``.  Cached matrices are copied
-    on both insert and lookup, so callers can never poison the cache by
-    mutating a returned allocation; a hit names its entry only by the
-    opaque per-insert token beside the matrix (``Response.cache_entry``).
+    canonical scheduler, frozen options)``.  The solver's matrix is
+    copied once on insert and the copy is marked read-only; every hit
+    hands that same array to an :meth:`Allocation.checked` bound to the
+    caller's own instance, with no copy and no re-check (the key fixes
+    the instance content, and the stored bytes can no longer change).  A
+    write to a hit's matrix raises ``ValueError``, so callers can never
+    poison the cache.  Entries hold the matrix, never an instance.  A
+    hit names its entry only by the opaque per-insert token beside the
+    matrix (``Response.cache_entry``).
     One LRU bound (``max_entries``) covers the primary store and the
     auxiliary store (:meth:`Gateway.frontier`'s memo) combined.
 
@@ -232,8 +237,8 @@ class CacheMiddleware(Middleware):
                 matrix, allocator_name, fingerprint, canonical, token = entry
                 return Response(
                     scheduler=canonical,
-                    allocation=Allocation(
-                        matrix.copy(), request.instance, allocator_name=allocator_name
+                    allocation=Allocation.checked(
+                        matrix, request.instance, allocator_name
                     ),
                     fingerprint=fingerprint,
                     disposition="cache-hit",
@@ -252,8 +257,10 @@ class CacheMiddleware(Middleware):
         with self._lock:
             if key is not None:
                 allocation = response.allocation
+                matrix = allocation.matrix.copy()
+                matrix.setflags(write=False)  # every hit shares these bytes
                 self._store[key] = (
-                    allocation.matrix.copy(),
+                    matrix,
                     allocation.allocator_name or response.scheduler,
                     response.fingerprint,
                     response.scheduler,
@@ -340,14 +347,17 @@ class CacheMiddleware(Middleware):
 class CoalesceMiddleware(Middleware):
     """Dedupe identical in-flight requests across threads and batches.
 
-    The first thread to ask a given cache key becomes the *leader* and
-    solves normally; concurrent followers with the same key block until
-    the leader finishes, then re-enter the downstream chain — which is a
-    cache hit when a cache stage sits below (the default pipeline), and
-    a correct independent solve otherwise.  ``wait_timeout`` bounds the
-    wait so a wedged leader can never deadlock followers.  Duplicate
-    requests inside one threaded :meth:`Gateway.solve_batch` are deduped
-    here like any other concurrent callers.
+    The first thread to ask a given cache key becomes the *leader*: it
+    marks the key in flight and solves normally.  The first concurrent
+    follower with the same key hangs a ``threading.Event`` on that mark,
+    and every follower blocks on it until the leader finishes; the leader
+    sets the event only if one is there, so a lone request builds none.
+    Followers then re-enter the downstream chain — which is a cache hit
+    when a cache stage sits below (the default pipeline), and a correct
+    independent solve otherwise.  ``wait_timeout`` bounds the wait so a
+    wedged leader can never deadlock followers.  Duplicate requests
+    inside one threaded :meth:`Gateway.solve_batch` are deduped here like
+    any other concurrent callers.
     """
 
     name = "coalesce"
@@ -359,7 +369,8 @@ class CoalesceMiddleware(Middleware):
     ):
         self.registry = registry if registry is not None else _default_registry()
         self.wait_timeout = wait_timeout
-        self._inflight: Dict[object, threading.Event] = {}
+        #: key -> the event its followers wait on (``None`` until one arrives)
+        self._inflight: Dict[object, Optional[threading.Event]] = {}
         self._coalesced = 0
         self._lock = threading.Lock()
 
@@ -373,20 +384,21 @@ class CoalesceMiddleware(Middleware):
             except TypeError:
                 return next(request)
         with self._lock:
-            event = self._inflight.get(key)
-            if event is None:
-                event = threading.Event()
-                self._inflight[key] = event
-                leader = True
+            leader = key not in self._inflight
+            if leader:
+                self._inflight[key] = None  # a follower hangs its event here
             else:
-                leader = False
+                event = self._inflight[key]
+                if event is None:
+                    event = self._inflight[key] = threading.Event()
         if leader:
             try:
                 return next(request)
             finally:
                 with self._lock:
-                    self._inflight.pop(key, None)
-                event.set()
+                    event = self._inflight.pop(key)
+                if event is not None:
+                    event.set()
         # count a successful dedup only when the leader actually finished;
         # a timed-out wait falls through to an ordinary duplicate solve
         if event.wait(self.wait_timeout):
@@ -424,6 +436,8 @@ class MetricsMiddleware(Middleware):
         self.max_samples = max_samples
         self._samples: Dict[str, deque] = {}
         self._counts: Dict[str, int] = {}
+        #: stage name -> its ``stage:<name>`` label, built once per stage
+        self._stage_labels: Dict[str, str] = {}
         self._lock = threading.Lock()
 
     def handle(self, request: Request, next: Handler) -> Response:
@@ -434,16 +448,25 @@ class MetricsMiddleware(Middleware):
 
     def record(self, label: str, seconds: float) -> None:
         with self._lock:
-            bucket = self._samples.get(label)
-            if bucket is None:
-                bucket = self._samples[label] = deque(maxlen=self.max_samples)
-            bucket.append(seconds)
-            self._counts[label] = self._counts.get(label, 0) + 1
+            self._append_locked(label, seconds)
+
+    def _append_locked(self, label: str, seconds: float) -> None:
+        bucket = self._samples.get(label)
+        if bucket is None:
+            bucket = self._samples[label] = deque(maxlen=self.max_samples)
+        bucket.append(seconds)
+        self._counts[label] = self._counts.get(label, 0) + 1
 
     def observe_stages(self, timings: Tuple[Tuple[str, float], ...]) -> None:
-        """Gateway callback: fold one dispatch's per-stage timings in."""
-        for stage, seconds in timings:
-            self.record(f"stage:{stage}", seconds)
+        """Gateway callback: fold one dispatch's per-stage timings in,
+        under one hold of the lock."""
+        labels = self._stage_labels
+        with self._lock:
+            for stage, seconds in timings:
+                label = labels.get(stage)
+                if label is None:
+                    label = labels[stage] = f"stage:{stage}"
+                self._append_locked(label, seconds)
 
     def snapshot(self) -> List[Dict[str, object]]:
         """One row per label (mean/p50/p95/samples)."""

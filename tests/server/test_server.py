@@ -277,6 +277,35 @@ class TestEndpoints:
 
         _with_server(run, shards=3)
 
+    def test_batch_streams_every_shed_item_as_a_typed_error_row(self):
+        instances = [random_instance(4, 3, seed=seed) for seed in range(5)]
+
+        async def run(server):
+            body = json_bytes(
+                {
+                    "requests": [
+                        {"instance": instance_to_dict(instance)}
+                        for instance in instances
+                    ]
+                }
+            )
+            status, _, payload = await _roundtrip(
+                server.port, "POST", "/solve_batch", body
+            )
+            assert status == 200
+            lines = [json.loads(line) for line in payload.splitlines()]
+            assert sorted(line["index"] for line in lines) == list(range(5))
+            for line in lines:
+                # the 429 body plus index and shard: no status key
+                assert "status" not in line
+                assert line["error"]["code"] == "overloaded"
+                assert line["error"]["retry_after_s"] > 0
+                fingerprint = instance_fingerprint(instances[line["index"]])
+                assert line["shard"] == server.pool.shard_for(fingerprint)
+
+        # zero slots: admission sheds every item
+        _with_server(run, shards=2, max_in_flight=0)
+
     def test_audit_and_compare_route_by_fingerprint(self, paper_instance):
         async def run(server):
             body = json_bytes(

@@ -1,12 +1,13 @@
 """Gateway pipeline: envelopes, stages, composition, admission, coalescing."""
 
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import CooperativeOEF
+from repro.core import Allocation, CooperativeOEF, ProblemInstance, SpeedupMatrix
 from repro.gateway import (
     AdmissionMiddleware,
     CacheMiddleware,
@@ -46,6 +47,14 @@ class _Recorder(Middleware):
         response = next(request)
         self.responses.append(response)
         return response
+
+
+def _wait_for_parked_follower(coalesce, key, timeout: float = 5.0) -> None:
+    """Until a follower's event hangs on ``key`` in the in-flight table."""
+    deadline = time.monotonic() + timeout
+    while coalesce._inflight.get(key) is None:
+        assert time.monotonic() < deadline, "no follower parked on the leader"
+        time.sleep(0.001)
 
 
 class _Blocking(Middleware):
@@ -388,7 +397,8 @@ class TestCoalesce:
             target=lambda: responses.append(gateway.dispatch(request))
         )
         follower.start()
-        time.sleep(0.2)  # let the follower park on the coalesce event
+        coalesce = gateway.find(CoalesceMiddleware)
+        _wait_for_parked_follower(coalesce, "k")
         release.set()
         leader.join()
         follower.join()
@@ -396,6 +406,80 @@ class TestCoalesce:
         assert solver.calls == 1  # the follower never solved
         assert len(responses) == 2
         assert {r.disposition for r in responses} == {"cold", "cache-hit"}
+        assert coalesce.stats() == {"coalesced": 1, "in_flight": 0}
+
+    def test_each_key_solves_once_under_thread_contention(self, paper_instance):
+        """Stress: a lost leader mark or event would solve a key twice or
+        leave a follower parked."""
+
+        class _CountingSolver(Middleware):
+            name = "counting-solver"
+
+            def __init__(self):
+                self.calls = {}
+                self._lock = threading.Lock()
+
+            def handle(self, request, next):
+                with self._lock:
+                    self.calls[request.key] = self.calls.get(request.key, 0) + 1
+                time.sleep(0.0005)  # long enough for twins to arrive
+                allocation = Allocation(
+                    np.zeros((3, 2)), request.instance, allocator_name="count"
+                )
+                return Response(
+                    scheduler=request.scheduler, allocation=allocation,
+                    fingerprint="count",
+                )
+
+        solver = _CountingSolver()
+        gateway = Gateway([CoalesceMiddleware(), CacheMiddleware(), solver])
+        keys = [f"k{index}" for index in range(4)]
+        num_threads, rounds = 8, 40
+        barrier = threading.Barrier(num_threads)
+        answered = []
+
+        def worker(offset):
+            barrier.wait(timeout=10.0)
+            for round_index in range(rounds):
+                key = keys[(offset + round_index) % len(keys)]
+                request = Request(
+                    instance=paper_instance, scheduler="max-min", key=key
+                )
+                answered.append(gateway.dispatch(request).ok)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(offset,))
+                for offset in range(num_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(not thread.is_alive() for thread in threads)
+        assert len(answered) == num_threads * rounds and all(answered)
+        assert solver.calls == {key: 1 for key in keys}
+        assert gateway.find(CoalesceMiddleware).stats()["in_flight"] == 0
+
+    def test_a_lone_request_builds_no_event(self, gateway, paper_instance, monkeypatch):
+        built = []
+        real_event = threading.Event
+
+        def counted_event():
+            built.append(1)
+            return real_event()
+
+        monkeypatch.setattr(threading, "Event", counted_event)
+        assert gateway.solve(paper_instance, "max-min").disposition == "cold"
+        assert gateway.solve(paper_instance, "max-min").from_cache
+        assert built == []
+        assert gateway.find(CoalesceMiddleware).stats() == {
+            "coalesced": 0, "in_flight": 0,
+        }
 
     def test_uncached_requests_are_not_coalesced(self, gateway, paper_instance):
         gateway.solve(paper_instance, "max-min", use_cache=False)
@@ -541,9 +625,62 @@ class TestCachePoisoning:
     ):
         gateway.solve(paper_instance, "max-min")
         hit = gateway.solve(paper_instance, "max-min")
-        hit.allocation.matrix[:] = 0.0
+        before = hit.allocation.matrix.tobytes()
+        # a hit shares the stored read-only array: a stray write raises
+        with pytest.raises(ValueError, match="read-only"):
+            hit.allocation.matrix[:] = 0.0
         clean = gateway.solve(paper_instance, "max-min")
+        assert clean.from_cache
+        assert clean.allocation.matrix.tobytes() == before
         assert clean.allocation.total_efficiency() > 0
+
+
+class TestCacheHitContract:
+    """A hit is a lookup: the stored read-only array, the caller's instance."""
+
+    def test_hit_shares_the_stored_read_only_matrix(self, gateway, paper_instance):
+        cold = gateway.solve(paper_instance, "oef-coop")
+        first = gateway.solve(paper_instance, "oef-coop")
+        second = gateway.solve(paper_instance, "oef-coop")
+        assert cold.allocation.matrix.flags.writeable  # the solver's own array
+        assert not first.allocation.matrix.flags.writeable
+        assert first.allocation.matrix is second.allocation.matrix
+        assert first.allocation.matrix is not cold.allocation.matrix
+        with pytest.raises(ValueError):
+            first.allocation.matrix[0, 0] = 1.0
+        again = gateway.solve(paper_instance, "oef-coop").allocation.matrix
+        assert again.tobytes() == cold.allocation.matrix.tobytes()
+
+    def test_hit_is_bound_to_the_callers_instance(self, gateway, paper_instance):
+        gateway.solve(paper_instance, "max-min")
+        twin = ProblemInstance(
+            SpeedupMatrix([[1, 2], [1, 3], [1, 4]]), [1.0, 1.0]
+        )  # equal content, another object
+        hit = gateway.solve(twin, "max-min")
+        assert hit.from_cache
+        assert hit.allocation.instance is twin
+        assert hit.allocation.allocator_name == "max-min"
+
+    def test_validating_init_runs_per_stored_entry_not_per_hit(
+        self, gateway, paper_instance, monkeypatch
+    ):
+        calls = []
+        validating = Allocation.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            validating(self, *args, **kwargs)
+
+        monkeypatch.setattr(Allocation, "__init__", counted)
+        Gateway(bare_pipeline()).solve(paper_instance, "max-min")
+        per_solve = len(calls)
+        calls.clear()
+        gateway.solve(paper_instance, "max-min")
+        assert len(calls) == per_solve  # storing the entry builds none
+        calls.clear()
+        for _ in range(5):
+            assert gateway.solve(paper_instance, "max-min").from_cache
+        assert calls == []
 
 
 class TestBatchThroughGateway:
@@ -891,7 +1028,7 @@ class TestCoalesceLeaderRaises:
         followers = [threading.Thread(target=dispatch) for _ in range(3)]
         for thread in followers:
             thread.start()
-        time.sleep(0.2)  # followers park on the leader's in-flight event
+        _wait_for_parked_follower(gateway.find(CoalesceMiddleware), "k")
         release.set()
         leader.join(timeout=5.0)
         for thread in followers:

@@ -93,8 +93,13 @@ class TestSolveCaching:
     ):
         gateway.solve(paper_instance, "max-min")
         hit = gateway.solve(paper_instance, "max-min")
-        hit.allocation.matrix[:] = 0.0
+        before = hit.allocation.matrix.tobytes()
+        # a hit shares the stored read-only array: a stray write raises
+        with pytest.raises(ValueError, match="read-only"):
+            hit.allocation.matrix[:] = 0.0
         clean = gateway.solve(paper_instance, "max-min")
+        assert clean.from_cache
+        assert clean.allocation.matrix.tobytes() == before
         assert clean.allocation.total_efficiency() > 0
 
     def test_array_options_key_by_content(self):

@@ -25,7 +25,13 @@ The manifest holds, keyed by ``family/...`` strings:
   matrix's bytes (or the error the allocator raised);
 * ``quota/<fleet>``: each library fleet's rebalance pre-pass, one entry
   per window with its exact shares and PE/SI verdicts, which the eighths
-  the regions are shipped can hide.
+  the regions are shipped can hide;
+* ``wire/<scheduler>/<users>x<types>/<seed>``: for :data:`WIRE_SCHEDULERS`
+  on the ``alloc/`` grid, the SHA-256 of the ``/solve`` wire bytes
+  (``json_bytes(response_payload(...))`` without the ``served`` block)
+  of the cold answer and of the cache hit of the same request through
+  ``Gateway(default_pipeline())``, and whether the two are equal — so a
+  change to what a hit encodes moves a key.
 
 ``--compare A B`` prints every key whose value moved or that only one
 side has, and exits 1 if there is any.  Run both sides on one Python and
@@ -60,6 +66,9 @@ BENCH_SEED = 0
 ALLOC_USERS = (2, 8, 24, 25, 40)
 ALLOC_TYPES = (1, 4, 8)
 ALLOC_SEEDS = (0,)
+
+#: Schedulers whose cold and cache-hit wire bytes the ``wire/`` keys hold.
+WIRE_SCHEDULERS = ("max-min", "oef-coop", "oef-noncoop")
 
 
 def replay_schedulers() -> List[str]:
@@ -101,6 +110,24 @@ def _allocation(name: str, instance) -> Dict[str, object]:
     return {"matrix": digest.hexdigest(), "shape": list(matrix.shape)}
 
 
+def _wire(name: str, instance) -> Dict[str, object]:
+    from repro.gateway import Gateway, default_pipeline
+    from repro.server.protocol import json_bytes, response_payload
+    from repro.solver import FORM_CACHE
+
+    FORM_CACHE.clear()  # a cold answer
+    gateway = Gateway(default_pipeline())
+    digests = {}
+    try:
+        for serving in ("cold", "hit"):
+            payload = response_payload(gateway.solve(instance, name))
+            del payload["served"]  # the telemetry that varies per serving
+            digests[serving] = hashlib.sha256(json_bytes(payload)).hexdigest()
+    except Exception as error:  # an allocator's refusal is its answer too
+        return {"error": type(error).__name__}
+    return {**digests, "equal": digests["cold"] == digests["hit"]}
+
+
 def _quota(fleet) -> List[object]:
     from repro.fleet.rebalance import compute_quota_schedule
 
@@ -140,6 +167,9 @@ def build() -> Dict[str, Dict[str, object]]:
                 for info in REGISTRY:
                     key = f"alloc/{info.name}/{users}x{types}/{seed}"
                     manifest[key] = _allocation(info.name, instance)
+                for name in WIRE_SCHEDULERS:
+                    key = f"wire/{name}/{users}x{types}/{seed}"
+                    manifest[key] = _wire(name, instance)
 
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from workloads import WORKLOADS, worker_inputs
