@@ -2,12 +2,30 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.core.instance import ProblemInstance
 from repro.exceptions import ValidationError
+
+
+class Certificate(NamedTuple):
+    """Why an OEF allocation is optimal in its domain: the duals of the
+    program it solved, stated for the total ``sum_g W_g . z_g`` over the
+    instance's groups.  ``capacity``: the capacity rows' (Eq. 9b / 10b);
+    ``keys`` / ``duals``: the nonzero ones of the domain rows, (10c) keyed
+    by group pair when ``domain`` is ``"envy_free"``, (9c) by group when
+    it is ``"equal_throughput"``; ``multiplicity``: the ``m_g`` the rows
+    were posed with.  :func:`~repro.core.properties.certified_total`
+    checks it before trusting it.
+    """
+
+    domain: str
+    multiplicity: np.ndarray
+    capacity: np.ndarray
+    keys: np.ndarray
+    duals: np.ndarray
 
 
 class Allocation:
@@ -23,6 +41,9 @@ class Allocation:
     * *cross evaluation* ``W_l . x_i`` — what tenant ``l`` would get from
       tenant ``i``'s share, used by the envy-freeness audit and Fig. 6.
     """
+
+    #: set by the OEF allocators on their own answers; ``None`` elsewhere
+    certificate: Optional[Certificate] = None
 
     def __init__(
         self,

@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.allocation import Allocation
+from repro.core.allocation import Allocation, Certificate
 from repro.core.base import Allocator
 from repro.core.instance import GroupedInstance, ProblemInstance
 from repro.registry import register_scheduler
@@ -126,6 +126,23 @@ def _below_capacity_rows(num_users, num_types, head_data, data, indices) -> tupl
 _ONE = np.ones(1)
 
 
+def _certificate(instance: GroupedInstance, duals: np.ndarray, pairs) -> Certificate:
+    """Eq. 10's certificate from the row duals of a solve whose rows are
+    the capacity rows, then one envy row per pair of ``pairs``."""
+    num_types = instance.speedups.shape[1]
+    envy = -duals[num_types:]
+    held = np.flatnonzero(envy)
+    return Certificate(
+        "envy_free", instance.multiplicity, -duals[:num_types], pairs[held], envy[held]
+    )
+
+
+def one_profile_certificate(domain: str, instance: GroupedInstance) -> Certificate:
+    """A single group's: a type's dual is its speed, no domain row binds."""
+    keys = np.zeros((0, 2) if domain == "envy_free" else 0, dtype=np.intp)
+    return Certificate(domain, instance.multiplicity, instance.speedups[0], keys, np.zeros(0))
+
+
 def _presolve_reduces(capacities: np.ndarray) -> bool:
     """HiGHS presolve reduces Eq. 10 only by fixing a zero-capacity type's
     columns at zero: skipped otherwise, the same model reaches the simplex."""
@@ -141,6 +158,7 @@ class _Skeleton(NamedTuple):
     indptr: np.ndarray  # int32 row starts
     shape: Tuple[int, int]
     zero_rhs: np.ndarray  # the (10c) right-hand sides
+    pairs: np.ndarray  # (n(n-1), 2) the (g, h) of each (10c) row, in row order
 
 
 @functools.lru_cache(maxsize=64)
@@ -160,9 +178,10 @@ def _eq10_skeleton(num_users: int, num_types: int) -> _Skeleton:
     )
     skeleton = _Skeleton(
         gather, indices.astype(np.int32), indptr.astype(np.int32), shape,
-        np.zeros(envious.size),
+        np.zeros(envious.size), np.column_stack((envious, envied)),
     )
-    for array in (skeleton.gather, skeleton.indices, skeleton.indptr, skeleton.zero_rhs):
+    for array in (skeleton.gather, skeleton.indices, skeleton.indptr, skeleton.zero_rhs,
+                  skeleton.pairs):
         array.setflags(write=False)
     return skeleton
 
@@ -271,15 +290,20 @@ class CooperativeOEF(Allocator):
         """``weights`` (one per row, default 1) are the §4.2.3 priorities;
         ``groups``, when given, is ``instance.grouped(weights)`` built already."""
         groups = instance.grouped(weights) if groups is None else groups
-        shares = None
+        solved = None
         if groups.count == 1:
             # one profile: its members split the whole cluster by weight
-            shares = instance.capacities.reshape(1, -1)
+            solved = instance.capacities.reshape(1, -1), one_profile_certificate(
+                "envy_free", groups
+            )
         elif self._use_cuts(groups.count):
-            shares = self._solve_cutting_plane(groups)
-        if shares is None:
-            shares = self._solve_full(groups)
-        return Allocation(groups.expand(shares), instance, allocator_name=self.name)
+            solved = self._solve_cutting_plane(groups)
+        if solved is None:
+            solved = self._solve_full(groups)
+        shares, certificate = solved
+        allocation = Allocation(groups.expand(shares), instance, allocator_name=self.name)
+        allocation.certificate = certificate
+        return allocation
 
     def _use_cuts(self, num_users: int) -> bool:
         return self.method == "cutting-plane" or (
@@ -308,14 +332,17 @@ class CooperativeOEF(Allocator):
             presolve=_presolve_reduces(instance.capacities),
         )
 
-    def _solve_full(self, instance: GroupedInstance) -> np.ndarray:
+    def _solve_full(self, instance: GroupedInstance) -> Tuple[np.ndarray, Certificate]:
+        """Shares and certificate of the full program, in one cold solve."""
         solution = solve_form(self._full_form(instance))
-        return np.maximum(solution.values.reshape(instance.speedups.shape), 0.0)
+        shares = np.maximum(solution.values.reshape(instance.speedups.shape), 0.0)
+        pairs = _eq10_skeleton(*instance.speedups.shape).pairs
+        return shares, _certificate(instance, solution.duals, pairs)
 
     # -- cutting-plane formulation ------------------------------------------
     def _solve_cutting_plane(
         self, instance: GroupedInstance, tol: float = 1e-9
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[Tuple[np.ndarray, Certificate]]:
         # a pair is violated above tol x the largest own throughput (at 1e-7
         # a 59x10 instance kept 1.6e-6 of envy the full program does not)
         return self._cutting_plane_incremental(instance, self._seed_pairs(instance), tol)
@@ -373,7 +400,7 @@ class CooperativeOEF(Allocator):
         instance: GroupedInstance,
         seeds: np.ndarray,
         tol: float,
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[Tuple[np.ndarray, Certificate]]:
         """Cutting planes over one persistent, incrementally-grown LP.
 
         The HiGHS session keeps its basis between rounds, so adding a few
@@ -386,6 +413,8 @@ class CooperativeOEF(Allocator):
         dropped pair may re-enter later, which is why membership is
         tracked per pair (the n x n ``in_lp`` matrix) rather than per row.
         ``pairs[i]`` and ``born[i]`` describe the session's i-th cut row.
+        The last solve is optimal for every pair, so its row duals, a zero
+        for each pair the session does not hold, certify the full program.
         """
         speedups, multiplicity = instance.speedups, instance.multiplicity
         num_users, num_types = speedups.shape
@@ -409,7 +438,7 @@ class CooperativeOEF(Allocator):
             violated = self._violated_pairs(instance, matrix, tol)
             new_pairs = violated[~in_lp[violated[:, 0], violated[:, 1]]]
             if not len(new_pairs):
-                return matrix
+                return matrix, _certificate(instance, session.row_duals(), pairs)
 
             if round_number <= self.CUT_DROP_LAST_ROUND:
                 pairs, born = self._drop_slack_cuts(

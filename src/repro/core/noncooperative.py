@@ -28,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.allocation import Allocation
+from repro.core.allocation import Allocation, Certificate
 from repro.core.base import Allocator
-from repro.core.cooperative import capacity_rows
+from repro.core.cooperative import capacity_rows, one_profile_certificate
 from repro.core.instance import GroupedInstance, ProblemInstance
 from repro.registry import register_scheduler
 # solve_form is bound here by name: bench/layers.py wraps this module's binding
@@ -115,6 +115,23 @@ class NonCooperativeOEF(Allocator):
         if groups.count == 1:
             # one profile: its members split the whole cluster by weight
             matrix = groups.expand(instance.capacities.reshape(1, -1))
-            return Allocation(matrix, instance, allocator_name=self.name)
+            allocation = Allocation(matrix, instance, allocator_name=self.name)
+            allocation.certificate = one_profile_certificate("equal_throughput", groups)
+            return allocation
         solution = solve_form(self._form(groups))
-        return self.allocation_from_values(instance, solution.values, groups)
+        allocation = self.allocation_from_values(instance, solution.values, groups)
+        allocation.certificate = _certificate(groups, solution.duals)
+        return allocation
+
+
+def _certificate(groups: GroupedInstance, duals: np.ndarray) -> Certificate:
+    """The duals of "max T" restated for (9a)'s total ``M T``, ``M = sum m_g``:
+    scaled by ``M``, plus one on each (9c) row, whose sum adds ``W_g`` at
+    group g's columns and ``-M`` at ``T``'s."""
+    num_types, total_weight = groups.speedups.shape[1], groups.multiplicity.sum()
+    throughput = 1.0 - total_weight * duals[num_types:]
+    held = np.flatnonzero(throughput)
+    return Certificate(
+        "equal_throughput", groups.multiplicity, -total_weight * duals[:num_types],
+        held, throughput[held],
+    )

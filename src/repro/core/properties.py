@@ -13,7 +13,9 @@ Definitions audited (§2.3.1):
   rather than on replicated rows: ``W_l . x_l / w_l >= W_l . x_i / w_i``
   and ``W_l . x_l >= (w_l / sum w) W_l . m``; pass ``weights``.
 * **PE** — no alternative allocation raises one tenant without lowering
-  another; tested exactly with an auxiliary LP.
+  another; tested exactly with an auxiliary LP, or proved without one
+  from the duals an OEF allocation carries (:class:`~repro.core.
+  allocation.Certificate`).
 * **SP** — no tenant can raise its *true* throughput by inflating its
   reported speedup vector; tested empirically by re-running the allocator
   on perturbed matrices.
@@ -63,6 +65,8 @@ class ParetoReport:
     satisfied: bool
     achievable_total: float
     current_total: float
+    #: ``"certificate"`` (the allocation's duals proved it) or ``"lp"``
+    method: str = "lp"
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,8 @@ class EfficiencyReport:
     satisfied: bool
     achieved: float
     optimum: float
+    #: ``"certificate"`` (the allocation's duals proved it) or ``"lp"``
+    method: str = "lp"
 
     @property
     def ratio(self) -> float:
@@ -217,9 +223,20 @@ def check_pareto_efficiency(
     When no allocation in the domain meets every floor (the allocation
     under audit lies outside the domain), nothing there dominates it:
     the report is satisfied with ``achievable_total = -inf``.
+
+    An allocation carrying a :class:`~repro.core.allocation.Certificate`
+    is first judged without the LP: :func:`certified_total` bounds the
+    domain's total from the certificate's duals, and a bound within
+    ``tol`` of the current total proves PE (``method="certificate"``,
+    ``achievable_total`` the bound).  Any other case solves the LP
+    (``method="lp"``).
     """
     current = allocation.user_throughput()
     current_total = float(current.sum())
+    limit = current_total + tol * max(1.0, abs(current_total))
+    bound = certified_total(allocation, within, weights)
+    if bound is not None and bound <= limit:
+        return ParetoReport(True, bound, current_total, method="certificate")
     slack = tol * max(1.0, float(np.abs(current).max()))
     try:
         achievable = _max_total_with_floors(
@@ -228,8 +245,59 @@ def check_pareto_efficiency(
     except InfeasibleError:
         return ParetoReport(True, -np.inf, current_total)
     # relative tolerance: LP solvers return slightly-off vertex values
-    satisfied = achievable <= current_total + tol * max(1.0, abs(current_total))
-    return ParetoReport(satisfied, achievable, current_total)
+    return ParetoReport(achievable <= limit, achievable, current_total)
+
+
+def certified_total(
+    allocation: Allocation,
+    within: Optional[str] = None,
+    weights: Optional[np.ndarray] = None,
+) -> Optional[float]:
+    """A bound on the total throughput of every allocation in ``within``,
+    by weak duality from ``allocation.certificate``; ``None`` when it has
+    none for that domain (its own, posed with the same multiplicities, or
+    the unconstrained one, through its capacity duals alone).
+
+    The rows are rebuilt from ``instance.grouped(weights)``.  With ``y``
+    the duals (clipped at 0 on ``<=`` rows), every ``z`` in the domain
+    has ``c . z <= capacities @ y + (c - A^T y) . z``, and the share
+    columns sum to at most ``sum(capacities)``: the bound is
+    ``capacities @ y + max(0, max(c - A^T y)) * sum(capacities)``, plus,
+    for Eq. 9's ``T`` (``M T = sum_g W_g . z_g <= max(W) sum(capacities)``),
+    its own term.
+    """
+    certificate = allocation.certificate
+    if certificate is None or within not in (None, certificate.domain):
+        return None
+    instance = allocation.instance
+    groups = instance.grouped(weights)
+    speedups, multiplicity = groups.speedups, groups.multiplicity
+    if within is not None and not np.array_equal(certificate.multiplicity, multiplicity):
+        return None
+    num_groups, num_types = speedups.shape
+    extra = 1 if within == "equal_throughput" else 0
+    capacity = np.maximum(certificate.capacity, 0.0)
+    reduced = np.concatenate([speedups.ravel(), np.zeros(extra)]) - _transposed(
+        capacity_rows(num_groups, num_types, extra), capacity
+    )
+    if within == "envy_free":
+        rows = envy_rows(speedups, multiplicity, certificate.keys)
+        reduced -= _transposed(rows, np.maximum(certificate.duals, 0.0))
+    elif within == "equal_throughput":
+        duals = np.zeros(num_groups)
+        duals[certificate.keys] = certificate.duals
+        reduced -= _transposed(equal_throughput_rows(speedups, multiplicity), duals)
+    devices = float(instance.capacities.sum())
+    bound = instance.capacities @ capacity + max(0.0, reduced[: speedups.size].max()) * devices
+    if extra:
+        bound += max(0.0, reduced[-1]) * speedups.max() * devices / multiplicity.sum()
+    return float(bound)
+
+
+def _transposed(rows: CSR, duals: np.ndarray) -> np.ndarray:
+    """``rows^T @ duals``, one entry per column."""
+    weights = rows.data * np.repeat(duals, np.diff(rows.indptr))
+    return np.bincount(rows.indices, weights, minlength=rows.shape[1])
 
 
 def floor_rows(speedups: np.ndarray, extra_columns: int = 0) -> CSR:
@@ -317,9 +385,20 @@ def check_optimal_efficiency(
     constraint: str = "envy_free",
     tol: float = 1e-4,
 ) -> EfficiencyReport:
-    """Does the allocation attain the constrained-optimal total throughput?"""
-    optimum = constrained_optimal_efficiency(allocation.instance, constraint=constraint)
+    """Does the allocation attain the constrained-optimal total throughput?
+
+    For ``"envy_free"`` and ``"equal_throughput"`` an allocation whose
+    :func:`certified_total` is within ``tol`` of its own total is answered
+    from that bound (``method="certificate"``, ``optimum`` the bound);
+    otherwise the optimum is computed (``method="lp"``; for ``"none"``
+    in closed form).
+    """
     achieved = allocation.total_efficiency()
+    if constraint in ("envy_free", "equal_throughput"):
+        bound = certified_total(allocation, constraint)
+        if bound is not None and achieved >= bound - tol * max(1.0, abs(bound)):
+            return EfficiencyReport(True, achieved, bound, method="certificate")
+    optimum = constrained_optimal_efficiency(allocation.instance, constraint=constraint)
     satisfied = achieved >= optimum - tol * max(1.0, abs(optimum))
     return EfficiencyReport(satisfied=satisfied, achieved=achieved, optimum=optimum)
 

@@ -18,7 +18,8 @@ what makes fleet fingerprints backend-independent.
 
 Fairness is audited where it is claimed: each window's global
 allocation is run through the exact PE and SI checks
-(:mod:`repro.core.properties`) whenever the tenant count stays under
+(:mod:`repro.core.properties`; an OEF answer's PE is proved from its own
+certificate, without an LP) whenever the tenant count stays under
 ``property_check_max_tenants`` (LPs over thousands of tenants would
 dominate the run; above the cap the window is marked unchecked, not
 passed).
@@ -26,7 +27,7 @@ passed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -177,8 +178,11 @@ def _capacities(state: _RegionState, topology, gpu_types: List[str]) -> np.ndarr
     return np.asarray([counts[name] for name in gpu_types], dtype=float)
 
 
-def _tenant_row(jobs, gpu_types: List[str]) -> Optional[np.ndarray]:
-    """A tenant's fleet-wide speedup row: its first job's model profile.
+def _tenant_row(
+    jobs, gpu_types: List[str], model_rows: Dict[str, np.ndarray]
+) -> Optional[np.ndarray]:
+    """A tenant's fleet-wide speedup row: its first job's model profile,
+    one read-only row per model kept in ``model_rows``.
 
     The row is normalised downstream, so only the model *shape* matters;
     the first job (arrival order, deterministic) is as representative a
@@ -186,7 +190,12 @@ def _tenant_row(jobs, gpu_types: List[str]) -> Optional[np.ndarray]:
     """
     if not jobs:
         return None
-    return throughput_vector(jobs[0].model_name, gpu_types)
+    model = jobs[0].model_name
+    row = model_rows.get(model)
+    if row is None:
+        row = model_rows[model] = throughput_vector(model, gpu_types)
+        row.setflags(write=False)
+    return row
 
 
 def compute_quota_schedule(
@@ -205,6 +214,11 @@ def compute_quota_schedule(
     fire).  Pass ``script`` to reuse an already-materialised fleet; by
     default the recipe is materialised fresh, which is safe because
     materialisation is deterministic.
+
+    A window that asks the question of an earlier one (the same tenants,
+    rows, capacities and home regions) reuses its answer and verdicts
+    under its own index and time: :func:`_solve_window` runs once per
+    distinct question.
     """
     if window_rounds < 1:
         raise ValidationError("window_rounds must be >= 1")
@@ -221,6 +235,8 @@ def compute_quota_schedule(
         pending.append(list(region.script.events))
 
     windows: List[QuotaWindow] = []
+    answers: Dict[tuple, QuotaWindow] = {}
+    model_rows: Dict[str, np.ndarray] = {}
     boundary = float(window_rounds) * fleet.round_duration
     index = 0
     while boundary <= fleet.last_round_start + 1e-9:
@@ -234,15 +250,22 @@ def compute_quota_schedule(
             del events[:consumed]
             capacities += _capacities(state, region.script.topology, gpu_types)
             for name in sorted(state.tenants):
-                row = _tenant_row(state.jobs.get(name, ()), gpu_types)
+                row = _tenant_row(state.jobs.get(name, ()), gpu_types, model_rows)
                 if row is None or name in home_region:
                     continue
                 home_region[name] = state.region
                 names.append(name)
                 rows.append(row)
         if len(names) >= 2 and capacities.sum() > 0:
-            windows.append(
-                _solve_window(
+            question = (
+                tuple(names),
+                tuple(home_region[name] for name in names),
+                b"".join(row.tobytes() for row in rows),
+                capacities.tobytes(),
+            )
+            answer = answers.get(question)
+            if answer is None:
+                answer = answers[question] = _solve_window(
                     index,
                     time,
                     names,
@@ -254,7 +277,7 @@ def compute_quota_schedule(
                     check_properties
                     and len(names) <= property_check_max_tenants,
                 )
-            )
+            windows.append(replace(answer, index=index, time=float(time)))
         index += 1
         boundary += float(window_rounds) * fleet.round_duration
     return QuotaSchedule(

@@ -116,7 +116,10 @@ class Request:
       nor stores (it still counts the solve as a miss);
     * ``key`` — the cache identity ``(fingerprint, scheduler,
       options)``, filled in normalisation (:meth:`Gateway.solve`, ``parse_solve``);
-      ``None`` (default) lets the stages derive it themselves;
+      ``None`` (default) lets the stages derive it themselves.  A key the
+      caller sets is trusted as that identity: a later request under it
+      is answered from its entry whatever its instance (a stored matrix
+      of another shape raises :class:`~repro.exceptions.ValidationError`);
     * ``fingerprint`` — the instance's content fingerprint, filled by
       :meth:`Gateway.solve` during normalisation so downstream stages
       never re-hash the instance; user code leaves it ``None``.

@@ -50,6 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.allocation import Allocation
+from repro.exceptions import ValidationError
 from repro.gateway.envelope import (
     Overloaded,
     Request,
@@ -187,7 +188,10 @@ class CacheMiddleware(Middleware):
     copied once on insert and the copy is marked read-only; every hit
     hands that same array to an :meth:`Allocation.checked` bound to the
     caller's own instance, with no copy and no re-check (the key fixes
-    the instance content, and the stored bytes can no longer change).  A
+    the instance content, and the stored bytes can no longer change); a
+    caller-set ``Request.key`` is trusted as that identity, and a hit
+    whose matrix does not fit the instance's shape raises
+    :class:`ValidationError` naming the key.  A
     write to a hit's matrix raises ``ValueError``, so callers can never
     poison the cache.  Entries hold the matrix, never an instance.  A
     hit names its entry only by the opaque per-insert token beside the
@@ -235,6 +239,12 @@ class CacheMiddleware(Middleware):
                     hits, misses = self._hits, self._misses
             if entry is not None:
                 matrix, allocator_name, fingerprint, canonical, token = entry
+                instance = request.instance
+                if matrix.shape != (instance.num_users, instance.num_gpu_types):
+                    raise ValidationError(
+                        f"cache key {key!r} holds a {matrix.shape} allocation; the "
+                        f"instance is {(instance.num_users, instance.num_gpu_types)}"
+                    )
                 return Response(
                     scheduler=canonical,
                     allocation=Allocation.checked(

@@ -432,8 +432,9 @@ class ReproServer:
             body = row[2] + json_bytes(served_block(response)) + row[3]
         elif response.ok:
             payload = response_payload(response)
-            body = json_bytes(payload)
-            self._restock(digest, gateway_request, response, payload, body)
+            parts = split_served(payload)
+            body = json_bytes(payload) if parts is None else b"".join(parts)
+            self._restock(digest, gateway_request, response, parts)
         else:
             self._restock(digest, gateway_request, response)
             self._respond_shed(writer, request.path, response)
@@ -442,17 +443,21 @@ class ReproServer:
         writer.write(http11.response_bytes(200, body))
         return True
 
-    def _restock(self, digest, gateway_request, response, payload=None, body=None):
-        """Answered otherwise than from a row: store one (cache hit) or drop it."""
-        counts, parts = self._hot_counts, None
-        if response.cache_entry is not None and gateway_request.deadline is None:
-            parts = split_served(payload, body)
+    def _restock(self, digest, gateway_request, response, parts=None):
+        """Answered otherwise than from a row: store one (cache hit) or drop it.
+
+        ``parts`` are the ``split_served`` parts the body was joined from."""
+        counts = self._hot_counts
+        if response.cache_entry is None or gateway_request.deadline is not None:
+            parts = None
+        else:
             counts["unspliced"] += parts is None
         if parts is None:
             counts["dropped"] += self._hot.pop(digest, None) is not None
             return
         counts["re_encoded" if digest in self._hot else "admitted"] += 1
-        self._hot[digest] = (gateway_request, response.cache_entry, *parts)
+        prefix, _served, suffix = parts
+        self._hot[digest] = (gateway_request, response.cache_entry, prefix, suffix)
         if len(self._hot) > self._hot_bound:
             self._hot.popitem(last=False)
             counts["dropped"] += 1

@@ -282,20 +282,24 @@ def served_block(response: Response) -> Dict[str, object]:
     }
 
 
-def split_served(
-    payload: Mapping[str, object], body: bytes
-) -> Optional[Tuple[bytes, bytes]]:
-    """``body = json_bytes(payload)`` as ``(prefix, suffix)`` around ``served``.
+def split_served(payload: Mapping[str, object]) -> Optional[Tuple[bytes, bytes, bytes]]:
+    """``json_bytes(payload)`` as ``(prefix, served, suffix)``, each encoded once.
 
-    Encoded from the keys sorting before and after it, so any ``served``
-    block splices in canonically; ``None`` if the pieces do not reassemble
-    (as when no key sorts before it, or none after).
+    ``prefix`` is encoded from the keys sorting before ``served``,
+    ``suffix`` from those after it: the canonical encoding lists sorted
+    keys, so the three parts join to ``json_bytes(payload)`` and any other
+    ``served`` block splices in between.  ``None`` when no key sorts
+    before ``served``, or none after (not the wire shape).
     """
-    head = json_bytes({k: v for k, v in payload.items() if k < "served"})
-    tail = json_bytes({k: v for k, v in payload.items() if k > "served"})
-    prefix, suffix = head[:-1] + b',"served":', b"," + tail[1:]
-    whole = prefix + json_bytes(payload["served"]) + suffix
-    return (prefix, suffix) if whole == body else None
+    head = {k: v for k, v in payload.items() if k < "served"}
+    tail = {k: v for k, v in payload.items() if k > "served"}
+    if not (head and tail):
+        return None
+    return (
+        json_bytes(head)[:-1] + b',"served":',
+        json_bytes(payload["served"]),
+        b"," + json_bytes(tail)[1:],
+    )
 
 
 def overloaded_payload(response: Response) -> Dict[str, object]:

@@ -148,11 +148,18 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class Solution:
-    """An optimal point plus its objective value."""
+    """An optimal point, its objective value and its row duals.
+
+    ``duals`` are HiGHS's row duals in the screen's stacked order
+    (``A_ub`` rows, then ``A_eq`` rows) and the sign of scipy's
+    ``marginals``: for a ``maximise`` form, ``-duals`` is a feasible
+    solution of the dual program, so ``b @ -duals`` bounds the objective.
+    """
 
     values: np.ndarray
     objective: float
     stats: SolveStats
+    duals: Optional[np.ndarray] = None
 
 
 def _screen(form: StandardForm) -> Tuple[np.ndarray, CSR, np.ndarray, np.ndarray]:
@@ -200,7 +207,7 @@ def solve_form(form: StandardForm) -> Solution:
     """Solve a :class:`StandardForm` with HiGHS: screen, solve, read back."""
     start = time.perf_counter()
     bounds, rows, row_lower, row_upper = _screen(form)
-    values, _duals = solve_once(
+    values, duals = solve_once(
         form.c, bounds[:, 0], bounds[:, 1], rows, row_lower, row_upper, form.presolve
     )
     elapsed = time.perf_counter() - start
@@ -212,4 +219,4 @@ def solve_form(form: StandardForm) -> Solution:
         num_variables=form.num_variables,
         num_constraints=rows.shape[0],
     )
-    return Solution(values=values, objective=objective, stats=stats)
+    return Solution(values=values, objective=objective, stats=stats, duals=duals)

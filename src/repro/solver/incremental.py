@@ -292,5 +292,10 @@ class IncrementalLP:
         """Current ``A x`` row activity vector."""
         return np.asarray(self._highs.getSolution().row_value, dtype=float)
 
+    def row_duals(self) -> np.ndarray:
+        """The last solve's row duals, current row order, the sign of
+        scipy's ``marginals`` (``<= 0`` on a binding ``<=`` row)."""
+        return np.asarray(self._highs.getSolution().row_dual, dtype=float)
+
 
 __all__ = ["IncrementalLP", "incremental_available", "solve_once"]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from repro.workloads.models import (
     MODEL_CATALOG,
     PAPER_GPU_TYPES,
     all_models,
-    speedup_vector,
     throughput_vector,
 )
 
@@ -115,10 +114,21 @@ class TenantGenerator:
         self.rng = np.random.default_rng(seed)
         self.jitter = hyperparameter_jitter
         self._next_job_id = 0
-        self._speedups: Dict[str, np.ndarray] = {}
+        self._rows: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def _model_rows(self, model_name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The model's throughput and speedup rows: built once, read-only,
+        the speedups shared by every job of the model (``Job.speedups``)."""
+        rows = self._rows.get(model_name)
+        if rows is None:
+            throughput = throughput_vector(model_name, self.gpu_types)
+            rows = self._rows[model_name] = (throughput, throughput / throughput[0])
+            for row in rows:
+                row.setflags(write=False)
+        return rows
 
     def _job_throughput(self, model_name: str) -> np.ndarray:
-        base = throughput_vector(model_name, self.gpu_types)
+        base, _speedups = self._model_rows(model_name)
         # hyper-parameter perturbation scales absolute speed, not shape
         factor = 1.0 + self.rng.uniform(-self.jitter, self.jitter)
         return base * factor
@@ -132,9 +142,6 @@ class TenantGenerator:
         submit_time: float = 0.0,
     ) -> Job:
         """A job sized so one slowest-type worker finishes in ``duration``."""
-        if model_name not in self._speedups:  # one shared read-only row per model
-            self._speedups[model_name] = speedup_vector(model_name, self.gpu_types)
-            self._speedups[model_name].setflags(write=False)
         throughput = self._job_throughput(model_name)
         total_iterations = float(throughput[0]) * duration_on_slowest
         job = make_job(
@@ -145,7 +152,7 @@ class TenantGenerator:
             num_workers=num_workers,
             total_iterations=total_iterations,
             submit_time=submit_time,
-            speedups=self._speedups[model_name],
+            speedups=self._model_rows(model_name)[1],
         )
         self._next_job_id += 1
         return job

@@ -265,6 +265,36 @@ class TestRebalance:
         )
         assert any(name.endswith("-failover") for name in after.tenants)
 
+    def test_a_repeated_question_is_solved_once_and_without_a_pe_lp(
+        self, monkeypatch
+    ):
+        import repro.core.properties as properties
+        import repro.fleet.rebalance as rebalance
+
+        solved, lps = [], []
+        solve_window, max_total = rebalance._solve_window, properties._max_total_with_floors
+
+        def counted_window(index, *args):
+            solved.append(index)
+            return solve_window(index, *args)
+
+        def counted_lp(*args, **kwargs):
+            lps.append(1)
+            return max_total(*args, **kwargs)
+
+        monkeypatch.setattr(rebalance, "_solve_window", counted_window)
+        monkeypatch.setattr(properties, "_max_total_with_floors", counted_lp)
+        fleet = make_fleet_scenario("multiregion-failover", regions=3, rounds=24)
+        schedule = compute_quota_schedule(fleet, window_rounds=6)
+        first, repeat = schedule.windows[1:]
+        assert [window.index for window in schedule.windows] == [0, 1, 2]
+        assert solved == [0, 1]  # windows 1 and 2 ask one question
+        assert (repeat.index, repeat.time) == (2, 5400.0) and first.time == 3600.0
+        assert replace(repeat, index=first.index, time=first.time) == first
+        # every window's PE came from its oef-coop certificate
+        assert schedule.checked_windows == 3 and schedule.violations == 0
+        assert lps == []
+
     def test_quota_times_never_pass_the_last_round_start(self):
         fleet = make_fleet_scenario("hetero-generations", regions=2, rounds=5)
         schedule = compute_quota_schedule(fleet, window_rounds=4)

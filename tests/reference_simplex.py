@@ -420,6 +420,9 @@ def simplex_solve_form(form: StandardForm) -> Solution:
         stats=SolveStats(
             solve_seconds=0.0, num_variables=form.num_variables, num_constraints=rows
         ),
+        # the simplex keeps no duals: zeros certify nothing, so every PE
+        # check of an answer solved here falls back to its LP
+        duals=np.zeros(rows),
     )
 
 

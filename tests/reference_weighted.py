@@ -68,7 +68,7 @@ def replicated_optimum(
     matrix = SpeedupMatrix(rows, normalise=False, require_monotone=False)
     replicas = ungrouped(ProblemInstance(matrix.replicated(counts), capacities))
     if mode == "cooperative":
-        shares = CooperativeOEF(method="full")._solve_full(replicas)
+        shares, _certificate = CooperativeOEF(method="full")._solve_full(replicas)
     else:
         values = solve_form(NonCooperativeOEF()._form(replicas)).values
         shares = values[: replicas.speedups.size].reshape(replicas.speedups.shape)

@@ -803,6 +803,46 @@ class TestHotBodies:
 
         _with_server(run, shards=2)
 
+    def test_each_response_is_encoded_once_and_byte_identical(self, monkeypatch):
+        import repro.server.app as app
+        import repro.server.protocol as protocol
+
+        encoded, answered = [], []
+
+        def counting(payload):
+            if "allocation" in payload:  # a response's head, or all of it
+                encoded.append(1)
+            return protocol_json_bytes(payload)
+
+        async def recording(self, request, shard=None):
+            response = await dispatch(self, request, shard)
+            answered.append(response)
+            return response
+
+        protocol_json_bytes, dispatch = protocol.json_bytes, ShardPool.dispatch
+        monkeypatch.setattr(ShardPool, "dispatch", recording)
+        monkeypatch.setattr(protocol, "json_bytes", counting)
+        monkeypatch.setattr(app, "json_bytes", counting)
+        instance = random_instance(5, 3, seed=24)
+        body, timed = _solve_body(instance), _solve_body(instance, deadline_in=60)
+
+        async def run(server):
+            # cold, the hit that stores a row, the row, a deadline's hit
+            replies = [await self._post(server, wire) for wire in (body,) * 3 + (timed,)]
+            return replies, len(encoded), await self._metrics(server)
+
+        replies, encodes, metrics = _with_server(run, shards=2)
+        assert [json.loads(raw)["served"]["disposition"] for _, raw in replies] == (
+            ["cold"] + ["cache-hit"] * 3
+        )
+        assert encodes == 3  # once per response not written from a row
+        for (status, raw), response in zip(replies, answered):
+            assert status == 200 and raw == protocol_json_bytes(response_payload(response))
+        assert metrics["server"]["hot_bodies"] == {
+            "entries": 1, "hits": 1, "admitted": 1,
+            "re_encoded": 0, "dropped": 0, "unspliced": 0,
+        }
+
     def test_deadlines_and_uncached_bodies_never_get_a_row(self):
         instance = random_instance(4, 3, seed=23)
         expected = self._direct_core(instance)
@@ -931,12 +971,12 @@ class TestHotBodies:
 
         _with_server(run, shards=2)
 
-    def test_a_split_that_does_not_reassemble_is_counted_not_served(
+    def test_a_payload_that_does_not_split_is_counted_not_served(
         self, monkeypatch
     ):
         import repro.server.app as app
 
-        monkeypatch.setattr(app, "split_served", lambda payload, body: None)
+        monkeypatch.setattr(app, "split_served", lambda payload: None)
         instance = random_instance(4, 3, seed=29)
         expected = self._direct_core(instance)
 

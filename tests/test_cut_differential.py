@@ -7,7 +7,9 @@ and ``method="full"``.  A third are weighted, with multiplicities from
 another row, left unnormalised so they stay distinct groups at distance 0
 from each other.  The cut optimum must equal the full one to 1e-9
 relative, be envy-free at 1e-6, never fall back to the full program, and
-repeat to the byte.
+repeat to the byte.  The cut answer's certificate (its last solve's duals,
+zero on absent pairs) must prove PE within the envy-free domain at the
+full program's optimum.
 
 Tier-1 runs every tenth case; ``pytest -m differential`` runs all 400.
 """
@@ -15,7 +17,13 @@ Tier-1 runs every tenth case; ``pytest -m differential`` runs all 400.
 import numpy as np
 import pytest
 
-from repro.core import CooperativeOEF, SpeedupMatrix, check_envy_freeness, cooperative
+from repro.core import (
+    CooperativeOEF,
+    SpeedupMatrix,
+    check_envy_freeness,
+    check_pareto_efficiency,
+    cooperative,
+)
 from repro.workloads.generator import random_instance
 
 CASES = range(400)
@@ -56,6 +64,9 @@ def check_case(case, monkeypatch):
     full = CooperativeOEF(method="full").allocate_with_state(instance, weights)
     assert cuts.total_efficiency() == pytest.approx(full.total_efficiency(), rel=1e-9)
     assert check_envy_freeness(cuts, tol=1e-6, weights=weights).satisfied
+    report = check_pareto_efficiency(cuts, within="envy_free", weights=weights)
+    assert report.satisfied and report.method == "certificate"
+    assert report.achievable_total == pytest.approx(full.total_efficiency(), rel=1e-9)
     assert cuts.matrix.tobytes() == again.matrix.tobytes()
 
 

@@ -25,6 +25,7 @@ from repro.gateway import (
     default_pipeline,
     instance_fingerprint,
 )
+from repro.exceptions import ValidationError
 from repro.workloads.generator import random_instance
 
 
@@ -681,6 +682,17 @@ class TestCacheHitContract:
         for _ in range(5):
             assert gateway.solve(paper_instance, "max-min").from_cache
         assert calls == []
+
+
+    def test_a_reused_key_of_another_shape_is_refused(self):
+        gateway = Gateway()
+        first = Request(random_instance(3, 2, seed=0), scheduler="max-min", key="k")
+        assert gateway.dispatch(first).disposition == "cold"
+        other = Request(random_instance(4, 2, seed=1), scheduler="max-min", key="k")
+        with pytest.raises(ValidationError, match="'k'"):
+            gateway.dispatch(other)
+        # the entry stays, and still answers its own shape
+        assert gateway.dispatch(first).disposition == "cache-hit"
 
 
 class TestBatchThroughGateway:

@@ -4,7 +4,8 @@
 with group floors ``m_g . max (f_l / w_l)`` inside a domain and
 ``sum max(f_l, 0)`` unconstrained; ``reference_weighted.py`` keeps the LP
 over every member row.  Same verdict, same achievable total to 1e-9 and
-the same infeasibility, on instances whose rows repeat.
+the same infeasibility, on instances whose rows repeat, also where an
+OEF answer's verdict comes from its certificate instead of the LP.
 """
 
 import numpy as np
@@ -78,6 +79,12 @@ def test_fold_matches_the_member_level_program(seed, weighted):
         current_total = float(current.sum())
         for within in DOMAINS:
             report = check_pareto_efficiency(allocation, within=within, weights=weights)
+            # an OEF answer's certificate proves what the LP of its plain twin finds
+            twin = check_pareto_efficiency(
+                Allocation(allocation.matrix, instance), within=within, weights=weights
+            )
+            assert twin.method == "lp" and twin.satisfied == report.satisfied, name
+            assert report.achievable_total == pytest.approx(twin.achievable_total, rel=1e-9)
             try:
                 expected = member_max_total_with_floors(instance, floors, within, weights)
             except InfeasibleError:
@@ -118,7 +125,8 @@ def test_envy_free_lp_has_one_block_per_distinct_row(monkeypatch):
     instance = ProblemInstance(
         SpeedupMatrix(rows[[0, 1, 0, 2, 1, 0, 2, 0]], normalise=False), [4.0, 3.0, 2.0]
     )
-    allocation = create_scheduler("oef-coop").allocate(instance)
+    # without the allocator's certificate, so the LP is posed
+    allocation = Allocation(create_scheduler("oef-coop").allocate(instance).matrix, instance)
     assert check_pareto_efficiency(allocation, within="envy_free").satisfied
     num_types, num_groups = 3, 3
     assert [form.a_ub.shape for form in forms] == [

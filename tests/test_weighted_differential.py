@@ -101,9 +101,14 @@ class TestAgainstTheReplicatedProgram:
         else:
             per_unit = rows.user_throughput() / weights
             np.testing.assert_allclose(per_unit, per_unit[0], rtol=1e-7)
-        assert check_pareto_efficiency(
-            rows, within=MODES[mode], weights=weights
-        ).satisfied
+        report = check_pareto_efficiency(rows, within=MODES[mode], weights=weights)
+        assert report.satisfied and report.method == "certificate"
+        # the LP of the certificate-free twin finds what the certificate proves
+        twin = check_pareto_efficiency(
+            Allocation(rows.matrix, rows.instance), within=MODES[mode], weights=weights
+        )
+        assert twin.method == "lp" and twin.satisfied
+        assert report.achievable_total == pytest.approx(twin.achievable_total, rel=1e-9)
 
         # members of one group hold the group's share in exact weight ratio
         speedups = rows.instance.speedups.values

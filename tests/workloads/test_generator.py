@@ -73,6 +73,27 @@ class TestTenantGenerator:
             for job in jobs
         )
 
+    def test_one_throughput_row_per_model_same_bits(self, monkeypatch):
+        import repro.workloads.generator as generator_module
+        from repro.workloads.models import throughput_vector
+
+        calls = []
+
+        def counted(model_name, gpu_types):
+            calls.append(model_name)
+            return throughput_vector(model_name, gpu_types)
+
+        monkeypatch.setattr(generator_module, "throughput_vector", counted)
+        generator = TenantGenerator(seed=5, hyperparameter_jitter=0.2)
+        jobs = [generator.make_job("t", model) for model in ["vgg16", "lstm"] * 5]
+        assert calls == ["vgg16", "lstm"]
+        # the row times the job's own jitter factor, as per-job rows gave it
+        rng = np.random.default_rng(5)
+        for job in jobs:
+            factor = 1.0 + rng.uniform(-0.2, 0.2)
+            expected = throughput_vector(job.model_name, generator.gpu_types) * factor
+            assert job.true_throughput.tobytes() == expected.tobytes()
+
     def test_two_tenants_of_one_model_fold_to_one_group(self):
         generator = TenantGenerator(seed=3, hyperparameter_jitter=0.3)
         tenants = [generator.make_tenant(f"t{i}", model_name="lstm") for i in range(2)]

@@ -31,7 +31,12 @@ The manifest holds, keyed by ``family/...`` strings:
   (``json_bytes(response_payload(...))`` without the ``served`` block)
   of the cold answer and of the cache hit of the same request through
   ``Gateway(default_pipeline())``, and whether the two are equal — so a
-  change to what a hit encodes moves a key.
+  change to what a hit encodes moves a key;
+* ``pe/<scheduler>/<users>x<types>/<seed>``: for :data:`PE_SCHEDULERS` on
+  the ``alloc/`` grid, the PE verdict of the cold answer in each domain
+  (unconstrained, envy-free, equal throughput) and its optimal-efficiency
+  verdict under the scheduler's registered constraint, booleans only, so
+  a verdict read from a certificate must equal the one an LP gives.
 
 ``--compare A B`` prints every key whose value moved or that only one
 side has, and exits 1 if there is any.  Run both sides on one Python and
@@ -69,6 +74,9 @@ ALLOC_SEEDS = (0,)
 
 #: Schedulers whose cold and cache-hit wire bytes the ``wire/`` keys hold.
 WIRE_SCHEDULERS = ("max-min", "oef-coop", "oef-noncoop")
+
+#: Schedulers whose PE and optimal-efficiency verdicts the ``pe/`` keys hold.
+PE_SCHEDULERS = ("oef-coop", "oef-noncoop")
 
 
 def replay_schedulers() -> List[str]:
@@ -128,6 +136,22 @@ def _wire(name: str, instance) -> Dict[str, object]:
     return {**digests, "equal": digests["cold"] == digests["hit"]}
 
 
+def _verdicts(name: str, instance) -> Dict[str, object]:
+    from repro.core.properties import check_optimal_efficiency, check_pareto_efficiency
+    from repro.registry import create_scheduler, scheduler_info
+    from repro.solver import FORM_CACHE
+
+    FORM_CACHE.clear()  # a cold answer
+    allocation = create_scheduler(name).allocate(instance)
+    verdicts = {
+        within or "none": bool(check_pareto_efficiency(allocation, within=within).satisfied)
+        for within in (None, "envy_free", "equal_throughput")
+    }
+    constraint = scheduler_info(name).efficiency_constraint
+    verdicts["oe"] = bool(check_optimal_efficiency(allocation, constraint).satisfied)
+    return verdicts
+
+
 def _quota(fleet) -> List[object]:
     from repro.fleet.rebalance import compute_quota_schedule
 
@@ -170,6 +194,9 @@ def build() -> Dict[str, Dict[str, object]]:
                 for name in WIRE_SCHEDULERS:
                     key = f"wire/{name}/{users}x{types}/{seed}"
                     manifest[key] = _wire(name, instance)
+                for name in PE_SCHEDULERS:
+                    key = f"pe/{name}/{users}x{types}/{seed}"
+                    manifest[key] = _verdicts(name, instance)
 
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from workloads import WORKLOADS, worker_inputs
