@@ -28,7 +28,7 @@ costs no numpy.  Subpackages are not attributes until imported: write
 
 import importlib
 
-__version__ = "5.19.0"
+__version__ = "5.20.0"
 
 #: Home module -> the public names it exports.
 _EXPORTS = {

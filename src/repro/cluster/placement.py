@@ -53,10 +53,11 @@ STARVATION_BITS = 32
 
 #: At most this many jobs, a table orders its run queues in Python: below
 #: about 30 jobs a stable ``sorted`` costs less than numpy's fixed cost per
-#: call (``argsort`` and the mask split), above it more.  Both paths stay
-#: (5.13): with Python queues at every size, ``replay-steady`` (96 jobs)
-#: read 0.935x (seeds 12201-12205), and ``fleet-failover`` (about 12 jobs a
-#: region) is on the Python side.
+#: call (``argsort`` and the mask split), above it more.  Both paths stay:
+#: on 10 alternating pairs (5.20, seeds 56101-56110, 2-vCPU x86) Python
+#: queues at every size read ``replay-steady`` 0.946x (0 of 10 better),
+#: ``replay-churn`` 1.011x (7/10), ``fleet-failover`` 0.994x (5/10);
+#: numpy at every size 1.000x (5/10), 0.996x (4/10), 1.005x (5/10).
 PYTHON_QUEUE_MAX = 32
 
 #: An elastic job's demand code is ``-(num_workers << ELASTIC_SHIFT |

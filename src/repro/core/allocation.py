@@ -73,15 +73,18 @@ class Allocation:
 
     @classmethod
     def checked(
-        cls, matrix: np.ndarray, instance: ProblemInstance, allocator_name: str = ""
+        cls, matrix: np.ndarray, instance: ProblemInstance, allocator_name: str = "",
+        certificate: Optional[Certificate] = None,
     ) -> "Allocation":
         """An allocation over ``matrix`` as it is: an array a validating
         :class:`Allocation` already produced for ``instance``'s content,
-        shared from here on, not copied or tested again."""
+        shared from here on, not copied or tested again, with the
+        ``certificate`` that answer carried (checked where it is read)."""
         allocation = cls.__new__(cls)
         allocation.matrix = matrix
         allocation.instance = instance
         allocation.allocator_name = allocator_name
+        allocation.certificate = certificate
         return allocation
 
     # -- metrics -------------------------------------------------------------

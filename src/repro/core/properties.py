@@ -256,7 +256,9 @@ def certified_total(
     """A bound on the total throughput of every allocation in ``within``,
     by weak duality from ``allocation.certificate``; ``None`` when it has
     none for that domain (its own, posed with the same multiplicities, or
-    the unconstrained one, through its capacity duals alone).
+    the unconstrained one, through its capacity duals alone), or when it
+    does not fit the instance's fold (a cache hit under a caller-set key
+    can carry another instance's).
 
     The rows are rebuilt from ``instance.grouped(weights)``.  With ``y``
     the duals (clipped at 0 on ``<=`` rows), every ``z`` in the domain
@@ -275,17 +277,21 @@ def certified_total(
     if within is not None and not np.array_equal(certificate.multiplicity, multiplicity):
         return None
     num_groups, num_types = speedups.shape
+    keys = certificate.keys
+    if certificate.capacity.shape != (num_types,) or len(keys) != len(certificate.duals) \
+            or (keys.size and not 0 <= keys.min() <= keys.max() < num_groups):
+        return None
     extra = 1 if within == "equal_throughput" else 0
     capacity = np.maximum(certificate.capacity, 0.0)
     reduced = np.concatenate([speedups.ravel(), np.zeros(extra)]) - _transposed(
         capacity_rows(num_groups, num_types, extra), capacity
     )
     if within == "envy_free":
-        rows = envy_rows(speedups, multiplicity, certificate.keys)
+        rows = envy_rows(speedups, multiplicity, keys)
         reduced -= _transposed(rows, np.maximum(certificate.duals, 0.0))
     elif within == "equal_throughput":
         duals = np.zeros(num_groups)
-        duals[certificate.keys] = certificate.duals
+        duals[keys] = certificate.duals
         reduced -= _transposed(equal_throughput_rows(speedups, multiplicity), duals)
     devices = float(instance.capacities.sum())
     bound = instance.capacities @ capacity + max(0.0, reduced[: speedups.size].max()) * devices

@@ -11,8 +11,8 @@ The package composes four layers, each usable on its own:
   with any registered scheduler and audits PE / sharing incentive at
   fleet granularity.
 - :mod:`repro.fleet.metrics` — the streaming ``repro/fleetmetrics-v1``
-  sink and its incremental window aggregator (memory O(regions), not
-  O(rounds × tenants)).
+  sink and its incremental window aggregator (memory O(regions ×
+  rounds) scalars, not O(rounds × tenants) records).
 - :mod:`repro.fleet.simulator` — :class:`FleetSimulator`: fans regions
   out across the execution backends (each worker builds only its own
   region) and folds the streamed results into one backend-independent

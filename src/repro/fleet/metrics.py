@@ -10,13 +10,15 @@ so concurrent regions interleave whole lines, never halves — line
 which is why readers regroup by ``(region, round)``.
 
 Memory story: a fleet run holds O(regions) writer buffers (bounded by
-``flush_every``) plus the aggregator's per-window scalars — never
-O(rounds × tenants) records.
+``flush_every``), three scalars per written round (``rows``, which the
+region hands back for the window summary) and the aggregator's
+per-window scalars — never O(rounds × tenants) records.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+import os
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +37,8 @@ class FleetMetricsWriter:
     validated ``repro/fleetmetrics-v1`` record, and buffers it.
     Buffers flush every ``flush_every`` rounds as one atomic batch
     append; the runner calls :meth:`close` after the replay, so the
-    tail always lands.
+    tail always lands.  ``rows`` keeps each written record's ``(round,
+    total_throughput, jain)``, the part :class:`WindowAggregator` reads.
     """
 
     def __init__(
@@ -55,6 +58,7 @@ class FleetMetricsWriter:
         self.scheduler = str(scheduler)
         self.flush_every = max(1, int(flush_every))
         self._buffer: List[Dict[str, object]] = []
+        self.rows: List[Tuple[int, float, float]] = []
 
     def __call__(self, record: ScenarioRoundRecord) -> None:
         entry: Dict[str, object] = {
@@ -74,6 +78,7 @@ class FleetMetricsWriter:
         }
         validate_fleet_record(entry)
         self._buffer.append(entry)
+        self.rows.append((entry["round"], entry["total_throughput"], entry["jain"]))
         if len(self._buffer) >= self.flush_every:
             self.flush()
 
@@ -113,64 +118,56 @@ class WindowAggregator:
         if window_rounds < 1:
             raise SchemaError("window_rounds", "must be >= 1")
         self.window_rounds = int(window_rounds)
-        self._windows: Dict[int, Dict[str, object]] = {}
+        # per window: [throughput per fed round, sum of jain, {region: [sum, rounds]}]
+        self._windows: Dict[int, list] = {}
 
     def feed(self, record: Mapping[str, object]) -> None:
-        window = int(record["round"]) // self.window_rounds  # type: ignore[arg-type]
-        state = self._windows.setdefault(
-            window,
-            {"throughputs": [], "jain_sum": 0.0, "by_region": {}},
-        )
-        throughput = float(record["total_throughput"])  # type: ignore[arg-type]
-        state["throughputs"].append(throughput)  # type: ignore[union-attr]
-        state["jain_sum"] += float(record["jain"])  # type: ignore[arg-type, operator]
-        by_region = state["by_region"]
-        region = str(record["region"])
-        sums = by_region.setdefault(region, [0.0, 0])  # type: ignore[union-attr]
+        self.add(str(record["region"]), int(record["round"]),  # type: ignore[arg-type]
+                 float(record["total_throughput"]), float(record["jain"]))  # type: ignore[arg-type]
+
+    def add(self, region: str, round_index: int, throughput: float, jain: float) -> None:
+        """Feed one round given by its fields rather than its record."""
+        state = self._windows.setdefault(round_index // self.window_rounds, [[], 0.0, {}])
+        state[0].append(throughput)
+        state[1] += jain
+        sums = state[2].setdefault(region, [0.0, 0])
         sums[0] += throughput
         sums[1] += 1
 
     def summary(self) -> List[Dict[str, object]]:
-        """One row per window, in window order."""
+        """One row per window, in window order (a window exists once fed)."""
         rows: List[Dict[str, object]] = []
         for window in sorted(self._windows):
-            state = self._windows[window]
-            values = np.asarray(state["throughputs"], dtype=float)
-            region_means = [
-                total / count
-                for total, count in state["by_region"].values()  # type: ignore[union-attr]
-                if count
-            ]
-            rows.append(
-                {
-                    "window": window,
-                    "rounds": int(values.size),
-                    "regions": len(state["by_region"]),  # type: ignore[arg-type]
-                    "mean_throughput": float(values.mean()) if values.size else 0.0,
-                    "p50_throughput": (
-                        float(np.percentile(values, 50)) if values.size else 0.0
-                    ),
-                    "p95_throughput": (
-                        float(np.percentile(values, 95)) if values.size else 0.0
-                    ),
-                    "jain": jain_index(region_means) if region_means else 1.0,
-                    "mean_jain": (
-                        float(state["jain_sum"]) / values.size  # type: ignore[arg-type]
-                        if values.size
-                        else 1.0
-                    ),
-                }
-            )
+            throughputs, jain_sum, by_region = self._windows[window]
+            values = np.asarray(throughputs, dtype=float)
+            rows.append({
+                "window": window,
+                "rounds": int(values.size),
+                "regions": len(by_region),
+                "mean_throughput": float(values.mean()),
+                "p50_throughput": float(np.percentile(values, 50)),
+                "p95_throughput": float(np.percentile(values, 95)),
+                "jain": jain_index([total / count for total, count in by_region.values()]),
+                "mean_jain": jain_sum / values.size,
+            })
         return rows
 
 
 def aggregate_stream(
-    path: str, window_rounds: int = 6
+    source: Union[str, os.PathLike, Iterable[Tuple[str, int, float, float]]],
+    window_rounds: int = 6,
 ) -> List[Dict[str, object]]:
-    """Read one metrics stream and reduce it to per-window rows."""
+    """Reduce one metrics stream to per-window rows: read from its file
+    when ``source`` is a path, else fed as ``(region, round,
+    total_throughput, jain)`` rows in the reader's ``(region, round)``
+    order."""
     aggregator = WindowAggregator(window_rounds)
-    for record in read_fleet_metrics(path):
-        aggregator.feed(record)
+    if isinstance(source, (str, os.PathLike)):
+        for record in read_fleet_metrics(source):  # type: ignore[arg-type]
+            aggregator.feed(record)
+    else:
+        for row in source:
+            aggregator.add(*row)
     return aggregator.summary()
 
 

@@ -14,8 +14,10 @@ runs in the same interpreter reuse.
 Memory contract: a region's :class:`ScenarioRunner` keeps no rounds; it
 streams every distilled round into the shared
 ``repro/fleetmetrics-v1`` JSONL file, so the parent holds one
-:class:`RegionSummary` per region — peak RSS is O(regions), never
-O(rounds × tenants).
+:class:`RegionSummary` per region, with the ``(round, total_throughput,
+jain)`` scalars of each round it wrote — O(regions × rounds) floats,
+never a round record and never O(rounds × tenants).  The window summary
+reads those scalars; the JSONL stream stays the durable record.
 
 Each region worker builds its own region, and only that one, from the
 recipe (:func:`~repro.fleet.scenario.build_fleet_region`); the parent
@@ -74,6 +76,8 @@ class RegionSummary:
     mean_throughput: float
     starved_jobs: int
     wall_seconds: float
+    #: ``(round, total_throughput, jain)`` of each streamed round, as written
+    rows: Tuple[Tuple[int, float, float], ...] = ()
 
     def as_row(self) -> Dict[str, object]:
         return {
@@ -114,6 +118,7 @@ def _run_region(task: _RegionTask) -> RegionSummary:
     started = time.perf_counter()
     result = runner.run()
     wall = time.perf_counter() - started
+    sink = runner.round_sink
     return RegionSummary(
         region=task.region,
         fingerprint=result.fingerprint(),
@@ -126,6 +131,7 @@ def _run_region(task: _RegionTask) -> RegionSummary:
         mean_throughput=result.aggregates.mean_throughput,
         starved_jobs=result.aggregates.starved_jobs,
         wall_seconds=wall,
+        rows=tuple(sink.rows) if sink is not None else (),
     )
 
 
@@ -186,10 +192,18 @@ class FleetResult:
         return digest.hexdigest()
 
     def window_summary(self, window_rounds: int = 6) -> List[Dict[str, object]]:
-        """Per-window aggregates from the streamed metrics (empty if unsunk)."""
+        """Per-window aggregates of this run's streamed rounds (empty if
+        unsunk), from the rows its regions wrote rather than the file: in
+        the stream reader's ``(region, round)`` order (a region writes in
+        round order), so equal to ``aggregate_stream(metrics_path)`` over
+        a stream holding this run alone."""
         if not self.metrics_path:
             return []
-        return aggregate_stream(self.metrics_path, window_rounds)
+        ordered = sorted(self.regions, key=lambda summary: summary.region)
+        return aggregate_stream(
+            ((summary.region, *row) for summary in ordered for row in summary.rows),
+            window_rounds,
+        )
 
 
 class FleetSimulator:

@@ -191,11 +191,14 @@ class CacheMiddleware(Middleware):
     the instance content, and the stored bytes can no longer change); a
     caller-set ``Request.key`` is trusted as that identity, and a hit
     whose matrix does not fit the instance's shape raises
-    :class:`ValidationError` naming the key.  A
-    write to a hit's matrix raises ``ValueError``, so callers can never
-    poison the cache.  Entries hold the matrix, never an instance.  A
-    hit names its entry only by the opaque per-insert token beside the
-    matrix (``Response.cache_entry``).
+    :class:`ValidationError` naming the key.  A hit carries the solver's
+    :class:`~repro.core.allocation.Certificate` too, which
+    :func:`~repro.core.properties.certified_total` trusts only where it
+    fits the caller's instance.  A write to a hit's matrix raises
+    ``ValueError``, so callers can never poison the cache.  Entries hold
+    the matrix and certificate, never an instance.  A hit names its entry
+    only by the opaque per-insert token beside the matrix
+    (``Response.cache_entry``).
     One LRU bound (``max_entries``) covers the primary store and the
     auxiliary store (:meth:`Gateway.frontier`'s memo) combined.
 
@@ -238,7 +241,7 @@ class CacheMiddleware(Middleware):
                     self._hits += 1
                     hits, misses = self._hits, self._misses
             if entry is not None:
-                matrix, allocator_name, fingerprint, canonical, token = entry
+                matrix, allocator_name, certificate, fingerprint, canonical, token = entry
                 instance = request.instance
                 if matrix.shape != (instance.num_users, instance.num_gpu_types):
                     raise ValidationError(
@@ -248,7 +251,7 @@ class CacheMiddleware(Middleware):
                 return Response(
                     scheduler=canonical,
                     allocation=Allocation.checked(
-                        matrix, request.instance, allocator_name
+                        matrix, request.instance, allocator_name, certificate
                     ),
                     fingerprint=fingerprint,
                     disposition="cache-hit",
@@ -272,6 +275,7 @@ class CacheMiddleware(Middleware):
                 self._store[key] = (
                     matrix,
                     allocation.allocator_name or response.scheduler,
+                    allocation.certificate,
                     response.fingerprint,
                     response.scheduler,
                     object(),  # this entry's identity (Response.cache_entry)

@@ -40,7 +40,11 @@ Execution contract
   item's position); the items not yet started are cancelled.
 * **Sizing** — ``max_workers`` defaults to one worker per usable core
   (CPU-affinity aware), at most ``max_workers`` items run at once, and
-  single-item maps run inline with zero pool overhead.
+  single-item maps run inline with zero pool overhead.  A process map on
+  an executor forked for its own worker count queues every item at once,
+  so a worker takes its next item from the executor's queue without a
+  round trip through the parent; on a larger executor the map holds at
+  most ``max_workers`` items unfinished and tops up as they finish.
 * **State** — every process map runs on one executor that later maps in
   the same interpreter reuse while :data:`~repro.registry.REGISTRY`'s
   generation stands.  Its workers hold what the parent held when it was
@@ -113,11 +117,13 @@ _shared_pool: Optional[ProcessPoolExecutor] = None
 _shared_key: tuple = ()  # (workers, pid, generation) it was forked for
 
 
-def _submit(blob: bytes, workers: int, retire=None):
-    """Submit one task to the shared executor, first re-forking it when it
-    is ``retire``, broken, too small, another pid's or of another registry
+def _submit(blobs: List[bytes], workers: int, room: int, retire=None):
+    """Submit tasks to the shared executor, first re-forking it when it is
+    ``retire``, broken, too small, another pid's or of another registry
     generation (under the lock, so no caller retires it between build and
-    submit).  Returns the executor and the future."""
+    submit).  An executor forked for ``workers`` takes every blob, as its
+    own queue keeps the cap; a larger one takes the first ``room``.
+    Returns the executor and one future per submitted blob."""
     global _shared_pool, _shared_key
     pid = os.getpid()
     with _shared_lock:
@@ -128,21 +134,25 @@ def _submit(blob: bytes, workers: int, retire=None):
             if pool is not None and owner == pid:  # never a parent's pool
                 pool.shutdown(wait=True)
             pool = _shared_pool = ProcessPoolExecutor(workers)
-            _shared_key = (workers, pid, REGISTRY.generation)
-        return pool, pool.submit(_run_pickled, blob, retire is not None)
+            size, _shared_key = workers, (workers, pid, REGISTRY.generation)
+        if size > workers:
+            blobs = blobs[:room]
+        return pool, [pool.submit(_run_pickled, blob, retire is not None) for blob in blobs]
 
 
 def _warm_imap(fn: Callable[[T], R], items: List[T], workers: int) -> Iterator[R]:
     """Ordered ``fn`` over ``items`` on the shared executor, at most
-    ``workers`` in flight.  A dead worker discards the executor
-    (``BrokenProcessPool``)."""
+    ``workers`` in flight: all queued at once on an executor of that size,
+    topped up as they finish on a larger one.  A dead worker discards the
+    executor (``BrokenProcessPool``)."""
     blobs = [pickle.dumps((fn, item)) for item in items]
     runs: list = []  # (executor, future) per submitted item, in input order
 
     def top_up():
-        while len(runs) < len(blobs) and \
-                sum(not future.done() for _, future in runs) < workers:
-            runs.append(_submit(blobs[len(runs)], workers))
+        room = workers - sum(not future.done() for _, future in runs)
+        if room > 0 and len(runs) < len(blobs):
+            pool, futures = _submit(blobs[len(runs):], workers, room)
+            runs.extend((pool, future) for future in futures)
 
     try:
         for index, blob in enumerate(blobs):
@@ -153,7 +163,7 @@ def _warm_imap(fn: Callable[[T], R], items: List[T], workers: int) -> Iterator[R
                 top_up()
             result = future.result()
             if isinstance(result, _Stale):  # once, on a pool forked after this one
-                result = _submit(blob, workers, retire=pool)[1].result()
+                result = _submit([blob], workers, 1, retire=pool)[1][0].result()
             yield result
     except BrokenProcessPool:
         shutdown_shared_pool()

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from repro.fleet import FleetSimulator, resolve_fleet_scenario
+from repro.fleet import FleetSimulator, make_fleet_scenario, resolve_fleet_scenario
 from repro.fleet.metrics import (
     FleetMetricsWriter,
     WindowAggregator,
@@ -174,6 +174,61 @@ class TestStreamingMemory:
             f"{self.LONG_ROUNDS // self.SHORT_ROUNDS}x the rounds: round "
             f"records are accumulating instead of streaming"
         )
+
+
+class TestWindowRows:
+    """``FleetResult.window_summary`` reads the rows each region wrote, not
+    the stream: its rows equal ``aggregate_stream`` over the file bit for
+    bit, whatever the backend, window size, flush cadence or region count."""
+
+    def _run(self, tmp_path, name="run", regions=3, rounds=6, **options):
+        path = str(tmp_path / f"{name}.jsonl")
+        simulator = FleetSimulator(
+            make_fleet_scenario("spot-preemption", seed=9, regions=regions, rounds=rounds),
+            metrics_path=path,
+            **options,
+        )
+        return simulator, simulator.run(), path
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_rows_equal_the_stream_on_every_backend(self, tmp_path, backend):
+        _, result, path = self._run(tmp_path, backend=backend)
+        windows = result.window_summary()
+        assert windows and windows == aggregate_stream(path)
+
+    def test_a_summary_window_other_than_the_simulators(self, tmp_path):
+        _, result, path = self._run(tmp_path, backend="serial", window_rounds=3)
+        for window_rounds in (1, 2, 4, 5, 6):
+            assert result.window_summary(window_rounds) == aggregate_stream(
+                path, window_rounds
+            )
+
+    def test_rows_survive_a_buffer_that_empties_mid_run(self, tmp_path):
+        _, result, path = self._run(tmp_path, backend="serial", flush_every=2)
+        assert result.window_summary() == aggregate_stream(tmp_path / "run.jsonl")
+
+    def test_region_order_is_the_streams_string_order(self, tmp_path):
+        _, result, path = self._run(tmp_path, backend="serial", regions=12, rounds=3)
+        names = sorted(region.region for region in result.regions)
+        assert names.index("region10") < names.index("region2")
+        for window_rounds in (1, 2, 3):
+            assert result.window_summary(window_rounds) == aggregate_stream(
+                path, window_rounds
+            )
+
+    def test_each_run_summarises_its_own_rounds(self, tmp_path):
+        simulator, first, path = self._run(tmp_path, backend="serial")
+        second = simulator.run()  # the stream now holds both runs
+        assert second.window_summary() == first.window_summary()
+        assert sum(row["rounds"] for row in aggregate_stream(path)) == 2 * sum(
+            row["rounds"] for row in first.window_summary()
+        )
+
+    def test_an_unsunk_run_has_no_summary(self):
+        fleet = make_fleet_scenario("spot-preemption", seed=9, regions=2, rounds=3)
+        result = FleetSimulator(fleet, backend="serial").run()
+        assert result.window_summary() == []
+        assert all(region.rows == () for region in result.regions)
 
 
 class TestAggregator:

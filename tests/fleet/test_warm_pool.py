@@ -85,16 +85,23 @@ class _Killer:
 
 class _CountingPool(parallel.ProcessPoolExecutor):
     forks: list = []
+    submits: list = []
 
     def __init__(self, workers):
         self.forks.append(workers)
         super().__init__(workers)
 
+    def submit(self, fn, /, *args, **kwargs):
+        self.submits.append(self)
+        return super().submit(fn, *args, **kwargs)
+
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Worker counts of the executors forked from here on."""
+    """Worker counts of the executors forked from here on; their submits
+    are in ``_CountingPool.submits``."""
     monkeypatch.setattr(_CountingPool, "forks", [])
+    monkeypatch.setattr(_CountingPool, "submits", [])
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", _CountingPool)
     return _CountingPool.forks
 
@@ -137,6 +144,16 @@ def _interval(item):
     started = time.time()
     time.sleep(0.2)
     return started, time.time()
+
+
+def _fail_first(item):
+    """Item 0 raises at once; every other item marks its start and dwells."""
+    index, marks = item
+    if index == 0:
+        raise ValueError("the first item fails")
+    open(os.path.join(marks, str(index)), "w").close()
+    time.sleep(0.2)
+    return index
 
 
 def _overlapping(intervals):
@@ -183,6 +200,36 @@ class TestSharedPool:
         with pytest.raises(AttributeError, match="no such object"):
             get_backend("process", 2).map(_pid, [_Refusing(), _Refusing()])
         assert forks == [2, 2]  # the warm pool, then one fresh fork
+
+
+class TestQueuedMap:
+    """A map on an executor forked for its own worker count queues every
+    item at once; the executor's queue, not the parent, holds the cap."""
+
+    def test_every_item_is_submitted_before_the_first_result_is_read(self, forks):
+        results = get_backend("process", 2).imap(_interval, range(6))
+        first = next(results)
+        assert forks == [2] and len(_CountingPool.submits) == 6
+        assert len([first, *results]) == 6
+
+    def test_a_queued_map_retries_each_stale_task_once(self, monkeypatch, forks):
+        get_backend("process", 2).map(_pid, range(2))  # the warm pool
+        module = types.ModuleType("_queued_injected_work")
+        exec("def double(item):\n    return 2 * item\n", module.__dict__)
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        assert get_backend("process", 2).map(module.double, range(5)) == [0, 2, 4, 6, 8]
+        assert forks == [2, 2]  # the warm pool, then one fresh fork for all retries
+        pools = list(dict.fromkeys(_CountingPool.submits))
+        # all five queued on the warm pool, each retried once on the fresh one
+        assert [_CountingPool.submits.count(pool) for pool in pools] == [2 + 5, 5]
+
+    def test_a_failing_queued_map_cancels_what_has_not_started(self, tmp_path):
+        items = [(index, str(tmp_path)) for index in range(16)]
+        with pytest.raises(ValueError, match="first item"):
+            get_backend("process", 2).map(_fail_first, items)
+        parallel.shutdown_shared_pool()  # lets the started items finish
+        started = len(list(tmp_path.iterdir()))
+        assert started < len(items) // 2
 
 
 def _sweep_rows(scheduler="oef-coop", backend="process"):

@@ -5,7 +5,9 @@
 ``check_optimal_efficiency`` answer from it when it proves the verdict
 and solve their LP otherwise.  ``Allocation(allocation.matrix, instance)``
 carries no certificate, so it always takes the LP: the two reports must
-agree on ``satisfied`` and on the total to 1e-9 relative.
+agree on ``satisfied`` and on the total to 1e-9 relative.  A gateway
+cache hit carries its entry's certificate, which is read only where it
+fits the caller's instance.
 
 The cut grid poses ``oef-coop`` above its full/cut threshold (25-40
 groups, seeds 0-39), where the certificate comes from the cut session's
@@ -138,12 +140,85 @@ def test_the_certificate_holds_only_nonzero_duals():
         )
 
 
-def test_a_cache_hit_carries_no_certificate():
+def test_a_certificate_that_does_not_fit_the_fold_is_not_read():
+    instance = random_instance(8, 3, seed=5)
+    allocation = CooperativeOEF().allocate(instance)
+    certificate = allocation.certificate
+    assert len(certificate.keys) > 0
+    for misfit in (
+        certificate._replace(capacity=certificate.capacity[:-1]),
+        certificate._replace(keys=certificate.keys + instance.grouped().count),
+        certificate._replace(duals=certificate.duals[:-1]),
+    ):
+        allocation.certificate = misfit
+        for within in (None, "envy_free"):
+            assert properties.certified_total(allocation, within) is None
+        assert check_pareto_efficiency(allocation, within="envy_free").method == "lp"
+
+
+def test_a_cache_hit_carries_the_certificate():
     from repro.gateway import Gateway
 
     gateway = Gateway()
     instance = random_instance(6, 3, seed=2)
     cold = gateway.solve(instance, "oef-coop").allocation
     hit = gateway.solve(instance, "oef-coop").allocation
-    assert cold.certificate is not None and hit.certificate is None
-    assert check_pareto_efficiency(hit, within="envy_free").method == "lp"
+    assert hit.certificate is cold.certificate is not None
+    assert assert_as_the_lp(hit, "envy_free").method == "certificate"
+    assert assert_efficiency_as_the_lp(hit, "envy_free").method == "certificate"
+
+
+def _counted(monkeypatch, *names):
+    """Calls of ``properties``' LP entry points, by name, from here on."""
+    calls = []
+    for name in names:
+        original = getattr(properties, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(properties, name, counted)
+    return calls
+
+
+def test_a_repeated_audit_runs_no_lp(monkeypatch):
+    from repro.gateway import Gateway
+
+    gateway = Gateway()
+    instance = random_instance(16, 4, seed=3)
+    first = gateway.audit(instance, "oef-coop", sp_trials=1)
+    lps = _counted(monkeypatch, "_max_total_with_floors", "constrained_optimal_efficiency")
+    again = gateway.audit(instance, "oef-coop", sp_trials=1)
+    assert lps == []
+    assert again.pareto_efficiency == first.pareto_efficiency
+    assert again.optimal_efficiency == first.optimal_efficiency
+
+
+@pytest.mark.parametrize("scheduler", ["oef-coop", "oef-noncoop"])
+def test_a_key_bound_to_another_instance_gets_the_lps_verdict(scheduler):
+    from repro.gateway import Gateway, Request
+
+    for seed in range(4):
+        gateway = Gateway()
+        posed = random_instance(8, 3, seed=seed)
+        gateway.dispatch(Request(posed, scheduler=scheduler, key="k"))
+        values = random_instance(8, 3, seed=seed + 50).speedups.values
+        others = (
+            ProblemInstance(SpeedupMatrix(values, normalise=False), posed.capacities),
+            # the same shape over four profiles: another fold
+            ProblemInstance(
+                SpeedupMatrix(values[[0, 0, 1, 1, 2, 2, 3, 3]], normalise=False),
+                posed.capacities,
+            ),
+        )
+        for other in others:
+            hit = gateway.dispatch(Request(other, scheduler=scheduler, key="k"))
+            assert hit.disposition == "cache-hit" and hit.allocation.certificate
+            twin = Allocation.checked(hit.allocation.matrix, other)
+            for within in DOMAINS:
+                assert check_pareto_efficiency(hit.allocation, within=within).satisfied \
+                    == check_pareto_efficiency(twin, within=within).satisfied, within
+            domain = OWN_DOMAIN[scheduler]
+            assert check_optimal_efficiency(hit.allocation, domain).satisfied \
+                == check_optimal_efficiency(twin, domain).satisfied
